@@ -4,12 +4,17 @@ Both MINIX configurations in the paper used a static 6144 KB buffer cache;
 reads are absorbed by it (the core assumption behind log-structured
 storage), writes are collected and pushed to the backing store on eviction
 and on ``sync``.
+
+Buffers are immutable ``bytes``; a buffer only changes by being replaced.
+That makes parsed forms of a buffer trivially coherent: :meth:`BufferCache.view`
+memoises ``decode(buffer)`` next to the buffer, and the entry goes wherever
+the buffer goes.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable
+from typing import Any, Callable
 
 
 class BufferCache:
@@ -27,6 +32,8 @@ class BufferCache:
         self._writeback = writeback
         self._buffers: OrderedDict[int, bytes] = OrderedDict()
         self._dirty: set[int] = set()
+        # key -> (decode, decode(buffer)) for resident buffers; see view().
+        self._views: dict[int, tuple[Callable[[bytes], Any], Any]] = {}
         self._bytes = 0
         self.hits = 0
         self.misses = 0
@@ -58,6 +65,7 @@ class BufferCache:
         old = self._buffers.pop(key, None)
         if old is not None:
             self._bytes -= len(old)
+            self._views.pop(key, None)
         self._buffers[key] = data
         self._bytes += len(data)
         if dirty:
@@ -68,6 +76,7 @@ class BufferCache:
         while self._bytes > self.capacity_bytes and len(self._buffers) > 1:
             key, data = self._buffers.popitem(last=False)
             self._bytes -= len(data)
+            self._views.pop(key, None)
             self.evictions += 1
             if key in self._dirty:
                 self._dirty.discard(key)
@@ -95,11 +104,30 @@ class BufferCache:
         self.flush()
         self._buffers.clear()
         self._dirty.clear()
+        self._views.clear()
         self._bytes = 0
 
     def peek(self, key: int) -> bytes | None:
         """Look up a buffer without touching its LRU position."""
         return self._buffers.get(key)
+
+    def view(self, key: int, decode: Callable[[bytes], Any]) -> Any:
+        """``decode(buffer)`` for a resident buffer, computed once per buffer.
+
+        The result is memoised beside the buffer and dropped with it (a
+        ``put`` replacing it, eviction, ``forget``, ``drop``), so the same
+        immutable ``bytes`` object always maps to the same parse and there
+        is nothing to invalidate. Callers must treat the result as
+        read-only. Like :meth:`peek` this touches neither the LRU order nor
+        the hit/miss counters — the ``get`` that made the buffer resident
+        already did. Raises ``KeyError`` if ``key`` is not resident.
+        """
+        entry = self._views.get(key)
+        if entry is not None and entry[0] is decode:
+            return entry[1]
+        value = decode(self._buffers[key])
+        self._views[key] = (decode, value)
+        return value
 
     def is_dirty(self, key: int) -> bool:
         """True if the buffer holds unwritten data."""
@@ -114,4 +142,5 @@ class BufferCache:
         data = self._buffers.pop(key, None)
         if data is not None:
             self._bytes -= len(data)
+            self._views.pop(key, None)
         self._dirty.discard(key)

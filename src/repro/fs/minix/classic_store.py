@@ -22,7 +22,7 @@ from repro.disk.disk import SimulatedDisk
 from repro.fs.api import NoSpace
 from repro.fs.cache import BufferCache
 from repro.fs.minix.inode import INODE_SIZE
-from repro.fs.minix.store import BlockStore, StoreStats
+from repro.fs.minix.store import BlockStore, StoreStats, lowest_clear_bit
 
 SECTOR = 512
 
@@ -142,10 +142,6 @@ class ClassicStore(BlockStore):
         within = index % bits_per_block
         return block, within // 8, within % 8
 
-    def _test_bit(self, map_start: int, index: int) -> bool:
-        block, byte, bit = self._bit_location(map_start, index)
-        return bool(self._get_block(block)[byte] & (1 << bit))
-
     def _set_bit(self, map_start: int, index: int, value: bool) -> None:
         block, byte, bit = self._bit_location(map_start, index)
         data = bytearray(self._get_block(block))
@@ -156,12 +152,23 @@ class ClassicStore(BlockStore):
         self._put_block(block, bytes(data))
 
     def _find_free_bit(self, map_start: int, limit: int, start: int) -> int:
-        for index in range(start, limit):
-            if not self._test_bit(map_start, index):
-                return index
-        for index in range(1, start):
-            if not self._test_bit(map_start, index):
-                return index
+        """Lowest clear bit in ``[start, limit)``, else in ``[1, start)``.
+
+        Reads each bitmap block it crosses once, in ascending order.
+        """
+        bits_per_block = self.block_size * 8
+        for lo, hi in ((start, limit), (1, start)):
+            if lo >= hi:
+                continue
+            for block in range(lo // bits_per_block, (hi - 1) // bits_per_block + 1):
+                base = block * bits_per_block
+                bit = lowest_clear_bit(
+                    self._get_block(map_start + block),
+                    max(lo - base, 0),
+                    min(hi - base, bits_per_block),
+                )
+                if bit >= 0:
+                    return base + bit
         raise NoSpace("bitmap exhausted")
 
     # ------------------------------------------------------------------

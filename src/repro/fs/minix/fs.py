@@ -29,6 +29,21 @@ DIRENT_SIZE = 64
 ROOT_INO = 1
 
 
+def _decode_dirents(raw: bytes) -> dict[bytes, tuple[int, int]]:
+    """A directory block as ``{name: (ino, slot)}``, in slot order.
+
+    Free slots (``ino == 0``) are left out; of two entries with one name
+    the lowest slot wins, as in a linear scan. Whether a slot lies inside
+    the directory is the caller's business — ``_dir_remove`` leaves the
+    moved-from tail entry's bytes in place past ``inode.size``.
+    """
+    table: dict[bytes, tuple[int, int]] = {}
+    for slot, (ino, name) in enumerate(DIRENT.iter_unpack(raw)):
+        if ino:
+            table.setdefault(name.rstrip(b"\x00"), (ino, slot))
+    return table
+
+
 @dataclass
 class _OpenFile:
     ino: int
@@ -57,6 +72,10 @@ class MinixFS:
         self.stats = FSStats()
         self.block_size = store.block_size
         self._pointers_per_block = self.block_size // 4
+        self._pointer_block = struct.Struct(f"<{self._pointers_per_block}I")
+        # One function object for the life of the FS: the cache keys its
+        # memoised views on decoder identity.
+        self._decode_pointers = self._pointer_block.unpack_from
         self._fds: dict[int, _OpenFile] = {}
         self._next_fd = 3
 
@@ -103,12 +122,17 @@ class MinixFS:
     # Zone mapping: 7 direct, 1 indirect, 1 double indirect
     # ------------------------------------------------------------------
 
-    def _read_pointers(self, zone: int) -> list[int]:
-        raw = self.store.read_zone(zone)
-        return list(struct.unpack(f"<{self._pointers_per_block}I", raw[: self.block_size]))
+    def _read_pointers(self, zone: int) -> tuple[int, ...]:
+        """An indirect block's pointers: the cached, shared, read-only parse.
+
+        Paths that change a pointer copy to a list first and write the
+        block back, which replaces the buffer and with it this tuple.
+        """
+        self.store.read_zone(zone)
+        return self.store.cache.view(zone, self._decode_pointers)
 
     def _write_pointers(self, zone: int, pointers: list[int]) -> None:
-        self.store.write_zone(zone, struct.pack(f"<{self._pointers_per_block}I", *pointers))
+        self.store.write_zone(zone, self._pointer_block.pack(*pointers))
 
     def _bmap(
         self,
@@ -152,6 +176,7 @@ class MinixFS:
         zone = table[index]
         if zone == 0 and allocate:
             zone = self.store.alloc_zone(inode.lid, prev_zone)
+            table = list(table)
             table[index] = zone
             self._write_pointers(indirect, table)
         return zone
@@ -174,6 +199,7 @@ class MinixFS:
             if not allocate:
                 return 0
             indirect = self.store.alloc_zone(inode.lid, prev_zone)
+            level1 = list(level1)
             level1[outer] = indirect
             self._write_pointers(double, level1)
             self._write_pointers(indirect, [0] * pointers)
@@ -181,6 +207,7 @@ class MinixFS:
         zone = table[inner]
         if zone == 0 and allocate:
             zone = self.store.alloc_zone(inode.lid, prev_zone)
+            table = list(table)
             table[inner] = zone
             self._write_pointers(indirect, table)
         return zone
@@ -274,23 +301,53 @@ class MinixFS:
     # Directories
     # ------------------------------------------------------------------
 
+    def _dir_blocks(self, inode: Inode) -> list[tuple[bytes, dict[bytes, tuple[int, int]]]]:
+        """Every block of a directory as ``(raw, {name: (ino, slot)})``.
+
+        MINIX scans a directory linearly through the buffer cache, and that
+        reference string is what produces the paper's Table 4 disk traffic,
+        so every lookup still maps and reads *every* block, in file order.
+        Only the parse is shared: a block resident in the cache is decoded
+        once (``BufferCache.view``), not once per lookup.
+        """
+        read_zone = self.store.read_zone
+        view = self.store.cache.view
+        blocks = []
+        for index in range(-(-inode.size // self.block_size)):
+            zone = self._bmap(inode, index, allocate=False)
+            if zone == 0:
+                blocks.append((bytes(self.block_size), {}))  # hole
+            else:
+                blocks.append((read_zone(zone), view(zone, _decode_dirents)))
+        return blocks
+
+    def _dir_locate(self, inode: Inode, blocks: list, name: str) -> tuple[int, int] | None:
+        """``(ino, byte offset)`` of the first live entry called ``name``.
+
+        ``blocks`` is the :meth:`_dir_blocks` walk of ``inode``.
+        """
+        target = name.encode()
+        for index, (_raw, table) in enumerate(blocks):
+            hit = table.get(target)
+            if hit is not None:
+                offset = index * self.block_size + hit[1] * DIRENT_SIZE
+                # Bytes at or beyond inode.size are a removed entry's ghost.
+                if offset + DIRENT_SIZE <= inode.size:
+                    return hit[0], offset
+        return None
+
     def _dir_entries(self, inode: Inode) -> list[tuple[int, str]]:
-        raw = self._file_read(inode, 0, inode.size)
         entries = []
-        for offset in range(0, len(raw) - DIRENT_SIZE + 1, DIRENT_SIZE):
-            ino, name = DIRENT.unpack_from(raw, offset)
-            if ino:
-                entries.append((ino, name.rstrip(b"\x00").decode()))
+        for index, (_raw, table) in enumerate(self._dir_blocks(inode)):
+            live = (inode.size - index * self.block_size) // DIRENT_SIZE
+            entries.extend(
+                (ino, name.decode()) for name, (ino, slot) in table.items() if slot < live
+            )
         return entries
 
     def _dir_find(self, inode: Inode, name: str) -> int | None:
-        target = name.encode()
-        raw = self._file_read(inode, 0, inode.size)
-        for offset in range(0, len(raw) - DIRENT_SIZE + 1, DIRENT_SIZE):
-            ino, entry_name = DIRENT.unpack_from(raw, offset)
-            if ino and entry_name.rstrip(b"\x00") == target:
-                return ino
-        return None
+        hit = self._dir_locate(inode, self._dir_blocks(inode), name)
+        return None if hit is None else hit[0]
 
     def _dir_add(self, dir_ino: int, inode: Inode, name: str, child_ino: int) -> None:
         entry = DIRENT.pack(child_ino, name.encode())
@@ -298,21 +355,18 @@ class MinixFS:
         # write directory updates through; MINIX-style stores defer them.
         self._file_write(dir_ino, inode, inode.size, entry, sync=True)
 
-    def _dir_remove(self, dir_ino: int, inode: Inode, name: str) -> None:
-        target = name.encode()
-        raw = self._file_read(inode, 0, inode.size)
-        found_at = None
-        for offset in range(0, len(raw) - DIRENT_SIZE + 1, DIRENT_SIZE):
-            ino, entry_name = DIRENT.unpack_from(raw, offset)
-            if ino and entry_name.rstrip(b"\x00") == target:
-                found_at = offset
-                break
-        if found_at is None:
-            raise FileNotFound(name)
+    def _dir_remove(self, dir_ino: int, inode: Inode, name: str, path: str) -> None:
+        """Delete ``name``'s entry by moving the last entry into its slot."""
+        blocks = self._dir_blocks(inode)
+        hit = self._dir_locate(inode, blocks, name)
+        if hit is None:
+            raise FileNotFound(path)
+        found_at = hit[1]
         last_at = inode.size - DIRENT_SIZE
         if found_at != last_at:
+            tail = last_at % self.block_size
             self._file_write(
-                dir_ino, inode, found_at, raw[last_at : last_at + DIRENT_SIZE], sync=True
+                dir_ino, inode, found_at, blocks[-1][0][tail : tail + DIRENT_SIZE], sync=True
             )
         inode.size -= DIRENT_SIZE
         inode.mtime = self._now()
@@ -427,7 +481,10 @@ class MinixFS:
         inode = self._iget(ino)
         if inode.is_dir:
             raise IsADir(path)
-        self._dir_remove(parent_ino, parent, name)
+        # _dir_remove walks the directory a second time. Its cache touches
+        # are part of MINIX's reference string (search, then delete), so
+        # the find above is not folded into it.
+        self._dir_remove(parent_ino, parent, name, path)
         inode.nlinks -= 1
         if inode.nlinks <= 0:
             self._destroy(ino, inode)
@@ -447,7 +504,8 @@ class MinixFS:
             raise NotADir(path)
         if self._dir_entries(inode):
             raise FileSystemError(f"directory not empty: {path}")
-        self._dir_remove(parent_ino, parent, name)
+        # Second walk of the parent kept on purpose; see unlink.
+        self._dir_remove(parent_ino, parent, name, path)
         self._destroy(ino, inode)
 
     def _destroy(self, ino: int, inode: Inode) -> None:
@@ -509,7 +567,8 @@ class MinixFS:
         self._dir_add(new_parent_ino, new_parent, new_name, ino)
         # Re-read the old parent: it may be the same directory object.
         old_parent = self._iget(old_parent_ino)
-        self._dir_remove(old_parent_ino, old_parent, old_name)
+        # Second walk of the old parent kept on purpose; see unlink.
+        self._dir_remove(old_parent_ino, old_parent, old_name, oldpath)
 
     def _check_not_descendant(self, dir_ino: int, candidate: int, path: str) -> None:
         """Reject moving a directory into its own subtree."""
@@ -567,7 +626,7 @@ class MinixFS:
 
     def _free_indirect_range(self, inode: Inode, slot: int, start: int) -> None:
         indirect = inode.zones[slot]
-        table = self._read_pointers(indirect)
+        table = list(self._read_pointers(indirect))
         changed = False
         for i in range(start, len(table)):
             if table[i]:
@@ -583,7 +642,7 @@ class MinixFS:
     def _free_double_range(self, inode: Inode, start: int) -> None:
         pointers = self._pointers_per_block
         double = inode.zones[8]
-        level1 = self._read_pointers(double)
+        level1 = list(self._read_pointers(double))
         changed = False
         for outer, indirect in enumerate(level1):
             if not indirect:
@@ -592,7 +651,7 @@ class MinixFS:
             if start >= lo + pointers:
                 continue
             inner_start = max(start - lo, 0)
-            table = self._read_pointers(indirect)
+            table = list(self._read_pointers(indirect))
             for i in range(inner_start, len(table)):
                 if table[i]:
                     self.store.free_zone(table[i], inode.lid, 0)

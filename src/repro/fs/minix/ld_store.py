@@ -20,7 +20,7 @@ import warnings
 from repro.fs.api import NoSpace
 from repro.fs.cache import BufferCache
 from repro.fs.minix.inode import INODE_SIZE
-from repro.fs.minix.store import BlockStore, StoreStats
+from repro.fs.minix.store import BlockStore, StoreStats, lowest_clear_bit
 from repro.ld.errors import LDError, OutOfSpaceError
 from repro.ld.hints import LIST_HEAD
 from repro.ld.interface import LogicalDisk
@@ -338,15 +338,15 @@ class LDStore(BlockStore):
         self.cache.put(bid, bytes(block), dirty=True)
 
     def alloc_inode(self) -> int:
-        imap = bytearray(self._get(self._imap_bid, self.block_size))
-        for ino in range(1, self._ninodes + 1):
-            byte, bit = divmod(ino, 8)
-            if not imap[byte] & (1 << bit):
-                imap[byte] |= 1 << bit
-                self.cache.put(self._imap_bid, bytes(imap), dirty=True)
-                self.stats.inodes_allocated += 1
-                return ino
-        raise NoSpace("out of i-nodes")
+        imap = self._get(self._imap_bid, self.block_size)
+        ino = lowest_clear_bit(imap, 1, self._ninodes + 1)
+        if ino < 0:
+            raise NoSpace("out of i-nodes")
+        imap = bytearray(imap)
+        imap[ino >> 3] |= 1 << (ino & 7)
+        self.cache.put(self._imap_bid, bytes(imap), dirty=True)
+        self.stats.inodes_allocated += 1
+        return ino
 
     def free_inode(self, ino: int) -> None:
         imap = bytearray(self._get(self._imap_bid, self.block_size))

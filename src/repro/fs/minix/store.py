@@ -11,7 +11,34 @@ from __future__ import annotations
 
 import abc
 import dataclasses
+import re
 from dataclasses import dataclass, field
+
+from repro.fs.cache import BufferCache
+
+_NOT_FULL_BYTE = re.compile(rb"[^\xff]")
+
+
+def lowest_clear_bit(bitmap: bytes, start: int, stop: int) -> int:
+    """Lowest clear bit of ``bitmap`` in ``[start, stop)``, or -1.
+
+    Bits are numbered LSB-first within each byte (MINIX bitmap order).
+    Whole ``0xff`` bytes are skipped by a byte-level search, so the cost
+    is per byte examined in C, not per bit in Python.
+    """
+    if start >= stop:
+        return -1
+    byte = start >> 3
+    # Bits below ``start`` in its own byte count as taken.
+    free = ~bitmap[byte] & (0xFF << (start & 7)) & 0xFF
+    if not free:
+        match = _NOT_FULL_BYTE.search(bitmap, byte + 1, (stop + 7) >> 3)
+        if match is None:
+            return -1
+        byte = match.start()
+        free = ~bitmap[byte] & 0xFF
+    bit = (byte << 3) + (free & -free).bit_length() - 1
+    return bit if bit < stop else -1
 
 
 @dataclass
@@ -56,6 +83,9 @@ class BlockStore(abc.ABC):
 
     block_size: int
     stats: StoreStats
+    #: Every zone and i-node block is read through this cache; the MINIX
+    #: core hangs its decoded metadata views (``BufferCache.view``) off it.
+    cache: BufferCache
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -879,10 +879,8 @@ class Volume:
             parity = bytearray(pbuf)
             for f, obuf in zip(frags, old):
                 off = (f.within - lo) * size
-                delta = _xor_buffers([obuf, payload(f)])
-                parity[off : off + len(delta)] = _xor_buffers(
-                    [parity[off : off + len(delta)], delta]
-                )
+                end = off + len(obuf)
+                parity[off:end] = _xor_buffers([parity[off:end], obuf, payload(f)])
                 done = self._member_write_at(f.disk, base + f.within, payload(f), now)
                 completion = max(completion, done)
             done = self._member_write_at(parity_member, base + lo, bytes(parity), now)

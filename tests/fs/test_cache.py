@@ -130,3 +130,123 @@ def test_is_dirty_and_clean():
 def test_capacity_must_be_positive():
     with pytest.raises(ValueError):
         BufferCache(0, lambda k, d: None)
+
+
+# ----------------------------------------------------------------------
+# Decoded views
+# ----------------------------------------------------------------------
+
+
+def counting_decoder():
+    calls = []
+
+    def decode(data):
+        calls.append(data)
+        return data.upper()
+
+    return decode, calls
+
+
+def test_view_decodes_once_per_buffer_generation():
+    cache, _written = make_cache()
+    decode, calls = counting_decoder()
+    cache.put(1, b"abc", dirty=False)
+    assert cache.view(1, decode) == b"ABC"
+    assert cache.view(1, decode) is cache.view(1, decode)
+    assert calls == [b"abc"]
+    cache.put(1, b"xyz", dirty=True)  # a new generation of the buffer
+    assert cache.view(1, decode) == b"XYZ"
+    assert cache.view(1, decode) == b"XYZ"
+    assert calls == [b"abc", b"xyz"]
+
+
+def test_view_of_an_equal_but_new_buffer_is_decoded_again():
+    # Coherence is identity of the bytes object, not equality of content.
+    cache, _written = make_cache()
+    decode, calls = counting_decoder()
+    cache.put(1, b"abc", dirty=False)
+    cache.view(1, decode)
+    cache.put(1, bytes(bytearray(b"abc")), dirty=False)
+    cache.view(1, decode)
+    assert len(calls) == 2
+
+
+def test_view_touches_neither_lru_nor_counters():
+    cache, written = make_cache(capacity=1000)
+    cache.put(1, b"a" * 400, dirty=True)
+    cache.put(2, b"b" * 400, dirty=True)
+    cache.view(1, bytes.upper)
+    assert (cache.hits, cache.misses) == (0, 0)
+    cache.put(3, b"c" * 400, dirty=True)  # 1 is still the LRU buffer
+    assert written == [(1, b"a" * 400)]
+
+
+def test_view_dies_with_the_buffer():
+    decode, _calls = counting_decoder()
+
+    def fresh():
+        cache, _written = make_cache(capacity=1000)
+        cache.put(1, b"a" * 400, dirty=True)
+        cache.view(1, decode)
+        assert 1 in cache._views
+        return cache
+
+    cache = fresh()
+    cache.put(1, b"b" * 400, dirty=True)  # replaced
+    assert 1 not in cache._views
+
+    cache = fresh()
+    cache.put(2, b"b" * 400, dirty=False)
+    cache.put(3, b"c" * 400, dirty=False)  # 1 evicted
+    assert 1 not in cache and 1 not in cache._views
+
+    cache = fresh()
+    cache.forget(1)
+    assert 1 not in cache._views
+
+    cache = fresh()
+    cache.drop()
+    assert not cache._views
+
+
+def test_view_survives_flush_and_clean():
+    # Writing a buffer back does not change its bytes, so the parse stays.
+    cache, written = make_cache()
+    decode, calls = counting_decoder()
+    cache.put(1, b"abc", dirty=True)
+    cache.view(1, decode)
+    cache.flush()
+    cache.clean(1)
+    assert written == [(1, b"abc")]
+    cache.view(1, decode)
+    assert len(calls) == 1
+
+
+def test_view_of_absent_buffer_raises():
+    cache, _written = make_cache()
+    with pytest.raises(KeyError):
+        cache.view(9, bytes.upper)
+    assert not cache._views
+
+
+def test_view_with_another_decoder_replaces_the_entry():
+    cache, _written = make_cache()
+    cache.put(1, b"Abc", dirty=False)
+    assert cache.view(1, bytes.upper) == b"ABC"
+    assert cache.view(1, bytes.lower) == b"abc"
+    assert cache.view(1, bytes.upper) == b"ABC"
+    assert len(cache._views) == 1
+
+
+def test_views_never_outnumber_buffers():
+    cache, _written = make_cache(capacity=1000)
+    for step in range(200):
+        key = (step * 7) % 11
+        if step % 5 == 4:
+            cache.forget((step * 3) % 11)
+        elif key not in cache:
+            cache.put(key, bytes([step % 256]) * 150, dirty=step % 2 == 0)
+        if key in cache:
+            assert cache.view(key, bytes.upper) == cache.peek(key).upper()
+        assert set(cache._views) <= set(cache._buffers)
+        assert len(cache._views) <= len(cache._buffers)
