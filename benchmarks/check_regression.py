@@ -1,0 +1,238 @@
+"""CI gate: one table of acceptance rows over the committed BENCH reports.
+
+Usage::
+
+    python benchmarks/check_regression.py REPORT_COMMITTED REPORT_FRESH
+
+The fresh report's ``"benchmark"`` name selects its rows from ``TABLE``;
+each row is ``(benchmark, json-path, kind, bound)`` and prints one line:
+
+* ``identity`` — the flag at the path must be ``true`` (a layer that
+  claims to be figure-identical to what it wraps still is);
+* ``floor`` / ``ceiling`` — the figure must stay ``>=`` / ``<=`` the
+  bound, a number or a json-path to the floor the report itself records;
+* ``not-below-committed`` — the figure times the slack must reach the
+  committed report's (simulated figures: at equal scale they match
+  exactly, so the slack only absorbs a deliberate re-scale);
+* ``monotone-to`` — a sweep's figures never decrease and end at or above
+  the bound.
+
+Paths: ``a.b`` descends keys, ``a[*].b`` collects ``b`` over list ``a``,
+``a[k=p].b`` picks the element of ``a`` whose ``k`` equals the report's
+value at path ``p``. A figure the *fresh* report lacks fails its row — it
+was produced by the very CI run being judged. A missing, unreadable,
+schema-incompatible or figure-less *committed* report is not a
+regression: its rows print SKIP and the exit status stays 0.
+
+There are no CPU rows: real-time claims are judged end to end and
+calibrated on ``cpu_us_per_op`` by ``benchmarks/e2e`` (BENCHMARK.json).
+"""
+
+from __future__ import annotations
+
+import json
+import re
+import sys
+from typing import Callable, NamedTuple
+
+#: Report schema the gate understands; reports carrying a different
+#: ``schema_version`` cannot be compared. Reports without the key predate
+#: versioning and use the version-1 shape.
+SCHEMA_VERSION = 1
+
+SLACK = 1.25
+
+
+class Row(NamedTuple):
+    benchmark: str
+    path: str
+    kind: str
+    bound: float | str | None = None
+
+
+TABLE = [
+    # Multi-tenant scheduler (BENCH_multitenant.json): one tenant through
+    # the scheduler reproduces the direct path's simulated figures, the
+    # queue hop stays a gross-regression guard (wall time is
+    # machine-dependent), and QoS keeps paying for itself against FIFO.
+    Row("multitenant", "single_tenant.figures_identical", "identity"),
+    Row("multitenant", "single_tenant.wall_ratio", "ceiling", 2.0),
+    Row("multitenant", "qos_vs_fifo_throughput_x", "floor", "throughput_floor_x"),
+    Row("multitenant", "qos_vs_fifo_throughput_x", "not-below-committed", SLACK),
+    Row(
+        "multitenant",
+        "sweep[tenants=fifo_baseline.tenants].fairness_ratio",
+        "ceiling",
+        "fairness_ceiling",
+    ),
+    # Volume layer (BENCH_volume_scaling.json): N=4 scaling, the 1-member
+    # volume identical to the bare disk it wraps, and the RAID-5 arms —
+    # full-stripe beats read-modify-write, degraded reads really
+    # reconstruct, the rebuild-rate sweep completes at its top rate.
+    Row("volume_scaling", "write_speedup_at_4", "floor", "speedup_floor"),
+    Row("volume_scaling", "read_speedup_at_4", "floor", "speedup_floor"),
+    Row("volume_scaling", "write_speedup_at_4", "not-below-committed", SLACK),
+    Row("volume_scaling", "identity.clock_identical", "identity"),
+    Row("volume_scaling", "identity.stats_identical", "identity"),
+    Row(
+        "volume_scaling",
+        "raid5.write_paths.full_vs_rmw_x",
+        "floor",
+        "raid5.full_vs_rmw_floor",
+    ),
+    Row(
+        "volume_scaling",
+        "raid5.write_paths.full_vs_rmw_x",
+        "not-below-committed",
+        SLACK,
+    ),
+    Row("volume_scaling", "raid5.degraded_read.reconstructed_reads", "floor", 1),
+    Row("volume_scaling", "raid5.rebuild[*].rebuild_progress", "monotone-to", 1.0),
+]
+
+
+class BaselineUnusable(Exception):
+    """The committed baseline cannot participate in the comparison."""
+
+
+def load_committed_baseline(
+    path: str,
+    *,
+    schema_version: int = SCHEMA_VERSION,
+    require: Callable[[dict], str | None] | None = None,
+) -> dict:
+    """The committed report, or :class:`BaselineUnusable` explaining why.
+
+    ``require`` receives the parsed report and returns a human-readable
+    reason when it lacks the figures the gate compares (``None`` when
+    usable); the reason is folded into the exception message.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            report = json.load(handle)
+    except FileNotFoundError:
+        raise BaselineUnusable(f"committed baseline {path!r} does not exist")
+    except (OSError, ValueError) as exc:
+        raise BaselineUnusable(f"committed baseline {path!r} is unreadable: {exc}")
+    if not isinstance(report, dict):
+        raise BaselineUnusable(
+            f"committed baseline {path!r} is not a report object "
+            f"(got {type(report).__name__})"
+        )
+    version = report.get("schema_version", 1)
+    if version != schema_version:
+        raise BaselineUnusable(
+            f"committed baseline {path!r} has schema_version {version!r}, "
+            f"this checker understands {schema_version}"
+        )
+    if require is not None:
+        reason = require(report)
+        if reason:
+            raise BaselineUnusable(f"committed baseline {path!r} {reason}")
+    return report
+
+
+_PART = re.compile(r"([^.\[\]]+)(?:\[([^\]]*)\])?")
+
+
+def lookup(report: dict, path: str):
+    """The value at ``path`` (see the module docstring), ``None`` if absent."""
+    return _walk(report, report, _PART.findall(path))
+
+
+def _walk(root: dict, node, parts: list[tuple[str, str]]):
+    for i, (key, selector) in enumerate(parts):
+        node = node.get(key) if isinstance(node, dict) else None
+        if not selector:
+            continue
+        if not isinstance(node, list):
+            return None
+        if selector == "*":
+            return [_walk(root, item, parts[i + 1 :]) for item in node]
+        field, _, ref = selector.partition("=")
+        want = lookup(root, ref)
+        node = next(
+            (item for item in node if isinstance(item, dict) and item.get(field) == want),
+            None,
+        )
+    return node
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def judge(row: Row, fresh: dict, committed: dict | None) -> tuple[str, str]:
+    """``(OK | FAIL | SKIP, detail)`` for one row."""
+    value = lookup(fresh, row.path)
+    if row.kind == "identity":
+        return ("OK" if value is True else "FAIL"), f"is {value!r} (must be true)"
+    if row.kind == "monotone-to":
+        ok = (
+            isinstance(value, list)
+            and len(value) >= 2
+            and all(_is_number(v) for v in value)
+            and value == sorted(value)
+            and value[-1] >= row.bound
+        )
+        detail = f"= {value!r} (never decreasing, reaching {row.bound})"
+        return ("OK" if ok else "FAIL"), detail
+    if not _is_number(value):
+        return "FAIL", f"is {value!r}: the fresh report carries no such figure"
+    if row.kind == "not-below-committed":
+        if committed is None:
+            return "SKIP", "no usable committed baseline"
+        base = lookup(committed, row.path)
+        if not _is_number(base) or not base:
+            return "SKIP", "committed baseline carries no such figure"
+        detail = (
+            f"= {value:.4g}, committed {base:.4g} "
+            f"(allowed >= {base / row.bound:.4g})"
+        )
+        return ("OK" if value * row.bound >= base else "FAIL"), detail
+    bound = lookup(fresh, row.bound) if isinstance(row.bound, str) else row.bound
+    if not _is_number(bound):
+        return "FAIL", f"has no bound: the fresh report carries no {row.bound}"
+    ok = value >= bound if row.kind == "floor" else value <= bound
+    return ("OK" if ok else "FAIL"), f"= {value:.4g} ({row.kind} {bound})"
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 3:
+        print(__doc__)
+        return 2
+    with open(argv[2], encoding="utf-8") as handle:
+        fresh = json.load(handle)
+    name = fresh.get("benchmark")
+    rows = [row for row in TABLE if row.benchmark == name]
+    if not rows:
+        print(f"FAIL: the gate has no rows for benchmark {name!r}")
+        return 1
+
+    compared = [row.path for row in rows if row.kind == "not-below-committed"]
+
+    def figure_less(report: dict) -> str | None:
+        if not any(lookup(report, path) for path in compared):
+            return f"carries none of the compared figures ({', '.join(compared)})"
+        return None
+
+    try:
+        committed = load_committed_baseline(argv[1], require=figure_less)
+    except BaselineUnusable as exc:
+        print(f"SKIP: {exc}")
+        committed = None
+
+    failed = 0
+    for row in rows:
+        status, detail = judge(row, fresh, committed)
+        failed += status == "FAIL"
+        print(f"{status:<4} {name}: {row.path} {detail}")
+    if failed:
+        print(f"FAIL: {failed} of {len(rows)} {name} rows outside their bounds")
+        return 1
+    print(f"OK: {name} figures within thresholds")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv))

@@ -1,30 +1,23 @@
-"""Python CPU cost of the hot paths, gated against the in-tree baseline.
+"""Python CPU cost of the LD hot paths: what the *host* pays per operation.
 
-The simulated-I/O benchmarks charge virtual time; this one measures what
-the *host* pays to run them — process-time per operation for the write,
-read, flush, and recovery paths. The baseline is not a committed number
-from some other machine: ``LLDConfig(legacy_codecs=True)`` selects the
-pre-optimization reference implementations (per-entry record codecs,
-rebuild-the-summary-per-flush, ``bytes`` image materialization) preserved
-in ``repro.lld.segment``/``records``, so every run measures baseline and
-current on the same interpreter and hardware and the speedup ratio is
-machine-independent. CI regression-checks the *ratio*, not wall-clock
-(``benchmarks/check_cpu_regression.py``).
+The simulated-I/O benchmarks charge virtual time; this one measures
+process-time per operation for the write, read, flush, and recovery
+paths of the one codec generation the tree carries. It used to run a
+second, in-tree reference generation (per-entry record codecs, summary
+rebuilt per flush) beside it and gate the ratio; that arm is deleted
+(DESIGN.md §17) and its last committed figures are kept verbatim under
+``frozen_baseline`` in the report, for the record only — they were
+measured on another day's machine state and nothing compares against
+them. CPU claims are judged end to end, calibrated and per layer, on
+``cpu_us_per_op`` in ``benchmarks/e2e``.
 
-Also verified here, because a CPU pass must be purely a CPU pass:
-
-* the zero-copy invariant — the optimized write path materializes **zero**
-  intermediate bytes while assembling segment images (the
-  ``segment_bytes_copied`` counter, which the legacy path pushes into the
-  tens of megabytes);
-* simulated figures are byte-identical between the two codec generations
-  (same clock, same disk counters — the wire format did not change);
-* stats bookkeeping (``DiskStats.record_request`` and the LLD write
-  counters) costs < 3% of write-path CPU, measured analytically like
-  ``test_obs_overhead``: per-call cost × exact call count ÷ workload CPU.
+Still verified here: stats bookkeeping (``DiskStats.record_request`` and
+the LLD write counters) costs < 3% of write-path CPU, measured
+analytically like ``test_obs_overhead``: per-call cost × exact call
+count ÷ workload CPU.
 
 Results land in ``BENCH_cpu_profile.json`` through the unified
-MetricsRegistry path. Acceptance: ≥2x on the write path.
+MetricsRegistry path.
 """
 
 import gc
@@ -40,15 +33,25 @@ from benchmarks.conftest import emit
 
 REPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_cpu_profile.json"
 
-COLUMNS = ["baseline µs/op", "current µs/op", "speedup"]
+COLUMNS = ["µs/op"]
 
 FILE_BYTES = 1024
-ARMS = ("baseline", "current")  # legacy_codecs=True vs False
-
-#: The CI gate: write-path CPU per op must improve at least this much
-#: over the in-process legacy baseline.
-WRITE_SPEEDUP_TARGET = 2.0
 STATS_COST_LIMIT = 0.03
+
+#: The deleted reference-codec arm's last committed figures, verbatim.
+FROZEN_BASELINE = {
+    "commit": "437b929",
+    "arm": "per-entry reference codecs, summary rebuilt per flush",
+    "bytes_copied": 3277824,
+    "flush_us_per_op": 149.53141999999977,
+    "fs_write_us_per_op": 259.51295000000044,
+    "read_us_per_op": 12.346359999999557,
+    "recovery_ms": 4.195299000000041,
+    "recovery_records": 890,
+    "stats_cost_fraction": 0.010899444049489558,
+    "write_ops": 100,
+    "write_us_per_op": 122.6385899999999,
+}
 
 
 def _cpu(fn, *args):
@@ -62,23 +65,21 @@ def _cpu(fn, *args):
     return elapsed, out
 
 
-def _ld_config(spec: BuildSpec, legacy: bool) -> LLDConfig:
+def _ld_config(spec: BuildSpec) -> LLDConfig:
     return LLDConfig(
         segment_size=spec.segment_size,
         block_size=spec.block_size,
         checkpoint_slots=2,
-        legacy_codecs=legacy,
     )
 
 
-def run_ld_write_path(spec: BuildSpec, legacy: bool):
+def run_ld_write_path(spec: BuildSpec):
     """Raw LD fsync loop: new_block + write + flush per op.
 
-    This is the write path the optimization targeted — every op packs
-    records into the open summary and runs a delta partial flush — with
-    no file-system layer diluting the measurement.
+    Every op packs records into the open summary and runs a delta
+    partial flush, with no file-system layer diluting the measurement.
     """
-    lld = LLD(fresh_disk(spec), _ld_config(spec, legacy))
+    lld = LLD(fresh_disk(spec), _ld_config(spec))
     lld.initialize()
     payload = bytes(range(256)) * (spec.block_size // 256)
     lid = lld.new_list()
@@ -96,9 +97,9 @@ def run_ld_write_path(spec: BuildSpec, legacy: bool):
     return lld, count, elapsed
 
 
-def run_fs_write_path(spec: BuildSpec, legacy: bool):
+def run_fs_write_path(spec: BuildSpec):
     """Full-stack fsync workload (the BENCH_write_path shape)."""
-    fs, lld = build_minix_lld(spec, legacy_codecs=legacy)
+    fs, lld = build_minix_lld(spec)
     count = spec.small_file_count(1000)
 
     def work():
@@ -125,13 +126,13 @@ def run_read_path(fs, count: int):
     return elapsed
 
 
-def run_flush_path(spec: BuildSpec, legacy: bool):
+def run_flush_path(spec: BuildSpec):
     """Partial-flush component: one buffered write, many durable points.
 
-    Each op re-flushes a growing open summary, so per-entry codecs pay
-    the quadratic rebuild this phase exists to expose.
+    Each op re-flushes a growing open summary — the shape on which a
+    rebuild-the-summary-per-flush codec goes quadratic.
     """
-    lld = LLD(fresh_disk(spec), _ld_config(spec, legacy))
+    lld = LLD(fresh_disk(spec), _ld_config(spec))
     lld.initialize()
     lid = lld.new_list()
     payload = b"\xa5" * 256
@@ -183,113 +184,61 @@ def stats_cost_fraction(lld: LLD, write_cpu: float) -> float:
 
 
 def test_cpu_profile(spec, benchmark):
-    results: dict[str, dict] = {arm: {} for arm in ARMS}
-    sim_signatures = {}
+    cur: dict = {}
     stacks = {}
 
     def run_all():
-        for arm in ARMS:
-            legacy = arm == "baseline"
-            # LD write path (the gated figure).
-            lld_w, n_w, cpu_w = run_ld_write_path(spec, legacy)
-            results[arm]["write_us_per_op"] = cpu_w / n_w * 1e6
-            results[arm]["write_ops"] = n_w
-            results[arm]["bytes_copied"] = lld_w.stats.segment_bytes_copied
-            results[arm]["stats_cost_fraction"] = stats_cost_fraction(lld_w, cpu_w)
-            # The CPU pass must not perturb the simulation: identical
-            # virtual time and disk counters for both codec generations.
-            sim_signatures[arm] = (
-                lld_w.disk.clock.now,
-                lld_w.disk.stats.as_dict(),
-            )
-            # Flush path (quadratic-exposure shape).
-            n_f, cpu_f = run_flush_path(spec, legacy)
-            results[arm]["flush_us_per_op"] = cpu_f / n_f * 1e6
-            # Full stack: write, then read back, then recover.
-            fs, lld_fs, n_fs, cpu_fs = run_fs_write_path(spec, legacy)
-            results[arm]["fs_write_us_per_op"] = cpu_fs / n_fs * 1e6
-            results[arm]["read_us_per_op"] = run_read_path(fs, n_fs) / n_fs * 1e6
-            recovered, n_rec, cpu_rec = run_recovery_path(lld_fs)
-            results[arm]["recovery_ms"] = cpu_rec * 1e3
-            results[arm]["recovery_records"] = n_rec
-            if arm == "current":
-                stacks["fs"], stacks["lld"] = fs, recovered
-        return results
+        lld_w, n_w, cpu_w = run_ld_write_path(spec)
+        cur["write_us_per_op"] = cpu_w / n_w * 1e6
+        cur["write_ops"] = n_w
+        cur["stats_cost_fraction"] = stats_cost_fraction(lld_w, cpu_w)
+        n_f, cpu_f = run_flush_path(spec)
+        cur["flush_us_per_op"] = cpu_f / n_f * 1e6
+        # Full stack: write, then read back, then recover.
+        fs, lld_fs, n_fs, cpu_fs = run_fs_write_path(spec)
+        cur["fs_write_us_per_op"] = cpu_fs / n_fs * 1e6
+        cur["read_us_per_op"] = run_read_path(fs, n_fs) / n_fs * 1e6
+        recovered, n_rec, cpu_rec = run_recovery_path(lld_fs)
+        cur["recovery_ms"] = cpu_rec * 1e3
+        cur["recovery_records"] = n_rec
+        stacks["fs"], stacks["lld"] = fs, recovered
+        return cur
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)
 
-    base, cur = results["baseline"], results["current"]
-    speedup = {
-        "write": base["write_us_per_op"] / cur["write_us_per_op"],
-        "fs_write": base["fs_write_us_per_op"] / cur["fs_write_us_per_op"],
-        "read": base["read_us_per_op"] / cur["read_us_per_op"],
-        "flush": base["flush_us_per_op"] / cur["flush_us_per_op"],
-        "recovery": (
-            base["recovery_ms"] / cur["recovery_ms"] if cur["recovery_ms"] else None
-        ),
-    }
-
     rows = {
-        "write (LD fsync)": ("write_us_per_op", "write"),
-        "write (full stack)": ("fs_write_us_per_op", "fs_write"),
-        "read (full stack)": ("read_us_per_op", "read"),
-        "flush (buffered)": ("flush_us_per_op", "flush"),
-    }
-    table = {
-        label: {
-            "baseline µs/op": base[key],
-            "current µs/op": cur[key],
-            "speedup": speedup[sp],
-        }
-        for label, (key, sp) in rows.items()
+        "write (LD fsync)": "write_us_per_op",
+        "write (full stack)": "fs_write_us_per_op",
+        "read (full stack)": "read_us_per_op",
+        "flush (buffered)": "flush_us_per_op",
     }
     emit(
         render_table(
-            f"Hot-path CPU — {base['write_ops']} ops/phase, "
-            "baseline = legacy_codecs reference",
+            f"Hot-path CPU — {cur['write_ops']} ops/phase",
             COLUMNS,
-            table,
+            {label: {"µs/op": cur[key]} for label, key in rows.items()},
             note=(
-                f"bytes copied assembling images: baseline "
-                f"{base['bytes_copied']:,}, current {cur['bytes_copied']:,}; "
-                f"recovery {base['recovery_ms']:.2f} -> "
-                f"{cur['recovery_ms']:.2f} ms"
+                f"recovery {cur['recovery_ms']:.2f} ms over "
+                f"{cur['recovery_records']} records; stats cost "
+                f"{cur['stats_cost_fraction']:.1%} of write CPU"
             ),
         )
     )
 
-    sim_identical = sim_signatures["baseline"] == sim_signatures["current"]
-
-    # The report flows through the unified registry: the current stack's
-    # layer counters plus a derived `cpu` source carrying this benchmark's
-    # own figures.
-    cpu_payload = {
-        "baseline": base,
-        "current": cur,
-        "speedup": speedup,
-        "sim_figures_identical": sim_identical,
-    }
+    # The report flows through the unified registry: the stack's layer
+    # counters plus a derived `cpu` source carrying this benchmark's own
+    # figures.
     registry = stack_registry(fs=stacks["fs"], lld=stacks["lld"])
-    registry.register("cpu", lambda: cpu_payload)
+    registry.register("cpu", lambda: {"current": cur})
 
     report = {
         "benchmark": "cpu_profile",
         "scale": spec.scale,
         "file_bytes": FILE_BYTES,
-        "write_speedup_target": WRITE_SPEEDUP_TARGET,
-        "baseline": base,
         "current": cur,
-        "speedup": speedup,
-        "sim_figures_identical": sim_identical,
+        "frozen_baseline": FROZEN_BASELINE,
         "metrics": registry.collect(),
     }
     emit(f"wrote {write_json_report(REPORT_PATH, report)}")
 
-    # Acceptance: the optimized write path is at least 2x cheaper than the
-    # in-process legacy baseline, copies nothing assembling images, keeps
-    # stats cost under 3%, and leaves the simulation byte-identical.
-    assert speedup["write"] >= WRITE_SPEEDUP_TARGET, speedup
-    assert cur["bytes_copied"] == 0
-    assert base["bytes_copied"] > 0
     assert cur["stats_cost_fraction"] < STATS_COST_LIMIT, cur
-    assert sim_identical

@@ -19,7 +19,7 @@ What the scheduler architecture is supposed to buy, measured:
 * **zero single-tenant tax** — one tenant driving the fsync workload
   of ``test_write_path`` through the scheduler reproduces the direct
   path's simulated-I/O figures exactly; the wall-clock overhead of the
-  queue hop is reported and gated by ``check_sched_regression.py``.
+  queue hop is reported and gated by ``check_regression.py``.
 
 All throughput/latency figures are *simulated* time; results land in
 ``BENCH_multitenant.json`` for CI to diff and gate.

@@ -69,26 +69,21 @@ def fresh_volume(
     spec: BuildSpec,
     n_disks: int,
     *,
-    layout: str | None = None,
-    level: str | None = None,
+    layout: str = "stripe",
     chunk_sectors: int | None = None,
     segment_size: int | None = None,
 ) -> Volume:
     """A new N-spindle volume of HP C3010 members.
 
-    ``level`` is an alias for ``layout`` (``fresh_volume(level="raid5")``
-    reads like the md tools); passing both raises. Striped and parity
-    volumes default to segment-granular chunks (one stripe chunk == one
-    LLD segment slot), so every slot maps wholly to one spindle and
-    round-robin slot placement turns into round-robin spindle placement.
+    Striped and parity volumes default to segment-granular chunks (one
+    stripe chunk == one LLD segment slot), so every slot maps wholly to
+    one spindle and round-robin slot placement turns into round-robin
+    spindle placement.
     Members are sized so total *data* capacity matches the single-disk
     testbed: the N=1 stripe arm is the same partition as
     :func:`fresh_disk`, and a parity volume sizes members by the N-1 data
     chunks per stripe row.
     """
-    if layout is not None and level is not None:
-        raise ValueError("pass layout= or level=, not both")
-    layout = layout if layout is not None else (level if level is not None else "stripe")
     if chunk_sectors is None:
         chunk_sectors = (segment_size or spec.segment_size) // 512
     if layout == "stripe":
@@ -129,7 +124,6 @@ def build_minix_lld(
     readahead: bool = False,
     delta_partial_flush: bool = True,
     flush_batch: int = 1,
-    legacy_codecs: bool = False,
     n_disks: int | None = None,
     volume_layout: str = "stripe",
     scheduler: str | None = None,
@@ -161,7 +155,6 @@ def build_minix_lld(
         checkpoint_slots=2,
         read_cache_enabled=read_cache,
         delta_partial_flush=delta_partial_flush,
-        legacy_codecs=legacy_codecs,
     )
     if n_disks is None:
         backing = fresh_disk(spec)

@@ -126,8 +126,9 @@ def crash_matrix_summary(report) -> dict:
 
     Takes a ``repro.crashsim.ExplorationReport`` and flattens it into the
     JSON shape CI diffs: how many crash states were explored (by kind),
-    every violation the invariant checker raised, and what recovering each
-    materialized image cost in simulated time.
+    every violation the invariant checker raised, and what recovering a
+    materialized image cost in simulated time (mean and max; the per-state
+    list stays on ``report.recovery_seconds``, out of the committed file).
     """
     return {
         "states_explored": report.states_total,
@@ -144,7 +145,6 @@ def crash_matrix_summary(report) -> dict:
         "violation_count": len(report.violations),
         "recovery_seconds_mean": report.recovery_seconds_mean,
         "recovery_seconds_max": report.recovery_seconds_max,
-        "recovery_seconds_per_state": list(report.recovery_seconds),
     }
 
 

@@ -15,7 +15,6 @@ The changes relative to the classic store mirror the paper's list:
 from __future__ import annotations
 
 import struct
-import warnings
 
 from repro.fs.api import NoSpace
 from repro.fs.cache import BufferCache
@@ -45,38 +44,26 @@ class LDStore(BlockStore):
         list_per_file: bool = True,
         inode_block_mode: str = MODE_PACKED,
         flush_batch: int = 1,
-        legacy_group_commit: bool = False,
     ) -> None:
         if inode_block_mode not in (MODE_PACKED, MODE_SMALL):
             raise ValueError(f"unknown inode_block_mode {inode_block_mode!r}")
         if flush_batch < 1:
             raise ValueError(f"flush_batch must be >= 1: {flush_batch}")
-        # Group commit now lives in the scheduler: a store with
+        # Group commit lives in the scheduler: a store with
         # ``flush_batch > 1`` over a bare LD wraps it in a solo
         # :class:`~repro.sched.LDServer` whose cross-tenant group commit
         # does the sync coalescing. A store handed a ``TenantSession``
         # already participates in its server's group commit, so the batch
         # size belongs to that server, not here.
         self._session = ld if isinstance(ld, TenantSession) else None
-        self._legacy_group_commit = False
         if flush_batch > 1:
             if self._session is not None:
                 raise ValueError(
                     "flush_batch is configured on the session's LDServer "
                     "(group_commit=N), not on a store riding a session"
                 )
-            if legacy_group_commit:
-                warnings.warn(
-                    "LDStore(legacy_group_commit=True) keeps the deprecated "
-                    "in-store sync counting; group commit now routes through "
-                    "repro.sched.LDServer and this path will be removed",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-                self._legacy_group_commit = True
-            else:
-                server = LDServer(ld, group_commit=flush_batch)
-                ld = self._session = server.open_session("fs")
+            server = LDServer(ld, group_commit=flush_batch)
+            ld = self._session = server.open_session("fs")
         self.ld = ld
         self.block_size = block_size
         self.stats = StoreStats()
@@ -87,10 +74,6 @@ class LDStore(BlockStore):
         self.cache = BufferCache(cache_bytes, self._writeback)
         self.list_per_file = list_per_file
         self.inode_block_mode = inode_block_mode
-        #: Group commit: coalesce this many logical syncs into one physical
-        #: ``Flush``. 1 (the paper's behaviour) makes every sync durable.
-        self.flush_batch = flush_batch
-        self._pending_syncs = 0
         self._ninodes = 0
         self._meta_lid = 0
         self._data_lid = 0  # shared list when list_per_file is off
@@ -171,48 +154,41 @@ class LDStore(BlockStore):
     def sync(self) -> None:
         """Flush dirty buffers into LD, then make them durable (Flush).
 
-        With ``flush_batch > 1`` (group commit / delayed durability) the
+        On a tenant session (``flush_batch > 1`` always rides one) the
         dirty buffers still move into the LD's open segment on every sync,
-        but only every ``flush_batch``-th sync issues the physical
-        ``Flush``; the skipped syncs are counted in
-        ``stats.syncs_deferred``. A crash between group commits loses at
-        most the deferred syncs' writes — the LD's recovery guarantees are
-        otherwise unchanged.
+        but the sync itself is a deferrable flush intent: the server's
+        group commit decides when the physical ``Flush`` goes out, and the
+        syncs it holds back are counted in ``stats.syncs_deferred``. A
+        crash between group commits loses at most the deferred syncs'
+        writes — the LD's recovery guarantees are otherwise unchanged. On
+        a bare LD every sync is a physical flush.
         """
         tr = self.tracer
         with (tr.span("fs.sync") if tr else NULL_SPAN) as sp:
             self.stats.syncs += 1
             self.cache.flush(ordered=False)
             session = self._session
-            if session is not None and not self._legacy_group_commit:
-                # Scheduler-routed path: the sync becomes a deferrable
-                # flush intent in the server's cross-tenant group commit,
-                # which reports back whether the group went physical.
-                committed = session.request_flush()
+            if session is None:
                 if sp is not None:
-                    sp.attrs["deferred"] = not committed
-                if committed:
-                    self._pending_syncs = 0
-                    self.stats.group_commits += 1
-                else:
-                    self._pending_syncs += 1
-                    self.stats.syncs_deferred += 1
-                return
-            self._pending_syncs += 1
-            deferred = self._pending_syncs < self.flush_batch
-            if sp is not None:
-                sp.attrs["deferred"] = deferred
-            if deferred:
-                self.stats.syncs_deferred += 1
-            else:
+                    sp.attrs["deferred"] = False
                 self.barrier()
+                return
+            # The sync becomes a deferrable flush intent in the server's
+            # cross-tenant group commit, which reports back whether the
+            # group went physical.
+            committed = session.request_flush()
+            if sp is not None:
+                sp.attrs["deferred"] = not committed
+            if committed:
+                self.stats.group_commits += 1
+            else:
+                self.stats.syncs_deferred += 1
 
     def barrier(self) -> None:
         """Force a physical flush regardless of group-commit batching."""
         tr = self.tracer
         with tr.span("fs.barrier") if tr else NULL_SPAN:
             self.cache.flush(ordered=False)
-            self._pending_syncs = 0
             self.stats.group_commits += 1
             self.ld.flush()
 

@@ -67,13 +67,6 @@ class LLDConfig:
             NVRAM absorption, and slot switches reset the watermark, so
             recovery semantics are unchanged. Off reproduces the paper's
             full-image rewrite behaviour exactly.
-        legacy_codecs: use the pre-optimization reference implementations
-            (per-entry record ``pack``/``unpack``, summary rebuilt from
-            scratch on every flush, ``bytes`` image materialization). The
-            wire format is byte-identical either way; this flag exists so
-            ``benchmarks/test_cpu_profile.py`` can measure the optimized
-            hot path against its in-process baseline and so equivalence
-            tests can run both generations side by side.
         torn_write_protection: make every summary update atomic under torn
             (partially-applied) multi-sector writes. The crash-state
             explorer (``repro.crashsim``) found that rewriting a slot's
@@ -107,7 +100,6 @@ class LLDConfig:
     read_cache_bytes: int = 1024 * 1024
     read_ahead_blocks: int = 8
     delta_partial_flush: bool = True
-    legacy_codecs: bool = False
     torn_write_protection: bool = False
 
     def __post_init__(self) -> None:

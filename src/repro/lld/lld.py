@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -38,12 +39,7 @@ from repro.lld.records import (
 from repro.lld.readcache import ReadCache
 from repro.lld.recovery import RecoveryReport, run_recovery
 from repro.obs.trace import NULL_SPAN
-from repro.lld.segment import (
-    DiskLayout,
-    LegacyOpenSegment,
-    OpenSegment,
-    empty_summary,
-)
+from repro.lld.segment import DiskLayout, OpenSegment, empty_summary
 from repro.lld.state import KIND_FIRST, KIND_LINK, KIND_META, NO_SEGMENT, LLDState
 
 
@@ -134,9 +130,6 @@ class LLDStats:
     partial_delta_noop: int = 0  # partial flushes with nothing new to write
     partial_delta_summary_bytes: int = 0
     partial_delta_data_bytes: int = 0
-    # Intermediate bytes materialized while assembling segment images —
-    # 0 on the zero-copy path, large on legacy_codecs (see segment.py).
-    segment_bytes_copied: int = 0
 
     # Per-tenant counter slices, populated only when a multi-tenant
     # server binds tenants with :meth:`LLD.set_tenant` (name -> counters).
@@ -349,52 +342,16 @@ class LLD(LogicalDisk):
         self._require_init()
         tr = self.tracer
         with tr.span("lld.read", bid=bid) if tr else NULL_SPAN:
-            return self._read_one(bid)
-
-    def _read_one(self, bid: int) -> bytes:
-        entry = self.state.block(bid)
-        if entry.segment == NO_SEGMENT:
-            return b""
-        self.stats.blocks_read += 1
-        self.read_counts[bid] += 1
-        tenant = self._tenant
-        assert self._open is not None
-        if entry.segment == self._open.index:
-            raw = self._open.read_data(entry.offset, entry.stored_length)
-            self.stats.memory_reads += 1
-            data = self._decode(entry, raw)
-            if tenant is not None:
-                tenant.blocks_read += 1
-                tenant.memory_reads += 1
-                tenant.bytes_read += len(data)
-            return data
-        cache = self.read_cache
-        if cache is not None:
-            cached = cache.get(bid)
-            if cached is not None:
-                if tenant is not None:
-                    tenant.blocks_read += 1
-                    tenant.cache_hits += 1
-                    tenant.bytes_read += len(cached)
-                return cached
-            if tenant is not None:
-                tenant.cache_misses += 1
-        # Miss: fetch from disk, extending the request over the block's
-        # physically contiguous successor run (the list structure encodes
-        # "what comes next") when read-ahead is on.
-        run = [(bid, entry)]
-        if cache is not None and self.config.read_ahead_blocks > 0:
-            run.extend(self._successor_run(entry))
-        raws = self._read_run(entry.segment, run)
-        data = self._decode(entry, raws[0])
-        if cache is not None:
-            cache.put(bid, data)
-            for (succ_bid, succ_entry), raw in zip(run[1:], raws[1:]):
-                cache.put(succ_bid, self._decode(succ_entry, raw), prefetched=True)
-        if tenant is not None:
-            tenant.blocks_read += 1
-            tenant.bytes_read += len(data)
-        return data
+            entry, data = self._read_resident(bid)
+            if data is not None:
+                return data
+            # Miss: fetch from disk, extending the request over the block's
+            # physically contiguous successor run (the list structure encodes
+            # "what comes next") when read-ahead is on.
+            run = [(bid, entry)]
+            if self.read_cache is not None and self.config.read_ahead_blocks > 0:
+                run.extend(self._successor_run(entry))
+            return self._fetch_runs([run], readahead=True)[0]
 
     def read_blocks(self, bids: Sequence[int]) -> list[bytes]:
         """Vectored read: group by segment, coalesce contiguous runs.
@@ -405,47 +362,22 @@ class LLD(LogicalDisk):
         read-side payoff of the paper's clustered block lists.
         """
         self._require_init()
-        assert self._open is not None
         tr = self.tracer
         with tr.span("lld.read_blocks", count=len(bids)) if tr else NULL_SPAN:
             return self._read_blocks(bids)
 
     def _read_blocks(self, bids: Sequence[int]) -> list[bytes]:
-        assert self._open is not None
         self.stats.vectored_reads += 1
-        cache = self.read_cache
-        tenant = self._tenant
         results: list[bytes | None] = [None] * len(bids)
         pending: dict[int, list[tuple[int, int, object]]] = {}
         for i, bid in enumerate(bids):
-            entry = self.state.block(bid)
-            if entry.segment == NO_SEGMENT:
-                results[i] = b""
-                continue
-            self.stats.blocks_read += 1
-            self.read_counts[bid] += 1
-            if tenant is not None:
-                tenant.blocks_read += 1
-            if entry.segment == self._open.index:
-                raw = self._open.read_data(entry.offset, entry.stored_length)
-                self.stats.memory_reads += 1
-                results[i] = self._decode(entry, raw)
-                if tenant is not None:
-                    tenant.memory_reads += 1
-                    tenant.bytes_read += len(results[i])
-                continue
-            if cache is not None:
-                cached = cache.get(bid)
-                if cached is not None:
-                    results[i] = cached
-                    if tenant is not None:
-                        tenant.cache_hits += 1
-                        tenant.bytes_read += len(cached)
-                    continue
-                if tenant is not None:
-                    tenant.cache_misses += 1
-            pending.setdefault(entry.segment, []).append((i, bid, entry))
-        run_specs: list[tuple[int, list[tuple[int, int, object]]]] = []
+            entry, data = self._read_resident(bid)
+            if data is None:
+                pending.setdefault(entry.segment, []).append((i, bid, entry))
+            else:
+                results[i] = data
+        runs: list[list[tuple[int, object]]] = []
+        slots: list[int] = []  # result index of every block, in run order
         for segment in sorted(pending):
             items = sorted(pending[segment], key=lambda item: item[2].offset)
             start = 0
@@ -459,45 +391,91 @@ class LLD(LogicalDisk):
                         run_end, items[end][2].offset + items[end][2].stored_length
                     )
                     end += 1
-                run_specs.append((segment, items[start:end]))
+                runs.append([(bid, entry) for _i, bid, entry in items[start:end]])
+                slots.extend(i for i, _bid, _entry in items[start:end])
                 start = end
-        # Dispatch every coalesced run as one submission: on a bare disk
-        # this is timing-identical to back-to-back reads; on a striped
-        # volume runs living on different spindles overlap in simulated
-        # time. Stripe-boundary splitting happens inside the volume, which
-        # sees the full batch at one dispatch instant.
-        read_batch = getattr(self.disk, "read_batch", None)
-        if read_batch is not None and len(run_specs) > 1:
-            extents = [
-                self._run_extent(segment, [(bid, e) for _i, bid, e in items])
-                for segment, items in run_specs
-            ]
-            bufs = read_batch([(lba, nsectors) for lba, nsectors, _skew in extents])
-            for (segment, items), (lba, nsectors, skew), buf in zip(
-                run_specs, extents, bufs
-            ):
-                run = [(bid, entry) for _i, bid, entry in items]
-                raws = self._slice_run(buf, skew, run)
-                self._note_coalesced_run(len(run))
-                for (index, bid, entry), raw in zip(items, raws):
-                    data = self._decode(entry, raw)
-                    results[index] = data
-                    if tenant is not None:
-                        tenant.bytes_read += len(data)
-                    if cache is not None:
-                        cache.put(bid, data)
-        else:
-            for segment, items in run_specs:
-                run = [(bid, entry) for _i, bid, entry in items]
-                raws = self._read_run(segment, run)
-                for (index, bid, entry), raw in zip(items, raws):
-                    data = self._decode(entry, raw)
-                    results[index] = data
-                    if tenant is not None:
-                        tenant.bytes_read += len(data)
-                    if cache is not None:
-                        cache.put(bid, data)
+        for i, data in zip(slots, self._fetch_runs(runs)):
+            results[i] = data
         return results  # type: ignore[return-value]
+
+    def _read_resident(self, bid: int):
+        """Serve ``bid`` without disk I/O: ``(entry, data-or-None)``.
+
+        The one place a read is counted and probed: never-written blocks
+        read as ``b""``, open-segment blocks come out of the in-memory
+        image, and everything else asks the read cache. ``None`` means a
+        miss the caller must hand to :meth:`_fetch_runs`.
+        """
+        entry = self.state.block(bid)
+        if entry.segment == NO_SEGMENT:
+            return entry, b""
+        self.stats.blocks_read += 1
+        self.read_counts[bid] += 1
+        tenant = self._tenant
+        if tenant is not None:
+            tenant.blocks_read += 1
+        assert self._open is not None
+        if entry.segment == self._open.index:
+            raw = self._open.read_data(entry.offset, entry.stored_length)
+            self.stats.memory_reads += 1
+            data = self._decode(entry, raw)
+            if tenant is not None:
+                tenant.memory_reads += 1
+                tenant.bytes_read += len(data)
+            return entry, data
+        cache = self.read_cache
+        if cache is None:
+            return entry, None
+        data = cache.get(bid)
+        if tenant is not None:
+            if data is None:
+                tenant.cache_misses += 1
+            else:
+                tenant.cache_hits += 1
+                tenant.bytes_read += len(data)
+        return entry, data
+
+    def _fetch_runs(
+        self, runs: list[list[tuple[int, object]]], readahead: bool = False
+    ) -> list[bytes]:
+        """Read coalesced runs from disk; decode and cache every block.
+
+        Each run is a list of ``(bid, entry)`` physically contiguous in
+        one segment and costs one multi-sector request: a single run goes
+        out as ``disk.read``, several as one ``disk.read_batch`` — on a
+        bare disk that is timing-identical to back-to-back reads, on a
+        striped volume runs living on different spindles overlap in
+        simulated time (stripe-boundary splitting happens inside the
+        volume, which sees the whole batch at one dispatch instant).
+        With ``readahead`` every block after a run's first is read-ahead:
+        cached as prefetched, not billed to the tenant.
+        Returns the decoded blocks flattened in run order.
+        """
+        extents = [self._run_extent(run) for run in runs]
+        if len(runs) > 1:
+            bufs = self.disk.read_batch(
+                [(lba, nsectors) for lba, nsectors, _skew in extents]
+            )
+        else:
+            bufs = [self.disk.read(lba, nsectors) for lba, nsectors, _skew in extents]
+        cache = self.read_cache
+        tenant = self._tenant
+        coalesced = self.stats.coalesced_runs
+        out: list[bytes] = []
+        for run, (_lba, _nsectors, skew), buf in zip(runs, extents, bufs):
+            coalesced[len(run)] = coalesced.get(len(run), 0) + 1
+            base = skew - run[0][1].offset  # buffer position of data offset 0
+            prefetched = False
+            for bid, entry in run:
+                start = base + entry.offset
+                data = self._decode(entry, buf[start : start + entry.stored_length])
+                out.append(data)
+                if tenant is not None and not prefetched:
+                    tenant.bytes_read += len(data)
+                if cache is not None:
+                    cache.put(bid, data, prefetched=prefetched)
+                prefetched = readahead
+        return out
 
     def read_list(self, lid: int) -> list[bytes]:
         """Read all of list ``lid`` in order through the vectored path."""
@@ -530,40 +508,12 @@ class LLD(LogicalDisk):
             bid = nxt.successor
         return run
 
-    def _run_extent(
-        self, segment: int, run: list[tuple[int, object]]
-    ) -> tuple[int, int, int]:
+    def _run_extent(self, run: list[tuple[int, object]]) -> tuple[int, int, int]:
         """The ``(lba, nsectors, skew)`` disk extent covering a run."""
         first = run[0][1]
         last = run[-1][1]
         total = last.offset + last.stored_length - first.offset
-        return self.layout.block_extent(segment, first.offset, total)
-
-    @staticmethod
-    def _slice_run(buf: bytes, skew: int, run: list[tuple[int, object]]) -> list[bytes]:
-        """Carve each block's stored bytes out of a run's read buffer."""
-        first = run[0][1]
-        out: list[bytes] = []
-        for _bid, entry in run:
-            start = skew + (entry.offset - first.offset)
-            out.append(buf[start : start + entry.stored_length])
-        return out
-
-    def _note_coalesced_run(self, length: int) -> None:
-        runs = self.stats.coalesced_runs
-        runs[length] = runs.get(length, 0) + 1
-
-    def _read_run(self, segment: int, run: list[tuple[int, object]]) -> list[bytes]:
-        """One multi-sector disk request covering a contiguous run.
-
-        Returns the stored (possibly compressed) bytes of each block in
-        ``run`` order. A single-block run degenerates to exactly the
-        request the scalar read path always issued.
-        """
-        lba, nsectors, skew = self._run_extent(segment, run)
-        buf = self.disk.read(lba, nsectors)
-        self._note_coalesced_run(len(run))
-        return self._slice_run(buf, skew, run)
+        return self.layout.block_extent(first.segment, first.offset, total)
 
     def write(self, bid: int, data: bytes) -> None:
         self._require_init()
@@ -850,6 +800,7 @@ class LLD(LogicalDisk):
         if tr:
             tr.instant("lld.aru_end", aru=aru)
 
+    @contextmanager
     def aru(self):
         """Context manager for a (possibly concurrent) atomic recovery unit.
 
@@ -860,24 +811,18 @@ class LLD(LogicalDisk):
         recovery (in-memory state is not rolled back, exactly as a crash
         would leave a half-finished ARU).
         """
-        from contextlib import contextmanager
-
-        @contextmanager
-        def _aru():
-            self._require_init()
-            previous = self._current_aru
-            current = self._new_aru()
-            self._current_aru = current
-            try:
-                yield current
-            except BaseException:
-                self._open_arus.pop(current, None)  # never commits
-                raise
-            finally:
-                self._current_aru = previous
-            self._commit_aru(current)
-
-        return _aru()
+        self._require_init()
+        previous = self._current_aru
+        current = self._new_aru()
+        self._current_aru = current
+        try:
+            yield current
+        except BaseException:
+            self._open_arus.pop(current, None)  # never commits
+            raise
+        finally:
+            self._current_aru = previous
+        self._commit_aru(current)
 
     @property
     def in_aru(self) -> bool:
@@ -991,7 +936,6 @@ class LLD(LogicalDisk):
             # before anything still in flight.
             self._disk_barrier("nvram-absorb")
             self._process_pending_scrubs()
-            self._drain_copy_counter()
             return True
 
     def flush_list(self, lid: int) -> None:
@@ -1271,17 +1215,9 @@ class LLD(LogicalDisk):
         self._after_open_segment_write()
         return writes
 
-    def _drain_copy_counter(self) -> None:
-        """Fold the open segment's copy counter into the stats."""
-        seg = self._open
-        if seg is not None and seg.bytes_copied:
-            self.stats.segment_bytes_copied += seg.bytes_copied
-            seg.bytes_copied = 0
-
     def _after_open_segment_write(self) -> None:
         """Shared bookkeeping once the open segment's slot is up to date."""
         assert self._open is not None
-        self._drain_copy_counter()
         # Order the image write before everything that follows it — in
         # particular the summary scrubs below, which are only safe once
         # the records re-logged out of the scrubbed slots are durable in
@@ -1403,8 +1339,7 @@ class LLD(LogicalDisk):
         stale summary then carries the re-logged tuples, atomically.
         """
         self._pending_scrubs.discard(slot)
-        segment_cls = LegacyOpenSegment if self.config.legacy_codecs else OpenSegment
-        self._open = segment_cls(slot, self.config)
+        self._open = OpenSegment(slot, self.config)
         self._relog_slot(slot)
 
     def _relog_slot(self, slot: int) -> None:

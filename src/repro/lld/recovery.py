@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 from repro.lld.config import SECTOR
 from repro.lld.records import CommitRecord, Record
-from repro.lld.segment import decode_summary_into, parse_summary_legacy
+from repro.lld.segment import decode_summary_into
 from repro.obs.trace import NULL_SPAN
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -100,7 +100,6 @@ def sweep_summaries(lld: "LLD") -> list[tuple[int, list[Record]]]:
     """
     result: list[tuple[int, list[Record]]] = []
     config = lld.config
-    legacy = config.legacy_codecs
     segment_count = lld.layout.segment_count
     batch = _sweep_batch_size(lld)
     stride = config.sectors_per_segment * SECTOR
@@ -121,9 +120,10 @@ def sweep_summaries(lld: "LLD") -> list[tuple[int, list[Record]]]:
     # sub-sweeps of the whole batch in simulated time — the parallel
     # summary sweep; a bare disk serves the batch back-to-back,
     # timing-identical to the sequential loop this replaces.
-    read_batch = getattr(lld.disk, "read_batch", None)
-    if read_batch is not None and len(requests) > 1:
-        bufs = read_batch([(lba, nsectors) for _s, _c, lba, nsectors in requests])
+    if len(requests) > 1:
+        bufs = lld.disk.read_batch(
+            [(lba, nsectors) for _s, _c, lba, nsectors in requests]
+        )
     else:
         bufs = [lld.disk.read(lba, nsectors) for _s, _c, lba, nsectors in requests]
 
@@ -137,14 +137,9 @@ def sweep_summaries(lld: "LLD") -> list[tuple[int, list[Record]]]:
                 buf[i * stride : i * stride + summary_capacity] for i in range(count)
             ]
         for i, image in enumerate(images):
-            if legacy:
-                records = parse_summary_legacy(bytes(image))
-                if records is not None:
-                    result.append((start + i, records))
-            else:
-                records = []
-                if decode_summary_into(image, records):
-                    result.append((start + i, records))
+            records: list[Record] = []
+            if decode_summary_into(image, records):
+                result.append((start + i, records))
     return result
 
 

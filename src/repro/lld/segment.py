@@ -14,12 +14,10 @@ CRC) are patched in place when an image is needed. ``image()``,
 ``summary_delta_image()``, and ``data_tail()`` therefore return
 ``memoryview`` slices of the live buffer: a partial flush reaches
 :meth:`repro.disk.SimulatedDisk.write` with **zero intermediate bytes
-copies** (the ``bytes_copied`` counter asserts this in tests). The
-pre-PR rebuild-per-flush implementation is preserved verbatim as
-:class:`LegacyOpenSegment` / :func:`serialize_summary_legacy` /
-:func:`parse_summary_legacy` — the measured baseline of
-``benchmarks/test_cpu_profile.py`` and the byte-identity oracle of the
-property tests.
+copies**. The per-entry codec this replaced is kept as
+:func:`serialize_summary_legacy` / :func:`parse_summary_legacy` — the
+readable wire-format specification and the byte-identity oracle of the
+property tests; no production code calls it (DESIGN.md §17).
 """
 
 from __future__ import annotations
@@ -118,7 +116,8 @@ def parse_summary(image) -> list[Record] | None:
 
 
 # ----------------------------------------------------------------------
-# Per-entry reference codec (pre-PR implementation, kept verbatim)
+# Per-entry reference codec: the wire-format specification and test
+# oracle (tests/lld/test_records_property.py); not used in production.
 # ----------------------------------------------------------------------
 
 
@@ -267,11 +266,6 @@ class OpenSegment:
         #: Oldest record timestamp, maintained incrementally.
         self._min_ts: int | None = None
         self.partial_writes = 0
-        #: Intermediate bytes materialized while assembling flush images;
-        #: stays 0 on this implementation (the zero-copy invariant the
-        #: CPU benchmark and tests assert). LegacyOpenSegment counts its
-        #: rebuild/concat copies here.
-        self.bytes_copied = 0
         # Durable watermark: how much of this segment is already on disk
         # and unchanged since the last flush. Data and records are append-
         # only inside an open segment, so a flush only needs to write the
@@ -413,69 +407,3 @@ class OpenSegment:
         start = start_sector * SECTOR
         end = self.used + (-self.used) % SECTOR
         return start_sector, self.data[start:end]
-
-
-class LegacyOpenSegment(OpenSegment):
-    """Pre-PR open segment: summary rebuilt from scratch on every image.
-
-    The reference implementation the CPU benchmark measures as its
-    baseline (selected with ``LLDConfig(legacy_codecs=True)``): separate
-    data buffer, per-entry ``pack`` + join on every ``image()`` /
-    ``summary_delta_image()`` call, full scans for the minimum timestamp,
-    and ``bytes`` materialization (counted in ``bytes_copied``) on every
-    flush path.
-    """
-
-    def __init__(self, index: int, config: LLDConfig) -> None:
-        self.index = index
-        self.config = config
-        self.data = bytearray(config.data_capacity)
-        self.used = 0
-        self.records: list[Record] = []
-        self.summary_used = _HEADER_SIZE
-        self.partial_writes = 0
-        self.bytes_copied = 0
-        self.durable_data = 0
-        self.durable_records = 0
-        self.durable_summary_used = _HEADER_SIZE
-
-    def fits(self, data_len: int, record_bytes: int) -> bool:
-        return (
-            self.used + data_len <= self.config.data_capacity
-            and self.summary_used + record_bytes <= self.config.summary_capacity
-        )
-
-    def append_record(self, record: Record) -> None:
-        size = record.packed_size
-        if self.summary_used + size > self.config.summary_capacity:
-            raise ValueError("segment summary overflow")
-        self.records.append(record)
-        self.summary_used += size
-
-    def image(self) -> bytes:
-        summary = serialize_summary_legacy(self.records, self.config.summary_capacity)
-        payload = summary + bytes(self.data[: self.used])
-        pad = (-len(payload)) % SECTOR
-        image = payload + b"\x00" * pad
-        self.bytes_copied += len(summary) + len(payload) + len(image)
-        return image
-
-    def min_timestamp(self) -> int | None:
-        if not self.records:
-            return None
-        return min(record.timestamp for record in self.records)
-
-    def summary_delta_image(self) -> bytes:
-        image = serialize_summary_legacy(self.records, self.config.summary_capacity)
-        nsectors = (self.summary_used + SECTOR - 1) // SECTOR
-        delta = image[: nsectors * SECTOR]
-        self.bytes_copied += len(image) + len(delta)
-        return delta
-
-    def data_tail(self) -> tuple[int, bytes]:
-        start_sector = self.durable_data // SECTOR
-        start = start_sector * SECTOR
-        end = self.used + (-self.used) % SECTOR
-        tail = bytes(self.data[start:end])
-        self.bytes_copied += len(tail)
-        return start_sector, tail

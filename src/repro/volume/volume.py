@@ -95,18 +95,19 @@ class VolumeGeometry:
     """
 
     def __init__(self, member: DiskGeometry, total_sectors: int) -> None:
-        self._member = member
+        #: Geometry every member spindle shares.
+        self.member = member
         self.total_sectors = total_sectors
         self.sector_size = member.sector_size
         self.capacity_bytes = total_sectors * member.sector_size
 
     def __getattr__(self, name: str):
-        return getattr(self._member, name)
+        return getattr(self.member, name)
 
     def __repr__(self) -> str:
         return (
             f"VolumeGeometry({self.capacity_bytes // (1024 * 1024)} MB, "
-            f"member={self._member!r})"
+            f"member={self.member!r})"
         )
 
 
@@ -414,10 +415,10 @@ class Volume:
             raise VolumeError(f"already rebuilding member {self._rebuilding}")
         if disk is None:
             disk = SimulatedDisk(self.disks[index].geometry, VirtualClock())
-        if disk.geometry != self.geometry._member:
+        if disk.geometry != self.geometry.member:
             raise ValueError(
                 f"replacement geometry {disk.geometry!r} does not match "
-                f"members ({self.geometry._member!r})"
+                f"members ({self.geometry.member!r})"
             )
         if disk.clock is self.clock:
             raise ValueError("replacement must carry a private clock")

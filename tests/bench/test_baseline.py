@@ -1,16 +1,17 @@
-"""Unit tests for the shared committed-baseline loader the CI gates use.
+"""Unit tests for the committed-baseline loader of the CI gate.
 
-One skip policy, once: every ``check_*_regression.py`` turns
+One skip policy, once: ``benchmarks/check_regression.py`` turns
 :class:`BaselineUnusable` into SKIP + exit 0, so the loader must be
 precise about *when* a committed baseline is unusable — and loud about
-why — without ever masking a bad fresh report.
+why — without ever masking a bad fresh report. The gate's rows and exit
+codes over the same inputs are in ``test_check_regression.py``.
 """
 
 import json
 
 import pytest
 
-from benchmarks._baseline import (
+from benchmarks.check_regression import (
     SCHEMA_VERSION,
     BaselineUnusable,
     load_committed_baseline,

@@ -1,0 +1,157 @@
+"""The one CI gate: ``benchmarks/check_regression.py`` over its row table.
+
+The committed ``BENCH_multitenant.json`` / ``BENCH_volume_scaling.json``
+are the inputs: each must pass against itself, and a copy with any one
+gated figure broken by hand must fail with a line naming that figure.
+An unusable *committed* report (the cases of ``test_baseline.py``) skips
+its comparison rows and still exits 0.
+"""
+
+import copy
+import json
+from pathlib import Path
+
+import pytest
+
+from benchmarks.check_regression import TABLE, Row, judge, lookup, main
+
+from tests.bench.test_baseline import write
+
+ROOT = Path(__file__).resolve().parents[2]
+REPORTS = {
+    "multitenant": ROOT / "BENCH_multitenant.json",
+    "volume_scaling": ROOT / "BENCH_volume_scaling.json",
+}
+
+
+def run(capsys, committed, fresh):
+    status = main(["check_regression.py", str(committed), str(fresh)])
+    return status, capsys.readouterr().out
+
+
+def set_path(report, dotted, value):
+    *parents, leaf = dotted.split(".")
+    for key in parents:
+        report = report[int(key)] if isinstance(report, list) else report[key]
+    report[leaf] = value
+
+
+def test_lookup_paths():
+    report = {
+        "a": {"b": 2},
+        "pick": 8,
+        "arms": [{"n": 4, "x": 1.0}, {"n": 8, "x": 3.0}],
+    }
+    assert lookup(report, "a.b") == 2
+    assert lookup(report, "a.missing") is None
+    assert lookup(report, "a.b.deeper") is None
+    assert lookup(report, "arms[*].x") == [1.0, 3.0]
+    assert lookup(report, "arms[n=pick].x") == 3.0
+    assert lookup(report, "arms[n=a.b].x") is None  # no arm with n == 2
+    assert lookup(report, "a[*].b") is None  # not a list
+
+
+def test_every_kind_passes_and_fails():
+    fresh = {"flag": True, "x": 2.5, "floor": 2.0, "sweep": [0.0, 0.5, 1.0]}
+    ok = [
+        Row("t", "flag", "identity"),
+        Row("t", "x", "floor", "floor"),
+        Row("t", "x", "ceiling", 3.0),
+        Row("t", "x", "not-below-committed", 1.25),
+        Row("t", "sweep", "monotone-to", 1.0),
+    ]
+    for row in ok:
+        assert judge(row, fresh, {"x": 3.0})[0] == "OK", row
+    bad = [
+        (Row("t", "missing", "identity"), fresh),
+        (Row("t", "x", "floor", 2.6), fresh),
+        (Row("t", "x", "floor", "no_such_floor"), fresh),
+        (Row("t", "x", "ceiling", 2.4), fresh),
+        (Row("t", "missing", "ceiling", 2.4), fresh),
+        (Row("t", "x", "not-below-committed", 1.25), fresh),  # 2.5 * 1.25 < 3.2
+        (Row("t", "sweep", "monotone-to", 1.0), {"sweep": [0.0, 0.6, 0.5, 1.0]}),
+        (Row("t", "sweep", "monotone-to", 1.0), {"sweep": [0.0, 0.5]}),
+        (Row("t", "sweep", "monotone-to", 1.0), {"sweep": [1.0]}),
+    ]
+    for row, report in bad:
+        assert judge(row, report, {"x": 3.2})[0] == "FAIL", row
+
+
+def test_comparison_rows_skip_without_a_committed_figure():
+    row = Row("t", "x", "not-below-committed", 1.25)
+    assert judge(row, {"x": 1.0}, None)[0] == "SKIP"
+    assert judge(row, {"x": 1.0}, {"other": 3.0})[0] == "SKIP"
+    assert judge(row, {}, None)[0] == "FAIL"  # a bad fresh report never skips
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_committed_report_passes_against_itself(capsys, name):
+    status, out = run(capsys, REPORTS[name], REPORTS[name])
+    assert status == 0, out
+    assert out.count("\n") == sum(r.benchmark == name for r in TABLE) + 1
+    assert "FAIL" not in out and "SKIP" not in out
+
+
+BROKEN = [
+    ("multitenant", "single_tenant.figures_identical", False),
+    ("multitenant", "single_tenant.wall_ratio", 2.5),
+    ("multitenant", "qos_vs_fifo_throughput_x", 1.9),  # under the 2x floor
+    ("multitenant", "qos_vs_fifo_throughput_x", 2.01),  # > 25% under committed
+    ("multitenant", "sweep.3.fairness_ratio", 1.6),
+    ("multitenant", "fifo_baseline.tenants", 3),  # no qos arm to compare
+    ("volume_scaling", "write_speedup_at_4", 2.9),
+    ("volume_scaling", "read_speedup_at_4", None),
+    ("volume_scaling", "identity.clock_identical", False),
+    ("volume_scaling", "identity.stats_identical", False),
+    ("volume_scaling", "raid5.write_paths.full_vs_rmw_x", 1.5),
+    ("volume_scaling", "raid5.write_paths.full_vs_rmw_x", 3.0),  # vs committed 4.3
+    ("volume_scaling", "raid5.degraded_read.reconstructed_reads", 0),
+    ("volume_scaling", "raid5.rebuild.2.rebuild_progress", 0.05),  # not monotone
+    ("volume_scaling", "raid5.rebuild.3.rebuild_progress", 0.9),  # never completes
+    ("volume_scaling", "raid5", None),
+]
+
+
+@pytest.mark.parametrize("name, dotted, value", BROKEN)
+def test_hand_broken_copy_fails_readably(capsys, tmp_path, name, dotted, value):
+    report = json.loads(REPORTS[name].read_text(encoding="utf-8"))
+    if name == "multitenant" and dotted.startswith("sweep."):
+        arm = report["sweep"][3]
+        assert arm["tenants"] == report["fifo_baseline"]["tenants"]
+    broken = copy.deepcopy(report)
+    set_path(broken, dotted, value)
+    status, out = run(capsys, REPORTS[name], write(tmp_path, broken, "fresh.json"))
+    assert status == 1, out
+    failing = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    assert failing and all(f"{name}: " in line for line in failing)
+    assert out.splitlines()[-1].startswith("FAIL: ")
+
+
+@pytest.mark.parametrize(
+    "committed",
+    [None, "{not json", [1, 2, 3], {"schema_version": 2}, {"benchmark": "x"}],
+    ids=["missing", "unparseable", "non-object", "schema-mismatch", "figure-less"],
+)
+def test_unusable_committed_report_skips_and_exits_zero(capsys, tmp_path, committed):
+    path = tmp_path / "absent.json"
+    if committed is not None:
+        path = write(tmp_path, committed, "committed.json")
+    status, out = run(capsys, path, REPORTS["volume_scaling"])
+    assert status == 0, out
+    assert out.startswith("SKIP: committed baseline")
+    assert sum(line.startswith("SKIP ") for line in out.splitlines()) == 2
+    assert "FAIL" not in out
+
+
+def test_bad_fresh_report_fails_even_without_a_baseline(capsys, tmp_path):
+    fresh = write(tmp_path, {"benchmark": "volume_scaling"}, "fresh.json")
+    status, out = run(capsys, tmp_path / "absent.json", fresh)
+    assert status == 1
+    assert "carries no such figure" in out
+
+
+def test_unknown_benchmark_and_usage(capsys, tmp_path):
+    fresh = write(tmp_path, {"benchmark": "cpu_profile"}, "fresh.json")
+    status, out = run(capsys, fresh, fresh)
+    assert status == 1 and "no rows for benchmark 'cpu_profile'" in out
+    assert main(["check_regression.py"]) == 2

@@ -215,7 +215,7 @@ def test_drop_caches_forces_pending_group_commit():
     flushes_before = lld.stats.flushes
     fs.drop_caches()
     assert lld.stats.flushes == flushes_before + 1
-    assert fs.store._pending_syncs == 0
+    assert fs.store.session.server.pending_intents == 0
 
 
 def test_flush_batch_one_is_no_batching():

@@ -3,15 +3,15 @@
 import pytest
 
 from repro.disk import SimulatedDisk, fast_test_disk
-from repro.lld.config import LLDConfig
+from repro.lld.config import SECTOR, LLDConfig
 from repro.lld.records import BlockRecord, LinkRecord
 from repro.lld.segment import (
     DiskLayout,
-    LegacyOpenSegment,
     OpenSegment,
     empty_summary,
     parse_summary,
     serialize_summary,
+    serialize_summary_legacy,
 )
 from repro.sim import VirtualClock
 
@@ -178,82 +178,76 @@ def _fill(seg, with_second_round: bool = True):
         seg.append_data(b"Z" * 64)
 
 
+def _reference_image(seg, cfg) -> bytes:
+    """The slot image built from the kept per-entry reference codec."""
+    payload = serialize_summary_legacy(seg.records, cfg.summary_capacity)
+    payload += bytes(seg.data[: seg.used])
+    return payload + b"\x00" * ((-len(payload)) % SECTOR)
+
+
 def test_open_segment_matches_legacy_byte_for_byte():
     cfg = config()
-    seg, leg = OpenSegment(3, cfg), LegacyOpenSegment(3, cfg)
+    seg = OpenSegment(3, cfg)
     _fill(seg)
-    _fill(leg)
-    assert bytes(seg.image()) == bytes(leg.image())
-    assert bytes(seg.summary_delta_image()) == bytes(leg.summary_delta_image())
-    sector, tail = seg.data_tail()
-    legacy_sector, legacy_tail = leg.data_tail()
-    assert sector == legacy_sector
-    assert bytes(tail) == bytes(legacy_tail)
-    assert seg.min_timestamp() == leg.min_timestamp() == 2
+    assert bytes(seg.image()) == _reference_image(seg, cfg)
+    assert seg.min_timestamp() == min(r.timestamp for r in seg.records) == 2
 
 
-def test_open_segment_zero_copy_counter():
-    """The optimized flush images are views: zero intermediate copies."""
+def test_open_segment_delta_and_tail_match_reference_codec():
+    """The delta-flush views are sector-aligned slices of the same image."""
     cfg = config()
-    seg, leg = OpenSegment(0, cfg), LegacyOpenSegment(0, cfg)
-    for s in (seg, leg):
-        _fill(s)
-        s.image()
-        s.summary_delta_image()
-        s.data_tail()
-    assert seg.bytes_copied == 0
-    assert leg.bytes_copied > 0
+    seg = OpenSegment(3, cfg)
+    _fill(seg)
+    reference = _reference_image(seg, cfg)
+    delta_sectors = (seg.summary_used + SECTOR - 1) // SECTOR
+    assert bytes(seg.summary_delta_image()) == reference[: delta_sectors * SECTOR]
+    sector, tail = seg.data_tail()
+    assert sector == seg.durable_data // SECTOR == 1  # 800 durable bytes
+    assert bytes(tail) == reference[cfg.summary_capacity + sector * SECTOR :]
 
 
-def test_lld_partial_flush_is_zero_copy():
-    """End to end: delta partial flushes copy no intermediate bytes."""
-    from repro.lld.lld import LLD
-
-    def run(legacy: bool):
-        disk = SimulatedDisk(fast_test_disk(capacity_mb=4), VirtualClock())
-        lld = LLD(disk, LLDConfig(segment_size=64 * 1024,
-                                  checkpoint_slots=1,
-                                  legacy_codecs=legacy))
-        lld.initialize()
-        from repro.ld.hints import LIST_HEAD
-
-        lid = lld.new_list()
-        prev = LIST_HEAD
-        for i in range(8):
-            bid = lld.new_block(lid, prev)
-            prev = bid
-            lld.write(bid, bytes([i + 1]) * 1024)
-            lld.flush()
-        return lld
-
-    assert run(legacy=False).stats.segment_bytes_copied == 0
-    assert run(legacy=True).stats.segment_bytes_copied > 0
+#: Captured from the parent commit's ``LLDConfig(legacy_codecs=True)`` run
+#: of the workload below (the reference generation, since deleted):
+#: sha256 of the whole sector store, ``DiskStats.as_dict()``, the clock.
+_GOLDEN_DISK_SHA256 = "f0640fb5ac2fc36e176e16c79fa1d66437bb085cb0360e0fe3f8dd0de2a043ec"
+_GOLDEN_CLOCK = 0.9711111111111111
+_GOLDEN_DISK_STATS = {
+    "barriers": 18, "busy_time": 0.971111111111113, "bytes_read": 254464,
+    "bytes_written": 112640, "head_switch_time": 0.003,
+    "overhead_time": 0.11700000000000008, "reads": 63,
+    "request_sizes": {1: 1, 2: 3, 3: 2, 4: 1, 8: 63, 12: 6, 20: 1, 104: 1},
+    "requests": 78, "rotation_time": 0.6723333333333351, "sector_size": 512,
+    "sectors_read": 497, "sectors_written": 220,
+    "seek_time": 0.046000000000000006, "seeks": 17,
+    "transfer_time": 0.13277777777777783,
+    "write_request_sizes": {2: 3, 3: 2, 4: 1, 8: 1, 12: 6, 20: 1, 104: 1},
+    "writes": 15,
+}
 
 
 def test_legacy_and_optimized_disks_byte_identical():
-    """Same workload, both codec generations: identical on-disk bytes."""
+    """The reference codec generation's disk, pinned: identical bytes, requests, clock."""
+    import hashlib
+
     from repro.ld.hints import LIST_HEAD
     from repro.lld.lld import LLD
 
-    def run(legacy: bool):
-        disk = SimulatedDisk(fast_test_disk(capacity_mb=4), VirtualClock())
-        lld = LLD(disk, LLDConfig(segment_size=64 * 1024,
-                                  checkpoint_slots=1,
-                                  legacy_codecs=legacy))
-        lld.initialize()
-        lid = lld.new_list()
-        prev = LIST_HEAD
-        for i in range(24):
-            bid = lld.new_block(lid, prev)
-            prev = bid
-            lld.write(bid, bytes([i + 1]) * 2048)
-            if i % 3 == 2:
-                lld.flush()
-        lld.delete_block(prev, lid)
-        lld.flush()
-        return disk
+    disk = SimulatedDisk(fast_test_disk(capacity_mb=4), VirtualClock())
+    lld = LLD(disk, LLDConfig(segment_size=64 * 1024, checkpoint_slots=1))
+    lld.initialize()
+    lid = lld.new_list()
+    prev = LIST_HEAD
+    for i in range(24):
+        bid = lld.new_block(lid, prev)
+        prev = bid
+        lld.write(bid, bytes([i + 1]) * 2048)
+        if i % 3 == 2:
+            lld.flush()
+    lld.delete_block(prev, lid)
+    lld.flush()
 
-    a, b = run(legacy=False), run(legacy=True)
-    assert a.clock.now == b.clock.now
-    assert a.sectors_populated == b.sectors_populated
-    assert a.peek(0, a.geometry.total_sectors) == b.peek(0, b.geometry.total_sectors)
+    assert disk.clock.now == _GOLDEN_CLOCK
+    assert disk.sectors_populated == 112
+    assert disk.stats.as_dict() == _GOLDEN_DISK_STATS
+    image = disk.peek(0, disk.geometry.total_sectors)
+    assert hashlib.sha256(image).hexdigest() == _GOLDEN_DISK_SHA256

@@ -1,11 +1,12 @@
-"""LDStore group commit now routes through the scheduler.
+"""LDStore group commit routes through the scheduler.
 
 ``LDStore(flush_batch=N)`` used to count syncs in the store; it now
 wraps a bare LD in a solo :class:`~repro.sched.LDServer` and maps each
 sync onto a deferrable flush intent. These tests pin the equivalence:
 the scheduler-routed path produces byte-identical LLD/disk figures to
-the deprecated in-store counting at every batch size, on the exact
-workload group commit exists for (many small fsyncs).
+the in-store counting it replaced (since deleted; its figures are the
+golden constants below) at every batch size, on the exact workload
+group commit exists for (many small fsyncs).
 """
 
 import pytest
@@ -45,20 +46,83 @@ def fsync_workload(fs, n_files: int = 12) -> None:
 
 
 def lld_figures(lld):
+    """Every non-zero LLD counter, and the disk's full request accounting."""
     payload = lld.stats.as_dict()
     payload.pop("tenants")  # attribution is additive, not behaviour
-    return payload, lld.disk.stats.as_dict()
+    return {k: v for k, v in payload.items() if v}, lld.disk.stats.as_dict()
 
 
-def arm_legacy(flush_batch):
-    lld = fresh_lld()
-    if flush_batch > 1:
-        with pytest.warns(DeprecationWarning):
-            fs = build_fs(lld, flush_batch, legacy_group_commit=True)
-    else:
-        fs = build_fs(lld, flush_batch)
-    fsync_workload(fs)
-    return fs, lld
+#: ``lld_figures`` + the store's sync accounting of the deleted in-store
+#: counting path, captured from the parent commit with
+#: ``LDStore(lld, flush_batch=N, legacy_group_commit=True)`` on
+#: ``fsync_workload`` (N=1 never took the legacy branch).
+_SAME_AT_EVERY_BATCH = {
+    "blocks_written": 49, "logical_bytes_written": 196642,
+    "stored_bytes_written": 196642, "data_bytes_logical": 196642,
+}
+_SAME_DISK_READS = {
+    "bytes_read": 512512, "reads": 126, "sectors_read": 1001,
+    "seek_time": 0.07300000000000002, "seeks": 34, "sector_size": 512,
+}
+LEGACY_GOLDEN = {
+    1: dict(
+        lld={
+            **_SAME_AT_EVERY_BATCH, "data_bytes_physical": 364544,
+            "flushes": 12, "flushes_noop": 1, "segments_sealed": 4,
+            "partial_segment_writes": 8, "partial_full_writes": 4,
+            "partial_delta_flushes": 4, "partial_delta_data_bytes": 66048,
+            "partial_delta_summary_bytes": 2560,
+            "write_amplification": 1.8538460756094832,
+        },
+        disk={
+            **_SAME_DISK_READS, "barriers": 24, "busy_time": 1.8721111111111117,
+            "bytes_written": 364544, "head_switch_time": 0.009500000000000005,
+            "overhead_time": 0.21300000000000016, "requests": 142,
+            "rotation_time": 1.2593888888888896, "sectors_written": 712,
+            "transfer_time": 0.31722222222222196, "writes": 16,
+            "request_sizes": {1: 4, 2: 1, 8: 125, 32: 3, 33: 1, 40: 3, 41: 1,
+                              104: 3, 105: 1},
+            "write_request_sizes": {1: 3, 2: 1, 32: 3, 33: 1, 40: 3, 41: 1,
+                                    104: 3, 105: 1},
+        },
+        syncs=12, syncs_deferred=0,
+    ),
+    4: dict(
+        lld={
+            **_SAME_AT_EVERY_BATCH, "data_bytes_physical": 242176,
+            "flushes": 4, "segments_sealed": 3, "partial_segment_writes": 3,
+            "partial_full_writes": 3, "partial_delta_noop": 1,
+            "write_amplification": 1.231557856409109,
+        },
+        disk={
+            **_SAME_DISK_READS, "barriers": 10, "busy_time": 1.7375370370370389,
+            "bytes_written": 242176, "head_switch_time": 0.007500000000000003,
+            "overhead_time": 0.19800000000000015, "requests": 132,
+            "rotation_time": 1.1860740740740758, "sectors_written": 473,
+            "transfer_time": 0.27296296296296274, "writes": 6,
+            "request_sizes": {1: 1, 8: 125, 24: 1, 32: 1, 40: 1, 121: 1, 128: 2},
+            "write_request_sizes": {24: 1, 32: 1, 40: 1, 121: 1, 128: 2},
+        },
+        syncs=12, syncs_deferred=9,
+    ),
+    16: dict(
+        lld={
+            **_SAME_AT_EVERY_BATCH, "data_bytes_physical": 213504,
+            "flushes": 1, "segments_sealed": 3, "partial_segment_writes": 1,
+            "partial_full_writes": 1, "write_amplification": 1.085749738102745,
+        },
+        disk={
+            **_SAME_DISK_READS, "barriers": 5, "busy_time": 1.715314814814816,
+            "bytes_written": 213504, "head_switch_time": 0.007000000000000003,
+            "overhead_time": 0.19500000000000015, "requests": 130,
+            "rotation_time": 1.177722222222224, "sectors_written": 417,
+            "transfer_time": 0.2625925925925923, "writes": 4,
+            "request_sizes": {1: 1, 8: 125, 40: 1, 121: 1, 128: 2},
+            "write_request_sizes": {40: 1, 121: 1, 128: 2},
+        },
+        syncs=12, syncs_deferred=12,
+    ),
+}
 
 
 def arm_autowrap(flush_batch):
@@ -82,15 +146,13 @@ def arm_explicit_server(flush_batch):
 
 @pytest.mark.parametrize("flush_batch", [1, 4, 16])
 def test_scheduler_group_commit_matches_legacy_figures(flush_batch):
-    fs_old, lld_old = arm_legacy(flush_batch)
-    fs_new, lld_new = arm_autowrap(flush_batch)
-    fs_srv, lld_srv = arm_explicit_server(flush_batch)
-    assert lld_figures(lld_new) == lld_figures(lld_old)
-    assert lld_figures(lld_srv) == lld_figures(lld_old)
-    # The store-visible sync accounting agrees too.
-    for fs in (fs_new, fs_srv):
-        assert fs.store.stats.syncs == fs_old.store.stats.syncs
-        assert fs.store.stats.syncs_deferred == fs_old.store.stats.syncs_deferred
+    golden = LEGACY_GOLDEN[flush_batch]
+    for arm in (arm_autowrap, arm_explicit_server):
+        fs, lld = arm(flush_batch)
+        assert lld_figures(lld) == (golden["lld"], golden["disk"])
+        # The store-visible sync accounting agrees too.
+        assert fs.store.stats.syncs == golden["syncs"]
+        assert fs.store.stats.syncs_deferred == golden["syncs_deferred"]
 
 
 def test_autowrap_exposes_its_session_and_server():
@@ -110,9 +172,9 @@ def test_flush_batch_on_a_session_backed_store_is_rejected():
         LDStore(session, flush_batch=2)
 
 
-def test_legacy_path_warns():
+def test_legacy_group_commit_argument_is_gone():
     lld = fresh_lld()
-    with pytest.warns(DeprecationWarning, match="legacy_group_commit"):
+    with pytest.raises(TypeError, match="legacy_group_commit"):
         LDStore(lld, flush_batch=4, legacy_group_commit=True)
 
 

@@ -363,12 +363,12 @@ def test_parity_placement_hints():
 
 def test_fresh_volume_level_alias():
     spec = BuildSpec.from_scale(0.3)  # big enough to clear the 8 MB member floor
-    volume = fresh_volume(spec, 4, level="raid5")
+    volume = fresh_volume(spec, 4, layout="raid5")
     assert volume.layout == "raid5"
-    with pytest.raises(ValueError):
-        fresh_volume(spec, 4, layout="raid5", level="raid5")
+    with pytest.raises(TypeError):  # one spelling: the level= alias is gone
+        fresh_volume(spec, 4, level="raid5")
     # Member sizing: data capacity ~= the single-disk partition, spread
     # over the N-1 data chunks per row (vs N for a stripe).
-    raid5_member = volume.geometry._member.total_sectors
-    stripe_member = fresh_volume(spec, 4, layout="stripe").geometry._member.total_sectors
+    raid5_member = volume.geometry.member.total_sectors
+    stripe_member = fresh_volume(spec, 4, layout="stripe").geometry.member.total_sectors
     assert raid5_member > stripe_member
