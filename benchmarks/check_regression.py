@@ -14,6 +14,9 @@ each row is ``(benchmark, json-path, kind, bound)`` and prints one line:
 * ``not-below-committed`` — the figure times the slack must reach the
   committed report's (simulated figures: at equal scale they match
   exactly, so the slack only absorbs a deliberate re-scale);
+* ``same-as-committed`` — the value (a figure or a whole subtree) must
+  equal the committed report's exactly: simulated figures are
+  deterministic, so a CPU-only or structural change moves none of them;
 * ``monotone-to`` — a sweep's figures never decrease and end at or above
   the bound.
 
@@ -41,6 +44,9 @@ from typing import Callable, NamedTuple
 SCHEMA_VERSION = 1
 
 SLACK = 1.25
+
+#: Row kinds that read the committed report (and SKIP when it is unusable).
+COMPARED_KINDS = ("not-below-committed", "same-as-committed")
 
 
 class Row(NamedTuple):
@@ -88,6 +94,15 @@ TABLE = [
     ),
     Row("volume_scaling", "raid5.degraded_read.reconstructed_reads", "floor", 1),
     Row("volume_scaling", "raid5.rebuild[*].rebuild_progress", "monotone-to", 1.0),
+    # Every leaf under these is simulated (virtual-clock seconds, request
+    # and path counters), so each must reproduce the committed value bit
+    # for bit — "simulated figures byte-identical", checked here instead
+    # of by hand in each PR.
+    Row("volume_scaling", "identity.volume_clock_s", "same-as-committed"),
+    Row("volume_scaling", "raw", "same-as-committed"),
+    Row("volume_scaling", "lld", "same-as-committed"),
+    Row("volume_scaling", "raid5.write_paths", "same-as-committed"),
+    Row("volume_scaling", "raid5.degraded_read", "same-as-committed"),
 ]
 
 
@@ -162,11 +177,34 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def first_difference(committed, fresh, at: str = "") -> str | None:
+    """Where two JSON values first differ, as ``.key`` steps (None if equal)."""
+    if isinstance(committed, dict) and isinstance(fresh, dict):
+        for key in sorted(committed.keys() | fresh.keys()):
+            found = first_difference(committed.get(key), fresh.get(key), f"{at}.{key}")
+            if found is not None:
+                return found
+        return None
+    if json.dumps(committed, sort_keys=True) == json.dumps(fresh, sort_keys=True):
+        return None  # the same bytes in a report: 3 and 3.0 are not
+    return f"{at}: {fresh!r}, committed {committed!r}"
+
+
 def judge(row: Row, fresh: dict, committed: dict | None) -> tuple[str, str]:
     """``(OK | FAIL | SKIP, detail)`` for one row."""
     value = lookup(fresh, row.path)
     if row.kind == "identity":
         return ("OK" if value is True else "FAIL"), f"is {value!r} (must be true)"
+    if row.kind == "same-as-committed":
+        if value is None:
+            return "FAIL", "is absent: the fresh report carries no such figure"
+        base = None if committed is None else lookup(committed, row.path)
+        if base is None:
+            return "SKIP", "no usable committed baseline for it"
+        found = first_difference(base, value)
+        if found is None:
+            return "OK", "equals the committed report's"
+        return "FAIL", f"differs at {row.path}{found}"
     if row.kind == "monotone-to":
         ok = (
             isinstance(value, list)
@@ -209,7 +247,7 @@ def main(argv: list[str]) -> int:
         print(f"FAIL: the gate has no rows for benchmark {name!r}")
         return 1
 
-    compared = [row.path for row in rows if row.kind == "not-below-committed"]
+    compared = [row.path for row in rows if row.kind in COMPARED_KINDS]
 
     def figure_less(report: dict) -> str | None:
         if not any(lookup(report, path) for path in compared):

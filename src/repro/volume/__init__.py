@@ -1,7 +1,7 @@
 """Multi-disk volumes behind the single-disk request surface.
 
 See :mod:`repro.volume.volume` for the overlap model and
-:mod:`repro.volume.mapping` for the RAID-0/4/5 address math.
+:mod:`repro.volume.mapping` for the RAID-0/1/4/5 address maps.
 """
 
 from repro.volume.mapping import ParityStripeMap, RowFragment, StripeMap, SubRequest

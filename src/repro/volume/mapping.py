@@ -1,4 +1,4 @@
-"""Sector-address mapping for striped volumes.
+"""Sector-address mapping: every volume layout is a map.
 
 RAID-0 round-robins fixed-size *chunks* of consecutive sectors across the
 member disks: chunk ``c`` of the volume lives on disk ``c % N`` at chunk
@@ -23,6 +23,9 @@ for RAID-5 — and the data→member placement skips the parity chunk, so a
 volume of N members exposes N-1 chunks of capacity per row. The map stays
 exact and invertible over the data chunks; parity chunks have no logical
 address (``to_logical`` raises on them).
+
+RAID-1 needs no class of its own: :func:`mirror_map` is the one-member,
+one-chunk stripe, so the volume never has to ask whether it has a map.
 """
 
 from __future__ import annotations
@@ -48,12 +51,35 @@ class SubRequest:
     pieces: tuple[tuple[int, int, int], ...]
 
 
+def chunk_runs(start: int, nsectors: int, chunk_sectors: int):
+    """Cut ``[start, start + nsectors)`` at chunk boundaries.
+
+    Yields ``(chunk, within, take, offset)`` per run: the chunk index, the
+    sector offset inside it where the run starts, the run's length, and
+    its offset from ``start``. The package's one chunk-split loop: request
+    splitting, per-row grouping and the volume's walk over a failed
+    member's extent (member address space, where the chunk index *is* the
+    stripe row) all consume it.
+    """
+    pos = start
+    end = start + nsectors
+    while pos < end:
+        chunk, within = divmod(pos, chunk_sectors)
+        take = min(end - pos, chunk_sectors - within)
+        yield chunk, within, take, pos - start
+        pos += take
+
+
 class StripeMap:
     """The RAID-0 address map: volume LBA ↔ (disk, member LBA).
 
     Only whole chunks are mapped: a member's trailing partial chunk (when
     its capacity is not chunk-aligned) is unaddressable, so every volume
     LBA in ``[0, total_sectors)`` maps inside every member.
+
+    Subclasses change *placement* only — which member and chunk position a
+    volume chunk occupies (:meth:`_place` and its inverse
+    :meth:`_chunk_at`); range checks, splitting and merging are shared.
     """
 
     def __init__(self, n_disks: int, chunk_sectors: int, member_sectors: int) -> None:
@@ -72,13 +98,32 @@ class StripeMap:
         self.usable_per_disk = self.chunks_per_disk * chunk_sectors
         self.total_sectors = n_disks * self.usable_per_disk
 
+    def _place(self, chunk: int) -> tuple[int, int]:
+        """Volume chunk index -> ``(disk, chunk position on that disk)``."""
+        position, disk = divmod(chunk, self.n_disks)
+        return disk, position
+
+    def _chunk_at(self, disk: int, position: int) -> int:
+        """Inverse of :meth:`_place`."""
+        return position * self.n_disks + disk
+
+    def check_range(self, lba: int, nsectors: int) -> None:
+        """Raise unless ``[lba, lba + nsectors)`` is a non-empty in-volume extent."""
+        if nsectors <= 0:
+            raise ValueError(f"sector count must be positive: {nsectors}")
+        if lba < 0 or lba + nsectors > self.total_sectors:
+            raise ValueError(
+                f"request [{lba}, {lba + nsectors}) outside volume of "
+                f"{self.total_sectors} sectors"
+            )
+
     def to_physical(self, lba: int) -> tuple[int, int]:
         """Volume LBA -> ``(disk index, member LBA)``."""
         if not 0 <= lba < self.total_sectors:
             raise ValueError(f"LBA {lba} out of range [0, {self.total_sectors})")
         chunk, within = divmod(lba, self.chunk_sectors)
-        disk_chunk, disk = divmod(chunk, self.n_disks)
-        return disk, disk_chunk * self.chunk_sectors + within
+        disk, position = self._place(chunk)
+        return disk, position * self.chunk_sectors + within
 
     def to_logical(self, disk: int, plba: int) -> int:
         """``(disk index, member LBA)`` -> volume LBA (inverse of to_physical)."""
@@ -88,53 +133,60 @@ class StripeMap:
             raise ValueError(
                 f"member LBA {plba} out of range [0, {self.usable_per_disk})"
             )
-        disk_chunk, within = divmod(plba, self.chunk_sectors)
-        return (disk_chunk * self.n_disks + disk) * self.chunk_sectors + within
+        position, within = divmod(plba, self.chunk_sectors)
+        return self._chunk_at(disk, position) * self.chunk_sectors + within
 
     def split(self, lba: int, nsectors: int) -> list[SubRequest]:
-        """Split ``[lba, lba + nsectors)`` into per-disk contiguous requests.
+        """Split ``[lba, lba + nsectors)`` into contiguous member requests.
 
         Chunk fragments landing on the same member at adjacent physical
         positions are merged into one :class:`SubRequest`; the scatter
         ``pieces`` record where each fragment belongs in the volume
-        request. Sub-requests are returned in member-index order, and each
-        member's pieces in ascending physical (equivalently logical)
-        order.
+        request. Sub-requests are returned in ``(member, member LBA)``
+        order, and each one's pieces in ascending physical (equivalently
+        logical) order.
+
+        A RAID-0 run revisits a member only at the physically adjacent
+        next chunk, so it yields at most one sub-request per member. A
+        parity layout *can* revisit a member at a non-adjacent position:
+        the member held the parity chunk of an intermediate row, so its
+        data chunks in rows ``r`` and ``r+2`` are separated by the parity
+        chunk at row ``r+1``. Such revisits open a second
+        :class:`SubRequest` for the member instead of merging.
         """
-        if nsectors <= 0:
-            raise ValueError(f"sector count must be positive: {nsectors}")
-        if lba < 0 or lba + nsectors > self.total_sectors:
-            raise ValueError(
-                f"request [{lba}, {lba + nsectors}) outside volume of "
-                f"{self.total_sectors} sectors"
-            )
+        self.check_range(lba, nsectors)
         chunk_sectors = self.chunk_sectors
-        # Per disk: (plba_start, sub_nsectors, [pieces]) under construction.
-        building: dict[int, tuple[int, int, list[tuple[int, int, int]]]] = {}
-        pos = lba
-        remaining = nsectors
-        while remaining > 0:
-            disk, plba = self.to_physical(pos)
-            within = pos % chunk_sectors
-            take = min(remaining, chunk_sectors - within)
-            logical_off = pos - lba
-            current = building.get(disk)
-            if current is not None and current[0] + current[1] == plba:
-                start, length, pieces = current
-                pieces.append((length, logical_off, take))
-                building[disk] = (start, length + take, pieces)
+        # Records [disk, plba, nsectors, pieces] under construction, and per
+        # disk the one record a physically adjacent next chunk may extend.
+        subs: list[list] = []
+        last: dict[int, list] = {}
+        for chunk, within, take, logical_off in chunk_runs(lba, nsectors, chunk_sectors):
+            disk, position = self._place(chunk)
+            plba = position * chunk_sectors + within
+            current = last.get(disk)
+            if current is not None and current[1] + current[2] == plba:
+                current[3].append((current[2], logical_off, take))
+                current[2] += take
             else:
-                # A sequential run revisits a disk only at the physically
-                # adjacent next chunk, so a non-contiguous revisit cannot
-                # happen here; the branch still guards degenerate N=1 maps
-                # where every chunk lands on disk 0 contiguously anyway.
-                building[disk] = (plba, take, [(0, logical_off, take)])
-            pos += take
-            remaining -= take
-        return [
-            SubRequest(disk=disk, plba=start, nsectors=length, pieces=tuple(pieces))
-            for disk, (start, length, pieces) in sorted(building.items())
-        ]
+                current = last[disk] = [disk, plba, take, [(0, logical_off, take)]]
+                subs.append(current)
+        subs.sort()  # (disk, plba) is unique, so pieces are never compared
+        return [SubRequest(d, p, n, tuple(pieces)) for d, p, n, pieces in subs]
+
+    def parity_rows(self, lba: int, nsectors: int) -> range:
+        """Stripe rows whose parity covers ``[lba, lba + nsectors)``: none here."""
+        return range(0)
+
+
+def mirror_map(member_sectors: int) -> StripeMap:
+    """The RAID-1 address map: one logical member, one chunk spanning it.
+
+    Every replica holds the whole address space at identity offsets, so a
+    mirror's *map* is the degenerate stripe: volume LBA ``x`` is sector
+    ``x`` of logical member 0. Which spindles hold copies of that member
+    is replication, not addressing, and lives in the volume.
+    """
+    return StripeMap(1, member_sectors, member_sectors)
 
 
 @dataclass(frozen=True)
@@ -211,80 +263,23 @@ class ParityStripeMap(StripeMap):
 
     # -- the address map ------------------------------------------------
 
-    def to_physical(self, lba: int) -> tuple[int, int]:
-        if not 0 <= lba < self.total_sectors:
-            raise ValueError(f"LBA {lba} out of range [0, {self.total_sectors})")
-        chunk, within = divmod(lba, self.chunk_sectors)
+    def _place(self, chunk: int) -> tuple[int, int]:
         row, position = divmod(chunk, self.data_per_row)
-        return self.data_disk(row, position), row * self.chunk_sectors + within
+        return self.data_disk(row, position), row
 
-    def to_logical(self, disk: int, plba: int) -> int:
-        if not 0 <= disk < self.n_disks:
-            raise ValueError(f"disk {disk} out of range [0, {self.n_disks})")
-        if not 0 <= plba < self.usable_per_disk:
-            raise ValueError(
-                f"member LBA {plba} out of range [0, {self.usable_per_disk})"
-            )
-        row, within = divmod(plba, self.chunk_sectors)
+    def _chunk_at(self, disk: int, row: int) -> int:
         parity = self.parity_disk(row)
         if disk == parity:
             raise ValueError(
-                f"member {disk} LBA {plba} is row {row}'s parity chunk; "
+                f"member {disk} holds row {row}'s parity chunk; "
                 "parity has no logical address"
             )
-        position = (disk - parity - 1) % self.n_disks
-        return (row * self.data_per_row + position) * self.chunk_sectors + within
+        return row * self.data_per_row + (disk - parity - 1) % self.n_disks
 
-    def split(self, lba: int, nsectors: int) -> list[SubRequest]:
-        """Split into contiguous member requests (data chunks only).
-
-        Unlike RAID-0, a sequential run *can* revisit a member at a
-        non-adjacent position: the member held the parity chunk of an
-        intermediate row, so its data chunks in rows ``r`` and ``r+2``
-        are separated by the parity chunk at row ``r+1``. Such revisits
-        open a second :class:`SubRequest` for the member instead of
-        merging.
-        """
-        if nsectors <= 0:
-            raise ValueError(f"sector count must be positive: {nsectors}")
-        if lba < 0 or lba + nsectors > self.total_sectors:
-            raise ValueError(
-                f"request [{lba}, {lba + nsectors}) outside volume of "
-                f"{self.total_sectors} sectors"
-            )
-        chunk_sectors = self.chunk_sectors
-        done: list[SubRequest] = []
-        building: dict[int, tuple[int, int, list[tuple[int, int, int]]]] = {}
-        pos = lba
-        remaining = nsectors
-        while remaining > 0:
-            disk, plba = self.to_physical(pos)
-            within = pos % chunk_sectors
-            take = min(remaining, chunk_sectors - within)
-            logical_off = pos - lba
-            current = building.get(disk)
-            if current is not None and current[0] + current[1] == plba:
-                start, length, pieces = current
-                pieces.append((length, logical_off, take))
-                building[disk] = (start, length + take, pieces)
-            else:
-                if current is not None:
-                    start, length, pieces = current
-                    done.append(
-                        SubRequest(
-                            disk=disk, plba=start, nsectors=length,
-                            pieces=tuple(pieces),
-                        )
-                    )
-                building[disk] = (plba, take, [(0, logical_off, take)])
-            pos += take
-            remaining -= take
-        for disk, (start, length, pieces) in building.items():
-            done.append(
-                SubRequest(disk=disk, plba=start, nsectors=length, pieces=tuple(pieces))
-            )
-        done.sort(key=lambda sub: (sub.disk, sub.plba))
-        return done
+    def parity_rows(self, lba: int, nsectors: int) -> range:
+        """Stripe rows whose parity covers ``[lba, lba + nsectors)``."""
+        row_sectors = self.data_per_row * self.chunk_sectors
+        return range(lba // row_sectors, (lba + nsectors - 1) // row_sectors + 1)
 
     def split_rows(self, lba: int, nsectors: int) -> list[tuple[int, list[RowFragment]]]:
         """Group ``[lba, lba + nsectors)`` by stripe row.
@@ -295,29 +290,9 @@ class ParityStripeMap(StripeMap):
         cover all ``N-1`` data chunks completely takes the full-stripe
         path, anything less takes read-modify-write.
         """
-        if nsectors <= 0:
-            raise ValueError(f"sector count must be positive: {nsectors}")
-        if lba < 0 or lba + nsectors > self.total_sectors:
-            raise ValueError(
-                f"request [{lba}, {lba + nsectors}) outside volume of "
-                f"{self.total_sectors} sectors"
-            )
-        chunk_sectors = self.chunk_sectors
+        self.check_range(lba, nsectors)
         rows: dict[int, list[RowFragment]] = {}
-        pos = lba
-        remaining = nsectors
-        while remaining > 0:
-            chunk, within = divmod(pos, chunk_sectors)
-            row, position = divmod(chunk, self.data_per_row)
-            take = min(remaining, chunk_sectors - within)
-            rows.setdefault(row, []).append(
-                RowFragment(
-                    disk=self.data_disk(row, position),
-                    within=within,
-                    nsectors=take,
-                    logical_off=pos - lba,
-                )
-            )
-            pos += take
-            remaining -= take
+        for chunk, within, take, logical_off in chunk_runs(lba, nsectors, self.chunk_sectors):
+            disk, row = self._place(chunk)
+            rows.setdefault(row, []).append(RowFragment(disk, within, take, logical_off))
         return sorted(rows.items())

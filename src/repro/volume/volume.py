@@ -5,7 +5,7 @@ cleanly; this module swaps the single-spindle disk manager for an N-spindle
 one without the layers above noticing. A :class:`Volume` duck-types the
 ``read`` / ``write`` / ``barrier`` / ``install`` / ``peek`` / ``corrupt``
 surface of :class:`repro.disk.SimulatedDisk` over N backing member disks in
-one of two layouts:
+one of four layouts:
 
 * **stripe** (RAID-0): fixed-size chunks round-robin across members (see
   :mod:`repro.volume.mapping`); capacity is the sum of the members'.
@@ -45,6 +45,15 @@ the shared one), so every request starts at the same instant, sees the
 same rotational position, and charges the same time a bare
 ``SimulatedDisk`` on one shared clock would — the figure-identity the
 scaling benchmark asserts.
+
+**One request plan.** A layout supplies two things, fixed at construction:
+an address *map* (:mod:`repro.volume.mapping`; a mirror is the one-member
+stripe whose logical member has N copies) and a *write policy* (every
+live copy of each member extent, or stripe rows with parity). The rest is
+layout-blind core: :class:`_Dispatch` times member I/O;
+:meth:`Volume._gather` assembles every read, timed or ``peek``, from the
+member fetch it is passed; and one XOR over the other members recovers a
+failed member's extent for reads, the rebuild scanner and ``install``.
 """
 
 from __future__ import annotations
@@ -55,7 +64,13 @@ from repro.disk.stats import DiskStats
 from repro.obs.hist import LatencyHistogram
 from repro.obs.trace import NULL_SPAN
 from repro.sim.clock import VirtualClock
-from repro.volume.mapping import ParityStripeMap, StripeMap, SubRequest
+from repro.volume.mapping import (
+    ParityStripeMap,
+    StripeMap,
+    SubRequest,
+    chunk_runs,
+    mirror_map,
+)
 
 LAYOUTS = ("stripe", "mirror", "raid4", "raid5")
 
@@ -119,34 +134,31 @@ class VolumeStats:
     per-layer stats. ``as_dict()`` folds in a live per-spindle view taken
     from the member disks' own :class:`~repro.disk.DiskStats`. Request
     latencies record into bounded
-    :class:`~repro.obs.hist.LatencyHistogram` sketches (they used to be
-    raw lists — O(requests) memory on long runs).
+    :class:`~repro.obs.hist.LatencyHistogram` sketches.
     """
+
+    #: Every plain counter, in one place: initialised to 0 and reported
+    #: under its own name by :meth:`as_dict`. From ``reconstructed_reads``
+    #: on they count parity paths (and stay 0 on stripe/mirror layouts).
+    COUNTERS = (
+        "reads", "writes", "sub_reads", "sub_writes", "barriers",
+        "degraded_reads", "reconstructed_reads", "full_stripe_writes",
+        "rmw_writes", "degraded_writes", "rebuild_rows_done",
+        "rebuild_reads", "rebuild_writes", "rebuilds_completed",
+        "max_queue_depth",
+    )
 
     def __init__(self, volume: "Volume") -> None:
         self._volume = volume
-        self.reads = 0
-        self.writes = 0
-        self.sub_reads = 0
-        self.sub_writes = 0
-        self.barriers = 0
-        self.degraded_reads = 0
-        #: Parity-path counters (stay 0 on stripe/mirror layouts).
-        self.reconstructed_reads = 0
-        self.full_stripe_writes = 0
-        self.rmw_writes = 0
-        self.degraded_writes = 0
-        self.rebuild_rows_done = 0
-        self.rebuild_reads = 0
-        self.rebuild_writes = 0
-        self.rebuilds_completed = 0
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
         self.read_latency_hist = LatencyHistogram()
         self.write_latency_hist = LatencyHistogram()
-        #: Writes dispatched since the last drain, total and per member.
+        #: Member writes dispatched since the last drain (volume-wide).
         self.inflight_writes = 0
-        self.max_queue_depth = 0
 
     def note_write_dispatch(self, subs: int) -> None:
+        self.sub_writes += subs
         self.inflight_writes += subs
         if self.inflight_writes > self.max_queue_depth:
             self.max_queue_depth = self.inflight_writes
@@ -154,24 +166,19 @@ class VolumeStats:
     def note_drain(self) -> None:
         self.inflight_writes = 0
 
+    #: ``DiskStats`` fields copied into each ``per_disk`` row.
+    MEMBER_FIELDS = (
+        "requests", "reads", "writes", "bytes_read", "bytes_written",
+        "busy_time", "barriers",
+    )
+
     def _per_disk(self) -> list[dict]:
-        out = []
-        for i, disk in enumerate(self._volume.disks):
-            stats: DiskStats = disk.stats
-            out.append(
-                {
-                    "index": i,
-                    "alive": self._volume.alive[i],
-                    "requests": stats.requests,
-                    "reads": stats.reads,
-                    "writes": stats.writes,
-                    "bytes_read": stats.bytes_read,
-                    "bytes_written": stats.bytes_written,
-                    "busy_time": stats.busy_time,
-                    "barriers": stats.barriers,
-                }
-            )
-        return out
+        volume = self._volume
+        return [
+            {"index": i, "alive": volume.alive[i]}
+            | {name: getattr(disk.stats, name) for name in self.MEMBER_FIELDS}
+            for i, disk in enumerate(volume.disks)
+        ]
 
     @staticmethod
     def _balance(values: list[float]) -> float:
@@ -192,23 +199,9 @@ class VolumeStats:
             "n_disks": len(volume.disks),
             "live_disks": sum(volume.alive),
             "chunk_sectors": volume.chunk_sectors,
-            "reads": self.reads,
-            "writes": self.writes,
-            "sub_reads": self.sub_reads,
-            "sub_writes": self.sub_writes,
-            "barriers": self.barriers,
-            "degraded_reads": self.degraded_reads,
-            "reconstructed_reads": self.reconstructed_reads,
-            "full_stripe_writes": self.full_stripe_writes,
-            "rmw_writes": self.rmw_writes,
-            "degraded_writes": self.degraded_writes,
+            **{name: getattr(self, name) for name in self.COUNTERS},
             "rebuild_active": volume.rebuild_active,
             "rebuild_progress": volume.rebuild_progress,
-            "rebuild_rows_done": self.rebuild_rows_done,
-            "rebuild_reads": self.rebuild_reads,
-            "rebuild_writes": self.rebuild_writes,
-            "rebuilds_completed": self.rebuilds_completed,
-            "max_queue_depth": self.max_queue_depth,
             "read_latency_p50": read_lat.quantile(0.50),
             "read_latency_p99": read_lat.quantile(0.99),
             "write_latency_p50": write_lat.quantile(0.50),
@@ -240,6 +233,44 @@ class _FrozenVolumeStats:
         return _FrozenVolumeStats(dict(self._payload))
 
 
+class _Dispatch:
+    """Member I/O of one timed request under the busy-until model.
+
+    Every sub-request issues at the shared time ``now``: the member clock
+    is lifted to it (a no-op when the spindle is still busy — the request
+    queues FIFO behind its predecessors), the member charges the
+    mechanical cost on its private clock, and ``completion`` tracks the
+    slowest member touched. The caller decides which members to address.
+    """
+
+    __slots__ = ("disks", "stats", "now", "completion", "writes")
+
+    def __init__(self, volume: "Volume", now: float) -> None:
+        self.disks = volume.disks
+        self.stats = volume.volume_stats
+        self.now = now
+        self.completion = now
+        #: Member writes queued; booked once the whole request dispatched.
+        self.writes = 0
+
+    def read(self, member: int, plba: int, nsectors: int) -> bytes:
+        disk = self.disks[member]
+        disk.clock.advance_to(self.now)
+        data = disk.read(plba, nsectors)
+        self.stats.sub_reads += 1
+        if disk.clock.now > self.completion:
+            self.completion = disk.clock.now
+        return data
+
+    def write(self, member: int, plba: int, payload) -> None:
+        disk = self.disks[member]
+        disk.clock.advance_to(self.now)
+        disk.write(plba, payload)
+        self.writes += 1
+        if disk.clock.now > self.completion:
+            self.completion = disk.clock.now
+
+
 class Volume:
     """N member disks behind the single-disk request surface."""
 
@@ -257,58 +288,43 @@ class Volume:
         if layout not in LAYOUTS:
             raise ValueError(f"unknown layout {layout!r} (choose from {LAYOUTS})")
         member_geo = disks[0].geometry
-        for disk in disks[1:]:
-            if disk.geometry != member_geo:
-                raise ValueError(
-                    "all members must share one geometry: "
-                    f"{disk.geometry!r} != {member_geo!r}"
-                )
         self.clock = clock if clock is not None else VirtualClock()
         for i, disk in enumerate(disks):
-            if disk.clock is self.clock:
-                raise ValueError(
-                    f"member {i} shares the volume clock; each member needs "
-                    "a private clock for the per-spindle busy-until model"
-                )
+            self._admit(disk, member_geo, f"member {i}")
         self.disks = list(disks)
         self.alive = [True] * len(disks)
         self.layout = layout
         self.tracer = tracer
         self.events = None
-        #: Online-rebuild state: member index being rebuilt (or None), the
-        #: next stripe row the scanner will reconstruct, and the rate knob
-        #: (stripe rows reconstructed per foreground request; fractional
-        #: rates accumulate credit across requests).
-        self._rebuilding: int | None = None
-        self._rebuild_cursor = 0
-        self._rebuild_credit = 0.0
-        self._rebuild_decile = 0
+        #: Stripe rows the scanner reconstructs per foreground request
+        #: (fractional rates accumulate credit across requests).
         self.rebuild_rate = 0.0
+        self._scan_from_start(None)
+        # The layout's whole contribution: an address map, the physical
+        # members holding a copy of each of its logical members, the write
+        # policy, and what becomes of an extent whose copies are all dead.
+        n = len(disks)
+        member_sectors = member_geo.total_sectors
+        self.chunk_sectors = (
+            chunk_sectors if chunk_sectors is not None else DEFAULT_CHUNK_SECTORS
+        )
+        self.map: StripeMap
+        #: The parity map when this is a RAID-4/5 volume, else None.
+        self.parity_map: ParityStripeMap | None = None
+        self._copies = tuple((i,) for i in range(n))
+        self._write_plan, self._lost_runs = self._write_copies, self._refuse
         if layout == "mirror":
             self.chunk_sectors = 0
-            self.map: StripeMap | None = None
-            total = member_geo.total_sectors
+            self.map = mirror_map(member_sectors)
+            self._copies = (tuple(range(n)),)
+        elif layout == "stripe":
+            self.map = StripeMap(n, self.chunk_sectors, member_sectors)
         else:
-            self.chunk_sectors = (
-                chunk_sectors if chunk_sectors is not None else DEFAULT_CHUNK_SECTORS
+            self.map = self.parity_map = ParityStripeMap(
+                n, self.chunk_sectors, member_sectors, rotate=layout == "raid5"
             )
-            if layout in PARITY_LAYOUTS:
-                self.map = ParityStripeMap(
-                    len(disks),
-                    self.chunk_sectors,
-                    member_geo.total_sectors,
-                    rotate=layout == "raid5",
-                )
-            else:
-                self.map = StripeMap(
-                    len(disks), self.chunk_sectors, member_geo.total_sectors
-                )
-            total = self.map.total_sectors
-        #: The parity map when this is a RAID-4/5 volume, else None.
-        self.parity_map: ParityStripeMap | None = (
-            self.map if isinstance(self.map, ParityStripeMap) else None
-        )
-        self.geometry = VolumeGeometry(member_geo, total)
+            self._write_plan, self._lost_runs = self._write_rows, self._row_runs
+        self.geometry = VolumeGeometry(member_geo, self.map.total_sectors)
         #: Volume-level request counters under the same type the layers
         #: above already consume (``lld.disk.stats``); mechanical time is
         #: charged on the *member* stats, so the time fields here stay 0.
@@ -323,16 +339,15 @@ class Volume:
     def spindle_count(self) -> int:
         """Independent placement targets the layers above can exploit.
 
-        A mirror replicates every sector, so placement cannot steer load
-        between its members (read balancing does); stripes and parity
-        layouts expose every member as a placement target.
+        The map's logical members: a mirror replicates every sector, so
+        placement cannot steer load between its spindles (read balancing
+        does) and it counts as one; stripes and parity layouts expose
+        every member as a placement target.
         """
-        return 1 if self.layout == "mirror" else len(self.disks)
+        return self.map.n_disks
 
     def spindle_of(self, lba: int) -> int:
         """Member disk holding ``lba``'s data (always 0 for mirrors)."""
-        if self.map is None:
-            return 0
         return self.map.to_physical(lba)[0]
 
     def parity_spindle_of(self, lba: int) -> int | None:
@@ -351,6 +366,38 @@ class Volume:
     def degraded(self) -> bool:
         return not all(self.alive)
 
+    def _admit(self, disk, member_geo: DiskGeometry, what: str) -> None:
+        """A spindle may join only with the members' geometry and its own clock."""
+        if disk.geometry != member_geo:
+            raise ValueError(
+                f"{what} geometry {disk.geometry!r} differs from the "
+                f"members' {member_geo!r}: all members must share one geometry"
+            )
+        if disk.clock is self.clock:
+            raise ValueError(
+                f"{what} shares the volume clock; each member needs a "
+                "private clock for the per-spindle busy-until model"
+            )
+
+    def _announce(self, name: str, member: int, severity: str = "info", **payload) -> None:
+        """Tell both observers of one membership change: a tracer instant
+        and an event stamped with the shared clock."""
+        tr = self.tracer
+        if tr:
+            tr.instant(name, member=member)
+        ev = self.events
+        if ev:
+            ev.emit(name, severity=severity, t=self.clock.now, member=member, **payload)
+
+    def _scan_from_start(self, member: int | None) -> None:
+        """Reset the online-rebuild state: the member being rebuilt (None =
+        no scan), the next stripe row to reconstruct, unspent rate credit
+        and the last progress decile announced."""
+        self._rebuilding = member
+        self._rebuild_cursor = 0
+        self._rebuild_credit = 0.0
+        self._rebuild_decile = 0
+
     def fail_member(self, index: int) -> None:
         """Drop a member: it receives no further requests.
 
@@ -361,39 +408,34 @@ class Volume:
         :class:`VolumeDegradedError`, leaving its state intact. A striped
         volume raises on any subsequent request that touches the failed
         member (RAID-0 has no redundancy). Failing the member currently
-        being rebuilt aborts the rebuild and returns to plain degraded.
+        being rebuilt aborts the rebuild and returns to plain degraded;
+        failing a member that is already down is a no-op (one failure,
+        one ``volume.member_failed``).
         """
         if not 0 <= index < len(self.disks):
             raise ValueError(f"no member {index}")
-        if self.layout == "mirror" and self.alive[index] and sum(self.alive) == 1:
-            raise VolumeDegradedError("last mirror member dropped")
-        if self.layout in PARITY_LAYOUTS:
-            if index == self._rebuilding:
-                # The replacement spindle died mid-rebuild: abort the
-                # scan; the volume is back to plain single-failure
-                # degraded, which parity still covers.
-                self._rebuilding = None
-                self._rebuild_cursor = 0
-                self._rebuild_credit = 0.0
-            elif self.alive[index] and (self.degraded or self._rebuilding is not None):
-                raise VolumeDegradedError(
-                    f"dropping member {index} would be a second concurrent "
-                    f"failure; a {self.layout} volume survives only one"
-                )
-        self.alive[index] = False
-        tr = self.tracer
-        if tr:
-            tr.instant("volume.member_failed", member=index)
-        ev = self.events
-        if ev:
-            ev.emit(
-                "volume.member_failed",
-                severity="warn",
-                t=self.clock.now,
-                member=index,
-                layout=self.layout,
-                live_members=sum(self.alive),
+        if index == self._rebuilding:
+            # The replacement spindle died mid-rebuild: abort the scan;
+            # the volume is back to plain single-failure degraded, which
+            # parity still covers.
+            self._scan_from_start(None)
+        elif not self.alive[index]:
+            return
+        elif self.parity_map is not None and self.degraded:
+            raise VolumeDegradedError(
+                f"dropping member {index} would be a second concurrent "
+                f"failure; a {self.layout} volume survives only one"
             )
+        elif self.layout == "mirror" and sum(self.alive) == 1:
+            raise VolumeDegradedError("last mirror member dropped")
+        self.alive[index] = False
+        self._announce(
+            "volume.member_failed",
+            index,
+            severity="warn",
+            layout=self.layout,
+            live_members=sum(self.alive),
+        )
 
     def replace_member(self, index: int, disk=None) -> None:
         """Install a blank spindle for a failed member and start rebuilding.
@@ -405,39 +447,22 @@ class Volume:
         explicitly via :meth:`rebuild_step` — reconstructs them. The
         member rejoins ``alive`` only when the scan completes.
         """
-        if self.layout not in PARITY_LAYOUTS:
+        if self.parity_map is None:
             raise VolumeError(
                 f"online rebuild needs a parity layout, not {self.layout!r}"
             )
+        if not 0 <= index < len(self.disks):
+            raise ValueError(f"no member {index}")
         if self.alive[index]:
             raise VolumeError(f"member {index} is live; nothing to rebuild")
         if self._rebuilding is not None:
             raise VolumeError(f"already rebuilding member {self._rebuilding}")
         if disk is None:
-            disk = SimulatedDisk(self.disks[index].geometry, VirtualClock())
-        if disk.geometry != self.geometry.member:
-            raise ValueError(
-                f"replacement geometry {disk.geometry!r} does not match "
-                f"members ({self.geometry.member!r})"
-            )
-        if disk.clock is self.clock:
-            raise ValueError("replacement must carry a private clock")
+            disk = SimulatedDisk(self.geometry.member, VirtualClock())
+        self._admit(disk, self.geometry.member, "replacement")
         self.disks[index] = disk
-        self._rebuilding = index
-        self._rebuild_cursor = 0
-        self._rebuild_credit = 0.0
-        self._rebuild_decile = 0
-        tr = self.tracer
-        if tr:
-            tr.instant("volume.rebuild_started", member=index)
-        ev = self.events
-        if ev:
-            ev.emit(
-                "volume.rebuild_started",
-                t=self.clock.now,
-                member=index,
-                rows=self.parity_map.rows if self.parity_map else 0,
-            )
+        self._scan_from_start(index)
+        self._announce("volume.rebuild_started", index, rows=self.parity_map.rows)
 
     @property
     def rebuild_active(self) -> bool:
@@ -450,9 +475,8 @@ class Volume:
         1.0 when fully redundant, 0.0 when degraded with no replacement
         installed yet.
         """
-        pmap = self.parity_map
-        if self._rebuilding is not None and pmap is not None:
-            return self._rebuild_cursor / pmap.rows
+        if self._rebuilding is not None:
+            return self._rebuild_cursor / self.parity_map.rows
         return 0.0 if self.degraded else 1.0
 
     def rebuild_step(self, rows: int = 1) -> int:
@@ -467,30 +491,30 @@ class Volume:
         redundant again.
         """
         target = self._rebuilding
-        pmap = self.parity_map
-        if target is None or pmap is None:
+        if target is None:
             return 0
+        pmap = self.parity_map
         now = self.clock.now
         vstats = self.volume_stats
-        replacement = self.disks[target]
         chunk = pmap.chunk_sectors
+
+        def scan(member: int, plba: int, nsectors: int) -> bytes:
+            # Scanner I/O is tallied apart from foreground sub-requests.
+            disk = self.disks[member]
+            disk.clock.advance_to(now)
+            vstats.rebuild_reads += 1
+            return disk.read(plba, nsectors)
+
+        replacement = self.disks[target]
         done = 0
         while done < rows and self._rebuilding is not None:
-            row = self._rebuild_cursor
-            row_lba = pmap.row_lba(row)
-            sources = []
-            for i in range(len(self.disks)):
-                if i == target:
-                    continue
-                disk = self.disks[i]
-                disk.clock.advance_to(now)
-                sources.append(disk.read(row_lba, chunk))
-                vstats.rebuild_reads += 1
+            row_lba = pmap.row_lba(self._rebuild_cursor)
+            rebuilt = self._xor_others(target, row_lba, chunk, scan)
             replacement.clock.advance_to(now)
-            replacement.write(row_lba, _xor_buffers(sources))
+            replacement.write(row_lba, rebuilt)
             vstats.rebuild_writes += 1
             vstats.rebuild_rows_done += 1
-            self._rebuild_cursor = row + 1
+            self._rebuild_cursor += 1
             done += 1
             ev = self.events
             if self._rebuild_cursor >= pmap.rows:
@@ -498,16 +522,7 @@ class Volume:
                 self._rebuilding = None
                 self._rebuild_credit = 0.0
                 vstats.rebuilds_completed += 1
-                tr = self.tracer
-                if tr:
-                    tr.instant("volume.rebuild_completed", member=target)
-                if ev:
-                    ev.emit(
-                        "volume.rebuild_completed",
-                        t=now,
-                        member=target,
-                        rows=pmap.rows,
-                    )
+                self._announce("volume.rebuild_completed", target, rows=pmap.rows)
             elif ev:
                 # Progress events only on decile crossings: bounded volume
                 # no matter how many stripe rows the scan covers.
@@ -543,163 +558,158 @@ class Volume:
             return True
         return index == self._rebuilding and row < self._rebuild_cursor
 
-    def _member(self, index: int):
-        if not self.alive[index]:
-            raise VolumeDegradedError(
-                f"request touches failed member {index} of a {self.layout} volume"
-            )
-        return self.disks[index]
-
-    def _live_members(self) -> list[int]:
-        live = [i for i, ok in enumerate(self.alive) if ok]
-        if not live:
+    def _serving_members(self) -> list[int]:
+        """Members currently receiving requests: the live ones, plus a
+        replacement mid-rebuild (it takes writes for rebuilt rows and the
+        scanner's reconstruction stream before rejoining ``alive``)."""
+        serving = [i for i, ok in enumerate(self.alive) if ok or i == self._rebuilding]
+        if not serving:
             raise VolumeDegradedError("no live members")
-        return live
+        return serving
 
-    def _pick_replica(self) -> int:
-        """Mirror read balancing: the least-busy live member wins."""
-        live = self._live_members()
-        return min(live, key=lambda i: (self.disks[i].clock.now, i))
+    # ------------------------------------------------------------------
+    # The request plan: member extents, gather, reconstruction
+    # ------------------------------------------------------------------
+
+    def _live(self, logical: int) -> list[int]:
+        """Live physical members holding a copy of logical member ``logical``."""
+        alive = self.alive
+        return [i for i in self._copies[logical] if alive[i]]
+
+    def _refuse(self, lost: int, plba: int, nsectors: int):
+        """No redundancy left to cover a dead member's extent: fail loudly."""
+        raise VolumeDegradedError(
+            f"request touches failed member {lost} of a {self.layout} volume"
+        )
+
+    def _row_runs(self, lost: int, plba: int, nsectors: int):
+        """Cut a dead parity member's extent at stripe-row boundaries.
+
+        Yields ``(plba, nsectors, trusted)`` runs: rows the rebuild scanner
+        has passed are served by the replacement directly, the rest only
+        exist as the XOR of the other members.
+        """
+        for row, _within, take, offset in chunk_runs(plba, nsectors, self.chunk_sectors):
+            yield plba + offset, take, self._trusted(lost, row)
+
+    def _xor_others(self, skip: int, plba: int, nsectors: int, fetch) -> bytes:
+        """XOR of the same extent on every member but ``skip``.
+
+        Every chunk of a stripe row sits at the same member LBA, so any
+        one chunk's bytes — data or parity — are the XOR of the other
+        members' bytes at the identical extent. Degraded reads, ``peek``,
+        the rebuild scanner and the parity installer differ only in the
+        ``fetch(member, plba, nsectors)`` they pass.
+        """
+        return _xor_buffers(
+            [fetch(i, plba, nsectors) for i in range(len(self.disks)) if i != skip]
+        )
+
+    def _extent(self, sub: SubRequest, fetch, count: VolumeStats | None) -> bytes:
+        """One logical member's extent, from whichever member can serve it.
+
+        The least-busy live copy wins (mirror read balancing; a stripe or
+        parity member is its own only copy). With no live copy the extent
+        is recovered run by run — from a replacement's rebuilt rows, by
+        XOR over the other members for the rest — or refused.
+        """
+        copies = self._copies[sub.disk]
+        live = self._live(sub.disk)
+        if live:
+            source = live[0]
+            if len(live) > 1:
+                source = min(live, key=lambda i: (self.disks[i].clock.now, i))
+            data = fetch(source, sub.plba, sub.nsectors)
+        else:
+            lost = copies[0]
+            parts = []
+            for plba, nsectors, trusted in self._lost_runs(lost, sub.plba, sub.nsectors):
+                if trusted:
+                    parts.append(fetch(lost, plba, nsectors))
+                else:
+                    parts.append(self._xor_others(lost, plba, nsectors, fetch))
+                    if count is not None:
+                        count.reconstructed_reads += 1
+            data = b"".join(parts)
+        if count is not None and len(live) < len(copies):
+            count.degraded_reads += 1
+        return data
+
+    def _gather(self, lba: int, nsectors: int, fetch, count: VolumeStats | None = None) -> bytes:
+        """Assemble ``[lba, lba + nsectors)`` from member extents.
+
+        ``fetch(member, plba, nsectors)`` obtains member bytes: a timed
+        :meth:`_Dispatch.read` for ``read`` / ``read_batch``, a clock-free
+        member ``peek`` for :meth:`peek`; ``count`` (timed reads only)
+        tallies degraded and reconstructed extents. Healthy, degraded and
+        mid-rebuild volumes all run exactly this code.
+        """
+        subs = self.map.split(lba, nsectors)
+        if len(subs) == 1 and len(subs[0].pieces) == 1:
+            return self._extent(subs[0], fetch, count)
+        size = self.geometry.sector_size
+        out = bytearray(nsectors * size)
+        for sub in subs:
+            buf = self._extent(sub, fetch, count)
+            for sub_off, logical_off, n in sub.pieces:
+                out[logical_off * size : (logical_off + n) * size] = buf[
+                    sub_off * size : (sub_off + n) * size
+                ]
+        return bytes(out)
+
+    @staticmethod
+    def _payload(view: memoryview, sub: SubRequest, size: int):
+        """The slice of a request buffer bound for one member extent.
+
+        A single-piece extent is a zero-copy view; interleaved pieces are
+        gathered into one contiguous buffer (the inverse of the scatter
+        in :meth:`_gather`).
+        """
+        if len(sub.pieces) == 1:
+            _sub_off, logical_off, n = sub.pieces[0]
+            return view[logical_off * size : (logical_off + n) * size]
+        buf = bytearray(sub.nsectors * size)
+        for sub_off, logical_off, n in sub.pieces:
+            buf[sub_off * size : (sub_off + n) * size] = view[
+                logical_off * size : (logical_off + n) * size
+            ]
+        return bytes(buf)
+
+    def _sectors_of(self, data, what: str) -> int:
+        """Whole-sector length of a write/install buffer, or ValueError."""
+        size = self.geometry.sector_size
+        if len(data) % size != 0:
+            raise ValueError(
+                f"{what} length {len(data)} is not a multiple of sector size {size}"
+            )
+        return len(data) // size
 
     # ------------------------------------------------------------------
     # Request surface
     # ------------------------------------------------------------------
 
-    def _check_range(self, lba: int, nsectors: int) -> None:
-        if nsectors <= 0:
-            raise ValueError(f"sector count must be positive: {nsectors}")
-        if lba < 0 or lba + nsectors > self.geometry.total_sectors:
-            raise ValueError(
-                f"request [{lba}, {lba + nsectors}) outside volume of "
-                f"{self.geometry.total_sectors} sectors"
-            )
-
-    def _split(self, lba: int, nsectors: int) -> list[SubRequest]:
-        if self.map is not None:
-            return self.map.split(lba, nsectors)
-        return [
-            SubRequest(
-                disk=0, plba=lba, nsectors=nsectors, pieces=((0, 0, nsectors),)
-            )
-        ]
-
-    def _dispatch_read(self, member_index: int, plba: int, nsectors: int, now: float):
-        """Issue one member read at time ``now``; returns (bytes, completion)."""
-        self._member(member_index)
-        return self._dispatch_read_raw(member_index, plba, nsectors, now)
-
-    def _dispatch_read_raw(self, member_index: int, plba: int, nsectors: int, now: float):
-        """Member read without the alive check (rebuilt-row / rebuild paths)."""
-        disk = self.disks[member_index]
-        disk.clock.advance_to(now)
-        data = disk.read(plba, nsectors)
-        self.volume_stats.sub_reads += 1
-        return data, disk.clock.now
-
-    def _reconstruct_extent(self, lost: int, plba: int, nsectors: int, now: float):
-        """XOR ``lost``'s extent from the same extent on every other member.
-
-        Every chunk of a stripe row sits at the same member LBA, so the
-        lost chunk's bytes are the XOR of the other members' bytes at the
-        identical extent — whichever of them holds the row's parity.
-        """
-        vstats = self.volume_stats
-        completion = now
-        pieces = []
-        for i, disk in enumerate(self.disks):
-            if i == lost:
-                continue
-            disk.clock.advance_to(now)
-            pieces.append(disk.read(plba, nsectors))
-            vstats.sub_reads += 1
-            completion = max(completion, disk.clock.now)
-        vstats.reconstructed_reads += 1
-        return _xor_buffers(pieces), completion
-
-    @staticmethod
-    def _scatter(out: bytearray, buf, sub: SubRequest, size: int) -> None:
-        """Place a sub-request's buffer into the volume request's buffer."""
-        for sub_off, logical_off, count in sub.pieces:
-            out[logical_off * size : (logical_off + count) * size] = buf[
-                sub_off * size : (sub_off + count) * size
-            ]
-
-    def _read_at_degraded_parity(
-        self, lba: int, nsectors: int, now: float
-    ) -> tuple[bytes, float]:
-        """Parity read with one untrusted member: reconstruct its chunks."""
-        pmap = self.parity_map
-        size = self.geometry.sector_size
-        chunk = pmap.chunk_sectors
-        bad = self.alive.index(False)
-        out = bytearray(nsectors * size)
-        completion = now
-        for sub in self._split(lba, nsectors):
-            if sub.disk != bad:
-                buf, done = self._dispatch_read_raw(sub.disk, sub.plba, sub.nsectors, now)
-                completion = max(completion, done)
-                self._scatter(out, buf, sub, size)
-                continue
-            self.volume_stats.degraded_reads += 1
-            # Serve the failed member's extent row by row: already-rebuilt
-            # rows read straight from the replacement, the rest XOR over
-            # the survivors.
-            buf = bytearray(sub.nsectors * size)
-            pos = sub.plba
-            end = sub.plba + sub.nsectors
-            while pos < end:
-                row = pos // chunk
-                take = min(end, (row + 1) * chunk) - pos
-                if self._trusted(bad, row):
-                    piece, done = self._dispatch_read_raw(bad, pos, take, now)
-                else:
-                    piece, done = self._reconstruct_extent(bad, pos, take, now)
-                completion = max(completion, done)
-                off = pos - sub.plba
-                buf[off * size : (off + take) * size] = piece
-                pos += take
-            self._scatter(out, bytes(buf), sub, size)
-        return bytes(out), completion
-
     def _read_at(self, lba: int, nsectors: int, now: float) -> tuple[bytes, float]:
-        """Assemble one volume read dispatched at ``now`` (no shared-clock move)."""
-        size = self.geometry.sector_size
-        if self.map is None:
-            replica = self._pick_replica()
-            if self.degraded:
-                self.volume_stats.degraded_reads += 1
-            data, completion = self._dispatch_read(replica, lba, nsectors, now)
-            return data, completion
-        if self.parity_map is not None and self.degraded:
-            return self._read_at_degraded_parity(lba, nsectors, now)
-        subs = self._split(lba, nsectors)
-        completion = now
-        if len(subs) == 1 and len(subs[0].pieces) == 1:
-            sub = subs[0]
-            data, completion = self._dispatch_read(sub.disk, sub.plba, sub.nsectors, now)
-            return data, completion
-        out = bytearray(nsectors * size)
-        for sub in subs:
-            buf, done = self._dispatch_read(sub.disk, sub.plba, sub.nsectors, now)
-            completion = max(completion, done)
-            for sub_off, logical_off, count in sub.pieces:
-                out[logical_off * size : (logical_off + count) * size] = buf[
-                    sub_off * size : (sub_off + count) * size
-                ]
-        return bytes(out), completion
+        """One volume read dispatched at ``now``: ``(bytes, completion)``.
+
+        Books the request but leaves the shared clock alone — ``read``
+        advances it per request, ``read_batch`` once per batch.
+        """
+        io = _Dispatch(self, now)
+        vstats = self.volume_stats
+        data = self._gather(lba, nsectors, io.read, vstats)
+        self.stats.record_request(nsectors, write=False)
+        vstats.reads += 1
+        vstats.read_latency_hist.record(io.completion - now)
+        return data, io.completion
 
     def read(self, lba: int, nsectors: int) -> bytes:
         """Blocking volume read: shared clock advances to the slowest spindle."""
-        self._check_range(lba, nsectors)
+        self.map.check_range(lba, nsectors)
         tr = self.tracer
         with tr.span("volume.read", lba=lba, sectors=nsectors) if tr else NULL_SPAN:
             self._rebuild_tick()
-            now = self.clock.now
-            data, completion = self._read_at(lba, nsectors, now)
+            data, completion = self._read_at(lba, nsectors, self.clock.now)
             self.clock.advance_to(completion)
-            self.stats.record_request(nsectors, write=False)
-            self.volume_stats.reads += 1
-            self.volume_stats.read_latency_hist.record(completion - now)
         return data
 
     def read_batch(self, requests: list[tuple[int, int]]) -> list[bytes]:
@@ -712,23 +722,14 @@ class Volume:
         are recorded individually.
         """
         for lba, nsectors in requests:
-            self._check_range(lba, nsectors)
+            self.map.check_range(lba, nsectors)
         tr = self.tracer
         with tr.span("volume.read_batch", count=len(requests)) if tr else NULL_SPAN:
             self._rebuild_tick()
             now = self.clock.now
-            vstats = self.volume_stats
-            out: list[bytes] = []
-            batch_completion = now
-            for lba, nsectors in requests:
-                data, completion = self._read_at(lba, nsectors, now)
-                out.append(data)
-                self.stats.record_request(nsectors, write=False)
-                vstats.reads += 1
-                vstats.read_latency_hist.record(completion - now)
-                batch_completion = max(batch_completion, completion)
-            self.clock.advance_to(batch_completion)
-        return out
+            done = [self._read_at(lba, nsectors, now) for lba, nsectors in requests]
+            self.clock.advance_to(max((end for _, end in done), default=now))
+        return [data for data, _ in done]
 
     def write(self, lba: int, data: bytes) -> None:
         """Queued volume write: dispatched now, drained by the next barrier.
@@ -739,72 +740,35 @@ class Volume:
         clock, so writes landing on different spindles overlap and
         :meth:`barrier` pays only the slowest spindle's horizon.
         """
-        size = self.geometry.sector_size
-        if len(data) % size != 0:
-            raise ValueError(
-                f"write length {len(data)} is not a multiple of sector size {size}"
-            )
-        nsectors = len(data) // size
-        self._check_range(lba, nsectors)
+        nsectors = self._sectors_of(data, "write")
+        self.map.check_range(lba, nsectors)
         tr = self.tracer
         with tr.span("volume.write", lba=lba, sectors=nsectors) if tr else NULL_SPAN:
             self._rebuild_tick()
             now = self.clock.now
+            io = _Dispatch(self, now)
+            self._write_plan(io, lba, nsectors, memoryview(data))
             vstats = self.volume_stats
-            completion = now
-            if self.map is None:
-                live = self._live_members()
-                for i in live:
-                    disk = self.disks[i]
-                    disk.clock.advance_to(now)
-                    disk.write(lba, data)
-                    completion = max(completion, disk.clock.now)
-                vstats.sub_writes += len(live)
-                vstats.note_write_dispatch(len(live))
-            elif self.parity_map is not None:
-                view = memoryview(data)
-                dispatched = vstats.sub_writes
-                for row, frags in self.parity_map.split_rows(lba, nsectors):
-                    done = self._write_parity_row(row, frags, view, now)
-                    completion = max(completion, done)
-                vstats.note_write_dispatch(vstats.sub_writes - dispatched)
-            else:
-                subs = self._split(lba, nsectors)
-                view = memoryview(data)
-                for sub in subs:
-                    disk = self._member(sub.disk)
-                    disk.clock.advance_to(now)
-                    if len(sub.pieces) == 1:
-                        piece = view[
-                            sub.pieces[0][1] * size : (sub.pieces[0][1] + sub.pieces[0][2]) * size
-                        ]
-                        disk.write(sub.plba, piece)
-                    else:
-                        chunk = bytearray(sub.nsectors * size)
-                        for sub_off, logical_off, count in sub.pieces:
-                            chunk[sub_off * size : (sub_off + count) * size] = view[
-                                logical_off * size : (logical_off + count) * size
-                            ]
-                        disk.write(sub.plba, bytes(chunk))
-                    completion = max(completion, disk.clock.now)
-                vstats.sub_writes += len(subs)
-                vstats.note_write_dispatch(len(subs))
+            vstats.note_write_dispatch(io.writes)
             self.stats.record_request(nsectors, write=True)
             vstats.writes += 1
-            vstats.write_latency_hist.record(completion - now)
+            vstats.write_latency_hist.record(io.completion - now)
 
-    def _member_write_at(self, index: int, plba: int, payload, now: float) -> float:
-        """Queue one member write at ``now`` (no alive check); completion time."""
-        disk = self.disks[index]
-        disk.clock.advance_to(now)
-        disk.write(plba, payload)
-        self.volume_stats.sub_writes += 1
-        return disk.clock.now
+    def _write_copies(self, io: _Dispatch, lba: int, nsectors: int, view: memoryview) -> None:
+        """Stripe and mirror policy: every live copy takes its member extent."""
+        size = self.geometry.sector_size
+        for sub in self.map.split(lba, nsectors):
+            live = self._live(sub.disk)
+            if not live:
+                self._refuse(sub.disk, sub.plba, sub.nsectors)
+            payload = self._payload(view, sub, size)
+            for member in live:
+                io.write(member, sub.plba, payload)
 
-    def _write_parity_row(self, row: int, frags, view, now: float) -> float:
-        """Dispatch one stripe row's data + parity updates; completion time.
+    def _write_rows(self, io: _Dispatch, lba: int, nsectors: int, view: memoryview) -> None:
+        """Parity policy: data + parity updates, one stripe row at a time.
 
-        Three shapes, cheapest first:
+        Three shapes per row, cheapest first:
 
         * **full stripe** — the fragments cover every data chunk, so the
           new parity is the XOR of the payload itself: no pre-reads.
@@ -821,113 +785,63 @@ class Volume:
           content, so reconstruction and the rebuild scanner serve it).
 
         All member reads happen before any member write of the row, so
-        pre-reads observe pre-request bytes regardless of fragment order.
+        pre-reads observe pre-request bytes regardless of fragment order;
+        the writes are the same for every shape — each fragment not on the
+        untrusted member, then the parity chunk unless it is untrusted.
         """
         pmap = self.parity_map
         size = self.geometry.sector_size
         chunk = pmap.chunk_sectors
-        base = pmap.row_lba(row)
-        parity_member = pmap.parity_disk(row)
         vstats = self.volume_stats
-        completion = now
-
-        bad = None
-        if self.degraded:
-            bad = self.alive.index(False)
-            if self._trusted(bad, row):
-                bad = None
+        down = self.alive.index(False) if self.degraded else None
 
         def payload(f):
             return view[f.logical_off * size : (f.logical_off + f.nsectors) * size]
 
-        if sum(f.nsectors for f in frags) == pmap.data_per_row * chunk:
-            # Full stripe: every fragment is a whole chunk at within=0.
-            parity = _xor_buffers([payload(f) for f in frags])
+        for row, frags in pmap.split_rows(lba, nsectors):
+            base = pmap.row_lba(row)
+            parity_member = pmap.parity_disk(row)
+            bad = None if down is None or self._trusted(down, row) else down
+            full = sum(f.nsectors for f in frags) == pmap.data_per_row * chunk
+            lo = min(f.within for f in frags)
+            hi = max(f.within + f.nsectors for f in frags)
+            if full:
+                # Every fragment is a whole chunk at within=0.
+                parity = _xor_buffers([payload(f) for f in frags])
+            elif bad == parity_member:
+                parity = None
+            elif bad is None:
+                old = [io.read(f.disk, base + f.within, f.nsectors) for f in frags]
+                parity = bytearray(io.read(parity_member, base + lo, hi - lo))
+                for f, obuf in zip(frags, old):
+                    off = (f.within - lo) * size
+                    end = off + len(obuf)
+                    parity[off:end] = _xor_buffers([parity[off:end], obuf, payload(f)])
+            else:
+                # Reconstruct-write: ``bad`` is one of the row's data
+                # members (written or not — its unwritten sectors in
+                # [lo, hi) still feed the new parity).
+                survivors = [d for d in pmap.data_disks(row) if d != bad]
+                chunks = {d: bytearray(io.read(d, base + lo, hi - lo)) for d in survivors}
+                old_parity = io.read(parity_member, base + lo, hi - lo)
+                chunks[bad] = bytearray(_xor_buffers([*chunks.values(), old_parity]))
+                vstats.reconstructed_reads += 1
+                for f in frags:
+                    off = (f.within - lo) * size
+                    chunks[f.disk][off : off + f.nsectors * size] = payload(f)
+                parity = _xor_buffers(chunks.values())
+
             for f in frags:
-                if f.disk == bad:
-                    continue
-                done = self._member_write_at(f.disk, base, payload(f), now)
-                completion = max(completion, done)
-            if parity_member != bad:
-                done = self._member_write_at(parity_member, base, parity, now)
-                completion = max(completion, done)
-            if bad is None:
+                if f.disk != bad:
+                    io.write(f.disk, base + f.within, payload(f))
+            if parity is not None and parity_member != bad:
+                io.write(parity_member, base + lo, parity)
+            if bad is not None:
+                vstats.degraded_writes += 1
+            elif full:
                 vstats.full_stripe_writes += 1
             else:
-                vstats.degraded_writes += 1
-            return completion
-
-        if bad == parity_member:
-            for f in frags:
-                done = self._member_write_at(f.disk, base + f.within, payload(f), now)
-                completion = max(completion, done)
-            vstats.degraded_writes += 1
-            return completion
-
-        lo = min(f.within for f in frags)
-        hi = max(f.within + f.nsectors for f in frags)
-
-        if bad is None:
-            old = []
-            for f in frags:
-                buf, done = self._dispatch_read_raw(
-                    f.disk, base + f.within, f.nsectors, now
-                )
-                old.append(buf)
-                completion = max(completion, done)
-            pbuf, done = self._dispatch_read_raw(parity_member, base + lo, hi - lo, now)
-            completion = max(completion, done)
-            parity = bytearray(pbuf)
-            for f, obuf in zip(frags, old):
-                off = (f.within - lo) * size
-                end = off + len(obuf)
-                parity[off:end] = _xor_buffers([parity[off:end], obuf, payload(f)])
-                done = self._member_write_at(f.disk, base + f.within, payload(f), now)
-                completion = max(completion, done)
-            done = self._member_write_at(parity_member, base + lo, bytes(parity), now)
-            completion = max(completion, done)
-            vstats.rmw_writes += 1
-            return completion
-
-        # Degraded reconstruct-write: ``bad`` is one of the row's data
-        # members (written or not — its unwritten sectors in [lo, hi)
-        # still feed the new parity).
-        span = hi - lo
-        survivors = [d for d in pmap.data_disks(row) if d != bad]
-        chunks: dict[int, bytearray] = {}
-        pieces = []
-        for member in survivors + [parity_member]:
-            buf, done = self._dispatch_read_raw(member, base + lo, span, now)
-            completion = max(completion, done)
-            if member != parity_member:
-                chunks[member] = bytearray(buf)
-            pieces.append(buf)
-        chunks[bad] = bytearray(_xor_buffers(pieces))
-        vstats.reconstructed_reads += 1
-        for f in frags:
-            off = (f.within - lo) * size
-            chunks[f.disk][off : off + f.nsectors * size] = payload(f)
-            if f.disk != bad:
-                done = self._member_write_at(f.disk, base + f.within, payload(f), now)
-                completion = max(completion, done)
-        parity = _xor_buffers([bytes(c) for c in chunks.values()])
-        done = self._member_write_at(parity_member, base + lo, parity, now)
-        completion = max(completion, done)
-        vstats.degraded_writes += 1
-        return completion
-
-    def _serving_members(self) -> list[int]:
-        """Members currently receiving requests: the live ones, plus a
-        replacement mid-rebuild (it takes writes for rebuilt rows and the
-        scanner's reconstruction stream before rejoining ``alive``)."""
-        serving = [
-            i
-            for i, ok in enumerate(self.alive)
-            if ok or i == self._rebuilding
-        ]
-        if not serving:
-            raise VolumeDegradedError("no live members")
-        return serving
+                vstats.rmw_writes += 1
 
     def barrier(self, label: str = "barrier") -> None:
         """Order writes and drain every spindle's busy-until horizon.
@@ -944,15 +858,11 @@ class Volume:
                 label=label,
                 queued=self.volume_stats.inflight_writes,
             )
-        horizon = self.clock.now
         for i in self._serving_members():
-            disk = self.disks[i]
-            disk.barrier(label)
-            horizon = max(horizon, disk.clock.now)
-        self.clock.advance_to(horizon)
+            self.disks[i].barrier(label)
+        self.drain()
         self.stats.barriers += 1
         self.volume_stats.barriers += 1
-        self.volume_stats.note_drain()
 
     def drain(self) -> None:
         """Advance the shared clock over every serving member (no barrier)."""
@@ -964,6 +874,26 @@ class Volume:
     # Failure injection / inspection (time-free, mirrors SimulatedDisk)
     # ------------------------------------------------------------------
 
+    def _peek_member(self, member: int, plba: int, nsectors: int) -> bytes:
+        return self.disks[member].peek(plba, nsectors)
+
+    def _stores(self, sub: SubRequest):
+        """Where a time-free store to ``sub`` lands: ``(member, plba, nsectors, held)``.
+
+        Every live copy holds the whole extent. A dead parity member's
+        rebuilt rows are held by its replacement; its other rows exist
+        only as parity (``held`` false): ``corrupt`` skips them, while
+        ``install`` stores them anyway for the parity it then recomputes
+        to encode. Without parity a dead member's extent is refused.
+        """
+        live = self._live(sub.disk)
+        for member in live:
+            yield member, sub.plba, sub.nsectors, True
+        if not live:
+            lost = self._copies[sub.disk][0]
+            for plba, nsectors, trusted in self._lost_runs(lost, sub.plba, sub.nsectors):
+                yield lost, plba, nsectors, trusted
+
     def install(self, lba: int, data: bytes) -> None:
         """Place whole sectors on every relevant member without charging time.
 
@@ -972,34 +902,17 @@ class Volume:
         install is how tests and the crash explorer materialize images,
         and those images must survive a member failure like written data.
         """
+        nsectors = self._sectors_of(data, "install")
+        self.map.check_range(lba, nsectors)
         size = self.geometry.sector_size
-        if len(data) % size != 0:
-            raise ValueError(
-                f"install length {len(data)} is not a multiple of sector size {size}"
-            )
-        nsectors = len(data) // size
-        self._check_range(lba, nsectors)
-        if self.map is None:
-            for i in self._live_members():
-                self.disks[i].install(lba, data)
-            return
-        pmap = self.parity_map
         view = memoryview(data)
-        for sub in self._split(lba, nsectors):
-            disk = self.disks[sub.disk] if pmap is not None else self._member(sub.disk)
-            chunk = bytearray(sub.nsectors * size)
-            for sub_off, logical_off, count in sub.pieces:
-                chunk[sub_off * size : (sub_off + count) * size] = view[
-                    logical_off * size : (logical_off + count) * size
-                ]
-            disk.install(sub.plba, bytes(chunk))
-        if pmap is not None:
-            first_row = (lba // pmap.chunk_sectors) // pmap.data_per_row
-            last_row = (
-                (lba + nsectors - 1) // pmap.chunk_sectors
-            ) // pmap.data_per_row
-            for row in range(first_row, last_row + 1):
-                self._install_parity_row(row)
+        for sub in self.map.split(lba, nsectors):
+            payload = self._payload(view, sub, size)
+            for member, plba, count, _held in self._stores(sub):
+                off = (plba - sub.plba) * size
+                self.disks[member].install(plba, payload[off : off + count * size])
+        for row in self.map.parity_rows(lba, nsectors):
+            self._install_parity_row(row)
 
     def _install_parity_row(self, row: int) -> bool:
         """Recompute and install one row's parity chunk (time-free).
@@ -1009,13 +922,11 @@ class Volume:
         pmap = self.parity_map
         chunk = pmap.chunk_sectors
         base = pmap.row_lba(row)
-        parity = _xor_buffers(
-            [self.disks[d].peek(base, chunk) for d in pmap.data_disks(row)]
-        )
-        holder = self.disks[pmap.parity_disk(row)]
-        if holder.peek(base, chunk) == parity:
+        holder = pmap.parity_disk(row)
+        parity = self._xor_others(holder, base, chunk, self._peek_member)
+        if self._peek_member(holder, base, chunk) == parity:
             return False
-        holder.install(base, parity)
+        self.disks[holder].install(base, parity)
         return True
 
     def resync_parity(self) -> int:
@@ -1042,68 +953,33 @@ class Volume:
     def peek(self, lba: int, nsectors: int) -> bytes:
         """Read bytes without charging time (tests and recovery checks).
 
-        A degraded parity volume reconstructs the untrusted member's
-        chunks by XOR, exactly like :meth:`read` — just clock-free.
+        The same gather as :meth:`read` over a clock-free member fetch, so
+        a degraded or rebuilding volume answers exactly what a read would.
         """
-        self._check_range(lba, nsectors)
-        if self.map is None:
-            return self._member(self._live_members()[0]).peek(lba, nsectors)
-        size = self.geometry.sector_size
-        pmap = self.parity_map
-        bad = None
-        if pmap is not None and self.degraded:
-            bad = self.alive.index(False)
-        out = bytearray(nsectors * size)
-        for sub in self._split(lba, nsectors):
-            if bad is None or sub.disk != bad:
-                source = self.disks[sub.disk] if pmap is not None else self._member(
-                    sub.disk
-                )
-                buf = source.peek(sub.plba, sub.nsectors)
-                self._scatter(out, buf, sub, size)
-                continue
-            chunk = pmap.chunk_sectors
-            buf = bytearray(sub.nsectors * size)
-            pos = sub.plba
-            end = sub.plba + sub.nsectors
-            while pos < end:
-                row = pos // chunk
-                take = min(end, (row + 1) * chunk) - pos
-                if self._trusted(bad, row):
-                    piece = self.disks[bad].peek(pos, take)
-                else:
-                    piece = _xor_buffers(
-                        [
-                            disk.peek(pos, take)
-                            for i, disk in enumerate(self.disks)
-                            if i != bad
-                        ]
-                    )
-                off = pos - sub.plba
-                buf[off * size : (off + take) * size] = piece
-                pos += take
-            self._scatter(out, bytes(buf), sub, size)
-        return bytes(out)
+        self.map.check_range(lba, nsectors)
+        return self._gather(lba, nsectors, self._peek_member)
 
     def corrupt(self, lba: int, nsectors: int = 1) -> None:
-        """Overwrite sectors with garbage on every relevant member."""
-        self._check_range(lba, nsectors)
-        if self.map is None:
-            for i in self._live_members():
-                self.disks[i].corrupt(lba, nsectors)
-            return
-        for sub in self._split(lba, nsectors):
-            self._member(sub.disk).corrupt(sub.plba, sub.nsectors)
+        """Overwrite sectors with garbage on every member that stores them.
+
+        On a degraded parity volume the failed member's not-yet-rebuilt
+        sectors are skipped (they exist only as parity over the others):
+        like ``install`` and ``peek``, fault injection keeps working with
+        a member down — member death, then bit-rot.
+        """
+        self.map.check_range(lba, nsectors)
+        for sub in self.map.split(lba, nsectors):
+            for member, plba, count, held in self._stores(sub):
+                if held:
+                    self.disks[member].corrupt(plba, count)
 
     @property
     def sectors_populated(self) -> int:
         """Sectors ever written across the volume (per-copy for stripes)."""
-        if self.map is None:
-            return max(
-                (self.disks[i].sectors_populated for i in self._live_members()),
-                default=0,
-            )
-        return sum(disk.sectors_populated for disk in self.disks)
+        return sum(
+            max(self.disks[i].sectors_populated for i in copies)
+            for copies in self._copies
+        )
 
     def __repr__(self) -> str:
         live = sum(self.alive)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from benchmarks.check_regression import TABLE, Row, judge, lookup, main
+from benchmarks.check_regression import COMPARED_KINDS, TABLE, Row, judge, lookup, main
 
 from tests.bench.test_baseline import write
 
@@ -62,6 +62,15 @@ def test_every_kind_passes_and_fails():
     ]
     for row in ok:
         assert judge(row, fresh, {"x": 3.0})[0] == "OK", row
+    same = Row("t", "sim", "same-as-committed")
+    tree = {"sim": {"seconds": 0.1 + 0.2, "paths": {"rmw": 3}, "sweep": [1, 2]}}
+    assert judge(same, tree, json.loads(json.dumps(tree)))[0] == "OK"
+    for leaf, value in [("seconds", 0.3), ("paths", {"rmw": 3.0}), ("sweep", [1]), ("extra", 0)]:
+        moved = copy.deepcopy(tree)
+        moved["sim"][leaf] = value
+        status, detail = judge(same, moved, tree)
+        assert status == "FAIL" and f"sim.{leaf}" in detail, detail
+        assert judge(same, tree, moved)[0] == "FAIL"
     bad = [
         (Row("t", "missing", "identity"), fresh),
         (Row("t", "x", "floor", 2.6), fresh),
@@ -82,6 +91,10 @@ def test_comparison_rows_skip_without_a_committed_figure():
     assert judge(row, {"x": 1.0}, None)[0] == "SKIP"
     assert judge(row, {"x": 1.0}, {"other": 3.0})[0] == "SKIP"
     assert judge(row, {}, None)[0] == "FAIL"  # a bad fresh report never skips
+    same = Row("t", "x", "same-as-committed")
+    assert judge(same, {"x": 1.0}, None)[0] == "SKIP"
+    assert judge(same, {"x": 1.0}, {"other": 3.0})[0] == "SKIP"
+    assert judge(same, {}, {"x": 1.0})[0] == "FAIL"
 
 
 @pytest.mark.parametrize("name", sorted(REPORTS))
@@ -109,6 +122,12 @@ BROKEN = [
     ("volume_scaling", "raid5.rebuild.2.rebuild_progress", 0.05),  # not monotone
     ("volume_scaling", "raid5.rebuild.3.rebuild_progress", 0.9),  # never completes
     ("volume_scaling", "raid5", None),
+    # Simulated leaves must equal the committed report's exactly.
+    ("volume_scaling", "identity.volume_clock_s", 4.5343518518518),
+    ("volume_scaling", "raw.4.read_seconds", 2.5444444444444),
+    ("volume_scaling", "lld.4.recovery_read_requests", 75),
+    ("volume_scaling", "raid5.write_paths.rmw.rmw_writes", 287),
+    ("volume_scaling", "raid5.degraded_read.degraded_mb_per_s", 4.26),
 ]
 
 
@@ -139,7 +158,11 @@ def test_unusable_committed_report_skips_and_exits_zero(capsys, tmp_path, commit
     status, out = run(capsys, path, REPORTS["volume_scaling"])
     assert status == 0, out
     assert out.startswith("SKIP: committed baseline")
-    assert sum(line.startswith("SKIP ") for line in out.splitlines()) == 2
+    compared = [
+        row for row in TABLE
+        if row.benchmark == "volume_scaling" and row.kind in COMPARED_KINDS
+    ]
+    assert sum(line.startswith("SKIP ") for line in out.splitlines()) == len(compared)
     assert "FAIL" not in out
 
 

@@ -17,6 +17,7 @@ import pytest
 from repro.bench.builders import BuildSpec, build_minix_lld, fresh_volume
 from repro.disk import SimulatedDisk, fast_test_disk
 from repro.lld import LLD
+from repro.obs import EventLog
 from repro.sim import VirtualClock
 from repro.volume import Volume, VolumeDegradedError, VolumeError
 
@@ -123,6 +124,10 @@ def test_replace_member_validation():
         volume.replace_member(
             0, SimulatedDisk(fast_test_disk(capacity_mb=2), volume.clock)
         )  # must carry a private clock
+    for index in (-4, 4):  # -4 would alias the failed member 0
+        with pytest.raises(ValueError):
+            volume.replace_member(index)
+    assert not volume.rebuild_active
     volume.replace_member(0)
     with pytest.raises(VolumeError):
         volume.replace_member(0)  # already rebuilding
@@ -138,6 +143,72 @@ def test_replace_member_validation():
     )
     with pytest.raises(VolumeError):
         stripe.replace_member(0)
+
+
+def test_repeated_failure_is_announced_once():
+    """One failure, one ``volume.member_failed``: failing a member that is
+    already down changes nothing and tells nobody."""
+    volume = make_parity()
+    volume.events = log = EventLog(volume.clock)
+    volume.fail_member(2)
+    volume.fail_member(2)
+    assert [e.name for e in log] == ["volume.member_failed"]
+    assert volume.alive == [True, True, False, True]
+    # The replacement dying mid-rebuild *is* a new failure of that member.
+    volume.replace_member(2)
+    volume.fail_member(2)
+    volume.fail_member(2)
+    assert [e.name for e in log].count("volume.member_failed") == 2
+
+
+def image_chunk(volume: Volume, image: bytes, row: int, member: int) -> bytes:
+    """The bytes of ``image`` that ``member``'s data chunk of ``row`` holds."""
+    lba = volume.map.to_logical(member, row * CHUNK)
+    return image[lba * 512 : (lba + CHUNK) * 512]
+
+
+def test_corrupt_works_degraded_and_mid_rebuild():
+    """``corrupt`` agrees with ``install`` and ``peek``: with a member down
+    it damages the sectors that are actually stored and skips the failed
+    member's not-yet-rebuilt rows (they exist only as parity)."""
+    volume = make_parity()
+    total = volume.geometry.total_sectors
+    image = os.urandom(total * 512)
+    volume.write(0, image)
+    volume.barrier()
+    width = row_width(volume)
+    lost = 1
+
+    volume.fail_member(lost)
+    dead_store = dict(volume.disks[lost]._sectors)
+    volume.corrupt(0, 2 * width)  # rows 0-1: touches every member
+    volume.install(0, image[: 512])  # the surface agrees with itself
+    assert volume.disks[lost]._sectors == dead_store
+    got = volume.peek(0, 2 * width)
+    assert got != image[: 2 * width * 512]
+    assert volume.read(0, 2 * width) == got
+    for row in range(2):
+        for member in volume.parity_map.data_disks(row):
+            junk = volume.disks[member].peek(row * CHUNK, CHUNK)
+            assert (junk != image_chunk(volume, image, row, member)) == (member != lost)
+
+    # Mid-rebuild: rows the scanner has passed live on the replacement and
+    # are corruptible; rows it has not are still skipped.
+    volume.replace_member(lost)
+    volume.rebuild_step(4)
+    replacement = volume.disks[lost]
+    rebuilt = replacement.peek(0, 8 * CHUNK)
+    volume.corrupt(2 * width, 4 * width)  # rows 2-5: two rebuilt, two not
+    after = replacement.peek(0, 8 * CHUNK)
+    changed = [
+        row for row in range(8)
+        if after[row * CHUNK * 512 : (row + 1) * CHUNK * 512]
+        != rebuilt[row * CHUNK * 512 : (row + 1) * CHUNK * 512]
+    ]
+    assert changed == [
+        row for row in (2, 3) if volume.parity_map.parity_disk(row) != lost
+    ]
+    assert volume.peek(2 * width, 4 * width) == volume.read(2 * width, 4 * width)
 
 
 def test_rebuild_completes_and_matches_never_failed():

@@ -1,0 +1,253 @@
+"""Golden request sequences for the volume layer, pinned across refactors,
+and the property that makes one gather enough: ``peek`` answers what
+``read`` would.
+
+One seeded workload per layout walks the volume through its health
+states — healthy, degraded, mid-rebuild, rebuilt — issuing the request
+shapes the write and read paths distinguish: chunk-aligned and straddling
+reads, ``read_batch``, full-stripe writes, multi-chunk read-modify-writes,
+sub-chunk writes, barriers, and the time-free ``install`` / ``peek`` /
+``corrupt`` surface. At the end of every phase the test hashes everything
+a change to the request plan could move:
+
+* each member's ``(op, plba, nsectors)`` request sequence, in issue order;
+* every member clock and the shared volume clock (``repr`` of the float);
+* ``VolumeStats.as_dict()``, histograms and per-member rollup included;
+* every member's sector store;
+* the bytes every ``read`` / ``read_batch`` / ``peek`` returned, and which
+  requests raised (a stripe with a dead member fails loudly).
+
+The constants below were captured from the PARENT commit of the PR that
+introduced this file (d264e95, the four-fork ``volume.py``) by running,
+in a checkout of that commit with this file copied in::
+
+    PYTHONPATH=src python tests/volume/test_request_plan_golden.py
+
+which prints the ``GOLDEN`` table. A digest that moves means some member
+saw a different request, at a different time, or stored different bytes.
+"""
+
+import hashlib
+import json
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.disk import SimulatedDisk, fast_test_disk
+from repro.sim.clock import VirtualClock
+from repro.volume import Volume, VolumeDegradedError
+
+N_DISKS = 4
+CHUNK = 8
+SECTOR = 512
+VICTIM = 2
+
+GOLDEN = {
+    ("stripe", "healthy"): "0d8b9ade7245e2d9f35f6290922cf56d4372a0b51e58e39a6c9f72559ca92fb9",
+    ("stripe", "degraded"): "fe0151a96e63c25cb5507bcba7233af7bb56f984b7792b344c841b7057368775",
+    ("mirror", "healthy"): "45c6a4cd005363cf31d4c667fb6cace9872ace9b5471e76eebea7c465e4e1818",
+    ("mirror", "degraded"): "e9d2e2fe9aee285b41d2997e1e8f26c30cdfa00330c3babff01964272c7822ec",
+    ("raid4", "healthy"): "75e95251ec36a634e9201770656ac83f3ffa79b03a26eb0705f7e38733ff5a91",
+    ("raid4", "degraded"): "f50ec0674fafed775c79c50b54240a6960b59d01af84f99350aa65d174c69488",
+    ("raid4", "mid-rebuild"): "213263f72501acb026f32bfcdaaf64fde73669f136edfc83ffefed2eccedd682",
+    ("raid4", "rebuilt"): "5951c8908aa8c81c26ed42f006e75e7a661e833238618ddb190870f9a3f10b75",
+    ("raid5", "healthy"): "0577d05152d96eda1f3f7c4c4c91b95d9dd85f3b459d6deaf2303010ec6050d4",
+    ("raid5", "degraded"): "671342fbebe4a9365a3ddb5a9803e6bbfb0290274a839fa9ed5f2297c66c8329",
+    ("raid5", "mid-rebuild"): "5ea7d2dcdf3cbe35a9b36f2a840d0a20bf287a8c3f5b677c38d8fa63e5e599b9",
+    ("raid5", "rebuilt"): "8bb7b663efe73d3df750bc7b72422752bb7b4d30acc623da197b223f3e799012",
+}
+
+
+class LoggingMember(SimulatedDisk):
+    """A member that remembers every timed request it was sent."""
+
+    def __init__(self) -> None:
+        super().__init__(fast_test_disk(capacity_mb=1), VirtualClock())
+        self.log: list[tuple[str, int, int]] = []
+
+    def read(self, lba, nsectors):
+        self.log.append(("r", lba, nsectors))
+        return super().read(lba, nsectors)
+
+    def write(self, lba, data):
+        self.log.append(("w", lba, len(data) // SECTOR))
+        super().write(lba, data)
+
+    def barrier(self, label="barrier"):
+        self.log.append(("b", 0, 0))
+        super().barrier(label)
+
+
+class Run:
+    """One layout's volume plus the running digest of what it was asked."""
+
+    def __init__(self, layout: str) -> None:
+        self.volume = Volume(
+            [LoggingMember() for _ in range(N_DISKS)],
+            VirtualClock(),
+            layout=layout,
+            chunk_sectors=CHUNK,
+        )
+        #: Members ever part of the volume, replaced ones included.
+        self.members = list(self.volume.disks)
+        self.rng = random.Random(f"request-plan/{layout}")
+        self.returned = hashlib.sha256()
+        self.total = self.volume.geometry.total_sectors
+        self.row = CHUNK * (N_DISKS - 1)
+
+    def attempt(self, name: str, *args) -> None:
+        """Issue one request; fold its result (or its refusal) into the digest."""
+        try:
+            result = getattr(self.volume, name)(*args)
+        except VolumeDegradedError:
+            self.returned.update(b"refused:" + name.encode())
+            return
+        for part in result if isinstance(result, list) else [result]:
+            if part is not None:
+                self.returned.update(part)
+
+    def extent(self, longest: int) -> tuple[int, int]:
+        lba = self.rng.randrange(self.total)
+        return lba, self.rng.randint(1, min(self.total - lba, longest))
+
+    def aligned(self, sectors: int, unit: int) -> int:
+        """A ``unit``-aligned LBA with room for ``sectors`` after it."""
+        return self.rng.randrange((self.total - sectors) // unit) * unit
+
+    def phase(self, corrupting: bool = False) -> None:
+        rng = self.rng
+        for _ in range(12):
+            self.attempt("write", self.aligned(2 * self.row, self.row), rng.randbytes(2 * self.row * SECTOR))
+            lba, n = self.extent(3 * self.row)
+            self.attempt("write", lba, rng.randbytes(n * SECTOR))
+            lba = self.aligned(CHUNK, CHUNK) + rng.randrange(1, CHUNK - 2)
+            self.attempt("write", lba, rng.randbytes(rng.randint(1, 2) * SECTOR))
+            self.attempt("read", self.aligned(3 * CHUNK, CHUNK), 3 * CHUNK)
+            self.attempt("read", *self.extent(3 * self.row))
+            self.attempt("read_batch", [self.extent(2 * self.row) for _ in range(rng.randint(2, 5))])
+            if rng.random() < 0.5:
+                self.volume.barrier()
+            lba, n = self.extent(2 * self.row)
+            self.attempt("install", lba, rng.randbytes(n * SECTOR))
+            self.attempt("peek", *self.extent(3 * self.row))
+            if corrupting:
+                self.attempt("corrupt", *self.extent(CHUNK))
+        self.volume.barrier()
+        self.volume.drain()
+
+    def digest(self) -> str:
+        volume = self.volume
+        state = {
+            "requests": [member.log for member in self.members],
+            "member_clocks": [repr(member.clock.now) for member in self.members],
+            "clock": repr(volume.clock.now),
+            "stats": volume.volume_stats.as_dict(),
+            "returned": self.returned.hexdigest(),
+            "stores": [
+                hashlib.sha256(
+                    b"".join(
+                        lba.to_bytes(4, "little") + data
+                        for lba, data in sorted(member._sectors.items())
+                    )
+                ).hexdigest()
+                for member in self.members
+            ],
+        }
+        return hashlib.sha256(
+            json.dumps(state, sort_keys=True, default=repr).encode()
+        ).hexdigest()
+
+
+def run_layout(layout: str) -> dict[tuple[str, str], str]:
+    """Walk one layout through its health states; digest after each phase."""
+    run = Run(layout)
+    volume = run.volume
+    out = {}
+    run.phase(corrupting=True)
+    out[layout, "healthy"] = run.digest()
+
+    volume.fail_member(VICTIM)
+    run.phase()
+    out[layout, "degraded"] = run.digest()
+    if volume.parity_map is None:
+        return out
+
+    replacement = LoggingMember()
+    run.members.append(replacement)
+    volume.replace_member(VICTIM, replacement)
+    volume.rebuild_step(volume.parity_map.rows // 3)
+    volume.rebuild_rate = 0.75
+    run.phase()
+    assert volume.rebuild_active and 0.3 < volume.rebuild_progress < 1.0
+    out[layout, "mid-rebuild"] = run.digest()
+
+    volume.rebuild_run_to_completion()
+    run.phase()
+    assert not volume.degraded
+    out[layout, "rebuilt"] = run.digest()
+    return out
+
+
+@pytest.mark.parametrize("layout", ["stripe", "mirror", "raid4", "raid5"])
+def test_request_plan_matches_parent_commit(layout):
+    got = run_layout(layout)
+    assert got == {key: GOLDEN[key] for key in got}
+    assert len(got) == sum(1 for key in GOLDEN if key[0] == layout)
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except VolumeDegradedError:
+        return "refused"
+
+
+@given(
+    st.sampled_from(["stripe", "mirror", "raid4", "raid5"]),
+    st.sampled_from(["healthy", "degraded", "mid-rebuild"]),
+    st.sampled_from([1, 3, 8]),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_peek_answers_what_read_would(layout, health, chunk, data):
+    """``peek`` and ``read`` are one gather over two member fetches: in every
+    layout and health state they return the same bytes — or, on a stripe
+    with a dead member, refuse the same requests."""
+    volume = Volume(
+        [LoggingMember() for _ in range(N_DISKS)],
+        VirtualClock(),
+        layout=layout,
+        chunk_sectors=chunk,
+    )
+    total = volume.geometry.total_sectors
+    extents = st.integers(0, total - 1).flatmap(
+        lambda lba: st.tuples(
+            st.just(lba), st.integers(1, min(total - lba, 4 * chunk * N_DISKS))
+        )
+    )
+    rng = random.Random(data.draw(st.integers(0, 2**16)))
+    for lba, n in data.draw(st.lists(extents, min_size=1, max_size=8)):
+        volume.write(lba, rng.randbytes(n * SECTOR))
+    if health != "healthy":
+        victim = data.draw(st.integers(0, N_DISKS - 1))
+        volume.fail_member(victim)
+        if health == "mid-rebuild" and volume.parity_map is not None:
+            volume.replace_member(victim)
+            rows = volume.parity_map.rows
+            volume.rebuild_step(data.draw(st.integers(0, rows - 1)))
+        for lba, n in data.draw(st.lists(extents, max_size=4)):
+            outcome(volume.write, lba, rng.randbytes(n * SECTOR))
+    for lba, n in data.draw(st.lists(extents, min_size=1, max_size=6)):
+        peeked = outcome(volume.peek, lba, n)
+        assert peeked == outcome(volume.read, lba, n)
+        assert peeked == outcome(volume.peek, lba, n)  # reading changed nothing
+
+
+if __name__ == "__main__":
+    print("GOLDEN = {")
+    for layout in ("stripe", "mirror", "raid4", "raid5"):
+        for key, value in run_layout(layout).items():
+            print(f'    {key!r}: "{value}",')
+    print("}")
