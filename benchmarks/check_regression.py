@@ -22,10 +22,12 @@ each row is ``(benchmark, json-path, kind, bound)`` and prints one line:
 
 Paths: ``a.b`` descends keys, ``a[*].b`` collects ``b`` over list ``a``,
 ``a[k=p].b`` picks the element of ``a`` whose ``k`` equals the report's
-value at path ``p``. A figure the *fresh* report lacks fails its row — it
-was produced by the very CI run being judged. A missing, unreadable,
-schema-incompatible or figure-less *committed* report is not a
-regression: its rows print SKIP and the exit status stays 0.
+value at path ``p``, and ``a[p*]`` keeps the keys of dict ``a`` that start
+with ``p`` (the flat ``"disk.seeks"``-style keys of a ``metrics`` block,
+which a dotted path cannot name). A figure the *fresh* report lacks fails
+its row — it was produced by the very CI run being judged. A missing,
+unreadable, schema-incompatible or figure-less *committed* report is not
+a regression: its rows print SKIP and the exit status stays 0.
 
 There are no CPU rows: real-time claims are judged end to end and
 calibrated on ``cpu_us_per_op`` by ``benchmarks/e2e`` (BENCHMARK.json).
@@ -103,6 +105,17 @@ TABLE = [
     Row("volume_scaling", "lld", "same-as-committed"),
     Row("volume_scaling", "raid5.write_paths", "same-as-committed"),
     Row("volume_scaling", "raid5.degraded_read", "same-as-committed"),
+    # Bare-disk reports (one SimulatedDisk under the LLD, no volume): the
+    # same rule for the figures a change to the disk's byte store or time
+    # model would move first — request counts, every DiskStats float, the
+    # virtual-clock seconds of each arm.
+    Row("read_path", "baseline", "same-as-committed"),
+    Row("read_path", "baseline_disk", "same-as-committed"),
+    Row("write_path", "baseline", "same-as-committed"),
+    Row("write_path", "delta", "same-as-committed"),
+    Row("recovery_time", "ld_seconds", "same-as-committed"),
+    Row("recovery_time", "fs_mount_seconds", "same-as-committed"),
+    Row("recovery_time", "metrics[disk.*]", "same-as-committed"),
 ]
 
 
@@ -159,6 +172,10 @@ def _walk(root: dict, node, parts: list[tuple[str, str]]):
     for i, (key, selector) in enumerate(parts):
         node = node.get(key) if isinstance(node, dict) else None
         if not selector:
+            continue
+        prefix = selector[:-1]
+        if prefix and selector.endswith("*") and isinstance(node, dict):
+            node = {k: v for k, v in node.items() if k.startswith(prefix)} or None
             continue
         if not isinstance(node, list):
             return None

@@ -32,7 +32,6 @@ from itertools import combinations
 from typing import TYPE_CHECKING, Callable
 
 from repro.disk.disk import SimulatedDisk
-from repro.sim.clock import VirtualClock
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.crashsim.recording import RecordingDisk
@@ -247,15 +246,7 @@ class CrashStateEnumerator:
 
     def materialize(self, state: CrashState) -> SimulatedDisk:
         """Build the crash image as a fresh disk (fresh clock, zero stats)."""
-        disk = SimulatedDisk(self.recording.geometry, VirtualClock())
-        for lba, data in self.recording._base.items():
-            disk.install(lba, data)
-        events = self.recording.events
-        sector = disk.geometry.sector_size
-        for seq, applied in state.plan:
-            event = events[seq]
-            disk.install(event.lba, event.data[: applied * sector])
-        return disk
+        return self.recording.image(state.plan)
 
     def explore(
         self, check: Callable[[SimulatedDisk, CrashState], CheckOutcome]

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.disk.disk import SimulatedDisk
+from repro.sim.clock import VirtualClock
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,7 @@ class RecordingDisk:
 
     The wrapper snapshots the underlying sector store at construction, so
     it can be installed over a disk that already has content; crash images
-    are materialized as base-snapshot + journalled writes.
+    are materialized (:meth:`image`) as base-snapshot + journalled writes.
     """
 
     def __init__(self, inner: SimulatedDisk) -> None:
@@ -80,8 +81,8 @@ class RecordingDisk:
         self.barriers: list[BarrierEvent] = []
         self._epoch = 0
         self._epoch_start = 0  # journal position where the open epoch began
-        # Base image: sectors present before recording started.
-        self._base: dict[int, bytes] = dict(inner._sectors)
+        # Base image: disk contents before recording started.
+        self._base = inner.snapshot()
 
     # ------------------------------------------------------------------
     # Journalled operations
@@ -131,8 +132,23 @@ class RecordingDisk:
         return bounds
 
     def base_image(self) -> dict[int, bytes]:
-        """Copy of the pre-recording sector contents."""
-        return dict(self._base)
+        """The pre-recording sector contents, by LBA."""
+        return dict(self._base.written_sectors())
+
+    def image(self, plan) -> SimulatedDisk:
+        """A fresh disk (fresh clock, zero stats) holding one crash image.
+
+        The base image arrives by extent copy, then each ``(seq, applied)``
+        of ``plan`` installs the first ``applied`` sectors of journalled
+        write ``seq``.
+        """
+        disk = SimulatedDisk(self.inner.geometry, VirtualClock())
+        disk.restore(self._base)
+        sector = disk.geometry.sector_size
+        for seq, applied in plan:
+            event = self.events[seq]
+            disk.install(event.lba, event.data[: applied * sector])
+        return disk
 
     # ------------------------------------------------------------------
     # Transparent delegation

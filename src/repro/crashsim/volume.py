@@ -388,16 +388,9 @@ def materialize_parity_crash_state(
 ) -> Volume:
     """Build the crash image as a fresh volume (fresh clocks, zero stats)."""
     source = recording.volume
-    disks: list[SimulatedDisk] = []
-    for member, plan in zip(recording.members, state.plans):
-        disk = SimulatedDisk(member.geometry, VirtualClock())
-        for lba, data in member.base_image().items():
-            disk.install(lba, data)
-        sector = disk.geometry.sector_size
-        for seq, applied in plan:
-            event = member.events[seq]
-            disk.install(event.lba, event.data[: applied * sector])
-        disks.append(disk)
+    disks = [
+        member.image(plan) for member, plan in zip(recording.members, state.plans)
+    ]
     return Volume(
         disks,
         VirtualClock(),

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 from repro.disk.geometry import DiskGeometry
 from repro.disk.stats import DiskStats
+from repro.disk.store import ExtentStore, sector_view
 from repro.obs.trace import NULL_SPAN
 from repro.sim.clock import VirtualClock
 
@@ -30,7 +32,12 @@ class SimulatedDisk:
     * **Overhead.** A fixed per-request host/controller cost charged before
       the mechanism starts.
 
-    Storage is sparse: sectors never written read back as zeros.
+    Storage is sparse and extent-backed (:class:`repro.disk.store.ExtentStore`):
+    sectors never written read back as zeros, and bytes move one slice per
+    64 KB extent touched, not one object per sector. Two copies per byte
+    remain and are the minimum for a store that owns its contents — one
+    into the extent on ``write``/``install``, one into the returned
+    ``bytes`` on ``read``/``peek``.
     """
 
     def __init__(
@@ -42,7 +49,7 @@ class SimulatedDisk:
         #: Optional :class:`repro.obs.Tracer`; None (the default) keeps
         #: the request path span-free (see repro.obs for the guard idiom).
         self.tracer = tracer
-        self._sectors: dict[int, bytes] = {}
+        self._store = ExtentStore(geometry.sector_size)
         self._current_cylinder = 0
         # Pre-computed seek-curve slope: min + b*(sqrt(max_dist)-1) == max.
         max_dist = max(1, geometry.cylinders - 1)
@@ -83,12 +90,16 @@ class SimulatedDisk:
         geo = self.geometry
         stats = self.stats
         advance = self.clock.advance
+        sectors_per_track = geo.sectors_per_track
+        sectors_per_cylinder = geo.sectors_per_cylinder
 
         overhead = geo.request_overhead_ms / 1000.0
         advance(overhead)
         stats.overhead_time += overhead
 
-        cylinder, _head, sector = geo.decompose(lba)
+        # _check_range already bounded the request, so the CHS split is
+        # plain integer arithmetic here, not a validating decompose().
+        cylinder = lba // sectors_per_cylinder
         seek = self.seek_time(self._current_cylinder, cylinder)
         if seek:
             advance(seek)
@@ -96,27 +107,24 @@ class SimulatedDisk:
             stats.seeks += 1
         self._current_cylinder = cylinder
 
-        rotation = self._rotational_wait(sector)
+        rotation = self._rotational_wait(lba % sectors_per_track)
         if rotation:
             advance(rotation)
             stats.rotation_time += rotation
 
         # Transfer, accounting for track and cylinder crossings.
-        decompose = geo.decompose
         sector_time = geo.sector_time
-        sectors_per_track = geo.sectors_per_track
         remaining = nsectors
         position = lba
         while remaining > 0:
-            _cyl, _head, sec = decompose(position)
-            run = min(remaining, sectors_per_track - sec)
+            run = min(remaining, sectors_per_track - position % sectors_per_track)
             transfer = run * sector_time
             advance(transfer)
             stats.transfer_time += transfer
             remaining -= run
             position += run
             if remaining > 0:
-                next_cyl = geo.cylinder_of(position)
+                next_cyl = position // sectors_per_cylinder
                 if next_cyl != self._current_cylinder:
                     cyl_seek = self.seek_time(self._current_cylinder, next_cyl)
                     advance(cyl_seek)
@@ -140,22 +148,6 @@ class SimulatedDisk:
                 f"{self.geometry.total_sectors} sectors"
             )
 
-    def _gather(self, lba: int, nsectors: int) -> bytes:
-        """Assemble sector contents into one preallocated buffer.
-
-        Unwritten sectors stay zero; only populated sectors are copied, so
-        large transfers over a sparse store avoid per-sector allocation.
-        """
-        size = self.geometry.sector_size
-        out = bytearray(nsectors * size)
-        sectors = self._sectors
-        for i in range(nsectors):
-            data = sectors.get(lba + i)
-            if data is not None:
-                offset = i * size
-                out[offset : offset + size] = data
-        return bytes(out)
-
     def read(self, lba: int, nsectors: int) -> bytes:
         """Read ``nsectors`` contiguous sectors starting at ``lba``."""
         self._check_range(lba, nsectors)
@@ -163,7 +155,7 @@ class SimulatedDisk:
         with tr.span("disk.read", lba=lba, sectors=nsectors) if tr else NULL_SPAN:
             self._charge_access(lba, nsectors)
             self.stats.record_request(nsectors, write=False)
-        return self._gather(lba, nsectors)
+        return self._store.read(lba, nsectors)
 
     def read_batch(self, requests: list[tuple[int, int]]) -> list[bytes]:
         """Read several ``(lba, nsectors)`` extents as one submission.
@@ -178,23 +170,13 @@ class SimulatedDisk:
 
     def write(self, lba: int, data: bytes) -> None:
         """Write ``data`` (a whole number of sectors) starting at ``lba``."""
-        size = self.geometry.sector_size
-        if len(data) % size != 0:
-            raise ValueError(
-                f"write length {len(data)} is not a multiple of sector size {size}"
-            )
-        nsectors = len(data) // size
+        view, nsectors = sector_view(data, self.geometry.sector_size, "write")
         self._check_range(lba, nsectors)
         tr = self.tracer
         with tr.span("disk.write", lba=lba, sectors=nsectors) if tr else NULL_SPAN:
             self._charge_access(lba, nsectors)
             self.stats.record_request(nsectors, write=True)
-        # A memoryview slice copies each sector's bytes exactly once,
-        # mirroring the _gather read fast path.
-        view = memoryview(data)
-        sectors = self._sectors
-        for i in range(nsectors):
-            sectors[lba + i] = bytes(view[i * size : (i + 1) * size])
+        self._store.write(lba, view)
 
     def barrier(self, label: str = "barrier") -> None:
         """Write-ordering barrier: writes issued before it reach the medium
@@ -223,35 +205,48 @@ class SimulatedDisk:
         the recovery that follows starts from a clean clock and clean
         counters.
         """
-        size = self.geometry.sector_size
-        if len(data) % size != 0:
-            raise ValueError(
-                f"install length {len(data)} is not a multiple of sector size {size}"
-            )
-        nsectors = len(data) // size
+        view, nsectors = sector_view(data, self.geometry.sector_size, "install")
         self._check_range(lba, nsectors)
-        view = memoryview(data)
-        sectors = self._sectors
-        for i in range(nsectors):
-            sectors[lba + i] = bytes(view[i * size : (i + 1) * size])
+        self._store.write(lba, view)
 
     def peek(self, lba: int, nsectors: int) -> bytes:
         """Read bytes without charging time (for tests and recovery checks)."""
         self._check_range(lba, nsectors)
-        return self._gather(lba, nsectors)
+        return self._store.read(lba, nsectors)
 
     def corrupt(self, lba: int, nsectors: int = 1) -> None:
         """Overwrite sectors with garbage without charging time (fault injection)."""
         self._check_range(lba, nsectors)
         size = self.geometry.sector_size
-        junk = bytes((0xDE, 0xAD, 0xBE, 0xEF)) * (size // 4)
-        for i in range(nsectors):
-            self._sectors[lba + i] = junk
+        # Exactly one sector of junk, also when 4 does not divide the size.
+        junk = (bytes((0xDE, 0xAD, 0xBE, 0xEF)) * (size // 4 + 1))[:size]
+        self._store.write(lba, memoryview(junk * nsectors))
 
     @property
     def sectors_populated(self) -> int:
         """Number of sectors ever written (sparse-store footprint)."""
-        return len(self._sectors)
+        return self._store.populated
+
+    def written_sectors(self) -> Iterator[tuple[int, bytes]]:
+        """``(lba, contents)`` of every sector ever written, ascending LBA.
+
+        The one window onto the store for tests and tools that compare or
+        digest whole disk images.
+        """
+        return self._store.written_sectors()
+
+    def snapshot(self) -> ExtentStore:
+        """Frozen copy of the current contents, for :meth:`restore`."""
+        return self._store.copy()
+
+    def restore(self, image: ExtentStore) -> None:
+        """Replace the contents with a copy of ``image``, a :meth:`snapshot`
+        of a disk of the same geometry (time- and stat-free).
+
+        One extent copy per allocated extent: how the crash-state explorer
+        rewinds a fresh disk to a recording's base image.
+        """
+        self._store = image.copy()
 
     def __repr__(self) -> str:
         geo = self.geometry

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -21,6 +22,11 @@ class DiskGeometry:
         request_overhead_ms: fixed host + controller cost per request; this
             models the SCSI command processing that makes consecutive
             single-block requests miss the rotational window.
+
+    The derived constants below are computed once per instance
+    (``cached_property`` stores into ``__dict__``, which a frozen dataclass
+    allows): the fields cannot change, and the disk's request path reads
+    ``sector_time`` and ``total_sectors`` on every request.
     """
 
     sector_size: int = 512
@@ -43,27 +49,27 @@ class DiskGeometry:
                 f"min={self.min_seek_ms} max={self.max_seek_ms}"
             )
 
-    @property
+    @cached_property
     def sectors_per_cylinder(self) -> int:
         """Sectors addressable without moving the arm."""
         return self.sectors_per_track * self.heads
 
-    @property
+    @cached_property
     def total_sectors(self) -> int:
         """Total addressable sectors on the drive."""
         return self.sectors_per_cylinder * self.cylinders
 
-    @property
+    @cached_property
     def capacity_bytes(self) -> int:
         """Total capacity in bytes."""
         return self.total_sectors * self.sector_size
 
-    @property
+    @cached_property
     def revolution_time(self) -> float:
         """Seconds per spindle revolution."""
         return 60.0 / self.rpm
 
-    @property
+    @cached_property
     def sector_time(self) -> float:
         """Seconds for one sector to pass under the head."""
         return self.revolution_time / self.sectors_per_track

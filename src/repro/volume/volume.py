@@ -61,6 +61,7 @@ from __future__ import annotations
 from repro.disk.disk import SimulatedDisk
 from repro.disk.geometry import DiskGeometry
 from repro.disk.stats import DiskStats
+from repro.disk.store import sector_view
 from repro.obs.hist import LatencyHistogram
 from repro.obs.trace import NULL_SPAN
 from repro.sim.clock import VirtualClock
@@ -82,7 +83,13 @@ DEFAULT_CHUNK_SECTORS = 128
 
 
 def _xor_buffers(buffers) -> bytes:
-    """XOR equal-length byte buffers (int-based: ~memcpy speed in CPython)."""
+    """XOR equal-length byte buffers (int-based: ~memcpy speed in CPython).
+
+    Operands are taken as they come — ``bytes`` a member store's ``read``
+    returned (its one copy per byte), ``memoryview`` slices of the request
+    — and the result is the only buffer built here; a member ``write``
+    then copies it once more, into the store's extent.
+    """
     acc = 0
     length = 0
     for buf in buffers:
@@ -675,15 +682,6 @@ class Volume:
             ]
         return bytes(buf)
 
-    def _sectors_of(self, data, what: str) -> int:
-        """Whole-sector length of a write/install buffer, or ValueError."""
-        size = self.geometry.sector_size
-        if len(data) % size != 0:
-            raise ValueError(
-                f"{what} length {len(data)} is not a multiple of sector size {size}"
-            )
-        return len(data) // size
-
     # ------------------------------------------------------------------
     # Request surface
     # ------------------------------------------------------------------
@@ -740,14 +738,14 @@ class Volume:
         clock, so writes landing on different spindles overlap and
         :meth:`barrier` pays only the slowest spindle's horizon.
         """
-        nsectors = self._sectors_of(data, "write")
+        view, nsectors = sector_view(data, self.geometry.sector_size, "write")
         self.map.check_range(lba, nsectors)
         tr = self.tracer
         with tr.span("volume.write", lba=lba, sectors=nsectors) if tr else NULL_SPAN:
             self._rebuild_tick()
             now = self.clock.now
             io = _Dispatch(self, now)
-            self._write_plan(io, lba, nsectors, memoryview(data))
+            self._write_plan(io, lba, nsectors, view)
             vstats = self.volume_stats
             vstats.note_write_dispatch(io.writes)
             self.stats.record_request(nsectors, write=True)
@@ -775,6 +773,10 @@ class Volume:
         * **read-modify-write** — pre-read the old data under each
           fragment and the old parity over the touched range; new parity
           is old parity XOR old data XOR new data per fragment extent.
+          A row touched in one chunk (the dominant shape: a partial
+          segment flush) has a parity range equal to its fragment's, so
+          the three buffers XOR as read, with no staging copy; only a row
+          touched in several chunks patches a ``bytearray`` of the range.
         * **degraded** — one chunk of the row is untrusted. If it is the
           parity chunk, just write the data. If it is a data chunk, its
           old bytes are unreadable, so delta RMW is impossible: read the
@@ -812,11 +814,18 @@ class Volume:
                 parity = None
             elif bad is None:
                 old = [io.read(f.disk, base + f.within, f.nsectors) for f in frags]
-                parity = bytearray(io.read(parity_member, base + lo, hi - lo))
-                for f, obuf in zip(frags, old):
-                    off = (f.within - lo) * size
-                    end = off + len(obuf)
-                    parity[off:end] = _xor_buffers([parity[off:end], obuf, payload(f)])
+                old_parity = io.read(parity_member, base + lo, hi - lo)
+                if len(frags) == 1:
+                    # The touched parity range is the fragment's own: one
+                    # XOR over the three buffers as they are, no staging.
+                    parity = _xor_buffers([old_parity, old[0], payload(frags[0])])
+                else:
+                    # Each fragment patches its slice of a staging copy.
+                    parity = bytearray(old_parity)
+                    for f, obuf in zip(frags, old):
+                        off = (f.within - lo) * size
+                        end = off + len(obuf)
+                        parity[off:end] = _xor_buffers([parity[off:end], obuf, payload(f)])
             else:
                 # Reconstruct-write: ``bad`` is one of the row's data
                 # members (written or not — its unwritten sectors in
@@ -902,10 +911,9 @@ class Volume:
         install is how tests and the crash explorer materialize images,
         and those images must survive a member failure like written data.
         """
-        nsectors = self._sectors_of(data, "install")
-        self.map.check_range(lba, nsectors)
         size = self.geometry.sector_size
-        view = memoryview(data)
+        view, nsectors = sector_view(data, size, "install")
+        self.map.check_range(lba, nsectors)
         for sub in self.map.split(lba, nsectors):
             payload = self._payload(view, sub, size)
             for member, plba, count, _held in self._stores(sub):

@@ -1,7 +1,8 @@
 """The one CI gate: ``benchmarks/check_regression.py`` over its row table.
 
 The committed ``BENCH_multitenant.json`` / ``BENCH_volume_scaling.json``
-are the inputs: each must pass against itself, and a copy with any one
+and the bare-disk ``BENCH_read_path`` / ``write_path`` / ``recovery_time``
+reports are the inputs: each must pass against itself, and a copy with any one
 gated figure broken by hand must fail with a line naming that figure.
 An unusable *committed* report (the cases of ``test_baseline.py``) skips
 its comparison rows and still exits 0.
@@ -21,6 +22,9 @@ ROOT = Path(__file__).resolve().parents[2]
 REPORTS = {
     "multitenant": ROOT / "BENCH_multitenant.json",
     "volume_scaling": ROOT / "BENCH_volume_scaling.json",
+    "read_path": ROOT / "BENCH_read_path.json",
+    "write_path": ROOT / "BENCH_write_path.json",
+    "recovery_time": ROOT / "BENCH_recovery_time.json",
 }
 
 
@@ -30,7 +34,8 @@ def run(capsys, committed, fresh):
 
 
 def set_path(report, dotted, value):
-    *parents, leaf = dotted.split(".")
+    """Set ``a.b.0.c``; a tuple spells keys that themselves contain dots."""
+    *parents, leaf = dotted.split(".") if isinstance(dotted, str) else dotted
     for key in parents:
         report = report[int(key)] if isinstance(report, list) else report[key]
     report[leaf] = value
@@ -49,6 +54,10 @@ def test_lookup_paths():
     assert lookup(report, "arms[n=pick].x") == 3.0
     assert lookup(report, "arms[n=a.b].x") is None  # no arm with n == 2
     assert lookup(report, "a[*].b") is None  # not a list
+    flat = {"metrics": {"disk.seeks": 3, "disk.reads": 5, "lld.flushes": 1}}
+    assert lookup(flat, "metrics[disk.*]") == {"disk.seeks": 3, "disk.reads": 5}
+    assert lookup(flat, "metrics[fs.*]") is None  # no such keys: absent, not {}
+    assert lookup(report, "arms[n*]") is None  # prefix selector needs a dict
 
 
 def test_every_kind_passes_and_fails():
@@ -128,6 +137,17 @@ BROKEN = [
     ("volume_scaling", "lld.4.recovery_read_requests", 75),
     ("volume_scaling", "raid5.write_paths.rmw.rmw_writes", 287),
     ("volume_scaling", "raid5.degraded_read.degraded_mb_per_s", 4.26),
+    # Bare-disk reports: the disk's time model and request stream.
+    ("read_path", "baseline.sim_time", 24.9159814814814),
+    ("read_path", "baseline_disk.rotation_time", 19.2009830497293),
+    ("read_path", "baseline_disk.request_sizes.8", 1983),
+    ("write_path", "baseline.disk_writes", 102),
+    ("write_path", "delta.sim_time", 2.98629629629629),
+    ("write_path", "delta", None),
+    ("recovery_time", "ld_seconds", 0.93396296296296),
+    ("recovery_time", "fs_mount_seconds", 0.054),
+    ("recovery_time", ("metrics", "disk.seek_time"), 0.41722508433746),
+    ("recovery_time", ("metrics", "disk.request_sizes", "32"), 153),
 ]
 
 

@@ -153,3 +153,59 @@ def test_transfer_crosses_track_and_cylinder():
     disk.write(0, b"\x05" * (12 * 512))
     assert disk.read(0, 12) == b"\x05" * (12 * 512)
     assert disk.stats.head_switch_time > 0
+
+
+def test_corrupt_fills_whole_sectors_on_odd_sector_size():
+    """Junk is built to ``sector_size`` bytes, not ``4 * (size // 4)``: a
+    short junk sector used to shrink everything read across it."""
+    geometry = DiskGeometry(sector_size=510, sectors_per_track=10, heads=2, cylinders=4)
+    disk = SimulatedDisk(geometry, VirtualClock())
+    disk.write(1, b"\x42" * 510)
+    disk.corrupt(0, 1)
+    image = disk.peek(0, 2)
+    assert len(image) == 1020
+    assert image[:510] == (b"\xde\xad\xbe\xef" * 128)[:510]
+    assert image[510:] == b"\x42" * 510
+
+
+@pytest.mark.parametrize("op", ["write", "install"])
+def test_non_byte_memoryview_is_measured_in_bytes(disk, op):
+    """``len()`` of a cast view counts items: 512 'H' items are 1 024 bytes,
+    two sectors — range-checked, charged, counted and stored as two."""
+    payload = bytes(range(256)) * 4
+    getattr(disk, op)(0, memoryview(payload).cast("H"))
+    assert disk.peek(0, 2) == payload
+    assert len(disk.peek(0, 3)) == 3 * 512
+    assert disk.sectors_populated == 2
+    if op == "write":
+        assert disk.stats.sectors_written == 2
+    with pytest.raises(ValueError):  # 255 items, 510 bytes: not whole sectors
+        getattr(disk, op)(0, memoryview(payload[:510]).cast("H"))
+    with pytest.raises(ValueError):  # last sector in range by items, not by bytes
+        getattr(disk, op)(disk.geometry.total_sectors - 1, memoryview(payload).cast("H"))
+
+
+def test_written_sectors_lists_exactly_the_written_lbas_in_order(disk):
+    disk.write(300, b"\x03" * 1024)
+    disk.install(5, b"\x01" * 512)
+    disk.corrupt(128)
+    disk.write(300, b"\x04" * 512)  # overwrite: still one entry
+    listed = list(disk.written_sectors())
+    assert [lba for lba, _ in listed] == [5, 128, 300, 301]
+    assert listed[0][1] == b"\x01" * 512 and listed[2][1] == b"\x04" * 512
+    assert disk.sectors_populated == 4
+
+
+def test_snapshot_and_restore_are_independent_copies(disk):
+    disk.write(7, b"\x07" * 512)
+    image = disk.snapshot()
+    disk.write(7, b"\x08" * 512)
+    clone = SimulatedDisk(disk.geometry, VirtualClock())
+    clone.restore(image)
+    clone.write(9, b"\x09" * 512)
+    assert clone.peek(7, 1) == b"\x07" * 512
+    assert disk.peek(9, 1) == bytes(512)
+    fresh = SimulatedDisk(disk.geometry, VirtualClock())
+    fresh.restore(image)  # the image itself was not written through
+    assert dict(fresh.written_sectors()) == {7: b"\x07" * 512}
+    assert fresh.clock.now == 0.0 and fresh.stats.requests == 0

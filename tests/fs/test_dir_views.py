@@ -383,8 +383,8 @@ def run_reference(kind: str) -> dict:
     store = fs.store
     disk = store.disk if kind == "classic" else store.ld.disk
     image = hashlib.sha256()
-    for lba in sorted(disk._sectors):
-        image.update(lba.to_bytes(8, "little") + disk._sectors[lba])
+    for lba, data in disk.written_sectors():
+        image.update(lba.to_bytes(8, "little") + data)
     return {
         "cache": (store.cache.hits, store.cache.misses, store.cache.evictions),
         "store": {k: v for k, v in store.stats.as_dict().items() if v},

@@ -138,7 +138,7 @@ def test_lld_mounts_and_recovers_from_single_survivor():
         # mount it as a degraded mirror: the "other disk is gone" mount.
         member = recording.members[survivor]
         image = SimulatedDisk(member.geometry, VirtualClock())
-        for lba, data in member.inner._sectors.items():
+        for lba, data in member.inner.written_sectors():
             image.install(lba, data)
         degraded = degraded_mirror_volume(image, 2, survivor)
         lld2 = LLD(degraded, config)

@@ -136,4 +136,4 @@ def test_one_disk_volume_matches_bare_disk_bytes():
         0, geometry.total_sectors
     )
     # Sector-store identity: the volume added no translation at N=1.
-    assert member._sectors == bare._sectors
+    assert list(member.written_sectors()) == list(bare.written_sectors())

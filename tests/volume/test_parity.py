@@ -68,6 +68,61 @@ def test_write_path_classification():
     assert stats.rmw_writes == 3
 
 
+def assert_parity_is_xor_of_data(volume: Volume, row: int) -> None:
+    pmap = volume.parity_map
+    base = pmap.row_lba(row)
+    acc = bytes(CHUNK * 512)
+    for member in pmap.data_disks(row):
+        chunk = volume.disks[member].peek(base, CHUNK)
+        acc = bytes(a ^ b for a, b in zip(acc, chunk))
+    assert volume.disks[pmap.parity_disk(row)].peek(base, CHUNK) == acc
+
+
+def test_rmw_single_and_multi_fragment_rows_keep_parity():
+    """The single-fragment read-modify-write XORs old parity, old data and
+    payload directly; a row touched in several chunks patches a staging
+    copy of the parity range. Both must leave parity == XOR of the row's
+    data chunks, and read back what was written."""
+    volume = make_parity()
+    width = row_width(volume)
+    volume.write(0, os.urandom(2 * width * 512))  # rows 0-1 start non-zero
+    stats = volume.volume_stats
+
+    single = os.urandom(3 * 512)  # inside one chunk of row 0
+    volume.write(CHUNK + 2, single)
+    assert stats.rmw_writes == 1
+    assert volume.peek(CHUNK + 2, 3) == single
+    assert_parity_is_xor_of_data(volume, 0)
+
+    multi = os.urandom((CHUNK + 2) * 512)  # tail of one chunk, head of the next
+    volume.write(width + CHUNK - 3, multi[: 5 * 512])  # row 1: two fragments
+    assert stats.rmw_writes == 2
+    assert volume.peek(width + CHUNK - 3, 5) == multi[: 5 * 512]
+    assert_parity_is_xor_of_data(volume, 1)
+
+    # Two fragments at different offsets: sectors [6, 8) of chunk 0 and all
+    # of chunk 1, so the touched parity range lo..hi is the whole chunk.
+    volume.write(6, multi)
+    assert stats.rmw_writes == 3
+    assert volume.peek(6, CHUNK + 2) == multi
+    assert_parity_is_xor_of_data(volume, 0)
+    assert stats.full_stripe_writes == 2 and stats.degraded_writes == 0
+
+
+def test_non_byte_memoryview_is_measured_in_bytes():
+    """The volume sizes a request from a byte view, like its members:
+    512 'H' items are two sectors, for ``write`` and for ``install``."""
+    for op in ("write", "install"):
+        volume = make_parity()
+        payload = bytes(range(256)) * 4
+        getattr(volume, op)(0, memoryview(payload).cast("H"))
+        assert volume.peek(0, 2) == payload
+        assert volume.stats.sectors_written == (2 if op == "write" else 0)
+        assert_parity_is_xor_of_data(volume, 0)
+        with pytest.raises(ValueError):
+            getattr(volume, op)(0, memoryview(payload[:510]).cast("H"))
+
+
 def test_degraded_serving_reads_writes_peek():
     """One failure is invisible to clients: reads reconstruct, writes keep
     parity maintained, peek agrees — for every choice of failed member."""
@@ -180,10 +235,10 @@ def test_corrupt_works_degraded_and_mid_rebuild():
     lost = 1
 
     volume.fail_member(lost)
-    dead_store = dict(volume.disks[lost]._sectors)
+    dead_store = list(volume.disks[lost].written_sectors())
     volume.corrupt(0, 2 * width)  # rows 0-1: touches every member
     volume.install(0, image[: 512])  # the surface agrees with itself
-    assert volume.disks[lost]._sectors == dead_store
+    assert list(volume.disks[lost].written_sectors()) == dead_store
     got = volume.peek(0, 2 * width)
     assert got != image[: 2 * width * 512]
     assert volume.read(0, 2 * width) == got

@@ -149,7 +149,7 @@ class Run:
                 hashlib.sha256(
                     b"".join(
                         lba.to_bytes(4, "little") + data
-                        for lba, data in sorted(member._sectors.items())
+                        for lba, data in member.written_sectors()
                     )
                 ).hexdigest()
                 for member in self.members
