@@ -111,6 +111,10 @@ TABLE = [
     # virtual-clock seconds of each arm.
     Row("read_path", "baseline", "same-as-committed"),
     Row("read_path", "baseline_disk", "same-as-committed"),
+    # MINIX on the LD store above the same bare disk: cold 8 KB fs.read
+    # calls, sequential and random — seconds, disk requests, zones per LD
+    # request (the demand gather of DESIGN.md §7).
+    Row("read_path", "fs_demand", "same-as-committed"),
     Row("write_path", "baseline", "same-as-committed"),
     Row("write_path", "delta", "same-as-committed"),
     Row("recovery_time", "ld_seconds", "same-as-committed"),

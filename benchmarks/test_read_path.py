@@ -1,22 +1,31 @@
 """Vectored read path: coalesced list reads vs. a per-block read loop.
 
 The paper keeps block lists clustered on disk (the cleaner even reorders
-along chains, §3.5) but its read path still issues one disk request per
-block — which is why MINIX LLD loses every read phase of Table 5. This
-benchmark measures what the clustering is worth once ``read_list`` fetches
-each physically contiguous run with a single multi-sector request, and
-what the (off-by-default) LD cache plus successor read-ahead add on top.
+along chains, §3.5) but its MINIX hands the LD one ``Read`` per block —
+which is why MINIX LLD loses every read phase of the paper's Table 5.
+This benchmark measures what the clustering is worth once ``read_list``
+fetches each physically contiguous run with a single multi-sector
+request, and what the (off-by-default) LD cache plus successor read-ahead
+add on top.
+
+The ``fs_demand`` arm measures the same thing from above the file system:
+``MinixFS.read`` maps a whole request and ``LDStore.read_zones`` fetches
+its missing zones with one ``read_blocks`` (DESIGN.md §7), so an 8 KB
+``fs.read`` on a cold cache is one LD request of two zones and — where the
+two are adjacent in the log — one disk request.
 
 Acceptance: sequential read of a clustered large file through
 ``read_list`` takes at most 1/3 of the per-block loop's simulated time
-and at least 4x fewer disk requests. Results land in
-``BENCH_read_path.json`` for CI to diff.
+and at least 4x fewer disk requests; a cold 8 KB ``fs.read`` is one LD
+request, and sequentially at most 0.55 disk requests per block. Results
+land in ``BENCH_read_path.json`` for CI to diff.
 """
 
+import random
 from pathlib import Path
 
 from repro.bench import render_table, stack_registry, write_json_report
-from repro.bench.builders import fresh_disk
+from repro.bench.builders import build_minix_lld, fresh_disk
 from repro.btree import BTree
 from repro.ld.hints import LIST_HEAD
 from repro.lld import LLD, LLDConfig
@@ -113,9 +122,44 @@ def run_btree_preload(spec):
     return {"pages": pages, "scan_time": scan_time, "scan_reads": scan_reads}
 
 
+FS_REQUEST = 8 * 1024
+
+
+def run_fs_demand(spec):
+    """Cold 8 KB ``fs.read`` calls over MINIX -> LDStore -> LLD -> one disk."""
+    fs, lld = build_minix_lld(spec)
+    total = spec.large_file_mb(80) * 1024 * 1024
+    payload = bytes(range(256)) * (FS_REQUEST // 256)
+    fd = fs.open("/large", create=True)
+    for _ in range(total // FS_REQUEST):
+        fs.write(fd, payload)
+    sequential = list(range(0, total, FS_REQUEST))
+    shuffled = sequential[:]
+    random.Random(11).shuffle(shuffled)
+    extra = fs.store.stats.extra
+    arms = {}
+    for label, offsets in (("sequential", sequential), ("random", shuffled)):
+        fs.drop_caches()
+        fills, zones = extra.get("vectored_fills", 0), extra.get("vectored_zones", 0)
+        t0, r0 = lld.disk.clock.now, lld.disk.stats.reads
+        for offset in offsets:
+            fs.seek(fd, offset)
+            assert fs.read(fd, FS_REQUEST) == payload
+        ld_requests = extra["vectored_fills"] - fills
+        arms[label] = {
+            "sim_time": lld.disk.clock.now - t0,
+            "disk_reads": lld.disk.stats.reads - r0,
+            "ld_requests": ld_requests,
+            "zones_per_ld_request": (extra["vectored_zones"] - zones) / ld_requests,
+        }
+    fs.close(fd)
+    return {"request_bytes": FS_REQUEST, "requests": len(sequential), **arms}
+
+
 def test_read_path(spec, benchmark):
     results = benchmark.pedantic(run_comparison, args=(spec,), rounds=1, iterations=1)
     btree = run_btree_preload(spec)
+    fs_demand = run_fs_demand(spec)
 
     file_kb = results["file_mb"] * 1024
     rows = {}
@@ -125,6 +169,13 @@ def test_read_path(spec, benchmark):
             "Sim. time (s)": seconds,
             "Disk reads": reads,
             "KB/sec": file_kb / seconds if seconds else 0.0,
+        }
+    for label in ("sequential", "random"):
+        arm = fs_demand[label]
+        rows[f"fs.read 8 KB, {label}"] = {
+            "Sim. time (s)": arm["sim_time"],
+            "Disk reads": arm["disk_reads"],
+            "KB/sec": file_kb / arm["sim_time"],
         }
     emit(
         render_table(
@@ -159,6 +210,7 @@ def test_read_path(spec, benchmark):
         "cached_lld_stats": results["_cached"].stats.as_dict(),
         "vectored_disk": results["_lld"].disk.stats.as_dict(),
         "baseline_disk": results["_baseline"].disk.stats.as_dict(),
+        "fs_demand": fs_demand,
         # The unified registry view of the vectored stack — the same
         # collect() path every benchmark's layer metrics flow through.
         "metrics": stack_registry(lld=results["_lld"]).collect(),
@@ -172,3 +224,9 @@ def test_read_path(spec, benchmark):
     assert results["loop + cache/read-ahead"][1] < base_reads
     # The preloaded b-tree scans without touching the disk again.
     assert btree["scan_reads"] == 0
+    # Every cold 8 KB fs.read is one LD request naming both zones, and a
+    # sequential pass pays about one disk request per two blocks.
+    for label in ("sequential", "random"):
+        assert fs_demand[label]["ld_requests"] == fs_demand["requests"]
+        assert fs_demand[label]["zones_per_ld_request"] == 2.0
+    assert fs_demand["sequential"]["disk_reads"] <= 0.55 * results["nblocks"]

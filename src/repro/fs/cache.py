@@ -23,6 +23,13 @@ class BufferCache:
     ``writeback`` is called with ``(key, data)`` when a dirty buffer is
     evicted or flushed. Keys are block handles (physical block numbers for
     the classic MINIX store, logical block numbers for the LD store).
+
+    ``hits`` and ``misses`` count :meth:`get` lookups and nothing else: one
+    per block a caller asked for. :meth:`put`, :meth:`peek`, :meth:`view`
+    and ``in`` count nothing, so a store that fetches several missing
+    blocks with one request (a ``get`` miss each, then a ``put`` each) or
+    reads ahead (``in``, then ``put``) leaves the hit rate meaning what it
+    always meant.
     """
 
     def __init__(self, capacity_bytes: int, writeback: Callable[[int, bytes], None]) -> None:

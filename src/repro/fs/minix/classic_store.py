@@ -11,7 +11,9 @@ Disk layout (in ``block_size`` units)::
 Writes leave the buffer cache one block at a time (classic ``sync``/LRU
 eviction behaviour) — this is precisely what makes plain MINIX slow on the
 paper's write benchmarks: every 4 KB write is its own disk request and
-misses the rotational window.
+misses the rotational window. Reads are a block at a time as well: a
+multi-block file request (``read_zones``) is the inherited ``read_zone``
+loop, and ``prefetch`` is the only place consecutive zones share a request.
 """
 
 from __future__ import annotations

@@ -235,26 +235,35 @@ class MinixFS:
     # ------------------------------------------------------------------
 
     def _file_read(self, inode: Inode, pos: int, nbytes: int, fd: _OpenFile | None = None) -> bytes:
+        """Bytes ``[pos, pos + nbytes)`` of a file, clipped at EOF.
+
+        The whole request is mapped first and its zones asked for in one
+        ``read_zones`` call, so a store that can fetch them together (the
+        LD store) sees the request whole; what comes back is used
+        directly, never looked up again.
+        """
         end = min(pos + nbytes, inode.size)
         if pos >= end:
             return b""
+        size = self.block_size
+        ahead: list[int] = []
         if self.readahead and fd is not None and pos == fd.seq_end:
-            self._prefetch(inode, pos, end)
-        out = bytearray()
-        while pos < end:
-            index, offset = divmod(pos, self.block_size)
-            take = min(self.block_size - offset, end - pos)
-            zone = self._bmap(inode, index, allocate=False)
-            if zone == 0:
-                out += b"\x00" * take  # hole
-            else:
-                out += self.store.read_zone(zone)[offset : offset + take]
-            pos += take
+            ahead = self._readahead_window(inode, end)
+        first, last = pos // size, (end - 1) // size
+        zones = [self._bmap(inode, index, allocate=False) for index in range(first, last + 1)]
+        if 0 in zones:  # unmapped blocks are holes: zeros
+            blocks = iter(self.store.read_zones([zone for zone in zones if zone], ahead))
+            parts = [next(blocks) if zone else bytes(size) for zone in zones]
+        else:
+            parts = self.store.read_zones(zones, ahead)
+        parts[-1] = parts[-1][: end - last * size]
+        parts[0] = parts[0][pos - first * size :]
         if fd is not None:
-            fd.seq_end = pos
-        return bytes(out)
+            fd.seq_end = end
+        return b"".join(parts)
 
-    def _prefetch(self, inode: Inode, pos: int, end: int) -> None:
+    def _readahead_window(self, inode: Inode, end: int) -> list[int]:
+        """Zones of the ``readahead_blocks`` file blocks after byte ``end``."""
         # First block the current read does not itself touch.
         first = (end + self.block_size - 1) // self.block_size
         zones = []
@@ -266,7 +275,7 @@ class MinixFS:
                 zones.append(zone)
         if zones:
             self.stats.readaheads += 1
-            self.store.prefetch(zones)
+        return zones
 
     def _file_write(
         self, ino: int, inode: Inode, pos: int, data: bytes, sync: bool = False

@@ -10,11 +10,17 @@ The changes relative to the classic store mirror the paper's list:
 * i-nodes are either packed into 4 KB LD blocks (``inode_block_mode=
   "packed"``) or stored as individual 64-byte LD blocks (``"small"``),
   the two configurations measured in section 4.2.
+
+One thing the paper's MINIX LLD did not do: the zones of a multi-block file
+request that are not in the buffer cache are fetched with a single
+``read_blocks`` (:meth:`LDStore.read_zones`), so the LD, which knows the
+physical layout, sees the request whole (DESIGN.md §7).
 """
 
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 
 from repro.fs.api import NoSpace
 from repro.fs.cache import BufferCache
@@ -221,6 +227,10 @@ class LDStore(BlockStore):
         cached = self.cache.get(bid)
         if cached is not None:
             return cached
+        return self._load(bid, length)
+
+    def _load(self, bid: int, length: int) -> bytes:
+        """Scalar miss: read one block from the LD into the cache."""
         data = self.ld.read(bid)
         if len(data) < length:
             data = data + b"\x00" * (length - len(data))
@@ -241,7 +251,42 @@ class LDStore(BlockStore):
             data = data + b"\x00" * (self.block_size - len(data))
         self.cache.put(zone, data, dirty=True)
 
-    def prefetch(self, zones: list[int]) -> None:
+    def read_zones(self, zones: Sequence[int], ahead: Sequence[int] = ()) -> list[bytes]:
+        """One file request's zones with at most one LD read.
+
+        Resident buffers (dirty ones included) are served from the cache;
+        the rest are fetched together, so the LD — which knows the
+        physical layout — turns every contiguous run into one disk
+        request (§3.5). The buffers come back from the fetch itself and
+        are not looked up again: a request larger than the cache still
+        costs each zone one disk read. A fetched zone is one cache miss
+        and no hit. ``LDError`` from the LD propagates.
+
+        A read-ahead window rides the same fetch. It must never fail the
+        read it accompanies, so on an error that does not name a demand
+        zone the request is retried without it.
+        """
+        self.stats.zone_reads += len(zones)
+        get = self.cache.get
+        buffers = [get(zone) for zone in zones]
+        if None not in buffers:
+            if ahead:
+                self.prefetch(ahead)
+            return buffers
+        slots = [i for i, data in enumerate(buffers) if data is None]
+        missing = [zones[i] for i in slots]
+        window = [zone for zone in ahead if zone not in self.cache]
+        try:
+            datas = self._fill(missing + window, "fs.demand_read")
+        except LDError as exc:
+            if not window or getattr(exc, "bid", None) in missing:
+                raise
+            datas = self._fill(missing, "fs.demand_read")
+        for i, data in zip(slots, datas):
+            buffers[i] = data
+        return buffers
+
+    def prefetch(self, zones: Sequence[int]) -> None:
         """Vectored read-ahead through the LD's ``read_blocks``.
 
         The paper's MINIX LLD disabled read-ahead because "blocks that
@@ -249,23 +294,41 @@ class LDStore(BlockStore):
         vectored read path removes that objection: ``read_blocks`` asks
         the LD itself, which knows the physical layout and coalesces
         whatever *is* contiguous into multi-sector requests. The core only
-        calls this when built with ``readahead=True`` (``make_minix_lld``
+        reads ahead when built with ``readahead=True`` (``make_minix_lld``
         keeps the paper's default of off), and a prefetch must never fail
         a read, so allocation races are swallowed.
         """
         missing = [zone for zone in zones if zone not in self.cache]
         if not missing:
             return
-        tr = self.tracer
         try:
-            with tr.span("fs.prefetch", count=len(missing)) if tr else NULL_SPAN:
-                datas = self.ld.read_blocks(missing)
+            self._fill(missing, "fs.prefetch")
         except LDError:
             return
-        for zone, data in zip(missing, datas):
-            if len(data) < self.block_size:
-                data = data + b"\x00" * (self.block_size - len(data))
-            self.cache.put(zone, data, dirty=False)
+
+    def _fill(self, zones: list[int], span: str) -> list[bytes]:
+        """Fetch non-resident ``zones`` from the LD into the cache.
+
+        The one fill path behind demand reads and read-ahead: a single
+        ``read_blocks`` for several zones, the scalar ``read`` for one.
+        Returns the (padded) buffers in ``zones`` order.
+        """
+        size = self.block_size
+        tr = self.tracer
+        with tr.span(span, count=len(zones)) if tr else NULL_SPAN:
+            if len(zones) == 1:
+                return [self._load(zones[0], size)]
+            datas = self.ld.read_blocks(zones)
+        extra = self.stats.extra
+        extra["vectored_fills"] = fills = extra.get("vectored_fills", 0) + 1
+        extra["vectored_zones"] = filled = extra.get("vectored_zones", 0) + len(zones)
+        extra["zones_per_fill"] = filled / fills
+        put = self.cache.put
+        for i, (zone, data) in enumerate(zip(zones, datas)):
+            if len(data) < size:
+                datas[i] = data = data + b"\x00" * (size - len(data))
+            put(zone, data, dirty=False)
+        return datas
 
     def alloc_zone(self, ctx: int, prev_zone: int) -> int:
         lid = ctx if self.list_per_file else self._data_lid

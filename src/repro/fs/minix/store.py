@@ -12,6 +12,7 @@ from __future__ import annotations
 import abc
 import dataclasses
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.fs.cache import BufferCache
@@ -124,6 +125,20 @@ class BlockStore(abc.ABC):
     @abc.abstractmethod
     def read_zone(self, zone: int) -> bytes:
         """Return a zone's contents (through the buffer cache)."""
+
+    def read_zones(self, zones: Sequence[int], ahead: Sequence[int] = ()) -> list[bytes]:
+        """The contents of ``zones``, in order: one file request's blocks.
+
+        The MINIX core maps a whole request first and asks for its zones
+        in one call, so a store that knows the physical layout can fetch
+        them with one transfer. ``ahead`` is the read-ahead window that
+        goes with the request (zones the caller does not want back). This
+        default is the paper's MINIX: the window goes to :meth:`prefetch`
+        and the request is served a block at a time.
+        """
+        if ahead:
+            self.prefetch(ahead)
+        return [self.read_zone(zone) for zone in zones]
 
     @abc.abstractmethod
     def write_zone(self, zone: int, data: bytes, sync: bool = False) -> None:
