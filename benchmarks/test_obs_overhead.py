@@ -31,20 +31,25 @@ simulated-figure byte-identity requirement, plus "a clean run reports
 zero warn/critical findings".
 
 Two smaller checks ride along. Stats bookkeeping
-(``DiskStats.record_request`` and the LLD write counters) must cost < 3%
-of raw-LD write-path CPU, counted the same analytic way
-(:func:`stats_cost_fraction`, asserted by its own ``test_stats_cost``).
-And because the fsync workload never reads
-more than one block at a time, every mode's stack finishes with the same
-cold multi-block ``fs.read`` pass (:func:`read_back`), so the
-byte-identity requirement also covers the demand gather and its
-``fs.demand_read`` span.
+(``DiskStats.record_request``, which also bounds the LLD write counters)
+is gated against an in-process reference that does not move when the
+write path gets faster: one call may cost at most
+``STATS_COST_UPSERTS`` bare ``dict.get`` upserts, both timed in the same
+loop (:func:`stats_cost`, asserted by its own ``test_stats_cost``). Its
+share of raw-LD write-path CPU — the old gate, which every write-path
+speed-up pushed over its limit — is still computed and written to the
+report, ungated. And because the fsync workload never reads more than
+one block at a time, every mode's stack finishes with the same cold
+multi-block ``fs.read`` pass (:func:`read_back`), so the byte-identity
+requirement also covers the demand gather and its ``fs.demand_read``
+span.
 
 Results land in ``BENCH_obs_overhead.json``; a sample Chrome trace of
 one round (~60 fsyncs) lands in ``trace.json``.
 """
 
 import gc
+import json
 import statistics
 import time
 from pathlib import Path
@@ -68,7 +73,10 @@ MODES = ("none", "disabled", "enabled", "monitored")
 ROUNDS = 12
 FILE_BYTES = 1024
 MONITOR_INTERVAL = 0.5  # virtual seconds between monitoring samples (2 Hz)
-STATS_COST_LIMIT = 0.03
+#: ``record_request`` is a method call, two attribute ``+=`` and two
+#: histogram upserts: 6.6-8.2 bare local-variable upserts over eight runs
+#: on a noisy box. Half as much again is the limit.
+STATS_COST_UPSERTS = 12.0
 READ_BACK_BYTES = 256 * 1024
 READ_BACK_REQUEST = 16 * 1024
 
@@ -77,7 +85,7 @@ READ_BACK_REQUEST = 16 * 1024
 #: tracer this file used to carry as a second in-process arm (a Span with
 #: a per-instance ``__dict__``, a fresh context object per ``span()``):
 #: its last committed figure, frozen — kept in the report for the record,
-#: nothing is compared against it (DESIGN.md §17).
+#: nothing is compared against it (DESIGN.md §11).
 FROZEN_ENABLED_BEFORE_LAZY_ALLOC = {"commit": "437b929", "ns": 2360.9402000147384}
 
 
@@ -177,15 +185,19 @@ def read_back(fs) -> None:
     fs.close(fd)
 
 
-def stats_cost_fraction(spec) -> float:
-    """Stats bookkeeping as a share of raw-LD write-path CPU.
+def stats_cost(spec) -> dict:
+    """What the always-on stats counters cost, two ways.
 
-    The workload is an LD fsync loop (``new_block`` + ``write`` + ``flush``
-    per op, no file system diluting it). ``record_request`` runs once per
-    disk request; the LLD write counters (seven ``+=`` per logical write)
-    are bounded by the same microbenchmark shape, so one measured per-call
-    figure times the exact request+write count bounds the whole stats
-    bill.
+    ``record_request`` runs once per disk request; the LLD write counters
+    (seven ``+=`` per logical write) are bounded by the same
+    microbenchmark shape. ``upserts_per_call`` prices one call in bare
+    ``dict.get`` upserts timed in the same loop — a ratio of two
+    in-process figures, so it moves with the bookkeeping and with nothing
+    else. ``fraction_of_write_cpu`` is the analytic share of an LD fsync
+    loop (``new_block`` + ``write`` + ``flush`` per op, no file system
+    diluting it): per-call figure times the exact request+write count over
+    the loop's CPU — informative, but it grows whenever the write path
+    itself gets cheaper.
     """
     lld = LLD(
         fresh_disk(spec),
@@ -207,15 +219,25 @@ def stats_cost_fraction(spec) -> float:
     write_cpu = time.process_time() - t0
     gc.enable()
     probe = DiskStats()
+    sizes: dict[int, int] = {}
     iterations = 50_000
-    best = float("inf")
+    best = best_upsert = float("inf")
     for _ in range(5):
         t0 = time.perf_counter()
         for _ in range(iterations):
             probe.record_request(8, True)
         best = min(best, time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        for _ in range(iterations):
+            sizes[8] = sizes.get(8, 0) + 1
+        best_upsert = min(best_upsert, time.perf_counter() - t0)
     calls = lld.disk.stats.requests + lld.stats.blocks_written
-    return best / iterations * calls / write_cpu
+    return {
+        "record_request_ns": best / iterations * 1e9,
+        "dict_upsert_ns": best_upsert / iterations * 1e9,
+        "upserts_per_call": best / best_upsert,
+        "fraction_of_write_cpu": best / iterations * calls / write_cpu,
+    }
 
 
 def tick_idle_ns(monitor, iterations: int = 50_000, reps: int = 5) -> float:
@@ -452,11 +474,19 @@ def test_obs_overhead(spec):
 
 
 def test_stats_cost(spec):
-    """The always-on stats counters cost < 3% of raw-LD write CPU.
+    """One ``record_request`` costs at most ``STATS_COST_UPSERTS`` upserts.
 
     Its own test: a wall-clock bound must not gate the simulated-figure
-    identity checks of :func:`test_obs_overhead`.
+    identity checks of :func:`test_obs_overhead`. The figures join that
+    test's report (or start one when run alone).
     """
-    stats_cost = stats_cost_fraction(spec)
-    emit(f"stats counters {stats_cost:.1%} of raw-LD write CPU")
-    assert stats_cost < STATS_COST_LIMIT
+    cost = stats_cost(spec)
+    emit(
+        f"record_request {cost['record_request_ns']:.0f} ns = "
+        f"{cost['upserts_per_call']:.1f} dict upserts; stats counters "
+        f"{cost['fraction_of_write_cpu']:.1%} of raw-LD write CPU (ungated)"
+    )
+    report = json.loads(REPORT_PATH.read_text()) if REPORT_PATH.exists() else {}
+    report["stats_cost"] = cost
+    emit(f"wrote {write_json_report(REPORT_PATH, report)}")
+    assert cost["upserts_per_call"] < STATS_COST_UPSERTS

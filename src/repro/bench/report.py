@@ -35,8 +35,8 @@ def stack_registry(fs=None, lld=None, recovery=None, server=None) -> MetricsRegi
         volume_stats = getattr(lld.disk, "volume_stats", None)
         if volume_stats is not None:
             registry.register("volume", volume_stats)
-        if lld.nvram is not None:
-            registry.register("nvram", lld.nvram)
+        if lld.log.nvram is not None:
+            registry.register("nvram", lld.log.nvram)
         # Derived space gauges: what the free-segment health rule watches.
         registry.register(
             "space",

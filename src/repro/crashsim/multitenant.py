@@ -131,10 +131,7 @@ class MultiTenantOracleDriver:
 
     def room_low(self, data_len: int = 8192, record_bytes: int = 256) -> bool:
         """Open-segment room check (see ``OracleDriver.room_low``)."""
-        open_segment = self.server.ld._open
-        return open_segment is None or not open_segment.fits(
-            data_len, record_bytes
-        )
+        return not self.server.ld.log.has_room(data_len, record_bytes)
 
 
 def run_multitenant_matrix_workload(

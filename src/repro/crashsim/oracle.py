@@ -206,8 +206,7 @@ class OracleDriver:
         it simply cannot *rely* on unacknowledged data — but the oracle's
         exact-match check does.)
         """
-        open_segment = self.ld._open
-        return open_segment is None or not open_segment.fits(data_len, record_bytes)
+        return not self.ld.log.has_room(data_len, record_bytes)
 
 
 # ----------------------------------------------------------------------

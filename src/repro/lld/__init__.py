@@ -8,6 +8,13 @@ successor value). The block-number map, list table, and segment usage table
 live in main memory; recovery rebuilds them in a single sweep over the
 segment summaries (no checkpoints during normal operation).
 
+The package follows the paper's Figure 2: :mod:`~repro.lld.state` holds the
+three tables and declares once what each record kind does to them;
+:mod:`~repro.lld.log` is the segment writer — the open segment, the one
+append path and the only disk writes outside the checkpoint region;
+:mod:`~repro.lld.cleaner`, the reorganizers and NVRAM are its clients;
+:class:`LLD` is the LD surface, the read path, space accounting and stats.
+
 Implementation notes relative to the paper:
 
 * Atomic recovery units are identified by an ARU id and committed with an

@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.ld.errors import OutOfSpaceError
-from repro.lld.state import NO_SEGMENT
 from repro.obs.trace import NULL_SPAN
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -31,6 +30,10 @@ class Cleaner:
 
     def __init__(self, lld: "LLD") -> None:
         self.lld = lld
+        # Re-entrancy guards: a seal inside a cleaning pass must not start
+        # another, and compaction (which cleans and flushes) must not nest.
+        self.cleaning = False
+        self.compacting = False
 
     # ------------------------------------------------------------------
     # Victim selection
@@ -88,6 +91,26 @@ class Cleaner:
     # ------------------------------------------------------------------
     # Cleaning
     # ------------------------------------------------------------------
+
+    def after_seal(self) -> None:
+        """The space policy the log writer runs after every seal."""
+        if self.cleaning:
+            return
+        config = self.lld.config
+        tombstones = len(self.lld.state.tombstones)
+        if tombstones > config.max_tombstones and not self.compacting:
+            self.compacting = True
+            try:
+                # Shallow compaction (scrub free slots) normally; a deep
+                # pass (clean live cold segments) only if the table has
+                # grown far past its target.
+                self.compact_tombstones(
+                    config.max_tombstones // 2,
+                    deep=tombstones > 8 * config.max_tombstones,
+                )
+            finally:
+                self.compacting = False
+        self.ensure_free(config.min_free_segments)
 
     def ensure_free(self, target: int) -> int:
         """Clean until at least ``target`` segments are free."""
@@ -163,54 +186,31 @@ class Cleaner:
 
     def _clean_segment(self, slot: int) -> None:
         lld = self.lld
-        lld._cleaning = True
+        self.cleaning = True
         lld.stats.cleanings += 1
         try:
             data = self._read_data_area(slot)
-            for bid in self._clustered_order(slot):
-                entry = lld.state.blocks.get(bid)
-                if entry is None or entry.segment != slot:
-                    continue  # moved or died while we were copying
-                raw = data[entry.offset : entry.offset + entry.stored_length]
-                lld._append_block(
-                    bid,
-                    bytes(raw),
-                    entry.length,
-                    entry.compressed,
-                    cleaner=True,
-                )
-                lld.stats.blocks_cleaned += 1
-            # Metadata tuples and tombstones homed here must move too;
-            # this is the paper's "removes old logging information ...
-            # during cleaning".
-            lld._relog_slot(slot)
+            lld.stats.blocks_cleaned += lld.log.relocate(
+                self._clustered_order(slot),
+                lambda entry: (
+                    data[entry.offset : entry.offset + entry.stored_length]
+                    if entry.segment == slot
+                    else None  # moved while we were copying
+                ),
+            )
+            # Metadata tuples and tombstones homed here must move too.
+            lld.log.relog_slot(slot)
             # The stale summary becomes garbage once the re-logged records
-            # are durable; queue it for invalidation at the next segment
-            # write so the global minimum summary timestamp keeps rising.
-            lld._pending_scrubs.add(slot)
+            # are durable; retire the slot, to be scrubbed at the next
+            # segment write so the global minimum summary timestamp keeps
+            # rising.
+            lld.log.retired.add(slot)
         finally:
-            lld._cleaning = False
+            self.cleaning = False
 
     # ------------------------------------------------------------------
     # Tombstone compaction
     # ------------------------------------------------------------------
-
-    def drop_dead_tombstones(self) -> int:
-        """Forget tombstones no surviving summary could contradict.
-
-        A tombstone is droppable once the oldest record timestamp across
-        all valid on-disk summaries is at or above its death timestamp —
-        then no stale record for the dead key can exist anywhere.
-        """
-        state = self.lld.state
-        min_ts = state.min_summary_timestamp()
-        dropped = 0
-        for key, tomb in list(state.tombstones.items()):
-            if min_ts is None or min_ts >= tomb.death_timestamp:
-                state.drop_tombstone(key)
-                dropped += 1
-        self.lld.stats.tombstones_dropped += dropped
-        return dropped
 
     def compact_tombstones(self, target_count: int, deep: bool = False) -> int:
         """Retire tombstones by rewriting the oldest summaries.
@@ -226,7 +226,7 @@ class Cleaner:
         """
         lld = self.lld
         state = lld.state
-        dropped = self.drop_dead_tombstones()
+        dropped = lld.log.drop_dead_tombstones()
         need_to_retire = len(state.tombstones) - target_count
         if need_to_retire <= 0:
             return dropped
@@ -247,14 +247,12 @@ class Cleaner:
                 self.clean_segment(slot)
                 relogged_any = True
             elif state.slot_holds_metadata(slot):
-                lld._relog_slot(slot)
+                lld.log.relog_slot(slot)
                 relogged_any = True
             scrub_set.add(slot)
             projected_min = state.min_summary_timestamp(exclude=scrub_set)
             retirable = sum(
-                1
-                for tomb in state.tombstones.values()
-                if projected_min is None or projected_min >= tomb.death_timestamp
+                tomb.settled(projected_min) for tomb in state.tombstones.values()
             )
             if retirable >= need_to_retire:
                 break
@@ -267,15 +265,8 @@ class Cleaner:
         # crash anywhere in between stays recoverable.
         if relogged_any:
             lld.flush()
-        from repro.lld.segment import empty_summary
-
-        empty = empty_summary(lld.config.summary_capacity)
-        for slot in sorted(scrub_set):
-            if slot != lld.open_segment_index and state.usage.get(slot, 0) <= 0:
-                lld.disk.write(lld.layout.slot_lba(slot), empty)
-                state.summary_min_ts.pop(slot, None)
-        dropped += self.drop_dead_tombstones()
-        return dropped
+        lld.log.scrub(scrub_set)
+        return dropped + lld.log.drop_dead_tombstones()
 
     def _oldest_summary_slot(self, exclude: set[int] | None = None) -> int | None:
         """Slot with the oldest valid summary (excluding the open one)."""
@@ -305,15 +296,10 @@ class Cleaner:
             raise ValueError("cannot scrub the open segment")
         if state.usage.get(slot, 0) > 0:
             raise ValueError(f"segment {slot} still holds live data")
-        has_homed = state.slot_holds_metadata(slot)
-        if has_homed:
-            lld._relog_slot(slot)
+        if state.slot_holds_metadata(slot):
+            lld.log.relog_slot(slot)
             lld.flush()
-        from repro.lld.segment import empty_summary
-
-        image = empty_summary(lld.config.summary_capacity)
-        lld.disk.write(lld.layout.slot_lba(slot), image)
-        state.summary_min_ts.pop(slot, None)
+        lld.log.scrub((slot,))
 
     def _read_data_area(self, slot: int) -> bytes:
         """One long read of the victim's data area (realistic cleaner I/O)."""

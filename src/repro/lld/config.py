@@ -35,8 +35,6 @@ class LLDConfig:
         lists_enabled: when False, list maintenance is skipped entirely
             (blocks live on degenerate single-block chains); used by the
             paper's §4.2 list-overhead experiment.
-        compression_enabled: honour per-list compression hints.
-        model_compression_cost: charge compressor CPU time to the clock.
         max_tombstones: deletion tombstones held in memory before the
             cleaner compacts old summaries to retire them (see
             :meth:`repro.lld.cleaner.Cleaner.compact_tombstones`). A
@@ -93,8 +91,6 @@ class LLDConfig:
     min_free_segments: int = 2
     clean_policy: str = "greedy"
     lists_enabled: bool = True
-    compression_enabled: bool = True
-    model_compression_cost: bool = True
     max_tombstones: int = 4096
     read_cache_enabled: bool = False
     read_cache_bytes: int = 1024 * 1024

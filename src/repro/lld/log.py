@@ -1,0 +1,483 @@
+"""The LLD log writer (paper §3.2, the segment writer of Figure 2).
+
+:class:`LogWriter` owns the open segment and is the only code in this
+package, outside the checkpoint region, that writes to the disk: every
+byte goes through ``_disk_write`` (the write-amplification funnel) and
+every ordering point through ``barrier``. It walks each slot through one
+lifecycle, described in DESIGN.md §8::
+
+    free -> open -> partially durable -> sealed -> retired -> scrubbed -> free
+
+The cleaner, the reorganizers, NVRAM and the LD surface are its clients.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Iterable
+
+from repro.ld.errors import ARUError, OutOfSpaceError
+from repro.lld.config import SECTOR, LLDConfig
+from repro.lld.records import FLAG_CLEANER, FLAG_COMPRESSED, BlockRecord, CommitRecord, Record
+from repro.lld.segment import DiskLayout, OpenSegment, empty_summary, pick_slot
+from repro.lld.state import (
+    DEATH_KINDS,
+    KEY_KINDS,
+    NO_SEGMENT,
+    RECORD_KINDS,
+    BlockEntry,
+    LLDState,
+)
+from repro.obs.trace import NULL_SPAN
+
+
+class ARUTable:
+    """Open (uncommitted) atomic recovery units.
+
+    ``pins`` maps each open unit to the segments the cleaner must leave
+    alone while it is in flight; several entries are concurrent units
+    (the paper's §5.4 extension). ``current`` is the unit new client
+    records join (0 = none).
+    """
+
+    def __init__(self) -> None:
+        self.pins: dict[int, set[int]] = {}
+        self.current = 0
+
+    def attach(self, aru: int) -> None:
+        """Make open unit ``aru`` (or none: 0) the current one."""
+        if aru and aru not in self.pins:
+            raise ARUError(f"ARU {aru} is not open")
+        self.current = aru
+
+    def pinned_segments(self) -> set[int]:
+        """Segments the cleaner must not evacuate while units are open."""
+        return set().union(*self.pins.values())
+
+
+class LogWriter:
+    """The open segment, the append path and the slot-write funnel."""
+
+    def __init__(
+        self,
+        disk,
+        config: LLDConfig,
+        layout: DiskLayout,
+        state: LLDState,
+        stats,
+        compression,
+        *,
+        nvram=None,
+        read_cache=None,
+        tracer=None,
+    ) -> None:
+        self.disk = disk
+        self.config = config
+        self.layout = layout
+        self.state = state
+        self.stats = stats
+        #: Drained before a sealed image is cut (pipelined compression).
+        self.compression = compression
+        #: Optional battery-backed buffer absorbing partial-segment flushes
+        #: (paper §5.3); pass the same object to the post-crash instance.
+        self.nvram = nvram
+        self.read_cache = read_cache
+        self.tracer = tracer if tracer is not None else getattr(disk, "tracer", None)
+        self.events = getattr(disk, "events", None)
+        self.arus = ARUTable()
+        self.open: OpenSegment | None = None
+        #: Retired slots: cleaned out, their stale summaries awaiting the
+        #: scrub that the next durable open-segment image makes safe.
+        self.retired: set[int] = set()
+        #: Space policy run after every seal (``Cleaner.after_seal``).
+        self.after_seal: Callable[[], None] = lambda: None
+
+    # ------------------------------------------------------------------
+    # Start-up and shutdown
+    # ------------------------------------------------------------------
+
+    def replay_nvram(self) -> None:
+        """Put a partial segment held in NVRAM back on its slot, so the
+        normal start-up paths (checkpoint or sweep) see it."""
+        if self.nvram is not None and self.nvram.holds_data:
+            self._disk_write(self.layout.slot_lba(self.nvram.slot), self.nvram.image)
+
+    def open_next(self) -> None:
+        """free -> open: start a fresh in-memory segment over the next slot.
+
+        Any metadata whose latest on-disk tuple lives in the slot's stale
+        summary is re-logged first: the write that eventually replaces the
+        stale summary then carries the re-logged tuples, atomically.
+        """
+        current = self.open.index if self.open is not None else -1
+        state = self.state
+        # LLDState keeps the free-slot set as usage crosses zero, so only
+        # actual candidates are ranked (ranks: see pick_slot).
+        ranks = {
+            free: 0 if free not in state.summary_min_ts
+            else 2 if state.slot_holds_metadata(free)
+            else 1
+            for free in state.free_slots
+            if free != current
+        }
+        slot = pick_slot(ranks, self.layout, current)
+        self.retired.discard(slot)
+        self.open = OpenSegment(slot, self.config)
+        self.relog_slot(slot)
+
+    def has_room(self, data_len: int, record_bytes: int) -> bool:
+        """Room left in the open segment for that much data and records?"""
+        return self.open is not None and self.open.fits(data_len, record_bytes)
+
+    # ------------------------------------------------------------------
+    # The append path
+    # ------------------------------------------------------------------
+
+    def append(self, record: Record) -> None:
+        """Assign a timestamp, append to the open summary, apply to state."""
+        if not self.open.fits(0, record.SIZE):
+            self._make_room(0, record.SIZE)
+        seg = self.open
+        kind = RECORD_KINDS[type(record)]
+        record.timestamp = self.state.next_ts
+        if kind.retires and record.death_timestamp == 0:
+            record.death_timestamp = record.timestamp
+        seg.append_record(record)
+        self.state.apply(record, seg.index)
+        # Every contents or location change of a block passes through here
+        # as a record that moves or kills its data (write, delete, swap,
+        # cleaning, reorganization), so this one hook keeps the read cache
+        # coherent.
+        if kind.data and self.read_cache is not None:
+            self.read_cache.invalidate(record.bid)
+
+    def emit(self, record: Record) -> None:
+        """Log a record on behalf of the client.
+
+        Inside an ARU the record carries the unit's id, and the unit pins
+        every segment holding something the record supersedes: evacuating
+        one would destroy the pre-ARU values a recovery needs if the unit
+        never commits.
+        """
+        aru = self.arus.current
+        if aru:
+            record.aru = aru
+            self.arus.pins[aru].update(self.state.superseded_segments(record))
+        self.append(record)
+
+    def _make_room(self, data_len: int, record_bytes: int) -> None:
+        """Seal until the open segment fits the pending append."""
+        guard = self.layout.segment_count
+        while not self.open.fits(data_len, record_bytes):
+            # Sealing may refill the fresh segment (cleaning, re-logging),
+            # so re-check until it fits.
+            self.seal()
+            guard -= 1
+            if guard < 0:  # pragma: no cover - would need a pathological config
+                raise OutOfSpaceError("cannot find room in the log")
+
+    def write_block(self, bid: int, stored, length: int, flags: int = 0) -> None:
+        """Place a block's stored bytes at the log head; log its BLOCK record.
+
+        A record flagged FLAG_CLEANER is the LD's own relocation traffic
+        and never joins a client's ARU.
+        """
+        if not self.open.fits(len(stored), BlockRecord.SIZE):
+            self._make_room(len(stored), BlockRecord.SIZE)
+        seg = self.open
+        record = BlockRecord(
+            flags=flags,
+            bid=bid,
+            segment=seg.index,
+            offset=seg.append_data(stored),
+            stored_length=len(stored),
+            length=length,
+        )
+        if flags & FLAG_CLEANER:
+            self.append(record)
+        else:
+            self.emit(record)
+
+    def relocate(
+        self,
+        bids: Iterable[int],
+        fetch: Callable[[BlockEntry], bytes | None],
+        limit: int | None = None,
+    ) -> int:
+        """Move live blocks to the log head; returns how many moved.
+
+        ``bids`` is consumed lazily and every block looked up afresh: an
+        append may seal, clean, and move what comes later. ``fetch(entry)``
+        returns the stored bytes, or None to leave the block where it is.
+        """
+        blocks = self.state.blocks
+        moved = 0
+        for bid in bids:
+            entry = blocks.get(bid)
+            if entry is None or entry.segment == NO_SEGMENT:
+                continue
+            if limit is not None and moved >= limit:
+                break
+            stored = fetch(entry)
+            if stored is not None:
+                flags = FLAG_CLEANER | (FLAG_COMPRESSED if entry.compressed else 0)
+                self.write_block(bid, stored, entry.length, flags)
+                moved += 1
+        return moved
+
+    def relog_slot(self, slot: int) -> None:
+        """Re-state at the log head everything ``slot``'s summary homes:
+        live metadata keys (the paper's "removes old logging information
+        ... during cleaning") and tombstones still needed."""
+        state = self.state
+        for key, ident in sorted(state.segment_keys.get(slot, ())):
+            self.stats.records_relogged += 1
+            kind = KEY_KINDS[key]
+            entry = getattr(state, kind.subject + "s").get(ident)
+            if entry is not None:
+                self.append(kind.restate(ident, entry))
+        homed = state.tombstones_homed_in(slot)
+        if not homed:
+            return
+        min_ts = state.min_summary_timestamp(exclude=slot)
+        for tomb in homed:
+            if tomb.settled(min_ts):
+                state.drop_tombstone((tomb.kind, tomb.ident))
+                self.stats.tombstones_dropped += 1
+                continue
+            record = DEATH_KINDS[tomb.kind].restate(tomb.ident, tomb)
+            record.flags |= FLAG_CLEANER
+            self.append(record)
+            self.stats.records_relogged += 1
+
+    # ------------------------------------------------------------------
+    # Atomic recovery units
+    # ------------------------------------------------------------------
+
+    def begin_aru(self) -> int:
+        """Open a unit and make it the current one; returns its id."""
+        aru = self.state.next_ts
+        self.state.next_ts += 1
+        self.arus.pins[aru] = set()
+        self.arus.current = aru
+        tr = self.tracer
+        if tr:
+            tr.instant("lld.aru_begin", aru=aru)
+        return aru
+
+    def end_aru(self, commit: bool, aru: int = 0) -> None:
+        """Close unit ``aru`` (default: the current one): log its COMMIT,
+        or abandon it unlogged — its records vanish at the next recovery."""
+        arus = self.arus
+        aru = aru or arus.current
+        if not aru:
+            raise ARUError("no atomic recovery unit is open")
+        if commit:
+            if aru not in arus.pins:
+                raise ARUError(f"ARU {aru} is not open")
+            # Logging may seal and clean: the pins hold until it is done.
+            self.append(CommitRecord(aru=aru))
+            tr = self.tracer
+            if tr:
+                tr.instant("lld.aru_end", aru=aru)
+        arus.pins.pop(aru, None)
+        if arus.current == aru:
+            arus.current = 0
+
+    # ------------------------------------------------------------------
+    # Durability: flush, seal, and the slot-write funnel
+    # ------------------------------------------------------------------
+
+    def flush(self) -> None:
+        """Make the (non-empty) open segment durable: sealed at or above
+        the partial threshold, else held in NVRAM or written to its slot
+        while it keeps filling in memory (paper §3.2)."""
+        if self.open.fill_fraction >= self.config.partial_threshold:
+            self.seal()
+        elif not self._absorb_in_nvram():
+            self._write_partial()
+        # The acknowledgement point: everything this flush wrote must be
+        # on the medium before any later write. The crash-state explorer
+        # keys its durability oracle off this barrier.
+        self.barrier("flush")
+
+    def seal(self) -> None:
+        """open -> sealed: write the segment out in full, open the next."""
+        seg = self.open
+        if seg.is_empty:
+            return
+        tr = self.tracer
+        with tr.span("lld.segment_seal", slot=seg.index) if tr else NULL_SPAN:
+            self.compression.drain_pipeline()
+            self._write_slot(delta=False)
+            self.stats.segments_sealed += 1
+            self.open_next()
+        self.after_seal()
+
+    def _write_partial(self) -> None:
+        """Write the below-threshold open segment to its slot: the whole
+        image, or what ``LLDConfig.delta_partial_flush`` leaves of it."""
+        seg = self.open
+        tr = self.tracer
+        with tr.span("lld.partial_flush", slot=seg.index) if tr else NULL_SPAN:
+            if not self.config.delta_partial_flush:
+                self._write_slot(delta=False)
+            elif not (seg.summary_dirty or seg.data_dirty):
+                # Everything is already durable on disk: nothing to write.
+                self.stats.partial_delta_noop += 1
+                return
+            elif seg.never_flushed:
+                self._write_slot(delta=False)
+                self.stats.partial_full_writes += 1
+            else:
+                self._write_slot(delta=True)
+                self.stats.partial_delta_flushes += 1
+            self.stats.partial_segment_writes += 1
+
+    def _write_slot(self, delta: bool) -> None:
+        """Bring the open segment's slot up to date: the whole image, or
+        (``delta``) the data tail past the watermark, then the summary.
+
+        The data tail goes first: a crash between the two writes leaves
+        the previous summary on disk, which describes only the durable
+        prefix, so recovery sees exactly the state of the previous flush.
+        """
+        seg = self.open
+        tr = self.tracer
+        lba = self.layout.slot_lba(seg.index)
+        if not delta:
+            image = seg.image()
+            with (
+                tr.span("lld.segment_image_write", slot=seg.index, nbytes=len(image))
+                if tr
+                else NULL_SPAN
+            ):
+                self._write_summary_first(lba, image, 1)
+        else:
+            if seg.data_dirty:
+                sector, tail = seg.data_tail()
+                with (
+                    tr.span("lld.data_tail_write", slot=seg.index, nbytes=len(tail))
+                    if tr
+                    else NULL_SPAN
+                ):
+                    self._disk_write(lba + self.config.summary_sectors + sector, tail)
+                self.stats.partial_delta_data_bytes += len(tail)
+            if seg.summary_dirty:
+                summary = seg.summary_delta_image()
+                with (
+                    tr.span("lld.summary_write", slot=seg.index, nbytes=len(summary))
+                    if tr
+                    else NULL_SPAN
+                ):
+                    # Sectors before the watermark sector are byte-identical
+                    # on disk (records are append-only): a protected update
+                    # rewrites only from the first sector with new bytes.
+                    self.stats.partial_delta_summary_bytes += self._write_summary_first(
+                        lba, summary, max(1, seg.durable_summary_used // SECTOR)
+                    )
+        seg.mark_durable()
+        if self.nvram is not None and self.nvram.slot == seg.index:
+            self.nvram.clear()  # the disk copy supersedes the NVRAM image
+        self._open_summary_durable("segment-image")
+
+    def _write_summary_first(self, lba: int, image, tail_start: int) -> int:
+        """Write an image that starts with a summary header at slot ``lba``;
+        returns the bytes written.
+
+        One write — unless ``LLDConfig.torn_write_protection`` asks for the
+        atomic summary update: everything from sector ``tail_start`` first
+        (the slot's previous summary still parses), a barrier, then the
+        single-sector header flip.
+        """
+        if not self.config.torn_write_protection:
+            self._disk_write(lba, image)
+            return len(image)
+        tail = image[tail_start * SECTOR :]
+        if tail:
+            self._disk_write(lba + tail_start, tail)
+        self.barrier("summary-guard")
+        self._disk_write(lba, image[:SECTOR])
+        return len(tail) + SECTOR
+
+    def _absorb_in_nvram(self) -> bool:
+        """Hold the partial segment in NVRAM instead of writing it."""
+        if self.nvram is None:
+            return False
+        seg = self.open
+        tr = self.tracer
+        with (tr.span("lld.nvram_absorb", slot=seg.index) if tr else NULL_SPAN) as sp:
+            image = seg.image()
+            absorbed = self.nvram.store(seg.index, image)
+            if sp is not None:
+                sp.attrs["absorbed"] = absorbed
+                sp.attrs["image_bytes"] = len(image)
+            if not absorbed:
+                return False
+            ev = self.events
+            if ev:
+                ev.emit(
+                    "lld.nvram_absorb",
+                    severity="debug",
+                    t=self.disk.clock.now,
+                    slot=seg.index,
+                    image_bytes=len(image),
+                )
+            # The NVRAM image supersedes whatever prefix is on disk, so the
+            # watermark no longer describes durable-on-disk bytes: reset it,
+            # and a later non-absorbed flush writes the full image again.
+            seg.reset_durable()
+            self._open_summary_durable("nvram-absorb")
+            self.stats.nvram_absorbed += 1
+            return True
+
+    def _open_summary_durable(self, label: str) -> None:
+        """The open segment's summary just became durable, on its slot or
+        in NVRAM. The barrier orders that image before everything after it
+        — in particular the scrubs below, which are only safe once the
+        records re-logged out of the retired slots are durable in it."""
+        seg = self.open
+        self.barrier(label)
+        min_ts = seg.min_timestamp()
+        if min_ts is None:
+            self.state.summary_min_ts.pop(seg.index, None)
+        else:
+            self.state.summary_min_ts[seg.index] = min_ts
+        if self.retired:
+            # retired -> scrubbed: destroying the stale summaries lets the
+            # minimum summary timestamp rise.
+            self.scrub(self.retired)
+            self.retired.clear()
+            self.drop_dead_tombstones()
+
+    def scrub(self, slots: Iterable[int]) -> None:
+        """Destroy the stale summaries of those of ``slots`` that are free.
+
+        The caller guarantees that whatever a summary still homes is
+        durable elsewhere. The package's only ``empty_summary`` writer.
+        """
+        empty = empty_summary(self.config.summary_capacity)
+        open_index = self.open.index if self.open is not None else -1
+        for slot in sorted(slots):
+            if slot != open_index and self.state.usage.get(slot, 0) <= 0:
+                self._disk_write(self.layout.slot_lba(slot), empty)
+                self.state.summary_min_ts.pop(slot, None)
+
+    def drop_dead_tombstones(self) -> int:
+        """Forget tombstones no surviving summary could contradict."""
+        state = self.state
+        min_ts = state.min_summary_timestamp()
+        dead = [key for key, tomb in state.tombstones.items() if tomb.settled(min_ts)]
+        for key in dead:
+            state.drop_tombstone(key)
+        self.stats.tombstones_dropped += len(dead)
+        return len(dead)
+
+    def _disk_write(self, lba: int, data) -> None:
+        """Every LD write-path disk write funnels through here (write-amp)."""
+        self.disk.write(lba, data)
+        self.stats.data_bytes_physical += len(data)
+
+    def barrier(self, label: str) -> None:
+        """Announce a write-ordering point to the disk (free in simulated
+        time; the crash-state explorer closes a reorder epoch here)."""
+        self.disk.barrier(label)

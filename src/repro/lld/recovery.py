@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.lld.config import SECTOR
-from repro.lld.records import CommitRecord, Record
+from repro.lld.records import TYPE_COMMIT, Record
 from repro.lld.segment import decode_summary_into
 from repro.obs.trace import NULL_SPAN
 
@@ -182,7 +182,7 @@ def _run_recovery(lld: "LLD") -> RecoveryReport:
     for slot, records in slots:
         for index, record in enumerate(records):
             report.records_seen += 1
-            if isinstance(record, CommitRecord):
+            if record.TYPE == TYPE_COMMIT:
                 committed.add(record.aru)
             elif record.aru:
                 open_arus.add(record.aru)

@@ -17,7 +17,7 @@ CRC) are patched in place when an image is needed. ``image()``,
 copies**. The per-entry codec this replaced is kept as
 :func:`serialize_summary_legacy` / :func:`parse_summary_legacy` — the
 readable wire-format specification and the byte-identity oracle of the
-property tests; no production code calls it (DESIGN.md §17).
+property tests; no production code calls it (DESIGN.md §11).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import struct
 import zlib
 
 from repro.disk.disk import SimulatedDisk
+from repro.ld.errors import OutOfSpaceError
 from repro.lld.config import SECTOR, LLDConfig
 from repro.lld.records import (
     Record,
@@ -233,6 +234,45 @@ class DiskLayout:
         return self.segment_count * self.config.data_capacity
 
 
+def pick_slot(ranks: dict[int, int], layout, current: int) -> int:
+    """Placement: the free slot the log should open after ``current``.
+
+    Pure. ``ranks`` maps each free slot to what recycling it costs (lowest
+    wins: 0 = no on-disk summary, 1 = a pure-stale summary whose overwrite
+    is free, 2 = a summary still homing live metadata, which must all be
+    re-logged); ``current`` is the slot being left (-1 at start-up).
+
+    Among the cheapest slots a single disk takes the next one after
+    ``current`` (sequential layout). A multi-spindle ``layout``
+    round-robins whole slots across the member disks, so consecutive
+    sealed segments — and the cleaner traffic chasing them — land on
+    different spindles and their writes overlap in simulated time. On
+    parity layouts the just-sealed slot's write also busies its
+    parity-chunk member (rotating for RAID-5): a candidate whose data
+    lands there is as bad as staying put and ranks past every real ring
+    distance. Within a spindle the sequential bias holds.
+    """
+    if not ranks:
+        raise OutOfSpaceError("no free segments left")
+    best = min(ranks.values())
+    candidates = sorted(slot for slot, rank in ranks.items() if rank == best)
+    spindles = layout.slot_spindles
+    if spindles is None or current < 0:
+        return next((slot for slot in candidates if slot > current), candidates[0])
+    n = layout.spindle_count
+    after = spindles[current] + 1
+    parity = layout.slot_parity_spindles
+    busy = parity[current] if parity is not None else None
+    return min(
+        candidates,
+        key=lambda slot: (
+            n if spindles[slot] == busy else (spindles[slot] - after) % n,
+            slot <= current,
+            slot,
+        ),
+    )
+
+
 class OpenSegment:
     """The segment currently being filled in main memory.
 
@@ -265,7 +305,6 @@ class OpenSegment:
         self._crc = 0
         #: Oldest record timestamp, maintained incrementally.
         self._min_ts: int | None = None
-        self.partial_writes = 0
         # Durable watermark: how much of this segment is already on disk
         # and unchanged since the last flush. Data and records are append-
         # only inside an open segment, so a flush only needs to write the

@@ -5,11 +5,19 @@ live here. Both normal operation and crash recovery mutate state exclusively
 through :meth:`LLDState.apply`, so the state reached by replaying the
 summaries is the state normal operation maintained — recovery correctness by
 construction.
+
+What a record *kind* does to that state is declared once, in
+:data:`RECORD_KINDS` (DESIGN.md §6). ``apply``, the ARU pin set
+(:meth:`LLDState.superseded_segments`), the log writer's re-logging, the
+read-cache invalidation and the death-timestamp default all read that one
+table, so they cannot disagree about what a kind supersedes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 from repro.ld.errors import NoSuchBlockError, NoSuchListError
 from repro.ld.hints import ListHints
@@ -70,6 +78,12 @@ class Tombstone:
     death_timestamp: int
     home_segment: int
 
+    def settled(self, min_ts: int | None) -> bool:
+        """The tombstone-drop rule: with ``min_ts`` the oldest record
+        timestamp across the valid on-disk summaries (None = none), no
+        stale record for the dead key can exist anywhere."""
+        return min_ts is None or min_ts >= self.death_timestamp
+
 
 class LLDState:
     """Block-number map + list table + usage table + log bookkeeping."""
@@ -116,24 +130,82 @@ class LLDState:
     # ------------------------------------------------------------------
 
     def apply(self, record: Record, home_segment: int) -> None:
-        """Apply one log record; ``home_segment`` is the summary it lives in."""
-        self.next_ts = max(self.next_ts, record.timestamp + 1)
-        if isinstance(record, LinkRecord):
-            self._apply_link(record, home_segment)
-        elif isinstance(record, BlockRecord):
-            self._apply_block(record)
-        elif isinstance(record, BlockDeadRecord):
-            self._apply_block_dead(record, home_segment)
-        elif isinstance(record, ListFirstRecord):
-            self._apply_list_first(record, home_segment)
-        elif isinstance(record, ListMetaRecord):
-            self._apply_list_meta(record, home_segment)
-        elif isinstance(record, ListDeadRecord):
-            self._apply_list_dead(record, home_segment)
-        elif isinstance(record, CommitRecord):
-            pass  # consumed by the recovery filter, no state change
-        else:  # pragma: no cover - registry and state must stay in sync
-            raise TypeError(f"unhandled record type: {type(record).__name__}")
+        """Apply one log record; ``home_segment`` is the summary it lives in.
+        Only the value update (``kind.update``) is per-kind code."""
+        if record.timestamp >= self.next_ts:
+            self.next_ts = record.timestamp + 1
+        subject, ident_of, update, sets, retires, data, _ = RECORD_KINDS[type(record)]
+        if subject is None:
+            return  # COMMIT: consumed by the recovery filter, no state change
+        ident = ident_of(record)
+        if data:
+            entry = self.blocks.get(ident)
+            if entry is not None and entry.segment != NO_SEGMENT:
+                # The old stored bytes die, moved or killed.
+                self._adjust_usage(entry.segment, -entry.stored_length)
+                bids = self.segment_blocks.get(entry.segment)
+                if bids is not None:
+                    bids.discard(ident)
+        update(self, ident, record)
+        if sets is not None:
+            self._set_home((sets, ident), home_segment)
+        if retires:
+            for retired in retires:
+                self._drop_home((retired, ident))
+            self.put_tombstone(
+                Tombstone(subject, ident, record.death_timestamp, home_segment)
+            )
+
+    def superseded_segments(self, record: Record) -> list[int]:
+        """Segments holding what applying ``record`` would supersede: the
+        home of every key it sets or retires, and the stored bytes of a
+        block it moves or kills. An open ARU pins them against cleaning."""
+        kind = RECORD_KINDS[type(record)]
+        if kind.subject is None:
+            return []
+        ident = kind.ident(record)
+        homes = self.homes
+        segments = [homes[(key, ident)] for key in kind.keys if (key, ident) in homes]
+        if kind.data:
+            entry = self.blocks.get(ident)
+            if entry is not None and entry.segment != NO_SEGMENT:
+                segments.append(entry.segment)
+        return segments
+
+    # The per-kind value updates RECORD_KINDS names.
+
+    def _update_link(self, bid: int, record: LinkRecord) -> None:
+        self._ensure_block(bid).successor = record.successor
+
+    def _update_block(self, bid: int, record: BlockRecord) -> None:
+        entry = self._ensure_block(bid)
+        entry.segment = record.segment
+        entry.offset = record.offset
+        entry.stored_length = record.stored_length
+        entry.length = record.length
+        entry.compressed = record.compressed
+        self._adjust_usage(record.segment, record.stored_length)
+        self.segment_blocks.setdefault(record.segment, set()).add(bid)
+        self.segment_mod_ts[record.segment] = max(
+            self.segment_mod_ts.get(record.segment, 0), record.timestamp
+        )
+        # The block's data record lives where its data lives, by
+        # construction, so no separate home bookkeeping is needed.
+
+    def _update_block_dead(self, bid: int, record: BlockDeadRecord) -> None:
+        self.blocks.pop(bid, None)
+        self.next_bid = max(self.next_bid, bid + 1)
+
+    def _update_list_first(self, lid: int, record: ListFirstRecord) -> None:
+        self._ensure_list(lid).first = record.first
+
+    def _update_list_meta(self, lid: int, record: ListMetaRecord) -> None:
+        self._ensure_list(lid).hints = ListHints.unpack(record.hints)
+
+    def _update_list_dead(self, lid: int, record: ListDeadRecord) -> None:
+        if self.lists.pop(lid, None) is not None:
+            self.list_order.remove(lid)
+        self.next_lid = max(self.next_lid, lid + 1)
 
     def init_slots(self, segment_count: int) -> None:
         """Build the free-slot set for a disk of ``segment_count`` slots.
@@ -235,78 +307,6 @@ class LLDState:
             if keys is not None:
                 keys.discard(key)
 
-    def _apply_link(self, record: LinkRecord, home_segment: int) -> None:
-        entry = self._ensure_block(record.bid)
-        entry.successor = record.successor
-        self._set_home((KIND_LINK, record.bid), home_segment)
-
-    def _apply_block(self, record: BlockRecord) -> None:
-        entry = self._ensure_block(record.bid)
-        if entry.segment != NO_SEGMENT:
-            self._adjust_usage(entry.segment, -entry.stored_length)
-            bids = self.segment_blocks.get(entry.segment)
-            if bids is not None:
-                bids.discard(record.bid)
-        entry.segment = record.segment
-        entry.offset = record.offset
-        entry.stored_length = record.stored_length
-        entry.length = record.length
-        entry.compressed = record.compressed
-        self._adjust_usage(record.segment, record.stored_length)
-        self.segment_blocks.setdefault(record.segment, set()).add(record.bid)
-        self.segment_mod_ts[record.segment] = max(
-            self.segment_mod_ts.get(record.segment, 0), record.timestamp
-        )
-        # The block's data record lives where its data lives, by
-        # construction, so no separate home bookkeeping is needed.
-
-    def _apply_block_dead(self, record: BlockDeadRecord, home_segment: int) -> None:
-        entry = self.blocks.pop(record.bid, None)
-        if entry is not None and entry.segment != NO_SEGMENT:
-            self._adjust_usage(entry.segment, -entry.stored_length)
-            bids = self.segment_blocks.get(entry.segment)
-            if bids is not None:
-                bids.discard(record.bid)
-        self._drop_home((KIND_LINK, record.bid))
-        self.next_bid = max(self.next_bid, record.bid + 1)
-        self.put_tombstone(
-            Tombstone(
-                kind="block",
-                ident=record.bid,
-                death_timestamp=record.death_timestamp,
-                home_segment=home_segment,
-            )
-        )
-
-    def _apply_list_first(self, record: ListFirstRecord, home_segment: int) -> None:
-        entry = self._ensure_list(record.lid)
-        entry.first = record.first
-        self._set_home((KIND_FIRST, record.lid), home_segment)
-
-    def _apply_list_meta(self, record: ListMetaRecord, home_segment: int) -> None:
-        entry = self._ensure_list(record.lid)
-        entry.hints = ListHints.unpack(record.hints)
-        self._set_home((KIND_META, record.lid), home_segment)
-
-    def _apply_list_dead(self, record: ListDeadRecord, home_segment: int) -> None:
-        if record.lid in self.lists:
-            del self.lists[record.lid]
-            try:
-                self.list_order.remove(record.lid)
-            except ValueError:  # pragma: no cover - order kept in sync
-                pass
-        self._drop_home((KIND_FIRST, record.lid))
-        self._drop_home((KIND_META, record.lid))
-        self.next_lid = max(self.next_lid, record.lid + 1)
-        self.put_tombstone(
-            Tombstone(
-                kind="list",
-                ident=record.lid,
-                death_timestamp=record.death_timestamp,
-                home_segment=home_segment,
-            )
-        )
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -385,3 +385,76 @@ class LLDState:
             ts for seg, ts in self.summary_min_ts.items() if seg not in excluded
         ]
         return min(values) if values else None
+
+
+# ----------------------------------------------------------------------
+# The per-kind declaration
+# ----------------------------------------------------------------------
+
+class RecordKind(NamedTuple):
+    """What one record type does to the state — declared once.
+
+    ``subject`` is the table the record's id indexes (``"block"`` /
+    ``"list"``; ``None`` for COMMIT, which touches neither) and ``ident``
+    reads that id off a record. ``sets`` names the metadata key whose home
+    becomes the record's summary, ``retires`` the keys whose homes a death
+    drops (non-empty exactly for the two tombstone kinds), ``data`` whether
+    the block's stored bytes are superseded — moved by BLOCK, killed by
+    BLOCK_DEAD. ``update(state, ident, record)`` writes the record's value
+    into the tables; ``restate(ident, row)`` builds a fresh record carrying
+    the current value of the key it sets (``row`` is the table entry) or
+    of its tombstone (``row`` is the :class:`Tombstone`).
+    """
+
+    subject: str | None
+    ident: Callable[[Record], int] | None = None
+    update: Callable | None = None
+    sets: str | None = None
+    retires: tuple[str, ...] = ()
+    data: bool = False
+    restate: Callable | None = None
+
+    @property
+    def keys(self) -> tuple[str, ...]:
+        """Every key whose current home the record supersedes."""
+        return ((self.sets,) if self.sets else ()) + self.retires
+
+
+_BLOCK = ("block", attrgetter("bid"))
+_LIST = ("list", attrgetter("lid"))
+
+#: The one table (printed in DESIGN.md §6): a new record type is a new row
+#: here, and nothing else branches on the type.
+RECORD_KINDS: dict[type[Record], RecordKind] = {
+    LinkRecord: RecordKind(
+        *_BLOCK, LLDState._update_link, sets=KIND_LINK,
+        restate=lambda bid, entry: LinkRecord(bid=bid, successor=entry.successor),
+    ),
+    BlockRecord: RecordKind(*_BLOCK, LLDState._update_block, data=True),
+    BlockDeadRecord: RecordKind(
+        *_BLOCK, LLDState._update_block_dead, retires=(KIND_LINK,), data=True,
+        restate=lambda bid, tomb: BlockDeadRecord(
+            bid=bid, death_timestamp=tomb.death_timestamp
+        ),
+    ),
+    ListFirstRecord: RecordKind(
+        *_LIST, LLDState._update_list_first, sets=KIND_FIRST,
+        restate=lambda lid, entry: ListFirstRecord(lid=lid, first=entry.first),
+    ),
+    ListMetaRecord: RecordKind(
+        *_LIST, LLDState._update_list_meta, sets=KIND_META,
+        restate=lambda lid, entry: ListMetaRecord(lid=lid, hints=entry.hints.pack()),
+    ),
+    ListDeadRecord: RecordKind(
+        *_LIST, LLDState._update_list_dead, retires=(KIND_FIRST, KIND_META),
+        restate=lambda lid, tomb: ListDeadRecord(
+            lid=lid, death_timestamp=tomb.death_timestamp
+        ),
+    ),
+    CommitRecord: RecordKind(None),
+}
+
+#: The kind that (re-)homes each metadata key, and the kind that buries
+#: each subject — what re-logging a key or a tombstone re-states.
+KEY_KINDS = {kind.sets: kind for kind in RECORD_KINDS.values() if kind.sets}
+DEATH_KINDS = {kind.subject: kind for kind in RECORD_KINDS.values() if kind.retires}

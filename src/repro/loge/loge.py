@@ -13,10 +13,10 @@ from repro.ld.errors import (
     NoSuchBlockError,
     NoSuchListError,
     OutOfSpaceError,
-    ReservationError,
 )
 from repro.ld.hints import LIST_HEAD, ListHints
 from repro.ld.interface import LogicalDisk, Reservation
+from repro.ld.reservations import ReservationBook
 
 SECTOR = 512
 
@@ -66,9 +66,7 @@ class LogeDisk(LogicalDisk):
         self._lists: dict[int, list[int]] = {}
         self.list_order: list[int] = []
         self._initialized = False
-        self._reservations: dict[int, Reservation] = {}
-        self._reserved_blocks = 0
-        self._next_reservation = 1
+        self._reservations = ReservationBook(self.config.block_size)
         self.recovery_sectors_read = 0
 
     # ------------------------------------------------------------------
@@ -199,9 +197,9 @@ class LogeDisk(LogicalDisk):
         if chain is None:
             raise NoSuchListError(lid)
         if reservation is not None:
-            self._consume_reservation(reservation)
+            self._reservations.consume(reservation)
         usable = int(self.slot_count * (1.0 - self.config.reserve_fraction))
-        if len(self._table) + self._reserved_blocks >= usable:
+        if len(self._table) + self._reservations.blocks >= usable:
             raise OutOfSpaceError("no space outside Loge's reserved pool")
         bid = self._next_bid
         self._next_bid += 1
@@ -319,39 +317,14 @@ class LogeDisk(LogicalDisk):
 
     def reserve_blocks(self, count: int) -> Reservation:
         self._require_init()
-        if count <= 0:
-            raise ReservationError(f"reservation count must be positive: {count}")
         usable = int(self.slot_count * (1.0 - self.config.reserve_fraction))
-        free = usable - len(self._table) - self._reserved_blocks
-        if count > free:
-            raise OutOfSpaceError(f"cannot reserve {count} blocks; {free} free")
-        token = self._next_reservation
-        self._next_reservation += 1
-        reservation = Reservation(
-            token=token, blocks=count, bytes_reserved=count * self.config.block_size
+        return self._reservations.reserve(
+            count, usable - len(self._table) - self._reservations.blocks
         )
-        self._reservations[token] = reservation
-        self._reserved_blocks += count
-        return reservation
 
     def cancel_reservation(self, reservation: Reservation) -> None:
         self._require_init()
-        stored = self._reservations.pop(reservation.token, None)
-        if stored is None:
-            raise ReservationError(f"unknown reservation {reservation.token}")
-        self._reserved_blocks -= stored.blocks
-
-    def _consume_reservation(self, reservation: Reservation) -> None:
-        stored = self._reservations.get(reservation.token)
-        if stored is None or stored.blocks <= 0:
-            raise ReservationError(
-                f"reservation {reservation.token} is unknown or exhausted"
-            )
-        stored.blocks -= 1
-        self._reserved_blocks -= 1
-        reservation.blocks = stored.blocks
-        if stored.blocks == 0:
-            del self._reservations[stored.token]
+        self._reservations.cancel(reservation)
 
     def __repr__(self) -> str:
         return f"LogeDisk(blocks={len(self._table)}, slots={self.slot_count})"

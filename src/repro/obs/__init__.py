@@ -98,7 +98,7 @@ __all__ = [
 #: Attributes along which the attach helpers descend the stack.
 #: ``server`` descends a tenant session into its LD server, so attaching
 #: at any tenant instruments the shared scheduler and the stack below it.
-_CHILD_ATTRS = ("store", "ld", "disk", "inner", "server")
+_CHILD_ATTRS = ("store", "ld", "log", "disk", "inner", "server")
 
 
 def _attach(attr: str, value, components) -> None:

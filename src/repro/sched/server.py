@@ -90,11 +90,12 @@ class LDServer:
         self._arrival = 0
         self._epoch = 0
         self._intents: list[Op] = []
-        # Resolved once: per-tenant attribution + placement hooks are
-        # optional on the LD (present on LLD, absent on e.g. bare ULD).
+        # Resolved once: per-tenant attribution, placement and ARU
+        # re-attachment hooks are optional on the LD (present on LLD,
+        # absent on e.g. bare ULD).
         self._set_tenant = getattr(ld, "set_tenant", None)
         self._placement = getattr(ld, "placement_hint", None)
-        self._has_aru_slot = hasattr(ld, "_current_aru")
+        self._attach_aru = getattr(ld, "attach_aru", None)
 
     # ------------------------------------------------------------------
     # Sessions
@@ -282,14 +283,15 @@ class LDServer:
         ld = self.ld
         session = self.sessions[op.tenant]
         set_tenant = self._set_tenant
+        attach_aru = self._attach_aru
         if set_tenant is not None:
             set_tenant(op.tenant)
-        if self._has_aru_slot:
-            # Re-attach the tenant's open ARU (if any) for this op only;
-            # the LD's ARU context is per-op, never ambient, so tenants'
-            # atomic units interleave without tagging each other's work.
-            ld._current_aru = session._aru
         try:
+            if attach_aru is not None:
+                # Re-attach the tenant's open ARU (if any) for this op only;
+                # the LD's ARU context is per-op, never ambient, so tenants'
+                # atomic units interleave without tagging each other's work.
+                attach_aru(session._aru)
             kind = op.kind
             if kind == KIND_WRITE:
                 ld.write(op.bid, op.data)
@@ -309,8 +311,8 @@ class LDServer:
                 # The LD aborted/lost the ARU; don't keep re-attaching it.
                 session._aru = 0
         finally:
-            if self._has_aru_slot:
-                ld._current_aru = 0
+            if attach_aru is not None:
+                attach_aru(0)
             if set_tenant is not None:
                 set_tenant(None)
 

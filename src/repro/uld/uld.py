@@ -13,10 +13,10 @@ from repro.ld.errors import (
     NoSuchBlockError,
     NoSuchListError,
     OutOfSpaceError,
-    ReservationError,
 )
 from repro.ld.hints import LIST_HEAD, ListHints
 from repro.ld.interface import LogicalDisk, Reservation
+from repro.ld.reservations import ReservationBook
 
 SECTOR = 512
 
@@ -83,9 +83,7 @@ class ULD(LogicalDisk):
         self._initialized = False
         self._in_aru = False
         self._aru_buffer: list[tuple[int, bytes]] = []
-        self._reservations: dict[int, Reservation] = {}
-        self._reserved_blocks = 0
-        self._next_reservation = 1
+        self._reservations = ReservationBook(self.config.block_size)
 
     # ------------------------------------------------------------------
     # Lifecycle / metadata shadow paging
@@ -281,8 +279,8 @@ class ULD(LogicalDisk):
         if lid not in self._lists:
             raise NoSuchListError(lid)
         if reservation is not None:
-            self._consume_reservation(reservation)
-        elif len(self._blocks) + self._reserved_blocks >= self.slot_count:
+            self._reservations.consume(reservation)
+        elif len(self._blocks) + self._reservations.blocks >= self.slot_count:
             raise OutOfSpaceError("no free block slots")
         bid = self._next_bid
         self._next_bid += 1
@@ -446,38 +444,13 @@ class ULD(LogicalDisk):
 
     def reserve_blocks(self, count: int) -> Reservation:
         self._require_init()
-        if count <= 0:
-            raise ReservationError(f"reservation count must be positive: {count}")
-        free = len(self._free_slots) - self._reserved_blocks
-        if count > free:
-            raise OutOfSpaceError(f"cannot reserve {count} blocks; {free} free")
-        token = self._next_reservation
-        self._next_reservation += 1
-        reservation = Reservation(
-            token=token, blocks=count, bytes_reserved=count * self.config.block_size
+        return self._reservations.reserve(
+            count, len(self._free_slots) - self._reservations.blocks
         )
-        self._reservations[token] = reservation
-        self._reserved_blocks += count
-        return reservation
 
     def cancel_reservation(self, reservation: Reservation) -> None:
         self._require_init()
-        stored = self._reservations.pop(reservation.token, None)
-        if stored is None:
-            raise ReservationError(f"unknown reservation {reservation.token}")
-        self._reserved_blocks -= stored.blocks
-
-    def _consume_reservation(self, reservation: Reservation) -> None:
-        stored = self._reservations.get(reservation.token)
-        if stored is None or stored.blocks <= 0:
-            raise ReservationError(
-                f"reservation {reservation.token} is unknown or exhausted"
-            )
-        stored.blocks -= 1
-        self._reserved_blocks -= 1
-        reservation.blocks = stored.blocks
-        if stored.blocks == 0:
-            del self._reservations[stored.token]
+        self._reservations.cancel(reservation)
 
     def __repr__(self) -> str:
         return f"ULD(blocks={len(self._blocks)}, lists={len(self._lists)})"

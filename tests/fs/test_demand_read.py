@@ -326,7 +326,7 @@ def test_one_8k_read_is_one_volume_request_on_the_raid5_stack():
     fs.read(fd, BLOCK)  # warms the i-node block only
     zones = fs._iget(fs._fds[fd].ino).zones
     first, second = (lld.state.block(zone) for zone in zones[:2])
-    assert first.segment == second.segment != lld._open.index
+    assert first.segment == second.segment != lld.open_segment_index
     assert second.offset == first.offset + first.stored_length  # adjacent in the log
     server = fs.store.session.server
     before = (

@@ -20,10 +20,10 @@ def small_config(**overrides) -> LLDConfig:
     return LLDConfig(**defaults)
 
 
-def make_lld(capacity_mb: int = 4, **config_overrides) -> LLD:
+def make_lld(capacity_mb: int = 4, nvram=None, **config_overrides) -> LLD:
     """A fresh, initialized LLD on a fresh simulated disk."""
     disk = SimulatedDisk(fast_test_disk(capacity_mb=capacity_mb), VirtualClock())
-    lld = LLD(disk, small_config(**config_overrides))
+    lld = LLD(disk, small_config(**config_overrides), nvram=nvram)
     lld.initialize()
     return lld
 

@@ -1,9 +1,22 @@
 """Atomic recovery unit semantics: all-or-nothing across crashes."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ld import LIST_HEAD
 from repro.ld.errors import ARUError, NoSuchBlockError
+from repro.lld.records import (
+    _RECORD_TYPES,
+    BlockDeadRecord,
+    BlockRecord,
+    CommitRecord,
+    LinkRecord,
+    ListDeadRecord,
+    ListFirstRecord,
+    ListMetaRecord,
+)
+from repro.lld.state import NO_SEGMENT, RECORD_KINDS, LLDState
 
 from tests.lld.conftest import make_lld, reopen
 
@@ -177,3 +190,121 @@ def test_operations_after_aborted_aru_survive():
     recovered = reopen(second)
     assert recovered.read(later) == b"later"
     assert doomed not in recovered.state.blocks or recovered.read(doomed) != b"doomed"
+
+
+def _seal(lld, scratch):
+    """Rewrite ``scratch`` until the open segment seals."""
+    sealed = lld.stats.segments_sealed
+    while lld.stats.segments_sealed == sealed:
+        lld.write(scratch, b"\x5a" * 4096)
+
+
+def test_uncommitted_delete_list_pins_the_list_head_home():
+    """An open ARU's ``delete_list`` must pin the segment homing LIST_FIRST.
+
+    The delete drops the list's FIRST and META homes from the in-memory
+    state at once; if the cleaner may then take the segment whose summary
+    holds the latest LIST_FIRST tuple, nothing re-logs it, the summary is
+    scrubbed, and a crash before ``end_aru`` recovers the list from an
+    older head — losing acknowledged blocks to a unit that never committed.
+    """
+    lld = make_lld()
+    lid = lld.new_list()  # LIST_META (and the first LIST_FIRST) home in S0
+    other = lld.new_list()
+    scratch = lld.new_block(other, LIST_HEAD)
+    s0 = lld.open_segment_index
+    b1 = lld.new_block(lid, LIST_HEAD)
+    b2 = lld.new_block(lid, b1)
+    lld.write(b1, b"1" * 4096)
+    lld.write(b2, b"2" * 4096)
+    _seal(lld, scratch)
+    s1 = lld.open_segment_index
+    head = lld.new_block(lid, LIST_HEAD)  # LIST_FIRST re-homed to S1
+    keep = lld.new_block(other, scratch)
+    lld.write(keep, b"k" * 100)  # the little live data that makes S1 the victim
+    _seal(lld, scratch)
+    s2 = lld.open_segment_index
+    second = lld.new_block(lid, head)  # LINK(head) re-homed to S2
+    lld.write(second, b"s" * 4096)
+    _seal(lld, scratch)
+    lld.flush()
+    acknowledged = lld.list_blocks(lid)
+    assert acknowledged == [head, second, b1, b2]
+    assert len({s0, s1, s2, lld.open_segment_index}) == 4
+    assert lld.state.homes[("first", lid)] == s1
+
+    lld.begin_aru()
+    lld.delete_list(lid)
+    assert s1 in lld.aru_excluded_segments()
+    assert lld.cleaner.select_victim() != s1
+    lld.clean(1)
+    lld.flush()  # would scrub the cleaned victim's summary
+    recovered = reopen(lld)  # crash before end_aru
+    assert recovered.list_blocks(lid) == acknowledged
+    assert recovered.read(keep) == b"k" * 100
+
+
+# ----------------------------------------------------------------------
+# The pin set follows the per-kind declaration
+# ----------------------------------------------------------------------
+
+_BIDS = st.integers(1, 6)
+_LIDS = st.integers(1, 3)
+_SEGMENTS = st.integers(0, 5)
+_RECORDS = st.one_of(
+    st.builds(LinkRecord, bid=_BIDS, successor=st.none() | _BIDS),
+    st.builds(
+        BlockRecord,
+        bid=_BIDS,
+        segment=_SEGMENTS,
+        offset=st.integers(0, 4000),
+        stored_length=st.integers(1, 96),
+        length=st.integers(1, 96),
+    ),
+    st.builds(BlockDeadRecord, bid=_BIDS, death_timestamp=st.integers(1, 50)),
+    st.builds(ListFirstRecord, lid=_LIDS, first=st.none() | _BIDS),
+    st.builds(ListMetaRecord, lid=_LIDS, hints=st.integers(0, 3)),
+    st.builds(ListDeadRecord, lid=_LIDS, death_timestamp=st.integers(1, 50)),
+    st.builds(CommitRecord, aru=st.integers(1, 9)),
+)
+
+
+def _placement(state: LLDState):
+    homes = dict(state.homes)
+    data = {
+        bid: (e.segment, e.offset)
+        for bid, e in state.blocks.items()
+        if e.segment != NO_SEGMENT
+    }
+    return homes, data
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    history=st.lists(st.tuples(_RECORDS, _SEGMENTS), max_size=25),
+    record=_RECORDS,
+    home=_SEGMENTS,
+)
+def test_pin_set_covers_everything_apply_supersedes(history, record, home):
+    """For every record kind: each segment whose home ``apply`` moves or
+    drops, and the old data segment of each block it moves or kills, is in
+    the set an open ARU would pin for that record."""
+    state = LLDState()
+    for ts, (past, segment) in enumerate(history, start=1):
+        past.timestamp = ts
+        state.apply(past, segment)
+    record.timestamp = len(history) + 1
+    pins = set(state.superseded_segments(record))
+    homes, data = _placement(state)
+    state.apply(record, home)
+    new_homes, new_data = _placement(state)
+    for key, segment in homes.items():
+        if new_homes.get(key) != segment:
+            assert segment in pins, (record, key)
+    for bid, (segment, offset) in data.items():
+        if new_data.get(bid) != (segment, offset):
+            assert segment in pins, (record, bid)
+
+
+def test_every_record_kind_is_declared():
+    assert set(RECORD_KINDS) == set(_RECORD_TYPES.values())

@@ -48,15 +48,6 @@ def test_uncompressed_list_ignores_codec():
     assert lld.read(bid) == data
 
 
-def test_compression_disabled_globally():
-    lld = make_lld(compression_enabled=False)
-    lid = compressed_list(lld)
-    bid = lld.new_block(lid, LIST_HEAD)
-    data = compressible_bytes(4096, ratio=0.6, seed=24)
-    lld.write(bid, data)
-    assert not lld.state.blocks[bid].compressed
-
-
 def test_more_blocks_fit_when_compressed():
     """Compression increases effective capacity (paper: 1 GB -> 1.7 GB)."""
     plain = make_lld(capacity_mb=2)
@@ -118,16 +109,6 @@ def test_compression_charges_cpu_time():
     lld.read(bid)  # decompression is serial: clock must advance beyond I/O
     decompress_time = 4096 / lld.compression._decompress_bw.bytes_per_second
     assert lld.disk.clock.now - t0 >= decompress_time
-
-
-def test_compression_cost_model_can_be_disabled():
-    lld = make_lld(model_compression_cost=False)
-    lid = compressed_list(lld)
-    bid = lld.new_block(lid, LIST_HEAD)
-    data = compressible_bytes(4096, ratio=0.6, seed=28)
-    lld.write(bid, data)
-    assert lld.read(bid) == data
-    assert lld.state.blocks[bid].compressed
 
 
 def test_mixed_compressed_and_plain_blocks():

@@ -187,16 +187,14 @@ def test_write_amplification_accounting():
 
 
 def workload_then_crash(delta: bool, nvram: NVRAM | None = None) -> dict:
-    lld = make_lld(delta_partial_flush=delta)
-    if nvram is not None:
-        lld.nvram = nvram
+    lld = make_lld(delta_partial_flush=delta, nvram=nvram)
     lid, bids = run_small_write_workload(lld, count=10)
     # Overwrite one already-durable block, delete another, then flush, so
     # the delta path sees updates as well as appends.
     lld.write(bids[1], fill_block(99, 1024))
     lld.delete_block(bids[2], lid)
     lld.flush()
-    recovered = LLD(lld.disk, lld.config, nvram=lld.nvram)
+    recovered = LLD(lld.disk, lld.config, nvram=nvram)
     lld.crash()
     recovered.initialize()
     return recovered_image(recovered)
@@ -234,14 +232,13 @@ def test_recovery_equivalence_across_partial_sequence():
 
 def test_nvram_watermark_reset_falls_back_to_full_image():
     nvram = NVRAM(capacity_bytes=20 * 1024)
-    lld = make_lld()
-    lld.nvram = nvram
+    lld = make_lld(nvram=nvram)
     lid = lld.new_list()
     a = lld.new_block(lid, LIST_HEAD)
     lld.write(a, fill_block(1))
     lld.flush()
     assert lld.stats.nvram_absorbed == 1
-    assert lld._open.never_flushed  # watermark was reset on absorption
+    assert lld.log.open.never_flushed  # watermark was reset on absorption
     b = lld.new_block(lid, a)
     lld.write(b, fill_block(2))
     lld.write(lld.new_block(lid, b), fill_block(3))
@@ -317,3 +314,57 @@ def test_free_slot_set_survives_clean_shutdown():
     lld.write(bid, fill_block(1))
     recovered = reopen(lld, after_crash=False)
     assert recovered.state.free_slots == brute_force_free_slots(recovered)
+
+
+# ----------------------------------------------------------------------
+# One funnel: every byte the LD writes is counted
+# ----------------------------------------------------------------------
+
+
+def test_scrub_writes_are_counted_as_physical_bytes():
+    """``data_bytes_physical`` is what reached the disk, scrubs included.
+
+    Tombstone compaction and ``scrub_slot`` overwrite stale summaries; a
+    writer that bypasses the funnel makes ``write_amplification`` (and the
+    ``write_amp_spike`` health rule reading it) under-report delete-heavy
+    runs. No shutdown here, so no checkpoint bytes muddy the equality.
+    """
+    lld = make_lld(max_tombstones=32)
+    compactions = []
+    compact = lld.cleaner.compact_tombstones
+    lld.cleaner.compact_tombstones = lambda *a, **kw: compactions.append(compact(*a, **kw))
+    for round_ in range(40):
+        lid = lld.new_list()
+        prev = LIST_HEAD
+        for i in range(40):
+            prev = lld.new_block(lid, prev)
+            lld.write(prev, fill_block(round_ * 40 + i, 1024))
+        lld.delete_list(lid)
+    lld.flush()
+    assert compactions and lld.stats.tombstones_dropped > 0
+    state = lld.state
+    stale = [
+        slot
+        for slot in sorted(state.summary_min_ts)
+        if slot != lld.open_segment_index and state.usage.get(slot, 0) <= 0
+    ]
+    assert stale
+    lld.cleaner.scrub_slot(stale[0])
+    assert stale[0] not in state.summary_min_ts
+    assert lld.stats.data_bytes_physical == lld.disk.stats.bytes_written
+
+
+def test_nvram_replay_is_counted_as_physical_bytes():
+    nvram = NVRAM(capacity_bytes=20 * 1024)
+    lld = make_lld(nvram=nvram)
+    lid = lld.new_list()
+    lld.write(lld.new_block(lid, LIST_HEAD), fill_block(1))
+    lld.flush()
+    assert nvram.holds_data
+    written = lld.disk.stats.bytes_written
+    recovered = LLD(lld.disk, lld.config, nvram=nvram)
+    lld.crash()
+    recovered.initialize()
+    replayed = lld.disk.stats.bytes_written - written
+    assert replayed == len(nvram.image) > 0
+    assert recovered.stats.data_bytes_physical == replayed
