@@ -16,7 +16,10 @@ each row is ``(benchmark, json-path, kind, bound)`` and prints one line:
   exactly, so the slack only absorbs a deliberate re-scale);
 * ``same-as-committed`` — the value (a figure or a whole subtree) must
   equal the committed report's exactly: simulated figures are
-  deterministic, so a CPU-only or structural change moves none of them;
+  deterministic, so a CPU-only or structural change moves none of them.
+  A failing row lists every differing leaf as ``path: committed -> now``
+  (the first dozen), which is the line a PR that moves one on purpose
+  quotes as its reason for re-committing the report;
 * ``monotone-to`` — a sweep's figures never decrease and end at or above
   the bound.
 
@@ -198,17 +201,30 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def first_difference(committed, fresh, at: str = "") -> str | None:
-    """Where two JSON values first differ, as ``.key`` steps (None if equal)."""
+#: Differing leaves a failing ``same-as-committed`` row spells out.
+MAX_DIFFERENCES = 12
+
+
+def differences(committed, fresh, at: str = "") -> list[str]:
+    """Every leaf where two JSON values differ, as ``path: committed -> now``.
+
+    Dicts descend by key, lists of equal length by index; anything else —
+    two lists of different lengths included — is one leaf.
+    """
     if isinstance(committed, dict) and isinstance(fresh, dict):
-        for key in sorted(committed.keys() | fresh.keys()):
-            found = first_difference(committed.get(key), fresh.get(key), f"{at}.{key}")
-            if found is not None:
-                return found
-        return None
-    if json.dumps(committed, sort_keys=True) == json.dumps(fresh, sort_keys=True):
-        return None  # the same bytes in a report: 3 and 3.0 are not
-    return f"{at}: {fresh!r}, committed {committed!r}"
+        keys = sorted(committed.keys() | fresh.keys())
+        pairs = [(key, committed.get(key), fresh.get(key)) for key in keys]
+    elif (
+        isinstance(committed, list)
+        and isinstance(fresh, list)
+        and len(committed) == len(fresh)
+    ):
+        pairs = [(i, a, b) for i, (a, b) in enumerate(zip(committed, fresh))]
+    elif json.dumps(committed, sort_keys=True) == json.dumps(fresh, sort_keys=True):
+        return []  # the same bytes in a report: 3 and 3.0 are not
+    else:
+        return [f"{at}: {committed!r} -> {fresh!r}"]
+    return [line for key, a, b in pairs for line in differences(a, b, f"{at}.{key}")]
 
 
 def judge(row: Row, fresh: dict, committed: dict | None) -> tuple[str, str]:
@@ -222,10 +238,15 @@ def judge(row: Row, fresh: dict, committed: dict | None) -> tuple[str, str]:
         base = None if committed is None else lookup(committed, row.path)
         if base is None:
             return "SKIP", "no usable committed baseline for it"
-        found = first_difference(base, value)
-        if found is None:
+        found = differences(base, value, row.path)
+        if not found:
             return "OK", "equals the committed report's"
-        return "FAIL", f"differs at {row.path}{found}"
+        shown = found[:MAX_DIFFERENCES]
+        if len(found) > len(shown):
+            shown.append(f"... and {len(found) - len(shown)} more")
+        return "FAIL", f"differs in {len(found)} leaves, committed -> now:" + "".join(
+            f"\n       {line}" for line in shown
+        )
     if row.kind == "monotone-to":
         ok = (
             isinstance(value, list)

@@ -95,8 +95,8 @@ class RecordingDisk:
             WriteEvent(seq=len(self.events), epoch=self._epoch, lba=lba, data=data)
         )
 
-    def barrier(self, label: str = "barrier") -> None:
-        self.inner.barrier(label)
+    def barrier(self, label: str = "barrier", *, wait: bool = True) -> None:
+        self.inner.barrier(label, wait=wait)
         if len(self.events) == self._epoch_start:
             return  # no writes since the last barrier: epochs never go empty
         self.barriers.append(

@@ -234,8 +234,8 @@ class ParityRecording:
         self.epoch_positions: list[tuple[int, ...]] = []
         original_barrier = volume.barrier
 
-        def journalling_barrier(label: str = "barrier") -> None:
-            original_barrier(label)
+        def journalling_barrier(label: str = "barrier", *, wait: bool = True) -> None:
+            original_barrier(label, wait=wait)
             vector = tuple(m.position for m in self.members)
             if not self.epoch_positions or self.epoch_positions[-1] != vector:
                 self.epoch_positions.append(vector)

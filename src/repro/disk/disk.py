@@ -178,14 +178,21 @@ class SimulatedDisk:
             self.stats.record_request(nsectors, write=True)
         self._store.write(lba, view)
 
-    def barrier(self, label: str = "barrier") -> None:
+    def barrier(self, label: str = "barrier", *, wait: bool = True) -> None:
         """Write-ordering barrier: writes issued before it reach the medium
         before any write issued after it.
 
-        The simulated disk applies every write immediately, so a barrier
-        changes nothing here and charges no time — it only counts. The
+        ``wait`` is the disk surface's one distinction between *ordering*
+        and *acknowledgement*: a waiting barrier (the default) returns only
+        once everything written before it is on the medium; with
+        ``wait=False`` the caller needs the order and nothing else.
+
+        The simulated disk applies every write immediately and charges its
+        time on the spot, so either kind changes nothing here and charges
+        no time — it only counts. A :class:`repro.volume.Volume`, whose
+        writes are queued, is where ``wait`` costs simulated time; the
         crash-state explorer's :class:`repro.crashsim.RecordingDisk` gives
-        barriers their meaning: they delimit the epochs within which
+        barriers their other meaning: they delimit the epochs within which
         in-flight writes may be reordered or lost by a crash.
         """
         tr = self.tracer

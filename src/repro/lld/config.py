@@ -53,18 +53,23 @@ class LLDConfig:
             staged in the read cache. 0 disables read-ahead; it is also
             inert while the cache is disabled, since the prefetched
             blocks would have nowhere to live.
-        delta_partial_flush: write below-threshold flushes incrementally.
+        delta_partial_flush: write an open segment's slot incrementally —
+            below-threshold flushes and the seal that ends them alike.
             The paper's strategy rewrites the whole open-segment image on
-            every partial flush, so n small synced writes cost O(n²) disk
-            bytes. With this on (the default), the open segment tracks a
-            durable watermark and each partial flush issues at most two
-            contiguous writes: the summary prefix (only when records were
-            added) and the data tail past the watermark. The first flush
-            onto a slot still writes the full image (one write, which
-            also retires the slot's stale previous summary), and seals,
-            NVRAM absorption, and slot switches reset the watermark, so
-            recovery semantics are unchanged. Off reproduces the paper's
-            full-image rewrite behaviour exactly.
+            every partial flush and once more when the segment seals, so
+            n small synced writes cost O(n²) disk bytes. With this on (the
+            default), the open segment tracks a durable watermark and each
+            partial flush issues at most two contiguous writes: the data
+            tail past the watermark and the summary prefix (each only when
+            it has something new). A seal over a slot that partial flushes
+            already touched issues the same two writes instead of the
+            image; a segment no flush has touched still seals as one
+            image. The first flush onto a slot writes the full image (one
+            write, which also retires the slot's stale previous summary),
+            and NVRAM absorption and slot switches reset the watermark, so
+            the slot ends byte-identical and recovery semantics are
+            unchanged. Off reproduces the paper's full-image rewrite
+            behaviour exactly, seals included.
         torn_write_protection: make every summary update atomic under torn
             (partially-applied) multi-sector writes. The crash-state
             explorer (``repro.crashsim``) found that rewriting a slot's

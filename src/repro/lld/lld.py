@@ -121,6 +121,11 @@ class LLDStats:
     partial_delta_noop: int = 0  # partial flushes with nothing new to write
     partial_delta_summary_bytes: int = 0
     partial_delta_data_bytes: int = 0
+    # Seals that found a durable prefix on the slot and wrote only the
+    # rest (a seal is not a partial flush: the partial_* counters above
+    # stay partial-only), and the bytes those seals wrote.
+    seals_by_delta: int = 0
+    seal_delta_bytes: int = 0
 
     # Per-tenant counter slices, populated only when a multi-tenant
     # server binds tenants with :meth:`LLD.set_tenant` (name -> counters).
@@ -274,7 +279,7 @@ class LLD(LogicalDisk):
             )
         self.flush()
         self.checkpoint.save(self.state)
-        self.log.barrier("checkpoint")
+        self.log.barrier("checkpoint", wait=True)
         ev = self.events
         if ev:
             ev.emit("lld.checkpoint_saved", t=self.disk.clock.now)
@@ -811,8 +816,11 @@ class LLD(LogicalDisk):
         the partially-filled segment is written to its own slot but kept in
         memory, so it keeps filling and the eventual full write replaces
         the slot without any cleaning. With ``delta_partial_flush`` (the
-        default) the partial write is incremental: only the summary and
-        the data appended since the watermark go to disk.
+        default) the partial write — and the eventual seal — is
+        incremental: only the summary and the data appended since the
+        watermark go to disk. A flush is the acknowledgement point: it
+        returns once everything written so far, sealed images still in
+        flight on a multi-disk volume included, is on the medium.
 
         Only flushes that find work count in ``stats.flushes``; a flush of
         an empty open segment counts in ``stats.flushes_noop`` instead, so

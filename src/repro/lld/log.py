@@ -295,21 +295,37 @@ class LogWriter:
             self.seal()
         elif not self._absorb_in_nvram():
             self._write_partial()
-        # The acknowledgement point: everything this flush wrote must be
-        # on the medium before any later write. The crash-state explorer
-        # keys its durability oracle off this barrier.
-        self.barrier("flush")
+        # The acknowledgement point: everything this flush wrote — and any
+        # sealed image still in flight behind an ordering barrier — must be
+        # on the medium before the client hears back, and before any later
+        # write. The crash-state explorer keys its durability oracle off
+        # this barrier.
+        self.barrier("flush", wait=True)
 
     def seal(self) -> None:
-        """open -> sealed: write the segment out in full, open the next."""
+        """open -> sealed: bring the slot up to date, open the next.
+
+        A segment no flush has touched goes out as one image. One whose
+        prefix partial flushes already made durable needs only what
+        another partial flush would write — the data tail, then the
+        summary — unless ``LLDConfig.delta_partial_flush`` is off (the
+        paper's strategy: the whole image again). The slot ends up
+        byte-identical either way.
+        """
         seg = self.open
         if seg.is_empty:
             return
+        delta = self.config.delta_partial_flush and not seg.never_flushed
         tr = self.tracer
-        with tr.span("lld.segment_seal", slot=seg.index) if tr else NULL_SPAN:
+        with (
+            tr.span("lld.segment_seal", slot=seg.index, delta=delta) if tr else NULL_SPAN
+        ):
             self.compression.drain_pipeline()
-            self._write_slot(delta=False)
+            written = sum(self._write_slot(delta))
             self.stats.segments_sealed += 1
+            if delta:
+                self.stats.seals_by_delta += 1
+                self.stats.seal_delta_bytes += written
             self.open_next()
         self.after_seal()
 
@@ -329,13 +345,17 @@ class LogWriter:
                 self._write_slot(delta=False)
                 self.stats.partial_full_writes += 1
             else:
-                self._write_slot(delta=True)
+                data_bytes, summary_bytes = self._write_slot(delta=True)
                 self.stats.partial_delta_flushes += 1
+                self.stats.partial_delta_data_bytes += data_bytes
+                self.stats.partial_delta_summary_bytes += summary_bytes
             self.stats.partial_segment_writes += 1
 
-    def _write_slot(self, delta: bool) -> None:
+    def _write_slot(self, delta: bool) -> tuple[int, int]:
         """Bring the open segment's slot up to date: the whole image, or
-        (``delta``) the data tail past the watermark, then the summary.
+        (``delta``) the data tail past the watermark, then the summary —
+        each only if it has something new to carry. Returns the ``(data,
+        summary)`` bytes written.
 
         The data tail goes first: a crash between the two writes leaves
         the previous summary on disk, which describes only the durable
@@ -344,6 +364,7 @@ class LogWriter:
         seg = self.open
         tr = self.tracer
         lba = self.layout.slot_lba(seg.index)
+        data_bytes = summary_bytes = 0
         if not delta:
             image = seg.image()
             with (
@@ -352,6 +373,8 @@ class LogWriter:
                 else NULL_SPAN
             ):
                 self._write_summary_first(lba, image, 1)
+            summary_bytes = self.config.summary_capacity
+            data_bytes = len(image) - summary_bytes
         else:
             if seg.data_dirty:
                 sector, tail = seg.data_tail()
@@ -361,7 +384,7 @@ class LogWriter:
                     else NULL_SPAN
                 ):
                     self._disk_write(lba + self.config.summary_sectors + sector, tail)
-                self.stats.partial_delta_data_bytes += len(tail)
+                data_bytes = len(tail)
             if seg.summary_dirty:
                 summary = seg.summary_delta_image()
                 with (
@@ -372,13 +395,14 @@ class LogWriter:
                     # Sectors before the watermark sector are byte-identical
                     # on disk (records are append-only): a protected update
                     # rewrites only from the first sector with new bytes.
-                    self.stats.partial_delta_summary_bytes += self._write_summary_first(
+                    summary_bytes = self._write_summary_first(
                         lba, summary, max(1, seg.durable_summary_used // SECTOR)
                     )
         seg.mark_durable()
         if self.nvram is not None and self.nvram.slot == seg.index:
             self.nvram.clear()  # the disk copy supersedes the NVRAM image
         self._open_summary_durable("segment-image")
+        return data_bytes, summary_bytes
 
     def _write_summary_first(self, lba: int, image, tail_start: int) -> int:
         """Write an image that starts with a summary header at slot ``lba``;
@@ -477,7 +501,16 @@ class LogWriter:
         self.disk.write(lba, data)
         self.stats.data_bytes_physical += len(data)
 
-    def barrier(self, label: str) -> None:
-        """Announce a write-ordering point to the disk (free in simulated
-        time; the crash-state explorer closes a reorder epoch here)."""
-        self.disk.barrier(label)
+    def barrier(self, label: str, *, wait: bool = False) -> None:
+        """Announce a write-ordering point to the disk (the crash-state
+        explorer closes a reorder epoch here).
+
+        Order is not acknowledgement: the log needs its images, guards and
+        scrubs to land in order, but only a client's ``Flush`` and the
+        shutdown checkpoint have anyone waiting for them, and only those
+        two pass ``wait``. On a bare ``SimulatedDisk`` either kind is free
+        in simulated time; on a ``Volume`` a waiting barrier costs the
+        slowest member's whole queue, an ordering one at most the epoch
+        before the one it closes.
+        """
+        self.disk.barrier(label, wait=wait)

@@ -307,9 +307,10 @@ class OpenSegment:
         self._min_ts: int | None = None
         # Durable watermark: how much of this segment is already on disk
         # and unchanged since the last flush. Data and records are append-
-        # only inside an open segment, so a flush only needs to write the
-        # summary (when records were added) and the data tail past the
-        # watermark. Seals, NVRAM absorption, and slot switches reset it.
+        # only inside an open segment, so a flush — and the seal after it —
+        # only needs to write the summary (when records were added) and the
+        # data tail past the watermark. NVRAM absorption resets it; the
+        # next slot's segment starts with its own.
         self.durable_data = 0
         self.durable_records = 0
         self.durable_summary_used = _HEADER_SIZE

@@ -33,11 +33,16 @@ seek/rotation/transfer on its private clock; the sub-request completes at
 the member clock's new value. Reads are blocking: the shared clock jumps
 to the *max* completion over the dispatched sub-requests, so a striped
 read costs ~max over spindles, not the sum. Writes are queued: they
-dispatch without advancing the shared clock at all, and :meth:`barrier`
-drains — lifts the shared clock over every member's horizon — so a
-striped segment write plus its flush barrier also costs ~max over
-spindles. Data lands in the member sector stores at dispatch, so
-read-after-write is always coherent regardless of clock skew.
+dispatch without advancing the shared clock at all, and a waiting
+:meth:`barrier` drains — lifts the shared clock over every member's
+horizon — so a striped segment write plus its flush barrier also costs
+~max over spindles. An *ordering* barrier (``wait=False``) waits only for
+the writes of the barrier before it, so at most one barrier epoch of
+writes is ever left in flight behind the caller. A member write computed
+from member reads (a parity row's read-modify-write) starts no earlier
+than the last of those reads completes, on whichever member it lands.
+Data lands in the member sector stores at dispatch, so read-after-write
+is always coherent regardless of clock skew.
 
 With one member the model degenerates exactly to the bare disk: dispatch
 ``advance_to`` calls are no-ops (the single member's clock never trails
@@ -161,17 +166,28 @@ class VolumeStats:
             setattr(self, name, 0)
         self.read_latency_hist = LatencyHistogram()
         self.write_latency_hist = LatencyHistogram()
-        #: Member writes dispatched since the last drain (volume-wide).
+        #: Member writes that may still be in flight (volume-wide): those
+        #: dispatched since the barrier before the last one, or the last
+        #: drain.
         self.inflight_writes = 0
+        #: The part of them dispatched since the last barrier.
+        self.epoch_writes = 0
 
     def note_write_dispatch(self, subs: int) -> None:
         self.sub_writes += subs
         self.inflight_writes += subs
+        self.epoch_writes += subs
         if self.inflight_writes > self.max_queue_depth:
             self.max_queue_depth = self.inflight_writes
 
+    def note_ordering_barrier(self) -> None:
+        """Everything older than the epoch just closed has completed."""
+        self.inflight_writes = self.epoch_writes
+        self.epoch_writes = 0
+
     def note_drain(self) -> None:
         self.inflight_writes = 0
+        self.epoch_writes = 0
 
     #: ``DiskStats`` fields copied into each ``per_disk`` row.
     MEMBER_FIELDS = (
@@ -243,19 +259,25 @@ class _FrozenVolumeStats:
 class _Dispatch:
     """Member I/O of one timed request under the busy-until model.
 
-    Every sub-request issues at the shared time ``now``: the member clock
-    is lifted to it (a no-op when the spindle is still busy — the request
+    Every read issues at the shared time ``now``: the member clock is
+    lifted to it (a no-op when the spindle is still busy — the request
     queues FIFO behind its predecessors), the member charges the
     mechanical cost on its private clock, and ``completion`` tracks the
-    slowest member touched. The caller decides which members to address.
+    slowest member touched. A write issues at ``floor``: ``now``, or the
+    completion of the latest read since the caller last reset it — the
+    bytes of a read-modify-write do not exist before its pre-reads return,
+    whichever members they came from. The caller decides which members to
+    address.
     """
 
-    __slots__ = ("disks", "stats", "now", "completion", "writes")
+    __slots__ = ("disks", "stats", "now", "floor", "completion", "writes")
 
     def __init__(self, volume: "Volume", now: float) -> None:
         self.disks = volume.disks
         self.stats = volume.volume_stats
         self.now = now
+        #: Earliest start of the next member write.
+        self.floor = now
         self.completion = now
         #: Member writes queued; booked once the whole request dispatched.
         self.writes = 0
@@ -265,13 +287,16 @@ class _Dispatch:
         disk.clock.advance_to(self.now)
         data = disk.read(plba, nsectors)
         self.stats.sub_reads += 1
-        if disk.clock.now > self.completion:
-            self.completion = disk.clock.now
+        done = disk.clock.now
+        if done > self.floor:
+            self.floor = done
+        if done > self.completion:
+            self.completion = done
         return data
 
     def write(self, member: int, plba: int, payload) -> None:
         disk = self.disks[member]
-        disk.clock.advance_to(self.now)
+        disk.clock.advance_to(self.floor)
         disk.write(plba, payload)
         self.writes += 1
         if disk.clock.now > self.completion:
@@ -307,6 +332,9 @@ class Volume:
         #: (fractional rates accumulate credit across requests).
         self.rebuild_rate = 0.0
         self._scan_from_start(None)
+        #: Slowest member horizon as of the last barrier: how far an
+        #: ordering barrier (``wait=False``) makes the shared clock wait.
+        self._barrier_horizon = 0.0
         # The layout's whole contribution: an address map, the physical
         # members holding a copy of each of its logical members, the write
         # policy, and what becomes of an extent whose copies are all dead.
@@ -787,9 +815,12 @@ class Volume:
           content, so reconstruction and the rebuild scanner serve it).
 
         All member reads happen before any member write of the row, so
-        pre-reads observe pre-request bytes regardless of fragment order;
-        the writes are the same for every shape — each fragment not on the
-        untrusted member, then the parity chunk unless it is untrusted.
+        pre-reads observe pre-request bytes regardless of fragment order
+        — and in simulated time too: the row's writes start once the last
+        of its pre-reads has completed (``io.floor``), rows being
+        independent of one another. The writes are the same for every
+        shape — each fragment not on the untrusted member, then the parity
+        chunk unless it is untrusted.
         """
         pmap = self.parity_map
         size = self.geometry.sector_size
@@ -801,6 +832,7 @@ class Volume:
             return view[f.logical_off * size : (f.logical_off + f.nsectors) * size]
 
         for row, frags in pmap.split_rows(lba, nsectors):
+            io.floor = io.now
             base = pmap.row_lba(row)
             parity_member = pmap.parity_disk(row)
             bad = None if down is None or self._trusted(down, row) else down
@@ -852,13 +884,17 @@ class Volume:
             else:
                 vstats.rmw_writes += 1
 
-    def barrier(self, label: str = "barrier") -> None:
-        """Order writes and drain every spindle's busy-until horizon.
+    def barrier(self, label: str = "barrier", *, wait: bool = True) -> None:
+        """Order writes; with ``wait``, drain every spindle's horizon too.
 
-        Forwarded to each serving member (so member-level journals close
-        their epochs), then the shared clock is lifted over the slowest
-        member — the point where queued writes' simulated time becomes
-        visible to the layers above.
+        Forwarded to each serving member either way (so member-level
+        journals close their epochs). A waiting barrier — the default, an
+        acknowledgement point — then lifts the shared clock over the
+        slowest member: the point where queued writes' simulated time
+        becomes visible to the layers above. An ordering barrier
+        (``wait=False``) lifts it only to the member horizon the
+        *previous* barrier recorded, then records its own: the caller runs
+        ahead of the writes of one barrier epoch, never of two.
         """
         tr = self.tracer
         if tr:
@@ -867,9 +903,15 @@ class Volume:
                 label=label,
                 queued=self.volume_stats.inflight_writes,
             )
-        for i in self._serving_members():
-            self.disks[i].barrier(label)
-        self.drain()
+        serving = self._serving_members()
+        for i in serving:
+            self.disks[i].barrier(label, wait=wait)
+        if wait:
+            self.drain()
+        else:
+            self.clock.advance_to(self._barrier_horizon)
+            self.volume_stats.note_ordering_barrier()
+        self._barrier_horizon = max(self.disks[i].clock.now for i in serving)
         self.stats.barriers += 1
         self.volume_stats.barriers += 1
 

@@ -14,7 +14,15 @@ from pathlib import Path
 
 import pytest
 
-from benchmarks.check_regression import COMPARED_KINDS, TABLE, Row, judge, lookup, main
+from benchmarks.check_regression import (
+    COMPARED_KINDS,
+    MAX_DIFFERENCES,
+    TABLE,
+    Row,
+    judge,
+    lookup,
+    main,
+)
 
 from tests.bench.test_baseline import write
 
@@ -93,6 +101,40 @@ def test_every_kind_passes_and_fails():
     ]
     for row, report in bad:
         assert judge(row, report, {"x": 3.2})[0] == "FAIL", row
+
+
+def test_failing_same_as_committed_row_lists_every_differing_leaf(capsys, tmp_path):
+    """The reason a PR gives for re-committing a report is read off this
+    output: each moved leaf as ``path: committed -> now``, not just the
+    first one, and a bounded list however much of the subtree moved."""
+    row = Row("t", "lld", "same-as-committed")
+    committed = {"lld": {"1": {"seconds": 0.5, "reads": 77}, "4": {"seconds": 0.25, "runs": [3, 4]}}}
+    fresh = {"lld": {"1": {"seconds": 0.75, "reads": 77}, "4": {"seconds": 0.125, "runs": [3, 5]}}}
+    status, detail = judge(row, fresh, committed)
+    assert status == "FAIL"
+    assert detail.splitlines()[1:] == [
+        "       lld.1.seconds: 0.5 -> 0.75",
+        "       lld.4.runs.1: 4 -> 5",
+        "       lld.4.seconds: 0.25 -> 0.125",
+    ]
+    wide = {"lld": {f"k{i:02}": i for i in range(MAX_DIFFERENCES + 5)}}
+    status, detail = judge(row, {"lld": {key: -1 for key in wide["lld"]}}, wide)
+    lines = detail.splitlines()
+    assert status == "FAIL" and f"{MAX_DIFFERENCES + 5} leaves" in lines[0]
+    assert len(lines) == 1 + MAX_DIFFERENCES + 1 and lines[-1].endswith("... and 5 more")
+    # Through the command line: continuation lines are indented, so the
+    # one-status-line-per-row shape the other tests count still holds.
+    report = json.loads(REPORTS["volume_scaling"].read_text(encoding="utf-8"))
+    moved = copy.deepcopy(report)
+    moved["lld"]["1"]["recovery_seconds"] = 1.0
+    moved["lld"]["4"]["write_seconds"] = 2.0
+    status, out = run(capsys, REPORTS["volume_scaling"], write(tmp_path, moved, "fresh.json"))
+    assert status == 1
+    assert f"lld.1.recovery_seconds: {report['lld']['1']['recovery_seconds']!r} -> 1.0" in out
+    assert f"lld.4.write_seconds: {report['lld']['4']['write_seconds']!r} -> 2.0" in out
+    assert sum(line.startswith(("OK ", "FAIL ", "SKIP ")) for line in out.splitlines()) == sum(
+        r.benchmark == "volume_scaling" for r in TABLE
+    )
 
 
 def test_comparison_rows_skip_without_a_committed_figure():

@@ -210,18 +210,22 @@ def test_open_segment_delta_and_tail_match_reference_codec():
 #: of the workload below (the reference generation, since deleted):
 #: sha256 of the whole sector store, ``DiskStats.as_dict()``, the clock.
 _GOLDEN_DISK_SHA256 = "f0640fb5ac2fc36e176e16c79fa1d66437bb085cb0360e0fe3f8dd0de2a043ec"
-_GOLDEN_CLOCK = 0.9711111111111111
+#: The store hash is still that capture. The request figures were re-based
+#: with seal-by-delta: the workload's one seal follows partial flushes, so
+#: its 104-sector image (52 KB) became a 12-sector data tail plus a
+#: 4-sector summary — one more write, 88 fewer sectors, 11 ms sooner.
+_GOLDEN_CLOCK = 0.9600000000000002
 _GOLDEN_DISK_STATS = {
-    "barriers": 18, "busy_time": 0.971111111111113, "bytes_read": 254464,
-    "bytes_written": 112640, "head_switch_time": 0.003,
-    "overhead_time": 0.11700000000000008, "reads": 63,
-    "request_sizes": {1: 1, 2: 3, 3: 2, 4: 1, 8: 63, 12: 6, 20: 1, 104: 1},
-    "requests": 78, "rotation_time": 0.6723333333333351, "sector_size": 512,
-    "sectors_read": 497, "sectors_written": 220,
+    "barriers": 18, "busy_time": 0.9600000000000021, "bytes_read": 254464,
+    "bytes_written": 67584, "head_switch_time": 0.0025,
+    "overhead_time": 0.11850000000000008, "reads": 63,
+    "request_sizes": {1: 1, 2: 3, 3: 2, 4: 2, 8: 63, 12: 7, 20: 1},
+    "requests": 79, "rotation_time": 0.6765185185185205, "sector_size": 512,
+    "sectors_read": 497, "sectors_written": 132,
     "seek_time": 0.046000000000000006, "seeks": 17,
-    "transfer_time": 0.13277777777777783,
-    "write_request_sizes": {2: 3, 3: 2, 4: 1, 8: 1, 12: 6, 20: 1, 104: 1},
-    "writes": 15,
+    "transfer_time": 0.11648148148148155,
+    "write_request_sizes": {2: 3, 3: 2, 4: 2, 8: 1, 12: 7, 20: 1},
+    "writes": 16,
 }
 
 

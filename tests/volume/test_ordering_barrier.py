@@ -1,0 +1,292 @@
+"""Order is not acknowledgement, and a write cannot precede its pre-reads.
+
+``barrier(label, *, wait=True)`` is the one protocol argument on the disk
+surface. A waiting barrier (the default, every caller but the LLD's log
+writer) drains the volume as before. An ordering barrier (``wait=False``)
+is forwarded to the members all the same — same journals, same epochs,
+same ``disk.barriers`` — but makes the shared clock wait only for the
+writes of the barrier *before* it, so one barrier epoch is ever in flight.
+The LLD orders with the second kind and acknowledges (``flush``,
+``shutdown``) with the first.
+
+The last section pins the dependency that keeps the overlap honest once
+members are no longer drained before every seal: a read-modify-write
+row's member writes start no earlier than its pre-reads complete.
+"""
+
+import random
+
+import pytest
+
+from repro.crashsim import ParityRecording, RecordingDisk
+from repro.disk import SimulatedDisk, fast_test_disk
+from repro.ld import LIST_HEAD
+from repro.lld import LLD
+from repro.sim import VirtualClock
+from repro.volume import Volume
+
+from tests.lld.conftest import small_config
+
+CHUNK = 8
+SECTOR = 512
+
+
+class TimedMember(SimulatedDisk):
+    """A member that remembers when each request started and ended on its
+    private clock, and how each barrier was asked for."""
+
+    def __init__(self, mb: int = 2) -> None:
+        super().__init__(fast_test_disk(capacity_mb=mb), VirtualClock())
+        self.log: list[tuple[str, int, float, float]] = []
+        self.waits: list[bool] = []
+
+    def read(self, lba, nsectors):
+        start = self.clock.now
+        data = super().read(lba, nsectors)
+        self.log.append(("r", lba, start, self.clock.now))
+        return data
+
+    def write(self, lba, data):
+        start = self.clock.now
+        super().write(lba, data)
+        self.log.append(("w", lba, start, self.clock.now))
+
+    def barrier(self, label="barrier", *, wait=True):
+        self.waits.append(wait)
+        super().barrier(label, wait=wait)
+
+
+def make_volume(layout: str = "raid5", chunk: int = CHUNK, mb: int = 2) -> Volume:
+    return Volume(
+        [TimedMember(mb) for _ in range(4)], VirtualClock(), layout=layout, chunk_sectors=chunk
+    )
+
+
+def horizon(volume: Volume) -> float:
+    return max(disk.clock.now for disk in volume.disks)
+
+
+# ----------------------------------------------------------------------
+# Volume.barrier(wait=...)
+# ----------------------------------------------------------------------
+
+
+def test_default_barrier_still_drains():
+    volume = make_volume()
+    volume.write(0, bytes(3 * CHUNK * SECTOR))
+    volume.write(5, bytes(SECTOR))
+    assert volume.clock.now == 0.0 < horizon(volume)
+    volume.barrier()
+    assert volume.clock.now == horizon(volume)
+    assert all(member.waits == [True] for member in volume.disks)
+    assert volume.volume_stats.inflight_writes == 0
+
+
+@pytest.mark.parametrize("layout", ["stripe", "mirror", "raid5"])
+def test_ordering_barrier_waits_for_the_previous_epoch_only(layout):
+    volume = make_volume(layout)
+    rng = random.Random(layout)
+    horizons = [0.0]
+    for _ in range(6):
+        for _ in range(3):
+            lba = rng.randrange(0, 40 * CHUNK)
+            volume.write(lba, rng.randbytes(rng.randint(1, 2 * CHUNK) * SECTOR))
+        volume.barrier("order", wait=False)
+        # Never past what the barrier before this one had queued ...
+        assert volume.clock.now == horizons[-1]
+        horizons.append(horizon(volume))
+    # ... so the caller runs ahead of one epoch of writes, never of two.
+    assert horizons == sorted(horizons) and volume.clock.now < horizon(volume)
+    assert volume.volume_stats.inflight_writes > 0
+    assert volume.stats.barriers == volume.volume_stats.barriers == 6
+    volume.barrier("ack")
+    assert volume.clock.now == horizon(volume)
+    # A waited barrier leaves nothing for the next ordering one to wait for.
+    volume.write(0, bytes(SECTOR))
+    before = volume.clock.now
+    volume.barrier("order", wait=False)
+    assert volume.clock.now == before
+
+
+def test_ordering_barrier_reaches_the_members_like_a_waiting_one():
+    """Same member journals, epochs and barrier counts: only the shared
+    clock can tell the two kinds apart."""
+    runs = {}
+    for wait in (True, False):
+        volume = make_volume()
+        recording = ParityRecording(volume)
+        rng = random.Random("journals")
+        for _ in range(8):
+            for _ in range(rng.randint(1, 3)):
+                lba = rng.randrange(0, 40 * CHUNK)
+                volume.write(lba, rng.randbytes(rng.randint(1, 3 * CHUNK) * SECTOR))
+            volume.barrier("b", wait=wait)
+        runs[wait] = {
+            "events": [[(e.epoch, e.lba, e.data) for e in m.events] for m in recording.members],
+            "barriers": [[(b.position, b.epoch, b.label) for b in m.barriers] for m in recording.members],
+            "vectors": recording.epoch_positions,
+            "counted": [m.stats.barriers for m in recording.members],
+            "asked": [m.inner.waits for m in recording.members],
+            "clock": volume.clock.now,
+        }
+    waited, ordered = runs[True], runs[False]
+    assert ordered["asked"] == [[False] * 8] * 4 and waited["asked"] == [[True] * 8] * 4
+    for key in ("events", "barriers", "vectors", "counted"):
+        assert ordered[key] == waited[key], key
+    assert len(ordered["vectors"]) == 8
+    assert ordered["clock"] < waited["clock"]
+
+
+def test_recording_disk_forwards_the_argument():
+    inner = TimedMember()
+    recording = RecordingDisk(inner)
+    recording.write(0, bytes(SECTOR))
+    recording.barrier("order", wait=False)
+    recording.write(1, bytes(SECTOR))
+    recording.barrier("ack")
+    assert inner.waits == [False, True]
+    assert [b.label for b in recording.barriers] == ["order", "ack"]
+
+
+# ----------------------------------------------------------------------
+# The LLD on RAID-5: seals order, flush and shutdown acknowledge
+# ----------------------------------------------------------------------
+
+
+def make_lld(**config) -> tuple[LLD, Volume]:
+    cfg = small_config(**config)
+    volume = make_volume(chunk=cfg.segment_size // SECTOR, mb=1)
+    lld = LLD(volume, cfg)
+    lld.initialize()
+    return lld, volume
+
+
+def append_blocks(lld: LLD, lid: int, pred: int, count: int) -> int:
+    for _ in range(count):
+        pred = lld.new_block(lid, pred)
+        lld.write(pred, bytes([pred % 251 + 1]) * 4096)
+    return pred
+
+
+def test_back_to_back_seals_leave_one_image_in_flight():
+    lld, volume = make_lld()
+    lid = lld.new_list()
+    pred = append_blocks(lld, lid, LIST_HEAD, 16)  # the 16th does not fit: seal
+    assert lld.stats.segments_sealed == 1
+    first_image_done = horizon(volume)
+    # The seal's barrier ordered; nobody waited for the image.
+    assert volume.clock.now < first_image_done
+    append_blocks(lld, lid, pred, 15)
+    assert lld.stats.segments_sealed == 2
+    # The bound: the second seal's barrier returned no earlier than the
+    # first image's completion — and no later than it had to.
+    assert first_image_done <= volume.clock.now < horizon(volume)
+
+
+def test_flush_and_shutdown_return_with_nothing_in_flight():
+    """Whatever ran behind ordering barriers — sealed images, guards,
+    scrubs, cleaner traffic — an acknowledgement waits for all of it."""
+    for torn in (False, True):
+        lld, volume = make_lld(torn_write_protection=torn)
+        rng = random.Random(f"acks/{torn}")
+        lid = lld.new_list()
+        live = [append_blocks(lld, lid, LIST_HEAD, 1)]
+        ran_ahead = 0
+        for _ in range(1400):
+            roll = rng.random()
+            if roll < 0.55:
+                live.append(append_blocks(lld, lid, live[-1], 1))
+            elif roll < 0.8:
+                lld.write(rng.choice(live), rng.randbytes(rng.choice([300, 4096])))
+            elif roll < 0.9 and len(live) > 4:
+                lld.delete_block(live.pop(rng.randrange(len(live))), lid)
+            else:
+                ran_ahead += volume.clock.now < horizon(volume)
+                lld.flush()
+                assert horizon(volume) <= volume.clock.now
+                lld.flush()  # nothing new: still nothing in flight
+                assert horizon(volume) <= volume.clock.now
+        assert ran_ahead > 5 and lld.stats.segments_sealed > 10 and lld.stats.cleanings > 0
+        lld.shutdown()
+        assert horizon(volume) <= volume.clock.now
+    lld, volume = make_lld()
+    append_blocks(lld, lld.new_list(), LIST_HEAD, 20)  # one sealed image in flight
+    assert volume.clock.now < horizon(volume)
+    lld.shutdown()
+    assert horizon(volume) <= volume.clock.now
+
+
+def test_only_acknowledgements_wait():
+    lld, volume = make_lld(torn_write_protection=True)
+    lid = lld.new_list()
+    pred = append_blocks(lld, lid, LIST_HEAD, 4)
+    asked = volume.disks[0].waits
+    del asked[:]
+    lld.flush()  # partial: summary-guard, segment-image, then the ack
+    assert asked == [False, False, True]
+    del asked[:]
+    append_blocks(lld, lid, pred, 16)  # seals on the way
+    assert asked and not any(asked)
+    del asked[:]
+    lld.shutdown()
+    assert asked[-1] is True and asked.count(True) == 2  # flush, checkpoint
+
+
+# ----------------------------------------------------------------------
+# A read-modify-write row's writes wait for its pre-reads
+# ----------------------------------------------------------------------
+
+
+def test_rmw_writes_start_after_the_rows_pre_reads_complete():
+    volume = make_volume()
+    volume.write(0, random.Random(0).randbytes(3 * CHUNK * SECTOR))  # row 0, full stripe
+    volume.barrier()
+    pmap = volume.parity_map
+    data_member = volume.spindle_of(2)
+    parity_member = pmap.parity_disk(0)
+    # Keep the data member busy well past "now"; the parity member idles.
+    busy = volume.disks[data_member]
+    busy.read(100 * CHUNK, 64 * CHUNK)
+    assert busy.clock.now > volume.clock.now + 0.05
+    for member in volume.disks:
+        del member.log[:]
+
+    volume.write(2, bytes([7]) * SECTOR)  # one sector of row 0: RMW
+    assert volume.volume_stats.rmw_writes == 1
+    (old_data,) = [e for e in busy.log if e[0] == "r"]
+    (old_parity,) = [e for e in volume.disks[parity_member].log if e[0] == "r"]
+    (data_write,) = [e for e in busy.log if e[0] == "w"]
+    (parity_write,) = [e for e in volume.disks[parity_member].log if e[0] == "w"]
+    # The idle parity member finished its pre-read long before the busy
+    # data member did; the new parity does not exist until both have.
+    assert old_parity[3] < old_data[3]
+    assert parity_write[2] >= old_data[3]
+    assert data_write[2] >= old_data[3]
+
+
+def test_rows_of_one_request_do_not_wait_for_each_other():
+    """The floor is per row: a later row's writes depend on its own
+    pre-reads, and a full-stripe row (no pre-reads) on none."""
+    volume = make_volume()
+    width = 3 * CHUNK
+    volume.write(0, random.Random(1).randbytes(3 * width * SECTOR))
+    volume.barrier()
+    busy = volume.disks[volume.spindle_of(width - 1)]
+    busy.read(100 * CHUNK, 64 * CHUNK)
+    late = busy.clock.now
+    for member in volume.disks:
+        del member.log[:]
+    # Last sector of row 0 (RMW on the busy member), then all of row 1.
+    volume.write(width - 1, bytes([9]) * (1 + width) * SECTOR)
+    assert volume.volume_stats.rmw_writes == 1
+    # Row 0's two writes queue behind the busy member's pre-read, each on
+    # its own member; the other two members take their row-1 chunks at once.
+    pmap = volume.parity_map
+    waiting = (busy, volume.disks[pmap.parity_disk(0)])
+    row1 = [
+        event
+        for member in volume.disks if member not in waiting
+        for event in member.log if event[:2] == ("w", pmap.row_lba(1))
+    ]
+    assert len(row1) == 2 and all(start < late for _op, _lba, start, _end in row1)
+    assert all(member.log[-2][2] >= late for member in waiting)  # row 0's write

@@ -7,24 +7,34 @@ states — healthy, degraded, mid-rebuild, rebuilt — issuing the request
 shapes the write and read paths distinguish: chunk-aligned and straddling
 reads, ``read_batch``, full-stripe writes, multi-chunk read-modify-writes,
 sub-chunk writes, barriers, and the time-free ``install`` / ``peek`` /
-``corrupt`` surface. At the end of every phase the test hashes everything
-a change to the request plan could move:
+``corrupt`` surface. At the end of every phase the test hashes what a
+change to the request plan could move, in two parts, so that a change
+which is *supposed* to move the timing keeps the pin on the plan:
 
-* each member's ``(op, plba, nsectors)`` request sequence, in issue order;
-* every member clock and the shared volume clock (``repr`` of the float);
-* ``VolumeStats.as_dict()``, histograms and per-member rollup included;
-* every member's sector store;
-* the bytes every ``read`` / ``read_batch`` / ``peek`` returned, and which
-  requests raised (a stripe with a dead member fails loudly).
+* ``plan`` — each member's ``(op, plba, nsectors)`` request sequence, in
+  issue order; the counters of ``VolumeStats.as_dict()``, per-member
+  rollup included; every member's sector store; the bytes every ``read``
+  / ``read_batch`` / ``peek`` returned, and which requests raised (a
+  stripe with a dead member fails loudly);
+* ``clocks`` — every member clock and the shared volume clock (``repr``
+  of the float), and the time-valued leaves of the stats: latency
+  histograms and quantiles, per-member ``busy_time``, ``busy_balance``.
 
-The constants below were captured from the PARENT commit of the PR that
-introduced this file (d264e95, the four-fork ``volume.py``) by running,
-in a checkout of that commit with this file copied in::
+The whole table was captured from the PARENT commit of the PR that
+introduced this file (d264e95, the four-fork ``volume.py``), and split
+into the two parts at 0b4ce39 (the parent of the seal-by-delta PR) with
+every digest still the parent's, by running, in a checkout of that commit
+with this file copied in::
 
     PYTHONPATH=src python tests/volume/test_request_plan_golden.py
 
-which prints the ``GOLDEN`` table. A digest that moves means some member
-saw a different request, at a different time, or stored different bytes.
+which prints the ``GOLDEN`` table. A ``plan`` digest that moves means some
+member saw a different request or stored different bytes; a ``clocks``
+digest, that it saw one at a different time. The ``plan`` column is still
+that capture on all 12 rows; the ``clocks`` of the eight raid4 / raid5 rows
+were re-captured by the PR whose parent is 0b4ce39, when a row's
+read-modify-write began to wait for its pre-reads (stripe and mirror
+clocks are the parent's).
 """
 
 import hashlib
@@ -44,19 +54,20 @@ CHUNK = 8
 SECTOR = 512
 VICTIM = 2
 
+#: ``(layout, phase)`` -> ``(plan, clocks)`` digests.
 GOLDEN = {
-    ("stripe", "healthy"): "0d8b9ade7245e2d9f35f6290922cf56d4372a0b51e58e39a6c9f72559ca92fb9",
-    ("stripe", "degraded"): "fe0151a96e63c25cb5507bcba7233af7bb56f984b7792b344c841b7057368775",
-    ("mirror", "healthy"): "45c6a4cd005363cf31d4c667fb6cace9872ace9b5471e76eebea7c465e4e1818",
-    ("mirror", "degraded"): "e9d2e2fe9aee285b41d2997e1e8f26c30cdfa00330c3babff01964272c7822ec",
-    ("raid4", "healthy"): "75e95251ec36a634e9201770656ac83f3ffa79b03a26eb0705f7e38733ff5a91",
-    ("raid4", "degraded"): "f50ec0674fafed775c79c50b54240a6960b59d01af84f99350aa65d174c69488",
-    ("raid4", "mid-rebuild"): "213263f72501acb026f32bfcdaaf64fde73669f136edfc83ffefed2eccedd682",
-    ("raid4", "rebuilt"): "5951c8908aa8c81c26ed42f006e75e7a661e833238618ddb190870f9a3f10b75",
-    ("raid5", "healthy"): "0577d05152d96eda1f3f7c4c4c91b95d9dd85f3b459d6deaf2303010ec6050d4",
-    ("raid5", "degraded"): "671342fbebe4a9365a3ddb5a9803e6bbfb0290274a839fa9ed5f2297c66c8329",
-    ("raid5", "mid-rebuild"): "5ea7d2dcdf3cbe35a9b36f2a840d0a20bf287a8c3f5b677c38d8fa63e5e599b9",
-    ("raid5", "rebuilt"): "8bb7b663efe73d3df750bc7b72422752bb7b4d30acc623da197b223f3e799012",
+    ('stripe', 'healthy'): ('1cf4ef014b01e80b', '34f8fab0566b7984'),
+    ('stripe', 'degraded'): ('f638f5cc84088354', '7e06b942aaf80a42'),
+    ('mirror', 'healthy'): ('83ab899222370194', '2372430c4f74708e'),
+    ('mirror', 'degraded'): ('be9f7fea58d2a833', '57acf80c99b1bf2a'),
+    ('raid4', 'healthy'): ('a8a0f8f0f1c4675c', '3cb3baddc4531a51'),
+    ('raid4', 'degraded'): ('a899cb3f31ee9ace', 'ab950ef1e1a4de0c'),
+    ('raid4', 'mid-rebuild'): ('43f42ed05ab12690', 'b0778df3fba797b6'),
+    ('raid4', 'rebuilt'): ('0af3b603d51bd979', '07ab785b7742dce0'),
+    ('raid5', 'healthy'): ('cc3c1205c23da8b7', 'e030ddebee333a80'),
+    ('raid5', 'degraded'): ('fd2abd9962622845', '66678a7bc92b4522'),
+    ('raid5', 'mid-rebuild'): ('46f74d474cd3d037', 'e1e66c4f66c953e1'),
+    ('raid5', 'rebuilt'): ('edfff648fbbb51d3', '667804cbc87c2870'),
 }
 
 
@@ -75,9 +86,9 @@ class LoggingMember(SimulatedDisk):
         self.log.append(("w", lba, len(data) // SECTOR))
         super().write(lba, data)
 
-    def barrier(self, label="barrier"):
+    def barrier(self, label="barrier", *, wait=True):
         self.log.append(("b", 0, 0))
-        super().barrier(label)
+        super().barrier(label, wait=wait)
 
 
 class Run:
@@ -137,13 +148,19 @@ class Run:
         self.volume.barrier()
         self.volume.drain()
 
-    def digest(self) -> str:
+    def digest(self) -> tuple[str, str]:
+        """``(plan, clocks)`` hashes (see the module docstring)."""
         volume = self.volume
-        state = {
+        counts = volume.volume_stats.as_dict()
+        times = {
+            name: counts.pop(name)
+            for name in list(counts)
+            if name.startswith(("read_latency", "write_latency", "busy_"))
+        }
+        times["busy_time"] = [member.pop("busy_time") for member in counts["per_disk"]]
+        plan = {
             "requests": [member.log for member in self.members],
-            "member_clocks": [repr(member.clock.now) for member in self.members],
-            "clock": repr(volume.clock.now),
-            "stats": volume.volume_stats.as_dict(),
+            "stats": counts,
             "returned": self.returned.hexdigest(),
             "stores": [
                 hashlib.sha256(
@@ -155,12 +172,18 @@ class Run:
                 for member in self.members
             ],
         }
-        return hashlib.sha256(
-            json.dumps(state, sort_keys=True, default=repr).encode()
-        ).hexdigest()
+        clocks = {
+            "member_clocks": [repr(member.clock.now) for member in self.members],
+            "clock": repr(volume.clock.now),
+            "stats": times,
+        }
+        return tuple(
+            hashlib.sha256(json.dumps(part, sort_keys=True, default=repr).encode()).hexdigest()[:16]
+            for part in (plan, clocks)
+        )
 
 
-def run_layout(layout: str) -> dict[tuple[str, str], str]:
+def run_layout(layout: str) -> dict[tuple[str, str], tuple[str, str]]:
     """Walk one layout through its health states; digest after each phase."""
     run = Run(layout)
     volume = run.volume
@@ -249,5 +272,5 @@ if __name__ == "__main__":
     print("GOLDEN = {")
     for layout in ("stripe", "mirror", "raid4", "raid5"):
         for key, value in run_layout(layout).items():
-            print(f'    {key!r}: "{value}",')
+            print(f"    {key!r}: {value!r},")
     print("}")
