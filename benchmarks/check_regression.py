@@ -106,6 +106,9 @@ TABLE = [
     Row("volume_scaling", "identity.volume_clock_s", "same-as-committed"),
     Row("volume_scaling", "raw", "same-as-committed"),
     Row("volume_scaling", "lld", "same-as-committed"),
+    # The raw LD streaming onto RAID-5: seconds, full-stripe and RMW counts,
+    # parity write amplification (the log leaves a stripe row at a time).
+    Row("volume_scaling", "lld_raid5", "same-as-committed"),
     Row("volume_scaling", "raid5.write_paths", "same-as-committed"),
     Row("volume_scaling", "raid5.degraded_read", "same-as-committed"),
     # Bare-disk reports (one SimulatedDisk under the LLD, no volume): the

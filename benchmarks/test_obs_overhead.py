@@ -24,11 +24,18 @@ regression this benchmark caught).
 
 A fourth **monitored** arm runs the full continuous-monitoring bundle
 (:class:`~repro.obs.Monitor`: series sampling, event log, health rules,
-one ``tick()`` per fsync) and is gated the same analytic way: measured
+one ``tick()`` per fsync) and is priced the same analytic way: measured
 per-unit costs (idle tick, firing sample+check, event emit) times exact
-unit counts, divided by workload CPU, must stay under 3% — with the same
-simulated-figure byte-identity requirement, plus "a clean run reports
-zero warn/critical findings".
+unit counts. What is gated is that cost *per fsync*, in bare ``dict.get``
+upserts timed in the same loop (:func:`monitoring_cost`,
+``MONITOR_COST_UPSERTS``) — a ratio of two in-process figures, which
+moves with the monitoring code and with nothing else. Its share of the
+workload's CPU, the old ``< 3%`` gate, is still computed and written to
+the report, ungated: the share grows whenever the write path it is a
+share of gets cheaper (11-18% in the seal-by-delta PR), and had come to
+fail about one run in three (0.0316, 0.0324) with the monitor untouched.
+The simulated-figure byte-identity requirement and "a clean run reports
+zero warn/critical findings" hold as before.
 
 Two smaller checks ride along. Stats bookkeeping
 (``DiskStats.record_request``, which also bounds the LLD write counters)
@@ -77,6 +84,12 @@ MONITOR_INTERVAL = 0.5  # virtual seconds between monitoring samples (2 Hz)
 #: histogram upserts: 6.6-8.2 bare local-variable upserts over eight runs
 #: on a noisy box. Half as much again is the limit.
 STATS_COST_UPSERTS = 12.0
+#: Continuous monitoring, per fsync: one idle tick, a twentieth of a firing
+#: tick (sample every series, run every rule) and the events emitted —
+#: 81-124 bare upserts over thirteen runs on a noisy box, median 100 (and
+#: 151 in a fourteenth whose every timing had doubled). Twice the median is
+#: the limit: what the old 3% line allowed when it was drawn.
+MONITOR_COST_UPSERTS = 200.0
 READ_BACK_BYTES = 256 * 1024
 READ_BACK_REQUEST = 16 * 1024
 
@@ -240,39 +253,48 @@ def stats_cost(spec) -> dict:
     }
 
 
-def tick_idle_ns(monitor, iterations: int = 50_000, reps: int = 5) -> float:
-    """Cost of one *idle* monitor tick (clock inside the interval)."""
-    monitor.sample_now()  # pin the sample time at the current clock value
-    best = float("inf")
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        for _ in range(iterations):
-            monitor.tick()
-        best = min(best, time.perf_counter() - t0)
-    return best / iterations * 1e9
+def monitoring_cost(monitor, ticks: int, fires: int, events: int, reps: int = 5) -> dict:
+    """What continuous monitoring costs per fsync, priced two ways.
 
-
-def sample_check_ns(monitor, iterations: int = 200, reps: int = 5) -> float:
-    """Cost of one *firing* tick: collect, record series, run every rule."""
-    best = float("inf")
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        for _ in range(iterations):
-            monitor.sample_now()
-        best = min(best, time.perf_counter() - t0)
-    return best / iterations * 1e9
-
-
-def emit_ns(iterations: int = 100_000, reps: int = 5) -> float:
-    """Cost of one structured event emission into a bounded log."""
+    Three units, best of ``reps``: an *idle* tick (clock inside the
+    interval), a *firing* one (collect, record every series, run every
+    rule) and one structured event emission into a bounded log; a round of
+    ``ticks`` fsyncs pays ``ticks`` idle ticks (conservatively charged on
+    firing ticks too), ``fires`` firing ones and ``events`` emissions.
+    ``upserts_per_fsync`` prices the per-fsync sum in bare ``dict.get``
+    upserts timed in the same loop, as :func:`stats_cost` prices
+    ``record_request``: it does not move when the write path gets faster.
+    """
     log = EventLog(VirtualClock(), capacity=1024)
-    best = float("inf")
+    sizes: dict[int, int] = {}
+    monitor.sample_now()  # pin the sample time at the current clock value
+    idle = fire = emitted = upsert = float("inf")
     for _ in range(reps):
         t0 = time.perf_counter()
-        for i in range(iterations):
+        for _ in range(50_000):
+            monitor.tick()
+        idle = min(idle, (time.perf_counter() - t0) / 50_000)
+        t0 = time.perf_counter()
+        for _ in range(200):
+            monitor.sample_now()
+        fire = min(fire, (time.perf_counter() - t0) / 200)
+        t0 = time.perf_counter()
+        for i in range(100_000):
             log.emit("obs.probe", severity="debug", slot=i)
-        best = min(best, time.perf_counter() - t0)
-    return best / iterations * 1e9
+        emitted = min(emitted, (time.perf_counter() - t0) / 100_000)
+        t0 = time.perf_counter()
+        for _ in range(50_000):
+            sizes[8] = sizes.get(8, 0) + 1
+        upsert = min(upsert, (time.perf_counter() - t0) / 50_000)
+    per_fsync = (idle * ticks + fire * fires + emitted * events) / ticks
+    return {
+        "tick_idle_ns": idle * 1e9,
+        "sample_and_check_ns": fire * 1e9,
+        "event_emit_ns": emitted * 1e9,
+        "dict_upsert_ns": upsert * 1e9,
+        "ns_per_fsync": per_fsync * 1e9,
+        "upserts_per_fsync": per_fsync / upsert,
+    }
 
 
 def descendants(spans, root):
@@ -344,18 +366,14 @@ def test_obs_overhead(spec):
     workload_cpu = statistics.median(times["none"])
     disabled_overhead = per_site_delta_ns * 1e-9 * guard_hits / workload_cpu
 
-    # Same analytic accounting for the enabled-monitoring arm: every
-    # fsync pays one tick test (idle cost — conservatively charged on
-    # firing ticks too), every firing tick pays a sample + rule check,
-    # and every emitted event pays one structured append.
-    idle_ns = tick_idle_ns(monitor)
-    fire_ns = sample_check_ns(monitor)
-    event_ns = emit_ns()
-    monitored_overhead = (
-        (idle_ns * count + fire_ns * fires_per_round + event_ns * events_per_round)
-        * 1e-9
-        / workload_cpu
-    )
+    # Same analytic accounting for the enabled-monitoring arm: exact unit
+    # counts of one round times measured unit costs. The share of the
+    # workload's CPU is reported; the per-fsync cost is what is gated.
+    monitoring = monitoring_cost(monitor, count, fires_per_round, events_per_round)
+    idle_ns = monitoring["tick_idle_ns"]
+    fire_ns = monitoring["sample_and_check_ns"]
+    event_ns = monitoring["event_emit_ns"]
+    monitored_overhead = monitoring["ns_per_fsync"] * 1e-9 * count / workload_cpu
 
     # End-to-end paired evidence (noise-dominated on shared machines,
     # hence reported rather than asserted against the 2%/3% lines).
@@ -425,7 +443,10 @@ def test_obs_overhead(spec):
                 f"{disabled_overhead * 100:.3f}%; monitoring: {idle_ns:.0f} ns "
                 f"idle tick x {count}, {fire_ns:.0f} ns firing tick x "
                 f"{fires_per_round}, {event_ns:.0f} ns emit x "
-                f"{events_per_round} -> adds {monitored_overhead * 100:.3f}%"
+                f"{events_per_round} -> {monitoring['ns_per_fsync']:.0f} ns = "
+                f"{monitoring['upserts_per_fsync']:.1f} dict upserts per fsync "
+                f"(limit {MONITOR_COST_UPSERTS:.0f}), {monitored_overhead * 100:.3f}% "
+                f"of the workload (ungated)"
             ),
         )
     )
@@ -454,6 +475,12 @@ def test_obs_overhead(spec):
         "monitor_fires_per_round": fires_per_round,
         "monitor_events_per_round": events_per_round,
         "monitor_series_count": len(monitor.series.series),
+        "monitor_cost_per_fsync": {
+            "ns": monitoring["ns_per_fsync"],
+            "dict_upsert_ns": monitoring["dict_upsert_ns"],
+            "upserts": monitoring["upserts_per_fsync"],
+            "upserts_limit": MONITOR_COST_UPSERTS,
+        },
         "monitored_overhead_fraction": monitored_overhead,
         "monitor_findings_clean": not monitor.findings,
         "end_to_end_median_ratio": ratio,
@@ -467,10 +494,12 @@ def test_obs_overhead(spec):
     }
     emit(f"wrote {write_json_report(REPORT_PATH, report)}")
 
-    # Acceptance: the disabled path adds < 2% to the write-path workload,
-    # the full monitoring bundle (series + events + health) < 3%.
+    # Acceptance: the disabled path adds < 2% to the write-path workload;
+    # the full monitoring bundle (series + events + health) costs a bounded
+    # number of dict upserts per fsync, whatever share of the write path
+    # that is this year.
     assert disabled_overhead < 0.02
-    assert monitored_overhead < 0.03
+    assert monitoring["upserts_per_fsync"] < MONITOR_COST_UPSERTS
 
 
 def test_stats_cost(spec):

@@ -6,7 +6,7 @@ volume's sequential bandwidth scales near-linearly with member count
 (Dagenais' RAID-performance measurements, PAPERS.md) while a 1-member
 volume is *figure-identical* to the bare disk it wraps.
 
-Three arms, all recorded in ``BENCH_volume_scaling.json``:
+Four arms, all recorded in ``BENCH_volume_scaling.json``:
 
 * **raw scaling** — sequential 1 MB reads and writes through bare striped
   volumes at N ∈ {1, 2, 4, 8}: simulated MB/s, p50/p99 request latency,
@@ -22,6 +22,12 @@ Three arms, all recorded in ``BENCH_volume_scaling.json``:
   spindle), so its figure is a parity check; the parallel win the LLD
   stack banks is the recovery sweep, whose batched summary reads overlap
   across all members.
+* **LLD on RAID-5** — the raw LD streaming blocks onto a 4-member RAID-5
+  with segment-granular chunks, then one ``Flush``: the log leaves a
+  stripe row at a time (DESIGN.md §8), so most of it reaches the volume
+  as full-stripe writes. Simulated seconds, the volume's full-stripe and
+  read-modify-write counts and its parity write amplification — the one
+  place outside ``benchmarks/e2e`` that pins LLD-on-RAID-5 timing.
 
 Acceptance (CI-gated): ≥3x simulated sequential read AND write throughput
 at N=4 vs N=1, exact N=1 figure identity, and ≥2x faster recovery sweep
@@ -34,9 +40,10 @@ import random
 from pathlib import Path
 
 from repro.bench import render_table, write_json_report
-from repro.bench.builders import BuildSpec, build_minix_lld
+from repro.bench.builders import BuildSpec, build_minix_lld, fresh_volume
 from repro.disk import SimulatedDisk, hp_c3010
-from repro.lld import LLD
+from repro.ld import LIST_HEAD
+from repro.lld import LLD, LLDConfig
 from repro.sim import VirtualClock
 from repro.volume import Volume
 from benchmarks.conftest import emit
@@ -52,6 +59,7 @@ N_REQUESTS = 24
 SPEEDUP_FLOOR_AT_4 = 3.0
 
 PARITY_N = 4
+LLD_RAID5_MB = 10  # twenty 0.5 MB segments: six stripe rows and a partial one
 #: Full-stripe writes must beat the RMW small-write path by this much at
 #: N=4 (ISSUE 9 acceptance): RMW pays 2 reads + 2 writes per fragment
 #: where a full stripe pays N writes for N-1 chunks of payload.
@@ -156,16 +164,50 @@ def run_lld_arm(spec: BuildSpec, n: int) -> dict:
     }
 
 
+def run_lld_raid5_arm(spec: BuildSpec) -> dict:
+    """The raw LD streaming onto RAID-5 with ``chunk == slot``, then a flush."""
+    volume = fresh_volume(spec, PARITY_N, layout="raid5")
+    lld = LLD(
+        volume,
+        LLDConfig(
+            segment_size=spec.segment_size, block_size=spec.block_size, checkpoint_slots=2
+        ),
+    )
+    lld.initialize()
+    payload = bytes(range(256)) * (spec.block_size // 256)
+    blocks = LLD_RAID5_MB * 1024 * 1024 // spec.block_size
+    lid = lld.new_list()
+    pred = LIST_HEAD
+    t0 = volume.clock.now
+    for _ in range(blocks):
+        pred = lld.new_block(lid, pred)
+        lld.write(pred, payload)
+    lld.flush()
+    seconds = volume.clock.now - t0
+    rollup = volume.volume_stats.as_dict()
+    return {
+        "n_disks": PARITY_N,
+        "blocks": blocks,
+        "seconds": seconds,
+        "mb_per_s": LLD_RAID5_MB / seconds,
+        "segments_sealed": lld.stats.segments_sealed,
+        "rows_written": lld.stats.rows_written,
+        "full_stripe_writes": rollup["full_stripe_writes"],
+        "rmw_writes": rollup["rmw_writes"],
+        "parity_write_amp": rollup["total_bytes_written"] / volume.stats.bytes_written,
+    }
+
+
 def run():
     spec = BuildSpec.from_scale(0.1)
     raw = {n: run_raw_arm(n) for n in SPINDLE_COUNTS}
     identity = run_identity_arm()
     lld = {n: run_lld_arm(spec, n) for n in (1, 4)}
-    return raw, identity, lld
+    return raw, identity, lld, run_lld_raid5_arm(spec)
 
 
 def test_volume_scaling(benchmark):
-    raw, identity, lld = benchmark.pedantic(run, rounds=1, iterations=1)
+    raw, identity, lld, lld_raid5 = benchmark.pedantic(run, rounds=1, iterations=1)
 
     rows = {}
     for n, arm in raw.items():
@@ -210,6 +252,7 @@ def test_volume_scaling(benchmark):
         "raw": {str(n): arm for n, arm in raw.items()},
         "identity": identity,
         "lld": {str(n): arm for n, arm in lld.items()},
+        "lld_raid5": lld_raid5,
         "write_speedup_at_4": write_speedup_4,
         "read_speedup_at_4": read_speedup_4,
         "speedup_floor": SPEEDUP_FLOOR_AT_4,
@@ -240,6 +283,14 @@ def test_volume_scaling(benchmark):
     emit(f"LLD recovery speedup at N=4: {recovery_speedup:.2f}x (floor 2.0x)")
     assert recovery_speedup >= 2.0
     assert lld[4]["write_seconds"] <= lld[1]["write_seconds"] * 1.10
+    # A streaming log reaches RAID-5 mostly as full stripes.
+    emit(
+        f"LLD on RAID-5: {lld_raid5['mb_per_s']:.2f} MB/s, "
+        f"{lld_raid5['full_stripe_writes']} full-stripe / {lld_raid5['rmw_writes']} "
+        f"RMW writes, parity write amp {lld_raid5['parity_write_amp']:.3f}"
+    )
+    assert lld_raid5["full_stripe_writes"] >= lld_raid5["segments_sealed"] // PARITY_N
+    assert lld_raid5["parity_write_amp"] < 1.6
 
 
 # ----------------------------------------------------------------------

@@ -315,14 +315,21 @@ def enumerate_parity_crash_states(
         )
         return True
 
+    def cut(vector: tuple[int, ...]) -> tuple[Plan, ...]:
+        return tuple(tuple(full_plans[m][: vector[m]]) for m in range(n))
+
+    # Every cut first (as CrashStateEnumerator does with its prefixes):
+    # states dedupe by plan, and a sampled subset that happens to be a
+    # whole epoch would otherwise shadow the next cut and record it with
+    # this cut's ``covered_seq`` — the oracle would then accept the loss
+    # of anything acknowledged in between.
     for k, vector in enumerate(boundaries):
-        base_plans = tuple(tuple(full_plans[m][: vector[m]]) for m in range(n))
-        covered = sum(vector)
-        if not add("cut", covered, base_plans, detail=f"epoch@{k}"):
+        if not add("cut", sum(vector), cut(vector), detail=f"epoch@{k}"):
             return states
-        if k + 1 >= len(boundaries):
-            break
-        nxt = boundaries[k + 1]
+
+    for k, (vector, nxt) in enumerate(zip(boundaries, boundaries[1:])):
+        base_plans = cut(vector)
+        covered = sum(vector)
         epoch_writes = [list(range(vector[m], nxt[m])) for m in range(n)]
 
         # Torn: one in-flight multi-sector write tears, everything else

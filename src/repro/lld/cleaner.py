@@ -63,9 +63,11 @@ class Cleaner:
             spindles = lld.layout.slot_spindles
             if spindles is not None:
                 # Multi-spindle tie-break: among equally-dead victims,
-                # prefer one off the open segment's spindle so the
-                # cleaner's long victim read overlaps the evacuation
-                # writes landing in the open slot.
+                # prefer one off the open segment's spindle, where the
+                # evacuated blocks will be written. (The write in flight
+                # while the victim is read is not that one but the slot
+                # just sealed — behind an ordering barrier nobody waits
+                # for it — and the tie-break does not look at its member.)
                 open_index = lld.open_segment_index
                 open_spindle = spindles[open_index] if open_index is not None else -1
                 return min(
@@ -189,6 +191,8 @@ class Cleaner:
         self.cleaning = True
         lld.stats.cleanings += 1
         try:
+            # The victim is read from the medium, and may be a held slot.
+            lld.log.write_held()
             data = self._read_data_area(slot)
             lld.stats.blocks_cleaned += lld.log.relocate(
                 self._clustered_order(slot),

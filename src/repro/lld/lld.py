@@ -126,6 +126,12 @@ class LLDStats:
     # stay partial-only), and the bytes those seals wrote.
     seals_by_delta: int = 0
     seal_delta_bytes: int = 0
+    # Stripe rows (layouts that have them): writes that carried several
+    # sealed segments at once, the segments they carried, and the
+    # single-sector header writes that then committed them in log order.
+    rows_written: int = 0
+    segments_gathered: int = 0
+    header_commits: int = 0
 
     # Per-tenant counter slices, populated only when a multi-tenant
     # server binds tenants with :meth:`LLD.set_tenant` (name -> counters).
@@ -295,6 +301,7 @@ class LLD(LogicalDisk):
         """
         self._initialized = False
         self.log.open = None
+        self.log.held.clear()  # sealed but never written: never acknowledged
         if self.read_cache is not None:
             self.read_cache.clear()  # main-memory state is lost
 
@@ -322,11 +329,15 @@ class LLD(LogicalDisk):
 
         The scheduler's elevator sorts read batches by this key so each
         batch sweeps every spindle once in LBA order. Unallocated,
-        never-written, and open-segment blocks (served from memory) have
-        no physical location to seek to and return ``None``.
+        never-written, and open- or held-segment blocks (served from
+        memory) have no physical location to seek to and return ``None``.
         """
         entry = self.state.blocks.get(bid)
-        if entry is None or entry.segment in (NO_SEGMENT, self.open_segment_index):
+        if (
+            entry is None
+            or entry.segment == NO_SEGMENT
+            or self.log.resident(entry.segment) is not None
+        ):
             return None
         lba, _nsectors, _skew = self.layout.block_extent(
             entry.segment, entry.offset, entry.stored_length
@@ -398,9 +409,10 @@ class LLD(LogicalDisk):
         """Serve ``bid`` without disk I/O: ``(entry, data-or-None)``.
 
         The one place a read is counted and probed: never-written blocks
-        read as ``b""``, open-segment blocks come out of the in-memory
-        image, and everything else asks the read cache. ``None`` means a
-        miss the caller must hand to :meth:`_fetch_runs`.
+        read as ``b""``, blocks of the open segment (and of sealed ones
+        held for their row) come out of the in-memory image, and
+        everything else asks the read cache. ``None`` means a miss the
+        caller must hand to :meth:`_fetch_runs`.
         """
         entry = self.state.block(bid)
         if entry.segment == NO_SEGMENT:
@@ -410,8 +422,8 @@ class LLD(LogicalDisk):
         tenant = self._tenant
         if tenant is not None:
             tenant.blocks_read += 1
-        seg = self.log.open
-        if entry.segment == seg.index:
+        seg = self.log.resident(entry.segment)
+        if seg is not None:
             raw = seg.read_data(entry.offset, entry.stored_length)
             self.stats.memory_reads += 1
             data = self._decode(entry, raw)
@@ -481,8 +493,8 @@ class LLD(LogicalDisk):
     def stored_bytes(self, entry: BlockEntry) -> bytes:
         """A written block's stored (possibly compressed) bytes, verbatim:
         what relocation moves. Decodes, counts and caches nothing."""
-        seg = self.log.open
-        if entry.segment == seg.index:
+        seg = self.log.resident(entry.segment)
+        if seg is not None:
             return seg.read_data(entry.offset, entry.stored_length)
         ((_run, (_lba, _nsectors, skew), buf),) = self._fetch_stored([[(0, entry)]])
         return bytes(buf[skew : skew + entry.stored_length])
@@ -822,15 +834,16 @@ class LLD(LogicalDisk):
         returns once everything written so far, sealed images still in
         flight on a multi-disk volume included, is on the medium.
 
-        Only flushes that find work count in ``stats.flushes``; a flush of
-        an empty open segment counts in ``stats.flushes_noop`` instead, so
+        Only flushes that find work count in ``stats.flushes``; a flush
+        with nothing in memory — an empty open segment and no sealed one
+        held for its row — counts in ``stats.flushes_noop`` instead, so
         benchmark denominators stay honest.
         """
         self._require_init()
         tr = self.tracer
         with tr.span("lld.flush") if tr else NULL_SPAN:
             self.compression.drain_pipeline()
-            if self.log.open.is_empty:
+            if self.log.open.is_empty and not self.log.held:
                 self.stats.flushes_noop += 1
                 return
             self.stats.flushes += 1
@@ -947,7 +960,17 @@ class LLD(LogicalDisk):
     def free_segment_count(self) -> int:
         """Number of completely empty segment slots."""
         free = self.state.free_slots
-        return len(free) - (1 if self.open_segment_index in free else 0)
+        count = len(free)
+        # A slot whose current contents are in memory only — the open
+        # segment's, a held one's — cannot be opened, whatever its usage.
+        log = self.log
+        seg = log.open
+        if seg is not None and seg.index in free:
+            count -= 1
+        for seg in log.held:
+            if seg.index in free:
+                count -= 1
+        return count
 
     def __repr__(self) -> str:
         status = "online" if self._initialized else "offline"

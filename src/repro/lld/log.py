@@ -7,6 +7,13 @@ every ordering point through ``barrier``. It walks each slot through one
 lifecycle, described in DESIGN.md §8::
 
     free -> open -> partially durable -> sealed -> retired -> scrubbed -> free
+            open -> sealed (held) -> written -> committed -> retired ...
+
+The second line exists where the device has stripe rows
+(``DiskLayout.row_width`` > 1): the write unit is then a row, and
+consecutive sealed segments no ``Flush`` has touched wait in memory for
+their neighbours, leave as one write and are committed in log order
+(:meth:`LogWriter.write_held`).
 
 The cleaner, the reorganizers, NVRAM and the LD surface are its clients.
 """
@@ -85,6 +92,25 @@ class LogWriter:
         self.events = getattr(disk, "events", None)
         self.arus = ARUTable()
         self.open: OpenSegment | None = None
+        #: Sealed segments not written yet: consecutive slots of one stripe
+        #: row, in log order. Always empty on a layout without rows.
+        self.held: list[OpenSegment] = []
+        #: Where the open and the held segments live, laid out as their row
+        #: is on disk (one slot on a layout without rows): a row leaves as a
+        #: zero-copy view of it, and it bounds what can be held.
+        self._row = memoryview(bytearray(layout.row_width * config.segment_size))
+        #: Its positions that have held a segment: handed out again they
+        #: are zeroed first. (Fresh ones are zero, and stay untouched pages
+        #: until something is appended — a recovery opens one and fills
+        #: little.)
+        self._used = [False] * layout.row_width
+        #: What they are zeroed from: allocated once, because a fresh
+        #: half-megabyte of zeros per seal is a hundred page faults.
+        self._zeros = bytes(config.segment_size)
+        #: Free slots whose on-disk summary was dead — and everything that
+        #: killed it on the medium — when last nothing sealed was held: the
+        #: slots a segment may blank without waiting for anything.
+        self._dead: set[int] = set()
         #: Retired slots: cleaned out, their stale summaries awaiting the
         #: scrub that the next durable open-segment image makes safe.
         self.retired: set[int] = set()
@@ -110,6 +136,7 @@ class LogWriter:
         """
         current = self.open.index if self.open is not None else -1
         state = self.state
+        held = {seg.index for seg in self.held}
         # LLDState keeps the free-slot set as usage crosses zero, so only
         # actual candidates are ranked (ranks: see pick_slot).
         ranks = {
@@ -117,12 +144,44 @@ class LogWriter:
             else 2 if state.slot_holds_metadata(free)
             else 1
             for free in state.free_slots
-            if free != current
+            if free != current and free not in held
         }
+        if not ranks:
+            self.write_held()  # pick_slot will raise: leave nothing unwritten
         slot = pick_slot(ranks, self.layout, current)
+        rows = self.layout.slot_rows
+        if held and (slot != current + 1 or rows[slot][0] != rows[current][0]):
+            self.write_held()  # placement left the row, or skipped a slot of it
+        if rows is not None and not self.held:
+            # Every record logged so far is on the medium or ordered ahead
+            # of whatever is written next, so a slot that is dead now is
+            # dead after any crash; one that dies from here on is dead only
+            # once the segment that killed it — possibly held — is written.
+            self._dead = {free for free, rank in ranks.items() if rank <= 1}
+            self._dead -= self.retired
         self.retired.discard(slot)
-        self.open = OpenSegment(slot, self.config)
+        size = self.config.segment_size
+        position = rows[slot][1] if rows is not None else 0
+        buffer = self._row[position * size : (position + 1) * size]
+        if self._used[position]:
+            buffer[:] = self._zeros
+        self._used[position] = True
+        self.open = OpenSegment(slot, self.config, buffer)
+        self.open.holdable = slot in self._dead
+        self._dead.discard(slot)
         self.relog_slot(slot)
+
+    def resident(self, slot: int) -> OpenSegment | None:
+        """The in-memory segment over ``slot`` — the open one or a held
+        one — or None: where its blocks must be read from, the slot on
+        disk being stale or blank."""
+        seg = self.open
+        if seg is not None and seg.index == slot:
+            return seg
+        for seg in self.held:
+            if seg.index == slot:
+                return seg
+        return None
 
     def has_room(self, data_len: int, record_bytes: int) -> bool:
         """Room left in the open segment for that much data and records?"""
@@ -288,13 +347,17 @@ class LogWriter:
     # ------------------------------------------------------------------
 
     def flush(self) -> None:
-        """Make the (non-empty) open segment durable: sealed at or above
-        the partial threshold, else held in NVRAM or written to its slot
-        while it keeps filling in memory (paper §3.2)."""
+        """Make everything logged durable: the held segments, and the open
+        one — sealed at or above the partial threshold, else held in NVRAM
+        or written to its slot while it keeps filling in memory (paper
+        §3.2)."""
         if self.open.fill_fraction >= self.config.partial_threshold:
-            self.seal()
-        elif not self._absorb_in_nvram():
-            self._write_partial()
+            self.seal()  # may join the held row, which then leaves whole
+        elif not self.open.is_empty:
+            self.write_held()  # log order: what was sealed goes first
+            if not self._absorb_in_nvram():
+                self._write_partial()
+        self.write_held()
         # The acknowledgement point: everything this flush wrote — and any
         # sealed image still in flight behind an ordering barrier — must be
         # on the medium before the client hears back, and before any later
@@ -311,23 +374,105 @@ class LogWriter:
         summary — unless ``LLDConfig.delta_partial_flush`` is off (the
         paper's strategy: the whole image again). The slot ends up
         byte-identical either way.
+
+        On a layout with stripe rows a sealed segment is *held* instead,
+        to leave with its row (:meth:`write_held`) — if writing its body
+        under a blanked header can lose nothing: no ``Flush`` has touched
+        it (nothing of it is on its slot or in NVRAM, so nothing
+        acknowledged is un-committed), and the summary it blanks was
+        durably dead when the hold began (``holdable``, from ``open_next``:
+        not a slot whose live records it re-logged into itself, not one
+        whose records live on only in a segment that is itself still held).
         """
         seg = self.open
         if seg.is_empty:
             return
+        nvram = self.nvram
+        hold = (
+            seg.holdable
+            and seg.never_flushed
+            and not (nvram is not None and nvram.slot == seg.index)
+        )
         delta = self.config.delta_partial_flush and not seg.never_flushed
         tr = self.tracer
         with (
-            tr.span("lld.segment_seal", slot=seg.index, delta=delta) if tr else NULL_SPAN
+            tr.span("lld.segment_seal", slot=seg.index, delta=delta, held=hold)
+            if tr
+            else NULL_SPAN
         ):
             self.compression.drain_pipeline()
-            written = sum(self._write_slot(delta))
+            if hold:
+                self.held.append(seg)
+                # Its records exist nowhere else yet, but will: they pin
+                # tombstones from now on, as the summary they replace does.
+                self.state.summary_min_ts.setdefault(seg.index, seg.min_timestamp())
+            else:
+                self.write_held()
+                written = sum(self._write_slot(seg, delta))
+                if delta:
+                    self.stats.seals_by_delta += 1
+                    self.stats.seal_delta_bytes += written
             self.stats.segments_sealed += 1
-            if delta:
-                self.stats.seals_by_delta += 1
-                self.stats.seal_delta_bytes += written
             self.open_next()
         self.after_seal()
+
+    def write_held(self) -> None:
+        """sealed (held) -> written -> committed: put the held segments on
+        their slots, as one write.
+
+        Called when placement leaves the row (a complete row always does)
+        and before anything that needs them on the medium or reads slots
+        from it: ``flush``, a seal that cannot be held, the cleaner, a
+        scrub. One segment goes out as the image it would have been at
+        its seal. Several are one barrier epoch, of which any part can
+        land, and a later segment that parses without an earlier one is a
+        state the log never was in; so the body — whole slots, a full
+        stripe when the row is complete — goes out with every summary
+        magic blanked, and after a barrier each segment's real first
+        sector follows in log order, a barrier between them: a crash
+        leaves a prefix of the row. ``torn_write_protection``'s body,
+        guard, header flip, applied across the row — and the same with
+        that protection on or off.
+        """
+        held = self.held
+        if not held:
+            return
+        self.held = []
+        if len(held) == 1:
+            self._write_slot(held[0], delta=False)
+            return
+        layout = self.layout
+        size = self.config.segment_size
+        full = len(held) == layout.row_width
+        tr = self.tracer
+        with (
+            tr.span("lld.row_write", slot=held[0].index, segments=len(held), full=full)
+            if tr
+            else NULL_SPAN
+        ):
+            for seg in held:
+                last = seg.image()  # patches the header: the records are final
+                seg.blank_magic()
+            # A complete row goes out to its last byte — the padding is
+            # what makes it a full stripe; a partial one ends with the
+            # last segment's image.
+            start = layout.slot_rows[held[0].index][1] * size
+            end = layout.slot_rows[held[-1].index][1] * size + (size if full else len(last))
+            self._disk_write(layout.slot_lba(held[0].index), self._row[start:end])
+            self.barrier("row-body")
+            self._commit_row(held)
+            self.stats.rows_written += 1
+            self.stats.segments_gathered += len(held)
+
+    def _commit_row(self, held: list[OpenSegment]) -> None:
+        """Make a written row's segments part of the log, in log order."""
+        for seg in held:
+            if seg is not held[0]:
+                self.barrier("row-commit")
+            self._disk_write(self.layout.slot_lba(seg.index), seg.header_sector())
+            self.stats.header_commits += 1
+            seg.mark_durable()
+        self._summaries_durable("row-commit", held)
 
     def _write_partial(self) -> None:
         """Write the below-threshold open segment to its slot: the whole
@@ -336,32 +481,31 @@ class LogWriter:
         tr = self.tracer
         with tr.span("lld.partial_flush", slot=seg.index) if tr else NULL_SPAN:
             if not self.config.delta_partial_flush:
-                self._write_slot(delta=False)
+                self._write_slot(seg, delta=False)
             elif not (seg.summary_dirty or seg.data_dirty):
                 # Everything is already durable on disk: nothing to write.
                 self.stats.partial_delta_noop += 1
                 return
             elif seg.never_flushed:
-                self._write_slot(delta=False)
+                self._write_slot(seg, delta=False)
                 self.stats.partial_full_writes += 1
             else:
-                data_bytes, summary_bytes = self._write_slot(delta=True)
+                data_bytes, summary_bytes = self._write_slot(seg, delta=True)
                 self.stats.partial_delta_flushes += 1
                 self.stats.partial_delta_data_bytes += data_bytes
                 self.stats.partial_delta_summary_bytes += summary_bytes
             self.stats.partial_segment_writes += 1
 
-    def _write_slot(self, delta: bool) -> tuple[int, int]:
-        """Bring the open segment's slot up to date: the whole image, or
-        (``delta``) the data tail past the watermark, then the summary —
-        each only if it has something new to carry. Returns the ``(data,
-        summary)`` bytes written.
+    def _write_slot(self, seg: OpenSegment, delta: bool) -> tuple[int, int]:
+        """Bring ``seg``'s slot up to date: the whole image, or (``delta``)
+        the data tail past the watermark, then the summary — each only if
+        it has something new to carry. Returns the ``(data, summary)``
+        bytes written.
 
         The data tail goes first: a crash between the two writes leaves
         the previous summary on disk, which describes only the durable
         prefix, so recovery sees exactly the state of the previous flush.
         """
-        seg = self.open
         tr = self.tracer
         lba = self.layout.slot_lba(seg.index)
         data_bytes = summary_bytes = 0
@@ -401,7 +545,7 @@ class LogWriter:
         seg.mark_durable()
         if self.nvram is not None and self.nvram.slot == seg.index:
             self.nvram.clear()  # the disk copy supersedes the NVRAM image
-        self._open_summary_durable("segment-image")
+        self._summaries_durable("segment-image", (seg,))
         return data_bytes, summary_bytes
 
     def _write_summary_first(self, lba: int, image, tail_start: int) -> int:
@@ -450,23 +594,25 @@ class LogWriter:
             # watermark no longer describes durable-on-disk bytes: reset it,
             # and a later non-absorbed flush writes the full image again.
             seg.reset_durable()
-            self._open_summary_durable("nvram-absorb")
+            self._summaries_durable("nvram-absorb", (seg,))
             self.stats.nvram_absorbed += 1
             return True
 
-    def _open_summary_durable(self, label: str) -> None:
-        """The open segment's summary just became durable, on its slot or
-        in NVRAM. The barrier orders that image before everything after it
-        — in particular the scrubs below, which are only safe once the
-        records re-logged out of the retired slots are durable in it."""
-        seg = self.open
+    def _summaries_durable(self, label: str, segs) -> None:
+        """``segs``' summaries just became durable, on their slots or in
+        NVRAM. The barrier orders them before everything after them — in
+        particular the scrubs below, which are only safe once the records
+        re-logged out of the retired slots are durable: when ``segs``
+        include the open segment (held ones were written ahead of it), or
+        the open segment has logged nothing that is not on its slot."""
         self.barrier(label)
-        min_ts = seg.min_timestamp()
-        if min_ts is None:
-            self.state.summary_min_ts.pop(seg.index, None)
-        else:
-            self.state.summary_min_ts[seg.index] = min_ts
-        if self.retired:
+        for seg in segs:
+            min_ts = seg.min_timestamp()
+            if min_ts is None:
+                self.state.summary_min_ts.pop(seg.index, None)
+            else:
+                self.state.summary_min_ts[seg.index] = min_ts
+        if self.retired and (self.open in segs or not self.open.summary_dirty):
             # retired -> scrubbed: destroying the stale summaries lets the
             # minimum summary timestamp rise.
             self.scrub(self.retired)
@@ -477,8 +623,10 @@ class LogWriter:
         """Destroy the stale summaries of those of ``slots`` that are free.
 
         The caller guarantees that whatever a summary still homes is
-        durable elsewhere. The package's only ``empty_summary`` writer.
+        durable elsewhere — once the held segments are, which therefore go
+        first. The package's only ``empty_summary`` writer.
         """
+        self.write_held()
         empty = empty_summary(self.config.summary_capacity)
         open_index = self.open.index if self.open is not None else -1
         for slot in sorted(slots):

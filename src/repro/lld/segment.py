@@ -7,7 +7,8 @@ one-sweep recovery possible (paper §3.2): recovery reads
 
 Hot-path CPU architecture (DESIGN.md §11): the open segment keeps its
 entire slot image — summary area followed by data area — in **one**
-zero-initialized ``bytearray`` laid out exactly as the slot is on disk.
+zero-initialized buffer laid out exactly as the slot is on disk (a window
+of the log writer's row buffer, so that a whole stripe row is one view).
 Records are packed into the summary area *once*, at append time, with a
 running CRC32; the 12 mutable header bytes (record count, body length,
 CRC) are patched in place when an image is needed. ``image()``,
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from collections import Counter
 
 from repro.disk.disk import SimulatedDisk
 from repro.ld.errors import OutOfSpaceError
@@ -206,6 +208,27 @@ class DiskLayout:
         else:
             self.slot_spindles = None
             self.slot_parity_spindles = None
+        # Row awareness: a parity volume exports the size of a write that
+        # needs no pre-read (``full_stripe_sectors``; a bare disk, a stripe
+        # and a mirror export none). Slots start at whole multiples of the
+        # slot size, so when that size is a whole multiple (> 1) of the
+        # slot, slots tile the stripe rows exactly: ``slot_rows`` maps each
+        # slot to its ``(row, position in the row)`` and ``row_width``
+        # consecutive sealed segments can leave as one full-stripe write.
+        # Any other geometry has no rows: ``row_width`` 1, ``slot_rows``
+        # None, and placement and the log writer behave as on one disk.
+        slot_sectors = config.sectors_per_segment
+        stripe_sectors = getattr(disk.geometry, "full_stripe_sectors", 0)
+        width = stripe_sectors // slot_sectors
+        if width > 1 and stripe_sectors % slot_sectors == 0:
+            first = self.data_start_lba // slot_sectors
+            self.row_width = width
+            self.slot_rows: list[tuple[int, int]] | None = [
+                divmod(first + seg, width) for seg in range(self.segment_count)
+            ]
+        else:
+            self.row_width = 1
+            self.slot_rows = None
 
     def slot_lba(self, segment: int) -> int:
         """First LBA of segment slot ``segment``."""
@@ -243,19 +266,34 @@ def pick_slot(ranks: dict[int, int], layout, current: int) -> int:
     re-logged); ``current`` is the slot being left (-1 at start-up).
 
     Among the cheapest slots a single disk takes the next one after
-    ``current`` (sequential layout). A multi-spindle ``layout``
-    round-robins whole slots across the member disks, so consecutive
-    sealed segments — and the cleaner traffic chasing them — land on
-    different spindles and their writes overlap in simulated time. On
-    parity layouts the just-sealed slot's write also busies its
-    parity-chunk member (rotating for RAID-5): a candidate whose data
-    lands there is as bad as staying put and ranks past every real ring
-    distance. Within a spindle the sequential bias holds.
+    ``current`` (sequential layout). A ``layout`` with stripe rows fills
+    them in order, because a row written whole costs no pre-read: the next
+    cheapest slot of ``current``'s row while there is one, else the lowest
+    slot — after ``current`` before wrapping — of the row with the most
+    cheapest slots left, the row likeliest to be filled whole. Any other
+    multi-spindle ``layout`` round-robins whole slots across the member
+    disks, so consecutive sealed segments — and the cleaner traffic chasing
+    them — land on different spindles and their writes overlap in simulated
+    time. On parity layouts without rows the just-sealed slot's write also
+    busies its parity-chunk member (rotating for RAID-5): a candidate whose
+    data lands there is as bad as staying put and ranks past every real
+    ring distance. Within a spindle the sequential bias holds.
     """
     if not ranks:
         raise OutOfSpaceError("no free segments left")
     best = min(ranks.values())
     candidates = sorted(slot for slot, rank in ranks.items() if rank == best)
+    rows = layout.slot_rows
+    if rows is not None:
+        if current >= 0:
+            row = rows[current][0]
+            for slot in candidates:
+                if slot > current and rows[slot][0] == row:
+                    return slot
+        room = Counter(rows[slot][0] for slot in candidates)
+        return min(
+            candidates, key=lambda slot: (-room[rows[slot][0]], slot <= current, slot)
+        )
     spindles = layout.slot_spindles
     if spindles is None or current < 0:
         return next((slot for slot in candidates if slot > current), candidates[0])
@@ -284,16 +322,24 @@ class OpenSegment:
     a ``memoryview`` slice of this buffer, never a rebuilt ``bytes``.
     """
 
-    def __init__(self, index: int, config: LLDConfig) -> None:
+    def __init__(self, index: int, config: LLDConfig, buffer: memoryview | None = None) -> None:
         self.index = index
         self.config = config
         summary_capacity = config.summary_capacity
         # Slot image: [summary area][data area], zero-initialized so
-        # padding (summary tail, final data sector) is free.
-        self._image_buf = bytearray(summary_capacity + config.data_capacity)
-        self._image_view = memoryview(self._image_buf)
-        self._image_buf[0:4] = SUMMARY_MAGIC  # header template, written once
+        # padding (summary tail, final data sector) is free. The log
+        # writer passes ``buffer``, a zeroed ``segment_size`` window of its
+        # row buffer, so that neighbouring segments are contiguous in
+        # memory as their slots are on disk; alone, the segment owns one.
+        if buffer is None:
+            buffer = memoryview(bytearray(config.segment_size))
+        self._image_view = buffer
+        buffer[0:4] = SUMMARY_MAGIC  # header template, written once
         self._summary_capacity = summary_capacity
+        #: May this segment, once sealed, wait in memory for its stripe row
+        #: and be written under a blanked header? The log writer decides
+        #: when it opens the slot (``LogWriter.open_next``).
+        self.holdable = False
         #: Data area as a writable zero-copy window into the slot image.
         self.data = self._image_view[summary_capacity:]
         self.used = 0
@@ -340,7 +386,7 @@ class OpenSegment:
         end = self.summary_used + record.SIZE
         if end > self._summary_capacity:
             raise ValueError("segment summary overflow")
-        record.pack_into(self._image_buf, self.summary_used)
+        record.pack_into(self._image_view, self.summary_used)
         self._crc = zlib.crc32(self._image_view[self.summary_used : end], self._crc)
         self.summary_used = end
         self.records.append(record)
@@ -351,7 +397,7 @@ class OpenSegment:
     def _patch_summary_header(self) -> None:
         """Refresh the mutable header fields over the packed record bytes."""
         _SUMMARY_MUTABLE.pack_into(
-            self._image_buf, 4,
+            self._image_view, 4,
             len(self.records), self.summary_used - _HEADER_SIZE, self._crc,
         )
 
@@ -382,6 +428,19 @@ class OpenSegment:
         end = self._summary_capacity + self.used
         end += (-end) % SECTOR
         return self._image_view[:end]
+
+    def blank_magic(self) -> None:
+        """Make the summary unparseable where it stands: a sealed segment
+        written like this occupies its slot without being part of the log,
+        until :meth:`header_sector` is written over its first sector."""
+        self._image_view[0:4] = bytes(4)
+
+    def header_sector(self):
+        """Sector 0 of the image, magic in place: header and first records.
+        One sector, so writing it is atomic in the crash model: the commit
+        of a segment whose body went out under a blanked magic."""
+        self._image_view[0:4] = SUMMARY_MAGIC
+        return self._image_view[:SECTOR]
 
     def min_timestamp(self) -> int | None:
         """Oldest record timestamp in the summary (None when empty)."""

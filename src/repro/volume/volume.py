@@ -115,18 +115,27 @@ class VolumeGeometry:
     """Synthetic geometry of a volume: member timing, composite capacity.
 
     Sizing attributes (``total_sectors``, ``capacity_bytes``) describe the
-    volume's addressable space; every other attribute (timing constants,
+    volume's addressable space and ``full_stripe_sectors`` the write size
+    its layout makes cheap; every other attribute (timing constants,
     track shape) delegates to the member geometry, so consumers that
     reason about request cost — e.g. the recovery sweep's coalescing
     heuristic — see the real spindle characteristics.
     """
 
-    def __init__(self, member: DiskGeometry, total_sectors: int) -> None:
+    def __init__(
+        self, member: DiskGeometry, total_sectors: int, full_stripe_sectors: int = 0
+    ) -> None:
         #: Geometry every member spindle shares.
         self.member = member
         self.total_sectors = total_sectors
         self.sector_size = member.sector_size
         self.capacity_bytes = total_sectors * member.sector_size
+        #: What a cheap write is (the ``io_opt`` a real array reports): a
+        #: write covering whole multiples of this many sectors, aligned to
+        #: it, updates parity without reading anything back. 0 where no
+        #: size is special — stripes and mirrors, like a bare disk, which
+        #: has no such attribute at all.
+        self.full_stripe_sectors = full_stripe_sectors
 
     def __getattr__(self, name: str):
         return getattr(self.member, name)
@@ -359,7 +368,12 @@ class Volume:
                 n, self.chunk_sectors, member_sectors, rotate=layout == "raid5"
             )
             self._write_plan, self._lost_runs = self._write_rows, self._row_runs
-        self.geometry = VolumeGeometry(member_geo, self.map.total_sectors)
+        pmap = self.parity_map
+        self.geometry = VolumeGeometry(
+            member_geo,
+            self.map.total_sectors,
+            pmap.data_per_row * pmap.chunk_sectors if pmap is not None else 0,
+        )
         #: Volume-level request counters under the same type the layers
         #: above already consume (``lld.disk.stats``); mechanical time is
         #: charged on the *member* stats, so the time fields here stay 0.

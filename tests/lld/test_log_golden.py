@@ -13,13 +13,20 @@ stripe / RAID-5. A journalling wrapper between the LLD and its device
 (``JournalDisk``: :class:`~repro.crashsim.RecordingDisk`'s idea extended
 to reads, every barrier label, and volumes, which have no ``snapshot()``)
 records the request sequence; at the end of a script the test hashes
-three things apart, so that a change which is *supposed* to move one of
-them keeps the pin on the other two:
+four things apart, so that a change which is *supposed* to move one of
+them keeps the pin on the others:
 
-* ``outcome`` — what the script left behind: the final image of every
-  member, and the state a fresh LLD recovers from it (blocks, lists,
-  usage, homes, tombstones, the recovery report's counts, every block's
-  bytes);
+* ``contents`` — what a client gets back from a fresh LLD recovered on
+  the final image, wherever the log put it: every block's bytes, lengths
+  and successor, the lists, which blocks and lists are buried, and the
+  recovery report's counts of ARUs and discarded records. No slot number,
+  offset, timestamp or count of superseded copies enters it, so a change
+  of *placement* leaves it alone;
+* ``layout`` — what the script left behind, placement included: the
+  final image of every member and the whole recovered state (block
+  locations, usage, homes, tombstone homes and timestamps, summary
+  timestamps). It contains ``contents``: a write-path optimisation moves
+  neither, a placement change moves this one only;
 * ``requests`` — what the device was asked: the journal
   (``(w, lba, nsectors, crc32)``, ``(r, lba, nsectors)``,
   ``(R, [(lba, nsectors), ...])`` for ``read_batch``, ``(b, label)``),
@@ -35,21 +42,27 @@ is *supposed* to change, and ``tests/lld/test_lld_aru.py`` pins the fix.
 
 The whole table was captured from the PARENT commit of the PR that
 introduced this file (d6408cc, the 1 454-line ``LLD`` class), and split
-into the three components at 0b4ce39 (the parent of the seal-by-delta PR)
-with every digest still the parent's, by running, in a checkout of that
-commit with this file copied in::
+into components at 0b4ce39 (the parent of the seal-by-delta PR) and again
+at 687104f (the parent of the row-gather PR: ``outcome`` became
+``layout``, digest for digest, and ``contents`` was added beside it) with
+every digest still the parent's, by running, in a checkout of that commit
+with this file copied in::
 
     PYTHONPATH=src python tests/lld/test_log_golden.py
 
-which prints ``GOLDEN``. Since then one change moved requests on purpose
-— seal by delta with ordering barriers, the PR whose parent is 0b4ce39 —
-and re-captured, in its own checkout, only what it was supposed to move:
-``requests`` on the ``delta`` arms (86 of 96 moved; all 96 ``image`` arms
-are the parent's), ``clocks`` on the ``delta`` arms and on every stripe and
-RAID-5 arm (the 32 bare-disk ``image`` arms are the parent's). ``outcome``
-is the parent's on all 192. A change that keeps requests where they are
-re-captures nothing; one that moves them re-captures the components it
-names up front and shows the rest byte-identical to this table.
+which prints ``GOLDEN``. Since then two changes moved requests on purpose
+and re-captured, each in its own checkout, only what it was supposed to
+move. Seal by delta with ordering barriers (parent 0b4ce39): ``requests``
+on the ``delta`` arms (86 of 96 moved; all 96 ``image`` arms are the
+parent's), ``clocks`` on the ``delta`` arms and on every stripe and RAID-5
+arm (the 32 bare-disk ``image`` arms are the parent's). Row gather (parent
+687104f): placement fills stripe rows in order and consecutive sealed
+segments leave as one write, which exists on the 64 RAID-5 arms only —
+``layout``, ``requests`` and ``clocks`` re-captured there, ``contents`` the
+parent's on all 192 and all four components the parent's on the 128 bare
+and stripe arms. A change that keeps requests where they are re-captures
+nothing; one that moves them re-captures the components it names up front
+and shows the rest byte-identical to this table.
 
 Two stats fields are allowed to differ from the d6408cc capture, and only
 as ``bypassed()`` says: at the parent the ``compact_tombstones`` / ``scrub_slot`` scrub
@@ -86,217 +99,220 @@ DEVICES = ("bare", "stripe", "raid5")
 #: ``LLDStats`` counters younger than the parent capture. They are folded
 #: into ``requests`` only once they count something, so the runs they stay
 #: zero on (every ``image`` arm) keep the parent's digest.
-SINCE_CAPTURE = ("seals_by_delta", "seal_delta_bytes")
+SINCE_CAPTURE = (
+    "seals_by_delta", "seal_delta_bytes",
+    "rows_written", "segments_gathered", "header_commits",
+)
 
 #: ``GOLDEN[script][config]`` = the ``COMPONENTS`` digests, in that order.
-GOLDEN: dict[str, dict[str, tuple[str, str, str]]] = {
+GOLDEN: dict[str, dict[str, tuple[str, str, str, str]]] = {
     'arus': {
-        'bare/delta/torn/nvram': ('f8e89e82111a', '402eae494b9d', '1175e9ba93fe'),
-        'bare/delta/torn/disk': ('c0448b9cb9cd', '8464a6d8765b', 'bfa919923006'),
-        'bare/delta/plain/nvram': ('f8e89e82111a', 'a6a80f522775', '4d201d252b96'),
-        'bare/delta/plain/disk': ('c0448b9cb9cd', 'bf47435c21fd', 'cd52130c1b2f'),
-        'bare/image/torn/nvram': ('f8e89e82111a', '4c9d0c110b57', '5a3be9cc33a4'),
-        'bare/image/torn/disk': ('c0448b9cb9cd', 'a8d397ee7799', 'a7bb45faec1c'),
-        'bare/image/plain/nvram': ('f8e89e82111a', '2dcdbc5c812d', '13ed21ccceca'),
-        'bare/image/plain/disk': ('c0448b9cb9cd', '8ca254a54925', 'd19dba65636c'),
-        'stripe/delta/torn/nvram': ('83d70aed560a', 'fd05dcf9ccf3', '47ed5cf22d08'),
-        'stripe/delta/torn/disk': ('9367f26da1dc', '5e4500b110ee', 'f8cc9fff35e1'),
-        'stripe/delta/plain/nvram': ('83d70aed560a', '23d257ef66e4', '15dbf9f61ad5'),
-        'stripe/delta/plain/disk': ('9367f26da1dc', '38126c614c4c', 'd2fb8c7b1355'),
-        'stripe/image/torn/nvram': ('83d70aed560a', 'ec180f2b01b6', '47ed5cf22d08'),
-        'stripe/image/torn/disk': ('9367f26da1dc', '1b20afef32c4', 'f8cc9fff35e1'),
-        'stripe/image/plain/nvram': ('83d70aed560a', '44e5213db3f3', '15dbf9f61ad5'),
-        'stripe/image/plain/disk': ('9367f26da1dc', 'd6b8ed4c179e', 'ce86b6e6e9ed'),
-        'raid5/delta/torn/nvram': ('3d479c585310', 'e75dad9d8f92', '148e22aa85bb'),
-        'raid5/delta/torn/disk': ('80c1b6fb5068', '6175d5485b5c', '2f17425cedb0'),
-        'raid5/delta/plain/nvram': ('3d479c585310', '4233ddb5ac39', '6959aae1918f'),
-        'raid5/delta/plain/disk': ('80c1b6fb5068', '56f0c0b0332b', 'b92b5690f18b'),
-        'raid5/image/torn/nvram': ('3d479c585310', '0ecb4b0431cf', '124fae41e732'),
-        'raid5/image/torn/disk': ('80c1b6fb5068', 'f0c5b98d5621', '012a81a0e0bd'),
-        'raid5/image/plain/nvram': ('3d479c585310', '0bbcc8e6b5ad', 'f5c586750939'),
-        'raid5/image/plain/disk': ('80c1b6fb5068', 'bee78cc2fa85', 'cae63a468d15'),
+        'bare/delta/torn/nvram': ('f587122dddfd', 'f8e89e82111a', '402eae494b9d', '1175e9ba93fe'),
+        'bare/delta/torn/disk': ('f587122dddfd', 'c0448b9cb9cd', '8464a6d8765b', 'bfa919923006'),
+        'bare/delta/plain/nvram': ('f587122dddfd', 'f8e89e82111a', 'a6a80f522775', '4d201d252b96'),
+        'bare/delta/plain/disk': ('f587122dddfd', 'c0448b9cb9cd', 'bf47435c21fd', 'cd52130c1b2f'),
+        'bare/image/torn/nvram': ('f587122dddfd', 'f8e89e82111a', '4c9d0c110b57', '5a3be9cc33a4'),
+        'bare/image/torn/disk': ('f587122dddfd', 'c0448b9cb9cd', 'a8d397ee7799', 'a7bb45faec1c'),
+        'bare/image/plain/nvram': ('f587122dddfd', 'f8e89e82111a', '2dcdbc5c812d', '13ed21ccceca'),
+        'bare/image/plain/disk': ('f587122dddfd', 'c0448b9cb9cd', '8ca254a54925', 'd19dba65636c'),
+        'stripe/delta/torn/nvram': ('9d48309989c7', '83d70aed560a', 'fd05dcf9ccf3', '47ed5cf22d08'),
+        'stripe/delta/torn/disk': ('9d48309989c7', '9367f26da1dc', '5e4500b110ee', 'f8cc9fff35e1'),
+        'stripe/delta/plain/nvram': ('9d48309989c7', '83d70aed560a', '23d257ef66e4', '15dbf9f61ad5'),
+        'stripe/delta/plain/disk': ('9d48309989c7', '9367f26da1dc', '38126c614c4c', 'd2fb8c7b1355'),
+        'stripe/image/torn/nvram': ('9d48309989c7', '83d70aed560a', 'ec180f2b01b6', '47ed5cf22d08'),
+        'stripe/image/torn/disk': ('9d48309989c7', '9367f26da1dc', '1b20afef32c4', 'f8cc9fff35e1'),
+        'stripe/image/plain/nvram': ('9d48309989c7', '83d70aed560a', '44e5213db3f3', '15dbf9f61ad5'),
+        'stripe/image/plain/disk': ('9d48309989c7', '9367f26da1dc', 'd6b8ed4c179e', 'ce86b6e6e9ed'),
+        'raid5/delta/torn/nvram': ('636cb8d0e6c8', '2eaf6552602a', 'f80e988dcbea', 'fa65e952af9c'),
+        'raid5/delta/torn/disk': ('636cb8d0e6c8', '537be0051226', '9beb427c435e', '7b4a014d7f4b'),
+        'raid5/delta/plain/nvram': ('636cb8d0e6c8', '2eaf6552602a', '1a7160ee3f2f', '4a16df301e75'),
+        'raid5/delta/plain/disk': ('636cb8d0e6c8', '537be0051226', '9d5904df8437', 'dfc85842284c'),
+        'raid5/image/torn/nvram': ('636cb8d0e6c8', '2eaf6552602a', 'baa5fe5f95cd', '419e9c7e156e'),
+        'raid5/image/torn/disk': ('636cb8d0e6c8', '537be0051226', '669ee38b5d5e', '310f74e8bc13'),
+        'raid5/image/plain/nvram': ('636cb8d0e6c8', '2eaf6552602a', '0d9277e8eccd', 'e1ee817351a7'),
+        'raid5/image/plain/disk': ('636cb8d0e6c8', '537be0051226', 'a03f850f506c', '3fdf63d5388e'),
     },
     'compaction': {
-        'bare/delta/torn/nvram': ('af1a6f8f12ee', '0f0206e541f0', '766cf4a38a13'),
-        'bare/delta/torn/disk': ('e3a2c3670f29', 'ab59e15a3cf7', '8fc3c72c8551'),
-        'bare/delta/plain/nvram': ('af1a6f8f12ee', 'cdaf4a0463f9', '22bd200a9c61'),
-        'bare/delta/plain/disk': ('e3a2c3670f29', '5d21b0319f30', '3f47e076e8e8'),
-        'bare/image/torn/nvram': ('af1a6f8f12ee', '143b21624ca2', '766cf4a38a13'),
-        'bare/image/torn/disk': ('e3a2c3670f29', '95332a103714', '01c888be6177'),
-        'bare/image/plain/nvram': ('af1a6f8f12ee', '4d3c6f96a726', '0cd46654a9fa'),
-        'bare/image/plain/disk': ('e3a2c3670f29', '5118883dbfee', 'a3c13c3c0ba4'),
-        'stripe/delta/torn/nvram': ('178bfd89ec60', '2cc4d39cee06', '3d64491fe44d'),
-        'stripe/delta/torn/disk': ('9a461984d664', 'e5b93a0396c8', 'd7e4a7df206b'),
-        'stripe/delta/plain/nvram': ('178bfd89ec60', '28c42f761089', '5e77bc7512b2'),
-        'stripe/delta/plain/disk': ('9a461984d664', '30516c18e648', 'd5fb384a29d5'),
-        'stripe/image/torn/nvram': ('178bfd89ec60', 'ebbb87ba0b48', '3d64491fe44d'),
-        'stripe/image/torn/disk': ('9a461984d664', 'da496cdc6700', '8f11f8e64c2b'),
-        'stripe/image/plain/nvram': ('178bfd89ec60', '5795e16f5cea', '5e77bc7512b2'),
-        'stripe/image/plain/disk': ('9a461984d664', '5be74fa4e277', '8f6250d5da00'),
-        'raid5/delta/torn/nvram': ('7e3cf0ee18a0', '9229638a1e00', '477bbfe68914'),
-        'raid5/delta/torn/disk': ('95888c0a5ad9', 'e65e682ab5e6', 'b5f0394bda79'),
-        'raid5/delta/plain/nvram': ('7e3cf0ee18a0', 'fd12a6f81ced', 'fd54373ec86a'),
-        'raid5/delta/plain/disk': ('95888c0a5ad9', '33f2f7851406', '16e6ca5a9bdf'),
-        'raid5/image/torn/nvram': ('7e3cf0ee18a0', '4ef297139aa8', '477bbfe68914'),
-        'raid5/image/torn/disk': ('95888c0a5ad9', 'e13be1ae7761', 'b062ce2a23ba'),
-        'raid5/image/plain/nvram': ('7e3cf0ee18a0', '51f10361578c', '0aeb34545c76'),
-        'raid5/image/plain/disk': ('95888c0a5ad9', '3ec95e6b7d69', '5497ed6c1d65'),
+        'bare/delta/torn/nvram': ('f43c3e5cdaa8', 'af1a6f8f12ee', '0f0206e541f0', '766cf4a38a13'),
+        'bare/delta/torn/disk': ('f43c3e5cdaa8', 'e3a2c3670f29', 'ab59e15a3cf7', '8fc3c72c8551'),
+        'bare/delta/plain/nvram': ('f43c3e5cdaa8', 'af1a6f8f12ee', 'cdaf4a0463f9', '22bd200a9c61'),
+        'bare/delta/plain/disk': ('f43c3e5cdaa8', 'e3a2c3670f29', '5d21b0319f30', '3f47e076e8e8'),
+        'bare/image/torn/nvram': ('f43c3e5cdaa8', 'af1a6f8f12ee', '143b21624ca2', '766cf4a38a13'),
+        'bare/image/torn/disk': ('f43c3e5cdaa8', 'e3a2c3670f29', '95332a103714', '01c888be6177'),
+        'bare/image/plain/nvram': ('f43c3e5cdaa8', 'af1a6f8f12ee', '4d3c6f96a726', '0cd46654a9fa'),
+        'bare/image/plain/disk': ('f43c3e5cdaa8', 'e3a2c3670f29', '5118883dbfee', 'a3c13c3c0ba4'),
+        'stripe/delta/torn/nvram': ('cf67d8db9144', '178bfd89ec60', '2cc4d39cee06', '3d64491fe44d'),
+        'stripe/delta/torn/disk': ('cf67d8db9144', '9a461984d664', 'e5b93a0396c8', 'd7e4a7df206b'),
+        'stripe/delta/plain/nvram': ('cf67d8db9144', '178bfd89ec60', '28c42f761089', '5e77bc7512b2'),
+        'stripe/delta/plain/disk': ('cf67d8db9144', '9a461984d664', '30516c18e648', 'd5fb384a29d5'),
+        'stripe/image/torn/nvram': ('cf67d8db9144', '178bfd89ec60', 'ebbb87ba0b48', '3d64491fe44d'),
+        'stripe/image/torn/disk': ('cf67d8db9144', '9a461984d664', 'da496cdc6700', '8f11f8e64c2b'),
+        'stripe/image/plain/nvram': ('cf67d8db9144', '178bfd89ec60', '5795e16f5cea', '5e77bc7512b2'),
+        'stripe/image/plain/disk': ('cf67d8db9144', '9a461984d664', '5be74fa4e277', '8f6250d5da00'),
+        'raid5/delta/torn/nvram': ('486ae46ecdb9', '38c6adb40e4a', '542a395bd1bb', 'd1b07f87aa31'),
+        'raid5/delta/torn/disk': ('486ae46ecdb9', 'f0f111f70c4d', '68cd43839f90', 'bd6d6f1ea062'),
+        'raid5/delta/plain/nvram': ('486ae46ecdb9', '38c6adb40e4a', '4a45cc71b21f', '1b237bf2c3d5'),
+        'raid5/delta/plain/disk': ('486ae46ecdb9', 'f0f111f70c4d', '69b0e346ad5b', 'fb0e5ea69b9f'),
+        'raid5/image/torn/nvram': ('486ae46ecdb9', '38c6adb40e4a', 'b5db8d6ab194', 'd1b07f87aa31'),
+        'raid5/image/torn/disk': ('486ae46ecdb9', 'f0f111f70c4d', 'a63249604cf9', 'fe72e9e0fb9a'),
+        'raid5/image/plain/nvram': ('486ae46ecdb9', '38c6adb40e4a', 'b46e9c67eaea', '7dd5e176ad9e'),
+        'raid5/image/plain/disk': ('486ae46ecdb9', 'f0f111f70c4d', '5c020dd0314d', '1971163347b6'),
     },
     'compression': {
-        'bare/delta/torn/nvram': ('6a423743ac50', '4a808607b783', '0c1868668ae3'),
-        'bare/delta/torn/disk': ('6a423743ac50', '9d32340fc3f6', '7719587008a4'),
-        'bare/delta/plain/nvram': ('6a423743ac50', '53574484a147', '6c6e857a923f'),
-        'bare/delta/plain/disk': ('6a423743ac50', 'ac038ea7a118', '161a413f68ef'),
-        'bare/image/torn/nvram': ('6a423743ac50', '60cb59cd1c11', '0c1868668ae3'),
-        'bare/image/torn/disk': ('6a423743ac50', '05dd5812fa51', '7719587008a4'),
-        'bare/image/plain/nvram': ('6a423743ac50', 'e3a772599a24', '6c6e857a923f'),
-        'bare/image/plain/disk': ('6a423743ac50', '6d26f5fd85ec', '092c9882e211'),
-        'stripe/delta/torn/nvram': ('fe36c054c241', '3426005104aa', 'bf164a50577a'),
-        'stripe/delta/torn/disk': ('fe36c054c241', '562dbd9512fe', '805db81d030c'),
-        'stripe/delta/plain/nvram': ('fe36c054c241', 'ad0ee85370a9', '4d80b2ca8ebe'),
-        'stripe/delta/plain/disk': ('fe36c054c241', '236fadcd4117', 'ebea76a1fc09'),
-        'stripe/image/torn/nvram': ('fe36c054c241', 'f7672bb63a87', 'bf164a50577a'),
-        'stripe/image/torn/disk': ('fe36c054c241', '3250b0efb307', '2b7df5f3f285'),
-        'stripe/image/plain/nvram': ('fe36c054c241', '4713277bec7c', '4d80b2ca8ebe'),
-        'stripe/image/plain/disk': ('fe36c054c241', '281116300305', 'ebea76a1fc09'),
-        'raid5/delta/torn/nvram': ('1509191e0b2b', '4bf51e96e075', 'eb583c17bf32'),
-        'raid5/delta/torn/disk': ('1509191e0b2b', 'c5abd58f7d25', 'fb0a46ee201b'),
-        'raid5/delta/plain/nvram': ('1509191e0b2b', 'dc66e64f4ee9', 'ffbef80f7540'),
-        'raid5/delta/plain/disk': ('1509191e0b2b', 'f16c3dc7c62f', '61ed44673f29'),
-        'raid5/image/torn/nvram': ('1509191e0b2b', 'fd3f29b7cb4d', 'eb583c17bf32'),
-        'raid5/image/torn/disk': ('1509191e0b2b', '67ac4304df06', '603ce533035a'),
-        'raid5/image/plain/nvram': ('1509191e0b2b', '39972fa1f578', 'ffbef80f7540'),
-        'raid5/image/plain/disk': ('1509191e0b2b', '4572b6ceaa39', '61ed44673f29'),
+        'bare/delta/torn/nvram': ('342b23cd34f7', '6a423743ac50', '4a808607b783', '0c1868668ae3'),
+        'bare/delta/torn/disk': ('342b23cd34f7', '6a423743ac50', '9d32340fc3f6', '7719587008a4'),
+        'bare/delta/plain/nvram': ('342b23cd34f7', '6a423743ac50', '53574484a147', '6c6e857a923f'),
+        'bare/delta/plain/disk': ('342b23cd34f7', '6a423743ac50', 'ac038ea7a118', '161a413f68ef'),
+        'bare/image/torn/nvram': ('342b23cd34f7', '6a423743ac50', '60cb59cd1c11', '0c1868668ae3'),
+        'bare/image/torn/disk': ('342b23cd34f7', '6a423743ac50', '05dd5812fa51', '7719587008a4'),
+        'bare/image/plain/nvram': ('342b23cd34f7', '6a423743ac50', 'e3a772599a24', '6c6e857a923f'),
+        'bare/image/plain/disk': ('342b23cd34f7', '6a423743ac50', '6d26f5fd85ec', '092c9882e211'),
+        'stripe/delta/torn/nvram': ('3db3061db605', 'fe36c054c241', '3426005104aa', 'bf164a50577a'),
+        'stripe/delta/torn/disk': ('3db3061db605', 'fe36c054c241', '562dbd9512fe', '805db81d030c'),
+        'stripe/delta/plain/nvram': ('3db3061db605', 'fe36c054c241', 'ad0ee85370a9', '4d80b2ca8ebe'),
+        'stripe/delta/plain/disk': ('3db3061db605', 'fe36c054c241', '236fadcd4117', 'ebea76a1fc09'),
+        'stripe/image/torn/nvram': ('3db3061db605', 'fe36c054c241', 'f7672bb63a87', 'bf164a50577a'),
+        'stripe/image/torn/disk': ('3db3061db605', 'fe36c054c241', '3250b0efb307', '2b7df5f3f285'),
+        'stripe/image/plain/nvram': ('3db3061db605', 'fe36c054c241', '4713277bec7c', '4d80b2ca8ebe'),
+        'stripe/image/plain/disk': ('3db3061db605', 'fe36c054c241', '281116300305', 'ebea76a1fc09'),
+        'raid5/delta/torn/nvram': ('947314dbc9bf', '5d8de96fd431', 'f3f526c7fb03', 'a6a08b5fe3d9'),
+        'raid5/delta/torn/disk': ('947314dbc9bf', '5d8de96fd431', '4e63dec7f086', 'a78323f9942b'),
+        'raid5/delta/plain/nvram': ('947314dbc9bf', '5d8de96fd431', '6ea86ce645e6', '321973555e30'),
+        'raid5/delta/plain/disk': ('947314dbc9bf', '5d8de96fd431', 'b86602ea91fe', 'abf5c81a26db'),
+        'raid5/image/torn/nvram': ('947314dbc9bf', '5d8de96fd431', '2915918e522a', 'a6a08b5fe3d9'),
+        'raid5/image/torn/disk': ('947314dbc9bf', '5d8de96fd431', '846f3616e8d9', '8e39f79b649d'),
+        'raid5/image/plain/nvram': ('947314dbc9bf', '5d8de96fd431', 'c1f5df7c3b99', '321973555e30'),
+        'raid5/image/plain/disk': ('947314dbc9bf', '5d8de96fd431', '3afccc8c2a13', 'abf5c81a26db'),
     },
     'deletes_clean': {
-        'bare/delta/torn/nvram': ('67d0924f47e5', 'a0523891a44c', 'e54cdfa81d00'),
-        'bare/delta/torn/disk': ('67d0924f47e5', '42a105ee22e6', 'ed152739712d'),
-        'bare/delta/plain/nvram': ('67d0924f47e5', '563f67f90a81', '7277d2b70699'),
-        'bare/delta/plain/disk': ('67d0924f47e5', '58f0b3df42b7', 'f0ca6a57d706'),
-        'bare/image/torn/nvram': ('67d0924f47e5', 'dce49841d0d0', 'a55810efecca'),
-        'bare/image/torn/disk': ('67d0924f47e5', 'effc97222923', '2b443de4cb61'),
-        'bare/image/plain/nvram': ('67d0924f47e5', '52252fa95fbe', '57871303e925'),
-        'bare/image/plain/disk': ('67d0924f47e5', 'e93499137da6', '04a904a998cd'),
-        'stripe/delta/torn/nvram': ('309731951654', '6bb2646d82ea', 'df0c258fabc1'),
-        'stripe/delta/torn/disk': ('309731951654', 'e4c760821e8f', '29a7c21dfdde'),
-        'stripe/delta/plain/nvram': ('309731951654', 'ece430ff45be', 'e8cad2589e6e'),
-        'stripe/delta/plain/disk': ('309731951654', 'd351be70b99e', '5451cdde2ed3'),
-        'stripe/image/torn/nvram': ('309731951654', '0a0013ebd908', '6f9878f14815'),
-        'stripe/image/torn/disk': ('309731951654', '433f193bbe77', '03c632e81cc7'),
-        'stripe/image/plain/nvram': ('309731951654', '5848b9832c68', 'f99082d46b88'),
-        'stripe/image/plain/disk': ('309731951654', 'f7964058fe89', '5451cdde2ed3'),
-        'raid5/delta/torn/nvram': ('b3b90796fe0a', 'eebda3924288', '282616ffae9b'),
-        'raid5/delta/torn/disk': ('b3b90796fe0a', 'd6cd2243d644', '25f8d5db3753'),
-        'raid5/delta/plain/nvram': ('b3b90796fe0a', '45cfcda35f2e', '9ed9a513ca53'),
-        'raid5/delta/plain/disk': ('b3b90796fe0a', 'd078cb0922e2', '8a24a42c537c'),
-        'raid5/image/torn/nvram': ('b3b90796fe0a', 'c782059fe529', '464671a2b57d'),
-        'raid5/image/torn/disk': ('b3b90796fe0a', '77d34a4c7aae', '25f8d5db3753'),
-        'raid5/image/plain/nvram': ('b3b90796fe0a', '33f508d48068', '0868b0b605b8'),
-        'raid5/image/plain/disk': ('b3b90796fe0a', 'eb2f5118a8e1', '17285456fb69'),
+        'bare/delta/torn/nvram': ('547959dfb219', '67d0924f47e5', 'a0523891a44c', 'e54cdfa81d00'),
+        'bare/delta/torn/disk': ('547959dfb219', '67d0924f47e5', '42a105ee22e6', 'ed152739712d'),
+        'bare/delta/plain/nvram': ('547959dfb219', '67d0924f47e5', '563f67f90a81', '7277d2b70699'),
+        'bare/delta/plain/disk': ('547959dfb219', '67d0924f47e5', '58f0b3df42b7', 'f0ca6a57d706'),
+        'bare/image/torn/nvram': ('547959dfb219', '67d0924f47e5', 'dce49841d0d0', 'a55810efecca'),
+        'bare/image/torn/disk': ('547959dfb219', '67d0924f47e5', 'effc97222923', '2b443de4cb61'),
+        'bare/image/plain/nvram': ('547959dfb219', '67d0924f47e5', '52252fa95fbe', '57871303e925'),
+        'bare/image/plain/disk': ('547959dfb219', '67d0924f47e5', 'e93499137da6', '04a904a998cd'),
+        'stripe/delta/torn/nvram': ('d1b32841fb42', '309731951654', '6bb2646d82ea', 'df0c258fabc1'),
+        'stripe/delta/torn/disk': ('d1b32841fb42', '309731951654', 'e4c760821e8f', '29a7c21dfdde'),
+        'stripe/delta/plain/nvram': ('d1b32841fb42', '309731951654', 'ece430ff45be', 'e8cad2589e6e'),
+        'stripe/delta/plain/disk': ('d1b32841fb42', '309731951654', 'd351be70b99e', '5451cdde2ed3'),
+        'stripe/image/torn/nvram': ('d1b32841fb42', '309731951654', '0a0013ebd908', '6f9878f14815'),
+        'stripe/image/torn/disk': ('d1b32841fb42', '309731951654', '433f193bbe77', '03c632e81cc7'),
+        'stripe/image/plain/nvram': ('d1b32841fb42', '309731951654', '5848b9832c68', 'f99082d46b88'),
+        'stripe/image/plain/disk': ('d1b32841fb42', '309731951654', 'f7964058fe89', '5451cdde2ed3'),
+        'raid5/delta/torn/nvram': ('d354091f1d2f', '7f81911b8d77', '77c8c73a774e', 'f773b8998ac7'),
+        'raid5/delta/torn/disk': ('d354091f1d2f', '7f81911b8d77', 'a6cf2cd31a45', '196883494030'),
+        'raid5/delta/plain/nvram': ('d354091f1d2f', '7f81911b8d77', '2319fb074229', '0a9b5a71b0c2'),
+        'raid5/delta/plain/disk': ('d354091f1d2f', '7f81911b8d77', '5def45264a88', '07e172ce8334'),
+        'raid5/image/torn/nvram': ('d354091f1d2f', '7f81911b8d77', '1092626db4e0', '3049fe2ffbec'),
+        'raid5/image/torn/disk': ('d354091f1d2f', '7f81911b8d77', '1cf44bc41c7d', '71467d1584b0'),
+        'raid5/image/plain/nvram': ('d354091f1d2f', '7f81911b8d77', 'b046957e75d5', '0a9b5a71b0c2'),
+        'raid5/image/plain/disk': ('d354091f1d2f', '7f81911b8d77', 'fdf87339bf80', 'ea3eb29d8269'),
     },
     'flushes': {
-        'bare/delta/torn/nvram': ('b596fdd9fa4e', 'a9345559467b', '89b24fabcd4a'),
-        'bare/delta/torn/disk': ('62133db93699', '0d5b3d8ffe19', 'f900b862ac95'),
-        'bare/delta/plain/nvram': ('b596fdd9fa4e', '0b7832b45a6e', 'd9e86bd71a8d'),
-        'bare/delta/plain/disk': ('62133db93699', '7db451a3faf9', 'd4596e3b303d'),
-        'bare/image/torn/nvram': ('b596fdd9fa4e', 'ea153fbd1bc8', 'bcb5cf5a440e'),
-        'bare/image/torn/disk': ('62133db93699', 'ecb646698fc7', '800ab1a54130'),
-        'bare/image/plain/nvram': ('b596fdd9fa4e', '1104b52d155a', '352a3f3ecd89'),
-        'bare/image/plain/disk': ('62133db93699', '868f2ae6e785', 'b709194d1eda'),
-        'stripe/delta/torn/nvram': ('1eca18325077', '2583dd5038ae', '7bb130e4f1c7'),
-        'stripe/delta/torn/disk': ('3bd43ee53206', 'a98486bb66ac', 'acf44727cf08'),
-        'stripe/delta/plain/nvram': ('1eca18325077', '7b13de8e4ab7', 'dd3b2d4e918d'),
-        'stripe/delta/plain/disk': ('3bd43ee53206', 'ff4b19c98236', 'f3245ac8c54f'),
-        'stripe/image/torn/nvram': ('1eca18325077', '08e7308c5d58', 'fe8b4642b5b6'),
-        'stripe/image/torn/disk': ('3bd43ee53206', '1fae02d72ddd', '306cec28b7fb'),
-        'stripe/image/plain/nvram': ('1eca18325077', 'dd2ef22a5b5b', 'dd3b2d4e918d'),
-        'stripe/image/plain/disk': ('3bd43ee53206', 'd1a240870a90', '9552dd209da7'),
-        'raid5/delta/torn/nvram': ('9aa7fe38f334', '31d076928ae0', '998b6fee1a0e'),
-        'raid5/delta/torn/disk': ('397436764739', '57063a59afd8', 'd45b8833d392'),
-        'raid5/delta/plain/nvram': ('9aa7fe38f334', '5b440df63231', 'a779affd158b'),
-        'raid5/delta/plain/disk': ('397436764739', '6b17130c1582', 'f60d36c71921'),
-        'raid5/image/torn/nvram': ('9aa7fe38f334', 'c83d0de6dc47', '714aadd05a22'),
-        'raid5/image/torn/disk': ('397436764739', '092480954ee4', 'ffec4e5875a4'),
-        'raid5/image/plain/nvram': ('9aa7fe38f334', '9492d71049a9', '5df501b4d0d0'),
-        'raid5/image/plain/disk': ('397436764739', 'e47cc16478fa', 'ad0ccd0fafe9'),
+        'bare/delta/torn/nvram': ('e385b968c8f5', 'b596fdd9fa4e', 'a9345559467b', '89b24fabcd4a'),
+        'bare/delta/torn/disk': ('e385b968c8f5', '62133db93699', '0d5b3d8ffe19', 'f900b862ac95'),
+        'bare/delta/plain/nvram': ('e385b968c8f5', 'b596fdd9fa4e', '0b7832b45a6e', 'd9e86bd71a8d'),
+        'bare/delta/plain/disk': ('e385b968c8f5', '62133db93699', '7db451a3faf9', 'd4596e3b303d'),
+        'bare/image/torn/nvram': ('e385b968c8f5', 'b596fdd9fa4e', 'ea153fbd1bc8', 'bcb5cf5a440e'),
+        'bare/image/torn/disk': ('e385b968c8f5', '62133db93699', 'ecb646698fc7', '800ab1a54130'),
+        'bare/image/plain/nvram': ('e385b968c8f5', 'b596fdd9fa4e', '1104b52d155a', '352a3f3ecd89'),
+        'bare/image/plain/disk': ('e385b968c8f5', '62133db93699', '868f2ae6e785', 'b709194d1eda'),
+        'stripe/delta/torn/nvram': ('fcebdad139c0', '1eca18325077', '2583dd5038ae', '7bb130e4f1c7'),
+        'stripe/delta/torn/disk': ('fcebdad139c0', '3bd43ee53206', 'a98486bb66ac', 'acf44727cf08'),
+        'stripe/delta/plain/nvram': ('fcebdad139c0', '1eca18325077', '7b13de8e4ab7', 'dd3b2d4e918d'),
+        'stripe/delta/plain/disk': ('fcebdad139c0', '3bd43ee53206', 'ff4b19c98236', 'f3245ac8c54f'),
+        'stripe/image/torn/nvram': ('fcebdad139c0', '1eca18325077', '08e7308c5d58', 'fe8b4642b5b6'),
+        'stripe/image/torn/disk': ('fcebdad139c0', '3bd43ee53206', '1fae02d72ddd', '306cec28b7fb'),
+        'stripe/image/plain/nvram': ('fcebdad139c0', '1eca18325077', 'dd2ef22a5b5b', 'dd3b2d4e918d'),
+        'stripe/image/plain/disk': ('fcebdad139c0', '3bd43ee53206', 'd1a240870a90', '9552dd209da7'),
+        'raid5/delta/torn/nvram': ('cd406d4a215f', '04778f4a1fab', '2f5ab59f223e', '7dde5875b076'),
+        'raid5/delta/torn/disk': ('cd406d4a215f', '9d79695e3fd9', '1802153e36f6', '8b3f4b66c4c9'),
+        'raid5/delta/plain/nvram': ('cd406d4a215f', '04778f4a1fab', 'e9996775e897', 'efa05eebc7c3'),
+        'raid5/delta/plain/disk': ('cd406d4a215f', '9d79695e3fd9', '76c546ea5105', 'd4a901bb04b6'),
+        'raid5/image/torn/nvram': ('cd406d4a215f', '04778f4a1fab', '7ea8ba64a367', '68065aaa7530'),
+        'raid5/image/torn/disk': ('cd406d4a215f', '9d79695e3fd9', '214652516257', 'ac45c6f3c8fa'),
+        'raid5/image/plain/nvram': ('cd406d4a215f', '04778f4a1fab', '4fcce33eaad7', '3476b0378435'),
+        'raid5/image/plain/disk': ('cd406d4a215f', '9d79695e3fd9', '5bb6dbca3cab', '6007f5c6be01'),
     },
     'nvram_replay': {
-        'bare/delta/torn/nvram': ('6927e16d3584', '2813d7a65c54', '3950a10608dd'),
-        'bare/delta/torn/disk': ('447f26c634ed', 'e4882b9c50a5', 'b28873cb7224'),
-        'bare/delta/plain/nvram': ('6927e16d3584', '91b7a5d92cef', '7cb13151fa6d'),
-        'bare/delta/plain/disk': ('447f26c634ed', 'bc0bcc10bd34', '7b1b0a1518c8'),
-        'bare/image/torn/nvram': ('6927e16d3584', 'f849022983d4', 'cf35b58cd0da'),
-        'bare/image/torn/disk': ('447f26c634ed', 'd0c85ea12e3c', '557aa0f7ac50'),
-        'bare/image/plain/nvram': ('6927e16d3584', '09c166bdd434', '28e9358dcf1f'),
-        'bare/image/plain/disk': ('447f26c634ed', 'da8bb688ddd2', '7b1b0a1518c8'),
-        'stripe/delta/torn/nvram': ('fbb273985b40', '82f914b29abf', '88379ee840e6'),
-        'stripe/delta/torn/disk': ('13080bae8ee5', '390d0f22b69d', '6df2695bdc96'),
-        'stripe/delta/plain/nvram': ('fbb273985b40', 'a6b17a885b30', '140b4922641e'),
-        'stripe/delta/plain/disk': ('13080bae8ee5', '519017554c38', 'f334eb66c938'),
-        'stripe/image/torn/nvram': ('fbb273985b40', 'c7c18d47dd51', 'e4f89d47b0f7'),
-        'stripe/image/torn/disk': ('13080bae8ee5', '9dd65f0f6be4', '28a4bc17bb8c'),
-        'stripe/image/plain/nvram': ('fbb273985b40', '2d07d818d251', '140b4922641e'),
-        'stripe/image/plain/disk': ('13080bae8ee5', '291897d3c2d6', '0eb9c4a3c2d5'),
-        'raid5/delta/torn/nvram': ('071e28c924f7', '856384d5a2dc', 'ae8a79b37a84'),
-        'raid5/delta/torn/disk': ('6ec8fe175bac', 'd3c20b973b86', 'f2bd249065af'),
-        'raid5/delta/plain/nvram': ('071e28c924f7', 'f05d0020297c', '075656663d3b'),
-        'raid5/delta/plain/disk': ('6ec8fe175bac', 'adf8c2a57b67', 'eb1582b7dd03'),
-        'raid5/image/torn/nvram': ('071e28c924f7', 'ee1cdca16f66', '3831e03a7cf2'),
-        'raid5/image/torn/disk': ('6ec8fe175bac', '58b4a01dc8b9', '2f0d9a3fffde'),
-        'raid5/image/plain/nvram': ('071e28c924f7', '34d25fd52268', 'b170b856086c'),
-        'raid5/image/plain/disk': ('6ec8fe175bac', 'fbf92b437ad4', 'eb1582b7dd03'),
+        'bare/delta/torn/nvram': ('b281e09ffae3', '6927e16d3584', '2813d7a65c54', '3950a10608dd'),
+        'bare/delta/torn/disk': ('b281e09ffae3', '447f26c634ed', 'e4882b9c50a5', 'b28873cb7224'),
+        'bare/delta/plain/nvram': ('b281e09ffae3', '6927e16d3584', '91b7a5d92cef', '7cb13151fa6d'),
+        'bare/delta/plain/disk': ('b281e09ffae3', '447f26c634ed', 'bc0bcc10bd34', '7b1b0a1518c8'),
+        'bare/image/torn/nvram': ('b281e09ffae3', '6927e16d3584', 'f849022983d4', 'cf35b58cd0da'),
+        'bare/image/torn/disk': ('b281e09ffae3', '447f26c634ed', 'd0c85ea12e3c', '557aa0f7ac50'),
+        'bare/image/plain/nvram': ('b281e09ffae3', '6927e16d3584', '09c166bdd434', '28e9358dcf1f'),
+        'bare/image/plain/disk': ('b281e09ffae3', '447f26c634ed', 'da8bb688ddd2', '7b1b0a1518c8'),
+        'stripe/delta/torn/nvram': ('9affc57acc78', 'fbb273985b40', '82f914b29abf', '88379ee840e6'),
+        'stripe/delta/torn/disk': ('9affc57acc78', '13080bae8ee5', '390d0f22b69d', '6df2695bdc96'),
+        'stripe/delta/plain/nvram': ('9affc57acc78', 'fbb273985b40', 'a6b17a885b30', '140b4922641e'),
+        'stripe/delta/plain/disk': ('9affc57acc78', '13080bae8ee5', '519017554c38', 'f334eb66c938'),
+        'stripe/image/torn/nvram': ('9affc57acc78', 'fbb273985b40', 'c7c18d47dd51', 'e4f89d47b0f7'),
+        'stripe/image/torn/disk': ('9affc57acc78', '13080bae8ee5', '9dd65f0f6be4', '28a4bc17bb8c'),
+        'stripe/image/plain/nvram': ('9affc57acc78', 'fbb273985b40', '2d07d818d251', '140b4922641e'),
+        'stripe/image/plain/disk': ('9affc57acc78', '13080bae8ee5', '291897d3c2d6', '0eb9c4a3c2d5'),
+        'raid5/delta/torn/nvram': ('7ea7c1d33de4', 'cb2cf15e062c', '5ad32a7b3aff', '1ad2304bde68'),
+        'raid5/delta/torn/disk': ('7ea7c1d33de4', 'ad10b30119c4', '69547e4f6692', 'e6fffa015486'),
+        'raid5/delta/plain/nvram': ('7ea7c1d33de4', 'cb2cf15e062c', '37fc29449aad', '4b8ae364c179'),
+        'raid5/delta/plain/disk': ('7ea7c1d33de4', 'ad10b30119c4', 'ea2ae7bc6c10', 'd9ab6dc8ba2b'),
+        'raid5/image/torn/nvram': ('7ea7c1d33de4', 'cb2cf15e062c', 'b85e7f68abec', 'a6a89f56b061'),
+        'raid5/image/torn/disk': ('7ea7c1d33de4', 'ad10b30119c4', 'd624b012153f', '1fcaeac6e3cf'),
+        'raid5/image/plain/nvram': ('7ea7c1d33de4', 'cb2cf15e062c', 'a19da2c0c577', '09d5ded9ae71'),
+        'raid5/image/plain/disk': ('7ea7c1d33de4', 'ad10b30119c4', '050d6eddf7bd', 'd9ab6dc8ba2b'),
     },
     'read_cache': {
-        'bare/delta/torn/nvram': ('b4dd13aa327c', '6771c4957093', '96ea6da01b3a'),
-        'bare/delta/torn/disk': ('b4dd13aa327c', '6771c4957093', '96ea6da01b3a'),
-        'bare/delta/plain/nvram': ('b4dd13aa327c', 'b20a05cdd6e9', '6b718c90bbd0'),
-        'bare/delta/plain/disk': ('b4dd13aa327c', 'b20a05cdd6e9', '6b718c90bbd0'),
-        'bare/image/torn/nvram': ('b4dd13aa327c', '8372d5aa2bfd', '24253b2f7463'),
-        'bare/image/torn/disk': ('b4dd13aa327c', '8372d5aa2bfd', '24253b2f7463'),
-        'bare/image/plain/nvram': ('b4dd13aa327c', '10cde806b7f9', 'eeaa188767ab'),
-        'bare/image/plain/disk': ('b4dd13aa327c', '10cde806b7f9', 'eeaa188767ab'),
-        'stripe/delta/torn/nvram': ('339205696eed', '96e6606aeeef', '18ec38558eb7'),
-        'stripe/delta/torn/disk': ('339205696eed', '96e6606aeeef', '18ec38558eb7'),
-        'stripe/delta/plain/nvram': ('339205696eed', '55662acdae71', '577dd72ee08c'),
-        'stripe/delta/plain/disk': ('339205696eed', '55662acdae71', '577dd72ee08c'),
-        'stripe/image/torn/nvram': ('339205696eed', 'a398381dd1fa', 'b9c41d40e2fb'),
-        'stripe/image/torn/disk': ('339205696eed', 'a398381dd1fa', 'b9c41d40e2fb'),
-        'stripe/image/plain/nvram': ('339205696eed', '5b0126ed4521', '5fce1e8ea22c'),
-        'stripe/image/plain/disk': ('339205696eed', '5b0126ed4521', '5fce1e8ea22c'),
-        'raid5/delta/torn/nvram': ('6626f66f37f6', 'ae257f7b9814', '18ca1992af63'),
-        'raid5/delta/torn/disk': ('6626f66f37f6', 'ae257f7b9814', '18ca1992af63'),
-        'raid5/delta/plain/nvram': ('6626f66f37f6', 'a9b6c2b5b348', 'f4b1490c99f4'),
-        'raid5/delta/plain/disk': ('6626f66f37f6', 'a9b6c2b5b348', 'f4b1490c99f4'),
-        'raid5/image/torn/nvram': ('6626f66f37f6', 'a6f580190068', '3a38b735b760'),
-        'raid5/image/torn/disk': ('6626f66f37f6', 'a6f580190068', '3a38b735b760'),
-        'raid5/image/plain/nvram': ('6626f66f37f6', 'f8a1b8780be5', '75dc4f1610b3'),
-        'raid5/image/plain/disk': ('6626f66f37f6', 'f8a1b8780be5', '75dc4f1610b3'),
+        'bare/delta/torn/nvram': ('4ab15ee5ab20', 'b4dd13aa327c', '6771c4957093', '96ea6da01b3a'),
+        'bare/delta/torn/disk': ('4ab15ee5ab20', 'b4dd13aa327c', '6771c4957093', '96ea6da01b3a'),
+        'bare/delta/plain/nvram': ('4ab15ee5ab20', 'b4dd13aa327c', 'b20a05cdd6e9', '6b718c90bbd0'),
+        'bare/delta/plain/disk': ('4ab15ee5ab20', 'b4dd13aa327c', 'b20a05cdd6e9', '6b718c90bbd0'),
+        'bare/image/torn/nvram': ('4ab15ee5ab20', 'b4dd13aa327c', '8372d5aa2bfd', '24253b2f7463'),
+        'bare/image/torn/disk': ('4ab15ee5ab20', 'b4dd13aa327c', '8372d5aa2bfd', '24253b2f7463'),
+        'bare/image/plain/nvram': ('4ab15ee5ab20', 'b4dd13aa327c', '10cde806b7f9', 'eeaa188767ab'),
+        'bare/image/plain/disk': ('4ab15ee5ab20', 'b4dd13aa327c', '10cde806b7f9', 'eeaa188767ab'),
+        'stripe/delta/torn/nvram': ('54b026194e7b', '339205696eed', '96e6606aeeef', '18ec38558eb7'),
+        'stripe/delta/torn/disk': ('54b026194e7b', '339205696eed', '96e6606aeeef', '18ec38558eb7'),
+        'stripe/delta/plain/nvram': ('54b026194e7b', '339205696eed', '55662acdae71', '577dd72ee08c'),
+        'stripe/delta/plain/disk': ('54b026194e7b', '339205696eed', '55662acdae71', '577dd72ee08c'),
+        'stripe/image/torn/nvram': ('54b026194e7b', '339205696eed', 'a398381dd1fa', 'b9c41d40e2fb'),
+        'stripe/image/torn/disk': ('54b026194e7b', '339205696eed', 'a398381dd1fa', 'b9c41d40e2fb'),
+        'stripe/image/plain/nvram': ('54b026194e7b', '339205696eed', '5b0126ed4521', '5fce1e8ea22c'),
+        'stripe/image/plain/disk': ('54b026194e7b', '339205696eed', '5b0126ed4521', '5fce1e8ea22c'),
+        'raid5/delta/torn/nvram': ('af2589ad471e', '555786e34917', 'ce93b392c702', 'e1666ae4f9e6'),
+        'raid5/delta/torn/disk': ('af2589ad471e', '555786e34917', 'ce93b392c702', 'e1666ae4f9e6'),
+        'raid5/delta/plain/nvram': ('af2589ad471e', '555786e34917', '0d7e937a4150', '62b900b84a41'),
+        'raid5/delta/plain/disk': ('af2589ad471e', '555786e34917', '0d7e937a4150', '62b900b84a41'),
+        'raid5/image/torn/nvram': ('af2589ad471e', '555786e34917', '763ce2fffc12', 'cb3f30ddba0f'),
+        'raid5/image/torn/disk': ('af2589ad471e', '555786e34917', '763ce2fffc12', 'cb3f30ddba0f'),
+        'raid5/image/plain/nvram': ('af2589ad471e', '555786e34917', 'ffd36f8d4a6f', '07130ceff5fa'),
+        'raid5/image/plain/disk': ('af2589ad471e', '555786e34917', 'ffd36f8d4a6f', '07130ceff5fa'),
     },
     'reorganize': {
-        'bare/delta/torn/nvram': ('5add7b7f16a3', '6ac7de00970d', '13aa23ab75e0'),
-        'bare/delta/torn/disk': ('5add7b7f16a3', '6ac7de00970d', '13aa23ab75e0'),
-        'bare/delta/plain/nvram': ('5add7b7f16a3', '0054364cdf8b', 'b4f8ea06a1e9'),
-        'bare/delta/plain/disk': ('5add7b7f16a3', '0054364cdf8b', 'b4f8ea06a1e9'),
-        'bare/image/torn/nvram': ('5add7b7f16a3', '7960444cbc4f', 'e3463ea966de'),
-        'bare/image/torn/disk': ('5add7b7f16a3', '7960444cbc4f', 'e3463ea966de'),
-        'bare/image/plain/nvram': ('5add7b7f16a3', '8d11b38951c4', '0c3cce3f849d'),
-        'bare/image/plain/disk': ('5add7b7f16a3', '8d11b38951c4', '0c3cce3f849d'),
-        'stripe/delta/torn/nvram': ('78af65416f26', 'c1fda24c403d', '6dce029ae019'),
-        'stripe/delta/torn/disk': ('78af65416f26', 'c1fda24c403d', '6dce029ae019'),
-        'stripe/delta/plain/nvram': ('78af65416f26', '8c87960b764f', '1a3a05da1585'),
-        'stripe/delta/plain/disk': ('78af65416f26', '8c87960b764f', '1a3a05da1585'),
-        'stripe/image/torn/nvram': ('78af65416f26', '10ae84198e1e', '97790f4b4458'),
-        'stripe/image/torn/disk': ('78af65416f26', '10ae84198e1e', '97790f4b4458'),
-        'stripe/image/plain/nvram': ('78af65416f26', '37236695f326', 'c7690610ee9a'),
-        'stripe/image/plain/disk': ('78af65416f26', '37236695f326', 'c7690610ee9a'),
-        'raid5/delta/torn/nvram': ('f98070b506d2', 'ddd176e38c43', '13f4905dbe8e'),
-        'raid5/delta/torn/disk': ('f98070b506d2', 'ddd176e38c43', '13f4905dbe8e'),
-        'raid5/delta/plain/nvram': ('f98070b506d2', '645566094e39', '0229393cfec2'),
-        'raid5/delta/plain/disk': ('f98070b506d2', '645566094e39', '0229393cfec2'),
-        'raid5/image/torn/nvram': ('f98070b506d2', '6880f7c1de7e', 'eb2b46772e6c'),
-        'raid5/image/torn/disk': ('f98070b506d2', '6880f7c1de7e', 'eb2b46772e6c'),
-        'raid5/image/plain/nvram': ('f98070b506d2', '7ee473a652f1', 'e4ab1e82362d'),
-        'raid5/image/plain/disk': ('f98070b506d2', '7ee473a652f1', 'e4ab1e82362d'),
+        'bare/delta/torn/nvram': ('c5b3731b8a8e', '5add7b7f16a3', '6ac7de00970d', '13aa23ab75e0'),
+        'bare/delta/torn/disk': ('c5b3731b8a8e', '5add7b7f16a3', '6ac7de00970d', '13aa23ab75e0'),
+        'bare/delta/plain/nvram': ('c5b3731b8a8e', '5add7b7f16a3', '0054364cdf8b', 'b4f8ea06a1e9'),
+        'bare/delta/plain/disk': ('c5b3731b8a8e', '5add7b7f16a3', '0054364cdf8b', 'b4f8ea06a1e9'),
+        'bare/image/torn/nvram': ('c5b3731b8a8e', '5add7b7f16a3', '7960444cbc4f', 'e3463ea966de'),
+        'bare/image/torn/disk': ('c5b3731b8a8e', '5add7b7f16a3', '7960444cbc4f', 'e3463ea966de'),
+        'bare/image/plain/nvram': ('c5b3731b8a8e', '5add7b7f16a3', '8d11b38951c4', '0c3cce3f849d'),
+        'bare/image/plain/disk': ('c5b3731b8a8e', '5add7b7f16a3', '8d11b38951c4', '0c3cce3f849d'),
+        'stripe/delta/torn/nvram': ('a61b3a608245', '78af65416f26', 'c1fda24c403d', '6dce029ae019'),
+        'stripe/delta/torn/disk': ('a61b3a608245', '78af65416f26', 'c1fda24c403d', '6dce029ae019'),
+        'stripe/delta/plain/nvram': ('a61b3a608245', '78af65416f26', '8c87960b764f', '1a3a05da1585'),
+        'stripe/delta/plain/disk': ('a61b3a608245', '78af65416f26', '8c87960b764f', '1a3a05da1585'),
+        'stripe/image/torn/nvram': ('a61b3a608245', '78af65416f26', '10ae84198e1e', '97790f4b4458'),
+        'stripe/image/torn/disk': ('a61b3a608245', '78af65416f26', '10ae84198e1e', '97790f4b4458'),
+        'stripe/image/plain/nvram': ('a61b3a608245', '78af65416f26', '37236695f326', 'c7690610ee9a'),
+        'stripe/image/plain/disk': ('a61b3a608245', '78af65416f26', '37236695f326', 'c7690610ee9a'),
+        'raid5/delta/torn/nvram': ('5cecd90fedd9', '539206775ac7', '234a71ff4e4d', '5f6050813d8c'),
+        'raid5/delta/torn/disk': ('5cecd90fedd9', '539206775ac7', '234a71ff4e4d', '5f6050813d8c'),
+        'raid5/delta/plain/nvram': ('5cecd90fedd9', '539206775ac7', '8a258c3bc810', 'e4b4127c813a'),
+        'raid5/delta/plain/disk': ('5cecd90fedd9', '539206775ac7', '8a258c3bc810', 'e4b4127c813a'),
+        'raid5/image/torn/nvram': ('5cecd90fedd9', '539206775ac7', '729759043b37', '2b22f4e8741c'),
+        'raid5/image/torn/disk': ('5cecd90fedd9', '539206775ac7', '729759043b37', '2b22f4e8741c'),
+        'raid5/image/plain/nvram': ('5cecd90fedd9', '539206775ac7', '8546b587a976', '1f4bc5fc16be'),
+        'raid5/image/plain/disk': ('5cecd90fedd9', '539206775ac7', '8546b587a976', '1f4bc5fc16be'),
     },
 }
 
@@ -756,7 +772,7 @@ def observe(rig: Rig) -> dict:
     }
 
 
-COMPONENTS = ("outcome", "requests", "clocks")
+COMPONENTS = ("contents", "layout", "requests", "clocks")
 
 
 def _hash(part: dict) -> str:
@@ -764,7 +780,31 @@ def _hash(part: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def digests(state: dict, funneled_now: int = 0) -> tuple[str, str, str]:
+#: The recovery counts that describe the log's content. The others
+#: (summaries valid, records seen and applied, read requests) also count
+#: the superseded copies still lying in slots nobody has reused, which is
+#: a matter of which slots placement and the cleaner picked: ``layout``.
+CONTENT_COUNTS = ("segments_scanned", "records_discarded", "arus_committed", "arus_discarded")
+
+
+def contents_of(recovered: dict) -> dict:
+    """The placement-free part of a recovered state: no slot, offset or
+    timestamp."""
+    report = recovered["report"]
+    return {
+        "blocks": [
+            (bid, stored_length, length, compressed, successor)
+            for bid, _seg, _off, stored_length, length, compressed, successor in recovered["blocks"]
+        ],
+        "lists": recovered["lists"],
+        "buried": sorted((kind, ident) for kind, ident, _ts, _home in recovered["tombstones"]),
+        "next": recovered["next"][:2],
+        "report": {name: report[name] for name in CONTENT_COUNTS},
+        "contents": recovered["contents"],
+    }
+
+
+def digests(state: dict, funneled_now: int = 0) -> tuple[str, str, str, str]:
     """``COMPONENTS`` hashes of ``state`` (see the module docstring), with
     ``physical`` put back to the parent's figure.
 
@@ -776,6 +816,7 @@ def digests(state: dict, funneled_now: int = 0) -> tuple[str, str, str]:
     recovery_seconds = report.pop("simulated_seconds")
     recovered["report"] = report
     return (
+        _hash(contents_of(recovered)),
         _hash({"image": state["image"], "recovered": recovered}),
         _hash(
             {

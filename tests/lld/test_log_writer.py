@@ -19,11 +19,12 @@ from repro.sim import VirtualClock
 from tests.lld.conftest import small_config
 
 
-def layout(spindles=None, parity=None):
+def layout(spindles=None, parity=None, rows=None):
     return SimpleNamespace(
         slot_spindles=spindles,
         spindle_count=len(set(spindles)) if spindles else 1,
         slot_parity_spindles=parity,
+        slot_rows=rows,
     )
 
 

@@ -153,9 +153,9 @@ def test_recording_disk_forwards_the_argument():
 # ----------------------------------------------------------------------
 
 
-def make_lld(**config) -> tuple[LLD, Volume]:
+def make_lld(layout: str = "raid5", **config) -> tuple[LLD, Volume]:
     cfg = small_config(**config)
-    volume = make_volume(chunk=cfg.segment_size // SECTOR, mb=1)
+    volume = make_volume(layout, chunk=cfg.segment_size // SECTOR, mb=1)
     lld = LLD(volume, cfg)
     lld.initialize()
     return lld, volume
@@ -169,7 +169,9 @@ def append_blocks(lld: LLD, lid: int, pred: int, count: int) -> int:
 
 
 def test_back_to_back_seals_leave_one_image_in_flight():
-    lld, volume = make_lld()
+    # On a stripe: a sealed segment leaves at its seal. (RAID-5 with
+    # chunk == slot has stripe rows, and leaves a row at a time: below.)
+    lld, volume = make_lld("stripe")
     lid = lld.new_list()
     pred = append_blocks(lld, lid, LIST_HEAD, 16)  # the 16th does not fit: seal
     assert lld.stats.segments_sealed == 1
@@ -178,9 +180,39 @@ def test_back_to_back_seals_leave_one_image_in_flight():
     assert volume.clock.now < first_image_done
     append_blocks(lld, lid, pred, 15)
     assert lld.stats.segments_sealed == 2
-    # The bound: the second seal's barrier returned no earlier than the
-    # first image's completion — and no later than it had to.
-    assert first_image_done <= volume.clock.now < horizon(volume)
+    # The bound: the second seal's barrier returned when the first image
+    # completed — no earlier, and without waiting for the second, which
+    # another spindle took.
+    assert volume.clock.now == first_image_done
+    assert volume.volume_stats.inflight_writes == 1
+
+
+def test_back_to_back_rows_leave_one_epoch_in_flight():
+    """The same bound over stripe rows: the log runs ahead of one barrier
+    epoch — a row's body, or one header commit — never of two, so a second
+    row's body barrier returns no earlier than the first row's body
+    completes."""
+    lld, volume = make_lld()
+    marks = []  # (label, shared clock on return, slowest member's horizon)
+    barrier = volume.barrier
+
+    def spy(label="barrier", *, wait=True):
+        barrier(label, wait=wait)
+        marks.append((label, volume.clock.now, horizon(volume)))
+
+    volume.barrier = spy
+    append_blocks(lld, lld.new_list(), LIST_HEAD, 7 * 15 + 1)
+    assert lld.stats.segments_sealed == 7 and lld.stats.rows_written == 2
+    assert volume.volume_stats.full_stripe_writes == 2 and len(lld.log.held) == 1
+    assert [label for label, _now, _horizon in marks] == ["row-body", "row-commit", "row-commit", "row-commit"] * 2
+    (_, returned_1, body_1_done), (_, returned_2, body_2_done) = marks[0], marks[4]
+    assert returned_1 < body_1_done  # ordered: nobody waited for the body ...
+    assert body_1_done <= returned_2 < body_2_done  # ... until something had to follow it
+    for (_label, _returned, in_flight), (_next, returned, _h) in zip(marks, marks[1:]):
+        assert returned >= in_flight
+    assert volume.clock.now < horizon(volume)  # the last commit is in flight
+    lld.flush()
+    assert horizon(volume) <= volume.clock.now and not lld.log.held
 
 
 def test_flush_and_shutdown_return_with_nothing_in_flight():
@@ -209,11 +241,19 @@ def test_flush_and_shutdown_return_with_nothing_in_flight():
         assert ran_ahead > 5 and lld.stats.segments_sealed > 10 and lld.stats.cleanings > 0
         lld.shutdown()
         assert horizon(volume) <= volume.clock.now
-    lld, volume = make_lld()
-    append_blocks(lld, lld.new_list(), LIST_HEAD, 20)  # one sealed image in flight
-    assert volume.clock.now < horizon(volume)
-    lld.shutdown()
-    assert horizon(volume) <= volume.clock.now
+    # A sealed image in flight behind its ordering barrier (stripe), a
+    # sealed segment held for its row and not written at all (RAID-5):
+    # shutdown waits for either.
+    for layout in ("stripe", "raid5"):
+        lld, volume = make_lld(layout)
+        append_blocks(lld, lld.new_list(), LIST_HEAD, 20)
+        if layout == "stripe":
+            assert volume.clock.now < horizon(volume)
+        else:
+            assert len(lld.log.held) == 1 and volume.stats.writes == 0
+        lld.shutdown()
+        assert horizon(volume) <= volume.clock.now and not lld.log.held
+        assert volume.stats.bytes_written > 20 * 4096
 
 
 def test_only_acknowledgements_wait():

@@ -15,6 +15,7 @@ import random
 import pytest
 
 from repro.bench.builders import BuildSpec, build_minix_lld, fresh_volume
+from repro.crashsim import ParityRecording, enumerate_parity_crash_states
 from repro.disk import SimulatedDisk, fast_test_disk
 from repro.lld import LLD
 from repro.obs import EventLog
@@ -416,6 +417,35 @@ def test_resync_closes_the_parity_inconsistency_window():
     degraded.fail_member(0)
     with pytest.raises(VolumeError):
         degraded.resync_parity()
+
+
+def test_every_barrier_vector_is_enumerated_as_a_cut():
+    """Narrow epochs are where it matters: a sampled subset of a one-sector
+    volume write (two member writes) is the whole epoch one time in four —
+    the next cut's plan. Cuts go first, so the state keeps the position of
+    the barrier it stands on and the oracle holds it to every
+    acknowledgement up to there."""
+    volume = make_parity()
+    recording = ParityRecording(volume)
+    rng = random.Random(11)
+    for i in range(24):
+        for _ in range(1 if i % 3 else 2):
+            volume.write(rng.randrange(60 * CHUNK), os.urandom(512))
+        volume.barrier()
+    volume.write(0, os.urandom(512))  # writes trailing the last barrier
+    states = enumerate_parity_crash_states(recording, subset_samples_per_epoch=8)
+    final = tuple(m.position for m in recording.members)
+    vectors = [(0,) * 4, *recording.epoch_positions, final]
+    cuts = {s.plans: s.covered_seq for s in states if s.kind == "cut"}
+    assert len(cuts) == len(vectors) == 26
+    for vector in vectors:
+        plans = tuple(
+            tuple((e.seq, e.nsectors) for e in m.events[:position])
+            for m, position in zip(recording.members, vector)
+        )
+        assert cuts[plans] == sum(vector)
+    assert {"torn", "subset"} >= {s.kind for s in states} - {"cut"}
+    assert len({s.plans for s in states}) == len(states)
 
 
 def test_consistent_volume_resync_is_a_noop():
