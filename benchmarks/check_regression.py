@@ -76,6 +76,10 @@ TABLE = [
         "ceiling",
         "fairness_ceiling",
     ),
+    # Commits do not stop the server: of the time group commits were in
+    # flight on the RAID-5 arm, the share the server idled away (the rest
+    # was covered by other tenants' ops).
+    Row("multitenant", "overlap.idle_frac", "ceiling", "idle_frac_ceiling"),
     # Volume layer (BENCH_volume_scaling.json): N=4 scaling, the 1-member
     # volume identical to the bare disk it wraps, and the RAID-5 arms —
     # full-stripe beats read-modify-write, degraded reads really

@@ -326,7 +326,11 @@ MIN_SCHED_STATES = 300
 def run_scheduler_matrix():
     disk = SimulatedDisk(fast_test_disk(capacity_mb=8), VirtualClock())
     recording = RecordingDisk(disk)
-    lld = LLD(recording, LLDConfig(**CONFIG))
+    # A one-member volume over the recorder: the same LBA space and the
+    # same journal, but writes complete after they are issued, so the
+    # server acknowledges every commit later than it dispatched it and the
+    # workload's last phase lands the other tenant's write in between.
+    lld = LLD(Volume([recording], VirtualClock()), LLDConfig(**CONFIG))
     lld.initialize()
     server = LDServer(lld, QoSElevatorScheduler(), group_commit=2)
     a = server.open_session("a")
@@ -361,6 +365,10 @@ def test_scheduler_crash_matrix(benchmark):
                     "value": float(server.stats.flushes_deferred)
                 },
                 "group commits": {"value": float(server.stats.group_commits)},
+                "commits acknowledged late": {
+                    "value": float(server.stats.commits_deferred)
+                },
+                "writes inside a commit": {"value": float(driver.overlapped)},
                 "crash states": {"value": float(report.states_total)},
                 "violations": {"value": float(len(report.violations))},
             },
@@ -384,6 +392,8 @@ def test_scheduler_crash_matrix(benchmark):
         "ack_points": len(driver.oracle.points),
         "flushes_deferred": server.stats.flushes_deferred,
         "group_commits": server.stats.group_commits,
+        "commits_deferred": server.stats.commits_deferred,
+        "overlapped_writes": driver.overlapped,
         **crash_matrix_summary(report),
     }
     emit(f"wrote {write_json_report(REPORT_PATH, payload)}")
@@ -396,3 +406,7 @@ def test_scheduler_crash_matrix(benchmark):
     # The zero-violation run actually exercised the deferred-commit path.
     assert server.stats.flushes_deferred > 0
     assert server.stats.group_commits > 0
+    # ... and the window between a commit's dispatch and its
+    # acknowledgement, with another tenant's write inside it.
+    assert server.stats.commits_deferred == server.stats.group_commits
+    assert driver.overlapped == 2

@@ -19,7 +19,14 @@ What the scheduler architecture is supposed to buy, measured:
 * **zero single-tenant tax** — one tenant driving the fsync workload
   of ``test_write_path`` through the scheduler reproduces the direct
   path's simulated-I/O figures exactly; the wall-clock overhead of the
-  queue hop is reported and gated by ``check_regression.py``.
+  queue hop is reported and gated by ``check_regression.py``;
+* **commits that do not stop the server** — the same load on a 4-disk
+  RAID-5 volume, where a commit's writes finish well after they are
+  issued: how many commits were acknowledged later than they were
+  dispatched, how long they were in flight, and how much of that time
+  the server had nothing else to dispatch (``overlap``; the gate holds
+  the idle share under a ceiling, so a change that quietly goes back to
+  waiting inside every commit fails it).
 
 All throughput/latency figures are *simulated* time; results land in
 ``BENCH_multitenant.json`` for CI to diff and gate.
@@ -48,6 +55,7 @@ IO_BYTES = 1024  # small synced writes — the workload group commit exists for
 #: Acceptance thresholds (re-checked from the report by the CI gate).
 THROUGHPUT_FLOOR_X = 2.0
 FAIRNESS_CEILING = 1.5
+IDLE_FRAC_CEILING = 0.5  # idle_advance_s / commit_inflight_s on the RAID-5 arm
 
 COLUMNS = ["Agg MB/s (sim)", "p50 ms", "p99 ms", "Fairness", "Commits"]
 
@@ -92,10 +100,14 @@ def percentile(values: list[float], q: float) -> float:
     return ordered[min(len(ordered) - 1, round(q * (len(ordered) - 1)))]
 
 
-def run_mixed_load(spec, n_tenants: int, scheduler: str, group_commit: int):
-    """Closed loop: keep WINDOW ops in flight per tenant until done."""
+def run_mixed_load(spec, n_tenants: int, scheduler: str, group_commit: int, **device):
+    """Closed loop: keep WINDOW ops in flight per tenant until done.
+
+    ``device`` (``n_disks``, ``volume_layout``) puts the LLD on a volume
+    instead of the bare disk.
+    """
     server, lld = build_ld_server(
-        spec, scheduler=scheduler, group_commit=group_commit, read_cache=True
+        spec, scheduler=scheduler, group_commit=group_commit, read_cache=True, **device
     )
     tenants = []
     for i in range(n_tenants):
@@ -190,7 +202,33 @@ def run_mixed_load(spec, n_tenants: int, scheduler: str, group_commit: int):
             "read_batches": sched.read_batches,
             "batched_reads": sched.batched_reads,
             "elevator_batches": sched.elevator_batches,
+            "commits_deferred": sched.commits_deferred,
+            "commit_inflight_s": sched.commit_inflight_s,
+            "idle_advances": sched.idle_advances,
+            "idle_advance_s": sched.idle_advance_s,
         },
+    }
+
+
+def run_overlap(spec) -> dict:
+    """The baseline point on RAID-5: what the commits overlapped with."""
+    device = dict(n_disks=4, volume_layout="raid5")
+    arm = run_mixed_load(spec, BASELINE_TENANTS, "qos", BASELINE_TENANTS, **device)
+    sched = arm["sched"]
+    inflight = sched["commit_inflight_s"]
+    return {
+        **device,
+        **{key: arm[key] for key in ("tenants", "elapsed_sim_s", "aggregate_throughput_mb_s")},
+        **{
+            key: sched[key]
+            for key in (
+                "group_commits", "commits_deferred", "commit_inflight_s",
+                "idle_advances", "idle_advance_s",
+            )
+        },
+        # No commit in flight at all is the worst reading, not the best:
+        # the server waited inside every one of them.
+        "idle_frac": sched["idle_advance_s"] / inflight if inflight else 1.0,
     }
 
 
@@ -260,6 +298,7 @@ def single_tenant_identity(spec) -> dict:
 def test_multitenant(spec, benchmark):
     arms, fifo = benchmark.pedantic(run_sweep, args=(spec,), rounds=1, iterations=1)
     identity = single_tenant_identity(spec)
+    overlap = run_overlap(spec)
 
     rows = {}
     for arm in arms + [fifo]:
@@ -301,12 +340,17 @@ def test_multitenant(spec, benchmark):
         "throughput_floor_x": THROUGHPUT_FLOOR_X,
         "fairness_ceiling": FAIRNESS_CEILING,
         "single_tenant": identity,
+        "overlap": overlap,
+        "idle_frac_ceiling": IDLE_FRAC_CEILING,
     }
     emit(f"wrote {write_json_report(REPORT_PATH, report)}")
     emit(
         f"qos@{BASELINE_TENANTS} vs fifo@{BASELINE_TENANTS}: "
         f"{speedup:.2f}x aggregate throughput; "
-        f"single-tenant wall ratio {identity['wall_ratio']:.2f}"
+        f"single-tenant wall ratio {identity['wall_ratio']:.2f}; "
+        f"on RAID-5 {overlap['commits_deferred']}/{overlap['group_commits']} commits "
+        f"deferred, {overlap['commit_inflight_s']:.2f} s in flight, "
+        f"{overlap['idle_advance_s']:.2f} s of it idle ({overlap['idle_frac']:.2f})"
     )
 
     # Acceptance: the scheduler architecture pays for itself at 8 tenants
@@ -317,6 +361,9 @@ def test_multitenant(spec, benchmark):
     assert qos8["sched"]["flushes_deferred"] > 0
     assert qos8["sched"]["group_commits"] > 0
     assert qos8["sched"]["batched_reads"] > 0
+    # Commits on the volume are acknowledged late, and mostly not idled out.
+    assert overlap["commits_deferred"] >= 0.95 * overlap["group_commits"]
+    assert overlap["idle_frac"] <= IDLE_FRAC_CEILING, overlap
     # One tenant through the scheduler is figure-identical to direct LD.
     assert identity["figures_identical"], (
         identity["direct"],

@@ -14,12 +14,25 @@ recovery unit commits (or aborts) independently.
 through the same phases as the standard matrix workload — interleaved
 growth with pooled *deferrable* flush intents, overwrites, a delete,
 generation-stamped ARUs (including a mid-ARU flush by the *other*
-tenant and an aborted ARU), and a bulk fill — so the crash matrix can
+tenant and an aborted ARU), a bulk fill, and commits with the other
+tenant's write inside them — so the crash matrix can
 assert that queueing, scheduling, and group commit open no new crash
 window.
+
+The server acknowledges a commit when the disks have it, not when it is
+issued, and dispatches other tenants' ops meanwhile. The oracle's rule is
+unchanged — a snapshot is taken when a flush *returns*, which through the
+blocking facade is the acknowledgement — but on a device that queues
+writes (a :class:`~repro.volume.Volume`) there is now a window between
+the two, and the workload's last phase puts another tenant's write into
+it: that write belongs to the next epoch, so the snapshot is the mirror as
+it stood when the commit was *issued*, stamped with the journal position
+at its acknowledgement.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from repro.crashsim.oracle import DurabilityOracle, OraclePoint, _content, _stamped
 from repro.crashsim.recording import RecordingDisk
@@ -45,6 +58,9 @@ class MultiTenantOracleDriver:
         self.blocks: dict[int, bytes] = {}
         self.lists: dict[int, list[int]] = {}
         self._staged: dict[str, list[tuple]] = {}
+        #: Writes of another tenant dispatched between a commit and its
+        #: acknowledgement (0 on a device with nothing to wait for).
+        self.overlapped = 0
 
     # -- mirrored client operations ------------------------------------
 
@@ -119,15 +135,42 @@ class MultiTenantOracleDriver:
             self._snapshot(label)
         return committed
 
-    def _snapshot(self, label: str) -> None:
-        self.oracle.points.append(
-            OraclePoint(
-                seq=self.recording.position,
-                label=label,
-                blocks={b: d for b, d in self.blocks.items() if d},
-                lists={lid: tuple(c) for lid, c in self.lists.items()},
-            )
+    def ack_overlapped(self, sess, other, bid: int, data: bytes, label: str) -> None:
+        """``sess`` forces a commit; ``other`` writes ``bid`` while the
+        disks are still busy with it.
+
+        The commit covers what was dispatched before it, so the snapshot
+        is frozen when it is issued and joins the oracle at its
+        acknowledgement; the write — dispatched inside the window, or,
+        where the device left none, right after it — is mirrored
+        afterwards and waits for the next commit.
+        """
+        server = self.server
+        flush = sess.submit_flush(force=True)
+        while server.queued:
+            server.step()
+        covered = self._freeze(label)
+        write = other.submit_write(bid, bytes(data))
+        while not write.done:
+            server.step()
+        if write.error is not None:
+            raise write.error
+        if not flush.done:
+            self.overlapped += 1
+        server.drain(until=flush)
+        self.oracle.points.append(replace(covered, seq=self.recording.position))
+        self._apply_or_stage(other, ("write", bid, bytes(data)))
+
+    def _freeze(self, label: str) -> OraclePoint:
+        return OraclePoint(
+            seq=self.recording.position,
+            label=label,
+            blocks={b: d for b, d in self.blocks.items() if d},
+            lists={lid: tuple(c) for lid, c in self.lists.items()},
         )
+
+    def _snapshot(self, label: str) -> None:
+        self.oracle.points.append(self._freeze(label))
 
     def room_low(self, data_len: int = 8192, record_bytes: int = 256) -> bool:
         """Open-segment room check (see ``OracleDriver.room_low``)."""
@@ -246,6 +289,20 @@ def run_multitenant_matrix_workload(
         bids[sess.name].append(bid)
         driver.write(sess, bid, _content("fill", i, fill_size))
         driver.ack(sess, f"fill-{i}")
+
+    # Phase G: a commit with another tenant's write inside it. Crashes
+    # between the commit's first write and its acknowledgement may or may
+    # not have it (nothing acknowledged earlier is lost either way); the
+    # overlapped write is the next commit's.
+    for i in range(2):
+        sess, other = ((a, b), (b, a))[i % 2]
+        if maybe():
+            driver.ack(sess, "room")
+        driver.write(sess, bids[sess.name][0], _content("covered", i, 900))
+        driver.ack_overlapped(
+            sess, other, bids[other.name][-1], _content("overlap", i, 800), f"overlap-{i}"
+        )
+        driver.ack(other, f"after-overlap-{i}")
 
     driver.server.close()
     return {"lids": (lid_a, lid_b), "bids": bids, "aru_bids": tuple(aru_bids)}

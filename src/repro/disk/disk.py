@@ -200,6 +200,12 @@ class SimulatedDisk:
             tr.instant("disk.barrier", label=label)
         self.stats.barriers += 1
 
+    def write_horizon(self) -> float:
+        """Simulated time by which every write issued so far is on the
+        medium: now — a write here is charged, and done, before it
+        returns. (A volume's members run ahead of its shared clock.)"""
+        return self.clock.now
+
     # ------------------------------------------------------------------
     # Failure injection / inspection
     # ------------------------------------------------------------------

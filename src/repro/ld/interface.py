@@ -210,16 +210,26 @@ class LogicalDisk(abc.ABC):
         """Close the current explicit atomic recovery unit."""
 
     @abc.abstractmethod
-    def flush(self) -> None:
+    def flush(self, *, wait: bool = True) -> float:
         """Make the results of all previous commands durable.
 
         After a successful return, a crash-and-recover yields a state that
         includes every completed command (and respects ARU atomicity).
+
+        Returns the simulated time at which that holds. With ``wait`` (the
+        default) the call returns no earlier, so it is the time of the
+        return; with ``wait=False`` an LD whose device queues writes issues
+        and orders everything as it would otherwise and returns at once,
+        with the time at which the last of it reaches the medium — the
+        caller owns the acknowledgement (an :class:`~repro.sched.LDServer`
+        completes the flush when its clock gets there). An LD with nothing
+        queued behind it waits either way.
         """
 
     @abc.abstractmethod
-    def flush_list(self, lid: int) -> None:
-        """Make all blocks of ``lid`` durable (the easy ``fsync``)."""
+    def flush_list(self, lid: int, *, wait: bool = True) -> float:
+        """Make all blocks of ``lid`` durable (the easy ``fsync``);
+        ``wait`` and the result are :meth:`flush`'s."""
 
     # ------------------------------------------------------------------
     # Space reservation (section 2.2)

@@ -31,6 +31,7 @@ from repro.lld.readcache import ReadCache
 from repro.lld.recovery import RecoveryReport, run_recovery
 from repro.lld.segment import DiskLayout
 from repro.lld.state import NO_SEGMENT, BlockEntry, LLDState
+from repro.obs.events import inherited_log
 from repro.obs.trace import NULL_SPAN
 
 
@@ -210,7 +211,7 @@ class LLD(LogicalDisk):
         #: keeps tracing (recovery spans land in the same trace).
         self.tracer = tracer if tracer is not None else getattr(disk, "tracer", None)
         #: Optional :class:`repro.obs.EventLog`, inherited like the tracer.
-        self.events = getattr(disk, "events", None)
+        self.events = inherited_log(disk)
         self.config = config or LLDConfig()
         self.layout = DiskLayout(disk, self.config)
         self.state = LLDState()
@@ -821,7 +822,7 @@ class LLD(LogicalDisk):
         """Segments the cleaner must not evacuate while ARUs are open."""
         return self.log.arus.pinned_segments()
 
-    def flush(self) -> None:
+    def flush(self, *, wait: bool = True) -> float:
         """Make everything logged so far durable (paper §3.2 strategy).
 
         At or above the partial threshold the segment is sealed; below it
@@ -832,12 +833,17 @@ class LLD(LogicalDisk):
         incremental: only the summary and the data appended since the
         watermark go to disk. A flush is the acknowledgement point: it
         returns once everything written so far, sealed images still in
-        flight on a multi-disk volume included, is on the medium.
+        flight on a multi-disk volume included, is on the medium — or,
+        with ``wait=False``, it issues and orders exactly the same
+        requests and returns the simulated time at which they will be,
+        leaving the waiting to a caller that has something else to do
+        until then (:class:`~repro.sched.LDServer`).
 
         Only flushes that find work count in ``stats.flushes``; a flush
         with nothing in memory — an empty open segment and no sealed one
         held for its row — counts in ``stats.flushes_noop`` instead, so
-        benchmark denominators stay honest.
+        benchmark denominators stay honest. It issues nothing, so it waits
+        for nothing either way.
         """
         self._require_init()
         tr = self.tracer
@@ -845,17 +851,17 @@ class LLD(LogicalDisk):
             self.compression.drain_pipeline()
             if self.log.open.is_empty and not self.log.held:
                 self.stats.flushes_noop += 1
-                return
+                return self.disk.clock.now
             self.stats.flushes += 1
             if self._tenant is not None:
                 self._tenant.flushes += 1
-            self.log.flush()
+            return self.log.flush(wait)
 
-    def flush_list(self, lid: int) -> None:
+    def flush_list(self, lid: int, *, wait: bool = True) -> float:
         """Durability for one list (the paper's easy ``fsync``)."""
         self._require_init()
         self.state.list_entry(lid)
-        self.flush()
+        return self.flush(wait=wait)
 
     # ------------------------------------------------------------------
     # Reservations (paper section 2.2)

@@ -34,6 +34,7 @@ from repro.lld.state import (
     BlockEntry,
     LLDState,
 )
+from repro.obs.events import inherited_log
 from repro.obs.trace import NULL_SPAN
 
 
@@ -89,7 +90,7 @@ class LogWriter:
         self.nvram = nvram
         self.read_cache = read_cache
         self.tracer = tracer if tracer is not None else getattr(disk, "tracer", None)
-        self.events = getattr(disk, "events", None)
+        self.events = inherited_log(disk)
         self.arus = ARUTable()
         self.open: OpenSegment | None = None
         #: Sealed segments not written yet: consecutive slots of one stripe
@@ -346,11 +347,13 @@ class LogWriter:
     # Durability: flush, seal, and the slot-write funnel
     # ------------------------------------------------------------------
 
-    def flush(self) -> None:
+    def flush(self, wait: bool = True) -> float:
         """Make everything logged durable: the held segments, and the open
         one — sealed at or above the partial threshold, else held in NVRAM
         or written to its slot while it keeps filling in memory (paper
-        §3.2)."""
+        §3.2). Returns the simulated time at which it all is on the
+        medium — not later than now, unless the caller chose not to
+        ``wait`` for it."""
         if self.open.fill_fraction >= self.config.partial_threshold:
             self.seal()  # may join the held row, which then leaves whole
         elif not self.open.is_empty:
@@ -362,8 +365,9 @@ class LogWriter:
         # sealed image still in flight behind an ordering barrier — must be
         # on the medium before the client hears back, and before any later
         # write. The crash-state explorer keys its durability oracle off
-        # this barrier.
-        self.barrier("flush", wait=True)
+        # this barrier. It orders either way; only who waits differs.
+        self.barrier("flush", wait=wait)
+        return self.disk.write_horizon()
 
     def seal(self) -> None:
         """open -> sealed: bring the slot up to date, open the next.

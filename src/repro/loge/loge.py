@@ -302,14 +302,16 @@ class LogeDisk(LogicalDisk):
     def end_aru(self) -> None:
         raise ARUError("Loge does not support atomic recovery units")
 
-    def flush(self) -> None:
+    def flush(self, *, wait: bool = True) -> float:
         """No-op: every Loge write is individually durable."""
         self._require_init()
+        return self.disk.clock.now
 
-    def flush_list(self, lid: int) -> None:
+    def flush_list(self, lid: int, *, wait: bool = True) -> float:
         self._require_init()
         if lid not in self._lists:
             raise NoSuchListError(lid)
+        return self.disk.clock.now
 
     # ------------------------------------------------------------------
     # Reservations

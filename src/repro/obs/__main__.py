@@ -110,6 +110,8 @@ def render_dashboard(spans: list[Span], top: int = 20) -> str:
         _table(["op", "count", "total ms", "mean ms", "p50 ms", "max ms"], op_rows)
     )
 
+    lines += _commit_overlap(by_op)
+
     roots = [s for s in spans if s.parent_id is None]
     lines += [
         "",
@@ -117,6 +119,33 @@ def render_dashboard(spans: list[Span], top: int = 20) -> str:
         f"{_max_depth(spans)} levels",
     ]
     return "\n".join(lines)
+
+
+def _commit_overlap(by_op: dict[str, list[Span]]) -> list[str]:
+    """What the server's group commits overlapped with, from their spans.
+
+    A ``sched.group_commit`` span ends when the commit is issued and
+    carries ``complete_at``, when the disks had it; ``sched.idle_advance``
+    spans are the part of that time the server had nothing to dispatch.
+    The same four figures as ``SchedStats.commits_deferred``,
+    ``commit_inflight_s``, ``idle_advances`` and ``idle_advance_s``.
+    """
+    commits = [s for s in by_op.get("sched.group_commit", ()) if "complete_at" in s.attrs]
+    if not commits:
+        return []
+    inflight = [s.attrs["complete_at"] - s.end for s in commits]
+    deferred = [t for t in inflight if t > 0]
+    idle = by_op.get("sched.idle_advance", ())
+    rows = [
+        ["sched.group_commits", str(len(commits)), "-"],
+        ["sched.commits_deferred", str(len(deferred)), _fmt_ms(sum(deferred))],
+        ["sched.idle_advances", str(len(idle)), _fmt_ms(sum(s.duration for s in idle))],
+    ]
+    return [
+        "",
+        "== commits in flight (acknowledged at the disks' completion time) ==",
+        _table(["figure", "count", "total ms"], rows),
+    ]
 
 
 def _max_depth(spans: list[Span]) -> int:

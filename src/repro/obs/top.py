@@ -41,6 +41,10 @@ _TOTAL_KEYS = (
     ("fs", "syncs"),
     ("sched", "ops_dispatched"),
     ("sched", "group_commits"),
+    ("sched", "commits_deferred"),
+    ("sched", "commit_inflight_s"),
+    ("sched", "idle_advances"),
+    ("sched", "idle_advance_s"),
 )
 
 

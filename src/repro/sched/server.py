@@ -20,6 +20,25 @@ Ordering contract (pinned by the property tests in ``tests/sched``):
   its flush has already been dispatched. Deferrable flushes never jump
   ahead of their tenant's earlier ops, and the physical ``ld.flush()``
   covers all dispatched work — so barrier semantics survive queueing.
+  An op dispatched after a commit, acknowledged or not, belongs to the
+  next epoch: that commit does not cover it.
+
+Event model: an op has a *dispatch* time, when the server executes it
+against the LD, and a *completion* time, when its ``done`` flips and the
+client may act on it. For reads, writes and metadata calls the two
+coincide — the LD call is synchronous and the shared clock has moved by
+the time it returns. A group commit is different: ``ld.flush(wait=False)``
+issues and orders the writes and says when the disks will have them, and
+the op that triggered the commit is *parked* on the completion list
+until the shared clock reaches that time. Meanwhile the server keeps
+dispatching — other tenants' writes, metadata calls, reads of idle
+members run inside the commit's disk time — and a closed-loop client's
+window slot stays occupied until the acknowledgement. The server never
+moves the clock itself: a round that dispatches nothing while completions
+are parked waits for the disks where a flush would have, with a waiting
+barrier at the device (:meth:`LDServer.step`), and a server with a single
+tenant — nobody to keep going meanwhile — lets the flush wait, so a solo
+tenant gets call for call what it would get from the LD directly.
 
 Concurrency model: this is a discrete-event simulation, so the server is
 synchronous — ``step()`` runs one scheduler round on the caller's
@@ -29,6 +48,10 @@ nonblocking ``submit_*`` handles for closed-loop multi-tenant drivers.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+
+from repro.ld.errors import LDError
+from repro.obs.events import inherited_log
 from repro.obs.trace import NULL_SPAN
 from repro.sched.ops import (
     KIND_CALL,
@@ -42,8 +65,9 @@ from repro.sched.queues import TenantQueue, TokenBucket
 from repro.sched.stats import SchedStats
 
 
-class SchedulerStalledError(RuntimeError):
-    """The scheduler made no progress while ops were still queued."""
+class SchedulerStalledError(LDError, RuntimeError):
+    """Ops are queued, a round dispatched none of them, and no parked
+    completion is left for the disks to finish."""
 
 
 class LDServer:
@@ -55,9 +79,10 @@ class LDServer:
     triggers one physical ``ld.flush()`` that acknowledges them all.
 
     ``record_dispatch=True`` keeps an event journal — ``("submit", ...)``,
-    ``("dispatch", ...)``, ``("commit", ...)`` tuples — used by the
-    property tests to check ordering invariants. Off by default: the
-    journal grows with the workload.
+    ``("dispatch", ...)``, ``("commit", intents, complete_at)`` and
+    ``("ack", intents, at)`` tuples — used by the property tests to check
+    ordering invariants. Off by default: the journal grows with the
+    workload.
     """
 
     def __init__(
@@ -80,7 +105,7 @@ class LDServer:
         self.group_commit = group_commit
         self.stats = SchedStats()
         self.tracer = tracer if tracer is not None else getattr(ld, "tracer", None)
-        self.events = getattr(ld, "events", None)
+        self.events = inherited_log(ld)
         self.tenants: dict[str, TenantQueue] = {}
         self.sessions: dict[str, object] = {}
         self.dispatch_log: list[tuple] | None = [] if record_dispatch else None
@@ -90,6 +115,10 @@ class LDServer:
         self._arrival = 0
         self._epoch = 0
         self._intents: list[Op] = []
+        #: The completion list: commits the disks have not finished yet, a
+        #: heap of ``(complete_at, commit number, trigger op or None,
+        #: intents)``.
+        self._parked: list[tuple] = []
         # Resolved once: per-tenant attribution, placement and ARU
         # re-attachment hooks are optional on the LD (present on LLD,
         # absent on e.g. bare ULD).
@@ -181,14 +210,34 @@ class LDServer:
         """Deferred flush intents awaiting the group commit."""
         return len(self._intents)
 
+    @property
+    def parked_completions(self) -> int:
+        """Commits dispatched whose acknowledgement is not due yet."""
+        return len(self._parked)
+
     def step(self) -> int:
-        """One scheduler round; returns the number of ops dispatched."""
+        """One scheduler round; returns the number of ops dispatched.
+
+        Parked completions that have come due are retired before the
+        round and after it. A round that dispatches nothing while some
+        are parked leaves the server with nothing to do until the disks
+        are done, so it waits for them where a flush would have — at the
+        device. The server never moves time itself; the disks do.
+        """
+        parked = self._parked
+        if parked:
+            self._retire_due()
         dispatched = self.scheduler.step(self)
         self.stats.rounds += 1
+        if parked:
+            if not dispatched:
+                self._wait_for_disks()
+            self._retire_due()
         return dispatched
 
     def drain(self, until: Op | None = None) -> None:
-        """Run scheduler rounds until ``until`` completes (or all ops do)."""
+        """Run scheduler rounds until ``until`` completes — or, without
+        one, until every queue and the completion list are empty."""
         if until is not None and not until.done and self.queued == 1:
             # Solo fast path: ``until`` is the only queued op, so every
             # policy must dispatch exactly it next. Skip the scheduling
@@ -201,32 +250,32 @@ class LDServer:
                 if until.kind == KIND_READ_BLOCKS:
                     until.pending = 0
                 self.dispatch_op(until)
-                return
+                if until.done:
+                    return
+                # A commit the disks are still writing: wait it out below.
         while True:
             if until is not None:
                 if until.done:
                     return
-            elif not self.queued:
+            elif not self.queued and not self._parked:
                 return
-            if self.step() == 0:
-                if until is not None and until.done:
-                    return
-                if not self.queued:
-                    if until is None:
-                        return
-                    raise SchedulerStalledError(
-                        f"queues drained but {until!r} never completed"
-                    )
+            parked = len(self._parked)
+            if self.step() == 0 and not parked:
+                # With a completion parked, the round waited for the disks
+                # and retired it: progress. Without one, nothing can change.
                 raise SchedulerStalledError(
                     f"{self.scheduler.name} dispatched nothing with "
-                    f"{self.queued} ops queued"
+                    f"{self.queued} ops queued and no completion parked"
+                    + (f"; {until!r} never completed" if until is not None else "")
                 )
 
     def close(self) -> None:
-        """Drain every queue and commit any deferred flush intents."""
+        """Drain every queue, commit any deferred flush intents, and wait
+        for the disks to finish them."""
         self.drain()
         if self._intents:
             self._commit(None, forced=True)
+            self.drain()
 
     # ------------------------------------------------------------------
     # Dispatch primitives (called by schedulers)
@@ -243,15 +292,16 @@ class LDServer:
             self._rr = (self._rr + 1) % len(self._names)
 
     def dispatch_op(self, op: Op) -> None:
-        """Execute one op against the LD and complete it."""
+        """Execute one op against the LD; complete it, unless it triggered
+        a commit — then it completes when the disks have (it is parked)."""
         tr = self.tracer
         with tr.span(
             "sched.dispatch", tenant=op.tenant, kind=op.kind
         ) if tr else NULL_SPAN:
             if op.kind == KIND_FLUSH:
                 self._dispatch_flush(op)
-            else:
-                self._execute(op)
+                return
+            self._execute(op)
         self._complete(op)
 
     def dispatch_reads(self, entries: list[tuple[Op, int, int]]) -> None:
@@ -361,52 +411,116 @@ class LDServer:
         self._complete(op)
 
     def _dispatch_flush(self, op: Op) -> None:
-        queue = self.tenants[op.tenant]
+        """Pool the intent and complete ``op`` — or commit the pool, which
+        parks it."""
+        self._dispatched(op)  # journalled ahead of the commit it may trigger
         self._intents.append(op)
         if op.force or len(self._intents) >= self.group_commit:
-            self._commit(op, forced=op.force)
             op.result = True
+            self._commit(op, forced=op.force)
         else:
             op.result = False
             self.stats.flushes_deferred += 1
-            queue.stats.flushes_deferred += 1
+            self.tenants[op.tenant].stats.flushes_deferred += 1
+            self._done(op, self.now())
 
     def _commit(self, trigger: Op | None, *, forced: bool) -> None:
-        """One physical flush acknowledging every pending intent."""
+        """One physical flush covering every pending intent: issued and
+        ordered now, acknowledged — the intents' latencies stamped,
+        ``trigger`` completed — when the disks have it all."""
         intents = self._intents
+        stats = self.stats
+        # With one tenant there is nobody to keep going meanwhile: the
+        # flush waits for the disks itself, call for call what the tenant
+        # would get driving the LD directly, and is acknowledged at once.
+        wait = len(self.tenants) == 1
         tr = self.tracer
-        with tr.span(
-            "sched.group_commit",
-            intents=len(intents),
-            forced=forced,
-        ) if tr else NULL_SPAN:
+        with (
+            tr.span("sched.group_commit", intents=len(intents), forced=forced)
+            if tr
+            else NULL_SPAN
+        ) as sp:
             if trigger is not None and trigger.method == "flush_list":
-                self.ld.flush_list(trigger.args[0])
+                complete_at = self.ld.flush_list(trigger.args[0], wait=wait)
             else:
-                self.ld.flush()
+                complete_at = self.ld.flush(wait=wait)
+            if sp is not None:
+                sp.attrs["complete_at"] = complete_at
+        self._intents = []
         self._epoch += 1
-        now = self.now()
-        for intent in intents:
-            stats = self.tenants[intent.tenant].stats
-            stats.acks += 1
-            latency = now - intent.submitted_at
-            stats.ack_latency_total += latency
-            stats.ack_latency_hist.record(latency)
-            if latency > stats.ack_latency_max:
-                stats.ack_latency_max = latency
-        self.stats.group_commits += 1
-        self.stats.intents_committed += len(intents)
+        stats.group_commits += 1
+        stats.intents_committed += len(intents)
         if forced:
-            self.stats.forced_flushes += 1
+            stats.forced_flushes += 1
+        now = self.now()
+        if complete_at > now:
+            stats.commits_deferred += 1
+            stats.commit_inflight_s += complete_at - now
+        ev = self.events
+        if ev:
+            ev.emit(
+                "sched.group_commit",
+                severity="debug",
+                t=now,
+                intents=len(intents),
+                forced=forced,
+                complete_at=complete_at,
+            )
         if self.dispatch_log is not None:
             self.dispatch_log.append(
-                ("commit", tuple((i.tenant, i.seq) for i in intents))
+                ("commit", tuple((i.tenant, i.seq) for i in intents), complete_at)
             )
-        self._intents = []
+        heappush(self._parked, (complete_at, stats.group_commits, trigger, intents))
+        self._retire_due()  # at once, if the disks had nothing left to do
+
+    def _retire_due(self) -> None:
+        """Acknowledge every parked commit the shared clock has reached.
+
+        The acknowledgement carries the disks' completion time, not the
+        later moment a round boundary let the server look: ``done`` flips
+        here, ``completed_at`` and the ack latencies say when it was true.
+        """
+        parked = self._parked
+        now = self.now()
+        while parked and parked[0][0] <= now:
+            at, _number, trigger, intents = heappop(parked)
+            for intent in intents:
+                stats = self.tenants[intent.tenant].stats
+                stats.acks += 1
+                latency = at - intent.submitted_at
+                stats.ack_latency_total += latency
+                stats.ack_latency_hist.record(latency)
+                if latency > stats.ack_latency_max:
+                    stats.ack_latency_max = latency
+            if self.dispatch_log is not None:
+                self.dispatch_log.append(
+                    ("ack", tuple((i.tenant, i.seq) for i in intents), at)
+                )
+            if trigger is not None:
+                self._done(trigger, at)
+
+    def _wait_for_disks(self) -> None:
+        """Nothing to dispatch until a parked commit completes: wait at
+        the device, with the barrier a waiting flush would have ended on."""
+        idle_from = self.now()
+        tr = self.tracer
+        with tr.span("sched.idle_advance") if tr else NULL_SPAN:
+            self.ld.disk.barrier("commit-wait")
+        self.stats.idle_advances += 1
+        self.stats.idle_advance_s += self.now() - idle_from
+
+    def _done(self, op: Op, at: float) -> None:
+        """The one place an op's ``done`` flips."""
+        op.done = True
+        op.completed_at = at
 
     def _complete(self, op: Op) -> None:
-        op.done = True
-        op.completed_at = self.now()
+        """A synchronous op: dispatched and done at once."""
+        self._dispatched(op)
+        self._done(op, self.now())
+
+    def _dispatched(self, op: Op) -> None:
+        """Dispatch-time accounting: the counters and the journal."""
         queue = self.tenants[op.tenant]
         stats = queue.stats
         stats.dispatched += 1

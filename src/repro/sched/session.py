@@ -13,7 +13,8 @@ themselves; the blocking facade and the handles compose freely.
 Durability surface:
 
 * ``flush()`` honors the LD contract — it is a *forced* durability
-  point, committing the cross-tenant group immediately.
+  point, committing the cross-tenant group immediately, and it returns
+  when the disks have the commit (other tenants are served meanwhile).
 * ``request_flush()`` is the deferrable variant: the session's flush
   intent joins the server's group commit and the call reports whether
   the group already went physical. This is what ``LDStore`` maps
@@ -198,19 +199,28 @@ class TenantSession(LogicalDisk):
 
         return _aru()
 
-    def flush(self) -> None:
-        """Forced durability point (the LD contract): commits the group."""
-        self._run(self.submit_flush(force=True))
+    def flush(self, *, wait: bool = True) -> float:
+        """Forced durability point (the LD contract): commits the group.
+
+        The blocking facade waits for the acknowledgement whatever
+        ``wait`` says — the server keeps the other tenants going meanwhile;
+        a client with work of its own to overlap uses ``submit_flush``.
+        """
+        op = self.submit_flush(force=True)
+        self._run(op)
+        return op.completed_at
 
     def request_flush(self) -> bool:
-        """Deferrable flush intent; True if the group commit went physical."""
+        """Deferrable flush intent; True if the group commit went physical
+        (the call then returned at its acknowledgement)."""
         return self._run(self.submit_flush(force=False))
 
-    def flush_list(self, lid: int) -> None:
+    def flush_list(self, lid: int, *, wait: bool = True) -> float:
         op = self.submit_flush(force=True)
         op.method = "flush_list"
         op.args = (lid,)
         self._run(op)
+        return op.completed_at
 
     # --- reservations -------------------------------------------------
 

@@ -50,8 +50,10 @@ class TenantSchedStats:
         self.bytes_read = 0
         self.bytes_written = 0
         self.rate_limited = 0
-        #: Flush intents made durable, and their submit->commit latency
-        #: (virtual seconds) — the per-tenant fsync ack figures.
+        #: Flush intents made durable, and their latency from submission
+        #: to the acknowledgement — when the disks had the commit, not when
+        #: it was dispatched (virtual seconds): the per-tenant fsync ack
+        #: figures.
         self.acks = 0
         self.ack_latency_total = 0.0
         self.ack_latency_max = 0.0
@@ -101,6 +103,15 @@ class SchedStats:
     flushes_deferred: int = 0
     intents_committed: int = 0
     forced_flushes: int = 0
+    # How much of it overlapped with other work: commits whose writes were
+    # still in flight when the flush returned, the simulated seconds they
+    # had left, and how much of that the server spent with nothing to
+    # dispatch (waiting for the disks at the device) — the rest was
+    # covered by other tenants' ops.
+    commits_deferred: int = 0
+    commit_inflight_s: float = 0.0
+    idle_advances: int = 0
+    idle_advance_s: float = 0.0
 
     # Fairness / QoS machinery.
     rounds: int = 0

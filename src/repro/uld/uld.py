@@ -127,13 +127,17 @@ class ULD(LogicalDisk):
             body += _LIST_ROW.pack(lid, _NONE if first is None else first, hints.pack())
         return bytes(body)
 
-    def flush(self) -> None:
-        """Persist metadata by shadow-paging into the older copy."""
+    def flush(self, *, wait: bool = True) -> float:
+        """Persist metadata by shadow-paging into the older copy.
+
+        Written for a bare disk, which queues nothing: it returns with
+        everything on the medium whatever ``wait`` says.
+        """
         self._require_init()
         if self._in_aru:
             # Durability points inside an ARU would break its atomicity;
             # the flush is honoured when the ARU ends.
-            return
+            return self.disk.clock.now
         body = self._serialize_metadata()
         self._meta_seq += 1
         header = _META_HEADER.pack(
@@ -157,6 +161,7 @@ class ULD(LogicalDisk):
         # recovery would serve unwritten sectors as block content.
         self.disk.barrier("uld-metadata")
         self.disk.write(target, image + b"\x00" * pad)
+        return self.disk.clock.now
 
     def _read_metadata(self, lba: int):
         head = self.disk.read(lba, 1)
@@ -432,11 +437,11 @@ class ULD(LogicalDisk):
                 self._write_in_place(bid, block, data)
         self._aru_buffer = []
 
-    def flush_list(self, lid: int) -> None:
+    def flush_list(self, lid: int, *, wait: bool = True) -> float:
         self._require_init()
         if lid not in self._lists:
             raise NoSuchListError(lid)
-        self.flush()
+        return self.flush()
 
     # ------------------------------------------------------------------
     # Reservations

@@ -38,7 +38,9 @@ dispatch without advancing the shared clock at all, and a waiting
 horizon — so a striped segment write plus its flush barrier also costs
 ~max over spindles. An *ordering* barrier (``wait=False``) waits only for
 the writes of the barrier before it, so at most one barrier epoch of
-writes is ever left in flight behind the caller. A member write computed
+writes is ever left in flight behind the caller — and over an empty epoch
+it waits for nothing: :meth:`Volume.write_horizon` then tells a caller
+that did not wait when its writes will be done. A member write computed
 from member reads (a parity row's read-modify-write) starts no earlier
 than the last of those reads completes, on whichever member it lands.
 Data lands in the member sector stores at dispatch, so read-after-write
@@ -88,12 +90,18 @@ DEFAULT_CHUNK_SECTORS = 128
 
 
 def _xor_buffers(buffers) -> bytes:
-    """XOR equal-length byte buffers (int-based: ~memcpy speed in CPython).
+    """XOR equal-length byte buffers through Python ints.
 
-    Operands are taken as they come — ``bytes`` a member store's ``read``
-    returned (its one copy per byte), ``memoryview`` slices of the request
-    — and the result is the only buffer built here; a member ``write``
-    then copies it once more, into the store's extent.
+    The cheapest XOR CPython offers without an extension, and not cheap:
+    ``int.from_bytes`` walks every byte (about 1.4 GB/s from ``bytes``,
+    half that from a ``memoryview`` — a plain copy is thirty times
+    faster), so parity is a large share of the CPU wherever many rows are
+    written (two fifths of ``aged_overwrite``'s timed phase when PR 22 was
+    sized). Operands are taken as they come — ``bytes`` a member
+    store's ``read`` returned (its one copy per byte), ``memoryview``
+    slices of the request; copying a view to ``bytes`` first measures no
+    better in place — and the result is the only buffer built here; a
+    member ``write`` then copies it once more, into the store's extent.
     """
     acc = 0
     length = 0
@@ -908,7 +916,11 @@ class Volume:
         becomes visible to the layers above. An ordering barrier
         (``wait=False``) lifts it only to the member horizon the
         *previous* barrier recorded, then records its own: the caller runs
-        ahead of the writes of one barrier epoch, never of two.
+        ahead of the writes of one barrier epoch, never of two. An
+        ordering barrier over an empty epoch — no write since the last
+        barrier — orders nothing, so it waits for nothing and records
+        nothing: the epoch before it stays the one the next barrier with
+        writes behind it waits for.
         """
         tr = self.tracer
         if tr:
@@ -920,14 +932,22 @@ class Volume:
         serving = self._serving_members()
         for i in serving:
             self.disks[i].barrier(label, wait=wait)
-        if wait:
-            self.drain()
-        else:
-            self.clock.advance_to(self._barrier_horizon)
-            self.volume_stats.note_ordering_barrier()
-        self._barrier_horizon = max(self.disks[i].clock.now for i in serving)
         self.stats.barriers += 1
         self.volume_stats.barriers += 1
+        if wait:
+            self.drain()
+        elif self.volume_stats.epoch_writes:
+            self.clock.advance_to(self._barrier_horizon)
+            self.volume_stats.note_ordering_barrier()
+        else:
+            return  # an empty epoch: nothing to wait for, nothing to record
+        self._barrier_horizon = self.write_horizon()
+
+    def write_horizon(self) -> float:
+        """Simulated time by which every write dispatched so far is on the
+        medium: the slowest serving member's clock (what a waiting barrier
+        would lift the shared clock to)."""
+        return max(self.disks[i].clock.now for i in self._serving_members())
 
     def drain(self) -> None:
         """Advance the shared clock over every serving member (no barrier)."""

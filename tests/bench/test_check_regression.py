@@ -194,6 +194,9 @@ BROKEN = [
     # rows above take their test ids from their position in this list).
     ("read_path", "fs_demand.sequential.disk_reads", 1988),
     ("read_path", "fs_demand.random.zones_per_ld_request", 1.0),
+    # Commits that wait inside the server again: all their time idled away.
+    ("multitenant", "overlap.idle_frac", 0.6),
+    ("multitenant", "overlap", None),
 ]
 
 

@@ -41,6 +41,26 @@ def test_dashboard_attributes_time_to_layers():
     assert "3 levels" in text
 
 
+def test_dashboard_counts_commits_in_flight():
+    clock = VirtualClock()
+    tracer = Tracer(clock)
+    for inflight in (0.040, 0.0, 0.025):
+        with tracer.span("sched.group_commit", intents=2, forced=False) as span:
+            clock.advance(0.001)  # issuing the writes
+            span.attrs["complete_at"] = clock.now + inflight
+        clock.advance(0.001)
+    with tracer.span("sched.idle_advance"):
+        clock.advance(0.015)
+    text = render_dashboard(tracer.spans)
+    section = text.split("== commits in flight")[1]
+    rows = {l.split()[0]: l.split()[1:] for l in section.splitlines() if l.startswith("sched.")}
+    assert rows["sched.group_commits"] == ["3", "-"]
+    assert rows["sched.commits_deferred"] == ["2", "65.000"]
+    assert rows["sched.idle_advances"] == ["1", "15.000"]
+    # A trace without commits has no such section.
+    assert "commits in flight" not in render_dashboard(make_trace())
+
+
 def test_dashboard_handles_empty_trace():
     assert "empty trace" in render_dashboard([])
 

@@ -66,6 +66,26 @@ def test_render_top_falls_back_to_totals_without_series():
     assert "rates" not in text.split("totals")[0]
 
 
+def test_totals_show_how_much_of_the_commits_overlapped():
+    payload = sample_payload()
+    payload["sched"] = {
+        "group_commits": 1039,
+        "commits_deferred": 1038,
+        "commit_inflight_s": 58.85,
+        "idle_advances": 149,
+        "idle_advance_s": 15.56,
+    }
+    totals = render_top(payload).split("totals")[1]
+    for name, shown in (
+        ("sched.commits_deferred", "1038"),
+        ("sched.commit_inflight_s", "58.850"),
+        ("sched.idle_advances", "149"),
+        ("sched.idle_advance_s", "15.560"),
+    ):
+        (line,) = [l for l in totals.splitlines() if l.startswith(name + " ")]
+        assert shown in line
+
+
 def test_render_top_empty_inputs():
     text = render_top()
     assert "t=0.000000s simulated" in text

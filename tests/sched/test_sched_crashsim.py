@@ -7,7 +7,15 @@ interleaved ARUs, an aborted ARU), a :class:`RecordingDisk` journals
 every sector write, and every enumerated crash image must recover to
 *some* acknowledged global snapshot — queueing and group commit must not
 open any new crash window.
+
+On a bare disk a commit is on the medium when ``flush`` returns; behind a
+one-member :class:`~repro.volume.Volume` — the same LBA space and the same
+journal, but writes that complete after they are issued — the server
+acknowledges it later and dispatches the other tenant meanwhile, and the
+matrix walks the states inside that window too.
 """
+
+import pytest
 
 from repro.bench import make_scheduler
 from repro.crashsim import (
@@ -21,15 +29,17 @@ from repro.disk import SimulatedDisk, fast_test_disk
 from repro.lld import LLD
 from repro.sched import LDServer
 from repro.sim import VirtualClock
+from repro.volume import Volume
 
 from tests.lld.conftest import small_config
 
 
-def recorded_server(scheduler_name="qos", *, group_commit=1):
+def recorded_server(scheduler_name="qos", *, group_commit=1, queued=False):
     config = small_config(torn_write_protection=True)
     disk = SimulatedDisk(fast_test_disk(capacity_mb=4), VirtualClock())
     recording = RecordingDisk(disk)
-    lld = LLD(recording, config)
+    device = Volume([recording], VirtualClock()) if queued else recording
+    lld = LLD(device, config)
     lld.initialize()
     server = LDServer(
         lld, make_scheduler(scheduler_name), group_commit=group_commit
@@ -37,9 +47,9 @@ def recorded_server(scheduler_name="qos", *, group_commit=1):
     return server, lld, recording
 
 
-def explore(scheduler_name: str, group_commit: int, **workload_kw):
+def explore(scheduler_name: str, group_commit: int, queued: bool = False, **workload_kw):
     server, lld, recording = recorded_server(
-        scheduler_name, group_commit=group_commit
+        scheduler_name, group_commit=group_commit, queued=queued
     )
     a = server.open_session("a")
     b = server.open_session("b")
@@ -69,6 +79,35 @@ class TestSchedulerCrashMatrix:
         )
         assert report.states_total > 50
         assert report.violations == []
+
+    @pytest.mark.parametrize("scheduler", ["qos", "fifo"])
+    def test_crash_inside_a_deferred_commit_has_no_violations(self, scheduler):
+        """The window between a commit's dispatch and its acknowledgement:
+        its intents may or may not be durable, nothing acknowledged earlier
+        is lost, and the other tenant's write dispatched inside it belongs
+        to the next epoch."""
+        report, driver, recording = explore(scheduler, group_commit=2, queued=True)
+        stats = driver.server.stats
+        assert stats.commits_deferred == stats.group_commits > 0
+        assert driver.overlapped == 2  # both phase-G commits had a write inside
+        assert report.states_total > 100
+        assert report.violations == []
+        # Every journal position is a crash state, so the walk covers each
+        # overlapped commit from its first write to its acknowledgement;
+        # past that point recovery owes exactly the snapshot frozen when
+        # the commit was issued — without the write dispatched inside it,
+        # which only the next commit acknowledges.
+        points = {p.label: p for p in driver.oracle.points}
+        for i in range(2):
+            covered, later = points[f"overlap-{i}"], points[f"after-overlap-{i}"]
+            assert covered.seq < later.seq <= recording.position
+            assert covered.blocks != later.blocks
+
+    def test_bare_disk_leaves_no_window_and_the_same_phases_hold(self):
+        _report, driver, _recording = explore("qos", group_commit=2)
+        assert driver.server.stats.commits_deferred == 0
+        assert driver.overlapped == 0
+        assert {"overlap-0", "overlap-1"} <= {p.label for p in driver.oracle.points}
 
     def test_acks_land_on_barrier_positions(self):
         _report, driver, recording = explore("qos", group_commit=2)

@@ -7,7 +7,16 @@ scripts on both shipped policies:
 * each tenant's ops dispatch in submission order (program order);
 * a group commit never crosses a barrier epoch: when an intent batch
   commits, every earlier op of every committed tenant has already been
-  dispatched.
+  dispatched;
+* completion follows the disks (``check_completions`` in the conftest):
+  no op is ``done`` ahead of the clock, a commit's trigger and its
+  acknowledgement are no earlier than the device's write horizon, what a
+  commit covers is fixed when it is issued, and ``drain``/``close`` leave
+  nothing parked.
+
+Scripts run on a bare disk, where a write is done when it returns, and on
+a RAID-5 volume, where a commit is in flight long after it is issued and
+other tenants' ops are dispatched meanwhile.
 """
 
 from collections import Counter
@@ -15,9 +24,18 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.sched.conftest import make_server, populate
+from tests.sched.conftest import (
+    check_completions,
+    make_server,
+    populate,
+    run_to_quiescence,
+    watch_flushes,
+)
 
-KINDS = ("write", "read", "read_blocks", "flush", "flush_force", "meta")
+KINDS = (
+    "write", "read", "read_blocks", "flush", "flush_force", "flush_list",
+    "meta", "aru",
+)
 
 
 @st.composite
@@ -43,16 +61,18 @@ def scripts(draw):
     ]
     scheduler = draw(st.sampled_from(["fifo", "qos"]))
     group_commit = draw(st.integers(min_value=1, max_value=3))
-    return per_tenant, order, weights, caps, scheduler, group_commit
+    device = draw(st.sampled_from(["bare", "raid5"]))
+    return per_tenant, order, weights, caps, scheduler, group_commit, device
 
 
-def run_script(per_tenant, order, weights, caps, scheduler_name, group_commit):
+def run_script(per_tenant, order, weights, caps, scheduler_name, group_commit, device="bare"):
     from repro.bench import make_scheduler
 
-    server, _lld = make_server(
+    server, lld = make_server(
         make_scheduler(scheduler_name),
         group_commit=group_commit,
         record_dispatch=True,
+        device=device,
     )
     sessions = []
     setup = []
@@ -63,7 +83,9 @@ def run_script(per_tenant, order, weights, caps, scheduler_name, group_commit):
         lid, bids = populate(sess, 3, size=512, tag=f"t{i}")
         sessions.append((sess, lid, bids))
         setup.append(sess._seq)  # seqs consumed by the blocking setup
+    server.drain()
     mark = len(server.dispatch_log)
+    horizons = watch_flushes(lld)
     cursors = [0] * len(sessions)
     submitted = []
     for i in order:
@@ -81,19 +103,29 @@ def run_script(per_tenant, order, weights, caps, scheduler_name, group_commit):
             submitted.append(sess.submit_flush(force=False))
         elif kind == "flush_force":
             submitted.append(sess.submit_flush(force=True))
+        elif kind == "flush_list":
+            op = sess.submit_flush(force=True)
+            op.method, op.args = "flush_list", (lid,)
+            submitted.append(op)
+        elif kind == "aru":
+            submitted.append(sess.submit_call("begin_aru"))
+            submitted.append(sess.submit_write(bids[k % 3], b"u" * 1024))
+            submitted.append(sess.submit_call("end_aru"))
         else:
             submitted.append(sess.submit_call("list_length", lid))
+    first_seen = run_to_quiescence(server, submitted)
     server.drain()
     server.close()
+    check_completions(server, submitted, horizons, first_seen, mark)
     return server, submitted, mark, setup
 
 
 @given(scripts())
 @settings(max_examples=40, deadline=None)
 def test_dispatch_invariants(script):
-    per_tenant, order, weights, caps, scheduler, group_commit = script
+    per_tenant, order, weights, caps, scheduler, group_commit, device = script
     server, submitted, mark, _setup = run_script(
-        per_tenant, order, weights, caps, scheduler, group_commit
+        per_tenant, order, weights, caps, scheduler, group_commit, device
     )
     events = server.dispatch_log[mark:]
     submits = [(e[1], e[2]) for e in events if e[0] == "submit"]
@@ -140,15 +172,17 @@ def test_dispatch_invariants(script):
 @settings(max_examples=15, deadline=None)
 def test_results_are_independent_of_policy(script):
     """Both policies drain any script to the same per-op results."""
-    per_tenant, order, weights, caps, _scheduler, group_commit = script
+    per_tenant, order, weights, caps, _scheduler, group_commit, device = script
     outcomes = []
     for name in ("fifo", "qos"):
         _server, submitted, _mark, _setup = run_script(
-            per_tenant, order, weights, caps, name, group_commit
+            per_tenant, order, weights, caps, name, group_commit, device
         )
+        # Not a flush's result (which commit it joined) nor an ARU's id (a
+        # log timestamp): those depend on the interleaving.
         outcomes.append(
             [
-                op.result if op.kind != "flush" else None
+                op.result if op.kind != "flush" and op.method != "begin_aru" else None
                 for op in submitted
             ]
         )

@@ -108,6 +108,54 @@ def test_ordering_barrier_waits_for_the_previous_epoch_only(layout):
     assert volume.clock.now == before
 
 
+@pytest.mark.parametrize("layout", ["stripe", "mirror", "raid5"])
+def test_an_ordering_barrier_over_an_empty_epoch_orders_nothing(layout):
+    """No write since the last barrier: nothing to order, so the caller
+    waits for nothing and no horizon is recorded — the epoch before stays
+    the one the next barrier with writes behind it waits for. The members
+    still see the barrier, and it still counts."""
+    volume = make_volume(layout)
+    volume.write(0, bytes(2 * CHUNK * SECTOR))
+    volume.barrier("image", wait=False)
+    first = horizon(volume)
+    assert volume.clock.now == 0.0 < first
+    for label in ("flush", "again"):
+        # Background work (the rebuild scanner's) pushes a member on
+        # meanwhile: an empty epoch records no horizon, so the caller never
+        # waits for that either.
+        volume.disks[1].clock.advance_to(volume.disks[1].clock.now + 1.0)
+        volume.barrier(label, wait=False)
+        # Not lifted to the epoch just closed, as a barrier with writes
+        # behind it would be ...
+        assert volume.clock.now == 0.0
+        assert volume.volume_stats.inflight_writes > 0
+    assert all(member.waits == [False] * 3 for member in volume.disks)
+    assert volume.stats.barriers == volume.volume_stats.barriers == 3
+    # ... and the one-epoch bound survives: the next epoch's barrier waits
+    # for the first epoch's writes, exactly as if the empty ones never were.
+    volume.write(3 * CHUNK, bytes(SECTOR))
+    volume.barrier("next", wait=False)
+    assert volume.clock.now == first <= horizon(volume)
+    # A waiting barrier over an empty epoch still drains.
+    volume.barrier("ack")
+    assert volume.clock.now == horizon(volume)
+    assert volume.volume_stats.inflight_writes == 0
+
+
+def test_an_empty_epoch_closes_no_member_journal_epoch():
+    """The timing twin of ``RecordingDisk.barrier``'s rule: epochs never
+    go empty, on the journal or on the clock."""
+    volume = make_volume()
+    recording = ParityRecording(volume)
+    volume.write(0, bytes(CHUNK * SECTOR))
+    volume.barrier("image", wait=False)
+    volume.barrier("flush", wait=False)
+    assert len(recording.epoch_positions) == 1
+    assert all(member.inner.waits == [False, False] for member in recording.members)
+    labels = {b.label for m in recording.members for b in m.barriers}
+    assert labels == {"image"}
+
+
 def test_ordering_barrier_reaches_the_members_like_a_waiting_one():
     """Same member journals, epochs and barrier counts: only the shared
     clock can tell the two kinds apart."""
