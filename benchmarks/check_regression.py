@@ -101,6 +101,14 @@ TABLE = [
         "not-below-committed",
         SLACK,
     ),
+    # A sub-chunk range written twice: the second write's pre-reads come
+    # from the volume's stripe cache, so it issues no member read at all.
+    Row(
+        "volume_scaling",
+        "raid5.write_paths.rmw_resident.rewrite_member_reads",
+        "ceiling",
+        0,
+    ),
     Row("volume_scaling", "raid5.degraded_read.reconstructed_reads", "floor", 1),
     Row("volume_scaling", "raid5.rebuild[*].rebuild_progress", "monotone-to", 1.0),
     # Every leaf under these is simulated (virtual-clock seconds, request

@@ -15,6 +15,7 @@ import zlib
 from typing import TYPE_CHECKING
 
 from repro.disk.disk import SimulatedDisk
+from repro.ld.errors import LDError
 from repro.ld.hints import ListHints
 from repro.lld.config import SECTOR, LLDConfig
 from repro.lld.state import (
@@ -49,7 +50,7 @@ _TOMB_CODES = {"block": 1, "list": 2}
 _TOMB_NAMES = {code: kind for kind, code in _TOMB_CODES.items()}
 
 
-class CheckpointTooLargeError(Exception):
+class CheckpointTooLargeError(LDError):
     """The serialized state does not fit in the checkpoint region."""
 
 

@@ -305,6 +305,9 @@ class LLD(LogicalDisk):
         self.log.held.clear()  # sealed but never written: never acknowledged
         if self.read_cache is not None:
             self.read_cache.clear()  # main-memory state is lost
+        power_fail = getattr(self.disk, "power_fail", None)
+        if power_fail is not None:
+            power_fail()  # so is the device's own (a volume's stripe cache)
 
     def _require_init(self) -> None:
         if not self._initialized:

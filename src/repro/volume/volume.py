@@ -42,7 +42,10 @@ writes is ever left in flight behind the caller — and over an empty epoch
 it waits for nothing: :meth:`Volume.write_horizon` then tells a caller
 that did not wait when its writes will be done. A member write computed
 from member reads (a parity row's read-modify-write) starts no earlier
-than the last of those reads completes, on whichever member it lands.
+than the last of those reads completes, on whichever member it lands —
+and a pre-read whose sectors the volume itself wrote recently is no member
+read at all: a parity volume keeps them (:mod:`repro.volume.stripe_cache`),
+for this one purpose.
 Data lands in the member sector stores at dispatch, so read-after-write
 is always coherent regardless of clock skew.
 
@@ -69,6 +72,7 @@ from repro.disk.disk import SimulatedDisk
 from repro.disk.geometry import DiskGeometry
 from repro.disk.stats import DiskStats
 from repro.disk.store import sector_view
+from repro.ld.errors import LDError
 from repro.obs.hist import LatencyHistogram
 from repro.obs.trace import NULL_SPAN
 from repro.sim.clock import VirtualClock
@@ -79,6 +83,7 @@ from repro.volume.mapping import (
     chunk_runs,
     mirror_map,
 )
+from repro.volume.stripe_cache import StripeCache
 
 LAYOUTS = ("stripe", "mirror", "raid4", "raid5")
 
@@ -111,7 +116,7 @@ def _xor_buffers(buffers) -> bytes:
     return acc.to_bytes(length, "little")
 
 
-class VolumeError(Exception):
+class VolumeError(LDError):
     """A volume-level request cannot be served."""
 
 
@@ -168,13 +173,17 @@ class VolumeStats:
 
     #: Every plain counter, in one place: initialised to 0 and reported
     #: under its own name by :meth:`as_dict`. From ``reconstructed_reads``
-    #: on they count parity paths (and stay 0 on stripe/mirror layouts).
+    #: on they count parity paths (and stay 0 on stripe/mirror layouts);
+    #: the ``preread_*`` ones count a read-modify-write's old-bytes
+    #: buffers: served by the stripe cache (and the sectors that spared
+    #: the members), or read from a member.
     COUNTERS = (
         "reads", "writes", "sub_reads", "sub_writes", "barriers",
         "degraded_reads", "reconstructed_reads", "full_stripe_writes",
         "rmw_writes", "degraded_writes", "rebuild_rows_done",
         "rebuild_reads", "rebuild_writes", "rebuilds_completed",
         "max_queue_depth",
+        "preread_hits", "preread_misses", "preread_sectors_saved",
     )
 
     def __init__(self, volume: "Volume") -> None:
@@ -284,14 +293,17 @@ class _Dispatch:
     completion of the latest read since the caller last reset it — the
     bytes of a read-modify-write do not exist before its pre-reads return,
     whichever members they came from. The caller decides which members to
-    address.
+    address. On a parity volume every member write is also remembered by
+    the stripe cache (write-through), so a later read-modify-write can
+    :meth:`preread` the same sectors without a member read.
     """
 
-    __slots__ = ("disks", "stats", "now", "floor", "completion", "writes")
+    __slots__ = ("disks", "stats", "cache", "now", "floor", "completion", "writes")
 
     def __init__(self, volume: "Volume", now: float) -> None:
         self.disks = volume.disks
         self.stats = volume.volume_stats
+        self.cache = volume.stripe_cache
         self.now = now
         #: Earliest start of the next member write.
         self.floor = now
@@ -311,10 +323,25 @@ class _Dispatch:
             self.completion = done
         return data
 
+    def preread(self, member: int, plba: int, nsectors: int) -> bytes:
+        """The bytes a read-modify-write is about to replace: remembered
+        from the write that put them there, or else read from the member.
+        A remembered buffer issues nothing, so it does not raise ``floor``."""
+        data = self.cache.load(member, plba, nsectors)
+        stats = self.stats
+        if data is None:
+            stats.preread_misses += 1
+            return self.read(member, plba, nsectors)
+        stats.preread_hits += 1
+        stats.preread_sectors_saved += nsectors
+        return data
+
     def write(self, member: int, plba: int, payload) -> None:
         disk = self.disks[member]
         disk.clock.advance_to(self.floor)
         disk.write(plba, payload)
+        if self.cache is not None:
+            self.cache.store(member, plba, payload)
         self.writes += 1
         if disk.clock.now > self.completion:
             self.completion = disk.clock.now
@@ -377,6 +404,13 @@ class Volume:
             )
             self._write_plan, self._lost_runs = self._write_rows, self._row_runs
         pmap = self.parity_map
+        #: What a parity volume remembers of its own member writes, for
+        #: the read-modify-write pre-reads alone (None without parity).
+        self.stripe_cache: StripeCache | None = (
+            StripeCache(member_geo.sector_size, self.chunk_sectors)
+            if pmap is not None
+            else None
+        )
         self.geometry = VolumeGeometry(
             member_geo,
             self.map.total_sectors,
@@ -518,6 +552,7 @@ class Volume:
             disk = SimulatedDisk(self.geometry.member, VirtualClock())
         self._admit(disk, self.geometry.member, "replacement")
         self.disks[index] = disk
+        self.stripe_cache.drop_member(index)  # a different medium now
         self._scan_from_start(index)
         self._announce("volume.rebuild_started", index, rows=self.parity_map.rows)
 
@@ -569,6 +604,7 @@ class Volume:
             rebuilt = self._xor_others(target, row_lba, chunk, scan)
             replacement.clock.advance_to(now)
             replacement.write(row_lba, rebuilt)
+            self.stripe_cache.store(target, row_lba, rebuilt)  # a member write like any other
             vstats.rebuild_writes += 1
             vstats.rebuild_rows_done += 1
             self._rebuild_cursor += 1
@@ -791,12 +827,15 @@ class Volume:
         view, nsectors = sector_view(data, self.geometry.sector_size, "write")
         self.map.check_range(lba, nsectors)
         tr = self.tracer
-        with tr.span("volume.write", lba=lba, sectors=nsectors) if tr else NULL_SPAN:
+        with tr.span("volume.write", lba=lba, sectors=nsectors) if tr else NULL_SPAN as span:
             self._rebuild_tick()
             now = self.clock.now
             io = _Dispatch(self, now)
-            self._write_plan(io, lba, nsectors, view)
             vstats = self.volume_stats
+            hits = vstats.preread_hits
+            self._write_plan(io, lba, nsectors, view)
+            if span is not None:
+                span.attrs["prereads_saved"] = vstats.preread_hits - hits
             vstats.note_write_dispatch(io.writes)
             self.stats.record_request(nsectors, write=True)
             vstats.writes += 1
@@ -823,6 +862,9 @@ class Volume:
         * **read-modify-write** — pre-read the old data under each
           fragment and the old parity over the touched range; new parity
           is old parity XOR old data XOR new data per fragment extent.
+          This is the one place the stripe cache is consulted
+          (:meth:`_Dispatch.preread`): a buffer whose sectors are all
+          resident costs no member read, each buffer on its own.
           A row touched in one chunk (the dominant shape: a partial
           segment flush) has a parity range equal to its fragment's, so
           the three buffers XOR as read, with no staging copy; only a row
@@ -867,8 +909,8 @@ class Volume:
             elif bad == parity_member:
                 parity = None
             elif bad is None:
-                old = [io.read(f.disk, base + f.within, f.nsectors) for f in frags]
-                old_parity = io.read(parity_member, base + lo, hi - lo)
+                old = [io.preread(f.disk, base + f.within, f.nsectors) for f in frags]
+                old_parity = io.preread(parity_member, base + lo, hi - lo)
                 if len(frags) == 1:
                     # The touched parity range is the fragment's own: one
                     # XOR over the three buffers as they are, no staging.
@@ -962,6 +1004,17 @@ class Volume:
     def _peek_member(self, member: int, plba: int, nsectors: int) -> bytes:
         return self.disks[member].peek(plba, nsectors)
 
+    def _forget(self, member: int, plba: int, nsectors: int) -> None:
+        """A member's medium is about to change behind the write path: the
+        stripe cache may only hold what the member's ``peek`` returns."""
+        if self.stripe_cache is not None:
+            self.stripe_cache.drop(member, plba, nsectors)
+
+    def power_fail(self) -> None:
+        """Main memory is lost; the members keep what was written to them."""
+        if self.stripe_cache is not None:
+            self.stripe_cache.clear()
+
     def _stores(self, sub: SubRequest):
         """Where a time-free store to ``sub`` lands: ``(member, plba, nsectors, held)``.
 
@@ -994,6 +1047,7 @@ class Volume:
             payload = self._payload(view, sub, size)
             for member, plba, count, _held in self._stores(sub):
                 off = (plba - sub.plba) * size
+                self._forget(member, plba, count)
                 self.disks[member].install(plba, payload[off : off + count * size])
         for row in self.map.parity_rows(lba, nsectors):
             self._install_parity_row(row)
@@ -1010,6 +1064,7 @@ class Volume:
         parity = self._xor_others(holder, base, chunk, self._peek_member)
         if self._peek_member(holder, base, chunk) == parity:
             return False
+        self._forget(holder, base, chunk)
         self.disks[holder].install(base, parity)
         return True
 
@@ -1055,6 +1110,7 @@ class Volume:
         for sub in self.map.split(lba, nsectors):
             for member, plba, count, held in self._stores(sub):
                 if held:
+                    self._forget(member, plba, count)
                     self.disks[member].corrupt(plba, count)
 
     @property

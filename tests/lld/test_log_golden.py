@@ -60,8 +60,13 @@ arm (the 32 bare-disk ``image`` arms are the parent's). Row gather (parent
 segments leave as one write, which exists on the 64 RAID-5 arms only —
 ``layout``, ``requests`` and ``clocks`` re-captured there, ``contents`` the
 parent's on all 192 and all four components the parent's on the 128 bare
-and stripe arms. A change that keeps requests where they are re-captures
-nothing; one that moves them re-captures the components it names up front
+and stripe arms. The stripe cache (parent 694d45b): the RAID-5 volume
+serves the pre-reads of re-written sectors from memory, so the same
+requests finish sooner — ``clocks`` re-captured on the 62 RAID-5 arms it
+moved (``read_cache`` on ``image/plain`` kept both of its own),
+``contents``, ``layout`` and ``requests`` the parent's on all 192, every
+bare-disk and stripe ``clocks`` the parent's. A change that keeps
+requests where they are re-captures nothing; one that moves them re-captures the components it names up front
 and shows the rest byte-identical to this table.
 
 Two stats fields are allowed to differ from the d6408cc capture, and only
@@ -123,14 +128,14 @@ GOLDEN: dict[str, dict[str, tuple[str, str, str, str]]] = {
         'stripe/image/torn/disk': ('9d48309989c7', '9367f26da1dc', '1b20afef32c4', 'f8cc9fff35e1'),
         'stripe/image/plain/nvram': ('9d48309989c7', '83d70aed560a', '44e5213db3f3', '15dbf9f61ad5'),
         'stripe/image/plain/disk': ('9d48309989c7', '9367f26da1dc', 'd6b8ed4c179e', 'ce86b6e6e9ed'),
-        'raid5/delta/torn/nvram': ('636cb8d0e6c8', '2eaf6552602a', 'f80e988dcbea', 'fa65e952af9c'),
-        'raid5/delta/torn/disk': ('636cb8d0e6c8', '537be0051226', '9beb427c435e', '7b4a014d7f4b'),
-        'raid5/delta/plain/nvram': ('636cb8d0e6c8', '2eaf6552602a', '1a7160ee3f2f', '4a16df301e75'),
-        'raid5/delta/plain/disk': ('636cb8d0e6c8', '537be0051226', '9d5904df8437', 'dfc85842284c'),
-        'raid5/image/torn/nvram': ('636cb8d0e6c8', '2eaf6552602a', 'baa5fe5f95cd', '419e9c7e156e'),
-        'raid5/image/torn/disk': ('636cb8d0e6c8', '537be0051226', '669ee38b5d5e', '310f74e8bc13'),
-        'raid5/image/plain/nvram': ('636cb8d0e6c8', '2eaf6552602a', '0d9277e8eccd', 'e1ee817351a7'),
-        'raid5/image/plain/disk': ('636cb8d0e6c8', '537be0051226', 'a03f850f506c', '3fdf63d5388e'),
+        'raid5/delta/torn/nvram': ('636cb8d0e6c8', '2eaf6552602a', 'f80e988dcbea', 'e1ee817351a7'),
+        'raid5/delta/torn/disk': ('636cb8d0e6c8', '537be0051226', '9beb427c435e', 'cf6d6bff9ae6'),
+        'raid5/delta/plain/nvram': ('636cb8d0e6c8', '2eaf6552602a', '1a7160ee3f2f', '305a1059e788'),
+        'raid5/delta/plain/disk': ('636cb8d0e6c8', '537be0051226', '9d5904df8437', 'e290b7c012d4'),
+        'raid5/image/torn/nvram': ('636cb8d0e6c8', '2eaf6552602a', 'baa5fe5f95cd', '90414d908864'),
+        'raid5/image/torn/disk': ('636cb8d0e6c8', '537be0051226', '669ee38b5d5e', '7a45d9275f99'),
+        'raid5/image/plain/nvram': ('636cb8d0e6c8', '2eaf6552602a', '0d9277e8eccd', '46258edac784'),
+        'raid5/image/plain/disk': ('636cb8d0e6c8', '537be0051226', 'a03f850f506c', '1f9cf1051eaa'),
     },
     'compaction': {
         'bare/delta/torn/nvram': ('f43c3e5cdaa8', 'af1a6f8f12ee', '0f0206e541f0', '766cf4a38a13'),
@@ -149,14 +154,14 @@ GOLDEN: dict[str, dict[str, tuple[str, str, str, str]]] = {
         'stripe/image/torn/disk': ('cf67d8db9144', '9a461984d664', 'da496cdc6700', '8f11f8e64c2b'),
         'stripe/image/plain/nvram': ('cf67d8db9144', '178bfd89ec60', '5795e16f5cea', '5e77bc7512b2'),
         'stripe/image/plain/disk': ('cf67d8db9144', '9a461984d664', '5be74fa4e277', '8f6250d5da00'),
-        'raid5/delta/torn/nvram': ('486ae46ecdb9', '38c6adb40e4a', '542a395bd1bb', 'd1b07f87aa31'),
-        'raid5/delta/torn/disk': ('486ae46ecdb9', 'f0f111f70c4d', '68cd43839f90', 'bd6d6f1ea062'),
-        'raid5/delta/plain/nvram': ('486ae46ecdb9', '38c6adb40e4a', '4a45cc71b21f', '1b237bf2c3d5'),
-        'raid5/delta/plain/disk': ('486ae46ecdb9', 'f0f111f70c4d', '69b0e346ad5b', 'fb0e5ea69b9f'),
-        'raid5/image/torn/nvram': ('486ae46ecdb9', '38c6adb40e4a', 'b5db8d6ab194', 'd1b07f87aa31'),
-        'raid5/image/torn/disk': ('486ae46ecdb9', 'f0f111f70c4d', 'a63249604cf9', 'fe72e9e0fb9a'),
-        'raid5/image/plain/nvram': ('486ae46ecdb9', '38c6adb40e4a', 'b46e9c67eaea', '7dd5e176ad9e'),
-        'raid5/image/plain/disk': ('486ae46ecdb9', 'f0f111f70c4d', '5c020dd0314d', '1971163347b6'),
+        'raid5/delta/torn/nvram': ('486ae46ecdb9', '38c6adb40e4a', '542a395bd1bb', '995306cfada9'),
+        'raid5/delta/torn/disk': ('486ae46ecdb9', 'f0f111f70c4d', '68cd43839f90', '13732d68a4c9'),
+        'raid5/delta/plain/nvram': ('486ae46ecdb9', '38c6adb40e4a', '4a45cc71b21f', '160fe85b9bfe'),
+        'raid5/delta/plain/disk': ('486ae46ecdb9', 'f0f111f70c4d', '69b0e346ad5b', '3749a2481fdf'),
+        'raid5/image/torn/nvram': ('486ae46ecdb9', '38c6adb40e4a', 'b5db8d6ab194', 'a10f48b85a4d'),
+        'raid5/image/torn/disk': ('486ae46ecdb9', 'f0f111f70c4d', 'a63249604cf9', '9e31ccbe0870'),
+        'raid5/image/plain/nvram': ('486ae46ecdb9', '38c6adb40e4a', 'b46e9c67eaea', '160fe85b9bfe'),
+        'raid5/image/plain/disk': ('486ae46ecdb9', 'f0f111f70c4d', '5c020dd0314d', '7ef701dbd883'),
     },
     'compression': {
         'bare/delta/torn/nvram': ('342b23cd34f7', '6a423743ac50', '4a808607b783', '0c1868668ae3'),
@@ -175,14 +180,14 @@ GOLDEN: dict[str, dict[str, tuple[str, str, str, str]]] = {
         'stripe/image/torn/disk': ('3db3061db605', 'fe36c054c241', '3250b0efb307', '2b7df5f3f285'),
         'stripe/image/plain/nvram': ('3db3061db605', 'fe36c054c241', '4713277bec7c', '4d80b2ca8ebe'),
         'stripe/image/plain/disk': ('3db3061db605', 'fe36c054c241', '281116300305', 'ebea76a1fc09'),
-        'raid5/delta/torn/nvram': ('947314dbc9bf', '5d8de96fd431', 'f3f526c7fb03', 'a6a08b5fe3d9'),
-        'raid5/delta/torn/disk': ('947314dbc9bf', '5d8de96fd431', '4e63dec7f086', 'a78323f9942b'),
-        'raid5/delta/plain/nvram': ('947314dbc9bf', '5d8de96fd431', '6ea86ce645e6', '321973555e30'),
-        'raid5/delta/plain/disk': ('947314dbc9bf', '5d8de96fd431', 'b86602ea91fe', 'abf5c81a26db'),
-        'raid5/image/torn/nvram': ('947314dbc9bf', '5d8de96fd431', '2915918e522a', 'a6a08b5fe3d9'),
-        'raid5/image/torn/disk': ('947314dbc9bf', '5d8de96fd431', '846f3616e8d9', '8e39f79b649d'),
-        'raid5/image/plain/nvram': ('947314dbc9bf', '5d8de96fd431', 'c1f5df7c3b99', '321973555e30'),
-        'raid5/image/plain/disk': ('947314dbc9bf', '5d8de96fd431', '3afccc8c2a13', 'abf5c81a26db'),
+        'raid5/delta/torn/nvram': ('947314dbc9bf', '5d8de96fd431', 'f3f526c7fb03', 'caa6fc8e1a0d'),
+        'raid5/delta/torn/disk': ('947314dbc9bf', '5d8de96fd431', '4e63dec7f086', '83a2a3e5c9c6'),
+        'raid5/delta/plain/nvram': ('947314dbc9bf', '5d8de96fd431', '6ea86ce645e6', 'fd10a7cc9d3b'),
+        'raid5/delta/plain/disk': ('947314dbc9bf', '5d8de96fd431', 'b86602ea91fe', 'fd10a7cc9d3b'),
+        'raid5/image/torn/nvram': ('947314dbc9bf', '5d8de96fd431', '2915918e522a', 'caa6fc8e1a0d'),
+        'raid5/image/torn/disk': ('947314dbc9bf', '5d8de96fd431', '846f3616e8d9', '5a3c353ca0f5'),
+        'raid5/image/plain/nvram': ('947314dbc9bf', '5d8de96fd431', 'c1f5df7c3b99', 'fd10a7cc9d3b'),
+        'raid5/image/plain/disk': ('947314dbc9bf', '5d8de96fd431', '3afccc8c2a13', '83ff4cd4aac6'),
     },
     'deletes_clean': {
         'bare/delta/torn/nvram': ('547959dfb219', '67d0924f47e5', 'a0523891a44c', 'e54cdfa81d00'),
@@ -201,14 +206,14 @@ GOLDEN: dict[str, dict[str, tuple[str, str, str, str]]] = {
         'stripe/image/torn/disk': ('d1b32841fb42', '309731951654', '433f193bbe77', '03c632e81cc7'),
         'stripe/image/plain/nvram': ('d1b32841fb42', '309731951654', '5848b9832c68', 'f99082d46b88'),
         'stripe/image/plain/disk': ('d1b32841fb42', '309731951654', 'f7964058fe89', '5451cdde2ed3'),
-        'raid5/delta/torn/nvram': ('d354091f1d2f', '7f81911b8d77', '77c8c73a774e', 'f773b8998ac7'),
-        'raid5/delta/torn/disk': ('d354091f1d2f', '7f81911b8d77', 'a6cf2cd31a45', '196883494030'),
-        'raid5/delta/plain/nvram': ('d354091f1d2f', '7f81911b8d77', '2319fb074229', '0a9b5a71b0c2'),
-        'raid5/delta/plain/disk': ('d354091f1d2f', '7f81911b8d77', '5def45264a88', '07e172ce8334'),
-        'raid5/image/torn/nvram': ('d354091f1d2f', '7f81911b8d77', '1092626db4e0', '3049fe2ffbec'),
-        'raid5/image/torn/disk': ('d354091f1d2f', '7f81911b8d77', '1cf44bc41c7d', '71467d1584b0'),
-        'raid5/image/plain/nvram': ('d354091f1d2f', '7f81911b8d77', 'b046957e75d5', '0a9b5a71b0c2'),
-        'raid5/image/plain/disk': ('d354091f1d2f', '7f81911b8d77', 'fdf87339bf80', 'ea3eb29d8269'),
+        'raid5/delta/torn/nvram': ('d354091f1d2f', '7f81911b8d77', '77c8c73a774e', '8a12504b08ff'),
+        'raid5/delta/torn/disk': ('d354091f1d2f', '7f81911b8d77', 'a6cf2cd31a45', 'e2ef7aab6036'),
+        'raid5/delta/plain/nvram': ('d354091f1d2f', '7f81911b8d77', '2319fb074229', '2d7f1f7ae45c'),
+        'raid5/delta/plain/disk': ('d354091f1d2f', '7f81911b8d77', '5def45264a88', '5bced1ae0432'),
+        'raid5/image/torn/nvram': ('d354091f1d2f', '7f81911b8d77', '1092626db4e0', '5fc02e4b3abb'),
+        'raid5/image/torn/disk': ('d354091f1d2f', '7f81911b8d77', '1cf44bc41c7d', '82227cc14369'),
+        'raid5/image/plain/nvram': ('d354091f1d2f', '7f81911b8d77', 'b046957e75d5', '5fe11559b9ae'),
+        'raid5/image/plain/disk': ('d354091f1d2f', '7f81911b8d77', 'fdf87339bf80', '5bced1ae0432'),
     },
     'flushes': {
         'bare/delta/torn/nvram': ('e385b968c8f5', 'b596fdd9fa4e', 'a9345559467b', '89b24fabcd4a'),
@@ -227,14 +232,14 @@ GOLDEN: dict[str, dict[str, tuple[str, str, str, str]]] = {
         'stripe/image/torn/disk': ('fcebdad139c0', '3bd43ee53206', '1fae02d72ddd', '306cec28b7fb'),
         'stripe/image/plain/nvram': ('fcebdad139c0', '1eca18325077', 'dd2ef22a5b5b', 'dd3b2d4e918d'),
         'stripe/image/plain/disk': ('fcebdad139c0', '3bd43ee53206', 'd1a240870a90', '9552dd209da7'),
-        'raid5/delta/torn/nvram': ('cd406d4a215f', '04778f4a1fab', '2f5ab59f223e', '7dde5875b076'),
-        'raid5/delta/torn/disk': ('cd406d4a215f', '9d79695e3fd9', '1802153e36f6', '8b3f4b66c4c9'),
-        'raid5/delta/plain/nvram': ('cd406d4a215f', '04778f4a1fab', 'e9996775e897', 'efa05eebc7c3'),
-        'raid5/delta/plain/disk': ('cd406d4a215f', '9d79695e3fd9', '76c546ea5105', 'd4a901bb04b6'),
-        'raid5/image/torn/nvram': ('cd406d4a215f', '04778f4a1fab', '7ea8ba64a367', '68065aaa7530'),
-        'raid5/image/torn/disk': ('cd406d4a215f', '9d79695e3fd9', '214652516257', 'ac45c6f3c8fa'),
-        'raid5/image/plain/nvram': ('cd406d4a215f', '04778f4a1fab', '4fcce33eaad7', '3476b0378435'),
-        'raid5/image/plain/disk': ('cd406d4a215f', '9d79695e3fd9', '5bb6dbca3cab', '6007f5c6be01'),
+        'raid5/delta/torn/nvram': ('cd406d4a215f', '04778f4a1fab', '2f5ab59f223e', '7621addd44dd'),
+        'raid5/delta/torn/disk': ('cd406d4a215f', '9d79695e3fd9', '1802153e36f6', '5bdd8dac05f6'),
+        'raid5/delta/plain/nvram': ('cd406d4a215f', '04778f4a1fab', 'e9996775e897', '50bd43a78403'),
+        'raid5/delta/plain/disk': ('cd406d4a215f', '9d79695e3fd9', '76c546ea5105', 'f2060ead4f95'),
+        'raid5/image/torn/nvram': ('cd406d4a215f', '04778f4a1fab', '7ea8ba64a367', '3a40dbd8a39d'),
+        'raid5/image/torn/disk': ('cd406d4a215f', '9d79695e3fd9', '214652516257', '66660bc6706e'),
+        'raid5/image/plain/nvram': ('cd406d4a215f', '04778f4a1fab', '4fcce33eaad7', 'efa05eebc7c3'),
+        'raid5/image/plain/disk': ('cd406d4a215f', '9d79695e3fd9', '5bb6dbca3cab', '6a65df267997'),
     },
     'nvram_replay': {
         'bare/delta/torn/nvram': ('b281e09ffae3', '6927e16d3584', '2813d7a65c54', '3950a10608dd'),
@@ -253,14 +258,14 @@ GOLDEN: dict[str, dict[str, tuple[str, str, str, str]]] = {
         'stripe/image/torn/disk': ('9affc57acc78', '13080bae8ee5', '9dd65f0f6be4', '28a4bc17bb8c'),
         'stripe/image/plain/nvram': ('9affc57acc78', 'fbb273985b40', '2d07d818d251', '140b4922641e'),
         'stripe/image/plain/disk': ('9affc57acc78', '13080bae8ee5', '291897d3c2d6', '0eb9c4a3c2d5'),
-        'raid5/delta/torn/nvram': ('7ea7c1d33de4', 'cb2cf15e062c', '5ad32a7b3aff', '1ad2304bde68'),
-        'raid5/delta/torn/disk': ('7ea7c1d33de4', 'ad10b30119c4', '69547e4f6692', 'e6fffa015486'),
-        'raid5/delta/plain/nvram': ('7ea7c1d33de4', 'cb2cf15e062c', '37fc29449aad', '4b8ae364c179'),
-        'raid5/delta/plain/disk': ('7ea7c1d33de4', 'ad10b30119c4', 'ea2ae7bc6c10', 'd9ab6dc8ba2b'),
-        'raid5/image/torn/nvram': ('7ea7c1d33de4', 'cb2cf15e062c', 'b85e7f68abec', 'a6a89f56b061'),
-        'raid5/image/torn/disk': ('7ea7c1d33de4', 'ad10b30119c4', 'd624b012153f', '1fcaeac6e3cf'),
-        'raid5/image/plain/nvram': ('7ea7c1d33de4', 'cb2cf15e062c', 'a19da2c0c577', '09d5ded9ae71'),
-        'raid5/image/plain/disk': ('7ea7c1d33de4', 'ad10b30119c4', '050d6eddf7bd', 'd9ab6dc8ba2b'),
+        'raid5/delta/torn/nvram': ('7ea7c1d33de4', 'cb2cf15e062c', '5ad32a7b3aff', '09d5ded9ae71'),
+        'raid5/delta/torn/disk': ('7ea7c1d33de4', 'ad10b30119c4', '69547e4f6692', 'aa62af039953'),
+        'raid5/delta/plain/nvram': ('7ea7c1d33de4', 'cb2cf15e062c', '37fc29449aad', '7785176fd051'),
+        'raid5/delta/plain/disk': ('7ea7c1d33de4', 'ad10b30119c4', 'ea2ae7bc6c10', 'd9e7fd951a9d'),
+        'raid5/image/torn/nvram': ('7ea7c1d33de4', 'cb2cf15e062c', 'b85e7f68abec', '1ad2304bde68'),
+        'raid5/image/torn/disk': ('7ea7c1d33de4', 'ad10b30119c4', 'd624b012153f', 'e6fffa015486'),
+        'raid5/image/plain/nvram': ('7ea7c1d33de4', 'cb2cf15e062c', 'a19da2c0c577', '4b8ae364c179'),
+        'raid5/image/plain/disk': ('7ea7c1d33de4', 'ad10b30119c4', '050d6eddf7bd', 'cee6ea2944bc'),
     },
     'read_cache': {
         'bare/delta/torn/nvram': ('4ab15ee5ab20', 'b4dd13aa327c', '6771c4957093', '96ea6da01b3a'),
@@ -279,12 +284,12 @@ GOLDEN: dict[str, dict[str, tuple[str, str, str, str]]] = {
         'stripe/image/torn/disk': ('54b026194e7b', '339205696eed', 'a398381dd1fa', 'b9c41d40e2fb'),
         'stripe/image/plain/nvram': ('54b026194e7b', '339205696eed', '5b0126ed4521', '5fce1e8ea22c'),
         'stripe/image/plain/disk': ('54b026194e7b', '339205696eed', '5b0126ed4521', '5fce1e8ea22c'),
-        'raid5/delta/torn/nvram': ('af2589ad471e', '555786e34917', 'ce93b392c702', 'e1666ae4f9e6'),
-        'raid5/delta/torn/disk': ('af2589ad471e', '555786e34917', 'ce93b392c702', 'e1666ae4f9e6'),
-        'raid5/delta/plain/nvram': ('af2589ad471e', '555786e34917', '0d7e937a4150', '62b900b84a41'),
-        'raid5/delta/plain/disk': ('af2589ad471e', '555786e34917', '0d7e937a4150', '62b900b84a41'),
-        'raid5/image/torn/nvram': ('af2589ad471e', '555786e34917', '763ce2fffc12', 'cb3f30ddba0f'),
-        'raid5/image/torn/disk': ('af2589ad471e', '555786e34917', '763ce2fffc12', 'cb3f30ddba0f'),
+        'raid5/delta/torn/nvram': ('af2589ad471e', '555786e34917', 'ce93b392c702', '3742b5e6fb42'),
+        'raid5/delta/torn/disk': ('af2589ad471e', '555786e34917', 'ce93b392c702', '3742b5e6fb42'),
+        'raid5/delta/plain/nvram': ('af2589ad471e', '555786e34917', '0d7e937a4150', 'a5a6484761af'),
+        'raid5/delta/plain/disk': ('af2589ad471e', '555786e34917', '0d7e937a4150', 'a5a6484761af'),
+        'raid5/image/torn/nvram': ('af2589ad471e', '555786e34917', '763ce2fffc12', 'f2e632047241'),
+        'raid5/image/torn/disk': ('af2589ad471e', '555786e34917', '763ce2fffc12', 'f2e632047241'),
         'raid5/image/plain/nvram': ('af2589ad471e', '555786e34917', 'ffd36f8d4a6f', '07130ceff5fa'),
         'raid5/image/plain/disk': ('af2589ad471e', '555786e34917', 'ffd36f8d4a6f', '07130ceff5fa'),
     },
@@ -305,14 +310,14 @@ GOLDEN: dict[str, dict[str, tuple[str, str, str, str]]] = {
         'stripe/image/torn/disk': ('a61b3a608245', '78af65416f26', '10ae84198e1e', '97790f4b4458'),
         'stripe/image/plain/nvram': ('a61b3a608245', '78af65416f26', '37236695f326', 'c7690610ee9a'),
         'stripe/image/plain/disk': ('a61b3a608245', '78af65416f26', '37236695f326', 'c7690610ee9a'),
-        'raid5/delta/torn/nvram': ('5cecd90fedd9', '539206775ac7', '234a71ff4e4d', '5f6050813d8c'),
-        'raid5/delta/torn/disk': ('5cecd90fedd9', '539206775ac7', '234a71ff4e4d', '5f6050813d8c'),
-        'raid5/delta/plain/nvram': ('5cecd90fedd9', '539206775ac7', '8a258c3bc810', 'e4b4127c813a'),
-        'raid5/delta/plain/disk': ('5cecd90fedd9', '539206775ac7', '8a258c3bc810', 'e4b4127c813a'),
-        'raid5/image/torn/nvram': ('5cecd90fedd9', '539206775ac7', '729759043b37', '2b22f4e8741c'),
-        'raid5/image/torn/disk': ('5cecd90fedd9', '539206775ac7', '729759043b37', '2b22f4e8741c'),
-        'raid5/image/plain/nvram': ('5cecd90fedd9', '539206775ac7', '8546b587a976', '1f4bc5fc16be'),
-        'raid5/image/plain/disk': ('5cecd90fedd9', '539206775ac7', '8546b587a976', '1f4bc5fc16be'),
+        'raid5/delta/torn/nvram': ('5cecd90fedd9', '539206775ac7', '234a71ff4e4d', 'f00b14ae5d2f'),
+        'raid5/delta/torn/disk': ('5cecd90fedd9', '539206775ac7', '234a71ff4e4d', 'f00b14ae5d2f'),
+        'raid5/delta/plain/nvram': ('5cecd90fedd9', '539206775ac7', '8a258c3bc810', '5b53111b0eb7'),
+        'raid5/delta/plain/disk': ('5cecd90fedd9', '539206775ac7', '8a258c3bc810', '5b53111b0eb7'),
+        'raid5/image/torn/nvram': ('5cecd90fedd9', '539206775ac7', '729759043b37', '12114c796477'),
+        'raid5/image/torn/disk': ('5cecd90fedd9', '539206775ac7', '729759043b37', '12114c796477'),
+        'raid5/image/plain/nvram': ('5cecd90fedd9', '539206775ac7', '8546b587a976', 'f00b14ae5d2f'),
+        'raid5/image/plain/disk': ('5cecd90fedd9', '539206775ac7', '8546b587a976', 'f00b14ae5d2f'),
     },
 }
 

@@ -11,7 +11,9 @@ The LLD orders with the second kind and acknowledges (``flush``,
 
 The last section pins the dependency that keeps the overlap honest once
 members are no longer drained before every seal: a read-modify-write
-row's member writes start no earlier than its pre-reads complete.
+row's member writes start no earlier than its pre-reads complete — and
+its other side: a row whose old bytes the volume remembers from writing
+them (the stripe cache) has no pre-read to wait for and starts at once.
 """
 
 import random
@@ -378,3 +380,77 @@ def test_rows_of_one_request_do_not_wait_for_each_other():
     ]
     assert len(row1) == 2 and all(start < late for _op, _lba, start, _end in row1)
     assert all(member.log[-2][2] >= late for member in waiting)  # row 0's write
+
+
+# ----------------------------------------------------------------------
+# ... and has none to wait for when the volume remembers the old bytes
+# ----------------------------------------------------------------------
+
+
+def rmw_events(volume: Volume) -> tuple[list, list]:
+    events = [event for member in volume.disks for event in member.log]
+    return [e for e in events if e[0] == "r"], [e for e in events if e[0] == "w"]
+
+
+def test_rmw_over_a_resident_range_reads_nothing_and_starts_now():
+    """What the stripe cache is for: the second write of a range finds the
+    old data and the old parity where the first write left them, so it is
+    two positioned writes — no read, no turn of the platter before them."""
+    volume = make_volume()
+    volume.write(2, bytes([7]) * 2 * SECTOR)  # sub-chunk: pre-reads, then remembered
+    volume.barrier()
+    for member in volume.disks:
+        del member.log[:]
+    now = volume.clock.now
+    volume.write(2, bytes([8]) * 2 * SECTOR)
+    reads, writes = rmw_events(volume)
+    assert reads == [] and len(writes) == 2
+    assert all(start == now for _op, _lba, start, _end in writes)
+    assert volume.volume_stats.rmw_writes == 2 and volume.volume_stats.preread_hits == 2
+
+
+def test_rmw_over_a_half_resident_range_waits_for_the_missing_buffer_only():
+    """Each buffer on its own: the parity range is remembered from the write
+    to the first chunk, the old data of the second chunk is not — one
+    pre-read, on the data member, and both writes start after it."""
+    volume = make_volume()
+    volume.write(2, bytes([7]) * 2 * SECTOR)
+    volume.barrier()
+    data_member = volume.spindle_of(CHUNK + 2)
+    busy = volume.disks[data_member]
+    busy.read(100 * CHUNK, 64 * CHUNK)  # keep it busy well past "now"
+    for member in volume.disks:
+        del member.log[:]
+    volume.write(CHUNK + 2, bytes([8]) * 2 * SECTOR)  # same row, same parity range
+    reads, writes = rmw_events(volume)
+    assert reads == [e for e in busy.log if e[0] == "r"] and len(reads) == 1
+    (old_data,) = reads
+    assert old_data[3] > volume.clock.now + 0.05
+    assert len(writes) == 2 and all(start >= old_data[3] for _op, _lba, start, _end in writes)
+    stats = volume.volume_stats
+    assert (stats.preread_hits, stats.preread_misses, stats.preread_sectors_saved) == (1, 3, 2)
+
+
+def test_a_recovered_stack_pre_reads_its_first_partial_flush():
+    """A power failure takes the volume's memory with the LLD's: the flush
+    after recovery rewrites the open slot's summary like every flush before
+    the crash did, and reads the old bytes from the members again."""
+    lld, volume = make_lld()
+    stats = volume.volume_stats
+    lid = lld.new_list()
+    pred = LIST_HEAD
+    for _ in range(3):
+        pred = append_blocks(lld, lid, pred, 1)
+        lld.flush()
+    assert stats.preread_hits > 0  # the summary range, re-written by each flush
+    lld.crash()
+    assert list(volume.stripe_cache.resident_sectors()) == []
+    recovered = LLD(volume, lld.config)
+    recovered.initialize()
+    hits, misses = stats.preread_hits, stats.preread_misses
+    append_blocks(recovered, lid, recovered.list_blocks(lid)[-1], 1)
+    recovered.flush()
+    assert stats.preread_hits == hits and stats.preread_misses > misses
+    append_blocks(recovered, lid, recovered.list_blocks(lid)[-1], 1)
+    recovered.flush()
+    assert stats.preread_hits > hits  # and remembers again from there on

@@ -30,6 +30,49 @@ def parity_maps(draw):
     return ParityStripeMap(n_disks, chunk, member, rotate=rotate)
 
 
+#: ``(n_disks, chunk_sectors, layout)`` of a small parity volume.
+parity_shapes = st.tuples(
+    st.integers(min_value=3, max_value=5),
+    st.sampled_from([1, 4, 32]),
+    st.sampled_from(["raid4", "raid5"]),
+)
+
+
+def parity_volume(n_disks: int, chunk: int, layout: str, member=SimulatedDisk) -> Volume:
+    """A parity volume over 1 MB members; ``member(geometry, clock)`` builds one."""
+    members = [member(fast_test_disk(capacity_mb=1), VirtualClock()) for _ in range(n_disks)]
+    return Volume(members, VirtualClock(), chunk_sectors=chunk, layout=layout)
+
+
+def write_extents(span: int, chunk: int, n_disks: int):
+    """``(lba, nsectors)`` inside ``[0, span)`` in every shape the parity
+    write path tells apart: anything up to four rows' worth of sectors from
+    any start; a run inside one chunk; one whole chunk; whole stripe rows."""
+    row = chunk * (n_disks - 1)
+
+    def anywhere(lba):
+        return st.tuples(
+            st.just(lba), st.integers(min_value=1, max_value=min(span - lba, 4 * chunk * n_disks))
+        )
+
+    def inside_a_chunk(lba):
+        return st.tuples(st.just(lba), st.integers(min_value=1, max_value=chunk - lba % chunk))
+
+    def whole(unit):
+        return st.integers(min_value=0, max_value=span // unit - 1).flatmap(
+            lambda i: st.tuples(
+                st.just(i * unit),
+                st.integers(min_value=1, max_value=min(3, span // unit - i)).map(lambda k: k * unit),
+            )
+        )
+
+    starts = st.integers(min_value=0, max_value=span - 1)
+    shapes = [starts.flatmap(anywhere), starts.flatmap(inside_a_chunk), whole(chunk)]
+    if span >= row:
+        shapes.append(whole(row))
+    return st.one_of(shapes)
+
+
 @given(parity_maps(), st.data())
 def test_round_trip_logical_physical_logical(m, data):
     lba = data.draw(st.integers(min_value=0, max_value=m.total_sectors - 1))
@@ -124,33 +167,22 @@ def test_split_rows_agrees_with_split(m, data):
     assert from_rows == from_split
 
 
-@given(
-    st.integers(min_value=3, max_value=5),
-    st.sampled_from([1, 4, 32]),
-    st.sampled_from(["raid4", "raid5"]),
-    st.data(),
-)
+@given(parity_shapes, st.data())
 @settings(max_examples=25, deadline=None)
-def test_xor_reconstructs_any_lost_member(n_disks, chunk, layout, data):
+def test_xor_reconstructs_any_lost_member(shape, data):
     """After an arbitrary write history, losing ANY single member is
     invisible: degraded reads and peeks are byte-identical to the model.
 
     This is the fundamental parity invariant — XOR over the surviving
     chunks of each row reproduces the lost chunk exactly.
     """
-    members = [
-        SimulatedDisk(fast_test_disk(capacity_mb=1), VirtualClock())
-        for _ in range(n_disks)
-    ]
-    volume = Volume(members, VirtualClock(), chunk_sectors=chunk, layout=layout)
+    n_disks, chunk, layout = shape
+    volume = parity_volume(n_disks, chunk, layout)
     total = volume.geometry.total_sectors
     model = bytearray(total * 512)
 
-    for _ in range(data.draw(st.integers(min_value=1, max_value=12))):
-        lba = data.draw(st.integers(min_value=0, max_value=total - 1))
-        nsectors = data.draw(
-            st.integers(min_value=1, max_value=min(total - lba, 4 * chunk * n_disks))
-        )
+    extents = write_extents(total, chunk, n_disks)
+    for lba, nsectors in data.draw(st.lists(extents, min_size=1, max_size=12)):
         payload = os.urandom(nsectors * 512)
         volume.write(lba, payload)
         model[lba * 512 : (lba + nsectors) * 512] = payload
