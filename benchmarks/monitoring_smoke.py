@@ -28,7 +28,7 @@ import os
 import sys
 
 from repro.bench.builders import BuildSpec, default_scale, fresh_volume
-from repro.obs import MetricsRegistry, Monitor, export_events_jsonl, export_series_jsonl
+from repro.obs import Monitor, export_events_jsonl, export_series_jsonl, registry_of
 from repro.obs.top import render_monitor
 
 REQUEST_SECTORS = 64  # 32 KB requests
@@ -37,9 +37,7 @@ REQUEST_SECTORS = 64  # 32 KB requests
 def build_monitored_volume():
     spec = BuildSpec.from_scale(default_scale())
     volume = fresh_volume(spec, 4, layout="raid5")
-    registry = MetricsRegistry()
-    registry.register("volume", volume.volume_stats)
-    monitor = Monitor(registry, volume.clock, interval=0.01)
+    monitor = Monitor(registry_of(volume), volume.clock, interval=0.01)
     monitor.attach(volume)
     return volume, monitor
 

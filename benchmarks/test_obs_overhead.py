@@ -63,11 +63,10 @@ from pathlib import Path
 
 from repro.bench import render_table, write_json_report
 from repro.bench.builders import build_minix_lld, fresh_disk
-from repro.bench.report import stack_registry
 from repro.disk.stats import DiskStats
 from repro.ld.hints import LIST_HEAD
 from repro.lld import LLD, LLDConfig
-from repro.obs import NULL_SPAN, Tracer, attach_tracer, export_chrome_trace
+from repro.obs import NULL_SPAN, Tracer, attach_tracer, export_chrome_trace, registry_of
 from repro.obs.events import EventLog
 from repro.obs.health import Monitor
 from repro.sim import VirtualClock
@@ -153,8 +152,7 @@ def build_stack(spec, mode: str):
         tracer = Tracer(lld.disk.clock, enabled=(mode == "enabled"))
         attach_tracer(tracer, fs, lld)
     elif mode == "monitored":
-        registry = stack_registry(fs=fs, lld=lld)
-        monitor = Monitor(registry, lld.disk.clock, interval=MONITOR_INTERVAL)
+        monitor = Monitor(registry_of(fs), lld.disk.clock, interval=MONITOR_INTERVAL)
         monitor.attach(fs, lld)
     return fs, lld, tracer, monitor
 

@@ -24,11 +24,12 @@ land in ``BENCH_read_path.json`` for CI to diff.
 import random
 from pathlib import Path
 
-from repro.bench import render_table, stack_registry, write_json_report
+from repro.bench import render_table, write_json_report
 from repro.bench.builders import build_minix_lld, fresh_disk
 from repro.btree import BTree
 from repro.ld.hints import LIST_HEAD
 from repro.lld import LLD, LLDConfig
+from repro.obs import registry_of
 from benchmarks.conftest import emit
 
 REPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_read_path.json"
@@ -213,7 +214,7 @@ def test_read_path(spec, benchmark):
         "fs_demand": fs_demand,
         # The unified registry view of the vectored stack — the same
         # collect() path every benchmark's layer metrics flow through.
-        "metrics": stack_registry(lld=results["_lld"]).collect(),
+        "metrics": registry_of(results["_lld"]).collect(),
     }
     emit(f"wrote {write_json_report(REPORT_PATH, report)}")
 

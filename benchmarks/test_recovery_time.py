@@ -13,10 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench import BuildSpec, build_minix_lld, stack_registry, write_json_report
+from repro.bench import BuildSpec, build_minix_lld, write_json_report
 from repro.bench.recovery import crash_and_recover, populate
 from repro.bench.report import render_table
 from repro.lld import LLD
+from repro.obs import registry_of
 from benchmarks.conftest import emit
 
 REPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_recovery_time.json"
@@ -51,9 +52,7 @@ def test_recovery_after_crash(spec, benchmark):
     )
     # RecoveryReport flows through the same registry collect() path as the
     # read/write-path metrics: layer-prefixed, deterministically ordered.
-    metrics = stack_registry(
-        fs=fresh_fs, lld=fresh_lld, recovery=timing.report
-    ).collect()
+    metrics = registry_of(fresh_fs, recovery=timing.report).collect()
     report = {
         "benchmark": "recovery_time",
         "scale": spec.scale,

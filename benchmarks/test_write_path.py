@@ -18,7 +18,6 @@ from pathlib import Path
 
 from repro.bench import (
     render_table,
-    stack_registry,
     write_json_report,
     write_path_summary,
 )
@@ -26,6 +25,7 @@ from repro.bench.builders import build_minix_lld
 from repro.fs.minix import LDStore, MinixFS
 from repro.fs.minix.inode import INODE_SIZE
 from repro.lld import LLD
+from repro.obs import registry_of
 from benchmarks.conftest import emit
 
 REPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_write_path.json"
@@ -45,7 +45,7 @@ def run_fsync_workload(spec, delta: bool, flush_batch: int = 1):
     fs, lld = build_minix_lld(
         spec, delta_partial_flush=delta, flush_batch=flush_batch
     )
-    registry = stack_registry(fs=fs, lld=lld)
+    registry = registry_of(fs)
     before = registry.collect()
     count = spec.small_file_count(1000)
     t0 = lld.disk.clock.now

@@ -6,52 +6,13 @@ import dataclasses
 import json
 
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.stack import registry_of
 
 
 def stack_registry(fs=None, lld=None, recovery=None, server=None) -> MetricsRegistry:
-    """One :class:`~repro.obs.MetricsRegistry` over a built FS→LD→disk stack.
-
-    This replaces the benchmarks' ad-hoc merging of ``as_dict()`` payloads:
-    every layer that exists on the stack under test is adopted under its
-    layer name, and ``registry.collect()`` yields the merged,
-    layer-prefixed, deterministically-ordered dict for JSON reports.
-
-    ``recovery`` overrides the LD's own ``recovery_report`` (useful when
-    the report came from a *different* post-crash LLD instance).
-    ``server`` adopts a :class:`~repro.sched.LDServer`'s counters under
-    the ``sched`` layer.
-    """
-    registry = MetricsRegistry()
-    if fs is not None:
-        registry.register("fs", fs.store.stats)
-    if server is not None:
-        registry.register("sched", server.stats)
-    if lld is not None:
-        registry.register("lld", lld.stats)
-        registry.register("disk", lld.disk.stats)
-        # A multi-spindle volume carries its own rollup (per-disk request
-        # balance, latency percentiles, queue depth) beside the
-        # volume-level request counters registered as "disk" above.
-        volume_stats = getattr(lld.disk, "volume_stats", None)
-        if volume_stats is not None:
-            registry.register("volume", volume_stats)
-        if lld.log.nvram is not None:
-            registry.register("nvram", lld.log.nvram)
-        # Derived space gauges: what the free-segment health rule watches.
-        registry.register(
-            "space",
-            lambda: {
-                "free_segments": lld.free_segment_count(),
-                "segment_count": lld.layout.segment_count,
-                "min_free_segments": lld.config.min_free_segments,
-                "live_bytes": lld.state.live_bytes(),
-            },
-        )
-        if recovery is None:
-            recovery = lld.recovery_report
-    if recovery is not None:
-        registry.register("recovery", recovery)
-    return registry
+    """:func:`repro.obs.stack.registry_of` from the topmost component given."""
+    top = next((c for c in (fs, server, lld) if c is not None), None)
+    return registry_of(top, recovery)
 
 
 def render_table(

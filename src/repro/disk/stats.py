@@ -10,10 +10,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
+from repro.obs.metrics import Counters
 
-@dataclass
-class DiskStats:
+
+@dataclass(slots=True)
+class DiskStats(Counters):
     """Counters accumulated by :class:`repro.disk.SimulatedDisk`."""
+
+    DERIVED = ("requests", "bytes_read", "bytes_written", "busy_time")
 
     #: Bytes per sector of the disk these counters describe; the byte
     #: totals below are derived from it, so non-512 geometry profiles
@@ -85,71 +89,3 @@ class DiskStats:
             self.sectors_read += nsectors
         sizes = self.request_sizes
         sizes[nsectors] = sizes.get(nsectors, 0) + 1
-
-    def snapshot(self) -> "DiskStats":
-        """Copy of the current counters (for before/after deltas)."""
-        copy = DiskStats(
-            sector_size=self.sector_size,
-            reads=self.reads,
-            writes=self.writes,
-            sectors_read=self.sectors_read,
-            sectors_written=self.sectors_written,
-            seeks=self.seeks,
-            seek_time=self.seek_time,
-            rotation_time=self.rotation_time,
-            transfer_time=self.transfer_time,
-            overhead_time=self.overhead_time,
-            head_switch_time=self.head_switch_time,
-            barriers=self.barriers,
-        )
-        copy.request_sizes = Counter(self.request_sizes)
-        copy.write_request_sizes = Counter(self.write_request_sizes)
-        return copy
-
-    def as_dict(self) -> dict:
-        """Machine-readable form for benchmark JSON reports.
-
-        Includes the derived totals so downstream tooling never has to
-        re-implement the arithmetic.
-        """
-        return {
-            "sector_size": self.sector_size,
-            "reads": self.reads,
-            "writes": self.writes,
-            "requests": self.requests,
-            "sectors_read": self.sectors_read,
-            "sectors_written": self.sectors_written,
-            "bytes_read": self.bytes_read,
-            "bytes_written": self.bytes_written,
-            "seeks": self.seeks,
-            "seek_time": self.seek_time,
-            "rotation_time": self.rotation_time,
-            "transfer_time": self.transfer_time,
-            "overhead_time": self.overhead_time,
-            "head_switch_time": self.head_switch_time,
-            "barriers": self.barriers,
-            "busy_time": self.busy_time,
-            "request_sizes": {
-                int(size): count for size, count in sorted(self.request_sizes.items())
-            },
-            "write_request_sizes": {
-                int(size): count
-                for size, count in sorted(self.write_request_sizes.items())
-            },
-        }
-
-    def reset(self) -> None:
-        """Zero all counters."""
-        self.reads = 0
-        self.writes = 0
-        self.sectors_read = 0
-        self.sectors_written = 0
-        self.seeks = 0
-        self.seek_time = 0.0
-        self.rotation_time = 0.0
-        self.transfer_time = 0.0
-        self.overhead_time = 0.0
-        self.head_switch_time = 0.0
-        self.barriers = 0
-        self.request_sizes.clear()
-        self.write_request_sizes.clear()

@@ -29,6 +29,7 @@ from repro.fs.minix.store import BlockStore, StoreStats, lowest_clear_bit
 from repro.ld.errors import LDError, OutOfSpaceError
 from repro.ld.hints import LIST_HEAD
 from repro.ld.interface import LogicalDisk
+from repro.obs import stack
 from repro.obs.trace import NULL_SPAN
 from repro.sched import LDServer, TenantSession
 
@@ -73,10 +74,10 @@ class LDStore(BlockStore):
         self.ld = ld
         self.block_size = block_size
         self.stats = StoreStats()
-        #: Optional :class:`repro.obs.Tracer`, inherited from the LD so a
-        #: store built over a traced stack joins the same trace. Use
-        #: ``repro.obs.attach_tracer`` to set it after construction.
-        self.tracer = getattr(ld, "tracer", None)
+        #: ``tracer``: optional :class:`repro.obs.Tracer`, inherited from
+        #: the LD so a store built over a traced stack joins the same
+        #: trace. Use ``repro.obs.attach_tracer`` to set it afterwards.
+        stack.inherit(self, ld, events=False)
         self.cache = BufferCache(cache_bytes, self._writeback)
         self.list_per_file = list_per_file
         self.inode_block_mode = inode_block_mode

@@ -10,12 +10,12 @@ central engineering claim of the paper.
 from __future__ import annotations
 
 import abc
-import dataclasses
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.fs.cache import BufferCache
+from repro.obs.metrics import Counters
 
 _NOT_FULL_BYTE = re.compile(rb"[^\xff]")
 
@@ -42,8 +42,8 @@ def lowest_clear_bit(bitmap: bytes, start: int, stop: int) -> int:
     return bit if bit < stop else -1
 
 
-@dataclass
-class StoreStats:
+@dataclass(slots=True)
+class StoreStats(Counters):
     """Counters common to both stores."""
 
     zones_allocated: int = 0
@@ -61,22 +61,6 @@ class StoreStats:
     group_commits: int = 0
 
     extra: dict = field(default_factory=dict)
-
-    def snapshot(self) -> "StoreStats":
-        """Copy of the current counters (for before/after deltas)."""
-        copy = dataclasses.replace(self)
-        copy.extra = dict(self.extra)
-        return copy
-
-    def as_dict(self) -> dict:
-        """Machine-readable form for benchmark JSON reports.
-
-        Shallow field walk (not ``dataclasses.asdict``): the monitoring
-        sampler calls this on every firing tick.
-        """
-        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-        out["extra"] = dict(self.extra)
-        return out
 
 
 class BlockStore(abc.ABC):

@@ -84,8 +84,14 @@ class LLDConfig:
             — header plus first records — as one atomic single-sector
             write. Crash before the flip reads the previous summary;
             after, the new one. Costs one extra write plus a barrier per
-            summary update, which perturbs the paper's write counts, so it
-            is off by default; the crash matrix runs with it on.
+            summary update: measured on the composed stack (EXPERIMENTS
+            "What torn-write protection costs") 0.3% to 13% of simulated
+            throughput, beyond the benchmark's 5% bound on three of five
+            workloads, so it is off by default. Off assumes a summary
+            write is atomic; the crash states that break when it is not
+            stay pinned (``TestTornSummaryRegression``,
+            ``tests/lld/test_seal_delta.py``), and the crash matrix runs
+            with it on.
     """
 
     segment_size: int = 512 * 1024

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 from collections import Counter
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
@@ -27,58 +26,40 @@ from repro.lld.records import (
     ListFirstRecord,
     ListMetaRecord,
 )
-from repro.lld.readcache import ReadCache
+from repro.lld.readcache import ReadCache, ReadCacheCounters
 from repro.lld.recovery import RecoveryReport, run_recovery
 from repro.lld.segment import DiskLayout
 from repro.lld.state import NO_SEGMENT, BlockEntry, LLDState
-from repro.obs.events import inherited_log
+from repro.obs import stack
+from repro.obs.metrics import Counters
 from repro.obs.trace import NULL_SPAN
 
 
-class TenantCounters:
+@dataclass(slots=True)
+class TenantCounters(Counters):
     """Per-tenant slice of the hot-path counters.
 
-    Kept deliberately tiny (a ``__slots__`` bag of ints) because these
-    bump inside the read/write hot paths whenever a tenant is bound via
+    Kept deliberately tiny (a slotted bag of ints) because these bump
+    inside the read/write hot paths whenever a tenant is bound via
     :meth:`LLD.set_tenant`. With no tenant bound the cost is one load
     and one branch per operation — the multi-tenant server binds the
     tenant around each dispatched op; single-caller stacks never pay.
     """
 
-    __slots__ = (
-        "blocks_read",
-        "blocks_written",
-        "bytes_read",
-        "bytes_written",
-        "memory_reads",
-        "cache_hits",
-        "cache_misses",
-        "flushes",
-    )
-
-    def __init__(self) -> None:
-        self.blocks_read = 0
-        self.blocks_written = 0
-        self.bytes_read = 0
-        self.bytes_written = 0
-        self.memory_reads = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.flushes = 0
-
-    def copy(self) -> "TenantCounters":
-        twin = TenantCounters()
-        for name in self.__slots__:
-            setattr(twin, name, getattr(self, name))
-        return twin
-
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
+    blocks_read: int = 0
+    blocks_written: int = 0
+    bytes_read: int = 0
+    bytes_written: int = 0
+    memory_reads: int = 0
+    cache_hits: int = 0
+    cache_misses: int = 0
+    flushes: int = 0
 
 
-@dataclass
-class LLDStats:
-    """Operation counters for benchmarks and tests."""
+@dataclass(slots=True)
+class LLDStats(ReadCacheCounters):
+    """Operation counters for benchmarks and tests; the read cache's
+    hit/miss/prefetch counters are the inherited fields."""
 
     blocks_written: int = 0
     logical_bytes_written: int = 0
@@ -100,14 +81,6 @@ class LLDStats:
 
     # Vectored read path (read_blocks / read_list / read-ahead cache).
     vectored_reads: int = 0  # read_blocks/read_list calls
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_inserts: int = 0
-    cache_evictions: int = 0
-    cache_invalidations: int = 0
-    prefetch_issued: int = 0
-    prefetch_used: int = 0
-    prefetch_wasted: int = 0
     # Coalesced-run length histogram: blocks per multi-sector read request.
     coalesced_runs: Counter = field(default_factory=Counter)
 
@@ -140,6 +113,8 @@ class LLDStats:
 
     extra: dict = field(default_factory=dict)
 
+    DERIVED = ("write_amplification",)
+
     def tenant_counters(self, name: str) -> TenantCounters:
         """The (created-on-demand) counter slice for tenant ``name``."""
         counters = self.tenants.get(name)
@@ -153,32 +128,6 @@ class LLDStats:
         if self.data_bytes_logical <= 0:
             return None
         return self.data_bytes_physical / self.data_bytes_logical
-
-    def snapshot(self) -> "LLDStats":
-        """Copy of the current counters (for before/after deltas)."""
-        copy = dataclasses.replace(self)
-        copy.coalesced_runs = Counter(self.coalesced_runs)
-        copy.tenants = {name: c.copy() for name, c in self.tenants.items()}
-        copy.extra = dict(self.extra)
-        return copy
-
-    def as_dict(self) -> dict:
-        """Machine-readable form for benchmark JSON reports.
-
-        Built by shallow field walk, not ``dataclasses.asdict`` — the
-        monitoring sampler calls this on every firing tick, and asdict's
-        recursive deep copy was ~10x the cost of the counters themselves.
-        """
-        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-        out["coalesced_runs"] = {
-            int(length): count for length, count in sorted(self.coalesced_runs.items())
-        }
-        out["tenants"] = {
-            name: c.as_dict() for name, c in sorted(self.tenants.items())
-        }
-        out["extra"] = dict(self.extra)
-        out["write_amplification"] = self.write_amplification
-        return out
 
 
 class LLD(LogicalDisk):
@@ -206,12 +155,9 @@ class LLD(LogicalDisk):
         tracer=None,
     ) -> None:
         self.disk = disk
-        #: Optional :class:`repro.obs.Tracer`. Inherited from the disk
-        #: when not given, so a post-crash LLD built over a traced disk
-        #: keeps tracing (recovery spans land in the same trace).
-        self.tracer = tracer if tracer is not None else getattr(disk, "tracer", None)
-        #: Optional :class:`repro.obs.EventLog`, inherited like the tracer.
-        self.events = inherited_log(disk)
+        #: ``tracer`` / ``events``: optional :class:`repro.obs.Tracer` and
+        #: :class:`repro.obs.EventLog`, the disk's unless a tracer is given.
+        stack.inherit(self, disk, tracer)
         self.config = config or LLDConfig()
         self.layout = DiskLayout(disk, self.config)
         self.state = LLDState()

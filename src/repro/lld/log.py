@@ -34,7 +34,7 @@ from repro.lld.state import (
     BlockEntry,
     LLDState,
 )
-from repro.obs.events import inherited_log
+from repro.obs import stack
 from repro.obs.trace import NULL_SPAN
 
 
@@ -89,8 +89,7 @@ class LogWriter:
         #: (paper §5.3); pass the same object to the post-crash instance.
         self.nvram = nvram
         self.read_cache = read_cache
-        self.tracer = tracer if tracer is not None else getattr(disk, "tracer", None)
-        self.events = inherited_log(disk)
+        stack.inherit(self, disk, tracer)
         self.arus = ARUTable()
         self.open: OpenSegment | None = None
         #: Sealed segments not written yet: consecutive slots of one stripe

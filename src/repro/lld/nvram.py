@@ -11,12 +11,23 @@ hardware would) and recovery replays it back onto the disk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+
+from repro.obs.metrics import Counters
 
 
-@dataclass
-class NVRAM:
-    """A small battery-backed buffer holding one partial segment image."""
+@dataclass(slots=True)
+class NVRAM(Counters):
+    """A small battery-backed buffer holding one partial segment image.
+
+    The held image is state, not a counter: it rides along in a
+    ``snapshot()`` (bytes are immutable), so the copy is also a faithful
+    picture of what would survive a crash right now, and ``reset()``
+    leaves it alone.
+    """
+
+    HIDDEN = ("slot", "image")
+    DERIVED = ("holds_data",)
 
     capacity_bytes: int = 512 * 1024
     slot: int | None = None
@@ -37,24 +48,6 @@ class NVRAM:
         self.stores += 1
         self.bytes_stored += len(image)
         return True
-
-    def snapshot(self) -> "NVRAM":
-        """Copy of the current counters (Snapshot protocol conformance).
-
-        The held image rides along (bytes are immutable), so the copy is
-        also a faithful picture of what would survive a crash right now.
-        """
-        return replace(self)
-
-    def as_dict(self) -> dict:
-        """Machine-readable counters for benchmark JSON reports."""
-        return {
-            "capacity_bytes": self.capacity_bytes,
-            "stores": self.stores,
-            "overflows": self.overflows,
-            "bytes_stored": self.bytes_stored,
-            "holds_data": self.holds_data,
-        }
 
     def clear(self) -> None:
         """Discard the held image (its slot was written to disk)."""

@@ -25,14 +25,16 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
+from repro.obs.metrics import Counters
 
-@dataclass
-class ReadCacheCounters:
-    """Counter sink for a standalone :class:`ReadCache`.
 
-    :class:`~repro.lld.lld.LLD` passes its ``LLDStats`` instead, which
-    carries the same attribute names — the cache only needs an object it
-    can increment these attributes on.
+@dataclass(slots=True)
+class ReadCacheCounters(Counters):
+    """What a :class:`ReadCache` counts, declared once.
+
+    A standalone cache bumps an instance of this class;
+    :class:`~repro.lld.lld.LLD` passes its ``LLDStats``, which inherits
+    these fields, so the figures land beside the LD's own.
     """
 
     cache_hits: int = 0

@@ -13,21 +13,21 @@ is needed — this is the recovery-strategy contribution of the paper.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.lld.config import SECTOR
 from repro.lld.records import TYPE_COMMIT, Record
 from repro.lld.segment import decode_summary_into
+from repro.obs.metrics import Counters
 from repro.obs.trace import NULL_SPAN
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.lld.lld import LLD
 
 
-@dataclass
-class RecoveryReport:
+@dataclass(slots=True)
+class RecoveryReport(Counters):
     """What recovery did, and what it cost in simulated time."""
 
     segments_scanned: int = 0
@@ -41,14 +41,6 @@ class RecoveryReport:
     # Disk read requests the sweep issued; with coalescing this can be far
     # below segments_scanned (one request spans several slots' summaries).
     summary_read_requests: int = 0
-
-    def snapshot(self) -> "RecoveryReport":
-        """Copy of the report (Snapshot protocol conformance)."""
-        return dataclasses.replace(self)
-
-    def as_dict(self) -> dict:
-        """Machine-readable form for benchmark JSON reports."""
-        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
     def __str__(self) -> str:
         return (

@@ -10,11 +10,15 @@ into an always-on monitoring subsystem:
   virtual-clock start/end times (latency attribution uses *simulated*
   time) and linked to the span active when it was opened, so one MINIX
   ``fsync`` expands into its data-tail write, summary write, and barrier.
-* :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` that adopts the
-  per-layer stats objects (``DiskStats``, ``LLDStats``, ``StoreStats``,
-  ``NVRAM``, ``RecoveryReport``) behind one :class:`Snapshot` protocol
-  and merges them into a single layer-prefixed dict;
-  :meth:`~MetricsRegistry.collect_delta` diffs two collections.
+* :mod:`repro.obs.metrics` — :class:`Counters`, the base every
+  per-layer stats class derives ``snapshot()`` / ``as_dict()`` /
+  ``reset()`` from, and a :class:`MetricsRegistry` that adopts them
+  behind one :class:`Snapshot` protocol and merges them into a single
+  layer-prefixed dict; :meth:`~MetricsRegistry.collect_delta` diffs two
+  collections.
+* :mod:`repro.obs.stack` — the one walker over a built stack, and what
+  is written on it: :func:`attach_tracer` / :func:`attach_events`,
+  constructor-time inheritance, and :func:`registry_of`.
 * :mod:`repro.obs.hist` — :class:`LatencyHistogram`, the bounded
   log-bucketed sketch every latency series in the tree records into.
 * :mod:`repro.obs.series` — :class:`SeriesRecorder`, windowed
@@ -55,17 +59,20 @@ from repro.obs.health import (
     default_rules,
 )
 from repro.obs.hist import LatencyHistogram
-from repro.obs.metrics import MetricsRegistry, Snapshot, diff_payloads
+from repro.obs.metrics import Counters, MetricsRegistry, Snapshot, diff_payloads
 from repro.obs.series import (
     Series,
     SeriesRecorder,
     export_series_jsonl,
     load_series_jsonl,
 )
+from repro.obs import stack
+from repro.obs.stack import registry_of
 from repro.obs.trace import NULL_SPAN, Span, Tracer
 
 __all__ = [
     "NULL_SPAN",
+    "Counters",
     "Event",
     "EventLog",
     "Finding",
@@ -93,56 +100,17 @@ __all__ = [
     "load_jsonl",
     "load_series_jsonl",
     "load_trace",
+    "registry_of",
 ]
-
-#: Attributes along which the attach helpers descend the stack.
-#: ``server`` descends a tenant session into its LD server, so attaching
-#: at any tenant instruments the shared scheduler and the stack below it.
-_CHILD_ATTRS = ("store", "ld", "log", "disk", "inner", "server")
-
-
-def _attach(attr: str, value, components) -> None:
-    """Set ``attr`` on every instrumented object reachable from ``components``.
-
-    Duck-typed: starting from whatever is passed (a ``MinixFS``, an
-    ``LDStore``, an ``LLD``, a ``SimulatedDisk``, a ``Volume``, an
-    ``LDServer``, ...) the walker follows the containment attributes
-    (``store``, ``ld``, ``disk``, ``inner``, ``server``) plus a volume's
-    member-disk list, and assigns only on objects that already declare
-    the attribute — they are the ones whose choke points read it.
-    Growing a *new* attribute on an un-instrumented hot object (a
-    ``MinixFS``, say) would un-share its CPython key-sharing instance
-    dict and slow every attribute access on it — measurably, on exactly
-    the objects this package promises not to perturb.
-    """
-    seen: set[int] = set()
-    stack = [c for c in components if c is not None]
-    while stack:
-        obj = stack.pop()
-        if id(obj) in seen:
-            continue
-        seen.add(id(obj))
-        if hasattr(obj, attr):
-            setattr(obj, attr, value)
-        for child_attr in _CHILD_ATTRS:
-            child = obj.__dict__.get(child_attr) if hasattr(obj, "__dict__") else None
-            if child is not None:
-                stack.append(child)
-        # A volume fans out to member disks; instrument every spindle so
-        # per-spindle request spans appear under the volume's spans.
-        members = obj.__dict__.get("disks") if hasattr(obj, "__dict__") else None
-        if isinstance(members, (list, tuple)):
-            stack.extend(m for m in members if m is not None)
-
 
 def attach_tracer(tracer: Tracer | None, *components) -> Tracer | None:
     """Attach ``tracer`` to ``components`` and every layer beneath them.
 
     One call instruments the whole FS → LD → LLD → disk stack; passing
     ``None`` detaches (restores the zero-overhead path). See
-    :func:`_attach` for the traversal rules.
+    :func:`repro.obs.stack.attach` for the traversal rules.
     """
-    _attach("tracer", tracer, components)
+    stack.attach(*components, tracer=tracer)
     return tracer
 
 
@@ -151,8 +119,7 @@ def attach_events(log: EventLog | None, *components) -> EventLog | None:
 
     The event-emitting choke points (volume membership changes, cleaner
     passes, checkpoints, scheduler saturation, ...) start recording into
-    ``log``; passing ``None`` detaches. Same traversal and same
-    only-where-declared discipline as :func:`attach_tracer`.
+    ``log``; passing ``None`` detaches.
     """
-    _attach("events", log, components)
+    stack.attach(*components, events=log)
     return log

@@ -136,14 +136,6 @@ class EventLog:
         )
 
 
-def inherited_log(below) -> EventLog | None:
-    """The event log of the layer ``below``, for the layer built on it to
-    share; None when it has none. (Not every ``events`` attribute is one:
-    a crash recorder's is its write journal.)"""
-    log = getattr(below, "events", None)
-    return log if isinstance(log, EventLog) else None
-
-
 def export_events_jsonl(events, path) -> str:
     """Write events (an :class:`EventLog` or iterable) as JSONL."""
     with open(path, "w", encoding="utf-8") as handle:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass, field
 
+from repro.obs import stack
 from repro.obs.events import EventLog
 from repro.obs.series import Series, SeriesRecorder, _flatten_numeric
 
@@ -426,9 +427,7 @@ class Monitor:
 
     def attach(self, *components) -> None:
         """Point the stack's ``events`` hooks at this monitor's log."""
-        from repro.obs import attach_events
-
-        attach_events(self.events, *components)
+        stack.attach(*components, events=self.events)
 
     @property
     def findings(self) -> list[Finding]:

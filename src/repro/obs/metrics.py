@@ -1,19 +1,119 @@
-"""The unified metrics registry: one ``collect()`` over every layer.
+"""One stats declaration per layer, and one ``collect()`` over all of them.
 
 Counters live where they are cheap to bump — ``DiskStats`` on the disk,
 ``LLDStats`` on the LD, ``StoreStats`` on the MINIX store, ``NVRAM`` and
-``RecoveryReport`` on their subsystems. What was missing is one place
-that knows all of them: benchmarks used to hand-merge ``as_dict()``
-payloads, each with its own key conventions. The registry adopts any
+``RecoveryReport`` on their subsystems. Each is a slotted dataclass over
+:class:`Counters`: the class declares its fields, its hot-path bump
+methods and its derived properties, and the base derives ``snapshot()``,
+``as_dict()`` and ``reset()`` from the field list. The registry adopts any
 object satisfying the :class:`Snapshot` protocol under a layer name and
 merges everything into a single deterministic, layer-prefixed dict.
 """
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
+import dataclasses
+from collections import Counter
+from functools import cache
+from typing import ClassVar, Protocol, runtime_checkable
 
 from repro.obs.hist import LatencyHistogram, is_histogram_dict
+
+_SCALARS = frozenset({int, float, bool, str, type(None)})
+
+
+def _copy(value):
+    """An independent copy of one field's value."""
+    if value.__class__ in _SCALARS:
+        return value
+    if isinstance(value, Counter):
+        return value.copy()
+    if isinstance(value, dict):
+        return {key: _copy(item) for key, item in value.items()}
+    if isinstance(value, (Counters, LatencyHistogram)):
+        return value.snapshot()
+    return value  # immutable (bytes), or a reference to what is described
+
+
+def _plain(value):
+    """The JSON form of one field's value: a bucket histogram keyed by
+    ``int``, a table of slices by sorted name, the rest by ``as_dict()``."""
+    if isinstance(value, Counter):
+        return {int(key): count for key, count in sorted(value.items())}
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in sorted(value.items())}
+    if isinstance(value, (Counters, LatencyHistogram)):
+        return value.as_dict()
+    return value
+
+
+@cache
+def _layout(cls) -> tuple[tuple, tuple, tuple]:
+    """``(every field name, the reported ones, (name, zero) per counter)``."""
+    fields = dataclasses.fields(cls)
+    reported = [f for f in fields if f.name not in cls.HIDDEN]
+    missing = dataclasses.MISSING
+    zeros = [
+        (f.name, f.default if f.default_factory is missing else f.default_factory)
+        for f in reported
+        if f.default_factory is not missing
+        or (f.default is not missing and f.default == 0)
+    ]
+    return (
+        tuple(f.name for f in fields),
+        tuple(f.name for f in reported),
+        tuple(zeros),
+    )
+
+
+class Counters:
+    """Base of every per-layer stats class: declare the fields, get the rest.
+
+    A subclass is a ``@dataclass(slots=True)`` whose fields are its
+    counters (``int`` / ``float``, bumped in place by the layer — the base
+    puts nothing on that path) and its containers: a ``Counter`` of
+    buckets, a ``dict`` of named :class:`Counters` slices, a
+    :class:`LatencyHistogram`, a free-form ``extra`` dict. Figures computed
+    from the fields are properties named in :attr:`DERIVED`; fields that
+    are the layer's working state rather than something it reports are
+    named in :attr:`HIDDEN` (copied by :meth:`snapshot`, absent from
+    :meth:`as_dict`, untouched by :meth:`reset`).
+    """
+
+    __slots__ = ()
+
+    DERIVED: ClassVar[tuple[str, ...]] = ()
+    HIDDEN: ClassVar[tuple[str, ...]] = ()
+
+    def snapshot(self):
+        """An independent copy (for before/after deltas)."""
+        every, _reported, _zeros = _layout(self.__class__)
+        twin = object.__new__(self.__class__)
+        for name in every:
+            setattr(twin, name, _copy(getattr(self, name)))
+        return twin
+
+    def as_dict(self) -> dict:
+        """Machine-readable form for benchmark JSON reports: every
+        reported field, then the derived figures, so downstream tooling
+        never re-implements the arithmetic. One shallow walk — the
+        monitoring sampler calls this on every firing tick."""
+        _every, reported, _zeros = _layout(self.__class__)
+        out = {}
+        for name in reported:
+            value = getattr(self, name)
+            out[name] = value if value.__class__ in _SCALARS else _plain(value)
+        for name in self.DERIVED:
+            out[name] = getattr(self, name)
+        return out
+
+    def reset(self) -> None:
+        """Zero what counts: every reported field that starts at zero or
+        empty. A field that starts elsewhere (``sector_size``,
+        ``capacity_bytes``) describes the object and is kept."""
+        _every, _reported, zeros = _layout(self.__class__)
+        for name, zero in zeros:
+            setattr(self, name, zero() if callable(zero) else zero)
 
 
 def diff_payloads(before: dict, after: dict) -> dict:
@@ -55,8 +155,8 @@ class Snapshot(Protocol):
 
     ``as_dict()`` returns the machine-readable counters/gauges/histograms
     (plain JSON-serializable values); ``snapshot()`` returns an
-    independent copy for before/after deltas. ``DiskStats``, ``LLDStats``,
-    ``StoreStats``, ``NVRAM``, and ``RecoveryReport`` all conform.
+    independent copy for before/after deltas. Every :class:`Counters`
+    subclass and ``LatencyHistogram`` conform.
     """
 
     def as_dict(self) -> dict: ...

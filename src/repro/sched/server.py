@@ -51,7 +51,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 
 from repro.ld.errors import LDError
-from repro.obs.events import inherited_log
+from repro.obs import stack
 from repro.obs.trace import NULL_SPAN
 from repro.sched.ops import (
     KIND_CALL,
@@ -104,8 +104,7 @@ class LDServer:
         self.scheduler = scheduler
         self.group_commit = group_commit
         self.stats = SchedStats()
-        self.tracer = tracer if tracer is not None else getattr(ld, "tracer", None)
-        self.events = inherited_log(ld)
+        stack.inherit(self, ld, tracer)
         self.tenants: dict[str, TenantQueue] = {}
         self.sessions: dict[str, object] = {}
         self.dispatch_log: list[tuple] | None = [] if record_dispatch else None

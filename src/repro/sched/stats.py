@@ -13,75 +13,49 @@ the wire via ``set_tenant`` and the LLD attributes its own counters.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 from repro.obs.hist import LatencyHistogram
+from repro.obs.metrics import Counters
 
 
-class TenantSchedStats:
+@dataclass(slots=True)
+class TenantSchedStats(Counters):
     """Queue-side counters for one tenant session."""
 
-    __slots__ = (
-        "submitted",
-        "dispatched",
-        "reads",
-        "writes",
-        "flushes",
-        "flushes_deferred",
-        "calls",
-        "bytes_read",
-        "bytes_written",
-        "rate_limited",
-        "acks",
-        "ack_latency_total",
-        "ack_latency_max",
-        "ack_latency_hist",
-    )
+    submitted: int = 0
+    dispatched: int = 0
+    reads: int = 0
+    writes: int = 0
+    flushes: int = 0
+    flushes_deferred: int = 0
+    calls: int = 0
+    bytes_read: int = 0
+    bytes_written: int = 0
+    rate_limited: int = 0
+    #: Flush intents made durable, and their latency from submission
+    #: to the acknowledgement — when the disks had the commit, not when
+    #: it was dispatched (virtual seconds): the per-tenant fsync ack
+    #: figures.
+    acks: int = 0
+    ack_latency_total: float = 0.0
+    ack_latency_max: float = 0.0
+    #: Bounded sketch of the same latencies: the p50/p99 source.
+    ack_latency_hist: LatencyHistogram = field(default_factory=LatencyHistogram)
 
-    def __init__(self) -> None:
-        self.submitted = 0
-        self.dispatched = 0
-        self.reads = 0
-        self.writes = 0
-        self.flushes = 0
-        self.flushes_deferred = 0
-        self.calls = 0
-        self.bytes_read = 0
-        self.bytes_written = 0
-        self.rate_limited = 0
-        #: Flush intents made durable, and their latency from submission
-        #: to the acknowledgement — when the disks had the commit, not when
-        #: it was dispatched (virtual seconds): the per-tenant fsync ack
-        #: figures.
-        self.acks = 0
-        self.ack_latency_total = 0.0
-        self.ack_latency_max = 0.0
-        #: Bounded sketch of the same latencies: the p50/p99 source.
-        self.ack_latency_hist = LatencyHistogram()
+    DERIVED = ("ack_latency_p50", "ack_latency_p99")
 
-    def copy(self) -> "TenantSchedStats":
-        twin = TenantSchedStats()
-        for name in self.__slots__:
-            value = getattr(self, name)
-            if isinstance(value, LatencyHistogram):
-                value = value.copy()
-            setattr(twin, name, value)
-        return twin
+    @property
+    def ack_latency_p50(self) -> float:
+        return self.ack_latency_hist.quantile(0.50)
 
-    def as_dict(self) -> dict:
-        out = {}
-        for name in self.__slots__:
-            value = getattr(self, name)
-            out[name] = value.as_dict() if isinstance(value, LatencyHistogram) else value
-        hist = self.ack_latency_hist
-        out["ack_latency_p50"] = hist.quantile(0.50)
-        out["ack_latency_p99"] = hist.quantile(0.99)
-        return out
+    @property
+    def ack_latency_p99(self) -> float:
+        return self.ack_latency_hist.quantile(0.99)
 
 
-@dataclass
-class SchedStats:
+@dataclass(slots=True)
+class SchedStats(Counters):
     """Server-wide scheduler counters (Snapshot protocol)."""
 
     ops_submitted: int = 0
@@ -126,19 +100,3 @@ class SchedStats:
         if stats is None:
             stats = self.tenants[name] = TenantSchedStats()
         return stats
-
-    def snapshot(self) -> "SchedStats":
-        copy = dataclasses.replace(self)
-        copy.tenants = {name: t.copy() for name, t in self.tenants.items()}
-        return copy
-
-    def as_dict(self) -> dict:
-        out = {
-            f.name: getattr(self, f.name)
-            for f in dataclasses.fields(self)
-            if f.name != "tenants"
-        }
-        out["tenants"] = {
-            name: t.as_dict() for name, t in sorted(self.tenants.items())
-        }
-        return out

@@ -68,12 +68,16 @@ failed member's extent for reads, the rebuild scanner and ``install``.
 
 from __future__ import annotations
 
+from copy import deepcopy
+from dataclasses import dataclass, field
+
 from repro.disk.disk import SimulatedDisk
 from repro.disk.geometry import DiskGeometry
 from repro.disk.stats import DiskStats
 from repro.disk.store import sector_view
 from repro.ld.errors import LDError
 from repro.obs.hist import LatencyHistogram
+from repro.obs.metrics import Counters
 from repro.obs.trace import NULL_SPAN
 from repro.sim.clock import VirtualClock
 from repro.volume.mapping import (
@@ -160,44 +164,74 @@ class VolumeGeometry:
         )
 
 
-class VolumeStats:
+@dataclass(slots=True)
+class VolumeStats(Counters):
     """Volume-level rollup: request latencies, queue depth, spindle balance.
 
-    Conforms to the :class:`repro.obs.Snapshot` protocol so benchmarks
-    register it in a :class:`~repro.obs.MetricsRegistry` next to the
-    per-layer stats. ``as_dict()`` folds in a live per-spindle view taken
-    from the member disks' own :class:`~repro.disk.DiskStats`. Request
-    latencies record into bounded
-    :class:`~repro.obs.hist.LatencyHistogram` sketches.
+    On top of its own counters ``as_dict()`` folds in a live per-spindle
+    view taken from the member disks' own :class:`~repro.disk.DiskStats`;
+    a :meth:`snapshot` freezes that view. Request latencies record into
+    bounded :class:`~repro.obs.hist.LatencyHistogram` sketches.
     """
 
-    #: Every plain counter, in one place: initialised to 0 and reported
-    #: under its own name by :meth:`as_dict`. From ``reconstructed_reads``
-    #: on they count parity paths (and stay 0 on stripe/mirror layouts);
-    #: the ``preread_*`` ones count a read-modify-write's old-bytes
-    #: buffers: served by the stripe cache (and the sectors that spared
-    #: the members), or read from a member.
-    COUNTERS = (
-        "reads", "writes", "sub_reads", "sub_writes", "barriers",
-        "degraded_reads", "reconstructed_reads", "full_stripe_writes",
-        "rmw_writes", "degraded_writes", "rebuild_rows_done",
-        "rebuild_reads", "rebuild_writes", "rebuilds_completed",
-        "max_queue_depth",
-        "preread_hits", "preread_misses", "preread_sectors_saved",
+    volume: "Volume"
+
+    reads: int = 0
+    writes: int = 0
+    sub_reads: int = 0
+    sub_writes: int = 0
+    barriers: int = 0
+    degraded_reads: int = 0
+    # From here on the counters count parity paths (and stay 0 on
+    # stripe/mirror layouts).
+    reconstructed_reads: int = 0
+    full_stripe_writes: int = 0
+    rmw_writes: int = 0
+    degraded_writes: int = 0
+    rebuild_rows_done: int = 0
+    rebuild_reads: int = 0
+    rebuild_writes: int = 0
+    rebuilds_completed: int = 0
+    max_queue_depth: int = 0
+    # A read-modify-write's old-bytes buffers: served by the stripe cache
+    # (and the sectors that spared the members), or read from a member.
+    preread_hits: int = 0
+    preread_misses: int = 0
+    preread_sectors_saved: int = 0
+
+    read_latency_hist: LatencyHistogram = field(default_factory=LatencyHistogram)
+    write_latency_hist: LatencyHistogram = field(default_factory=LatencyHistogram)
+
+    #: Member writes that may still be in flight (volume-wide): those
+    #: dispatched since the barrier before the last one, or the last
+    #: drain.
+    inflight_writes: int = 0
+    #: The part of them dispatched since the last barrier.
+    epoch_writes: int = 0
+    #: The per-spindle view as :meth:`snapshot` found it; None while live.
+    frozen: dict | None = None
+
+    HIDDEN = ("volume", "inflight_writes", "epoch_writes", "frozen")
+    DERIVED = (
+        "read_latency_p50", "read_latency_p99",
+        "write_latency_p50", "write_latency_p99",
     )
 
-    def __init__(self, volume: "Volume") -> None:
-        self._volume = volume
-        for name in self.COUNTERS:
-            setattr(self, name, 0)
-        self.read_latency_hist = LatencyHistogram()
-        self.write_latency_hist = LatencyHistogram()
-        #: Member writes that may still be in flight (volume-wide): those
-        #: dispatched since the barrier before the last one, or the last
-        #: drain.
-        self.inflight_writes = 0
-        #: The part of them dispatched since the last barrier.
-        self.epoch_writes = 0
+    @property
+    def read_latency_p50(self) -> float:
+        return self.read_latency_hist.quantile(0.50)
+
+    @property
+    def read_latency_p99(self) -> float:
+        return self.read_latency_hist.quantile(0.99)
+
+    @property
+    def write_latency_p50(self) -> float:
+        return self.write_latency_hist.quantile(0.50)
+
+    @property
+    def write_latency_p99(self) -> float:
+        return self.write_latency_hist.quantile(0.99)
 
     def note_write_dispatch(self, subs: int) -> None:
         self.sub_writes += subs
@@ -221,14 +255,6 @@ class VolumeStats:
         "busy_time", "barriers",
     )
 
-    def _per_disk(self) -> list[dict]:
-        volume = self._volume
-        return [
-            {"index": i, "alive": volume.alive[i]}
-            | {name: getattr(disk.stats, name) for name in self.MEMBER_FIELDS}
-            for i, disk in enumerate(volume.disks)
-        ]
-
     @staticmethod
     def _balance(values: list[float]) -> float:
         """min/max across spindles: 1.0 is perfectly even, 0 fully skewed."""
@@ -237,26 +263,25 @@ class VolumeStats:
             return 1.0
         return min(values) / top
 
-    def as_dict(self) -> dict:
-        volume = self._volume
-        per_disk = self._per_disk()
+    def rollup(self) -> dict:
+        """The volume's shape and health and its members' own counters:
+        read from them now, or as a snapshot froze them."""
+        if self.frozen is not None:
+            return deepcopy(self.frozen)
+        volume = self.volume
+        per_disk = [
+            {"index": i, "alive": volume.alive[i]}
+            | {name: getattr(disk.stats, name) for name in self.MEMBER_FIELDS}
+            for i, disk in enumerate(volume.disks)
+        ]
         live = [d for d in per_disk if d["alive"]]
-        read_lat = self.read_latency_hist
-        write_lat = self.write_latency_hist
         return {
             "layout": volume.layout,
             "n_disks": len(volume.disks),
             "live_disks": sum(volume.alive),
             "chunk_sectors": volume.chunk_sectors,
-            **{name: getattr(self, name) for name in self.COUNTERS},
             "rebuild_active": volume.rebuild_active,
             "rebuild_progress": volume.rebuild_progress,
-            "read_latency_p50": read_lat.quantile(0.50),
-            "read_latency_p99": read_lat.quantile(0.99),
-            "write_latency_p50": write_lat.quantile(0.50),
-            "write_latency_p99": write_lat.quantile(0.99),
-            "read_latency_hist": read_lat.as_dict(),
-            "write_latency_hist": write_lat.as_dict(),
             "total_bytes_read": sum(d["bytes_read"] for d in per_disk),
             "total_bytes_written": sum(d["bytes_written"] for d in per_disk),
             "request_balance": self._balance([d["requests"] for d in live]),
@@ -264,22 +289,13 @@ class VolumeStats:
             "per_disk": per_disk,
         }
 
-    def snapshot(self) -> "_FrozenVolumeStats":
-        """Independent copy of the current rollup (Snapshot protocol)."""
-        return _FrozenVolumeStats(self.as_dict())
-
-
-class _FrozenVolumeStats:
-    """An immutable ``as_dict`` capture, itself Snapshot-conformant."""
-
-    def __init__(self, payload: dict) -> None:
-        self._payload = payload
-
     def as_dict(self) -> dict:
-        return dict(self._payload)
+        return Counters.as_dict(self) | self.rollup()
 
-    def snapshot(self) -> "_FrozenVolumeStats":
-        return _FrozenVolumeStats(dict(self._payload))
+    def snapshot(self) -> "VolumeStats":
+        twin = Counters.snapshot(self)
+        twin.frozen = self.rollup()
+        return twin
 
 
 class _Dispatch:
@@ -1020,9 +1036,10 @@ class Volume:
 
         Every live copy holds the whole extent. A dead parity member's
         rebuilt rows are held by its replacement; its other rows exist
-        only as parity (``held`` false): ``corrupt`` skips them, while
-        ``install`` stores them anyway for the parity it then recomputes
-        to encode. Without parity a dead member's extent is refused.
+        only as parity (``held`` false): ``corrupt`` skips them, and
+        ``install`` overlays them on the chunk it reconstructed for the
+        parity it then recomputes to encode. Without parity a dead
+        member's extent is refused.
         """
         live = self._live(sub.disk)
         for member in live:
@@ -1043,17 +1060,43 @@ class Volume:
         size = self.geometry.sector_size
         view, nsectors = sector_view(data, size, "install")
         self.map.check_range(lba, nsectors)
+        chunk = self.chunk_sectors
+        rows = self.map.parity_rows(lba, nsectors)
+        # A row's untrusted data chunk exists only as the XOR of the others
+        # (a degraded write skips its member, whose store is stale): take
+        # it from the old parity before anything in the row changes,
+        # overlay what is installed into it, and let the new parity encode
+        # that — the degraded reconstruct-write of ``_write_rows``, time-free.
+        lost = {row: self._lost_chunk(row) for row in rows}
         for sub in self.map.split(lba, nsectors):
             payload = self._payload(view, sub, size)
-            for member, plba, count, _held in self._stores(sub):
+            for member, plba, count, held in self._stores(sub):
                 off = (plba - sub.plba) * size
-                self._forget(member, plba, count)
-                self.disks[member].install(plba, payload[off : off + count * size])
-        for row in self.map.parity_rows(lba, nsectors):
-            self._install_parity_row(row)
+                piece = payload[off : off + count * size]
+                if held:
+                    self._forget(member, plba, count)
+                    self.disks[member].install(plba, piece)
+                else:
+                    row, within = divmod(plba, chunk)
+                    lost[row][within * size : (within + count) * size] = piece
+        for row in rows:
+            self._install_parity_row(row, lost[row])
 
-    def _install_parity_row(self, row: int) -> bool:
-        """Recompute and install one row's parity chunk (time-free).
+    def _lost_chunk(self, row: int) -> bytearray | None:
+        """``row``'s data chunk on a member that cannot be read, rebuilt
+        from the others' stores; None when every data chunk can."""
+        down = self.alive.index(False) if self.degraded else None
+        pmap = self.parity_map
+        if down is None or self._trusted(down, row) or down == pmap.parity_disk(row):
+            return None
+        return bytearray(
+            self._xor_others(down, pmap.row_lba(row), pmap.chunk_sectors, self._peek_member)
+        )
+
+    def _install_parity_row(self, row: int, lost: bytearray | None = None) -> bool:
+        """Recompute and install one row's parity chunk (time-free), from
+        the members' stores and, for the one member that has none to speak
+        of, its ``lost`` chunk.
 
         Returns whether the on-disk parity actually changed.
         """
@@ -1061,7 +1104,11 @@ class Volume:
         chunk = pmap.chunk_sectors
         base = pmap.row_lba(row)
         holder = pmap.parity_disk(row)
-        parity = self._xor_others(holder, base, chunk, self._peek_member)
+        peek = self._peek_member
+        down = None if lost is None else self.alive.index(False)
+        parity = self._xor_others(
+            holder, base, chunk, lambda m, p, n: lost if m == down else peek(m, p, n)
+        )
         if self._peek_member(holder, base, chunk) == parity:
             return False
         self._forget(holder, base, chunk)

@@ -1,23 +1,85 @@
 """Snapshot protocol conformance and MetricsRegistry behaviour."""
 
+import copy
+import dataclasses
 import json
+from collections import Counter
 
 import pytest
 
+from repro.disk import SimulatedDisk, fast_test_disk
 from repro.disk.stats import DiskStats
 from repro.fs.minix.store import StoreStats
-from repro.lld.lld import LLDStats
+from repro.lld.lld import LLDStats, TenantCounters
 from repro.lld.nvram import NVRAM
+from repro.lld.readcache import ReadCacheCounters
 from repro.lld.recovery import RecoveryReport
-from repro.obs import MetricsRegistry, Snapshot
+from repro.obs import Counters, LatencyHistogram, MetricsRegistry, Snapshot
+from repro.sched.stats import SchedStats, TenantSchedStats
+from repro.sim import VirtualClock
+from repro.volume import Volume
 
-STATS_TYPES = [DiskStats, StoreStats, LLDStats, NVRAM, RecoveryReport]
+
+def _volume_stats():
+    members = [SimulatedDisk(fast_test_disk(capacity_mb=1), VirtualClock()) for _ in range(3)]
+    volume = Volume(members, VirtualClock(), layout="raid5", chunk_sectors=8)
+    volume.write(0, bytes(512 * 16))
+    return volume.volume_stats
+
+
+#: Every stats class in the tree (``VolumeStats`` comes with its volume).
+STATS_TYPES = [
+    pytest.param(factory, id=getattr(factory, "__name__").strip("_"))
+    for factory in (
+        DiskStats, StoreStats, LLDStats, NVRAM, RecoveryReport, SchedStats,
+        TenantSchedStats, TenantCounters, ReadCacheCounters, _volume_stats,
+    )
+]
+
+
+def _containers(stats):
+    """The nested containers of ``stats``, each with something in it."""
+    if isinstance(stats, LLDStats):
+        stats.tenant_counters("alice").blocks_read += 1
+    if isinstance(stats, SchedStats):
+        stats.tenant("alice").ack_latency_hist.record(0.002)
+    found = []
+    for f in dataclasses.fields(stats):
+        value = getattr(stats, f.name)
+        if isinstance(value, Counter):
+            value[8] += 1
+        elif isinstance(value, LatencyHistogram):
+            value.record(0.001)
+        elif f.name == "extra":
+            value["gauge"] = 1
+        elif not isinstance(value, dict):
+            continue
+        found.append(value)
+    return found
+
+
+def _disturb(container) -> None:
+    if isinstance(container, LatencyHistogram):
+        container.record(0.5)
+    elif isinstance(container, Counter):
+        container[8] += 5
+    else:
+        for key, value in list(container.items()):
+            if isinstance(value, Counters):
+                for nested in _containers(value):
+                    _disturb(nested)
+                first = dataclasses.fields(value)[0].name
+                setattr(value, first, getattr(value, first) + 3)
+            else:
+                container[key] = value + 3
 
 
 @pytest.mark.parametrize("stats_type", STATS_TYPES)
 def test_stats_objects_satisfy_snapshot_protocol(stats_type):
     stats = stats_type()
     assert isinstance(stats, Snapshot)
+    assert isinstance(stats, Counters)
+    _containers(stats)
     payload = stats.as_dict()
     assert isinstance(payload, dict)
     json.dumps(payload)  # every value is JSON-serializable
@@ -26,15 +88,63 @@ def test_stats_objects_satisfy_snapshot_protocol(stats_type):
 @pytest.mark.parametrize("stats_type", STATS_TYPES)
 def test_snapshot_is_an_independent_copy(stats_type):
     stats = stats_type()
+    containers = _containers(stats)
     before = stats.snapshot()
     assert before is not stats
-    assert before.as_dict() == stats.as_dict()
-    # Mutating the original must not change the snapshot.
-    field = next(
-        k for k, v in vars(stats).items() if isinstance(v, int) and not k.startswith("_")
+    assert type(before) is type(stats)
+    captured = before.as_dict()
+    assert captured == stats.as_dict()
+    frozen = copy.deepcopy(captured)
+    # Mutating the original — a counter, and inside every nested container:
+    # a tenant slice, a histogram bucket, a latency sketch, a per-disk row —
+    # must not change the snapshot.
+    counter = next(
+        f.name
+        for f in dataclasses.fields(stats)
+        if type(getattr(stats, f.name)) is int and f.name not in stats.HIDDEN
     )
-    setattr(stats, field, getattr(stats, field) + 7)
-    assert before.as_dict() != stats.as_dict()
+    setattr(stats, counter, getattr(stats, counter) + 7)
+    for container in containers:
+        _disturb(container)
+    if hasattr(stats, "volume"):
+        stats.volume.disks[0].stats.reads += 1
+    assert stats.as_dict() != frozen
+    assert before.as_dict() == frozen
+    # Nor does a payload share anything with the object it describes.
+    for value in captured.values():
+        if isinstance(value, dict):
+            value["intruder"] = 1
+        elif isinstance(value, list):
+            value[0]["reads"] = -1
+    assert before.as_dict() == frozen
+    assert before.snapshot().as_dict() == frozen
+
+
+@pytest.mark.parametrize("stats_type", STATS_TYPES)
+def test_reset_returns_every_counter_to_its_start(stats_type):
+    stats = stats_type()
+    for f in dataclasses.fields(stats):
+        if f.default == 0 and f.name not in stats.HIDDEN:
+            setattr(stats, f.name, f.default + 5)
+    _containers(stats)
+    assert stats.as_dict() != stats_type().as_dict()
+    stats.reset()
+    fresh = stats_type()
+    if stats_type is _volume_stats:  # its factory has written to the volume
+        fresh.reset()
+    assert stats.as_dict() == fresh.as_dict()
+
+
+def test_reset_keeps_what_an_nvram_holds_and_a_disk_is():
+    nvram = NVRAM(capacity_bytes=4096)
+    nvram.store(3, b"image")
+    nvram.reset()
+    assert (nvram.slot, nvram.image, nvram.capacity_bytes) == (3, b"image", 4096)
+    assert nvram.stores == nvram.bytes_stored == 0
+    disk = DiskStats(sector_size=1024)
+    disk.record_request(8, write=True)
+    disk.reset()
+    assert disk.as_dict() == DiskStats(sector_size=1024).as_dict()
 
 
 def test_registry_collect_prefixes_layers():

@@ -267,6 +267,41 @@ def test_corrupt_works_degraded_and_mid_rebuild():
     assert volume.peek(2 * width, 4 * width) == volume.read(2 * width, 4 * width)
 
 
+def test_partial_install_on_a_degraded_row_keeps_the_lost_chunk():
+    """Member loss, a degraded write (which leaves the dead member's store
+    stale), then a partial-row ``install``: the parity it recomputes must
+    still encode what the degraded write put in the lost chunk."""
+    volume = make_parity()
+    width = row_width(volume)
+    volume.write(0, os.urandom(width * 512))
+    victim = volume.spindle_of(CHUNK)
+    assert victim != volume.parity_map.parity_disk(0)
+    volume.fail_member(victim)
+    new = os.urandom(CHUNK * 512)
+    volume.write(CHUNK, new)  # degraded: the victim's store keeps the old bytes
+    assert volume.disks[victim].peek(volume.parity_map.row_lba(0), CHUNK) != new
+    installed = os.urandom(2 * 512)
+    volume.install(0, installed)  # two sectors of another member's chunk
+    expected = installed + volume.peek(2, CHUNK - 2) + new
+    assert volume.peek(CHUNK, CHUNK) == new
+    assert volume.peek(0, 2 * CHUNK) == expected
+    assert volume.read(0, 2 * CHUNK) == expected
+    # An install into the lost chunk itself lands over the restored one.
+    patch = os.urandom(512)
+    volume.install(CHUNK + 3, patch)
+    expected = expected[: (CHUNK + 3) * 512] + patch + expected[(CHUNK + 4) * 512 :]
+    assert volume.peek(0, 2 * CHUNK) == expected
+    cache = volume.stripe_cache
+    for member, disk in enumerate(volume.disks):  # resident == peek
+        held = cache.load(member, volume.parity_map.row_lba(0), CHUNK)
+        assert held is None or held == disk.peek(volume.parity_map.row_lba(0), CHUNK)
+    volume.replace_member(victim)
+    volume.rebuild_run_to_completion()
+    assert volume.peek(0, 2 * CHUNK) == expected
+    assert volume.read(0, 2 * CHUNK) == expected
+    assert volume.resync_parity() == 0
+
+
 def test_rebuild_completes_and_matches_never_failed():
     """After fail + replace + full rebuild the volume is byte-identical —
     member by member — to one that never failed."""

@@ -34,7 +34,18 @@ digest, that it saw one at a different time. The ``plan`` column is still
 that capture on all 12 rows; the ``clocks`` of the eight raid4 / raid5 rows
 were re-captured by the PR whose parent is 0b4ce39, when a row's
 read-modify-write began to wait for its pre-reads (stripe and mirror
-clocks are the parent's).
+clocks are the parent's). The ``plan`` of the six raid4 / raid5 rows with a
+member down (degraded, mid-rebuild, rebuilt) was re-captured by the PR
+whose parent is cdfae8e: those captures pinned a defect — a partial-row
+``install`` over a row whose dead member's chunk had been written degraded
+recomputed parity from that member's stale store, and the bytes ``peek``
+and ``read`` returned afterwards were the reverted ones (at the parent the
+script below, without its ``corrupt`` calls, leaves a volume that lost and
+rebuilt a member different from one that never did;
+``test_a_rebuilt_volume_ends_like_one_that_never_failed`` holds them
+equal). Member request sequences, counters and every ``clocks`` digest are
+still the parent's on all 12 rows; ``install`` no longer stores into a dead
+member, which is all that moves the two degraded rows.
 """
 
 import hashlib
@@ -61,13 +72,13 @@ GOLDEN = {
     ('mirror', 'healthy'): ('83ab899222370194', '2372430c4f74708e'),
     ('mirror', 'degraded'): ('be9f7fea58d2a833', '57acf80c99b1bf2a'),
     ('raid4', 'healthy'): ('a8a0f8f0f1c4675c', '3cb3baddc4531a51'),
-    ('raid4', 'degraded'): ('a899cb3f31ee9ace', 'ab950ef1e1a4de0c'),
-    ('raid4', 'mid-rebuild'): ('43f42ed05ab12690', 'b0778df3fba797b6'),
-    ('raid4', 'rebuilt'): ('0af3b603d51bd979', '07ab785b7742dce0'),
+    ('raid4', 'degraded'): ('607fe90206acfc55', 'ab950ef1e1a4de0c'),
+    ('raid4', 'mid-rebuild'): ('8a3af8209fab6fc5', 'b0778df3fba797b6'),
+    ('raid4', 'rebuilt'): ('bcedf15850dbb046', '07ab785b7742dce0'),
     ('raid5', 'healthy'): ('cc3c1205c23da8b7', 'e030ddebee333a80'),
-    ('raid5', 'degraded'): ('fd2abd9962622845', '66678a7bc92b4522'),
-    ('raid5', 'mid-rebuild'): ('46f74d474cd3d037', 'e1e66c4f66c953e1'),
-    ('raid5', 'rebuilt'): ('edfff648fbbb51d3', '667804cbc87c2870'),
+    ('raid5', 'degraded'): ('a4b5327dff34b5dc', '66678a7bc92b4522'),
+    ('raid5', 'mid-rebuild'): ('10ca63d1a50f3c6b', 'e1e66c4f66c953e1'),
+    ('raid5', 'rebuilt'): ('271f93e7a0875824', '667804cbc87c2870'),
 }
 
 
@@ -223,6 +234,37 @@ def test_request_plan_matches_parent_commit(layout):
     got = run_layout(layout)
     assert got == {key: GOLDEN[key] for key in got}
     assert len(got) == sum(1 for key in GOLDEN if key[0] == layout)
+
+
+@pytest.mark.parametrize("layout", ["raid4", "raid5"])
+def test_a_rebuilt_volume_ends_like_one_that_never_failed(layout):
+    """The same script (minus ``corrupt``, which breaks the parity a
+    reconstruction needs) on a volume that loses a member, serves degraded,
+    rebuilds under traffic and finishes, and on one that stays whole: equal
+    contents after every phase. Degraded writes, partial-row installs over
+    un-rebuilt chunks and the scanner all have to agree for that."""
+
+    def contents(fail: bool) -> list[bytes]:
+        run = Run(layout)
+        volume = run.volume
+        run.phase()
+        if fail:
+            volume.fail_member(VICTIM)
+        run.phase()
+        seen = [volume.peek(0, run.total)]
+        if fail:
+            volume.replace_member(VICTIM, LoggingMember())
+            volume.rebuild_step(volume.parity_map.rows // 3)
+            volume.rebuild_rate = 0.75
+        run.phase()
+        seen.append(volume.peek(0, run.total))
+        if fail:
+            volume.rebuild_run_to_completion()
+            assert volume.resync_parity() == 0
+        run.phase()
+        return seen + [volume.peek(0, run.total)]
+
+    assert contents(fail=True) == contents(fail=False)
 
 
 def outcome(call, *args):
