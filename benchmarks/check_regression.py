@@ -80,6 +80,10 @@ TABLE = [
     # flight on the RAID-5 arm, the share the server idled away (the rest
     # was covered by other tenants' ops).
     Row("multitenant", "overlap.idle_frac", "ceiling", "idle_frac_ceiling"),
+    # ... and neither do reads: the arm's reads are parked while the
+    # members work, not waited for (a server that reads synchronously
+    # again parks none).
+    Row("multitenant", "overlap.reads_parked", "floor", "reads_parked_floor"),
     # Volume layer (BENCH_volume_scaling.json): N=4 scaling, the 1-member
     # volume identical to the bare disk it wraps, and the RAID-5 arms —
     # full-stripe beats read-modify-write, degraded reads really

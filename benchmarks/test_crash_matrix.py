@@ -407,6 +407,8 @@ def test_scheduler_crash_matrix(benchmark):
     assert server.stats.flushes_deferred > 0
     assert server.stats.group_commits > 0
     # ... and the window between a commit's dispatch and its
-    # acknowledgement, with another tenant's write inside it.
+    # acknowledgement, with another tenant's write inside it and a read
+    # parked at the disks.
     assert server.stats.commits_deferred == server.stats.group_commits
     assert driver.overlapped == 2
+    assert driver.parked_reads == 2

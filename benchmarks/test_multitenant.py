@@ -20,13 +20,15 @@ What the scheduler architecture is supposed to buy, measured:
   of ``test_write_path`` through the scheduler reproduces the direct
   path's simulated-I/O figures exactly; the wall-clock overhead of the
   queue hop is reported and gated by ``check_regression.py``;
-* **commits that do not stop the server** — the same load on a 4-disk
-  RAID-5 volume, where a commit's writes finish well after they are
-  issued: how many commits were acknowledged later than they were
+* **commits and reads that do not stop the server** — the same load on a
+  4-disk RAID-5 volume, where a commit's writes finish well after they
+  are issued: how many commits were acknowledged later than they were
   dispatched, how long they were in flight, and how much of that time
-  the server had nothing else to dispatch (``overlap``; the gate holds
-  the idle share under a ceiling, so a change that quietly goes back to
-  waiting inside every commit fails it).
+  the server had nothing else to dispatch; and how many reads the members
+  delivered after the server had moved on (``overlap``; the gate holds
+  the idle share under a ceiling and the parked reads over a floor, so a
+  change that quietly goes back to waiting inside every commit, or inside
+  every read, fails it).
 
 All throughput/latency figures are *simulated* time; results land in
 ``BENCH_multitenant.json`` for CI to diff and gate.
@@ -56,6 +58,7 @@ IO_BYTES = 1024  # small synced writes — the workload group commit exists for
 THROUGHPUT_FLOOR_X = 2.0
 FAIRNESS_CEILING = 1.5
 IDLE_FRAC_CEILING = 0.5  # idle_advance_s / commit_inflight_s on the RAID-5 arm
+READS_PARKED_FLOOR = 1  # reads the RAID-5 arm completed after dispatching them
 
 COLUMNS = ["Agg MB/s (sim)", "p50 ms", "p99 ms", "Fairness", "Commits"]
 
@@ -206,12 +209,14 @@ def run_mixed_load(spec, n_tenants: int, scheduler: str, group_commit: int, **de
             "commit_inflight_s": sched.commit_inflight_s,
             "idle_advances": sched.idle_advances,
             "idle_advance_s": sched.idle_advance_s,
+            "reads_parked": sched.reads_parked,
+            "read_inflight_s": sched.read_inflight_s,
         },
     }
 
 
 def run_overlap(spec) -> dict:
-    """The baseline point on RAID-5: what the commits overlapped with."""
+    """The baseline point on RAID-5: what the commits and reads overlapped with."""
     device = dict(n_disks=4, volume_layout="raid5")
     arm = run_mixed_load(spec, BASELINE_TENANTS, "qos", BASELINE_TENANTS, **device)
     sched = arm["sched"]
@@ -223,7 +228,7 @@ def run_overlap(spec) -> dict:
             key: sched[key]
             for key in (
                 "group_commits", "commits_deferred", "commit_inflight_s",
-                "idle_advances", "idle_advance_s",
+                "idle_advances", "idle_advance_s", "reads_parked", "read_inflight_s",
             )
         },
         # No commit in flight at all is the worst reading, not the best:
@@ -342,6 +347,7 @@ def test_multitenant(spec, benchmark):
         "single_tenant": identity,
         "overlap": overlap,
         "idle_frac_ceiling": IDLE_FRAC_CEILING,
+        "reads_parked_floor": READS_PARKED_FLOOR,
     }
     emit(f"wrote {write_json_report(REPORT_PATH, report)}")
     emit(
@@ -350,7 +356,8 @@ def test_multitenant(spec, benchmark):
         f"single-tenant wall ratio {identity['wall_ratio']:.2f}; "
         f"on RAID-5 {overlap['commits_deferred']}/{overlap['group_commits']} commits "
         f"deferred, {overlap['commit_inflight_s']:.2f} s in flight, "
-        f"{overlap['idle_advance_s']:.2f} s of it idle ({overlap['idle_frac']:.2f})"
+        f"{overlap['idle_advance_s']:.2f} s of it idle ({overlap['idle_frac']:.2f}), "
+        f"{overlap['reads_parked']} reads parked"
     )
 
     # Acceptance: the scheduler architecture pays for itself at 8 tenants
@@ -364,6 +371,8 @@ def test_multitenant(spec, benchmark):
     # Commits on the volume are acknowledged late, and mostly not idled out.
     assert overlap["commits_deferred"] >= 0.95 * overlap["group_commits"]
     assert overlap["idle_frac"] <= IDLE_FRAC_CEILING, overlap
+    # Reads on the volume complete at the members' time, not the server's.
+    assert overlap["reads_parked"] >= READS_PARKED_FLOOR, overlap
     # One tenant through the scheduler is figure-identical to direct LD.
     assert identity["figures_identical"], (
         identity["direct"],

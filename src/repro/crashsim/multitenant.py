@@ -24,10 +24,12 @@ issued, and dispatches other tenants' ops meanwhile. The oracle's rule is
 unchanged — a snapshot is taken when a flush *returns*, which through the
 blocking facade is the acknowledgement — but on a device that queues
 writes (a :class:`~repro.volume.Volume`) there is now a window between
-the two, and the workload's last phase puts another tenant's write into
-it: that write belongs to the next epoch, so the snapshot is the mirror as
-it stood when the commit was *issued*, stamped with the journal position
-at its acknowledgement.
+the two, and the workload's last phase puts another tenant's read and
+write into it: the write belongs to the next epoch, so the snapshot is the
+mirror as it stood when the commit was *issued*, stamped with the journal
+position at its acknowledgement; the read is parked behind the commit's
+writes at the disks, and must return what the mirror held when it was
+dispatched.
 """
 
 from __future__ import annotations
@@ -61,6 +63,9 @@ class MultiTenantOracleDriver:
         #: Writes of another tenant dispatched between a commit and its
         #: acknowledgement (0 on a device with nothing to wait for).
         self.overlapped = 0
+        #: Reads dispatched in that window and still at the disks when the
+        #: write after them was done.
+        self.parked_reads = 0
 
     # -- mirrored client operations ------------------------------------
 
@@ -135,29 +140,40 @@ class MultiTenantOracleDriver:
             self._snapshot(label)
         return committed
 
-    def ack_overlapped(self, sess, other, bid: int, data: bytes, label: str) -> None:
-        """``sess`` forces a commit; ``other`` writes ``bid`` while the
-        disks are still busy with it.
+    def ack_overlapped(
+        self, sess, other, bid: int, data: bytes, label: str, read_bid: int
+    ) -> None:
+        """``sess`` forces a commit; ``other`` reads ``read_bid`` and writes
+        ``bid`` while the disks are still busy with it.
 
         The commit covers what was dispatched before it, so the snapshot
         is frozen when it is issued and joins the oracle at its
         acknowledgement; the write — dispatched inside the window, or,
         where the device left none, right after it — is mirrored
-        afterwards and waits for the next commit.
+        afterwards and waits for the next commit. The read, of a block on
+        the medium, queues behind the commit's writes and completes after
+        the write that follows it; its bytes are the mirror's.
         """
         server = self.server
         flush = sess.submit_flush(force=True)
         while server.queued:
             server.step()
         covered = self._freeze(label)
+        read = other.submit_read(read_bid)
         write = other.submit_write(bid, bytes(data))
         while not write.done:
             server.step()
-        if write.error is not None:
-            raise write.error
+        for op in (read, write):
+            if op.error is not None:
+                raise op.error
         if not flush.done:
             self.overlapped += 1
+            if not read.done:
+                self.parked_reads += 1
         server.drain(until=flush)
+        server.drain(until=read)
+        if read.result != self.blocks[read_bid]:
+            raise AssertionError(f"{label}: read of {read_bid} differs from the mirror")
         self.oracle.points.append(replace(covered, seq=self.recording.position))
         self._apply_or_stage(other, ("write", bid, bytes(data)))
 
@@ -290,17 +306,24 @@ def run_multitenant_matrix_workload(
         driver.write(sess, bid, _content("fill", i, fill_size))
         driver.ack(sess, f"fill-{i}")
 
-    # Phase G: a commit with another tenant's write inside it. Crashes
-    # between the commit's first write and its acknowledgement may or may
-    # not have it (nothing acknowledged earlier is lost either way); the
-    # overlapped write is the next commit's.
+    # Phase G: a commit with another tenant's read and write inside it.
+    # Crashes between the commit's first write and its acknowledgement may
+    # or may not have it (nothing acknowledged earlier is lost either way);
+    # the overlapped write is the next commit's, and the read — of a block
+    # outside the ARUs (an aborted unit's bytes stay readable until
+    # recovery), on the medium where the workload has sealed one — is still
+    # at the disks when the write is done.
+    placed = driver.server.ld.placement_hint
     for i in range(2):
         sess, other = ((a, b), (b, a))[i % 2]
         if maybe():
             driver.ack(sess, "room")
         driver.write(sess, bids[sess.name][0], _content("covered", i, 900))
+        target = bids[other.name][-1]
+        readable = [bid for bid in bids[other.name] if bid != target and bid not in aru_bids]
+        read_bid = next((bid for bid in readable if placed(bid) is not None), readable[0])
         driver.ack_overlapped(
-            sess, other, bids[other.name][-1], _content("overlap", i, 800), f"overlap-{i}"
+            sess, other, target, _content("overlap", i, 800), f"overlap-{i}", read_bid
         )
         driver.ack(other, f"after-overlap-{i}")
 

@@ -148,25 +148,33 @@ class SimulatedDisk:
                 f"{self.geometry.total_sectors} sectors"
             )
 
-    def read(self, lba: int, nsectors: int) -> bytes:
-        """Read ``nsectors`` contiguous sectors starting at ``lba``."""
+    def read(self, lba: int, nsectors: int, *, wait: bool = True):
+        """Read ``nsectors`` contiguous sectors starting at ``lba``.
+
+        ``wait=False`` returns ``(bytes, arrival)``, as a
+        :class:`repro.volume.Volume` does; here the request is charged on
+        the one clock before it returns, so it has already waited and
+        arrives ``now``.
+        """
         self._check_range(lba, nsectors)
         tr = self.tracer
         with tr.span("disk.read", lba=lba, sectors=nsectors) if tr else NULL_SPAN:
             self._charge_access(lba, nsectors)
             self.stats.record_request(nsectors, write=False)
-        return self._store.read(lba, nsectors)
+        data = self._store.read(lba, nsectors)
+        return data if wait else (data, self.clock.now)
 
-    def read_batch(self, requests: list[tuple[int, int]]) -> list[bytes]:
+    def read_batch(self, requests: list[tuple[int, int]], *, wait: bool = True):
         """Read several ``(lba, nsectors)`` extents as one submission.
 
         A single spindle has no parallelism to exploit, so this is
         timing-identical to issuing the reads back-to-back; the method
         exists so callers can hand a whole batch to whatever disk they
         hold and let a multi-spindle :class:`repro.volume.Volume` overlap
-        the sub-requests in simulated time.
+        the sub-requests in simulated time. ``wait`` as for :meth:`read`.
         """
-        return [self.read(lba, nsectors) for lba, nsectors in requests]
+        bufs = [self.read(lba, nsectors) for lba, nsectors in requests]
+        return bufs if wait else (bufs, self.clock.now)
 
     def write(self, lba: int, data: bytes) -> None:
         """Write ``data`` (a whole number of sectors) starting at ``lba``."""

@@ -21,10 +21,12 @@ from repro.ld.errors import (
     ReservationError,
 )
 from repro.ld.hints import ListHints, LIST_HEAD
-from repro.ld.interface import LogicalDisk
+from repro.ld.interface import Arrived, ArrivedBlocks, LogicalDisk
 
 __all__ = [
     "LogicalDisk",
+    "Arrived",
+    "ArrivedBlocks",
     "ListHints",
     "LIST_HEAD",
     "LDError",

@@ -43,6 +43,33 @@ class Reservation:
     bytes_reserved: int
 
 
+class Arrived(bytes):
+    """What ``read(bid, wait=False)`` returns: the block's bytes, stamped
+    with :attr:`at`, the simulated time the device delivers them.
+
+    Still the bytes, so whatever takes an LD read's result — a client, a
+    cache, a tracer counting what crossed the interface — takes this one.
+    """
+
+    at: float
+
+    def __new__(cls, data: bytes, at: float) -> "Arrived":
+        block = super().__new__(cls, data)
+        block.at = at
+        return block
+
+
+class ArrivedBlocks(list):
+    """What ``read_blocks(bids, wait=False)`` returns: the blocks, stamped
+    with :attr:`at`, when the last of them arrives."""
+
+    __slots__ = ("at",)
+
+    def __init__(self, blocks, at: float) -> None:
+        super().__init__(blocks)
+        self.at = at
+
+
 class LogicalDisk(abc.ABC):
     """Abstract interface to disk storage via logical block numbers.
 
@@ -58,11 +85,20 @@ class LogicalDisk(abc.ABC):
     # ------------------------------------------------------------------
 
     @abc.abstractmethod
-    def read(self, bid: int) -> bytes:
+    def read(self, bid: int, *, wait: bool = True) -> bytes:
         """Return the current contents of logical block ``bid``.
 
         Raises :class:`~repro.ld.errors.NoSuchBlockError` for unallocated
         blocks; returns ``b""`` for an allocated block never written.
+
+        With ``wait`` (the default) the call returns once the bytes have
+        arrived. With ``wait=False`` an LD whose device serves several
+        requests at once dispatches the read as it would otherwise and
+        returns at once, the bytes as :class:`Arrived` — stamped with when
+        the device delivers them; the caller owns the waiting (an
+        :class:`~repro.sched.LDServer` completes the read when its clock
+        gets there). What the bytes are is fixed at dispatch. An LD whose
+        reads finish before they return stamps them ``now``.
         """
 
     @abc.abstractmethod
@@ -74,7 +110,7 @@ class LogicalDisk(abc.ABC):
         4 KB data blocks and 64-byte i-node blocks).
         """
 
-    def read_blocks(self, bids: Sequence[int]) -> list[bytes]:
+    def read_blocks(self, bids: Sequence[int], *, wait: bool = True) -> list[bytes]:
         """Vectored read: the contents of every block in ``bids``, in order.
 
         Semantically identical to ``[self.read(b) for b in bids]`` — and
@@ -82,9 +118,14 @@ class LogicalDisk(abc.ABC):
         Implementations that know the physical layout (LLD) override this
         to group the blocks by segment and fetch each physically
         contiguous run with a single multi-sector disk request, which is
-        how the paper's block lists pay off on reads.
+        how the paper's block lists pay off on reads. ``wait=False`` as
+        for :meth:`read`: :class:`ArrivedBlocks`, stamped with when the
+        last block arrives.
         """
-        return [self.read(bid) for bid in bids]
+        if wait:
+            return [self.read(bid) for bid in bids]
+        blocks = [self.read(bid, wait=False) for bid in bids]
+        return ArrivedBlocks(blocks, max((block.at for block in blocks), default=0.0))
 
     def read_list(self, lid: int) -> list[bytes]:
         """Read every block of list ``lid`` in list order (vectored).

@@ -11,7 +11,7 @@ from repro.compress.model import CompressionModel
 from repro.disk.disk import SimulatedDisk
 from repro.ld.errors import ARUError, LDError, NoSuchBlockError, OutOfSpaceError
 from repro.ld.hints import LIST_HEAD, ListHints
-from repro.ld.interface import LogicalDisk, Reservation
+from repro.ld.interface import Arrived, ArrivedBlocks, LogicalDisk, Reservation
 from repro.ld.reservations import ReservationBook
 from repro.lld.checkpoint import CheckpointRegion
 from repro.lld.cleaner import Cleaner
@@ -295,44 +295,54 @@ class LLD(LogicalDisk):
         spindles = self.layout.slot_spindles
         return (spindles[entry.segment] if spindles else 0, lba)
 
-    def read(self, bid: int) -> bytes:
+    def read(self, bid: int, *, wait: bool = True) -> bytes:
+        """One block; ``wait=False`` as in :meth:`LogicalDisk.read` — a
+        block served from memory arrives ``now``."""
         self._require_init()
         tr = self.tracer
         with tr.span("lld.read", bid=bid) if tr else NULL_SPAN:
             entry, data = self._read_resident(bid)
-            if data is not None:
-                return data
-            # Miss: fetch from disk, extending the request over the block's
-            # physically contiguous successor run (the list structure encodes
-            # "what comes next") when read-ahead is on.
-            run = [(bid, entry)]
-            if self.read_cache is not None and self.config.read_ahead_blocks > 0:
-                run.extend(self._successor_run(entry))
-            return self._fetch_runs([run], readahead=True)[0]
+            if data is None:
+                # Miss: fetch from disk, extending the request over the
+                # block's physically contiguous successor run (the list
+                # structure encodes "what comes next") when read-ahead is on.
+                run = [(bid, entry)]
+                if self.read_cache is not None and self.config.read_ahead_blocks > 0:
+                    run.extend(self._successor_run(entry))
+                blocks, at = self._fetch_runs([run], readahead=True, wait=wait)
+                data = blocks[0]
+            elif not wait:
+                at = self._arrival(bid)
+        return data if wait else Arrived(data, at)
 
-    def read_blocks(self, bids: Sequence[int]) -> list[bytes]:
+    def read_blocks(self, bids: Sequence[int], *, wait: bool = True) -> list[bytes]:
         """Vectored read: group by segment, coalesce contiguous runs.
 
         Equivalent to ``[self.read(b) for b in bids]`` byte-for-byte, but
         every physically contiguous run of requested blocks inside one
         segment is fetched with a single multi-sector disk request — the
-        read-side payoff of the paper's clustered block lists.
+        read-side payoff of the paper's clustered block lists. The runs go
+        out as one batch, so with ``wait=False`` they arrive together.
         """
         self._require_init()
         tr = self.tracer
         with tr.span("lld.read_blocks", count=len(bids)) if tr else NULL_SPAN:
-            return self._read_blocks(bids)
+            blocks, at = self._read_blocks(bids, wait)
+        return blocks if wait else ArrivedBlocks(blocks, at)
 
-    def _read_blocks(self, bids: Sequence[int]) -> list[bytes]:
+    def _read_blocks(self, bids: Sequence[int], wait: bool) -> tuple[list[bytes], float]:
         self.stats.vectored_reads += 1
         results: list[bytes | None] = [None] * len(bids)
         pending: dict[int, list[tuple[int, int, object]]] = {}
+        ready = 0.0  # when the blocks served without I/O are in hand
         for i, bid in enumerate(bids):
             entry, data = self._read_resident(bid)
             if data is None:
                 pending.setdefault(entry.segment, []).append((i, bid, entry))
             else:
                 results[i] = data
+                if not wait:
+                    ready = max(ready, self._arrival(bid))
         runs: list[list[tuple[int, object]]] = []
         slots: list[int] = []  # result index of every block, in run order
         for segment in sorted(pending):
@@ -351,9 +361,18 @@ class LLD(LogicalDisk):
                 runs.append([(bid, entry) for _i, bid, entry in items[start:end]])
                 slots.extend(i for i, _bid, _entry in items[start:end])
                 start = end
-        for i, data in zip(slots, self._fetch_runs(runs)):
+        blocks, at = self._fetch_runs(runs, wait=wait)
+        for i, data in zip(slots, blocks):
             results[i] = data
-        return results  # type: ignore[return-value]
+        return results, max(at, ready)  # type: ignore[return-value]
+
+    def _arrival(self, bid: int) -> float:
+        """When a block served without I/O is in hand: now — or later, if a
+        fetch nobody waited for (``wait=False``) put it in the read cache
+        and has not arrived yet."""
+        now = self.disk.clock.now
+        cache = self.read_cache
+        return now if cache is None else max(now, cache.arrival(bid))
 
     def _read_resident(self, bid: int):
         """Serve ``bid`` without disk I/O: ``(entry, data-or-None)``.
@@ -394,8 +413,11 @@ class LLD(LogicalDisk):
         return entry, data
 
     def _fetch_runs(
-        self, runs: list[list[tuple[int, object]]], readahead: bool = False
-    ) -> list[bytes]:
+        self,
+        runs: list[list[tuple[int, object]]],
+        readahead: bool = False,
+        wait: bool = True,
+    ) -> tuple[list[bytes], float]:
         """Read coalesced runs from disk; decode and cache every block.
 
         Each run is a list of ``(bid, entry)`` physically contiguous in
@@ -407,13 +429,16 @@ class LLD(LogicalDisk):
         volume, which sees the whole batch at one dispatch instant).
         With ``readahead`` every block after a run's first is read-ahead:
         cached as prefetched, not billed to the tenant.
-        Returns the decoded blocks flattened in run order.
+        Returns the decoded blocks flattened in run order, and when the
+        last of them arrives (:meth:`_fetch_stored`) — the time their cache
+        entries carry, so a hit cannot complete before the fetch.
         """
         cache = self.read_cache
         tenant = self._tenant
         coalesced = self.stats.coalesced_runs
         out: list[bytes] = []
-        for run, (_lba, _nsectors, skew), buf in self._fetch_stored(runs):
+        fetched, at = self._fetch_stored(runs, wait)
+        for run, (_lba, _nsectors, skew), buf in fetched:
             coalesced[len(run)] = coalesced.get(len(run), 0) + 1
             base = skew - run[0][1].offset  # buffer position of data offset 0
             prefetched = False
@@ -424,21 +449,30 @@ class LLD(LogicalDisk):
                 if tenant is not None and not prefetched:
                     tenant.bytes_read += len(data)
                 if cache is not None:
-                    cache.put(bid, data, prefetched=prefetched)
+                    cache.put(bid, data, prefetched=prefetched, at=at)
                 prefetched = readahead
-        return out
+        return out, at
 
-    def _fetch_stored(self, runs: list[list[tuple[int, object]]]):
+    def _fetch_stored(self, runs: list[list[tuple[int, object]]], wait: bool = True):
         """The one stored-bytes fetch, under reads and relocation: a disk
-        request per run, uncounted; yields ``(run, extent, buffer)``."""
+        request per run, uncounted. Returns the ``(run, extent, buffer)``
+        triples and when the last buffer arrives — ``now`` when the
+        request waited for it, the device's completion time when it did
+        not (``wait=False``, the bytes already in hand)."""
+        disk = self.disk
         extents = [self._run_extent(run) for run in runs]
         if len(runs) > 1:
-            bufs = self.disk.read_batch(
-                [(lba, nsectors) for lba, nsectors, _skew in extents]
+            got = disk.read_batch(
+                [(lba, nsectors) for lba, nsectors, _skew in extents], wait=wait
             )
+            bufs, at = (got, disk.clock.now) if wait else got
+        elif runs:
+            lba, nsectors, _skew = extents[0]
+            got = disk.read(lba, nsectors, wait=wait)
+            bufs, at = ([got], disk.clock.now) if wait else ([got[0]], got[1])
         else:
-            bufs = [self.disk.read(lba, nsectors) for lba, nsectors, _skew in extents]
-        return zip(runs, extents, bufs)
+            bufs, at = [], disk.clock.now
+        return zip(runs, extents, bufs), at
 
     def stored_bytes(self, entry: BlockEntry) -> bytes:
         """A written block's stored (possibly compressed) bytes, verbatim:
@@ -446,7 +480,8 @@ class LLD(LogicalDisk):
         seg = self.log.resident(entry.segment)
         if seg is not None:
             return seg.read_data(entry.offset, entry.stored_length)
-        ((_run, (_lba, _nsectors, skew), buf),) = self._fetch_stored([[(0, entry)]])
+        fetched, _at = self._fetch_stored([[(0, entry)]])
+        ((_run, (_lba, _nsectors, skew), buf),) = fetched
         return bytes(buf[skew : skew + entry.stored_length])
 
     def read_list(self, lid: int) -> list[bytes]:
@@ -791,8 +826,10 @@ class LLD(LogicalDisk):
         Only flushes that find work count in ``stats.flushes``; a flush
         with nothing in memory — an empty open segment and no sealed one
         held for its row — counts in ``stats.flushes_noop`` instead, so
-        benchmark denominators stay honest. It issues nothing, so it waits
-        for nothing either way.
+        benchmark denominators stay honest. It issues nothing and waits for
+        nothing, but with ``wait=False`` it still answers when what earlier
+        flushes and seals wrote is on the medium — another tenant's commit,
+        which carried this caller's writes, may be in flight.
         """
         self._require_init()
         tr = self.tracer
@@ -800,7 +837,7 @@ class LLD(LogicalDisk):
             self.compression.drain_pipeline()
             if self.log.open.is_empty and not self.log.held:
                 self.stats.flushes_noop += 1
-                return self.disk.clock.now
+                return self.disk.clock.now if wait else self.disk.write_horizon()
             self.stats.flushes += 1
             if self._tenant is not None:
                 self._tenant.flushes += 1

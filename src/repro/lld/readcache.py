@@ -48,11 +48,12 @@ class ReadCacheCounters(Counters):
 
 
 class _Entry:
-    __slots__ = ("data", "prefetched")
+    __slots__ = ("data", "prefetched", "at")
 
-    def __init__(self, data: bytes, prefetched: bool) -> None:
+    def __init__(self, data: bytes, prefetched: bool, at: float) -> None:
         self.data = data
         self.prefetched = prefetched
+        self.at = at
 
 
 class ReadCache:
@@ -83,9 +84,19 @@ class ReadCache:
             self.counters.prefetch_used += 1
         return entry.data
 
-    def put(self, bid: int, data: bytes, prefetched: bool = False) -> bool:
+    def arrival(self, bid: int) -> float:
+        """When the cached bytes of ``bid`` are in hand: the arrival time
+        :meth:`put` was given (0.0 when absent). No LRU or counter effects."""
+        entry = self._entries.get(bid)
+        return 0.0 if entry is None else entry.at
+
+    def put(
+        self, bid: int, data: bytes, prefetched: bool = False, at: float = 0.0
+    ) -> bool:
         """Insert or replace ``bid``; returns False if the data cannot fit.
 
+        ``at`` is when the bytes arrive — later than now for a fetch its
+        caller did not wait for; a hit before then must wait too.
         An entry larger than the whole cache is rejected rather than
         evicting everything for a block that would be evicted next anyway.
         """
@@ -94,7 +105,7 @@ class ReadCache:
         old = self._entries.pop(bid, None)
         if old is not None:
             self._bytes -= len(old.data)
-        self._entries[bid] = _Entry(bytes(data), prefetched)
+        self._entries[bid] = _Entry(bytes(data), prefetched, at)
         self._bytes += len(data)
         self.counters.cache_inserts += 1
         if prefetched:

@@ -17,20 +17,14 @@ recovery is last-writer-wins per key:
 ``COMMIT``     an explicit ARU committed (paper's EndARU tag)
 =============  =========================================================
 
-Two codec generations share this wire format:
-
-* The **per-entry reference codec** — :meth:`Record.pack` /
-  :func:`unpack_record` — encodes header and payload as two separate
-  ``struct`` calls joined by bytes concatenation. It is kept verbatim as
-  the readable specification of the format, the equivalence oracle for
-  the property tests, and the measured baseline of the CPU benchmark.
-* The **batch codec** — :meth:`Record.pack_into` /
-  :func:`encode_records_into` / :func:`decode_records` — uses one
-  precompiled combined :class:`struct.Struct` per record type (header +
-  payload in a single C call) writing straight into a caller-owned
-  buffer, so a whole summary is encoded or decoded in one pass with no
-  intermediate ``bytes`` objects. Both produce byte-identical output
-  (enforced by ``tests/lld/test_records_property.py``).
+The codec — :meth:`Record.pack_into` / :func:`encode_records_into` /
+:func:`decode_records` — uses one precompiled combined
+:class:`struct.Struct` per record type (header + payload in a single C
+call) writing straight into a caller-owned buffer, so a whole summary is
+encoded or decoded in one pass with no intermediate ``bytes`` objects.
+The wire format is spelled out field group by field group in
+``tests/lld/reference_codec.py``, the oracle the property tests hold this
+codec byte-identical to.
 """
 
 from __future__ import annotations
@@ -40,8 +34,6 @@ from dataclasses import dataclass
 
 #: Wire encoding of "no block/list" in id fields.
 NONE_ID = 0xFFFFFFFF
-
-_HEADER = struct.Struct("<BBIQ")  # type, flags, aru, timestamp
 
 TYPE_LINK = 1
 TYPE_BLOCK = 2
@@ -59,10 +51,6 @@ def _enc(value: int | None) -> int:
     return NONE_ID if value is None else value
 
 
-def _dec(value: int) -> int | None:
-    return None if value == NONE_ID else value
-
-
 @dataclass
 class Record:
     """Base record; concrete types define ``TYPE`` and payload packing."""
@@ -72,6 +60,7 @@ class Record:
     flags: int = 0
 
     TYPE = 0
+    #: The payload after the ``<BBIQ`` header (type, flags, ARU, timestamp).
     _PAYLOAD = struct.Struct("<")
     #: Combined header+payload Struct, memoized per class at import time
     #: (see ``_finalize_wire``); one ``pack_into``/``unpack_from`` call
@@ -82,20 +71,10 @@ class Record:
     def _payload_values(self) -> tuple:
         return ()
 
-    @classmethod
-    def _from_payload(cls, values: tuple) -> "Record":
-        return cls()
-
-    def pack(self) -> bytes:
-        """Per-entry reference encoder (header + payload, concatenated)."""
-        head = _HEADER.pack(self.TYPE, self.flags, self.aru, self.timestamp)
-        return head + self._PAYLOAD.pack(*self._payload_values())
-
     def pack_into(self, buf, offset: int) -> int:
-        """Batch encoder: one combined-Struct write into ``buf``.
-
-        Byte-identical to :meth:`pack` (little-endian formats concatenate
-        without padding); returns the offset past the record.
+        """Encode into ``buf`` with one combined-Struct write: the header
+        and the payload, which little-endian formats concatenate without
+        padding. Returns the offset past the record.
         """
         wire = self._WIRE
         wire.pack_into(
@@ -127,10 +106,6 @@ class LinkRecord(Record):
     def _payload_values(self) -> tuple:
         return (self.bid, _enc(self.successor))
 
-    @classmethod
-    def _from_payload(cls, values: tuple) -> "LinkRecord":
-        return cls(bid=values[0], successor=_dec(values[1]))
-
 
 @dataclass
 class BlockRecord(Record):
@@ -147,16 +122,6 @@ class BlockRecord(Record):
 
     def _payload_values(self) -> tuple:
         return (self.bid, self.segment, self.offset, self.stored_length, self.length)
-
-    @classmethod
-    def _from_payload(cls, values: tuple) -> "BlockRecord":
-        return cls(
-            bid=values[0],
-            segment=values[1],
-            offset=values[2],
-            stored_length=values[3],
-            length=values[4],
-        )
 
     @property
     def compressed(self) -> bool:
@@ -181,10 +146,6 @@ class BlockDeadRecord(Record):
     def _payload_values(self) -> tuple:
         return (self.bid, self.death_timestamp)
 
-    @classmethod
-    def _from_payload(cls, values: tuple) -> "BlockDeadRecord":
-        return cls(bid=values[0], death_timestamp=values[1])
-
 
 @dataclass
 class ListFirstRecord(Record):
@@ -198,10 +159,6 @@ class ListFirstRecord(Record):
 
     def _payload_values(self) -> tuple:
         return (self.lid, _enc(self.first))
-
-    @classmethod
-    def _from_payload(cls, values: tuple) -> "ListFirstRecord":
-        return cls(lid=values[0], first=_dec(values[1]))
 
 
 @dataclass
@@ -217,10 +174,6 @@ class ListMetaRecord(Record):
     def _payload_values(self) -> tuple:
         return (self.lid, self.hints)
 
-    @classmethod
-    def _from_payload(cls, values: tuple) -> "ListMetaRecord":
-        return cls(lid=values[0], hints=values[1])
-
 
 @dataclass
 class ListDeadRecord(Record):
@@ -235,10 +188,6 @@ class ListDeadRecord(Record):
     def _payload_values(self) -> tuple:
         return (self.lid, self.death_timestamp)
 
-    @classmethod
-    def _from_payload(cls, values: tuple) -> "ListDeadRecord":
-        return cls(lid=values[0], death_timestamp=values[1])
-
 
 @dataclass
 class CommitRecord(Record):
@@ -249,10 +198,6 @@ class CommitRecord(Record):
 
     def _payload_values(self) -> tuple:
         return ()
-
-    @classmethod
-    def _from_payload(cls, values: tuple) -> "CommitRecord":
-        return cls()
 
 
 _RECORD_TYPES: dict[int, type[Record]] = {
@@ -278,25 +223,6 @@ def _finalize_wire() -> None:
 
 
 _finalize_wire()
-
-
-def unpack_record(buf: bytes, offset: int) -> tuple[Record, int]:
-    """Per-entry reference decoder at ``offset``; returns (record, next offset)."""
-    if offset + _HEADER.size > len(buf):
-        raise ValueError("truncated record header")
-    rtype, flags, aru, timestamp = _HEADER.unpack_from(buf, offset)
-    cls = _RECORD_TYPES.get(rtype)
-    if cls is None:
-        raise ValueError(f"unknown record type {rtype}")
-    offset += _HEADER.size
-    payload = cls._PAYLOAD
-    if offset + payload.size > len(buf):
-        raise ValueError("truncated record payload")
-    record = cls._from_payload(payload.unpack_from(buf, offset))
-    record.flags = flags
-    record.aru = aru
-    record.timestamp = timestamp
-    return record, offset + payload.size
 
 
 # ----------------------------------------------------------------------
@@ -373,7 +299,7 @@ def decode_records(buf, offset: int, end: int, nrecords: int) -> tuple[list[Reco
     One pass, one combined-Struct ``unpack_from`` per record. ``buf`` may
     be any buffer object (bytes, bytearray, memoryview) — no slicing, no
     intermediate copies. Raises :class:`ValueError` on truncation or an
-    unknown type byte, exactly like :func:`unpack_record`.
+    unknown type byte.
     """
     out: list[Record] = []
     append = out.append

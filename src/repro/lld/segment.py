@@ -15,10 +15,10 @@ CRC) are patched in place when an image is needed. ``image()``,
 ``summary_delta_image()``, and ``data_tail()`` therefore return
 ``memoryview`` slices of the live buffer: a partial flush reaches
 :meth:`repro.disk.SimulatedDisk.write` with **zero intermediate bytes
-copies**. The per-entry codec this replaced is kept as
-:func:`serialize_summary_legacy` / :func:`parse_summary_legacy` — the
-readable wire-format specification and the byte-identity oracle of the
-property tests; no production code calls it (DESIGN.md §11).
+copies**. The per-entry codec this replaced lives on in
+``tests/lld/reference_codec.py`` as the readable wire-format
+specification and the byte-identity oracle of the property tests
+(DESIGN.md §11).
 """
 
 from __future__ import annotations
@@ -30,12 +30,7 @@ from collections import Counter
 from repro.disk.disk import SimulatedDisk
 from repro.ld.errors import OutOfSpaceError
 from repro.lld.config import SECTOR, LLDConfig
-from repro.lld.records import (
-    Record,
-    decode_records,
-    encode_records_into,
-    unpack_record,
-)
+from repro.lld.records import Record, decode_records, encode_records_into
 
 SUMMARY_MAGIC = b"LDS1"
 _SUMMARY_HEADER = struct.Struct("<4sIII")  # magic, nrecords, body_len, crc32
@@ -63,9 +58,8 @@ def empty_summary(capacity: int) -> bytes:
 def serialize_summary(records: list[Record], capacity: int) -> bytes:
     """Pack records into a summary image of exactly ``capacity`` bytes.
 
-    Batch codec: one preallocated buffer, one combined-Struct write per
-    record, one CRC pass — byte-identical to
-    :func:`serialize_summary_legacy`.
+    One preallocated buffer, one combined-Struct write per record, one
+    CRC pass.
     """
     body_len = sum(r.SIZE for r in records)
     total = _HEADER_SIZE + body_len
@@ -116,52 +110,6 @@ def parse_summary(image) -> list[Record] | None:
     """Decode a summary image; returns None for invalid/foreign bytes."""
     out: list[Record] = []
     return out if decode_summary_into(image, out) else None
-
-
-# ----------------------------------------------------------------------
-# Per-entry reference codec: the wire-format specification and test
-# oracle (tests/lld/test_records_property.py); not used in production.
-# ----------------------------------------------------------------------
-
-
-def serialize_summary_legacy(records: list[Record], capacity: int) -> bytes:
-    """Per-entry reference encoder: pack each record, join, pad."""
-    body = b"".join(record.pack() for record in records)
-    header = _SUMMARY_HEADER.pack(
-        SUMMARY_MAGIC, len(records), len(body), zlib.crc32(body)
-    )
-    image = header + body
-    if len(image) > capacity:
-        raise ValueError(
-            f"summary of {len(image)} bytes exceeds capacity {capacity}"
-        )
-    return image + b"\x00" * (capacity - len(image))
-
-
-def parse_summary_legacy(image: bytes) -> list[Record] | None:
-    """Per-entry reference decoder (one ``unpack_record`` per record)."""
-    if len(image) < _SUMMARY_HEADER.size:
-        return None
-    magic, nrecords, body_len, crc = _SUMMARY_HEADER.unpack_from(image, 0)
-    if magic != SUMMARY_MAGIC:
-        return None
-    start = _SUMMARY_HEADER.size
-    if start + body_len > len(image):
-        return None
-    body = image[start : start + body_len]
-    if zlib.crc32(body) != crc:
-        return None
-    records: list[Record] = []
-    offset = 0
-    try:
-        for _ in range(nrecords):
-            record, offset = unpack_record(body, offset)
-            records.append(record)
-    except (ValueError, struct.error):
-        return None
-    if offset != body_len:
-        return None
-    return records
 
 
 class DiskLayout:

@@ -15,7 +15,7 @@ from repro.ld.errors import (
     OutOfSpaceError,
 )
 from repro.ld.hints import LIST_HEAD, ListHints
-from repro.ld.interface import LogicalDisk, Reservation
+from repro.ld.interface import Arrived, LogicalDisk, Reservation
 from repro.ld.reservations import ReservationBook
 
 SECTOR = 512
@@ -132,7 +132,12 @@ class LogeDisk(LogicalDisk):
     # Blocks
     # ------------------------------------------------------------------
 
-    def read(self, bid: int) -> bytes:
+    def read(self, bid: int, *, wait: bool = True) -> bytes:
+        """Every read has arrived when it returns, whatever ``wait`` says."""
+        data = self._read(bid)
+        return data if wait else Arrived(data, self.disk.clock.now)
+
+    def _read(self, bid: int) -> bytes:
         self._require_init()
         if bid not in self._table and bid not in self._known_bids():
             raise NoSuchBlockError(bid)

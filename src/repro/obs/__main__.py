@@ -99,7 +99,7 @@ def render_dashboard(spans: list[Span], top: int = 20) -> str:
         _table(["op", "count", "total ms", "mean ms", "p50 ms", "max ms"], op_rows)
     )
 
-    lines += _commit_overlap(by_op)
+    lines += _in_flight(by_op)
 
     roots = [s for s in spans if s.parent_id is None]
     lines += [
@@ -110,17 +110,26 @@ def render_dashboard(spans: list[Span], top: int = 20) -> str:
     return "\n".join(lines)
 
 
-def _commit_overlap(by_op: dict[str, list[Span]]) -> list[str]:
-    """What the server's group commits overlapped with, from their spans.
+def _in_flight(by_op: dict[str, list[Span]]) -> list[str]:
+    """What the server's commits and reads overlapped with, from their spans.
 
     A ``sched.group_commit`` span ends when the commit is issued and
-    carries ``complete_at``, when the disks had it; ``sched.idle_advance``
-    spans are the part of that time the server had nothing to dispatch.
-    The same four figures as ``SchedStats.commits_deferred``,
-    ``commit_inflight_s``, ``idle_advances`` and ``idle_advance_s``.
+    carries ``complete_at``, when the disks had it; so does the
+    ``sched.dispatch`` or ``sched.read_batch`` span of a read the disks
+    delivered later (a batch also says how many reads it ``parked``);
+    ``sched.idle_advance`` spans are the part of that time the server had
+    nothing to dispatch. The same figures as ``SchedStats.commits_deferred``,
+    ``commit_inflight_s``, ``reads_parked``, ``read_inflight_s``,
+    ``idle_advances`` and ``idle_advance_s``.
     """
     commits = [s for s in by_op.get("sched.group_commit", ()) if "complete_at" in s.attrs]
-    if not commits:
+    reads = [
+        (s.attrs.get("parked", 1), s.attrs["complete_at"] - s.end)
+        for name in ("sched.dispatch", "sched.read_batch")
+        for s in by_op.get(name, ())
+        if s.attrs.get("complete_at", s.end) > s.end
+    ]
+    if not commits and not reads:
         return []
     inflight = [s.attrs["complete_at"] - s.end for s in commits]
     deferred = [t for t in inflight if t > 0]
@@ -128,11 +137,16 @@ def _commit_overlap(by_op: dict[str, list[Span]]) -> list[str]:
     rows = [
         ["sched.group_commits", str(len(commits)), "-"],
         ["sched.commits_deferred", str(len(deferred)), _fmt_ms(sum(deferred))],
+        [
+            "sched.reads_parked",
+            str(sum(n for n, _t in reads)),
+            _fmt_ms(sum(n * t for n, t in reads)),
+        ],
         ["sched.idle_advances", str(len(idle)), _fmt_ms(sum(s.duration for s in idle))],
     ]
     return [
         "",
-        "== commits in flight (acknowledged at the disks' completion time) ==",
+        "== commits and reads in flight (done at the disks' completion time) ==",
         _table(["figure", "count", "total ms"], rows),
     ]
 

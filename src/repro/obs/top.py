@@ -45,6 +45,8 @@ _TOTAL_KEYS = (
     ("sched", "commit_inflight_s"),
     ("sched", "idle_advances"),
     ("sched", "idle_advance_s"),
+    ("sched", "reads_parked"),
+    ("sched", "read_inflight_s"),
 )
 
 

@@ -37,13 +37,14 @@ class Op:
 
     ``seq`` orders ops within a tenant; ``arrival`` orders them globally
     (FIFO baseline); ``epoch`` is the server's barrier epoch at submission
-    time. ``done`` flips exactly once, when the op has completed: for most
-    ops when it has been dispatched to the underlying LD (the call is
-    synchronous); for a deferrable ``FLUSH`` whose intent was pooled, when
-    it has been accepted (``result`` False); for a ``FLUSH`` that
-    triggered the group commit (``result`` True), when the disks have
-    everything the commit wrote — ``completed_at``, never ahead of the
-    shared clock, is that moment.
+    time. ``done`` flips exactly once, when the op has completed: for
+    writes and calls when it has been dispatched to the underlying LD (the
+    call is synchronous); for a read when the disks have delivered its
+    bytes (``result`` holds them from dispatch on); for a deferrable
+    ``FLUSH`` whose intent was pooled, when it has been accepted
+    (``result`` False); for a ``FLUSH`` that triggered the group commit
+    (``result`` True), when the disks have everything the commit wrote —
+    ``completed_at``, never ahead of the shared clock, is that moment.
     """
 
     __slots__ = (

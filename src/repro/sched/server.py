@@ -25,20 +25,24 @@ Ordering contract (pinned by the property tests in ``tests/sched``):
 
 Event model: an op has a *dispatch* time, when the server executes it
 against the LD, and a *completion* time, when its ``done`` flips and the
-client may act on it. For reads, writes and metadata calls the two
-coincide — the LD call is synchronous and the shared clock has moved by
-the time it returns. A group commit is different: ``ld.flush(wait=False)``
-issues and orders the writes and says when the disks will have them, and
-the op that triggered the commit is *parked* on the completion list
-until the shared clock reaches that time. Meanwhile the server keeps
-dispatching — other tenants' writes, metadata calls, reads of idle
-members run inside the commit's disk time — and a closed-loop client's
-window slot stays occupied until the acknowledgement. The server never
-moves the clock itself: a round that dispatches nothing while completions
-are parked waits for the disks where a flush would have, with a waiting
-barrier at the device (:meth:`LDServer.step`), and a server with a single
-tenant — nobody to keep going meanwhile — lets the flush wait, so a solo
-tenant gets call for call what it would get from the LD directly.
+client may act on it. For writes and metadata calls the two coincide —
+the LD call is synchronous. Reads and group commits are different: the
+disks finish them later. ``ld.read(bid, wait=False)`` dispatches the read
+and hands back its bytes stamped with when the device delivers them;
+``ld.flush(wait=False)`` issues and orders the writes and says when the
+disks will have them. The read op, or the op that triggered the commit,
+is *parked* on the completion list until the shared clock reaches that
+time. Meanwhile the server keeps dispatching — other tenants' writes,
+metadata calls and reads run inside the disks' time, each queueing at the
+members it needs — and a closed-loop client's window slot stays occupied
+until the completion. What a read returns is fixed at its dispatch: the
+bytes of every write dispatched before it, of none after. The server
+never moves the clock itself: a round that dispatches nothing while
+completions are parked waits for the disks where a flush would have, with
+a waiting barrier at the device (:meth:`LDServer.step`), and a server with
+a single tenant — nobody to keep going meanwhile — lets its reads and
+flushes wait, so a solo tenant gets call for call what it would get from
+the LD directly.
 
 Concurrency model: this is a discrete-event simulation, so the server is
 synchronous — ``step()`` runs one scheduler round on the caller's
@@ -49,6 +53,8 @@ nonblocking ``submit_*`` handles for closed-loop multi-tenant drivers.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from itertools import count
+from operator import attrgetter
 
 from repro.ld.errors import LDError
 from repro.obs import stack
@@ -63,6 +69,9 @@ from repro.sched.ops import (
 )
 from repro.sched.queues import TenantQueue, TokenBucket
 from repro.sched.stats import SchedStats
+
+
+_ARRIVAL = attrgetter("arrival")
 
 
 class SchedulerStalledError(LDError, RuntimeError):
@@ -114,10 +123,12 @@ class LDServer:
         self._arrival = 0
         self._epoch = 0
         self._intents: list[Op] = []
-        #: The completion list: commits the disks have not finished yet, a
-        #: heap of ``(complete_at, commit number, trigger op or None,
-        #: intents)``.
+        #: The completion list: commits and reads the disks have not
+        #: finished yet, a heap of ``(complete_at, ticket, op, intents)`` —
+        #: a commit's trigger op (None for ``close()``'s) and intents, a
+        #: read op and None. Tickets order entries due at the same time.
         self._parked: list[tuple] = []
+        self._tickets = count()
         # Resolved once: per-tenant attribution, placement and ARU
         # re-attachment hooks are optional on the LD (present on LLD,
         # absent on e.g. bare ULD).
@@ -211,7 +222,7 @@ class LDServer:
 
     @property
     def parked_completions(self) -> int:
-        """Commits dispatched whose acknowledgement is not due yet."""
+        """Commits and reads dispatched whose completion is not due yet."""
         return len(self._parked)
 
     def step(self) -> int:
@@ -251,7 +262,8 @@ class LDServer:
                 self.dispatch_op(until)
                 if until.done:
                     return
-                # A commit the disks are still writing: wait it out below.
+                # A commit or a read the disks are still busy with: wait
+                # it out below.
         while True:
             if until is not None:
                 if until.done:
@@ -291,17 +303,20 @@ class LDServer:
             self._rr = (self._rr + 1) % len(self._names)
 
     def dispatch_op(self, op: Op) -> None:
-        """Execute one op against the LD; complete it, unless it triggered
-        a commit — then it completes when the disks have (it is parked)."""
+        """Execute one op against the LD and complete it — when the disks
+        have delivered it, for a read; when they have the commit, for a
+        flush that triggered one (either is parked until then)."""
         tr = self.tracer
         with tr.span(
             "sched.dispatch", tenant=op.tenant, kind=op.kind
-        ) if tr else NULL_SPAN:
+        ) if tr else NULL_SPAN as sp:
             if op.kind == KIND_FLUSH:
                 self._dispatch_flush(op)
                 return
-            self._execute(op)
-        self._complete(op)
+            at = self._execute(op, len(self.tenants) == 1)
+            if sp is not None and at is not None:
+                sp.attrs["complete_at"] = at
+        self._complete(op, at)
 
     def dispatch_reads(self, entries: list[tuple[Op, int, int]]) -> None:
         """Execute an elevator-ordered read batch with one vectored call.
@@ -317,22 +332,30 @@ class LDServer:
             self.dispatch_op(entries[0][0])
             return
         tr = self.tracer
+        stats = self.stats
         with tr.span(
             "sched.read_batch", count=len(entries)
-        ) if tr else NULL_SPAN:
-            self._execute_read_batch(entries)
-        self.stats.read_batches += 1
-        self.stats.batched_reads += len(entries)
+        ) if tr else NULL_SPAN as sp:
+            parked = stats.reads_parked
+            at = self._execute_read_batch(entries)
+            if sp is not None and at is not None:
+                sp.attrs["complete_at"] = at
+                sp.attrs["parked"] = stats.reads_parked - parked
+        stats.read_batches += 1
+        stats.batched_reads += len(entries)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
 
-    def _execute(self, op: Op) -> None:
+    def _execute(self, op: Op, wait: bool = True) -> float | None:
+        """Run ``op`` against the LD. A read that did not ``wait`` returns
+        when its bytes arrive; everything else is done on return (None)."""
         ld = self.ld
         session = self.sessions[op.tenant]
         set_tenant = self._set_tenant
         attach_aru = self._attach_aru
+        at = None
         if set_tenant is not None:
             set_tenant(op.tenant)
         try:
@@ -345,9 +368,13 @@ class LDServer:
             if kind == KIND_WRITE:
                 ld.write(op.bid, op.data)
             elif kind == KIND_READ:
-                op.result = ld.read(op.bid)
+                op.result = ld.read(op.bid, wait=wait)
+                if not wait:
+                    at = op.result.at
             elif kind == KIND_READ_BLOCKS:
-                op.result = ld.read_blocks(list(op.bids))
+                op.result = ld.read_blocks(list(op.bids), wait=wait)
+                if not wait:
+                    at = op.result.at
             else:  # KIND_CALL
                 op.result = getattr(ld, op.method)(*op.args, **(op.kwargs or {}))
                 if op.method == "begin_aru":
@@ -364,16 +391,21 @@ class LDServer:
                 attach_aru(0)
             if set_tenant is not None:
                 set_tenant(None)
+        return at
 
-    def _execute_read_batch(self, entries: list[tuple[Op, int, int]]) -> None:
+    def _execute_read_batch(self, entries: list[tuple[Op, int, int]]) -> float | None:
+        """One vectored call for the batch; every op in it completes when
+        the batch's last request does. Returns that time, as
+        :meth:`_execute` does (None when it waited, or fell back)."""
         ld = self.ld
         set_tenant = self._set_tenant
         tenants = {op.tenant for op, _slot, _bid in entries}
         solo = next(iter(tenants)) if len(tenants) == 1 else None
+        wait = len(self.tenants) == 1
         if set_tenant is not None:
             set_tenant(solo)
         try:
-            datas = ld.read_blocks([bid for _op, _slot, bid in entries])
+            datas = ld.read_blocks([bid for _op, _slot, bid in entries], wait=wait)
         except Exception:
             # One bad block poisons a vectored call; re-dispatch each op
             # singly so errors stay attributed to the op that caused them.
@@ -382,11 +414,12 @@ class LDServer:
             self.stats.batch_fallbacks += 1
             for op in dict.fromkeys(entry[0] for entry in entries):
                 self._execute_fallback_read(op)
-            return
+            return None
         finally:
             if set_tenant is not None:
                 set_tenant(None)
         counters = getattr(getattr(ld, "stats", None), "tenant_counters", None)
+        finished = []
         for (op, slot, _bid), data in zip(entries, datas):
             if solo is None and counters is not None:
                 # Mixed batch ran untagged inside the LD; attribute the
@@ -396,14 +429,23 @@ class LDServer:
                 t.bytes_read += len(data)
             if op.kind == KIND_READ:
                 op.result = data
-                self._complete(op)
+                finished.append(op)
             else:
                 op.result[slot] = data
                 op.pending -= 1
                 if op.pending == 0:
-                    self._complete(op)
+                    finished.append(op)
+        # The elevator ordered the call; the ops are journalled in the order
+        # they were submitted, so each tenant's are in its program order
+        # (``test_dispatch_invariants`` over reads of blocks on the medium).
+        finished.sort(key=_ARRIVAL)
+        at = None if wait else datas.at
+        for op in finished:
+            self._complete(op, at)
+        return at
 
     def _execute_fallback_read(self, op: Op) -> None:
+        """One op of a failed batch, alone and waiting: the rare path."""
         if op.kind == KIND_READ_BLOCKS:
             op.result = None  # rebuilt whole by the scalar vectored call
         self._execute(op)
@@ -469,38 +511,44 @@ class LDServer:
             self.dispatch_log.append(
                 ("commit", tuple((i.tenant, i.seq) for i in intents), complete_at)
             )
-        heappush(self._parked, (complete_at, stats.group_commits, trigger, intents))
+        heappush(self._parked, (complete_at, next(self._tickets), trigger, intents))
         self._retire_due()  # at once, if the disks had nothing left to do
 
     def _retire_due(self) -> None:
-        """Acknowledge every parked commit the shared clock has reached.
+        """Complete every parked commit and read the shared clock has reached.
 
-        The acknowledgement carries the disks' completion time, not the
-        later moment a round boundary let the server look: ``done`` flips
-        here, ``completed_at`` and the ack latencies say when it was true.
+        The completion carries the disks' time, not the later moment a
+        round boundary let the server look: ``done`` flips here,
+        ``completed_at`` and a commit's ack latencies say when it was true.
         """
         parked = self._parked
         now = self.now()
         while parked and parked[0][0] <= now:
-            at, _number, trigger, intents = heappop(parked)
-            for intent in intents:
-                stats = self.tenants[intent.tenant].stats
-                stats.acks += 1
-                latency = at - intent.submitted_at
-                stats.ack_latency_total += latency
-                stats.ack_latency_hist.record(latency)
-                if latency > stats.ack_latency_max:
-                    stats.ack_latency_max = latency
-            if self.dispatch_log is not None:
-                self.dispatch_log.append(
-                    ("ack", tuple((i.tenant, i.seq) for i in intents), at)
-                )
-            if trigger is not None:
-                self._done(trigger, at)
+            at, _ticket, op, intents = heappop(parked)
+            if intents is not None:
+                self._acknowledge(intents, at)
+            if op is not None:
+                self._done(op, at)
+
+    def _acknowledge(self, intents: list[Op], at: float) -> None:
+        """A commit is on the medium: its intents' ack latencies end at ``at``."""
+        for intent in intents:
+            stats = self.tenants[intent.tenant].stats
+            stats.acks += 1
+            latency = at - intent.submitted_at
+            stats.ack_latency_total += latency
+            stats.ack_latency_hist.record(latency)
+            if latency > stats.ack_latency_max:
+                stats.ack_latency_max = latency
+        if self.dispatch_log is not None:
+            self.dispatch_log.append(
+                ("ack", tuple((i.tenant, i.seq) for i in intents), at)
+            )
 
     def _wait_for_disks(self) -> None:
-        """Nothing to dispatch until a parked commit completes: wait at
-        the device, with the barrier a waiting flush would have ended on."""
+        """Nothing to dispatch until a parked commit or read completes:
+        wait at the device, with the barrier a waiting flush would have
+        ended on."""
         idle_from = self.now()
         tr = self.tracer
         with tr.span("sched.idle_advance") if tr else NULL_SPAN:
@@ -513,10 +561,18 @@ class LDServer:
         op.done = True
         op.completed_at = at
 
-    def _complete(self, op: Op) -> None:
-        """A synchronous op: dispatched and done at once."""
+    def _complete(self, op: Op, at: float | None = None) -> None:
+        """Dispatched, and done at once — or, for a read whose bytes the
+        disks deliver later (``at``), parked until then."""
         self._dispatched(op)
-        self._done(op, self.now())
+        now = self.now()
+        if at is None or at <= now:
+            self._done(op, now)
+            return
+        stats = self.stats
+        stats.reads_parked += 1
+        stats.read_inflight_s += at - now
+        heappush(self._parked, (at, next(self._tickets), op, None))
 
     def _dispatched(self, op: Op) -> None:
         """Dispatch-time accounting: the counters and the journal."""

@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.ld.errors import LDError
-from repro.ld.interface import LogicalDisk, Reservation
+from repro.ld.interface import Arrived, ArrivedBlocks, LogicalDisk, Reservation
 from repro.sched.ops import (
     KIND_CALL,
     KIND_FLUSH,
@@ -113,11 +113,17 @@ class TenantSession(LogicalDisk):
 
     # --- blocks -------------------------------------------------------
 
-    def read(self, bid: int) -> bytes:
-        return self._run(self.submit_read(bid))
+    def read(self, bid: int, *, wait: bool = True) -> bytes:
+        """The blocking facade returns once the read has completed, whatever
+        ``wait`` says; ``wait=False`` only stamps the bytes with when."""
+        op = self.submit_read(bid)
+        data = self._run(op)
+        return data if wait else Arrived(data, op.completed_at)
 
-    def read_blocks(self, bids: Sequence[int]) -> list[bytes]:
-        return self._run(self.submit_read_blocks(bids))
+    def read_blocks(self, bids: Sequence[int], *, wait: bool = True) -> list[bytes]:
+        op = self.submit_read_blocks(bids)
+        blocks = self._run(op)
+        return blocks if wait else ArrivedBlocks(blocks, op.completed_at)
 
     def write(self, bid: int, data: bytes) -> None:
         self._run(self.submit_write(bid, data))

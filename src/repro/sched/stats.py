@@ -86,6 +86,10 @@ class SchedStats(Counters):
     commit_inflight_s: float = 0.0
     idle_advances: int = 0
     idle_advance_s: float = 0.0
+    # Reads the same way: read ops whose data the disks delivered after
+    # the read was dispatched, and the simulated seconds between the two.
+    reads_parked: int = 0
+    read_inflight_s: float = 0.0
 
     # Fairness / QoS machinery.
     rounds: int = 0

@@ -15,7 +15,7 @@ from repro.ld.errors import (
     OutOfSpaceError,
 )
 from repro.ld.hints import LIST_HEAD, ListHints
-from repro.ld.interface import LogicalDisk, Reservation
+from repro.ld.interface import Arrived, LogicalDisk, Reservation
 from repro.ld.reservations import ReservationBook
 
 SECTOR = 512
@@ -217,7 +217,13 @@ class ULD(LogicalDisk):
             raise NoSuchBlockError(bid)
         return block
 
-    def read(self, bid: int) -> bytes:
+    def read(self, bid: int, *, wait: bool = True) -> bytes:
+        """Written for a bare disk, which serves one request at a time:
+        the read has arrived when it returns, whatever ``wait`` says."""
+        data = self._read(bid)
+        return data if wait else Arrived(data, self.disk.clock.now)
+
+    def _read(self, bid: int) -> bytes:
         self._require_init()
         block = self._block(bid)
         if block.slot < 0 or block.length == 0:

@@ -32,7 +32,9 @@ request queues FIFO behind its predecessors), then lets the member charge
 seek/rotation/transfer on its private clock; the sub-request completes at
 the member clock's new value. Reads are blocking: the shared clock jumps
 to the *max* completion over the dispatched sub-requests, so a striped
-read costs ~max over spindles, not the sum. Writes are queued: they
+read costs ~max over spindles, not the sum — unless the caller asks not
+to wait (``wait=False``), and is handed that completion time with the
+bytes instead. Writes are queued: they
 dispatch without advancing the shared clock at all, and a waiting
 :meth:`barrier` drains — lifts the shared clock over every member's
 horizon — so a striped segment write plus its flush barrier also costs
@@ -802,24 +804,34 @@ class Volume:
         vstats.read_latency_hist.record(io.completion - now)
         return data, io.completion
 
-    def read(self, lba: int, nsectors: int) -> bytes:
-        """Blocking volume read: shared clock advances to the slowest spindle."""
+    def read(self, lba: int, nsectors: int, *, wait: bool = True):
+        """Volume read: the shared clock advances to the slowest spindle.
+
+        With ``wait=False`` it is left alone and the read returns
+        ``(bytes, arrival)`` instead: dispatched now like any other, the
+        bytes already taken from the members, the waiting left to a caller
+        with something else to do until ``arrival``
+        (:class:`~repro.sched.LDServer`).
+        """
         self.map.check_range(lba, nsectors)
         tr = self.tracer
         with tr.span("volume.read", lba=lba, sectors=nsectors) if tr else NULL_SPAN:
             self._rebuild_tick()
             data, completion = self._read_at(lba, nsectors, self.clock.now)
+            if not wait:
+                return data, completion
             self.clock.advance_to(completion)
         return data
 
-    def read_batch(self, requests: list[tuple[int, int]]) -> list[bytes]:
+    def read_batch(self, requests: list[tuple[int, int]], *, wait: bool = True):
         """Issue several reads as one overlapping batch.
 
         All requests dispatch at the current shared time; sub-requests to
         the same member queue FIFO on its private clock while different
         members proceed in parallel. The shared clock advances once, to
         the completion of the slowest request, and per-request latencies
-        are recorded individually.
+        are recorded individually. ``wait=False`` as for :meth:`read`: the
+        batch arrives with its slowest request.
         """
         for lba, nsectors in requests:
             self.map.check_range(lba, nsectors)
@@ -828,8 +840,12 @@ class Volume:
             self._rebuild_tick()
             now = self.clock.now
             done = [self._read_at(lba, nsectors, now) for lba, nsectors in requests]
-            self.clock.advance_to(max((end for _, end in done), default=now))
-        return [data for data, _ in done]
+            completion = max((end for _, end in done), default=now)
+            bufs = [data for data, _ in done]
+            if not wait:
+                return bufs, completion
+            self.clock.advance_to(completion)
+        return bufs
 
     def write(self, lba: int, data: bytes) -> None:
         """Queued volume write: dispatched now, drained by the next barrier.

@@ -341,13 +341,13 @@ class JournalDisk:
         self.log: list[tuple] = []
         self.bytes_written = 0
 
-    def read(self, lba, nsectors):
+    def read(self, lba, nsectors, *, wait=True):
         self.log.append(("r", lba, nsectors))
-        return self.inner.read(lba, nsectors)
+        return self.inner.read(lba, nsectors, wait=wait)
 
-    def read_batch(self, requests):
+    def read_batch(self, requests, *, wait=True):
         self.log.append(("R", [list(r) for r in requests]))
-        return self.inner.read_batch(requests)
+        return self.inner.read_batch(requests, wait=wait)
 
     def write(self, lba, data):
         data = bytes(data)

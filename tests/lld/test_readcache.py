@@ -130,6 +130,17 @@ def test_contains_has_no_side_effects():
     assert 1 not in cache
 
 
+def test_arrival_is_what_put_was_given():
+    cache = ReadCache(64)
+    cache.put(1, b"a", at=2.5)
+    cache.put(2, b"b")
+    hits = cache.counters.cache_hits
+    assert (cache.arrival(1), cache.arrival(2), cache.arrival(99)) == (2.5, 0.0, 0.0)
+    assert cache.counters.cache_hits == hits
+    cache.put(1, b"c", at=3.0)  # a later fetch replaces the stamp too
+    assert cache.arrival(1) == 3.0
+
+
 def test_external_counter_sink():
     counters = ReadCacheCounters()
     cache = ReadCache(64, counters=counters)

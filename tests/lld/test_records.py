@@ -1,4 +1,4 @@
-"""Round-trip tests for segment-summary records."""
+"""Round-trip tests for segment-summary records (tests/lld/reference_codec.py)."""
 
 import pytest
 from hypothesis import given
@@ -14,8 +14,10 @@ from repro.lld.records import (
     ListDeadRecord,
     ListFirstRecord,
     ListMetaRecord,
-    unpack_record,
+    decode_records,
 )
+
+from tests.lld.reference_codec import pack, unpack_record
 
 ids = st.integers(min_value=0, max_value=0xFFFFFFFE)
 opt_ids = st.one_of(st.none(), ids)
@@ -23,10 +25,12 @@ timestamps = st.integers(min_value=0, max_value=2**60)
 
 
 def roundtrip(record):
-    packed = record.pack()
+    """Through the reference codec, checked against the batch decoder."""
+    packed = pack(record)
     assert len(packed) == record.packed_size
     out, consumed = unpack_record(packed, 0)
     assert consumed == len(packed)
+    assert decode_records(packed, 0, len(packed), 1) == ([out], len(packed))
     return out
 
 
@@ -99,20 +103,20 @@ def test_unpack_truncated_header():
 
 
 def test_unpack_truncated_payload():
-    packed = LinkRecord(bid=1, successor=2).pack()
+    packed = pack(LinkRecord(bid=1, successor=2))
     with pytest.raises(ValueError):
         unpack_record(packed[:-2], 0)
 
 
 def test_unpack_unknown_type():
-    bogus = bytes([99]) + LinkRecord(bid=1).pack()[1:]
+    bogus = bytes([99]) + pack(LinkRecord(bid=1))[1:]
     with pytest.raises(ValueError):
         unpack_record(bogus, 0)
 
 
 def test_unpack_sequence():
     records = [LinkRecord(bid=i, successor=i + 1) for i in range(5)]
-    buf = b"".join(r.pack() for r in records)
+    buf = b"".join(pack(r) for r in records)
     offset = 0
     for expected in records:
         record, offset = unpack_record(buf, offset)

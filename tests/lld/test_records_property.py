@@ -9,12 +9,13 @@ Two contracts, checked with seeded (derandomized) hypothesis runs:
   raises out of ``parse_summary``; it degrades to ``None`` (skip the
   segment), which is what one-sweep recovery relies on after a torn or
   interrupted summary write.
-* the two codec generations are equivalent: the batch ``pack_into``
-  encoders produce byte-identical output to the per-entry reference
-  ``pack``, and the batch and legacy summary parsers agree on every
-  input — valid, truncated, torn (spliced across two summaries), bit-
-  flipped, or garbage. The legacy implementations are the oracle that
-  pins the on-disk format across the CPU optimization pass.
+* the codec equals the wire-format specification: the batch
+  ``pack_into`` encoders produce byte-identical output to the per-entry
+  reference ``pack``, and the batch and reference summary parsers agree
+  on every input — valid, truncated, torn (spliced across two summaries),
+  bit-flipped, or garbage. The reference implementations
+  (``tests/lld/reference_codec.py``) are the oracle that pins the on-disk
+  format.
 """
 
 import struct
@@ -31,14 +32,14 @@ from repro.lld.records import (
     ListDeadRecord,
     ListFirstRecord,
     ListMetaRecord,
-    unpack_record,
 )
-from repro.lld.segment import (
-    SUMMARY_MAGIC,
-    parse_summary,
+from repro.lld.segment import SUMMARY_MAGIC, parse_summary, serialize_summary
+
+from tests.lld.reference_codec import (
+    pack,
     parse_summary_legacy,
-    serialize_summary,
     serialize_summary_legacy,
+    unpack_record,
 )
 
 U8 = st.integers(min_value=0, max_value=0xFF)
@@ -73,7 +74,7 @@ CAPACITY = 4096
 @settings(derandomize=True, max_examples=200)
 @given(record=RECORDS)
 def test_single_record_round_trip(record):
-    buf = record.pack()
+    buf = pack(record)
     assert len(buf) == record.packed_size
     decoded, end = unpack_record(buf, 0)
     assert end == len(buf)
@@ -130,7 +131,7 @@ def test_crc_valid_body_with_unknown_type_degrades_to_skip(records, rtype):
     This models a format-version skew (or a torn write that happened to
     keep the checksum valid): the sweep must skip the segment, not die.
     """
-    body = b"".join(r.pack() for r in records)
+    body = b"".join(pack(r) for r in records)
     # Corrupt the first record's type byte, then re-checksum so the CRC
     # gate passes and the failure happens inside record parsing.
     body = bytes([rtype]) + body[1:]
@@ -153,7 +154,7 @@ def test_pack_into_byte_identical_to_pack(record):
     buf = bytearray(record.SIZE)
     end = record.pack_into(buf, 0)
     assert end == record.SIZE == record.packed_size
-    assert bytes(buf) == record.pack()
+    assert bytes(buf) == pack(record)
 
 
 @settings(derandomize=True, max_examples=100)

@@ -518,14 +518,14 @@ class GuardedDisk(JournalDisk):
         for slot in range(max(first, 0), last + 1):
             assert lld.log.resident(slot) is None, f"slot {slot} read from the medium"
 
-    def read(self, lba, nsectors):
+    def read(self, lba, nsectors, *, wait=True):
         self._check(lba, nsectors)
-        return super().read(lba, nsectors)
+        return super().read(lba, nsectors, wait=wait)
 
-    def read_batch(self, requests):
+    def read_batch(self, requests, *, wait=True):
         for lba, nsectors in requests:
             self._check(lba, nsectors)
-        return super().read_batch(requests)
+        return super().read_batch(requests, wait=wait)
 
 
 class GuardedRig(Rig):

@@ -11,9 +11,10 @@ from repro.lld.segment import (
     empty_summary,
     parse_summary,
     serialize_summary,
-    serialize_summary_legacy,
 )
 from repro.sim import VirtualClock
+
+from tests.lld.reference_codec import serialize_summary_legacy
 
 
 def config():
@@ -179,7 +180,7 @@ def _fill(seg, with_second_round: bool = True):
 
 
 def _reference_image(seg, cfg) -> bytes:
-    """The slot image built from the kept per-entry reference codec."""
+    """The slot image built from the per-entry reference codec."""
     payload = serialize_summary_legacy(seg.records, cfg.summary_capacity)
     payload += bytes(seg.data[: seg.used])
     return payload + b"\x00" * ((-len(payload)) % SECTOR)

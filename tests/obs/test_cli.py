@@ -49,16 +49,28 @@ def test_dashboard_counts_commits_in_flight():
             clock.advance(0.001)  # issuing the writes
             span.attrs["complete_at"] = clock.now + inflight
         clock.advance(0.001)
+    # Reads delivered later than dispatched: one alone, a batch that parked
+    # three, and one served at once.
+    for name, inflight, attrs in (
+        ("sched.dispatch", 0.010, {"kind": "read"}),
+        ("sched.read_batch", 0.004, {"count": 5}),
+        ("sched.dispatch", 0.0, {"kind": "read"}),
+    ):
+        with tracer.span(name, **attrs) as span:
+            span.attrs["complete_at"] = clock.now + inflight
+            if name == "sched.read_batch":
+                span.attrs["parked"] = 3
     with tracer.span("sched.idle_advance"):
         clock.advance(0.015)
     text = render_dashboard(tracer.spans)
-    section = text.split("== commits in flight")[1]
+    section = text.split("== commits and reads in flight")[1]
     rows = {l.split()[0]: l.split()[1:] for l in section.splitlines() if l.startswith("sched.")}
     assert rows["sched.group_commits"] == ["3", "-"]
     assert rows["sched.commits_deferred"] == ["2", "65.000"]
+    assert rows["sched.reads_parked"] == ["4", "22.000"]
     assert rows["sched.idle_advances"] == ["1", "15.000"]
-    # A trace without commits has no such section.
-    assert "commits in flight" not in render_dashboard(make_trace())
+    # A trace without commits or parked reads has no such section.
+    assert "in flight" not in render_dashboard(make_trace())
 
 
 def test_dashboard_handles_empty_trace():

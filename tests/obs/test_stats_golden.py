@@ -25,6 +25,21 @@ which prints the ``GOLDEN`` table. A digest that moves means a payload
 gained, lost or retyped a leaf, or the workload below saw a different
 request — ``tests/lld/test_log_golden.py`` and
 ``tests/volume/test_request_plan_golden.py`` tell the two apart.
+
+Eight digests were re-captured, with the same command in its own
+checkout, by the change that made a multi-tenant server's reads complete
+at device time: ``sched`` gained ``reads_parked`` / ``read_inflight_s``
+(and with ``registry`` / ``registry_recovered`` every figure those
+parked reads move), and the drive's blocking tenants park 140 disk reads,
+each followed by a wait at the device: a barrier on every member, after
+every member's queue rather than the read's own (``disk_member``,
+``disk_volume``, ``volume``: ``barriers`` 163 -> 321; the clock at the
+first quiesce 4.5476 -> 4.5920 s),
+reads that now queue in the member FIFOs (``volume`` read latencies,
+members' rotation and busy time), acknowledgements a few ms apart
+(``sched_tenant``), and the recovery's ``simulated_seconds`` the same
+sweep at a later clock (equal to 1e-15). ``lld``, ``lld_tenant``,
+``store`` and ``nvram`` are the parent's.
 """
 
 import hashlib
@@ -55,18 +70,18 @@ except ImportError:  # the parent commit, where the table was captured
 #: payload name -> digest of the live object's ``as_dict()``; the
 #: ``snapshot().as_dict()`` of each must hash to the same value.
 GOLDEN = {
-    'registry': 'ffb660252684c563',
-    'registry_recovered': '5554cc48947aeb4e',
-    'disk_member': '20e2f3e0704ee225',
-    'disk_volume': '945c03c1862caee5',
-    'volume': '2fefd00db00f6441',
+    'registry': 'e65527ab0e6d4666',
+    'registry_recovered': '73915951059fd4be',
+    'disk_member': 'cc5c5fa4b58f5b2e',
+    'disk_volume': '5535e05778aff50d',
+    'volume': '49428d05d7d72a6d',
     'lld': '8ae70804c6f1b387',
     'lld_tenant': 'bfddcd18a2a5b173',
-    'sched': '8a317b01a25c0a60',
-    'sched_tenant': '9c8bc3babf80c22d',
+    'sched': '7b061ad713d27909',
+    'sched_tenant': '2d93347045241571',
     'store': '3235b3437cbb271b',
     'nvram': 'bb97c770510c185e',
-    'recovery': 'e3addb6b374fa0dd',
+    'recovery': '60a5990790375196',
 }
 
 VICTIM = 1

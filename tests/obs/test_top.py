@@ -74,6 +74,8 @@ def test_totals_show_how_much_of_the_commits_overlapped():
         "commit_inflight_s": 58.85,
         "idle_advances": 149,
         "idle_advance_s": 15.56,
+        "reads_parked": 8012,
+        "read_inflight_s": 40.25,
     }
     totals = render_top(payload).split("totals")[1]
     for name, shown in (
@@ -81,6 +83,8 @@ def test_totals_show_how_much_of_the_commits_overlapped():
         ("sched.commit_inflight_s", "58.850"),
         ("sched.idle_advances", "149"),
         ("sched.idle_advance_s", "15.560"),
+        ("sched.reads_parked", "8012"),
+        ("sched.read_inflight_s", "40.250"),
     ):
         (line,) = [l for l in totals.splitlines() if l.startswith(name + " ")]
         assert shown in line

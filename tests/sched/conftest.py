@@ -90,6 +90,44 @@ def watch_flushes(lld) -> list[float]:
     return horizons
 
 
+def watch_reads(server, lld) -> None:
+    """Journal, beside the server's own entries, when each LD read arrives.
+
+    Every ``lld.read`` / ``lld.read_blocks`` call appends ``("delivered",
+    at)`` to ``server.dispatch_log``: the latest completion a volume's
+    ``_read_at`` computed under that call, or the clock once the call
+    returned if it issued none (memory, a bare disk). Like
+    :func:`watch_flushes` it reads the device, not what the server stamps.
+    The server journals a read's ``dispatch`` after the LD call that served
+    it, so each read's delivery is the last marker before that entry.
+    """
+    log = server.dispatch_log
+    clock = lld.disk.clock
+    arrivals: list[float] = []
+    read_at = getattr(lld.disk, "_read_at", None)
+    if read_at is not None:
+
+        def timed(lba, nsectors, now):
+            data, done = read_at(lba, nsectors, now)
+            arrivals.append(done)
+            return data, done
+
+        lld.disk._read_at = timed
+
+    def watched(inner):
+        def call(*args, **kwargs):
+            arrivals.clear()
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                log.append(("delivered", max(arrivals, default=clock.now)))
+
+        return call
+
+    lld.read = watched(lld.read)
+    lld.read_blocks = watched(lld.read_blocks)
+
+
 def run_to_quiescence(server, ops) -> dict[int, float]:
     """Step the server until nothing is queued or parked, checking after
     every round that no op is ``done`` ahead of the clock; returns each
@@ -117,6 +155,9 @@ def check_completions(server, ops, horizons, first_seen, mark: int = 0) -> None:
     * every acknowledgement, and the ``completed_at`` of the op that
       triggered the commit, is no earlier than the device's write horizon
       after that commit's flush;
+    * with :func:`watch_reads` installed, every read completes exactly when
+      the device delivered it — parked until then, or done at once when
+      the call had already waited or found the bytes in memory;
     * ``done`` is final: ``completed_at`` never changes once an op has
       been seen done;
     * nothing is left parked, and the clock has reached every
@@ -143,11 +184,20 @@ def check_completions(server, ops, horizons, first_seen, mark: int = 0) -> None:
     # dispatched before it, so a flush dispatched between a commit and its
     # acknowledgement is covered by a later one.
     dispatched: set[tuple] = set()
+    delivered = None
     for event in events:
         if event[0] == "dispatch":
             dispatched.add((event[1], event[2]))
+            op = by_key.get((event[1], event[2]))
+            if delivered is not None and op is not None and op.kind in ("read", "read_blocks"):
+                assert op.completed_at == delivered, (
+                    f"{op!r} completed at {op.completed_at}, "
+                    f"the device delivered it at {delivered}"
+                )
         elif event[0] == "commit":
             assert set(event[1]) <= dispatched
+        elif event[0] == "delivered":
+            delivered = event[1]
     clock = server.ld.disk.clock
     for op in ops:
         assert op.done

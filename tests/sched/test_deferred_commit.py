@@ -1,17 +1,21 @@
-"""A group commit is acknowledged when the disks have it, not when it is issued.
+"""Commits and reads complete when the disks have them, not when issued.
 
 ``LDServer._commit`` calls ``ld.flush(wait=False)``: the writes are issued
 and ordered, the op that triggered the commit is parked until the shared
 clock reaches the device's write horizon, and the server keeps
 dispatching meanwhile; with nothing to dispatch it waits where a flush
-would have, at the device. (A server with one tenant has nobody to keep
-going: its commits wait in the flush, call for call what the tenant would
-get from the LD directly.) The hypothesis scripts over several tenants
-live in ``test_sched_property.py`` (``check_completions``); here are the
-mechanism itself, the solo-tenant differential against a waiting flush,
-the typed stall, the overlap figures, and two mutated servers the checker
-must catch.
+would have, at the device. A read goes the same way: ``ld.read(bid,
+wait=False)`` hands back bytes stamped with when the device delivers them,
+and the read op is parked until then. (A server with one tenant has
+nobody to keep going: its commits and reads wait in the LD call, call for
+call what the tenant would get from the LD directly.) The hypothesis
+scripts over several tenants live in ``test_sched_property.py``
+(``check_completions``); here are the mechanism itself, the solo-tenant
+differential against a waiting flush, the typed stall, the overlap
+figures, and three mutated servers the checker must catch.
 """
+
+from heapq import heapify
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +34,7 @@ from tests.sched.conftest import (
     populate,
     run_to_quiescence,
     watch_flushes,
+    watch_reads,
 )
 
 
@@ -38,6 +43,16 @@ def parked_flush(server, session):
     op = session.submit_flush(force=True)
     assert server.scheduler.step(server) == 1  # one bare round: no retirement
     return op
+
+
+def on_the_medium(server, lld, session, n: int, *, tag: str = "blk") -> list[int]:
+    """``n`` written blocks of ``session``, sealed and flushed: reading
+    them costs disk time (none is served from the open segment)."""
+    _lid, bids = populate(session, n, size=4096, tag=tag)
+    lld.log.seal()
+    session.flush()
+    assert all(lld.placement_hint(bid) is not None for bid in bids)
+    return bids
 
 
 # ----------------------------------------------------------------------
@@ -90,13 +105,13 @@ class TestCompletionAtDeviceTime:
         server, lld = make_server(FIFOScheduler(), device="raid5", record_dispatch=True)
         a = server.open_session("a")
         b = server.open_session("b")
-        _lid, on_disk = populate(b, 4, size=4096)
-        b.flush()
-        lld.log.seal()  # b's blocks leave the open segment: reading them costs disk time
-        b.flush()
+        on_disk = on_the_medium(server, lld, b, 4)
         populate(a, 3)
+        watch_reads(server, lld)
         mark = len(server.dispatch_log)
+        clock = lld.disk.clock
         op = parked_flush(server, a)
+        issued = clock.now
         horizon = lld.disk.write_horizon()
         write = b.submit_write(on_disk[0], b"n" * 4096)
         reads = [b.submit_read(bid) for bid in on_disk[1:]]
@@ -107,11 +122,40 @@ class TestCompletionAtDeviceTime:
         server.drain()
         assert op.done and op.completed_at == horizon
         assert all(r.done and r.error is None for r in reads)
-        kinds = [e[0] for e in server.dispatch_log[mark:]]
-        assert kinds.index("commit") < kinds.index("ack")
-        assert kinds[kinds.index("commit") + 1 : kinds.index("ack")].count("dispatch") >= 1
-        # The reads covered some of the commit's disk time: less was idled away.
-        assert server.stats.idle_advance_s < server.stats.commit_inflight_s
+        events = server.dispatch_log[mark:]
+        kinds = [e[0] for e in events]
+        inside = events[kinds.index("commit") + 1 : kinds.index("ack")]
+        # The reads were dispatched inside the commit, at the clock it was
+        # issued at, and completed when the device delivered them.
+        assert {("b", r.seq) for r in reads} <= {(e[1], e[2]) for e in inside if e[0] == "dispatch"}
+        delivered = [e[1] for e in events if e[0] == "delivered"]
+        assert [r.completed_at for r in reads] == delivered
+        assert all(at > issued for at in delivered)
+        assert server.stats.reads_parked == len(reads)
+        assert server.stats.read_inflight_s == pytest.approx(
+            sum(at - issued for at in delivered)
+        )
+        assert server.stats.idle_advance_s <= server.stats.commit_inflight_s
+
+    def test_a_flush_with_nothing_to_write_waits_for_the_commit_in_flight(self):
+        """b's block left with a's sealing commit. b's own flush finds
+        nothing to write, and is acknowledged when that commit is on the
+        medium — not at once, while b's block is still on its way."""
+        server, lld = make_server(FIFOScheduler(), device="raid5")
+        a = server.open_session("a")
+        b = server.open_session("b")
+        populate(b, 1, tag="b")
+        populate(a, 14, size=4096)  # past the partial threshold: a's flush seals
+        sealed, noop = lld.stats.segments_sealed, lld.stats.flushes_noop
+        first = parked_flush(server, a)
+        horizon = lld.disk.write_horizon()
+        second = parked_flush(server, b)
+        assert lld.stats.segments_sealed == sealed + 1
+        assert lld.stats.flushes_noop == noop + 1
+        assert not second.done
+        server.drain()
+        assert first.completed_at == horizon
+        assert second.completed_at >= horizon
 
     def test_a_bare_disk_has_nothing_to_wait_for(self):
         server, lld = make_server(FIFOScheduler())
@@ -167,6 +211,169 @@ class TestCompletionAtDeviceTime:
         assert idle.end == at
         (event,) = events.select(name="sched.group_commit")
         assert event.payload["complete_at"] == at and event.t == span.end
+
+
+# ----------------------------------------------------------------------
+# Reads complete at device time too
+# ----------------------------------------------------------------------
+
+
+def two_tenants_on_raid5(scheduler=None, **kwargs):
+    """A RAID-5 server with tenants ``a`` and ``b``, four blocks of each
+    on the medium."""
+    server, lld = make_server(scheduler or FIFOScheduler(), device="raid5", **kwargs)
+    a = server.open_session("a")
+    b = server.open_session("b")
+    cold_a = on_the_medium(server, lld, a, 4, tag="a")
+    cold_b = on_the_medium(server, lld, b, 4, tag="b")
+    return server, lld, a, b, cold_a, cold_b
+
+
+class TestParkedReads:
+    def test_a_parked_read_completes_at_the_volumes_read_completion(self):
+        server, lld, _a, b, _cold_a, cold_b = two_tenants_on_raid5()
+        volume = lld.disk
+        completions = []
+        read_at = volume._read_at
+
+        def timed(lba, nsectors, now):
+            data, done = read_at(lba, nsectors, now)
+            completions.append(done)
+            return data, done
+
+        volume._read_at = timed
+        clock = volume.clock
+        dispatched = clock.now
+        idle = server.stats.idle_advances
+        op = b.submit_read(cold_b[1])
+        assert server.scheduler.step(server) == 1  # one bare round: no retirement
+        (completion,) = completions
+        # Dispatched, the bytes in hand, the clock untouched: parked.
+        assert clock.now == dispatched < completion
+        assert op.result.startswith(b"b-0001") and not op.done
+        assert server.parked_completions == 1
+        server.drain(until=op)
+        assert op.done and op.completed_at == completion == clock.now
+        assert server.stats.reads_parked == 1
+        assert server.stats.read_inflight_s == completion - dispatched
+        # The server had nothing else to do: it waited at the device.
+        assert server.stats.idle_advances == idle + 1
+
+    def test_a_lone_tenant_waits_in_the_read(self):
+        server, lld = make_server(FIFOScheduler(), device="raid5")
+        a = server.open_session("a")
+        cold = on_the_medium(server, lld, a, 2)
+        clock = lld.disk.clock
+        before = clock.now
+        op = a.submit_read(cold[0])
+        assert server.scheduler.step(server) == 1
+        assert op.done and op.completed_at == clock.now > before
+        assert server.stats.reads_parked == server.parked_completions == 0
+
+    def test_a_read_served_from_memory_is_done_at_once(self):
+        server, lld, a, _b, _cold_a, _cold_b = two_tenants_on_raid5()
+        _lid, (warm,) = populate(a, 1)  # in the open segment
+        op = a.submit_read(warm)
+        assert server.scheduler.step(server) == 1
+        assert op.done and op.completed_at == lld.disk.clock.now
+        assert server.stats.reads_parked == 0
+
+    @pytest.mark.parametrize("scheduler", ["fifo", "qos"])
+    def test_done_never_flips_ahead_of_the_clock(self, scheduler):
+        from repro.bench import make_scheduler
+
+        server, lld, a, b, cold_a, cold_b = two_tenants_on_raid5(make_scheduler(scheduler))
+        ops = []
+        for k in range(8):
+            ops.append(a.submit_read(cold_a[k % 4]))
+            ops.append(b.submit_read_blocks([cold_b[k % 4], cold_b[(k + 2) % 4]]))
+            ops.append(b.submit_write(cold_b[3], bytes([k]) * 1024))
+            ops.append(a.submit_flush(force=k % 3 == 0))
+        run_to_quiescence(server, ops)  # asserts it after every round
+        assert server.stats.reads_parked > 0
+        assert all(op.done and op.error is None for op in ops)
+
+    @pytest.mark.parametrize("scheduler", ["fifo", "qos"])
+    def test_per_tenant_dispatch_order_is_unchanged(self, scheduler):
+        from repro.bench import make_scheduler
+
+        server, lld, a, b, cold_a, cold_b = two_tenants_on_raid5(
+            make_scheduler(scheduler), record_dispatch=True
+        )
+        mark = len(server.dispatch_log)
+        ops = []
+        for k in range(6):
+            for sess, cold in ((a, cold_a), (b, cold_b)):
+                ops.append(sess.submit_read(cold[k % 4]))
+                ops.append(sess.submit_write(cold[(k + 1) % 4], bytes([k + 1]) * 1024))
+        run_to_quiescence(server, ops)
+        for name in ("a", "b"):
+            seqs = [e[2] for e in server.dispatch_log[mark:] if e[0] == "dispatch" and e[1] == name]
+            assert seqs == sorted(seqs) and len(seqs) == 12
+            # Completion order is the disks' business: a write after a
+            # parked read of the same tenant is done before it.
+            mine = [op for op in ops if op.tenant == name]
+            assert any(
+                later.completed_at < earlier.completed_at
+                for earlier, later in zip(mine, mine[1:])
+            )
+
+    def test_a_read_returns_the_latest_write_dispatched_before_it(self):
+        """What a read returns is fixed when it is dispatched: another
+        tenant's write dispatched after it — and done long before the read
+        is — does not show in it; the next read sees it."""
+        server, lld, a, b, cold_a, _cold_b = two_tenants_on_raid5()
+        target = cold_a[2]
+        old = a.read(target)
+        read = a.submit_read(target)
+        assert server.scheduler.step(server) == 1
+        assert not read.done
+        write = b.submit_write(target, b"from b".ljust(4096, b"."))
+        assert server.scheduler.step(server) == 1
+        assert write.done and not read.done
+        server.drain(until=read)
+        assert write.completed_at < read.completed_at
+        assert read.result == old
+        assert a.read(target) == b"from b".ljust(4096, b".")
+
+    @pytest.mark.parametrize("which", ["same", "successor"])
+    def test_a_cache_hit_waits_for_the_fetch_that_filled_it(self, which):
+        """With the read cache on, a's parked fetch puts the block — and its
+        read-ahead successors — in the cache at dispatch. b's hit on one of
+        them is not in hand before that fetch arrives."""
+        server, lld, a, b, cold_a, _cold_b = two_tenants_on_raid5(read_cache_enabled=True)
+        first = a.submit_read(cold_a[0])
+        assert server.scheduler.step(server) == 1
+        assert not first.done
+        target = cold_a[0] if which == "same" else cold_a[1]
+        assert target in lld.read_cache
+        hits = lld.stats.cache_hits
+        second = b.submit_read(target)
+        assert server.scheduler.step(server) == 1
+        assert lld.stats.cache_hits == hits + 1
+        assert not second.done
+        batch = a.submit_read_blocks([cold_a[2], target])
+        server.drain()
+        assert second.completed_at == first.completed_at
+        assert batch.completed_at >= first.completed_at
+        assert second.result == first.result if which == "same" else second.result.startswith(b"a-0001")
+
+    def test_spans_carry_complete_at(self):
+        from repro.bench import make_scheduler
+
+        server, lld, a, b, cold_a, cold_b = two_tenants_on_raid5(make_scheduler("qos"))
+        tracer = attach_tracer(Tracer(lld.disk.clock), server, lld)
+        ops = [a.submit_read(cold_a[0]), b.submit_read(cold_b[0]), b.submit_read(cold_b[1])]
+        server.drain()
+        (batch,) = [s for s in tracer.spans if s.name == "sched.read_batch"]
+        assert batch.attrs["parked"] == 3 == server.stats.reads_parked
+        assert batch.attrs["complete_at"] == max(op.completed_at for op in ops) > batch.end
+        single = b.submit_read(cold_b[2])
+        server.drain()
+        (span,) = [
+            s for s in tracer.spans if s.name == "sched.dispatch" and s.attrs["kind"] == "read"
+        ]
+        assert span.attrs["complete_at"] == single.completed_at > span.end
 
 
 # ----------------------------------------------------------------------
@@ -280,7 +487,7 @@ class TestStall:
 
 
 # ----------------------------------------------------------------------
-# The checker has teeth: two mutated servers
+# The checker has teeth: three mutated servers
 # ----------------------------------------------------------------------
 
 
@@ -298,8 +505,19 @@ class AckAtDispatch(LDServer):
 
     def _commit(self, trigger, *, forced):
         super()._commit(trigger, forced=forced)
-        _at, number, op, intents = self._parked.pop()
-        self._parked.append((self.now(), number, op, intents))
+        self._parked[:] = [
+            (self.now() if intents is not None and op is trigger else at, ticket, op, intents)
+            for at, ticket, op, intents in self._parked
+        ]
+        heapify(self._parked)
+
+
+class ReadDoneAtDispatch(LDServer):
+    """Mutation: a read is done when it is dispatched, not when the disks
+    deliver it."""
+
+    def _complete(self, op, at=None):
+        super()._complete(op)
 
 
 def run_two_tenants(server_class):
@@ -310,7 +528,9 @@ def run_two_tenants(server_class):
     b = server.open_session("b")
     _lid, bids_a = populate(a, 3)
     _lid, bids_b = populate(b, 3)
+    cold = on_the_medium(server, lld, b, 3, tag="cold")
     server.drain()
+    watch_reads(server, lld)
     mark = len(server.dispatch_log)
     horizons = watch_flushes(lld)
     ops = []
@@ -319,6 +539,7 @@ def run_two_tenants(server_class):
         ops.append(b.submit_write(bids_b[k % 3], b"b" * 1024))
         ops.append(a.submit_flush())
         ops.append(b.submit_read(bids_b[k % 3]))
+        ops.append(a.submit_read(cold[k % 3]))
         ops.append(b.submit_flush(force=k == 4))
     first_seen = run_to_quiescence(server, ops)
     server.close()
@@ -329,9 +550,10 @@ def run_two_tenants(server_class):
 def test_the_shipped_server_passes_the_checker():
     server = run_two_tenants(LDServer)
     assert server.stats.commits_deferred == server.stats.group_commits > 0
+    assert server.stats.reads_parked > 0
 
 
-@pytest.mark.parametrize("mutant", [DoneAtDispatch, AckAtDispatch])
+@pytest.mark.parametrize("mutant", [DoneAtDispatch, AckAtDispatch, ReadDoneAtDispatch])
 def test_the_checker_catches_a_mutated_server(mutant):
     with pytest.raises(AssertionError):
         run_two_tenants(mutant)

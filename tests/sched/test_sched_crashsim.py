@@ -11,8 +11,9 @@ open any new crash window.
 On a bare disk a commit is on the medium when ``flush`` returns; behind a
 one-member :class:`~repro.volume.Volume` — the same LBA space and the same
 journal, but writes that complete after they are issued — the server
-acknowledges it later and dispatches the other tenant meanwhile, and the
-matrix walks the states inside that window too.
+acknowledges it later and dispatches the other tenant meanwhile, a read
+parked behind the commit's writes among them, and the matrix walks the
+states inside that window too.
 """
 
 import pytest
@@ -84,12 +85,15 @@ class TestSchedulerCrashMatrix:
     def test_crash_inside_a_deferred_commit_has_no_violations(self, scheduler):
         """The window between a commit's dispatch and its acknowledgement:
         its intents may or may not be durable, nothing acknowledged earlier
-        is lost, and the other tenant's write dispatched inside it belongs
-        to the next epoch."""
+        is lost, the other tenant's write dispatched inside it belongs to
+        the next epoch, and its read, parked at the disks while the crash
+        can strike, returned the acknowledged bytes."""
         report, driver, recording = explore(scheduler, group_commit=2, queued=True)
         stats = driver.server.stats
         assert stats.commits_deferred == stats.group_commits > 0
         assert driver.overlapped == 2  # both phase-G commits had a write inside
+        assert driver.parked_reads == 2  # ... and a read still at the disks
+        assert stats.reads_parked >= 2
         assert report.states_total > 100
         assert report.violations == []
         # Every journal position is a crash state, so the walk covers each
@@ -106,7 +110,8 @@ class TestSchedulerCrashMatrix:
     def test_bare_disk_leaves_no_window_and_the_same_phases_hold(self):
         _report, driver, _recording = explore("qos", group_commit=2)
         assert driver.server.stats.commits_deferred == 0
-        assert driver.overlapped == 0
+        assert driver.server.stats.reads_parked == 0
+        assert driver.overlapped == driver.parked_reads == 0
         assert {"overlap-0", "overlap-1"} <= {p.label for p in driver.oracle.points}
 
     def test_acks_land_on_barrier_positions(self):

@@ -15,8 +15,11 @@ scripts on both shipped policies:
   nothing parked.
 
 Scripts run on a bare disk, where a write is done when it returns, and on
-a RAID-5 volume, where a commit is in flight long after it is issued and
-other tenants' ops are dispatched meanwhile.
+a RAID-5 volume, where a commit is in flight long after it is issued, a
+read of a block on the medium is parked until the members deliver it, and
+other tenants' ops are dispatched meanwhile. Every tenant's blocks start
+on the medium, so reads go to the disks until the script rewrites them;
+every read must complete exactly when the device delivered it.
 """
 
 from collections import Counter
@@ -30,6 +33,7 @@ from tests.sched.conftest import (
     populate,
     run_to_quiescence,
     watch_flushes,
+    watch_reads,
 )
 
 KINDS = (
@@ -75,15 +79,17 @@ def run_script(per_tenant, order, weights, caps, scheduler_name, group_commit, d
         device=device,
     )
     sessions = []
-    setup = []
     for i, (weight, cap) in enumerate(zip(weights, caps)):
         sess = server.open_session(
             f"t{i}", weight=weight, rate_bytes_per_sec=cap
         )
         lid, bids = populate(sess, 3, size=512, tag=f"t{i}")
         sessions.append((sess, lid, bids))
-        setup.append(sess._seq)  # seqs consumed by the blocking setup
+    lld.log.seal()  # every tenant's blocks onto the medium
+    sessions[0][0].flush()
+    setup = [sess._seq for sess, _lid, _bids in sessions]  # seqs the setup used
     server.drain()
+    watch_reads(server, lld)
     mark = len(server.dispatch_log)
     horizons = watch_flushes(lld)
     cursors = [0] * len(sessions)
@@ -187,3 +193,16 @@ def test_results_are_independent_of_policy(script):
             ]
         )
     assert outcomes[0] == outcomes[1]
+
+
+def test_scripts_park_reads_on_raid5():
+    """The property scripts reach the window: reads of two tenants on the
+    RAID-5 device, parked and completed at the members' time."""
+    per_tenant = [["read", "write", "read_blocks", "flush"], ["read", "read", "flush_force"]]
+    order = [0, 1, 0, 1, 0, 1, 0]
+    for scheduler in ("fifo", "qos"):
+        server, submitted, _mark, _setup = run_script(
+            per_tenant, order, [1.0, 1.0], [None, None], scheduler, 2, "raid5"
+        )
+        assert server.stats.reads_parked >= 2
+        assert all(op.done and op.error is None for op in submitted)

@@ -159,13 +159,23 @@ class TestElevator:
         readers = [server.open_session(f"r{i}") for i in range(4)]
         mark = len(server.dispatch_log)
         elevator = server.stats.elevator_batches
+        calls = []
+        read_blocks = lld.read_blocks
+
+        def spy(bids, **kwargs):
+            calls.append(list(bids))
+            return read_blocks(bids, **kwargs)
+
+        lld.read_blocks = spy
         for sess, (_hint, bid) in zip(readers, reversed(chosen)):
             sess.submit_read(bid)
         server.step()
         assert server.stats.elevator_batches == elevator + 1
+        # One vectored call, in ascending (spindle, LBA) order ...
+        assert calls == [[bid for _hint, bid in chosen]]
+        # ... and the ops dispatched in the order they were submitted.
         dispatches = [e for e in server.dispatch_log[mark:] if e[0] == "dispatch"]
-        # The batch completes in ascending (spindle, LBA) order: r3..r0.
-        assert [e[1] for e in dispatches] == ["r3", "r2", "r1", "r0"]
+        assert [e[1] for e in dispatches] == ["r0", "r1", "r2", "r3"]
 
     def test_read_batch_limit_bounds_one_batch(self):
         server, _lld = make_server(

@@ -9,7 +9,7 @@ from repro.sched import LDServer, QoSElevatorScheduler
 from repro.sim import VirtualClock
 
 from tests.lld.conftest import small_config
-from tests.sched.conftest import make_server, populate, reopen_after_crash
+from tests.sched.conftest import make_device, make_server, populate, reopen_after_crash
 
 
 # ----------------------------------------------------------------------
@@ -113,6 +113,35 @@ class TestSingleTenantIdentity:
         got.pop("tenants")
         assert got == want
         assert routed.disk.stats.as_dict() == bare.disk.stats.as_dict()
+
+    def test_session_reads_on_raid5_match_bare_lld_figures(self):
+        """A lone tenant's reads wait in the LD call, as a waiting flush
+        does: on a volume whose members run ahead, call for call, member
+        clock for member clock, what the bare LLD gets."""
+
+        def run(ld, lld):
+            _lid, bids = run_reference_workload(ld)
+            lld.log.seal()  # every block onto the medium: the reads go to disk
+            ld.flush()
+            reads = ld.read_blocks(bids[::2]) + [ld.read(bid) for bid in bids]
+            return reads, lld.disk.clock.now
+
+        bare = LLD(make_device("raid5"), small_config())
+        bare.initialize()
+        want = run(bare, bare)
+
+        server, routed = make_server(QoSElevatorScheduler(), device="raid5")
+        got = run(server.open_session("solo"), routed)
+
+        assert got == want
+        assert server.stats.reads_parked == server.parked_completions == 0
+        assert routed.disk.volume_stats.reads > 0
+        assert routed.disk.volume_stats.as_dict() == bare.disk.volume_stats.as_dict()
+        assert routed.disk.stats.as_dict() == bare.disk.stats.as_dict()
+        assert [d.clock.now for d in routed.disk.disks] == [d.clock.now for d in bare.disk.disks]
+        figures = routed.stats.as_dict()
+        figures.pop("tenants")
+        assert figures == {k: v for k, v in bare.stats.as_dict().items() if k != "tenants"}
 
     def test_populate_is_drained_between_ops(self):
         server, _lld = make_server()
