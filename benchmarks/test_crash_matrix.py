@@ -24,7 +24,6 @@ from repro.crashsim import (
     CrashStateEnumerator,
     LLDCrashChecker,
     MirrorRecording,
-    MultiTenantOracleDriver,
     OracleDriver,
     ParityRecording,
     RecordingDisk,
@@ -335,7 +334,7 @@ def run_scheduler_matrix():
     server = LDServer(lld, QoSElevatorScheduler(), group_commit=2)
     a = server.open_session("a")
     b = server.open_session("b")
-    driver = MultiTenantOracleDriver(server, recording)
+    driver = OracleDriver(lld, recording)
     run_multitenant_matrix_workload(driver, a, b, **SCHED_WORKLOAD)
     enum = CrashStateEnumerator(recording, reorder_samples_per_epoch=16)
     checker = LLDCrashChecker(lld.config, driver.oracle)

@@ -142,10 +142,11 @@ def build_minix_lld(
     instead of a bare disk; ``None`` keeps the single-disk testbed
     byte- and figure-identical to previous revisions.
 
-    With ``scheduler`` set (``"qos"`` or ``"fifo"``), the store rides a
-    tenant session of an :class:`~repro.sched.LDServer` instead of
-    driving the LLD directly; ``flush_batch`` becomes the server's
-    cross-tenant ``group_commit``. The server is reachable as
+    With ``scheduler`` set (``"qos"`` or ``"fifo"``), or ``flush_batch >
+    1`` (the QoS elevator then), the store rides a tenant session ``"fs"``
+    of an :class:`~repro.sched.LDServer` instead of driving the LLD
+    directly; ``flush_batch`` is the server's cross-tenant
+    ``group_commit``. The server is reachable as
     ``fs.store.session.server``.
     """
     config = LLDConfig(
@@ -165,12 +166,11 @@ def build_minix_lld(
     lld = LLD(backing, config)
     lld.initialize()
     backend = lld
-    if scheduler is not None:
+    if scheduler is not None or flush_batch > 1:
         server = LDServer(
-            lld, make_scheduler(scheduler), group_commit=flush_batch
+            lld, make_scheduler(scheduler or "qos"), group_commit=flush_batch
         )
         backend = server.open_session("fs")
-        flush_batch = 1
     fs = make_minix_lld(
         backend,
         cache_bytes=spec.cache_bytes,
@@ -178,7 +178,6 @@ def build_minix_lld(
         list_per_file=list_per_file,
         inode_block_mode=inode_block_mode,
         readahead=readahead,
-        flush_batch=flush_batch,
     )
     if compression:
         _enable_compression(fs, lld)

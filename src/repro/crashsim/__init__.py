@@ -14,10 +14,6 @@ from repro.crashsim.explorer import (
     ExplorationReport,
     Violation,
 )
-from repro.crashsim.multitenant import (
-    MultiTenantOracleDriver,
-    run_multitenant_matrix_workload,
-)
 from repro.crashsim.oracle import (
     DurabilityOracle,
     LLDCrashChecker,
@@ -25,6 +21,7 @@ from repro.crashsim.oracle import (
     OraclePoint,
     client_view,
     run_matrix_workload,
+    run_multitenant_matrix_workload,
 )
 from repro.crashsim.recording import BarrierEvent, RecordingDisk, WriteEvent
 from repro.crashsim.volume import (
@@ -46,7 +43,6 @@ __all__ = [
     "ExplorationReport",
     "LLDCrashChecker",
     "MirrorRecording",
-    "MultiTenantOracleDriver",
     "OracleDriver",
     "OraclePoint",
     "ParityRecording",

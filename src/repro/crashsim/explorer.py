@@ -92,6 +92,18 @@ class ExplorationReport:
     violations: list[Violation] = field(default_factory=list)
     recovery_seconds: list[float] = field(default_factory=list)
 
+    @classmethod
+    def collect(cls, states, check: Callable[[object], CheckOutcome]) -> "ExplorationReport":
+        """Run ``check`` on every state (of any enumerator), aggregate."""
+        report = cls()
+        for state in states:
+            outcome = check(state)
+            report.states_total += 1
+            report.states_by_kind[state.kind] = report.states_by_kind.get(state.kind, 0) + 1
+            report.violations.extend(outcome.violations)
+            report.recovery_seconds.append(outcome.recovery_seconds)
+        return report
+
     @property
     def recovery_seconds_mean(self) -> float:
         if not self.recovery_seconds:
@@ -252,13 +264,6 @@ class CrashStateEnumerator:
         self, check: Callable[[SimulatedDisk, CrashState], CheckOutcome]
     ) -> ExplorationReport:
         """Materialize every state, run ``check`` on it, aggregate results."""
-        report = ExplorationReport()
-        for state in self.enumerate():
-            outcome = check(self.materialize(state), state)
-            report.states_total += 1
-            report.states_by_kind[state.kind] = (
-                report.states_by_kind.get(state.kind, 0) + 1
-            )
-            report.violations.extend(outcome.violations)
-            report.recovery_seconds.append(outcome.recovery_seconds)
-        return report
+        return ExplorationReport.collect(
+            self.enumerate(), lambda state: check(self.materialize(state), state)
+        )

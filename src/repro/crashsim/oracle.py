@@ -22,23 +22,24 @@ it. The invariants checked on each image:
    never a state the execution did not pass through, never future data
    grafted onto old state.
 
-Invariants 3 and 4 are one check: the recovered view must equal a
-snapshot ``p_j`` with ``j >= latest_covered``. This is exact, not merely
-monotone, because LLD's summary-update protocol makes every realizable
-record prefix coincide with an acknowledgement boundary.
+Invariants 3 and 4 are one check, :meth:`DurabilityOracle.match`: the
+recovered view must equal a snapshot ``p_j`` with ``j >= latest_covered``.
+This is exact, not merely monotone, because LLD's summary-update protocol
+makes every realizable record prefix coincide with an acknowledgement
+boundary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.disk.disk import SimulatedDisk
 from repro.ld.errors import LDError
+from repro.ld.hints import LIST_HEAD
 from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 
 from repro.crashsim.explorer import CheckOutcome, CrashState, Violation
-from repro.crashsim.recording import RecordingDisk
 
 
 @dataclass(frozen=True)
@@ -80,6 +81,25 @@ class DurabilityOracle:
                 break
         return latest
 
+    def match(
+        self, covered_seq: int, blocks: dict[int, bytes], lists: dict[int, tuple[int, ...]]
+    ) -> int | None:
+        """The client contract: the snapshot a recovered view equals.
+
+        The index of the first snapshot at or after the latest one the
+        image covers that equals ``(blocks, lists)``; -1 for the empty view
+        of a crash before the first acknowledgement; ``None`` when no
+        snapshot matches — the recovery lost or invented something.
+        """
+        latest = self.latest_covered_index(covered_seq)
+        for j in range(max(latest, 0), len(self.points)):
+            point = self.points[j]
+            if blocks == point.blocks and lists == point.lists:
+                return j
+        if latest < 0 and not blocks and not lists:
+            return -1
+        return None
+
 
 class OracleDriver:
     """Runs a workload against an LD while mirroring the expected state.
@@ -88,80 +108,81 @@ class OracleDriver:
     contents and list membership — not the log mechanics, so a bug in
     LLD's write or recovery path cannot also hide in the oracle.
 
-    Operations inside an open ARU are staged and applied to the mirror at
-    ``end_aru`` time: snapshots taken mid-ARU correctly exclude them,
-    exactly as recovery must.
+    Every mirrored call names the handle it goes through: the LD itself,
+    or a :class:`~repro.sched.TenantSession` of a server over it. The
+    mirror is **global**: behind a server one physical ``Flush``
+    acknowledges several tenants' writes (group commit), and a tenant's
+    writes become durable because another tenant flushed, so every
+    acknowledgement snapshots the whole view. ARU staging is **per
+    handle**: operations inside a handle's open ARU reach the mirror at its
+    ``end_aru`` and never after an ``abort_aru``, so snapshots taken
+    meanwhile exclude them, exactly as recovery must.
+
+    ``ld`` is the LD under every handle (for :meth:`room_low`);
+    ``recording`` stamps snapshots with its journal ``position`` — a
+    driver without one mirrors but takes no snapshots.
     """
 
-    def __init__(self, ld: LLD, recording: RecordingDisk) -> None:
+    def __init__(self, ld: LLD, recording=None) -> None:
         self.ld = ld
         self.recording = recording
         self.oracle = DurabilityOracle()
         self.blocks: dict[int, bytes] = {}
         self.lists: dict[int, list[int]] = {}
-        self._staged: list[tuple] = []  # ops inside the open ARU
-        self._in_aru = False
+        self._staged: dict[object, list[tuple]] = {}  # handle -> its open ARU's ops
+        #: Writes of another tenant dispatched between a commit and its
+        #: acknowledgement (0 on a device with nothing to wait for).
+        self.overlapped = 0
+        #: Reads dispatched in that window and still at the disks when the
+        #: write after them was done.
+        self.parked_reads = 0
 
     # -- mirrored client operations ------------------------------------
 
-    def new_list(self, **kwargs) -> int:
-        lid = self.ld.new_list(**kwargs)
+    def new_list(self, h, **kwargs) -> int:
+        lid = h.new_list(**kwargs)
         self.lists[lid] = []
         return lid
 
-    def delete_list(self, lid: int) -> None:
-        self.ld.delete_list(lid)
+    def delete_list(self, h, lid: int) -> None:
+        h.delete_list(lid)
         for bid in self.lists.pop(lid):
             self.blocks.pop(bid, None)
 
-    def new_block(self, lid: int, pred_bid: int) -> int:
-        bid = self.ld.new_block(lid, pred_bid)
-        self._apply_or_stage(("new_block", lid, pred_bid, bid))
+    def new_block(self, h, lid: int, pred_bid: int) -> int:
+        bid = h.new_block(lid, pred_bid)
+        self._apply_or_stage(h, ("new_block", lid, pred_bid, bid))
         return bid
 
-    def write(self, bid: int, data: bytes) -> None:
-        self.ld.write(bid, bytes(data))
-        self._apply_or_stage(("write", bid, bytes(data)))
+    def write(self, h, bid: int, data: bytes) -> None:
+        h.write(bid, bytes(data))
+        self._apply_or_stage(h, ("write", bid, bytes(data)))
 
-    def delete_block(self, bid: int, lid: int) -> None:
-        self.ld.delete_block(bid, lid)
-        self._apply_or_stage(("delete_block", bid, lid))
+    def delete_block(self, h, bid: int, lid: int) -> None:
+        h.delete_block(bid, lid)
+        self._apply_or_stage(h, ("delete_block", bid, lid))
 
-    def begin_aru(self) -> int:
-        aru = self.ld.begin_aru()
-        self._in_aru = True
+    def begin_aru(self, h) -> int:
+        aru = h.begin_aru()
+        self._staged[h] = []
         return aru
 
-    def end_aru(self) -> None:
-        self.ld.end_aru()
-        self._in_aru = False
-        for op in self._staged:
+    def end_aru(self, h) -> None:
+        h.end_aru()
+        for op in self._staged.pop(h):
             self._apply(op)
-        self._staged.clear()
 
-    def aborted_aru(self, writes: list[tuple[int, bytes]]) -> None:
-        """Run writes inside an ARU that never commits.
+    def abort_aru(self, h) -> None:
+        """The ARU never commits: its records are logged and may even
+        become durable, but every recovery discards them — so the
+        expected view is never touched."""
+        h.abort_aru()
+        del self._staged[h]
 
-        Models a client that crashed (raised) before ``end_aru``: the
-        records are logged and may even become durable, but without a
-        COMMIT every recovery must discard them — so the expected view is
-        never touched.
-        """
-
-        class _Abort(Exception):
-            pass
-
-        try:
-            with self.ld.aru():
-                for bid, data in writes:
-                    self.ld.write(bid, bytes(data))
-                raise _Abort()
-        except _Abort:
-            pass
-
-    def _apply_or_stage(self, op: tuple) -> None:
-        if self._in_aru:
-            self._staged.append(op)
+    def _apply_or_stage(self, h, op: tuple) -> None:
+        staged = self._staged.get(h)
+        if staged is not None:
+            staged.append(op)
         else:
             self._apply(op)
 
@@ -170,7 +191,7 @@ class OracleDriver:
             case "new_block":
                 _, lid, pred_bid, bid = op
                 chain = self.lists[lid]
-                if pred_bid == -1:  # LIST_HEAD
+                if pred_bid == LIST_HEAD:
                     chain.insert(0, bid)
                 else:
                     chain.insert(chain.index(pred_bid) + 1, bid)
@@ -184,17 +205,64 @@ class OracleDriver:
 
     # -- acknowledgement -----------------------------------------------
 
-    def ack(self, label: str = "ack") -> None:
-        """Flush, then snapshot what the client may now rely on."""
-        self.ld.flush()
-        self.oracle.points.append(
-            OraclePoint(
-                seq=self.recording.position,
-                label=label,
-                blocks={b: d for b, d in self.blocks.items() if d},
-                lists={lid: tuple(chain) for lid, chain in self.lists.items()},
-            )
+    def freeze(self, label: str) -> OraclePoint:
+        """The mirror as it stands, stamped with the journal position."""
+        return OraclePoint(
+            seq=self.recording.position,
+            label=label,
+            blocks={b: d for b, d in self.blocks.items() if d},
+            lists={lid: tuple(chain) for lid, chain in self.lists.items()},
         )
+
+    def ack(self, h, label: str) -> None:
+        """Flush through ``h``, then snapshot what the client may now rely on."""
+        h.flush()
+        self.oracle.points.append(self.freeze(label))
+
+    def request_flush(self, sess, label: str) -> bool:
+        """A session's deferrable intent: only a group commit that went
+        physical is an acknowledgement."""
+        committed = sess.request_flush()
+        if committed:
+            self.oracle.points.append(self.freeze(label))
+        return committed
+
+    def ack_overlapped(
+        self, sess, other, bid: int, data: bytes, label: str, read_bid: int
+    ) -> None:
+        """``sess`` forces a commit; ``other`` reads ``read_bid`` and writes
+        ``bid`` while the disks are still busy with it.
+
+        The commit covers what was dispatched before it, so the snapshot
+        is frozen when it is issued and joins the oracle at its
+        acknowledgement; the write — dispatched inside the window, or,
+        where the device left none, right after it — is mirrored
+        afterwards and waits for the next commit. The read, of a block on
+        the medium, queues behind the commit's writes and completes after
+        the write that follows it; its bytes are the mirror's.
+        """
+        server = sess.server
+        flush = sess.submit_flush(force=True)
+        while server.queued:
+            server.step()
+        covered = self.freeze(label)
+        read = other.submit_read(read_bid)
+        write = other.submit_write(bid, bytes(data))
+        while not write.done:
+            server.step()
+        for op in (read, write):
+            if op.error is not None:
+                raise op.error
+        if not flush.done:
+            self.overlapped += 1
+            if not read.done:
+                self.parked_reads += 1
+        server.drain(until=flush)
+        server.drain(until=read)
+        if read.result != self.blocks[read_bid]:
+            raise AssertionError(f"{label}: read of {read_bid} differs from the mirror")
+        self.oracle.points.append(replace(covered, seq=self.recording.position))
+        self._apply_or_stage(other, ("write", bid, bytes(data)))
 
     def room_low(self, data_len: int = 8192, record_bytes: int = 256) -> bool:
         """Is the open segment near capacity for the next operation?
@@ -255,7 +323,7 @@ def aru_generation(blocks: dict[int, bytes], aru_bids: tuple[int, ...]) -> set[b
 
 
 # ----------------------------------------------------------------------
-# The standard crash-matrix workload
+# The standard crash-matrix workloads
 # ----------------------------------------------------------------------
 
 
@@ -294,74 +362,219 @@ def run_matrix_workload(
     acknowledgement, and the driver acks early whenever the open segment
     runs low on room, so seals only ever happen inside a flush.
     """
+    ld = driver.ld
     maybe = driver.room_low
-    lid = driver.new_list()
-    driver.ack("create-list")
+    lid = driver.new_list(ld)
+    driver.ack(ld, "create-list")
 
     # Phase A: growth. Varied sizes so data tails cross sector boundaries.
     bids: list[int] = []
-    pred = -1  # LIST_HEAD
+    pred = LIST_HEAD
     for i in range(n_small):
         if maybe():
-            driver.ack("room")
-        bid = driver.new_block(lid, pred)
-        driver.write(bid, _content("grow", i, 700 + (i % 5) * 613))
-        driver.ack(f"grow-{i}")
+            driver.ack(ld, "room")
+        bid = driver.new_block(ld, lid, pred)
+        driver.write(ld, bid, _content("grow", i, 700 + (i % 5) * 613))
+        driver.ack(ld, f"grow-{i}")
         bids.append(bid)
         pred = bid
 
     # Phase B: overwrites of acknowledged blocks.
     for i in range(min(n_overwrites, len(bids))):
         if maybe():
-            driver.ack("room")
-        driver.write(bids[i], _content("over", i, 1200 + i * 307))
-        driver.ack(f"over-{i}")
+            driver.ack(ld, "room")
+        driver.write(ld, bids[i], _content("over", i, 1200 + i * 307))
+        driver.ack(ld, f"over-{i}")
 
     # Phase C: delete one acknowledged block.
     victim = bids.pop(len(bids) // 2)
     if maybe():
-        driver.ack("room")
-    driver.delete_block(victim, lid)
-    driver.ack("delete")
+        driver.ack(ld, "room")
+    driver.delete_block(ld, victim, lid)
+    driver.ack(ld, "delete")
 
     # Phase D: generation-stamped ARUs over a fixed block set.
     aru_bids: list[int] = []
     for i in range(3):
         if maybe():
-            driver.ack("room")
-        bid = driver.new_block(lid, bids[-1] if bids else -1)
+            driver.ack(ld, "room")
+        bid = driver.new_block(ld, lid, bids[-1] if bids else LIST_HEAD)
         bids.append(bid)
         aru_bids.append(bid)
-    driver.ack("aru-setup")
+    driver.ack(ld, "aru-setup")
     driver.oracle.aru_blocks = tuple(aru_bids)
     for gen in range(1, generations + 1):
         if maybe(3 * 2048, 512):
-            driver.ack("room")
-        driver.begin_aru()
+            driver.ack(ld, "room")
+        driver.begin_aru(ld)
         for j, bid in enumerate(aru_bids):
-            driver.write(bid, _stamped(gen, j))
+            driver.write(ld, bid, _stamped(gen, j))
         if gen == 2:
             # A flush during an open ARU: durable but uncommitted records.
-            driver.ack(f"mid-aru-{gen}")
-        driver.end_aru()
-        driver.ack(f"gen-{gen}")
+            driver.ack(ld, f"mid-aru-{gen}")
+        driver.end_aru(ld)
+        driver.ack(ld, f"gen-{gen}")
 
     # Phase E: an aborted ARU — its writes must vanish at every recovery.
     if maybe(3 * 2048, 512):
-        driver.ack("room")
-    driver.aborted_aru([(bid, _stamped(99, j)) for j, bid in enumerate(aru_bids)])
-    driver.ack("post-abort")
+        driver.ack(ld, "room")
+    driver.begin_aru(ld)
+    for j, bid in enumerate(aru_bids):
+        driver.write(ld, bid, _stamped(99, j))
+    driver.abort_aru(ld)
+    driver.ack(ld, "post-abort")
 
     # Phase F: bulk fill to push the open segment over the seal threshold.
     for i in range(n_fill):
         if maybe(fill_size + 512, 256):
-            driver.ack("room")
-        bid = driver.new_block(lid, bids[-1])
+            driver.ack(ld, "room")
+        bid = driver.new_block(ld, lid, bids[-1])
         bids.append(bid)
-        driver.write(bid, _content("fill", i, fill_size))
-        driver.ack(f"fill-{i}")
+        driver.write(ld, bid, _content("fill", i, fill_size))
+        driver.ack(ld, f"fill-{i}")
 
     return {"lid": lid, "bids": bids, "aru_bids": tuple(aru_bids)}
+
+
+def run_multitenant_matrix_workload(
+    driver: OracleDriver,
+    a,
+    b,
+    *,
+    n_small: int = 4,
+    n_overwrites: int = 2,
+    generations: int = 2,
+    n_fill: int = 6,
+    fill_size: int = 4096,
+) -> dict:
+    """The matrix phases, driven by two tenant sessions of one server.
+
+    Every phase ends at an acknowledgement and the driver acks early
+    whenever the open segment runs low, exactly like
+    :func:`run_matrix_workload` — plus the multi-tenant-only shapes:
+    pooled deferrable intents committed by the *other* tenant, a mid-ARU
+    flush forced by a tenant that is not the one holding the ARU open, and
+    (last) commits with the other tenant's read and write inside them, so
+    the crash matrix can assert that queueing, scheduling, and group
+    commit open no new crash window.
+    """
+    maybe = driver.room_low
+    lid_a = driver.new_list(a)
+    lid_b = driver.new_list(b)
+    driver.ack(a, "create-lists")
+
+    bids = {a.name: [], b.name: []}
+    pred = {a.name: LIST_HEAD, b.name: LIST_HEAD}
+
+    # Phase A: interleaved growth. Even rounds pool two deferrable
+    # intents (the second commits the group when group_commit <= 2);
+    # odd rounds force an ack.
+    for i in range(n_small):
+        for sess, lid in ((a, lid_a), (b, lid_b)):
+            if maybe():
+                driver.ack(sess, "room")
+            bid = driver.new_block(sess, lid, pred[sess.name])
+            driver.write(
+                sess, bid, _content(sess.name, i, 600 + (i % 4) * 450)
+            )
+            bids[sess.name].append(bid)
+            pred[sess.name] = bid
+        if i % 2 == 0:
+            driver.request_flush(a, f"defer-{i}")
+            if not driver.request_flush(b, f"pooled-{i}"):
+                driver.ack(b, f"pooled-{i}")  # group larger than 2: force
+        else:
+            driver.ack(a, f"grow-{i}")
+
+    # Phase B: overwrites of acknowledged blocks.
+    for i in range(min(n_overwrites, len(bids[a.name]))):
+        if maybe():
+            driver.ack(a, "room")
+        driver.write(a, bids[a.name][i], _content("aover", i, 1100))
+        driver.ack(a, f"over-{i}")
+
+    # Phase C: delete one acknowledged block.
+    victim = bids[b.name].pop(0)
+    if maybe():
+        driver.ack(b, "room")
+    driver.delete_block(b, victim, lid_b)
+    driver.ack(b, "delete")
+
+    # Phase D: generation-stamped ARUs for tenant a — interleaved with a
+    # plain write and a *mid-ARU ack* from tenant b (a's records become
+    # durable but uncommitted) — plus one concurrent committed ARU by b.
+    aru_bids = []
+    for _ in range(3):
+        if maybe():
+            driver.ack(a, "room")
+        bid = driver.new_block(a, lid_a, pred[a.name])
+        pred[a.name] = bid
+        bids[a.name].append(bid)
+        aru_bids.append(bid)
+    driver.ack(a, "aru-setup")
+    driver.oracle.aru_blocks = tuple(aru_bids)
+    for gen in range(1, generations + 1):
+        if maybe(3 * 2048, 512):
+            driver.ack(a, "room")
+        driver.begin_aru(a)
+        for j, bid in enumerate(aru_bids):
+            driver.write(a, bid, _stamped(gen, j, 1200))
+        if gen == 1:
+            driver.write(b, bids[b.name][0], _content("bmid", gen, 700))
+            driver.ack(b, f"mid-aru-{gen}")
+        driver.end_aru(a)
+        driver.ack(a, f"gen-{gen}")
+    if maybe(3 * 2048, 512):
+        driver.ack(b, "room")
+    driver.begin_aru(b)
+    for j, bid in enumerate(bids[b.name][:2]):
+        driver.write(b, bid, _stamped(77, j, 1200))
+    driver.end_aru(b)
+    driver.ack(b, "b-aru")
+
+    # Phase E: an aborted ARU — its writes must vanish at every recovery.
+    if maybe(3 * 2048, 512):
+        driver.ack(a, "room")
+    driver.begin_aru(a)
+    for j, bid in enumerate(aru_bids):
+        driver.write(a, bid, _stamped(99, j, 1200))
+    driver.abort_aru(a)
+    driver.ack(a, "post-abort")
+
+    # Phase F: bulk fill from both tenants to seal segments.
+    for i in range(n_fill):
+        sess, lid = ((a, lid_a), (b, lid_b))[i % 2]
+        if maybe(fill_size + 512, 256):
+            driver.ack(sess, "room")
+        bid = driver.new_block(sess, lid, pred[sess.name])
+        pred[sess.name] = bid
+        bids[sess.name].append(bid)
+        driver.write(sess, bid, _content("fill", i, fill_size))
+        driver.ack(sess, f"fill-{i}")
+
+    # Phase G: a commit with another tenant's read and write inside it.
+    # Crashes between the commit's first write and its acknowledgement may
+    # or may not have it (nothing acknowledged earlier is lost either way);
+    # the overlapped write is the next commit's, and the read — of a block
+    # outside the ARUs (an aborted unit's bytes stay readable until
+    # recovery), on the medium where the workload has sealed one — is still
+    # at the disks when the write is done.
+    placed = driver.ld.placement_hint
+    for i in range(2):
+        sess, other = ((a, b), (b, a))[i % 2]
+        if maybe():
+            driver.ack(sess, "room")
+        driver.write(sess, bids[sess.name][0], _content("covered", i, 900))
+        target = bids[other.name][-1]
+        readable = [bid for bid in bids[other.name] if bid != target and bid not in aru_bids]
+        read_bid = next((bid for bid in readable if placed(bid) is not None), readable[0])
+        driver.ack_overlapped(
+            sess, other, target, _content("overlap", i, 800), f"overlap-{i}", read_bid
+        )
+        driver.ack(other, f"after-overlap-{i}")
+
+    a.server.close()
+    return {"lids": (lid_a, lid_b), "bids": bids, "aru_bids": tuple(aru_bids)}
 
 
 class LLDCrashChecker:
@@ -417,18 +630,9 @@ class LLDCrashChecker:
                 f"mixed ARU generations recovered: {sorted(stamps)}",
             )
 
-        # Invariants 3+4: the recovered view equals some acknowledgement
-        # snapshot at or after the latest covered one.
-        latest = self.oracle.latest_covered_index(state.covered_seq)
-        matched = None
-        for j in range(max(latest, 0), len(self.oracle.points)):
-            point = self.oracle.points[j]
-            if blocks == point.blocks and lists == point.lists:
-                matched = j
-                break
-        if matched is None and latest < 0 and not blocks and not lists:
-            matched = -1  # pre-first-ack crash recovering to the empty state
-        if matched is None:
+        # Invariants 3+4: the client contract.
+        if self.oracle.match(state.covered_seq, blocks, lists) is None:
+            latest = self.oracle.latest_covered_index(state.covered_seq)
             if latest >= 0:
                 expected = self.oracle.points[latest]
                 missing = {

@@ -66,30 +66,38 @@ from repro.sim.clock import VirtualClock
 from repro.volume import PARITY_LAYOUTS, Volume
 
 
-class MirrorRecording:
-    """One :class:`RecordingDisk` per member of a mirrored volume.
+class _MemberRecording:
+    """One :class:`RecordingDisk` per member of a volume of ``LAYOUTS``.
 
     Installs the wrappers *in place* (``volume.disks[i]``), so the volume's
-    own dispatch path journals every member write with zero changes. The
-    facade then exposes the journal-query surface the
+    own dispatch path journals every member write with zero changes.
+    """
+
+    LAYOUTS: tuple[str, ...] = ()
+
+    def __init__(self, volume: Volume) -> None:
+        if volume.layout not in self.LAYOUTS:
+            raise ValueError(
+                f"{type(self).__name__} targets {'/'.join(self.LAYOUTS)}, "
+                f"got {volume.layout!r}"
+            )
+        if volume.degraded:
+            raise ValueError("cannot start recording on a degraded volume")
+        self.volume = volume
+        self.members = [RecordingDisk(disk) for disk in volume.disks]
+        volume.disks[:] = self.members
+
+
+class MirrorRecording(_MemberRecording):
+    """Member journals of a mirrored volume.
+
+    The facade exposes the journal-query surface the
     :class:`~repro.crashsim.oracle.OracleDriver` needs (``position``,
     ``epoch_count``), answered from member 0 — legal because the member
     journals are isomorphic (asserted by :meth:`assert_isomorphic`).
     """
 
-    def __init__(self, volume: Volume) -> None:
-        if volume.layout != "mirror":
-            raise ValueError(
-                f"per-member recording targets mirrors, got {volume.layout!r}"
-            )
-        if volume.degraded:
-            raise ValueError("cannot start recording on an already-degraded mirror")
-        self.volume = volume
-        self.members: list[RecordingDisk] = []
-        for i, disk in enumerate(volume.disks):
-            recording = RecordingDisk(disk)
-            volume.disks[i] = recording
-            self.members.append(recording)
+    LAYOUTS = ("mirror",)
 
     @property
     def position(self) -> int:
@@ -201,35 +209,25 @@ class VolumeCrashState:
     detail: str = ""
 
 
-class ParityRecording:
-    """One :class:`RecordingDisk` per member of a RAID-4/5 volume.
+class ParityRecording(_MemberRecording):
+    """Member journals of a RAID-4/5 volume, plus the barrier vectors.
 
-    Installs the wrappers in place like :class:`MirrorRecording`, and
-    additionally journals the **global barrier vector**: the tuple of
-    per-member journal positions after each volume-level barrier. Parity
-    journals are not isomorphic (every member sees different bytes), so
-    those vectors are the only consistent cuts a crash can land on — the
-    volume forwards one ``barrier()`` call to all members, modelling a
-    cache-flush broadcast.
+    Like :class:`MirrorRecording`, and additionally journals the **global
+    barrier vector**: the tuple of per-member journal positions after each
+    volume-level barrier. Parity journals are not isomorphic (every member
+    sees different bytes), so those vectors are the only consistent cuts a
+    crash can land on — the volume forwards one ``barrier()`` call to all
+    members, modelling a cache-flush broadcast.
 
     ``position`` — the oracle's clock — is the *sum* of member positions:
     at every global barrier (hence at every acknowledgement) it is well
     defined and strictly monotone in the barrier order.
     """
 
+    LAYOUTS = PARITY_LAYOUTS
+
     def __init__(self, volume: Volume) -> None:
-        if volume.layout not in PARITY_LAYOUTS:
-            raise ValueError(
-                f"parity recording targets raid4/raid5, got {volume.layout!r}"
-            )
-        if volume.degraded:
-            raise ValueError("cannot start recording on a degraded volume")
-        self.volume = volume
-        self.members: list[RecordingDisk] = []
-        for i, disk in enumerate(volume.disks):
-            recording = RecordingDisk(disk)
-            volume.disks[i] = recording
-            self.members.append(recording)
+        super().__init__(volume)
         #: Per-member journal positions after each volume barrier.
         self.epoch_positions: list[tuple[int, ...]] = []
         original_barrier = volume.barrier
@@ -427,17 +425,14 @@ def explore_degraded_parity(
     already acknowledged.
     """
     checker = LLDCrashChecker(config, oracle)
-    report = ExplorationReport()
-    for state in enumerate_parity_crash_states(recording, **enumerator_kwargs):
+
+    def check(state: VolumeCrashState):
         volume = materialize_parity_crash_state(recording, state)
         if resync:
             volume.resync_parity()
         volume.fail_member(fail)
-        outcome = checker(volume, state)
-        report.states_total += 1
-        report.states_by_kind[state.kind] = (
-            report.states_by_kind.get(state.kind, 0) + 1
-        )
-        report.violations.extend(outcome.violations)
-        report.recovery_seconds.append(outcome.recovery_seconds)
-    return report
+        return checker(volume, state)
+
+    return ExplorationReport.collect(
+        enumerate_parity_crash_states(recording, **enumerator_kwargs), check
+    )

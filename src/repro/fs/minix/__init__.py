@@ -43,24 +43,22 @@ def make_minix_lld(
     inode_block_mode: str = "packed",
     readahead: bool = False,
     readahead_blocks: int = 8,
-    flush_batch: int = 1,
 ) -> MinixFS:
-    """MINIX LLD on an initialized :class:`repro.lld.LLD` (mkfs + mount).
+    """MINIX LLD on an initialized :class:`repro.lld.LLD` — or a tenant
+    session of an :class:`~repro.sched.LDServer` over one (mkfs + mount).
 
     Read-ahead defaults to off, as in the paper ("blocks that MINIX thinks
     are contiguous may not actually be so"). Pass ``readahead=True`` to
     route it through the LD's vectored ``read_blocks``, which coalesces
     only what really is contiguous and so removes the paper's objection.
-    ``flush_batch > 1`` turns on group commit: that many logical syncs
-    share one physical ``Flush`` (delayed durability; default off to
-    preserve the paper's numbers).
+    Group commit (that many logical syncs share one physical ``Flush``)
+    is the server's: pass a session of ``LDServer(lld, group_commit=N)``.
     """
     store = LDStore(
         lld,
         cache_bytes=cache_bytes,
         list_per_file=list_per_file,
         inode_block_mode=inode_block_mode,
-        flush_batch=flush_batch,
     )
     fs = MinixFS(store, readahead=readahead, readahead_blocks=readahead_blocks)
     fs.mkfs(ninodes=ninodes)

@@ -31,7 +31,7 @@ from repro.ld.hints import LIST_HEAD
 from repro.ld.interface import LogicalDisk
 from repro.obs import stack
 from repro.obs.trace import NULL_SPAN
-from repro.sched import LDServer, TenantSession
+from repro.sched import TenantSession
 
 _SUPER = struct.Struct("<4sIIBBIIIII")
 _MAGIC = b"MXLD"
@@ -50,27 +50,13 @@ class LDStore(BlockStore):
         cache_bytes: int = 6144 * 1024,
         list_per_file: bool = True,
         inode_block_mode: str = MODE_PACKED,
-        flush_batch: int = 1,
     ) -> None:
         if inode_block_mode not in (MODE_PACKED, MODE_SMALL):
             raise ValueError(f"unknown inode_block_mode {inode_block_mode!r}")
-        if flush_batch < 1:
-            raise ValueError(f"flush_batch must be >= 1: {flush_batch}")
-        # Group commit lives in the scheduler: a store with
-        # ``flush_batch > 1`` over a bare LD wraps it in a solo
-        # :class:`~repro.sched.LDServer` whose cross-tenant group commit
-        # does the sync coalescing. A store handed a ``TenantSession``
-        # already participates in its server's group commit, so the batch
-        # size belongs to that server, not here.
+        # Group commit lives in the scheduler: a store handed a
+        # ``TenantSession`` maps each sync onto a deferrable flush intent of
+        # its server, whose ``group_commit=N`` decides when it goes physical.
         self._session = ld if isinstance(ld, TenantSession) else None
-        if flush_batch > 1:
-            if self._session is not None:
-                raise ValueError(
-                    "flush_batch is configured on the session's LDServer "
-                    "(group_commit=N), not on a store riding a session"
-                )
-            server = LDServer(ld, group_commit=flush_batch)
-            ld = self._session = server.open_session("fs")
         self.ld = ld
         self.block_size = block_size
         self.stats = StoreStats()
@@ -161,9 +147,9 @@ class LDStore(BlockStore):
     def sync(self) -> None:
         """Flush dirty buffers into LD, then make them durable (Flush).
 
-        On a tenant session (``flush_batch > 1`` always rides one) the
-        dirty buffers still move into the LD's open segment on every sync,
-        but the sync itself is a deferrable flush intent: the server's
+        On a tenant session the dirty buffers still move into the LD's
+        open segment on every sync, but the sync itself is a deferrable
+        flush intent: the server's
         group commit decides when the physical ``Flush`` goes out, and the
         syncs it holds back are counted in ``stats.syncs_deferred``. A
         crash between group commits loses at most the deferred syncs'

@@ -313,6 +313,8 @@ class LLD(LogicalDisk):
                 data = blocks[0]
             elif not wait:
                 at = self._arrival(bid)
+            elif self.read_cache is not None:
+                self._wait_for(self._arrival(bid))
         return data if wait else Arrived(data, at)
 
     def read_blocks(self, bids: Sequence[int], *, wait: bool = True) -> list[bytes]:
@@ -341,7 +343,7 @@ class LLD(LogicalDisk):
                 pending.setdefault(entry.segment, []).append((i, bid, entry))
             else:
                 results[i] = data
-                if not wait:
+                if not wait or self.read_cache is not None:
                     ready = max(ready, self._arrival(bid))
         runs: list[list[tuple[int, object]]] = []
         slots: list[int] = []  # result index of every block, in run order
@@ -364,6 +366,8 @@ class LLD(LogicalDisk):
         blocks, at = self._fetch_runs(runs, wait=wait)
         for i, data in zip(slots, blocks):
             results[i] = data
+        if wait:
+            self._wait_for(ready)
         return results, max(at, ready)  # type: ignore[return-value]
 
     def _arrival(self, bid: int) -> float:
@@ -373,6 +377,13 @@ class LLD(LogicalDisk):
         now = self.disk.clock.now
         cache = self.read_cache
         return now if cache is None else max(now, cache.arrival(bid))
+
+    def _wait_for(self, arrival: float) -> None:
+        """A waiting read served from the read cache returns no earlier
+        than the fetch that filled the entry arrives."""
+        clock = self.disk.clock
+        if arrival > clock.now:
+            clock.advance_to(arrival)
 
     def _read_resident(self, bid: int):
         """Serve ``bid`` without disk I/O: ``(entry, data-or-None)``.
@@ -826,10 +837,11 @@ class LLD(LogicalDisk):
         Only flushes that find work count in ``stats.flushes``; a flush
         with nothing in memory — an empty open segment and no sealed one
         held for its row — counts in ``stats.flushes_noop`` instead, so
-        benchmark denominators stay honest. It issues nothing and waits for
-        nothing, but with ``wait=False`` it still answers when what earlier
-        flushes and seals wrote is on the medium — another tenant's commit,
-        which carried this caller's writes, may be in flight.
+        benchmark denominators stay honest. It issues no write, but it still
+        answers when what earlier flushes and seals wrote is on the medium —
+        a seal, or another tenant's commit that carried this caller's
+        writes, may be in flight — and a waiting one waits for that, at the
+        device (a waiting barrier).
         """
         self._require_init()
         tr = self.tracer
@@ -837,7 +849,10 @@ class LLD(LogicalDisk):
             self.compression.drain_pipeline()
             if self.log.open.is_empty and not self.log.held:
                 self.stats.flushes_noop += 1
-                return self.disk.clock.now if wait else self.disk.write_horizon()
+                horizon = self.disk.write_horizon()
+                if wait and horizon > self.disk.clock.now:
+                    self.log.barrier("flush", wait=True)  # wait in the device
+                return horizon
             self.stats.flushes += 1
             if self._tenant is not None:
                 self._tenant.flushes += 1

@@ -139,23 +139,8 @@ class DiskLayout:
             self.slot_spindles: list[int] | None = [
                 spindle_of(self.slot_lba(seg)) for seg in range(self.segment_count)
             ]
-            # Parity layouts busy a second member per write — the slot's
-            # parity chunk holder (rotating for RAID-5). Exact under the
-            # same chunk == slot size arrangement as slot_spindles.
-            parity_spindle_of = getattr(disk, "parity_spindle_of", None)
-            if parity_spindle_of is not None:
-                spindles = [
-                    parity_spindle_of(self.slot_lba(seg))
-                    for seg in range(self.segment_count)
-                ]
-                self.slot_parity_spindles: list[int] | None = (
-                    spindles if any(s is not None for s in spindles) else None
-                )
-            else:
-                self.slot_parity_spindles = None
         else:
             self.slot_spindles = None
-            self.slot_parity_spindles = None
         # Row awareness: a parity volume exports the size of a write that
         # needs no pre-read (``full_stripe_sectors``; a bare disk, a stripe
         # and a mirror export none). Slots start at whole multiples of the
@@ -222,10 +207,7 @@ def pick_slot(ranks: dict[int, int], layout, current: int) -> int:
     multi-spindle ``layout`` round-robins whole slots across the member
     disks, so consecutive sealed segments — and the cleaner traffic chasing
     them — land on different spindles and their writes overlap in simulated
-    time. On parity layouts without rows the just-sealed slot's write also
-    busies its parity-chunk member (rotating for RAID-5): a candidate whose
-    data lands there is as bad as staying put and ranks past every real
-    ring distance. Within a spindle the sequential bias holds.
+    time. Within a spindle the sequential bias holds.
     """
     if not ranks:
         raise OutOfSpaceError("no free segments left")
@@ -247,15 +229,9 @@ def pick_slot(ranks: dict[int, int], layout, current: int) -> int:
         return next((slot for slot in candidates if slot > current), candidates[0])
     n = layout.spindle_count
     after = spindles[current] + 1
-    parity = layout.slot_parity_spindles
-    busy = parity[current] if parity is not None else None
     return min(
         candidates,
-        key=lambda slot: (
-            n if spindles[slot] == busy else (spindles[slot] - after) % n,
-            slot <= current,
-            slot,
-        ),
+        key=lambda slot: ((spindles[slot] - after) % n, slot <= current, slot),
     )
 
 

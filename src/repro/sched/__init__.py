@@ -14,8 +14,8 @@ scheduler dispatches them —
   one vectored ``read_blocks`` call, which the LLD already coalesces
   into multi-sector disk requests;
 * **cross-tenant group commit**: deferrable flush intents pool across
-  tenants and one physical flush acknowledges the batch (generalizing
-  ``LDStore(flush_batch=N)`` from one store to many);
+  tenants and one physical flush acknowledges the batch
+  (``group_commit=N``, the one spelling of group commit);
 * **fairness/QoS**: deficit round-robin with per-tenant weights and
   work-conserving token-bucket rate caps.
 

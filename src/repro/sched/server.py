@@ -82,9 +82,8 @@ class SchedulerStalledError(LDError, RuntimeError):
 class LDServer:
     """Request-queue front end over one logical disk.
 
-    ``group_commit`` is the cross-tenant generalization of the old
-    ``LDStore(flush_batch=N)``: deferrable flush intents from *any*
-    tenant pool together, and the Nth intent (or any forced flush)
+    ``group_commit`` is the one spelling of group commit: deferrable
+    flush intents from *any* tenant pool together, and the Nth intent (or any forced flush)
     triggers one physical ``ld.flush()`` that acknowledges them all.
 
     ``record_dispatch=True`` keeps an event journal — ``("submit", ...)``,

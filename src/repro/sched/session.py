@@ -17,8 +17,8 @@ Durability surface:
   when the disks have the commit (other tenants are served meanwhile).
 * ``request_flush()`` is the deferrable variant: the session's flush
   intent joins the server's group commit and the call reports whether
-  the group already went physical. This is what ``LDStore`` maps
-  ``flush_batch`` syncs onto.
+  the group already went physical. This is what ``LDStore`` maps its
+  syncs onto.
 
 ARUs: ``begin_aru``/``end_aru`` work per-session. The server re-attaches
 the session's open ARU around each of its dispatched ops, so atomic

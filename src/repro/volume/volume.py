@@ -459,18 +459,6 @@ class Volume:
         """Member disk holding ``lba``'s data (always 0 for mirrors)."""
         return self.map.to_physical(lba)[0]
 
-    def parity_spindle_of(self, lba: int) -> int | None:
-        """Member holding the parity chunk of ``lba``'s stripe row.
-
-        ``None`` on layouts without parity. A write to ``lba`` busies this
-        member too, so placement policies above should treat it as loaded
-        alongside :meth:`spindle_of`'s answer.
-        """
-        pmap = self.parity_map
-        if pmap is None:
-            return None
-        return pmap.parity_disk(pmap.to_physical(lba)[1] // pmap.chunk_sectors)
-
     @property
     def degraded(self) -> bool:
         return not all(self.alive)

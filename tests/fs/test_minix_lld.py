@@ -6,14 +6,20 @@ from repro.disk import SimulatedDisk, hp_c3010
 from repro.fs.api import FileNotFound
 from repro.fs.minix import LDStore, MinixFS, make_minix_lld
 from repro.lld import LLD, LLDConfig
+from repro.sched import LDServer
 from repro.sim import VirtualClock
 
 
-def build(capacity_mb=32, **kw):
+def build(capacity_mb=32, group_commit=None, **kw):
+    """MINIX LLD on a bare LLD, or on a session of a server that commits
+    ``group_commit`` syncs at a time."""
     disk = SimulatedDisk(hp_c3010(capacity_mb=capacity_mb), VirtualClock())
     lld = LLD(disk, LLDConfig(segment_size=128 * 1024, checkpoint_slots=1))
     lld.initialize()
-    fs = make_minix_lld(lld, ninodes=1024, **kw)
+    backend = lld
+    if group_commit is not None:
+        backend = LDServer(lld, group_commit=group_commit).open_session("fs")
+    fs = make_minix_lld(backend, ninodes=1024, **kw)
     return fs, lld
 
 
@@ -166,7 +172,7 @@ def test_sync_maps_to_flush():
 
 
 def test_group_commit_coalesces_syncs():
-    fs, lld = build(flush_batch=4)
+    fs, lld = build(group_commit=4)
     flushes_before = lld.stats.flushes
     for i in range(3):
         fd = fs.open(f"/g{i}", create=True)
@@ -190,7 +196,7 @@ def test_group_commit_coalesces_syncs():
 
 
 def test_group_commit_crash_loses_only_deferred_syncs():
-    fs, lld = build(flush_batch=8)
+    fs, lld = build(group_commit=8)
     fd = fs.open("/durable", create=True)
     fs.write(fd, b"\x01" * 4096)
     fs.close(fd)
@@ -207,7 +213,7 @@ def test_group_commit_crash_loses_only_deferred_syncs():
 
 
 def test_drop_caches_forces_pending_group_commit():
-    fs, lld = build(flush_batch=16)
+    fs, lld = build(group_commit=16)
     fd = fs.open("/f", create=True)
     fs.write(fd, b"\x07" * 4096)
     fs.close(fd)
@@ -219,8 +225,9 @@ def test_drop_caches_forces_pending_group_commit():
 
 
 def test_flush_batch_one_is_no_batching():
-    """flush_batch=1 (the default) degenerates to one Flush per sync."""
-    fs, lld = build(flush_batch=1)
+    """A server committing every intent (``group_commit=1``, the default)
+    degenerates to one Flush per sync."""
+    fs, lld = build(group_commit=1)
     flushes_before = lld.stats.flushes
     for i in range(4):
         fd = fs.open(f"/n{i}", create=True)
@@ -270,7 +277,7 @@ def test_barrier_after_aru_commit_makes_ops_durable():
 def test_crash_between_deferred_syncs_loses_at_most_the_batch():
     """Group commit's contract: a crash can only lose writes whose syncs
     were deferred — never anything from an already-committed batch."""
-    fs, lld = build(flush_batch=3)
+    fs, lld = build(group_commit=3)
     for i in range(3):
         fd = fs.open(f"/acked{i}", create=True)
         fs.write(fd, bytes([i + 1]) * 4096)

@@ -20,9 +20,8 @@ excluded for the same reason: Loge's list state is volatile by design.
 
 import pytest
 
-from repro.crashsim import CrashStateEnumerator, RecordingDisk
+from repro.crashsim import CrashStateEnumerator, OracleDriver, RecordingDisk, client_view
 from repro.disk import SimulatedDisk, fast_test_disk
-from repro.ld.errors import LDError
 from repro.ld.hints import LIST_HEAD
 from repro.lld import LLD, LLDConfig
 from repro.loge import LogeDisk
@@ -68,40 +67,24 @@ FACTORIES = {
 def run_append_only_workload(ld, recording, n_blocks=10):
     """Create and write blocks once each, acknowledging every operation.
 
-    Returns the acknowledgement snapshots: ``(journal position,
-    {bid: content})`` pairs, newest last.
+    The list the blocks go on is created around the mirror, so the
+    snapshots hold block contents only. Returns the durability oracle.
     """
-    snapshots = []
+    driver = OracleDriver(ld, recording)
 
-    def ack():
-        ld.flush()
+    def ack(label):
+        driver.ack(ld, label)
         recording.barrier("ack")
-        snapshots.append((recording.position, dict(expected)))
 
-    expected = {}
     lid = ld.new_list()
-    ack()
+    ack("create-list")
     pred = LIST_HEAD
     for i in range(n_blocks):
         bid = ld.new_block(lid, pred)
-        content = (f"conform-{i:03d}:".encode() * 400)[: 900 + (i % 4) * 777]
-        ld.write(bid, content)
-        expected[bid] = content
-        ack()
+        driver.write(ld, bid, (f"conform-{i:03d}:".encode() * 400)[: 900 + (i % 4) * 777])
+        ack(f"block-{i}")
         pred = bid
-    return snapshots
-
-
-def recovered_blocks(ld, universe):
-    view = {}
-    for bid in universe:
-        try:
-            data = ld.read(bid)
-        except LDError:
-            continue
-        if data:
-            view[bid] = data
-    return view
+    return driver.oracle
 
 
 @pytest.mark.parametrize("name", sorted(FACTORIES))
@@ -110,9 +93,9 @@ def test_crash_conformance(name):
     disk = SimulatedDisk(fast_test_disk(capacity_mb=4), VirtualClock())
     recording = RecordingDisk(disk)
     ld = factory(recording)
-    snapshots = run_append_only_workload(ld, recording)
+    oracle = run_append_only_workload(ld, recording)
     assert recording.position >= 10, "workload must generate disk writes"
-    universe = sorted(snapshots[-1][1])
+    universe = sorted(oracle.points[-1].blocks)
 
     enum = CrashStateEnumerator(recording)
     states = enum.enumerate()
@@ -125,18 +108,11 @@ def test_crash_conformance(name):
         except Exception as exc:  # noqa: BLE001 - any escape is the bug
             failures.append(f"{state.kind} {state.detail}: recovery raised {exc!r}")
             continue
-        view = recovered_blocks(recovered, universe)
-        latest = -1
-        for j, (seq, _blocks) in enumerate(snapshots):
-            if seq <= state.covered_seq:
-                latest = j
-        candidates = snapshots[max(latest, 0) :]
-        if not any(view == blocks for _seq, blocks in candidates):
-            if latest < 0 and not view:
-                continue  # pre-first-ack crash recovering to nothing
+        view, _lists = client_view(recovered, universe, [])
+        if oracle.match(state.covered_seq, view, {}) is None:
             failures.append(
                 f"{state.kind} {state.detail}: recovered {len(view)} blocks "
-                f"match no snapshot >= {latest}"
+                f"match no snapshot >= {oracle.latest_covered_index(state.covered_seq)}"
             )
     assert not failures, "\n".join(failures[:10])
 
@@ -148,8 +124,7 @@ def test_acknowledged_blocks_survive_full_image(name):
     disk = SimulatedDisk(fast_test_disk(capacity_mb=4), VirtualClock())
     recording = RecordingDisk(disk)
     ld = factory(recording)
-    snapshots = run_append_only_workload(ld, recording)
-    final = snapshots[-1][1]
+    final = run_append_only_workload(ld, recording).points[-1].blocks
     enum = CrashStateEnumerator(recording)
     full = next(
         s
@@ -157,4 +132,4 @@ def test_acknowledged_blocks_survive_full_image(name):
         if s.kind == "prefix" and s.covered_seq == recording.position
     )
     recovered = factory(enum.materialize(full))
-    assert recovered_blocks(recovered, sorted(final)) == final
+    assert client_view(recovered, sorted(final), [])[0] == final

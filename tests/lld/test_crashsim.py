@@ -9,20 +9,27 @@ in-place summary rewrite that tears after the header sector loses
 eliminates exactly that failure.
 """
 
+import hashlib
 from collections import Counter
 
 import pytest
 
+from repro.bench import make_scheduler
 from repro.crashsim import (
     CrashStateEnumerator,
     LLDCrashChecker,
+    MirrorRecording,
     OracleDriver,
+    ParityRecording,
     RecordingDisk,
     run_matrix_workload,
+    run_multitenant_matrix_workload,
 )
 from repro.disk import SimulatedDisk, fast_test_disk
-from repro.lld import LLD
+from repro.lld import LLD, LLDConfig
+from repro.sched import LDServer
 from repro.sim import VirtualClock
+from repro.volume import Volume
 
 from tests.lld.conftest import small_config
 
@@ -264,3 +271,64 @@ class TestTornSummaryRegression:
             # The write right after the guard is the atomic header flip.
             flip = recording.events[position]
             assert flip.nsectors == 1
+
+
+# ----------------------------------------------------------------------
+# The mirror itself: both matrix workloads' acknowledgement history
+# ----------------------------------------------------------------------
+
+MATRIX_CONFIG = dict(
+    segment_size=64 * 1024, summary_capacity=4096, block_size=4096,
+    checkpoint_slots=1, min_free_segments=2, torn_write_protection=True,
+)
+
+#: Digest of ``driver.oracle.points`` (seq, label, blocks, lists) for the
+#: workloads and devices of ``benchmarks/test_crash_matrix.py``, captured
+#: when the single-LLD and the multi-tenant driver were still two classes.
+POINTS_GOLDEN = {
+    "single-disk": "65601408ae682e58",
+    "single-mirror": "ca9e2371311b09b1",
+    "single-raid5": "a08d2ae58af6fdad",
+    "multi-qos-2-queued": "a8f3d3e76364682d",
+    "multi-qos-2-bare": "a8f3d3e76364682d",
+    "multi-fifo-1-queued": "7b8c39af001b904f",
+}
+
+
+def matrix_points(arm: str) -> list:
+    def disk():
+        return SimulatedDisk(fast_test_disk(capacity_mb=8), VirtualClock())
+
+    kind, *rest = arm.split("-")
+    if kind == "multi":
+        scheduler, group_commit, device = rest
+        volume = recording = RecordingDisk(disk())
+        if device == "queued":
+            volume = Volume([recording], VirtualClock())
+    elif rest == ["disk"]:
+        volume = recording = RecordingDisk(disk())
+        workload = dict(n_small=24, n_overwrites=8, generations=4, n_fill=24)
+    elif rest == ["mirror"]:
+        volume = Volume([disk(), disk()], VirtualClock(), layout="mirror")
+        recording = MirrorRecording(volume)
+        workload = dict(n_small=12, n_overwrites=4, generations=3, n_fill=12)
+    else:
+        volume = Volume([disk() for _ in range(4)], VirtualClock(), layout="raid5", chunk_sectors=128)
+        recording = ParityRecording(volume)
+        workload = dict(n_small=8, n_overwrites=3, generations=2, n_fill=8)
+    lld = LLD(volume, LLDConfig(**MATRIX_CONFIG))
+    lld.initialize()
+    driver = OracleDriver(lld, recording)
+    if kind == "multi":
+        server = LDServer(lld, make_scheduler(scheduler), group_commit=int(group_commit))
+        a, b = server.open_session("a"), server.open_session("b")
+        run_multitenant_matrix_workload(driver, a, b, n_small=12, n_overwrites=4, generations=3, n_fill=14)
+    else:
+        run_matrix_workload(driver, **workload)
+    return [(p.seq, p.label, sorted(p.blocks.items()), sorted(p.lists.items())) for p in driver.oracle.points]
+
+
+@pytest.mark.parametrize("arm", sorted(POINTS_GOLDEN))
+def test_matrix_workloads_acknowledge_the_pinned_history(arm):
+    digest = hashlib.sha256(repr(matrix_points(arm)).encode()).hexdigest()[:16]
+    assert digest == POINTS_GOLDEN[arm]

@@ -1,7 +1,8 @@
-"""Property-based tests: LLD against a pure-Python model.
+"""Property-based tests: LLD against the crash oracle's client model.
 
-A random sequence of LD operations is applied both to LLD and to a trivial
-in-memory model. Invariants:
+A random sequence of LD operations runs through an
+:class:`~repro.crashsim.OracleDriver`, which applies each to LLD and
+mirrors it into the expected client-visible view. Invariants:
 
 * after every operation the visible state (list contents, block data)
   matches the model;
@@ -12,43 +13,13 @@ in-memory model. Invariants:
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crashsim import OracleDriver
 from repro.ld import LIST_HEAD
 
 from tests.lld.conftest import make_lld, reopen
-
-
-class Model:
-    """The obviously-correct in-memory reference."""
-
-    def __init__(self) -> None:
-        self.lists: dict[int, list[int]] = {}
-        self.data: dict[int, bytes] = {}
-
-    def new_list(self, lid: int) -> None:
-        self.lists[lid] = []
-
-    def new_block(self, lid: int, pred: int | None, bid: int) -> None:
-        chain = self.lists[lid]
-        if pred is None:
-            chain.insert(0, bid)
-        else:
-            chain.insert(chain.index(pred) + 1, bid)
-        self.data[bid] = b""
-
-    def write(self, bid: int, payload: bytes) -> None:
-        self.data[bid] = payload
-
-    def delete_block(self, lid: int, bid: int) -> None:
-        self.lists[lid].remove(bid)
-        del self.data[bid]
-
-    def delete_list(self, lid: int) -> None:
-        for bid in self.lists.pop(lid):
-            del self.data[bid]
 
 
 # Operation encoding for hypothesis: a list of (op, arg1, arg2) tuples with
@@ -64,76 +35,62 @@ ops = st.lists(
 )
 
 
-def run_ops(lld, model: Model, operations) -> None:
+def run_ops(lld, driver: OracleDriver, operations) -> None:
     for op, index, value in operations:
-        lids = sorted(model.lists)
+        lids = sorted(driver.lists)
         if op == "new_list" or not lids:
-            lid = lld.new_list()
-            model.new_list(lid)
+            driver.new_list(lld)
             continue
         lid = lids[index % len(lids)]
-        chain = model.lists[lid]
+        chain = driver.lists[lid]
         if op == "new_block":
-            if chain and value % 2 == 0:
-                pred = chain[index % len(chain)]
-                bid = lld.new_block(lid, pred)
-                model.new_block(lid, pred, bid)
-            else:
-                bid = lld.new_block(lid, LIST_HEAD)
-                model.new_block(lid, None, bid)
+            pred = chain[index % len(chain)] if chain and value % 2 == 0 else LIST_HEAD
+            driver.new_block(lld, lid, pred)
         elif op == "write":
-            if not chain:
-                continue
-            bid = chain[index % len(chain)]
-            payload = bytes([value]) * ((value % 16 + 1) * 64)
-            lld.write(bid, payload)
-            model.write(bid, payload)
+            if chain:
+                driver.write(lld, chain[index % len(chain)], bytes([value]) * ((value % 16 + 1) * 64))
         elif op == "delete_block":
-            if not chain:
-                continue
-            bid = chain[index % len(chain)]
-            lld.delete_block(bid, lid)
-            model.delete_block(lid, bid)
+            if chain:
+                driver.delete_block(lld, chain[index % len(chain)], lid)
         elif op == "delete_list":
-            lld.delete_list(lid)
-            model.delete_list(lid)
+            driver.delete_list(lld, lid)
 
 
-def check_matches(lld, model: Model) -> None:
-    for lid, chain in model.lists.items():
+def check_matches(lld, driver: OracleDriver) -> None:
+    for lid, chain in driver.lists.items():
         assert lld.list_blocks(lid) == chain
-    for bid, payload in model.data.items():
-        assert lld.read(bid) == payload
+        for bid in chain:
+            assert lld.read(bid) == driver.blocks.get(bid, b"")
 
 
 @settings(max_examples=40, deadline=None)
 @given(ops)
 def test_visible_state_matches_model(operations):
     lld = make_lld()
-    model = Model()
-    run_ops(lld, model, operations)
-    check_matches(lld, model)
+    driver = OracleDriver(lld)
+    run_ops(lld, driver, operations)
+    check_matches(lld, driver)
 
 
 @settings(max_examples=30, deadline=None)
 @given(ops)
 def test_flush_crash_recover_matches_model(operations):
     lld = make_lld()
-    model = Model()
-    run_ops(lld, model, operations)
+    driver = OracleDriver(lld)
+    run_ops(lld, driver, operations)
     lld.flush()
     recovered = reopen(lld)
-    check_matches(recovered, model)
+    check_matches(recovered, driver)
 
 
 @settings(max_examples=20, deadline=None)
 @given(ops)
 def test_clean_shutdown_matches_model(operations):
     lld = make_lld()
-    model = Model()
-    run_ops(lld, model, operations)
+    driver = OracleDriver(lld)
+    run_ops(lld, driver, operations)
     fresh = reopen(lld, after_crash=False)
-    check_matches(fresh, model)
+    check_matches(fresh, driver)
 
 
 @settings(max_examples=20, deadline=None)
@@ -141,12 +98,12 @@ def test_clean_shutdown_matches_model(operations):
 def test_recover_then_continue(operations, more_operations):
     """Recovery must leave the LD fully usable for further operations."""
     lld = make_lld()
-    model = Model()
-    run_ops(lld, model, operations)
+    driver = OracleDriver(lld)
+    run_ops(lld, driver, operations)
     lld.flush()
     recovered = reopen(lld)
-    run_ops(recovered, model, more_operations)
-    check_matches(recovered, model)
+    run_ops(recovered, driver, more_operations)
+    check_matches(recovered, driver)
 
 
 @settings(max_examples=15, deadline=None)
@@ -154,8 +111,8 @@ def test_recover_then_continue(operations, more_operations):
 def test_aborted_aru_leaves_model_state(operations):
     """Everything inside an unfinished ARU disappears; nothing else does."""
     lld = make_lld()
-    model = Model()
-    run_ops(lld, model, operations)
+    driver = OracleDriver(lld)
+    run_ops(lld, driver, operations)
     lld.flush()
     lld.begin_aru()
     lid = lld.new_list()
@@ -163,7 +120,7 @@ def test_aborted_aru_leaves_model_state(operations):
     lld.write(bid, b"inside aborted aru")
     lld.flush()
     recovered = reopen(lld)
-    check_matches(recovered, model)
+    check_matches(recovered, driver)
 
 
 @settings(max_examples=15, deadline=None)
@@ -171,8 +128,8 @@ def test_aborted_aru_leaves_model_state(operations):
 def test_usage_table_consistent_with_blocks(operations):
     """The segment usage table equals the sum of live stored lengths."""
     lld = make_lld()
-    model = Model()
-    run_ops(lld, model, operations)
+    driver = OracleDriver(lld)
+    run_ops(lld, driver, operations)
     per_segment: dict[int, int] = {}
     for bid, entry in lld.state.blocks.items():
         if entry.segment >= 0:

@@ -19,22 +19,20 @@ from repro.sim import VirtualClock
 from tests.lld.conftest import small_config
 
 
-def layout(spindles=None, parity=None, rows=None):
+def layout(spindles=None, rows=None):
     return SimpleNamespace(
         slot_spindles=spindles,
         spindle_count=len(set(spindles)) if spindles else 1,
-        slot_parity_spindles=parity,
         slot_rows=rows,
     )
 
 
-#: Eight slots striped over four spindles, and the RAID-5 rotation of the
-#: parity chunk over the same rows.
+#: Eight slots striped over four spindles.
 STRIPED = [0, 1, 2, 3, 0, 1, 2, 3]
-ROTATING = [3, 3, 3, 3, 2, 2, 2, 2]
 
 PLACEMENT_CASES = [
-    # (free slots -> rank, spindles, parity spindles, current, expected)
+    # (free slots -> rank, spindles, stripe rows, current, expected); the
+    # row cases are in test_row_gather.py.
     ({3: 0, 5: 0, 1: 0}, None, None, -1, 1),  # start-up: lowest slot
     ({3: 0, 5: 0, 1: 0}, None, None, 3, 5),  # next after the current one
     ({3: 0, 1: 0}, None, None, 5, 1),  # nothing after it: wrap
@@ -47,16 +45,12 @@ PLACEMENT_CASES = [
     ({4: 0}, STRIPED, None, 0, 4),  # same spindle only when nothing else
     ({1: 0, 5: 0}, STRIPED, None, 4, 5),  # same spindle: sequential bias
     ({1: 0, 5: 0}, STRIPED, None, 6, 1),  # equal ring distance, both behind: lowest
-    ({3: 0, 5: 0}, STRIPED, ROTATING, 0, 5),  # spindle 3 holds slot 0's parity
-    ({3: 0, 4: 0}, STRIPED, ROTATING, 0, 4),  # parity member worse than staying put
-    ({3: 1, 5: 0}, STRIPED, ROTATING, 0, 5),
-    ({3: 0, 5: 1}, STRIPED, ROTATING, 0, 3),  # rank still comes first
 ]
 
 
-@pytest.mark.parametrize("ranks, spindles, parity, current, expected", PLACEMENT_CASES)
-def test_pick_slot(ranks, spindles, parity, current, expected):
-    assert pick_slot(ranks, layout(spindles, parity), current) == expected
+@pytest.mark.parametrize("ranks, spindles, rows, current, expected", PLACEMENT_CASES)
+def test_pick_slot(ranks, spindles, rows, current, expected):
+    assert pick_slot(ranks, layout(spindles, rows), current) == expected
 
 
 def test_pick_slot_with_nothing_free():

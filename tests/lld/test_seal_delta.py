@@ -16,6 +16,7 @@ whole image again. Three things are pinned here:
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,6 @@ from repro.crashsim import (
     CrashStateEnumerator,
     LLDCrashChecker,
     OracleDriver,
-    OraclePoint,
     RecordingDisk,
 )
 from repro.disk import SimulatedDisk, fast_test_disk
@@ -231,48 +231,45 @@ def recorded_seals(torn: bool, delta: bool = True):
     lld.initialize()
     driver = OracleDriver(lld, recording)
     rng = random.Random("seal-crash")
-    lid = driver.new_list()
+    lid = driver.new_list(lld)
     bids, pred = [], LIST_HEAD
 
     def grow(count: int, size: int = BLOCK) -> None:
         nonlocal pred
         for _ in range(count):
-            pred = driver.new_block(lid, pred)
-            driver.write(pred, rng.randbytes(size))
+            pred = driver.new_block(lld, lid, pred)
+            driver.write(lld, pred, rng.randbytes(size))
             bids.append(pred)
 
     ranges = []
     # Seal inside a flush, at the threshold.
     grow(5)
-    driver.ack("first")
+    driver.ack(lld, "first")
     grow(3, 1700)
-    driver.write(bids[0], rng.randbytes(900))
-    driver.ack("partial")
+    driver.write(lld, bids[0], rng.randbytes(900))
+    driver.ack(lld, "partial")
     grow(5)  # past the 75% threshold
-    driver.delete_block(bids.pop(1), lid)
+    driver.delete_block(lld, bids.pop(1), lid)
     start = recording.position
-    driver.ack("sealing-flush")
+    driver.ack(lld, "sealing-flush")
     ranges.append((start, recording.position))
     # Seal by an append that does not fit. What the seal makes durable is
     # everything before that append: a state the client was never told
     # about but every crash past the seal must recover.
     grow(6)
-    driver.ack("first-again")
+    driver.ack(lld, "first-again")
     grow(5)
-    driver.ack("partial-again")  # 44 KB: still under the threshold
+    driver.ack(lld, "partial-again")  # 44 KB: still under the threshold
     grow(3)
-    driver.write(bids[2], rng.randbytes(700))  # 56.7 KB of 60
-    blocks = {b: d for b, d in driver.blocks.items() if d}
-    lists = {k: tuple(chain) for k, chain in driver.lists.items()}
+    driver.write(lld, bids[2], rng.randbytes(700))  # 56.7 KB of 60
+    before = driver.freeze("make-room-seal")
     start = recording.position
-    driver.write(bids[3], rng.randbytes(BLOCK))
+    driver.write(lld, bids[3], rng.randbytes(BLOCK))
     ranges.append((start, recording.position))
-    driver.oracle.points.append(
-        OraclePoint(recording.position, "make-room-seal", blocks, lists)
-    )
+    driver.oracle.points.append(replace(before, seq=recording.position))
     assert lld.stats.segments_sealed == 2
     assert lld.stats.seals_by_delta == (2 if delta else 0)
-    driver.ack("end")
+    driver.ack(lld, "end")
     return config, recording, driver, ranges
 
 

@@ -157,6 +157,25 @@ class TestCompletionAtDeviceTime:
         assert first.completed_at == horizon
         assert second.completed_at >= horizon
 
+    def test_a_waiting_flush_with_nothing_to_write_waits_at_the_device(self):
+        """The LD alone on RAID-5: a flush with nothing to write, right
+        after a sealing one nobody waited for, returns when those writes
+        are on the medium — through a waiting barrier, so the time passes
+        in the volume."""
+        lld = LLD(make_device("raid5"), small_config())
+        lld.initialize()
+        populate(lld, 3)
+        lld.log.seal()
+        horizon = lld.flush(wait=False)
+        clock = lld.disk.clock
+        assert clock.now < horizon
+        noop, barriers = lld.stats.flushes_noop, lld.disk.stats.barriers
+        assert lld.flush() == horizon == clock.now
+        assert lld.stats.flushes_noop == noop + 1
+        assert lld.disk.stats.barriers == barriers + 1
+        # With nothing in flight there is nothing to wait for: no barrier.
+        assert lld.flush() == clock.now and lld.disk.stats.barriers == barriers + 1
+
     def test_a_bare_disk_has_nothing_to_wait_for(self):
         server, lld = make_server(FIFOScheduler())
         a = server.open_session("a")
@@ -357,6 +376,20 @@ class TestParkedReads:
         assert second.completed_at == first.completed_at
         assert batch.completed_at >= first.completed_at
         assert second.result == first.result if which == "same" else second.result.startswith(b"a-0001")
+
+    @pytest.mark.parametrize("call", ["read", "read_blocks"])
+    def test_a_waiting_cache_hit_waits_for_the_fetch_that_filled_it(self, call):
+        """The same hit through the LD's waiting call (the server's fallback
+        read takes it): it returns once the fetch is in hand, not before."""
+        _server, lld, _a, _b, cold_a, _cold_b = two_tenants_on_raid5(read_cache_enabled=True)
+        fetch = lld.read(cold_a[0], wait=False)
+        clock = lld.disk.clock
+        assert cold_a[1] in lld.read_cache and clock.now < fetch.at
+        hits = lld.stats.cache_hits
+        data = lld.read(cold_a[1]) if call == "read" else lld.read_blocks([cold_a[1]])[0]
+        assert lld.stats.cache_hits == hits + 1
+        assert data.startswith(b"a-0001")
+        assert clock.now == fetch.at
 
     def test_spans_carry_complete_at(self):
         from repro.bench import make_scheduler

@@ -22,7 +22,7 @@ from repro.bench import make_scheduler
 from repro.crashsim import (
     CrashStateEnumerator,
     LLDCrashChecker,
-    MultiTenantOracleDriver,
+    OracleDriver,
     RecordingDisk,
     run_multitenant_matrix_workload,
 )
@@ -54,16 +54,16 @@ def explore(scheduler_name: str, group_commit: int, queued: bool = False, **work
     )
     a = server.open_session("a")
     b = server.open_session("b")
-    driver = MultiTenantOracleDriver(server, recording)
+    driver = OracleDriver(lld, recording)
     run_multitenant_matrix_workload(driver, a, b, **workload_kw)
     enum = CrashStateEnumerator(recording)
     checker = LLDCrashChecker(lld.config, driver.oracle)
-    return enum.explore(checker), driver, recording
+    return enum.explore(checker), driver, recording, server
 
 
 class TestSchedulerCrashMatrix:
     def test_qos_with_group_commit_has_no_violations(self):
-        report, driver, _recording = explore("qos", group_commit=2)
+        report, driver, _recording, server = explore("qos", group_commit=2)
         assert report.states_total > 100
         assert report.states_by_kind.get("prefix", 0) > 0
         assert report.states_by_kind.get("torn", 0) > 0
@@ -71,11 +71,11 @@ class TestSchedulerCrashMatrix:
         assert report.violations == []
         # The group commit actually deferred intents (the workload's
         # pooled rounds), so the zero-violation run exercised it.
-        assert driver.server.stats.flushes_deferred > 0
-        assert driver.server.stats.group_commits > 0
+        assert server.stats.flushes_deferred > 0
+        assert server.stats.group_commits > 0
 
     def test_fifo_baseline_has_no_violations(self):
-        report, _driver, _recording = explore(
+        report, *_ = explore(
             "fifo", group_commit=1, n_small=3, generations=2, n_fill=4
         )
         assert report.states_total > 50
@@ -88,8 +88,8 @@ class TestSchedulerCrashMatrix:
         is lost, the other tenant's write dispatched inside it belongs to
         the next epoch, and its read, parked at the disks while the crash
         can strike, returned the acknowledged bytes."""
-        report, driver, recording = explore(scheduler, group_commit=2, queued=True)
-        stats = driver.server.stats
+        report, driver, recording, server = explore(scheduler, group_commit=2, queued=True)
+        stats = server.stats
         assert stats.commits_deferred == stats.group_commits > 0
         assert driver.overlapped == 2  # both phase-G commits had a write inside
         assert driver.parked_reads == 2  # ... and a read still at the disks
@@ -108,14 +108,14 @@ class TestSchedulerCrashMatrix:
             assert covered.blocks != later.blocks
 
     def test_bare_disk_leaves_no_window_and_the_same_phases_hold(self):
-        _report, driver, _recording = explore("qos", group_commit=2)
-        assert driver.server.stats.commits_deferred == 0
-        assert driver.server.stats.reads_parked == 0
+        _report, driver, _recording, server = explore("qos", group_commit=2)
+        assert server.stats.commits_deferred == 0
+        assert server.stats.reads_parked == 0
         assert driver.overlapped == driver.parked_reads == 0
         assert {"overlap-0", "overlap-1"} <= {p.label for p in driver.oracle.points}
 
     def test_acks_land_on_barrier_positions(self):
-        _report, driver, recording = explore("qos", group_commit=2)
+        _report, driver, recording, _server = explore("qos", group_commit=2)
         boundary_positions = {b.position for b in recording.barriers}
         assert len(driver.oracle.points) > 10
         assert all(

@@ -1,16 +1,17 @@
 """LDStore group commit routes through the scheduler.
 
-``LDStore(flush_batch=N)`` used to count syncs in the store; it now
-wraps a bare LD in a solo :class:`~repro.sched.LDServer` and maps each
-sync onto a deferrable flush intent. These tests pin the equivalence:
-the scheduler-routed path produces byte-identical LLD/disk figures to
-the in-store counting it replaced (since deleted; its figures are the
-golden constants below) at every batch size, on the exact workload
-group commit exists for (many small fsyncs).
+``LDStore(flush_batch=N)`` used to count syncs in the store; group
+commit is now only ``LDServer(group_commit=N)``, and a store on one of
+its sessions maps each sync onto a deferrable flush intent. These tests
+pin the equivalence: the scheduler-routed path produces byte-identical
+LLD/disk figures to the in-store counting it replaced (since deleted;
+its figures are the golden constants below) at every batch size, on the
+exact workload group commit exists for (many small fsyncs).
 """
 
 import pytest
 
+from repro.bench import BuildSpec, build_minix_lld
 from repro.disk import SimulatedDisk, fast_test_disk
 from repro.fs.minix import LDStore, MinixFS
 from repro.lld import LLD
@@ -27,10 +28,8 @@ def fresh_lld(capacity_mb: int = 8) -> LLD:
     return lld
 
 
-def build_fs(backend, flush_batch: int = 1, **store_kw) -> MinixFS:
-    store = LDStore(
-        backend, cache_bytes=256 * 1024, flush_batch=flush_batch, **store_kw
-    )
+def build_fs(backend, **store_kw) -> MinixFS:
+    store = LDStore(backend, cache_bytes=256 * 1024, **store_kw)
     fs = MinixFS(store, readahead=False)
     fs.mkfs(ninodes=256)
     return fs
@@ -138,62 +137,51 @@ LEGACY_GOLDEN = {
 }
 
 
-def arm_autowrap(flush_batch):
-    """The default path: the store wraps the LD in a solo LDServer."""
+def group_committed_fs(group_commit):
+    """A store riding session ``"fs"`` of a server with ``group_commit``."""
     lld = fresh_lld()
-    fs = build_fs(lld, flush_batch)
-    fsync_workload(fs)
-    return fs, lld
-
-
-def arm_explicit_server(flush_batch):
-    """A store riding a session of an explicitly built server."""
-    lld = fresh_lld()
-    server = LDServer(
-        lld, QoSElevatorScheduler(), group_commit=flush_batch
-    )
-    fs = build_fs(server.open_session("fs"), flush_batch=1)
-    fsync_workload(fs)
-    return fs, lld
+    server = LDServer(lld, QoSElevatorScheduler(), group_commit=group_commit)
+    return build_fs(server.open_session("fs")), lld
 
 
 @pytest.mark.parametrize("flush_batch", [1, 4, 16])
 def test_scheduler_group_commit_matches_legacy_figures(flush_batch):
     golden = LEGACY_GOLDEN[flush_batch]
-    for arm in (arm_autowrap, arm_explicit_server):
-        fs, lld = arm(flush_batch)
-        assert lld_figures(lld) == (golden["lld"], golden["disk"])
-        # The store-visible sync accounting agrees too.
-        assert fs.store.stats.syncs == golden["syncs"]
-        assert fs.store.stats.syncs_deferred == golden["syncs_deferred"]
+    fs, lld = group_committed_fs(flush_batch)
+    fsync_workload(fs)
+    assert lld_figures(lld) == (golden["lld"], golden["disk"])
+    # The store-visible sync accounting agrees too.
+    assert fs.store.stats.syncs == golden["syncs"]
+    assert fs.store.stats.syncs_deferred == golden["syncs_deferred"]
 
 
 def test_autowrap_exposes_its_session_and_server():
-    lld = fresh_lld()
-    fs = build_fs(lld, flush_batch=4)
+    """``build_minix_lld(flush_batch=N)`` is the one builder that wraps:
+    a QoS server committing N intents, the store on its session "fs"."""
+    fs, lld = build_minix_lld(BuildSpec.from_scale(0.05), flush_batch=4)
     session = fs.store.session
-    assert isinstance(session, TenantSession)
+    assert isinstance(session, TenantSession) and session.name == "fs"
     assert session.server.group_commit == 4
+    assert isinstance(session.server.scheduler, QoSElevatorScheduler)
     assert session.server.ld is lld
 
 
 def test_flush_batch_on_a_session_backed_store_is_rejected():
     lld = fresh_lld()
-    server = LDServer(lld, group_commit=4)
-    session = server.open_session("fs")
-    with pytest.raises(ValueError, match="group_commit"):
-        LDStore(session, flush_batch=2)
+    session = LDServer(lld, group_commit=4).open_session("fs")
+    for backend in (session, lld):
+        with pytest.raises(TypeError, match="flush_batch"):
+            LDStore(backend, flush_batch=2)
 
 
 def test_legacy_group_commit_argument_is_gone():
     lld = fresh_lld()
     with pytest.raises(TypeError, match="legacy_group_commit"):
-        LDStore(lld, flush_batch=4, legacy_group_commit=True)
+        LDStore(lld, legacy_group_commit=True)
 
 
 def test_deferred_syncs_commit_on_the_batch_boundary():
-    lld = fresh_lld()
-    fs = build_fs(lld, flush_batch=3)
+    fs, lld = group_committed_fs(3)
     server = fs.store.session.server
     flushes_before = lld.stats.flushes
     for i in range(3):

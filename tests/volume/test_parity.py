@@ -527,31 +527,6 @@ def test_lld_over_raid5_degrades_and_recovers():
     assert volume.volume_stats.reconstructed_reads > 0
 
 
-def test_parity_placement_hints():
-    """The LLD's segment allocator sees which member holds each slot's
-    parity chunk, and the volume reports it per-LBA."""
-    spec = BuildSpec.from_scale(0.05)
-    _fs, lld = build_minix_lld(spec, n_disks=4, volume_layout="raid5")
-    volume = lld.disk
-    layout = lld.layout
-
-    assert layout.slot_parity_spindles is not None
-    assert len(layout.slot_parity_spindles) == layout.segment_count
-    for seg in range(layout.segment_count):
-        lba = layout.slot_lba(seg)
-        parity = volume.parity_spindle_of(lba)
-        assert layout.slot_parity_spindles[seg] == parity
-        # Parity never shares a member with the slot's own data chunk.
-        assert parity != volume.spindle_of(lba)
-    # RAID-5 rotation shows through: parity is not pinned to one member.
-    assert len(set(layout.slot_parity_spindles)) > 1
-
-    # Stripe volumes carry no parity hints.
-    _fs2, lld2 = build_minix_lld(spec, n_disks=4, volume_layout="stripe")
-    assert lld2.layout.slot_parity_spindles is None
-    assert lld2.disk.parity_spindle_of(0) is None
-
-
 def test_fresh_volume_level_alias():
     spec = BuildSpec.from_scale(0.3)  # big enough to clear the 8 MB member floor
     volume = fresh_volume(spec, 4, layout="raid5")
