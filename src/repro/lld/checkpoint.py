@@ -19,6 +19,7 @@ from repro.ld.errors import LDError
 from repro.ld.hints import ListHints
 from repro.lld.config import SECTOR, LLDConfig
 from repro.lld.state import (
+    KIND_COMMIT,
     KIND_FIRST,
     KIND_LINK,
     KIND_META,
@@ -42,9 +43,10 @@ _TOMB = struct.Struct("<BIQI")
 _MINTS = struct.Struct("<IQ")
 _MODTS = struct.Struct("<IQ")
 _ORDER = struct.Struct("<I")
+_UNIT = struct.Struct("<QI")
 
 _NONE = 0xFFFFFFFF
-_KIND_CODES = {KIND_LINK: 1, KIND_FIRST: 2, KIND_META: 3}
+_KIND_CODES = {KIND_LINK: 1, KIND_FIRST: 2, KIND_META: 3, KIND_COMMIT: 4}
 _KIND_NAMES = {code: kind for kind, code in _KIND_CODES.items()}
 _TOMB_CODES = {"block": 1, "list": 2}
 _TOMB_NAMES = {code: kind for kind, code in _TOMB_CODES.items()}
@@ -114,6 +116,12 @@ class CheckpointRegion:
             parts.append(_MODTS.pack(segment, ts))
         for lid in state.list_order:
             parts.append(_ORDER.pack(lid))
+        # Which slots hold records of which ARU: a trailing section, absent
+        # where no summary holds any (an image without ARUs is unchanged).
+        units = [(aru, slot) for aru, slots in state.units.items() for slot in slots]
+        if units:
+            parts.append(_ORDER.pack(len(units)))
+            parts.extend(_UNIT.pack(aru, slot) for aru, slot in units)
         return b"".join(parts)
 
     def save(self, state: LLDState) -> None:
@@ -229,6 +237,14 @@ class CheckpointRegion:
             offset += _ORDER.size
             order.append(lid)
         state.list_order = [lid for lid in order if lid in state.lists]
+        if offset < len(payload):
+            (nunits,) = _ORDER.unpack_from(payload, offset)
+            offset += _ORDER.size
+            for _ in range(nunits):
+                aru, slot = _UNIT.unpack_from(payload, offset)
+                offset += _UNIT.size
+                state.units.setdefault(aru, set()).add(slot)
+                state.slot_units.setdefault(slot, set()).add(aru)
 
     def invalidate(self) -> None:
         """Destroy the validity marker (first sector of the region)."""

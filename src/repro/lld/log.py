@@ -286,8 +286,10 @@ class LogWriter:
     def relog_slot(self, slot: int) -> None:
         """Re-state at the log head everything ``slot``'s summary homes:
         live metadata keys (the paper's "removes old logging information
-        ... during cleaning") and tombstones still needed."""
+        ... during cleaning"), the COMMIT of a unit whose records other
+        summaries still hold, and tombstones still needed."""
         state = self.state
+        state.forget_units(slot)
         for key, ident in sorted(state.segment_keys.get(slot, ())):
             self.stats.records_relogged += 1
             kind = KEY_KINDS[key]
@@ -636,6 +638,7 @@ class LogWriter:
             if slot != open_index and self.state.usage.get(slot, 0) <= 0:
                 self._disk_write(self.layout.slot_lba(slot), empty)
                 self.state.summary_min_ts.pop(slot, None)
+                self.state.forget_units(slot)
 
     def drop_dead_tombstones(self) -> int:
         """Forget tombstones no surviving summary could contradict."""

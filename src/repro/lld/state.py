@@ -40,6 +40,8 @@ NO_SEGMENT = -1
 KIND_LINK = "link"
 KIND_FIRST = "first"
 KIND_META = "meta"
+#: A unit's COMMIT, homed only while some other summary holds its records.
+KIND_COMMIT = "commit"
 
 
 @dataclass
@@ -120,6 +122,11 @@ class LLDState:
         self.summary_min_ts: dict[int, int] = {}
         # Latest write timestamp per segment (cost-benefit cleaning "age").
         self.segment_mod_ts: dict[int, int] = {}
+        # Atomic recovery units: unit -> slots whose summaries hold records
+        # tagged with it (COMMITs aside), and the reverse index. A record of
+        # a unit is applied at recovery only next to the unit's COMMIT.
+        self.units: dict[int, set[int]] = {}
+        self.slot_units: dict[int, set[int]] = {}
 
         self.next_bid = 1
         self.next_lid = 1
@@ -135,8 +142,6 @@ class LLDState:
         if record.timestamp >= self.next_ts:
             self.next_ts = record.timestamp + 1
         subject, ident_of, update, sets, retires, data, _ = RECORD_KINDS[type(record)]
-        if subject is None:
-            return  # COMMIT: consumed by the recovery filter, no state change
         ident = ident_of(record)
         if data:
             entry = self.blocks.get(ident)
@@ -155,14 +160,36 @@ class LLDState:
             self.put_tombstone(
                 Tombstone(subject, ident, record.death_timestamp, home_segment)
             )
+        if record.aru:
+            if sets == KIND_COMMIT:
+                self._settle_unit(ident)
+            else:
+                self.units.setdefault(record.aru, set()).add(home_segment)
+                self.slot_units.setdefault(home_segment, set()).add(record.aru)
+
+    def forget_units(self, slot: int) -> None:
+        """``slot``'s summary is being replaced, its live contents re-stated
+        at the log head: the unit records in it need no COMMIT any more."""
+        for aru in self.slot_units.pop(slot, ()):
+            slots = self.units[aru]
+            slots.discard(slot)
+            if not slots:
+                del self.units[aru]
+            self._settle_unit(aru)
+
+    def _settle_unit(self, aru: int) -> None:
+        """Drop the home of ``aru``'s COMMIT once no summary but its own
+        holds a record of the unit: nothing then needs it re-stated."""
+        key = (KIND_COMMIT, aru)
+        home = self.homes.get(key)
+        if home is not None and not self.units.get(aru, set()) - {home}:
+            self._drop_home(key)
 
     def superseded_segments(self, record: Record) -> list[int]:
         """Segments holding what applying ``record`` would supersede: the
         home of every key it sets or retires, and the stored bytes of a
         block it moves or kills. An open ARU pins them against cleaning."""
         kind = RECORD_KINDS[type(record)]
-        if kind.subject is None:
-            return []
         ident = kind.ident(record)
         homes = self.homes
         segments = [homes[(key, ident)] for key in kind.keys if (key, ident) in homes]
@@ -206,6 +233,9 @@ class LLDState:
         if self.lists.pop(lid, None) is not None:
             self.list_order.remove(lid)
         self.next_lid = max(self.next_lid, lid + 1)
+
+    def _update_commit(self, aru: int, record: CommitRecord) -> None:
+        """The recovery filter consumes a COMMIT; it changes no table."""
 
     def init_slots(self, segment_count: int) -> None:
         """Build the free-slot set for a disk of ``segment_count`` slots.
@@ -395,20 +425,20 @@ class RecordKind(NamedTuple):
     """What one record type does to the state — declared once.
 
     ``subject`` is the table the record's id indexes (``"block"`` /
-    ``"list"``; ``None`` for COMMIT, which touches neither) and ``ident``
-    reads that id off a record. ``sets`` names the metadata key whose home
-    becomes the record's summary, ``retires`` the keys whose homes a death
-    drops (non-empty exactly for the two tombstone kinds), ``data`` whether
-    the block's stored bytes are superseded — moved by BLOCK, killed by
-    BLOCK_DEAD. ``update(state, ident, record)`` writes the record's value
+    ``"list"``; ``"unit"`` for COMMIT, whose id is its ARU's) and
+    ``ident`` reads that id off a record. ``sets`` names the metadata key
+    whose home becomes the record's summary, ``retires`` the keys whose
+    homes a death drops (non-empty exactly for the two tombstone kinds),
+    ``data`` whether the block's stored bytes are superseded — moved by
+    BLOCK, killed by BLOCK_DEAD. ``update(state, ident, record)`` writes the record's value
     into the tables; ``restate(ident, row)`` builds a fresh record carrying
     the current value of the key it sets (``row`` is the table entry) or
     of its tombstone (``row`` is the :class:`Tombstone`).
     """
 
-    subject: str | None
-    ident: Callable[[Record], int] | None = None
-    update: Callable | None = None
+    subject: str
+    ident: Callable[[Record], int]
+    update: Callable
     sets: str | None = None
     retires: tuple[str, ...] = ()
     data: bool = False
@@ -451,7 +481,10 @@ RECORD_KINDS: dict[type[Record], RecordKind] = {
             lid=lid, death_timestamp=tomb.death_timestamp
         ),
     ),
-    CommitRecord: RecordKind(None),
+    CommitRecord: RecordKind(
+        "unit", attrgetter("aru"), LLDState._update_commit, sets=KIND_COMMIT,
+        restate=lambda aru, _slots: CommitRecord(aru=aru),
+    ),
 }
 
 #: The kind that (re-)homes each metadata key, and the kind that buries

@@ -244,6 +244,38 @@ def test_uncommitted_delete_list_pins_the_list_head_home():
     assert recovered.read(keep) == b"k" * 100
 
 
+@pytest.mark.parametrize("mount", ["running", "checkpoint"])
+def test_a_commit_outlives_the_slot_it_was_logged_in(mount):
+    """A committed unit's records in one segment, its COMMIT in the next:
+    cleaning the COMMIT's slot re-states the COMMIT while the first
+    segment's summary still holds the unit's records, or a crash discards
+    them and ten acknowledged overwrites read back their old bytes. Across
+    a clean shutdown the checkpoint carries what that needs."""
+    lld = make_lld()
+    lid = lld.new_list()
+    bids, pred = [], LIST_HEAD
+    for _ in range(20):
+        pred = lld.new_block(lid, pred)
+        lld.write(pred, b"1" * 4096)
+        bids.append(pred)
+    lld.flush()
+    with lld.aru() as aru:
+        for bid in bids:
+            lld.write(bid, b"2" * 4096)
+    commit_slot = lld.open_segment_index
+    assert lld.state.units[aru] == {commit_slot - 1, commit_slot}
+    assert lld.state.homes[("commit", aru)] == commit_slot
+    _seal(lld, lld.new_block(lid, bids[-1]))
+    if mount == "checkpoint":
+        lld = reopen(lld, after_crash=False)
+        assert lld.recovery_report is None
+    lld.cleaner.clean_segment(commit_slot)
+    lld.flush()  # scrubs the cleaned slot's summary
+    recovered = reopen(lld)
+    assert [recovered.read(bid) for bid in bids] == [b"2" * 4096] * 20
+    assert recovered.recovery_report.arus_discarded == 0
+
+
 # ----------------------------------------------------------------------
 # The pin set follows the per-kind declaration
 # ----------------------------------------------------------------------

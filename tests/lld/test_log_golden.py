@@ -65,7 +65,12 @@ serves the pre-reads of re-written sectors from memory, so the same
 requests finish sooner — ``clocks`` re-captured on the 62 RAID-5 arms it
 moved (``read_cache`` on ``image/plain`` kept both of its own),
 ``contents``, ``layout`` and ``requests`` the parent's on all 192, every
-bare-disk and stripe ``clocks`` the parent's. A change that keeps
+bare-disk and stripe ``clocks`` the parent's. COMMIT homes (parent
+aa41433): a unit's COMMIT is homed in its summary while other summaries
+hold the unit's records, so the recovered state of ``arus`` shows one more
+home — ``layout`` re-captured on its 24 arms, and equal to the parent's
+with ``commit`` homes left out; the other three components the parent's
+on all 192. A change that keeps
 requests where they are re-captures nothing; one that moves them re-captures the components it names up front
 and shows the rest byte-identical to this table.
 
@@ -112,30 +117,30 @@ SINCE_CAPTURE = (
 #: ``GOLDEN[script][config]`` = the ``COMPONENTS`` digests, in that order.
 GOLDEN: dict[str, dict[str, tuple[str, str, str, str]]] = {
     'arus': {
-        'bare/delta/torn/nvram': ('f587122dddfd', 'f8e89e82111a', '402eae494b9d', '1175e9ba93fe'),
-        'bare/delta/torn/disk': ('f587122dddfd', 'c0448b9cb9cd', '8464a6d8765b', 'bfa919923006'),
-        'bare/delta/plain/nvram': ('f587122dddfd', 'f8e89e82111a', 'a6a80f522775', '4d201d252b96'),
-        'bare/delta/plain/disk': ('f587122dddfd', 'c0448b9cb9cd', 'bf47435c21fd', 'cd52130c1b2f'),
-        'bare/image/torn/nvram': ('f587122dddfd', 'f8e89e82111a', '4c9d0c110b57', '5a3be9cc33a4'),
-        'bare/image/torn/disk': ('f587122dddfd', 'c0448b9cb9cd', 'a8d397ee7799', 'a7bb45faec1c'),
-        'bare/image/plain/nvram': ('f587122dddfd', 'f8e89e82111a', '2dcdbc5c812d', '13ed21ccceca'),
-        'bare/image/plain/disk': ('f587122dddfd', 'c0448b9cb9cd', '8ca254a54925', 'd19dba65636c'),
-        'stripe/delta/torn/nvram': ('9d48309989c7', '83d70aed560a', 'fd05dcf9ccf3', '47ed5cf22d08'),
-        'stripe/delta/torn/disk': ('9d48309989c7', '9367f26da1dc', '5e4500b110ee', 'f8cc9fff35e1'),
-        'stripe/delta/plain/nvram': ('9d48309989c7', '83d70aed560a', '23d257ef66e4', '15dbf9f61ad5'),
-        'stripe/delta/plain/disk': ('9d48309989c7', '9367f26da1dc', '38126c614c4c', 'd2fb8c7b1355'),
-        'stripe/image/torn/nvram': ('9d48309989c7', '83d70aed560a', 'ec180f2b01b6', '47ed5cf22d08'),
-        'stripe/image/torn/disk': ('9d48309989c7', '9367f26da1dc', '1b20afef32c4', 'f8cc9fff35e1'),
-        'stripe/image/plain/nvram': ('9d48309989c7', '83d70aed560a', '44e5213db3f3', '15dbf9f61ad5'),
-        'stripe/image/plain/disk': ('9d48309989c7', '9367f26da1dc', 'd6b8ed4c179e', 'ce86b6e6e9ed'),
-        'raid5/delta/torn/nvram': ('636cb8d0e6c8', '2eaf6552602a', 'f80e988dcbea', 'e1ee817351a7'),
-        'raid5/delta/torn/disk': ('636cb8d0e6c8', '537be0051226', '9beb427c435e', 'cf6d6bff9ae6'),
-        'raid5/delta/plain/nvram': ('636cb8d0e6c8', '2eaf6552602a', '1a7160ee3f2f', '305a1059e788'),
-        'raid5/delta/plain/disk': ('636cb8d0e6c8', '537be0051226', '9d5904df8437', 'e290b7c012d4'),
-        'raid5/image/torn/nvram': ('636cb8d0e6c8', '2eaf6552602a', 'baa5fe5f95cd', '90414d908864'),
-        'raid5/image/torn/disk': ('636cb8d0e6c8', '537be0051226', '669ee38b5d5e', '7a45d9275f99'),
-        'raid5/image/plain/nvram': ('636cb8d0e6c8', '2eaf6552602a', '0d9277e8eccd', '46258edac784'),
-        'raid5/image/plain/disk': ('636cb8d0e6c8', '537be0051226', 'a03f850f506c', '1f9cf1051eaa'),
+        'bare/delta/torn/nvram': ('f587122dddfd', '7a7bf8c1de36', '402eae494b9d', '1175e9ba93fe'),
+        'bare/delta/torn/disk': ('f587122dddfd', 'c351bc64a594', '8464a6d8765b', 'bfa919923006'),
+        'bare/delta/plain/nvram': ('f587122dddfd', '7a7bf8c1de36', 'a6a80f522775', '4d201d252b96'),
+        'bare/delta/plain/disk': ('f587122dddfd', 'c351bc64a594', 'bf47435c21fd', 'cd52130c1b2f'),
+        'bare/image/torn/nvram': ('f587122dddfd', '7a7bf8c1de36', '4c9d0c110b57', '5a3be9cc33a4'),
+        'bare/image/torn/disk': ('f587122dddfd', 'c351bc64a594', 'a8d397ee7799', 'a7bb45faec1c'),
+        'bare/image/plain/nvram': ('f587122dddfd', '7a7bf8c1de36', '2dcdbc5c812d', '13ed21ccceca'),
+        'bare/image/plain/disk': ('f587122dddfd', 'c351bc64a594', '8ca254a54925', 'd19dba65636c'),
+        'stripe/delta/torn/nvram': ('9d48309989c7', 'e07414a902f7', 'fd05dcf9ccf3', '47ed5cf22d08'),
+        'stripe/delta/torn/disk': ('9d48309989c7', 'ba180277edd4', '5e4500b110ee', 'f8cc9fff35e1'),
+        'stripe/delta/plain/nvram': ('9d48309989c7', 'e07414a902f7', '23d257ef66e4', '15dbf9f61ad5'),
+        'stripe/delta/plain/disk': ('9d48309989c7', 'ba180277edd4', '38126c614c4c', 'd2fb8c7b1355'),
+        'stripe/image/torn/nvram': ('9d48309989c7', 'e07414a902f7', 'ec180f2b01b6', '47ed5cf22d08'),
+        'stripe/image/torn/disk': ('9d48309989c7', 'ba180277edd4', '1b20afef32c4', 'f8cc9fff35e1'),
+        'stripe/image/plain/nvram': ('9d48309989c7', 'e07414a902f7', '44e5213db3f3', '15dbf9f61ad5'),
+        'stripe/image/plain/disk': ('9d48309989c7', 'ba180277edd4', 'd6b8ed4c179e', 'ce86b6e6e9ed'),
+        'raid5/delta/torn/nvram': ('636cb8d0e6c8', '5a936dad2f34', 'f80e988dcbea', 'e1ee817351a7'),
+        'raid5/delta/torn/disk': ('636cb8d0e6c8', 'f681e838f39d', '9beb427c435e', 'cf6d6bff9ae6'),
+        'raid5/delta/plain/nvram': ('636cb8d0e6c8', '5a936dad2f34', '1a7160ee3f2f', '305a1059e788'),
+        'raid5/delta/plain/disk': ('636cb8d0e6c8', 'f681e838f39d', '9d5904df8437', 'e290b7c012d4'),
+        'raid5/image/torn/nvram': ('636cb8d0e6c8', '5a936dad2f34', 'baa5fe5f95cd', '90414d908864'),
+        'raid5/image/torn/disk': ('636cb8d0e6c8', 'f681e838f39d', '669ee38b5d5e', '7a45d9275f99'),
+        'raid5/image/plain/nvram': ('636cb8d0e6c8', '5a936dad2f34', '0d9277e8eccd', '46258edac784'),
+        'raid5/image/plain/disk': ('636cb8d0e6c8', 'f681e838f39d', 'a03f850f506c', '1f9cf1051eaa'),
     },
     'compaction': {
         'bare/delta/torn/nvram': ('f43c3e5cdaa8', 'af1a6f8f12ee', '0f0206e541f0', '766cf4a38a13'),
