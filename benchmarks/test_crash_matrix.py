@@ -1,7 +1,8 @@
 """Crash-state matrix: exhaustive torn/reordered-write exploration.
 
 Runs the standard matrix workload (lists, overwrites, deletes, ARUs —
-committed, mid-flushed, and aborted — plus a bulk fill) on an LLD with
+committed, mid-flushed, and aborted — a bulk fill, and an ARU across a
+seal whose COMMIT's slot is cleaned, then recycled) on an LLD with
 ``torn_write_protection`` enabled, enumerates every crash image the
 recorded journal admits (epoch prefixes, torn multi-sector writes, and
 bounded intra-epoch reorderings), recovers each one, and checks the four
@@ -48,7 +49,6 @@ CONFIG = dict(
     summary_capacity=4096,
     block_size=4096,
     checkpoint_slots=1,
-    min_free_segments=2,
     torn_write_protection=True,
 )
 
@@ -209,6 +209,10 @@ PARITY_WORKLOAD = dict(n_small=8, n_overwrites=3, generations=2, n_fill=8)
 
 PARITY_N = 4
 PARITY_CHUNK_SECTORS = 128
+#: Member size. The workload ends by going round the whole log, and every
+#: crash state of a parity volume is resynced whole, so three 1 MB data
+#: members (44 slots) keep the arm inside the smoke budget.
+PARITY_MEMBER_MB = 1
 
 #: Rotation means every member holds parity for some rows, so two fail
 #: indices already exercise both data-chunk and parity-chunk loss while
@@ -220,7 +224,7 @@ MIN_PARITY_STATES = 250
 
 def run_parity():
     members = [
-        SimulatedDisk(fast_test_disk(capacity_mb=8), VirtualClock())
+        SimulatedDisk(fast_test_disk(capacity_mb=PARITY_MEMBER_MB), VirtualClock())
         for _ in range(PARITY_N)
     ]
     volume = Volume(
@@ -291,6 +295,7 @@ def test_degraded_parity_matrix(benchmark):
         "config": CONFIG,
         "workload": PARITY_WORKLOAD,
         "members": PARITY_N,
+        "member_mb": PARITY_MEMBER_MB,
         "layout": "raid5",
         "chunk_sectors": PARITY_CHUNK_SECTORS,
         "journal_writes_total": recording.position,

@@ -19,7 +19,7 @@ from repro.fs.minix import make_minix, make_minix_lld
 from repro.lld import LLD, LLDConfig
 from repro.sched import FIFOScheduler, LDServer, QoSElevatorScheduler
 from repro.sim import VirtualClock
-from repro.volume import PARITY_LAYOUTS, Volume
+from repro.volume import Volume
 
 KB = 1024
 MB = 1024 * KB
@@ -88,7 +88,7 @@ def fresh_volume(
         chunk_sectors = (segment_size or spec.segment_size) // 512
     if layout == "stripe":
         data_members = n_disks
-    elif layout in PARITY_LAYOUTS:
+    elif layout == "raid5":
         data_members = n_disks - 1
     else:
         data_members = 1

@@ -31,6 +31,7 @@ boundary.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 
 from repro.disk.disk import SimulatedDisk
@@ -357,10 +358,13 @@ def run_matrix_workload(
 
     Phases: list/block creation with per-op acks (growing summaries and
     multi-sector data tails), overwrites, a delete, generation-stamped
-    ARUs (with a flush during an open ARU, and one aborted ARU), then
-    enough bulk data to seal at least one segment. Every phase ends at an
-    acknowledgement, and the driver acks early whenever the open segment
-    runs low on room, so seals only ever happen inside a flush.
+    ARUs (with a flush during an open ARU, and one aborted ARU), enough
+    bulk data to seal at least one segment, then an ARU whose records span
+    a seal, the cleaner taking the slot that holds its COMMIT, and
+    overwrites until the log has gone round the disk and reopened that
+    slot. Every phase ends at an acknowledgement, and the driver acks
+    early whenever the open segment runs low on room, so seals only ever
+    happen inside a flush.
     """
     ld = driver.ld
     maybe = driver.room_low
@@ -432,6 +436,37 @@ def run_matrix_workload(
         bids.append(bid)
         driver.write(ld, bid, _content("fill", i, fill_size))
         driver.ack(ld, f"fill-{i}")
+
+    # Phase G: an ARU whose records span a seal, the cleaner taking the
+    # slot that holds its COMMIT, then overwrites until the log has gone
+    # round the disk and opens that slot again.
+    log = ld.log
+    plain = [bid for bid in bids if bid not in aru_bids]
+    count = itertools.count()
+
+    def overwrite_until(done, label: str) -> None:
+        while not done():
+            if maybe(fill_size + 512, 256):
+                driver.ack(ld, label)
+            else:
+                i = next(count)
+                driver.write(ld, plain[i % len(plain)], _content("cycle", i, fill_size))
+
+    if maybe(3 * 2048, 512):
+        driver.ack(ld, "room")
+    driver.begin_aru(ld)
+    for j, bid in enumerate(aru_bids):
+        driver.write(ld, bid, _stamped(generations + 1, j))
+    slot = log.open.index
+    overwrite_until(lambda: log.open.index != slot, "span-seal")  # a mid-unit seal
+    commit_slot = log.open.index
+    driver.end_aru(ld)
+    driver.ack(ld, "span-commit")
+    overwrite_until(lambda: log.open.index != commit_slot, "room")
+    ld.cleaner.clean_segment(commit_slot)
+    driver.ack(ld, "cleaned")
+    overwrite_until(lambda: log.open.index == commit_slot, "room")
+    driver.ack(ld, "recycled")
 
     return {"lid": lid, "bids": bids, "aru_bids": tuple(aru_bids)}
 

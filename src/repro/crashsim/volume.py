@@ -21,7 +21,7 @@ module extends the crash-state machinery to mirrored and parity volumes:
   single survivor.
 
 * :class:`ParityRecording` + :func:`explore_degraded_parity` do the same
-  for RAID-4/5. Parity changes the crash model fundamentally: member
+  for RAID-5. Parity changes the crash model fundamentally: member
   journals are *not* isomorphic (each member sees different bytes), and a
   row's consistency is **entangled across members** — a crash that lands
   a row's data write without its parity write (or vice versa) leaves a
@@ -63,7 +63,7 @@ from repro.crashsim.recording import RecordingDisk
 from repro.disk.disk import SimulatedDisk
 from repro.lld.config import LLDConfig
 from repro.sim.clock import VirtualClock
-from repro.volume import PARITY_LAYOUTS, Volume
+from repro.volume import Volume
 
 
 class _MemberRecording:
@@ -210,7 +210,7 @@ class VolumeCrashState:
 
 
 class ParityRecording(_MemberRecording):
-    """Member journals of a RAID-4/5 volume, plus the barrier vectors.
+    """Member journals of a RAID-5 volume, plus the barrier vectors.
 
     Like :class:`MirrorRecording`, and additionally journals the **global
     barrier vector**: the tuple of per-member journal positions after each
@@ -224,7 +224,7 @@ class ParityRecording(_MemberRecording):
     defined and strictly monotone in the barrier order.
     """
 
-    LAYOUTS = PARITY_LAYOUTS
+    LAYOUTS = ("raid5",)
 
     def __init__(self, volume: Volume) -> None:
         super().__init__(volume)

@@ -19,6 +19,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.ld.errors import OutOfSpaceError
+from repro.lld.config import MIN_FREE_SEGMENTS
+from repro.lld.segment import pick_slot
 from repro.obs.trace import NULL_SPAN
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -112,10 +114,11 @@ class Cleaner:
                 )
             finally:
                 self.compacting = False
-        self.ensure_free(config.min_free_segments)
+        self.ensure_free(MIN_FREE_SEGMENTS)
 
     def ensure_free(self, target: int) -> int:
-        """Clean until at least ``target`` segments are free."""
+        """Clean until at least ``target`` segments are free, then see that
+        the log has one it may open (:meth:`keep_a_slot_to_open`)."""
         lld = self.lld
         cleaned = 0
         guard = 4 * lld.layout.segment_count
@@ -141,7 +144,20 @@ class Cleaner:
                 stalled = 0
             else:
                 stalled += 1
+        self.keep_a_slot_to_open()
         return cleaned
+
+    def keep_a_slot_to_open(self) -> None:
+        """The floor under placement: when every reusable slot
+        (``LogWriter.reusable``) still homes metadata, retire the one
+        placement would open next — its homes re-logged at the log head, no
+        data to read — so that the log has a slot to open."""
+        log = self.lld.log
+        reusable = log.reusable()
+        if reusable and all(map(self.lld.state.slot_holds_metadata, reusable)):
+            slot = pick_slot(dict.fromkeys(reusable, 0), log.layout, log.open.index)
+            log.relog_slot(slot)
+            log.retired.add(slot)
 
     def clean_segments(self, count: int) -> int:
         """Clean up to ``count`` victims; returns how many were cleaned."""
@@ -300,6 +316,8 @@ class Cleaner:
             raise ValueError("cannot scrub the open segment")
         if state.usage.get(slot, 0) > 0:
             raise ValueError(f"segment {slot} still holds live data")
+        if slot in lld.aru_excluded_segments():
+            raise ValueError(f"segment {slot} is pinned by an open ARU")
         if state.slot_holds_metadata(slot):
             lld.log.relog_slot(slot)
             lld.flush()

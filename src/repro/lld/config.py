@@ -9,6 +9,9 @@ SECTOR = 512
 #: Cleaning policies understood by :mod:`repro.lld.cleaner`.
 CLEAN_POLICIES = ("greedy", "cost_benefit")
 
+#: The cleaner's target: empty segment slots kept after every seal.
+MIN_FREE_SEGMENTS = 2
+
 
 @dataclass(frozen=True)
 class LLDConfig:
@@ -28,8 +31,6 @@ class LLDConfig:
             seals the segment instead of writing it partially.
         checkpoint_slots: segment-sized slots reserved at the front of the
             disk for the clean-shutdown state image.
-        min_free_segments: cleaner target — keep at least this many empty
-            segments available.
         clean_policy: ``"greedy"`` (fewest live bytes first) or
             ``"cost_benefit"`` (Sprite LFS's age-weighted benefit/cost).
         lists_enabled: when False, list maintenance is skipped entirely
@@ -99,7 +100,6 @@ class LLDConfig:
     block_size: int = 4096
     partial_threshold: float = 0.75
     checkpoint_slots: int = 2
-    min_free_segments: int = 2
     clean_policy: str = "greedy"
     lists_enabled: bool = True
     max_tombstones: int = 4096

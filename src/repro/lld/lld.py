@@ -15,7 +15,7 @@ from repro.ld.interface import Arrived, ArrivedBlocks, LogicalDisk, Reservation
 from repro.ld.reservations import ReservationBook
 from repro.lld.checkpoint import CheckpointRegion
 from repro.lld.cleaner import Cleaner
-from repro.lld.config import LLDConfig
+from repro.lld.config import MIN_FREE_SEGMENTS, LLDConfig
 from repro.lld.log import LogWriter
 from repro.lld.records import (
     FLAG_COMPRESSED,
@@ -146,6 +146,9 @@ class LLD(LogicalDisk):
     reorganizers as its clients.
     """
 
+    #: The cleaner's free-slot target (reported in the ``space`` registry).
+    min_free_segments = MIN_FREE_SEGMENTS
+
     def __init__(
         self,
         disk: SimulatedDisk,
@@ -220,6 +223,7 @@ class LLD(LogicalDisk):
             self.recovery_report = run_recovery(self)
         self.state.init_slots(self.layout.segment_count)
         self.log.open_next()
+        self.cleaner.keep_a_slot_to_open()
         self._initialized = True
 
     def shutdown(self) -> None:
@@ -883,7 +887,7 @@ class LLD(LogicalDisk):
     # ------------------------------------------------------------------
 
     def _usable_capacity(self) -> int:
-        reserve = self.config.min_free_segments * self.config.data_capacity
+        reserve = MIN_FREE_SEGMENTS * self.config.data_capacity
         return self.layout.capacity_bytes - reserve
 
     def _free_bytes(self) -> int:

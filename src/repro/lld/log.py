@@ -127,38 +127,40 @@ class LogWriter:
         if self.nvram is not None and self.nvram.holds_data:
             self._disk_write(self.layout.slot_lba(self.nvram.slot), self.nvram.image)
 
-    def open_next(self) -> None:
-        """free -> open: start a fresh in-memory segment over the next slot.
+    def reusable(self) -> set[int]:
+        """Free slots that are not the open or a held segment's and that no
+        open ARU pins (a pinned slot's summary holds what a recovery needs
+        if the unit never commits)."""
+        busy = self.arus.pinned_segments()
+        busy.update(seg.index for seg in self.held)
+        if self.open is not None:
+            busy.add(self.open.index)
+        return self.state.free_slots - busy
 
-        Any metadata whose latest on-disk tuple lives in the slot's stale
-        summary is re-logged first: the write that eventually replaces the
-        stale summary then carries the re-logged tuples, atomically.
-        """
+    def open_next(self) -> None:
+        """free -> open: start a fresh in-memory segment over the next
+        :meth:`reusable` slot whose summary homes no live metadata (only
+        the cleaner moves a slot's homes out: ``keep_a_slot_to_open``)."""
         current = self.open.index if self.open is not None else -1
         state = self.state
-        held = {seg.index for seg in self.held}
-        # LLDState keeps the free-slot set as usage crosses zero, so only
-        # actual candidates are ranked (ranks: see pick_slot).
+        # Ranks (see pick_slot): no summary on disk, or a pure-stale one.
         ranks = {
-            free: 0 if free not in state.summary_min_ts
-            else 2 if state.slot_holds_metadata(free)
-            else 1
-            for free in state.free_slots
-            if free != current and free not in held
+            free: int(free in state.summary_min_ts)
+            for free in self.reusable()
+            if not state.slot_holds_metadata(free)
         }
         if not ranks:
             self.write_held()  # pick_slot will raise: leave nothing unwritten
         slot = pick_slot(ranks, self.layout, current)
         rows = self.layout.slot_rows
-        if held and (slot != current + 1 or rows[slot][0] != rows[current][0]):
+        if self.held and (slot != current + 1 or rows[slot][0] != rows[current][0]):
             self.write_held()  # placement left the row, or skipped a slot of it
         if rows is not None and not self.held:
             # Every record logged so far is on the medium or ordered ahead
             # of whatever is written next, so a slot that is dead now is
             # dead after any crash; one that dies from here on is dead only
             # once the segment that killed it — possibly held — is written.
-            self._dead = {free for free, rank in ranks.items() if rank <= 1}
-            self._dead -= self.retired
+            self._dead = set(ranks) - self.retired
         self.retired.discard(slot)
         size = self.config.segment_size
         position = rows[slot][1] if rows is not None else 0
@@ -169,7 +171,9 @@ class LogWriter:
         self.open = OpenSegment(slot, self.config, buffer)
         self.open.holdable = slot in self._dead
         self._dead.discard(slot)
-        self.relog_slot(slot)
+        # What the old summary says is superseded everywhere: the unit
+        # records in it need no COMMIT any more.
+        state.forget_units(slot)
 
     def resident(self, slot: int) -> OpenSegment | None:
         """The in-memory segment over ``slot`` — the open one or a held
@@ -386,8 +390,8 @@ class LogWriter:
         it (nothing of it is on its slot or in NVRAM, so nothing
         acknowledged is un-committed), and the summary it blanks was
         durably dead when the hold began (``holdable``, from ``open_next``:
-        not a slot whose live records it re-logged into itself, not one
-        whose records live on only in a segment that is itself still held).
+        not a slot the cleaner retired since, not one whose records live on
+        only in a segment that is itself still held).
         """
         seg = self.open
         if seg.is_empty:

@@ -193,10 +193,9 @@ class DiskLayout:
 def pick_slot(ranks: dict[int, int], layout, current: int) -> int:
     """Placement: the free slot the log should open after ``current``.
 
-    Pure. ``ranks`` maps each free slot to what recycling it costs (lowest
-    wins: 0 = no on-disk summary, 1 = a pure-stale summary whose overwrite
-    is free, 2 = a summary still homing live metadata, which must all be
-    re-logged); ``current`` is the slot being left (-1 at start-up).
+    Pure. ``ranks`` maps each slot the log may open to what recycling it
+    costs (lowest wins: 0 = no on-disk summary, 1 = a pure-stale one);
+    ``current`` is the slot being left (-1 at start-up).
 
     Among the cheapest slots a single disk takes the next one after
     ``current`` (sequential layout). A ``layout`` with stripe rows fills

@@ -314,8 +314,8 @@ class LLDState:
     def slot_holds_metadata(self, segment: int) -> bool:
         """True if the slot's on-disk summary holds any *live* metadata.
 
-        Such a slot must not be recycled without re-logging; slots whose
-        summaries are pure-stale can be overwritten freely.
+        The log never opens such a slot: the cleaner re-logs what it homes
+        first. Slots whose summaries are pure-stale can be overwritten freely.
         """
         if self.segment_keys.get(segment):
             return True

@@ -169,7 +169,7 @@ def registry_of(top, recovery=None) -> MetricsRegistry:
             lambda: {
                 "free_segments": ld.free_segment_count(),
                 "segment_count": ld.layout.segment_count,
-                "min_free_segments": ld.config.min_free_segments,
+                "min_free_segments": ld.min_free_segments,
                 "live_bytes": ld.state.live_bytes(),
             },
         )

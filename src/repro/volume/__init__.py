@@ -1,7 +1,7 @@
 """Multi-disk volumes behind the single-disk request surface.
 
 See :mod:`repro.volume.volume` for the overlap model,
-:mod:`repro.volume.mapping` for the RAID-0/1/4/5 address maps and
+:mod:`repro.volume.mapping` for the RAID-0/1/5 address maps and
 :mod:`repro.volume.stripe_cache` for what a parity volume remembers of
 its own writes.
 """
@@ -11,7 +11,6 @@ from repro.volume.stripe_cache import StripeCache
 from repro.volume.volume import (
     DEFAULT_CHUNK_SECTORS,
     LAYOUTS,
-    PARITY_LAYOUTS,
     Volume,
     VolumeDegradedError,
     VolumeError,
@@ -22,7 +21,6 @@ from repro.volume.volume import (
 __all__ = [
     "DEFAULT_CHUNK_SECTORS",
     "LAYOUTS",
-    "PARITY_LAYOUTS",
     "ParityStripeMap",
     "RowFragment",
     "StripeCache",

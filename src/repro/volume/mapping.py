@@ -16,10 +16,9 @@ Because each merged member request covers logically *interleaved* chunks,
 every :class:`SubRequest` carries a scatter list mapping its buffer back
 to offsets of the volume-level request.
 
-:class:`ParityStripeMap` extends the math to RAID-4 and RAID-5: each
-*stripe row* (one chunk position across every member) dedicates one chunk
-to parity — fixed on the last member for RAID-4, rotating left-symmetric
-for RAID-5 — and the data→member placement skips the parity chunk, so a
+:class:`ParityStripeMap` extends the math to RAID-5: each *stripe
+row* (one chunk position across every member) dedicates one chunk to
+parity, rotating left-symmetric, and the data→member placement skips the parity chunk, so a
 volume of N members exposes N-1 chunks of capacity per row. The map stays
 exact and invertible over the data chunks; parity chunks have no logical
 address (``to_logical`` raises on them).
@@ -206,17 +205,14 @@ class RowFragment:
 
 
 class ParityStripeMap(StripeMap):
-    """RAID-4/5 address map: N members, N-1 data chunks per stripe row.
+    """RAID-5 address map: N members, N-1 data chunks per stripe row.
 
     Chunk ``c`` of the volume lives in row ``c // (N-1)`` at data position
     ``c % (N-1)``; the row's parity chunk occupies one member and the data
     positions fill the remaining members *after* it, in ring order:
-    ``disk = (parity + 1 + position) % N``. With a fixed parity member
-    (``rotate=False``, RAID-4) this degenerates to data on members
-    ``0..N-2`` and parity on ``N-1``; with rotation (``rotate=True``,
-    RAID-5 left-symmetric) the parity member walks backwards one member
-    per row, so parity traffic — the bottleneck of RAID-4's dedicated
-    spindle — spreads across all members.
+    ``disk = (parity + 1 + position) % N``. The parity member walks
+    backwards one member per row (left-symmetric), so parity traffic
+    spreads across all members instead of queueing on one.
 
     Member LBAs are unchanged from RAID-0 (``row * chunk + within``), so
     every chunk of one row sits at the same physical position on its
@@ -228,15 +224,12 @@ class ParityStripeMap(StripeMap):
         n_disks: int,
         chunk_sectors: int,
         member_sectors: int,
-        *,
-        rotate: bool = True,
     ) -> None:
         if n_disks < 3:
             raise ValueError(
                 f"parity layouts need at least 3 members, got {n_disks}"
             )
         super().__init__(n_disks, chunk_sectors, member_sectors)
-        self.rotate = rotate
         self.data_per_row = n_disks - 1
         #: Stripe rows (== chunk positions per member).
         self.rows = self.chunks_per_disk
@@ -247,7 +240,7 @@ class ParityStripeMap(StripeMap):
     def parity_disk(self, row: int) -> int:
         """Member holding ``row``'s parity chunk."""
         n = self.n_disks
-        return (n - 1) - (row % n) if self.rotate else n - 1
+        return (n - 1) - (row % n)
 
     def data_disk(self, row: int, position: int) -> int:
         """Member holding data position ``position`` (0..N-2) of ``row``."""

@@ -5,7 +5,7 @@ cleanly; this module swaps the single-spindle disk manager for an N-spindle
 one without the layers above noticing. A :class:`Volume` duck-types the
 ``read`` / ``write`` / ``barrier`` / ``install`` / ``peek`` / ``corrupt``
 surface of :class:`repro.disk.SimulatedDisk` over N backing member disks in
-one of four layouts:
+one of three layouts:
 
 * **stripe** (RAID-0): fixed-size chunks round-robin across members (see
   :mod:`repro.volume.mapping`); capacity is the sum of the members'.
@@ -13,11 +13,10 @@ one of four layouts:
   balanced to the least-busy replica; capacity is one member's. Members
   may be dropped (:meth:`fail_member`) and the volume keeps serving from
   the survivors.
-* **raid4** / **raid5**: one chunk per stripe row holds the XOR parity of
-  the row's N-1 data chunks — on a fixed member for RAID-4, rotating
-  left-symmetric for RAID-5. Writes maintain parity by full-stripe XOR
-  when a row is completely overwritten and read-modify-write otherwise;
-  any single member may fail (:meth:`fail_member` degrades instead of
+* **raid5**: one chunk per stripe row holds the XOR parity of the row's
+  N-1 data chunks, on a member rotating left-symmetric. Writes maintain
+  parity by full-stripe XOR when a row is completely overwritten and
+  read-modify-write otherwise; any single member may fail (:meth:`fail_member` degrades instead of
   raising) and reads reconstruct the lost chunks by XOR over the
   survivors. :meth:`replace_member` installs a blank spindle and an
   online, rate-limited rebuild scanner (:attr:`rebuild_rate` rows per
@@ -91,10 +90,7 @@ from repro.volume.mapping import (
 )
 from repro.volume.stripe_cache import StripeCache
 
-LAYOUTS = ("stripe", "mirror", "raid4", "raid5")
-
-#: Layouts that dedicate one chunk per stripe row to XOR parity.
-PARITY_LAYOUTS = ("raid4", "raid5")
+LAYOUTS = ("stripe", "mirror", "raid5")
 
 #: Default stripe chunk: 128 sectors (64 KB).
 DEFAULT_CHUNK_SECTORS = 128
@@ -406,7 +402,7 @@ class Volume:
             chunk_sectors if chunk_sectors is not None else DEFAULT_CHUNK_SECTORS
         )
         self.map: StripeMap
-        #: The parity map when this is a RAID-4/5 volume, else None.
+        #: The parity map when this is a RAID-5 volume, else None.
         self.parity_map: ParityStripeMap | None = None
         self._copies = tuple((i,) for i in range(n))
         self._write_plan, self._lost_runs = self._write_copies, self._refuse
@@ -417,9 +413,7 @@ class Volume:
         elif layout == "stripe":
             self.map = StripeMap(n, self.chunk_sectors, member_sectors)
         else:
-            self.map = self.parity_map = ParityStripeMap(
-                n, self.chunk_sectors, member_sectors, rotate=layout == "raid5"
-            )
+            self.map = self.parity_map = ParityStripeMap(n, self.chunk_sectors, member_sectors)
             self._write_plan, self._lost_runs = self._write_rows, self._row_runs
         pmap = self.parity_map
         #: What a parity volume remembers of its own member writes, for

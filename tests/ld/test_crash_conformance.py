@@ -37,7 +37,6 @@ def lld_factory(disk):
             summary_capacity=4096,
             block_size=4096,
             checkpoint_slots=1,
-            min_free_segments=2,
             torn_write_protection=True,
         ),
     )

@@ -14,7 +14,6 @@ def small_config(**overrides) -> LLDConfig:
         summary_capacity=4096,
         block_size=4096,
         checkpoint_slots=1,
-        min_free_segments=2,
     )
     defaults.update(overrides)
     return LLDConfig(**defaults)

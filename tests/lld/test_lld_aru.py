@@ -276,6 +276,59 @@ def test_a_commit_outlives_the_slot_it_was_logged_in(mount):
     assert recovered.recovery_report.arus_discarded == 0
 
 
+def _chain_homed_in_a_free_slot():
+    """A list of five blocks whose FIRST and LINKs are homed in a slot their
+    data has left, acknowledged; the log has since wrapped round the disk
+    and is filling the slot before it. Then an ARU deletes the chain: the
+    slot homes nothing any more, and the unit pins it — its summary holds
+    the pre-ARU list a crash before the COMMIT recovers."""
+    lld = make_lld(capacity_mb=1)
+    lid = lld.new_list()
+    scratch = lld.new_block(lld.new_list(), LIST_HEAD)
+    _seal(lld, scratch)
+    _seal(lld, scratch)
+    slot = lld.open_segment_index
+    bids, pred = [], LIST_HEAD
+    for i in range(5):
+        pred = lld.new_block(lid, pred)
+        lld.write(pred, bytes([i + 1]) * 4096)
+        bids.append(pred)
+    _seal(lld, scratch)
+    for bid in bids:  # the data moves on, FIRST and the links stay
+        lld.write(bid, b"m" * 4096)
+    while lld.open_segment_index != slot - 1:
+        lld.write(scratch, b"\x5a" * 4096)
+    lld.flush()
+    state = lld.state
+    assert slot in state.free_slots and state.homes[("first", lid)] == slot
+    assert lld.list_blocks(lid) == bids == [2, 3, 4, 5, 6]
+    lld.begin_aru()
+    for bid in bids:
+        lld.delete_block(bid, lid)
+    assert not state.slot_holds_metadata(slot) and slot in lld.aru_excluded_segments()
+    return lld, lid, slot, scratch
+
+
+def test_the_log_does_not_open_a_slot_an_open_aru_pins():
+    """Placement would take the pinned slot next; overwriting its summary
+    leaves a crash before the COMMIT with an empty list."""
+    lld, lid, slot, scratch = _chain_homed_in_a_free_slot()
+    _seal(lld, scratch)
+    opened = lld.open_segment_index
+    lld.flush()
+    recovered = reopen(lld)  # crash before end_aru
+    assert recovered.list_blocks(lid) == [2, 3, 4, 5, 6]
+    assert opened != slot
+
+
+def test_scrubbing_a_slot_an_open_aru_pins_is_refused():
+    lld, lid, slot, _scratch = _chain_homed_in_a_free_slot()
+    with pytest.raises(ValueError, match="pinned"):
+        lld.cleaner.scrub_slot(slot)
+    recovered = reopen(lld)  # crash before end_aru
+    assert recovered.list_blocks(lid) == [2, 3, 4, 5, 6]
+
+
 # ----------------------------------------------------------------------
 # The pin set follows the per-kind declaration
 # ----------------------------------------------------------------------

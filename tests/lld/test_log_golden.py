@@ -70,7 +70,14 @@ aa41433): a unit's COMMIT is homed in its summary while other summaries
 hold the unit's records, so the recovered state of ``arus`` shows one more
 home — ``layout`` re-captured on its 24 arms, and equal to the parent's
 with ``commit`` homes left out; the other three components the parent's
-on all 192. A change that keeps
+on all 192. One rule for reusing a slot (parent e356c4c): the log opens
+no free slot whose summary homes live metadata, and the cleaner re-logs
+and retires one when nothing else is left to open. Only the 8 bare-disk
+arms of ``arus`` ever reached that state (the parent opened slot 10 and
+re-logged its homes into it; now the cleaner retires it first) —
+``layout``, ``requests`` and ``clocks`` re-captured there, ``contents``
+the parent's on all 192 and every component the parent's on the other
+184. A change that keeps
 requests where they are re-captures nothing; one that moves them re-captures the components it names up front
 and shows the rest byte-identical to this table.
 
@@ -117,14 +124,14 @@ SINCE_CAPTURE = (
 #: ``GOLDEN[script][config]`` = the ``COMPONENTS`` digests, in that order.
 GOLDEN: dict[str, dict[str, tuple[str, str, str, str]]] = {
     'arus': {
-        'bare/delta/torn/nvram': ('f587122dddfd', '7a7bf8c1de36', '402eae494b9d', '1175e9ba93fe'),
-        'bare/delta/torn/disk': ('f587122dddfd', 'c351bc64a594', '8464a6d8765b', 'bfa919923006'),
-        'bare/delta/plain/nvram': ('f587122dddfd', '7a7bf8c1de36', 'a6a80f522775', '4d201d252b96'),
-        'bare/delta/plain/disk': ('f587122dddfd', 'c351bc64a594', 'bf47435c21fd', 'cd52130c1b2f'),
-        'bare/image/torn/nvram': ('f587122dddfd', '7a7bf8c1de36', '4c9d0c110b57', '5a3be9cc33a4'),
-        'bare/image/torn/disk': ('f587122dddfd', 'c351bc64a594', 'a8d397ee7799', 'a7bb45faec1c'),
-        'bare/image/plain/nvram': ('f587122dddfd', '7a7bf8c1de36', '2dcdbc5c812d', '13ed21ccceca'),
-        'bare/image/plain/disk': ('f587122dddfd', 'c351bc64a594', '8ca254a54925', 'd19dba65636c'),
+        'bare/delta/torn/nvram': ('f587122dddfd', 'b5b1ad755a80', '268d86e9114c', 'f8312a635281'),
+        'bare/delta/torn/disk': ('f587122dddfd', 'aab68dbf110d', '413d4c74a6f1', 'ad6458f7dd69'),
+        'bare/delta/plain/nvram': ('f587122dddfd', 'b5b1ad755a80', '88de95a1aa93', '037142192138'),
+        'bare/delta/plain/disk': ('f587122dddfd', 'aab68dbf110d', 'e07901256d74', '18ca70ddfae6'),
+        'bare/image/torn/nvram': ('f587122dddfd', 'b5b1ad755a80', '9fbbb6c3b973', 'ed0271a415ec'),
+        'bare/image/torn/disk': ('f587122dddfd', 'aab68dbf110d', '5de15951d98b', 'bd21134b7d65'),
+        'bare/image/plain/nvram': ('f587122dddfd', 'b5b1ad755a80', 'cf547edf90bc', 'aea7fb92e5a7'),
+        'bare/image/plain/disk': ('f587122dddfd', 'aab68dbf110d', '46bf2dea367b', 'c86570270440'),
         'stripe/delta/torn/nvram': ('9d48309989c7', 'e07414a902f7', 'fd05dcf9ccf3', '47ed5cf22d08'),
         'stripe/delta/torn/disk': ('9d48309989c7', 'ba180277edd4', '5e4500b110ee', 'f8cc9fff35e1'),
         'stripe/delta/plain/nvram': ('9d48309989c7', 'e07414a902f7', '23d257ef66e4', '15dbf9f61ad5'),
@@ -388,7 +395,6 @@ class Rig:
             summary_capacity=4096,
             block_size=4096,
             checkpoint_slots=1,
-            min_free_segments=2,
             delta_partial_flush=delta,
             torn_write_protection=torn,
             **config,

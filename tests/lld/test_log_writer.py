@@ -17,6 +17,7 @@ from repro.lld.state import LLDState
 from repro.sim import VirtualClock
 
 from tests.lld.conftest import small_config
+from tests.lld.test_log_golden import DEVICES, SCRIPTS, collect
 
 
 def layout(spindles=None, rows=None):
@@ -36,9 +37,9 @@ PLACEMENT_CASES = [
     ({3: 0, 5: 0, 1: 0}, None, None, -1, 1),  # start-up: lowest slot
     ({3: 0, 5: 0, 1: 0}, None, None, 3, 5),  # next after the current one
     ({3: 0, 1: 0}, None, None, 5, 1),  # nothing after it: wrap
-    ({1: 2, 2: 1, 6: 1, 7: 0}, None, None, 0, 7),  # cheapest rank beats position
-    ({1: 2, 2: 1, 6: 1}, None, None, 3, 6),  # pure-stale before live metadata
-    ({4: 2}, None, None, 0, 4),  # live metadata only as the last resort
+    ({1: 1, 2: 1, 6: 1, 7: 0}, None, None, 0, 7),  # cheapest rank beats position
+    ({1: 1, 2: 1, 6: 1}, None, None, 3, 6),  # among pure-stale slots: sequential
+    ({4: 1}, None, None, 0, 4),  # a pure-stale slot when it is all there is
     ({1: 0, 2: 0, 4: 0}, STRIPED, None, -1, 1),  # no current spindle yet
     ({4: 0, 2: 0, 5: 0}, STRIPED, None, 0, 5),  # next spindle on the ring
     ({4: 0, 2: 0}, STRIPED, None, 0, 2),  # spindle 1 full: two steps on
@@ -56,6 +57,28 @@ def test_pick_slot(ranks, spindles, rows, current, expected):
 def test_pick_slot_with_nothing_free():
     with pytest.raises(OutOfSpaceError):
         pick_slot({}, layout(), 0)
+
+
+@pytest.mark.parametrize("device", DEVICES)
+def test_every_slot_the_log_scripts_open_is_one_no_recovery_needs(monkeypatch, device):
+    """Each ``open_next`` of every script of ``test_log_golden`` — start-up
+    and recovery included — opens a slot whose summary homes nothing live
+    and that no open ARU pins."""
+    open_next = LogWriter.open_next
+    opened = []
+
+    def checked(self):
+        pinned = self.arus.pinned_segments()
+        open_next(self)
+        slot = self.open.index
+        assert not self.state.slot_holds_metadata(slot) and slot not in pinned
+        opened.append(slot)
+
+    monkeypatch.setattr(LogWriter, "open_next", checked)
+    for script in SCRIPTS:
+        for on in (False, True):  # delta, torn protection and NVRAM
+            collect(script, device, delta=on, torn=on, nvram=on)
+    assert len(opened) > 100
 
 
 # ----------------------------------------------------------------------

@@ -14,15 +14,18 @@ Pinned here:
   commits in reverse order) are each caught;
 * what a segment needs before it may be held — no ``Flush`` has touched
   it, and the summary its body blanks was durably dead when the hold
-  began: not a slot that re-logs into itself, not one the cleaner emptied
-  since, not one a held segment killed — each with the crash state that
-  loses acknowledged data once the condition is ignored;
+  began: not one the cleaner emptied since, not one a held segment killed
+  — each with the crash state that loses acknowledged data once the
+  condition is ignored;
+* which slots the log opens at all: none whose summary still homes live
+  metadata, even when every free slot does;
 * what does not change: what a client reads back (RAID-5 against a bare
   disk under hypothesis scripts), reads of held blocks, the cleaner, the
   byte funnel, the bound on what is held;
 * placement: where rows exist, and the row rule of ``pick_slot``.
 """
 
+import dataclasses
 import random
 from types import SimpleNamespace
 
@@ -59,10 +62,12 @@ PER_SEGMENT = 15  # 4 KB blocks a 60 KB data area takes
 ROW_LABELS = ("row-body", "row-commit")
 
 
-def make_volume(layout: str = "raid5", chunk: int = SEGMENT // SECTOR, members: int = 4) -> Volume:
-    disks = [
-        SimulatedDisk(fast_test_disk(capacity_mb=1), VirtualClock()) for _ in range(members)
-    ]
+def make_volume(
+    layout: str = "raid5", chunk: int = SEGMENT // SECTOR, members: int = 4, cylinders: int = 4
+) -> Volume:
+    """Members of ``cylinders`` x 240 KB (four: the smallest test disk)."""
+    geometry = dataclasses.replace(fast_test_disk(capacity_mb=1), cylinders=cylinders)
+    disks = [SimulatedDisk(geometry, VirtualClock()) for _ in range(members)]
     return Volume(disks, VirtualClock(), layout=layout, chunk_sectors=chunk)
 
 
@@ -84,8 +89,8 @@ class Walk:
     (a later segment parsed without an earlier one) to none of them.
     """
 
-    def __init__(self, **config) -> None:
-        self.volume = make_volume()
+    def __init__(self, volume: Volume | None = None, **config) -> None:
+        self.volume = volume if volume is not None else make_volume()
         self.recording = ParityRecording(self.volume)
         #: Label of the barrier that closed epoch k: what ran between
         #: boundary k and boundary k + 1 of the enumerator.
@@ -328,77 +333,13 @@ def test_holding_a_partially_flushed_segment_loses_what_the_flush_acknowledged()
     assert ("cut", after_body) in {(kind, detail) for kind, detail, *_rest in violations}
 
 
-#: Whole writes only. Where a slot's previous summary is the one durable
-#: home of what the new one carries, a *torn* image is a loss the parent
-#: has too, with ``torn_write_protection`` (the tail goes first, over the
-#: old records) as without: ROADMAP. What holding would add is a loss at a
-#: cut.
-WHOLE = ("cut", "subset")
-
-
-def rank_two(monkeypatch, mutate: bool):
-    """A slot whose blocks all moved away but whose summary still homes
-    their LINK records, reopened right behind a held segment."""
-    forced = scripted_placement(monkeypatch)
-    # Whole images only: an unprotected delta has its tail and its summary
-    # in one epoch, a known loss of its own (test_seal_delta.py).
-    w = Walk(delta_partial_flush=False)
-    forced.append(6)
-    # Not in ARUs: a COMMIT is not re-logged when its slot is recycled, so
-    # a unit with records on either side of the 2 | 6 boundary would be
-    # discarded once slot 6 is reused — at the parent too (ROADMAP).
-    w.grow(2, atomic=False)  # in slot 2, where the log starts
-    w.ack()
-    w.grow(PER_SEGMENT - 2 + PER_SEGMENT, atomic=False)  # seals slot 2; fills slot 6: links and data
-    w.grow(4, atomic=False)
-    w.ack()
-    homed = w.bids[PER_SEGMENT : 2 * PER_SEGMENT]
-    assert {w.lld.state.blocks[bid].segment for bid in homed} == {6}
-    for bid in homed:  # the data moves on, the links stay
-        w.step(("over", w.bids.index(bid), BLOCK))
-    w.ack()
-    state = w.lld.state
-    assert 6 in state.free_slots and state.slot_holds_metadata(6)
-    if mutate:
-        hold_regardless(monkeypatch, {6})
-    forced.extend([5, 6])
-    start = w.recording.position
-    filler = w.bids[:PER_SEGMENT]
-    for _ in range(3):
-        for bid in filler:
-            w.step(("over", w.bids.index(bid), BLOCK))
-    assert not forced and w.lld.log.open.index not in (5, 6)
-    # Up to here: the partial flush that follows is unprotected, and tears.
-    window = w.since(start, w.recording.position)
-    w.ack()
-    return w, window, 6
-
-
-def test_a_slot_that_re_logs_into_itself_is_not_held(monkeypatch):
-    w, window, slot = rank_two(monkeypatch, mutate=False)
-    held = {seal.slot: seal.held for seal in w.seals()}
-    assert held[5] and not held[slot]
-    checked, violations = w.walk(window, WHOLE)
-    assert checked >= 20 and violations == []
-
-
-def test_holding_a_slot_that_re_logs_into_itself_loses_its_links(monkeypatch):
-    w, window, slot = rank_two(monkeypatch, mutate=True)
-    held = {seal.slot: seal.held for seal in w.seals()}
-    assert held[5] and held[slot]
-    _checked, violations = w.walk(window, WHOLE)
-    # The old summary was the only durable home of fifteen links; the body
-    # blanked it and the segment that re-logged them was not committed.
-    assert any(kind == "cut" and problem == "no prefix of the log" for kind, *_s, problem in violations)
-
-
 def cleaned_behind_a_held_segment(monkeypatch, mutate: bool) -> tuple[Walk, int]:
     """The cleaner empties slot 9 into the open segment on slot 8; that one
     seals and is held; the log then opens slot 9."""
     forced = scripted_placement(monkeypatch)
     w = Walk(torn_write_protection=True)
     forced.extend([9, 11])
-    # Not in ARUs, as in ``rank_two``: slot 9 is about to be recycled.
+    # Not in ARUs: slot 9 is about to be recycled.
     w.grow(PER_SEGMENT - 1, atomic=False)  # slot 2, nearly
     w.grow(1 + PER_SEGMENT, atomic=False)  # seals it; fills slot 9
     w.grow(3, atomic=False)
@@ -492,6 +433,43 @@ def test_holding_a_slot_its_held_predecessor_killed_loses_its_blocks(monkeypatch
     _checked, violations = w.walk(w.since(start))
     after_body = f"epoch@{w.labels.index('row-body') + 1}"
     assert ("cut", after_body) in {(kind, detail) for kind, detail, *_rest in violations}
+
+
+# ----------------------------------------------------------------------
+# Which slots the log opens
+# ----------------------------------------------------------------------
+
+
+def test_a_slot_whose_summary_homes_links_is_retired_before_it_is_reused():
+    """Every slot of a 20-slot volume once used, each full one homing the
+    links of its fifteen blocks; then the oldest blocks are overwritten, so
+    their slots go free still homing those links, until no other slot is
+    free. Placement alone picks what comes next. Recycling such a slot as
+    it is, re-logging its links into itself, is not atomic: with
+    ``torn_write_protection`` the new summary's tail goes first, over the
+    old records, and a crash before the header flip leaves neither summary
+    (ten violations in this walk when the log did so, a plain cut among
+    them). The cleaner instead re-logs the links at the log head and
+    retires the slot: nothing goes over its summary before the segment
+    that carries them."""
+    w = Walk(make_volume(cylinders=2), torn_write_protection=True)
+    assert w.lld.layout.segment_count == 20
+    w.grow(230, atomic=False)
+    w.ack()
+    start = None
+    for i in range(80):
+        if i == 60:
+            start = w.recording.position
+        w.step(("over", i, BLOCK))
+        if i % 15 == 14:
+            w.ack()
+    w.ack()
+    stats = w.lld.stats
+    # Nothing was cleaned: every record re-logged came out of free slots.
+    assert stats.cleanings == 0 and stats.records_relogged >= 15
+    checked, violations = w.walk(w.since(start))
+    assert checked >= 80
+    assert violations == []
 
 
 # ----------------------------------------------------------------------
@@ -788,7 +766,7 @@ def test_rows_exist_only_where_slots_tile_the_full_stripe():
     for volume in (
         make_volume(chunk=chunk // 2),
         make_volume(chunk=8),
-        make_volume("raid4", chunk=3 * chunk // 2),
+        make_volume("raid5", chunk=3 * chunk // 2),
         make_volume("stripe"),
         make_volume("mirror"),
     ):
@@ -814,7 +792,7 @@ ROW_CASES = [
     ({4: 0, 7: 0}, 2, 4),  # the current row's next free slot, not necessarily adjacent
     ({2: 0, 5: 0}, 3, 5),  # nothing ahead in the row: behind current does not count
     ({4: 1, 5: 0, 6: 0}, 3, 5),  # rank still comes first ...
-    ({4: 1, 5: 2, 6: 2}, 3, 4),
+    ({4: 1, 5: 1, 6: 1}, 3, 4),  # among equals, the row still continues
     ({3: 1, 4: 0, 8: 1, 9: 1, 10: 1}, 2, 4),  # ... also when counting a row's room
     ({3: 1, 8: 1, 9: 1, 10: 1}, 4, 8),
 ]

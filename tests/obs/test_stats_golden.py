@@ -90,7 +90,6 @@ CONFIG = LLDConfig(
     summary_capacity=4096,
     block_size=4096,
     checkpoint_slots=1,
-    min_free_segments=2,
 )
 
 

@@ -26,7 +26,6 @@ CONFIG = dict(
     summary_capacity=4096,
     block_size=4096,
     checkpoint_slots=1,
-    min_free_segments=2,
     torn_write_protection=True,
 )
 

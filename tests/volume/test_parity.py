@@ -1,4 +1,4 @@
-"""RAID-4/5 degraded-state battery: write paths, failure, rebuild, resync.
+"""RAID-5 degraded-state battery: write paths, failure, rebuild, resync.
 
 The property tests pin the address map and the XOR invariant; this file
 pins the *stateful* machinery around them: write-path classification

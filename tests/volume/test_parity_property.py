@@ -1,4 +1,4 @@
-"""Property tests for the RAID-4/5 parity address map and XOR reconstruction.
+"""Property tests for the RAID-5 parity address map and XOR reconstruction.
 
 The parity map is the correctness keystone of degraded operation: every
 volume LBA must land on exactly one *data* chunk, invertibly; every
@@ -26,15 +26,14 @@ def parity_maps(draw):
     n_disks = draw(st.integers(min_value=3, max_value=8))
     chunk = draw(st.sampled_from([1, 2, 3, 7, 8, 16, 60, 128]))
     member = draw(st.integers(min_value=chunk, max_value=MEMBER_SECTORS))
-    rotate = draw(st.booleans())
-    return ParityStripeMap(n_disks, chunk, member, rotate=rotate)
+    return ParityStripeMap(n_disks, chunk, member)
 
 
 #: ``(n_disks, chunk_sectors, layout)`` of a small parity volume.
 parity_shapes = st.tuples(
     st.integers(min_value=3, max_value=5),
     st.sampled_from([1, 4, 32]),
-    st.sampled_from(["raid4", "raid5"]),
+    st.just("raid5"),
 )
 
 
@@ -105,13 +104,11 @@ def test_each_row_has_exactly_one_parity_chunk(m, data):
 @given(st.integers(min_value=3, max_value=8))
 def test_raid5_rotation_balances_parity(n_disks):
     """Left-symmetric rotation: over N consecutive rows, every member
-    holds parity exactly once (RAID-4 pins it to the last member)."""
-    rotated = ParityStripeMap(n_disks, 8, 64 * n_disks, rotate=True)
+    holds parity exactly once."""
+    rotated = ParityStripeMap(n_disks, 8, 64 * n_disks)
     assert sorted(rotated.parity_disk(r) for r in range(n_disks)) == list(
         range(n_disks)
     )
-    fixed = ParityStripeMap(n_disks, 8, 64 * n_disks, rotate=False)
-    assert {fixed.parity_disk(r) for r in range(n_disks)} == {n_disks - 1}
 
 
 @given(parity_maps(), st.data())

@@ -30,11 +30,13 @@ with this file copied in::
 
 which prints the ``GOLDEN`` table. A ``plan`` digest that moves means some
 member saw a different request or stored different bytes; a ``clocks``
-digest, that it saw one at a different time. The ``plan`` column is still
-that capture on all 12 rows; the ``clocks`` of the eight raid4 / raid5 rows
-were re-captured by the PR whose parent is 0b4ce39, when a row's
+digest, that it saw one at a different time. The table had 12 rows until
+the RAID-4 layout was deleted, which dropped its four and left the other
+eight as they were. The ``plan`` column is still that capture on every
+row; the ``clocks`` of the raid5 rows (and of the raid4 ones) were
+re-captured by the PR whose parent is 0b4ce39, when a row's
 read-modify-write began to wait for its pre-reads (stripe and mirror
-clocks are the parent's). The ``plan`` of the six raid4 / raid5 rows with a
+clocks are the parent's). The ``plan`` of the raid5 (and raid4) rows with a
 member down (degraded, mid-rebuild, rebuilt) was re-captured by the PR
 whose parent is cdfae8e: those captures pinned a defect — a partial-row
 ``install`` over a row whose dead member's chunk had been written degraded
@@ -44,7 +46,7 @@ script below, without its ``corrupt`` calls, leaves a volume that lost and
 rebuilt a member different from one that never did;
 ``test_a_rebuilt_volume_ends_like_one_that_never_failed`` holds them
 equal). Member request sequences, counters and every ``clocks`` digest are
-still the parent's on all 12 rows; ``install`` no longer stores into a dead
+still the parent's on every row; ``install`` no longer stores into a dead
 member, which is all that moves the two degraded rows.
 """
 
@@ -71,10 +73,6 @@ GOLDEN = {
     ('stripe', 'degraded'): ('f638f5cc84088354', '7e06b942aaf80a42'),
     ('mirror', 'healthy'): ('83ab899222370194', '2372430c4f74708e'),
     ('mirror', 'degraded'): ('be9f7fea58d2a833', '57acf80c99b1bf2a'),
-    ('raid4', 'healthy'): ('a8a0f8f0f1c4675c', '3cb3baddc4531a51'),
-    ('raid4', 'degraded'): ('607fe90206acfc55', 'ab950ef1e1a4de0c'),
-    ('raid4', 'mid-rebuild'): ('8a3af8209fab6fc5', 'b0778df3fba797b6'),
-    ('raid4', 'rebuilt'): ('bcedf15850dbb046', '07ab785b7742dce0'),
     ('raid5', 'healthy'): ('cc3c1205c23da8b7', 'e030ddebee333a80'),
     ('raid5', 'degraded'): ('a4b5327dff34b5dc', '66678a7bc92b4522'),
     ('raid5', 'mid-rebuild'): ('10ca63d1a50f3c6b', 'e1e66c4f66c953e1'),
@@ -229,14 +227,14 @@ def run_layout(layout: str) -> dict[tuple[str, str], tuple[str, str]]:
     return out
 
 
-@pytest.mark.parametrize("layout", ["stripe", "mirror", "raid4", "raid5"])
+@pytest.mark.parametrize("layout", ["stripe", "mirror", "raid5"])
 def test_request_plan_matches_parent_commit(layout):
     got = run_layout(layout)
     assert got == {key: GOLDEN[key] for key in got}
     assert len(got) == sum(1 for key in GOLDEN if key[0] == layout)
 
 
-@pytest.mark.parametrize("layout", ["raid4", "raid5"])
+@pytest.mark.parametrize("layout", ["raid5"])
 def test_a_rebuilt_volume_ends_like_one_that_never_failed(layout):
     """The same script (minus ``corrupt``, which breaks the parity a
     reconstruction needs) on a volume that loses a member, serves degraded,
@@ -275,7 +273,7 @@ def outcome(call, *args):
 
 
 @given(
-    st.sampled_from(["stripe", "mirror", "raid4", "raid5"]),
+    st.sampled_from(["stripe", "mirror", "raid5"]),
     st.sampled_from(["healthy", "degraded", "mid-rebuild"]),
     st.sampled_from([1, 3, 8]),
     st.data(),
@@ -317,7 +315,7 @@ def test_peek_answers_what_read_would(layout, health, chunk, data):
 
 if __name__ == "__main__":
     print("GOLDEN = {")
-    for layout in ("stripe", "mirror", "raid4", "raid5"):
+    for layout in ("stripe", "mirror", "raid5"):
         for key, value in run_layout(layout).items():
             print(f"    {key!r}: {value!r},")
     print("}")

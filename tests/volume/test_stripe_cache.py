@@ -153,7 +153,7 @@ def scripts(draw):
     (close together, so ranges are written again and again)."""
     n_disks = draw(st.integers(min_value=3, max_value=5))
     chunk = draw(st.sampled_from([1, 4, 32, 160]))  # 160: extents smaller than the chunk
-    layout = draw(st.sampled_from(["raid4", "raid5"]))
+    layout = "raid5"
     span = 3 * chunk * (n_disks - 1)
     extents = write_extents(span, chunk, n_disks)
     write = st.tuples(st.just("write"), extents).map(lambda op: (op[0], *op[1]))
