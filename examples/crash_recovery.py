@@ -6,7 +6,9 @@ Shows the three recovery behaviours the paper promises:
 * everything flushed before the crash is recovered exactly,
 * an atomic recovery unit that never committed disappears completely
   (no fsck needed — paper §2.1),
-* recovery is a single sweep over the segment summaries, not the disk.
+* recovery reads segment summaries, not the disk: the paper's single
+  sweep over all of them, or — with the default two checkpoint slots —
+  the newest running checkpoint and the few slots it reserved.
 
 Run:  python examples/crash_recovery.py
 """
@@ -28,10 +30,13 @@ def main() -> None:
     fs.mkdir("/spool")
     for i in range(25):
         fd = fs.open(f"/spool/msg-{i:04d}", create=True)
-        fs.write(fd, f"Message {i}\n".encode() * 100)
+        fs.write(fd, f"Message {i}\n".encode() * 10000)
         fs.close(fd)
     fs.sync()
-    print(f"wrote 25 messages and synced (simulated t={disk.clock.now:.2f}s)")
+    print(
+        f"wrote 25 messages and synced (simulated t={disk.clock.now:.2f}s, "
+        f"{lld.stats.checkpoints_written} running checkpoint(s))"
+    )
 
     # An application transaction that never commits: allocate a new message
     # and link it, all inside an ARU — then the power fails.
@@ -45,13 +50,21 @@ def main() -> None:
     lld.crash()
     print("*** POWER FAILURE ***")
 
-    # Restart: one sweep over the summaries rebuilds everything.
+    # Restart: the summaries rebuild everything.
     reads_before = disk.stats.sectors_read
     recovered_lld = LLD(disk, lld.config)
     recovered_lld.initialize()
     swept = disk.stats.sectors_read - reads_before
     report = recovered_lld.recovery_report
     print(f"\n{report}")
+    if report.checkpoint_sequence:
+        print(
+            f"recovery path: checkpoint {report.checkpoint_sequence} and the "
+            f"{report.segments_scanned} slots it reserved "
+            f"(of {recovered_lld.layout.segment_count})"
+        )
+    else:
+        print(f"recovery path: the full sweep of {report.segments_scanned} summaries")
     print(
         f"sectors read during recovery: {swept} "
         f"(whole disk would be {disk.geometry.total_sectors})"

@@ -20,6 +20,8 @@ from repro.crashsim.oracle import (
     OracleDriver,
     OraclePoint,
     client_view,
+    recovered_tables,
+    run_checkpoint_matrix_workload,
     run_matrix_workload,
     run_multitenant_matrix_workload,
 )
@@ -51,6 +53,8 @@ __all__ = [
     "VolumeCrashState",
     "WriteEvent",
     "client_view",
+    "recovered_tables",
+    "run_checkpoint_matrix_workload",
     "degraded_mirror_volume",
     "enumerate_parity_crash_states",
     "explore_degraded_mirror",

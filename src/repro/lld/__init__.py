@@ -5,8 +5,11 @@ that serves as a log of LD metadata: for every physical block the summary
 records its logical number, timestamp, length and compression flag, and list
 modifications are logged as *link tuples* (timestamp, block number, new
 successor value). The block-number map, list table, and segment usage table
-live in main memory; recovery rebuilds them in a single sweep over the
-segment summaries (no checkpoints during normal operation).
+live in main memory; the paper's recovery rebuilds them in a single sweep
+over the segment summaries, taking no checkpoint during normal operation.
+With two checkpoint slots LLD also checkpoints them as it runs, and a crash
+replays only the summaries of the slots opened since
+(:mod:`~repro.lld.checkpoint`, :mod:`~repro.lld.recovery`).
 
 The package follows the paper's Figure 2: :mod:`~repro.lld.state` holds the
 three tables and declares once what each record kind does to them;

@@ -12,6 +12,10 @@ CLEAN_POLICIES = ("greedy", "cost_benefit")
 #: The cleaner's target: empty segment slots kept after every seal.
 MIN_FREE_SEGMENTS = 2
 
+#: Slots a running checkpoint reserves for the log to open until the next
+#: one (rounded up to whole stripe rows): what a recovery from it reads.
+CHECKPOINT_RESERVE = 8
+
 
 @dataclass(frozen=True)
 class LLDConfig:
@@ -30,7 +34,12 @@ class LLDConfig:
         partial_threshold: fill fraction at or above which a ``Flush``
             seals the segment instead of writing it partially.
         checkpoint_slots: segment-sized slots reserved at the front of the
-            disk for the clean-shutdown state image.
+            disk for the checkpoint region. From two on, the region holds
+            two copies of the state image and LLD takes running
+            checkpoints: a crash recovers from the newest copy and the
+            summaries of the slots it reserved (DESIGN.md §17). One slot
+            is the paper's region: an image written at shutdown only, and
+            a crash recovers by sweeping every summary.
         clean_policy: ``"greedy"`` (fewest live bytes first) or
             ``"cost_benefit"`` (Sprite LFS's age-weighted benefit/cost).
         lists_enabled: when False, list maintenance is skipped entirely

@@ -1,14 +1,20 @@
-"""One-sweep crash recovery (paper section 3.6).
+"""Crash recovery: a checkpoint and its tail, or one sweep (paper §3.6).
 
-After a failure, LLD reads *only* the segment summaries — a single sweep
+The paper's recovery reads *only* the segment summaries — a single sweep
 over their fixed locations — and rebuilds the block-number map, list table,
 and segment usage table from the logged tuples. Timestamps decide the most
 recent version of every piece of metadata; records belonging to atomic
 recovery units that never logged a COMMIT are discarded, which yields the
-all-or-nothing guarantee.
+all-or-nothing guarantee. No roll-forward pass is needed.
 
-No checkpoints are taken during normal operation, and no roll-forward pass
-is needed — this is the recovery-strategy contribution of the paper.
+Its cost grows with the disk: every slot's summary is read. So LLD also
+takes checkpoints during normal operation (:mod:`repro.lld.checkpoint`):
+each holds the tables as of a timestamp ``T`` and the slots the log may
+open until the next one. Recovery loads the newest copy and reads only
+those slots' summaries — the *tail* — in one batch, and replays the tail's
+records from ``T`` on through the same replay the sweep uses
+(:func:`replay`). Without a usable copy it sweeps (DESIGN.md,
+"Recovery: checkpoint and tail").
 """
 
 from __future__ import annotations
@@ -17,8 +23,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.lld.config import SECTOR
-from repro.lld.records import TYPE_COMMIT, Record
+from repro.lld.records import Record
 from repro.lld.segment import decode_summary_into
+from repro.lld.state import KIND_COMMIT, RECORD_KINDS, LLDState
 from repro.obs.metrics import Counters
 from repro.obs.trace import NULL_SPAN
 
@@ -30,6 +37,8 @@ if TYPE_CHECKING:  # pragma: no cover
 class RecoveryReport(Counters):
     """What recovery did, and what it cost in simulated time."""
 
+    #: Summaries read: every slot's by the sweep, the reserved ones' after
+    #: a checkpoint.
     segments_scanned: int = 0
     summaries_valid: int = 0
     records_seen: int = 0
@@ -41,15 +50,25 @@ class RecoveryReport(Counters):
     # Disk read requests the sweep issued; with coalescing this can be far
     # below segments_scanned (one request spans several slots' summaries).
     summary_read_requests: int = 0
+    #: Sequence number of the checkpoint recovery started from (0: swept).
+    checkpoint_sequence: int = 0
 
     def __str__(self) -> str:
+        start = (
+            f"checkpoint {self.checkpoint_sequence} + "
+            if self.checkpoint_sequence
+            else "sweep: "
+        )
         return (
-            f"recovery: {self.summaries_valid}/{self.segments_scanned} summaries, "
+            f"recovery: {start}{self.summaries_valid}/{self.segments_scanned} summaries, "
             f"{self.records_applied}/{self.records_seen} records applied, "
             f"{self.arus_discarded} ARU(s) discarded, "
             f"{self.simulated_seconds * 1000:.1f} ms simulated"
         )
 
+
+#: The record type that commits a unit (the one whose key is its COMMIT).
+COMMIT = next(kind for kind, row in RECORD_KINDS.items() if row.sets == KIND_COMMIT)
 
 #: Upper bound on one coalesced sweep request, in sectors (1 MB).
 _MAX_SWEEP_REQUEST_SECTORS = 2048
@@ -136,19 +155,30 @@ def sweep_summaries(lld: "LLD") -> list[tuple[int, list[Record]]]:
 
 
 def run_recovery(lld: "LLD") -> RecoveryReport:
-    """Rebuild ``lld.state`` from the on-disk summaries."""
+    """Rebuild ``lld.state`` from the newest checkpoint and its tail, or,
+    when there is no usable copy, from every summary on disk."""
     tr = lld.tracer
-    with (tr.span("lld.recovery_sweep") if tr else NULL_SPAN) as sp:
-        report = _run_recovery(lld)
-        if sp is not None:
-            sp.attrs["summaries_valid"] = report.summaries_valid
+    t0 = lld.disk.clock.now
+    with (tr.span("lld.checkpoint_load") if tr else NULL_SPAN) as sp:
+        report = _from_checkpoint(lld)
+        if sp is not None and report is not None:
+            sp.attrs["sequence"] = report.checkpoint_sequence
             sp.attrs["records_applied"] = report.records_applied
-            sp.attrs["arus_discarded"] = report.arus_discarded
+    if report is None:
+        t0 = lld.disk.clock.now  # the sweep's own time, without the probe
+        with (tr.span("lld.recovery_sweep") if tr else NULL_SPAN) as sp:
+            report = _sweep(lld)
+            if sp is not None:
+                sp.attrs["summaries_valid"] = report.summaries_valid
+                sp.attrs["records_applied"] = report.records_applied
+                sp.attrs["arus_discarded"] = report.arus_discarded
+    report.simulated_seconds = lld.disk.clock.now - t0
     ev = lld.events
     if ev:
         ev.emit(
-            "lld.recovery_sweep",
+            "lld.checkpoint_loaded" if report.checkpoint_sequence else "lld.recovery_sweep",
             t=lld.disk.clock.now,
+            checkpoint_sequence=report.checkpoint_sequence,
             segments_scanned=report.segments_scanned,
             summaries_valid=report.summaries_valid,
             records_applied=report.records_applied,
@@ -158,29 +188,85 @@ def run_recovery(lld: "LLD") -> RecoveryReport:
     return report
 
 
-def _run_recovery(lld: "LLD") -> RecoveryReport:
-    report = RecoveryReport()
-    t0 = lld.disk.clock.now
-    report.segments_scanned = lld.layout.segment_count
+def _from_checkpoint(lld: "LLD") -> RecoveryReport | None:
+    """Load the newest copy and replay its tail; None when there is no
+    copy to load (nothing is changed then)."""
+    region = lld.checkpoint
+    header = region.newest_copy()
+    if header is None:
+        return None
+    config = lld.config
+    reserved = header.reserved
+    reads_before = lld.disk.stats.reads
+    body, *summaries = lld.disk.read_batch(
+        [region.body_extent(header)]
+        + [(lld.layout.slot_lba(slot), config.summary_sectors) for slot in reserved]
+    )
+    if not region.load(lld.state, header, body):
+        return None
+    report = RecoveryReport(
+        segments_scanned=len(reserved),
+        summary_read_requests=lld.disk.stats.reads - reads_before,
+        checkpoint_sequence=header.sequence,
+    )
+    slots = []
+    for slot, image in zip(reserved, summaries):
+        records: list[Record] = []
+        if decode_summary_into(image, records):
+            slots.append((slot, records))
+    report.summaries_valid = len(slots)
+    replay(lld.state, slots, report, since=header.timestamp)
+    # The reserved slots a segment was opened in since T (and written) are
+    # used up; the recovered log goes on opening the others.
+    lld.log.reserved = set(reserved) - {
+        slot for slot, records in slots if records and records[0].timestamp >= header.timestamp
+    }
+    return report
 
+
+def _sweep(lld: "LLD") -> RecoveryReport:
+    report = RecoveryReport(segments_scanned=lld.layout.segment_count)
     reads_before = lld.disk.stats.reads
     slots = sweep_summaries(lld)
     report.summary_read_requests = lld.disk.stats.reads - reads_before
     report.summaries_valid = len(slots)
+    replay(lld.state, slots, report)
+    return report
 
+
+def replay(
+    state: LLDState,
+    slots: list[tuple[int, list[Record]]],
+    report: RecoveryReport,
+    since: int = 0,
+) -> None:
+    """Apply the records of ``slots``' summaries stamped ``since`` or later,
+    in timestamp order, to ``state``: the sweep's replay (``since`` 0,
+    every record on disk) and a checkpoint's tail (``since`` its ``T``).
+
+    A unit's records are applied only when its COMMIT is among them —
+    the all-or-nothing rule, read off ``RECORD_KINDS``. Each summary with
+    replayed records sets its slot's oldest timestamp; a valid empty one
+    (a scrubbed slot) clears it; one older than ``since`` leaves what the
+    checkpoint holds.
+    """
     committed: set[int] = set()
     open_arus: set[int] = set()
     tagged: list[tuple[int, int, int, Record]] = []
     for slot, records in slots:
+        if not records:
+            state.summary_min_ts.pop(slot, None)
+            continue
+        if records[0].timestamp < since:
+            continue  # a summary from before the checkpoint
         for index, record in enumerate(records):
-            report.records_seen += 1
-            if record.TYPE == TYPE_COMMIT:
+            if type(record) is COMMIT:
                 committed.add(record.aru)
             elif record.aru:
                 open_arus.add(record.aru)
             tagged.append((record.timestamp, slot, index, record))
-        if records:
-            lld.state.summary_min_ts[slot] = min(r.timestamp for r in records)
+        report.records_seen += len(records)
+        state.summary_min_ts[slot] = min(r.timestamp for r in records)
 
     report.arus_committed = len(committed & open_arus)
     report.arus_discarded = len(open_arus - committed)
@@ -190,8 +276,5 @@ def _run_recovery(lld: "LLD") -> RecoveryReport:
         if record.aru and record.aru not in committed:
             report.records_discarded += 1
             continue
-        lld.state.apply(record, slot)
+        state.apply(record, slot)
         report.records_applied += 1
-
-    report.simulated_seconds = lld.disk.clock.now - t0
-    return report

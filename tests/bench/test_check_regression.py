@@ -183,7 +183,7 @@ BROKEN = [
     ("read_path", "baseline.sim_time", 24.9159814814814),
     ("read_path", "baseline_disk.rotation_time", 19.2009830497293),
     ("read_path", "baseline_disk.request_sizes.8", 1983),
-    ("write_path", "baseline.disk_writes", 102),
+    ("write_path", "baseline.disk_writes", 103),
     ("write_path", "delta.sim_time", 2.98629629629629),
     ("write_path", "delta", None),
     ("recovery_time", "ld_seconds", 0.93396296296296),

@@ -3,12 +3,11 @@
 import pytest
 
 from repro.ld import LIST_HEAD
-from repro.lld import LLD, LLDConfig
 from repro.lld.checkpoint import CheckpointTooLargeError
 from repro.lld.recovery import sweep_summaries
 from repro.lld.state import LLDState
 
-from tests.lld.conftest import make_lld, reopen, small_config
+from tests.lld.conftest import make_lld, reopen
 
 
 def test_sweep_returns_slot_ordered_summaries():
@@ -26,23 +25,13 @@ def test_sweep_returns_slot_ordered_summaries():
 
 
 def test_checkpoint_too_large_raises():
-    from repro.disk import SimulatedDisk, fast_test_disk
-    from repro.sim import VirtualClock
-
-    disk = SimulatedDisk(fast_test_disk(capacity_mb=4), VirtualClock())
-    # A one-slot checkpoint region of 64 KB.
-    lld = LLD(disk, small_config(checkpoint_slots=1))
-    lld.initialize()
-    lid = lld.new_list()
-    prev = LIST_HEAD
-    # Tens of thousands of block entries exceed 64 KB of image.
-    state = lld.state
-    from repro.lld.state import BlockEntry
-
-    for bid in range(2, 5000):
-        state.blocks[bid] = BlockEntry()
+    """Only a shutdown raises: 4 000 lists are more table than one 16 KB
+    slot holds (the write path's refusal: ``test_checkpoint_tail.py``)."""
+    lld = make_lld(segment_size=16 * 1024)
+    for _ in range(4000):
+        lld.new_list()
     with pytest.raises(CheckpointTooLargeError):
-        lld.checkpoint.save(state)
+        lld.shutdown()
 
 
 def test_min_summary_timestamp_with_exclusions():

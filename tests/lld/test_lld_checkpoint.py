@@ -14,7 +14,7 @@ def test_clean_shutdown_skips_recovery():
     bid = lld.new_block(lid, LIST_HEAD)
     lld.write(bid, b"checkpointed")
     fresh = reopen(lld, after_crash=False)
-    assert fresh.recovery_report is None  # loaded from checkpoint
+    assert fresh.recovery_report.checkpoint_sequence  # loaded from checkpoint
     assert fresh.read(bid) == b"checkpointed"
     assert fresh.list_blocks(lid) == [bid]
 

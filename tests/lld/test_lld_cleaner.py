@@ -193,3 +193,60 @@ def test_scrub_slot_rejects_live_segment():
     )
     with pytest.raises(ValueError):
         lld.cleaner.scrub_slot(live_slot)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP 7: compact_tombstones scrubs its victims in one barrier epoch; "
+    "a crash after some of them resurrects blocks deleted and acknowledged",
+)
+def test_a_crash_inside_a_compaction_keeps_the_deletes():
+    """Deep compaction right after acknowledged deletes: every crash point
+    of its journal must recover the acknowledged list. A prefix of the scrub
+    epoch that destroys the summary holding the deaths but not an older
+    one holding the blocks brings deleted blocks back."""
+    from repro.crashsim import CrashStateEnumerator, LLDCrashChecker, OracleDriver, RecordingDisk
+    from repro.disk import SimulatedDisk, fast_test_disk
+    from repro.lld import LLD
+    from repro.sim import VirtualClock
+
+    from tests.lld.conftest import small_config
+
+    disk = RecordingDisk(SimulatedDisk(fast_test_disk(capacity_mb=2), VirtualClock()))
+    ld = LLD(disk, small_config(torn_write_protection=True))
+    ld.initialize()
+    driver = OracleDriver(ld, disk)
+    lid = driver.new_list(ld)
+    pred, bids = LIST_HEAD, []
+    for i in range(8):
+        pred = driver.new_block(ld, lid, pred)
+        bids.append(pred)
+        driver.write(ld, pred, bytes([i + 1]) * 1500)
+    driver.ack(ld, "base")
+    for i in range(300):
+        if driver.room_low(4608, 256):
+            driver.ack(ld, "room")
+        else:
+            driver.write(ld, bids[2 + i % 6], bytes([i % 251]) * 4096)
+    driver.ack(ld, "overwritten")
+    extra = []
+    while ld.free_segment_count() > 6:
+        if driver.room_low(4608, 256):
+            driver.ack(ld, "filling")
+            continue
+        pred = driver.new_block(ld, lid, pred)
+        extra.append(pred)
+        driver.write(ld, pred, bytes([len(extra) % 251]) * 4096)
+    driver.ack(ld, "full")
+    while extra:
+        if driver.room_low(0, 512):
+            driver.ack(ld, "room")
+        driver.delete_block(ld, extra.pop(), lid)
+    driver.ack(ld, "deleted")
+    ld.cleaner.compact_tombstones(0, deep=True)
+    driver.ack(ld, "compacted")
+    enum = CrashStateEnumerator(disk, reorder_samples_per_epoch=0)
+    checker = LLDCrashChecker(ld.config, driver.oracle)
+    states = [s for s in enum.enumerate() if s.kind == "prefix"]
+    violations = [v for s in states for v in checker(enum.materialize(s), s).violations]
+    assert violations == []

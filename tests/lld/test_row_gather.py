@@ -618,7 +618,7 @@ def assert_same_for_the_client(torn: bool, ops) -> None:
         rig.boot()  # observe() left the device crashed: recover it again ...
         rig.lld.shutdown()  # ... and leave it cleanly this time
         rig.boot()
-        assert rig.lld.recovery_report is None  # mounted from the checkpoint
+        assert rig.lld.recovery_report.checkpoint_sequence  # mounted from the checkpoint
         after_mount[device] = left_behind(rig)
     assert after_crash["raid5"] == after_crash["bare"] == after_mount["raid5"] == after_mount["bare"]
     assert rigs["bare"].past_stats == [] and "rows_written" not in observe(rigs["bare"])["stats"][0]

@@ -93,7 +93,21 @@ CONFIG = LLDConfig(
 )
 
 
+#: Counters younger than the capture, left out of a payload while they are
+#: 0 — on this one-checkpoint-slot stack they always are: it never takes a
+#: running checkpoint, and recovers by sweeping.
+SINCE_CAPTURE = (
+    "checkpoints_written", "checkpoint_bytes", "checkpoints_refused",
+    "checkpoint_sequence",
+)
+
+
 def _digest(payload: dict) -> str:
+    payload = {
+        name: value
+        for name, value in payload.items()
+        if value or name.rsplit(".", 1)[-1] not in SINCE_CAPTURE
+    }
     text = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
