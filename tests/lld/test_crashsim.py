@@ -288,14 +288,17 @@ MATRIX_CONFIG = dict(
 #: The ``single-*`` arms were re-captured when ``run_matrix_workload``
 #: gained its last phase (an ARU across a seal, its COMMIT's slot cleaned,
 #: then recycled); their history up to that phase is pinned apart, by the
-#: digests captured before it (``BEFORE_RECYCLING``).
+#: digests captured before it (``BEFORE_RECYCLING``). The ``multi-*``
+#: arms were re-captured when an abort began to log the values its unit
+#: replaced: every point's label, blocks and lists are as before, and the
+#: journal positions after the abort moved by one or two writes.
 POINTS_GOLDEN = {
     "single-disk": "ea040b1dfc721c13",
     "single-mirror": "2e1f66d991d31df1",
     "single-raid5": "17881edd5e59b180",
-    "multi-qos-2-queued": "a8f3d3e76364682d",
-    "multi-qos-2-bare": "a8f3d3e76364682d",
-    "multi-fifo-1-queued": "7b8c39af001b904f",
+    "multi-qos-2-queued": "03d2de22ce8da170",
+    "multi-qos-2-bare": "03d2de22ce8da170",
+    "multi-fifo-1-queued": "8f812ad2766833fb",
 }
 
 BEFORE_RECYCLING = {
