@@ -142,6 +142,8 @@ TABLE = [
     # The default build's crash recovery (a checkpoint and its tail) takes
     # at most half the one-slot build's sweep of the same crash.
     Row("recovery_time", "checkpoint.ld_seconds", "ceiling", "checkpoint.ld_seconds_ceiling"),
+    # So does a crash on a full log, following the chain past the list.
+    Row("recovery_time", "full_log.ld_seconds", "ceiling", "full_log.ld_seconds_ceiling"),
     Row("recovery_time", "ld_seconds", "same-as-committed"),
     Row("recovery_time", "fs_mount_seconds", "same-as-committed"),
     Row("recovery_time", "clean_start_seconds", "same-as-committed"),

@@ -18,6 +18,7 @@ Bounded to run as a CI smoke job (well under two minutes); emits
 """
 
 import json
+from collections import Counter
 from pathlib import Path
 
 from repro.bench import crash_matrix_summary, render_table, write_json_report
@@ -41,6 +42,7 @@ from repro.crashsim.volume import (
 )
 from repro.disk import SimulatedDisk, fast_test_disk
 from repro.lld import LLD, LLDConfig
+from repro.lld import recovery
 from repro.sched import LDServer, QoSElevatorScheduler
 from repro.sim import VirtualClock
 from repro.volume import Volume
@@ -441,14 +443,14 @@ def run_checkpoint_bare():
     lld = LLD(recording, LLDConfig(**CHECKPOINT_CONFIG))
     lld.initialize()
     driver = OracleDriver(lld, recording)
-    run_checkpoint_matrix_workload(driver)
+    out = run_checkpoint_matrix_workload(driver)
     enum = CrashStateEnumerator(recording, reorder_samples_per_epoch=4)
     checker = LLDCrashChecker(lld.config, driver.oracle)
     report = enum.explore(checker)
     # A newer copy with a bad CRC: every prefix state whose newest copy
     # holds an image, again with a payload sector of that copy corrupted.
-    # Recovery must sweep — the older copy's reservation ran out — and
-    # still meet the contract.
+    # Recovery must sweep — the older copy's chain may have been
+    # overwritten since — and still meet the contract.
     corrupted = ExplorationReport()
     for state in enum.enumerate():
         if state.kind != "prefix":
@@ -466,7 +468,22 @@ def run_checkpoint_bare():
         corrupted.violations.extend(outcome.violations)
         corrupted.recovery_seconds.append(outcome.recovery_seconds)
         assert checker.from_checkpoint == before, state
-    return recording, driver, lld, checker, report, corrupted
+    return recording, driver, out, checker, report, corrupted, unchained(recording, driver)
+
+
+def unchained(recording, driver) -> ExplorationReport:
+    """The mutant: recovery reads the listed summaries and stops there.
+    Every prefix state of the bare arm, checked with it; it must be
+    caught."""
+    enum = CrashStateEnumerator(recording, reorder_samples_per_epoch=0)
+    checker = LLDCrashChecker(driver.ld.config, driver.oracle)
+    follow = recovery.summary_next
+    recovery.summary_next = lambda image: None
+    try:
+        states = [state for state in enum.enumerate() if state.kind == "prefix"]
+        return ExplorationReport.collect(states, lambda state: checker(enum.materialize(state), state))
+    finally:
+        recovery.summary_next = follow
 
 
 def run_checkpoint_rows():
@@ -482,7 +499,7 @@ def run_checkpoint_rows():
     lld.initialize()
     assert lld.layout.row_width == 3 and lld.log.reserve == 9
     driver = OracleDriver(lld, recording)
-    run_checkpoint_matrix_workload(driver)
+    out = run_checkpoint_matrix_workload(driver)
     checker = LLDCrashChecker(lld.config, driver.oracle)
 
     def check(state):
@@ -493,20 +510,22 @@ def run_checkpoint_rows():
     report = ExplorationReport.collect(
         enumerate_parity_crash_states(recording, subset_samples_per_epoch=2), check
     )
-    return recording, driver, lld, checker, report
+    return recording, driver, out, checker, report
 
 
 def test_checkpoint_matrix(benchmark):
     """Two checkpoint slots: every crash state recovered from the newest
-    checkpoint and its tail, and by the full sweep; both meet the client
-    contract and agree on the tables — on a bare disk and on RAID-5 rows."""
+    checkpoint and its tail — the listed summaries and the chain past
+    them — and by the full sweep; both meet the client contract and agree
+    on the tables, on a bare disk and on RAID-5 rows. A recovery that
+    does not follow the chain must be caught."""
 
     def run_both():
         return run_checkpoint_bare(), run_checkpoint_rows()
 
     bare, rows = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    recording, driver, lld, checker, report, corrupted = bare
-    row_recording, row_driver, row_lld, row_checker, row_report = rows
+    recording, driver, out, checker, report, corrupted, mutant = bare
+    row_recording, row_driver, row_out, row_checker, row_report = rows
 
     emit(
         render_table(
@@ -518,12 +537,20 @@ def test_checkpoint_matrix(benchmark):
                     "raid5 rows": float(row_recording.position),
                 },
                 "checkpoints written": {
-                    "bare": float(lld.stats.checkpoints_written),
-                    "raid5 rows": float(row_lld.stats.checkpoints_written),
+                    "bare": float(out["checkpoints_written"]),
+                    "raid5 rows": float(row_out["checkpoints_written"]),
                 },
-                "checkpoints refused": {
-                    "bare": float(lld.stats.checkpoints_refused),
-                    "raid5 rows": float(row_lld.stats.checkpoints_refused),
+                "checkpoints deferred (ARU open)": {
+                    "bare": float(out["checkpoints_refused"]),
+                    "raid5 rows": float(row_out["checkpoints_refused"]),
+                },
+                "restarts": {
+                    "bare": float(out["restarts"]),
+                    "raid5 rows": float(row_out["restarts"]),
+                },
+                "  with a start-up checkpoint": {
+                    "bare": float(out["startup_checkpoints"]),
+                    "raid5 rows": float(row_out["startup_checkpoints"]),
                 },
                 "crash states": {
                     "bare": float(report.states_total),
@@ -537,6 +564,10 @@ def test_checkpoint_matrix(benchmark):
                 "violations": {
                     "bare": float(len(report.violations) + len(corrupted.violations)),
                     "raid5 rows": float(len(row_report.violations)),
+                },
+                "mutant (no chain): violations": {
+                    "bare": float(len(mutant.violations)),
+                    "raid5 rows": 0.0,
                 },
             },
             note="each state twice: as LLD recovers it, and with the region blanked",
@@ -553,11 +584,18 @@ def test_checkpoint_matrix(benchmark):
             "disk_mb": CHECKPOINT_MB,
             "journal_writes": recording.position,
             "ack_points": len(driver.oracle.points),
-            "checkpoints_written": lld.stats.checkpoints_written,
-            "checkpoints_refused": lld.stats.checkpoints_refused,
+            "checkpoints_written": out["checkpoints_written"],
+            "checkpoints_refused": out["checkpoints_refused"],
+            "restarts": out["restarts"],
+            "startup_checkpoints": out["startup_checkpoints"],
             "from_checkpoint": checker.from_checkpoint,
             **crash_matrix_summary(report),
             "corrupted_newest_copy": crash_matrix_summary(corrupted),
+            "mutant_no_chain": {
+                "states_explored": mutant.states_total,
+                "violation_count": len(mutant.violations),
+                "by_invariant": dict(Counter(v.invariant for v in mutant.violations)),
+            },
         },
         "raid5_rows": {
             "members": PARITY_N,
@@ -565,8 +603,10 @@ def test_checkpoint_matrix(benchmark):
             "chunk_sectors": PARITY_CHUNK_SECTORS,
             "journal_writes_total": row_recording.position,
             "ack_points": len(row_driver.oracle.points),
-            "checkpoints_written": row_lld.stats.checkpoints_written,
-            "checkpoints_refused": row_lld.stats.checkpoints_refused,
+            "checkpoints_written": row_out["checkpoints_written"],
+            "checkpoints_refused": row_out["checkpoints_refused"],
+            "restarts": row_out["restarts"],
+            "startup_checkpoints": row_out["startup_checkpoints"],
             "from_checkpoint": row_checker.from_checkpoint,
             **crash_matrix_summary(row_report),
         },
@@ -583,4 +623,6 @@ def test_checkpoint_matrix(benchmark):
     assert corrupted.states_total > 0
     assert report.violations == [] and corrupted.violations == []
     assert row_report.violations == [], row_report.violations[:3]
+    assert out["restarts"] == row_out["restarts"] == 2
+    assert mutant.violations, "a recovery that does not follow the chain went unnoticed"
 

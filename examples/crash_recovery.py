@@ -8,7 +8,8 @@ Shows the three recovery behaviours the paper promises:
   (no fsck needed — paper §2.1),
 * recovery reads segment summaries, not the disk: the paper's single
   sweep over all of them, or — with the default two checkpoint slots —
-  the newest running checkpoint and the few slots it reserved.
+  the newest running checkpoint, the few slots it listed, and the chain
+  of slots the log opened after them.
 
 Run:  python examples/crash_recovery.py
 """
@@ -59,8 +60,9 @@ def main() -> None:
     print(f"\n{report}")
     if report.checkpoint_sequence:
         print(
-            f"recovery path: checkpoint {report.checkpoint_sequence} and the "
-            f"{report.segments_scanned} slots it reserved "
+            f"recovery path: checkpoint {report.checkpoint_sequence} and "
+            f"{report.segments_scanned} summaries — the slots it listed, "
+            f"{report.summaries_followed} more along the chain "
             f"(of {recovered_lld.layout.segment_count})"
         )
     else:

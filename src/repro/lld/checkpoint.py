@@ -9,9 +9,8 @@ every copy — the one a shutdown writes included — is a checkpoint:
 
 * sector 0 is the header: the sequence number, the timestamp ``T`` the
   image is consistent with (every record older than ``T`` is reflected,
-  none newer), the payload's length and CRC, and a *reservation* — the
-  slots the log may open until the next checkpoint — under a CRC of its
-  own;
+  none newer), the payload's length and CRC, and a *list* — the slots the
+  log opens first after it — under a CRC of its own;
 * the payload, from sector 1, is the tables, deflated (level 1: a third
   of the bytes to write — on RAID-5 a copy is a partial-stripe write, and
   its pre-reads are as large as the copy).
@@ -19,12 +18,13 @@ every copy — the one a shutdown writes included — is a checkpoint:
 With two copies the log writer takes checkpoints during normal operation
 (:meth:`repro.lld.log.LogWriter.open_next`), always into the older copy,
 so a torn write leaves the newer one intact; a crash then recovers from
-the newest copy and the reserved slots' summaries instead of sweeping
-every slot (:func:`repro.lld.recovery.run_recovery`). When it cannot take
-one it writes a newer copy that holds no image
-(:meth:`CheckpointRegion.retire`): the next recovery sweeps. With one copy
-only a shutdown writes an image, and a crash after its reservation has run
-out sweeps too.
+the newest copy, the listed slots' summaries and the chain of slots each
+summary names as opened after it, instead of sweeping every slot
+(:func:`repro.lld.recovery.run_recovery`). When the log must open a slot
+no recovery would reach and cannot take a checkpoint first, it writes a
+newer copy that holds no image (:meth:`CheckpointRegion.retire`): the
+next recovery sweeps. With one copy only a shutdown writes an image, and
+the first opening after it retires it.
 
 The payload is packed incrementally: ``LLDState.changed`` names the keys
 changed since the last image, and only those are packed again.
@@ -59,7 +59,7 @@ CHECKPOINT_MAGIC = b"LDCK"
 
 # magic, has_image, sequence, T, next_bid, next_lid, payload_len, payload_crc
 _HEADER = struct.Struct("<4sB3xQQQQII")
-_RESERVED = struct.Struct("<H")  # reservation length; the slots follow as u32
+_LISTED = struct.Struct("<H")  # list length; the slots follow as u32
 _CRC = struct.Struct("<I")
 _COUNTS = struct.Struct("<IIIIIIII")
 _BLOCK = struct.Struct("<IiIIIBI")
@@ -71,8 +71,8 @@ _MODTS = struct.Struct("<IQ")
 _ORDER = struct.Struct("<I")
 _UNIT = struct.Struct("<QI")
 
-#: Slots a header sector has room to reserve.
-MAX_RESERVED = (SECTOR - _HEADER.size - _RESERVED.size - _CRC.size) // 4
+#: Slots a header sector has room to list.
+MAX_LISTED = (SECTOR - _HEADER.size - _LISTED.size - _CRC.size) // 4
 
 _NONE = 0xFFFFFFFF
 _KIND_CODES = {KIND_LINK: 1, KIND_FIRST: 2, KIND_META: 3, KIND_COMMIT: 4}
@@ -97,7 +97,7 @@ class CopyHeader:
     next_lid: int
     payload_len: int
     payload_crc: int
-    reserved: tuple[int, ...]
+    listed: tuple[int, ...]
 
 
 def _pack_block(bid: int, entry: BlockEntry) -> bytes:
@@ -206,17 +206,17 @@ class CheckpointRegion:
             )
         )
 
-    def _header(self, has_image: bool, fields: tuple, reserved) -> bytes:
+    def _header(self, has_image: bool, fields: tuple, listed) -> bytes:
         head = _HEADER.pack(CHECKPOINT_MAGIC, has_image, self.sequence + 1, *fields)
-        head += _RESERVED.pack(len(reserved)) + struct.pack(f"<{len(reserved)}I", *reserved)
+        head += _LISTED.pack(len(listed)) + struct.pack(f"<{len(listed)}I", *listed)
         return head + _CRC.pack(zlib.crc32(head))
 
-    def image(self, state: LLDState, reserved) -> bytes:
+    def image(self, state: LLDState, listed) -> bytes:
         """The next copy: header and payload, padded to whole sectors.
         Raises :class:`CheckpointTooLargeError` when it does not fit in one
         copy (the keys it re-packed stay packed)."""
-        if len(reserved) > MAX_RESERVED:
-            raise CheckpointTooLargeError(f"cannot reserve {len(reserved)} slots")
+        if len(listed) > MAX_LISTED:
+            raise CheckpointTooLargeError(f"cannot list {len(listed)} slots")
         payload = zlib.compress(self._serialize(state), 1)
         header = self._header(
             True,
@@ -227,7 +227,7 @@ class CheckpointRegion:
                 len(payload),
                 zlib.crc32(payload),
             ),
-            reserved,
+            listed,
         )
         total = SECTOR + len(payload)
         if total > self.capacity:
@@ -261,7 +261,7 @@ class CheckpointRegion:
         None also when the newest header holds no image (a retirement),
         and when the other copy's header sector is neither blank nor
         valid — the newest header may be a corrupted one, and the older
-        copy's reservation ran out long ago.
+        copy's chain may have been overwritten since.
         """
         if self.copies == 1:
             sectors = [self.disk.read(self.lbas[0], 1)]
@@ -355,15 +355,15 @@ def _parse_header(copy: int, raw: bytes) -> CopyHeader | None:
     """A copy's header sector, or None when it is not a valid one."""
     try:
         magic, has_image, sequence, ts, bid, lid, length, crc = _HEADER.unpack_from(raw, 0)
-        (count,) = _RESERVED.unpack_from(raw, _HEADER.size)
-        if magic != CHECKPOINT_MAGIC or count > MAX_RESERVED:
+        (count,) = _LISTED.unpack_from(raw, _HEADER.size)
+        if magic != CHECKPOINT_MAGIC or count > MAX_LISTED:
             return None
-        start = _HEADER.size + _RESERVED.size
-        reserved = struct.unpack_from(f"<{count}I", raw, start)
+        start = _HEADER.size + _LISTED.size
+        listed = struct.unpack_from(f"<{count}I", raw, start)
         end = start + 4 * count
         (header_crc,) = _CRC.unpack_from(raw, end)
     except struct.error:
         return None
     if zlib.crc32(raw[:end]) != header_crc:
         return None
-    return CopyHeader(copy, sequence, bool(has_image), ts, bid, lid, length, crc, reserved)
+    return CopyHeader(copy, sequence, bool(has_image), ts, bid, lid, length, crc, listed)

@@ -12,8 +12,9 @@ CLEAN_POLICIES = ("greedy", "cost_benefit")
 #: The cleaner's target: empty segment slots kept after every seal.
 MIN_FREE_SEGMENTS = 2
 
-#: Slots a running checkpoint reserves for the log to open until the next
-#: one (rounded up to whole stripe rows): what a recovery from it reads.
+#: Openings between running checkpoints, and the slots each lists for the
+#: log to open first (rounded up to whole stripe rows): what a recovery
+#: from it reads in one batch before it follows the chain.
 CHECKPOINT_RESERVE = 8
 
 
@@ -36,8 +37,9 @@ class LLDConfig:
         checkpoint_slots: segment-sized slots reserved at the front of the
             disk for the checkpoint region. From two on, the region holds
             two copies of the state image and LLD takes running
-            checkpoints: a crash recovers from the newest copy and the
-            summaries of the slots it reserved (DESIGN.md §17). One slot
+            checkpoints: a crash recovers from the newest copy, the
+            summaries of the slots it listed and the chain of slots opened
+            after them (DESIGN.md §17). One slot
             is the paper's region: an image written at shutdown only, and
             a crash recovers by sweeping every summary.
         clean_policy: ``"greedy"`` (fewest live bytes first) or

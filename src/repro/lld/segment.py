@@ -10,8 +10,8 @@ entire slot image — summary area followed by data area — in **one**
 zero-initialized buffer laid out exactly as the slot is on disk (a window
 of the log writer's row buffer, so that a whole stripe row is one view).
 Records are packed into the summary area *once*, at append time, with a
-running CRC32; the 12 mutable header bytes (record count, body length,
-CRC) are patched in place when an image is needed. ``image()``,
+running CRC32; the 16 mutable header bytes (record count, body length,
+CRC, next) are patched in place when an image is needed. ``image()``,
 ``summary_delta_image()``, and ``data_tail()`` therefore return
 ``memoryview`` slices of the live buffer: a partial flush reaches
 :meth:`repro.disk.SimulatedDisk.write` with **zero intermediate bytes
@@ -33,11 +33,18 @@ from repro.lld.config import SECTOR, LLDConfig
 from repro.lld.records import Record, decode_records, encode_records_into
 
 SUMMARY_MAGIC = b"LDS1"
-_SUMMARY_HEADER = struct.Struct("<4sIII")  # magic, nrecords, body_len, crc32
-#: The mutable header fields (record count, body length, CRC) at offset 4;
-#: the magic before them is written once per template and never patched.
-_SUMMARY_MUTABLE = struct.Struct("<III")
+#: magic, nrecords, body_len, crc32, next. The CRC runs over the body and
+#: then the ``next`` field: the slot the log opens after this segment
+#: (:data:`NO_NEXT` while it has not chosen one), which a recovery from a
+#: checkpoint follows past the slots the checkpoint listed.
+_SUMMARY_HEADER = struct.Struct("<4sIIII")
+#: The mutable header fields (record count, body length, CRC, next) at
+#: offset 4; the magic before them is written once per template and never
+#: patched.
+_SUMMARY_MUTABLE = struct.Struct("<IIII")
+_NEXT = struct.Struct("<I")
 _HEADER_SIZE = _SUMMARY_HEADER.size
+NO_NEXT = 0xFFFFFFFF
 
 #: Cached all-empty summary images per capacity (the reseal/scrub
 #: template): header with zero records, zero body, CRC32 of b"" (== 0),
@@ -47,7 +54,8 @@ _EMPTY_SUMMARIES: dict[int, bytes] = {}
 
 
 def empty_summary(capacity: int) -> bytes:
-    """The cached empty-summary image of exactly ``capacity`` bytes."""
+    """The cached empty-summary image of exactly ``capacity`` bytes (no
+    records, no ``next``)."""
     image = _EMPTY_SUMMARIES.get(capacity)
     if image is None:
         image = serialize_summary([], capacity)
@@ -55,7 +63,14 @@ def empty_summary(capacity: int) -> bytes:
     return image
 
 
-def serialize_summary(records: list[Record], capacity: int) -> bytes:
+def _summary_crc(body_crc: int, next_slot: int) -> int:
+    """The header CRC: the body's, continued over the ``next`` field."""
+    return zlib.crc32(_NEXT.pack(next_slot), body_crc)
+
+
+def serialize_summary(
+    records: list[Record], capacity: int, next_slot: int = NO_NEXT
+) -> bytes:
     """Pack records into a summary image of exactly ``capacity`` bytes.
 
     One preallocated buffer, one combined-Struct write per record, one
@@ -67,10 +82,8 @@ def serialize_summary(records: list[Record], capacity: int) -> bytes:
         raise ValueError(f"summary of {total} bytes exceeds capacity {capacity}")
     buf = bytearray(capacity)
     end = encode_records_into(buf, _HEADER_SIZE, records)
-    _SUMMARY_HEADER.pack_into(
-        buf, 0, SUMMARY_MAGIC, len(records), body_len,
-        zlib.crc32(memoryview(buf)[_HEADER_SIZE:end]),
-    )
+    crc = _summary_crc(zlib.crc32(memoryview(buf)[_HEADER_SIZE:end]), next_slot)
+    _SUMMARY_HEADER.pack_into(buf, 0, SUMMARY_MAGIC, len(records), body_len, crc, next_slot)
     return bytes(buf)
 
 
@@ -85,13 +98,13 @@ def decode_summary_into(image, out: list[Record]) -> bool:
     """
     if len(image) < _HEADER_SIZE:
         return False
-    magic, nrecords, body_len, crc = _SUMMARY_HEADER.unpack_from(image, 0)
+    magic, nrecords, body_len, crc, next_slot = _SUMMARY_HEADER.unpack_from(image, 0)
     if magic != SUMMARY_MAGIC:
         return False
     end = _HEADER_SIZE + body_len
     if end > len(image):
         return False
-    if zlib.crc32(memoryview(image)[_HEADER_SIZE:end]) != crc:
+    if _summary_crc(zlib.crc32(memoryview(image)[_HEADER_SIZE:end]), next_slot) != crc:
         return False
     try:
         records, offset = decode_records(image, _HEADER_SIZE, end, nrecords)
@@ -104,6 +117,13 @@ def decode_summary_into(image, out: list[Record]) -> bool:
         return False
     out.extend(records)
     return True
+
+
+def summary_next(image) -> int | None:
+    """The ``next`` field of a summary :func:`decode_summary_into` accepted:
+    the slot the log opened after it, or None (it was open, or scrubbed)."""
+    next_slot = _SUMMARY_HEADER.unpack_from(image, 0)[4]
+    return None if next_slot == NO_NEXT else next_slot
 
 
 def parse_summary(image) -> list[Record] | None:
@@ -274,6 +294,9 @@ class OpenSegment:
         self._crc = 0
         #: Oldest record timestamp, maintained incrementally.
         self._min_ts: int | None = None
+        #: The slot the log opens after this one, chosen at the seal before
+        #: the write that carries it (``LogWriter.seal``); None while open.
+        self.next: int | None = None
         # Durable watermark: how much of this segment is already on disk
         # and unchanged since the last flush. Data and records are append-
         # only inside an open segment, so a flush — and the seal after it —
@@ -283,6 +306,7 @@ class OpenSegment:
         self.durable_data = 0
         self.durable_records = 0
         self.durable_summary_used = _HEADER_SIZE
+        self.durable_next: int | None = None
 
     def fits(self, data_len: int, record_bytes: int) -> bool:
         """Can ``data_len`` data bytes plus ``record_bytes`` of records fit?"""
@@ -319,9 +343,11 @@ class OpenSegment:
 
     def _patch_summary_header(self) -> None:
         """Refresh the mutable header fields over the packed record bytes."""
+        next_slot = NO_NEXT if self.next is None else self.next
         _SUMMARY_MUTABLE.pack_into(
             self._image_view, 4,
-            len(self.records), self.summary_used - _HEADER_SIZE, self._crc,
+            len(self.records), self.summary_used - _HEADER_SIZE,
+            _summary_crc(self._crc, next_slot), next_slot,
         )
 
     def read_data(self, offset: int, length: int) -> bytes:
@@ -361,8 +387,10 @@ class OpenSegment:
     def header_sector(self):
         """Sector 0 of the image, magic in place: header and first records.
         One sector, so writing it is atomic in the crash model: the commit
-        of a segment whose body went out under a blanked magic."""
+        of a segment whose body went out under a blanked magic, and of a
+        seal that adds only ``next`` to a summary already on its slot."""
         self._image_view[0:4] = SUMMARY_MAGIC
+        self._patch_summary_header()
         return self._image_view[:SECTOR]
 
     def min_timestamp(self) -> int | None:
@@ -375,6 +403,12 @@ class OpenSegment:
 
     @property
     def summary_dirty(self) -> bool:
+        """Records were appended, or ``next`` set, since the last flush of
+        this slot."""
+        return len(self.records) > self.durable_records or self.next != self.durable_next
+
+    @property
+    def records_dirty(self) -> bool:
         """Records were appended since the last flush of this slot."""
         return len(self.records) > self.durable_records
 
@@ -393,12 +427,14 @@ class OpenSegment:
         self.durable_data = self.used
         self.durable_records = len(self.records)
         self.durable_summary_used = self.summary_used
+        self.durable_next = self.next
 
     def reset_durable(self) -> None:
         """Forget the watermark (slot content on disk is stale/absent)."""
         self.durable_data = 0
         self.durable_records = 0
         self.durable_summary_used = _HEADER_SIZE
+        self.durable_next = None
 
     def summary_delta_image(self):
         """Summary prefix covering header + all record bytes, whole sectors.
@@ -409,7 +445,7 @@ class OpenSegment:
         starts at sector 0 and runs through the sector holding the last
         record byte: one contiguous write, much shorter than the full
         ``summary_capacity`` for lightly-filled summaries. Zero-copy: the
-        record bytes are already packed in place, only the 12 mutable
+        record bytes are already packed in place, only the 16 mutable
         header bytes are patched.
         """
         self._patch_summary_header()

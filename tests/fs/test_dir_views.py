@@ -425,10 +425,12 @@ GOLDEN = {
         # Writes and sectors written re-based with seal-by-delta (19 writes,
         # 903 sectors before): the two seals that follow partial flushes
         # write a data tail and a summary each instead of a whole image.
-        # Reads, clock and image are the parent's.
+        # Reads and clock are the parent's. The image was re-captured when
+        # the summary header gained its ``next`` field (same requests, same
+        # times, four more header bytes per summary).
         "disk": (353, 21, 2229, 727),
         "clock_us": 4401296,
-        "image": "f328512f47938f00",
+        "image": "893282c9e60433aa",
     },
 }
 

@@ -11,9 +11,10 @@ joined — the readable specification of the on-disk format, and the oracle
 A record is ``<BBIQ`` (type, flags, ARU, timestamp) followed by its
 class's ``_PAYLOAD`` (the dataclass fields after the three header ones,
 in order; an id field that may be None is stored as ``NONE_ID``). A
-summary is ``<4sIII`` (``SUMMARY_MAGIC``, record count, body length,
-CRC-32 of the body), the records back to back, zero padding to its
-capacity.
+summary is ``<4sIIII`` (``SUMMARY_MAGIC``, record count, body length,
+CRC-32 of the body followed by the ``next`` field, ``next``: the slot the
+log opened after this segment, ``NO_NEXT`` for none), the records back to
+back, zero padding to its capacity.
 """
 
 from __future__ import annotations
@@ -33,10 +34,11 @@ from repro.lld.records import (
     ListMetaRecord,
     Record,
 )
-from repro.lld.segment import SUMMARY_MAGIC
+from repro.lld.segment import NO_NEXT, SUMMARY_MAGIC
 
 HEADER = struct.Struct("<BBIQ")  # type, flags, aru, timestamp
-SUMMARY_HEADER = struct.Struct("<4sIII")  # magic, nrecords, body_len, crc32
+SUMMARY_HEADER = struct.Struct("<4sIIII")  # magic, nrecords, body_len, crc32, next
+NEXT = struct.Struct("<I")
 
 TYPES = {
     cls.TYPE: cls
@@ -82,10 +84,19 @@ def unpack_record(buf: bytes, offset: int) -> tuple[Record, int]:
     return record, offset + payload.size
 
 
-def serialize_summary_legacy(records: list[Record], capacity: int) -> bytes:
+def summary_crc(body: bytes, next_slot: int) -> int:
+    """The header's CRC: over the body, then the ``next`` field."""
+    return zlib.crc32(body + NEXT.pack(next_slot))
+
+
+def serialize_summary_legacy(
+    records: list[Record], capacity: int, next_slot: int = NO_NEXT
+) -> bytes:
     """Encode a summary: pack each record, join, pad to ``capacity``."""
     body = b"".join(pack(record) for record in records)
-    header = SUMMARY_HEADER.pack(SUMMARY_MAGIC, len(records), len(body), zlib.crc32(body))
+    header = SUMMARY_HEADER.pack(
+        SUMMARY_MAGIC, len(records), len(body), summary_crc(body, next_slot), next_slot
+    )
     image = header + body
     if len(image) > capacity:
         raise ValueError(f"summary of {len(image)} bytes exceeds capacity {capacity}")
@@ -97,14 +108,14 @@ def parse_summary_legacy(image: bytes) -> list[Record] | None:
     that are not a whole, checksummed summary."""
     if len(image) < SUMMARY_HEADER.size:
         return None
-    magic, nrecords, body_len, crc = SUMMARY_HEADER.unpack_from(image, 0)
+    magic, nrecords, body_len, crc, next_slot = SUMMARY_HEADER.unpack_from(image, 0)
     if magic != SUMMARY_MAGIC:
         return None
     start = SUMMARY_HEADER.size
     if start + body_len > len(image):
         return None
-    body = image[start : start + body_len]
-    if zlib.crc32(body) != crc:
+    body = bytes(image[start : start + body_len])
+    if summary_crc(body, next_slot) != crc:
         return None
     records: list[Record] = []
     offset = 0

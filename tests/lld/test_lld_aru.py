@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ld import LIST_HEAD
-from repro.ld.errors import ARUError, NoSuchBlockError
+from repro.ld.errors import ARUError, NoSuchBlockError, OutOfSpaceError
 from repro.lld.records import (
     _RECORD_TYPES,
     BlockDeadRecord,
@@ -476,3 +476,58 @@ def test_the_cleaner_moving_an_open_units_data_keeps_it_the_units():
     recovered = reopen(lld)  # before what the abort put back is durable
     assert recovered.read(bids[0]) == b"base" * 100
     assert list(recovered.state.iter_list(lid)) == bids
+
+
+@pytest.mark.parametrize("checkpoint_slots", [1, 2])
+def test_an_abort_with_no_room_to_log_its_rollback_rolls_back_in_memory(checkpoint_slots):
+    """A unit that filled the log (its pins keep the cleaner off what it
+    superseded) is aborted: the records that put its values back do not
+    fit. The abort raises a typed error, and the tables hold the values
+    before the unit all the same — what a crash recovers too."""
+    lld = make_lld(capacity_mb=1, checkpoint_slots=checkpoint_slots)
+    lid = lld.new_list()
+    pred, bids = LIST_HEAD, []
+    while lld.free_segment_count() > 3:
+        pred = lld.new_block(lid, pred)
+        lld.write(pred, b"f" * 4096)
+        bids.append(pred)
+    lld.flush()
+    lld.begin_aru()
+    with pytest.raises(OutOfSpaceError):
+        for i in range(20 * len(bids)):
+            lld.write(bids[i % len(bids)], bytes([i % 251 + 1]))
+    with pytest.raises(OutOfSpaceError, match="put back in memory"):
+        lld.abort_aru()
+    assert not lld.in_aru and lld.open_aru_count == 0 and not lld.log.arus.undo
+    assert lld.log.arus.kept  # what it superseded stays until restart
+    assert all(lld.read(bid) == b"f" * 4096 for bid in bids)
+    assert lld.list_blocks(lid) == bids
+    recovered = reopen(lld)
+    assert all(recovered.read(bid) == b"f" * 4096 for bid in bids)
+    assert recovered.list_blocks(lid) == bids
+    assert not recovered.log.arus.kept
+
+
+def test_a_unit_begun_after_a_crash_does_not_commit_a_discarded_one():
+    """A recovery discards an uncommitted unit's records but leaves them on
+    disk. The restarted log must not reuse their timestamps: a unit's id is
+    one, and a new unit with the discarded one's id would commit its
+    records at the next recovery."""
+    lld = make_lld()
+    lid = lld.new_list()
+    a = lld.new_block(lid, LIST_HEAD)
+    b = lld.new_block(lid, a)
+    lld.write(a, b"a0")
+    lld.write(b, b"b0")
+    lld.flush()
+    lld.begin_aru()
+    lld.write(b, b"discarded")
+    lld.flush()
+    recovered = reopen(lld)
+    assert recovered.read(b) == b"b0"
+    recovered.begin_aru()
+    recovered.write(a, b"a1")
+    recovered.end_aru()
+    recovered.flush()
+    again = reopen(recovered)
+    assert again.read(a) == b"a1" and again.read(b) == b"b0"

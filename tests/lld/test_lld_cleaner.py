@@ -195,24 +195,14 @@ def test_scrub_slot_rejects_live_segment():
         lld.cleaner.scrub_slot(live_slot)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP 7: compact_tombstones scrubs its victims in one barrier epoch; "
-    "a crash after some of them resurrects blocks deleted and acknowledged",
-)
-def test_a_crash_inside_a_compaction_keeps_the_deletes():
-    """Deep compaction right after acknowledged deletes: every crash point
-    of its journal must recover the acknowledged list. A prefix of the scrub
-    epoch that destroys the summary holding the deaths but not an older
-    one holding the blocks brings deleted blocks back."""
-    from repro.crashsim import CrashStateEnumerator, LLDCrashChecker, OracleDriver, RecordingDisk
-    from repro.disk import SimulatedDisk, fast_test_disk
+def _deletes_then_compaction(disk):
+    """An LLD on ``disk`` through overwrites, fill, acknowledged deletes and
+    a deep compaction, every step mirrored; returns the driver."""
+    from repro.crashsim import OracleDriver
     from repro.lld import LLD
-    from repro.sim import VirtualClock
 
     from tests.lld.conftest import small_config
 
-    disk = RecordingDisk(SimulatedDisk(fast_test_disk(capacity_mb=2), VirtualClock()))
     ld = LLD(disk, small_config(torn_write_protection=True))
     ld.initialize()
     driver = OracleDriver(ld, disk)
@@ -239,14 +229,59 @@ def test_a_crash_inside_a_compaction_keeps_the_deletes():
         driver.write(ld, pred, bytes([len(extra) % 251]) * 4096)
     driver.ack(ld, "full")
     while extra:
-        if driver.room_low(0, 512):
+        # A delete is several records: the summary must have room for all
+        # of them, or the seal in the middle makes a state no ack saw. An
+        # ack seals only above the fill threshold, so overwrites (one
+        # record each) fill the data area until one does.
+        while driver.room_low(0, 512):
             driver.ack(ld, "room")
+            if driver.room_low(0, 512):
+                driver.write(ld, bids[2], bytes([len(extra) % 251]) * 4096)
         driver.delete_block(ld, extra.pop(), lid)
     driver.ack(ld, "deleted")
     ld.cleaner.compact_tombstones(0, deep=True)
     driver.ack(ld, "compacted")
+    return driver
+
+
+def test_a_crash_inside_a_compaction_keeps_the_deletes():
+    """Deep compaction right after acknowledged deletes: every crash point
+    of its journal must recover the acknowledged list."""
+    from repro.crashsim import CrashStateEnumerator, LLDCrashChecker, RecordingDisk
+    from repro.disk import SimulatedDisk, fast_test_disk
+    from repro.sim import VirtualClock
+
+    disk = RecordingDisk(SimulatedDisk(fast_test_disk(capacity_mb=2), VirtualClock()))
+    driver = _deletes_then_compaction(disk)
     enum = CrashStateEnumerator(disk, reorder_samples_per_epoch=0)
-    checker = LLDCrashChecker(ld.config, driver.oracle)
+    checker = LLDCrashChecker(driver.ld.config, driver.oracle)
     states = [s for s in enum.enumerate() if s.kind == "prefix"]
     violations = [v for s in states for v in checker(enum.materialize(s), s).violations]
     assert violations == []
+
+
+def test_a_compaction_scrubs_no_slot_the_log_wrote_meanwhile(monkeypatch):
+    """The compaction re-logs into slots the log opens while it runs — free
+    ones with old summaries, which it had picked to scrub. Scrubbing them
+    destroyed what was re-logged there: deaths, whose loss brought deleted
+    blocks back in a crash part-way through the scrubs (at the parent of
+    this test, a strict xfail of the test above). No scrub may destroy a
+    summary that homes anything."""
+    from repro.crashsim import RecordingDisk
+    from repro.disk import SimulatedDisk, fast_test_disk
+    from repro.lld.log import LogWriter
+    from repro.sim import VirtualClock
+
+    homing: list[int] = []
+    scrub = LogWriter.scrub
+
+    def checked(self, slots):
+        slots = list(slots)
+        homing.extend(slot for slot in slots if self.state.slot_holds_metadata(slot))
+        scrub(self, slots)
+
+    monkeypatch.setattr(LogWriter, "scrub", checked)
+    disk = RecordingDisk(SimulatedDisk(fast_test_disk(capacity_mb=2), VirtualClock()))
+    driver = _deletes_then_compaction(disk)
+    assert driver.ld.stats.tombstones_dropped > 0
+    assert homing == []

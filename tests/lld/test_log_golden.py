@@ -87,7 +87,14 @@ the aborted unit's ``new_block`` as list 1's head: the cleaner had
 re-stated its records untagged) and whose other parts moved with
 placement — which tombstones are still buried (the aborted
 ``new_block`` is buried now) and the recovery report's ARU counts. The
-other 168 arms are the parent's. A
+other 168 arms are the parent's. The summary header's ``next`` field
+(parent faa17ba): four more bytes in every summary header, so ``layout``
+(the images) and ``requests`` (the written bytes' CRCs) re-captured on
+all 192; ``clocks`` on the 7 ``compaction`` arms where a summary filled
+to its last record now seals one record sooner — a checkout of the
+parent with four padding bytes after its header gives the same clocks
+on all 24 ``compaction`` arms; ``contents`` the parent's on all 192, and
+``clocks`` on the other 185. A
 change that keeps
 requests where they are re-captures nothing; one that moves them re-captures the components it names up front
 and shows the rest byte-identical to this table.
@@ -136,212 +143,212 @@ SINCE_CAPTURE = (
 #: ``GOLDEN[script][config]`` = the ``COMPONENTS`` digests, in that order.
 GOLDEN: dict[str, dict[str, tuple[str, str, str, str]]] = {
     'arus': {
-        'bare/delta/torn/nvram': ('d1f0ca1fa0e0', 'b3d1147a8dd3', '8ba92efa79b0', 'f8312a635281'),
-        'bare/delta/torn/disk': ('d1f0ca1fa0e0', '471442a2b7b8', '02fa30ae302b', 'ad6458f7dd69'),
-        'bare/delta/plain/nvram': ('d1f0ca1fa0e0', 'b3d1147a8dd3', '48fcad1f89d5', '037142192138'),
-        'bare/delta/plain/disk': ('d1f0ca1fa0e0', '471442a2b7b8', '4f1572c6ed6c', '18ca70ddfae6'),
-        'bare/image/torn/nvram': ('d1f0ca1fa0e0', 'b3d1147a8dd3', '79247db1b33f', 'ed0271a415ec'),
-        'bare/image/torn/disk': ('d1f0ca1fa0e0', '471442a2b7b8', 'b32552171f6c', 'bd21134b7d65'),
-        'bare/image/plain/nvram': ('d1f0ca1fa0e0', 'b3d1147a8dd3', 'a187f32ec6c4', 'aea7fb92e5a7'),
-        'bare/image/plain/disk': ('d1f0ca1fa0e0', '471442a2b7b8', 'fd2667cd6148', 'c86570270440'),
-        'stripe/delta/torn/nvram': ('167464a16ae5', 'c3d3ba682254', 'e3cebcadab3e', '47ed5cf22d08'),
-        'stripe/delta/torn/disk': ('167464a16ae5', '5854cd7720c0', '3df09b83fcd1', 'f8cc9fff35e1'),
-        'stripe/delta/plain/nvram': ('167464a16ae5', 'c3d3ba682254', '332a8cc195db', '15dbf9f61ad5'),
-        'stripe/delta/plain/disk': ('167464a16ae5', '5854cd7720c0', 'c89ce2089f2e', 'd2fb8c7b1355'),
-        'stripe/image/torn/nvram': ('167464a16ae5', 'c3d3ba682254', 'ffee4ee38acc', '47ed5cf22d08'),
-        'stripe/image/torn/disk': ('167464a16ae5', '5854cd7720c0', '98a4cbffa4ca', 'f8cc9fff35e1'),
-        'stripe/image/plain/nvram': ('167464a16ae5', 'c3d3ba682254', '43513336dee6', '15dbf9f61ad5'),
-        'stripe/image/plain/disk': ('167464a16ae5', '5854cd7720c0', 'ba7ac2637ce5', 'ce86b6e6e9ed'),
-        'raid5/delta/torn/nvram': ('39ec6d2c2616', '9657eacad012', '1784e4f8c714', 'e1ee817351a7'),
-        'raid5/delta/torn/disk': ('39ec6d2c2616', 'd55d40de599e', '41db853ef6b3', 'cf6d6bff9ae6'),
-        'raid5/delta/plain/nvram': ('39ec6d2c2616', '9657eacad012', '3838d9877985', '305a1059e788'),
-        'raid5/delta/plain/disk': ('39ec6d2c2616', 'd55d40de599e', '071e3281ceae', 'e290b7c012d4'),
-        'raid5/image/torn/nvram': ('39ec6d2c2616', '9657eacad012', 'ed23ccda2019', '90414d908864'),
-        'raid5/image/torn/disk': ('39ec6d2c2616', 'd55d40de599e', 'a44ac9aeb7ab', '7a45d9275f99'),
-        'raid5/image/plain/nvram': ('39ec6d2c2616', '9657eacad012', '61d9d0d742f0', '46258edac784'),
-        'raid5/image/plain/disk': ('39ec6d2c2616', 'd55d40de599e', '568876e69d8f', '1f9cf1051eaa'),
+        'bare/delta/torn/nvram': ('d1f0ca1fa0e0', '99653a6f8a36', '9490fa61b2ef', 'f8312a635281'),
+        'bare/delta/torn/disk': ('d1f0ca1fa0e0', 'b9c0ced7dd17', 'dbe95a435449', 'ad6458f7dd69'),
+        'bare/delta/plain/nvram': ('d1f0ca1fa0e0', '99653a6f8a36', '44a45067b362', '037142192138'),
+        'bare/delta/plain/disk': ('d1f0ca1fa0e0', 'b9c0ced7dd17', '751046348142', '18ca70ddfae6'),
+        'bare/image/torn/nvram': ('d1f0ca1fa0e0', '99653a6f8a36', '007eece49bcc', 'ed0271a415ec'),
+        'bare/image/torn/disk': ('d1f0ca1fa0e0', 'b9c0ced7dd17', '9f1a9d131431', 'bd21134b7d65'),
+        'bare/image/plain/nvram': ('d1f0ca1fa0e0', '99653a6f8a36', '53b0b32e784b', 'aea7fb92e5a7'),
+        'bare/image/plain/disk': ('d1f0ca1fa0e0', 'b9c0ced7dd17', 'd2e375d0dc7c', 'c86570270440'),
+        'stripe/delta/torn/nvram': ('167464a16ae5', '53935bc0dcf0', '5bdd46cc06bf', '47ed5cf22d08'),
+        'stripe/delta/torn/disk': ('167464a16ae5', 'e6d047340c40', '8650c23bbe0a', 'f8cc9fff35e1'),
+        'stripe/delta/plain/nvram': ('167464a16ae5', '53935bc0dcf0', '19466fb415cc', '15dbf9f61ad5'),
+        'stripe/delta/plain/disk': ('167464a16ae5', 'e6d047340c40', '6f543890a359', 'd2fb8c7b1355'),
+        'stripe/image/torn/nvram': ('167464a16ae5', '53935bc0dcf0', '664f24d293d6', '47ed5cf22d08'),
+        'stripe/image/torn/disk': ('167464a16ae5', 'e6d047340c40', '7cf1fdee9d71', 'f8cc9fff35e1'),
+        'stripe/image/plain/nvram': ('167464a16ae5', '53935bc0dcf0', '33ec09ed77ef', '15dbf9f61ad5'),
+        'stripe/image/plain/disk': ('167464a16ae5', 'e6d047340c40', '8ff8a1dc597e', 'ce86b6e6e9ed'),
+        'raid5/delta/torn/nvram': ('39ec6d2c2616', 'b4abeb4d7c89', 'd5fb3d6c8ff2', 'e1ee817351a7'),
+        'raid5/delta/torn/disk': ('39ec6d2c2616', '8e9e241b952e', 'b4a443a699de', 'cf6d6bff9ae6'),
+        'raid5/delta/plain/nvram': ('39ec6d2c2616', 'b4abeb4d7c89', 'c8d2b244b9c6', '305a1059e788'),
+        'raid5/delta/plain/disk': ('39ec6d2c2616', '8e9e241b952e', '85b55abf0995', 'e290b7c012d4'),
+        'raid5/image/torn/nvram': ('39ec6d2c2616', 'b4abeb4d7c89', '6267b5cedfea', '90414d908864'),
+        'raid5/image/torn/disk': ('39ec6d2c2616', '8e9e241b952e', '0d39a79af7e1', '7a45d9275f99'),
+        'raid5/image/plain/nvram': ('39ec6d2c2616', 'b4abeb4d7c89', '6c14bbf8049e', '46258edac784'),
+        'raid5/image/plain/disk': ('39ec6d2c2616', '8e9e241b952e', '826597a3bcd1', '1f9cf1051eaa'),
     },
     'compaction': {
-        'bare/delta/torn/nvram': ('f43c3e5cdaa8', 'af1a6f8f12ee', '0f0206e541f0', '766cf4a38a13'),
-        'bare/delta/torn/disk': ('f43c3e5cdaa8', 'e3a2c3670f29', 'ab59e15a3cf7', '8fc3c72c8551'),
-        'bare/delta/plain/nvram': ('f43c3e5cdaa8', 'af1a6f8f12ee', 'cdaf4a0463f9', '22bd200a9c61'),
-        'bare/delta/plain/disk': ('f43c3e5cdaa8', 'e3a2c3670f29', '5d21b0319f30', '3f47e076e8e8'),
-        'bare/image/torn/nvram': ('f43c3e5cdaa8', 'af1a6f8f12ee', '143b21624ca2', '766cf4a38a13'),
-        'bare/image/torn/disk': ('f43c3e5cdaa8', 'e3a2c3670f29', '95332a103714', '01c888be6177'),
-        'bare/image/plain/nvram': ('f43c3e5cdaa8', 'af1a6f8f12ee', '4d3c6f96a726', '0cd46654a9fa'),
-        'bare/image/plain/disk': ('f43c3e5cdaa8', 'e3a2c3670f29', '5118883dbfee', 'a3c13c3c0ba4'),
-        'stripe/delta/torn/nvram': ('cf67d8db9144', '178bfd89ec60', '2cc4d39cee06', '3d64491fe44d'),
-        'stripe/delta/torn/disk': ('cf67d8db9144', '9a461984d664', 'e5b93a0396c8', 'd7e4a7df206b'),
-        'stripe/delta/plain/nvram': ('cf67d8db9144', '178bfd89ec60', '28c42f761089', '5e77bc7512b2'),
-        'stripe/delta/plain/disk': ('cf67d8db9144', '9a461984d664', '30516c18e648', 'd5fb384a29d5'),
-        'stripe/image/torn/nvram': ('cf67d8db9144', '178bfd89ec60', 'ebbb87ba0b48', '3d64491fe44d'),
-        'stripe/image/torn/disk': ('cf67d8db9144', '9a461984d664', 'da496cdc6700', '8f11f8e64c2b'),
-        'stripe/image/plain/nvram': ('cf67d8db9144', '178bfd89ec60', '5795e16f5cea', '5e77bc7512b2'),
-        'stripe/image/plain/disk': ('cf67d8db9144', '9a461984d664', '5be74fa4e277', '8f6250d5da00'),
-        'raid5/delta/torn/nvram': ('486ae46ecdb9', '38c6adb40e4a', '542a395bd1bb', '995306cfada9'),
-        'raid5/delta/torn/disk': ('486ae46ecdb9', 'f0f111f70c4d', '68cd43839f90', '13732d68a4c9'),
-        'raid5/delta/plain/nvram': ('486ae46ecdb9', '38c6adb40e4a', '4a45cc71b21f', '160fe85b9bfe'),
-        'raid5/delta/plain/disk': ('486ae46ecdb9', 'f0f111f70c4d', '69b0e346ad5b', '3749a2481fdf'),
-        'raid5/image/torn/nvram': ('486ae46ecdb9', '38c6adb40e4a', 'b5db8d6ab194', 'a10f48b85a4d'),
-        'raid5/image/torn/disk': ('486ae46ecdb9', 'f0f111f70c4d', 'a63249604cf9', '9e31ccbe0870'),
-        'raid5/image/plain/nvram': ('486ae46ecdb9', '38c6adb40e4a', 'b46e9c67eaea', '160fe85b9bfe'),
-        'raid5/image/plain/disk': ('486ae46ecdb9', 'f0f111f70c4d', '5c020dd0314d', '7ef701dbd883'),
+        'bare/delta/torn/nvram': ('f43c3e5cdaa8', '5d4c6901ffad', '6bc2d14ceccf', 'd24262ddb8a1'),
+        'bare/delta/torn/disk': ('f43c3e5cdaa8', '0753b8f1cf4f', '2d032dc9ab02', 'df156fb727aa'),
+        'bare/delta/plain/nvram': ('f43c3e5cdaa8', '5d4c6901ffad', '36bb9c8cd16e', '22bd200a9c61'),
+        'bare/delta/plain/disk': ('f43c3e5cdaa8', '0753b8f1cf4f', '63b3553d5ecb', '3f47e076e8e8'),
+        'bare/image/torn/nvram': ('f43c3e5cdaa8', '5d4c6901ffad', 'ead3016333fc', 'd24262ddb8a1'),
+        'bare/image/torn/disk': ('f43c3e5cdaa8', '0753b8f1cf4f', '7b1a2973ea21', '8fc3c72c8551'),
+        'bare/image/plain/nvram': ('f43c3e5cdaa8', '5d4c6901ffad', '144cc3b85848', '0cd46654a9fa'),
+        'bare/image/plain/disk': ('f43c3e5cdaa8', '0753b8f1cf4f', '3795a917ad7c', 'a3c13c3c0ba4'),
+        'stripe/delta/torn/nvram': ('cf67d8db9144', 'cc4c341ba2e9', '50f5e65d5b20', '3d64491fe44d'),
+        'stripe/delta/torn/disk': ('cf67d8db9144', 'a2d2d5596116', 'fd4dbe98c6d3', 'd7e4a7df206b'),
+        'stripe/delta/plain/nvram': ('cf67d8db9144', 'cc4c341ba2e9', 'b7652121fede', '8e3be3a8d98c'),
+        'stripe/delta/plain/disk': ('cf67d8db9144', 'a2d2d5596116', 'c25b6ac40668', 'd5fb384a29d5'),
+        'stripe/image/torn/nvram': ('cf67d8db9144', 'cc4c341ba2e9', 'c6835e07fad9', '3d64491fe44d'),
+        'stripe/image/torn/disk': ('cf67d8db9144', 'a2d2d5596116', 'f9580f478860', '8f11f8e64c2b'),
+        'stripe/image/plain/nvram': ('cf67d8db9144', 'cc4c341ba2e9', 'f9f5b3fc5f97', '8e3be3a8d98c'),
+        'stripe/image/plain/disk': ('cf67d8db9144', 'a2d2d5596116', 'ede67eec6622', '8fe0afd533b4'),
+        'raid5/delta/torn/nvram': ('486ae46ecdb9', '928ee2551e45', '35cdd8b97bab', '995306cfada9'),
+        'raid5/delta/torn/disk': ('486ae46ecdb9', 'c608b50a9de2', '1a9f5f7b45d7', '13732d68a4c9'),
+        'raid5/delta/plain/nvram': ('486ae46ecdb9', '928ee2551e45', '8254b02e26a6', '160fe85b9bfe'),
+        'raid5/delta/plain/disk': ('486ae46ecdb9', 'c608b50a9de2', 'd84521742722', '3749a2481fdf'),
+        'raid5/image/torn/nvram': ('486ae46ecdb9', '928ee2551e45', '7dbb57ceada2', 'a10f48b85a4d'),
+        'raid5/image/torn/disk': ('486ae46ecdb9', 'c608b50a9de2', 'ba34397edc4f', '9e31ccbe0870'),
+        'raid5/image/plain/nvram': ('486ae46ecdb9', '928ee2551e45', 'bb80803ed054', '160fe85b9bfe'),
+        'raid5/image/plain/disk': ('486ae46ecdb9', 'c608b50a9de2', 'f682229e635f', '7ef701dbd883'),
     },
     'compression': {
-        'bare/delta/torn/nvram': ('342b23cd34f7', '6a423743ac50', '4a808607b783', '0c1868668ae3'),
-        'bare/delta/torn/disk': ('342b23cd34f7', '6a423743ac50', '9d32340fc3f6', '7719587008a4'),
-        'bare/delta/plain/nvram': ('342b23cd34f7', '6a423743ac50', '53574484a147', '6c6e857a923f'),
-        'bare/delta/plain/disk': ('342b23cd34f7', '6a423743ac50', 'ac038ea7a118', '161a413f68ef'),
-        'bare/image/torn/nvram': ('342b23cd34f7', '6a423743ac50', '60cb59cd1c11', '0c1868668ae3'),
-        'bare/image/torn/disk': ('342b23cd34f7', '6a423743ac50', '05dd5812fa51', '7719587008a4'),
-        'bare/image/plain/nvram': ('342b23cd34f7', '6a423743ac50', 'e3a772599a24', '6c6e857a923f'),
-        'bare/image/plain/disk': ('342b23cd34f7', '6a423743ac50', '6d26f5fd85ec', '092c9882e211'),
-        'stripe/delta/torn/nvram': ('3db3061db605', 'fe36c054c241', '3426005104aa', 'bf164a50577a'),
-        'stripe/delta/torn/disk': ('3db3061db605', 'fe36c054c241', '562dbd9512fe', '805db81d030c'),
-        'stripe/delta/plain/nvram': ('3db3061db605', 'fe36c054c241', 'ad0ee85370a9', '4d80b2ca8ebe'),
-        'stripe/delta/plain/disk': ('3db3061db605', 'fe36c054c241', '236fadcd4117', 'ebea76a1fc09'),
-        'stripe/image/torn/nvram': ('3db3061db605', 'fe36c054c241', 'f7672bb63a87', 'bf164a50577a'),
-        'stripe/image/torn/disk': ('3db3061db605', 'fe36c054c241', '3250b0efb307', '2b7df5f3f285'),
-        'stripe/image/plain/nvram': ('3db3061db605', 'fe36c054c241', '4713277bec7c', '4d80b2ca8ebe'),
-        'stripe/image/plain/disk': ('3db3061db605', 'fe36c054c241', '281116300305', 'ebea76a1fc09'),
-        'raid5/delta/torn/nvram': ('947314dbc9bf', '5d8de96fd431', 'f3f526c7fb03', 'caa6fc8e1a0d'),
-        'raid5/delta/torn/disk': ('947314dbc9bf', '5d8de96fd431', '4e63dec7f086', '83a2a3e5c9c6'),
-        'raid5/delta/plain/nvram': ('947314dbc9bf', '5d8de96fd431', '6ea86ce645e6', 'fd10a7cc9d3b'),
-        'raid5/delta/plain/disk': ('947314dbc9bf', '5d8de96fd431', 'b86602ea91fe', 'fd10a7cc9d3b'),
-        'raid5/image/torn/nvram': ('947314dbc9bf', '5d8de96fd431', '2915918e522a', 'caa6fc8e1a0d'),
-        'raid5/image/torn/disk': ('947314dbc9bf', '5d8de96fd431', '846f3616e8d9', '5a3c353ca0f5'),
-        'raid5/image/plain/nvram': ('947314dbc9bf', '5d8de96fd431', 'c1f5df7c3b99', 'fd10a7cc9d3b'),
-        'raid5/image/plain/disk': ('947314dbc9bf', '5d8de96fd431', '3afccc8c2a13', '83ff4cd4aac6'),
+        'bare/delta/torn/nvram': ('342b23cd34f7', 'b10a7af45064', 'd9c9a198d4fc', '0c1868668ae3'),
+        'bare/delta/torn/disk': ('342b23cd34f7', 'b10a7af45064', '056a77a049fe', '7719587008a4'),
+        'bare/delta/plain/nvram': ('342b23cd34f7', 'b10a7af45064', '33bce44539dc', '6c6e857a923f'),
+        'bare/delta/plain/disk': ('342b23cd34f7', 'b10a7af45064', 'f19ca431ab33', '161a413f68ef'),
+        'bare/image/torn/nvram': ('342b23cd34f7', 'b10a7af45064', '7a3932e8cdbf', '0c1868668ae3'),
+        'bare/image/torn/disk': ('342b23cd34f7', 'b10a7af45064', '2a093e85b046', '7719587008a4'),
+        'bare/image/plain/nvram': ('342b23cd34f7', 'b10a7af45064', '6e03d70a8617', '6c6e857a923f'),
+        'bare/image/plain/disk': ('342b23cd34f7', 'b10a7af45064', '594cdf1b91f6', '092c9882e211'),
+        'stripe/delta/torn/nvram': ('3db3061db605', 'e2856dd8bb90', '495ee1879664', 'bf164a50577a'),
+        'stripe/delta/torn/disk': ('3db3061db605', 'e2856dd8bb90', '7154205a7ea4', '805db81d030c'),
+        'stripe/delta/plain/nvram': ('3db3061db605', 'e2856dd8bb90', '72db67964866', '4d80b2ca8ebe'),
+        'stripe/delta/plain/disk': ('3db3061db605', 'e2856dd8bb90', '1b37f9f2fc68', 'ebea76a1fc09'),
+        'stripe/image/torn/nvram': ('3db3061db605', 'e2856dd8bb90', '8e9f229b6af2', 'bf164a50577a'),
+        'stripe/image/torn/disk': ('3db3061db605', 'e2856dd8bb90', '0e4c565ecf1b', '2b7df5f3f285'),
+        'stripe/image/plain/nvram': ('3db3061db605', 'e2856dd8bb90', '3d6eef4d4838', '4d80b2ca8ebe'),
+        'stripe/image/plain/disk': ('3db3061db605', 'e2856dd8bb90', 'c349043d9135', 'ebea76a1fc09'),
+        'raid5/delta/torn/nvram': ('947314dbc9bf', '9d206f9eaf9b', '958b24513893', 'caa6fc8e1a0d'),
+        'raid5/delta/torn/disk': ('947314dbc9bf', '9d206f9eaf9b', 'fc305f71ae09', '83a2a3e5c9c6'),
+        'raid5/delta/plain/nvram': ('947314dbc9bf', '9d206f9eaf9b', 'e20c626effee', 'fd10a7cc9d3b'),
+        'raid5/delta/plain/disk': ('947314dbc9bf', '9d206f9eaf9b', '6f6279e11bf7', 'fd10a7cc9d3b'),
+        'raid5/image/torn/nvram': ('947314dbc9bf', '9d206f9eaf9b', '471573575a3c', 'caa6fc8e1a0d'),
+        'raid5/image/torn/disk': ('947314dbc9bf', '9d206f9eaf9b', 'a1355b482db6', '5a3c353ca0f5'),
+        'raid5/image/plain/nvram': ('947314dbc9bf', '9d206f9eaf9b', '16a096324782', 'fd10a7cc9d3b'),
+        'raid5/image/plain/disk': ('947314dbc9bf', '9d206f9eaf9b', 'aa02a24989f1', '83ff4cd4aac6'),
     },
     'deletes_clean': {
-        'bare/delta/torn/nvram': ('547959dfb219', '67d0924f47e5', 'a0523891a44c', 'e54cdfa81d00'),
-        'bare/delta/torn/disk': ('547959dfb219', '67d0924f47e5', '42a105ee22e6', 'ed152739712d'),
-        'bare/delta/plain/nvram': ('547959dfb219', '67d0924f47e5', '563f67f90a81', '7277d2b70699'),
-        'bare/delta/plain/disk': ('547959dfb219', '67d0924f47e5', '58f0b3df42b7', 'f0ca6a57d706'),
-        'bare/image/torn/nvram': ('547959dfb219', '67d0924f47e5', 'dce49841d0d0', 'a55810efecca'),
-        'bare/image/torn/disk': ('547959dfb219', '67d0924f47e5', 'effc97222923', '2b443de4cb61'),
-        'bare/image/plain/nvram': ('547959dfb219', '67d0924f47e5', '52252fa95fbe', '57871303e925'),
-        'bare/image/plain/disk': ('547959dfb219', '67d0924f47e5', 'e93499137da6', '04a904a998cd'),
-        'stripe/delta/torn/nvram': ('d1b32841fb42', '309731951654', '6bb2646d82ea', 'df0c258fabc1'),
-        'stripe/delta/torn/disk': ('d1b32841fb42', '309731951654', 'e4c760821e8f', '29a7c21dfdde'),
-        'stripe/delta/plain/nvram': ('d1b32841fb42', '309731951654', 'ece430ff45be', 'e8cad2589e6e'),
-        'stripe/delta/plain/disk': ('d1b32841fb42', '309731951654', 'd351be70b99e', '5451cdde2ed3'),
-        'stripe/image/torn/nvram': ('d1b32841fb42', '309731951654', '0a0013ebd908', '6f9878f14815'),
-        'stripe/image/torn/disk': ('d1b32841fb42', '309731951654', '433f193bbe77', '03c632e81cc7'),
-        'stripe/image/plain/nvram': ('d1b32841fb42', '309731951654', '5848b9832c68', 'f99082d46b88'),
-        'stripe/image/plain/disk': ('d1b32841fb42', '309731951654', 'f7964058fe89', '5451cdde2ed3'),
-        'raid5/delta/torn/nvram': ('d354091f1d2f', '7f81911b8d77', '77c8c73a774e', '8a12504b08ff'),
-        'raid5/delta/torn/disk': ('d354091f1d2f', '7f81911b8d77', 'a6cf2cd31a45', 'e2ef7aab6036'),
-        'raid5/delta/plain/nvram': ('d354091f1d2f', '7f81911b8d77', '2319fb074229', '2d7f1f7ae45c'),
-        'raid5/delta/plain/disk': ('d354091f1d2f', '7f81911b8d77', '5def45264a88', '5bced1ae0432'),
-        'raid5/image/torn/nvram': ('d354091f1d2f', '7f81911b8d77', '1092626db4e0', '5fc02e4b3abb'),
-        'raid5/image/torn/disk': ('d354091f1d2f', '7f81911b8d77', '1cf44bc41c7d', '82227cc14369'),
-        'raid5/image/plain/nvram': ('d354091f1d2f', '7f81911b8d77', 'b046957e75d5', '5fe11559b9ae'),
-        'raid5/image/plain/disk': ('d354091f1d2f', '7f81911b8d77', 'fdf87339bf80', '5bced1ae0432'),
+        'bare/delta/torn/nvram': ('547959dfb219', 'b3a0f7aa2db0', 'a2ace2139e77', 'e54cdfa81d00'),
+        'bare/delta/torn/disk': ('547959dfb219', 'b3a0f7aa2db0', '78f081636a9b', 'ed152739712d'),
+        'bare/delta/plain/nvram': ('547959dfb219', 'b3a0f7aa2db0', 'dee081aa6ac1', '7277d2b70699'),
+        'bare/delta/plain/disk': ('547959dfb219', 'b3a0f7aa2db0', '3d314b4e01ff', 'f0ca6a57d706'),
+        'bare/image/torn/nvram': ('547959dfb219', 'b3a0f7aa2db0', '6ea90f5ddc5e', 'a55810efecca'),
+        'bare/image/torn/disk': ('547959dfb219', 'b3a0f7aa2db0', 'ba59ad6c627d', '2b443de4cb61'),
+        'bare/image/plain/nvram': ('547959dfb219', 'b3a0f7aa2db0', '5d606fa55f6e', '57871303e925'),
+        'bare/image/plain/disk': ('547959dfb219', 'b3a0f7aa2db0', '0ea2f97350b9', '04a904a998cd'),
+        'stripe/delta/torn/nvram': ('d1b32841fb42', '620233bd7a16', '4c63296258a3', 'df0c258fabc1'),
+        'stripe/delta/torn/disk': ('d1b32841fb42', '620233bd7a16', '6d42a175f9c6', '29a7c21dfdde'),
+        'stripe/delta/plain/nvram': ('d1b32841fb42', '620233bd7a16', '324a7ce3d034', 'e8cad2589e6e'),
+        'stripe/delta/plain/disk': ('d1b32841fb42', '620233bd7a16', '15dfd0ce8282', '5451cdde2ed3'),
+        'stripe/image/torn/nvram': ('d1b32841fb42', '620233bd7a16', '5ba3d856a844', '6f9878f14815'),
+        'stripe/image/torn/disk': ('d1b32841fb42', '620233bd7a16', 'cd2aeb01c2e9', '03c632e81cc7'),
+        'stripe/image/plain/nvram': ('d1b32841fb42', '620233bd7a16', '3562e58ceacb', 'f99082d46b88'),
+        'stripe/image/plain/disk': ('d1b32841fb42', '620233bd7a16', '7043fc742d73', '5451cdde2ed3'),
+        'raid5/delta/torn/nvram': ('d354091f1d2f', '24d2a7ca7e92', 'af82a9dea517', '8a12504b08ff'),
+        'raid5/delta/torn/disk': ('d354091f1d2f', '24d2a7ca7e92', 'c5bbadedb3ae', 'e2ef7aab6036'),
+        'raid5/delta/plain/nvram': ('d354091f1d2f', '24d2a7ca7e92', '174f0e3e64ff', '2d7f1f7ae45c'),
+        'raid5/delta/plain/disk': ('d354091f1d2f', '24d2a7ca7e92', '194086e2b41b', '5bced1ae0432'),
+        'raid5/image/torn/nvram': ('d354091f1d2f', '24d2a7ca7e92', 'ecccdd4b5e71', '5fc02e4b3abb'),
+        'raid5/image/torn/disk': ('d354091f1d2f', '24d2a7ca7e92', 'd6678d148481', '82227cc14369'),
+        'raid5/image/plain/nvram': ('d354091f1d2f', '24d2a7ca7e92', 'ebd305c1fc3f', '5fe11559b9ae'),
+        'raid5/image/plain/disk': ('d354091f1d2f', '24d2a7ca7e92', '8a21c515d7fc', '5bced1ae0432'),
     },
     'flushes': {
-        'bare/delta/torn/nvram': ('e385b968c8f5', 'b596fdd9fa4e', 'a9345559467b', '89b24fabcd4a'),
-        'bare/delta/torn/disk': ('e385b968c8f5', '62133db93699', '0d5b3d8ffe19', 'f900b862ac95'),
-        'bare/delta/plain/nvram': ('e385b968c8f5', 'b596fdd9fa4e', '0b7832b45a6e', 'd9e86bd71a8d'),
-        'bare/delta/plain/disk': ('e385b968c8f5', '62133db93699', '7db451a3faf9', 'd4596e3b303d'),
-        'bare/image/torn/nvram': ('e385b968c8f5', 'b596fdd9fa4e', 'ea153fbd1bc8', 'bcb5cf5a440e'),
-        'bare/image/torn/disk': ('e385b968c8f5', '62133db93699', 'ecb646698fc7', '800ab1a54130'),
-        'bare/image/plain/nvram': ('e385b968c8f5', 'b596fdd9fa4e', '1104b52d155a', '352a3f3ecd89'),
-        'bare/image/plain/disk': ('e385b968c8f5', '62133db93699', '868f2ae6e785', 'b709194d1eda'),
-        'stripe/delta/torn/nvram': ('fcebdad139c0', '1eca18325077', '2583dd5038ae', '7bb130e4f1c7'),
-        'stripe/delta/torn/disk': ('fcebdad139c0', '3bd43ee53206', 'a98486bb66ac', 'acf44727cf08'),
-        'stripe/delta/plain/nvram': ('fcebdad139c0', '1eca18325077', '7b13de8e4ab7', 'dd3b2d4e918d'),
-        'stripe/delta/plain/disk': ('fcebdad139c0', '3bd43ee53206', 'ff4b19c98236', 'f3245ac8c54f'),
-        'stripe/image/torn/nvram': ('fcebdad139c0', '1eca18325077', '08e7308c5d58', 'fe8b4642b5b6'),
-        'stripe/image/torn/disk': ('fcebdad139c0', '3bd43ee53206', '1fae02d72ddd', '306cec28b7fb'),
-        'stripe/image/plain/nvram': ('fcebdad139c0', '1eca18325077', 'dd2ef22a5b5b', 'dd3b2d4e918d'),
-        'stripe/image/plain/disk': ('fcebdad139c0', '3bd43ee53206', 'd1a240870a90', '9552dd209da7'),
-        'raid5/delta/torn/nvram': ('cd406d4a215f', '04778f4a1fab', '2f5ab59f223e', '7621addd44dd'),
-        'raid5/delta/torn/disk': ('cd406d4a215f', '9d79695e3fd9', '1802153e36f6', '5bdd8dac05f6'),
-        'raid5/delta/plain/nvram': ('cd406d4a215f', '04778f4a1fab', 'e9996775e897', '50bd43a78403'),
-        'raid5/delta/plain/disk': ('cd406d4a215f', '9d79695e3fd9', '76c546ea5105', 'f2060ead4f95'),
-        'raid5/image/torn/nvram': ('cd406d4a215f', '04778f4a1fab', '7ea8ba64a367', '3a40dbd8a39d'),
-        'raid5/image/torn/disk': ('cd406d4a215f', '9d79695e3fd9', '214652516257', '66660bc6706e'),
-        'raid5/image/plain/nvram': ('cd406d4a215f', '04778f4a1fab', '4fcce33eaad7', 'efa05eebc7c3'),
-        'raid5/image/plain/disk': ('cd406d4a215f', '9d79695e3fd9', '5bb6dbca3cab', '6a65df267997'),
+        'bare/delta/torn/nvram': ('e385b968c8f5', '6fcfb283b249', 'a6946abcad48', '89b24fabcd4a'),
+        'bare/delta/torn/disk': ('e385b968c8f5', 'e9f69a30bd60', 'b05684912730', 'f900b862ac95'),
+        'bare/delta/plain/nvram': ('e385b968c8f5', '6fcfb283b249', 'e222cf0d948a', 'd9e86bd71a8d'),
+        'bare/delta/plain/disk': ('e385b968c8f5', 'e9f69a30bd60', '4513b62543b5', 'd4596e3b303d'),
+        'bare/image/torn/nvram': ('e385b968c8f5', '6fcfb283b249', 'eed8c967f128', 'bcb5cf5a440e'),
+        'bare/image/torn/disk': ('e385b968c8f5', 'e9f69a30bd60', 'd791fa664717', '800ab1a54130'),
+        'bare/image/plain/nvram': ('e385b968c8f5', '6fcfb283b249', '0a37c7e33dc7', '352a3f3ecd89'),
+        'bare/image/plain/disk': ('e385b968c8f5', 'e9f69a30bd60', 'c060a9941983', 'b709194d1eda'),
+        'stripe/delta/torn/nvram': ('fcebdad139c0', '352a716c68c2', 'c5c89f746f9b', '7bb130e4f1c7'),
+        'stripe/delta/torn/disk': ('fcebdad139c0', '7cbaea3b0a45', '46bbacd09fd8', 'acf44727cf08'),
+        'stripe/delta/plain/nvram': ('fcebdad139c0', '352a716c68c2', 'd3bdbf3a3c1e', 'dd3b2d4e918d'),
+        'stripe/delta/plain/disk': ('fcebdad139c0', '7cbaea3b0a45', '4d012469bc05', 'f3245ac8c54f'),
+        'stripe/image/torn/nvram': ('fcebdad139c0', '352a716c68c2', '6a26563ff50e', 'fe8b4642b5b6'),
+        'stripe/image/torn/disk': ('fcebdad139c0', '7cbaea3b0a45', '7a8d7e3da39c', '306cec28b7fb'),
+        'stripe/image/plain/nvram': ('fcebdad139c0', '352a716c68c2', '297215b6c399', 'dd3b2d4e918d'),
+        'stripe/image/plain/disk': ('fcebdad139c0', '7cbaea3b0a45', '020f207ef565', '9552dd209da7'),
+        'raid5/delta/torn/nvram': ('cd406d4a215f', '35bf061aa51d', 'fa4ee7194365', '7621addd44dd'),
+        'raid5/delta/torn/disk': ('cd406d4a215f', '2d80ea966b49', 'dae9ab369656', '5bdd8dac05f6'),
+        'raid5/delta/plain/nvram': ('cd406d4a215f', '35bf061aa51d', '1fd679c20f99', '50bd43a78403'),
+        'raid5/delta/plain/disk': ('cd406d4a215f', '2d80ea966b49', '1b50ea5410e5', 'f2060ead4f95'),
+        'raid5/image/torn/nvram': ('cd406d4a215f', '35bf061aa51d', '7599e2c90de1', '3a40dbd8a39d'),
+        'raid5/image/torn/disk': ('cd406d4a215f', '2d80ea966b49', 'b49ab8dec2b1', '66660bc6706e'),
+        'raid5/image/plain/nvram': ('cd406d4a215f', '35bf061aa51d', '4fb7be31562c', 'efa05eebc7c3'),
+        'raid5/image/plain/disk': ('cd406d4a215f', '2d80ea966b49', '59cb2b44af77', '6a65df267997'),
     },
     'nvram_replay': {
-        'bare/delta/torn/nvram': ('b281e09ffae3', '6927e16d3584', '2813d7a65c54', '3950a10608dd'),
-        'bare/delta/torn/disk': ('b281e09ffae3', '447f26c634ed', 'e4882b9c50a5', 'b28873cb7224'),
-        'bare/delta/plain/nvram': ('b281e09ffae3', '6927e16d3584', '91b7a5d92cef', '7cb13151fa6d'),
-        'bare/delta/plain/disk': ('b281e09ffae3', '447f26c634ed', 'bc0bcc10bd34', '7b1b0a1518c8'),
-        'bare/image/torn/nvram': ('b281e09ffae3', '6927e16d3584', 'f849022983d4', 'cf35b58cd0da'),
-        'bare/image/torn/disk': ('b281e09ffae3', '447f26c634ed', 'd0c85ea12e3c', '557aa0f7ac50'),
-        'bare/image/plain/nvram': ('b281e09ffae3', '6927e16d3584', '09c166bdd434', '28e9358dcf1f'),
-        'bare/image/plain/disk': ('b281e09ffae3', '447f26c634ed', 'da8bb688ddd2', '7b1b0a1518c8'),
-        'stripe/delta/torn/nvram': ('9affc57acc78', 'fbb273985b40', '82f914b29abf', '88379ee840e6'),
-        'stripe/delta/torn/disk': ('9affc57acc78', '13080bae8ee5', '390d0f22b69d', '6df2695bdc96'),
-        'stripe/delta/plain/nvram': ('9affc57acc78', 'fbb273985b40', 'a6b17a885b30', '140b4922641e'),
-        'stripe/delta/plain/disk': ('9affc57acc78', '13080bae8ee5', '519017554c38', 'f334eb66c938'),
-        'stripe/image/torn/nvram': ('9affc57acc78', 'fbb273985b40', 'c7c18d47dd51', 'e4f89d47b0f7'),
-        'stripe/image/torn/disk': ('9affc57acc78', '13080bae8ee5', '9dd65f0f6be4', '28a4bc17bb8c'),
-        'stripe/image/plain/nvram': ('9affc57acc78', 'fbb273985b40', '2d07d818d251', '140b4922641e'),
-        'stripe/image/plain/disk': ('9affc57acc78', '13080bae8ee5', '291897d3c2d6', '0eb9c4a3c2d5'),
-        'raid5/delta/torn/nvram': ('7ea7c1d33de4', 'cb2cf15e062c', '5ad32a7b3aff', '09d5ded9ae71'),
-        'raid5/delta/torn/disk': ('7ea7c1d33de4', 'ad10b30119c4', '69547e4f6692', 'aa62af039953'),
-        'raid5/delta/plain/nvram': ('7ea7c1d33de4', 'cb2cf15e062c', '37fc29449aad', '7785176fd051'),
-        'raid5/delta/plain/disk': ('7ea7c1d33de4', 'ad10b30119c4', 'ea2ae7bc6c10', 'd9e7fd951a9d'),
-        'raid5/image/torn/nvram': ('7ea7c1d33de4', 'cb2cf15e062c', 'b85e7f68abec', '1ad2304bde68'),
-        'raid5/image/torn/disk': ('7ea7c1d33de4', 'ad10b30119c4', 'd624b012153f', 'e6fffa015486'),
-        'raid5/image/plain/nvram': ('7ea7c1d33de4', 'cb2cf15e062c', 'a19da2c0c577', '4b8ae364c179'),
-        'raid5/image/plain/disk': ('7ea7c1d33de4', 'ad10b30119c4', '050d6eddf7bd', 'cee6ea2944bc'),
+        'bare/delta/torn/nvram': ('b281e09ffae3', 'c83bbd272150', '8be30a9b4d8d', '3950a10608dd'),
+        'bare/delta/torn/disk': ('b281e09ffae3', '171625a8a62a', '317dd3e186e9', 'b28873cb7224'),
+        'bare/delta/plain/nvram': ('b281e09ffae3', 'c83bbd272150', '4f4568bf2bde', '7cb13151fa6d'),
+        'bare/delta/plain/disk': ('b281e09ffae3', '171625a8a62a', '326e2c247260', '7b1b0a1518c8'),
+        'bare/image/torn/nvram': ('b281e09ffae3', 'c83bbd272150', 'a1ae4ae4d92f', 'cf35b58cd0da'),
+        'bare/image/torn/disk': ('b281e09ffae3', '171625a8a62a', '5d55df391037', '557aa0f7ac50'),
+        'bare/image/plain/nvram': ('b281e09ffae3', 'c83bbd272150', 'c805ef1b0b15', '28e9358dcf1f'),
+        'bare/image/plain/disk': ('b281e09ffae3', '171625a8a62a', 'f5e7214b7434', '7b1b0a1518c8'),
+        'stripe/delta/torn/nvram': ('9affc57acc78', 'd807e1c9b32f', 'dd9839c0e273', '88379ee840e6'),
+        'stripe/delta/torn/disk': ('9affc57acc78', '3479d106e523', '7123d0c088b4', '6df2695bdc96'),
+        'stripe/delta/plain/nvram': ('9affc57acc78', 'd807e1c9b32f', '7dbb0ee2c68b', '140b4922641e'),
+        'stripe/delta/plain/disk': ('9affc57acc78', '3479d106e523', '1b92cd045f85', 'f334eb66c938'),
+        'stripe/image/torn/nvram': ('9affc57acc78', 'd807e1c9b32f', '4b3e7d7f6636', 'e4f89d47b0f7'),
+        'stripe/image/torn/disk': ('9affc57acc78', '3479d106e523', '18c50b9e7b99', '28a4bc17bb8c'),
+        'stripe/image/plain/nvram': ('9affc57acc78', 'd807e1c9b32f', '9db3a6b306f4', '140b4922641e'),
+        'stripe/image/plain/disk': ('9affc57acc78', '3479d106e523', '3ff691aae34c', '0eb9c4a3c2d5'),
+        'raid5/delta/torn/nvram': ('7ea7c1d33de4', '56eb5bd966c2', '6a14b844c22a', '09d5ded9ae71'),
+        'raid5/delta/torn/disk': ('7ea7c1d33de4', '70693c9fe7f0', '3f41998a4713', 'aa62af039953'),
+        'raid5/delta/plain/nvram': ('7ea7c1d33de4', '56eb5bd966c2', '1ee33f2fdf00', '7785176fd051'),
+        'raid5/delta/plain/disk': ('7ea7c1d33de4', '70693c9fe7f0', '99310e89022a', 'd9e7fd951a9d'),
+        'raid5/image/torn/nvram': ('7ea7c1d33de4', '56eb5bd966c2', 'd47f07180fb9', '1ad2304bde68'),
+        'raid5/image/torn/disk': ('7ea7c1d33de4', '70693c9fe7f0', '102c17395570', 'e6fffa015486'),
+        'raid5/image/plain/nvram': ('7ea7c1d33de4', '56eb5bd966c2', '5b879af2cfdc', '4b8ae364c179'),
+        'raid5/image/plain/disk': ('7ea7c1d33de4', '70693c9fe7f0', 'd3123cbd8e2d', 'cee6ea2944bc'),
     },
     'read_cache': {
-        'bare/delta/torn/nvram': ('4ab15ee5ab20', 'b4dd13aa327c', '6771c4957093', '96ea6da01b3a'),
-        'bare/delta/torn/disk': ('4ab15ee5ab20', 'b4dd13aa327c', '6771c4957093', '96ea6da01b3a'),
-        'bare/delta/plain/nvram': ('4ab15ee5ab20', 'b4dd13aa327c', 'b20a05cdd6e9', '6b718c90bbd0'),
-        'bare/delta/plain/disk': ('4ab15ee5ab20', 'b4dd13aa327c', 'b20a05cdd6e9', '6b718c90bbd0'),
-        'bare/image/torn/nvram': ('4ab15ee5ab20', 'b4dd13aa327c', '8372d5aa2bfd', '24253b2f7463'),
-        'bare/image/torn/disk': ('4ab15ee5ab20', 'b4dd13aa327c', '8372d5aa2bfd', '24253b2f7463'),
-        'bare/image/plain/nvram': ('4ab15ee5ab20', 'b4dd13aa327c', '10cde806b7f9', 'eeaa188767ab'),
-        'bare/image/plain/disk': ('4ab15ee5ab20', 'b4dd13aa327c', '10cde806b7f9', 'eeaa188767ab'),
-        'stripe/delta/torn/nvram': ('54b026194e7b', '339205696eed', '96e6606aeeef', '18ec38558eb7'),
-        'stripe/delta/torn/disk': ('54b026194e7b', '339205696eed', '96e6606aeeef', '18ec38558eb7'),
-        'stripe/delta/plain/nvram': ('54b026194e7b', '339205696eed', '55662acdae71', '577dd72ee08c'),
-        'stripe/delta/plain/disk': ('54b026194e7b', '339205696eed', '55662acdae71', '577dd72ee08c'),
-        'stripe/image/torn/nvram': ('54b026194e7b', '339205696eed', 'a398381dd1fa', 'b9c41d40e2fb'),
-        'stripe/image/torn/disk': ('54b026194e7b', '339205696eed', 'a398381dd1fa', 'b9c41d40e2fb'),
-        'stripe/image/plain/nvram': ('54b026194e7b', '339205696eed', '5b0126ed4521', '5fce1e8ea22c'),
-        'stripe/image/plain/disk': ('54b026194e7b', '339205696eed', '5b0126ed4521', '5fce1e8ea22c'),
-        'raid5/delta/torn/nvram': ('af2589ad471e', '555786e34917', 'ce93b392c702', '3742b5e6fb42'),
-        'raid5/delta/torn/disk': ('af2589ad471e', '555786e34917', 'ce93b392c702', '3742b5e6fb42'),
-        'raid5/delta/plain/nvram': ('af2589ad471e', '555786e34917', '0d7e937a4150', 'a5a6484761af'),
-        'raid5/delta/plain/disk': ('af2589ad471e', '555786e34917', '0d7e937a4150', 'a5a6484761af'),
-        'raid5/image/torn/nvram': ('af2589ad471e', '555786e34917', '763ce2fffc12', 'f2e632047241'),
-        'raid5/image/torn/disk': ('af2589ad471e', '555786e34917', '763ce2fffc12', 'f2e632047241'),
-        'raid5/image/plain/nvram': ('af2589ad471e', '555786e34917', 'ffd36f8d4a6f', '07130ceff5fa'),
-        'raid5/image/plain/disk': ('af2589ad471e', '555786e34917', 'ffd36f8d4a6f', '07130ceff5fa'),
+        'bare/delta/torn/nvram': ('4ab15ee5ab20', '89b3846ab572', '3bf0c2b35188', '96ea6da01b3a'),
+        'bare/delta/torn/disk': ('4ab15ee5ab20', '89b3846ab572', '3bf0c2b35188', '96ea6da01b3a'),
+        'bare/delta/plain/nvram': ('4ab15ee5ab20', '89b3846ab572', '18bee992bae0', '6b718c90bbd0'),
+        'bare/delta/plain/disk': ('4ab15ee5ab20', '89b3846ab572', '18bee992bae0', '6b718c90bbd0'),
+        'bare/image/torn/nvram': ('4ab15ee5ab20', '89b3846ab572', 'bdfb15791801', '24253b2f7463'),
+        'bare/image/torn/disk': ('4ab15ee5ab20', '89b3846ab572', 'bdfb15791801', '24253b2f7463'),
+        'bare/image/plain/nvram': ('4ab15ee5ab20', '89b3846ab572', '9966acf8c212', 'eeaa188767ab'),
+        'bare/image/plain/disk': ('4ab15ee5ab20', '89b3846ab572', '9966acf8c212', 'eeaa188767ab'),
+        'stripe/delta/torn/nvram': ('54b026194e7b', '4d0cb9f73974', '6ab3e45a644c', '18ec38558eb7'),
+        'stripe/delta/torn/disk': ('54b026194e7b', '4d0cb9f73974', '6ab3e45a644c', '18ec38558eb7'),
+        'stripe/delta/plain/nvram': ('54b026194e7b', '4d0cb9f73974', 'd233181bbc8a', '577dd72ee08c'),
+        'stripe/delta/plain/disk': ('54b026194e7b', '4d0cb9f73974', 'd233181bbc8a', '577dd72ee08c'),
+        'stripe/image/torn/nvram': ('54b026194e7b', '4d0cb9f73974', 'deb9221351b0', 'b9c41d40e2fb'),
+        'stripe/image/torn/disk': ('54b026194e7b', '4d0cb9f73974', 'deb9221351b0', 'b9c41d40e2fb'),
+        'stripe/image/plain/nvram': ('54b026194e7b', '4d0cb9f73974', 'b86f5418c187', '5fce1e8ea22c'),
+        'stripe/image/plain/disk': ('54b026194e7b', '4d0cb9f73974', 'b86f5418c187', '5fce1e8ea22c'),
+        'raid5/delta/torn/nvram': ('af2589ad471e', '217de544bbf6', 'ed8571fa23f8', '3742b5e6fb42'),
+        'raid5/delta/torn/disk': ('af2589ad471e', '217de544bbf6', 'ed8571fa23f8', '3742b5e6fb42'),
+        'raid5/delta/plain/nvram': ('af2589ad471e', '217de544bbf6', '59c7ed0af322', 'a5a6484761af'),
+        'raid5/delta/plain/disk': ('af2589ad471e', '217de544bbf6', '59c7ed0af322', 'a5a6484761af'),
+        'raid5/image/torn/nvram': ('af2589ad471e', '217de544bbf6', '47e1605cb674', 'f2e632047241'),
+        'raid5/image/torn/disk': ('af2589ad471e', '217de544bbf6', '47e1605cb674', 'f2e632047241'),
+        'raid5/image/plain/nvram': ('af2589ad471e', '217de544bbf6', '3c31274f67de', '07130ceff5fa'),
+        'raid5/image/plain/disk': ('af2589ad471e', '217de544bbf6', '3c31274f67de', '07130ceff5fa'),
     },
     'reorganize': {
-        'bare/delta/torn/nvram': ('c5b3731b8a8e', '5add7b7f16a3', '6ac7de00970d', '13aa23ab75e0'),
-        'bare/delta/torn/disk': ('c5b3731b8a8e', '5add7b7f16a3', '6ac7de00970d', '13aa23ab75e0'),
-        'bare/delta/plain/nvram': ('c5b3731b8a8e', '5add7b7f16a3', '0054364cdf8b', 'b4f8ea06a1e9'),
-        'bare/delta/plain/disk': ('c5b3731b8a8e', '5add7b7f16a3', '0054364cdf8b', 'b4f8ea06a1e9'),
-        'bare/image/torn/nvram': ('c5b3731b8a8e', '5add7b7f16a3', '7960444cbc4f', 'e3463ea966de'),
-        'bare/image/torn/disk': ('c5b3731b8a8e', '5add7b7f16a3', '7960444cbc4f', 'e3463ea966de'),
-        'bare/image/plain/nvram': ('c5b3731b8a8e', '5add7b7f16a3', '8d11b38951c4', '0c3cce3f849d'),
-        'bare/image/plain/disk': ('c5b3731b8a8e', '5add7b7f16a3', '8d11b38951c4', '0c3cce3f849d'),
-        'stripe/delta/torn/nvram': ('a61b3a608245', '78af65416f26', 'c1fda24c403d', '6dce029ae019'),
-        'stripe/delta/torn/disk': ('a61b3a608245', '78af65416f26', 'c1fda24c403d', '6dce029ae019'),
-        'stripe/delta/plain/nvram': ('a61b3a608245', '78af65416f26', '8c87960b764f', '1a3a05da1585'),
-        'stripe/delta/plain/disk': ('a61b3a608245', '78af65416f26', '8c87960b764f', '1a3a05da1585'),
-        'stripe/image/torn/nvram': ('a61b3a608245', '78af65416f26', '10ae84198e1e', '97790f4b4458'),
-        'stripe/image/torn/disk': ('a61b3a608245', '78af65416f26', '10ae84198e1e', '97790f4b4458'),
-        'stripe/image/plain/nvram': ('a61b3a608245', '78af65416f26', '37236695f326', 'c7690610ee9a'),
-        'stripe/image/plain/disk': ('a61b3a608245', '78af65416f26', '37236695f326', 'c7690610ee9a'),
-        'raid5/delta/torn/nvram': ('5cecd90fedd9', '539206775ac7', '234a71ff4e4d', 'f00b14ae5d2f'),
-        'raid5/delta/torn/disk': ('5cecd90fedd9', '539206775ac7', '234a71ff4e4d', 'f00b14ae5d2f'),
-        'raid5/delta/plain/nvram': ('5cecd90fedd9', '539206775ac7', '8a258c3bc810', '5b53111b0eb7'),
-        'raid5/delta/plain/disk': ('5cecd90fedd9', '539206775ac7', '8a258c3bc810', '5b53111b0eb7'),
-        'raid5/image/torn/nvram': ('5cecd90fedd9', '539206775ac7', '729759043b37', '12114c796477'),
-        'raid5/image/torn/disk': ('5cecd90fedd9', '539206775ac7', '729759043b37', '12114c796477'),
-        'raid5/image/plain/nvram': ('5cecd90fedd9', '539206775ac7', '8546b587a976', 'f00b14ae5d2f'),
-        'raid5/image/plain/disk': ('5cecd90fedd9', '539206775ac7', '8546b587a976', 'f00b14ae5d2f'),
+        'bare/delta/torn/nvram': ('c5b3731b8a8e', '4c2398d24073', '75061ed007c7', '13aa23ab75e0'),
+        'bare/delta/torn/disk': ('c5b3731b8a8e', '4c2398d24073', '75061ed007c7', '13aa23ab75e0'),
+        'bare/delta/plain/nvram': ('c5b3731b8a8e', '4c2398d24073', '3bc1535efc2b', 'b4f8ea06a1e9'),
+        'bare/delta/plain/disk': ('c5b3731b8a8e', '4c2398d24073', '3bc1535efc2b', 'b4f8ea06a1e9'),
+        'bare/image/torn/nvram': ('c5b3731b8a8e', '4c2398d24073', '5433efe63597', 'e3463ea966de'),
+        'bare/image/torn/disk': ('c5b3731b8a8e', '4c2398d24073', '5433efe63597', 'e3463ea966de'),
+        'bare/image/plain/nvram': ('c5b3731b8a8e', '4c2398d24073', 'bd081a68a8d9', '0c3cce3f849d'),
+        'bare/image/plain/disk': ('c5b3731b8a8e', '4c2398d24073', 'bd081a68a8d9', '0c3cce3f849d'),
+        'stripe/delta/torn/nvram': ('a61b3a608245', '0c9aeffdd054', 'cd72c058a803', '6dce029ae019'),
+        'stripe/delta/torn/disk': ('a61b3a608245', '0c9aeffdd054', 'cd72c058a803', '6dce029ae019'),
+        'stripe/delta/plain/nvram': ('a61b3a608245', '0c9aeffdd054', '2705fe8767a8', '1a3a05da1585'),
+        'stripe/delta/plain/disk': ('a61b3a608245', '0c9aeffdd054', '2705fe8767a8', '1a3a05da1585'),
+        'stripe/image/torn/nvram': ('a61b3a608245', '0c9aeffdd054', '589a3b2e32cc', '97790f4b4458'),
+        'stripe/image/torn/disk': ('a61b3a608245', '0c9aeffdd054', '589a3b2e32cc', '97790f4b4458'),
+        'stripe/image/plain/nvram': ('a61b3a608245', '0c9aeffdd054', '57748bad8188', 'c7690610ee9a'),
+        'stripe/image/plain/disk': ('a61b3a608245', '0c9aeffdd054', '57748bad8188', 'c7690610ee9a'),
+        'raid5/delta/torn/nvram': ('5cecd90fedd9', '10dd3b9e8070', 'aebecbcf6804', 'f00b14ae5d2f'),
+        'raid5/delta/torn/disk': ('5cecd90fedd9', '10dd3b9e8070', 'aebecbcf6804', 'f00b14ae5d2f'),
+        'raid5/delta/plain/nvram': ('5cecd90fedd9', '10dd3b9e8070', 'e564ab5e413c', '5b53111b0eb7'),
+        'raid5/delta/plain/disk': ('5cecd90fedd9', '10dd3b9e8070', 'e564ab5e413c', '5b53111b0eb7'),
+        'raid5/image/torn/nvram': ('5cecd90fedd9', '10dd3b9e8070', '47c5d071cc69', '12114c796477'),
+        'raid5/image/torn/disk': ('5cecd90fedd9', '10dd3b9e8070', '47c5d071cc69', '12114c796477'),
+        'raid5/image/plain/nvram': ('5cecd90fedd9', '10dd3b9e8070', 'b252ea5e0691', 'f00b14ae5d2f'),
+        'raid5/image/plain/disk': ('5cecd90fedd9', '10dd3b9e8070', 'b252ea5e0691', 'f00b14ae5d2f'),
     },
 }
 

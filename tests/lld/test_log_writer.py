@@ -68,9 +68,9 @@ def test_every_slot_the_log_scripts_open_is_one_no_recovery_needs(monkeypatch, d
     open_next = LogWriter.open_next
     opened = []
 
-    def checked(self):
+    def checked(self, slot=None):
         pinned = self.arus.pinned_segments()
-        open_next(self)
+        open_next(self, slot)
         slot = self.open.index
         assert not self.state.slot_holds_metadata(slot) and slot not in pinned
         opened.append(slot)

@@ -18,8 +18,6 @@ Two contracts, checked with seeded (derandomized) hypothesis runs:
   format.
 """
 
-import struct
-import zlib
 
 from hypothesis import given, settings, strategies as st
 
@@ -33,12 +31,14 @@ from repro.lld.records import (
     ListFirstRecord,
     ListMetaRecord,
 )
-from repro.lld.segment import SUMMARY_MAGIC, parse_summary, serialize_summary
+from repro.lld.segment import NO_NEXT, SUMMARY_MAGIC, parse_summary, serialize_summary
 
 from tests.lld.reference_codec import (
+    SUMMARY_HEADER,
     pack,
     parse_summary_legacy,
     serialize_summary_legacy,
+    summary_crc,
     unpack_record,
 )
 
@@ -135,8 +135,8 @@ def test_crc_valid_body_with_unknown_type_degrades_to_skip(records, rtype):
     # Corrupt the first record's type byte, then re-checksum so the CRC
     # gate passes and the failure happens inside record parsing.
     body = bytes([rtype]) + body[1:]
-    header = struct.Struct("<4sIII").pack(
-        SUMMARY_MAGIC, len(records), len(body), zlib.crc32(body)
+    header = SUMMARY_HEADER.pack(
+        SUMMARY_MAGIC, len(records), len(body), summary_crc(body, NO_NEXT), NO_NEXT
     )
     image = (header + body).ljust(CAPACITY, b"\x00")
     assert parse_summary(image) is None

@@ -291,8 +291,8 @@ def hold_regardless(monkeypatch, slots) -> None:
     """Mutation: a segment opened over one of ``slots`` is holdable."""
     open_next = LogWriter.open_next
 
-    def mutated(self):
-        open_next(self)
+    def mutated(self, slot=None):
+        open_next(self, slot)
         if self.open.index in slots:
             self.open.holdable = True
 

@@ -31,6 +31,8 @@ from repro.crashsim import (
 from repro.disk import SimulatedDisk, fast_test_disk
 from repro.ld import LIST_HEAD
 from repro.lld import LLD
+from repro.lld.config import SECTOR
+from repro.lld.segment import parse_summary, summary_next
 from repro.obs import Tracer
 from repro.sim import VirtualClock
 
@@ -104,9 +106,10 @@ def test_full_image_strategy_still_rewrites_the_whole_slot():
     assert lld.disk.stats.bytes_written - before.bytes_written > 12 * BLOCK
 
 
-def test_seal_with_nothing_dirty_issues_no_write():
+def test_seal_with_nothing_dirty_writes_only_its_header():
     """Partial flush, then an append that does not fit: the slot is already
-    up to date, so sealing it costs its barrier and nothing else."""
+    up to date but for the slot the log opens next, so sealing it writes
+    the header sector that names it, and its barrier."""
     lld = make_lld(partial_threshold=1.0)
     bids = grown(lld, 14)  # 56 KB of 60: one more block fits, two do not
     lld.flush()
@@ -116,10 +119,14 @@ def test_seal_with_nothing_dirty_issues_no_write():
     before = lld.disk.stats.snapshot()
     lld.write(bids[1], fill(8))  # no room: _make_room seals first
     assert lld.stats.segments_sealed == 1 and lld.stats.seals_by_delta == 1
-    assert lld.disk.stats.writes == before.writes
+    assert lld.disk.stats.writes == before.writes + 1
+    assert lld.disk.stats.sectors_written == before.sectors_written + 1
     assert lld.disk.stats.barriers == before.barriers + 1
-    assert lld.stats.seal_delta_bytes == 0
+    assert lld.stats.seal_delta_bytes == SECTOR
     assert lld.log.open.index != 0 and lld.read(bids[1]) == fill(8)
+    sealed = parse_summary(lld.disk.peek(lld.layout.slot_lba(0), lld.config.summary_sectors))
+    assert sealed is not None and len(sealed) == 45
+    assert summary_next(lld.disk.peek(lld.layout.slot_lba(0), 1)) == lld.log.open.index
 
 
 def test_seal_span_says_which_kind_it_was():

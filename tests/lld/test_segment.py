@@ -210,8 +210,11 @@ def test_open_segment_delta_and_tail_match_reference_codec():
 #: Captured from the parent commit's ``LLDConfig(legacy_codecs=True)`` run
 #: of the workload below (the reference generation, since deleted):
 #: sha256 of the whole sector store, ``DiskStats.as_dict()``, the clock.
-_GOLDEN_DISK_SHA256 = "f0640fb5ac2fc36e176e16c79fa1d66437bb085cb0360e0fe3f8dd0de2a043ec"
-#: The store hash is still that capture. The request figures were re-based
+#: The store hash was re-captured when the summary header gained its
+#: ``next`` field (the same requests at the same times, four more header
+#: bytes in every summary).
+_GOLDEN_DISK_SHA256 = "174052f3d4f94e6862795b68418f4496589285941f78c519841399fa79b65443"
+#: The request figures were re-based
 #: with seal-by-delta: the workload's one seal follows partial flushes, so
 #: its 104-sector image (52 KB) became a 12-sector data tail plus a
 #: 4-sector summary — one more write, 88 fewer sectors, 11 ms sooner.

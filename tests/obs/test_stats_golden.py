@@ -98,7 +98,7 @@ CONFIG = LLDConfig(
 #: running checkpoint, and recovers by sweeping.
 SINCE_CAPTURE = (
     "checkpoints_written", "checkpoint_bytes", "checkpoints_refused",
-    "checkpoint_sequence",
+    "checkpoint_sequence", "summaries_followed",
 )
 
 
