@@ -974,19 +974,9 @@ class LLD(LogicalDisk):
         return seg.index if seg is not None else None
 
     def free_segment_count(self) -> int:
-        """Number of completely empty segment slots."""
-        free = self.state.free_slots
-        count = len(free)
-        # A slot whose current contents are in memory only — the open
-        # segment's, a held one's — cannot be opened, whatever its usage.
-        log = self.log
-        seg = log.open
-        if seg is not None and seg.index in free:
-            count -= 1
-        for seg in log.held:
-            if seg.index in free:
-                count -= 1
-        return count
+        """Number of slots the log may reuse (``LogWriter.reusable``): empty,
+        not the open or a held segment's, pinned by no open ARU."""
+        return len(self.log.reusable())
 
     def __repr__(self) -> str:
         status = "online" if self._initialized else "offline"

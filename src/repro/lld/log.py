@@ -69,6 +69,8 @@ class ARUTable:
 
     ``kept``: the pins of units aborted on a log with no room to log what
     they put back (:meth:`LogWriter.end_aru`), held until restart.
+    ``aborting``: while an abort logs what goes back, each key whose value
+    in the tables is still the aborted unit's, and that unit.
     """
 
     def __init__(self) -> None:
@@ -77,6 +79,7 @@ class ARUTable:
         self.undo: dict[tuple[str, int], list[list]] = {}
         self.touched: dict[int, set[tuple[str, int]]] = {}
         self.kept: set[int] = set()
+        self.aborting: dict[tuple[str, int], int] = {}
 
     def attach(self, aru: int) -> None:
         """Make open unit ``aru`` (or none: 0) the current one."""
@@ -110,6 +113,8 @@ class ARUTable:
         unit, and commit with it. 0: none."""
         ident = RECORD_KINDS[type(record)].ident(record)
         for name in VALUE_KEYS[type(record)]:
+            if (name, ident) in self.aborting:
+                return self.aborting[(name, ident)]
             chain = self.undo.get((name, ident))
             if chain and chain[-1][0] in self.pins:
                 return chain[-1][0]
@@ -480,8 +485,9 @@ class LogWriter:
         """Log a record of the LD's own (a relocation, a re-statement, a
         COMMIT). One that re-states a value an open unit set carries the
         unit's id: it vanishes with the unit, or commits with it."""
-        if self.arus.undo and not record.aru:
-            record.aru = self.arus.owner(record)
+        arus = self.arus
+        if (arus.undo or arus.aborting) and not record.aru:
+            record.aru = arus.owner(record)
         self._append(record)
 
     def _append(self, record: Record, *, logged: bool = True) -> None:
@@ -647,14 +653,14 @@ class LogWriter:
             # Logging may seal and clean: the pins hold until it is done.
             back = arus.withdraw(aru)
             try:
-                self._roll_back(back)
+                self._roll_back(back, aru)
             except OutOfSpaceError as exc:
                 # No room to log what goes back. The tables get it anyway,
                 # and the segments holding it on disk stay pinned — so
                 # that a crash finds it there — until restart. No
                 # checkpoint is taken meanwhile: its image would hold
                 # values no summary does.
-                self._roll_back(back, logged=False)
+                self._roll_back(back, aru, logged=False)
                 arus.kept |= arus.pins.pop(aru)
                 if arus.current == aru:
                     arus.current = 0
@@ -666,24 +672,41 @@ class LogWriter:
         if arus.current == aru:
             arus.current = 0
 
-    def _roll_back(self, back: dict[tuple[str, int], object], *, logged: bool = True) -> None:
-        """Put the values an aborted unit replaced back (``back``: from
+    def _roll_back(
+        self, back: dict[tuple[str, int], object], aru: int, *, logged: bool = True
+    ) -> None:
+        """Put the values aborted unit ``aru`` replaced back (``back``: from
         :meth:`ARUTable.withdraw`) by logging them, each on behalf of the
         open unit that set it, if one did. The tables then hold what a
         recovery rebuilds without the unit — so what it superseded is live
         again and kept by the cleaner's own rules, and its own records
-        are dead. Not ``logged``: into the tables only (what a logged pass
-        already put back stays)."""
+        are dead. Until a key's value is back, a relocation or re-statement
+        of it (logging may seal and clean) carries ``aru``'s id, so that it
+        vanishes with the unit. Not ``logged``: into the tables only (what
+        a logged pass already put back stays)."""
+        arus = self.arus
         subjects: dict[tuple[str, int], dict[str, object]] = {}
         for (name, ident), value in back.items():
             subject = "block" if name in (KIND_LINK, KIND_DATA) else "list"
             subjects.setdefault((subject, ident), {})[name] = value
-        for (subject, ident), values in sorted(subjects.items(), key=lambda item: item[0]):
-            for record in self.state.restoring(subject, ident, values):
-                if logged:
-                    self.append(record)
-                else:
-                    self._append(record, logged=False)
+        if logged:
+            arus.aborting = dict.fromkeys(back, aru)
+        try:
+            for (subject, ident), values in sorted(subjects.items(), key=lambda item: item[0]):
+                keys = [(name, ident) for name in values]
+                for record in self.state.restoring(subject, ident, values):
+                    if not logged:
+                        self._append(record, logged=False)
+                        continue
+                    for key in keys:
+                        del arus.aborting[key]
+                    record.aru = arus.owner(record)
+                    arus.aborting.update(dict.fromkeys(keys, aru))
+                    self._append(record)
+                for key in keys:
+                    arus.aborting.pop(key, None)
+        finally:
+            arus.aborting = {}
 
     # ------------------------------------------------------------------
     # Durability: flush, seal, and the slot-write funnel

@@ -531,3 +531,31 @@ def test_a_unit_begun_after_a_crash_does_not_commit_a_discarded_one():
     recovered.flush()
     again = reopen(recovered)
     assert again.read(a) == b"a1" and again.read(b) == b"b0"
+
+
+@pytest.mark.parametrize("checkpoint_slots", [1, 2])
+@pytest.mark.parametrize("fill", [0.6, 0.7])
+@pytest.mark.parametrize("fraction", [0.1, 0.2, 0.3])
+def test_the_cleaner_counts_free_slots_the_way_placement_does(checkpoint_slots, fill, fraction):
+    """A unit pins the free slots whose summaries hold what it superseded,
+    and placement does not open them. The cleaner must not count them
+    either: counted, they stop it cleaning while the log has no slot left
+    to open, and the unit fails with cleanable segments to spare."""
+    lld = make_lld(capacity_mb=4, checkpoint_slots=checkpoint_slots)
+    lid = lld.new_list()
+    pred, bids = LIST_HEAD, []
+    while lld.state.live_bytes() < fill * lld.layout.capacity_bytes:
+        pred = lld.new_block(lid, pred)
+        lld.write(pred, b"f" * 4096)
+        bids.append(pred)
+    for bid in bids[::3]:
+        lld.write(bid, b"o" * 4096)
+    unit = bids[: int(len(bids) * fraction)]
+    with lld.aru():
+        for bid in unit:
+            lld.write(bid, b"a" * 4096)
+            assert lld.free_segment_count() == len(lld.log.reusable())
+    assert all(lld.read(bid) == b"a" * 4096 for bid in unit)
+    lld.flush()
+    recovered = reopen(lld)
+    assert all(recovered.read(bid) == b"a" * 4096 for bid in unit)
