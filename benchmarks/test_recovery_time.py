@@ -79,13 +79,13 @@ def fill_until_past_the_free_slots(fs, lld, past: int = 3) -> dict:
         fs.sync()
         if lld.stats.checkpoints_written != written:
             written = lld.stats.checkpoints_written
-            listing = lld.log.listed | lld.log.since
+            listing = lld.slots.listed | lld.slots.since
             victims = {slot for slot in listing if lld.state.usage.get(slot, 0)}
-        elif victims and len(lld.log.since - (listing - victims)) >= past:
+        elif victims and len(lld.slots.since - (listing - victims)) >= past:
             return {
                 "listed": len(listing),
                 "victims": len(victims),
-                "openable": len(lld.log.openable()),
+                "openable": len(lld.slots.openable()),
             }
     raise AssertionError("the log never went past its free slots")
 

@@ -145,12 +145,14 @@ class OracleDriver:
     def new_list(self, h, **kwargs) -> int:
         lid = h.new_list(**kwargs)
         self.lists[lid] = []
+        self._check_slots()
         return lid
 
     def delete_list(self, h, lid: int) -> None:
         h.delete_list(lid)
         for bid in self.lists.pop(lid):
             self.blocks.pop(bid, None)
+        self._check_slots()
 
     def new_block(self, h, lid: int, pred_bid: int) -> int:
         bid = h.new_block(lid, pred_bid)
@@ -168,12 +170,14 @@ class OracleDriver:
     def begin_aru(self, h) -> int:
         aru = h.begin_aru()
         self._staged[h] = []
+        self._check_slots()
         return aru
 
     def end_aru(self, h) -> None:
         h.end_aru()
         for op in self._staged.pop(h):
             self._apply(op)
+        self._check_slots()
 
     def abort_aru(self, h) -> None:
         """The ARU never commits: its records are logged and may even
@@ -181,6 +185,13 @@ class OracleDriver:
         expected view is never touched."""
         h.abort_aru()
         del self._staged[h]
+        self._check_slots()
+
+    def _check_slots(self) -> None:
+        """After every mirrored operation: an LLD's slot table holds."""
+        slots = getattr(self.ld, "slots", None)
+        if slots is not None:
+            slots.check()
 
     def _apply_or_stage(self, h, op: tuple) -> None:
         staged = self._staged.get(h)
@@ -188,6 +199,7 @@ class OracleDriver:
             staged.append(op)
         else:
             self._apply(op)
+        self._check_slots()
 
     def _apply(self, op: tuple) -> None:
         match op[0]:
@@ -220,12 +232,14 @@ class OracleDriver:
     def ack(self, h, label: str) -> None:
         """Flush through ``h``, then snapshot what the client may now rely on."""
         h.flush()
+        self._check_slots()
         self.oracle.points.append(self.freeze(label))
 
     def request_flush(self, sess, label: str) -> bool:
         """A session's deferrable intent: only a group commit that went
         physical is an acknowledgement."""
         committed = sess.request_flush()
+        self._check_slots()
         if committed:
             self.oracle.points.append(self.freeze(label))
         return committed
@@ -265,7 +279,7 @@ class OracleDriver:
         if read.result != self.blocks[read_bid]:
             raise AssertionError(f"{label}: read of {read_bid} differs from the mirror")
         self.oracle.points.append(replace(covered, seq=self.recording.position))
-        self._apply_or_stage(other, ("write", bid, bytes(data)))
+        self._apply_or_stage(other, ("write", bid, bytes(data)))  # checks the slots
 
     def room_low(self, data_len: int = 8192, record_bytes: int = 256) -> bool:
         """Is the open segment near capacity for the next operation?
@@ -559,7 +573,7 @@ def run_checkpoint_matrix_workload(
         live data: the victims the cleaner empties for the log to open."""
         if ld.stats.checkpoints_written != written[0]:
             written[0] = ld.stats.checkpoints_written
-            victims.append({slot for slot in ld.log.listed if ld.state.usage.get(slot, 0)})
+            victims.append({slot for slot in ld.slots.listed if ld.state.usage.get(slot, 0)})
 
     def restart(label: str) -> None:
         """Crash right after an acknowledgement and start a fresh LLD on
@@ -597,7 +611,7 @@ def run_checkpoint_matrix_workload(
     # after the few free slots, and the log opens them once emptied.
     extra: list[int] = []
     for _ in range(100 * ld.layout.segment_count):
-        if victims[-1] & (ld.log.since or set()):
+        if victims[-1] & (ld.slots.since or set()):
             break
         make_room("filling")
         pred = driver.new_block(ld, lid, pred)

@@ -329,8 +329,8 @@ class CheckpointRegion:
                 compress_writes=bool(flags & 2),
             )
             if seg >= 0:
-                # Through _adjust_usage so the live-byte total stays in
-                # sync (free_slots is inert until init_slots runs).
+                # Through _adjust_usage so the live-byte total and the
+                # slot table stay in sync.
                 usage(seg, stored)
                 segment_blocks.setdefault(seg, set()).add(bid)
         for lid, first, hints in lists:

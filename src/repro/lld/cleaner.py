@@ -41,28 +41,15 @@ class Cleaner:
     # Victim selection
     # ------------------------------------------------------------------
 
-    def candidate_segments(self) -> list[int]:
-        """Sealed segments with live data that are safe to clean now."""
-        lld = self.lld
-        open_index = lld.open_segment_index
-        excluded = lld.aru_excluded_segments()
-        return [
-            slot
-            for slot in range(lld.layout.segment_count)
-            if slot != open_index
-            and slot not in excluded
-            and lld.state.usage.get(slot, 0) > 0
-        ]
-
     def select_victim(self) -> int | None:
-        """Pick the next segment to clean under the configured policy: the
-        best one the newest checkpoint listed, while one is left
-        (:meth:`victims`), else the best one."""
-        candidates = self.candidate_segments()
+        """Pick the next segment to clean under the configured policy, out
+        of ``SlotTable.cleanable``: the best one the newest checkpoint
+        listed, while one is left (:meth:`victims`), else the best one."""
+        slots = self.lld.slots
+        candidates = slots.cleanable(self.lld.open_segment_index)
         if not candidates:
             return None
-        listed = self.lld.log.listed
-        planned = [slot for slot in candidates if slot in listed]
+        planned = [slot for slot in candidates if slot in slots.listed]
         return min(planned or candidates, key=self._victim_key())
 
     def victims(self, openings: int) -> list[int]:
@@ -80,7 +67,8 @@ class Cleaner:
         count = openings - (self.lld.free_segment_count() - MIN_FREE_SEGMENTS)
         if count <= 0:
             return []
-        return sorted(self.candidate_segments(), key=self._victim_key())[:count]
+        candidates = self.lld.slots.cleanable(self.lld.open_segment_index)
+        return sorted(candidates, key=self._victim_key())[:count]
 
     def _victim_key(self) -> Callable[[int], tuple]:
         """Sort key of the configured policy: the best victim sorts first."""
@@ -170,16 +158,16 @@ class Cleaner:
         return cleaned
 
     def keep_a_slot_to_open(self) -> None:
-        """The floor under placement: when every reusable slot
-        (``LogWriter.reusable``) still homes metadata, retire the one
-        placement would open next — its homes re-logged at the log head, no
-        data to read — so that the log has a slot to open."""
+        """The floor under placement: when every reusable slot still homes
+        metadata, retire the one placement would open next — its homes
+        re-logged at the log head, no data to read — so that the log has a
+        slot to open."""
         log = self.lld.log
-        reusable = log.reusable()
+        reusable = log.slots.reusable()
         if reusable and all(map(self.lld.state.slot_holds_metadata, reusable)):
             slot = pick_slot(dict.fromkeys(reusable, 0), log.layout, log.open.index)
             log.relog_slot(slot)
-            log.retired.add(slot)
+            log.slots.retire(slot)
 
     def clean_segments(self, count: int) -> int:
         """Clean up to ``count`` victims; returns how many were cleaned."""
@@ -240,13 +228,11 @@ class Cleaner:
                     else None  # moved while we were copying
                 ),
             )
-            # Metadata tuples and tombstones homed here must move too.
+            # Metadata tuples and tombstones homed here must move too. The
+            # stale summary is garbage once the re-logged records are
+            # durable: the slot is retired, for a later scrub.
             lld.log.relog_slot(slot)
-            # The stale summary becomes garbage once the re-logged records
-            # are durable; retire the slot, to be scrubbed at the next
-            # segment write so the global minimum summary timestamp keeps
-            # rising.
-            lld.log.retired.add(slot)
+            lld.slots.clean(slot)
         finally:
             self.cleaning = False
 
@@ -314,19 +300,13 @@ class Cleaner:
         return dropped + lld.log.drop_dead_tombstones()
 
     def _oldest_summary_slot(self, exclude: set[int] | None = None) -> int | None:
-        """Slot with the oldest valid summary (excluding the open one)."""
+        """Slot with the oldest valid summary, not the open or a pinned one."""
         lld = self.lld
-        open_index = lld.open_segment_index
-        excluded = set(exclude or ())
-        excluded |= lld.aru_excluded_segments()
-        candidates = [
-            (ts, slot)
-            for slot, ts in lld.state.summary_min_ts.items()
-            if slot != open_index and slot not in excluded
-        ]
-        if not candidates:
-            return None
-        return min(candidates)[1]
+        excluded = lld.slots.pinned().union(exclude or (), [lld.open_segment_index])
+        return min(
+            ((ts, slot) for slot, ts in lld.state.summary_min_ts.items() if slot not in excluded),
+            default=(None, None),
+        )[1]
 
     def scrub_slot(self, slot: int) -> None:
         """Invalidate the stale summary of a *free* slot.
@@ -336,14 +316,9 @@ class Cleaner:
         last copy of anything.
         """
         lld = self.lld
-        state = lld.state
-        if slot == lld.open_segment_index:
-            raise ValueError("cannot scrub the open segment")
-        if state.usage.get(slot, 0) > 0:
-            raise ValueError(f"segment {slot} still holds live data")
-        if slot in lld.aru_excluded_segments():
-            raise ValueError(f"segment {slot} is pinned by an open ARU")
-        if state.slot_holds_metadata(slot):
+        if not lld.slots.may_reuse(slot):
+            raise ValueError(f"segment {slot} is in memory, live or pinned by an open ARU")
+        if lld.state.slot_holds_metadata(slot):
             lld.log.relog_slot(slot)
             lld.flush()
         lld.log.scrub((slot,))

@@ -198,6 +198,8 @@ class LLD(LogicalDisk):
             read_cache=self.read_cache,
             tracer=self.tracer,
         )
+        #: Every slot's lifecycle state and facts (``repro.lld.slots``).
+        self.slots = self.log.slots
         self.cleaner = Cleaner(self)
         self.log.after_seal = self.cleaner.after_seal
         self.log.victims = self.cleaner.victims
@@ -230,7 +232,6 @@ class LLD(LogicalDisk):
             self.read_cache.clear()  # volatile: always starts cold
         self.log.replay_nvram()
         self.recovery_report = run_recovery(self)
-        self.state.init_slots(self.layout.segment_count)
         self.log.open_next()
         self.cleaner.keep_a_slot_to_open()
         self._initialized = True
@@ -822,10 +823,6 @@ class LLD(LogicalDisk):
         """Number of uncommitted atomic recovery units."""
         return len(self.log.arus.pins)
 
-    def aru_excluded_segments(self) -> set[int]:
-        """Segments the cleaner must not evacuate while ARUs are open."""
-        return self.log.arus.pinned_segments()
-
     def flush(self, *, wait: bool = True) -> float:
         """Make everything logged so far durable (paper §3.2 strategy).
 
@@ -974,9 +971,8 @@ class LLD(LogicalDisk):
         return seg.index if seg is not None else None
 
     def free_segment_count(self) -> int:
-        """Number of slots the log may reuse (``LogWriter.reusable``): empty,
-        not the open or a held segment's, pinned by no open ARU."""
-        return len(self.log.reusable())
+        """Number of slots the log may reuse (``SlotTable.reusable``)."""
+        return len(self.slots.reusable())
 
     def __repr__(self) -> str:
         status = "online" if self._initialized else "offline"

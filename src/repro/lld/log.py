@@ -3,24 +3,18 @@
 :class:`LogWriter` owns the open segment and is the only code in this
 package, outside the checkpoint region, that writes to the disk: every
 byte goes through ``_disk_write`` (the write-amplification funnel) and
-every ordering point through ``barrier``. It walks each slot through one
-lifecycle, described in DESIGN.md §8::
+every ordering point through ``barrier``. Each slot's lifecycle — which
+slot it may open, hold, clean or scrub — is decided by its
+:class:`~repro.lld.slots.SlotTable` (``slots``); see that module for the
+states and their transitions.
 
-    free -> open -> partially durable -> sealed -> retired -> scrubbed -> free
-            open -> sealed (held) -> written -> committed -> retired ...
-
-The second line exists where the device has stripe rows
-(``DiskLayout.row_width`` > 1): the write unit is then a row, and
-consecutive sealed segments no ``Flush`` has touched wait in memory for
-their neighbours, leave as one write and are committed in log order
-(:meth:`LogWriter.write_held`).
-
-Where the checkpoint region has room for two copies, the writer also
-keeps the log covered by a checkpoint (DESIGN.md, "Recovery: checkpoint
-and tail"): every summary names the slot the log opens after it, the log
-opens the slots the newest checkpoint listed first and never reopens a
-slot before the next checkpoint, so a recovery reads the list and follows
-the chain from it. The next checkpoint is taken once the list is used up.
+Where the device has stripe rows (``DiskLayout.row_width`` > 1) the write
+unit is a row: consecutive sealed segments no ``Flush`` has touched wait
+in memory, leave as one write and are committed in log order
+(:meth:`LogWriter.write_held`). Where the checkpoint region has room for
+two copies, every summary names the slot the log opens after it, and a
+checkpoint is taken once the slots the last one listed are used up
+(DESIGN.md §17).
 
 The cleaner, the reorganizers, NVRAM and the LD surface are its clients.
 """
@@ -34,6 +28,7 @@ from repro.lld.checkpoint import CheckpointRegion, CheckpointTooLargeError
 from repro.lld.config import CHECKPOINT_RESERVE, SECTOR, LLDConfig
 from repro.lld.records import FLAG_CLEANER, FLAG_COMPRESSED, BlockRecord, CommitRecord, Record
 from repro.lld.segment import DiskLayout, OpenSegment, empty_summary, pick_slot
+from repro.lld.slots import SlotTable
 from repro.lld.state import (
     DEATH_KINDS,
     KEY_KINDS,
@@ -107,13 +102,13 @@ class ARUTable:
             if aru:
                 self.touched[aru].add(key)
 
-    def owner(self, record: Record) -> int:
-        """The open unit whose value a re-statement of ``record``'s keys
-        (a relocation, a re-logged key) carries: it must vanish with the
-        unit, and commit with it. 0: none."""
+    def owner(self, record: Record, *, aborting: bool = True) -> int:
+        """The open (or, with ``aborting``, aborting) unit whose value a
+        re-statement of ``record``'s keys (a relocation, a re-logged key)
+        carries: it must vanish with the unit, and commit with it. 0: none."""
         ident = RECORD_KINDS[type(record)].ident(record)
         for name in VALUE_KEYS[type(record)]:
-            if (name, ident) in self.aborting:
+            if aborting and (name, ident) in self.aborting:
                 return self.aborting[(name, ident)]
             chain = self.undo.get((name, ident))
             if chain and chain[-1][0] in self.pins:
@@ -188,6 +183,8 @@ class LogWriter:
         self.read_cache = read_cache
         stack.inherit(self, disk, tracer)
         self.arus = ARUTable()
+        #: Every slot's lifecycle state and facts.
+        self.slots = SlotTable(layout.segment_count, state, self.arus, self._slot_moved)
         self.open: OpenSegment | None = None
         #: Sealed segments not written yet: consecutive slots of one stripe
         #: row, in log order. Always empty on a layout without rows.
@@ -204,13 +201,6 @@ class LogWriter:
         #: What they are zeroed from: allocated once, because a fresh
         #: half-megabyte of zeros per seal is a hundred page faults.
         self._zeros = bytes(config.segment_size)
-        #: Free slots whose on-disk summary was dead — and everything that
-        #: killed it on the medium — when last nothing sealed was held: the
-        #: slots a segment may blank without waiting for anything.
-        self._dead: set[int] = set()
-        #: Retired slots: cleaned out, their stale summaries awaiting the
-        #: scrub that the next durable open-segment image makes safe.
-        self.retired: set[int] = set()
         #: Space policy run after every seal (``Cleaner.after_seal``).
         self.after_seal: Callable[[], None] = lambda: None
         #: The segments the cleaner will empty over a number of openings,
@@ -218,17 +208,6 @@ class LogWriter:
         #: the free slots.
         self.victims: Callable[[int], list[int]] = lambda openings: []
         self.checkpoint = checkpoint
-        #: The slots the newest checkpoint listed that the log has not
-        #: opened yet: it opens these first.
-        self.listed: set[int] = set()
-        #: The slots opened since the newest checkpoint: the chain a
-        #: recovery follows, which the log does not open again before the
-        #: next checkpoint. None while no checkpoint covers the log (a crash
-        #: sweeps). A recovery from a checkpoint sets both.
-        self.since: set[int] | None = None
-        #: At start-up, the slot the last summary of the recovered chain
-        #: names (None: none) — one the restarted log may open unlisted.
-        self.resume: int | None = None
         #: Openings between checkpoints, at least: whole stripe rows.
         width = layout.row_width
         self.reserve = -(-CHECKPOINT_RESERVE // width) * width
@@ -243,26 +222,13 @@ class LogWriter:
         if self.nvram is not None and self.nvram.holds_data:
             self._disk_write(self.layout.slot_lba(self.nvram.slot), self.nvram.image)
 
-    def reusable(self) -> set[int]:
-        """Free slots that are not the open or a held segment's and that no
-        open ARU pins (a pinned slot's summary holds what a recovery needs
-        if the unit never commits)."""
-        busy = self.arus.pinned_segments()
-        busy.update(seg.index for seg in self.held)
-        if self.open is not None:
-            busy.add(self.open.index)
-        return self.state.free_slots - busy
-
-    def openable(self) -> dict[int, int]:
-        """The :meth:`reusable` slots whose summaries home no live metadata
-        (only the cleaner moves a slot's homes out: ``keep_a_slot_to_open``),
-        ranked for ``pick_slot``: no summary on disk, or a pure-stale one."""
-        state = self.state
-        return {
-            free: int(free in state.summary_min_ts)
-            for free in self.reusable()
-            if not state.slot_holds_metadata(free)
-        }
+    def _slot_moved(self, slot: int, old: str, new: str, cause: str) -> None:
+        ev = self.events
+        if ev:
+            ev.emit(
+                "lld.slot", severity="debug", t=self.disk.clock.now,
+                slot=slot, old=old, new=new, cause=cause,
+            )
 
     def open_next(self, slot: int | None = None) -> None:
         """free -> open: start a fresh in-memory segment over ``slot`` —
@@ -271,25 +237,15 @@ class LogWriter:
         checkpoint first when one is due or the slot needs it
         (:meth:`_cover`)."""
         current = self.open.index if self.open is not None else -1
-        state = self.state
-        ranks = self.openable()
+        ranks = self.slots.openable()
         if slot is None:
             slot = self._restart_slot(ranks)
         self._cover(slot, ranks, current)
-        if self.since is not None:
-            self.since.add(slot)
-        self.listed.discard(slot)
-        self.resume = None
+        self.slots.chain(slot)
         rows = self.layout.slot_rows
         if self.held and (slot != current + 1 or rows[slot][0] != rows[current][0]):
             self.write_held()  # placement left the row, or skipped a slot of it
-        if rows is not None and not self.held:
-            # Every record logged so far is on the medium or ordered ahead
-            # of whatever is written next, so a slot that is dead now is
-            # dead after any crash; one that dies from here on is dead only
-            # once the segment that killed it — possibly held — is written.
-            self._dead = set(ranks) - self.retired
-        self.retired.discard(slot)
+        self.slots.open(slot, ranks, settled=rows is not None and not self.held)
         size = self.config.segment_size
         position = rows[slot][1] if rows is not None else 0
         buffer = self._row[position * size : (position + 1) * size]
@@ -297,26 +253,17 @@ class LogWriter:
             buffer[:] = self._zeros
         self._used[position] = True
         self.open = OpenSegment(slot, self.config, buffer)
-        self.open.holdable = slot in self._dead
-        self._dead.discard(slot)
         # What the old summary says is superseded everywhere: the unit
         # records in it need no COMMIT any more.
-        state.forget_units(slot)
+        self.state.forget_units(slot)
 
     # ------------------------------------------------------------------
     # Checkpoints
     # ------------------------------------------------------------------
 
     def _choose(self, ranks: dict[int, int], current: int) -> int:
-        """Placement under the newest checkpoint: a slot it listed while
-        one is left, else one not opened since it (a recovery reaches it
-        through the chain), else — :meth:`_cover` then needs a checkpoint
-        — any openable slot."""
-        since = self.since
-        if since is not None:
-            fresh = {slot: rank for slot, rank in ranks.items() if slot not in since}
-            listed = {slot: rank for slot, rank in fresh.items() if slot in self.listed}
-            ranks = listed or fresh or ranks
+        """Placement: ``pick_slot`` over ``SlotTable.placeable``."""
+        ranks = self.slots.placeable(ranks)
         if not ranks:
             self.write_held()  # pick_slot will raise: leave nothing unwritten
         return pick_slot(ranks, self.layout, current)
@@ -325,18 +272,10 @@ class LogWriter:
         """The first opening after start-up: the slot the recovered chain's
         last summary names, where there is one — a second crash finds it
         the way the first found the chain — else :meth:`_choose`'s."""
-        if self.resume in ranks and self.resume not in self.since:
-            return self.resume
+        resume = self.slots.resume
+        if resume in ranks and resume not in self.slots.since:
+            return resume
         return self._choose(ranks, -1)
-
-    def _scrubs(self, ranks: dict[int, int]) -> dict[int, int]:
-        """``ranks`` as they will be once the next segment write has
-        scrubbed the retired slots (:meth:`_summaries_durable`)."""
-        chain = self.since or ()
-        return {
-            slot: 0 if slot in self.retired and slot not in chain else rank
-            for slot, rank in ranks.items()
-        }
 
     def _cover(self, slot: int, ranks: dict[int, int], current: int) -> None:
         """Keep ``slot`` where a recovery finds it. It is, when the newest
@@ -351,19 +290,17 @@ class LogWriter:
         (``checkpoints_refused`` counts that), or, where ``slot`` is not
         reachable, retires the newest copy: a crash then sweeps, as it
         does while no checkpoint covers the log."""
-        since = self.since
-        if since is None:
+        slots = self.slots
+        if slots.since is None:
             needed = False
             due = self.checkpoint.copies > 1 and self.open is not None
         else:
-            reachable = slot in self.listed or (
-                slot == self.resume if self.open is None else self.open.next == slot
-            )
-            needed = slot in since or not reachable
+            named = slots.resume if self.open is None else self.open.next
+            needed = not slots.covered(slot, named)
             due = needed or (
                 self.open is not None  # past start-up
-                and not self.listed.intersection(ranks)
-                and max(len(since), len(ranks)) >= self.reserve
+                and not slots.listed.intersection(ranks)
+                and max(len(slots.since), len(ranks)) >= self.reserve
             )
         if not due:
             return
@@ -378,8 +315,7 @@ class LogWriter:
         if needed:
             self.checkpoint.retire()
             self.barrier("checkpoint")
-            self.since = None
-            self.listed = set()
+            slots.checkpoint(None)
 
     def _continues_row(self, slot: int, current: int) -> bool:
         """Does opening ``slot`` continue ``current``'s stripe row?"""
@@ -435,8 +371,7 @@ class LogWriter:
         ):
             self.checkpoint.write(image)
             self.barrier("checkpoint", wait=shutdown)
-        self.listed = set(listed)
-        self.since = set()
+        self.slots.checkpoint(listed)
         self.stats.checkpoints_written += 1
         self.stats.checkpoint_bytes += len(image)
         ev = self.events
@@ -458,7 +393,7 @@ class LogWriter:
         it lists nothing: a start-up loads just the image, and the first
         opening retires it."""
         current = self.open.index if self.open is not None else -1
-        listed = self._listing(self.openable(), current) if self.checkpoint.copies > 1 else []
+        listed = self._listing(self.slots.openable(), current) if self.checkpoint.copies > 1 else []
         self.save_checkpoint(listed, shutdown=True)
 
     def resident(self, slot: int) -> OpenSegment | None:
@@ -523,7 +458,7 @@ class LogWriter:
         aru = arus.current
         if aru:
             record.aru = aru
-            arus.pins[aru].update(self.state.superseded_segments(record))
+            self.slots.pin(aru, self.state.superseded_segments(record))
         if aru or arus.undo:
             arus.note(self.state, record, aru)
         self._append(record)
@@ -693,18 +628,12 @@ class LogWriter:
             arus.aborting = dict.fromkeys(back, aru)
         try:
             for (subject, ident), values in sorted(subjects.items(), key=lambda item: item[0]):
-                keys = [(name, ident) for name in values]
                 for record in self.state.restoring(subject, ident, values):
-                    if not logged:
-                        self._append(record, logged=False)
-                        continue
-                    for key in keys:
-                        del arus.aborting[key]
-                    record.aru = arus.owner(record)
-                    arus.aborting.update(dict.fromkeys(keys, aru))
-                    self._append(record)
-                for key in keys:
-                    arus.aborting.pop(key, None)
+                    if logged:
+                        record.aru = arus.owner(record, aborting=False)
+                    self._append(record, logged=logged)
+                for name in values:
+                    arus.aborting.pop((name, ident), None)
         finally:
             arus.aborting = {}
 
@@ -749,16 +678,14 @@ class LogWriter:
         under a blanked header can lose nothing: no ``Flush`` has touched
         it (nothing of it is on its slot or in NVRAM, so nothing
         acknowledged is un-committed), and the summary it blanks was
-        durably dead when the hold began (``holdable``, from ``open_next``:
-        not a slot the cleaner retired since, not one whose records live on
-        only in a segment that is itself still held).
+        durably dead when it opened (``SlotTable.holdable``).
         """
         seg = self.open
         if seg.is_empty:
             return
         nvram = self.nvram
         hold = (
-            seg.holdable
+            self.slots.holdable(seg.index)
             and seg.never_flushed
             and not (nvram is not None and nvram.slot == seg.index)
         )
@@ -773,9 +700,10 @@ class LogWriter:
             # The slot the log opens next is chosen now: the write that
             # makes this summary final carries it, and placement sees the
             # ranks that write leaves.
-            ranks = self.openable()
-            seg.next = self._choose(ranks if hold else self._scrubs(ranks), seg.index)
+            ranks = self.slots.openable()
+            seg.next = self._choose(ranks if hold else self.slots.after_scrubs(ranks), seg.index)
             if hold:
+                self.slots.hold(seg.index)
                 self.held.append(seg)
                 # Its records exist nowhere else yet, but will: they pin
                 # tombstones from now on, as the summary they replace does.
@@ -814,6 +742,7 @@ class LogWriter:
         self.held = []
         if len(held) == 1:
             self._write_slot(held[0], delta=False)
+            self.slots.row_commit(held[0].index)
             return
         layout = self.layout
         size = self.config.segment_size
@@ -846,6 +775,7 @@ class LogWriter:
             self._disk_write(self.layout.slot_lba(seg.index), seg.header_sector())
             self.stats.header_commits += 1
             seg.mark_durable()
+            self.slots.row_commit(seg.index)
         self._summaries_durable("row-commit", held)
 
     def _write_partial(self) -> None:
@@ -987,32 +917,25 @@ class LogWriter:
                 self.state.summary_min_ts.pop(seg.index, None)
             else:
                 self.state.summary_min_ts[seg.index] = min_ts
-        due = self.retired.difference(self.since or ())
+        due = self.slots.scrubbable()
         if due and (self.open in segs or not self.open.summary_dirty):
-            # retired -> scrubbed: destroying the stale summaries lets the
-            # minimum summary timestamp rise.
-            self.retired -= due
+            # Destroying the stale summaries lets the minimum summary
+            # timestamp rise.
             self.scrub(due)
             self.drop_dead_tombstones()
 
     def scrub(self, slots: Iterable[int]) -> None:
-        """Destroy the stale summaries of those of ``slots`` that are free.
-
-        The caller guarantees that whatever a summary still homes is
-        durable elsewhere — once the held segments are, which therefore go
-        first. A slot opened since the newest checkpoint is a link of the
-        chain a recovery follows: it stays retired, to be scrubbed after
-        the next one. The package's only ``empty_summary`` writer.
+        """Destroy the stale summaries of those of ``slots`` the table lets
+        go (``SlotTable.scrub``). The caller guarantees that whatever a
+        summary still homes is durable elsewhere — once the held segments
+        are, which therefore go first. The package's only
+        ``empty_summary`` writer.
         """
         self.write_held()
         empty = empty_summary(self.config.summary_capacity)
-        open_index = self.open.index if self.open is not None else -1
-        chain = self.since or ()
         state = self.state
         for slot in sorted(slots):
-            if slot in chain:
-                self.retired.add(slot)
-            elif slot != open_index and state.usage.get(slot, 0) <= 0:
+            if self.slots.scrub(slot):
                 self._disk_write(self.layout.slot_lba(slot), empty)
                 state.summary_min_ts.pop(slot, None)
                 state.forget_units(slot)

@@ -279,10 +279,7 @@ def _from_checkpoint(lld: "LLD") -> RecoveryReport | None:
     # The recovered log goes on where the crashed one was: the listed slots
     # not opened yet first, no slot of the chain before the next
     # checkpoint, and the slot the chain's last summary names, if any.
-    log = lld.log
-    log.listed = set(listed) - opened
-    log.since = opened
-    log.resume = link
+    lld.slots.recover(set(listed) - opened, opened, link)
     return report
 
 
@@ -293,6 +290,7 @@ def _sweep(lld: "LLD") -> RecoveryReport:
     report.summary_read_requests = lld.disk.stats.reads - reads_before
     report.summaries_valid = len(slots)
     replay(lld.state, slots, report)
+    lld.slots.recover()
     return report
 
 

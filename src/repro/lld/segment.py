@@ -279,10 +279,6 @@ class OpenSegment:
         self._image_view = buffer
         buffer[0:4] = SUMMARY_MAGIC  # header template, written once
         self._summary_capacity = summary_capacity
-        #: May this segment, once sealed, wait in memory for its stripe row
-        #: and be written under a blanked header? The log writer decides
-        #: when it opens the slot (``LogWriter.open_next``).
-        self.holdable = False
         #: Data area as a writable zero-copy window into the slot image.
         self.data = self._image_view[summary_capacity:]
         self.used = 0

@@ -110,12 +110,8 @@ class LLDState:
         # instead of a sum over every segment.
         self._live_bytes = 0
         self.segment_blocks: dict[int, set[int]] = {}  # segment -> live bids
-        # Incrementally-maintained set of slots with no live data, so a
-        # seal picks its next slot without rescanning every segment.
-        # Inert (empty, segment_count == 0) until init_slots() is called
-        # with the disk's slot universe.
-        self.segment_count = 0
-        self.free_slots: set[int] = set()
+        # The log's SlotTable, told as a segment's usage crosses zero.
+        self.slots = None
 
         # Metadata homes: (kind, id) -> segment whose summary holds the
         # latest tuple; reverse index segment -> keys.
@@ -306,31 +302,15 @@ class LLDState:
     def _update_commit(self, aru: int, record: CommitRecord) -> None:
         """The recovery filter consumes a COMMIT; it changes no table."""
 
-    def init_slots(self, segment_count: int) -> None:
-        """Build the free-slot set for a disk of ``segment_count`` slots.
-
-        Called once at startup (after recovery or a checkpoint load has
-        populated ``usage``); from then on :meth:`_adjust_usage` keeps the
-        set in sync as segment usage crosses zero.
-        """
-        self.segment_count = segment_count
-        self.free_slots = {
-            slot
-            for slot in range(segment_count)
-            if self.usage.get(slot, 0) <= 0
-        }
-
     def _adjust_usage(self, segment: int, delta: int) -> None:
-        """Change a segment's live-byte count, maintaining the free set
-        and the clamped live-byte total."""
+        """Change a segment's live-byte count, maintaining the clamped
+        live-byte total and telling the slot table when it crosses zero."""
         old = self.usage.get(segment, 0)
         new = old + delta
         self.usage[segment] = new
         self._live_bytes += (new if new > 0 else 0) - (old if old > 0 else 0)
-        if new > 0:
-            self.free_slots.discard(segment)
-        elif 0 <= segment < self.segment_count:
-            self.free_slots.add(segment)
+        if (old > 0) != (new > 0) and self.slots is not None:
+            self.slots.live(segment, new > 0)
 
     def _ensure_block(self, bid: int) -> BlockEntry:
         entry = self.blocks.get(bid)

@@ -89,14 +89,14 @@ def test_a_crash_recovers_from_the_checkpoint_and_its_tail():
 def test_start_up_writes_nothing_and_the_log_goes_on_with_the_list():
     lld = make_lld(checkpoint_slots=2)
     populate(lld, rounds=130)
-    left = set(lld.log.listed)
+    left = set(lld.slots.listed)
     writes = lld.disk.stats.writes
     recovered = crash(lld)
     assert lld.disk.stats.writes == writes
     # The open slot (partially flushed) is used up; the restarted log opens
     # one of the others.
     assert recovered.open_segment_index in left
-    assert recovered.log.listed == left - {recovered.open_segment_index}
+    assert recovered.slots.listed == left - {recovered.open_segment_index}
     _lid, bids, expected = populate(recovered, rounds=300, seed=3)
     again = crash(recovered)
     assert again.recovery_report.checkpoint_sequence > 1
@@ -116,7 +116,7 @@ def test_an_aru_open_when_a_checkpoint_is_due_defers_it():
         if lld.stats.checkpoints_refused == 3:
             break
     assert lld.stats.checkpoints_written == taken
-    assert not lld.log.listed and len(lld.log.since) == lld.log.reserve + 3
+    assert not lld.slots.listed and len(lld.slots.since) == lld.log.reserve + 3
     lld.flush()
     recovered = crash(lld)  # the unit never committed: gone
     report = recovered.recovery_report
@@ -130,7 +130,7 @@ def test_an_aru_open_when_a_checkpoint_is_due_defers_it():
     recovered.write(bids[0], b"c" * 4096)
     recovered.end_aru()
     populate(recovered, rounds=40)
-    assert recovered.stats.checkpoints_written >= 1 and recovered.log.since is not None
+    assert recovered.stats.checkpoints_written >= 1 and recovered.slots.since is not None
     assert crash(recovered).read(bids[0]) == b"c" * 4096
 
 
@@ -149,14 +149,14 @@ def test_aborted_arus_pin_nothing_and_checkpoints_go_on():
                 lld.write(bids[(i * 5) % len(bids)], b"u" * 3000)
                 lld.new_block(lid, bid)
                 lld.abort_aru()
-                assert not lld.aru_excluded_segments() and not lld.log.arus.undo
+                assert not lld.slots.pinned() and not lld.log.arus.undo
             lld.write(bid, bytes([i % 251]) * (700 + (i % 5) * 800))
             expected[bid] = lld.read(bid)
             if i % 9 == 0:
                 lld.flush()
         lld.flush()
         assert lld.state.live_bytes() == sum(map(len, expected.values()))
-        assert lld.stats.checkpoints_written > taken and lld.log.since is not None
+        assert lld.stats.checkpoints_written > taken and lld.slots.since is not None
         if crashed:
             fresh = crash(lld)
         else:
@@ -185,9 +185,9 @@ def test_a_full_log_still_recovers_from_its_checkpoint():
         written = lld.stats.checkpoints_written
         lld.write(bids[(i * 7) % len(bids)], bytes([i % 251]) * 4096)
         if lld.stats.checkpoints_written != written:
-            listed = len(lld.log.listed | lld.log.since)
-            victims = {slot for slot in lld.log.listed if lld.state.usage.get(slot, 0)}
-        elif listed and len(lld.log.since) == listed + 3:
+            listed = len(lld.slots.listed | lld.slots.since)
+            victims = {slot for slot in lld.slots.listed if lld.state.usage.get(slot, 0)}
+        elif listed and len(lld.slots.since) == listed + 3:
             break
     assert listed <= lld.log.reserve and victims and lld.stats.checkpoints_refused == 0
     lld.flush()
@@ -218,12 +218,12 @@ def test_a_full_log_opens_the_victims_its_checkpoint_listed():
         written = lld.stats.checkpoints_written
         lld.write(bids[(i * 7) % len(bids)], bytes([i % 251]) * 4096)
         if lld.stats.checkpoints_written != written:
-            listed = lld.log.listed | lld.log.since
+            listed = lld.slots.listed | lld.slots.since
             victims = {slot for slot in listed if lld.state.usage.get(slot, 0)}
-        elif listed and len(lld.log.since) == lld.log.reserve - 1:
+        elif listed and len(lld.slots.since) == lld.log.reserve - 1:
             break
     assert len(listed) == lld.log.reserve and victims
-    assert lld.log.since <= listed and lld.log.since & victims
+    assert lld.slots.since <= listed and lld.slots.since & victims
     lld.flush()
     expected = {bid: lld.read(bid) for bid in bids}
     recovered = crash(lld)
@@ -240,7 +240,7 @@ def test_an_image_too_large_for_a_copy_is_refused_not_raised():
     lld = make_lld(segment_size=16 * 1024, checkpoint_slots=2)
     lids = [lld.new_list() for _ in range(4000)]
     assert lld.stats.checkpoints_written >= 1 and lld.stats.checkpoints_refused >= 1
-    assert len(lld.log.since) > lld.log.reserve
+    assert len(lld.slots.since) > lld.log.reserve
     lld.flush()
     with pytest.raises(CheckpointTooLargeError):
         lld.shutdown()
@@ -270,7 +270,7 @@ def test_a_torn_newest_copy_falls_back_to_the_older_one():
     region = lld.checkpoint
     older = region.lbas[1 - region.newest]
     before = lld.disk.snapshot()
-    lld.log.save_checkpoint(lld.log._listing(lld.log.openable(), lld.open_segment_index))
+    lld.log.save_checkpoint(lld.log._listing(lld.slots.openable(), lld.open_segment_index))
     image = lld.disk.peek(older, 3)
     for landed in (range(1, 3), range(0, 1)):  # body without header; header alone
         lld.disk.restore(before)
@@ -289,7 +289,7 @@ def test_a_partial_segment_in_nvram_inside_the_tail():
     _lid, bids, _ = populate(lld, rounds=100)
     lld.write(bids[0], b"in nvram")
     lld.flush()
-    assert nvram.holds_data and nvram.slot in lld.log.since
+    assert nvram.holds_data and nvram.slot in lld.slots.since
     recovered = crash(lld, nvram=nvram)
     assert recovered.recovery_report.checkpoint_sequence
     assert recovered.read(bids[0]) == b"in nvram"
@@ -312,7 +312,7 @@ def test_one_slot_checkpoints_only_at_shutdown():
     assert fresh.recovery_report.segments_scanned == 0
     assert lld.disk.stats.reads - reads == 2  # the header, then the image
     assert lld.disk.stats.writes - writes == 1 and fresh.checkpoint.sequence == 2
-    assert fresh.log.since is None
+    assert fresh.slots.since is None
     again = crash(fresh)
     assert again.recovery_report.checkpoint_sequence == 0
     assert {bid: again.read(bid) for bid in bids} == expected
@@ -360,7 +360,7 @@ def test_checkpoint_writes_are_ordered_on_both_sides(drive):
         # checkpoint scrubs the cleaned slots first.
         _lid, bids, _ = populate(lld, rounds=60)
         for i in itertools.count():
-            if not lld.log.listed:
+            if not lld.slots.listed:
                 break
             lld.write(bids[i % len(bids)], b"r" * 4096)
         taken = lld.stats.checkpoints_written
@@ -422,7 +422,7 @@ def past_the_list(lld, bids, *, sealed: bool):
         lld.end_aru()
         lld.flush()
         expected = {bid: lld.read(bid) for bid in bids}
-    assert lld.log.since - lld.log.listed and not lld.log.listed
+    assert lld.slots.since - lld.slots.listed and not lld.slots.listed
     return expected
 
 
@@ -444,7 +444,7 @@ def test_the_restarted_log_opens_a_slot_a_second_crash_finds(sealed):
         assert lld.disk.stats.writes == writes
     else:
         assert recovered.stats.checkpoints_written == 1
-        assert recovered.log.since == {recovered.open_segment_index}
+        assert recovered.slots.since == {recovered.open_segment_index}
     for i, bid in enumerate(bids[:4]):
         recovered.write(bid, bytes([i + 7]) * 3000)
         expected[bid] = bytes([i + 7]) * 3000

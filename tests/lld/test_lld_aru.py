@@ -235,7 +235,7 @@ def test_uncommitted_delete_list_pins_the_list_head_home():
 
     lld.begin_aru()
     lld.delete_list(lid)
-    assert s1 in lld.aru_excluded_segments()
+    assert s1 in lld.slots.pinned()
     assert lld.cleaner.select_victim() != s1
     lld.clean(1)
     lld.flush()  # would scrub the cleaned victim's summary
@@ -300,12 +300,12 @@ def _chain_homed_in_a_free_slot():
         lld.write(scratch, b"\x5a" * 4096)
     lld.flush()
     state = lld.state
-    assert slot in state.free_slots and state.homes[("first", lid)] == slot
+    assert slot in lld.slots.empty and state.homes[("first", lid)] == slot
     assert lld.list_blocks(lid) == bids == [2, 3, 4, 5, 6]
     lld.begin_aru()
     for bid in bids:
         lld.delete_block(bid, lid)
-    assert not state.slot_holds_metadata(slot) and slot in lld.aru_excluded_segments()
+    assert not state.slot_holds_metadata(slot) and slot in lld.slots.pinned()
     return lld, lid, slot, scratch
 
 
@@ -427,8 +427,8 @@ def test_an_aborted_unit_puts_back_what_it_superseded():
     assert list(lld.state.iter_list(lid)) == bids
     assert doomed not in lld.state.blocks
     assert lld.state.block(bids[0]).segment == committed_in
-    assert committed_in not in lld.state.free_slots
-    assert not lld.aru_excluded_segments() and not lld.log.arus.undo
+    assert committed_in not in lld.slots.empty
+    assert not lld.slots.pinned() and not lld.log.arus.undo
     for i in range(2000):
         lld.write(bids[2 + i % 5], bytes([i % 251]) * 4096)
         if i % 10 == 0:
@@ -465,7 +465,7 @@ def test_the_cleaner_moving_an_open_units_data_keeps_it_the_units():
     lld.new_block(lid, bids[0])
     lld.attach_aru(0)  # the filler that seals the unit's slot is not the unit's
     unit_slot = seal()
-    assert unit_slot not in lld.aru_excluded_segments()
+    assert unit_slot not in lld.slots.pinned()
     lld.cleaner.clean_segment(unit_slot)
     assert lld.state.block(bids[0]).segment != unit_slot
     lld.flush()  # the relocation is on the medium; the unit is still open
@@ -554,7 +554,7 @@ def test_the_cleaner_counts_free_slots_the_way_placement_does(checkpoint_slots, 
     with lld.aru():
         for bid in unit:
             lld.write(bid, b"a" * 4096)
-            assert lld.free_segment_count() == len(lld.log.reusable())
+            assert lld.free_segment_count() == len(lld.slots.reusable())
     assert all(lld.read(bid) == b"a" * 4096 for bid in unit)
     lld.flush()
     recovered = reopen(lld)

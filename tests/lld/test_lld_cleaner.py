@@ -83,7 +83,7 @@ def test_greedy_picks_emptiest_segment():
     choice = lld.cleaner.select_victim()
     usage = lld.state.usage
     assert usage.get(choice, 0) == min(
-        usage.get(s, 0) for s in lld.cleaner.candidate_segments()
+        usage.get(s, 0) for s in lld.slots.cleanable(lld.open_segment_index)
     )
 
 
@@ -99,7 +99,7 @@ def test_cost_benefit_prefers_cold_segments():
     assert choice is not None
     # The chosen victim should contain cold blocks, not the hot rewrite.
     mod = lld.state.segment_mod_ts
-    candidates = lld.cleaner.candidate_segments()
+    candidates = lld.slots.cleanable(lld.open_segment_index)
     assert mod.get(choice, 0) <= min(mod.get(s, 0) for s in candidates) + 1
 
 

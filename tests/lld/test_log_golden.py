@@ -591,7 +591,7 @@ def script_arus(rig: Rig) -> None:
     for bid in rig.grow(other, slots * 2)[::2]:
         lld.delete_block(bid, other)
     lld.delete_block(a, lid)
-    assert lld.stats.cleanings > cleanings and lld.aru_excluded_segments()
+    assert lld.stats.cleanings > cleanings and lld.slots.pinned()
     lld.end_aru()
     lld.flush()
     # Crash with a unit open: its flushed records must not come back.

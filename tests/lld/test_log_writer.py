@@ -96,7 +96,6 @@ def make_writer(**config):
         disk, cfg, layout, state, LLDStats(), CompressionModel(disk.clock),
         CheckpointRegion(disk, layout, cfg),
     )
-    state.init_slots(writer.layout.segment_count)
     writer.open_next()
     return writer
 
@@ -168,14 +167,14 @@ def test_relocate_moves_live_blocks_and_relog_moves_their_metadata():
     writer.relog_slot(old)
     state = writer.state
     new = writer.open.index
-    assert state.usage[old] == 0 and old in state.free_slots
+    assert state.usage[old] == 0 and old in writer.slots.empty
     assert not state.segment_keys[old] and state.homes[("link", 1)] == new
     assert all(r.flags & FLAG_CLEANER for r in writer.open.records[:2])
     assert writer.open.read_data(0, 6) == b"twoone"
     # retired -> scrubbed: the stale summary goes once the move is durable.
-    writer.retired.add(old)
+    writer.slots.retire(old)
     writer.flush()
-    assert not writer.retired and old not in state.summary_min_ts
+    assert writer.slots.of[old] == "free" and old not in state.summary_min_ts
     lba = writer.layout.slot_lba(old)
     assert writer.disk.peek(lba, writer.config.summary_sectors) == empty_summary(4096)
 

@@ -294,7 +294,7 @@ def hold_regardless(monkeypatch, slots) -> None:
     def mutated(self, slot=None):
         open_next(self, slot)
         if self.open.index in slots:
-            self.open.holdable = True
+            self.slots.dead.add(self.open.index)
 
     monkeypatch.setattr(LogWriter, "open_next", mutated)
 
@@ -350,8 +350,8 @@ def cleaned_behind_a_held_segment(monkeypatch, mutate: bool) -> tuple[Walk, int]
     for bid in victims[3:]:  # three blocks of slot 9 stay live
         w.step(("over", w.bids.index(bid), BLOCK))
     w.ack()  # slot 11 is full: the flush seals it and opens slot 8
-    assert w.lld.log.open.index == 8 and w.lld.log.open.holdable
-    assert w.lld.clean(1) == 1 and 9 in w.lld.log.retired
+    assert w.lld.log.open.index == 8 and w.lld.slots.holdable(8)
+    assert w.lld.clean(1) == 1 and w.lld.slots.of[9] == "retired"
     assert w.lld.state.blocks[victims[0]].segment == 8
     if mutate:
         hold_regardless(monkeypatch, {9})
@@ -403,14 +403,14 @@ def killed_by_its_predecessor(monkeypatch, mutate: bool) -> tuple[Walk, int]:
     for i in range(PER_SEGMENT - 3):
         w.step(("over", i, BLOCK))
     w.ack()  # slot 7 is full: the flush seals it and opens slot 5
-    assert w.lld.log.open.index == 5 and w.lld.log.open.holdable and not w.lld.log.held
+    assert w.lld.log.open.index == 5 and w.lld.slots.holdable(5) and not w.lld.log.held
     if mutate:
         hold_regardless(monkeypatch, {6})
     forced.append(6)
     start = w.recording.position
     for bid in doomed:
         w.step(("over", w.bids.index(bid), BLOCK))
-    assert 6 in state.free_slots and not state.slot_holds_metadata(6)  # rank 1
+    assert 6 in w.lld.slots.empty and not state.slot_holds_metadata(6)  # rank 1
     for i in range(PER_SEGMENT + 2):
         w.step(("over", i, BLOCK))
     w.ack()
@@ -658,7 +658,7 @@ def test_blocks_of_a_held_segment_are_read_from_memory():
     free = lld.free_segment_count()
     for bid in bids[:PER_SEGMENT]:
         lld.delete_block(bid, 1)
-    assert 2 in lld.state.free_slots and lld.free_segment_count() == free
+    assert 2 in lld.slots.empty and lld.free_segment_count() == free
     lld.flush()
     assert lld.free_segment_count() == free + 1 and not lld.log.held
     assert lld.read(bids[-1]) == bytes([PER_SEGMENT + 3]) * BLOCK

@@ -285,7 +285,7 @@ def brute_force_free_slots(lld: LLD) -> set:
 
 def test_free_slot_set_matches_usage_scan_through_churn():
     lld = make_lld(capacity_mb=2)
-    assert lld.state.free_slots == brute_force_free_slots(lld)
+    assert lld.slots.empty == brute_force_free_slots(lld)
     lid = lld.new_list()
     prev = LIST_HEAD
     bids = []
@@ -296,15 +296,15 @@ def test_free_slot_set_matches_usage_scan_through_churn():
         prev = bid
         bids.append(bid)
     lld.flush()
-    assert lld.state.free_slots == brute_force_free_slots(lld)
+    assert lld.slots.empty == brute_force_free_slots(lld)
     for bid in bids[:60]:
         lld.delete_block(bid, lid)
     lld.flush()
-    assert lld.state.free_slots == brute_force_free_slots(lld)
+    assert lld.slots.empty == brute_force_free_slots(lld)
     lld.clean(2)
-    assert lld.state.free_slots == brute_force_free_slots(lld)
+    assert lld.slots.empty == brute_force_free_slots(lld)
     recovered = reopen(lld)
-    assert recovered.state.free_slots == brute_force_free_slots(recovered)
+    assert recovered.slots.empty == brute_force_free_slots(recovered)
 
 
 def test_free_slot_set_survives_clean_shutdown():
@@ -313,7 +313,7 @@ def test_free_slot_set_survives_clean_shutdown():
     bid = lld.new_block(lid, LIST_HEAD)
     lld.write(bid, fill_block(1))
     recovered = reopen(lld, after_crash=False)
-    assert recovered.state.free_slots == brute_force_free_slots(recovered)
+    assert recovered.slots.empty == brute_force_free_slots(recovered)
 
 
 # ----------------------------------------------------------------------

@@ -98,3 +98,71 @@ def test_load_skips_blank_lines(tmp_path):
     assert len(loaded) == 1
     assert loaded[0].severity == "info"  # defaulted
     assert isinstance(loaded[0], Event)
+
+
+# ----------------------------------------------------------------------
+# lld.slot: one event per slot state change, from the slot table
+# ----------------------------------------------------------------------
+
+
+def _slot_script(events):
+    """A 4 MB LLD (one checkpoint slot) that fills a few segments, kills
+    most of the first one's blocks, cleans it and flushes; ``events``
+    (an EventLog or None) attached from the start. Returns the LLD, its
+    recording disk and the cleaned slot."""
+    from repro.crashsim import RecordingDisk
+    from repro.disk import SimulatedDisk, fast_test_disk
+    from repro.ld import LIST_HEAD
+    from repro.lld import LLD
+    from repro.obs import attach_events
+
+    from tests.lld.conftest import small_config
+
+    disk = RecordingDisk(SimulatedDisk(fast_test_disk(capacity_mb=4), VirtualClock()))
+    lld = LLD(disk, small_config())
+    attach_events(events, lld)
+    lld.initialize()
+    lid, pred, bids = lld.new_list(), LIST_HEAD, []
+    for i in range(40):
+        pred = lld.new_block(lid, pred)
+        lld.write(pred, bytes([i + 1]) * 4096)
+        bids.append(pred)
+    lld.flush()
+    victim = lld.state.blocks[bids[0]].segment
+    for bid in bids:
+        if lld.state.blocks[bid].segment == victim and bid != bids[0]:
+            lld.write(bid, b"n" * 4096)
+    lld.flush()
+    assert lld.clean(1) == 1 and lld.slots.of[victim] == "retired"
+    lld.write(bids[-1], b"z" * 4096)
+    lld.flush()  # the re-logged records are durable: the scrub follows
+    return lld, disk, victim
+
+
+def test_slot_events_follow_one_slot_through_a_clean():
+    log = EventLog(capacity=100_000)
+    lld, _disk, victim = _slot_script(log)
+    moves = [
+        (e.payload["old"], e.payload["new"], e.payload["cause"])
+        for e in log.select(name="lld.slot")
+        if e.payload["slot"] == victim
+    ]
+    assert moves == [
+        ("free", "open", "open"),
+        ("open", "sealed", "seal"),
+        ("sealed", "retired", "clean"),
+        ("retired", "free", "scrub"),
+    ]
+    assert lld.slots.of[victim] == "free"
+    times = [e.t for e in log.select(name="lld.slot")]
+    assert times == sorted(times) and all(
+        e.severity == "debug" for e in log.select(name="lld.slot")
+    )
+
+
+def test_slot_events_do_not_change_what_the_disk_sees():
+    with_sink, disk_a, _ = _slot_script(EventLog(capacity=100_000))
+    without, disk_b, _ = _slot_script(None)
+    assert disk_a.events == disk_b.events and disk_a.barriers == disk_b.barriers
+    assert disk_a.clock.now == disk_b.clock.now
+    assert with_sink.stats.as_dict() == without.stats.as_dict()
