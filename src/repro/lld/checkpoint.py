@@ -15,16 +15,12 @@ every copy — the one a shutdown writes included — is a checkpoint:
   of the bytes to write — on RAID-5 a copy is a partial-stripe write, and
   its pre-reads are as large as the copy).
 
-With two copies the log writer takes checkpoints during normal operation
-(:meth:`repro.lld.log.LogWriter.open_next`), always into the older copy,
-so a torn write leaves the newer one intact; a crash then recovers from
-the newest copy, the listed slots' summaries and the chain of slots each
-summary names as opened after it, instead of sweeping every slot
-(:func:`repro.lld.recovery.run_recovery`). When the log must open a slot
-no recovery would reach and cannot take a checkpoint first, it writes a
-newer copy that holds no image (:meth:`CheckpointRegion.retire`): the
-next recovery sweeps. With one copy only a shutdown writes an image, and
-the first opening after it retires it.
+With two copies the log writer takes checkpoints as it opens slots,
+always into the older copy (a torn write leaves the newer one), and a
+crash recovers from the newest copy and the chain past its list
+(:func:`repro.lld.recovery.run_recovery`); a copy with no image
+(:meth:`CheckpointRegion.retire`) makes the next recovery sweep. With one
+copy only a shutdown writes an image (DESIGN.md §17).
 
 The payload is packed incrementally: ``LLDState.changed`` names the keys
 changed since the last image, and only those are packed again.

@@ -54,16 +54,9 @@ class Cleaner:
 
     def victims(self, openings: int) -> list[int]:
         """The segments the policy would clean next, best first: as many
-        as the log's next ``openings`` openings make it clean — one each,
-        once the free slots are down to :data:`MIN_FREE_SEGMENTS`.
-
-        A checkpoint lists them after the slots that are free already
-        (``LogWriter._listing``): in a full log those are few, and the
-        slots the log opens until the next checkpoint are the ones the
-        cleaner empties. Cleaning listed victims first keeps those
-        openings on the list, where a recovery reads them in one batch
-        instead of one summary at a time along the chain.
-        """
+        as the next ``openings`` openings make it clean, one each once the
+        free slots are down to :data:`MIN_FREE_SEGMENTS`. A checkpoint
+        lists them after the free slots (``LogWriter._listing``)."""
         count = openings - (self.lld.free_segment_count() - MIN_FREE_SEGMENTS)
         if count <= 0:
             return []
@@ -126,11 +119,10 @@ class Cleaner:
                 self.compacting = False
         self.ensure_free(MIN_FREE_SEGMENTS)
 
-    def ensure_free(self, target: int) -> int:
+    def ensure_free(self, target: int) -> None:
         """Clean until at least ``target`` segments are free, then see that
         the log has one it may open (:meth:`keep_a_slot_to_open`)."""
         lld = self.lld
-        cleaned = 0
         guard = 4 * lld.layout.segment_count
         stalled = 0
         best_free = lld.free_segment_count()
@@ -147,7 +139,6 @@ class Cleaner:
                 self._note_starved(target)
                 raise OutOfSpaceError("no cleanable segments available")
             self.clean_segment(victim)
-            cleaned += 1
             free_now = lld.free_segment_count()
             if free_now > best_free:
                 best_free = free_now
@@ -155,7 +146,6 @@ class Cleaner:
             else:
                 stalled += 1
         self.keep_a_slot_to_open()
-        return cleaned
 
     def keep_a_slot_to_open(self) -> None:
         """The floor under placement: when every reusable slot still homes
@@ -241,17 +231,10 @@ class Cleaner:
     # ------------------------------------------------------------------
 
     def compact_tombstones(self, target_count: int, deep: bool = False) -> int:
-        """Retire tombstones by rewriting the oldest summaries.
-
-        The global minimum summary timestamp is what pins tombstones in
-        memory. This pass raises it by *scrubbing* the oldest free slots
-        (re-log homed metadata, then overwrite the stale summary). It
-        stops as soon as further scrubbing cannot retire anything — i.e.
-        when the oldest remaining summary belongs to a live segment. With
-        ``deep=True`` those live segments are cleaned first (expensive;
-        used when the tombstone table grows far past its target).
-        Returns the number of tombstones dropped.
-        """
+        """Retire tombstones by raising the minimum summary timestamp that
+        pins them: scrub the oldest free slots (their homes re-logged
+        first) until enough are settled or the oldest summary is a live
+        segment's — which ``deep`` cleans first. Returns how many dropped."""
         lld = self.lld
         state = lld.state
         dropped = lld.log.drop_dead_tombstones()
@@ -288,12 +271,9 @@ class Cleaner:
             return dropped
 
         # Phase 2: one durability point covers every re-logged record,
-        # then the stale summaries can be destroyed. Tombstones are only
-        # dropped after their guarded summaries are really gone, so a
-        # crash anywhere in between stays recoverable. A target the log
-        # opened again meanwhile holds what was re-logged — deaths among
-        # it, which a crash part-way through the scrubs must keep while a
-        # summary holding what they kill survives: it is left alone.
+        # then the stale summaries go, and only then their tombstones. A
+        # target the log opened again meanwhile homes what was re-logged:
+        # it is left alone.
         if relogged_any:
             lld.flush()
         lld.log.scrub(slot for slot in scrub_set if not state.slot_holds_metadata(slot))
@@ -309,14 +289,10 @@ class Cleaner:
         )[1]
 
     def scrub_slot(self, slot: int) -> None:
-        """Invalidate the stale summary of a *free* slot.
-
-        Any metadata or tombstones still homed in the slot are re-logged
-        and flushed first, so the on-disk invalidation never destroys the
-        last copy of anything.
-        """
+        """Invalidate the stale summary of a reusable slot, its homes
+        re-logged and flushed first."""
         lld = self.lld
-        if not lld.slots.may_reuse(slot):
+        if slot not in lld.slots.reusable():
             raise ValueError(f"segment {slot} is in memory, live or pinned by an open ARU")
         if lld.state.slot_holds_metadata(slot):
             lld.log.relog_slot(slot)

@@ -137,21 +137,14 @@ class LLDStats(ReadCacheCounters):
 
 
 class LLD(LogicalDisk):
-    """Log-structured implementation of the LD interface.
-
-    Dirty blocks are collected in an in-memory segment and written to disk
-    in one long contiguous operation; segment summaries log all metadata;
-    recovery reads a checkpoint, the summaries of the slots it listed and
-    the chain of slots opened after them, or sweeps every summary
-    (DESIGN.md §17). See the package
-    docstring for the deviations from the paper (COMMIT records, memory-
-    only list of lists).
+    """Log-structured implementation of the LD interface (DESIGN.md §8,
+    §17; the package docstring lists the deviations from the paper).
 
     This class is the LD surface, the read path, space accounting and
-    stats; the tables are :attr:`state`, and everything that appends to
-    the log or writes to the disk is :attr:`log`
-    (:class:`~repro.lld.log.LogWriter`), with :attr:`cleaner` and the
-    reorganizers as its clients.
+    stats; the tables are :attr:`state`, every slot's lifecycle is
+    :attr:`slots`, and everything that appends to the log or writes to the
+    disk is :attr:`log`, with :attr:`cleaner` and the reorganizers as its
+    clients.
     """
 
     #: The cleaner's free-slot target (reported in the ``space`` registry).
@@ -219,13 +212,10 @@ class LLD(LogicalDisk):
     # ------------------------------------------------------------------
 
     def initialize(self) -> None:
-        """Start up, after a clean shutdown or a crash alike: load the
-        newest checkpoint and replay the summaries of the slots it listed
-        and of the chain opened after them, or — with no usable copy —
-        sweep every summary (:func:`~repro.lld.recovery.run_recovery`;
-        ``recovery_report`` says which). A log recovered from a checkpoint
-        goes on where the chain ends, or with a listed slot; only when it
-        has neither does start-up write — a checkpoint."""
+        """Start up, after a clean shutdown or a crash alike: recover from
+        the newest checkpoint and its tail, or sweep
+        (:func:`~repro.lld.recovery.run_recovery`; ``recovery_report`` says
+        which), then open a slot a second crash finds."""
         if self._initialized:
             raise LDError("LD already initialized")
         if self.read_cache is not None:
@@ -276,14 +266,10 @@ class LLD(LogicalDisk):
     # ------------------------------------------------------------------
 
     def set_tenant(self, name: str | None) -> None:
-        """Bind (or clear) the tenant attributed in the hot-path counters.
-
-        The multi-tenant server wraps every dispatched op in a
-        ``set_tenant(name)`` / ``set_tenant(None)`` pair so reads,
-        writes, and cache traffic land in ``stats.tenants[name]`` beside
-        the global counters. With no tenant bound the hot paths pay one
-        load and one branch.
-        """
+        """Bind (or clear) the tenant attributed in the hot-path counters:
+        the multi-tenant server wraps every dispatched op in a pair, so its
+        traffic lands in ``stats.tenants[name]`` too. Unbound, the hot
+        paths pay one load and one branch."""
         self._tenant = None if name is None else self.stats.tenant_counters(name)
 
     def placement_hint(self, bid: int) -> tuple[int, int] | None:
@@ -769,28 +755,18 @@ class LLD(LogicalDisk):
         self.log.end_aru(commit=True)
 
     def abort_aru(self) -> None:
-        """Abort the open ARU: its operations never commit.
-
-        The explicit form of the :meth:`aru` context manager's exception
-        path, for clients (tenant sessions, say) that drive ARUs through
-        ``begin_aru``/``end_aru`` calls rather than a ``with`` block.
-        In-memory state is rolled back to what a recovery would rebuild:
-        the values the unit set are put back, and its records vanish at
-        the next recovery.
-        """
+        """Abort the open ARU (the :meth:`aru` context manager's exception
+        path, for clients driving ``begin_aru``/``end_aru``): the tables go
+        back to what a recovery rebuilds, and its records vanish at it."""
         self._require_init()
         self.log.end_aru(commit=False)
 
     @contextmanager
     def aru(self):
-        """Context manager for a (possibly concurrent) atomic recovery unit.
-
-        The paper's §5.4 extension: each operation belongs to an explicit
-        ARU identified by id. Nesting ``with ld.aru():`` blocks interleaves
-        independent ARUs; the inner one commits first. On an exception the
-        ARU is aborted — rolled back in memory (:meth:`abort_aru`), its
-        operations vanish at the next recovery.
-        """
+        """Context manager for a (possibly concurrent, the paper's §5.4
+        extension) atomic recovery unit: nested blocks interleave
+        independent units, the inner one committing first; an exception
+        aborts it (:meth:`abort_aru`)."""
         self._require_init()
         arus = self.log.arus
         previous = arus.current
@@ -824,30 +800,15 @@ class LLD(LogicalDisk):
         return len(self.log.arus.pins)
 
     def flush(self, *, wait: bool = True) -> float:
-        """Make everything logged so far durable (paper §3.2 strategy).
-
-        At or above the partial threshold the segment is sealed; below it
-        the partially-filled segment is written to its own slot but kept in
-        memory, so it keeps filling and the eventual full write replaces
-        the slot without any cleaning. With ``delta_partial_flush`` (the
-        default) the partial write — and the eventual seal — is
-        incremental: only the summary and the data appended since the
-        watermark go to disk. A flush is the acknowledgement point: it
-        returns once everything written so far, sealed images still in
-        flight on a multi-disk volume included, is on the medium — or,
-        with ``wait=False``, it issues and orders exactly the same
-        requests and returns the simulated time at which they will be,
-        leaving the waiting to a caller that has something else to do
-        until then (:class:`~repro.sched.LDServer`).
-
-        Only flushes that find work count in ``stats.flushes``; a flush
-        with nothing in memory — an empty open segment and no sealed one
-        held for its row — counts in ``stats.flushes_noop`` instead, so
-        benchmark denominators stay honest. It issues no write, but it still
-        answers when what earlier flushes and seals wrote is on the medium —
-        a seal, or another tenant's commit that carried this caller's
-        writes, may be in flight — and a waiting one waits for that, at the
-        device (a waiting barrier).
+        """Make everything logged so far durable (paper §3.2): seal at or
+        above the partial threshold, else write the open segment to its
+        slot (a delta with ``delta_partial_flush``) and keep filling it.
+        The acknowledgement point: returns once it is all on the medium —
+        or, with ``wait=False``, issues the same requests and returns when
+        they will be (:class:`~repro.sched.LDServer`). A flush with nothing
+        in memory counts in ``stats.flushes_noop``, writes nothing, and
+        still answers (and, waiting, waits for) the device's write horizon
+        (DESIGN.md §8).
         """
         self._require_init()
         tr = self.tracer

@@ -3,20 +3,13 @@
 :class:`LogWriter` owns the open segment and is the only code in this
 package, outside the checkpoint region, that writes to the disk: every
 byte goes through ``_disk_write`` (the write-amplification funnel) and
-every ordering point through ``barrier``. Each slot's lifecycle — which
-slot it may open, hold, clean or scrub — is decided by its
-:class:`~repro.lld.slots.SlotTable` (``slots``); see that module for the
-states and their transitions.
-
-Where the device has stripe rows (``DiskLayout.row_width`` > 1) the write
-unit is a row: consecutive sealed segments no ``Flush`` has touched wait
-in memory, leave as one write and are committed in log order
-(:meth:`LogWriter.write_held`). Where the checkpoint region has room for
-two copies, every summary names the slot the log opens after it, and a
-checkpoint is taken once the slots the last one listed are used up
-(DESIGN.md §17).
-
-The cleaner, the reorganizers, NVRAM and the LD surface are its clients.
+every ordering point through ``barrier``. Which slot it may open, hold,
+clean or scrub is its :class:`~repro.lld.slots.SlotTable`'s to decide
+(``slots``; the lifecycle is drawn there). On a device with stripe rows
+sealed segments leave a row at a time (:meth:`LogWriter.write_held`);
+with two checkpoint copies every summary names the slot opened after it
+(DESIGN.md §17). The cleaner, the reorganizers, NVRAM and the LD surface
+are its clients.
 """
 
 from __future__ import annotations
@@ -50,22 +43,16 @@ _NOTHING = object()
 class ARUTable:
     """Open (uncommitted) atomic recovery units.
 
-    ``pins`` maps each open unit to the segments the cleaner must leave
-    alone while it is in flight; several entries are concurrent units
-    (the paper's §5.4 extension). ``current`` is the unit new client
-    records join (0 = none).
-
-    ``undo`` is what an abort puts back. For every key an open unit has
-    set (a :data:`~repro.lld.state.VALUE_KEYS` name and an id) it holds
-    each value set since, in log order, as ``[unit, value before]`` —
-    unit 0 for a client write outside any unit. A unit's entries stay
-    while an open unit's come before them; ``touched`` names each open
-    unit's keys.
-
-    ``kept``: the pins of units aborted on a log with no room to log what
-    they put back (:meth:`LogWriter.end_aru`), held until restart.
-    ``aborting``: while an abort logs what goes back, each key whose value
-    in the tables is still the aborted unit's, and that unit.
+    ``pins`` maps each open unit (several: the paper's §5.4 extension)
+    to the slots holding what it superseded; ``current`` is the unit new
+    client records join (0 = none). ``undo`` is what an abort puts back:
+    for every key an open unit has set (a
+    :data:`~repro.lld.state.VALUE_KEYS` name and an id), each value set
+    since, in log order, as ``[unit, value before]`` (unit 0: outside any
+    unit), kept while an open unit's entry comes before; ``touched`` names
+    each open unit's keys. ``kept``: the pins of units aborted with no
+    room to log their rollback, held until restart. ``aborting``: while
+    an abort logs its rollback, the keys still holding its values.
     """
 
     def __init__(self) -> None:
@@ -278,18 +265,11 @@ class LogWriter:
         return self._choose(ranks, -1)
 
     def _cover(self, slot: int, ranks: dict[int, int], current: int) -> None:
-        """Keep ``slot`` where a recovery finds it. It is, when the newest
-        checkpoint listed it or the summary before it names it (the sealed
-        segment's, or at start-up the recovered chain's last), and the log
-        has not opened it since that checkpoint. Otherwise, and once the
-        list is used up (past start-up) and either ``reserve`` openings
-        have passed or a whole list is openable again, a checkpoint is
-        taken, listing ``slot`` first — with two copies, not while an ARU
-        is open, and not while the held row continues. When none is
-        taken the log goes on along the chain
-        (``checkpoints_refused`` counts that), or, where ``slot`` is not
-        reachable, retires the newest copy: a crash then sweeps, as it
-        does while no checkpoint covers the log."""
+        """Keep ``slot`` where a recovery finds it: take a checkpoint
+        listing it first when it is not ``SlotTable.covered`` or one is
+        due, unless deferred (``checkpoints_refused``); a slot not covered
+        with no checkpoint possible retires the newest copy, and a crash
+        then sweeps (the rules: DESIGN.md §17)."""
         slots = self.slots
         if slots.since is None:
             needed = False
@@ -304,7 +284,8 @@ class LogWriter:
             )
         if not due:
             return
-        if not needed and self.held and self._continues_row(slot, current):
+        rows = self.layout.slot_rows
+        if not needed and self.held and current >= 0 and rows[slot][0] == rows[current][0]:
             return  # the held row first: a checkpoint would split it
         if self.checkpoint.copies > 1:
             if not (self.arus.pins or self.arus.kept) and self.save_checkpoint(
@@ -317,21 +298,12 @@ class LogWriter:
             self.barrier("checkpoint")
             slots.checkpoint(None)
 
-    def _continues_row(self, slot: int, current: int) -> bool:
-        """Does opening ``slot`` continue ``current``'s stripe row?"""
-        rows = self.layout.slot_rows
-        return current >= 0 and rows[slot][0] == rows[current][0]
-
     def _listing(
         self, ranks: dict[int, int], current: int, first: int | None = None
     ) -> list[int]:
-        """The slots placement would open next, in order — ``first``
-        first, when given: :attr:`reserve` of them and, on a layout with
-        stripe rows, on to the end of the row the last one is in — so that
-        the row held when they run out is a whole one. Where fewer are
-        openable, the victims the cleaner will empty over those openings
-        (``Cleaner.victims``) make up the rest: the log opens them once
-        emptied."""
+        """The slots placement would open next — ``first`` first, when
+        given — :attr:`reserve` of them and on to the end of the last one's
+        stripe row; where fewer are openable, the cleaner's next victims."""
         rows = self.layout.slot_rows
         left = dict(ranks)
         plan: list[int] = []
@@ -350,13 +322,10 @@ class LogWriter:
         return plan
 
     def save_checkpoint(self, listed: list[int], *, shutdown: bool = False) -> bool:
-        """Take a checkpoint that lists ``listed``: write the held
-        row, then the tables into the older copy, ordered after everything
-        they describe (the scrubs after the last segment write included)
-        and before anything written next. False, with the log unchanged,
-        when the image does not fit in one copy — at ``shutdown`` that
-        raises :class:`~repro.lld.checkpoint.CheckpointTooLargeError`, and
-        the barrier after the copy waits for it."""
+        """Write the held row, then a checkpoint listing ``listed`` into the
+        older copy, ordered after all it describes and before what comes
+        next. False when the image does not fit (at ``shutdown``:
+        :class:`~repro.lld.checkpoint.CheckpointTooLargeError`)."""
         self.write_held()
         self.barrier("pre-checkpoint")
         try:
@@ -387,11 +356,8 @@ class LogWriter:
         return True
 
     def shutdown_checkpoint(self) -> None:
-        """The last checkpoint, at a clean shutdown (everything flushed).
-        With two copies it lists what a running one would, and the
-        restarted log goes on opening those. With one (the paper's region)
-        it lists nothing: a start-up loads just the image, and the first
-        opening retires it."""
+        """The last checkpoint, at a clean shutdown: listing what a running
+        one would, or, with one copy (the paper's region), nothing."""
         current = self.open.index if self.open is not None else -1
         listed = self._listing(self.slots.openable(), current) if self.checkpoint.copies > 1 else []
         self.save_checkpoint(listed, shutdown=True)
@@ -446,14 +412,10 @@ class LogWriter:
             self.read_cache.invalidate(record.bid)
 
     def emit(self, record: Record) -> None:
-        """Log a record on behalf of the client.
-
-        Inside an ARU the record carries the unit's id, and the unit pins
-        every segment holding something the record supersedes: evacuating
-        one would destroy the pre-ARU values a recovery needs if the unit
-        never commits. What the record replaces goes on the undo chains
-        (:class:`ARUTable`), for an abort to put back.
-        """
+        """Log a record on behalf of the client. Inside an ARU it carries
+        the unit's id, the unit pins the slots holding what it supersedes
+        (a recovery needs them if the unit never commits), and what it
+        replaces goes on the undo chains, for an abort to put back."""
         arus = self.arus
         aru = arus.current
         if aru:
@@ -539,7 +501,7 @@ class LogWriter:
         homed = state.tombstones_homed_in(slot)
         if not homed:
             return
-        min_ts = state.min_summary_timestamp(exclude=slot)
+        min_ts = state.min_summary_timestamp(exclude=(slot,))
         for tomb in homed:
             if tomb.settled(min_ts):
                 state.drop_tombstone((tomb.kind, tomb.ident))
@@ -610,15 +572,12 @@ class LogWriter:
     def _roll_back(
         self, back: dict[tuple[str, int], object], aru: int, *, logged: bool = True
     ) -> None:
-        """Put the values aborted unit ``aru`` replaced back (``back``: from
-        :meth:`ARUTable.withdraw`) by logging them, each on behalf of the
-        open unit that set it, if one did. The tables then hold what a
-        recovery rebuilds without the unit — so what it superseded is live
-        again and kept by the cleaner's own rules, and its own records
-        are dead. Until a key's value is back, a relocation or re-statement
-        of it (logging may seal and clean) carries ``aru``'s id, so that it
-        vanishes with the unit. Not ``logged``: into the tables only (what
-        a logged pass already put back stays)."""
+        """Log the values aborted unit ``aru`` replaced (``back``, from
+        :meth:`ARUTable.withdraw`), each on behalf of the open unit that
+        set it, if one did: the tables then hold what a recovery rebuilds
+        without the unit. Until a key's value is back, a relocation or
+        re-statement of it (logging may clean) carries ``aru``'s id. Not
+        ``logged``: into the tables only."""
         arus = self.arus
         subjects: dict[tuple[str, int], dict[str, object]] = {}
         for (name, ident), value in back.items():
@@ -664,22 +623,12 @@ class LogWriter:
         return self.disk.write_horizon()
 
     def seal(self) -> None:
-        """open -> sealed: bring the slot up to date, open the next.
-
-        A segment no flush has touched goes out as one image. One whose
-        prefix partial flushes already made durable needs only what
-        another partial flush would write — the data tail, then the
-        summary — unless ``LLDConfig.delta_partial_flush`` is off (the
-        paper's strategy: the whole image again). The slot ends up
-        byte-identical either way.
-
-        On a layout with stripe rows a sealed segment is *held* instead,
-        to leave with its row (:meth:`write_held`) — if writing its body
-        under a blanked header can lose nothing: no ``Flush`` has touched
-        it (nothing of it is on its slot or in NVRAM, so nothing
-        acknowledged is un-committed), and the summary it blanks was
-        durably dead when it opened (``SlotTable.holdable``).
-        """
+        """open -> sealed: bring the slot up to date — one image, or what
+        one more partial flush would write (``delta_partial_flush``) — and
+        open the next. On a layout with stripe rows the segment is *held*
+        instead, to leave with its row, where blanking its slot's summary
+        loses nothing: no ``Flush`` touched it, and the slot was dead when
+        it opened (``SlotTable.holdable``)."""
         seg = self.open
         if seg.is_empty:
             return
@@ -719,22 +668,12 @@ class LogWriter:
         self.after_seal()
 
     def write_held(self) -> None:
-        """sealed (held) -> written -> committed: put the held segments on
-        their slots, as one write.
-
-        Called when placement leaves the row (a complete row always does)
-        and before anything that needs them on the medium or reads slots
-        from it: ``flush``, a seal that cannot be held, the cleaner, a
-        scrub. One segment goes out as the image it would have been at
-        its seal. Several are one barrier epoch, of which any part can
-        land, and a later segment that parses without an earlier one is a
-        state the log never was in; so the body — whole slots, a full
-        stripe when the row is complete — goes out with every summary
-        magic blanked, and after a barrier each segment's real first
-        sector follows in log order, a barrier between them: a crash
-        leaves a prefix of the row. ``torn_write_protection``'s body,
-        guard, header flip, applied across the row — and the same with
-        that protection on or off.
+        """held -> sealed: put the held segments on their slots, as one
+        write — when placement leaves the row, and before anything that
+        needs them on the medium. One goes out as its seal's image.
+        Several: the body with every summary magic blanked, a barrier, then
+        each real header sector in log order with a barrier between, so a
+        crash leaves a prefix of the row (DESIGN.md §8, "What a row writes").
         """
         held = self.held
         if not held:
@@ -802,14 +741,10 @@ class LogWriter:
 
     def _write_slot(self, seg: OpenSegment, delta: bool) -> tuple[int, int]:
         """Bring ``seg``'s slot up to date: the whole image, or (``delta``)
-        the data tail past the watermark, then the summary — each only if
-        it has something new to carry. Returns the ``(data, summary)``
-        bytes written.
-
-        The data tail goes first: a crash between the two writes leaves
-        the previous summary on disk, which describes only the durable
-        prefix, so recovery sees exactly the state of the previous flush.
-        """
+        the data tail past the watermark, then the summary, each only if it
+        has something new; returns the ``(data, summary)`` bytes written.
+        The tail goes first: a crash between leaves the previous summary,
+        which describes only the durable prefix."""
         tr = self.tracer
         lba = self.layout.slot_lba(seg.index)
         data_bytes = summary_bytes = 0
@@ -904,12 +839,10 @@ class LogWriter:
             return True
 
     def _summaries_durable(self, label: str, segs) -> None:
-        """``segs``' summaries just became durable, on their slots or in
-        NVRAM. The barrier orders them before everything after them — in
-        particular the scrubs below, which are only safe once the records
-        re-logged out of the retired slots are durable: when ``segs``
-        include the open segment (held ones were written ahead of it), or
-        the open segment has logged nothing that is not on its slot."""
+        """``segs``' summaries just became durable (slots or NVRAM), ordered
+        before what follows — the scrubs, safe once the records re-logged
+        out of the retired slots are durable: ``segs`` include the open
+        segment, or it has logged nothing that is not on its slot."""
         self.barrier(label)
         for seg in segs:
             min_ts = seg.min_timestamp()
@@ -957,14 +890,8 @@ class LogWriter:
 
     def barrier(self, label: str, *, wait: bool = False) -> None:
         """Announce a write-ordering point to the disk (the crash-state
-        explorer closes a reorder epoch here).
-
-        Order is not acknowledgement: the log needs its images, guards and
-        scrubs to land in order, but only a client's ``Flush`` and the
-        shutdown checkpoint have anyone waiting for them, and only those
-        two pass ``wait``. On a bare ``SimulatedDisk`` either kind is free
-        in simulated time; on a ``Volume`` a waiting barrier costs the
-        slowest member's whole queue, an ordering one at most the epoch
-        before the one it closes.
-        """
+        explorer closes a reorder epoch here). Order is not
+        acknowledgement: only a client's ``Flush`` and the shutdown
+        checkpoint ``wait``; on a ``Volume`` that costs the slowest
+        member's queue, an ordering one at most the epoch it closes."""
         self.disk.barrier(label, wait=wait)

@@ -7,17 +7,14 @@ recent version of every piece of metadata; records belonging to atomic
 recovery units that never logged a COMMIT are discarded, which yields the
 all-or-nothing guarantee. No roll-forward pass is needed.
 
-Its cost grows with the disk: every slot's summary is read. So LLD also
-takes checkpoints during normal operation (:mod:`repro.lld.checkpoint`):
-each holds the tables as of a timestamp ``T`` and lists the slots the log
-opens first after it, and every summary names the slot the log opened
-after it. Recovery loads the newest copy, reads the listed slots'
-summaries in one batch, follows the chain of ``next`` slots from those
-of them that name an unlisted slot — the *tail* — and replays the tail's
-records from ``T`` on through the same replay the sweep uses
-(:func:`replay`). This is the
-roll-forward Sprite LFS does from its checkpoint. Without a usable copy
-it sweeps (DESIGN.md, "Recovery: checkpoint and tail").
+Its cost grows with the disk. So LLD also takes checkpoints
+(:mod:`repro.lld.checkpoint`), each holding the tables as of a timestamp
+``T`` and listing the slots the log opens first; every summary names the
+slot opened after it. Recovery loads the newest copy, reads the listed
+summaries in one batch, follows the chain of ``next`` slots past them —
+the *tail*, Sprite LFS's roll-forward — and replays it from ``T`` with
+the sweep's own :func:`replay`; without a usable copy it sweeps
+(DESIGN.md §17). Either way it ends with ``SlotTable.recover``.
 """
 
 from __future__ import annotations

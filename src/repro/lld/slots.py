@@ -118,23 +118,14 @@ class SlotTable:
         """Slots with live data the cleaner may take: not ``current`` (the
         open segment's, held or not), not a pinned one. Another held one
         is written first."""
-        pinned = self.pinned()
-        return [
-            slot
-            for slot in range(len(self.of))
-            if slot not in self.empty and slot != current and slot not in pinned
-        ]
-
-    def may_reuse(self, slot: int) -> bool:
-        return slot in self.reusable()
+        skip = self.empty | self.pinned() | {current}
+        return [slot for slot in range(len(self.of)) if slot not in skip]
 
     def covered(self, slot: int, named: int | None) -> bool:
         """Will a recovery find ``slot``: listed by the newest checkpoint,
         or ``named`` by the summary before it, and not opened since?"""
         since = self.since
-        return since is not None and slot not in since and (
-            slot in self.listed or slot == named
-        )
+        return since is not None and slot not in since and slot in (*self.listed, named)
 
     # ------------------------------------------------------------------
     # Transitions
@@ -151,11 +142,8 @@ class SlotTable:
 
     def _guard(self, ok: bool, event: str, slot: int) -> None:
         if not ok:
-            raise SlotError(
-                f"{event} slot {slot}: refused in state {self.of[slot]!r} "
-                f"(empty={slot in self.empty}, pinned={slot in self.pinned()}, "
-                f"since={self.since is not None and slot in self.since})"
-            )
+            raise SlotError(f"{event} refused: slot {slot} {self.of[slot]}, "
+                            f"empty {slot in self.empty}, pinned {slot in self.pinned()}")
 
     def chain(self, slot: int) -> None:
         """The log opens ``slot`` next: never one it opened since the
@@ -172,7 +160,7 @@ class SlotTable:
         segment open before it unless held. ``settled``: nothing is held,
         so all that is logged is on the medium or ordered ahead of what
         is written next, and the openable slots not retired are dead."""
-        self._guard(slot in ranks and self.may_reuse(slot), "open", slot)
+        self._guard(slot in ranks and slot in self.reusable(), "open", slot)
         self._guard(not self.state.slot_holds_metadata(slot), "open", slot)
         for current in list(self._in[OPEN]):
             self.seal(current)
@@ -200,23 +188,20 @@ class SlotTable:
     def clean(self, slot: int) -> None:
         """sealed -> retired: the cleaner moved out every live block and
         home. Never the open, a held or a pinned slot."""
-        self._guard(
-            self.of[slot] == SEALED and slot in self.empty and slot not in self.pinned(),
-            "clean",
-            slot,
-        )
+        ok = self.of[slot] == SEALED and slot in self.empty and slot not in self.pinned()
+        self._guard(ok, "clean", slot)
         self._move(slot, RETIRED, "clean")
 
     def retire(self, slot: int) -> None:
         """A reusable slot whose homes were re-logged -> retired."""
-        self._guard(self.may_reuse(slot), "retire", slot)
+        self._guard(slot in self.reusable(), "retire", slot)
         self._move(slot, RETIRED, "retire")
 
     def scrub(self, slot: int) -> bool:
         """-> free: may ``slot``'s stale summary be destroyed now? Only a
         reusable one, and no chain slot before the next checkpoint: that
         one is retired, for a later scrub."""
-        if not self.may_reuse(slot):
+        if slot not in self.reusable():
             return False
         if self.since is not None and slot in self.since:
             if self.of[slot] != RETIRED:
@@ -231,9 +216,7 @@ class SlotTable:
         self.listed = set(listed or ())
         self.since = None if listed is None else set()
 
-    def recover(
-        self, listed=(), since: set[int] | None = None, resume: int | None = None
-    ) -> None:
+    def recover(self, listed=(), since: set[int] | None = None, resume=None) -> None:
         """Start-up: every slot with a summary is sealed, the rest free;
         the chain facts are what the recovery found."""
         summaries = self.state.summary_min_ts

@@ -363,11 +363,8 @@ class LLDState:
         return [self.tombstones[key] for key in sorted(keys)]
 
     def slot_holds_metadata(self, segment: int) -> bool:
-        """True if the slot's on-disk summary holds any *live* metadata.
-
-        The log never opens such a slot: the cleaner re-logs what it homes
-        first. Slots whose summaries are pure-stale can be overwritten freely.
-        """
+        """True if the slot's on-disk summary holds any *live* metadata:
+        the log opens it only once the cleaner re-logged that."""
         if self.segment_keys.get(segment):
             return True
         return bool(self.tombstone_homes.get(segment))
@@ -448,26 +445,13 @@ class LLDState:
         """Total live block-data bytes across all segments (O(1))."""
         return self._live_bytes
 
-    def min_summary_timestamp(
-        self, exclude: int | set[int] | None = None
-    ) -> int | None:
-        """Oldest record timestamp across valid on-disk summaries.
-
-        The tombstone-drop rule: a tombstone may be forgotten once this
-        minimum is at or above its death timestamp (no stale record can
-        still exist anywhere). ``exclude`` omits segments being cleaned
-        or scrubbed (an int or a set).
-        """
-        if exclude is None:
-            excluded: set[int] = set()
-        elif isinstance(exclude, int):
-            excluded = {exclude}
-        else:
-            excluded = exclude
-        values = [
-            ts for seg, ts in self.summary_min_ts.items() if seg not in excluded
-        ]
-        return min(values) if values else None
+    def min_summary_timestamp(self, exclude=()) -> int | None:
+        """Oldest record timestamp across valid on-disk summaries but those
+        of ``exclude`` (slots being cleaned or scrubbed). The tombstone-drop
+        rule: a tombstone may be forgotten once this minimum is at or above
+        its death timestamp (no stale record can still exist anywhere)."""
+        summaries = self.summary_min_ts.items()
+        return min((ts for seg, ts in summaries if seg not in exclude), default=None)
 
 
 # ----------------------------------------------------------------------

@@ -38,7 +38,7 @@ def test_min_summary_timestamp_with_exclusions():
     state = LLDState()
     state.summary_min_ts = {0: 100, 1: 50, 2: 200}
     assert state.min_summary_timestamp() == 50
-    assert state.min_summary_timestamp(exclude=1) == 100
+    assert state.min_summary_timestamp(exclude={1}) == 100
     assert state.min_summary_timestamp(exclude={0, 1}) == 200
     assert state.min_summary_timestamp(exclude={0, 1, 2}) is None
 
