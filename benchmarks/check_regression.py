@@ -61,6 +61,21 @@ class Row(NamedTuple):
     bound: float | str | None = None
 
 
+#: The arms of BENCH_crash_matrix.json that walk crash states (path
+#: prefixes; "" is the single-disk arm at the report's top level).
+CRASH_ARMS = (
+    "",
+    "scheduler.",
+    "degraded_mirror.survivors.0.",
+    "degraded_mirror.survivors.1.",
+    "degraded_parity.failed_members.0.",
+    "degraded_parity.failed_members.2.",
+    "checkpoint.bare.",
+    "checkpoint.bare.corrupted_newest_copy.",
+    "checkpoint.raid5_rows.",
+)
+
+
 TABLE = [
     # Multi-tenant scheduler (BENCH_multitenant.json): one tenant through
     # the scheduler reproduces the direct path's simulated figures, the
@@ -148,6 +163,16 @@ TABLE = [
     Row("recovery_time", "fs_mount_seconds", "same-as-committed"),
     Row("recovery_time", "clean_start_seconds", "same-as-committed"),
     Row("recovery_time", "metrics[disk.*]", "same-as-committed"),
+    # Crash matrix (BENCH_crash_matrix.json): no arm finds a violation, the
+    # recovery that does not follow the chain is caught, and every arm
+    # walks as many crash states as when the report was committed (the
+    # workloads and the enumerator are deterministic).
+    *(Row("crash_matrix", f"{arm}violation_count", "ceiling", 0) for arm in CRASH_ARMS),
+    Row("crash_matrix", "checkpoint.bare.mutant_no_chain.violation_count", "floor", 1),
+    *(
+        Row("crash_matrix", f"{arm}states_explored", "same-as-committed")
+        for arm in (*CRASH_ARMS, "checkpoint.bare.mutant_no_chain.")
+    ),
 ]
 
 

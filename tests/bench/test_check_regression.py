@@ -1,9 +1,10 @@
 """The one CI gate: ``benchmarks/check_regression.py`` over its row table.
 
-The committed ``BENCH_multitenant.json`` / ``BENCH_volume_scaling.json``
-and the bare-disk ``BENCH_read_path`` / ``write_path`` / ``recovery_time``
-reports are the inputs: each must pass against itself, and a copy with any one
-gated figure broken by hand must fail with a line naming that figure.
+The committed ``BENCH_multitenant.json`` / ``BENCH_volume_scaling.json``,
+the bare-disk ``BENCH_read_path`` / ``write_path`` / ``recovery_time`` and
+``BENCH_crash_matrix.json`` reports are the inputs: each must pass
+against itself, and a copy with any one gated figure broken by hand must
+fail with a line naming that figure.
 An unusable *committed* report (the cases of ``test_baseline.py``) skips
 its comparison rows and still exits 0.
 """
@@ -33,6 +34,7 @@ REPORTS = {
     "read_path": ROOT / "BENCH_read_path.json",
     "write_path": ROOT / "BENCH_write_path.json",
     "recovery_time": ROOT / "BENCH_recovery_time.json",
+    "crash_matrix": ROOT / "BENCH_crash_matrix.json",
 }
 
 
@@ -203,6 +205,11 @@ BROKEN = [
     ("volume_scaling", "raid5.write_paths.rmw_resident", None),
     # Reads that wait inside the server again: none parked on the RAID-5 arm.
     ("multitenant", "overlap.reads_parked", 0),
+    # Crash matrix: a moved state count, a violation, an uncaught mutant.
+    ("crash_matrix", "checkpoint.raid5_rows.states_explored", 2550),
+    ("crash_matrix", "degraded_parity.failed_members.2.states_explored", 773),
+    ("crash_matrix", "checkpoint.bare.violation_count", 1),
+    ("crash_matrix", "checkpoint.bare.mutant_no_chain.violation_count", 0),
 ]
 
 
