@@ -26,6 +26,7 @@ from repro.ld import LIST_HEAD, ListHints
 from repro.lld import LLD, NVRAM
 from repro.lld.checkpoint import CheckpointTooLargeError, _parse_header
 from repro.lld.config import SECTOR
+from repro.lld.segment import parse_summary
 from repro.sim import VirtualClock
 
 from tests.lld.conftest import make_lld, small_config
@@ -471,3 +472,77 @@ def test_a_recovery_that_does_not_follow_the_chain_is_caught(monkeypatch):
     states = [s for s in enum.enumerate() if s.kind == "prefix"]
     violations = [v for s in states for v in checker(enum.materialize(s), s).violations]
     assert violations
+
+
+def _checkpointed(capacity_mb=1):
+    """A two-copy LLD with 24 blocks, overwritten until a checkpoint is
+    taken; returns it, the blocks and their contents."""
+    lld = make_lld(capacity_mb=capacity_mb, checkpoint_slots=2)
+    lid, pred, bids = lld.new_list(), LIST_HEAD, []
+    for _ in range(24):
+        pred = lld.new_block(lid, pred)
+        lld.write(pred, b"\x01" * 4096)
+        bids.append(pred)
+    lld.flush()
+    taken = lld.stats.checkpoints_written
+    for i in itertools.count():
+        if lld.stats.checkpoints_written > taken:
+            break
+        lld.write(bids[i % 8], b"\x02" * 4096)
+        lld.flush()
+    return lld, bids, {bid: lld.read(bid) for bid in bids}
+
+
+def test_a_chain_slot_is_reopened_only_once_no_checkpoint_covers_the_log():
+    """An open unit defers every checkpoint, and the log goes on along the
+    chain until every openable slot is on it. Reopening one would cut the
+    chain a recovery follows, so the log retires the newest copy first:
+    until then no opening reuses a chain slot, and a crash after it
+    sweeps."""
+    lld, bids, expected = _checkpointed()
+    lld.begin_aru()
+    lld.attach_aru(0)  # the unit stays open; the writes are outside it
+    for n in range(400):
+        chain, current = set(lld.slots.since or ()), lld.open_segment_index
+        lld.write(bids[n % 8], bytes([3 + n % 200]) * 4096)
+        expected[bids[n % 8]] = lld.read(bids[n % 8])
+        lld.flush()
+        if lld.slots.since is None:
+            break
+        assert lld.open_segment_index == current or lld.open_segment_index not in chain
+    else:
+        raise AssertionError("the log never ran out of slots off the chain")
+    lld.crash()
+    recovered = LLD(lld.disk, lld.config)
+    recovered.initialize()
+    assert recovered.recovery_report.checkpoint_sequence == 0
+    assert all(recovered.read(bid) == expected[bid] for bid in bids)
+
+
+def test_a_retired_chain_slot_keeps_its_summary_until_the_next_checkpoint():
+    """The cleaner empties a slot the log opened since the newest
+    checkpoint. Its summary is a link of the chain a recovery follows: it
+    stays on the medium through later segment writes, and is scrubbed
+    only after the next checkpoint."""
+    lld, bids, expected = _checkpointed()
+    victim = lld.open_segment_index
+    assert victim in lld.slots.since
+    lld.write(bids[8], b"\x04" * 4096)  # the one block of it that stays live
+    while lld.open_segment_index == victim:
+        lld.write(bids[0], b"\x04" * 4096)
+    lld.flush()
+    assert lld.state.segment_blocks[victim] == {bids[8]} and lld.clean(1) == 1
+    assert lld.slots.of[victim] == "retired" and victim in lld.slots.since
+    sectors = lld.config.summary_sectors
+    summary = lld.disk.peek(lld.layout.slot_lba(victim), sectors)
+    assert parse_summary(summary)
+    taken = lld.stats.checkpoints_written
+    for i in itertools.count():
+        if lld.stats.checkpoints_written > taken:
+            break
+        assert lld.disk.peek(lld.layout.slot_lba(victim), sectors) == summary
+        lld.write(bids[i % 8], b"\x06" * 4096)
+        lld.flush()
+    lld.write(bids[0], b"\x07" * 4096)
+    lld.flush()  # the first segment write after the checkpoint scrubs it
+    assert lld.slots.of[victim] in ("free", "open")

@@ -195,6 +195,33 @@ def test_scrub_slot_rejects_live_segment():
         lld.cleaner.scrub_slot(live_slot)
 
 
+def test_a_scrub_destroys_no_summary_a_recovery_still_needs():
+    """``LogWriter.scrub`` is handed slots it may not destroy — compaction
+    targets the log opened or filled again meanwhile. The open slot, a
+    slot with live data and a free one an open unit pins keep their
+    summaries, and a crash recovers every block."""
+    lld = make_lld()
+    lid = lld.new_list()
+    bids = fill_blocks(lld, lid, 40)
+    lld.flush()
+    pinned = lld.state.blocks[bids[0]].segment
+    live = lld.state.blocks[bids[-1]].segment
+    lld.begin_aru()
+    for bid in bids:
+        if lld.state.blocks[bid].segment == pinned:
+            lld.write(bid, b"\xaa" * 4096)  # the unit empties the slot it pins
+    lld.flush()
+    targets = (pinned, live, lld.open_segment_index)
+    assert lld.state.usage.get(pinned, 0) == 0 and live != pinned
+    assert pinned in lld.slots.pinned() and lld.state.usage[live] > 0
+    layout, sectors = lld.layout, lld.config.summary_sectors
+    before = [lld.disk.peek(layout.slot_lba(slot), sectors) for slot in targets]
+    lld.log.scrub(targets)
+    assert [lld.disk.peek(layout.slot_lba(slot), sectors) for slot in targets] == before
+    recovered = reopen(lld)  # the unit never commits
+    assert all(recovered.read(bid) == b"\xee" * 4096 for bid in bids)
+
+
 def _deletes_then_compaction(disk):
     """An LLD on ``disk`` through overwrites, fill, acknowledged deletes and
     a deep compaction, every step mirrored; returns the driver."""
