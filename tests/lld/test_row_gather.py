@@ -435,6 +435,31 @@ def test_holding_a_slot_its_held_predecessor_killed_loses_its_blocks(monkeypatch
     assert ("cut", after_body) in {(kind, detail) for kind, detail, *_rest in violations}
 
 
+def test_a_retired_slot_is_scrubbed_only_once_what_was_relogged_is_durable(monkeypatch):
+    """The cleaner empties slot 2 — eight blocks and the links of fifteen —
+    into slot 3, which fills, is held, and leaves the rest, the links
+    included, to slot 4. The flush then writes slot 3 ahead of slot 4:
+    slot 2's summary may go only once slot 4's is on the medium too, or a
+    crash between the two loses the links."""
+    forced = scripted_placement(monkeypatch)
+    w = Walk(torn_write_protection=True)
+    w.grow(PER_SEGMENT, atomic=False)  # slot 2: fifteen blocks and their links
+    forced.append(3)
+    w.ack()
+    for i in range(8, PER_SEGMENT):
+        w.step(("over", i, BLOCK))
+    w.grow(5, atomic=False)  # slot 3 has room for three blocks
+    forced.append(4)
+    start = w.recording.position
+    w.lld.cleaner.clean_segment(2)
+    slots = w.lld.slots
+    assert (slots.of[2], slots.of[3], slots.of[4]) == ("retired", "held", "open")
+    w.ack()
+    assert slots.of[2] == "free" and not forced
+    checked, violations = w.walk(w.since(start))
+    assert checked >= 40 and violations == []
+
+
 # ----------------------------------------------------------------------
 # Which slots the log opens
 # ----------------------------------------------------------------------
