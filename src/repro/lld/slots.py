@@ -40,7 +40,8 @@ class SlotTable:
         self.arus = arus
         self.moved = moved
         self.of = [FREE] * count
-        self._in = {name: set() for name in (OPEN, HELD, SEALED, RETIRED)} | {FREE: set(range(count))}
+        self._in = {name: set() for name in (OPEN, HELD, SEALED, RETIRED)}
+        self._in[FREE] = set(range(count))
         #: Slots with no live data, kept as usage crosses zero.
         self.empty: set[int] = set(range(count))
         state.slots = self
