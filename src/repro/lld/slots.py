@@ -22,9 +22,6 @@ from typing import Callable
 
 FREE, OPEN, HELD, SEALED, RETIRED = "free", "open", "held", "sealed", "retired"
 
-#: The states with no segment in memory over the slot.
-ON_DISK = (FREE, SEALED, RETIRED)
-
 
 class SlotError(AssertionError):
     """A transition's guard or an invariant of the table failed."""
@@ -78,8 +75,7 @@ class SlotTable:
     def reusable(self) -> set[int]:
         """Slots with no live data, no segment in memory over them, and no
         pin: the free slots placement and the cleaner count."""
-        pinned, of = self.pinned(), self.of
-        return {slot for slot in self.empty if of[slot] in ON_DISK and slot not in pinned}
+        return self.empty - self._in[OPEN] - self._in[HELD] - self.pinned()
 
     def openable(self) -> dict[int, int]:
         """The :meth:`reusable` slots whose summaries home no live metadata,
