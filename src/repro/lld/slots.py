@@ -122,7 +122,7 @@ class SlotTable:
         """Will a recovery find ``slot``: listed by the newest checkpoint,
         or ``named`` by the summary before it, and not opened since?"""
         since = self.since
-        return since is not None and slot not in since and slot in (*self.listed, named)
+        return since is not None and slot not in since and (slot in self.listed or slot == named)
 
     # ------------------------------------------------------------------
     # Transitions
