@@ -49,7 +49,7 @@ def run(partition_mb: int):
     write_blocks(loge, count, payload)
     loge.crash()
     t0 = disk_loge.clock.now
-    fresh_loge = LogeDisk(disk_loge, loge.config)
+    fresh_loge = LogeDisk(disk_loge)
     fresh_loge.initialize()
     loge_seconds = disk_loge.clock.now - t0
 

@@ -137,21 +137,21 @@ def run_fs_demand(spec):
     sequential = list(range(0, total, FS_REQUEST))
     shuffled = sequential[:]
     random.Random(11).shuffle(shuffled)
-    extra = fs.store.stats.extra
+    stats = fs.store.stats
     arms = {}
     for label, offsets in (("sequential", sequential), ("random", shuffled)):
         fs.drop_caches()
-        fills, zones = extra.get("vectored_fills", 0), extra.get("vectored_zones", 0)
+        fills, zones = stats.vectored_fills, stats.vectored_zones
         t0, r0 = lld.disk.clock.now, lld.disk.stats.reads
         for offset in offsets:
             fs.seek(fd, offset)
             assert fs.read(fd, FS_REQUEST) == payload
-        ld_requests = extra["vectored_fills"] - fills
+        ld_requests = stats.vectored_fills - fills
         arms[label] = {
             "sim_time": lld.disk.clock.now - t0,
             "disk_reads": lld.disk.stats.reads - r0,
             "ld_requests": ld_requests,
-            "zones_per_ld_request": (extra["vectored_zones"] - zones) / ld_requests,
+            "zones_per_ld_request": (stats.vectored_zones - zones) / ld_requests,
         }
     fs.close(fd)
     return {"request_bytes": FS_REQUEST, "requests": len(sequential), **arms}

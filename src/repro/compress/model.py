@@ -5,7 +5,7 @@ The paper (section 4.2) reports MINIX LLD with compression writing at
 one segment is *pipelined* with the disk write of the previous segment — and
 reading at 800 KB/s because decompression cannot be overlapped with reads.
 
-This module charges those CPU costs to the virtual clock. The default
+This module charges those CPU costs to the virtual clock. The
 bandwidths are calibrated to a 1993-era workstation so the reproduced
 throughput table keeps the paper's shape.
 """
@@ -18,8 +18,8 @@ from repro.sim.clock import VirtualClock
 
 # Calibrated to reproduce the paper's 1600 KB/s write (pipelined) and
 # 800 KB/s read (serial) throughput on the simulated HP C3010.
-DEFAULT_COMPRESS_BW = 2200 * 1024
-DEFAULT_DECOMPRESS_BW = 1400 * 1024
+COMPRESS_BW = 2200 * 1024
+DECOMPRESS_BW = 1400 * 1024
 
 
 class CompressionModel:
@@ -30,14 +30,9 @@ class CompressionModel:
     serial with the read that produced the data.
     """
 
-    def __init__(
-        self,
-        clock: VirtualClock,
-        compress_bandwidth: float = DEFAULT_COMPRESS_BW,
-        decompress_bandwidth: float = DEFAULT_DECOMPRESS_BW,
-    ) -> None:
-        self._compress_bw = BandwidthModel(clock, compress_bandwidth)
-        self._decompress_bw = BandwidthModel(clock, decompress_bandwidth)
+    def __init__(self, clock: VirtualClock) -> None:
+        self._compress_bw = BandwidthModel(clock, COMPRESS_BW)
+        self._decompress_bw = BandwidthModel(clock, DECOMPRESS_BW)
         self.bytes_in = 0
         self.bytes_out = 0
 

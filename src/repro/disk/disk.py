@@ -40,15 +40,14 @@ class SimulatedDisk:
     ``bytes`` on ``read``/``peek``.
     """
 
-    def __init__(
-        self, geometry: DiskGeometry, clock: VirtualClock, tracer=None
-    ) -> None:
+    def __init__(self, geometry: DiskGeometry, clock: VirtualClock) -> None:
         self.geometry = geometry
         self.clock = clock
         self.stats = DiskStats(sector_size=geometry.sector_size)
-        #: Optional :class:`repro.obs.Tracer`; None (the default) keeps
-        #: the request path span-free (see repro.obs for the guard idiom).
-        self.tracer = tracer
+        #: Optional :class:`repro.obs.Tracer` (``attach_tracer``); None
+        #: keeps the request path span-free (see repro.obs for the guard
+        #: idiom).
+        self.tracer = None
         self._store = ExtentStore(geometry.sector_size)
         self._current_cylinder = 0
         # Pre-computed seek-curve slope: min + b*(sqrt(max_dist)-1) == max.

@@ -42,6 +42,7 @@ _ENTRY = struct.Struct("<23sBII")  # name, attr, size, lid
 ENTRY_SIZE = _ENTRY.size  # 32 bytes, like FAT's directory entries
 
 _MAGIC = b"DOSL"
+CLUSTER_SIZE = 4096
 ATTR_FILE = 0x01
 ATTR_DIR = 0x02
 
@@ -58,9 +59,10 @@ class _Handle:
 class DosFS:
     """FAT-style semantics, list-per-file storage, zero FAT."""
 
-    def __init__(self, ld: LogicalDisk, cluster_size: int = 4096) -> None:
+    def __init__(self, ld: LogicalDisk) -> None:
         self.ld = ld
-        self.cluster_size = cluster_size
+        #: A new volume's cluster size; a mounted one's is its superblock's.
+        self.cluster_size = CLUSTER_SIZE
         self.root_lid = 0
         self._fds: dict[int, _Handle] = {}
         self._next_fd = 3

@@ -9,19 +9,16 @@ from repro.fs.minix.classic_store import ClassicStore
 #: Maximum blocks coalesced into one clustered write (FFS ``maxcontig``).
 MAX_CONTIG = 7
 
+#: SunOS's 8 KB blocks, and the blocks of one cylinder group.
+BLOCK_SIZE = 8192
+BLOCKS_PER_GROUP = 2048
+
 
 class FFSStore(ClassicStore):
     """Classic layout plus cylinder groups, sync metadata, write clustering."""
 
-    def __init__(
-        self,
-        disk: SimulatedDisk,
-        block_size: int = 8192,
-        cache_bytes: int = 6144 * 1024,
-        blocks_per_group: int = 2048,
-    ) -> None:
-        super().__init__(disk, block_size=block_size, cache_bytes=cache_bytes)
-        self.blocks_per_group = blocks_per_group
+    def __init__(self, disk: SimulatedDisk, cache_bytes: int = 6144 * 1024) -> None:
+        super().__init__(disk, block_size=BLOCK_SIZE, cache_bytes=cache_bytes)
         self._group_rotor = 0
 
     # ------------------------------------------------------------------
@@ -31,10 +28,10 @@ class FFSStore(ClassicStore):
     @property
     def group_count(self) -> int:
         data_blocks = self.total_blocks - self.first_data
-        return max(1, data_blocks // self.blocks_per_group)
+        return max(1, data_blocks // BLOCKS_PER_GROUP)
 
     def _group_start(self, group: int) -> int:
-        return self.first_data + group * self.blocks_per_group
+        return self.first_data + group * BLOCKS_PER_GROUP
 
     def new_file_context(self, near_ctx: int, directory: bool = False) -> int:
         """Pick a cylinder group.

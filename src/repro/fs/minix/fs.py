@@ -9,7 +9,7 @@ so the same core runs as plain MINIX (classic store) and as MINIX LLD
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.fs.api import (
     BadFileDescriptor,
@@ -59,7 +59,6 @@ class FSStats:
     bytes_read: int = 0
     bytes_written: int = 0
     readaheads: int = 0
-    extra: dict = field(default_factory=dict)
 
 
 class MinixFS:

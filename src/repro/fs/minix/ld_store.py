@@ -306,10 +306,9 @@ class LDStore(BlockStore):
             if len(zones) == 1:
                 return [self._load(zones[0], size)]
             datas = self.ld.read_blocks(zones)
-        extra = self.stats.extra
-        extra["vectored_fills"] = fills = extra.get("vectored_fills", 0) + 1
-        extra["vectored_zones"] = filled = extra.get("vectored_zones", 0) + len(zones)
-        extra["zones_per_fill"] = filled / fills
+        stats = self.stats
+        stats.vectored_fills += 1
+        stats.vectored_zones += len(zones)
         put = self.cache.put
         for i, (zone, data) in enumerate(zip(zones, datas)):
             if len(data) < size:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import abc
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.fs.cache import BufferCache
 from repro.obs.metrics import Counters
@@ -59,8 +59,19 @@ class StoreStats(Counters):
     # deferred, and physical flush points actually issued.
     syncs_deferred: int = 0
     group_commits: int = 0
+    # Vectored fills (LD-backed store): ``read_blocks`` calls that filled
+    # several missing zones at once, and the zones they filled.
+    vectored_fills: int = 0
+    vectored_zones: int = 0
 
-    extra: dict = field(default_factory=dict)
+    DERIVED = ("zones_per_fill",)
+
+    @property
+    def zones_per_fill(self) -> float | None:
+        """Zones per vectored fill (None before the first)."""
+        if not self.vectored_fills:
+            return None
+        return self.vectored_zones / self.vectored_fills
 
 
 class BlockStore(abc.ABC):

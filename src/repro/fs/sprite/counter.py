@@ -9,7 +9,16 @@ directly comparable with the analytic Table 6 rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+#: The file-system shape both counters model: 4 KB blocks holding 64-byte
+#: i-nodes, 12-byte i-node-map entries or 4-byte block pointers, and seven
+#: direct zones per i-node.
+BLOCK_SIZE = 4096
+INODES_PER_BLOCK = BLOCK_SIZE // 64
+IMAP_ENTRIES_PER_BLOCK = BLOCK_SIZE // 12
+POINTERS_PER_BLOCK = BLOCK_SIZE // 4
+DIRECT_BLOCKS = 7
 
 
 @dataclass
@@ -31,23 +40,13 @@ class SpriteLFSCounter:
     """Counts block writes the way Sprite LFS generates them.
 
     * dirty i-nodes are collected into shared i-node blocks
-      (``inodes_per_block``);
+      (``INODES_PER_BLOCK``);
     * i-node-map entries go to map blocks written only at checkpoints;
     * writing a data block cascades into the indirect chain above it
       because physical addresses live in the metadata.
     """
 
-    def __init__(
-        self,
-        block_size: int = 4096,
-        inode_size: int = 64,
-        imap_entry_size: int = 12,
-        direct_blocks: int = 7,
-    ) -> None:
-        self.inodes_per_block = block_size // inode_size
-        self.imap_entries_per_block = block_size // imap_entry_size
-        self.direct_blocks = direct_blocks
-        self.pointers = block_size // 4
+    def __init__(self) -> None:
         self.counts = WriteCounts()
         self.operations = 0
         self._dirty_inodes: set[int] = set()
@@ -59,9 +58,9 @@ class SpriteLFSCounter:
 
     def _depth(self, index: int) -> int:
         """Indirect-chain depth above file block ``index`` (0, 1, or 2)."""
-        if index < self.direct_blocks:
+        if index < DIRECT_BLOCKS:
             return 0
-        if index < self.direct_blocks + self.pointers:
+        if index < DIRECT_BLOCKS + POINTERS_PER_BLOCK:
             return 1
         return 2
 
@@ -92,8 +91,8 @@ class SpriteLFSCounter:
 
     def checkpoint(self) -> None:
         """Flush dirty i-node blocks and i-node-map blocks."""
-        inode_blocks = {ino // self.inodes_per_block for ino in self._dirty_inodes}
-        imap_blocks = {ino // self.imap_entries_per_block for ino in self._dirty_imap}
+        inode_blocks = {ino // INODES_PER_BLOCK for ino in self._dirty_inodes}
+        imap_blocks = {ino // IMAP_ENTRIES_PER_BLOCK for ino in self._dirty_imap}
         self.counts.inode_blocks += len(inode_blocks)
         self.counts.imap_blocks += len(imap_blocks)
         self._dirty_inodes.clear()
@@ -114,15 +113,7 @@ class MinixLLDCounter:
     mtimes) and share blocks exactly as in Sprite.
     """
 
-    def __init__(
-        self,
-        block_size: int = 4096,
-        inode_size: int = 64,
-        direct_blocks: int = 7,
-    ) -> None:
-        self.inodes_per_block = block_size // inode_size
-        self.direct_blocks = direct_blocks
-        self.pointers = block_size // 4
+    def __init__(self) -> None:
         self.counts = WriteCounts()
         self.operations = 0
         self._dirty_inodes: set[int] = set()
@@ -150,14 +141,14 @@ class MinixLLDCounter:
         """
         self.operations += 1
         self.counts.data += 1
-        if index >= self.direct_blocks:
+        if index >= DIRECT_BLOCKS:
             self.counts.indirect += 1
         if new_indirect:
             self.counts.indirect += 1
         self._dirty_inodes.add(ino)
 
     def checkpoint(self) -> None:
-        inode_blocks = {ino // self.inodes_per_block for ino in self._dirty_inodes}
+        inode_blocks = {ino // INODES_PER_BLOCK for ino in self._dirty_inodes}
         self.counts.inode_blocks += len(inode_blocks)
         self._dirty_inodes.clear()
 

@@ -17,14 +17,23 @@ MIN_FREE_SEGMENTS = 2
 #: from it reads in one batch before it follows the chain.
 CHECKPOINT_RESERVE = 8
 
+#: Fill fraction at or above which a ``Flush`` seals the open segment
+#: instead of writing it partially (the paper's §3.2 example value).
+PARTIAL_THRESHOLD = 0.75
+
+#: Strict byte bound of the LD read cache, when ``read_cache_enabled``.
+READ_CACHE_BYTES = 1024 * 1024
+
 
 @dataclass(frozen=True)
 class LLDConfig:
     """Tunables of LLD.
 
     Defaults follow the paper's measured configuration: 512 KB segments,
-    4 KB (maximum) blocks, a one-block segment summary, and a 75%
-    partial-segment threshold (paper §3.2's example value).
+    4 KB (maximum) blocks and a one-block segment summary. The 75%
+    partial-segment threshold (paper §3.2's example value) and the read
+    cache's 1 MiB bound are the module constants
+    :data:`PARTIAL_THRESHOLD` and :data:`READ_CACHE_BYTES`.
 
     Attributes:
         segment_size: bytes per on-disk segment slot.
@@ -32,8 +41,6 @@ class LLDConfig:
             segment summary (fixed location — required by one-sweep
             recovery, paper §3.2). 0 selects ``max(4 KB, segment/32)``.
         block_size: maximum logical block size.
-        partial_threshold: fill fraction at or above which a ``Flush``
-            seals the segment instead of writing it partially.
         checkpoint_slots: segment-sized slots reserved at the front of the
             disk for the checkpoint region. From two on, the region holds
             two copies of the state image and LLD takes running
@@ -56,8 +63,6 @@ class LLDConfig:
             repeat reads (and read-ahead) from it. Off by default: the
             paper's LLD had no read cache, and the paper-reproduction
             benchmarks depend on uncached read timings.
-        read_cache_bytes: strict byte bound of the read cache (default
-            1 MiB). Only meaningful with ``read_cache_enabled``.
         read_ahead_blocks: on a single ``read`` that misses the cache,
             up to this many *physically contiguous* successors (along the
             block's list chain — the structure the paper says encodes
@@ -109,13 +114,11 @@ class LLDConfig:
     segment_size: int = 512 * 1024
     summary_capacity: int = 0  # 0 = auto: max(4096, segment_size / 32)
     block_size: int = 4096
-    partial_threshold: float = 0.75
     checkpoint_slots: int = 2
     clean_policy: str = "greedy"
     lists_enabled: bool = True
     max_tombstones: int = 4096
     read_cache_enabled: bool = False
-    read_cache_bytes: int = 1024 * 1024
     read_ahead_blocks: int = 8
     delta_partial_flush: bool = True
     torn_write_protection: bool = False
@@ -143,16 +146,10 @@ class LLDConfig:
                 f"block_size {self.block_size} exceeds segment data capacity "
                 f"{self.data_capacity}"
             )
-        if not 0.0 < self.partial_threshold <= 1.0:
-            raise ValueError(f"partial_threshold out of (0,1]: {self.partial_threshold}")
         if self.clean_policy not in CLEAN_POLICIES:
             raise ValueError(f"unknown clean_policy {self.clean_policy!r}")
         if self.checkpoint_slots < 1:
             raise ValueError("need at least one checkpoint slot")
-        if self.read_cache_enabled and self.read_cache_bytes <= 0:
-            raise ValueError(
-                f"read cache enabled with no capacity: {self.read_cache_bytes}"
-            )
         if self.read_ahead_blocks < 0:
             raise ValueError(
                 f"read_ahead_blocks must be non-negative: {self.read_ahead_blocks}"

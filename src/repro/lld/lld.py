@@ -15,7 +15,7 @@ from repro.ld.interface import Arrived, ArrivedBlocks, LogicalDisk, Reservation
 from repro.ld.reservations import ReservationBook
 from repro.lld.checkpoint import CheckpointRegion
 from repro.lld.cleaner import Cleaner
-from repro.lld.config import MIN_FREE_SEGMENTS, LLDConfig
+from repro.lld.config import MIN_FREE_SEGMENTS, READ_CACHE_BYTES, LLDConfig
 from repro.lld.log import LogWriter
 from repro.lld.records import (
     FLAG_COMPRESSED,
@@ -31,29 +31,7 @@ from repro.lld.recovery import RecoveryReport, run_recovery
 from repro.lld.segment import DiskLayout
 from repro.lld.state import NO_SEGMENT, BlockEntry, LLDState
 from repro.obs import stack
-from repro.obs.metrics import Counters
 from repro.obs.trace import NULL_SPAN
-
-
-@dataclass(slots=True)
-class TenantCounters(Counters):
-    """Per-tenant slice of the hot-path counters.
-
-    Kept deliberately tiny (a slotted bag of ints) because these bump
-    inside the read/write hot paths whenever a tenant is bound via
-    :meth:`LLD.set_tenant`. With no tenant bound the cost is one load
-    and one branch per operation — the multi-tenant server binds the
-    tenant around each dispatched op; single-caller stacks never pay.
-    """
-
-    blocks_read: int = 0
-    blocks_written: int = 0
-    bytes_read: int = 0
-    bytes_written: int = 0
-    memory_reads: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    flushes: int = 0
 
 
 @dataclass(slots=True)
@@ -113,20 +91,7 @@ class LLDStats(ReadCacheCounters):
     checkpoint_bytes: int = 0
     checkpoints_refused: int = 0
 
-    # Per-tenant counter slices, populated only when a multi-tenant
-    # server binds tenants with :meth:`LLD.set_tenant` (name -> counters).
-    tenants: dict = field(default_factory=dict)
-
-    extra: dict = field(default_factory=dict)
-
     DERIVED = ("write_amplification",)
-
-    def tenant_counters(self, name: str) -> TenantCounters:
-        """The (created-on-demand) counter slice for tenant ``name``."""
-        counters = self.tenants.get(name)
-        if counters is None:
-            counters = self.tenants[name] = TenantCounters()
-        return counters
 
     @property
     def write_amplification(self) -> float | None:
@@ -154,25 +119,23 @@ class LLD(LogicalDisk):
         self,
         disk: SimulatedDisk,
         config: LLDConfig | None = None,
-        compression: CompressionModel | None = None,
         nvram=None,
-        tracer=None,
     ) -> None:
         self.disk = disk
         #: ``tracer`` / ``events``: optional :class:`repro.obs.Tracer` and
-        #: :class:`repro.obs.EventLog`, the disk's unless a tracer is given.
-        stack.inherit(self, disk, tracer)
+        #: :class:`repro.obs.EventLog`, the disk's.
+        stack.inherit(self, disk)
         self.config = config or LLDConfig()
         self.layout = DiskLayout(disk, self.config)
         self.state = LLDState()
         self.checkpoint = CheckpointRegion(disk, self.layout, self.config)
-        self.compression = compression or CompressionModel(disk.clock)
+        self.compression = CompressionModel(disk.clock)
         self.stats = LLDStats()
         self.recovery_report: RecoveryReport | None = None
         #: LD-level block cache (None when disabled). The cache shares the
         #: stats object so hit/miss/prefetch counters land in LLDStats.
         self.read_cache: ReadCache | None = (
-            ReadCache(self.config.read_cache_bytes, counters=self.stats)
+            ReadCache(READ_CACHE_BYTES, counters=self.stats)
             if self.config.read_cache_enabled
             else None
         )
@@ -189,7 +152,6 @@ class LLD(LogicalDisk):
             self.checkpoint,
             nvram=nvram,
             read_cache=self.read_cache,
-            tracer=self.tracer,
         )
         #: Every slot's lifecycle state and facts (``repro.lld.slots``).
         self.slots = self.log.slots
@@ -198,10 +160,6 @@ class LLD(LogicalDisk):
         self.log.victims = self.cleaner.victims
 
         self._initialized = False
-        #: Per-tenant counter slice currently on the wire (None = global
-        #: counters only). Bound by the multi-tenant server around each
-        #: dispatched op via :meth:`set_tenant`.
-        self._tenant: TenantCounters | None = None
         self._reservations = ReservationBook(self.config.block_size)
         #: Read frequency per block, feeding the adaptive hot-block
         #: reorganizer (paper §5.3). Memory-only; reset at startup.
@@ -264,13 +222,6 @@ class LLD(LogicalDisk):
     # ------------------------------------------------------------------
     # Blocks
     # ------------------------------------------------------------------
-
-    def set_tenant(self, name: str | None) -> None:
-        """Bind (or clear) the tenant attributed in the hot-path counters:
-        the multi-tenant server wraps every dispatched op in a pair, so its
-        traffic lands in ``stats.tenants[name]`` too. Unbound, the hot
-        paths pay one load and one branch."""
-        self._tenant = None if name is None else self.stats.tenant_counters(name)
 
     def placement_hint(self, bid: int) -> tuple[int, int] | None:
         """``(spindle, lba)`` of a block's durable location, or ``None``.
@@ -397,29 +348,15 @@ class LLD(LogicalDisk):
             return entry, b""
         self.stats.blocks_read += 1
         self.read_counts[bid] += 1
-        tenant = self._tenant
-        if tenant is not None:
-            tenant.blocks_read += 1
         seg = self.log.resident(entry.segment)
         if seg is not None:
             raw = seg.read_data(entry.offset, entry.stored_length)
             self.stats.memory_reads += 1
-            data = self._decode(entry, raw)
-            if tenant is not None:
-                tenant.memory_reads += 1
-                tenant.bytes_read += len(data)
-            return entry, data
+            return entry, self._decode(entry, raw)
         cache = self.read_cache
         if cache is None:
             return entry, None
-        data = cache.get(bid)
-        if tenant is not None:
-            if data is None:
-                tenant.cache_misses += 1
-            else:
-                tenant.cache_hits += 1
-                tenant.bytes_read += len(data)
-        return entry, data
+        return entry, cache.get(bid)
 
     def _fetch_runs(
         self,
@@ -437,13 +374,12 @@ class LLD(LogicalDisk):
         simulated time (stripe-boundary splitting happens inside the
         volume, which sees the whole batch at one dispatch instant).
         With ``readahead`` every block after a run's first is read-ahead:
-        cached as prefetched, not billed to the tenant.
+        cached as prefetched.
         Returns the decoded blocks flattened in run order, and when the
         last of them arrives (:meth:`_fetch_stored`) — the time their cache
         entries carry, so a hit cannot complete before the fetch.
         """
         cache = self.read_cache
-        tenant = self._tenant
         coalesced = self.stats.coalesced_runs
         out: list[bytes] = []
         fetched, at = self._fetch_stored(runs, wait)
@@ -455,8 +391,6 @@ class LLD(LogicalDisk):
                 start = base + entry.offset
                 data = self._decode(entry, buf[start : start + entry.stored_length])
                 out.append(data)
-                if tenant is not None and not prefetched:
-                    tenant.bytes_read += len(data)
                 if cache is not None:
                     cache.put(bid, data, prefetched=prefetched, at=at)
                 prefetched = readahead
@@ -562,10 +496,6 @@ class LLD(LogicalDisk):
         self.stats.logical_bytes_written += len(data)
         self.stats.stored_bytes_written += len(stored)
         self.stats.data_bytes_logical += len(stored)
-        tenant = self._tenant
-        if tenant is not None:
-            tenant.blocks_written += 1
-            tenant.bytes_written += len(data)
 
     def swap_contents(self, bid_a: int, bid_b: int) -> None:
         """Atomically swap the physical contents of two logical blocks.
@@ -821,8 +751,6 @@ class LLD(LogicalDisk):
                     self.log.barrier("flush", wait=True)  # wait in the device
                 return horizon
             self.stats.flushes += 1
-            if self._tenant is not None:
-                self._tenant.flushes += 1
             return self.log.flush(wait)
 
     def flush_list(self, lid: int, *, wait: bool = True) -> float:

@@ -18,7 +18,7 @@ from typing import Callable, Iterable
 
 from repro.ld.errors import ARUError, OutOfSpaceError
 from repro.lld.checkpoint import CheckpointRegion, CheckpointTooLargeError
-from repro.lld.config import CHECKPOINT_RESERVE, SECTOR, LLDConfig
+from repro.lld.config import CHECKPOINT_RESERVE, PARTIAL_THRESHOLD, SECTOR, LLDConfig
 from repro.lld.records import FLAG_CLEANER, FLAG_COMPRESSED, BlockRecord, CommitRecord, Record
 from repro.lld.segment import DiskLayout, OpenSegment, empty_summary, pick_slot
 from repro.lld.slots import SlotTable
@@ -155,7 +155,6 @@ class LogWriter:
         *,
         nvram=None,
         read_cache=None,
-        tracer=None,
     ) -> None:
         self.disk = disk
         self.config = config
@@ -168,7 +167,7 @@ class LogWriter:
         #: (paper §5.3); pass the same object to the post-crash instance.
         self.nvram = nvram
         self.read_cache = read_cache
-        stack.inherit(self, disk, tracer)
+        stack.inherit(self, disk)
         self.arus = ARUTable()
         #: Every slot's lifecycle state and facts.
         self.slots = SlotTable(layout.segment_count, state, self.arus, self._slot_moved)
@@ -607,7 +606,7 @@ class LogWriter:
         §3.2). Returns the simulated time at which it all is on the
         medium — not later than now, unless the caller chose not to
         ``wait`` for it."""
-        if self.open.fill_fraction >= self.config.partial_threshold:
+        if self.open.fill_fraction >= PARTIAL_THRESHOLD:
             self.seal()  # may join the held row, which then leaves whole
         elif not self.open.is_empty:
             self.write_held()  # log order: what was sealed goes first

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.lld.config import SECTOR
 from repro.lld.records import Record
 from repro.lld.segment import decode_summary_into, summary_next
 from repro.lld.state import KIND_COMMIT, RECORD_KINDS, LLDState
@@ -50,8 +49,7 @@ class RecoveryReport(Counters):
     arus_committed: int = 0
     arus_discarded: int = 0
     simulated_seconds: float = 0.0
-    # Disk read requests the sweep issued; with coalescing this can be far
-    # below segments_scanned (one request spans several slots' summaries).
+    #: Disk read requests recovery issued (the sweep's: one per slot).
     summary_read_requests: int = 0
     #: Sequence number of the checkpoint recovery started from (0: swept).
     checkpoint_sequence: int = 0
@@ -77,87 +75,29 @@ class RecoveryReport(Counters):
 #: The record type that commits a unit (the one whose key is its COMMIT).
 COMMIT = next(kind for kind, row in RECORD_KINDS.items() if row.sets == KIND_COMMIT)
 
-#: Upper bound on one coalesced sweep request, in sectors (1 MB).
-_MAX_SWEEP_REQUEST_SECTORS = 2048
-
-
-def _sweep_batch_size(lld: "LLD") -> int:
-    """Slots whose summaries one sweep request should span.
-
-    Summaries sit at fixed offsets with a data area between them, so
-    coalescing adjacent summary reads into one multi-sector request means
-    transferring (and discarding) the gap. That pays off exactly when the
-    gap's transfer time is below the cost of issuing a fresh request —
-    per-request host overhead plus the expected rotational delay — which
-    the geometry decides. For the paper's 512 KB segments the gap is far
-    too wide and the sweep stays one-request-per-slot.
-    """
-    geo = lld.disk.geometry
-    config = lld.config
-    gap_sectors = config.sectors_per_segment - config.summary_sectors
-    bridge_cost = gap_sectors * geo.sector_time
-    separate_cost = geo.request_overhead_ms / 1000.0 + 0.5 * geo.revolution_time
-    if bridge_cost > separate_cost:
-        return 1
-    span_budget = _MAX_SWEEP_REQUEST_SECTORS - config.summary_sectors
-    return max(1, span_budget // config.sectors_per_segment + 1)
-
-
 def sweep_summaries(lld: "LLD") -> list[tuple[int, list[Record]]]:
     """Read and parse every segment summary, in slot order (one sweep).
 
-    Adjacent slots' summaries are coalesced into one multi-sector request
-    whenever the geometry makes bridging the inter-summary gap cheaper
-    than paying another per-request overhead (see ``_sweep_batch_size``).
+    One request per slot's summary, all in one batch: a multi-spindle
+    volume overlaps the per-disk sub-sweeps in simulated time, a bare disk
+    serves them back to back. (Joining adjacent summaries into one request
+    would pay on the HP C3010 only for segments of 16 KB or less.)
     Summaries that fail to parse — never written, torn, or corrupt — are
     skipped; a damaged slot can never abort the sweep.
-
-    Each summary is decoded in one batch pass (``decode_summary_into``)
-    straight out of a ``memoryview`` of the sweep request's buffer —
-    coalesced requests are never sliced into per-slot ``bytes`` copies.
     """
-    result: list[tuple[int, list[Record]]] = []
     config = lld.config
-    segment_count = lld.layout.segment_count
-    batch = _sweep_batch_size(lld)
-    stride = config.sectors_per_segment * SECTOR
-    summary_capacity = config.summary_capacity
-
-    # Phase 1: plan the sweep — one (start_slot, count, lba, nsectors)
-    # request per batch of adjacent slots.
-    requests: list[tuple[int, int, int, int]] = []
-    for start in range(0, segment_count, batch):
-        count = min(batch, segment_count - start)
-        if count == 1:
-            nsectors = config.summary_sectors
-        else:
-            nsectors = (count - 1) * config.sectors_per_segment + config.summary_sectors
-        requests.append((start, count, lld.layout.slot_lba(start), nsectors))
-
-    # Phase 2: dispatch. A multi-spindle volume overlaps the per-disk
-    # sub-sweeps of the whole batch in simulated time — the parallel
-    # summary sweep; a bare disk serves the batch back-to-back,
-    # timing-identical to the sequential loop this replaces.
-    if len(requests) > 1:
-        bufs = lld.disk.read_batch(
-            [(lba, nsectors) for _s, _c, lba, nsectors in requests]
-        )
-    else:
-        bufs = [lld.disk.read(lba, nsectors) for _s, _c, lba, nsectors in requests]
-
-    # Phase 3: decode, in slot order.
-    for (start, count, _lba, _nsectors), raw in zip(requests, bufs):
-        if count == 1:
-            images = [raw]
-        else:
-            buf = memoryview(raw)
-            images = [
-                buf[i * stride : i * stride + summary_capacity] for i in range(count)
-            ]
-        for i, image in enumerate(images):
-            records: list[Record] = []
-            if decode_summary_into(image, records):
-                result.append((start + i, records))
+    layout = lld.layout
+    images = lld.disk.read_batch(
+        [
+            (layout.slot_lba(slot), config.summary_sectors)
+            for slot in range(layout.segment_count)
+        ]
+    )
+    result: list[tuple[int, list[Record]]] = []
+    for slot, image in enumerate(images):
+        records: list[Record] = []
+        if decode_summary_into(image, records):
+            result.append((slot, records))
     return result
 
 

@@ -20,6 +20,6 @@ file systems for comparison, but faithfully keeps Loge's limitations:
   is guaranteed "up to the very last block successfully written".
 """
 
-from repro.loge.loge import LogeDisk, LogeConfig
+from repro.loge.loge import LogeDisk
 
-__all__ = ["LogeDisk", "LogeConfig"]
+__all__ = ["LogeDisk"]

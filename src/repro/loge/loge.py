@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
 
 from repro.disk.disk import SimulatedDisk
 from repro.ld.errors import (
@@ -24,34 +23,21 @@ SECTOR = 512
 _SLOT_HEADER = struct.Struct("<4sIQII")
 _SLOT_MAGIC = b"LOGE"
 
+BLOCK_SIZE = 4096
 
-@dataclass(frozen=True)
-class LogeConfig:
-    """Tunables for the Loge-style controller.
-
-    ``reserve_fraction`` is the share of physical blocks Loge keeps free
-    for its internal operation (the paper cites 3-5%).
-    """
-
-    block_size: int = 4096
-    reserve_fraction: float = 0.05
-
-    def __post_init__(self) -> None:
-        if self.block_size % SECTOR != 0:
-            raise ValueError(f"block_size must be sector-aligned: {self.block_size}")
-        if not 0.0 < self.reserve_fraction < 0.5:
-            raise ValueError(f"reserve_fraction out of range: {self.reserve_fraction}")
+#: Share of physical blocks Loge keeps free for its internal operation
+#: (the paper cites 3-5%).
+RESERVE_FRACTION = 0.05
 
 
 class LogeDisk(LogicalDisk):
     """Writes each block to the free reserved slot nearest the disk head."""
 
-    def __init__(self, disk: SimulatedDisk, config: LogeConfig | None = None) -> None:
+    def __init__(self, disk: SimulatedDisk) -> None:
         self.disk = disk
-        self.config = config or LogeConfig()
         # One extra sector per slot holds the out-of-band header Loge
         # stores in sector headers on real hardware.
-        self._sectors_per_slot = self.config.block_size // SECTOR + 1
+        self._sectors_per_slot = BLOCK_SIZE // SECTOR + 1
         self.slot_count = disk.geometry.total_sectors // self._sectors_per_slot
         if self.slot_count < 8:
             raise ValueError("disk too small for Loge layout")
@@ -66,7 +52,7 @@ class LogeDisk(LogicalDisk):
         self._lists: dict[int, list[int]] = {}
         self.list_order: list[int] = []
         self._initialized = False
-        self._reservations = ReservationBook(self.config.block_size)
+        self._reservations = ReservationBook(BLOCK_SIZE)
         self.recovery_sectors_read = 0
 
     # ------------------------------------------------------------------
@@ -162,9 +148,9 @@ class LogeDisk(LogicalDisk):
         if bid not in self._known_bids():
             raise NoSuchBlockError(bid)
         data = bytes(data)
-        if len(data) > self.config.block_size:
+        if len(data) > BLOCK_SIZE:
             raise ValueError(
-                f"block of {len(data)} bytes exceeds block size {self.config.block_size}"
+                f"block of {len(data)} bytes exceeds block size {BLOCK_SIZE}"
             )
         slot = self._nearest_free_slot()
         self._timestamp += 1
@@ -187,7 +173,7 @@ class LogeDisk(LogicalDisk):
             magic, bid, ts, length, crc = _SLOT_HEADER.unpack_from(image, 0)
         except struct.error:
             return None
-        if magic != _SLOT_MAGIC or length > self.config.block_size:
+        if magic != _SLOT_MAGIC or length > BLOCK_SIZE:
             return None
         payload = image[_SLOT_HEADER.size : _SLOT_HEADER.size + length]
         if zlib.crc32(payload) != crc:
@@ -203,7 +189,7 @@ class LogeDisk(LogicalDisk):
             raise NoSuchListError(lid)
         if reservation is not None:
             self._reservations.consume(reservation)
-        usable = int(self.slot_count * (1.0 - self.config.reserve_fraction))
+        usable = int(self.slot_count * (1.0 - RESERVE_FRACTION))
         if len(self._table) + self._reservations.blocks >= usable:
             raise OutOfSpaceError("no space outside Loge's reserved pool")
         bid = self._next_bid
@@ -324,7 +310,7 @@ class LogeDisk(LogicalDisk):
 
     def reserve_blocks(self, count: int) -> Reservation:
         self._require_init()
-        usable = int(self.slot_count * (1.0 - self.config.reserve_fraction))
+        usable = int(self.slot_count * (1.0 - RESERVE_FRACTION))
         return self._reservations.reserve(
             count, usable - len(self._table) - self._reservations.blocks
         )

@@ -34,6 +34,10 @@ CRITICAL = "critical"
 #: Health verdict → event-log severity for transition events.
 _STATUS_SEVERITY = {OK: "info", WARN: "warn", CRITICAL: "error"}
 
+#: What a :class:`Monitor` keeps: samples per series, events in its log.
+SERIES_CAPACITY = 512
+EVENT_CAPACITY = 4096
+
 
 @dataclass(slots=True)
 class Finding:
@@ -171,10 +175,9 @@ class RebuildStalledRule(HealthRule):
     """An active rebuild whose progress flatlined over the stall window."""
 
     name = "rebuild_stalled"
-
-    def __init__(self, stall_seconds: float = 0.5, min_samples: int = 3) -> None:
-        self.stall_seconds = stall_seconds
-        self.min_samples = min_samples
+    #: Simulated seconds of history judged, and samples needed first.
+    STALL_SECONDS = 0.5
+    MIN_SAMPLES = 3
 
     def evaluate(self, ctx: HealthContext) -> list[Finding]:
         volume = ctx.layer("volume")
@@ -183,14 +186,14 @@ class RebuildStalledRule(HealthRule):
         if not volume.get("rebuild_active"):
             return [self.finding(ctx, OK, "no rebuild in progress")]
         series = ctx.get_series("volume.rebuild_progress")
-        if series is None or len(series) < self.min_samples:
+        if series is None or len(series) < self.MIN_SAMPLES:
             return [self.finding(ctx, OK, "rebuild in progress (warming up)")]
-        points = series.window(self.stall_seconds)
-        if len(points) < self.min_samples:
+        points = series.window(self.STALL_SECONDS)
+        if len(points) < self.MIN_SAMPLES:
             return [self.finding(ctx, OK, "rebuild in progress (warming up)")]
         span = points[-1][0] - points[0][0]
         gained = points[-1][1] - points[0][1]
-        if span >= self.stall_seconds * 0.5 and gained <= 0.0:
+        if span >= self.STALL_SECONDS * 0.5 and gained <= 0.0:
             return [
                 self.finding(
                     ctx,
@@ -215,21 +218,19 @@ class SLOBurnRule(HealthRule):
 
     ``slo_p99`` maps tenant name → target p99 (virtual seconds);
     ``default_p99`` covers unnamed tenants. The *burn rate* is the
-    fraction of recent series samples over target — sustained burn (or a
-    2x instantaneous breach) escalates warn to critical.
+    fraction of recent series samples over target — sustained burn (at
+    least :attr:`BURN_CRITICAL`, or a 2x instantaneous breach) escalates
+    warn to critical.
     """
 
     name = "slo_burn"
+    BURN_CRITICAL = 0.5
 
     def __init__(
-        self,
-        slo_p99: dict | None = None,
-        default_p99: float | None = None,
-        burn_critical: float = 0.5,
+        self, slo_p99: dict | None = None, default_p99: float | None = None
     ) -> None:
         self.slo_p99 = dict(slo_p99 or {})
         self.default_p99 = default_p99
-        self.burn_critical = burn_critical
 
     def evaluate(self, ctx: HealthContext) -> list[Finding]:
         tenants = ctx.metric("sched", "tenants")
@@ -254,7 +255,7 @@ class SLOBurnRule(HealthRule):
             ratio = p99 / target
             if p99 <= target:
                 status = OK
-            elif ratio >= 2.0 or (burn is not None and burn >= self.burn_critical):
+            elif ratio >= 2.0 or (burn is not None and burn >= self.BURN_CRITICAL):
                 status = CRITICAL
             else:
                 status = WARN
@@ -274,29 +275,23 @@ class WriteAmpSpikeRule(HealthRule):
     """Write amplification jumping well above its recent baseline."""
 
     name = "write_amp_spike"
-
-    def __init__(
-        self,
-        factor: float = 1.5,
-        min_delta: float = 0.5,
-        min_samples: int = 5,
-        window: int = 32,
-    ) -> None:
-        self.factor = factor
-        self.min_delta = min_delta
-        self.min_samples = min_samples
-        self.window = window
+    #: A spike is the latest sample at least FACTOR times, and MIN_DELTA
+    #: above, the median of up to WINDOW recent ones (MIN_SAMPLES first).
+    FACTOR = 1.5
+    MIN_DELTA = 0.5
+    MIN_SAMPLES = 5
+    WINDOW = 32
 
     def evaluate(self, ctx: HealthContext) -> list[Finding]:
         if ctx.layer("lld") is None:
             return []
         series = ctx.get_series("lld.write_amplification")
-        if series is None or len(series) < self.min_samples:
+        if series is None or len(series) < self.MIN_SAMPLES:
             return [self.finding(ctx, OK, "write amplification baseline warming up")]
-        values = series.values()[-self.window :]
+        values = series.values()[-self.WINDOW :]
         latest = values[-1]
         baseline = statistics.median(values[:-1])
-        if latest > baseline * self.factor and latest - baseline >= self.min_delta:
+        if latest > baseline * self.FACTOR and latest - baseline >= self.MIN_DELTA:
             return [
                 self.finding(
                     ctx,
@@ -375,8 +370,8 @@ def default_rules(
 class HealthMonitor:
     """Evaluates a rule set over one context; stateless between calls."""
 
-    def __init__(self, rules: list[HealthRule] | None = None) -> None:
-        self.rules = rules if rules is not None else default_rules()
+    def __init__(self, rules: list[HealthRule]) -> None:
+        self.rules = rules
 
     def evaluate(self, ctx: HealthContext) -> list[Finding]:
         """Every rule's verdicts (ok included), in rule order."""
@@ -403,24 +398,14 @@ class Monitor:
         clock,
         *,
         interval: float = 0.1,
-        capacity: int = 512,
         slo_p99: dict | None = None,
         default_p99: float | None = None,
-        rules: list[HealthRule] | None = None,
-        events: EventLog | None = None,
-        event_capacity: int = 4096,
     ) -> None:
         self.registry = registry
         self.clock = clock
-        self.events = (
-            events
-            if events is not None
-            else EventLog(clock, capacity=event_capacity)
-        )
-        self.series = SeriesRecorder(clock, interval=interval, capacity=capacity)
-        self.health = HealthMonitor(
-            rules if rules is not None else default_rules(slo_p99, default_p99)
-        )
+        self.events = EventLog(clock, capacity=EVENT_CAPACITY)
+        self.series = SeriesRecorder(clock, interval=interval, capacity=SERIES_CAPACITY)
+        self.health = HealthMonitor(default_rules(slo_p99, default_p99))
         self.verdicts: list[Finding] = []
         self.checks = 0
         self._last_status: dict[tuple[str, str], str] = {}

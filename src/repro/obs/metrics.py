@@ -73,7 +73,7 @@ class Counters:
     counters (``int`` / ``float``, bumped in place by the layer — the base
     puts nothing on that path) and its containers: a ``Counter`` of
     buckets, a ``dict`` of named :class:`Counters` slices, a
-    :class:`LatencyHistogram`, a free-form ``extra`` dict. Figures computed
+    :class:`LatencyHistogram`. Figures computed
     from the fields are properties named in :attr:`DERIVED`; fields that
     are the layer's working state rather than something it reports are
     named in :attr:`HIDDEN` (copied by :meth:`snapshot`, absent from

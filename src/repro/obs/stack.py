@@ -117,19 +117,17 @@ def attach(*tops, **hooks) -> None:
                     setattr(obj, hook, value)
 
 
-def inherit(component, below, tracer=None, *, events: bool = True) -> None:
+def inherit(component, below, *, events: bool = True) -> None:
     """Constructor-time instrumentation: ``component`` declares its hooks
     and joins the trace and the event log of the component it is built
     on, so a post-crash LLD built over an instrumented disk keeps
-    reporting (recovery spans land in the same trace). An explicit
-    ``tracer`` wins; ``events=False`` for a component that emits none.
+    reporting (recovery spans land in the same trace). ``events=False``
+    for a component that emits none.
     """
     wanted = ("tracer", "events") if events else ("tracer",)
     for hook in wanted:
         value = getattr(below, hook, None)
         setattr(component, hook, value if _shareable(value, hook) else None)
-    if tracer is not None:
-        component.tracer = tracer
 
 
 def registry_of(top, recovery=None) -> MetricsRegistry:

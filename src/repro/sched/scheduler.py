@@ -36,6 +36,13 @@ from repro.sched.ops import (
 )
 from repro.sched.queues import TenantQueue
 
+#: Deficit granted per tenant per round, scaled by the tenant's weight.
+QUANTUM_BYTES = 64 * 1024
+#: Block reads folded into one vectored submission, at most.
+READ_BATCH_LIMIT = 64
+#: Rounds of unused deficit a blocked tenant can bank.
+DEFICIT_CAP_ROUNDS = 4
+
 
 class Scheduler:
     """Dispatch policy: one ``step`` = one scheduling round."""
@@ -69,29 +76,11 @@ class FIFOScheduler(Scheduler):
 
 
 class QoSElevatorScheduler(Scheduler):
-    """DRR fairness + rate caps + elevator-merged reads + group commit.
-
-    ``quantum_bytes`` is the deficit added per tenant per round (scaled
-    by the tenant's weight); ``read_batch_limit`` bounds how many block
-    reads fold into one vectored submission; ``deficit_cap_rounds``
-    bounds how much unused deficit a blocked tenant can bank.
-    """
+    """DRR fairness + rate caps + elevator-merged reads + group commit,
+    with the round shape fixed by :data:`QUANTUM_BYTES`,
+    :data:`READ_BATCH_LIMIT` and :data:`DEFICIT_CAP_ROUNDS`."""
 
     name = "qos-elevator"
-
-    def __init__(
-        self,
-        quantum_bytes: int = 64 * 1024,
-        read_batch_limit: int = 64,
-        deficit_cap_rounds: int = 4,
-    ) -> None:
-        if quantum_bytes <= 0:
-            raise ValueError(f"quantum_bytes must be positive: {quantum_bytes}")
-        if read_batch_limit < 1:
-            raise ValueError(f"read_batch_limit must be >= 1: {read_batch_limit}")
-        self.quantum_bytes = quantum_bytes
-        self.read_batch_limit = read_batch_limit
-        self.deficit_cap_rounds = deficit_cap_rounds
 
     # ------------------------------------------------------------------
 
@@ -143,10 +132,8 @@ class QoSElevatorScheduler(Scheduler):
         return inline + len(reads)
 
     def _grant(self, queue: TenantQueue) -> None:
-        grant = self.quantum_bytes * queue.weight
-        queue.deficit = min(
-            queue.deficit + grant, grant * self.deficit_cap_rounds
-        )
+        grant = QUANTUM_BYTES * queue.weight
+        queue.deficit = min(queue.deficit + grant, grant * DEFICIT_CAP_ROUNDS)
 
     def _serve(
         self,
@@ -176,7 +163,7 @@ class QoSElevatorScheduler(Scheduler):
                 if not first and cost > queue.deficit:
                     break
                 span = 1 if kind == KIND_READ else len(op.bids)
-                if reads and len(reads) + span > self.read_batch_limit:
+                if reads and len(reads) + span > READ_BATCH_LIMIT:
                     break
                 ops.popleft()
                 queue.deficit -= cost

@@ -100,7 +100,6 @@ class LDServer:
         *,
         group_commit: int = 1,
         record_dispatch: bool = False,
-        tracer=None,
     ) -> None:
         if group_commit < 1:
             raise ValueError(f"group_commit must be >= 1: {group_commit}")
@@ -112,7 +111,7 @@ class LDServer:
         self.scheduler = scheduler
         self.group_commit = group_commit
         self.stats = SchedStats()
-        stack.inherit(self, ld, tracer)
+        stack.inherit(self, ld)
         self.tenants: dict[str, TenantQueue] = {}
         self.sessions: dict[str, object] = {}
         self.dispatch_log: list[tuple] | None = [] if record_dispatch else None
@@ -128,10 +127,8 @@ class LDServer:
         #: read op and None. Tickets order entries due at the same time.
         self._parked: list[tuple] = []
         self._tickets = count()
-        # Resolved once: per-tenant attribution, placement and ARU
-        # re-attachment hooks are optional on the LD (present on LLD,
-        # absent on e.g. bare ULD).
-        self._set_tenant = getattr(ld, "set_tenant", None)
+        # Resolved once: placement and ARU re-attachment hooks are
+        # optional on the LD (present on LLD, absent on e.g. bare ULD).
         self._placement = getattr(ld, "placement_hint", None)
         self._attach_aru = getattr(ld, "attach_aru", None)
 
@@ -352,11 +349,8 @@ class LDServer:
         when its bytes arrive; everything else is done on return (None)."""
         ld = self.ld
         session = self.sessions[op.tenant]
-        set_tenant = self._set_tenant
         attach_aru = self._attach_aru
         at = None
-        if set_tenant is not None:
-            set_tenant(op.tenant)
         try:
             if attach_aru is not None:
                 # Re-attach the tenant's open ARU (if any) for this op only;
@@ -388,44 +382,26 @@ class LDServer:
         finally:
             if attach_aru is not None:
                 attach_aru(0)
-            if set_tenant is not None:
-                set_tenant(None)
         return at
 
     def _execute_read_batch(self, entries: list[tuple[Op, int, int]]) -> float | None:
         """One vectored call for the batch; every op in it completes when
         the batch's last request does. Returns that time, as
         :meth:`_execute` does (None when it waited, or fell back)."""
-        ld = self.ld
-        set_tenant = self._set_tenant
-        tenants = {op.tenant for op, _slot, _bid in entries}
-        solo = next(iter(tenants)) if len(tenants) == 1 else None
         wait = len(self.tenants) == 1
-        if set_tenant is not None:
-            set_tenant(solo)
         try:
-            datas = ld.read_blocks([bid for _op, _slot, bid in entries], wait=wait)
+            datas = self.ld.read_blocks(
+                [bid for _op, _slot, bid in entries], wait=wait
+            )
         except Exception:
             # One bad block poisons a vectored call; re-dispatch each op
             # singly so errors stay attributed to the op that caused them.
-            if set_tenant is not None:
-                set_tenant(None)
             self.stats.batch_fallbacks += 1
             for op in dict.fromkeys(entry[0] for entry in entries):
                 self._execute_fallback_read(op)
             return None
-        finally:
-            if set_tenant is not None:
-                set_tenant(None)
-        counters = getattr(getattr(ld, "stats", None), "tenant_counters", None)
         finished = []
         for (op, slot, _bid), data in zip(entries, datas):
-            if solo is None and counters is not None:
-                # Mixed batch ran untagged inside the LD; attribute the
-                # block counts here (cache hit/miss stays global).
-                t = counters(op.tenant)
-                t.blocks_read += 1
-                t.bytes_read += len(data)
             if op.kind == KIND_READ:
                 op.result = data
                 finished.append(op)

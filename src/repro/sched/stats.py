@@ -5,10 +5,9 @@ protocol as ``LLDStats``/``DiskStats``, so a server registers under the
 ``"sched"`` layer of a :class:`~repro.obs.MetricsRegistry` and its
 figures land in BENCH reports beside every other layer's.
 
-Per-tenant queueing figures live here (``TenantSchedStats``); per-tenant
-slices of the *LD-level* hot-path counters (blocks, cache hits) live in
-``LLDStats.tenants`` — the scheduler tells the LLD which tenant is on
-the wire via ``set_tenant`` and the LLD attributes its own counters.
+Per-tenant figures live here only (``TenantSchedStats``: ops, reads,
+writes, bytes, flushes, acknowledgement latency); the LD below keeps no
+per-tenant books.
 """
 
 from __future__ import annotations

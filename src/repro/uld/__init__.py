@@ -15,6 +15,6 @@ between commit and flush can expose new data under old metadata — the class
 of inconsistency that makes update-in-place file systems need fsck).
 """
 
-from repro.uld.uld import ULD, ULDConfig
+from repro.uld.uld import ULD
 
-__all__ = ["ULD", "ULDConfig"]
+__all__ = ["ULD"]

@@ -20,28 +20,16 @@ from repro.ld.reservations import ReservationBook
 
 SECTOR = 512
 
+#: Bytes per block slot, and per copy of the two shadow-paged metadata
+#: regions.
+BLOCK_SIZE = 4096
+METADATA_CAPACITY = 256 * 1024
+
 _META_HEADER = struct.Struct("<4sQQQQII")  # magic, seq, bid, lid, reserved, len, crc
 _META_MAGIC = b"ULDM"
 _BLOCK_ROW = struct.Struct("<IiII")  # bid, slot, length, successor
 _LIST_ROW = struct.Struct("<IIB")  # lid, first, hints
 _NONE = 0xFFFFFFFF
-
-
-@dataclass(frozen=True)
-class ULDConfig:
-    """Tunables for the update-in-place LD."""
-
-    block_size: int = 4096
-    metadata_slots: int = 2  # shadow-paged copies
-    metadata_capacity: int = 256 * 1024  # bytes per metadata copy
-
-    def __post_init__(self) -> None:
-        if self.block_size % SECTOR != 0:
-            raise ValueError(f"block_size must be sector-aligned: {self.block_size}")
-        if self.metadata_slots != 2:
-            raise ValueError("shadow paging requires exactly 2 metadata slots")
-        if self.metadata_capacity % SECTOR != 0:
-            raise ValueError("metadata_capacity must be sector-aligned")
 
 
 @dataclass
@@ -60,13 +48,12 @@ class ULD(LogicalDisk):
     update-in-place reading of the paper's clustering idea.
     """
 
-    def __init__(self, disk: SimulatedDisk, config: ULDConfig | None = None) -> None:
+    def __init__(self, disk: SimulatedDisk) -> None:
         self.disk = disk
-        self.config = config or ULDConfig()
-        meta_sectors = self.config.metadata_capacity // SECTOR
+        meta_sectors = METADATA_CAPACITY // SECTOR
         self._meta_lbas = (0, meta_sectors)
         data_start = 2 * meta_sectors
-        sectors_per_block = self.config.block_size // SECTOR
+        sectors_per_block = BLOCK_SIZE // SECTOR
         self._data_lba = data_start
         self.slot_count = (disk.geometry.total_sectors - data_start) // sectors_per_block
         if self.slot_count < 8:
@@ -83,7 +70,7 @@ class ULD(LogicalDisk):
         self._initialized = False
         self._in_aru = False
         self._aru_buffer: list[tuple[int, bytes]] = []
-        self._reservations = ReservationBook(self.config.block_size)
+        self._reservations = ReservationBook(BLOCK_SIZE)
 
     # ------------------------------------------------------------------
     # Lifecycle / metadata shadow paging
@@ -150,7 +137,7 @@ class ULD(LogicalDisk):
             zlib.crc32(body),
         )
         image = header + body
-        if len(image) > self.config.metadata_capacity:
+        if len(image) > METADATA_CAPACITY:
             raise OutOfSpaceError("ULD metadata exceeds its region")
         pad = (-len(image)) % SECTOR
         target = self._meta_lbas[self._meta_seq % 2]
@@ -173,7 +160,7 @@ class ULD(LogicalDisk):
             return None
         total = _META_HEADER.size + body_len
         nsectors = (total + SECTOR - 1) // SECTOR
-        if nsectors * SECTOR > self.config.metadata_capacity:
+        if nsectors * SECTOR > METADATA_CAPACITY:
             return None
         image = head + (self.disk.read(lba + 1, nsectors - 1) if nsectors > 1 else b"")
         body = image[_META_HEADER.size : _META_HEADER.size + body_len]
@@ -209,7 +196,7 @@ class ULD(LogicalDisk):
     # ------------------------------------------------------------------
 
     def _slot_lba(self, slot: int) -> int:
-        return self._data_lba + slot * (self.config.block_size // SECTOR)
+        return self._data_lba + slot * (BLOCK_SIZE // SECTOR)
 
     def _block(self, bid: int) -> _Block:
         block = self._blocks.get(bid)
@@ -232,7 +219,7 @@ class ULD(LogicalDisk):
         pending = self._pending_write(bid)
         if pending is not None:
             return pending
-        nsectors = self.config.block_size // SECTOR
+        nsectors = BLOCK_SIZE // SECTOR
         raw = self.disk.read(self._slot_lba(block.slot), nsectors)
         return raw[: block.length]
 
@@ -246,9 +233,9 @@ class ULD(LogicalDisk):
         self._require_init()
         block = self._block(bid)
         data = bytes(data)
-        if len(data) > self.config.block_size:
+        if len(data) > BLOCK_SIZE:
             raise ValueError(
-                f"block of {len(data)} bytes exceeds block size {self.config.block_size}"
+                f"block of {len(data)} bytes exceeds block size {BLOCK_SIZE}"
             )
         if self._in_aru:
             self._aru_buffer.append((bid, data))
@@ -258,7 +245,7 @@ class ULD(LogicalDisk):
     def _write_in_place(self, bid: int, block: _Block, data: bytes) -> None:
         if block.slot < 0:
             block.slot = self._allocate_slot_near(self._pred_slot(bid))
-        padded = data + b"\x00" * (self.config.block_size - len(data))
+        padded = data + b"\x00" * (BLOCK_SIZE - len(data))
         self.disk.write(self._slot_lba(block.slot), padded)
         block.length = len(data)
 

@@ -371,7 +371,6 @@ class Volume:
         *,
         layout: str = "stripe",
         chunk_sectors: int | None = None,
-        tracer=None,
     ) -> None:
         if not disks:
             raise ValueError("a volume needs at least one member disk")
@@ -384,7 +383,7 @@ class Volume:
         self.disks = list(disks)
         self.alive = [True] * len(disks)
         self.layout = layout
-        self.tracer = tracer
+        self.tracer = None
         self.events = None
         #: Stripe rows the scanner reconstructs per foreground request
         #: (fractional rates accumulate credit across requests).

@@ -265,11 +265,9 @@ def test_zone_reads_counts_zones_and_fills_are_reported():
     fs.read(fd, BLOCK)  # resident: no fill
     stats = fs.store.stats
     assert stats.zone_reads - before.zone_reads == 5
-    assert stats.extra["vectored_fills"] - before.extra.get("vectored_fills", 0) == 1
-    assert stats.extra["vectored_zones"] - before.extra.get("vectored_zones", 0) == 4
-    assert stats.extra["zones_per_fill"] == (
-        stats.extra["vectored_zones"] / stats.extra["vectored_fills"]
-    )
+    assert stats.vectored_fills - before.vectored_fills == 1
+    assert stats.vectored_zones - before.vectored_zones == 4
+    assert stats.as_dict()["zones_per_fill"] == stats.vectored_zones / stats.vectored_fills
 
 
 def test_demand_read_span_beside_prefetch_span():

@@ -4,6 +4,7 @@ import pytest
 
 from repro.disk import SimulatedDisk, hp_c3010
 from repro.fs.ffs import FFSStore, make_ffs
+from repro.fs.ffs.store import BLOCKS_PER_GROUP
 from repro.sim import VirtualClock
 
 
@@ -105,4 +106,4 @@ def test_group_allocation_places_file_in_its_group():
     fs.close(fd)
     zone = fs._iget(fs._resolve("/d/f")).zones[0]
     group_start = store._group_start((ctx - 1) % store.group_count)
-    assert group_start <= zone < group_start + store.blocks_per_group + 64
+    assert group_start <= zone < group_start + BLOCKS_PER_GROUP + 64

@@ -45,7 +45,7 @@ def test_minix_on_uld_survives_crash_after_sync():
     fs.close(fd)
     fs.sync()
     uld.crash()
-    fresh_uld = ULD(uld.disk, uld.config)
+    fresh_uld = ULD(uld.disk)
     fresh_uld.initialize()
     fresh = MinixFS(LDStore(fresh_uld, cache_bytes=1024 * 1024), readahead=False)
     fresh.mount()

@@ -86,13 +86,6 @@ def test_live_bytes_tracks_writes_and_deletes():
     assert lld.state.live_bytes() == 0
 
 
-def test_stats_extra_dicts_exist():
-    lld = make_lld()
-    assert lld.stats.extra == {}
-    lld.stats.extra["custom"] = 1
-    assert lld.stats.extra["custom"] == 1
-
-
 def test_summary_min_ts_updates_on_partial_and_seal():
     lld = make_lld()
     lid = lld.new_list()

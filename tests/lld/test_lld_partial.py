@@ -8,6 +8,7 @@ write's physical segment is recycled with no cleaning overhead.
 import pytest
 
 from repro.ld import LIST_HEAD
+from repro.lld.config import PARTIAL_THRESHOLD
 
 from tests.lld.conftest import make_lld, reopen
 
@@ -23,20 +24,23 @@ def test_flush_below_threshold_is_partial():
 
 
 def test_flush_above_threshold_seals():
-    lld = make_lld(partial_threshold=0.5)
+    lld = make_lld()
     lid = lld.new_list()
     prev = LIST_HEAD
     data_capacity = lld.config.data_capacity
     written = 0
-    while written / data_capacity < 0.6:
+    while (written + 4096) / data_capacity < PARTIAL_THRESHOLD:
         bid = lld.new_block(lid, prev)
         lld.write(bid, b"\x02" * 4096)
         written += 4096
         prev = bid
-    sealed_before = lld.stats.segments_sealed
-    lld.flush()
-    assert lld.stats.segments_sealed == sealed_before + 1
-    assert lld.stats.partial_segment_writes == 0
+    lld.flush()  # just below the threshold: partial
+    assert lld.stats.partial_segment_writes == 1
+    assert lld.stats.segments_sealed == 0
+    lld.write(lld.new_block(lid, prev), b"\x02" * 4096)
+    lld.flush()  # at or above it: sealed
+    assert lld.stats.segments_sealed == 1
+    assert lld.stats.partial_segment_writes == 1
 
 
 def test_open_segment_keeps_filling_after_partial_flush():

@@ -139,6 +139,10 @@ SINCE_CAPTURE = (
     "rows_written", "segments_gathered", "header_commits",
     "checkpoints_written", "checkpoint_bytes", "checkpoints_refused",
 )
+#: ``LLDStats`` fields the capture reported and the LLD no longer has, with
+#: the value they held on every arm (no server bound a tenant, nothing
+#: wrote ``extra``): put back, so the table stays the capture's.
+GONE_SINCE_CAPTURE = {"tenants": {}, "extra": {}}
 
 #: ``GOLDEN[script][config]`` = the ``COMPONENTS`` digests, in that order.
 GOLDEN: dict[str, dict[str, tuple[str, str, str, str]]] = {
@@ -790,6 +794,7 @@ def observe(rig: Rig) -> dict:
         for name in SINCE_CAPTURE:
             if not s.get(name):
                 s.pop(name, None)
+        s.update(GONE_SINCE_CAPTURE)
     members = _members(rig.device)
     return {
         "journal": list(rig.disk.log),

@@ -10,6 +10,7 @@ changes a block's contents or location must drop the cached copy.
 import pytest
 
 from repro.ld.hints import LIST_HEAD, ListHints
+from repro.lld.config import READ_CACHE_BYTES
 from tests.lld.conftest import make_lld, reopen
 
 
@@ -155,14 +156,15 @@ def test_cache_serves_repeat_reads_without_disk_io():
 
 
 def test_cache_stays_within_byte_bound():
-    lld = make_lld(read_cache_enabled=True, read_cache_bytes=8192)
-    _, bids = build_chain(lld, 10)
+    lld = make_lld(capacity_mb=8, read_cache_enabled=True)
+    _, bids = build_chain(lld, 600)  # ~1.4 MB: more than the cache holds
     fill_to_seal(lld)
     lld.read_blocks(bids)
     assert lld.read_cache is not None
-    assert lld.read_cache.current_bytes <= 8192
+    assert lld.read_cache.current_bytes <= READ_CACHE_BYTES
+    assert lld.stats.cache_evictions > 0
     # And it still answers correctly despite evictions.
-    assert lld.read_blocks(bids) == [payload(i) for i in range(10)]
+    assert lld.read_blocks(bids) == [payload(i) for i in range(600)]
 
 
 def test_cache_on_and_off_agree_byte_for_byte():
@@ -317,11 +319,6 @@ def test_read_ahead_disabled_with_zero_blocks():
 # ----------------------------------------------------------------------
 # Config validation
 # ----------------------------------------------------------------------
-
-
-def test_config_rejects_cache_without_capacity():
-    with pytest.raises(Exception):
-        make_lld(read_cache_enabled=True, read_cache_bytes=0)
 
 
 def test_config_rejects_negative_read_ahead():

@@ -169,7 +169,7 @@ from tests.lld.conftest import make_lld, reopen
 def build_sealed_cached_lld(n_blocks=12):
     """A cached LLD whose blocks live in a sealed segment (so reads go
     through the disk + cache path, not the in-memory open segment)."""
-    lld = make_lld(read_cache_enabled=True, read_cache_bytes=256 * 1024)
+    lld = make_lld(read_cache_enabled=True)
     lid = lld.new_list()
     bids = []
     pred = -1

@@ -106,8 +106,8 @@ class Walk:
 
         self.volume.barrier = labelled
         self.config = small_config(**config)
-        self.tracer = Tracer(self.volume.clock)
-        self.lld = LLD(self.volume, self.config, tracer=self.tracer)
+        self.tracer = self.volume.tracer = Tracer(self.volume.clock)
+        self.lld = LLD(self.volume, self.config)
         self.lld.initialize()
         self.driver = OracleDriver(self.lld, self.recording)
         self.rng = random.Random("row-gather")

@@ -110,29 +110,31 @@ def test_seal_with_nothing_dirty_writes_only_its_header():
     """Partial flush, then an append that does not fit: the slot is already
     up to date but for the slot the log opens next, so sealing it writes
     the header sector that names it, and its barrier."""
-    lld = make_lld(partial_threshold=1.0)
-    bids = grown(lld, 14)  # 56 KB of 60: one more block fits, two do not
+    big = 5 * BLOCK
+    lld = make_lld(block_size=big)
+    bids = grown(lld, 10)  # 40 KB of 60: below the threshold
     lld.flush()
     assert lld.stats.segments_sealed == 0 and lld.stats.partial_segment_writes == 1
     lld.write(bids[0], fill(7, 3000))
     lld.flush()
     before = lld.disk.stats.snapshot()
-    lld.write(bids[1], fill(8))  # no room: _make_room seals first
+    lld.write(bids[1], fill(8, big))  # no room: _make_room seals first
     assert lld.stats.segments_sealed == 1 and lld.stats.seals_by_delta == 1
     assert lld.disk.stats.writes == before.writes + 1
     assert lld.disk.stats.sectors_written == before.sectors_written + 1
     assert lld.disk.stats.barriers == before.barriers + 1
     assert lld.stats.seal_delta_bytes == SECTOR
-    assert lld.log.open.index != 0 and lld.read(bids[1]) == fill(8)
+    assert lld.log.open.index != 0 and lld.read(bids[1]) == fill(8, big)
     sealed = parse_summary(lld.disk.peek(lld.layout.slot_lba(0), lld.config.summary_sectors))
-    assert sealed is not None and len(sealed) == 45
+    assert sealed is not None and len(sealed) == 33
     assert summary_next(lld.disk.peek(lld.layout.slot_lba(0), 1)) == lld.log.open.index
 
 
 def test_seal_span_says_which_kind_it_was():
     disk = SimulatedDisk(fast_test_disk(capacity_mb=4), VirtualClock())
     tracer = Tracer(disk.clock)
-    lld = LLD(disk, small_config(), tracer=tracer)
+    disk.tracer = tracer
+    lld = LLD(disk, small_config())
     lld.initialize()
     grown(lld, 13)
     lld.flush()  # never flushed: image

@@ -57,7 +57,7 @@ def test_writes_are_individually_durable():
         loge.write(bid, bytes([i]) * 100)
         bids.append(bid)
     loge.crash()
-    fresh = LogeDisk(loge.disk, loge.config)
+    fresh = LogeDisk(loge.disk)
     fresh.initialize()
     for i, bid in enumerate(bids):
         assert fresh.read(bid) == bytes([i]) * 100
@@ -70,7 +70,7 @@ def test_latest_version_wins_after_recovery():
     for i in range(5):
         loge.write(bid, bytes([i]) * 64)
     loge.crash()
-    fresh = LogeDisk(loge.disk, loge.config)
+    fresh = LogeDisk(loge.disk)
     fresh.initialize()
     assert fresh.read(bid) == bytes([4]) * 64
 
@@ -82,7 +82,7 @@ def test_recovery_reads_whole_disk():
     bid = loge.new_block(lid, LIST_HEAD)
     loge.write(bid, b"x")
     loge.crash()
-    fresh = LogeDisk(loge.disk, loge.config)
+    fresh = LogeDisk(loge.disk)
     fresh.initialize()
     total = loge.disk.geometry.total_sectors
     assert fresh.recovery_sectors_read >= total * 0.95
@@ -95,7 +95,7 @@ def test_list_info_is_volatile():
     bid = loge.new_block(lid, LIST_HEAD)
     loge.write(bid, b"data")
     loge.crash()
-    fresh = LogeDisk(loge.disk, loge.config)
+    fresh = LogeDisk(loge.disk)
     fresh.initialize()
     from repro.ld.errors import NoSuchListError
 

@@ -72,7 +72,7 @@ class TestRebuildStalledRule:
         ctx = HealthContext(
             volume_payload(live=3, rebuild=True, progress=0.3), series=series
         )
-        f = one(RebuildStalledRule(stall_seconds=0.5).evaluate(ctx))
+        f = one(RebuildStalledRule().evaluate(ctx))
         assert f.status == WARN
         assert "stuck at 30%" in f.detail
 
@@ -81,7 +81,7 @@ class TestRebuildStalledRule:
         ctx = HealthContext(
             volume_payload(live=3, rebuild=True, progress=0.8), series=series
         )
-        assert one(RebuildStalledRule(stall_seconds=0.5).evaluate(ctx)).status == OK
+        assert one(RebuildStalledRule().evaluate(ctx)).status == OK
 
     def test_warming_up_with_few_samples_is_ok(self):
         series = progress_series([(0.0, 0.1)])

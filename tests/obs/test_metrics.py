@@ -10,7 +10,7 @@ import pytest
 from repro.disk import SimulatedDisk, fast_test_disk
 from repro.disk.stats import DiskStats
 from repro.fs.minix.store import StoreStats
-from repro.lld.lld import LLDStats, TenantCounters
+from repro.lld.lld import LLDStats
 from repro.lld.nvram import NVRAM
 from repro.lld.readcache import ReadCacheCounters
 from repro.lld.recovery import RecoveryReport
@@ -32,15 +32,13 @@ STATS_TYPES = [
     pytest.param(factory, id=getattr(factory, "__name__").strip("_"))
     for factory in (
         DiskStats, StoreStats, LLDStats, NVRAM, RecoveryReport, SchedStats,
-        TenantSchedStats, TenantCounters, ReadCacheCounters, _volume_stats,
+        TenantSchedStats, ReadCacheCounters, _volume_stats,
     )
 ]
 
 
 def _containers(stats):
     """The nested containers of ``stats``, each with something in it."""
-    if isinstance(stats, LLDStats):
-        stats.tenant_counters("alice").blocks_read += 1
     if isinstance(stats, SchedStats):
         stats.tenant("alice").ack_latency_hist.record(0.002)
     found = []
@@ -50,8 +48,6 @@ def _containers(stats):
             value[8] += 1
         elif isinstance(value, LatencyHistogram):
             value.record(0.001)
-        elif f.name == "extra":
-            value["gauge"] = 1
         elif not isinstance(value, dict):
             continue
         found.append(value)

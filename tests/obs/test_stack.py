@@ -141,9 +141,6 @@ def test_the_same_guard_holds_for_a_tracer_slot_and_at_construction():
     probe = Probe()
     inherit(probe, lld, events=False)
     assert probe.tracer is tracer and not hasattr(probe, "events")
-    explicit = Tracer(disk.clock)
-    inherit(probe, lld, explicit)
-    assert probe.tracer is explicit and probe.events is None
 
 
 def test_attach_rejects_a_hook_nobody_reads():

@@ -462,9 +462,7 @@ def test_solo_session_matches_a_waiting_flush(script):
     assert routed.disk.volume_stats.as_dict() == bare.disk.volume_stats.as_dict()
     assert routed.disk.stats.as_dict() == bare.disk.stats.as_dict()
     assert [d.clock.now for d in routed.disk.disks] == [d.clock.now for d in bare.disk.disks]
-    figures = routed.stats.as_dict()
-    figures.pop("tenants")
-    assert figures == {k: v for k, v in bare.stats.as_dict().items() if k != "tenants"}
+    assert routed.stats.as_dict() == bare.stats.as_dict()
     assert server.parked_completions == 0
 
 

@@ -1,6 +1,7 @@
 """Dispatch policies: FIFO ordering, DRR fairness, rate caps, elevator."""
 
 from repro.sched import FIFOScheduler, QoSElevatorScheduler
+from repro.sched.scheduler import READ_BATCH_LIMIT
 
 from tests.sched.conftest import make_server, populate
 
@@ -178,15 +179,16 @@ class TestElevator:
         assert [e[1] for e in dispatches] == ["r0", "r1", "r2", "r3"]
 
     def test_read_batch_limit_bounds_one_batch(self):
-        server, _lld = make_server(
-            QoSElevatorScheduler(read_batch_limit=4)
-        )
-        a = server.open_session("a")
-        _lid, bids = populate(a, 8)
-        ops = [a.submit_read(bid) for bid in bids]
+        server, _lld = make_server(QoSElevatorScheduler())
+        # A round's deficit covers 16 block reads per tenant: five tenants
+        # queue more reads than one batch takes.
+        tenants = [server.open_session(f"t{i}") for i in range(5)]
+        blocks = [(sess, populate(sess, 16)[1]) for sess in tenants]
+        ops = [sess.submit_read(bid) for sess, bids in blocks for bid in bids]
+        assert len(ops) > READ_BATCH_LIMIT
         server.step()
         done = [op for op in ops if op.done]
-        assert len(done) == 4  # the limit, not the whole queue
+        assert len(done) == READ_BATCH_LIMIT  # the limit, not the whole queue
         server.drain()
         assert all(op.done for op in ops)
 

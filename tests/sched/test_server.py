@@ -106,12 +106,7 @@ class TestSingleTenantIdentity:
         sess = server.open_session("solo")
         run_reference_workload(sess)
 
-        want = bare.stats.as_dict()
-        got = routed.stats.as_dict()
-        # Per-tenant attribution is additive bookkeeping, not behaviour.
-        want.pop("tenants")
-        got.pop("tenants")
-        assert got == want
+        assert routed.stats.as_dict() == bare.stats.as_dict()
         assert routed.disk.stats.as_dict() == bare.disk.stats.as_dict()
 
     def test_session_reads_on_raid5_match_bare_lld_figures(self):
@@ -139,9 +134,7 @@ class TestSingleTenantIdentity:
         assert routed.disk.volume_stats.as_dict() == bare.disk.volume_stats.as_dict()
         assert routed.disk.stats.as_dict() == bare.disk.stats.as_dict()
         assert [d.clock.now for d in routed.disk.disks] == [d.clock.now for d in bare.disk.disks]
-        figures = routed.stats.as_dict()
-        figures.pop("tenants")
-        assert figures == {k: v for k, v in bare.stats.as_dict().items() if k != "tenants"}
+        assert routed.stats.as_dict() == bare.stats.as_dict()
 
     def test_populate_is_drained_between_ops(self):
         server, _lld = make_server()
@@ -317,26 +310,27 @@ class TestTenantARUs:
 
 
 # ----------------------------------------------------------------------
-# Per-tenant attribution (sched stats + LLDStats counters)
+# Per-tenant attribution (sched stats)
 # ----------------------------------------------------------------------
 
 
 class TestAttribution:
-    def test_lld_counters_split_by_tenant(self):
-        server, lld = make_server()
+    def test_block_traffic_split_by_tenant(self):
+        server, _lld = make_server()
         a = server.open_session("a")
         b = server.open_session("b")
         _lid_a, bids_a = populate(a, 3, size=4096)
         _lid_b, bids_b = populate(b, 1, size=4096)
         a.read(bids_a[0])
-        tenants = lld.stats.tenants
-        assert tenants["a"].blocks_written == 3
-        assert tenants["b"].blocks_written == 1
+        tenants = server.stats.tenants
+        assert tenants["a"].writes == 3
+        assert tenants["b"].writes == 1
         assert tenants["a"].bytes_written == 3 * 4096
-        assert tenants["a"].blocks_read == 1
-        assert tenants["b"].blocks_read == 0
-        payload = lld.stats.as_dict()
-        assert payload["tenants"]["a"]["blocks_written"] == 3
+        assert tenants["a"].reads == 1
+        assert tenants["b"].reads == 0
+        assert tenants["a"].bytes_read == 4096
+        payload = server.stats.as_dict()
+        assert payload["tenants"]["a"]["writes"] == 3
 
     def test_sched_stats_split_by_tenant(self):
         server, _lld = make_server(group_commit=2)

@@ -47,7 +47,6 @@ def fsync_workload(fs, n_files: int = 12) -> None:
 def lld_figures(lld):
     """Every non-zero LLD counter, and the disk's full request accounting."""
     payload = lld.stats.as_dict()
-    payload.pop("tenants")  # attribution is additive, not behaviour
     return {k: v for k, v in payload.items() if v}, lld.disk.stats.as_dict()
 
 

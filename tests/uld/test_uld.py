@@ -12,7 +12,7 @@ from repro.ld.errors import (
     OutOfSpaceError,
 )
 from repro.sim import VirtualClock
-from repro.uld import ULD, ULDConfig
+from repro.uld import ULD
 
 
 def make_uld(capacity_mb: int = 4) -> ULD:
@@ -27,7 +27,7 @@ def reopen(uld: ULD, after_crash: bool = True) -> ULD:
         uld.crash()
     else:
         uld.shutdown()
-    fresh = ULD(uld.disk, uld.config)
+    fresh = ULD(uld.disk)
     fresh.initialize()
     return fresh
 
