@@ -21,3 +21,11 @@ def emit(text: str) -> None:
     """Print a results table under pytest's captured output."""
     print()
     print(text)
+
+
+def read_data_area(lld, slot: int) -> bytes:
+    """One long read of a slot's whole data area: how a reader that fetches
+    a segment at a time pays for it."""
+    config = lld.config
+    lba = lld.layout.slot_lba(slot) + config.summary_sectors
+    return lld.disk.read(lba, config.sectors_per_segment - config.summary_sectors)

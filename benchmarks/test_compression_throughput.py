@@ -19,7 +19,7 @@ from repro.disk import SimulatedDisk, hp_c3010
 from repro.ld.hints import LIST_HEAD, ListHints
 from repro.lld import LLD, LLDConfig
 from repro.sim import VirtualClock
-from benchmarks.conftest import emit
+from benchmarks.conftest import emit, read_data_area
 
 KB = 1024
 MB = 1024 * KB
@@ -55,7 +55,7 @@ def raw_stream(spec, compress: bool):
         live = state.segment_blocks.get(slot, set())
         if not live or slot == lld.open_segment_index:
             continue
-        data = lld.cleaner._read_data_area(slot)
+        data = read_data_area(lld, slot)
         for bid in live:
             entry = state.blocks[bid]
             raw = data[entry.offset : entry.offset + entry.stored_length]

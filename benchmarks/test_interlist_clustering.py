@@ -15,7 +15,7 @@ from repro.disk import SimulatedDisk, hp_c3010
 from repro.ld.hints import LIST_HEAD
 from repro.lld import LLD, LLDConfig
 from repro.sim import VirtualClock
-from benchmarks.conftest import emit
+from benchmarks.conftest import emit, read_data_area
 
 
 def build_two_interleaved_dirs(spec, clustered: bool):
@@ -48,7 +48,7 @@ def build_two_interleaved_dirs(spec, clustered: bool):
 def directory_scan_cost(spec, clustered: bool) -> tuple[int, float]:
     """(segments holding dir A, seconds to stream those segments).
 
-    A batched reader (read-ahead, or the cleaner-style segment read)
+    A batched reader (read-ahead, or a segment-at-a-time read)
     fetches whole segments; clustering pays off by shrinking the set of
     segments a directory scan must touch.
     """
@@ -63,7 +63,7 @@ def directory_scan_cost(spec, clustered: bool) -> tuple[int, float]:
     clock = fresh.disk.clock
     t0 = clock.now
     for slot in segments:
-        fresh.cleaner._read_data_area(slot)
+        read_data_area(fresh, slot)
     return len(segments), clock.now - t0
 
 

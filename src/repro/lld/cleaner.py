@@ -11,12 +11,14 @@ from Rosenblum & Ousterhout are provided:
 
 While copying, blocks are re-ordered along their list chains (the paper's
 "uses the list information to reorder the blocks to improve sequential read
-performance").
+performance"). A pass reads its victim's live span in one request; the
+pass that follows a seal has it read before the seal writes
+(:meth:`Cleaner.plan`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from repro.ld.errors import OutOfSpaceError
 from repro.lld.config import MIN_FREE_SEGMENTS
@@ -25,6 +27,25 @@ from repro.obs.trace import NULL_SPAN
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.lld.lld import LLD
+    from repro.lld.state import BlockEntry
+
+
+class VictimRead(NamedTuple):
+    """One read of a victim's live span, its first live sector to its last:
+    a live block's stored bytes are in ``buffer`` at ``base`` plus its
+    offset, and they arrive at ``at``."""
+
+    slot: int
+    base: int
+    buffer: bytes
+    at: float
+
+    def stored(self, entry: "BlockEntry") -> bytes | None:
+        """A block's stored bytes, or None if it left the victim since."""
+        if entry.segment != self.slot:
+            return None
+        start = self.base + entry.offset
+        return self.buffer[start : start + entry.stored_length]
 
 
 class Cleaner:
@@ -36,21 +57,27 @@ class Cleaner:
         # another, and compaction (which cleans and flushes) must not nest.
         self.cleaning = False
         self.compacting = False
+        #: The victim read the last seal dispatched for the pass after it
+        #: (:meth:`plan`), until a pass takes it.
+        self.prefetched: VictimRead | None = None
 
     # ------------------------------------------------------------------
     # Victim selection
     # ------------------------------------------------------------------
 
-    def select_victim(self) -> int | None:
+    def select_victim(self, open_index: int | None = None) -> int | None:
         """Pick the next segment to clean under the configured policy, out
         of ``SlotTable.cleanable``: the best one the newest checkpoint
-        listed, while one is left (:meth:`victims`), else the best one."""
+        listed, while one is left (:meth:`victims`), else the best one.
+        ``open_index``: the open segment's slot (default: the current one)."""
+        if open_index is None:
+            open_index = self.lld.open_segment_index
         slots = self.lld.slots
-        candidates = slots.cleanable(self.lld.open_segment_index)
+        candidates = slots.cleanable(open_index)
         if not candidates:
             return None
         planned = [slot for slot in candidates if slot in slots.listed]
-        return min(planned or candidates, key=self._victim_key())
+        return min(planned or candidates, key=self._victim_key(open_index))
 
     def victims(self, openings: int) -> list[int]:
         """The segments the policy would clean next, best first: as many
@@ -60,11 +87,13 @@ class Cleaner:
         count = openings - (self.lld.free_segment_count() - MIN_FREE_SEGMENTS)
         if count <= 0:
             return []
-        candidates = self.lld.slots.cleanable(self.lld.open_segment_index)
-        return sorted(candidates, key=self._victim_key())[:count]
+        open_index = self.lld.open_segment_index
+        candidates = self.lld.slots.cleanable(open_index)
+        return sorted(candidates, key=self._victim_key(open_index))[:count]
 
-    def _victim_key(self) -> Callable[[int], tuple]:
-        """Sort key of the configured policy: the best victim sorts first."""
+    def _victim_key(self, open_index: int | None) -> Callable[[int], tuple]:
+        """Sort key of the configured policy, with the open segment over
+        ``open_index``: the best victim sorts first."""
         lld = self.lld
         usage = lld.state.usage
         if lld.config.clean_policy == "greedy":
@@ -72,11 +101,10 @@ class Cleaner:
             if spindles is not None:
                 # Multi-spindle tie-break: among equally-dead victims,
                 # prefer one off the open segment's spindle, where the
-                # evacuated blocks will be written. (The write in flight
-                # while the victim is read is not that one but the slot
-                # just sealed — behind an ordering barrier nobody waits
-                # for it — and the tie-break does not look at its member.)
-                open_index = lld.open_segment_index
+                # evacuated blocks will be written. (The slot just sealed
+                # is written after the victim's read is dispatched
+                # (:meth:`plan`), so its member's queue does not delay
+                # the read, and the tie-break does not look at it.)
                 open_spindle = spindles[open_index] if open_index is not None else -1
                 return lambda slot: (
                     usage.get(slot, 0),
@@ -98,6 +126,30 @@ class Cleaner:
     # ------------------------------------------------------------------
     # Cleaning
     # ------------------------------------------------------------------
+
+    def plan(self, opening: int) -> None:
+        """Called by a seal once the slot it opens next is chosen and before
+        it writes anything. If the pass after this opening will clean
+        (:meth:`after_seal`), read that pass's victim now, without waiting,
+        so the read is not queued behind the seal's writes. The victim is
+        the one :meth:`select_victim` picks with ``opening`` open; one held
+        or open in memory is not read. The pass uses the read only if it
+        picks the same victim (:meth:`clean_segment`). Until a pass takes
+        it the read stays good: nothing writes a slot with live data before
+        it is cleaned, and a slot is reopened only at a seal, which calls
+        this again."""
+        self.prefetched = None
+        if self.cleaning:
+            return
+        lld = self.lld
+        slots = lld.slots
+        # At most the free slots after the opening: one the seal leaves
+        # held is not free, but counted here.
+        if len(slots.empty - slots.pinned() - {opening}) >= MIN_FREE_SEGMENTS:
+            return
+        victim = self.select_victim(opening)
+        if victim is not None and lld.log.resident(victim) is None:
+            self.prefetched = self._read_live_span(victim, wait=False)
 
     def after_seal(self) -> None:
         """The space policy the log writer runs after every seal."""
@@ -185,13 +237,18 @@ class Cleaner:
             )
 
     def clean_segment(self, slot: int) -> None:
-        """Evacuate every live block and metadata tuple from ``slot``."""
+        """Evacuate every live block and metadata tuple from ``slot``. The
+        pass takes the victim read the last seal dispatched, if any:
+        ``prefetched``, on its span and event, is the slot that read named
+        (None: there was none), and a read of another slot is dropped."""
         lld = self.lld
         if slot == lld.open_segment_index:
             raise ValueError("cannot clean the open segment")
+        read, self.prefetched = self.prefetched, None
+        prefetched = read.slot if read is not None else None
         tr = lld.tracer
-        with tr.span("lld.cleaner_pass", slot=slot) if tr else NULL_SPAN:
-            self._clean_segment(slot)
+        with tr.span("lld.cleaner_pass", slot=slot, prefetched=prefetched) if tr else NULL_SPAN:
+            self._clean_segment(slot, read if prefetched == slot else None)
         ev = lld.events
         if ev:
             ev.emit(
@@ -199,24 +256,22 @@ class Cleaner:
                 severity="debug",
                 t=lld.disk.clock.now,
                 slot=slot,
+                prefetched=prefetched,
                 free_segments=lld.free_segment_count(),
             )
 
-    def _clean_segment(self, slot: int) -> None:
+    def _clean_segment(self, slot: int, victim: VictimRead | None) -> None:
         lld = self.lld
         self.cleaning = True
         lld.stats.cleanings += 1
         try:
-            # The victim is read from the medium, and may be a held slot.
             lld.log.write_held()
-            data = self._read_data_area(slot)
+            if victim is None:
+                # Read only now: the victim may have been a held slot.
+                victim = self._read_live_span(slot)
+            lld._wait_for(victim.at)
             lld.stats.blocks_cleaned += lld.log.relocate(
-                self._clustered_order(slot),
-                lambda entry: (
-                    data[entry.offset : entry.offset + entry.stored_length]
-                    if entry.segment == slot
-                    else None  # moved while we were copying
-                ),
+                self._clustered_order(slot), victim.stored
             )
             # Metadata tuples and tombstones homed here must move too. The
             # stale summary is garbage once the re-logged records are
@@ -299,13 +354,21 @@ class Cleaner:
             lld.flush()
         lld.log.scrub((slot,))
 
-    def _read_data_area(self, slot: int) -> bytes:
-        """One long read of the victim's data area (realistic cleaner I/O)."""
+    def _read_live_span(self, slot: int, wait: bool = True) -> VictimRead:
+        """One long read of the victim, from its first live sector to its
+        last (realistic cleaner I/O); ``wait=False`` leaves the waiting to
+        the pass."""
         lld = self.lld
-        config = lld.config
-        lba = lld.layout.slot_lba(slot) + config.summary_sectors
-        nsectors = config.sectors_per_segment - config.summary_sectors
-        return lld.disk.read(lba, nsectors)
+        blocks = lld.state.blocks
+        live = [blocks[bid] for bid in lld.state.segment_blocks.get(slot, ())]
+        if not live:
+            return VictimRead(slot, 0, b"", lld.disk.clock.now)
+        start = min(entry.offset for entry in live)
+        end = max(entry.offset + entry.stored_length for entry in live)
+        lba, nsectors, skew = lld.layout.block_extent(slot, start, end - start)
+        got = lld.disk.read(lba, nsectors, wait=wait)
+        buffer, at = (got, lld.disk.clock.now) if wait else got
+        return VictimRead(slot, skew - start, buffer, at)
 
     def _clustered_order(self, slot: int) -> list[int]:
         """Live blocks of ``slot``, ordered along their list chains.

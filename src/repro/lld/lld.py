@@ -157,6 +157,7 @@ class LLD(LogicalDisk):
         self.slots = self.log.slots
         self.cleaner = Cleaner(self)
         self.log.after_seal = self.cleaner.after_seal
+        self.log.plan_clean = self.cleaner.plan
         self.log.victims = self.cleaner.victims
 
         self._initialized = False
@@ -328,8 +329,9 @@ class LLD(LogicalDisk):
         return now if cache is None else max(now, cache.arrival(bid))
 
     def _wait_for(self, arrival: float) -> None:
-        """A waiting read served from the read cache returns no earlier
-        than the fetch that filled the entry arrives."""
+        """Wait until ``arrival``: a waiting read served from the read cache
+        returns no earlier than the fetch that filled the entry arrives,
+        and a cleaning pass copies no earlier than its victim read does."""
         clock = self.disk.clock
         if arrival > clock.now:
             clock.advance_to(arrival)

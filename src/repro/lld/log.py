@@ -189,6 +189,9 @@ class LogWriter:
         self._zeros = bytes(config.segment_size)
         #: Space policy run after every seal (``Cleaner.after_seal``).
         self.after_seal: Callable[[], None] = lambda: None
+        #: Told by a seal, before it writes, the slot it opens next
+        #: (``Cleaner.plan``): the next pass's victim read goes first.
+        self.plan_clean: Callable[[int], None] = lambda opening: None
         #: The segments the cleaner will empty over a number of openings,
         #: best first (``Cleaner.victims``): a checkpoint lists them after
         #: the free slots.
@@ -650,6 +653,7 @@ class LogWriter:
             # ranks that write leaves.
             ranks = self.slots.openable()
             seg.next = self._choose(ranks if hold else self.slots.after_scrubs(ranks), seg.index)
+            self.plan_clean(seg.next)
             if hold:
                 self.slots.hold(seg.index)
                 self.held.append(seg)

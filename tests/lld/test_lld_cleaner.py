@@ -6,8 +6,11 @@ import pytest
 
 from repro.ld import LIST_HEAD
 from repro.ld.errors import OutOfSpaceError
+from repro.lld import LLD
+from repro.obs import EventLog, attach_events
 
-from tests.lld.conftest import make_lld, reopen
+from tests.lld.conftest import make_lld, reopen, small_config
+from tests.lld.test_log_golden import JournalDisk, make_device
 
 
 def fill_blocks(lld, lid, count, data=None, prev=LIST_HEAD):
@@ -122,6 +125,79 @@ def test_cleaner_preserves_list_order_clustering():
         succ = lld.state.blocks[bid].successor
         if succ in live:
             assert positions[succ] == positions[bid] + 1
+
+
+@pytest.mark.parametrize("policy", ["greedy", "cost_benefit"])
+def test_a_seal_reads_the_next_victims_live_span_before_it_writes(policy):
+    """A seal after which the cleaner cleans dispatches the read of that
+    pass's victim, under the configured policy, before any write of its
+    own; the read covers the victim's live sectors and nothing more, the
+    pass takes it (one that cleans another slot drops it), and the
+    relocated blocks read back byte-identical."""
+    disk = JournalDisk(make_device("raid5"))
+    lld = LLD(disk, small_config(clean_policy=policy))
+    lld.initialize()
+    events = attach_events(EventLog(capacity=1 << 16), lld)
+    rng = random.Random(policy)
+    lid = lld.new_list()
+    want = {}
+    pred = LIST_HEAD
+    for _ in range(int(lld.layout.capacity_bytes * 0.7) // 4096):
+        pred = lld.new_block(lid, pred)
+        want[pred] = rng.randbytes(4096)
+        lld.write(pred, want[pred])
+    reads = []  # (journal position at the seal, victim, its live extent)
+    seal, plan = lld.log.seal, lld.log.plan_clean
+    sealing = []  # journal position where each seal began
+
+    def sealed() -> None:
+        sealing.append(len(disk.log))
+        seal()
+
+    def watched(opening: int) -> None:
+        mark = sealing[-1]
+        plan(opening)
+        victim = lld.cleaner.prefetched
+        if victim is not None:
+            live = sorted(
+                (lld.state.blocks[bid] for bid in lld.state.segment_blocks[victim.slot]),
+                key=lambda entry: entry.offset,
+            )
+            end = live[-1].offset + live[-1].stored_length
+            lba, nsectors, _skew = lld.layout.block_extent(
+                victim.slot, live[0].offset, end - live[0].offset
+            )
+            reads.append((mark, victim.slot, ("r", lba, nsectors)))
+
+    lld.log.seal, lld.log.plan_clean = sealed, watched
+    bids = list(want)
+    while lld.stats.cleanings < 20:
+        bid = bids[min(int(rng.expovariate(6 / len(bids))), len(bids) - 1)]
+        want[bid] = rng.randbytes(4096)
+        lld.write(bid, want[bid])
+    assert len(reads) >= 15
+    for mark, _slot, read in reads:
+        assert disk.log[mark] == read  # ahead of the seal's first write
+    data_area = lld.config.sectors_per_segment - lld.config.summary_sectors
+    assert any(read[2] < data_area for _mark, _slot, read in reads)
+    passes = [event.payload for event in events.select(name="lld.cleaner_pass")]
+    assert [(p["slot"], p["prefetched"]) for p in passes if p["prefetched"] is not None] == [
+        (slot, slot) for _mark, slot, _read in reads
+    ]
+    # A pass that cleans another slot drops the read and reads its own.
+    open_index = lld.open_segment_index
+    on_disk = [s for s in lld.slots.cleanable(open_index) if lld.log.resident(s) is None]
+    read, other = on_disk[:2]
+    lld.cleaner.prefetched = lld.cleaner._read_live_span(read, wait=False)
+    lld.cleaner.clean_segment(other)
+    assert events.select(name="lld.cleaner_pass")[-1].payload["prefetched"] == read
+    assert lld.cleaner.prefetched is None and lld.slots.of[other] == "retired"
+    lld.flush()
+    assert {bid: lld.read(bid) for bid in want} == want
+    lld.crash()
+    fresh = LLD(disk, lld.config)
+    fresh.initialize()
+    assert {bid: fresh.read(bid) for bid in want} == want
 
 
 def test_cleaning_open_segment_rejected():

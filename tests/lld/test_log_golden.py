@@ -94,8 +94,14 @@ all 192; ``clocks`` on the 7 ``compaction`` arms where a summary filled
 to its last record now seals one record sooner — a checkout of the
 parent with four padding bytes after its header gives the same clocks
 on all 24 ``compaction`` arms; ``contents`` the parent's on all 192, and
-``clocks`` on the other 185. A
-change that keeps
+``clocks`` on the other 185. The victim read first (parent 1944470): the
+cleaner reads its victim's live span, not the whole data area, and a
+seal dispatches the read of the next pass's victim before its own
+writes — ``requests`` re-captured on all 96 arms of the four scripts
+that clean (``arus``, ``compaction``, ``compression``,
+``deletes_clean``), ``clocks`` on 86 of them; ``contents`` and
+``layout`` the parent's on all 192, all four components on the other 96.
+A change that keeps
 requests where they are re-captures nothing; one that moves them re-captures the components it names up front
 and shows the rest byte-identical to this table.
 
@@ -147,108 +153,108 @@ GONE_SINCE_CAPTURE = {"tenants": {}, "extra": {}}
 #: ``GOLDEN[script][config]`` = the ``COMPONENTS`` digests, in that order.
 GOLDEN: dict[str, dict[str, tuple[str, str, str, str]]] = {
     'arus': {
-        'bare/delta/torn/nvram': ('d1f0ca1fa0e0', '99653a6f8a36', '9490fa61b2ef', 'f8312a635281'),
-        'bare/delta/torn/disk': ('d1f0ca1fa0e0', 'b9c0ced7dd17', 'dbe95a435449', 'ad6458f7dd69'),
-        'bare/delta/plain/nvram': ('d1f0ca1fa0e0', '99653a6f8a36', '44a45067b362', '037142192138'),
-        'bare/delta/plain/disk': ('d1f0ca1fa0e0', 'b9c0ced7dd17', '751046348142', '18ca70ddfae6'),
-        'bare/image/torn/nvram': ('d1f0ca1fa0e0', '99653a6f8a36', '007eece49bcc', 'ed0271a415ec'),
-        'bare/image/torn/disk': ('d1f0ca1fa0e0', 'b9c0ced7dd17', '9f1a9d131431', 'bd21134b7d65'),
-        'bare/image/plain/nvram': ('d1f0ca1fa0e0', '99653a6f8a36', '53b0b32e784b', 'aea7fb92e5a7'),
-        'bare/image/plain/disk': ('d1f0ca1fa0e0', 'b9c0ced7dd17', 'd2e375d0dc7c', 'c86570270440'),
-        'stripe/delta/torn/nvram': ('167464a16ae5', '53935bc0dcf0', '5bdd46cc06bf', '47ed5cf22d08'),
-        'stripe/delta/torn/disk': ('167464a16ae5', 'e6d047340c40', '8650c23bbe0a', 'f8cc9fff35e1'),
-        'stripe/delta/plain/nvram': ('167464a16ae5', '53935bc0dcf0', '19466fb415cc', '15dbf9f61ad5'),
-        'stripe/delta/plain/disk': ('167464a16ae5', 'e6d047340c40', '6f543890a359', 'd2fb8c7b1355'),
-        'stripe/image/torn/nvram': ('167464a16ae5', '53935bc0dcf0', '664f24d293d6', '47ed5cf22d08'),
-        'stripe/image/torn/disk': ('167464a16ae5', 'e6d047340c40', '7cf1fdee9d71', 'f8cc9fff35e1'),
-        'stripe/image/plain/nvram': ('167464a16ae5', '53935bc0dcf0', '33ec09ed77ef', '15dbf9f61ad5'),
-        'stripe/image/plain/disk': ('167464a16ae5', 'e6d047340c40', '8ff8a1dc597e', 'ce86b6e6e9ed'),
-        'raid5/delta/torn/nvram': ('39ec6d2c2616', 'b4abeb4d7c89', 'd5fb3d6c8ff2', 'e1ee817351a7'),
-        'raid5/delta/torn/disk': ('39ec6d2c2616', '8e9e241b952e', 'b4a443a699de', 'cf6d6bff9ae6'),
-        'raid5/delta/plain/nvram': ('39ec6d2c2616', 'b4abeb4d7c89', 'c8d2b244b9c6', '305a1059e788'),
-        'raid5/delta/plain/disk': ('39ec6d2c2616', '8e9e241b952e', '85b55abf0995', 'e290b7c012d4'),
-        'raid5/image/torn/nvram': ('39ec6d2c2616', 'b4abeb4d7c89', '6267b5cedfea', '90414d908864'),
-        'raid5/image/torn/disk': ('39ec6d2c2616', '8e9e241b952e', '0d39a79af7e1', '7a45d9275f99'),
-        'raid5/image/plain/nvram': ('39ec6d2c2616', 'b4abeb4d7c89', '6c14bbf8049e', '46258edac784'),
-        'raid5/image/plain/disk': ('39ec6d2c2616', '8e9e241b952e', '826597a3bcd1', '1f9cf1051eaa'),
+        'bare/delta/torn/nvram': ('d1f0ca1fa0e0', '99653a6f8a36', 'f422ed3a0db7', 'f36d4d3b93d2'),
+        'bare/delta/torn/disk': ('d1f0ca1fa0e0', 'b9c0ced7dd17', 'a3b339542283', 'b931f80f06c3'),
+        'bare/delta/plain/nvram': ('d1f0ca1fa0e0', '99653a6f8a36', '319e2a0d87cd', '8f247cd8aea8'),
+        'bare/delta/plain/disk': ('d1f0ca1fa0e0', 'b9c0ced7dd17', 'f3149e427dfa', 'c1ab24d77355'),
+        'bare/image/torn/nvram': ('d1f0ca1fa0e0', '99653a6f8a36', '3e530ee22fd1', '5a8bb3ee45c3'),
+        'bare/image/torn/disk': ('d1f0ca1fa0e0', 'b9c0ced7dd17', '6e6b799d1313', 'abc77981e5d8'),
+        'bare/image/plain/nvram': ('d1f0ca1fa0e0', '99653a6f8a36', '17d6da244e15', '2458a6e847bf'),
+        'bare/image/plain/disk': ('d1f0ca1fa0e0', 'b9c0ced7dd17', 'bd4e6a2615be', '9b3b27f5db0f'),
+        'stripe/delta/torn/nvram': ('167464a16ae5', '53935bc0dcf0', '0d2f14ad99ec', 'add857892b4f'),
+        'stripe/delta/torn/disk': ('167464a16ae5', 'e6d047340c40', 'b36feb49bc3a', '9ccd7ecd681b'),
+        'stripe/delta/plain/nvram': ('167464a16ae5', '53935bc0dcf0', '060e3f7cac3b', '5c2854b83687'),
+        'stripe/delta/plain/disk': ('167464a16ae5', 'e6d047340c40', 'd0efcc717283', '8b747f4a6060'),
+        'stripe/image/torn/nvram': ('167464a16ae5', '53935bc0dcf0', '45f11742b23b', 'add857892b4f'),
+        'stripe/image/torn/disk': ('167464a16ae5', 'e6d047340c40', 'e492d42999a7', '9ccd7ecd681b'),
+        'stripe/image/plain/nvram': ('167464a16ae5', '53935bc0dcf0', '6e1d5fbfe159', '5c2854b83687'),
+        'stripe/image/plain/disk': ('167464a16ae5', 'e6d047340c40', '75cc4f2ff7f5', '11a15c55fd80'),
+        'raid5/delta/torn/nvram': ('39ec6d2c2616', 'b4abeb4d7c89', '5c6f27eb335b', '305a1059e788'),
+        'raid5/delta/torn/disk': ('39ec6d2c2616', '8e9e241b952e', '301252d05503', '166de960a684'),
+        'raid5/delta/plain/nvram': ('39ec6d2c2616', 'b4abeb4d7c89', 'f9d49ff06c1d', 'cab2746b0697'),
+        'raid5/delta/plain/disk': ('39ec6d2c2616', '8e9e241b952e', 'fe1113e75834', '73819e8b5a08'),
+        'raid5/image/torn/nvram': ('39ec6d2c2616', 'b4abeb4d7c89', '0df2f93299ec', '46258edac784'),
+        'raid5/image/torn/disk': ('39ec6d2c2616', '8e9e241b952e', '371a055a087e', '5a4f0b41e8e6'),
+        'raid5/image/plain/nvram': ('39ec6d2c2616', 'b4abeb4d7c89', 'f55033d1d937', '02eaf037d534'),
+        'raid5/image/plain/disk': ('39ec6d2c2616', '8e9e241b952e', '316d561211a6', '10960cfecb41'),
     },
     'compaction': {
-        'bare/delta/torn/nvram': ('f43c3e5cdaa8', '5d4c6901ffad', '6bc2d14ceccf', 'd24262ddb8a1'),
-        'bare/delta/torn/disk': ('f43c3e5cdaa8', '0753b8f1cf4f', '2d032dc9ab02', 'df156fb727aa'),
-        'bare/delta/plain/nvram': ('f43c3e5cdaa8', '5d4c6901ffad', '36bb9c8cd16e', '22bd200a9c61'),
-        'bare/delta/plain/disk': ('f43c3e5cdaa8', '0753b8f1cf4f', '63b3553d5ecb', '3f47e076e8e8'),
-        'bare/image/torn/nvram': ('f43c3e5cdaa8', '5d4c6901ffad', 'ead3016333fc', 'd24262ddb8a1'),
-        'bare/image/torn/disk': ('f43c3e5cdaa8', '0753b8f1cf4f', '7b1a2973ea21', '8fc3c72c8551'),
-        'bare/image/plain/nvram': ('f43c3e5cdaa8', '5d4c6901ffad', '144cc3b85848', '0cd46654a9fa'),
-        'bare/image/plain/disk': ('f43c3e5cdaa8', '0753b8f1cf4f', '3795a917ad7c', 'a3c13c3c0ba4'),
-        'stripe/delta/torn/nvram': ('cf67d8db9144', 'cc4c341ba2e9', '50f5e65d5b20', '3d64491fe44d'),
-        'stripe/delta/torn/disk': ('cf67d8db9144', 'a2d2d5596116', 'fd4dbe98c6d3', 'd7e4a7df206b'),
-        'stripe/delta/plain/nvram': ('cf67d8db9144', 'cc4c341ba2e9', 'b7652121fede', '8e3be3a8d98c'),
-        'stripe/delta/plain/disk': ('cf67d8db9144', 'a2d2d5596116', 'c25b6ac40668', 'd5fb384a29d5'),
-        'stripe/image/torn/nvram': ('cf67d8db9144', 'cc4c341ba2e9', 'c6835e07fad9', '3d64491fe44d'),
-        'stripe/image/torn/disk': ('cf67d8db9144', 'a2d2d5596116', 'f9580f478860', '8f11f8e64c2b'),
-        'stripe/image/plain/nvram': ('cf67d8db9144', 'cc4c341ba2e9', 'f9f5b3fc5f97', '8e3be3a8d98c'),
-        'stripe/image/plain/disk': ('cf67d8db9144', 'a2d2d5596116', 'ede67eec6622', '8fe0afd533b4'),
-        'raid5/delta/torn/nvram': ('486ae46ecdb9', '928ee2551e45', '35cdd8b97bab', '995306cfada9'),
-        'raid5/delta/torn/disk': ('486ae46ecdb9', 'c608b50a9de2', '1a9f5f7b45d7', '13732d68a4c9'),
-        'raid5/delta/plain/nvram': ('486ae46ecdb9', '928ee2551e45', '8254b02e26a6', '160fe85b9bfe'),
-        'raid5/delta/plain/disk': ('486ae46ecdb9', 'c608b50a9de2', 'd84521742722', '3749a2481fdf'),
-        'raid5/image/torn/nvram': ('486ae46ecdb9', '928ee2551e45', '7dbb57ceada2', 'a10f48b85a4d'),
-        'raid5/image/torn/disk': ('486ae46ecdb9', 'c608b50a9de2', 'ba34397edc4f', '9e31ccbe0870'),
-        'raid5/image/plain/nvram': ('486ae46ecdb9', '928ee2551e45', 'bb80803ed054', '160fe85b9bfe'),
-        'raid5/image/plain/disk': ('486ae46ecdb9', 'c608b50a9de2', 'f682229e635f', '7ef701dbd883'),
+        'bare/delta/torn/nvram': ('f43c3e5cdaa8', '5d4c6901ffad', '175d48a52fb3', '3601fec7049f'),
+        'bare/delta/torn/disk': ('f43c3e5cdaa8', '0753b8f1cf4f', '4a12bbecf774', '439531282561'),
+        'bare/delta/plain/nvram': ('f43c3e5cdaa8', '5d4c6901ffad', '42d8451812a3', '2908d5a1ca9a'),
+        'bare/delta/plain/disk': ('f43c3e5cdaa8', '0753b8f1cf4f', '208de1a6b679', '816a5c8f124a'),
+        'bare/image/torn/nvram': ('f43c3e5cdaa8', '5d4c6901ffad', 'edbff93f9958', '3601fec7049f'),
+        'bare/image/torn/disk': ('f43c3e5cdaa8', '0753b8f1cf4f', 'b4fe3cbf860c', 'bb4e3711c8e5'),
+        'bare/image/plain/nvram': ('f43c3e5cdaa8', '5d4c6901ffad', '2bb6b5087a52', 'd8e4874bb3cd'),
+        'bare/image/plain/disk': ('f43c3e5cdaa8', '0753b8f1cf4f', '56977fec9bf6', '691ac2d2781e'),
+        'stripe/delta/torn/nvram': ('cf67d8db9144', 'cc4c341ba2e9', 'd5150004e27a', 'c6c32600ee8e'),
+        'stripe/delta/torn/disk': ('cf67d8db9144', 'a2d2d5596116', '7ea2ec3189b5', '05ce8a8d9ce2'),
+        'stripe/delta/plain/nvram': ('cf67d8db9144', 'cc4c341ba2e9', 'e52a08fc2b87', 'e2329bac6314'),
+        'stripe/delta/plain/disk': ('cf67d8db9144', 'a2d2d5596116', '362594d0cc98', '6395c3455144'),
+        'stripe/image/torn/nvram': ('cf67d8db9144', 'cc4c341ba2e9', '09834afce2fd', 'c6c32600ee8e'),
+        'stripe/image/torn/disk': ('cf67d8db9144', 'a2d2d5596116', '844155213e3a', '64d4b36d3038'),
+        'stripe/image/plain/nvram': ('cf67d8db9144', 'cc4c341ba2e9', '0f5bbb190868', 'e2329bac6314'),
+        'stripe/image/plain/disk': ('cf67d8db9144', 'a2d2d5596116', '5329d757144e', '0b3f169e8c9f'),
+        'raid5/delta/torn/nvram': ('486ae46ecdb9', '928ee2551e45', '083828001a7e', '6a0ed82e9a33'),
+        'raid5/delta/torn/disk': ('486ae46ecdb9', 'c608b50a9de2', '1556c82c36f8', '612338c839c8'),
+        'raid5/delta/plain/nvram': ('486ae46ecdb9', '928ee2551e45', '3952fe464f3d', 'b01b5e1b0a33'),
+        'raid5/delta/plain/disk': ('486ae46ecdb9', 'c608b50a9de2', '49584505d4dd', 'b7a59407d107'),
+        'raid5/image/torn/nvram': ('486ae46ecdb9', '928ee2551e45', 'dcdf628ddb90', 'cb13b7d14958'),
+        'raid5/image/torn/disk': ('486ae46ecdb9', 'c608b50a9de2', '22eb5b516dd2', 'f2247d4cb3e7'),
+        'raid5/image/plain/nvram': ('486ae46ecdb9', '928ee2551e45', 'aefa4cf6c5f7', 'b01b5e1b0a33'),
+        'raid5/image/plain/disk': ('486ae46ecdb9', 'c608b50a9de2', '67fce79f3d73', '5ed9e7d77d0c'),
     },
     'compression': {
-        'bare/delta/torn/nvram': ('342b23cd34f7', 'b10a7af45064', 'd9c9a198d4fc', '0c1868668ae3'),
-        'bare/delta/torn/disk': ('342b23cd34f7', 'b10a7af45064', '056a77a049fe', '7719587008a4'),
-        'bare/delta/plain/nvram': ('342b23cd34f7', 'b10a7af45064', '33bce44539dc', '6c6e857a923f'),
-        'bare/delta/plain/disk': ('342b23cd34f7', 'b10a7af45064', 'f19ca431ab33', '161a413f68ef'),
-        'bare/image/torn/nvram': ('342b23cd34f7', 'b10a7af45064', '7a3932e8cdbf', '0c1868668ae3'),
-        'bare/image/torn/disk': ('342b23cd34f7', 'b10a7af45064', '2a093e85b046', '7719587008a4'),
-        'bare/image/plain/nvram': ('342b23cd34f7', 'b10a7af45064', '6e03d70a8617', '6c6e857a923f'),
-        'bare/image/plain/disk': ('342b23cd34f7', 'b10a7af45064', '594cdf1b91f6', '092c9882e211'),
-        'stripe/delta/torn/nvram': ('3db3061db605', 'e2856dd8bb90', '495ee1879664', 'bf164a50577a'),
-        'stripe/delta/torn/disk': ('3db3061db605', 'e2856dd8bb90', '7154205a7ea4', '805db81d030c'),
-        'stripe/delta/plain/nvram': ('3db3061db605', 'e2856dd8bb90', '72db67964866', '4d80b2ca8ebe'),
-        'stripe/delta/plain/disk': ('3db3061db605', 'e2856dd8bb90', '1b37f9f2fc68', 'ebea76a1fc09'),
-        'stripe/image/torn/nvram': ('3db3061db605', 'e2856dd8bb90', '8e9f229b6af2', 'bf164a50577a'),
-        'stripe/image/torn/disk': ('3db3061db605', 'e2856dd8bb90', '0e4c565ecf1b', '2b7df5f3f285'),
-        'stripe/image/plain/nvram': ('3db3061db605', 'e2856dd8bb90', '3d6eef4d4838', '4d80b2ca8ebe'),
-        'stripe/image/plain/disk': ('3db3061db605', 'e2856dd8bb90', 'c349043d9135', 'ebea76a1fc09'),
-        'raid5/delta/torn/nvram': ('947314dbc9bf', '9d206f9eaf9b', '958b24513893', 'caa6fc8e1a0d'),
-        'raid5/delta/torn/disk': ('947314dbc9bf', '9d206f9eaf9b', 'fc305f71ae09', '83a2a3e5c9c6'),
-        'raid5/delta/plain/nvram': ('947314dbc9bf', '9d206f9eaf9b', 'e20c626effee', 'fd10a7cc9d3b'),
-        'raid5/delta/plain/disk': ('947314dbc9bf', '9d206f9eaf9b', '6f6279e11bf7', 'fd10a7cc9d3b'),
-        'raid5/image/torn/nvram': ('947314dbc9bf', '9d206f9eaf9b', '471573575a3c', 'caa6fc8e1a0d'),
-        'raid5/image/torn/disk': ('947314dbc9bf', '9d206f9eaf9b', 'a1355b482db6', '5a3c353ca0f5'),
-        'raid5/image/plain/nvram': ('947314dbc9bf', '9d206f9eaf9b', '16a096324782', 'fd10a7cc9d3b'),
-        'raid5/image/plain/disk': ('947314dbc9bf', '9d206f9eaf9b', 'aa02a24989f1', '83ff4cd4aac6'),
+        'bare/delta/torn/nvram': ('342b23cd34f7', 'b10a7af45064', 'fa447c06cdb2', 'b3e45fd434ac'),
+        'bare/delta/torn/disk': ('342b23cd34f7', 'b10a7af45064', 'aeb66c32777c', '7719587008a4'),
+        'bare/delta/plain/nvram': ('342b23cd34f7', 'b10a7af45064', '65550e0928ee', '88640783ddfb'),
+        'bare/delta/plain/disk': ('342b23cd34f7', 'b10a7af45064', '8ef60d58abfe', '161a413f68ef'),
+        'bare/image/torn/nvram': ('342b23cd34f7', 'b10a7af45064', '32910646f36e', 'b3e45fd434ac'),
+        'bare/image/torn/disk': ('342b23cd34f7', 'b10a7af45064', 'ac6b82c76910', '7719587008a4'),
+        'bare/image/plain/nvram': ('342b23cd34f7', 'b10a7af45064', '5c4c7030cbb0', '88640783ddfb'),
+        'bare/image/plain/disk': ('342b23cd34f7', 'b10a7af45064', 'dada9781afa0', '092c9882e211'),
+        'stripe/delta/torn/nvram': ('3db3061db605', 'e2856dd8bb90', '9675f0eb8761', '7fa1a771e553'),
+        'stripe/delta/torn/disk': ('3db3061db605', 'e2856dd8bb90', '6ddc443ffae5', 'c24fad42177e'),
+        'stripe/delta/plain/nvram': ('3db3061db605', 'e2856dd8bb90', '845c61625eae', '1dd3f3b7e875'),
+        'stripe/delta/plain/disk': ('3db3061db605', 'e2856dd8bb90', '60fff9ef4f30', 'ebea76a1fc09'),
+        'stripe/image/torn/nvram': ('3db3061db605', 'e2856dd8bb90', '8a319ba2f676', '7fa1a771e553'),
+        'stripe/image/torn/disk': ('3db3061db605', 'e2856dd8bb90', '36d17bcb88a8', '805db81d030c'),
+        'stripe/image/plain/nvram': ('3db3061db605', 'e2856dd8bb90', 'e8841a7e2540', '1dd3f3b7e875'),
+        'stripe/image/plain/disk': ('3db3061db605', 'e2856dd8bb90', 'd9e2a602752d', 'ebea76a1fc09'),
+        'raid5/delta/torn/nvram': ('947314dbc9bf', '9d206f9eaf9b', 'f4c65f21d341', 'bcb384161be0'),
+        'raid5/delta/torn/disk': ('947314dbc9bf', '9d206f9eaf9b', 'e24eddb3b07a', '3fc329535868'),
+        'raid5/delta/plain/nvram': ('947314dbc9bf', '9d206f9eaf9b', '30842dd78e81', 'fd10a7cc9d3b'),
+        'raid5/delta/plain/disk': ('947314dbc9bf', '9d206f9eaf9b', 'c7ec8b61d6f8', 'fd10a7cc9d3b'),
+        'raid5/image/torn/nvram': ('947314dbc9bf', '9d206f9eaf9b', 'd94ce3d1ec4b', 'bcb384161be0'),
+        'raid5/image/torn/disk': ('947314dbc9bf', '9d206f9eaf9b', 'acb6ffbbc37a', '9b7aa2dbd1a4'),
+        'raid5/image/plain/nvram': ('947314dbc9bf', '9d206f9eaf9b', '1d2a15380bf1', 'fd10a7cc9d3b'),
+        'raid5/image/plain/disk': ('947314dbc9bf', '9d206f9eaf9b', '59fdef959a22', '83ff4cd4aac6'),
     },
     'deletes_clean': {
-        'bare/delta/torn/nvram': ('547959dfb219', 'b3a0f7aa2db0', 'a2ace2139e77', 'e54cdfa81d00'),
-        'bare/delta/torn/disk': ('547959dfb219', 'b3a0f7aa2db0', '78f081636a9b', 'ed152739712d'),
-        'bare/delta/plain/nvram': ('547959dfb219', 'b3a0f7aa2db0', 'dee081aa6ac1', '7277d2b70699'),
-        'bare/delta/plain/disk': ('547959dfb219', 'b3a0f7aa2db0', '3d314b4e01ff', 'f0ca6a57d706'),
-        'bare/image/torn/nvram': ('547959dfb219', 'b3a0f7aa2db0', '6ea90f5ddc5e', 'a55810efecca'),
-        'bare/image/torn/disk': ('547959dfb219', 'b3a0f7aa2db0', 'ba59ad6c627d', '2b443de4cb61'),
-        'bare/image/plain/nvram': ('547959dfb219', 'b3a0f7aa2db0', '5d606fa55f6e', '57871303e925'),
-        'bare/image/plain/disk': ('547959dfb219', 'b3a0f7aa2db0', '0ea2f97350b9', '04a904a998cd'),
-        'stripe/delta/torn/nvram': ('d1b32841fb42', '620233bd7a16', '4c63296258a3', 'df0c258fabc1'),
-        'stripe/delta/torn/disk': ('d1b32841fb42', '620233bd7a16', '6d42a175f9c6', '29a7c21dfdde'),
-        'stripe/delta/plain/nvram': ('d1b32841fb42', '620233bd7a16', '324a7ce3d034', 'e8cad2589e6e'),
-        'stripe/delta/plain/disk': ('d1b32841fb42', '620233bd7a16', '15dfd0ce8282', '5451cdde2ed3'),
-        'stripe/image/torn/nvram': ('d1b32841fb42', '620233bd7a16', '5ba3d856a844', '6f9878f14815'),
-        'stripe/image/torn/disk': ('d1b32841fb42', '620233bd7a16', 'cd2aeb01c2e9', '03c632e81cc7'),
-        'stripe/image/plain/nvram': ('d1b32841fb42', '620233bd7a16', '3562e58ceacb', 'f99082d46b88'),
-        'stripe/image/plain/disk': ('d1b32841fb42', '620233bd7a16', '7043fc742d73', '5451cdde2ed3'),
-        'raid5/delta/torn/nvram': ('d354091f1d2f', '24d2a7ca7e92', 'af82a9dea517', '8a12504b08ff'),
-        'raid5/delta/torn/disk': ('d354091f1d2f', '24d2a7ca7e92', 'c5bbadedb3ae', 'e2ef7aab6036'),
-        'raid5/delta/plain/nvram': ('d354091f1d2f', '24d2a7ca7e92', '174f0e3e64ff', '2d7f1f7ae45c'),
-        'raid5/delta/plain/disk': ('d354091f1d2f', '24d2a7ca7e92', '194086e2b41b', '5bced1ae0432'),
-        'raid5/image/torn/nvram': ('d354091f1d2f', '24d2a7ca7e92', 'ecccdd4b5e71', '5fc02e4b3abb'),
-        'raid5/image/torn/disk': ('d354091f1d2f', '24d2a7ca7e92', 'd6678d148481', '82227cc14369'),
-        'raid5/image/plain/nvram': ('d354091f1d2f', '24d2a7ca7e92', 'ebd305c1fc3f', '5fe11559b9ae'),
-        'raid5/image/plain/disk': ('d354091f1d2f', '24d2a7ca7e92', '8a21c515d7fc', '5bced1ae0432'),
+        'bare/delta/torn/nvram': ('547959dfb219', 'b3a0f7aa2db0', '76b4b90ceb1c', 'cbf8aa60ad75'),
+        'bare/delta/torn/disk': ('547959dfb219', 'b3a0f7aa2db0', '5206f0f178f3', '6a45ee72df8c'),
+        'bare/delta/plain/nvram': ('547959dfb219', 'b3a0f7aa2db0', 'be993ad6e6d2', 'f834c0d70b38'),
+        'bare/delta/plain/disk': ('547959dfb219', 'b3a0f7aa2db0', 'a334a03d8ab3', '3acb6748d2f2'),
+        'bare/image/torn/nvram': ('547959dfb219', 'b3a0f7aa2db0', '45322e2e3073', '40e022baa863'),
+        'bare/image/torn/disk': ('547959dfb219', 'b3a0f7aa2db0', '17f9d9f87502', '6a45ee72df8c'),
+        'bare/image/plain/nvram': ('547959dfb219', 'b3a0f7aa2db0', 'bd59b28fa924', 'dfac9c99f718'),
+        'bare/image/plain/disk': ('547959dfb219', 'b3a0f7aa2db0', '3d049e2d3413', '4dee12679329'),
+        'stripe/delta/torn/nvram': ('d1b32841fb42', '620233bd7a16', '2dfba3c77308', 'd823c65507d8'),
+        'stripe/delta/torn/disk': ('d1b32841fb42', '620233bd7a16', '4ba611ebd201', '93fb8a688a32'),
+        'stripe/delta/plain/nvram': ('d1b32841fb42', '620233bd7a16', 'ae1732e0785b', 'a0ffb52bde03'),
+        'stripe/delta/plain/disk': ('d1b32841fb42', '620233bd7a16', '64f1ea239ff8', 'b800ddf12092'),
+        'stripe/image/torn/nvram': ('d1b32841fb42', '620233bd7a16', 'add07f577bf0', '3237c723df28'),
+        'stripe/image/torn/disk': ('d1b32841fb42', '620233bd7a16', 'bf7b74d639f8', '12dc2ac2a960'),
+        'stripe/image/plain/nvram': ('d1b32841fb42', '620233bd7a16', '6036622811a6', 'a0ffb52bde03'),
+        'stripe/image/plain/disk': ('d1b32841fb42', '620233bd7a16', 'ec62a8b743c6', '1c3ae91fd0a6'),
+        'raid5/delta/torn/nvram': ('d354091f1d2f', '24d2a7ca7e92', '2cdd241d3e82', 'd258de344d63'),
+        'raid5/delta/torn/disk': ('d354091f1d2f', '24d2a7ca7e92', '766167ad553b', '83c611cb4219'),
+        'raid5/delta/plain/nvram': ('d354091f1d2f', '24d2a7ca7e92', 'ee3f01201cb8', 'f2455c558728'),
+        'raid5/delta/plain/disk': ('d354091f1d2f', '24d2a7ca7e92', '2d24a33f8ed3', '33c77293f2d8'),
+        'raid5/image/torn/nvram': ('d354091f1d2f', '24d2a7ca7e92', 'bd477a55f907', '7d6daecfcb99'),
+        'raid5/image/torn/disk': ('d354091f1d2f', '24d2a7ca7e92', '67feca583ee3', '83c611cb4219'),
+        'raid5/image/plain/nvram': ('d354091f1d2f', '24d2a7ca7e92', '88081bcdfb11', 'e5ce2dfbbbb1'),
+        'raid5/image/plain/disk': ('d354091f1d2f', '24d2a7ca7e92', '01b53a118a4e', '75c95bff9114'),
     },
     'flushes': {
         'bare/delta/torn/nvram': ('e385b968c8f5', '6fcfb283b249', 'a6946abcad48', '89b24fabcd4a'),

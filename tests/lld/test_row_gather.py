@@ -33,6 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.lld.cleaner as cleaner_module
 import repro.lld.log as log_module
 from repro.crashsim import (
     OracleDriver,
@@ -705,10 +706,40 @@ def test_the_cleaner_finds_its_victim_on_the_medium():
     assert lld.clean(1) == 1  # the guard refuses a read of a resident slot
     assert not lld.log.held and lld.state.blocks[bids[0]].segment != 2
     reads = [entry for entry in disk.log if entry[0] == "r"]
-    assert reads == [("r", lld.layout.slot_lba(2) + 8, 120)]  # its data area, once written
+    assert reads == [("r", lld.layout.slot_lba(2) + 8, 8)]  # its one live block, once written
     lld.flush()
     assert lld.read(bids[0]) == bytes([1]) * BLOCK
     assert lld.stats.data_bytes_physical == disk.bytes_written
+
+
+def test_a_held_victim_is_not_read_before_its_row_is_written(monkeypatch):
+    """A seal reads the next pass's victim before writing anything, but
+    not a victim held in memory: that one the pass reads once its row is
+    written, as an explicit clean does."""
+    # Keep 42 of the 44 slots free: this nearly empty log then cleans after
+    # a seal the way a full one does.
+    monkeypatch.setattr(cleaner_module, "MIN_FREE_SEGMENTS", 42)
+    lld, disk, bids = held_rig()
+    want = {bid: bytes([i + 1]) * BLOCK for i, bid in enumerate(bids)}
+    planned = []
+    plan = lld.log.plan_clean
+
+    def watched(opening: int) -> None:
+        planned.append((lld.cleaner.select_victim(opening), [seg.index for seg in lld.log.held]))
+        plan(opening)
+        assert lld.cleaner.prefetched is None
+
+    lld.log.plan_clean = watched
+    for bid in bids[1:PER_SEGMENT]:  # into slot 3, which seals: slot 2 is the victim
+        lld.write(bid, b"\xee" * BLOCK)
+        want[bid] = b"\xee" * BLOCK
+    assert planned == [(2, [2])] and lld.stats.cleanings == 1
+    assert lld.slots.of[2] == "retired" and not lld.log.held
+    requests = [entry[:2] for entry in disk.log if entry[0] in "rw"]
+    row = lld.layout.slot_lba(2)
+    assert requests.index(("r", row + 8)) > requests.index(("w", row))  # the row first
+    lld.flush()
+    assert {bid: lld.read(bid) for bid in want} == want
 
 
 def test_a_crash_drops_what_was_held_and_a_flush_with_only_held_segments_is_not_a_noop():
