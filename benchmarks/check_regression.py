@@ -128,6 +128,15 @@ TABLE = [
         "ceiling",
         0,
     ),
+    # Sub-chunk writes while the member under them serves a long read:
+    # rows pre-read their other data chunks instead (reconstruct-write).
+    # Its figures are under the ``raid5.write_paths`` same-as-committed row.
+    Row(
+        "volume_scaling",
+        "raid5.write_paths.busy_member.reconstruct_writes",
+        "floor",
+        1,
+    ),
     Row("volume_scaling", "raid5.degraded_read.reconstructed_reads", "floor", 1),
     Row("volume_scaling", "raid5.rebuild[*].rebuild_progress", "monotone-to", 1.0),
     # Every leaf under these is simulated (virtual-clock seconds, request

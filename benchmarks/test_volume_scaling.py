@@ -194,6 +194,7 @@ def run_lld_raid5_arm(spec: BuildSpec) -> dict:
         "rows_written": lld.stats.rows_written,
         "full_stripe_writes": rollup["full_stripe_writes"],
         "rmw_writes": rollup["rmw_writes"],
+        "reconstruct_writes": rollup["reconstruct_writes"],
         "parity_write_amp": rollup["total_bytes_written"] / volume.stats.bytes_written,
     }
 
@@ -286,8 +287,9 @@ def test_volume_scaling(benchmark):
     # A streaming log reaches RAID-5 mostly as full stripes.
     emit(
         f"LLD on RAID-5: {lld_raid5['mb_per_s']:.2f} MB/s, "
-        f"{lld_raid5['full_stripe_writes']} full-stripe / {lld_raid5['rmw_writes']} "
-        f"RMW writes, parity write amp {lld_raid5['parity_write_amp']:.3f}"
+        f"{lld_raid5['full_stripe_writes']} full-stripe / {lld_raid5['rmw_writes']} RMW / "
+        f"{lld_raid5['reconstruct_writes']} reconstruct writes, "
+        f"parity write amp {lld_raid5['parity_write_amp']:.3f}"
     )
     assert lld_raid5["full_stripe_writes"] >= lld_raid5["segments_sealed"] // PARITY_N
     assert lld_raid5["parity_write_amp"] < 1.6
@@ -350,6 +352,30 @@ def run_parity_write_arm() -> dict:
     resident_stats = volume.volume_stats.as_dict()
     resident_mb = 2 * n_rows * small_sectors * 512 / (1024 * 1024)
 
+    # The same quarter-chunk writes, each into the row's chunk on member
+    # 0, while member 0 serves a long read (3 MB of its chunks further on):
+    # read-modify-write would pre-read behind it, reconstruct-write reads
+    # the row's other data chunks from members that are free.
+    volume = make_volume(PARITY_N, "raid5")
+    pmap = volume.parity_map
+    far = pmap.rows // 2
+    volume.read_batch(
+        [
+            (pmap.to_logical(0, pmap.row_lba(row)), CHUNK_SECTORS)
+            for row in range(far, far + 2 * PARITY_N * 4)
+            if pmap.parity_disk(row) != 0
+        ],
+        wait=False,
+    )
+    t0 = volume.clock.now
+    busy_rows = [row for row in range(n_rows) if pmap.parity_disk(row) != 0]
+    for row in busy_rows:
+        volume.write(pmap.to_logical(0, pmap.row_lba(row)), small_payload)
+    volume.barrier()
+    busy_seconds = volume.clock.now - t0
+    busy_stats = volume.volume_stats.as_dict()
+    busy_mb = len(busy_rows) * small_sectors * 512 / (1024 * 1024)
+
     return {
         "n_disks": PARITY_N,
         "full_stripe": {
@@ -363,6 +389,7 @@ def run_parity_write_arm() -> dict:
             "seconds": rmw_seconds,
             "full_stripe_writes": rmw_stats["full_stripe_writes"],
             "rmw_writes": rmw_stats["rmw_writes"],
+            "reconstruct_writes": rmw_stats["reconstruct_writes"],
         },
         "rmw_resident": {
             "mb_per_s": resident_mb / resident_seconds,
@@ -371,6 +398,13 @@ def run_parity_write_arm() -> dict:
             "preread_hits": resident_stats["preread_hits"],
             "preread_misses": resident_stats["preread_misses"],
             "rewrite_member_reads": rewrite_member_reads,
+        },
+        "busy_member": {
+            "mb_per_s": busy_mb / busy_seconds,
+            "seconds": busy_seconds,
+            "rmw_writes": busy_stats["rmw_writes"],
+            "reconstruct_writes": busy_stats["reconstruct_writes"],
+            "busy_member_reads": busy_stats["per_disk"][0]["reads"],
         },
         "full_vs_rmw_x": (total_mb / full_seconds) / (rmw_mb / rmw_seconds),
     }
@@ -473,9 +507,15 @@ def test_volume_parity(benchmark):
                     "full-stripe": 0.0,
                     "RMW": float(write_arm["rmw_resident"]["rmw_writes"]),
                 },
+                "small writes, member 0 busy": {
+                    "MB/s": write_arm["busy_member"]["mb_per_s"],
+                    "full-stripe": 0.0,
+                    "RMW": float(write_arm["busy_member"]["rmw_writes"]),
+                },
             },
             note="the RAID-5 small-write penalty: 2 pre-reads + 2 writes per fragment "
-            "(a range written again: its pre-reads come from the stripe cache)",
+            "(a range written again: its pre-reads come from the stripe cache; "
+            "rows not counted as RMW reconstructed their parity instead)",
         )
     )
     emit(
@@ -524,6 +564,9 @@ def test_volume_parity(benchmark):
     resident = write_arm["rmw_resident"]
     assert resident["rewrite_member_reads"] == 0
     assert resident["preread_hits"] == resident["preread_misses"] == resident["rmw_writes"]
+    # Rows whose old data sits behind a long read pre-read the row's other
+    # data chunks instead.
+    assert write_arm["busy_member"]["reconstruct_writes"] > 0
     # Degraded reads reconstruct (and cost more than healthy ones).
     assert degraded["reconstructed_reads"] > 0
     assert degraded["degraded_slowdown_x"] > 1.0

@@ -6,9 +6,11 @@ same few sectors over and over (the open slot's summary on every partial
 flush, the boundary sector of every data tail), so most of those old bytes
 are bytes the volume itself put on the members a moment ago. The
 :class:`StripeCache` keeps them: a write-through shadow of the members'
-media, filled by member writes only and consulted by the read-modify-write
-pre-reads only. It is not a read cache — client reads neither fill nor
-consult it.
+media, filled by member writes only and consulted by a partial row's
+pre-reads only — both shapes' candidates, read-modify-write's and
+reconstruct-write's, since which member reads are left after it answers is
+what the row's choice between them weighs. It is not a read cache — client
+reads neither fill nor consult it.
 
 **The one rule.** A resident sector holds exactly what the member's
 ``peek`` would return. Whatever changes a member's medium other than a
@@ -85,8 +87,10 @@ class StripeCache:
             ]
             resident[first : first + take] = b"\x01" * take
 
-    def load(self, member: int, plba: int, nsectors: int) -> bytes | None:
-        """``[plba, plba + nsectors)`` of ``member`` if every sector is resident."""
+    def find(self, member: int, plba: int, nsectors: int) -> list[memoryview] | None:
+        """Views of ``[plba, plba + nsectors)`` of ``member``, one per
+        extent, if every sector is resident: nothing is copied until the
+        caller joins them, and they hold until the next :meth:`store`."""
         size = self.sector_size
         extents = self._extents
         parts = []
@@ -95,7 +99,12 @@ class StripeCache:
             if extent is None or extent[1].count(1, first, first + take) != take:
                 return None
             parts.append(memoryview(extent[0])[first * size : (first + take) * size])
-        return b"".join(parts)
+        return parts
+
+    def load(self, member: int, plba: int, nsectors: int) -> bytes | None:
+        """``[plba, plba + nsectors)`` of ``member`` if every sector is resident."""
+        parts = self.find(member, plba, nsectors)
+        return None if parts is None else b"".join(parts)
 
     def drop(self, member: int, plba: int, nsectors: int) -> None:
         """Forget ``[plba, plba + nsectors)`` of ``member``."""

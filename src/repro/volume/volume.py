@@ -16,9 +16,11 @@ one of three layouts:
 * **raid5**: one chunk per stripe row holds the XOR parity of the row's
   N-1 data chunks, on a member rotating left-symmetric. Writes maintain
   parity by full-stripe XOR when a row is completely overwritten and
-  read-modify-write otherwise; any single member may fail (:meth:`fail_member` degrades instead of
-  raising) and reads reconstruct the lost chunks by XOR over the
-  survivors. :meth:`replace_member` installs a blank spindle and an
+  otherwise by read-modify-write or reconstruct-write, whichever the
+  row's pre-reads make cheaper; any single member may fail
+  (:meth:`fail_member` degrades instead of raising) and reads
+  reconstruct the lost chunks by XOR over the survivors.
+  :meth:`replace_member` installs a blank spindle and an
   online, rate-limited rebuild scanner (:attr:`rebuild_rate` rows per
   foreground request, or explicit :meth:`rebuild_step`) reconstructs it
   stripe row by stripe row while the volume keeps serving traffic.
@@ -42,11 +44,11 @@ the writes of the barrier before it, so at most one barrier epoch of
 writes is ever left in flight behind the caller — and over an empty epoch
 it waits for nothing: :meth:`Volume.write_horizon` then tells a caller
 that did not wait when its writes will be done. A member write computed
-from member reads (a parity row's read-modify-write) starts no earlier
-than the last of those reads completes, on whichever member it lands —
-and a pre-read whose sectors the volume itself wrote recently is no member
-read at all: a parity volume keeps them (:mod:`repro.volume.stripe_cache`),
-for this one purpose.
+from member reads (a parity row's read-modify-write or reconstruct-write)
+starts no earlier than the last of those reads completes, on whichever
+member it lands — and a pre-read whose sectors the volume itself wrote
+recently is no member read at all: a parity volume keeps them
+(:mod:`repro.volume.stripe_cache`), for this one purpose.
 Data lands in the member sector stores at dispatch, so read-after-write
 is always coherent regardless of clock skew.
 
@@ -185,14 +187,16 @@ class VolumeStats(Counters):
     reconstructed_reads: int = 0
     full_stripe_writes: int = 0
     rmw_writes: int = 0
+    reconstruct_writes: int = 0
     degraded_writes: int = 0
     rebuild_rows_done: int = 0
     rebuild_reads: int = 0
     rebuild_writes: int = 0
     rebuilds_completed: int = 0
     max_queue_depth: int = 0
-    # A read-modify-write's old-bytes buffers: served by the stripe cache
-    # (and the sectors that spared the members), or read from a member.
+    # A partial row's pre-read buffers, whichever shape it took: served by
+    # the stripe cache (and the sectors that spared the members), or read
+    # from a member.
     preread_hits: int = 0
     preread_misses: int = 0
     preread_sectors_saved: int = 0
@@ -296,6 +300,11 @@ class VolumeStats(Counters):
         return twin
 
 
+#: A pre-read candidate: ``(member, plba, nsectors, resident)``, where
+#: ``resident`` is the stripe cache's views of the sectors or None.
+_Preread = tuple[int, int, int, "list[memoryview] | None"]
+
+
 class _Dispatch:
     """Member I/O of one timed request under the busy-until model.
 
@@ -305,11 +314,12 @@ class _Dispatch:
     mechanical cost on its private clock, and ``completion`` tracks the
     slowest member touched. A write issues at ``floor``: ``now``, or the
     completion of the latest read since the caller last reset it — the
-    bytes of a read-modify-write do not exist before its pre-reads return,
+    bytes of a parity update do not exist before its pre-reads return,
     whichever members they came from. The caller decides which members to
     address. On a parity volume every member write is also remembered by
-    the stripe cache (write-through), so a later read-modify-write can
-    :meth:`preread` the same sectors without a member read.
+    the stripe cache (write-through), so a later partial-row write can
+    :meth:`probe` the same sectors and pre-read them without a member
+    read.
     """
 
     __slots__ = ("disks", "stats", "cache", "now", "floor", "completion", "writes")
@@ -337,18 +347,43 @@ class _Dispatch:
             self.completion = done
         return data
 
-    def preread(self, member: int, plba: int, nsectors: int) -> bytes:
-        """The bytes a read-modify-write is about to replace: remembered
-        from the write that put them there, or else read from the member.
-        A remembered buffer issues nothing, so it does not raise ``floor``."""
-        data = self.cache.load(member, plba, nsectors)
+    def probe(self, member: int, plba: int, nsectors: int) -> _Preread:
+        """One buffer a partial-row write may pre-read, looked up in the
+        stripe cache once: its resident sectors, or None when only a
+        member read can supply them. Issues nothing."""
+        return member, plba, nsectors, self.cache.find(member, plba, nsectors)
+
+    def cost(self, prereads: list[_Preread]) -> tuple[int, float]:
+        """What a shape's pre-reads would cost: the member reads left after
+        cache hits, then the latest busy-until clock among the members
+        they land on (never earlier than ``now``)."""
+        disks = self.disks
+        latest = self.now
+        misses = 0
+        for member, _plba, _nsectors, resident in prereads:
+            if resident is None:
+                misses += 1
+                busy = disks[member].clock.now
+                if busy > latest:
+                    latest = busy
+        return misses, latest
+
+    def prereads(self, prereads: list[_Preread]) -> list[bytes]:
+        """The bytes a partial-row write computes its parity from, in the
+        order probed: remembered from the write that put them there, or
+        else read from the member. A remembered buffer issues nothing, so
+        it does not raise ``floor``."""
         stats = self.stats
-        if data is None:
-            stats.preread_misses += 1
-            return self.read(member, plba, nsectors)
-        stats.preread_hits += 1
-        stats.preread_sectors_saved += nsectors
-        return data
+        out = []
+        for member, plba, nsectors, resident in prereads:
+            if resident is None:
+                stats.preread_misses += 1
+                out.append(self.read(member, plba, nsectors))
+            else:
+                stats.preread_hits += 1
+                stats.preread_sectors_saved += nsectors
+                out.append(b"".join(resident))
+        return out
 
     def write(self, member: int, plba: int, payload) -> None:
         disk = self.disks[member]
@@ -416,7 +451,7 @@ class Volume:
             self._write_plan, self._lost_runs = self._write_rows, self._row_runs
         pmap = self.parity_map
         #: What a parity volume remembers of its own member writes, for
-        #: the read-modify-write pre-reads alone (None without parity).
+        #: the partial-row pre-reads alone (None without parity).
         self.stripe_cache: StripeCache | None = (
             StripeCache(member_geo.sector_size, self.chunk_sectors)
             if pmap is not None
@@ -846,9 +881,11 @@ class Volume:
             io = _Dispatch(self, now)
             vstats = self.volume_stats
             hits = vstats.preread_hits
+            reconstructed = vstats.reconstruct_writes
             self._write_plan(io, lba, nsectors, view)
             if span is not None:
                 span.attrs["prereads_saved"] = vstats.preread_hits - hits
+                span.attrs["reconstruct"] = vstats.reconstruct_writes - reconstructed
             vstats.note_write_dispatch(io.writes)
             self.stats.record_request(nsectors, write=True)
             vstats.writes += 1
@@ -868,20 +905,29 @@ class Volume:
     def _write_rows(self, io: _Dispatch, lba: int, nsectors: int, view: memoryview) -> None:
         """Parity policy: data + parity updates, one stripe row at a time.
 
-        Three shapes per row, cheapest first:
+        Four shapes per row:
 
         * **full stripe** — the fragments cover every data chunk, so the
           new parity is the XOR of the payload itself: no pre-reads.
         * **read-modify-write** — pre-read the old data under each
-          fragment and the old parity over the touched range; new parity
-          is old parity XOR old data XOR new data per fragment extent.
-          This is the one place the stripe cache is consulted
-          (:meth:`_Dispatch.preread`): a buffer whose sectors are all
-          resident costs no member read, each buffer on its own.
-          A row touched in one chunk (the dominant shape: a partial
-          segment flush) has a parity range equal to its fragment's, so
-          the three buffers XOR as read, with no staging copy; only a row
-          touched in several chunks patches a ``bytearray`` of the range.
+          fragment and the old parity over the touched range ``[lo, hi)``;
+          new parity is old parity XOR old data XOR new data per fragment
+          extent. A row touched in one chunk (the dominant shape: a
+          partial segment flush) has a parity range equal to its
+          fragment's, so the three buffers XOR as read, with no staging
+          copy; only a row touched in several chunks patches a
+          ``bytearray`` of the range.
+        * **reconstruct-write** — when every fragment spans exactly
+          ``[lo, hi)`` (a one-chunk row always does), pre-read the row's
+          *unwritten* data chunks over that range instead; new parity is
+          their XOR with the new fragments. A healthy partial row takes
+          whichever of the two costs fewer member reads once the stripe
+          cache has answered, then whichever reads land on members free
+          soonest (member busy-until clocks, floored at ``now``); a tie
+          keeps read-modify-write (:meth:`_partial_parity`). These
+          pre-reads are where the stripe cache is consulted: a buffer
+          whose sectors are all resident costs no member read, each
+          buffer on its own.
         * **degraded** — one chunk of the row is untrusted. If it is the
           parity chunk, just write the data. If it is a data chunk, its
           old bytes are unreadable, so delta RMW is impossible: read the
@@ -895,9 +941,10 @@ class Volume:
         pre-reads observe pre-request bytes regardless of fragment order
         — and in simulated time too: the row's writes start once the last
         of its pre-reads has completed (``io.floor``), rows being
-        independent of one another. The writes are the same for every
-        shape — each fragment not on the untrusted member, then the parity
-        chunk unless it is untrusted.
+        independent of one another, whichever shape the row took and on
+        whichever members its reads landed. The writes are the same for
+        every shape — each fragment not on the untrusted member, then the
+        parity chunk unless it is untrusted.
         """
         pmap = self.parity_map
         size = self.geometry.sector_size
@@ -916,28 +963,17 @@ class Volume:
             full = sum(f.nsectors for f in frags) == pmap.data_per_row * chunk
             lo = min(f.within for f in frags)
             hi = max(f.within + f.nsectors for f in frags)
+            reconstruct = False
             if full:
                 # Every fragment is a whole chunk at within=0.
                 parity = _xor_buffers([payload(f) for f in frags])
             elif bad == parity_member:
                 parity = None
             elif bad is None:
-                old = [io.preread(f.disk, base + f.within, f.nsectors) for f in frags]
-                old_parity = io.preread(parity_member, base + lo, hi - lo)
-                if len(frags) == 1:
-                    # The touched parity range is the fragment's own: one
-                    # XOR over the three buffers as they are, no staging.
-                    parity = _xor_buffers([old_parity, old[0], payload(frags[0])])
-                else:
-                    # Each fragment patches its slice of a staging copy.
-                    parity = bytearray(old_parity)
-                    for f, obuf in zip(frags, old):
-                        off = (f.within - lo) * size
-                        end = off + len(obuf)
-                        parity[off:end] = _xor_buffers([parity[off:end], obuf, payload(f)])
+                parity, reconstruct = self._partial_parity(io, row, frags, lo, hi, payload)
             else:
-                # Reconstruct-write: ``bad`` is one of the row's data
-                # members (written or not — its unwritten sectors in
+                # Degraded reconstruct-write: ``bad`` is one of the row's
+                # data members (written or not — its unwritten sectors in
                 # [lo, hi) still feed the new parity).
                 survivors = [d for d in pmap.data_disks(row) if d != bad]
                 chunks = {d: bytearray(io.read(d, base + lo, hi - lo)) for d in survivors}
@@ -958,8 +994,48 @@ class Volume:
                 vstats.degraded_writes += 1
             elif full:
                 vstats.full_stripe_writes += 1
+            elif reconstruct:
+                vstats.reconstruct_writes += 1
             else:
                 vstats.rmw_writes += 1
+
+    def _partial_parity(self, io: _Dispatch, row: int, frags, lo: int, hi: int, payload):
+        """A healthy partial row's new parity over ``[lo, hi)`` and whether
+        it took reconstruct-write: ``(parity, reconstruct)`` (the shapes
+        and the rule: :meth:`_write_rows`). Each candidate buffer of
+        either shape is looked up in the stripe cache once; the chosen
+        shape reads or joins exactly those."""
+        pmap = self.parity_map
+        base = pmap.row_lba(row)
+        rmw = [io.probe(f.disk, base + f.within, f.nsectors) for f in frags]
+        rmw.append(io.probe(pmap.parity_disk(row), base + lo, hi - lo))
+        if all(f.within == lo and f.nsectors == hi - lo for f in frags):
+            written = {f.disk for f in frags}
+            rcw = [
+                io.probe(d, base + lo, hi - lo) for d in pmap.data_disks(row) if d not in written
+            ]
+            if self._reconstructs(io, rcw, rmw):
+                # The unwritten chunks over [lo, hi) and the new fragments
+                # are the whole row there: their XOR is the new parity.
+                return _xor_buffers([*io.prereads(rcw), *map(payload, frags)]), True
+        *old, old_parity = io.prereads(rmw)
+        if len(frags) == 1:
+            # The touched parity range is the fragment's own: one XOR over
+            # the three buffers as they are, no staging.
+            return _xor_buffers([old_parity, old[0], payload(frags[0])]), False
+        # Each fragment patches its slice of a staging copy.
+        size = self.geometry.sector_size
+        parity = bytearray(old_parity)
+        for f, obuf in zip(frags, old):
+            off = (f.within - lo) * size
+            end = off + len(obuf)
+            parity[off:end] = _xor_buffers([parity[off:end], obuf, payload(f)])
+        return parity, False
+
+    def _reconstructs(self, io: _Dispatch, rcw: list[_Preread], rmw: list[_Preread]) -> bool:
+        """The row's choice: reconstruct-write only when its pre-reads cost
+        strictly less (:meth:`_Dispatch.cost`)."""
+        return io.cost(rcw) < io.cost(rmw)
 
     def barrier(self, label: str = "barrier", *, wait: bool = True) -> None:
         """Order writes; with ``wait``, drain every spindle's horizon too.

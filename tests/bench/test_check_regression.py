@@ -179,7 +179,7 @@ BROKEN = [
     ("volume_scaling", "identity.volume_clock_s", 4.5343518518518),
     ("volume_scaling", "raw.4.read_seconds", 2.5444444444444),
     ("volume_scaling", "lld.4.recovery_read_requests", 75),
-    ("volume_scaling", "raid5.write_paths.rmw.rmw_writes", 287),
+    ("volume_scaling", "raid5.write_paths.rmw.rmw_writes", 286),
     ("volume_scaling", "raid5.degraded_read.degraded_mb_per_s", 4.26),
     # Bare-disk reports: the disk's time model and request stream.
     ("read_path", "baseline.sim_time", 24.9159814814814),
@@ -210,6 +210,8 @@ BROKEN = [
     ("crash_matrix", "degraded_parity.failed_members.2.states_explored", 773),
     ("crash_matrix", "checkpoint.bare.violation_count", 1),
     ("crash_matrix", "checkpoint.bare.mutant_no_chain.violation_count", 0),
+    # Partial rows that pre-read behind a busy member again.
+    ("volume_scaling", "raid5.write_paths.busy_member.reconstruct_writes", 0),
 ]
 
 

@@ -14,6 +14,7 @@ members are no longer drained before every seal: a read-modify-write
 row's member writes start no earlier than its pre-reads complete — and
 its other side: a row whose old bytes the volume remembers from writing
 them (the stripe cache) has no pre-read to wait for and starts at once.
+(``test_write_shape.py`` pins the same for a reconstruct-write row.)
 """
 
 import random
@@ -58,9 +59,14 @@ class TimedMember(SimulatedDisk):
         super().barrier(label, wait=wait)
 
 
-def make_volume(layout: str = "raid5", chunk: int = CHUNK, mb: int = 2) -> Volume:
+def make_volume(
+    layout: str = "raid5", chunk: int = CHUNK, mb: int = 2, n_disks: int = 4
+) -> Volume:
     return Volume(
-        [TimedMember(mb) for _ in range(4)], VirtualClock(), layout=layout, chunk_sectors=chunk
+        [TimedMember(mb) for _ in range(n_disks)],
+        VirtualClock(),
+        layout=layout,
+        chunk_sectors=chunk,
     )
 
 
@@ -324,12 +330,19 @@ def test_only_acknowledgements_wait():
 
 # ----------------------------------------------------------------------
 # A read-modify-write row's writes wait for its pre-reads
+#
+# On five members a row written in one chunk pre-reads two of them by
+# read-modify-write and three by reconstruct-write, so it takes the first
+# however busy its members are; test_write_shape.py pins the same floor for
+# the rows that take the second.
 # ----------------------------------------------------------------------
+
+WIDE = 5  # members
 
 
 def test_rmw_writes_start_after_the_rows_pre_reads_complete():
-    volume = make_volume()
-    volume.write(0, random.Random(0).randbytes(3 * CHUNK * SECTOR))  # row 0, full stripe
+    volume = make_volume(n_disks=WIDE)
+    volume.write(0, random.Random(0).randbytes((WIDE - 1) * CHUNK * SECTOR))  # row 0, full stripe
     volume.barrier()
     pmap = volume.parity_map
     data_member = volume.spindle_of(2)
@@ -357,8 +370,8 @@ def test_rmw_writes_start_after_the_rows_pre_reads_complete():
 def test_rows_of_one_request_do_not_wait_for_each_other():
     """The floor is per row: a later row's writes depend on its own
     pre-reads, and a full-stripe row (no pre-reads) on none."""
-    volume = make_volume()
-    width = 3 * CHUNK
+    volume = make_volume(n_disks=WIDE)
+    width = (WIDE - 1) * CHUNK
     volume.write(0, random.Random(1).randbytes(3 * width * SECTOR))
     volume.barrier()
     busy = volume.disks[volume.spindle_of(width - 1)]
@@ -370,7 +383,7 @@ def test_rows_of_one_request_do_not_wait_for_each_other():
     volume.write(width - 1, bytes([9]) * (1 + width) * SECTOR)
     assert volume.volume_stats.rmw_writes == 1
     # Row 0's two writes queue behind the busy member's pre-read, each on
-    # its own member; the other two members take their row-1 chunks at once.
+    # its own member; the other members take their row-1 chunks at once.
     pmap = volume.parity_map
     waiting = (busy, volume.disks[pmap.parity_disk(0)])
     row1 = [
@@ -378,7 +391,7 @@ def test_rows_of_one_request_do_not_wait_for_each_other():
         for member in volume.disks if member not in waiting
         for event in member.log if event[:2] == ("w", pmap.row_lba(1))
     ]
-    assert len(row1) == 2 and all(start < late for _op, _lba, start, _end in row1)
+    assert len(row1) == WIDE - 2 and all(start < late for _op, _lba, start, _end in row1)
     assert all(member.log[-2][2] >= late for member in waiting)  # row 0's write
 
 
@@ -413,7 +426,7 @@ def test_rmw_over_a_half_resident_range_waits_for_the_missing_buffer_only():
     """Each buffer on its own: the parity range is remembered from the write
     to the first chunk, the old data of the second chunk is not — one
     pre-read, on the data member, and both writes start after it."""
-    volume = make_volume()
+    volume = make_volume(n_disks=WIDE)
     volume.write(2, bytes([7]) * 2 * SECTOR)
     volume.barrier()
     data_member = volume.spindle_of(CHUNK + 2)

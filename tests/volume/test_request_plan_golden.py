@@ -47,7 +47,15 @@ rebuilt a member different from one that never did;
 ``test_a_rebuilt_volume_ends_like_one_that_never_failed`` holds them
 equal). Member request sequences, counters and every ``clocks`` digest are
 still the parent's on every row; ``install`` no longer stores into a dead
-member, which is all that moves the two degraded rows.
+member, which is all that moves the two degraded rows. Both digests of
+the four raid5 rows were re-captured by the PR whose parent is 4d31e2d,
+when a healthy partial row began to choose between read-modify-write and
+reconstruct-write: one row of the healthy phase (five by the end of the
+script) pre-reads its unwritten data chunks from members that are free
+sooner instead of its old data and parity, so member reads, clocks and
+the ``rmw_writes`` / ``reconstruct_writes`` split moved, while every
+member's sector store and every byte ``read`` / ``peek`` returned are the
+parent's in all four phases.
 """
 
 import hashlib
@@ -73,10 +81,10 @@ GOLDEN = {
     ('stripe', 'degraded'): ('f638f5cc84088354', '7e06b942aaf80a42'),
     ('mirror', 'healthy'): ('83ab899222370194', '2372430c4f74708e'),
     ('mirror', 'degraded'): ('be9f7fea58d2a833', '57acf80c99b1bf2a'),
-    ('raid5', 'healthy'): ('cc3c1205c23da8b7', 'e030ddebee333a80'),
-    ('raid5', 'degraded'): ('a4b5327dff34b5dc', '66678a7bc92b4522'),
-    ('raid5', 'mid-rebuild'): ('10ca63d1a50f3c6b', 'e1e66c4f66c953e1'),
-    ('raid5', 'rebuilt'): ('271f93e7a0875824', '667804cbc87c2870'),
+    ('raid5', 'healthy'): ('7a654c2737fc1cfc', '2ff2926f6628b9d3'),
+    ('raid5', 'degraded'): ('7cab68bd0194588a', 'bff8eb9ed3e9b449'),
+    ('raid5', 'mid-rebuild'): ('ccc03cd53cc5a5c2', 'd1ad614bb3db1dd5'),
+    ('raid5', 'rebuilt'): ('b7693e0174854a0e', 'ec451ca2a0005f95'),
 }
 
 
@@ -172,6 +180,10 @@ class Run:
         # serves is a member read missing from ``requests``, which is pinned.
         for name in [name for name in counts if name.startswith("preread_")]:
             del counts[name]
+        # So does the reconstruct-write count while no row has taken that
+        # shape (a row that did is a request sequence that moved anyway).
+        if not counts["reconstruct_writes"]:
+            del counts["reconstruct_writes"]
         plan = {
             "requests": [member.log for member in self.members],
             "stats": counts,

@@ -1,16 +1,22 @@
 """The stripe cache against a volume that remembers nothing.
 
 A parity volume keeps the sectors its member writes just put down and
-serves a later read-modify-write's pre-reads from them
+serves a later partial row's pre-reads from them
 (:mod:`repro.volume.stripe_cache`). Its one risk is coherence — a
 remembered sector that is no longer what the member holds turns into wrong
 parity — so the differential here runs every script on two volumes: one as
 shipped, one whose cache is emptied before every request (the oracle: a
-test helper, there is no such switch in the product). After every step:
+test helper, there is no such switch in the product). What is resident
+also weighs in a row's choice between read-modify-write and
+reconstruct-write, and on a row whose parity a ``corrupt`` left
+inconsistent the two write different parity; the choice has its own tests
+(``test_write_shape.py``), so here the oracle takes, row by row, the shape
+the shipped volume took. After every step:
 
 1. every member's image and write journal, barriers included, are equal —
-   the cache changes when bytes are *read*, never what is written or in
-   which barrier epoch, so every crash state is the oracle's;
+   given the shape, the cache changes where bytes are *read* from, never
+   what is written or in which barrier epoch, so every crash state is the
+   oracle's;
 2. every resident sector equals the member's ``peek``;
 3. resident sectors <= ``2 * chunk_sectors``;
 4. the shipped volume issues no more member reads than the oracle — fewer
@@ -22,6 +28,7 @@ red; the rebuild scanner's is the exception, and says why.
 """
 
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -56,12 +63,23 @@ class Pair:
         self.written: set[tuple[int, int]] = set()
         self.journalled: dict[int, int] = {}
         self.rewrote = False
+        #: The shipped volume's row shapes (True: reconstruct-write), for
+        #: the oracle to take in the same order.
+        self.shapes: deque[bool] = deque()
+        choose = self.shipped._reconstructs
+
+        def record(*candidates) -> bool:
+            self.shapes.append(choose(*candidates))
+            return self.shapes[-1]
+
+        self.shipped._reconstructs = record
+        self.oracle._reconstructs = lambda *candidates: self.shapes.popleft()
 
     def step(self, op: tuple) -> None:
         kind, *args = op
         if kind in ("write", "install"):
             args = [args[0], self.rng.randbytes(args[1] * SECTOR)]
-        for volume in (self.oracle, self.shipped):
+        for volume in (self.shipped, self.oracle):
             if volume is self.oracle:
                 volume.stripe_cache.clear()
             mutant = volume is self.shipped and kind in (self.mutation or "").split("+")
@@ -116,6 +134,7 @@ class Pair:
 
     def check(self) -> None:
         shipped, oracle = self.shipped, self.oracle
+        assert not self.shapes  # the oracle's rows were the shipped volume's
         for mine, theirs in zip(self.members[id(shipped)], self.members[id(oracle)], strict=True):
             assert list(mine.written_sectors()) == list(theirs.written_sectors())
             assert mine.events == theirs.events and mine.barriers == theirs.barriers
