@@ -151,6 +151,9 @@ TABLE = [
     Row("volume_scaling", "lld_raid5", "same-as-committed"),
     Row("volume_scaling", "raid5.write_paths", "same-as-committed"),
     Row("volume_scaling", "raid5.degraded_read", "same-as-committed"),
+    # The rebuild-rate sweep: foreground seconds and read latencies while
+    # the scanner competes for the spindles.
+    Row("volume_scaling", "raid5.rebuild", "same-as-committed"),
     # Bare-disk reports (one SimulatedDisk under the LLD, no volume): the
     # same rule for the figures a change to the disk's byte store or time
     # model would move first — request counts, every DiskStats float, the

@@ -8,9 +8,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.ld.errors import NoSuchListError
+
 #: Pass as ``pred_bid`` / ``pred_lid`` to insert at the front of a list
 #: (or of the list of lists).
 LIST_HEAD = -1
+
+
+def place_list(order: list[int], lid: int, pred_lid: int) -> None:
+    """Put list ``lid`` into a list of lists kept as a Python list, right
+    after ``pred_lid`` or first for :data:`LIST_HEAD` (``NewList`` and
+    ``MoveList`` of an LD that keeps its order in memory)."""
+    if pred_lid == LIST_HEAD:
+        order.insert(0, lid)
+    elif pred_lid in order:
+        order.insert(order.index(pred_lid) + 1, lid)
+    else:
+        raise NoSuchListError(pred_lid)
 
 
 @dataclass(frozen=True)

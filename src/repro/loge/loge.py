@@ -13,7 +13,7 @@ from repro.ld.errors import (
     NoSuchListError,
     OutOfSpaceError,
 )
-from repro.ld.hints import LIST_HEAD, ListHints
+from repro.ld.hints import LIST_HEAD, ListHints, place_list
 from repro.ld.interface import Arrived, LogicalDisk, Reservation
 from repro.ld.reservations import ReservationBook
 
@@ -222,12 +222,7 @@ class LogeDisk(LogicalDisk):
         lid = self._next_lid
         self._next_lid += 1
         self._lists[lid] = []
-        if pred_lid == LIST_HEAD:
-            self.list_order.insert(0, lid)
-        else:
-            if pred_lid not in self._lists:
-                raise NoSuchListError(pred_lid)
-            self.list_order.insert(self.list_order.index(pred_lid) + 1, lid)
+        place_list(self.list_order, lid, pred_lid)
         return lid
 
     def delete_list(self, lid: int, pred_lid_hint: int | None = None) -> None:
@@ -278,10 +273,7 @@ class LogeDisk(LogicalDisk):
         if lid not in self._lists:
             raise NoSuchListError(lid)
         self.list_order.remove(lid)
-        if new_pred_lid == LIST_HEAD:
-            self.list_order.insert(0, lid)
-        else:
-            self.list_order.insert(self.list_order.index(new_pred_lid) + 1, lid)
+        place_list(self.list_order, lid, new_pred_lid)
 
     # ------------------------------------------------------------------
     # ARUs: unsupported (Mime added transactions on top of Loge)

@@ -17,26 +17,30 @@ MB = 1024 * KB
 GB = 1024 * MB
 
 
+#: Entry sizes and workload assumptions from paper section 3.4 that no
+#: caller varies.
+BLOCK_SIZE = 4 * KB
+SEGMENT_SIZE = 512 * KB
+ADDRESS_BYTES = 3
+SUCCESSOR_BYTES = 3
+COMPRESSED_LENGTH_BYTES = 2
+COMPRESSED_EXTRA_ADDRESS_BYTES = 1
+LIST_TABLE_ENTRY_BYTES = 4
+SEGMENT_USAGE_ENTRY_BYTES = 3
+AVERAGE_FILE_BYTES = 8 * KB
+
+
 @dataclass(frozen=True)
 class MemoryModelParams:
-    """Entry sizes and workload assumptions from paper section 3.4."""
+    """The disk the model sizes, and how well its data compresses."""
 
     disk_bytes: int = GB
-    block_size: int = 4 * KB
-    segment_size: int = 512 * KB
-    address_bytes: int = 3
-    successor_bytes: int = 3
-    compressed_length_bytes: int = 2
-    compressed_extra_address_bytes: int = 1
     compression_ratio: float = 0.6  # compressed size / original size
-    list_table_entry_bytes: int = 4
-    segment_usage_entry_bytes: int = 3
-    average_file_bytes: int = 8 * KB
 
 
 def block_count(params: MemoryModelParams = MemoryModelParams()) -> int:
     """Logical blocks on the disk (uncompressed)."""
-    return params.disk_bytes // params.block_size
+    return params.disk_bytes // BLOCK_SIZE
 
 
 def compressed_block_count(params: MemoryModelParams = MemoryModelParams()) -> int:
@@ -51,13 +55,13 @@ def block_map_bytes(compression: bool, params: MemoryModelParams = MemoryModelPa
     With compression: +length +extra address byte, over 1/ratio more blocks.
     """
     if not compression:
-        per_entry = params.address_bytes + params.successor_bytes
+        per_entry = ADDRESS_BYTES + SUCCESSOR_BYTES
         return block_count(params) * per_entry
     per_entry = (
-        params.address_bytes
-        + params.compressed_extra_address_bytes
-        + params.successor_bytes
-        + params.compressed_length_bytes
+        ADDRESS_BYTES
+        + COMPRESSED_EXTRA_ADDRESS_BYTES
+        + SUCCESSOR_BYTES
+        + COMPRESSED_LENGTH_BYTES
     )
     return compressed_block_count(params) * per_entry
 
@@ -67,16 +71,16 @@ def list_table_bytes(
 ) -> int:
     """Size of the list table: 4 bytes per list."""
     if not list_per_file:
-        return params.list_table_entry_bytes  # a single list
+        return LIST_TABLE_ENTRY_BYTES  # a single list
     capacity = params.disk_bytes / params.compression_ratio if compression else params.disk_bytes
-    files = int(capacity / params.average_file_bytes)
-    return files * params.list_table_entry_bytes
+    files = int(capacity / AVERAGE_FILE_BYTES)
+    return files * LIST_TABLE_ENTRY_BYTES
 
 
 def segment_usage_table_bytes(params: MemoryModelParams = MemoryModelParams()) -> int:
     """3 bytes per segment."""
-    segments = params.disk_bytes // params.segment_size
-    return segments * params.segment_usage_entry_bytes
+    segments = params.disk_bytes // SEGMENT_SIZE
+    return segments * SEGMENT_USAGE_ENTRY_BYTES
 
 
 def total_memory_bytes(

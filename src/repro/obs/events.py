@@ -21,6 +21,8 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro.obs.export import read_jsonl
+
 #: Severity ladder; health verdicts map warn→``warn``, critical→``error``.
 SEVERITIES = ("debug", "info", "warn", "error")
 _SEVERITY_RANK = {name: rank for rank, name in enumerate(SEVERITIES)}
@@ -147,19 +149,12 @@ def export_events_jsonl(events, path) -> str:
 
 def load_events_jsonl(path) -> list[Event]:
     """Parse an events file written by :func:`export_events_jsonl`."""
-    out: list[Event] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            raw = json.loads(line)
-            out.append(
-                Event(
-                    t=raw["t"],
-                    name=raw["name"],
-                    severity=raw.get("severity", "info"),
-                    payload=raw.get("payload", {}),
-                )
-            )
-    return out
+    return [
+        Event(
+            t=raw["t"],
+            name=raw["name"],
+            severity=raw.get("severity", "info"),
+            payload=raw.get("payload", {}),
+        )
+        for raw in read_jsonl(path)
+    ]

@@ -105,26 +105,29 @@ def export_jsonl(spans: list[Span], path) -> str:
     return str(path)
 
 
-def load_jsonl(path) -> list[Span]:
-    """Parse a JSONL trace written by :func:`export_jsonl`."""
-    spans: list[Span] = []
+def read_jsonl(path):
+    """The objects of a JSONL file, one per non-blank line: what the
+    trace, event and series loaders each rebuild their records from."""
     with open(path, "r", encoding="utf-8") as handle:
         for line in handle:
             line = line.strip()
-            if not line:
-                continue
-            raw = json.loads(line)
-            spans.append(
-                Span(
-                    span_id=raw["span_id"],
-                    parent_id=raw.get("parent_id"),
-                    name=raw["name"],
-                    start=raw["start"],
-                    end=raw.get("end"),
-                    attrs=raw.get("attrs", {}),
-                )
-            )
-    return spans
+            if line:
+                yield json.loads(line)
+
+
+def load_jsonl(path) -> list[Span]:
+    """Parse a JSONL trace written by :func:`export_jsonl`."""
+    return [
+        Span(
+            span_id=raw["span_id"],
+            parent_id=raw.get("parent_id"),
+            name=raw["name"],
+            start=raw["start"],
+            end=raw.get("end"),
+            attrs=raw.get("attrs", {}),
+        )
+        for raw in read_jsonl(path)
+    ]
 
 
 def load_trace(path) -> list[Span]:

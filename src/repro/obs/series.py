@@ -19,6 +19,8 @@ from __future__ import annotations
 import json
 from collections import deque
 
+from repro.obs.export import read_jsonl
+
 
 class Series:
     """One metric's bounded ``(t, value)`` ring."""
@@ -223,14 +225,7 @@ def export_series_jsonl(recorder: SeriesRecorder, path) -> str:
 def load_series_jsonl(path) -> dict[str, Series]:
     """Rebuild ``{metric: Series}`` from :func:`export_series_jsonl` output."""
     out: dict[str, Series] = {}
-    rows: list[tuple[str, float, float]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            raw = json.loads(line)
-            rows.append((raw["metric"], raw["t"], raw["value"]))
+    rows = [(raw["metric"], raw["t"], raw["value"]) for raw in read_jsonl(path)]
     counts: dict[str, int] = {}
     for name, _t, _v in rows:
         counts[name] = counts.get(name, 0) + 1

@@ -14,7 +14,7 @@ from repro.ld.errors import (
     NoSuchListError,
     OutOfSpaceError,
 )
-from repro.ld.hints import LIST_HEAD, ListHints
+from repro.ld.hints import LIST_HEAD, ListHints, place_list
 from repro.ld.interface import Arrived, LogicalDisk, Reservation
 from repro.ld.reservations import ReservationBook
 
@@ -333,12 +333,7 @@ class ULD(LogicalDisk):
         self._next_lid += 1
         self._lists[lid] = hints or ListHints()
         self._first[lid] = None
-        if pred_lid == LIST_HEAD:
-            self.list_order.insert(0, lid)
-        else:
-            if pred_lid not in self._lists:
-                raise NoSuchListError(pred_lid)
-            self.list_order.insert(self.list_order.index(pred_lid) + 1, lid)
+        place_list(self.list_order, lid, pred_lid)
         return lid
 
     def delete_list(self, lid: int, pred_lid_hint: int | None = None) -> None:
@@ -402,10 +397,7 @@ class ULD(LogicalDisk):
         if lid not in self._lists:
             raise NoSuchListError(lid)
         self.list_order.remove(lid)
-        if new_pred_lid == LIST_HEAD:
-            self.list_order.insert(0, lid)
-        else:
-            self.list_order.insert(self.list_order.index(new_pred_lid) + 1, lid)
+        place_list(self.list_order, lid, new_pred_lid)
 
     # ------------------------------------------------------------------
     # ARUs (metadata-atomic; see module docstring)

@@ -6,11 +6,12 @@ same few sectors over and over (the open slot's summary on every partial
 flush, the boundary sector of every data tail), so most of those old bytes
 are bytes the volume itself put on the members a moment ago. The
 :class:`StripeCache` keeps them: a write-through shadow of the members'
-media, filled by member writes only and consulted by a partial row's
-pre-reads only — both shapes' candidates, read-modify-write's and
-reconstruct-write's, since which member reads are left after it answers is
-what the row's choice between them weighs. It is not a read cache — client
-reads neither fill nor consult it.
+media, filled by member writes only and consulted by a row write's
+pre-reads only — a healthy partial row's candidates for both ways of
+computing parity, since which member reads are left after it answers is
+what the row's choice between them weighs, and a degraded row's trusted
+chunks (never the untrusted one: its medium is stale by design). It is not
+a read cache — client reads neither fill nor consult it.
 
 **The one rule.** A resident sector holds exactly what the member's
 ``peek`` would return. Whatever changes a member's medium other than a

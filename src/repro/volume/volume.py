@@ -14,11 +14,12 @@ one of three layouts:
   may be dropped (:meth:`fail_member`) and the volume keeps serving from
   the survivors.
 * **raid5**: one chunk per stripe row holds the XOR parity of the row's
-  N-1 data chunks, on a member rotating left-symmetric. Writes maintain
-  parity by full-stripe XOR when a row is completely overwritten and
-  otherwise by read-modify-write or reconstruct-write, whichever the
-  row's pre-reads make cheaper; any single member may fail
-  (:meth:`fail_member` degrades instead of raising) and reads
+  N-1 data chunks, on a member rotating left-symmetric. Writes compute
+  a row's parity one of two ways, as Linux md does: a delta
+  (read-modify-write) or a reconstruct from the row's data chunks, which
+  a full row, a degraded row and ``install`` always take and a healthy
+  partial row takes when its pre-reads are cheaper. Any single member
+  may fail (:meth:`fail_member` degrades instead of raising) and reads
   reconstruct the lost chunks by XOR over the survivors.
   :meth:`replace_member` installs a blank spindle and an
   online, rate-limited rebuild scanner (:attr:`rebuild_rate` rows per
@@ -63,10 +64,12 @@ scaling benchmark asserts.
 an address *map* (:mod:`repro.volume.mapping`; a mirror is the one-member
 stripe whose logical member has N copies) and a *write policy* (every
 live copy of each member extent, or stripe rows with parity). The rest is
-layout-blind core: :class:`_Dispatch` times member I/O;
-:meth:`Volume._gather` assembles every read, timed or ``peek``, from the
-member fetch it is passed; and one XOR over the other members recovers a
-failed member's extent for reads, the rebuild scanner and ``install``.
+layout-blind core: :class:`_Dispatch` times member I/O for reads, writes
+and the rebuild scanner alike, and its time-free twin :class:`_Install`
+lets ``install`` and ``resync_parity`` run the very write plan a write
+runs; :meth:`Volume._gather` assembles every read, timed or ``peek``,
+from the member fetch it is passed; and one XOR over the other members
+recovers a failed member's extent for reads and the rebuild scanner.
 """
 
 from __future__ import annotations
@@ -194,9 +197,9 @@ class VolumeStats(Counters):
     rebuild_writes: int = 0
     rebuilds_completed: int = 0
     max_queue_depth: int = 0
-    # A partial row's pre-read buffers, whichever shape it took: served by
-    # the stripe cache (and the sectors that spared the members), or read
-    # from a member.
+    # A row's pre-read buffers, whichever way it computed its parity:
+    # served by the stripe cache (and the sectors that spared the
+    # members), or read from a member.
     preread_hits: int = 0
     preread_misses: int = 0
     preread_sectors_saved: int = 0
@@ -314,15 +317,21 @@ class _Dispatch:
     mechanical cost on its private clock, and ``completion`` tracks the
     slowest member touched. A write issues at ``floor``: ``now``, or the
     completion of the latest read since the caller last reset it — the
-    bytes of a parity update do not exist before its pre-reads return,
-    whichever members they came from. The caller decides which members to
-    address. On a parity volume every member write is also remembered by
-    the stripe cache (write-through), so a later partial-row write can
-    :meth:`probe` the same sectors and pre-read them without a member
-    read.
+    bytes of a parity update or of a rebuilt chunk do not exist before the
+    reads they are computed from return, whichever members those came
+    from. The caller decides which members to address, and books the
+    member reads and writes counted here (a foreground request as
+    sub-requests, the rebuild scanner as its own). On a parity volume every
+    member write is also remembered by the stripe cache (write-through),
+    so a later partial-row write can :meth:`probe` the same sectors and
+    pre-read them without a member read.
     """
 
-    __slots__ = ("disks", "stats", "cache", "now", "floor", "completion", "writes")
+    __slots__ = ("disks", "stats", "cache", "now", "floor", "completion", "reads", "writes")
+
+    #: A healthy partial row weighs delta against reconstruct by what its
+    #: pre-reads cost (:meth:`Volume._reconstructs`).
+    weighs = True
 
     def __init__(self, volume: "Volume", now: float) -> None:
         self.disks = volume.disks
@@ -332,14 +341,15 @@ class _Dispatch:
         #: Earliest start of the next member write.
         self.floor = now
         self.completion = now
-        #: Member writes queued; booked once the whole request dispatched.
+        #: Member reads and writes issued; booked by the caller.
+        self.reads = 0
         self.writes = 0
 
     def read(self, member: int, plba: int, nsectors: int) -> bytes:
         disk = self.disks[member]
         disk.clock.advance_to(self.now)
         data = disk.read(plba, nsectors)
-        self.stats.sub_reads += 1
+        self.reads += 1
         done = disk.clock.now
         if done > self.floor:
             self.floor = done
@@ -348,9 +358,9 @@ class _Dispatch:
         return data
 
     def probe(self, member: int, plba: int, nsectors: int) -> _Preread:
-        """One buffer a partial-row write may pre-read, looked up in the
-        stripe cache once: its resident sectors, or None when only a
-        member read can supply them. Issues nothing."""
+        """One buffer a row write may pre-read, looked up in the stripe
+        cache once: its resident sectors, or None when only a member read
+        can supply them. Issues nothing."""
         return member, plba, nsectors, self.cache.find(member, plba, nsectors)
 
     def cost(self, prereads: list[_Preread]) -> tuple[int, float]:
@@ -369,10 +379,10 @@ class _Dispatch:
         return misses, latest
 
     def prereads(self, prereads: list[_Preread]) -> list[bytes]:
-        """The bytes a partial-row write computes its parity from, in the
-        order probed: remembered from the write that put them there, or
-        else read from the member. A remembered buffer issues nothing, so
-        it does not raise ``floor``."""
+        """The bytes a row write computes its parity from, in the order
+        probed: remembered from the write that put them there, or else
+        read from the member. A remembered buffer issues nothing, so it
+        does not raise ``floor``."""
         stats = self.stats
         out = []
         for member, plba, nsectors, resident in prereads:
@@ -394,6 +404,49 @@ class _Dispatch:
         self.writes += 1
         if disk.clock.now > self.completion:
             self.completion = disk.clock.now
+
+    def tally(self, counter: str) -> None:
+        """Count one row of a kind (a :class:`VolumeStats` field)."""
+        setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+
+
+class _Install:
+    """The time-free twin of :class:`_Dispatch`: ``install`` and
+    ``resync_parity`` run the write plan through it.
+
+    Its reads are member ``peek`` (never the stripe cache), its writes a
+    drop from the stripe cache (:meth:`Volume._forget`) and the member's
+    ``install``. It has no clock and no stats, and with no cost to weigh a
+    partial row always reconstructs, recomputing parity from the data
+    found rather than patching the parity found.
+    """
+
+    weighs = False
+    now = floor = 0.0
+
+    def __init__(self, volume: "Volume") -> None:
+        self.volume = volume
+
+    def read(self, member: int, plba: int, nsectors: int) -> bytes:
+        return self.volume.disks[member].peek(plba, nsectors)
+
+    def probe(self, member: int, plba: int, nsectors: int) -> _Preread:
+        return member, plba, nsectors, None
+
+    def prereads(self, prereads: list[_Preread]) -> list[bytes]:
+        return [self.read(member, plba, n) for member, plba, n, _resident in prereads]
+
+    def write(self, member: int, plba: int, payload) -> None:
+        volume = self.volume
+        volume._forget(member, plba, len(payload) // volume.geometry.sector_size)
+        volume.disks[member].install(plba, payload)
+
+    def tally(self, counter: str) -> None:
+        pass
+
+
+#: The member I/O a write plan runs through: timed, or time-free.
+_Io = _Dispatch | _Install
 
 
 class Volume:
@@ -451,7 +504,7 @@ class Volume:
             self._write_plan, self._lost_runs = self._write_rows, self._row_runs
         pmap = self.parity_map
         #: What a parity volume remembers of its own member writes, for
-        #: the partial-row pre-reads alone (None without parity).
+        #: the row writes' pre-reads alone (None without parity).
         self.stripe_cache: StripeCache | None = (
             StripeCache(member_geo.sector_size, self.chunk_sectors)
             if pmap is not None
@@ -608,13 +661,15 @@ class Volume:
     def rebuild_step(self, rows: int = 1) -> int:
         """Reconstruct up to ``rows`` stripe rows onto the replacement.
 
-        Background semantics match queued writes: source reads and the
-        reconstruction write are charged on the member clocks at the
-        current shared time (competing with foreground requests for the
-        spindles — the rate/latency tradeoff) without advancing the
-        shared clock. Returns the number of rows actually rebuilt; on the
-        last row the member rejoins ``alive`` and the volume is fully
-        redundant again.
+        Background semantics match queued writes: the scanner's member I/O
+        goes through the write path's :class:`_Dispatch` at the current
+        shared time (competing with foreground requests for the spindles —
+        the rate/latency tradeoff) without advancing the shared clock, and
+        a row's rebuilt chunk is written once the source reads it is the
+        XOR of have completed. The scanner's reads and writes are counted
+        apart from the foreground's sub-requests. Returns the number of
+        rows actually rebuilt; on the last row the member rejoins
+        ``alive`` and the volume is fully redundant again.
         """
         target = self._rebuilding
         if target is None:
@@ -623,23 +678,12 @@ class Volume:
         now = self.clock.now
         vstats = self.volume_stats
         chunk = pmap.chunk_sectors
-
-        def scan(member: int, plba: int, nsectors: int) -> bytes:
-            # Scanner I/O is tallied apart from foreground sub-requests.
-            disk = self.disks[member]
-            disk.clock.advance_to(now)
-            vstats.rebuild_reads += 1
-            return disk.read(plba, nsectors)
-
-        replacement = self.disks[target]
+        io = _Dispatch(self, now)
         done = 0
         while done < rows and self._rebuilding is not None:
+            io.floor = now  # rows are independent of one another
             row_lba = pmap.row_lba(self._rebuild_cursor)
-            rebuilt = self._xor_others(target, row_lba, chunk, scan)
-            replacement.clock.advance_to(now)
-            replacement.write(row_lba, rebuilt)
-            self.stripe_cache.store(target, row_lba, rebuilt)  # a member write like any other
-            vstats.rebuild_writes += 1
+            io.write(target, row_lba, self._xor_others(target, row_lba, chunk, io.read))
             vstats.rebuild_rows_done += 1
             self._rebuild_cursor += 1
             done += 1
@@ -662,6 +706,8 @@ class Volume:
                         member=target,
                         progress=self._rebuild_cursor / pmap.rows,
                     )
+        vstats.rebuild_reads += io.reads
+        vstats.rebuild_writes += io.writes
         return done
 
     def rebuild_run_to_completion(self, step_rows: int = 64) -> None:
@@ -724,8 +770,8 @@ class Volume:
 
         Every chunk of a stripe row sits at the same member LBA, so any
         one chunk's bytes — data or parity — are the XOR of the other
-        members' bytes at the identical extent. Degraded reads, ``peek``,
-        the rebuild scanner and the parity installer differ only in the
+        members' bytes at the identical extent. Degraded reads, ``peek``
+        and the rebuild scanner differ only in the
         ``fetch(member, plba, nsectors)`` they pass.
         """
         return _xor_buffers(
@@ -814,7 +860,10 @@ class Volume:
         """
         io = _Dispatch(self, now)
         vstats = self.volume_stats
-        data = self._gather(lba, nsectors, io.read, vstats)
+        try:
+            data = self._gather(lba, nsectors, io.read, vstats)
+        finally:  # a read refused part-way has still issued what it issued
+            vstats.sub_reads += io.reads
         self.stats.record_request(nsectors, write=False)
         vstats.reads += 1
         vstats.read_latency_hist.record(io.completion - now)
@@ -886,12 +935,13 @@ class Volume:
             if span is not None:
                 span.attrs["prereads_saved"] = vstats.preread_hits - hits
                 span.attrs["reconstruct"] = vstats.reconstruct_writes - reconstructed
+            vstats.sub_reads += io.reads
             vstats.note_write_dispatch(io.writes)
             self.stats.record_request(nsectors, write=True)
             vstats.writes += 1
             vstats.write_latency_hist.record(io.completion - now)
 
-    def _write_copies(self, io: _Dispatch, lba: int, nsectors: int, view: memoryview) -> None:
+    def _write_copies(self, io: _Io, lba: int, nsectors: int, view: memoryview) -> None:
         """Stripe and mirror policy: every live copy takes its member extent."""
         size = self.geometry.sector_size
         for sub in self.map.split(lba, nsectors):
@@ -902,54 +952,49 @@ class Volume:
             for member in live:
                 io.write(member, sub.plba, payload)
 
-    def _write_rows(self, io: _Dispatch, lba: int, nsectors: int, view: memoryview) -> None:
+    def _write_rows(self, io: _Io, lba: int, nsectors: int, view: memoryview) -> None:
         """Parity policy: data + parity updates, one stripe row at a time.
 
-        Four shapes per row:
+        A row's new parity over the range its fragments touch, ``[lo, hi)``,
+        is computed one of two ways:
 
-        * **full stripe** — the fragments cover every data chunk, so the
-          new parity is the XOR of the payload itself: no pre-reads.
-        * **read-modify-write** — pre-read the old data under each
-          fragment and the old parity over the touched range ``[lo, hi)``;
-          new parity is old parity XOR old data XOR new data per fragment
-          extent. A row touched in one chunk (the dominant shape: a
-          partial segment flush) has a parity range equal to its
-          fragment's, so the three buffers XOR as read, with no staging
-          copy; only a row touched in several chunks patches a
-          ``bytearray`` of the range.
-        * **reconstruct-write** — when every fragment spans exactly
-          ``[lo, hi)`` (a one-chunk row always does), pre-read the row's
-          *unwritten* data chunks over that range instead; new parity is
-          their XOR with the new fragments. A healthy partial row takes
-          whichever of the two costs fewer member reads once the stripe
-          cache has answered, then whichever reads land on members free
-          soonest (member busy-until clocks, floored at ``now``); a tie
-          keeps read-modify-write (:meth:`_partial_parity`). These
-          pre-reads are where the stripe cache is consulted: a buffer
-          whose sectors are all resident costs no member read, each
-          buffer on its own.
-        * **degraded** — one chunk of the row is untrusted. If it is the
-          parity chunk, just write the data. If it is a data chunk, its
-          old bytes are unreadable, so delta RMW is impossible: read the
-          surviving data chunks and old parity over the touched range,
-          reconstruct the untrusted chunk by XOR, overlay the new
-          fragments, and recompute parity from scratch — skipping the
-          write to the untrusted member (parity now encodes its logical
-          content, so reconstruction and the rebuild scanner serve it).
+        * **delta** (read-modify-write, :meth:`_delta`) — pre-read the old
+          data under each fragment and the old parity over ``[lo, hi)``;
+          new parity is old parity XOR old data XOR new data per fragment.
+        * **reconstruct** (:meth:`_reconstruct`) — the XOR over the row's
+          data chunks of each new fragment overlaid on the chunk's old
+          bytes over ``[lo, hi)``. The old bytes come from nowhere under a
+          fragment that spans ``[lo, hi)``; from the stripe cache or a
+          member read (:meth:`_Dispatch.probe` / ``prereads``) for any
+          other trusted chunk; and, for an untrusted data chunk, from the
+          XOR of the old parity and every other chunk's old bytes — never
+          from the cache, which holds what the member's stale medium holds
+          (:meth:`_reconstruct_reads`).
+
+        Which one a row takes:
+
+        * a full row is a reconstruct with nothing to read;
+        * a row with an untrusted data chunk always reconstructs and skips
+          the write to that member: parity now encodes its content, for
+          reads and the rebuild scanner to recover. With the parity chunk
+          untrusted there is no parity to compute: the data alone;
+        * a healthy partial row reconstructs only when every fragment
+          spans ``[lo, hi)`` (a one-chunk row always does) and those
+          pre-reads cost fewer member reads once the stripe cache has
+          answered, then land on members free sooner (member busy-until
+          clocks, floored at ``now``; :meth:`_reconstructs`). A tie keeps
+          delta, and so does any other partial row;
+        * the time-free twin ``install`` and ``resync_parity`` pass
+          (:class:`_Install`) always reconstructs.
 
         All member reads happen before any member write of the row, so
         pre-reads observe pre-request bytes regardless of fragment order
         — and in simulated time too: the row's writes start once the last
         of its pre-reads has completed (``io.floor``), rows being
-        independent of one another, whichever shape the row took and on
-        whichever members its reads landed. The writes are the same for
-        every shape — each fragment not on the untrusted member, then the
-        parity chunk unless it is untrusted.
+        independent of one another, whichever members the reads landed on.
         """
         pmap = self.parity_map
         size = self.geometry.sector_size
-        chunk = pmap.chunk_sectors
-        vstats = self.volume_stats
         down = self.alive.index(False) if self.degraded else None
 
         def payload(f):
@@ -960,81 +1005,84 @@ class Volume:
             base = pmap.row_lba(row)
             parity_member = pmap.parity_disk(row)
             bad = None if down is None or self._trusted(down, row) else down
-            full = sum(f.nsectors for f in frags) == pmap.data_per_row * chunk
             lo = min(f.within for f in frags)
             hi = max(f.within + f.nsectors for f in frags)
-            reconstruct = False
-            if full:
-                # Every fragment is a whole chunk at within=0.
-                parity = _xor_buffers([payload(f) for f in frags])
-            elif bad == parity_member:
-                parity = None
-            elif bad is None:
-                parity, reconstruct = self._partial_parity(io, row, frags, lo, hi, payload)
-            else:
-                # Degraded reconstruct-write: ``bad`` is one of the row's
-                # data members (written or not — its unwritten sectors in
-                # [lo, hi) still feed the new parity).
-                survivors = [d for d in pmap.data_disks(row) if d != bad]
-                chunks = {d: bytearray(io.read(d, base + lo, hi - lo)) for d in survivors}
-                old_parity = io.read(parity_member, base + lo, hi - lo)
-                chunks[bad] = bytearray(_xor_buffers([*chunks.values(), old_parity]))
-                vstats.reconstructed_reads += 1
-                for f in frags:
-                    off = (f.within - lo) * size
-                    chunks[f.disk][off : off + f.nsectors * size] = payload(f)
-                parity = _xor_buffers(chunks.values())
-
+            spanned = {f.disk for f in frags if f.within == lo and f.nsectors == hi - lo}
+            parity = None
+            shape = "degraded_writes" if bad is not None else "full_stripe_writes"
+            if bad != parity_member:
+                reads = self._reconstruct_reads(io, row, spanned, lo, hi, bad)
+                if bad is None and reads and io.weighs:
+                    shape = "rmw_writes"
+                    rmw = [io.probe(f.disk, base + f.within, f.nsectors) for f in frags]
+                    rmw.append(io.probe(parity_member, base + lo, hi - lo))
+                    if len(spanned) == len(frags) and self._reconstructs(io, reads, rmw):
+                        shape = "reconstruct_writes"
+                    else:
+                        parity = self._delta(io, frags, lo, rmw, payload)
+                if parity is None:
+                    parity = self._reconstruct(io, parity_member, bad, frags, lo, reads, payload)
             for f in frags:
                 if f.disk != bad:
                     io.write(f.disk, base + f.within, payload(f))
-            if parity is not None and parity_member != bad:
+            if parity is not None:
                 io.write(parity_member, base + lo, parity)
-            if bad is not None:
-                vstats.degraded_writes += 1
-            elif full:
-                vstats.full_stripe_writes += 1
-            elif reconstruct:
-                vstats.reconstruct_writes += 1
-            else:
-                vstats.rmw_writes += 1
+            io.tally(shape)
 
-    def _partial_parity(self, io: _Dispatch, row: int, frags, lo: int, hi: int, payload):
-        """A healthy partial row's new parity over ``[lo, hi)`` and whether
-        it took reconstruct-write: ``(parity, reconstruct)`` (the shapes
-        and the rule: :meth:`_write_rows`). Each candidate buffer of
-        either shape is looked up in the stripe cache once; the chosen
-        shape reads or joins exactly those."""
+    def _reconstruct_reads(self, io: _Io, row: int, spanned, lo: int, hi: int, bad) -> list:
+        """What a reconstruct of ``row`` over ``[lo, hi)`` pre-reads, probed:
+        the row's data chunks not under a fragment in ``spanned`` — or,
+        when the untrusted ``bad`` chunk is not, every other data chunk and
+        the old parity, whose XOR stands in for ``bad``'s old bytes."""
         pmap = self.parity_map
-        base = pmap.row_lba(row)
-        rmw = [io.probe(f.disk, base + f.within, f.nsectors) for f in frags]
-        rmw.append(io.probe(pmap.parity_disk(row), base + lo, hi - lo))
-        if all(f.within == lo and f.nsectors == hi - lo for f in frags):
-            written = {f.disk for f in frags}
-            rcw = [
-                io.probe(d, base + lo, hi - lo) for d in pmap.data_disks(row) if d not in written
-            ]
-            if self._reconstructs(io, rcw, rmw):
-                # The unwritten chunks over [lo, hi) and the new fragments
-                # are the whole row there: their XOR is the new parity.
-                return _xor_buffers([*io.prereads(rcw), *map(payload, frags)]), True
+        members = pmap.data_disks(row)
+        if bad is None or bad in spanned:
+            members = [d for d in members if d not in spanned]
+        else:
+            members = [d for d in members if d != bad]
+            members.append(pmap.parity_disk(row))
+        plba = pmap.row_lba(row) + lo
+        return [io.probe(d, plba, hi - lo) for d in members]
+
+    def _reconstruct(self, io: _Io, parity_member: int, bad, frags, lo: int, reads, payload):
+        """New parity over ``[lo, hi)``: the XOR of the row's data chunks
+        there, each the new fragment over the old bytes ``reads`` supply."""
+        old = {read[0]: buf for read, buf in zip(reads, io.prereads(reads))}
+        old_parity = old.pop(parity_member, None)
+        if old_parity is not None:
+            old[bad] = _xor_buffers([old_parity, *old.values()])
+            io.tally("reconstructed_reads")
+        size = self.geometry.sector_size
+        for f in frags:
+            if f.disk in old:  # overlay the fragment on the chunk's old bytes
+                chunk = old[f.disk] = bytearray(old[f.disk])
+                off = (f.within - lo) * size
+                chunk[off : off + f.nsectors * size] = payload(f)
+            else:
+                old[f.disk] = payload(f)
+        return _xor_buffers(old.values())
+
+    def _delta(self, io: _Dispatch, frags, lo: int, rmw: list[_Preread], payload):
+        """Read-modify-write's new parity over ``[lo, hi)`` from the old data
+        and old parity ``rmw`` probed. A row touched in one chunk (the
+        dominant shape: a partial segment flush) has a parity range equal
+        to its fragment's, so the three buffers XOR as read, with no
+        staging copy; only a row touched in several chunks patches a
+        ``bytearray`` of the range."""
         *old, old_parity = io.prereads(rmw)
         if len(frags) == 1:
-            # The touched parity range is the fragment's own: one XOR over
-            # the three buffers as they are, no staging.
-            return _xor_buffers([old_parity, old[0], payload(frags[0])]), False
-        # Each fragment patches its slice of a staging copy.
+            return _xor_buffers([old_parity, old[0], payload(frags[0])])
         size = self.geometry.sector_size
         parity = bytearray(old_parity)
         for f, obuf in zip(frags, old):
             off = (f.within - lo) * size
             end = off + len(obuf)
             parity[off:end] = _xor_buffers([parity[off:end], obuf, payload(f)])
-        return parity, False
+        return parity
 
     def _reconstructs(self, io: _Dispatch, rcw: list[_Preread], rmw: list[_Preread]) -> bool:
-        """The row's choice: reconstruct-write only when its pre-reads cost
-        strictly less (:meth:`_Dispatch.cost`)."""
+        """A healthy partial row's choice: reconstruct only when its
+        pre-reads cost strictly less (:meth:`_Dispatch.cost`)."""
         return io.cost(rcw) < io.cost(rmw)
 
     def barrier(self, label: str = "barrier", *, wait: bool = True) -> None:
@@ -1090,9 +1138,6 @@ class Volume:
     # Failure injection / inspection (time-free, mirrors SimulatedDisk)
     # ------------------------------------------------------------------
 
-    def _peek_member(self, member: int, plba: int, nsectors: int) -> bytes:
-        return self.disks[member].peek(plba, nsectors)
-
     def _forget(self, member: int, plba: int, nsectors: int) -> None:
         """A member's medium is about to change behind the write path: the
         stripe cache may only hold what the member's ``peek`` returns."""
@@ -1104,89 +1149,19 @@ class Volume:
         if self.stripe_cache is not None:
             self.stripe_cache.clear()
 
-    def _stores(self, sub: SubRequest):
-        """Where a time-free store to ``sub`` lands: ``(member, plba, nsectors, held)``.
-
-        Every live copy holds the whole extent. A dead parity member's
-        rebuilt rows are held by its replacement; its other rows exist
-        only as parity (``held`` false): ``corrupt`` skips them, and
-        ``install`` overlays them on the chunk it reconstructed for the
-        parity it then recomputes to encode. Without parity a dead
-        member's extent is refused.
-        """
-        live = self._live(sub.disk)
-        for member in live:
-            yield member, sub.plba, sub.nsectors, True
-        if not live:
-            lost = self._copies[sub.disk][0]
-            for plba, nsectors, trusted in self._lost_runs(lost, sub.plba, sub.nsectors):
-                yield lost, plba, nsectors, trusted
-
     def install(self, lba: int, data: bytes) -> None:
         """Place whole sectors on every relevant member without charging time.
 
-        On parity layouts the touched rows' parity chunks are recomputed
-        from the as-installed data, so the volume stays reconstructible —
-        install is how tests and the crash explorer materialize images,
-        and those images must survive a member failure like written data.
+        The write plan over the time-free :class:`_Install`: what
+        :meth:`write` would store, stored by member ``install``. On parity
+        layouts the touched rows' parity is recomputed from the
+        as-installed data, so the volume stays reconstructible — install
+        is how tests and the crash explorer materialize images, and those
+        images must survive a member failure like written data.
         """
-        size = self.geometry.sector_size
-        view, nsectors = sector_view(data, size, "install")
+        view, nsectors = sector_view(data, self.geometry.sector_size, "install")
         self.map.check_range(lba, nsectors)
-        chunk = self.chunk_sectors
-        rows = self.map.parity_rows(lba, nsectors)
-        # A row's untrusted data chunk exists only as the XOR of the others
-        # (a degraded write skips its member, whose store is stale): take
-        # it from the old parity before anything in the row changes,
-        # overlay what is installed into it, and let the new parity encode
-        # that — the degraded reconstruct-write of ``_write_rows``, time-free.
-        lost = {row: self._lost_chunk(row) for row in rows}
-        for sub in self.map.split(lba, nsectors):
-            payload = self._payload(view, sub, size)
-            for member, plba, count, held in self._stores(sub):
-                off = (plba - sub.plba) * size
-                piece = payload[off : off + count * size]
-                if held:
-                    self._forget(member, plba, count)
-                    self.disks[member].install(plba, piece)
-                else:
-                    row, within = divmod(plba, chunk)
-                    lost[row][within * size : (within + count) * size] = piece
-        for row in rows:
-            self._install_parity_row(row, lost[row])
-
-    def _lost_chunk(self, row: int) -> bytearray | None:
-        """``row``'s data chunk on a member that cannot be read, rebuilt
-        from the others' stores; None when every data chunk can."""
-        down = self.alive.index(False) if self.degraded else None
-        pmap = self.parity_map
-        if down is None or self._trusted(down, row) or down == pmap.parity_disk(row):
-            return None
-        return bytearray(
-            self._xor_others(down, pmap.row_lba(row), pmap.chunk_sectors, self._peek_member)
-        )
-
-    def _install_parity_row(self, row: int, lost: bytearray | None = None) -> bool:
-        """Recompute and install one row's parity chunk (time-free), from
-        the members' stores and, for the one member that has none to speak
-        of, its ``lost`` chunk.
-
-        Returns whether the on-disk parity actually changed.
-        """
-        pmap = self.parity_map
-        chunk = pmap.chunk_sectors
-        base = pmap.row_lba(row)
-        holder = pmap.parity_disk(row)
-        peek = self._peek_member
-        down = None if lost is None else self.alive.index(False)
-        parity = self._xor_others(
-            holder, base, chunk, lambda m, p, n: lost if m == down else peek(m, p, n)
-        )
-        if self._peek_member(holder, base, chunk) == parity:
-            return False
-        self._forget(holder, base, chunk)
-        self.disks[holder].install(base, parity)
-        return True
+        self._write_plan(_Install(self), lba, nsectors, view)
 
     def resync_parity(self) -> int:
         """Recompute every row's parity from the data as found; rows changed.
@@ -1196,18 +1171,29 @@ class Volume:
         without its parity write or vice versa, and a member failure
         *after* such a crash would reconstruct garbage from the
         inconsistent row — the RAID-5 write hole. Resync, run while all
-        members are still present, restores the parity invariant;
+        members are present, restores the parity invariant;
         whichever of old/new data the crash left is then what a later
         degraded read reconstructs. (A member failure *before* the crash
         is the true write hole and needs journaling beyond this model.)
-        Time-free, like the recovery-side ``install``/``peek`` surface.
+        Each row's parity is the write path's reconstruct over the whole
+        chunk with nothing new to overlay, time-free like ``install``.
         """
         pmap = self.parity_map
         if pmap is None:
             raise VolumeError(f"no parity to resync on a {self.layout} volume")
         if self.degraded:
             raise VolumeError("resync needs all members present")
-        return sum(1 for row in range(pmap.rows) if self._install_parity_row(row))
+        io = _Install(self)
+        chunk = pmap.chunk_sectors
+        changed = 0
+        for row in range(pmap.rows):
+            holder, base = pmap.parity_disk(row), pmap.row_lba(row)
+            reads = self._reconstruct_reads(io, row, set(), 0, chunk, None)
+            parity = self._reconstruct(io, holder, None, [], 0, reads, None)
+            if io.read(holder, base, chunk) != parity:
+                io.write(holder, base, parity)
+                changed += 1
+        return changed
 
     def peek(self, lba: int, nsectors: int) -> bytes:
         """Read bytes without charging time (tests and recovery checks).
@@ -1216,22 +1202,28 @@ class Volume:
         a degraded or rebuilding volume answers exactly what a read would.
         """
         self.map.check_range(lba, nsectors)
-        return self._gather(lba, nsectors, self._peek_member)
+        return self._gather(lba, nsectors, _Install(self).read)
 
     def corrupt(self, lba: int, nsectors: int = 1) -> None:
         """Overwrite sectors with garbage on every member that stores them.
 
         On a degraded parity volume the failed member's not-yet-rebuilt
-        sectors are skipped (they exist only as parity over the others):
+        sectors are skipped (they exist only as parity over the others);
+        its rebuilt rows are held by the replacement and corrupted there:
         like ``install`` and ``peek``, fault injection keeps working with
-        a member down — member death, then bit-rot.
+        a member down — member death, then bit-rot. Without parity a dead
+        member's extent is refused.
         """
         self.map.check_range(lba, nsectors)
         for sub in self.map.split(lba, nsectors):
-            for member, plba, count, held in self._stores(sub):
-                if held:
-                    self._forget(member, plba, count)
-                    self.disks[member].corrupt(plba, count)
+            held = [(member, sub.plba, sub.nsectors) for member in self._live(sub.disk)]
+            if not held:
+                lost = self._copies[sub.disk][0]
+                runs = self._lost_runs(lost, sub.plba, sub.nsectors)
+                held = [(lost, plba, count) for plba, count, trusted in runs if trusted]
+            for member, plba, count in held:
+                self._forget(member, plba, count)
+                self.disks[member].corrupt(plba, count)
 
     @property
     def sectors_populated(self) -> int:

@@ -212,6 +212,9 @@ BROKEN = [
     ("crash_matrix", "checkpoint.bare.mutant_no_chain.violation_count", 0),
     # Partial rows that pre-read behind a busy member again.
     ("volume_scaling", "raid5.write_paths.busy_member.reconstruct_writes", 0),
+    # A rebuild scanner that writes a row before its source reads are back
+    # again: the foreground finishes sooner than the committed sweep says.
+    ("volume_scaling", "raid5.rebuild.1.foreground_seconds", 22.953351851851853),
 ]
 
 

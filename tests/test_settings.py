@@ -60,16 +60,7 @@ SETTINGS = (
     "lld.segment.OpenSegment(buffer=)",
     "lld.slots.SlotTable(moved=)",
     "memmodel.MemoryModelParams.disk_bytes",
-    "memmodel.MemoryModelParams.block_size",
-    "memmodel.MemoryModelParams.segment_size",
-    "memmodel.MemoryModelParams.address_bytes",
-    "memmodel.MemoryModelParams.successor_bytes",
-    "memmodel.MemoryModelParams.compressed_length_bytes",
-    "memmodel.MemoryModelParams.compressed_extra_address_bytes",
     "memmodel.MemoryModelParams.compression_ratio",
-    "memmodel.MemoryModelParams.list_table_entry_bytes",
-    "memmodel.MemoryModelParams.segment_usage_entry_bytes",
-    "memmodel.MemoryModelParams.average_file_bytes",
     "obs.events.EventLog(clock=)",
     "obs.events.EventLog(capacity=)",
     "obs.health.HealthContext(series=)",

@@ -56,6 +56,27 @@ sooner instead of its old data and parity, so member reads, clocks and
 the ``rmw_writes`` / ``reconstruct_writes`` split moved, while every
 member's sector store and every byte ``read`` / ``peek`` returned are the
 parent's in all four phases.
+
+The ``plan`` of all four raid5 rows and the ``clocks`` of the three with a
+member down were re-captured by the change whose parent is 7d6e2fd, when
+``install`` began to run the write plan (parity over the range it touches,
+not the whole chunk; nothing stored on an untrusted member), degraded data
+rows began to reconstruct (no old-parity read when the lost member's
+fragment spans the touched range; trusted chunks through the stripe
+cache) and the rebuild scanner began to write a row only after its source
+reads. Every member and volume clock of the healthy phase is the parent's.
+Run without its ``corrupt`` calls, the script returns the parent's bytes
+from every ``read`` / ``peek`` in all four phases, and every live member
+holds the parent's bytes; the stores differ only in parity sectors the
+parent's whole-chunk install marked written with zeros, and in parity the
+parent installed on the dead member and on the replacement's unrebuilt
+rows. With ``corrupt`` one byte range moves: row 66's parity sector 7
+(member 1, sector 535), which the parent's install re-encoded from the
+junk ``corrupt`` had left on member 2 outside the installed range, keeps
+the parity of the bytes before the ``corrupt``; so once member 2 fails,
+reads of that sector (and the rebuild, onto the replacement) reconstruct
+those bytes instead of the junk, which moves the ``returned`` digest of
+the last three phases.
 """
 
 import hashlib
@@ -81,10 +102,10 @@ GOLDEN = {
     ('stripe', 'degraded'): ('f638f5cc84088354', '7e06b942aaf80a42'),
     ('mirror', 'healthy'): ('83ab899222370194', '2372430c4f74708e'),
     ('mirror', 'degraded'): ('be9f7fea58d2a833', '57acf80c99b1bf2a'),
-    ('raid5', 'healthy'): ('7a654c2737fc1cfc', '2ff2926f6628b9d3'),
-    ('raid5', 'degraded'): ('7cab68bd0194588a', 'bff8eb9ed3e9b449'),
-    ('raid5', 'mid-rebuild'): ('ccc03cd53cc5a5c2', 'd1ad614bb3db1dd5'),
-    ('raid5', 'rebuilt'): ('b7693e0174854a0e', 'ec451ca2a0005f95'),
+    ('raid5', 'healthy'): ('04529657a7063d8b', '2ff2926f6628b9d3'),
+    ('raid5', 'degraded'): ('5bd28b118cb5a19e', 'b82238e62caaeb8a'),
+    ('raid5', 'mid-rebuild'): ('e5cceb011d51ecad', '2d3a6d88fa72cd30'),
+    ('raid5', 'rebuilt'): ('cf4c43a5e16e958a', 'b7b5dd131673b7b0'),
 }
 
 
