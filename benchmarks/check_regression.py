@@ -99,6 +99,15 @@ TABLE = [
     # members work, not waited for (a server that reads synchronously
     # again parks none).
     Row("multitenant", "overlap.reads_parked", "floor", "reads_parked_floor"),
+    # Every leaf under these is simulated (virtual-clock seconds and
+    # latencies, request and commit counters; the wall-clock leaves sit
+    # beside them under ``single_tenant``), so each must reproduce the
+    # committed value bit for bit.
+    Row("multitenant", "fifo_baseline", "same-as-committed"),
+    Row("multitenant", "sweep", "same-as-committed"),
+    Row("multitenant", "overlap", "same-as-committed"),
+    Row("multitenant", "single_tenant.direct", "same-as-committed"),
+    Row("multitenant", "single_tenant.scheduler", "same-as-committed"),
     # Volume layer (BENCH_volume_scaling.json): N=4 scaling, the 1-member
     # volume identical to the bare disk it wraps, and the RAID-5 arms —
     # full-stripe beats read-modify-write, degraded reads really
@@ -137,6 +146,9 @@ TABLE = [
         "floor",
         1,
     ),
+    # The same small writes on blank members: every old byte is one the
+    # volume never wrote, answered as zeros from its blank record.
+    Row("volume_scaling", "raid5.write_paths.blank.member_reads", "ceiling", 0),
     Row("volume_scaling", "raid5.degraded_read.reconstructed_reads", "floor", 1),
     Row("volume_scaling", "raid5.rebuild[*].rebuild_progress", "monotone-to", 1.0),
     # Every leaf under these is simulated (virtual-clock seconds, request

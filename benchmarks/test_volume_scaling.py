@@ -300,14 +300,29 @@ def test_volume_scaling(benchmark):
 # ----------------------------------------------------------------------
 
 
+def written_volume(n_rows: int) -> Volume:
+    """An N=4 RAID-5 whose first ``n_rows`` stripe rows were put there by an
+    untimed full-stripe ``install``: no sector of them is blank, none is
+    resident, so a small write there pre-reads from the members."""
+    volume = make_volume(PARITY_N, "raid5")
+    row_sectors = (PARITY_N - 1) * CHUNK_SECTORS
+    volume.install(0, random.Random(n_rows).randbytes(n_rows * row_sectors * 512))
+    return volume
+
+
 def run_parity_write_arm() -> dict:
     """Full-stripe writes vs RMW small writes through an N=4 RAID-5.
 
     Both arms move the same number of payload bytes; the full-stripe arm
     writes whole rows (parity is XOR of the payload, no pre-reads) while
     the RMW arm writes one quarter-chunk per row (2 pre-reads + 2 writes
-    per fragment) — the classic RAID-5 small-write penalty, which the
-    gate pins at ≥2x.
+    per fragment) into rows written before — the classic RAID-5
+    small-write penalty, which the gate pins at ≥2x. The ``blank`` arm
+    makes the RMW arm's writes into each row's first data chunk on blank
+    members: every old byte, data and parity, is one the volume never
+    wrote, answered as zeros from its blank record, so no member is read.
+    (Past the first chunk a row's parity ranges come round again, and the
+    volume reads back the parity it wrote.)
     """
     row_sectors = (PARITY_N - 1) * CHUNK_SECTORS
     n_rows = 24
@@ -325,21 +340,26 @@ def run_parity_write_arm() -> dict:
     small_sectors = CHUNK_SECTORS // 4
     n_small = n_rows * row_sectors // small_sectors
     small_payload = os.urandom(small_sectors * 512)
-    volume = make_volume(PARITY_N, "raid5")
-    t0 = volume.clock.now
-    for i in range(n_small):
-        # One small fragment per stripe row: every write is an RMW.
-        volume.write((i % n_rows) * row_sectors + (i // n_rows) * small_sectors,
-                     small_payload)
-    volume.barrier()
-    rmw_seconds = volume.clock.now - t0
-    rmw_stats = volume.volume_stats.as_dict()
+
+    def small_writes(volume: Volume, count: int) -> tuple[float, dict]:
+        t0 = volume.clock.now
+        for i in range(count):
+            # One small fragment per stripe row: every write is an RMW.
+            volume.write((i % n_rows) * row_sectors + (i // n_rows) * small_sectors,
+                         small_payload)
+        volume.barrier()
+        return volume.clock.now - t0, volume.volume_stats.as_dict()
+
+    rmw_seconds, rmw_stats = small_writes(written_volume(n_rows), n_small)
     rmw_mb = n_small * small_sectors * 512 / (1024 * 1024)
+    n_blank = n_rows * CHUNK_SECTORS // small_sectors
+    blank_seconds, blank_stats = small_writes(make_volume(PARITY_N, "raid5"), n_blank)
+    blank_mb = n_blank * small_sectors * 512 / (1024 * 1024)
 
     # The same quarter-chunk written twice, row after row: the second
     # write's old data and old parity are what the first one wrote, which
     # the volume's stripe cache still holds — no pre-read at all.
-    volume = make_volume(PARITY_N, "raid5")
+    volume = written_volume(n_rows)
     t0 = volume.clock.now
     rewrite_member_reads = 0
     for i in range(n_rows):
@@ -356,7 +376,7 @@ def run_parity_write_arm() -> dict:
     # 0, while member 0 serves a long read (3 MB of its chunks further on):
     # read-modify-write would pre-read behind it, reconstruct-write reads
     # the row's other data chunks from members that are free.
-    volume = make_volume(PARITY_N, "raid5")
+    volume = written_volume(n_rows)
     pmap = volume.parity_map
     far = pmap.rows // 2
     volume.read_batch(
@@ -390,6 +410,14 @@ def run_parity_write_arm() -> dict:
             "full_stripe_writes": rmw_stats["full_stripe_writes"],
             "rmw_writes": rmw_stats["rmw_writes"],
             "reconstruct_writes": rmw_stats["reconstruct_writes"],
+        },
+        "blank": {
+            "mb_per_s": blank_mb / blank_seconds,
+            "seconds": blank_seconds,
+            "rmw_writes": blank_stats["rmw_writes"],
+            "reconstruct_writes": blank_stats["reconstruct_writes"],
+            "preread_hits": blank_stats["preread_hits"],
+            "member_reads": blank_stats["sub_reads"],
         },
         "rmw_resident": {
             "mb_per_s": resident_mb / resident_seconds,
@@ -502,6 +530,11 @@ def test_volume_parity(benchmark):
                     "full-stripe": float(write_arm["rmw"]["full_stripe_writes"]),
                     "RMW": float(write_arm["rmw"]["rmw_writes"]),
                 },
+                "small writes, blank members": {
+                    "MB/s": write_arm["blank"]["mb_per_s"],
+                    "full-stripe": 0.0,
+                    "RMW": float(write_arm["blank"]["rmw_writes"]),
+                },
                 "small writes, each twice": {
                     "MB/s": write_arm["rmw_resident"]["mb_per_s"],
                     "full-stripe": 0.0,
@@ -514,8 +547,9 @@ def test_volume_parity(benchmark):
                 },
             },
             note="the RAID-5 small-write penalty: 2 pre-reads + 2 writes per fragment "
-            "(a range written again: its pre-reads come from the stripe cache; "
-            "rows not counted as RMW reconstructed their parity instead)",
+            "(sectors never written and a range written again: their pre-reads "
+            "come from the stripe cache; rows not counted as RMW reconstructed "
+            "their parity instead)",
         )
     )
     emit(
@@ -564,6 +598,8 @@ def test_volume_parity(benchmark):
     resident = write_arm["rmw_resident"]
     assert resident["rewrite_member_reads"] == 0
     assert resident["preread_hits"] == resident["preread_misses"] == resident["rmw_writes"]
+    # Sectors never written are not read at all.
+    assert write_arm["blank"]["member_reads"] == 0
     # Rows whose old data sits behind a long read pre-read the row's other
     # data chunks instead.
     assert write_arm["busy_member"]["reconstruct_writes"] > 0

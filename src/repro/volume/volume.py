@@ -48,7 +48,8 @@ that did not wait when its writes will be done. A member write computed
 from member reads (a parity row's read-modify-write or reconstruct-write)
 starts no earlier than the last of those reads completes, on whichever
 member it lands — and a pre-read whose sectors the volume itself wrote
-recently is no member read at all: a parity volume keeps them
+recently, or has never written, is no member read at all: a parity volume
+keeps the first and has the second on record as zeros
 (:mod:`repro.volume.stripe_cache`), for this one purpose.
 Data lands in the member sector stores at dispatch, so read-after-write
 is always coherent regardless of clock skew.
@@ -101,7 +102,7 @@ LAYOUTS = ("stripe", "mirror", "raid5")
 DEFAULT_CHUNK_SECTORS = 128
 
 
-def _xor_buffers(buffers) -> bytes:
+def _xor_buffers(buffers):
     """XOR equal-length byte buffers through Python ints.
 
     The cheapest XOR CPython offers without an extension, and not cheap:
@@ -114,13 +115,19 @@ def _xor_buffers(buffers) -> bytes:
     slices of the request; copying a view to ``bytes`` first measures no
     better in place — and the result is the only buffer built here; a
     member ``write`` then copies it once more, into the store's extent.
+
+    A ``None`` operand is a blank one — sectors never written, all zeros
+    (:meth:`_Dispatch.prereads`) — and is left out. A single operand left
+    is returned as it is, with no round-trip through an int; none at all
+    is ``None``, itself blank.
     """
+    operands = [buf for buf in buffers if buf is not None]
+    if len(operands) < 2:
+        return operands[0] if operands else None
     acc = 0
-    length = 0
-    for buf in buffers:
-        length = len(buf)
+    for buf in operands:
         acc ^= int.from_bytes(buf, "little")
-    return acc.to_bytes(length, "little")
+    return acc.to_bytes(len(operands[-1]), "little")
 
 
 class VolumeError(LDError):
@@ -304,7 +311,8 @@ class VolumeStats(Counters):
 
 
 #: A pre-read candidate: ``(member, plba, nsectors, resident)``, where
-#: ``resident`` is the stripe cache's views of the sectors or None.
+#: ``resident`` is the stripe cache's answer (:meth:`StripeCache.find`):
+#: views of the sectors, an empty list when they are all blank, or None.
 _Preread = tuple[int, int, int, "list[memoryview] | None"]
 
 
@@ -324,7 +332,8 @@ class _Dispatch:
     sub-requests, the rebuild scanner as its own). On a parity volume every
     member write is also remembered by the stripe cache (write-through),
     so a later partial-row write can :meth:`probe` the same sectors and
-    pre-read them without a member read.
+    pre-read them without a member read — as it can sectors the volume has
+    never written, which the cache has on record as blank.
     """
 
     __slots__ = ("disks", "stats", "cache", "now", "floor", "completion", "reads", "writes")
@@ -359,14 +368,14 @@ class _Dispatch:
 
     def probe(self, member: int, plba: int, nsectors: int) -> _Preread:
         """One buffer a row write may pre-read, looked up in the stripe
-        cache once: its resident sectors, or None when only a member read
-        can supply them. Issues nothing."""
+        cache once: its blank or resident sectors, or None when only a
+        member read can supply them. Issues nothing."""
         return member, plba, nsectors, self.cache.find(member, plba, nsectors)
 
     def cost(self, prereads: list[_Preread]) -> tuple[int, float]:
         """What a shape's pre-reads would cost: the member reads left after
-        cache hits, then the latest busy-until clock among the members
-        they land on (never earlier than ``now``)."""
+        the cache has answered, then the latest busy-until clock among the
+        members they land on (never earlier than ``now``)."""
         disks = self.disks
         latest = self.now
         misses = 0
@@ -378,11 +387,12 @@ class _Dispatch:
                     latest = busy
         return misses, latest
 
-    def prereads(self, prereads: list[_Preread]) -> list[bytes]:
+    def prereads(self, prereads: list[_Preread]) -> list[bytes | None]:
         """The bytes a row write computes its parity from, in the order
-        probed: remembered from the write that put them there, or else
-        read from the member. A remembered buffer issues nothing, so it
-        does not raise ``floor``."""
+        probed: remembered from the write that put them there, ``None``
+        for a buffer never written (blank: zeros, which :func:`_xor_buffers`
+        leaves out), or else read from the member. A remembered or blank
+        buffer issues nothing, so it does not raise ``floor``."""
         stats = self.stats
         out = []
         for member, plba, nsectors, resident in prereads:
@@ -392,7 +402,7 @@ class _Dispatch:
             else:
                 stats.preread_hits += 1
                 stats.preread_sectors_saved += nsectors
-                out.append(b"".join(resident))
+                out.append(b"".join(resident) if resident else None)
         return out
 
     def write(self, member: int, plba: int, payload) -> None:
@@ -503,13 +513,15 @@ class Volume:
             self.map = self.parity_map = ParityStripeMap(n, self.chunk_sectors, member_sectors)
             self._write_plan, self._lost_runs = self._write_rows, self._row_runs
         pmap = self.parity_map
-        #: What a parity volume remembers of its own member writes, for
+        #: What a parity volume remembers of its members' media — its own
+        #: member writes, and the sectors of members that came blank — for
         #: the row writes' pre-reads alone (None without parity).
-        self.stripe_cache: StripeCache | None = (
-            StripeCache(member_geo.sector_size, self.chunk_sectors)
-            if pmap is not None
-            else None
-        )
+        self.stripe_cache: StripeCache | None = None
+        if pmap is not None:
+            self.stripe_cache = StripeCache(member_geo.sector_size, self.chunk_sectors)
+            for i, disk in enumerate(disks):
+                if disk.sectors_populated == 0:
+                    self.stripe_cache.record_blank(i, member_sectors)
         self.geometry = VolumeGeometry(
             member_geo,
             self.map.total_sectors,
@@ -607,6 +619,8 @@ class Volume:
         elif self.layout == "mirror" and sum(self.alive) == 1:
             raise VolumeDegradedError("last mirror member dropped")
         self.alive[index] = False
+        if self.stripe_cache is not None:
+            self.stripe_cache.drop_member(index)  # no row consults it now
         self._announce(
             "volume.member_failed",
             index,
@@ -639,7 +653,7 @@ class Volume:
             disk = SimulatedDisk(self.geometry.member, VirtualClock())
         self._admit(disk, self.geometry.member, "replacement")
         self.disks[index] = disk
-        self.stripe_cache.drop_member(index)  # a different medium now
+        self.stripe_cache.drop_member(index)  # a different medium now: no record
         self._scan_from_start(index)
         self._announce("volume.rebuild_started", index, rows=self.parity_map.rows)
 
@@ -1046,16 +1060,17 @@ class Volume:
 
     def _reconstruct(self, io: _Io, parity_member: int, bad, frags, lo: int, reads, payload):
         """New parity over ``[lo, hi)``: the XOR of the row's data chunks
-        there, each the new fragment over the old bytes ``reads`` supply."""
+        there, each the new fragment over the old bytes ``reads`` supply
+        (``None``: blank, zeros)."""
         old = {read[0]: buf for read, buf in zip(reads, io.prereads(reads))}
-        old_parity = old.pop(parity_member, None)
-        if old_parity is not None:
-            old[bad] = _xor_buffers([old_parity, *old.values()])
+        if parity_member in old:
+            old[bad] = _xor_buffers([old.pop(parity_member), *old.values()])
             io.tally("reconstructed_reads")
         size = self.geometry.sector_size
         for f in frags:
             if f.disk in old:  # overlay the fragment on the chunk's old bytes
-                chunk = old[f.disk] = bytearray(old[f.disk])
+                under = old[f.disk]
+                chunk = old[f.disk] = bytearray(under if under is not None else reads[0][2] * size)
                 off = (f.within - lo) * size
                 chunk[off : off + f.nsectors * size] = payload(f)
             else:
@@ -1068,15 +1083,17 @@ class Volume:
         dominant shape: a partial segment flush) has a parity range equal
         to its fragment's, so the three buffers XOR as read, with no
         staging copy; only a row touched in several chunks patches a
-        ``bytearray`` of the range."""
+        ``bytearray`` of the range. A blank buffer (``None``) is left out
+        of the XOR, so a fragment over blank data and blank parity is its
+        own parity."""
         *old, old_parity = io.prereads(rmw)
         if len(frags) == 1:
             return _xor_buffers([old_parity, old[0], payload(frags[0])])
         size = self.geometry.sector_size
-        parity = bytearray(old_parity)
+        parity = bytearray(old_parity if old_parity is not None else rmw[-1][2] * size)
         for f, obuf in zip(frags, old):
             off = (f.within - lo) * size
-            end = off + len(obuf)
+            end = off + f.nsectors * size
             parity[off:end] = _xor_buffers([parity[off:end], obuf, payload(f)])
         return parity
 

@@ -107,7 +107,12 @@ lands on members free sooner, so the same requests reach the volume at
 other times — ``clocks`` re-captured on the 48 RAID-5 arms it moved
 (all but ``read_cache`` and the 8 ``plain`` arms of ``nvram_replay`` and
 ``reorganize``), the other three components the parent's on all 192.
-A change that keeps
+The blank record (parent 1c292d2): a RAID-5 volume built on blank
+members answers a pre-read of sectors it never wrote as zeros, with no
+member read, so the same requests finish sooner — ``clocks`` re-captured
+on the 60 RAID-5 arms it moved, ``contents``, ``layout`` and ``requests``
+the parent's on all 192, every bare-disk and stripe ``clocks`` the
+parent's. A change that keeps
 requests where they are re-captures nothing; one that moves them re-captures the components it names up front
 and shows the rest byte-identical to this table.
 
@@ -175,14 +180,14 @@ GOLDEN: dict[str, dict[str, tuple[str, str, str, str]]] = {
         'stripe/image/torn/disk': ('167464a16ae5', 'e6d047340c40', 'e492d42999a7', '9ccd7ecd681b'),
         'stripe/image/plain/nvram': ('167464a16ae5', '53935bc0dcf0', '6e1d5fbfe159', '5c2854b83687'),
         'stripe/image/plain/disk': ('167464a16ae5', 'e6d047340c40', '75cc4f2ff7f5', '11a15c55fd80'),
-        'raid5/delta/torn/nvram': ('39ec6d2c2616', 'b4abeb4d7c89', '5c6f27eb335b', '1f933e6673f4'),
-        'raid5/delta/torn/disk': ('39ec6d2c2616', '8e9e241b952e', '301252d05503', '547dc8c968ec'),
-        'raid5/delta/plain/nvram': ('39ec6d2c2616', 'b4abeb4d7c89', 'f9d49ff06c1d', '2556f2aedd6c'),
-        'raid5/delta/plain/disk': ('39ec6d2c2616', '8e9e241b952e', 'fe1113e75834', '20afcb666b2f'),
-        'raid5/image/torn/nvram': ('39ec6d2c2616', 'b4abeb4d7c89', '0df2f93299ec', '51ac75b5809a'),
-        'raid5/image/torn/disk': ('39ec6d2c2616', '8e9e241b952e', '371a055a087e', '547dc8c968ec'),
-        'raid5/image/plain/nvram': ('39ec6d2c2616', 'b4abeb4d7c89', 'f55033d1d937', 'dd1625cd1453'),
-        'raid5/image/plain/disk': ('39ec6d2c2616', '8e9e241b952e', '316d561211a6', '7e928f6138d1'),
+        'raid5/delta/torn/nvram': ('39ec6d2c2616', 'b4abeb4d7c89', '5c6f27eb335b', '872c3810a0c9'),
+        'raid5/delta/torn/disk': ('39ec6d2c2616', '8e9e241b952e', '301252d05503', '12c31f1defcc'),
+        'raid5/delta/plain/nvram': ('39ec6d2c2616', 'b4abeb4d7c89', 'f9d49ff06c1d', '5fc1954b4b34'),
+        'raid5/delta/plain/disk': ('39ec6d2c2616', '8e9e241b952e', 'fe1113e75834', '77204bfdeef2'),
+        'raid5/image/torn/nvram': ('39ec6d2c2616', 'b4abeb4d7c89', '0df2f93299ec', 'aec485d317cb'),
+        'raid5/image/torn/disk': ('39ec6d2c2616', '8e9e241b952e', '371a055a087e', 'f88aba72c755'),
+        'raid5/image/plain/nvram': ('39ec6d2c2616', 'b4abeb4d7c89', 'f55033d1d937', 'ca5d77cf753f'),
+        'raid5/image/plain/disk': ('39ec6d2c2616', '8e9e241b952e', '316d561211a6', '4aa5b5854d1f'),
     },
     'compaction': {
         'bare/delta/torn/nvram': ('f43c3e5cdaa8', '5d4c6901ffad', '175d48a52fb3', '3601fec7049f'),
@@ -201,14 +206,14 @@ GOLDEN: dict[str, dict[str, tuple[str, str, str, str]]] = {
         'stripe/image/torn/disk': ('cf67d8db9144', 'a2d2d5596116', '844155213e3a', '64d4b36d3038'),
         'stripe/image/plain/nvram': ('cf67d8db9144', 'cc4c341ba2e9', '0f5bbb190868', 'e2329bac6314'),
         'stripe/image/plain/disk': ('cf67d8db9144', 'a2d2d5596116', '5329d757144e', '0b3f169e8c9f'),
-        'raid5/delta/torn/nvram': ('486ae46ecdb9', '928ee2551e45', '083828001a7e', '842409f1f48b'),
-        'raid5/delta/torn/disk': ('486ae46ecdb9', 'c608b50a9de2', '1556c82c36f8', '462f6e57e701'),
-        'raid5/delta/plain/nvram': ('486ae46ecdb9', '928ee2551e45', '3952fe464f3d', '544cbbb63e48'),
-        'raid5/delta/plain/disk': ('486ae46ecdb9', 'c608b50a9de2', '49584505d4dd', 'ea2683b29c5a'),
-        'raid5/image/torn/nvram': ('486ae46ecdb9', '928ee2551e45', 'dcdf628ddb90', '0a42b01d34fb'),
-        'raid5/image/torn/disk': ('486ae46ecdb9', 'c608b50a9de2', '22eb5b516dd2', '1e69faf47ff4'),
-        'raid5/image/plain/nvram': ('486ae46ecdb9', '928ee2551e45', 'aefa4cf6c5f7', '544cbbb63e48'),
-        'raid5/image/plain/disk': ('486ae46ecdb9', 'c608b50a9de2', '67fce79f3d73', '09f77b40d2f1'),
+        'raid5/delta/torn/nvram': ('486ae46ecdb9', '928ee2551e45', '083828001a7e', '27cf312a0048'),
+        'raid5/delta/torn/disk': ('486ae46ecdb9', 'c608b50a9de2', '1556c82c36f8', '8836b2fc17a9'),
+        'raid5/delta/plain/nvram': ('486ae46ecdb9', '928ee2551e45', '3952fe464f3d', 'e9a2394f892c'),
+        'raid5/delta/plain/disk': ('486ae46ecdb9', 'c608b50a9de2', '49584505d4dd', 'bfc946bb2173'),
+        'raid5/image/torn/nvram': ('486ae46ecdb9', '928ee2551e45', 'dcdf628ddb90', '27cf312a0048'),
+        'raid5/image/torn/disk': ('486ae46ecdb9', 'c608b50a9de2', '22eb5b516dd2', '278c02da950e'),
+        'raid5/image/plain/nvram': ('486ae46ecdb9', '928ee2551e45', 'aefa4cf6c5f7', '242d93561d1b'),
+        'raid5/image/plain/disk': ('486ae46ecdb9', 'c608b50a9de2', '67fce79f3d73', 'bfab216c5165'),
     },
     'compression': {
         'bare/delta/torn/nvram': ('342b23cd34f7', 'b10a7af45064', 'fa447c06cdb2', 'b3e45fd434ac'),
@@ -227,14 +232,14 @@ GOLDEN: dict[str, dict[str, tuple[str, str, str, str]]] = {
         'stripe/image/torn/disk': ('3db3061db605', 'e2856dd8bb90', '36d17bcb88a8', '805db81d030c'),
         'stripe/image/plain/nvram': ('3db3061db605', 'e2856dd8bb90', 'e8841a7e2540', '1dd3f3b7e875'),
         'stripe/image/plain/disk': ('3db3061db605', 'e2856dd8bb90', 'd9e2a602752d', 'ebea76a1fc09'),
-        'raid5/delta/torn/nvram': ('947314dbc9bf', '9d206f9eaf9b', 'f4c65f21d341', '1afdc1ae3f0a'),
-        'raid5/delta/torn/disk': ('947314dbc9bf', '9d206f9eaf9b', 'e24eddb3b07a', '83e59a52fecc'),
-        'raid5/delta/plain/nvram': ('947314dbc9bf', '9d206f9eaf9b', '30842dd78e81', '847d0237febf'),
-        'raid5/delta/plain/disk': ('947314dbc9bf', '9d206f9eaf9b', 'c7ec8b61d6f8', '60042094a5e9'),
-        'raid5/image/torn/nvram': ('947314dbc9bf', '9d206f9eaf9b', 'd94ce3d1ec4b', '1afdc1ae3f0a'),
-        'raid5/image/torn/disk': ('947314dbc9bf', '9d206f9eaf9b', 'acb6ffbbc37a', '8fdd71bdb2f3'),
-        'raid5/image/plain/nvram': ('947314dbc9bf', '9d206f9eaf9b', '1d2a15380bf1', '847d0237febf'),
-        'raid5/image/plain/disk': ('947314dbc9bf', '9d206f9eaf9b', '59fdef959a22', '355b39fcac22'),
+        'raid5/delta/torn/nvram': ('947314dbc9bf', '9d206f9eaf9b', 'f4c65f21d341', 'f43aa5e39997'),
+        'raid5/delta/torn/disk': ('947314dbc9bf', '9d206f9eaf9b', 'e24eddb3b07a', 'a27615776ac7'),
+        'raid5/delta/plain/nvram': ('947314dbc9bf', '9d206f9eaf9b', '30842dd78e81', 'c3c35d9da79f'),
+        'raid5/delta/plain/disk': ('947314dbc9bf', '9d206f9eaf9b', 'c7ec8b61d6f8', '4838cd81b7b8'),
+        'raid5/image/torn/nvram': ('947314dbc9bf', '9d206f9eaf9b', 'd94ce3d1ec4b', 'f43aa5e39997'),
+        'raid5/image/torn/disk': ('947314dbc9bf', '9d206f9eaf9b', 'acb6ffbbc37a', '658caaf1946a'),
+        'raid5/image/plain/nvram': ('947314dbc9bf', '9d206f9eaf9b', '1d2a15380bf1', 'c3c35d9da79f'),
+        'raid5/image/plain/disk': ('947314dbc9bf', '9d206f9eaf9b', '59fdef959a22', '0f2979e5d4b2'),
     },
     'deletes_clean': {
         'bare/delta/torn/nvram': ('547959dfb219', 'b3a0f7aa2db0', '76b4b90ceb1c', 'cbf8aa60ad75'),
@@ -253,14 +258,14 @@ GOLDEN: dict[str, dict[str, tuple[str, str, str, str]]] = {
         'stripe/image/torn/disk': ('d1b32841fb42', '620233bd7a16', 'bf7b74d639f8', '12dc2ac2a960'),
         'stripe/image/plain/nvram': ('d1b32841fb42', '620233bd7a16', '6036622811a6', 'a0ffb52bde03'),
         'stripe/image/plain/disk': ('d1b32841fb42', '620233bd7a16', 'ec62a8b743c6', '1c3ae91fd0a6'),
-        'raid5/delta/torn/nvram': ('d354091f1d2f', '24d2a7ca7e92', '2cdd241d3e82', 'ef4cb13830ff'),
-        'raid5/delta/torn/disk': ('d354091f1d2f', '24d2a7ca7e92', '766167ad553b', '2e1051ceeeed'),
-        'raid5/delta/plain/nvram': ('d354091f1d2f', '24d2a7ca7e92', 'ee3f01201cb8', '14f240555425'),
-        'raid5/delta/plain/disk': ('d354091f1d2f', '24d2a7ca7e92', '2d24a33f8ed3', 'ecc0b35141b5'),
-        'raid5/image/torn/nvram': ('d354091f1d2f', '24d2a7ca7e92', 'bd477a55f907', 'c88dd8a13bc6'),
-        'raid5/image/torn/disk': ('d354091f1d2f', '24d2a7ca7e92', '67feca583ee3', '2f83792c5dce'),
-        'raid5/image/plain/nvram': ('d354091f1d2f', '24d2a7ca7e92', '88081bcdfb11', '8ca36fb542d6'),
-        'raid5/image/plain/disk': ('d354091f1d2f', '24d2a7ca7e92', '01b53a118a4e', '20ccf8cc3939'),
+        'raid5/delta/torn/nvram': ('d354091f1d2f', '24d2a7ca7e92', '2cdd241d3e82', 'c4170a9ccc8d'),
+        'raid5/delta/torn/disk': ('d354091f1d2f', '24d2a7ca7e92', '766167ad553b', '5950822d73fa'),
+        'raid5/delta/plain/nvram': ('d354091f1d2f', '24d2a7ca7e92', 'ee3f01201cb8', '9f1afdce2cb3'),
+        'raid5/delta/plain/disk': ('d354091f1d2f', '24d2a7ca7e92', '2d24a33f8ed3', '72f95fe8c7de'),
+        'raid5/image/torn/nvram': ('d354091f1d2f', '24d2a7ca7e92', 'bd477a55f907', 'b2e4a72af07f'),
+        'raid5/image/torn/disk': ('d354091f1d2f', '24d2a7ca7e92', '67feca583ee3', '4fbe37c3d822'),
+        'raid5/image/plain/nvram': ('d354091f1d2f', '24d2a7ca7e92', '88081bcdfb11', '0834d72e9201'),
+        'raid5/image/plain/disk': ('d354091f1d2f', '24d2a7ca7e92', '01b53a118a4e', '2f9df389fcdf'),
     },
     'flushes': {
         'bare/delta/torn/nvram': ('e385b968c8f5', '6fcfb283b249', 'a6946abcad48', '89b24fabcd4a'),
@@ -279,14 +284,14 @@ GOLDEN: dict[str, dict[str, tuple[str, str, str, str]]] = {
         'stripe/image/torn/disk': ('fcebdad139c0', '7cbaea3b0a45', '7a8d7e3da39c', '306cec28b7fb'),
         'stripe/image/plain/nvram': ('fcebdad139c0', '352a716c68c2', '297215b6c399', 'dd3b2d4e918d'),
         'stripe/image/plain/disk': ('fcebdad139c0', '7cbaea3b0a45', '020f207ef565', '9552dd209da7'),
-        'raid5/delta/torn/nvram': ('cd406d4a215f', '35bf061aa51d', 'fa4ee7194365', 'c4c63ee296b9'),
-        'raid5/delta/torn/disk': ('cd406d4a215f', '2d80ea966b49', 'dae9ab369656', 'b0efc186a517'),
-        'raid5/delta/plain/nvram': ('cd406d4a215f', '35bf061aa51d', '1fd679c20f99', 'da9cc72f28a2'),
-        'raid5/delta/plain/disk': ('cd406d4a215f', '2d80ea966b49', '1b50ea5410e5', '32d465ca8afa'),
-        'raid5/image/torn/nvram': ('cd406d4a215f', '35bf061aa51d', '7599e2c90de1', '9758dec5c93d'),
-        'raid5/image/torn/disk': ('cd406d4a215f', '2d80ea966b49', 'b49ab8dec2b1', '83f35cef2b34'),
-        'raid5/image/plain/nvram': ('cd406d4a215f', '35bf061aa51d', '4fb7be31562c', '781cefa94e2f'),
-        'raid5/image/plain/disk': ('cd406d4a215f', '2d80ea966b49', '59cb2b44af77', 'bd412f07a641'),
+        'raid5/delta/torn/nvram': ('cd406d4a215f', '35bf061aa51d', 'fa4ee7194365', 'af40dab29bc3'),
+        'raid5/delta/torn/disk': ('cd406d4a215f', '2d80ea966b49', 'dae9ab369656', 'ef0ebd6d5356'),
+        'raid5/delta/plain/nvram': ('cd406d4a215f', '35bf061aa51d', '1fd679c20f99', 'f0a42a773bc6'),
+        'raid5/delta/plain/disk': ('cd406d4a215f', '2d80ea966b49', '1b50ea5410e5', 'ef4f5e8ea7de'),
+        'raid5/image/torn/nvram': ('cd406d4a215f', '35bf061aa51d', '7599e2c90de1', '9c1c506c6547'),
+        'raid5/image/torn/disk': ('cd406d4a215f', '2d80ea966b49', 'b49ab8dec2b1', 'f2060ead4f95'),
+        'raid5/image/plain/nvram': ('cd406d4a215f', '35bf061aa51d', '4fb7be31562c', 'f0a42a773bc6'),
+        'raid5/image/plain/disk': ('cd406d4a215f', '2d80ea966b49', '59cb2b44af77', 'ef4f5e8ea7de'),
     },
     'nvram_replay': {
         'bare/delta/torn/nvram': ('b281e09ffae3', 'c83bbd272150', '8be30a9b4d8d', '3950a10608dd'),
@@ -306,13 +311,13 @@ GOLDEN: dict[str, dict[str, tuple[str, str, str, str]]] = {
         'stripe/image/plain/nvram': ('9affc57acc78', 'd807e1c9b32f', '9db3a6b306f4', '140b4922641e'),
         'stripe/image/plain/disk': ('9affc57acc78', '3479d106e523', '3ff691aae34c', '0eb9c4a3c2d5'),
         'raid5/delta/torn/nvram': ('7ea7c1d33de4', '56eb5bd966c2', '6a14b844c22a', 'd4b66877aabe'),
-        'raid5/delta/torn/disk': ('7ea7c1d33de4', '70693c9fe7f0', '3f41998a4713', '6612b19c0211'),
+        'raid5/delta/torn/disk': ('7ea7c1d33de4', '70693c9fe7f0', '3f41998a4713', '02bc8d37c195'),
         'raid5/delta/plain/nvram': ('7ea7c1d33de4', '56eb5bd966c2', '1ee33f2fdf00', '7785176fd051'),
-        'raid5/delta/plain/disk': ('7ea7c1d33de4', '70693c9fe7f0', '99310e89022a', 'd9e7fd951a9d'),
+        'raid5/delta/plain/disk': ('7ea7c1d33de4', '70693c9fe7f0', '99310e89022a', '342b3354f727'),
         'raid5/image/torn/nvram': ('7ea7c1d33de4', '56eb5bd966c2', 'd47f07180fb9', 'fe31cb39b66b'),
-        'raid5/image/torn/disk': ('7ea7c1d33de4', '70693c9fe7f0', '102c17395570', '0a337279139a'),
+        'raid5/image/torn/disk': ('7ea7c1d33de4', '70693c9fe7f0', '102c17395570', '66a7594d4bff'),
         'raid5/image/plain/nvram': ('7ea7c1d33de4', '56eb5bd966c2', '5b879af2cfdc', '4b8ae364c179'),
-        'raid5/image/plain/disk': ('7ea7c1d33de4', '70693c9fe7f0', 'd3123cbd8e2d', 'cee6ea2944bc'),
+        'raid5/image/plain/disk': ('7ea7c1d33de4', '70693c9fe7f0', 'd3123cbd8e2d', '8de73142b6ae'),
     },
     'read_cache': {
         'bare/delta/torn/nvram': ('4ab15ee5ab20', '89b3846ab572', '3bf0c2b35188', '96ea6da01b3a'),
@@ -331,14 +336,14 @@ GOLDEN: dict[str, dict[str, tuple[str, str, str, str]]] = {
         'stripe/image/torn/disk': ('54b026194e7b', '4d0cb9f73974', 'deb9221351b0', 'b9c41d40e2fb'),
         'stripe/image/plain/nvram': ('54b026194e7b', '4d0cb9f73974', 'b86f5418c187', '5fce1e8ea22c'),
         'stripe/image/plain/disk': ('54b026194e7b', '4d0cb9f73974', 'b86f5418c187', '5fce1e8ea22c'),
-        'raid5/delta/torn/nvram': ('af2589ad471e', '217de544bbf6', 'ed8571fa23f8', '3742b5e6fb42'),
-        'raid5/delta/torn/disk': ('af2589ad471e', '217de544bbf6', 'ed8571fa23f8', '3742b5e6fb42'),
-        'raid5/delta/plain/nvram': ('af2589ad471e', '217de544bbf6', '59c7ed0af322', 'a5a6484761af'),
-        'raid5/delta/plain/disk': ('af2589ad471e', '217de544bbf6', '59c7ed0af322', 'a5a6484761af'),
-        'raid5/image/torn/nvram': ('af2589ad471e', '217de544bbf6', '47e1605cb674', 'f2e632047241'),
-        'raid5/image/torn/disk': ('af2589ad471e', '217de544bbf6', '47e1605cb674', 'f2e632047241'),
-        'raid5/image/plain/nvram': ('af2589ad471e', '217de544bbf6', '3c31274f67de', '07130ceff5fa'),
-        'raid5/image/plain/disk': ('af2589ad471e', '217de544bbf6', '3c31274f67de', '07130ceff5fa'),
+        'raid5/delta/torn/nvram': ('af2589ad471e', '217de544bbf6', 'ed8571fa23f8', 'cbfc9fe2cb7d'),
+        'raid5/delta/torn/disk': ('af2589ad471e', '217de544bbf6', 'ed8571fa23f8', 'cbfc9fe2cb7d'),
+        'raid5/delta/plain/nvram': ('af2589ad471e', '217de544bbf6', '59c7ed0af322', '713876ea5bea'),
+        'raid5/delta/plain/disk': ('af2589ad471e', '217de544bbf6', '59c7ed0af322', '713876ea5bea'),
+        'raid5/image/torn/nvram': ('af2589ad471e', '217de544bbf6', '47e1605cb674', '1a50e5dbda8d'),
+        'raid5/image/torn/disk': ('af2589ad471e', '217de544bbf6', '47e1605cb674', '1a50e5dbda8d'),
+        'raid5/image/plain/nvram': ('af2589ad471e', '217de544bbf6', '3c31274f67de', 'ec4739d79f5f'),
+        'raid5/image/plain/disk': ('af2589ad471e', '217de544bbf6', '3c31274f67de', 'ec4739d79f5f'),
     },
     'reorganize': {
         'bare/delta/torn/nvram': ('c5b3731b8a8e', '4c2398d24073', '75061ed007c7', '13aa23ab75e0'),
@@ -357,14 +362,14 @@ GOLDEN: dict[str, dict[str, tuple[str, str, str, str]]] = {
         'stripe/image/torn/disk': ('a61b3a608245', '0c9aeffdd054', '589a3b2e32cc', '97790f4b4458'),
         'stripe/image/plain/nvram': ('a61b3a608245', '0c9aeffdd054', '57748bad8188', 'c7690610ee9a'),
         'stripe/image/plain/disk': ('a61b3a608245', '0c9aeffdd054', '57748bad8188', 'c7690610ee9a'),
-        'raid5/delta/torn/nvram': ('5cecd90fedd9', '10dd3b9e8070', 'aebecbcf6804', 'e4b4127c813a'),
-        'raid5/delta/torn/disk': ('5cecd90fedd9', '10dd3b9e8070', 'aebecbcf6804', 'e4b4127c813a'),
-        'raid5/delta/plain/nvram': ('5cecd90fedd9', '10dd3b9e8070', 'e564ab5e413c', '5b53111b0eb7'),
-        'raid5/delta/plain/disk': ('5cecd90fedd9', '10dd3b9e8070', 'e564ab5e413c', '5b53111b0eb7'),
-        'raid5/image/torn/nvram': ('5cecd90fedd9', '10dd3b9e8070', '47c5d071cc69', '60f4b725f9dd'),
-        'raid5/image/torn/disk': ('5cecd90fedd9', '10dd3b9e8070', '47c5d071cc69', '60f4b725f9dd'),
-        'raid5/image/plain/nvram': ('5cecd90fedd9', '10dd3b9e8070', 'b252ea5e0691', 'f00b14ae5d2f'),
-        'raid5/image/plain/disk': ('5cecd90fedd9', '10dd3b9e8070', 'b252ea5e0691', 'f00b14ae5d2f'),
+        'raid5/delta/torn/nvram': ('5cecd90fedd9', '10dd3b9e8070', 'aebecbcf6804', '522eff51b43f'),
+        'raid5/delta/torn/disk': ('5cecd90fedd9', '10dd3b9e8070', 'aebecbcf6804', '522eff51b43f'),
+        'raid5/delta/plain/nvram': ('5cecd90fedd9', '10dd3b9e8070', 'e564ab5e413c', '079e5990ea4b'),
+        'raid5/delta/plain/disk': ('5cecd90fedd9', '10dd3b9e8070', 'e564ab5e413c', '079e5990ea4b'),
+        'raid5/image/torn/nvram': ('5cecd90fedd9', '10dd3b9e8070', '47c5d071cc69', '1bac1e5c3cca'),
+        'raid5/image/torn/disk': ('5cecd90fedd9', '10dd3b9e8070', '47c5d071cc69', '1bac1e5c3cca'),
+        'raid5/image/plain/nvram': ('5cecd90fedd9', '10dd3b9e8070', 'b252ea5e0691', '5b53111b0eb7'),
+        'raid5/image/plain/disk': ('5cecd90fedd9', '10dd3b9e8070', 'b252ea5e0691', '5b53111b0eb7'),
     },
 }
 

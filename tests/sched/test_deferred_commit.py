@@ -103,6 +103,9 @@ class TestCompletionAtDeviceTime:
 
     def test_other_tenants_are_served_inside_the_commit(self):
         server, lld = make_server(FIFOScheduler(), device="raid5", record_dispatch=True)
+        # A used array: no sector is on record as blank, so a's commit
+        # pre-reads its rows and b's reads are delivered inside it.
+        lld.disk.stripe_cache.clear()
         a = server.open_session("a")
         b = server.open_session("b")
         on_disk = on_the_medium(server, lld, b, 4)

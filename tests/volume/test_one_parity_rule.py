@@ -115,17 +115,23 @@ def test_a_lost_fragment_spanning_the_range_needs_no_old_parity():
 
 
 def test_the_untrusted_chunk_is_never_taken_from_the_cache():
-    """The stripe cache still holds what the lost member held before a
-    degraded write replaced it in parity only; a later row that needs the
-    lost chunk's old bytes must rebuild them from parity, or the degraded
-    write is undone."""
+    """A failed member leaves the stripe cache — no row consults it — and
+    even a cache that kept its sectors (still what the dead medium holds)
+    must not be asked for them: after a degraded write replaced them in
+    parity only, a later row that needs the lost chunk's old bytes must
+    rebuild them from parity, or the degraded write is undone."""
     volume = make_volume()
-    pmap = volume.parity_map
+    cache = volume.stripe_cache
     lost = volume.spindle_of(CHUNK + 2)
+    plba = volume.parity_map.row_lba(0) + 2
     volume.write(CHUNK + 2, bytes([1]) * 2 * SECTOR)  # remembered, lost member's range included
+    assert cache.load(lost, plba, 2) == bytes([1]) * 2 * SECTOR
     volume.fail_member(lost)
+    assert cache.load(lost, plba, 2) is None
+    assert [run for run in cache.blank_runs() if run[0] == lost] == []
+    cache.store(lost, plba, volume.disks[lost].peek(plba, 2))  # as if it had kept them
     volume.write(CHUNK + 2, bytes([2]) * 2 * SECTOR)  # parity only: the member is gone
-    assert volume.stripe_cache.load(lost, pmap.row_lba(0) + 2, 2) == bytes([1]) * 2 * SECTOR
+    assert cache.load(lost, plba, 2) == bytes([1]) * 2 * SECTOR
     volume.write(2, bytes([3]) * 2 * SECTOR)  # another chunk of the row, the same range
     assert volume.peek(CHUNK + 2, 2) == bytes([2]) * 2 * SECTOR
     assert volume.peek(2, 2) == bytes([3]) * 2 * SECTOR

@@ -405,11 +405,19 @@ def rmw_events(volume: Volume) -> tuple[list, list]:
     return [e for e in events if e[0] == "r"], [e for e in events if e[0] == "w"]
 
 
+def installed_row(n_disks: int = 4) -> Volume:
+    """A volume whose row 0 holds data and parity put there by ``install``:
+    no sector of it is blank, none is resident, no request was issued."""
+    volume = make_volume(n_disks=n_disks)
+    volume.install(0, random.Random(n_disks).randbytes((n_disks - 1) * CHUNK * SECTOR))
+    return volume
+
+
 def test_rmw_over_a_resident_range_reads_nothing_and_starts_now():
     """What the stripe cache is for: the second write of a range finds the
     old data and the old parity where the first write left them, so it is
     two positioned writes — no read, no turn of the platter before them."""
-    volume = make_volume()
+    volume = installed_row()
     volume.write(2, bytes([7]) * 2 * SECTOR)  # sub-chunk: pre-reads, then remembered
     volume.barrier()
     for member in volume.disks:
@@ -426,7 +434,7 @@ def test_rmw_over_a_half_resident_range_waits_for_the_missing_buffer_only():
     """Each buffer on its own: the parity range is remembered from the write
     to the first chunk, the old data of the second chunk is not — one
     pre-read, on the data member, and both writes start after it."""
-    volume = make_volume(n_disks=WIDE)
+    volume = installed_row(n_disks=WIDE)
     volume.write(2, bytes([7]) * 2 * SECTOR)
     volume.barrier()
     data_member = volume.spindle_of(CHUNK + 2)

@@ -2,11 +2,13 @@
 
 A parity volume keeps the sectors its member writes just put down and
 serves a later partial row's pre-reads from them
-(:mod:`repro.volume.stripe_cache`). Its one risk is coherence — a
+(:mod:`repro.volume.stripe_cache`), and answers a pre-read of sectors it
+never wrote from its blank record, as zeros. Its one risk is coherence — a
 remembered sector that is no longer what the member holds turns into wrong
 parity — so the differential here runs every script on two volumes: one as
 shipped, one whose cache is emptied before every request (the oracle: a
-test helper, there is no such switch in the product). What is resident
+test helper, there is no such switch in the product), from blank members
+or from a region ``install`` wrote first. What is resident
 also weighs in a row's choice between read-modify-write and
 reconstruct-write, and on a row whose parity a ``corrupt`` left
 inconsistent the two write different parity; the choice has its own tests
@@ -17,11 +19,13 @@ the shipped volume took. After every step:
    given the shape, the cache changes where bytes are *read* from, never
    what is written or in which barrier epoch, so every crash state is the
    oracle's;
-2. every resident sector equals the member's ``peek``;
+2. every resident sector equals the member's ``peek``, every blank one
+   is zeros there, and the cache holds neither for a chunk the volume
+   does not trust (a failed member, a replacement's unrebuilt rows);
 3. resident sectors <= ``2 * chunk_sectors``;
 4. the shipped volume issues no more member reads than the oracle — fewer
-   by exactly its hits — and the same number while no member sector has
-   been written twice.
+   by exactly its hits — and, over a written region, the same number while
+   no member sector has been written twice.
 
 Each entry of the coherence rule has a mutation below that must turn this
 red; the rebuild scanner's is the exception, and says why.
@@ -54,7 +58,13 @@ class Pair:
     def __init__(self, n_disks: int, chunk: int, layout: str, mutation: str | None = None) -> None:
         self.shipped = parity_volume(n_disks, chunk, layout, recorded_member)
         self.oracle = parity_volume(n_disks, chunk, layout, recorded_member)
-        self.mutation = mutation
+        #: The kinds of step whose drop the shipped volume forgets.
+        self.mutated = {
+            kind for entry in (mutation or "").split("+") for kind in SITES.get(entry, (entry,))
+        }
+        #: Whether the script began by installing its region: until then
+        #: every pre-read of the shipped volume is blank.
+        self.installed_first = False
         #: Every member ever installed, per volume, replaced ones included.
         self.members = {id(v): list(v.disks) for v in (self.shipped, self.oracle)}
         self.rng = random.Random(f"{n_disks}/{chunk}/{layout}")
@@ -82,7 +92,7 @@ class Pair:
         for volume in (self.shipped, self.oracle):
             if volume is self.oracle:
                 volume.stripe_cache.clear()
-            mutant = volume is self.shipped and kind in (self.mutation or "").split("+")
+            mutant = volume is self.shipped and kind in self.mutated
             getattr(self, f"_{kind}")(volume, *args, mutant=mutant)
         self.check()
 
@@ -98,7 +108,13 @@ class Pair:
 
     def _fail_member(self, volume: Volume, member: int, mutant: bool) -> None:
         if not volume.degraded or member == volume._rebuilding:
-            volume.fail_member(member)
+            self._undropping(volume, volume.fail_member, member, mutant=mutant)
+
+    def _undropping(self, volume: Volume, call, *args, mutant: bool) -> None:
+        if mutant:
+            volume.stripe_cache.drop_member = lambda member: None
+        call(*args)
+        volume.stripe_cache.__dict__.pop("drop_member", None)
 
     def _unforgetting(self, volume: Volume, call, *args, mutant: bool) -> None:
         if mutant:
@@ -119,11 +135,10 @@ class Pair:
     def _replace_member(self, volume: Volume, mutant: bool) -> None:
         if not volume.degraded or volume.rebuild_active:
             return
-        if mutant:
-            volume.stripe_cache.drop_member = lambda member: None
         replacement = recorded_member(volume.geometry.member, VirtualClock())
         self.members[id(volume)].append(replacement)
-        volume.replace_member(volume.alive.index(False), replacement)
+        lost = volume.alive.index(False)
+        self._undropping(volume, volume.replace_member, lost, replacement, mutant=mutant)
 
     def _rebuild_step(self, volume: Volume, rows: int, mutant: bool) -> None:
         cache = volume.stripe_cache
@@ -142,6 +157,11 @@ class Pair:
         resident = list(shipped.stripe_cache.resident_sectors())
         for member, plba, data in resident:
             assert data == shipped.disks[member].peek(plba, 1), (member, plba)
+            assert shipped._trusted(member, plba // shipped.chunk_sectors), (member, plba)
+        for member, plba, nsectors in shipped.stripe_cache.blank_runs():
+            assert shipped.disks[member].peek(plba, nsectors) == bytes(nsectors * SECTOR)
+            rows = range(plba // shipped.chunk_sectors, (plba + nsectors - 1) // shipped.chunk_sectors + 1)
+            assert all(shipped._trusted(member, row) for row in rows), (member, plba)
         assert len(resident) <= 2 * shipped.chunk_sectors
 
         for index, member in enumerate(self.members[id(oracle)]):
@@ -155,12 +175,16 @@ class Pair:
         assert theirs.preread_hits == 0
         assert mine.preread_hits + mine.preread_misses == theirs.preread_misses
         assert mine.sub_reads == theirs.sub_reads - mine.preread_hits
-        if not self.rewrote:
+        if self.installed_first and not self.rewrote:
             assert mine.preread_hits == 0
 
 
-def run(shape: tuple, ops: list[tuple], mutation: str | None = None) -> Pair:
+def run(shape: tuple, ops: list[tuple], mutation: str | None = None, span: int = 0) -> Pair:
+    """``ops`` on a fresh pair; with ``span``, after installing ``[0, span)``."""
     pair = Pair(*shape, mutation=mutation)
+    if span:
+        pair.step(("install", 0, span))
+        pair.installed_first = True
     for op in ops:
         pair.step(op)
     return pair
@@ -193,14 +217,14 @@ def scripts(draw):
     for at in sorted(again, reverse=True):
         if ops[at][0] == "write":
             ops.insert(draw(st.integers(min_value=at + 1, max_value=len(ops))), ops[at])
-    return (n_disks, chunk, layout), ops
+    return (n_disks, chunk, layout), ops, draw(st.sampled_from([0, span]))
 
 
 @given(scripts())
 @settings(max_examples=120, deadline=None)
 def test_shipped_volume_matches_the_oracle(script):
-    shape, ops = script
-    run(shape, ops)
+    shape, ops, span = script
+    run(shape, ops, span=span)
 
 
 # ----------------------------------------------------------------------
@@ -208,6 +232,11 @@ def test_shipped_volume_matches_the_oracle(script):
 # ----------------------------------------------------------------------
 
 SHAPE = (4, 8, "raid5")
+SPAN = 3 * 8 * 3  # three rows
+
+#: Rule entries whose drop is made at more than one kind of step: a member
+#: leaves the cache when it fails, and again when it is replaced.
+SITES = {"replace_member": ("fail_member", "replace_member")}
 
 #: mutation -> a script that goes wrong when that entry forgets its drop.
 WITNESSES = {
@@ -216,6 +245,8 @@ WITNESSES = {
     # Rot under a remembered parity range, repaired by resync: the parity
     # chunk changes while the cache still holds the old one.
     "resync_parity": [("write", 2, 3), ("corrupt", 8 + 2, 1), ("resync_parity",), ("write", 2, 3)],
+    # Nothing may be held for a member no row consults.
+    "fail_member": [("write", 2, 3), ("fail_member", 0)],
     # Written while the member was away, so its replacement comes to hold
     # other bytes than the cache remembers of the old spindle.
     "replace_member": [
@@ -223,19 +254,21 @@ WITNESSES = {
         ("rebuild_step", 100), ("write", 2, 3),
     ],
 }
-# The scanner's own entry cannot be caught alone: ``replace_member`` has
-# dropped the member, and nothing is stored for a row before the scanner
-# has passed it, so the scanner's write never overlaps a resident sector.
-# It is the second line behind a replacement: with both gone the stale
-# sectors survive the rebuild and feed a read-modify-write.
+# The scanner's own entry cannot be caught alone: ``fail_member`` and
+# ``replace_member`` have dropped the member, and nothing is stored for a
+# row before the scanner has passed it, so the scanner's write never
+# overlaps a resident sector. It is the last line behind the member's drop:
+# with both gone the stale sectors survive the rebuild and feed a
+# read-modify-write.
 WITNESSES["replace_member+rebuild_step"] = WITNESSES["replace_member"]
 
 
 @pytest.mark.parametrize("mutation", sorted(WITNESSES))
 def test_each_forgotten_drop_is_caught(mutation):
-    run(SHAPE, WITNESSES[mutation])  # green as shipped ...
-    with pytest.raises(AssertionError):
-        run(SHAPE, WITNESSES[mutation], mutation)  # ... red without the drop
+    for span in (0, SPAN):  # from blank members, and over a written region
+        run(SHAPE, WITNESSES[mutation], span=span)  # green as shipped ...
+        with pytest.raises(AssertionError):
+            run(SHAPE, WITNESSES[mutation], mutation, span=span)  # ... red without the drop
 
 
 def test_replacing_without_the_drop_writes_wrong_parity_once_the_scanner_skips_too():
@@ -244,7 +277,7 @@ def test_replacing_without_the_drop_writes_wrong_parity_once_the_scanner_skips_t
     from them, and the row no longer reconstructs."""
     pair = Pair(*SHAPE, mutation="replace_member+rebuild_step")
     pair.check = lambda: None  # past the check that would stop it at the replacement
-    for op in WITNESSES["replace_member"]:
+    for op in [("install", 0, SPAN), *WITNESSES["replace_member"]]:
         pair.step(op)
     assert pair.shipped.volume_stats.preread_hits > pair.oracle.volume_stats.preread_hits
     parity = pair.shipped.parity_map.parity_disk(0)
@@ -256,8 +289,16 @@ def test_replacing_without_the_drop_writes_wrong_parity_once_the_scanner_skips_t
 # ----------------------------------------------------------------------
 
 
-def test_a_rewritten_range_is_not_read_back():
+def written_volume() -> Volume:
+    """A four-member volume of 8-sector chunks whose first three rows
+    ``install`` wrote: nothing there is blank or resident."""
     volume = parity_volume(4, 8, "raid5")
+    volume.install(0, random.Random(SPAN).randbytes(SPAN * SECTOR))
+    return volume
+
+
+def test_a_rewritten_range_is_not_read_back():
+    volume = written_volume()
     stats = volume.volume_stats
     volume.write(2, bytes([1]) * 3 * SECTOR)
     assert (stats.sub_reads, stats.preread_hits, stats.preread_misses) == (2, 0, 2)
@@ -275,7 +316,7 @@ def test_a_rewritten_range_is_not_read_back():
 def test_hits_are_counted_and_carried_by_the_write_span():
     from repro.obs import MetricsRegistry, Tracer
 
-    volume = parity_volume(4, 8, "raid5")
+    volume = written_volume()
     volume.tracer = Tracer(volume.clock)
     for fill in (1, 2, 3):
         volume.write(2, bytes([fill]) * 3 * SECTOR)
@@ -289,7 +330,7 @@ def test_hits_are_counted_and_carried_by_the_write_span():
 
 
 def test_whole_chunk_member_writes_bypass_and_drop_what_they_overlap():
-    volume = parity_volume(4, 8, "raid5")
+    volume = written_volume()
     cache, stats = volume.stripe_cache, volume.volume_stats
     volume.write(2, bytes([1]) * 3 * SECTOR)
     assert len(list(cache.resident_sectors())) == 6  # data + parity
@@ -326,11 +367,16 @@ def test_only_parity_layouts_have_one():
 
 def test_power_failure_empties_it():
     volume = parity_volume(4, 8, "raid5")
+    assert list(volume.stripe_cache.blank_runs()) != []
     volume.write(2, bytes([1]) * 3 * SECTOR)
+    stats = volume.volume_stats
+    assert (stats.preread_hits, stats.preread_misses) == (2, 0)  # blank data, blank parity
     volume.power_fail()
     assert list(volume.stripe_cache.resident_sectors()) == []
-    volume.write(2, bytes([2]) * 3 * SECTOR)
-    assert volume.volume_stats.preread_hits == 0
+    assert list(volume.stripe_cache.blank_runs()) == []
+    volume.write(2, bytes([2]) * 3 * SECTOR)  # written before the failure
+    volume.write(8 + 2, bytes([3]) * 3 * SECTOR)  # never written, and no record of it now
+    assert (stats.preread_hits, stats.preread_misses) == (3, 3)  # the parity the first rewrote
 
 
 def test_volume_errors_are_ld_errors():
