@@ -41,6 +41,7 @@ from repro.crashsim.volume import (
     materialize_parity_crash_state,
 )
 from repro.disk import SimulatedDisk, fast_test_disk
+from repro.ld import LIST_HEAD
 from repro.lld import LLD, LLDConfig
 from repro.lld import recovery
 from repro.sched import LDServer, QoSElevatorScheduler
@@ -322,6 +323,133 @@ def test_degraded_parity_matrix(benchmark):
         assert report.states_by_kind.get("torn", 0) > 0
         assert report.states_by_kind.get("subset", 0) > 0
         assert report.violations == [], (fail, report.violations[:3])
+
+
+# ----------------------------------------------------------------------
+# Blank rows: rows granted as the log opens them, a crash mid-row
+# ----------------------------------------------------------------------
+
+#: A hot set of 4 KB blocks overwritten until the log, gone round the
+#: disk, has opened ``grants`` rows it had left dead in every slot —
+#: granted to the volume as blank — then ``after`` more writes inside the
+#: last one, each acknowledged: the crash lands mid-row.
+BLANK_ROW_WORKLOAD = dict(n_blocks=12, grants=2, after=5)
+BLANK_ROW_CONFIG = dict(CONFIG, checkpoint_slots=2)
+
+MIN_BLANK_ROW_STATES = 200
+
+
+def run_blank_row_workload(driver: OracleDriver, *, n_blocks: int, grants: int, after: int) -> None:
+    """Drive the blank-row arms' workload, acknowledging as it goes."""
+    ld = driver.ld
+    log = ld.log
+    lid = driver.new_list(ld)
+    driver.ack(ld, "create-list")
+    bids, pred = [], LIST_HEAD
+    for i in range(n_blocks):
+        pred = driver.new_block(ld, lid, pred)
+        bids.append(pred)
+        driver.write(ld, pred, bytes([i % 251 + 1]) * 4096)
+    driver.ack(ld, "filled")
+
+    def overwrite(i: int) -> None:
+        if driver.room_low(4096 + 512, 256):
+            driver.ack(ld, "room")
+        driver.write(ld, bids[i % n_blocks], bytes([i % 249 + 3]) * 4096)
+
+    seen, current, reopened, i = {log.open.index}, log.open.index, 0, 0
+    while reopened < grants:
+        overwrite(i)
+        i += 1
+        if log.open.index != current:
+            current = log.open.index
+            reopened += current in seen and log.open.granted
+            seen.add(current)
+        assert i < 100 * n_blocks, "the log never opened a dead row it could grant"
+    for j in range(after):
+        overwrite(i + j)
+        driver.ack(ld, f"in-row-{j}")
+
+
+def run_blank_rows():
+    members = [
+        SimulatedDisk(fast_test_disk(capacity_mb=PARITY_MEMBER_MB), VirtualClock())
+        for _ in range(PARITY_N)
+    ]
+    volume = Volume(members, VirtualClock(), layout="raid5", chunk_sectors=PARITY_CHUNK_SECTORS)
+    recording = ParityRecording(volume)
+    lld = LLD(volume, LLDConfig(**BLANK_ROW_CONFIG))
+    lld.initialize()
+    driver = OracleDriver(lld, recording)
+    run_blank_row_workload(driver, **BLANK_ROW_WORKLOAD)
+    checker = LLDCrashChecker(lld.config, driver.oracle)
+
+    def mid_row(state):
+        # No resync: recovery grants back what the log had granted, and
+        # the volume's parity counts those sectors as zeros again.
+        return checker(materialize_parity_crash_state(recording, state), state)
+
+    states = enumerate_parity_crash_states(recording, subset_samples_per_epoch=2)
+    healthy = ExplorationReport.collect(states, mid_row)
+    lost = explore_degraded_parity(
+        recording,
+        lld.config,
+        driver.oracle,
+        fail=PARITY_FAIL_INDICES[0],
+        subset_samples_per_epoch=2,
+    )
+    return recording, driver, volume, healthy, lost
+
+
+def test_blank_row_matrix(benchmark):
+    """Rows granted to the volume as blank, and every crash state around
+    them: recovered healthy (the log grants back every row empty in every
+    slot and what no segment wrote of a flagged row, before anything is
+    written) and, after md's resync, with a member lost (the partial
+    grants back are then refused: the resync folded the members' bytes
+    into parity). Both meet the client contract."""
+    recording, driver, volume, healthy, lost = benchmark.pedantic(
+        run_blank_rows, rounds=1, iterations=1
+    )
+    emit(
+        render_table(
+            "Blank rows (N=4): a crash mid-row, and a crash + member loss",
+            ["value"],
+            {
+                "journal writes (sum)": {"value": float(recording.position)},
+                "ack points": {"value": float(len(driver.oracle.points))},
+                "mid-row: crash states": {"value": float(healthy.states_total)},
+                "mid-row: violations": {"value": float(len(healthy.violations))},
+                "member loss: crash states": {"value": float(lost.states_total)},
+                "member loss: violations": {"value": float(len(lost.violations))},
+            },
+            note="rows granted as the log opened them; recovery grants back before it writes",
+        )
+    )
+    try:
+        payload = json.loads(REPORT_PATH.read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        payload = {"benchmark": "crash_matrix"}
+    payload["blank_rows"] = {
+        "config": BLANK_ROW_CONFIG,
+        "workload": BLANK_ROW_WORKLOAD,
+        "members": PARITY_N,
+        "member_mb": PARITY_MEMBER_MB,
+        "chunk_sectors": PARITY_CHUNK_SECTORS,
+        "journal_writes_total": recording.position,
+        "ack_points": len(driver.oracle.points),
+        "mid_row": crash_matrix_summary(healthy),
+        "member_loss": {
+            "failed_member": PARITY_FAIL_INDICES[0],
+            **crash_matrix_summary(lost),
+        },
+    }
+    emit(f"wrote {write_json_report(REPORT_PATH, payload)}")
+
+    for report in (healthy, lost):
+        assert report.states_total >= MIN_BLANK_ROW_STATES
+        assert report.states_by_kind.get("torn", 0) > 0
+        assert report.violations == [], report.violations[:3]
 
 
 # ----------------------------------------------------------------------

@@ -899,12 +899,16 @@ class LLDCrashChecker:
         when recovery or reading raised."""
         # Invariant 1: recovery never raises.
         ld = LLD(disk, self.config)
+        # The whole start-up, timed on the image's own clock: a crash image
+        # is built on fresh clocks, so this reads from its first request,
+        # not as a difference of two absolute readings.
+        start = disk.clock.now
         try:
             ld.initialize()
         except Exception as exc:  # noqa: BLE001 - any escape is the bug
             violate("recovery-never-raises", f"{type(exc).__name__}: {exc}")
             return None
-        outcome.recovery_seconds = ld.recovery_report.simulated_seconds
+        outcome.recovery_seconds = disk.clock.now - start
 
         # Observe the recovered client-visible state.
         try:

@@ -15,16 +15,26 @@ candidates for both ways of computing parity, since which member reads are
 left after it answers is what the row's choice between them weighs, and a
 degraded row's trusted chunks (never the untrusted one: its medium is
 stale by design). It is not a read cache — client reads neither fill nor
-consult it.
+consult its resident bytes — but what is on the blank record is what a
+sector means, so every member read the volume makes passes through
+:meth:`StripeCache.mask`.
 
 **The one rule.** A resident sector holds exactly what the member's
-``peek`` would return, and a blank one reads as zeros there. A member
-write stored here makes what it covers resident (a whole chunk: drops it)
-and takes it off the blank record; whatever else changes a member's
-medium — ``install``, ``corrupt``, a parity resync — drops what it
-touches, off the record too, so the record only ever loses sectors. A
+``peek`` would return, and a blank one reads as zeros through the volume
+— a fact about the sector's meaning, not its bytes: the member may hold
+anything there, and reads, parity, reconstruction and the rebuild scanner
+all take the sector as zeros. A member write stored here makes what it
+covers resident (a whole chunk: drops it) and takes it off the blank
+record; whatever else changes a member's medium — ``install``,
+``corrupt``, a parity resync — drops what it touches, off the record too.
+The record also grows: a volume granted a whole stripe row by the layer
+above (:meth:`repro.volume.Volume.discard`) puts every chunk of it back
+on (:meth:`StripeCache.blank`), and so does the rebuild scanner for a
+replacement's chunk of a row that is blank on every other member. A
 member that fails or is replaced forgets everything held for it, a power
-failure everything. Dropping is always correct, keeping never is.
+failure everything. Dropping a resident sector is always correct, keeping
+one never is; a blank one is the opposite — parity was computed with it
+as zeros, so losing it is only correct where the parity is recomputed.
 
 Built like :class:`repro.disk.store.ExtentStore`: fixed extents, one
 ``bytearray`` plus one "resident" flag byte per sector, a request moved
@@ -83,6 +93,66 @@ class StripeCache:
         """Put ``member``'s first ``nsectors`` sectors on record as never
         written: only for a medium whose every sector reads as zeros."""
         self._blank[member] = [0, nsectors]
+
+    def blank(self, member: int, plba: int, nsectors: int) -> None:
+        """Put ``[plba, plba + nsectors)`` of ``member`` on the blank record:
+        from now on it means zeros, whatever the medium holds. Nothing of it
+        stays resident."""
+        self._unresident(member, plba, nsectors)
+        bounds = self._blank.setdefault(member, [])
+        end = plba + nsectors
+        first = bisect_left(bounds, plba)
+        last = bisect_right(bounds, end)
+        # A run that ends at ``plba`` or starts at ``end`` joins the new one;
+        # every boundary between goes.
+        bounds[first:last] = [plba] * (1 - (first & 1)) + [end] * (1 - (last & 1))
+
+    def all_blank(self, member: int, plba: int, nsectors: int) -> bool:
+        """Is every sector of ``[plba, plba + nsectors)`` of ``member`` blank?"""
+        return self.blank_length(member, plba, nsectors) == nsectors
+
+    def blank_length(self, member: int, plba: int, most: int) -> int:
+        """How many sectors of ``member`` from ``plba`` on, at most ``most``,
+        are blank before the first that is not."""
+        bounds = self._blank.get(member)
+        if not bounds:
+            return 0
+        edge = bisect_right(bounds, plba)
+        if not edge & 1:
+            return 0
+        return min(most, bounds[edge] - plba)
+
+    def next_blank(self, member: int, plba: int, end: int) -> int:
+        """The first blank sector of ``member`` in ``[plba, end)``, or
+        ``end``."""
+        bounds = self._blank.get(member)
+        if not bounds:
+            return end
+        edge = bisect_right(bounds, plba)
+        if edge & 1:
+            return plba
+        return min(end, bounds[edge]) if edge < len(bounds) else end
+
+    def mask(self, member: int, plba: int, nsectors: int, data):
+        """``data`` — a member's bytes at ``[plba, plba + nsectors)`` — with
+        its blank sectors read as zeros: the same object when none is."""
+        bounds = self._blank.get(member)
+        if not bounds:
+            return data
+        end = plba + nsectors
+        edge = bisect_right(bounds, plba)
+        if not edge & 1 and (edge == len(bounds) or bounds[edge] >= end):
+            return data  # no run starts before ``end``: nothing blank
+        size = self.sector_size
+        out = bytearray(data)
+        at = plba
+        while at < end and edge < len(bounds):
+            stop = min(end, bounds[edge])
+            if edge & 1:
+                out[(at - plba) * size : (stop - plba) * size] = bytes((stop - at) * size)
+            at = stop
+            edge += 1
+        return bytes(out)
 
     def store(self, member: int, plba: int, payload) -> None:
         """Remember a member write of ``payload`` (whole sectors) at ``plba``."""
@@ -164,15 +234,27 @@ class StripeCache:
     def drop(self, member: int, plba: int, nsectors: int) -> None:
         """Forget ``[plba, plba + nsectors)`` of ``member``."""
         self._written(member, plba, nsectors)
+        self._unresident(member, plba, nsectors)
+
+    def _unresident(self, member: int, plba: int, nsectors: int) -> None:
+        """Clear the resident flags of ``[plba, plba + nsectors)`` of ``member``."""
         extents = self._extents
-        for index, first, take, _offset in chunk_runs(plba, nsectors, self.extent_sectors):
-            extent = extents.get((member, index))
-            if extent is None:
-                continue
-            resident = extent[1]
-            resident[first : first + take] = bytes(take)
+        if not extents or nsectors <= 0:
+            return
+        per = self.extent_sectors
+        end = plba + nsectors
+        low, high = plba // per, (end - 1) // per
+        if high - low >= len(extents):  # fewer extents held than spanned
+            keys = [key for key in extents if key[0] == member and low <= key[1] <= high]
+        else:
+            keys = [(member, i) for i in range(low, high + 1) if (member, i) in extents]
+        for key in keys:
+            base = key[1] * per
+            first, stop = max(plba, base) - base, min(end, base + per) - base
+            resident = extents[key][1]
+            resident[first:stop] = bytes(stop - first)
             if not any(resident):
-                del extents[member, index]
+                del extents[key]
 
     def _written(self, member: int, plba: int, nsectors: int) -> None:
         """Take ``[plba, plba + nsectors)`` of ``member`` off the blank record."""

@@ -291,11 +291,15 @@ MATRIX_CONFIG = dict(
 #: digests captured before it (``BEFORE_RECYCLING``). The ``multi-*``
 #: arms were re-captured when an abort began to log the values its unit
 #: replaced: every point's label, blocks and lists are as before, and the
-#: journal positions after the abort moved by one or two writes.
+#: journal positions after the abort moved by one or two writes. The
+#: ``single-raid5`` arm was re-captured when the scrub of a retired slot on
+#: RAID-5 rows began to wait for its row to be granted: every point up to
+#: the last fill is as before (``BEFORE_RECYCLING``), and the log reopens
+#: the cleaned slot at another journal position.
 POINTS_GOLDEN = {
     "single-disk": "ea040b1dfc721c13",
     "single-mirror": "2e1f66d991d31df1",
-    "single-raid5": "17881edd5e59b180",
+    "single-raid5": "55964e6b661423d4",
     "multi-qos-2-queued": "03d2de22ce8da170",
     "multi-qos-2-bare": "03d2de22ce8da170",
     "multi-fifo-1-queued": "8f812ad2766833fb",

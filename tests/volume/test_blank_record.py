@@ -1,21 +1,25 @@
-"""The blank record: what a parity volume knows of sectors it never wrote.
+"""The blank record: what a parity volume knows means zeros.
 
 A parity volume built on members nobody has written puts every sector of
-them on record as blank (:class:`repro.volume.StripeCache`), and a row
-write's pre-read of blank sectors is answered as zeros with no member
-read: until the log above wraps, most of a partial flush's old data and
-old parity have never been written. The record keeps the stripe cache's
-one rule — a sector it calls blank reads as zeros on its member — so
-every member write and every ``install``, ``corrupt`` and
-``resync_parity`` takes what it touches off it, a member that fails or is
-replaced loses its record, and a power failure loses all of it.
+them on record as blank (:class:`repro.volume.StripeCache`), and the layer
+above may grant it more: a whole stripe row it holds nothing in
+(:meth:`repro.volume.Volume.discard`), and after a power failure the
+sectors it had granted before. A blank sector means zeros to reads,
+parity, reconstruction and the rebuild scanner, whatever its member
+holds, so a row write's pre-read of it issues no member read. Every
+member write and every ``install``, ``corrupt`` and ``resync_parity``
+takes what it touches off the record, a member that fails or is replaced
+loses its record, and a power failure loses all of it — which the layer
+above restores, as a log recovering from a crash does.
 
 The property drives healthy, degraded and mid-rebuild volumes through
-every step that touches a member's medium and checks after each one that
-every blank sector is zeros on a member the volume trusts there, that
-``peek`` equals a model of the contents, and that every row the volume
-trusts whole has consistent parity. The last tests run one mutant per
-entry of the rule and require the checks to catch each.
+every step that touches a member's medium or the record — grants over
+rows whose members hold old bytes among them — and checks after each one
+that the record covers only chunks the volume trusts, that ``peek``
+equals a model of the contents, and that every live sector of a row the
+volume trusts whole reconstructs after the loss of any one member. The
+last tests run one mutant per entry of the rule and require the checks to
+catch each.
 """
 
 import random
@@ -27,7 +31,7 @@ from hypothesis import strategies as st
 from repro.disk import SimulatedDisk, fast_test_disk
 from repro.sim.clock import VirtualClock
 from repro.volume import StripeCache, Volume
-from repro.volume.volume import _xor_buffers
+from repro.volume.volume import _Install, _xor_buffers
 
 from tests.volume.test_parity_property import parity_volume, write_extents
 
@@ -50,6 +54,9 @@ class Run:
         #: Whether the checks hold the record to trusted chunks (the model
         #: alone must still catch a record that is consulted there).
         self.trust = True
+        #: Logical sectors granted and not written since: what the layer
+        #: above grants back after a power failure.
+        self.granted: set[int] = set()
         if health != "healthy":
             self.fail_member(victim)
         if health == "mid-rebuild":
@@ -72,18 +79,25 @@ class Run:
         data = self.rng.randbytes(nsectors * SECTOR)
         self.volume.write(lba, data)
         self.model[lba * SECTOR : (lba + nsectors) * SECTOR] = data
+        self.granted.difference_update(range(lba, lba + nsectors))
 
     def install(self, lba: int, nsectors: int) -> None:
         data = self.rng.randbytes(nsectors * SECTOR)
         self.volume.install(lba, data)
         self.model[lba * SECTOR : (lba + nsectors) * SECTOR] = data
+        self.granted.difference_update(range(lba, lba + nsectors))
 
     def corrupt(self, lba: int, nsectors: int) -> None:
         if self.volume.degraded:
             return  # garbage under a lost chunk's parity is past any model
-        self.volume.corrupt(lba, nsectors)
-        self.model[lba * SECTOR : (lba + nsectors) * SECTOR] = self.volume.peek(lba, nsectors)
+        volume = self.volume
+        volume.corrupt(lba, nsectors)
+        # What the members now hold there, the record aside: corrupt takes
+        # it off the record, so that is what the volume reads.
+        raw = volume._gather(lba, nsectors, lambda m, plba, n: volume.disks[m].peek(plba, n))
+        self.model[lba * SECTOR : (lba + nsectors) * SECTOR] = raw
         self.suspect.update(self.rows(lba, nsectors))
+        self.granted.difference_update(range(lba, lba + nsectors))
 
     def resync_parity(self) -> None:
         if not self.volume.degraded:
@@ -109,25 +123,49 @@ class Run:
     def rebuild_step(self, rows: int) -> None:
         self.volume.rebuild_step(rows)
 
+    def discard(self, row: int) -> None:
+        lba = row * self.row_sectors
+        self.volume.discard(lba, self.row_sectors)
+        self.model[lba * SECTOR : (lba + self.row_sectors) * SECTOR] = bytes(
+            self.row_sectors * SECTOR
+        )
+        self.granted.update(range(lba, lba + self.row_sectors))
+
     def power_fail(self) -> None:
-        self.volume.power_fail()
-        assert list(self.volume.stripe_cache.blank_runs()) == []
+        """Memory is lost; the layer above grants back what it had granted
+        and no write has touched since, run by run."""
+        volume = self.volume
+        volume.power_fail()
+        assert list(volume.stripe_cache.blank_runs()) == []
+        sectors = sorted(self.granted)
+        start = 0
+        for i in range(1, len(sectors) + 1):
+            if i == len(sectors) or sectors[i] != sectors[i - 1] + 1:
+                volume.discard(sectors[start], sectors[i - 1] - sectors[start] + 1)
+                start = i
 
     def check(self) -> None:
         volume = self.volume
         chunk = self.chunk
-        for member, plba, nsectors in volume.stripe_cache.blank_runs():
-            assert volume.disks[member].peek(plba, nsectors) == bytes(nsectors * SECTOR), (member, plba)
-            if self.trust:
+        if self.trust:
+            for member, plba, nsectors in volume.stripe_cache.blank_runs():
                 rows = range(plba // chunk, (plba + nsectors - 1) // chunk + 1)
                 assert all(volume._trusted(member, row) for row in rows), (member, plba)
         assert volume.peek(0, self.span) == self.model
         members = range(len(volume.disks))
+        logical = _Install(volume).read  # the members as the volume takes them
         for row in range(self.span // self.row_sectors):
-            if row not in self.suspect and all(volume._trusted(m, row) for m in members):
-                base = volume.parity_map.row_lba(row)
-                chunks = [volume.disks[m].peek(base, chunk) for m in members]
-                assert _xor_buffers(chunks) == bytes(chunk * SECTOR), row
+            if row in self.suspect or not all(volume._trusted(m, row) for m in members):
+                continue
+            base = volume.parity_map.row_lba(row)
+            chunks = [logical(m, base, chunk) for m in members]
+            for lost in members:
+                rebuilt = _xor_buffers([c for m, c in zip(members, chunks) if m != lost])
+                rebuilt = rebuilt or bytes(chunk * SECTOR)
+                for sector in range(chunk):
+                    if not volume.stripe_cache.all_blank(lost, base + sector, 1):
+                        at = slice(sector * SECTOR, (sector + 1) * SECTOR)
+                        assert rebuilt[at] == chunks[lost][at], (row, lost, sector)
 
 
 @st.composite
@@ -147,6 +185,8 @@ def scripts(draw):
         st.just(("replace_member",)),
         st.tuples(st.just("rebuild_step"), st.sampled_from([1, 2, 10_000])),
         st.just(("power_fail",)),
+        st.tuples(st.just("discard"), st.integers(min_value=0, max_value=3)),
+        st.tuples(st.just("discard"), st.integers(min_value=0, max_value=3)),
     )
     return (n_disks, chunk, health, victim), draw(st.lists(ops, min_size=1, max_size=16))
 
@@ -328,3 +368,121 @@ def test_a_record_consulted_for_an_untrusted_chunk_writes_wrong_parity(monkeypat
     with pytest.raises(AssertionError):
         run.step(last)
     assert run.volume.peek(8 + 2, 2) != run.model[(8 + 2) * SECTOR : (8 + 4) * SECTOR]
+
+
+# ----------------------------------------------------------------------
+# What the layer above grants: whole rows, and after a power failure
+# ----------------------------------------------------------------------
+
+
+def used_volume(n_disks: int = 4, chunk: int = 8, rows: int = 4) -> tuple[Volume, bytes]:
+    """A parity volume whose first ``rows`` rows hold random bytes on every
+    member (installed, so nothing of them is on the record)."""
+    volume = parity_volume(n_disks, chunk, "raid5")
+    data = random.Random(n_disks * chunk).randbytes(rows * chunk * (n_disks - 1) * SECTOR)
+    volume.install(0, data)
+    return volume, data
+
+
+def test_a_granted_row_reads_as_zeros_and_costs_no_request():
+    volume, data = used_volume()
+    row_sectors = 8 * 3
+    requests = [disk.stats.requests for disk in volume.disks]
+    volume.discard(row_sectors, row_sectors)  # row 1
+    assert [disk.stats.requests for disk in volume.disks] == requests
+    assert sorted(m for m, plba, n in volume.stripe_cache.blank_runs() if (plba, n) == (8, 8)) == [0, 1, 2, 3]
+    assert volume.peek(row_sectors, row_sectors) == bytes(row_sectors * SECTOR)
+    assert volume.read(0, 2 * row_sectors)[: row_sectors * SECTOR] == data[: row_sectors * SECTOR]
+    # Its members still hold the old bytes; a partial write into it reads none.
+    assert any(volume.disks[m].peek(8, 8) != bytes(8 * SECTOR) for m in range(4))
+    volume.write(row_sectors + 3, bytes([9]) * 2 * SECTOR)
+    assert volume.volume_stats.preread_misses == 0
+    assert volume.peek(row_sectors, 8) == bytes(3 * SECTOR) + bytes([9]) * 2 * SECTOR + bytes(3 * SECTOR)
+
+
+def test_a_row_covered_in_part_is_granted_only_as_a_restatement():
+    """After a power failure the record is gone; the layer above grants back
+    what it had granted, down to sectors — unless a resync has folded the
+    members' bytes into the row's parity since."""
+    volume, _data = used_volume()
+    volume.discard(24, 24)
+    volume.write(24 + 2, bytes([5]) * SECTOR)
+    volume.power_fail()
+    assert list(volume.stripe_cache.blank_runs()) == []
+    volume.discard(24, 2)  # what no write touched since the grant
+    volume.discard(24 + 3, 24 - 3)
+    assert volume.peek(24, 24) == bytes(2 * SECTOR) + bytes([5]) * SECTOR + bytes(21 * SECTOR)
+    # The parity of every offset where all data is blank is blank again.
+    holder = volume.parity_map.parity_disk(1)
+    assert volume.stripe_cache.all_blank(holder, 8 + 3, 5)
+    resynced, _ = used_volume()
+    resynced.discard(24, 24)
+    resynced.power_fail()
+    resynced.resync_parity()
+    resynced.discard(24 + 3, 24 - 3)
+    assert list(resynced.stripe_cache.blank_runs()) == []
+    resynced.discard(24, 24)  # a whole row is always granted
+    assert resynced.peek(24, 24) == bytes(24 * SECTOR)
+
+
+def test_the_rebuild_scanner_skips_a_row_blank_on_every_other_member():
+    volume, data = used_volume()
+    volume.discard(24, 24)
+    lost = volume.spindle_of(24)
+    volume.fail_member(lost)
+    volume.replace_member(lost)
+    volume.rebuild_run_to_completion()
+    stats = volume.volume_stats
+    # Rows 0, 2 and 3 are written; row 1 is granted, the rest never
+    # written: only the three are rebuilt, every row counts as done.
+    assert stats.rebuild_writes == 3 and stats.rebuild_rows_done == volume.parity_map.rows
+    assert volume.stripe_cache.all_blank(lost, 8, 8)  # put on record, not written
+    assert volume.peek(24, 24) == bytes(24 * SECTOR)
+    assert volume.peek(0, 24) == data[: 24 * SECTOR]
+    assert volume.resync_parity() == 0
+
+
+def test_a_scanner_that_rebuilds_a_granted_row_from_member_bytes_is_caught(monkeypatch):
+    """The mutant reads the survivors' media as they are, granted or not,
+    and writes their XOR: the replacement's chunk of the granted row is
+    junk where the volume means zeros."""
+    monkeypatch.setattr(StripeCache, "all_blank", lambda self, member, plba, n: False)
+    monkeypatch.setattr(
+        Volume,
+        "_xor_others",
+        lambda self, skip, plba, n, fetch: _xor_buffers(
+            [self.disks[i].peek(plba, n) for i in range(len(self.disks)) if i != skip]
+        ),
+    )
+    volume, _data = used_volume()
+    volume.discard(24, 24)
+    lost = volume.spindle_of(24)  # a data chunk of the granted row
+    volume.fail_member(lost)
+    volume.replace_member(lost)
+    volume.rebuild_run_to_completion()
+    assert volume.peek(24, 24) != bytes(24 * SECTOR)
+
+
+def test_a_degraded_read_that_xors_a_blank_operand_as_it_lies_is_caught(monkeypatch):
+    """A granted row written in part, then a member lost: the live sectors
+    reconstruct only if the blank operands count as zeros."""
+
+    def run() -> tuple[bytes, bytes]:
+        volume, _data = used_volume()
+        volume.discard(24, 24)
+        live = bytes([7]) * 3 * SECTOR
+        volume.write(24 + 2, live)
+        volume.fail_member(volume.spindle_of(24 + 2))
+        return volume.peek(24 + 2, 3), live
+
+    got, live = run()
+    assert got == live
+    monkeypatch.setattr(
+        Volume,
+        "_xor_others",
+        lambda self, skip, plba, n, fetch: _xor_buffers(
+            [self.disks[i].peek(plba, n) for i in range(len(self.disks)) if i != skip]
+        ),
+    )
+    got, live = run()
+    assert got != live

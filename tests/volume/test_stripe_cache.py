@@ -144,8 +144,14 @@ class Pair:
         cache = volume.stripe_cache
         if mutant:  # the scanner's write passes the cache by
             cache.store = lambda *write: None
+        if volume is self.oracle:
+            # A row blank on every other member is skipped: by the record,
+            # which the oracle does not keep — it takes the shipped one's
+            # (the scanner puts only the replacement's chunk on it).
+            cache.all_blank = self.shipped.stripe_cache.all_blank
         volume.rebuild_step(rows)
         cache.__dict__.pop("store", None)
+        cache.__dict__.pop("all_blank", None)
 
     def check(self) -> None:
         shipped, oracle = self.shipped, self.oracle
