@@ -151,9 +151,6 @@ TABLE = [
     # The same small writes on blank members: every old byte is one the
     # volume never wrote, answered as zeros from its blank record.
     Row("volume_scaling", "raid5.write_paths.blank.member_reads", "ceiling", 0),
-    # And into rows written before, then granted whole as blank: the
-    # members hold old bytes the volume takes as zeros.
-    Row("volume_scaling", "raid5.write_paths.discarded.member_reads", "ceiling", 0),
     Row("volume_scaling", "raid5.degraded_read.reconstructed_reads", "floor", 1),
     Row("volume_scaling", "raid5.rebuild[*].rebuild_progress", "monotone-to", 1.0),
     # Every leaf under these is simulated (virtual-clock seconds, request

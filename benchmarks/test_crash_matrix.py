@@ -326,20 +326,23 @@ def test_degraded_parity_matrix(benchmark):
 
 
 # ----------------------------------------------------------------------
-# Blank rows: rows granted as the log opens them, a crash mid-row
+# Blank rows: rows the log reopens empty in every slot, a crash mid-row
 # ----------------------------------------------------------------------
 
 #: A hot set of 4 KB blocks overwritten until the log, gone round the
-#: disk, has opened ``grants`` rows it had left dead in every slot —
-#: granted to the volume as blank — then ``after`` more writes inside the
-#: last one, each acknowledged: the crash lands mid-row.
-BLANK_ROW_WORKLOAD = dict(n_blocks=12, grants=2, after=5)
+#: disk, has reopened ``rows_reopened`` slots whose rows it had left dead
+#: — every slot of the row openable and off the recovery chain — then
+#: ``after`` more writes inside the last one, each acknowledged: the crash
+#: lands mid-row.
+BLANK_ROW_WORKLOAD = dict(n_blocks=12, rows_reopened=2, after=5)
 BLANK_ROW_CONFIG = dict(CONFIG, checkpoint_slots=2)
 
 MIN_BLANK_ROW_STATES = 200
 
 
-def run_blank_row_workload(driver: OracleDriver, *, n_blocks: int, grants: int, after: int) -> None:
+def run_blank_row_workload(
+    driver: OracleDriver, *, n_blocks: int, rows_reopened: int, after: int
+) -> None:
     """Drive the blank-row arms' workload, acknowledging as it goes."""
     ld = driver.ld
     log = ld.log
@@ -357,15 +360,26 @@ def run_blank_row_workload(driver: OracleDriver, *, n_blocks: int, grants: int, 
             driver.ack(ld, "room")
         driver.write(ld, bids[i % n_blocks], bytes([i % 249 + 3]) * 4096)
 
+    # Whether the row of the slot the log chains next is dead, asked as it
+    # chains it: after any checkpoint the opening takes, before the slot
+    # leaves the openable ones.
+    chain, dead_row = log.slots.chain, [False]
+
+    def chaining(slot: int) -> None:
+        dead_row[0] = log._row_openable(slot, log._ranks())
+        chain(slot)
+
+    log.slots.chain = chaining
     seen, current, reopened, i = {log.open.index}, log.open.index, 0, 0
-    while reopened < grants:
+    while reopened < rows_reopened:
         overwrite(i)
         i += 1
         if log.open.index != current:
             current = log.open.index
-            reopened += current in seen and log.open.granted
+            reopened += current in seen and dead_row[0]
             seen.add(current)
-        assert i < 100 * n_blocks, "the log never opened a dead row it could grant"
+        assert i < 100 * n_blocks, "the log never reopened a dead row"
+    del log.slots.chain
     for j in range(after):
         overwrite(i + j)
         driver.ack(ld, f"in-row-{j}")
@@ -385,8 +399,7 @@ def run_blank_rows():
     checker = LLDCrashChecker(lld.config, driver.oracle)
 
     def mid_row(state):
-        # No resync: recovery grants back what the log had granted, and
-        # the volume's parity counts those sectors as zeros again.
+        # No resync: a power failure leaves parity as the members hold it.
         return checker(materialize_parity_crash_state(recording, state), state)
 
     states = enumerate_parity_crash_states(recording, subset_samples_per_epoch=2)
@@ -402,12 +415,9 @@ def run_blank_rows():
 
 
 def test_blank_row_matrix(benchmark):
-    """Rows granted to the volume as blank, and every crash state around
-    them: recovered healthy (the log grants back every row empty in every
-    slot and what no segment wrote of a flagged row, before anything is
-    written) and, after md's resync, with a member lost (the partial
-    grants back are then refused: the resync folded the members' bytes
-    into parity). Both meet the client contract."""
+    """Rows the log reopens dead in every slot, and every crash state
+    around the last one: recovered healthy and, after md's resync, with a
+    member lost. Both meet the client contract."""
     recording, driver, volume, healthy, lost = benchmark.pedantic(
         run_blank_rows, rounds=1, iterations=1
     )
@@ -423,7 +433,7 @@ def test_blank_row_matrix(benchmark):
                 "member loss: crash states": {"value": float(lost.states_total)},
                 "member loss: violations": {"value": float(len(lost.violations))},
             },
-            note="rows granted as the log opened them; recovery grants back before it writes",
+            note="a crash mid-row in a row the log reopened dead in every slot",
         )
     )
     try:

@@ -368,14 +368,6 @@ def run_parity_write_arm() -> dict:
     blank_seconds, blank_stats = small_writes(make_volume(PARITY_N, "raid5"), n_blank)
     blank_mb = n_blank * small_sectors * 512 / (1024 * 1024)
 
-    # The same small writes into rows written before and since granted
-    # whole as blank (``Volume.discard``, what the log does as it opens a
-    # row empty in every slot): the members still hold the old bytes, but
-    # the volume takes them as zeros, so no member is read.
-    volume = written_volume(n_rows)
-    volume.discard(0, n_rows * row_sectors)
-    discarded_seconds, discarded_stats = small_writes(volume, n_blank)
-
     # The same quarter-chunk written twice, row after row: the second
     # write's old data and old parity are what the first one wrote, which
     # the volume's stripe cache still holds — no pre-read at all.
@@ -438,14 +430,6 @@ def run_parity_write_arm() -> dict:
             "reconstruct_writes": blank_stats["reconstruct_writes"],
             "preread_hits": blank_stats["preread_hits"],
             "member_reads": blank_stats["sub_reads"],
-        },
-        "discarded": {
-            "mb_per_s": blank_mb / discarded_seconds,
-            "seconds": discarded_seconds,
-            "rmw_writes": discarded_stats["rmw_writes"],
-            "reconstruct_writes": discarded_stats["reconstruct_writes"],
-            "preread_hits": discarded_stats["preread_hits"],
-            "member_reads": discarded_stats["sub_reads"],
         },
         "rmw_resident": {
             "mb_per_s": resident_mb / resident_seconds,
@@ -563,11 +547,6 @@ def test_volume_parity(benchmark):
                     "full-stripe": 0.0,
                     "RMW": float(write_arm["blank"]["rmw_writes"]),
                 },
-                "small writes, granted rows": {
-                    "MB/s": write_arm["discarded"]["mb_per_s"],
-                    "full-stripe": 0.0,
-                    "RMW": float(write_arm["discarded"]["rmw_writes"]),
-                },
                 "small writes, each twice": {
                     "MB/s": write_arm["rmw_resident"]["mb_per_s"],
                     "full-stripe": 0.0,
@@ -580,8 +559,8 @@ def test_volume_parity(benchmark):
                 },
             },
             note="the RAID-5 small-write penalty: 2 pre-reads + 2 writes per fragment "
-            "(sectors never written or granted, and a range written again: their "
-            "pre-reads come from the stripe cache; rows not counted as RMW reconstructed "
+            "(sectors never written and a range written again: their pre-reads "
+            "come from the stripe cache; rows not counted as RMW reconstructed "
             "their parity instead)",
         )
     )
@@ -633,7 +612,6 @@ def test_volume_parity(benchmark):
     assert resident["preread_hits"] == resident["preread_misses"] == resident["rmw_writes"]
     # Sectors never written are not read at all.
     assert write_arm["blank"]["member_reads"] == 0
-    assert write_arm["discarded"]["member_reads"] == 0
     # Rows whose old data sits behind a long read pre-read the row's other
     # data chunks instead.
     assert write_arm["busy_member"]["reconstruct_writes"] > 0

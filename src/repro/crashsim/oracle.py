@@ -460,13 +460,18 @@ def run_matrix_workload(
     plain = [bid for bid in bids if bid not in aru_bids]
     count = itertools.count()
 
-    def overwrite_until(done, label: str) -> None:
-        while not done():
+    def overwrite_until(done, label: str, goal: str) -> None:
+        # Bounded: every ack holds a snapshot, so a log that never gets
+        # there must fail here rather than grow without limit.
+        for _ in range(100 * ld.layout.segment_count):
+            if done():
+                return
             if maybe(fill_size + 512, 256):
                 driver.ack(ld, label)
             else:
                 i = next(count)
                 driver.write(ld, plain[i % len(plain)], _content("cycle", i, fill_size))
+        raise AssertionError(f"{goal}: the log never got there")
 
     if maybe(3 * 2048, 512):
         driver.ack(ld, "room")
@@ -474,14 +479,15 @@ def run_matrix_workload(
     for j, bid in enumerate(aru_bids):
         driver.write(ld, bid, _stamped(generations + 1, j))
     slot = log.open.index
-    overwrite_until(lambda: log.open.index != slot, "span-seal")  # a mid-unit seal
+    # A mid-unit seal.
+    overwrite_until(lambda: log.open.index != slot, "span-seal", "span-seal")
     commit_slot = log.open.index
     driver.end_aru(ld)
     driver.ack(ld, "span-commit")
-    overwrite_until(lambda: log.open.index != commit_slot, "room")
+    overwrite_until(lambda: log.open.index != commit_slot, "room", "commit-sealed")
     ld.cleaner.clean_segment(commit_slot)
     driver.ack(ld, "cleaned")
-    overwrite_until(lambda: log.open.index == commit_slot, "room")
+    overwrite_until(lambda: log.open.index == commit_slot, "room", "recycled")
     driver.ack(ld, "recycled")
 
     return {"lid": lid, "bids": bids, "aru_bids": tuple(aru_bids)}

@@ -7,10 +7,8 @@ every ordering point through ``barrier``. Which slot it may open, hold,
 clean or scrub is its :class:`~repro.lld.slots.SlotTable`'s to decide
 (``slots``; the lifecycle is drawn there). On a device with stripe rows
 sealed segments leave a row at a time (:meth:`LogWriter.write_held`), and
-a row the log opens empty in every slot is granted to the device as blank
-(:meth:`LogWriter._grantable`; a recovery grants back what a power failure
-made it forget, :meth:`LogWriter.regrant`);
-with two checkpoint copies every summary names the slot opened after it
+a retired slot's scrub waits for its row (:meth:`LogWriter._ripe`); with
+two checkpoint copies every summary names the slot opened after it
 (DESIGN.md §17). The cleaner, the reorganizers, NVRAM and the LD surface
 are its clients.
 """
@@ -203,9 +201,6 @@ class LogWriter:
         #: Openings between checkpoints, at least: whole stripe rows.
         width = layout.row_width
         self.reserve = -(-CHECKPOINT_RESERVE // width) * width
-        #: The device's grant of blank sectors (``Volume.discard``), on a
-        #: layout with stripe rows; None where there is nothing to grant.
-        self.discard = getattr(disk, "discard", None) if layout.whole_rows else None
 
     # ------------------------------------------------------------------
     # Start-up and shutdown
@@ -236,7 +231,6 @@ class LogWriter:
         if slot is None:
             slot = self._restart_slot(ranks)
         self._cover(slot, ranks, current)
-        granted = self._grantable(slot, ranks)
         self.slots.chain(slot)
         rows = self.layout.slot_rows
         if self.held and (slot != current + 1 or rows[slot][0] != rows[current][0]):
@@ -249,76 +243,9 @@ class LogWriter:
             buffer[:] = self._zeros
         self._used[position] = True
         self.open = OpenSegment(slot, self.config, buffer)
-        if granted:
-            # The volume may take every sector of the row as zeros: the
-            # partial writes that fill it pre-read nothing. The first
-            # summary written into the row says so, for a recovery.
-            self.discard(*self.layout.row_extent(self.layout.slot_rows[slot][0]))
-            self.open.granted = True
         # What the old summary says is superseded everywhere: the unit
         # records in it need no COMMIT any more.
         self.state.forget_units(slot)
-
-    def _grantable(self, slot: int, ranks: dict[int, int]) -> bool:
-        """May the log grant ``slot``'s stripe row to the volume as blank
-        as it opens ``slot``? Only a whole row of log slots, every one of
-        them openable (no live data or metadata, not in memory, not
-        pinned) and off the recovery chain (not opened since the newest
-        checkpoint): nothing in the row is anything a client or a recovery
-        reads, so no live sector's parity is ever computed with junk taken
-        as zeros."""
-        if self.discard is None:
-            return False
-        row_slots = self.layout.whole_rows.get(self.layout.slot_rows[slot][0])
-        if row_slots is None:
-            return False
-        since = self.slots.since or ()
-        return all(other in ranks and other not in since for other in row_slots)
-
-    def regrant(self, flagged: dict[int, int]) -> None:
-        """Start-up, after the tables are recovered and before anything is
-        written: put back on the volume's blank record what a power failure
-        made it forget (DESIGN.md §14). Every whole row whose slots are all
-        :meth:`_grantable`; and for each row whose newest summary is one
-        of ``flagged`` (slot -> bytes of data its summary describes, for
-        each summary read with the :data:`~repro.lld.segment.GRANTED` flag)
-        — the row's first opening since its grant, the crash before its
-        second — the sectors no segment has written since: the row's other
-        slots whole, and the flagged slot's data area past what its summary
-        describes."""
-        if self.discard is None:
-            return
-        layout = self.layout
-        ranks = self.slots.openable()
-        since = self.slots.since or ()
-        free = {slot for slot in ranks if slot not in since}
-        run: list[int] = []  # consecutive rows to grant, as one call
-        for row, row_slots in sorted(layout.whole_rows.items()):
-            if free.issuperset(row_slots) and (not run or row == run[-1] + 1):
-                run.append(row)
-                continue
-            self._grant_rows(run)
-            run = [row] if free.issuperset(row_slots) else []
-        self._grant_rows(run)
-        newest = self.state.summary_min_ts
-        per_slot = self.config.sectors_per_segment
-        for slot, data_end in flagged.items():
-            row_slots = layout.whole_rows.get(layout.slot_rows[slot][0])
-            others = [other for other in row_slots or () if other != slot]
-            stamp = newest.get(slot)
-            if (
-                not others
-                or stamp is None
-                or free.issuperset(row_slots)  # granted whole above
-                or not free.issuperset(others)
-                or any(newest.get(other, -1) > stamp for other in others)
-            ):
-                continue
-            for other in others:
-                self.discard(layout.slot_lba(other), per_slot)
-            used = self.config.summary_sectors + -(-data_end // SECTOR)
-            if used < per_slot:
-                self.discard(layout.slot_lba(slot) + used, per_slot - used)
 
     # ------------------------------------------------------------------
     # Checkpoints
@@ -935,52 +862,42 @@ class LogWriter:
             self.drop_dead_tombstones()
 
     def _ranks(self) -> dict[int, int]:
-        """``SlotTable.openable``, where the log grants rows with a slot
-        whose scrub waits (:meth:`_ripe`) ranked as if it were done:
-        placement takes the slots the cleaner empties as it would once
-        their stale summaries were gone."""
+        """``SlotTable.openable``, where scrubs wait for their rows
+        (:meth:`_ripe`) with a waiting slot ranked as if its scrub were
+        done: placement takes the slots the cleaner empties as it would
+        once their stale summaries were gone."""
         ranks = self.slots.openable()
-        return ranks if self.discard is None else self.slots.after_scrubs(ranks)
+        return self.slots.after_scrubs(ranks) if self.layout.whole_rows else ranks
 
     def _ripe(self, due: set[int]) -> set[int]:
-        """Of the retired slots ``due`` a scrub, those to scrub now. Where
-        the log grants rows a scrub is a partial-row write, two pre-reads
-        and two writes, and the stale summary it destroys harms nothing
-        meanwhile (it only keeps the tombstones it could contradict, and
-        the log opening the slot writes over it): a slot waits until every
-        slot of its row is :meth:`_grantable` — its row is then granted
-        first, and the scrub pre-reads nothing — or until tombstone
-        compaction scrubs it."""
-        if self.discard is None or not due:
+        """Of the retired slots ``due`` a scrub, those to scrub now. On
+        stripe rows a scrub is a partial-row write, two pre-reads and two
+        writes, and the stale summary it destroys harms nothing meanwhile
+        (it only keeps the tombstones it could contradict, and the log
+        opening the slot writes over it, which often comes first): a slot
+        waits until every slot of its row is :meth:`_row_openable`, or
+        until tombstone compaction scrubs it (DESIGN.md §14)."""
+        whole_rows = self.layout.whole_rows
+        if not whole_rows or not due:
             return due
-        layout = self.layout
+        rows = self.layout.slot_rows
         ranks = self.slots.openable()
-        ripe = set()
-        for slot in due:
-            row_slots = layout.whole_rows.get(layout.slot_rows[slot][0])
-            if row_slots is None or self._grantable(row_slots[0], ranks):
-                ripe.add(slot)
-        return ripe
+        return {
+            slot
+            for slot in due
+            if rows[slot][0] not in whole_rows or self._row_openable(slot, ranks)
+        }
 
-    def _grant_rows(self, rows: list[int]) -> None:
-        """Grant the consecutive whole ``rows``, if any, in one call."""
-        if rows:
-            lba, _nsectors = self.layout.row_extent(rows[0])
-            end, last = self.layout.row_extent(rows[-1])
-            self.discard(lba, end + last - lba)
-
-    def _grant_rows_of(self, slots: set[int]) -> None:
-        """Before the scrubs of ``slots``: grant the volume each of their
-        rows that is :meth:`_grantable`, so that the scrubs pre-read
-        nothing."""
-        if self.discard is None:
-            return
-        layout = self.layout
-        ranks = self.slots.openable()
-        for row in {layout.slot_rows[slot][0] for slot in slots}:
-            row_slots = layout.whole_rows.get(row)
-            if row_slots is not None and self._grantable(row_slots[0], ranks):
-                self.discard(*layout.row_extent(row))
+    def _row_openable(self, slot: int, ranks: dict[int, int]) -> bool:
+        """Is every slot of ``slot``'s stripe row — a row of log slots alone
+        (``DiskLayout.whole_rows``) — one of ``ranks`` (openable: no live
+        data or metadata, not in memory, not pinned) and off the recovery
+        chain (not opened since the newest checkpoint)?"""
+        row_slots = self.layout.whole_rows.get(self.layout.slot_rows[slot][0])
+        if row_slots is None:
+            return False
+        since = self.slots.since or ()
+        return all(other in ranks and other not in since for other in row_slots)
 
     def scrub(self, slots: Iterable[int]) -> None:
         """Destroy the stale summaries of those of ``slots`` the table lets
@@ -992,8 +909,6 @@ class LogWriter:
         self.write_held()
         empty = empty_summary(self.config.summary_capacity)
         state = self.state
-        slots = set(slots)
-        self._grant_rows_of(slots)
         for slot in sorted(slots):
             if self.slots.scrub(slot):
                 self._disk_write(self.layout.slot_lba(slot), empty)

@@ -14,9 +14,7 @@ slot opened after it. Recovery loads the newest copy, reads the listed
 summaries in one batch, follows the chain of ``next`` slots past them —
 the *tail*, Sprite LFS's roll-forward — and replays it from ``T`` with
 the sweep's own :func:`replay`; without a usable copy it sweeps
-(DESIGN.md §17). Either way it ends with ``SlotTable.recover``, and then
-re-grants the volume the stripe rows a power failure made it forget
-(``LogWriter.regrant``, DESIGN.md §14) before anything is written.
+(DESIGN.md §17). Either way it ends with ``SlotTable.recover``.
 """
 
 from __future__ import annotations
@@ -24,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.lld.records import BlockRecord, Record
-from repro.lld.segment import decode_summary_into, summary_granted, summary_next
+from repro.lld.records import Record
+from repro.lld.segment import decode_summary_into, summary_next
 from repro.lld.state import KIND_COMMIT, RECORD_KINDS, LLDState
 from repro.obs.metrics import Counters
 from repro.obs.trace import NULL_SPAN
@@ -77,23 +75,7 @@ class RecoveryReport(Counters):
 #: The record type that commits a unit (the one whose key is its COMMIT).
 COMMIT = next(kind for kind, row in RECORD_KINDS.items() if row.sets == KIND_COMMIT)
 
-def _note_granted(flagged: dict[int, int], slot: int, image, records: list[Record]) -> None:
-    """Remember a summary carrying the grant flag, with the bytes of data
-    its records place in its own slot."""
-    if summary_granted(image):
-        flagged[slot] = max(
-            (
-                record.offset + record.stored_length
-                for record in records
-                if type(record) is BlockRecord and record.segment == slot
-            ),
-            default=0,
-        )
-
-
-def sweep_summaries(
-    lld: "LLD", flagged: dict[int, int] | None = None
-) -> list[tuple[int, list[Record]]]:
+def sweep_summaries(lld: "LLD") -> list[tuple[int, list[Record]]]:
     """Read and parse every segment summary, in slot order (one sweep).
 
     One request per slot's summary, all in one batch: a multi-spindle
@@ -101,8 +83,7 @@ def sweep_summaries(
     serves them back to back. (Joining adjacent summaries into one request
     would pay on the HP C3010 only for segments of 16 KB or less.)
     Summaries that fail to parse — never written, torn, or corrupt — are
-    skipped; a damaged slot can never abort the sweep. ``flagged`` collects
-    the summaries carrying the grant flag (:func:`_note_granted`).
+    skipped; a damaged slot can never abort the sweep.
     """
     config = lld.config
     layout = lld.layout
@@ -117,8 +98,6 @@ def sweep_summaries(
         records: list[Record] = []
         if decode_summary_into(image, records):
             result.append((slot, records))
-            if flagged is not None:
-                _note_granted(flagged, slot, image, records)
     return result
 
 
@@ -127,21 +106,19 @@ def run_recovery(lld: "LLD") -> RecoveryReport:
     when there is no usable copy, from every summary on disk."""
     tr = lld.tracer
     t0 = lld.disk.clock.now
-    flagged: dict[int, int] = {}
     with (tr.span("lld.checkpoint_load") if tr else NULL_SPAN) as sp:
-        report = _from_checkpoint(lld, flagged)
+        report = _from_checkpoint(lld)
         if sp is not None and report is not None:
             sp.attrs["sequence"] = report.checkpoint_sequence
             sp.attrs["records_applied"] = report.records_applied
     if report is None:
         t0 = lld.disk.clock.now  # the sweep's own time, without the probe
         with (tr.span("lld.recovery_sweep") if tr else NULL_SPAN) as sp:
-            report = _sweep(lld, flagged)
+            report = _sweep(lld)
             if sp is not None:
                 sp.attrs["summaries_valid"] = report.summaries_valid
                 sp.attrs["records_applied"] = report.records_applied
                 sp.attrs["arus_discarded"] = report.arus_discarded
-    lld.log.regrant(flagged)
     report.simulated_seconds = lld.disk.clock.now - t0
     ev = lld.events
     if ev:
@@ -159,7 +136,7 @@ def run_recovery(lld: "LLD") -> RecoveryReport:
     return report
 
 
-def _from_checkpoint(lld: "LLD", flagged: dict[int, int]) -> RecoveryReport | None:
+def _from_checkpoint(lld: "LLD") -> RecoveryReport | None:
     """Load the newest copy and replay its tail — the listed slots'
     summaries, then the chain of ``next`` slots past them; None when
     there is no copy to load (nothing is changed then)."""
@@ -188,7 +165,6 @@ def _from_checkpoint(lld: "LLD", flagged: dict[int, int]) -> RecoveryReport | No
         records: list[Record] = []
         if decode_summary_into(image, records):
             slots.append((slot, records))
-            _note_granted(flagged, slot, image, records)
             if records and records[0].timestamp >= since:
                 opened.add(slot)
                 heads.append((records[-1].timestamp, image))
@@ -217,7 +193,6 @@ def _from_checkpoint(lld: "LLD", flagged: dict[int, int]) -> RecoveryReport | No
             if records[0].timestamp <= last:
                 break  # older than the summary that named it
             slots.append((link, records))
-            _note_granted(flagged, link, image, records)
             opened.add(link)
             last = records[-1].timestamp
             if last > newest[0]:
@@ -245,10 +220,10 @@ def _from_checkpoint(lld: "LLD", flagged: dict[int, int]) -> RecoveryReport | No
     return report
 
 
-def _sweep(lld: "LLD", flagged: dict[int, int]) -> RecoveryReport:
+def _sweep(lld: "LLD") -> RecoveryReport:
     report = RecoveryReport(segments_scanned=lld.layout.segment_count)
     reads_before = lld.disk.stats.reads
-    slots = sweep_summaries(lld, flagged)
+    slots = sweep_summaries(lld)
     report.summary_read_requests = lld.disk.stats.reads - reads_before
     report.summaries_valid = len(slots)
     replay(lld.state, slots, report)

@@ -45,11 +45,6 @@ _SUMMARY_MUTABLE = struct.Struct("<IIII")
 _NEXT = struct.Struct("<I")
 _HEADER_SIZE = _SUMMARY_HEADER.size
 NO_NEXT = 0xFFFFFFFF
-#: The top bit of the record-count field: the summary is that of the
-#: segment the log opened into a stripe row it granted the volume as blank
-#: (``LogWriter.open_next``; DESIGN.md §14), the row's first since the
-#: grant. A recovery grants back what no segment has written there since.
-GRANTED = 0x80000000
 
 #: Cached all-empty summary images per capacity (the reseal/scrub
 #: template): header with zero records, zero body, CRC32 of b"" (== 0),
@@ -106,7 +101,6 @@ def decode_summary_into(image, out: list[Record]) -> bool:
     magic, nrecords, body_len, crc, next_slot = _SUMMARY_HEADER.unpack_from(image, 0)
     if magic != SUMMARY_MAGIC:
         return False
-    nrecords &= ~GRANTED
     end = _HEADER_SIZE + body_len
     if end > len(image):
         return False
@@ -130,12 +124,6 @@ def summary_next(image) -> int | None:
     the slot the log opened after it, or None (it was open, or scrubbed)."""
     next_slot = _SUMMARY_HEADER.unpack_from(image, 0)[4]
     return None if next_slot == NO_NEXT else next_slot
-
-
-def summary_granted(image) -> bool:
-    """Does a summary :func:`decode_summary_into` accepted carry the
-    :data:`GRANTED` flag?"""
-    return bool(_SUMMARY_HEADER.unpack_from(image, 0)[1] & GRANTED)
 
 
 def parse_summary(image) -> list[Record] | None:
@@ -195,9 +183,10 @@ class DiskLayout:
             self.row_width = 1
             self.slot_rows = None
         #: The stripe rows made of log slots alone, each with its slots in
-        #: row order: the rows the log may grant the volume as blank (a
-        #: row shared with the checkpoint region, or cut by the end of the
-        #: disk, is not one). Empty on a layout without rows.
+        #: row order: the rows whose retired slots' scrubs wait for the
+        #: whole row (``LogWriter._ripe``; a row shared with the checkpoint
+        #: region, or cut by the end of the disk, is not one). Empty on a
+        #: layout without rows.
         self.whole_rows: dict[int, list[int]] = {}
         if self.slot_rows is not None:
             members: dict[int, list[int]] = {}
@@ -212,11 +201,6 @@ class DiskLayout:
         if not 0 <= segment < self.segment_count:
             raise ValueError(f"segment {segment} out of range [0, {self.segment_count})")
         return self.data_start_lba + segment * self.config.sectors_per_segment
-
-    def row_extent(self, row: int) -> tuple[int, int]:
-        """``(lba, nsectors)`` of a row of :attr:`whole_rows`."""
-        slots = self.whole_rows[row]
-        return self.slot_lba(slots[0]), len(slots) * self.config.sectors_per_segment
 
     def block_extent(self, segment: int, offset: int, length: int) -> tuple[int, int, int]:
         """Sector range covering ``length`` bytes at data ``offset`` in a slot.
@@ -322,9 +306,6 @@ class OpenSegment:
         #: The slot the log opens after this one, chosen at the seal before
         #: the write that carries it (``LogWriter.seal``); None while open.
         self.next: int | None = None
-        #: Opened into a row the log granted the volume as blank: its
-        #: summary carries :data:`GRANTED`.
-        self.granted = False
         # Durable watermark: how much of this segment is already on disk
         # and unchanged since the last flush. Data and records are append-
         # only inside an open segment, so a flush — and the seal after it —
@@ -374,8 +355,7 @@ class OpenSegment:
         next_slot = NO_NEXT if self.next is None else self.next
         _SUMMARY_MUTABLE.pack_into(
             self._image_view, 4,
-            len(self.records) | (GRANTED if self.granted else 0),
-            self.summary_used - _HEADER_SIZE,
+            len(self.records), self.summary_used - _HEADER_SIZE,
             _summary_crc(self._crc, next_slot), next_slot,
         )
 

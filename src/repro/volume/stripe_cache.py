@@ -15,26 +15,19 @@ candidates for both ways of computing parity, since which member reads are
 left after it answers is what the row's choice between them weighs, and a
 degraded row's trusted chunks (never the untrusted one: its medium is
 stale by design). It is not a read cache — client reads neither fill nor
-consult its resident bytes — but what is on the blank record is what a
-sector means, so every member read the volume makes passes through
-:meth:`StripeCache.mask`.
+consult it.
 
 **The one rule.** A resident sector holds exactly what the member's
-``peek`` would return, and a blank one reads as zeros through the volume
-— a fact about the sector's meaning, not its bytes: the member may hold
-anything there, and reads, parity, reconstruction and the rebuild scanner
-all take the sector as zeros. A member write stored here makes what it
-covers resident (a whole chunk: drops it) and takes it off the blank
-record; whatever else changes a member's medium — ``install``,
-``corrupt``, a parity resync — drops what it touches, off the record too.
-The record also grows: a volume granted a whole stripe row by the layer
-above (:meth:`repro.volume.Volume.discard`) puts every chunk of it back
-on (:meth:`StripeCache.blank`), and so does the rebuild scanner for a
-replacement's chunk of a row that is blank on every other member. A
-member that fails or is replaced forgets everything held for it, a power
-failure everything. Dropping a resident sector is always correct, keeping
-one never is; a blank one is the opposite — parity was computed with it
-as zeros, so losing it is only correct where the parity is recomputed.
+``peek`` would return, and a blank one reads as zeros there. A member
+write stored here makes what it covers resident (a whole chunk: drops it)
+and takes it off the blank record; whatever else changes a member's
+medium — ``install``, ``corrupt``, a parity resync — drops what it
+touches, off the record too, so the record only ever loses sectors, but
+for one case: the rebuild scanner puts a chunk of a replacement that came
+blank on it (:meth:`StripeCache.blank`) where the row is blank on every
+other member, since nothing has written the chunk yet. A member that
+fails or is replaced forgets everything held for it, a power failure
+everything. Dropping is always correct, keeping never is.
 
 Built like :class:`repro.disk.store.ExtentStore`: fixed extents, one
 ``bytearray`` plus one "resident" flag byte per sector, a request moved
@@ -96,8 +89,8 @@ class StripeCache:
 
     def blank(self, member: int, plba: int, nsectors: int) -> None:
         """Put ``[plba, plba + nsectors)`` of ``member`` on the blank record:
-        from now on it means zeros, whatever the medium holds. Nothing of it
-        stays resident."""
+        sectors the caller knows read as zeros. Nothing of it stays
+        resident."""
         self._unresident(member, plba, nsectors)
         bounds = self._blank.setdefault(member, [])
         end = plba + nsectors
@@ -109,50 +102,11 @@ class StripeCache:
 
     def all_blank(self, member: int, plba: int, nsectors: int) -> bool:
         """Is every sector of ``[plba, plba + nsectors)`` of ``member`` blank?"""
-        return self.blank_length(member, plba, nsectors) == nsectors
-
-    def blank_length(self, member: int, plba: int, most: int) -> int:
-        """How many sectors of ``member`` from ``plba`` on, at most ``most``,
-        are blank before the first that is not."""
         bounds = self._blank.get(member)
         if not bounds:
-            return 0
+            return False
         edge = bisect_right(bounds, plba)
-        if not edge & 1:
-            return 0
-        return min(most, bounds[edge] - plba)
-
-    def next_blank(self, member: int, plba: int, end: int) -> int:
-        """The first blank sector of ``member`` in ``[plba, end)``, or
-        ``end``."""
-        bounds = self._blank.get(member)
-        if not bounds:
-            return end
-        edge = bisect_right(bounds, plba)
-        if edge & 1:
-            return plba
-        return min(end, bounds[edge]) if edge < len(bounds) else end
-
-    def mask(self, member: int, plba: int, nsectors: int, data):
-        """``data`` — a member's bytes at ``[plba, plba + nsectors)`` — with
-        its blank sectors read as zeros: the same object when none is."""
-        bounds = self._blank.get(member)
-        if not bounds:
-            return data
-        end = plba + nsectors
-        edge = bisect_right(bounds, plba)
-        if not edge & 1 and (edge == len(bounds) or bounds[edge] >= end):
-            return data  # no run starts before ``end``: nothing blank
-        size = self.sector_size
-        out = bytearray(data)
-        at = plba
-        while at < end and edge < len(bounds):
-            stop = min(end, bounds[edge])
-            if edge & 1:
-                out[(at - plba) * size : (stop - plba) * size] = bytes((stop - at) * size)
-            at = stop
-            edge += 1
-        return bytes(out)
+        return bool(edge & 1) and bounds[edge] >= plba + nsectors
 
     def store(self, member: int, plba: int, payload) -> None:
         """Remember a member write of ``payload`` (whole sectors) at ``plba``."""

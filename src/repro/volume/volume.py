@@ -48,11 +48,9 @@ that did not wait when its writes will be done. A member write computed
 from member reads (a parity row's read-modify-write or reconstruct-write)
 starts no earlier than the last of those reads completes, on whichever
 member it lands — and a pre-read whose sectors the volume itself wrote
-recently, or has never written, or was granted as blank by the layer
-above (:meth:`Volume.discard`), is no member read at all: a parity volume
-keeps the first, and has the others on record as zeros
-(:mod:`repro.volume.stripe_cache`) — zeros to every read, to parity and
-to reconstruction, whatever the member holds there.
+recently, or has never written, is no member read at all: a parity volume
+keeps the first and has the second on record as zeros
+(:mod:`repro.volume.stripe_cache`), for this one purpose.
 Data lands in the member sector stores at dispatch, so read-after-write
 is always coherent regardless of clock skew.
 
@@ -120,7 +118,7 @@ def _xor_buffers(buffers):
     the fresh allocation costs what the buffer protocol does.
     ``tests/volume/test_xor.py`` pins the bytes for every kind of operand.
 
-    A ``None`` operand is a blank one — sectors that mean zeros
+    A ``None`` operand is a blank one — sectors never written, all zeros
     (:meth:`_Dispatch.prereads`) — and is left out. A single operand left
     is returned as it is, with no round-trip through an int; none at all
     is ``None``, itself blank.
@@ -336,9 +334,8 @@ class _Dispatch:
     sub-requests, the rebuild scanner as its own). On a parity volume every
     member write is also remembered by the stripe cache (write-through),
     so a later partial-row write can :meth:`probe` the same sectors and
-    pre-read them without a member read — as it can sectors on the cache's
-    blank record, which mean zeros. A member read answers those zeros too,
-    whatever the medium holds (:meth:`StripeCache.mask`).
+    pre-read them without a member read — as it can sectors the volume has
+    never written, which the cache has on record as blank.
     """
 
     __slots__ = ("disks", "stats", "cache", "now", "floor", "completion", "reads", "writes")
@@ -363,8 +360,6 @@ class _Dispatch:
         disk = self.disks[member]
         disk.clock.advance_to(self.now)
         data = disk.read(plba, nsectors)
-        if self.cache is not None:
-            data = self.cache.mask(member, plba, nsectors, data)
         self.reads += 1
         done = disk.clock.now
         if done > self.floor:
@@ -431,8 +426,7 @@ class _Install:
     """The time-free twin of :class:`_Dispatch`: ``install`` and
     ``resync_parity`` run the write plan through it.
 
-    Its reads are member ``peek`` with blank sectors as zeros (never the
-    stripe cache's resident bytes), its writes a
+    Its reads are member ``peek`` (never the stripe cache), its writes a
     drop from the stripe cache (:meth:`Volume._forget`) and the member's
     ``install``. It has no clock and no stats, and with no cost to weigh a
     partial row always reconstructs, recomputing parity from the data
@@ -446,9 +440,7 @@ class _Install:
         self.volume = volume
 
     def read(self, member: int, plba: int, nsectors: int) -> bytes:
-        data = self.volume.disks[member].peek(plba, nsectors)
-        cache = self.volume.stripe_cache
-        return data if cache is None else cache.mask(member, plba, nsectors, data)
+        return self.volume.disks[member].peek(plba, nsectors)
 
     def probe(self, member: int, plba: int, nsectors: int) -> _Preread:
         return member, plba, nsectors, None
@@ -542,14 +534,9 @@ class Volume:
         #: charged on the *member* stats, so the time fields here stay 0.
         self.stats = DiskStats(sector_size=member_geo.sector_size)
         self.volume_stats = VolumeStats(self)
-        #: The blank record may lack sectors the layer above had granted:
-        #: after a power failure, or over members someone wrote before,
-        #: until the layer above grants them back (:meth:`discard`).
-        self._record_lost = any(disk.sectors_populated for disk in disks)
-        #: Rows whose parity a resync recomputed while the record was lost,
-        #: counting the bytes of sectors it had forgotten; a whole-row
-        #: grant takes its row off (:meth:`discard`).
-        self._rows_from_media: set[int] = set()
+        #: The replacement being rebuilt came blank: no sector of it was
+        #: ever written (:meth:`rebuild_step`).
+        self._replacement_blank = False
 
     # ------------------------------------------------------------------
     # Membership / degraded modes
@@ -672,6 +659,7 @@ class Volume:
         self._admit(disk, self.geometry.member, "replacement")
         self.disks[index] = disk
         self.stripe_cache.drop_member(index)  # a different medium now: no record
+        self._replacement_blank = disk.sectors_populated == 0
         self._scan_from_start(index)
         self._announce("volume.rebuild_started", index, rows=self.parity_map.rows)
 
@@ -698,13 +686,13 @@ class Volume:
         shared time (competing with foreground requests for the spindles —
         the rate/latency tradeoff) without advancing the shared clock, and
         a row's rebuilt chunk is written once the source reads it is the
-        XOR of have completed — except a row blank on every other member,
-        whose lost chunk is zeros: it goes on the replacement's blank
-        record, with no I/O (ZFS resilvers only allocated blocks the same
-        way). The scanner's reads and writes are counted apart from the
-        foreground's sub-requests. Returns the number of
-        rows actually rebuilt; on the last row the member rejoins
-        ``alive`` and the volume is fully redundant again.
+        XOR of have completed — except, on a replacement that came blank, a
+        row blank on every other member: the replacement's chunk there is
+        zeros already and goes on its blank record, with no I/O (ZFS
+        resilvers only allocated blocks the same way). The scanner's reads
+        and writes are counted apart from the foreground's sub-requests.
+        Returns the number of rows actually rebuilt; on the last row the
+        member rejoins ``alive`` and the volume is fully redundant again.
         """
         target = self._rebuilding
         if target is None:
@@ -719,12 +707,14 @@ class Volume:
         while done < rows and self._rebuilding is not None:
             io.floor = now  # rows are independent of one another
             row_lba = pmap.row_lba(self._rebuild_cursor)
-            if all(
+            if self._replacement_blank and all(
                 cache.all_blank(member, row_lba, chunk)
                 for member in range(len(self.disks))
                 if member != target
             ):
-                # Blank on every other member: the lost chunk is zeros too.
+                # Zeros on every member: nothing has written the row on the
+                # replacement either (the volume writes no chunk of it
+                # before the scanner gets there).
                 cache.blank(target, row_lba, chunk)
             else:
                 io.write(target, row_lba, self._xor_others(target, row_lba, chunk, io.read))
@@ -1132,86 +1122,6 @@ class Volume:
         pre-reads cost strictly less (:meth:`_Dispatch.cost`)."""
         return io.cost(rcw) < io.cost(rmw)
 
-    def discard(self, lba: int, nsectors: int) -> None:
-        """Grant ``[lba, lba + nsectors)`` as blank: the layer above holds
-        nothing there. Reads, parity, reconstruction and the rebuild scanner
-        take a granted sector as zeros from now on, whatever its member
-        holds (:class:`StripeCache`), so a later partial write into it
-        pre-reads nothing. Time-free: no member sees a request.
-
-        A stripe row covered whole goes on the record on every member
-        whose chunk is trusted, parity included — its parity is the XOR of
-        zeros, so nothing in it has to be read or recomputed. A row covered
-        in part is the caller's claim that the row's parity already counts
-        those sectors as zeros: true only of sectors it granted before a
-        power failure made the volume forget them, which is what a log
-        recovering from a crash restates; the row's parity goes on the
-        record too wherever every data chunk is then blank. The claim is
-        refused — the sectors stay as they are — for a row whose parity
-        :meth:`resync_parity` recomputed from the members while the record
-        was lost (it counts their bytes now), and on a layout without
-        parity, where nothing is gained."""
-        self.map.check_range(lba, nsectors)
-        pmap = self.parity_map
-        if pmap is None or nsectors <= 0:
-            return
-        cache = self.stripe_cache
-        chunk = pmap.chunk_sectors
-        whole = pmap.data_per_row * chunk
-        if lba % whole == 0 and nsectors % whole == 0:  # whole rows only
-            rows = ((row, None) for row in range(lba // whole, (lba + nsectors) // whole))
-        else:
-            rows = pmap.split_rows(lba, nsectors)
-        for row, frags in rows:
-            base = pmap.row_lba(row)
-            if frags is None or sum(f.nsectors for f in frags) == whole:
-                for member in range(len(self.disks)):
-                    if self._trusted(member, row):
-                        cache.blank(member, base, chunk)
-                self._rows_from_media.discard(row)
-            elif row not in self._rows_from_media:
-                for f in frags:
-                    if self._trusted(f.disk, row):
-                        cache.blank(f.disk, base + f.within, f.nsectors)
-                self._blank_parity(row, frags)
-        self._record_lost = False
-
-    def _blank_parity(self, row: int, frags) -> None:
-        """Put ``row``'s parity on the record wherever every data chunk is
-        blank — on the record, or in ``frags`` (a lost chunk has no
-        record): the XOR of zeros."""
-        pmap = self.parity_map
-        holder = pmap.parity_disk(row)
-        if not self._trusted(holder, row):
-            return
-        cache = self.stripe_cache
-        base = pmap.row_lba(row)
-        chunk = pmap.chunk_sectors
-        granted = {f.disk: (f.within, f.within + f.nsectors) for f in frags}
-        members = pmap.data_disks(row)
-        at = 0
-        while at < chunk:
-            # The stretch from ``at`` blank on every data chunk; where one is
-            # not blank at ``at``, on to the first sector it is.
-            stop, resume = chunk, at
-            for member in members:
-                lo, hi = granted.get(member, (0, 0))
-                if lo <= at < hi:
-                    stop = min(stop, hi)
-                    continue
-                end = at + cache.blank_length(member, base + at, chunk - at)
-                if end > at:
-                    stop = min(stop, end, lo if lo > at else chunk)
-                else:
-                    later = cache.next_blank(member, base + at, base + chunk) - base
-                    resume = max(resume, min(later, lo if lo > at else chunk))
-                    stop = at
-            if stop > at:
-                cache.blank(holder, base + at, stop - at)
-                at = stop
-            else:
-                at = max(resume, at + 1)
-
     def barrier(self, label: str = "barrier", *, wait: bool = True) -> None:
         """Order writes; with ``wait``, drain every spindle's horizon too.
 
@@ -1275,7 +1185,6 @@ class Volume:
         """Main memory is lost; the members keep what was written to them."""
         if self.stripe_cache is not None:
             self.stripe_cache.clear()
-        self._record_lost = True
 
     def install(self, lba: int, data: bytes) -> None:
         """Place whole sectors on every relevant member without charging time.
@@ -1314,8 +1223,6 @@ class Volume:
         io = _Install(self)
         chunk = pmap.chunk_sectors
         changed = 0
-        if self._record_lost:
-            self._rows_from_media.update(range(pmap.rows))
         for row in range(pmap.rows):
             holder, base = pmap.parity_disk(row), pmap.row_lba(row)
             reads = self._reconstruct_reads(io, row, set(), 0, chunk, None)

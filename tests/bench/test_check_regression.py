@@ -217,8 +217,6 @@ BROKEN = [
     ("volume_scaling", "raid5.rebuild.1.foreground_seconds", 22.953351851851853),
     # A volume that reads back sectors it never wrote again.
     ("volume_scaling", "raid5.write_paths.blank.member_reads", 576),
-    # A volume that reads back the old bytes of rows it was granted.
-    ("volume_scaling", "raid5.write_paths.discarded.member_reads", 192),
     # The blank-row arms: a violation after a crash mid-row.
     ("crash_matrix", "blank_rows.mid_row.violation_count", 1),
     # The multi-tenant arms' simulated leaves: one the committed report

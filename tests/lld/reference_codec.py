@@ -38,9 +38,6 @@ from repro.lld.segment import NO_NEXT, SUMMARY_MAGIC
 
 HEADER = struct.Struct("<BBIQ")  # type, flags, aru, timestamp
 SUMMARY_HEADER = struct.Struct("<4sIIII")  # magic, nrecords, body_len, crc32, next
-#: The top bit of ``nrecords`` is a flag, not part of the count: the first
-#: summary written into a stripe row the log granted the volume as blank.
-GRANTED = 0x80000000
 NEXT = struct.Struct("<I")
 
 TYPES = {
@@ -114,7 +111,6 @@ def parse_summary_legacy(image: bytes) -> list[Record] | None:
     magic, nrecords, body_len, crc, next_slot = SUMMARY_HEADER.unpack_from(image, 0)
     if magic != SUMMARY_MAGIC:
         return None
-    nrecords &= ~GRANTED
     start = SUMMARY_HEADER.size
     if start + body_len > len(image):
         return None

@@ -293,7 +293,8 @@ MATRIX_CONFIG = dict(
 #: replaced: every point's label, blocks and lists are as before, and the
 #: journal positions after the abort moved by one or two writes. The
 #: ``single-raid5`` arm was re-captured when the scrub of a retired slot on
-#: RAID-5 rows began to wait for its row to be granted: every point up to
+#: RAID-5 rows began to wait for its row (every slot of it openable and
+#: off the chain; the digest outlived the row grants): every point up to
 #: the last fill is as before (``BEFORE_RECYCLING``), and the log reopens
 #: the cleaned slot at another journal position.
 POINTS_GOLDEN = {
@@ -358,3 +359,26 @@ def test_matrix_workloads_acknowledge_the_pinned_history(arm):
         assert labels[-1] == "recycled" and "cleaned" in labels
         last_fill = max(i for i, label in enumerate(labels) if label.startswith("fill-"))
         assert _digest(points[: last_fill + 1]) == BEFORE_RECYCLING[arm]
+
+
+def test_phase_g_gives_up_when_the_log_never_reopens_the_commit_slot():
+    """Placement that never reopens the slot holding the spanning unit's
+    COMMIT: the workload's last loop stops after its bound of rounds and
+    names the phase, instead of taking acknowledgements (each holding a
+    snapshot) without end."""
+    lld, _recording, driver = recorded_lld(torn_write_protection=True)
+    log = lld.log
+    banned: set[int] = set()
+    choose, end_aru = log._choose, driver.end_aru
+
+    def ending(handle) -> None:
+        banned.add(log.open.index)  # the slot the unit's COMMIT goes into
+        end_aru(handle)
+
+    def choosing(ranks: dict[int, int], current: int) -> int:
+        return choose({s: r for s, r in ranks.items() if s not in banned}, current)
+
+    driver.end_aru, log._choose = ending, choosing
+    with pytest.raises(AssertionError, match="recycled: the log never got there"):
+        small_workload(driver)
+    assert driver.oracle.points[-1].label != "recycled"

@@ -119,8 +119,17 @@ first row among them — and on RAID-5 rows the scrub of a retired slot
 waits until its row can be granted, so ``layout`` and ``requests``
 re-captured on all 64 RAID-5 arms and ``clocks`` on the 40 of the four
 scripts that clean and of ``nvram_replay``; ``contents`` the parent's
-on all 192, all four components on the 128 bare-disk and stripe arms. A change that keeps
-requests where they are re-captures nothing; one that moves them re-captures the components it names up front
+on all 192, all four components on the 128 bare-disk and stripe arms.
+Grants removed (parent 81b8e9e): no summary carries the ``GRANTED`` bit
+and the volume takes no row as blank that its members do not hold as
+zeros, the scrub wait kept — ``layout`` and ``requests`` re-captured on
+all 64 RAID-5 arms (the record count of each first-row summary lost its
+top bit), ``clocks`` on the 24 RAID-5 arms of ``compaction``,
+``deletes_clean`` and ``nvram_replay``; ``contents`` the parent's on all
+192, all four components on the 128 bare-disk and stripe arms. A checkout
+of the parent whose ``Volume.discard`` records nothing and whose log
+never sets the bit gives these digests on all 192 arms. A change that
+keeps requests where they are re-captures nothing; one that moves them re-captures the components it names up front
 and shows the rest byte-identical to this table.
 
 Two stats fields are allowed to differ from the d6408cc capture, and only
@@ -187,14 +196,14 @@ GOLDEN: dict[str, dict[str, tuple[str, str, str, str]]] = {
         'stripe/image/torn/disk': ('167464a16ae5', 'e6d047340c40', 'e492d42999a7', '9ccd7ecd681b'),
         'stripe/image/plain/nvram': ('167464a16ae5', '53935bc0dcf0', '6e1d5fbfe159', '5c2854b83687'),
         'stripe/image/plain/disk': ('167464a16ae5', 'e6d047340c40', '75cc4f2ff7f5', '11a15c55fd80'),
-        'raid5/delta/torn/nvram': ('39ec6d2c2616', '65a40aa5f145', 'bfdb361be5f1', '0dce27ebd22b'),
-        'raid5/delta/torn/disk': ('39ec6d2c2616', 'd2d41f2d0ade', '6f9c03d83e9a', '2198248b8475'),
-        'raid5/delta/plain/nvram': ('39ec6d2c2616', '65a40aa5f145', 'bcf2091e5bed', '5f4f733ecf91'),
-        'raid5/delta/plain/disk': ('39ec6d2c2616', 'd2d41f2d0ade', '67d48505a142', 'e5be46374b47'),
-        'raid5/image/torn/nvram': ('39ec6d2c2616', '65a40aa5f145', '6f14ff5b4dab', '0dce27ebd22b'),
-        'raid5/image/torn/disk': ('39ec6d2c2616', 'd2d41f2d0ade', 'c7622d678da0', '2198248b8475'),
-        'raid5/image/plain/nvram': ('39ec6d2c2616', '65a40aa5f145', '6ae46c9e4628', '5f4f733ecf91'),
-        'raid5/image/plain/disk': ('39ec6d2c2616', 'd2d41f2d0ade', '4ab242f090f1', '812622043279'),
+        'raid5/delta/torn/nvram': ('39ec6d2c2616', '1db5e81b2725', '655288c03d52', '0dce27ebd22b'),
+        'raid5/delta/torn/disk': ('39ec6d2c2616', '477415368d0b', '67aa6a71de55', '2198248b8475'),
+        'raid5/delta/plain/nvram': ('39ec6d2c2616', '1db5e81b2725', '33861bb2a612', '5f4f733ecf91'),
+        'raid5/delta/plain/disk': ('39ec6d2c2616', '477415368d0b', '64b367f795fa', 'e5be46374b47'),
+        'raid5/image/torn/nvram': ('39ec6d2c2616', '1db5e81b2725', '79f3e525b912', '0dce27ebd22b'),
+        'raid5/image/torn/disk': ('39ec6d2c2616', '477415368d0b', '75d0a169e01a', '2198248b8475'),
+        'raid5/image/plain/nvram': ('39ec6d2c2616', '1db5e81b2725', '314c4ff4a850', '5f4f733ecf91'),
+        'raid5/image/plain/disk': ('39ec6d2c2616', '477415368d0b', 'a7d9e0124a4a', '812622043279'),
     },
     'compaction': {
         'bare/delta/torn/nvram': ('f43c3e5cdaa8', '5d4c6901ffad', '175d48a52fb3', '3601fec7049f'),
@@ -213,14 +222,14 @@ GOLDEN: dict[str, dict[str, tuple[str, str, str, str]]] = {
         'stripe/image/torn/disk': ('cf67d8db9144', 'a2d2d5596116', '844155213e3a', '64d4b36d3038'),
         'stripe/image/plain/nvram': ('cf67d8db9144', 'cc4c341ba2e9', '0f5bbb190868', 'e2329bac6314'),
         'stripe/image/plain/disk': ('cf67d8db9144', 'a2d2d5596116', '5329d757144e', '0b3f169e8c9f'),
-        'raid5/delta/torn/nvram': ('486ae46ecdb9', '2320d9239669', '0eebac72a352', 'd2fa7d51c05c'),
-        'raid5/delta/torn/disk': ('486ae46ecdb9', 'f96ed3ca4fbb', '7b0dec0201fb', '5691b8585e85'),
-        'raid5/delta/plain/nvram': ('486ae46ecdb9', '2320d9239669', 'ea0fd0b395a5', 'c295fb6676e1'),
-        'raid5/delta/plain/disk': ('486ae46ecdb9', 'f96ed3ca4fbb', '01e8a3303b74', '1e9fcb08b9ca'),
-        'raid5/image/torn/nvram': ('486ae46ecdb9', '2320d9239669', 'a43ea11ca596', 'd2fa7d51c05c'),
-        'raid5/image/torn/disk': ('486ae46ecdb9', 'f96ed3ca4fbb', 'a71a7949d9ac', '001226969517'),
-        'raid5/image/plain/nvram': ('486ae46ecdb9', '2320d9239669', 'e48afe1b1551', 'cac10adfe903'),
-        'raid5/image/plain/disk': ('486ae46ecdb9', 'f96ed3ca4fbb', 'd33be550cf3e', '43cc50f6b34c'),
+        'raid5/delta/torn/nvram': ('486ae46ecdb9', '928ee2551e45', '3f60a7184f87', 'c0ef9240b952'),
+        'raid5/delta/torn/disk': ('486ae46ecdb9', 'c608b50a9de2', '45c2291b3350', 'e58fae4bf4dc'),
+        'raid5/delta/plain/nvram': ('486ae46ecdb9', '928ee2551e45', '71b6ad4643d4', 'cac10adfe903'),
+        'raid5/delta/plain/disk': ('486ae46ecdb9', 'c608b50a9de2', '844f7f641b1a', '56aead3bf453'),
+        'raid5/image/torn/nvram': ('486ae46ecdb9', '928ee2551e45', 'e362fbb40781', 'c0ef9240b952'),
+        'raid5/image/torn/disk': ('486ae46ecdb9', 'c608b50a9de2', '85644120ec08', 'c370e921dfa2'),
+        'raid5/image/plain/nvram': ('486ae46ecdb9', '928ee2551e45', '1d948f9a5b67', '24f0021052fb'),
+        'raid5/image/plain/disk': ('486ae46ecdb9', 'c608b50a9de2', '20090afb16d1', '0e7883efb90c'),
     },
     'compression': {
         'bare/delta/torn/nvram': ('342b23cd34f7', 'b10a7af45064', 'fa447c06cdb2', 'b3e45fd434ac'),
@@ -239,14 +248,14 @@ GOLDEN: dict[str, dict[str, tuple[str, str, str, str]]] = {
         'stripe/image/torn/disk': ('3db3061db605', 'e2856dd8bb90', '36d17bcb88a8', '805db81d030c'),
         'stripe/image/plain/nvram': ('3db3061db605', 'e2856dd8bb90', 'e8841a7e2540', '1dd3f3b7e875'),
         'stripe/image/plain/disk': ('3db3061db605', 'e2856dd8bb90', 'd9e2a602752d', 'ebea76a1fc09'),
-        'raid5/delta/torn/nvram': ('947314dbc9bf', '009d9aab082e', 'bcff4af3d045', '94f5e536c20e'),
-        'raid5/delta/torn/disk': ('947314dbc9bf', '009d9aab082e', 'dcfae0880085', '38c08b449d12'),
-        'raid5/delta/plain/nvram': ('947314dbc9bf', '009d9aab082e', '5c439726cc9c', '3b97e32849b2'),
-        'raid5/delta/plain/disk': ('947314dbc9bf', '009d9aab082e', 'cf7dec4a19e0', 'e43f2ceb9b2d'),
-        'raid5/image/torn/nvram': ('947314dbc9bf', '009d9aab082e', '6d98440f0042', '94f5e536c20e'),
-        'raid5/image/torn/disk': ('947314dbc9bf', '009d9aab082e', 'e24db376dcf0', 'ce4055ce4c29'),
-        'raid5/image/plain/nvram': ('947314dbc9bf', '009d9aab082e', 'fc007c64e6e8', '3b97e32849b2'),
-        'raid5/image/plain/disk': ('947314dbc9bf', '009d9aab082e', '5a2f75c61474', '201f7e1d7f98'),
+        'raid5/delta/torn/nvram': ('947314dbc9bf', '14a7846affea', '11f8115b0807', '94f5e536c20e'),
+        'raid5/delta/torn/disk': ('947314dbc9bf', '14a7846affea', '103e4aa77a8e', '38c08b449d12'),
+        'raid5/delta/plain/nvram': ('947314dbc9bf', '14a7846affea', '847314392c65', '3b97e32849b2'),
+        'raid5/delta/plain/disk': ('947314dbc9bf', '14a7846affea', '13f4992a778c', 'e43f2ceb9b2d'),
+        'raid5/image/torn/nvram': ('947314dbc9bf', '14a7846affea', '2b5d82d868be', '94f5e536c20e'),
+        'raid5/image/torn/disk': ('947314dbc9bf', '14a7846affea', '125bafcabb6e', 'ce4055ce4c29'),
+        'raid5/image/plain/nvram': ('947314dbc9bf', '14a7846affea', 'f648c3a23a9f', '3b97e32849b2'),
+        'raid5/image/plain/disk': ('947314dbc9bf', '14a7846affea', 'e5372a424111', '201f7e1d7f98'),
     },
     'deletes_clean': {
         'bare/delta/torn/nvram': ('547959dfb219', 'b3a0f7aa2db0', '76b4b90ceb1c', 'cbf8aa60ad75'),
@@ -265,14 +274,14 @@ GOLDEN: dict[str, dict[str, tuple[str, str, str, str]]] = {
         'stripe/image/torn/disk': ('d1b32841fb42', '620233bd7a16', 'bf7b74d639f8', '12dc2ac2a960'),
         'stripe/image/plain/nvram': ('d1b32841fb42', '620233bd7a16', '6036622811a6', 'a0ffb52bde03'),
         'stripe/image/plain/disk': ('d1b32841fb42', '620233bd7a16', 'ec62a8b743c6', '1c3ae91fd0a6'),
-        'raid5/delta/torn/nvram': ('d354091f1d2f', 'c087d894bf60', '68b93d200b44', 'ad29b0eec5f0'),
-        'raid5/delta/torn/disk': ('d354091f1d2f', 'c087d894bf60', '8d8547ab8590', 'f6ca230eaeda'),
-        'raid5/delta/plain/nvram': ('d354091f1d2f', 'c087d894bf60', 'fefc16fec65d', '84386e2bad6d'),
-        'raid5/delta/plain/disk': ('d354091f1d2f', 'c087d894bf60', '89d87a7f2af5', '6020c26e04ec'),
-        'raid5/image/torn/nvram': ('d354091f1d2f', 'c087d894bf60', 'ea11089396c8', '7e3e476c564f'),
-        'raid5/image/torn/disk': ('d354091f1d2f', 'c087d894bf60', '0c2d7d3783d5', 'e73fea7a20e4'),
-        'raid5/image/plain/nvram': ('d354091f1d2f', 'c087d894bf60', '33fb56669e48', '7c27f269a923'),
-        'raid5/image/plain/disk': ('d354091f1d2f', 'c087d894bf60', '12152c949357', '93d69a9aea8e'),
+        'raid5/delta/torn/nvram': ('d354091f1d2f', '2be1ddb1f89c', '034a115ac4d2', '31041a197b1a'),
+        'raid5/delta/torn/disk': ('d354091f1d2f', '2be1ddb1f89c', '854d4e626e39', '7e3e476c564f'),
+        'raid5/delta/plain/nvram': ('d354091f1d2f', '2be1ddb1f89c', '0e373d0dad97', 'd00d26599278'),
+        'raid5/delta/plain/disk': ('d354091f1d2f', '2be1ddb1f89c', 'dfae55c39743', '7c27f269a923'),
+        'raid5/image/torn/nvram': ('d354091f1d2f', '2be1ddb1f89c', '55e1ed940874', '8298d63ee6e6'),
+        'raid5/image/torn/disk': ('d354091f1d2f', '2be1ddb1f89c', '8eb8e9d95432', 'dcdc8e8d9d4c'),
+        'raid5/image/plain/nvram': ('d354091f1d2f', '2be1ddb1f89c', 'd72bc5968cd6', 'fd29b2cfeb18'),
+        'raid5/image/plain/disk': ('d354091f1d2f', '2be1ddb1f89c', 'da71c72d9724', 'fe84405d7646'),
     },
     'flushes': {
         'bare/delta/torn/nvram': ('e385b968c8f5', '6fcfb283b249', 'a6946abcad48', '89b24fabcd4a'),
@@ -291,14 +300,14 @@ GOLDEN: dict[str, dict[str, tuple[str, str, str, str]]] = {
         'stripe/image/torn/disk': ('fcebdad139c0', '7cbaea3b0a45', '7a8d7e3da39c', '306cec28b7fb'),
         'stripe/image/plain/nvram': ('fcebdad139c0', '352a716c68c2', '297215b6c399', 'dd3b2d4e918d'),
         'stripe/image/plain/disk': ('fcebdad139c0', '7cbaea3b0a45', '020f207ef565', '9552dd209da7'),
-        'raid5/delta/torn/nvram': ('cd406d4a215f', '790ee163a90d', 'c1cf2ce2c389', 'af40dab29bc3'),
-        'raid5/delta/torn/disk': ('cd406d4a215f', 'd37261e23a95', '18de9b22f2c6', 'ef0ebd6d5356'),
-        'raid5/delta/plain/nvram': ('cd406d4a215f', '790ee163a90d', '78ebc6b8c492', 'f0a42a773bc6'),
-        'raid5/delta/plain/disk': ('cd406d4a215f', 'd37261e23a95', '8858f2a104fd', 'ef4f5e8ea7de'),
-        'raid5/image/torn/nvram': ('cd406d4a215f', '790ee163a90d', '5a9b3920ed0d', '9c1c506c6547'),
-        'raid5/image/torn/disk': ('cd406d4a215f', 'd37261e23a95', '34a9c8bfaa8e', 'f2060ead4f95'),
-        'raid5/image/plain/nvram': ('cd406d4a215f', '790ee163a90d', '3cec95a862a9', 'f0a42a773bc6'),
-        'raid5/image/plain/disk': ('cd406d4a215f', 'd37261e23a95', '4f37982ae774', 'ef4f5e8ea7de'),
+        'raid5/delta/torn/nvram': ('cd406d4a215f', '35bf061aa51d', 'fa4ee7194365', 'af40dab29bc3'),
+        'raid5/delta/torn/disk': ('cd406d4a215f', '2d80ea966b49', 'dae9ab369656', 'ef0ebd6d5356'),
+        'raid5/delta/plain/nvram': ('cd406d4a215f', '35bf061aa51d', '1fd679c20f99', 'f0a42a773bc6'),
+        'raid5/delta/plain/disk': ('cd406d4a215f', '2d80ea966b49', '1b50ea5410e5', 'ef4f5e8ea7de'),
+        'raid5/image/torn/nvram': ('cd406d4a215f', '35bf061aa51d', '7599e2c90de1', '9c1c506c6547'),
+        'raid5/image/torn/disk': ('cd406d4a215f', '2d80ea966b49', 'b49ab8dec2b1', 'f2060ead4f95'),
+        'raid5/image/plain/nvram': ('cd406d4a215f', '35bf061aa51d', '4fb7be31562c', 'f0a42a773bc6'),
+        'raid5/image/plain/disk': ('cd406d4a215f', '2d80ea966b49', '59cb2b44af77', 'ef4f5e8ea7de'),
     },
     'nvram_replay': {
         'bare/delta/torn/nvram': ('b281e09ffae3', 'c83bbd272150', '8be30a9b4d8d', '3950a10608dd'),
@@ -317,14 +326,14 @@ GOLDEN: dict[str, dict[str, tuple[str, str, str, str]]] = {
         'stripe/image/torn/disk': ('9affc57acc78', '3479d106e523', '18c50b9e7b99', '28a4bc17bb8c'),
         'stripe/image/plain/nvram': ('9affc57acc78', 'd807e1c9b32f', '9db3a6b306f4', '140b4922641e'),
         'stripe/image/plain/disk': ('9affc57acc78', '3479d106e523', '3ff691aae34c', '0eb9c4a3c2d5'),
-        'raid5/delta/torn/nvram': ('7ea7c1d33de4', '1345eecdbd7a', 'f96a5c854745', 'd37562c2c3cb'),
-        'raid5/delta/torn/disk': ('7ea7c1d33de4', '71695c4f9932', 'a8785e0646f4', 'edaa3165a285'),
-        'raid5/delta/plain/nvram': ('7ea7c1d33de4', '1345eecdbd7a', '20afe561c82b', 'c3e5379f676d'),
-        'raid5/delta/plain/disk': ('7ea7c1d33de4', '71695c4f9932', '11aede5e8c2d', '50c805ade496'),
-        'raid5/image/torn/nvram': ('7ea7c1d33de4', '1345eecdbd7a', '8dc6f18c4fb9', '4512b4017772'),
-        'raid5/image/torn/disk': ('7ea7c1d33de4', '71695c4f9932', 'cbba91ec43f8', '964bd76bd783'),
-        'raid5/image/plain/nvram': ('7ea7c1d33de4', '1345eecdbd7a', '29e5c0964139', 'fe9f96cd2c58'),
-        'raid5/image/plain/disk': ('7ea7c1d33de4', '71695c4f9932', 'f1960a4af231', '50c805ade496'),
+        'raid5/delta/torn/nvram': ('7ea7c1d33de4', '56eb5bd966c2', '6a14b844c22a', 'd4b66877aabe'),
+        'raid5/delta/torn/disk': ('7ea7c1d33de4', '70693c9fe7f0', '3f41998a4713', '02bc8d37c195'),
+        'raid5/delta/plain/nvram': ('7ea7c1d33de4', '56eb5bd966c2', '1ee33f2fdf00', '7785176fd051'),
+        'raid5/delta/plain/disk': ('7ea7c1d33de4', '70693c9fe7f0', '99310e89022a', '342b3354f727'),
+        'raid5/image/torn/nvram': ('7ea7c1d33de4', '56eb5bd966c2', 'd47f07180fb9', 'fe31cb39b66b'),
+        'raid5/image/torn/disk': ('7ea7c1d33de4', '70693c9fe7f0', '102c17395570', '66a7594d4bff'),
+        'raid5/image/plain/nvram': ('7ea7c1d33de4', '56eb5bd966c2', '5b879af2cfdc', '4b8ae364c179'),
+        'raid5/image/plain/disk': ('7ea7c1d33de4', '70693c9fe7f0', 'd3123cbd8e2d', '8de73142b6ae'),
     },
     'read_cache': {
         'bare/delta/torn/nvram': ('4ab15ee5ab20', '89b3846ab572', '3bf0c2b35188', '96ea6da01b3a'),
@@ -343,14 +352,14 @@ GOLDEN: dict[str, dict[str, tuple[str, str, str, str]]] = {
         'stripe/image/torn/disk': ('54b026194e7b', '4d0cb9f73974', 'deb9221351b0', 'b9c41d40e2fb'),
         'stripe/image/plain/nvram': ('54b026194e7b', '4d0cb9f73974', 'b86f5418c187', '5fce1e8ea22c'),
         'stripe/image/plain/disk': ('54b026194e7b', '4d0cb9f73974', 'b86f5418c187', '5fce1e8ea22c'),
-        'raid5/delta/torn/nvram': ('af2589ad471e', '0ffeb14ffbb6', '24c1e680a0a9', 'cbfc9fe2cb7d'),
-        'raid5/delta/torn/disk': ('af2589ad471e', '0ffeb14ffbb6', '24c1e680a0a9', 'cbfc9fe2cb7d'),
-        'raid5/delta/plain/nvram': ('af2589ad471e', '0ffeb14ffbb6', '971e0ea1cc21', '713876ea5bea'),
-        'raid5/delta/plain/disk': ('af2589ad471e', '0ffeb14ffbb6', '971e0ea1cc21', '713876ea5bea'),
-        'raid5/image/torn/nvram': ('af2589ad471e', '0ffeb14ffbb6', '760a9705c492', '1a50e5dbda8d'),
-        'raid5/image/torn/disk': ('af2589ad471e', '0ffeb14ffbb6', '760a9705c492', '1a50e5dbda8d'),
-        'raid5/image/plain/nvram': ('af2589ad471e', '0ffeb14ffbb6', '31576026d536', 'ec4739d79f5f'),
-        'raid5/image/plain/disk': ('af2589ad471e', '0ffeb14ffbb6', '31576026d536', 'ec4739d79f5f'),
+        'raid5/delta/torn/nvram': ('af2589ad471e', '217de544bbf6', 'ed8571fa23f8', 'cbfc9fe2cb7d'),
+        'raid5/delta/torn/disk': ('af2589ad471e', '217de544bbf6', 'ed8571fa23f8', 'cbfc9fe2cb7d'),
+        'raid5/delta/plain/nvram': ('af2589ad471e', '217de544bbf6', '59c7ed0af322', '713876ea5bea'),
+        'raid5/delta/plain/disk': ('af2589ad471e', '217de544bbf6', '59c7ed0af322', '713876ea5bea'),
+        'raid5/image/torn/nvram': ('af2589ad471e', '217de544bbf6', '47e1605cb674', '1a50e5dbda8d'),
+        'raid5/image/torn/disk': ('af2589ad471e', '217de544bbf6', '47e1605cb674', '1a50e5dbda8d'),
+        'raid5/image/plain/nvram': ('af2589ad471e', '217de544bbf6', '3c31274f67de', 'ec4739d79f5f'),
+        'raid5/image/plain/disk': ('af2589ad471e', '217de544bbf6', '3c31274f67de', 'ec4739d79f5f'),
     },
     'reorganize': {
         'bare/delta/torn/nvram': ('c5b3731b8a8e', '4c2398d24073', '75061ed007c7', '13aa23ab75e0'),
@@ -369,14 +378,14 @@ GOLDEN: dict[str, dict[str, tuple[str, str, str, str]]] = {
         'stripe/image/torn/disk': ('a61b3a608245', '0c9aeffdd054', '589a3b2e32cc', '97790f4b4458'),
         'stripe/image/plain/nvram': ('a61b3a608245', '0c9aeffdd054', '57748bad8188', 'c7690610ee9a'),
         'stripe/image/plain/disk': ('a61b3a608245', '0c9aeffdd054', '57748bad8188', 'c7690610ee9a'),
-        'raid5/delta/torn/nvram': ('5cecd90fedd9', '8d95d06a7275', 'b2f8809cc93a', '522eff51b43f'),
-        'raid5/delta/torn/disk': ('5cecd90fedd9', '8d95d06a7275', 'b2f8809cc93a', '522eff51b43f'),
-        'raid5/delta/plain/nvram': ('5cecd90fedd9', '8d95d06a7275', '4071c6bb96d6', '079e5990ea4b'),
-        'raid5/delta/plain/disk': ('5cecd90fedd9', '8d95d06a7275', '4071c6bb96d6', '079e5990ea4b'),
-        'raid5/image/torn/nvram': ('5cecd90fedd9', '8d95d06a7275', 'b0b9980a7cda', '1bac1e5c3cca'),
-        'raid5/image/torn/disk': ('5cecd90fedd9', '8d95d06a7275', 'b0b9980a7cda', '1bac1e5c3cca'),
-        'raid5/image/plain/nvram': ('5cecd90fedd9', '8d95d06a7275', '82a86f222ce7', '5b53111b0eb7'),
-        'raid5/image/plain/disk': ('5cecd90fedd9', '8d95d06a7275', '82a86f222ce7', '5b53111b0eb7'),
+        'raid5/delta/torn/nvram': ('5cecd90fedd9', '10dd3b9e8070', 'aebecbcf6804', '522eff51b43f'),
+        'raid5/delta/torn/disk': ('5cecd90fedd9', '10dd3b9e8070', 'aebecbcf6804', '522eff51b43f'),
+        'raid5/delta/plain/nvram': ('5cecd90fedd9', '10dd3b9e8070', 'e564ab5e413c', '079e5990ea4b'),
+        'raid5/delta/plain/disk': ('5cecd90fedd9', '10dd3b9e8070', 'e564ab5e413c', '079e5990ea4b'),
+        'raid5/image/torn/nvram': ('5cecd90fedd9', '10dd3b9e8070', '47c5d071cc69', '1bac1e5c3cca'),
+        'raid5/image/torn/disk': ('5cecd90fedd9', '10dd3b9e8070', '47c5d071cc69', '1bac1e5c3cca'),
+        'raid5/image/plain/nvram': ('5cecd90fedd9', '10dd3b9e8070', 'b252ea5e0691', '5b53111b0eb7'),
+        'raid5/image/plain/disk': ('5cecd90fedd9', '10dd3b9e8070', 'b252ea5e0691', '5b53111b0eb7'),
     },
 }
 

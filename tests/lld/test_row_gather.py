@@ -442,9 +442,9 @@ def test_a_retired_slot_is_scrubbed_only_once_what_was_relogged_is_durable(monke
     included, to slot 4. The flush then writes slot 3 ahead of slot 4:
     slot 2's summary may go only once slot 4's is on the medium too, or a
     crash between the two loses the links. (On rows the scrub of a retired
-    slot waits until its row can be granted, ``LogWriter._ripe``; here it
-    is due at once, as it is wherever the row is grantable or compaction
-    asks for it.)"""
+    slot waits until every slot of its row is openable and off the chain,
+    ``LogWriter._ripe``; here it is due at once, as it is wherever the row
+    is or compaction asks for it.)"""
     monkeypatch.setattr(LogWriter, "_ripe", lambda self, due: due)
     forced = scripted_placement(monkeypatch)
     w = Walk(torn_write_protection=True)

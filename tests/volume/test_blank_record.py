@@ -1,25 +1,25 @@
-"""The blank record: what a parity volume knows means zeros.
+"""The blank record: what a parity volume knows of sectors it never wrote.
 
 A parity volume built on members nobody has written puts every sector of
-them on record as blank (:class:`repro.volume.StripeCache`), and the layer
-above may grant it more: a whole stripe row it holds nothing in
-(:meth:`repro.volume.Volume.discard`), and after a power failure the
-sectors it had granted before. A blank sector means zeros to reads,
-parity, reconstruction and the rebuild scanner, whatever its member
-holds, so a row write's pre-read of it issues no member read. Every
-member write and every ``install``, ``corrupt`` and ``resync_parity``
-takes what it touches off the record, a member that fails or is replaced
-loses its record, and a power failure loses all of it — which the layer
-above restores, as a log recovering from a crash does.
+them on record as blank (:class:`repro.volume.StripeCache`), and a row
+write's pre-read of blank sectors is answered as zeros with no member
+read: until the log above wraps, most of a partial flush's old data and
+old parity have never been written. The record keeps the stripe cache's
+one rule — a sector it calls blank reads as zeros on its member — so
+every member write and every ``install``, ``corrupt`` and
+``resync_parity`` takes what it touches off it, a member that fails or is
+replaced loses its record, and a power failure loses all of it. Only the
+rebuild scanner adds to it: on a replacement that came blank, the chunk of
+a row blank on every other member.
 
 The property drives healthy, degraded and mid-rebuild volumes through
-every step that touches a member's medium or the record — grants over
-rows whose members hold old bytes among them — and checks after each one
-that the record covers only chunks the volume trusts, that ``peek``
-equals a model of the contents, and that every live sector of a row the
-volume trusts whole reconstructs after the loss of any one member. The
-last tests run one mutant per entry of the rule and require the checks to
-catch each.
+every step that touches a member's medium — replacements blank or holding
+junk among them — and checks after each one that every blank sector is
+zeros on a member the volume trusts there, that ``peek`` equals a model of
+the contents, and that every row the volume trusts whole reconstructs
+after the loss of any one member. The last tests run one mutant per entry
+of the rule and require the checks to catch each, and pin the scanner's
+skip.
 """
 
 import random
@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 from repro.disk import SimulatedDisk, fast_test_disk
 from repro.sim.clock import VirtualClock
 from repro.volume import StripeCache, Volume
-from repro.volume.volume import _Install, _xor_buffers
+from repro.volume.volume import _xor_buffers
 
 from tests.volume.test_parity_property import parity_volume, write_extents
 
@@ -54,9 +54,6 @@ class Run:
         #: Whether the checks hold the record to trusted chunks (the model
         #: alone must still catch a record that is consulted there).
         self.trust = True
-        #: Logical sectors granted and not written since: what the layer
-        #: above grants back after a power failure.
-        self.granted: set[int] = set()
         if health != "healthy":
             self.fail_member(victim)
         if health == "mid-rebuild":
@@ -79,25 +76,18 @@ class Run:
         data = self.rng.randbytes(nsectors * SECTOR)
         self.volume.write(lba, data)
         self.model[lba * SECTOR : (lba + nsectors) * SECTOR] = data
-        self.granted.difference_update(range(lba, lba + nsectors))
 
     def install(self, lba: int, nsectors: int) -> None:
         data = self.rng.randbytes(nsectors * SECTOR)
         self.volume.install(lba, data)
         self.model[lba * SECTOR : (lba + nsectors) * SECTOR] = data
-        self.granted.difference_update(range(lba, lba + nsectors))
 
     def corrupt(self, lba: int, nsectors: int) -> None:
         if self.volume.degraded:
             return  # garbage under a lost chunk's parity is past any model
-        volume = self.volume
-        volume.corrupt(lba, nsectors)
-        # What the members now hold there, the record aside: corrupt takes
-        # it off the record, so that is what the volume reads.
-        raw = volume._gather(lba, nsectors, lambda m, plba, n: volume.disks[m].peek(plba, n))
-        self.model[lba * SECTOR : (lba + nsectors) * SECTOR] = raw
+        self.volume.corrupt(lba, nsectors)
+        self.model[lba * SECTOR : (lba + nsectors) * SECTOR] = self.volume.peek(lba, nsectors)
         self.suspect.update(self.rows(lba, nsectors))
-        self.granted.difference_update(range(lba, lba + nsectors))
 
     def resync_parity(self) -> None:
         if not self.volume.degraded:
@@ -112,60 +102,39 @@ class Run:
         if self.trust:
             assert [run for run in volume.stripe_cache.blank_runs() if run[0] == member] == []
 
-    def replace_member(self) -> None:
+    def replace_member(self, junk: bool = False) -> None:
         volume = self.volume
         if not volume.degraded or volume.rebuild_active:
             return
         lost = volume.alive.index(False)
-        volume.replace_member(lost)
+        volume.replace_member(lost, junk_member(volume) if junk else None)
         assert [run for run in volume.stripe_cache.blank_runs() if run[0] == lost] == []
 
     def rebuild_step(self, rows: int) -> None:
         self.volume.rebuild_step(rows)
 
-    def discard(self, row: int) -> None:
-        lba = row * self.row_sectors
-        self.volume.discard(lba, self.row_sectors)
-        self.model[lba * SECTOR : (lba + self.row_sectors) * SECTOR] = bytes(
-            self.row_sectors * SECTOR
-        )
-        self.granted.update(range(lba, lba + self.row_sectors))
-
     def power_fail(self) -> None:
-        """Memory is lost; the layer above grants back what it had granted
-        and no write has touched since, run by run."""
-        volume = self.volume
-        volume.power_fail()
-        assert list(volume.stripe_cache.blank_runs()) == []
-        sectors = sorted(self.granted)
-        start = 0
-        for i in range(1, len(sectors) + 1):
-            if i == len(sectors) or sectors[i] != sectors[i - 1] + 1:
-                volume.discard(sectors[start], sectors[i - 1] - sectors[start] + 1)
-                start = i
+        self.volume.power_fail()
+        assert list(self.volume.stripe_cache.blank_runs()) == []
 
     def check(self) -> None:
         volume = self.volume
         chunk = self.chunk
-        if self.trust:
-            for member, plba, nsectors in volume.stripe_cache.blank_runs():
+        for member, plba, nsectors in volume.stripe_cache.blank_runs():
+            assert volume.disks[member].peek(plba, nsectors) == bytes(nsectors * SECTOR), (member, plba)
+            if self.trust:
                 rows = range(plba // chunk, (plba + nsectors - 1) // chunk + 1)
                 assert all(volume._trusted(member, row) for row in rows), (member, plba)
         assert volume.peek(0, self.span) == self.model
         members = range(len(volume.disks))
-        logical = _Install(volume).read  # the members as the volume takes them
         for row in range(self.span // self.row_sectors):
             if row in self.suspect or not all(volume._trusted(m, row) for m in members):
                 continue
             base = volume.parity_map.row_lba(row)
-            chunks = [logical(m, base, chunk) for m in members]
+            chunks = [volume.disks[m].peek(base, chunk) for m in members]
             for lost in members:
                 rebuilt = _xor_buffers([c for m, c in zip(members, chunks) if m != lost])
-                rebuilt = rebuilt or bytes(chunk * SECTOR)
-                for sector in range(chunk):
-                    if not volume.stripe_cache.all_blank(lost, base + sector, 1):
-                        at = slice(sector * SECTOR, (sector + 1) * SECTOR)
-                        assert rebuilt[at] == chunks[lost][at], (row, lost, sector)
+                assert rebuilt == chunks[lost], (row, lost)
 
 
 @st.composite
@@ -182,11 +151,9 @@ def scripts(draw):
         st.tuples(st.just("corrupt"), extents).map(lambda op: (op[0], *op[1])),
         st.just(("resync_parity",)),
         st.tuples(st.just("fail_member"), st.integers(min_value=0, max_value=n_disks - 1)),
-        st.just(("replace_member",)),
+        st.tuples(st.just("replace_member"), st.booleans()),
         st.tuples(st.just("rebuild_step"), st.sampled_from([1, 2, 10_000])),
         st.just(("power_fail",)),
-        st.tuples(st.just("discard"), st.integers(min_value=0, max_value=3)),
-        st.tuples(st.just("discard"), st.integers(min_value=0, max_value=3)),
     )
     return (n_disks, chunk, health, victim), draw(st.lists(ops, min_size=1, max_size=16))
 
@@ -371,118 +338,76 @@ def test_a_record_consulted_for_an_untrusted_chunk_writes_wrong_parity(monkeypat
 
 
 # ----------------------------------------------------------------------
-# What the layer above grants: whole rows, and after a power failure
+# The rebuild scanner's skip
 # ----------------------------------------------------------------------
 
 
+def junk_member(volume: Volume) -> SimulatedDisk:
+    """A replacement spindle whose every sector holds garbage."""
+    disk = SimulatedDisk(volume.geometry.member, VirtualClock())
+    disk.corrupt(0, disk.geometry.total_sectors)
+    return disk
+
+
 def used_volume(n_disks: int = 4, chunk: int = 8, rows: int = 4) -> tuple[Volume, bytes]:
-    """A parity volume whose first ``rows`` rows hold random bytes on every
-    member (installed, so nothing of them is on the record)."""
+    """A parity volume whose rows 0, 2 and 3 of the first ``rows`` hold
+    random bytes on every member (installed, so nothing of them is on the
+    record) and whose row 1, like every row after them, was never
+    written."""
     volume = parity_volume(n_disks, chunk, "raid5")
-    data = random.Random(n_disks * chunk).randbytes(rows * chunk * (n_disks - 1) * SECTOR)
-    volume.install(0, data)
-    return volume, data
+    row_sectors = chunk * (n_disks - 1)
+    data = bytearray(random.Random(n_disks * chunk).randbytes(rows * row_sectors * SECTOR))
+    data[row_sectors * SECTOR : 2 * row_sectors * SECTOR] = bytes(row_sectors * SECTOR)
+    volume.install(0, data[: row_sectors * SECTOR])
+    volume.install(2 * row_sectors, data[2 * row_sectors * SECTOR :])
+    return volume, bytes(data)
 
 
-def test_a_granted_row_reads_as_zeros_and_costs_no_request():
+def rebuilt_volume(junk: bool) -> tuple[Volume, bytes, int]:
+    """A used volume that lost the member holding row 1's first data chunk
+    and rebuilt it onto a blank replacement, or one holding junk."""
     volume, data = used_volume()
-    row_sectors = 8 * 3
-    requests = [disk.stats.requests for disk in volume.disks]
-    volume.discard(row_sectors, row_sectors)  # row 1
-    assert [disk.stats.requests for disk in volume.disks] == requests
-    assert sorted(m for m, plba, n in volume.stripe_cache.blank_runs() if (plba, n) == (8, 8)) == [0, 1, 2, 3]
-    assert volume.peek(row_sectors, row_sectors) == bytes(row_sectors * SECTOR)
-    assert volume.read(0, 2 * row_sectors)[: row_sectors * SECTOR] == data[: row_sectors * SECTOR]
-    # Its members still hold the old bytes; a partial write into it reads none.
-    assert any(volume.disks[m].peek(8, 8) != bytes(8 * SECTOR) for m in range(4))
-    volume.write(row_sectors + 3, bytes([9]) * 2 * SECTOR)
-    assert volume.volume_stats.preread_misses == 0
-    assert volume.peek(row_sectors, 8) == bytes(3 * SECTOR) + bytes([9]) * 2 * SECTOR + bytes(3 * SECTOR)
-
-
-def test_a_row_covered_in_part_is_granted_only_as_a_restatement():
-    """After a power failure the record is gone; the layer above grants back
-    what it had granted, down to sectors — unless a resync has folded the
-    members' bytes into the row's parity since."""
-    volume, _data = used_volume()
-    volume.discard(24, 24)
-    volume.write(24 + 2, bytes([5]) * SECTOR)
-    volume.power_fail()
-    assert list(volume.stripe_cache.blank_runs()) == []
-    volume.discard(24, 2)  # what no write touched since the grant
-    volume.discard(24 + 3, 24 - 3)
-    assert volume.peek(24, 24) == bytes(2 * SECTOR) + bytes([5]) * SECTOR + bytes(21 * SECTOR)
-    # The parity of every offset where all data is blank is blank again.
-    holder = volume.parity_map.parity_disk(1)
-    assert volume.stripe_cache.all_blank(holder, 8 + 3, 5)
-    resynced, _ = used_volume()
-    resynced.discard(24, 24)
-    resynced.power_fail()
-    resynced.resync_parity()
-    resynced.discard(24 + 3, 24 - 3)
-    assert list(resynced.stripe_cache.blank_runs()) == []
-    resynced.discard(24, 24)  # a whole row is always granted
-    assert resynced.peek(24, 24) == bytes(24 * SECTOR)
+    lost = volume.spindle_of(24)
+    volume.fail_member(lost)
+    volume.replace_member(lost, junk_member(volume) if junk else None)
+    volume.rebuild_run_to_completion()
+    return volume, data, lost
 
 
 def test_the_rebuild_scanner_skips_a_row_blank_on_every_other_member():
-    volume, data = used_volume()
-    volume.discard(24, 24)
-    lost = volume.spindle_of(24)
-    volume.fail_member(lost)
-    volume.replace_member(lost)
-    volume.rebuild_run_to_completion()
+    volume, data, lost = rebuilt_volume(junk=False)
     stats = volume.volume_stats
-    # Rows 0, 2 and 3 are written; row 1 is granted, the rest never
-    # written: only the three are rebuilt, every row counts as done.
+    # Rows 0, 2 and 3 are written, the rest never: only the three are
+    # rebuilt, every row counts as done.
     assert stats.rebuild_writes == 3 and stats.rebuild_rows_done == volume.parity_map.rows
     assert volume.stripe_cache.all_blank(lost, 8, 8)  # put on record, not written
-    assert volume.peek(24, 24) == bytes(24 * SECTOR)
-    assert volume.peek(0, 24) == data[: 24 * SECTOR]
+    assert volume.peek(0, 4 * 24) == data
     assert volume.resync_parity() == 0
 
 
-def test_a_scanner_that_rebuilds_a_granted_row_from_member_bytes_is_caught(monkeypatch):
-    """The mutant reads the survivors' media as they are, granted or not,
-    and writes their XOR: the replacement's chunk of the granted row is
-    junk where the volume means zeros."""
-    monkeypatch.setattr(StripeCache, "all_blank", lambda self, member, plba, n: False)
-    monkeypatch.setattr(
-        Volume,
-        "_xor_others",
-        lambda self, skip, plba, n, fetch: _xor_buffers(
-            [self.disks[i].peek(plba, n) for i in range(len(self.disks)) if i != skip]
-        ),
-    )
-    volume, _data = used_volume()
-    volume.discard(24, 24)
-    lost = volume.spindle_of(24)  # a data chunk of the granted row
-    volume.fail_member(lost)
-    volume.replace_member(lost)
-    volume.rebuild_run_to_completion()
+def test_a_junk_replacement_is_rebuilt_at_a_row_blank_on_every_survivor():
+    volume, data, lost = rebuilt_volume(junk=True)
+    stats = volume.volume_stats
+    assert stats.rebuild_writes == volume.parity_map.rows  # every row written
+    assert not volume.stripe_cache.all_blank(lost, 8, 8)
+    assert volume.disks[lost].peek(8, 8) == bytes(8 * SECTOR)
+    assert volume.peek(24, 24) == bytes(24 * SECTOR)
+    assert volume.peek(0, 4 * 24) == data
+    assert volume.resync_parity() == 0
+
+
+def test_a_scanner_skipping_onto_a_junk_replacement_is_caught(monkeypatch):
+    """The mutant skips a row blank on every other member whatever the
+    replacement holds: its junk chunk goes on the record, and the row reads
+    the junk and fails its parity."""
+    real = Volume.replace_member
+
+    def replace(self, index, disk=None):
+        real(self, index, disk)
+        self._replacement_blank = True
+
+    monkeypatch.setattr(Volume, "replace_member", replace)
+    volume, _data, lost = rebuilt_volume(junk=True)
+    assert volume.stripe_cache.all_blank(lost, 8, 8)
     assert volume.peek(24, 24) != bytes(24 * SECTOR)
-
-
-def test_a_degraded_read_that_xors_a_blank_operand_as_it_lies_is_caught(monkeypatch):
-    """A granted row written in part, then a member lost: the live sectors
-    reconstruct only if the blank operands count as zeros."""
-
-    def run() -> tuple[bytes, bytes]:
-        volume, _data = used_volume()
-        volume.discard(24, 24)
-        live = bytes([7]) * 3 * SECTOR
-        volume.write(24 + 2, live)
-        volume.fail_member(volume.spindle_of(24 + 2))
-        return volume.peek(24 + 2, 3), live
-
-    got, live = run()
-    assert got == live
-    monkeypatch.setattr(
-        Volume,
-        "_xor_others",
-        lambda self, skip, plba, n, fetch: _xor_buffers(
-            [self.disks[i].peek(plba, n) for i in range(len(self.disks)) if i != skip]
-        ),
-    )
-    got, live = run()
-    assert got != live
+    assert volume.resync_parity() > 0
