@@ -73,8 +73,6 @@ CRASH_ARMS = (
     "checkpoint.bare.",
     "checkpoint.bare.corrupted_newest_copy.",
     "checkpoint.raid5_rows.",
-    "blank_rows.mid_row.",
-    "blank_rows.member_loss.",
 )
 
 

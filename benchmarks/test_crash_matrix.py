@@ -2,11 +2,11 @@
 
 Runs the standard matrix workload (lists, overwrites, deletes, ARUs —
 committed, mid-flushed, and aborted — a bulk fill, and an ARU across a
-seal whose COMMIT's slot is cleaned, then recycled) on an LLD with
-``torn_write_protection`` enabled, enumerates every crash image the
-recorded journal admits (epoch prefixes, torn multi-sector writes, and
-bounded intra-epoch reorderings), recovers each one, and checks the four
-durability invariants against the acknowledgement oracle:
+seal whose COMMIT's slot is cleaned, then recycled) on an LLD in its
+default configuration, enumerates every crash image the recorded journal
+admits (epoch prefixes, torn multi-sector writes, and bounded intra-epoch
+reorderings), recovers each one, and checks the four durability
+invariants against the acknowledgement oracle:
 
 1. recovery never raises,
 2. every atomic recovery unit is all-or-nothing,
@@ -41,7 +41,6 @@ from repro.crashsim.volume import (
     materialize_parity_crash_state,
 )
 from repro.disk import SimulatedDisk, fast_test_disk
-from repro.ld import LIST_HEAD
 from repro.lld import LLD, LLDConfig
 from repro.lld import recovery
 from repro.sched import LDServer, QoSElevatorScheduler
@@ -58,7 +57,6 @@ CONFIG = dict(
     summary_capacity=4096,
     block_size=4096,
     checkpoint_slots=1,
-    torn_write_protection=True,
 )
 
 WORKLOAD = dict(n_small=24, n_overwrites=8, generations=4, n_fill=24)
@@ -82,7 +80,7 @@ def test_crash_matrix(benchmark):
 
     emit(
         render_table(
-            "Crash-state matrix (torn_write_protection=on)",
+            "Crash-state matrix (single disk)",
             ["value"],
             {
                 "journal writes": {"value": float(recording.position)},
@@ -323,143 +321,6 @@ def test_degraded_parity_matrix(benchmark):
         assert report.states_by_kind.get("torn", 0) > 0
         assert report.states_by_kind.get("subset", 0) > 0
         assert report.violations == [], (fail, report.violations[:3])
-
-
-# ----------------------------------------------------------------------
-# Blank rows: rows the log reopens empty in every slot, a crash mid-row
-# ----------------------------------------------------------------------
-
-#: A hot set of 4 KB blocks overwritten until the log, gone round the
-#: disk, has reopened ``rows_reopened`` slots whose rows it had left dead
-#: — every slot of the row openable and off the recovery chain — then
-#: ``after`` more writes inside the last one, each acknowledged: the crash
-#: lands mid-row.
-BLANK_ROW_WORKLOAD = dict(n_blocks=12, rows_reopened=2, after=5)
-BLANK_ROW_CONFIG = dict(CONFIG, checkpoint_slots=2)
-
-MIN_BLANK_ROW_STATES = 200
-
-
-def run_blank_row_workload(
-    driver: OracleDriver, *, n_blocks: int, rows_reopened: int, after: int
-) -> None:
-    """Drive the blank-row arms' workload, acknowledging as it goes."""
-    ld = driver.ld
-    log = ld.log
-    lid = driver.new_list(ld)
-    driver.ack(ld, "create-list")
-    bids, pred = [], LIST_HEAD
-    for i in range(n_blocks):
-        pred = driver.new_block(ld, lid, pred)
-        bids.append(pred)
-        driver.write(ld, pred, bytes([i % 251 + 1]) * 4096)
-    driver.ack(ld, "filled")
-
-    def overwrite(i: int) -> None:
-        if driver.room_low(4096 + 512, 256):
-            driver.ack(ld, "room")
-        driver.write(ld, bids[i % n_blocks], bytes([i % 249 + 3]) * 4096)
-
-    # Whether the row of the slot the log chains next is dead, asked as it
-    # chains it: after any checkpoint the opening takes, before the slot
-    # leaves the openable ones.
-    chain, dead_row = log.slots.chain, [False]
-
-    def chaining(slot: int) -> None:
-        dead_row[0] = log._row_openable(slot, log._ranks())
-        chain(slot)
-
-    log.slots.chain = chaining
-    seen, current, reopened, i = {log.open.index}, log.open.index, 0, 0
-    while reopened < rows_reopened:
-        overwrite(i)
-        i += 1
-        if log.open.index != current:
-            current = log.open.index
-            reopened += current in seen and dead_row[0]
-            seen.add(current)
-        assert i < 100 * n_blocks, "the log never reopened a dead row"
-    del log.slots.chain
-    for j in range(after):
-        overwrite(i + j)
-        driver.ack(ld, f"in-row-{j}")
-
-
-def run_blank_rows():
-    members = [
-        SimulatedDisk(fast_test_disk(capacity_mb=PARITY_MEMBER_MB), VirtualClock())
-        for _ in range(PARITY_N)
-    ]
-    volume = Volume(members, VirtualClock(), layout="raid5", chunk_sectors=PARITY_CHUNK_SECTORS)
-    recording = ParityRecording(volume)
-    lld = LLD(volume, LLDConfig(**BLANK_ROW_CONFIG))
-    lld.initialize()
-    driver = OracleDriver(lld, recording)
-    run_blank_row_workload(driver, **BLANK_ROW_WORKLOAD)
-    checker = LLDCrashChecker(lld.config, driver.oracle)
-
-    def mid_row(state):
-        # No resync: a power failure leaves parity as the members hold it.
-        return checker(materialize_parity_crash_state(recording, state), state)
-
-    states = enumerate_parity_crash_states(recording, subset_samples_per_epoch=2)
-    healthy = ExplorationReport.collect(states, mid_row)
-    lost = explore_degraded_parity(
-        recording,
-        lld.config,
-        driver.oracle,
-        fail=PARITY_FAIL_INDICES[0],
-        subset_samples_per_epoch=2,
-    )
-    return recording, driver, volume, healthy, lost
-
-
-def test_blank_row_matrix(benchmark):
-    """Rows the log reopens dead in every slot, and every crash state
-    around the last one: recovered healthy and, after md's resync, with a
-    member lost. Both meet the client contract."""
-    recording, driver, volume, healthy, lost = benchmark.pedantic(
-        run_blank_rows, rounds=1, iterations=1
-    )
-    emit(
-        render_table(
-            "Blank rows (N=4): a crash mid-row, and a crash + member loss",
-            ["value"],
-            {
-                "journal writes (sum)": {"value": float(recording.position)},
-                "ack points": {"value": float(len(driver.oracle.points))},
-                "mid-row: crash states": {"value": float(healthy.states_total)},
-                "mid-row: violations": {"value": float(len(healthy.violations))},
-                "member loss: crash states": {"value": float(lost.states_total)},
-                "member loss: violations": {"value": float(len(lost.violations))},
-            },
-            note="a crash mid-row in a row the log reopened dead in every slot",
-        )
-    )
-    try:
-        payload = json.loads(REPORT_PATH.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        payload = {"benchmark": "crash_matrix"}
-    payload["blank_rows"] = {
-        "config": BLANK_ROW_CONFIG,
-        "workload": BLANK_ROW_WORKLOAD,
-        "members": PARITY_N,
-        "member_mb": PARITY_MEMBER_MB,
-        "chunk_sectors": PARITY_CHUNK_SECTORS,
-        "journal_writes_total": recording.position,
-        "ack_points": len(driver.oracle.points),
-        "mid_row": crash_matrix_summary(healthy),
-        "member_loss": {
-            "failed_member": PARITY_FAIL_INDICES[0],
-            **crash_matrix_summary(lost),
-        },
-    }
-    emit(f"wrote {write_json_report(REPORT_PATH, payload)}")
-
-    for report in (healthy, lost):
-        assert report.states_total >= MIN_BLANK_ROW_STATES
-        assert report.states_by_kind.get("torn", 0) > 0
-        assert report.violations == [], report.violations[:3]
 
 
 # ----------------------------------------------------------------------

@@ -14,9 +14,7 @@ could have left on the medium under the standard disk crash model:
   so any subset of an epoch (each write fully applied, in program order)
   on top of the preceding epochs is a legal image. Program-order subsets
   model both reordering and dropped writes for non-overlapping requests;
-  epochs whose writes overlap are rare (the summary-guard protocol
-  separates overlapping updates with a barrier precisely so they land in
-  different epochs).
+  epochs whose writes overlap are rare.
 
 States are deduplicated by their canonical plan — the exact
 ``(write seq, sectors applied)`` multiset — so e.g. the torn state that

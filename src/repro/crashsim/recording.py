@@ -55,7 +55,7 @@ class BarrierEvent:
 
     ``position`` is the number of writes journalled before the barrier;
     ``label`` names the choke point that issued it (``"flush"``,
-    ``"summary-guard"``, ``"segment-image"``, ...).
+    ``"segment-image"``, ``"row-commit"``, ...).
     """
 
     position: int

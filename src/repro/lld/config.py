@@ -86,29 +86,8 @@ class LLDConfig:
             and NVRAM absorption and slot switches reset the watermark, so
             the slot ends byte-identical and recovery semantics are
             unchanged. Off reproduces the paper's full-image rewrite
-            behaviour exactly, seals included.
-        torn_write_protection: make every summary update atomic under torn
-            (partially-applied) multi-sector writes. The crash-state
-            explorer (``repro.crashsim``) found that rewriting a slot's
-            summary in place — which both the full-image and the delta
-            partial flush do — loses *acknowledged* records if the write
-            tears after the header sector: the new header's CRC rejects
-            the half-old body, recovery skips the slot, and the previous
-            flush's records go with it. With this on, a summary update
-            writes the record-tail sectors first (byte-identical in the
-            old image's record range, records being append-only, so the
-            old header stays valid), issues a barrier, then flips sector 0
-            — header plus first records — as one atomic single-sector
-            write. Crash before the flip reads the previous summary;
-            after, the new one. Costs one extra write plus a barrier per
-            summary update: measured on the composed stack (EXPERIMENTS
-            "What torn-write protection costs") 0.3% to 13% of simulated
-            throughput, beyond the benchmark's 5% bound on three of five
-            workloads, so it is off by default. Off assumes a summary
-            write is atomic; the crash states that break when it is not
-            stay pinned (``TestTornSummaryRegression``,
-            ``tests/lld/test_seal_delta.py``), and the crash matrix runs
-            with it on.
+            behaviour exactly, seals included. Either way a torn summary
+            write reads as the previous prefix (DESIGN.md §9).
     """
 
     segment_size: int = 512 * 1024
@@ -121,7 +100,6 @@ class LLDConfig:
     read_cache_enabled: bool = False
     read_ahead_blocks: int = 8
     delta_partial_flush: bool = True
-    torn_write_protection: bool = False
 
     def __post_init__(self) -> None:
         if self.segment_size % SECTOR != 0:

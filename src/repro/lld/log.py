@@ -19,7 +19,7 @@ from typing import Callable, Iterable
 
 from repro.ld.errors import ARUError, OutOfSpaceError
 from repro.lld.checkpoint import CheckpointRegion, CheckpointTooLargeError
-from repro.lld.config import CHECKPOINT_RESERVE, PARTIAL_THRESHOLD, SECTOR, LLDConfig
+from repro.lld.config import CHECKPOINT_RESERVE, PARTIAL_THRESHOLD, LLDConfig
 from repro.lld.records import FLAG_CLEANER, FLAG_COMPRESSED, BlockRecord, CommitRecord, Record
 from repro.lld.segment import DiskLayout, OpenSegment, empty_summary, pick_slot
 from repro.lld.slots import SlotTable
@@ -747,69 +747,37 @@ class LogWriter:
         """Bring ``seg``'s slot up to date: the whole image, or (``delta``)
         the data tail past the watermark, then the summary, each only if it
         has something new; returns the ``(data, summary)`` bytes written.
-        The tail goes first: a crash between leaves the previous summary,
-        which describes only the durable prefix."""
-        tr = self.tracer
+        One epoch: a crash may land either without the other, or tear one,
+        which the summary header's two prefixes make safe (DESIGN.md §9)."""
         lba = self.layout.slot_lba(seg.index)
         data_bytes = summary_bytes = 0
         if not delta:
             image = seg.image()
-            with (
-                tr.span("lld.segment_image_write", slot=seg.index, nbytes=len(image))
-                if tr
-                else NULL_SPAN
-            ):
-                self._write_summary_first(lba, image, 1)
+            self._slot_write("lld.segment_image_write", seg, lba, image)
             summary_bytes = self.config.summary_capacity
             data_bytes = len(image) - summary_bytes
         else:
             if seg.data_dirty:
                 sector, tail = seg.data_tail()
-                with (
-                    tr.span("lld.data_tail_write", slot=seg.index, nbytes=len(tail))
-                    if tr
-                    else NULL_SPAN
-                ):
-                    self._disk_write(lba + self.config.summary_sectors + sector, tail)
+                self._slot_write(
+                    "lld.data_tail_write", seg, lba + self.config.summary_sectors + sector, tail
+                )
                 data_bytes = len(tail)
             if seg.summary_dirty:
                 # Only ``next`` new (a seal after a flush): the header sector.
                 summary = seg.summary_delta_image() if seg.records_dirty else seg.header_sector()
-                with (
-                    tr.span("lld.summary_write", slot=seg.index, nbytes=len(summary))
-                    if tr
-                    else NULL_SPAN
-                ):
-                    # Sectors before the watermark sector are byte-identical
-                    # on disk (records are append-only): a protected update
-                    # rewrites only from the first sector with new bytes.
-                    summary_bytes = self._write_summary_first(
-                        lba, summary, max(1, seg.durable_summary_used // SECTOR)
-                    )
+                self._slot_write("lld.summary_write", seg, lba, summary)
+                summary_bytes = len(summary)
         seg.mark_durable()
         if self.nvram is not None and self.nvram.slot == seg.index:
             self.nvram.clear()  # the disk copy supersedes the NVRAM image
         self._summaries_durable("segment-image", (seg,))
         return data_bytes, summary_bytes
 
-    def _write_summary_first(self, lba: int, image, tail_start: int) -> int:
-        """Write an image that starts with a summary header at slot ``lba``;
-        returns the bytes written.
-
-        One write — unless ``LLDConfig.torn_write_protection`` asks for the
-        atomic summary update: everything from sector ``tail_start`` first
-        (the slot's previous summary still parses), a barrier, then the
-        single-sector header flip.
-        """
-        if not self.config.torn_write_protection:
-            self._disk_write(lba, image)
-            return len(image)
-        tail = image[tail_start * SECTOR :]
-        if tail:
-            self._disk_write(lba + tail_start, tail)
-        self.barrier("summary-guard")
-        self._disk_write(lba, image[:SECTOR])
-        return len(tail) + SECTOR
+    def _slot_write(self, span: str, seg: OpenSegment, lba: int, data) -> None:
+        tr = self.tracer
+        with tr.span(span, slot=seg.index, nbytes=len(data)) if tr else NULL_SPAN:
+            self._disk_write(lba, data)
 
     def _absorb_in_nvram(self) -> bool:
         """Hold the partial segment in NVRAM instead of writing it."""

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.lld.records import Record
-from repro.lld.segment import decode_summary_into, summary_next
+from repro.lld.segment import CURRENT, decode_summary_into, summary_next, tail_landed
 from repro.lld.state import KIND_COMMIT, RECORD_KINDS, LLDState
 from repro.obs.metrics import Counters
 from repro.obs.trace import NULL_SPAN
@@ -49,7 +49,8 @@ class RecoveryReport(Counters):
     arus_committed: int = 0
     arus_discarded: int = 0
     simulated_seconds: float = 0.0
-    #: Disk read requests recovery issued (the sweep's: one per slot).
+    #: Disk read requests recovery issued (the sweep's: one per slot, and
+    #: :func:`_landed`'s).
     summary_read_requests: int = 0
     #: Sequence number of the checkpoint recovery started from (0: swept).
     checkpoint_sequence: int = 0
@@ -82,7 +83,7 @@ def sweep_summaries(lld: "LLD") -> list[tuple[int, list[Record]]]:
     volume overlaps the per-disk sub-sweeps in simulated time, a bare disk
     serves them back to back. (Joining adjacent summaries into one request
     would pay on the HP C3010 only for segments of 16 KB or less.)
-    Summaries that fail to parse — never written, torn, or corrupt — are
+    Summaries that fail to parse — never written, or corrupt — are
     skipped; a damaged slot can never abort the sweep.
     """
     config = lld.config
@@ -93,12 +94,37 @@ def sweep_summaries(lld: "LLD") -> list[tuple[int, list[Record]]]:
             for slot in range(layout.segment_count)
         ]
     )
-    result: list[tuple[int, list[Record]]] = []
+    found: dict[int, list[Record]] = {}
+    newest = None  # (timestamp, slot, image, prefix) of the newest summary
     for slot, image in enumerate(images):
         records: list[Record] = []
-        if decode_summary_into(image, records):
-            result.append((slot, records))
-    return result
+        prefix = decode_summary_into(image, records)
+        if prefix:
+            found[slot] = records
+            if records and (newest is None or records[-1].timestamp > newest[0]):
+                newest = (records[-1].timestamp, slot, image, prefix)
+    _landed(lld, newest, found)
+    return list(found.items())
+
+
+def _landed(lld: "LLD", newest, found: dict[int, list[Record]]) -> bool:
+    """Did the data of ``newest`` — ``(timestamp, slot, image, prefix)``,
+    or None — land? Only the newest summary can have landed without it
+    (DESIGN.md §9); if it did not, its previous prefix replaces it."""
+    if newest is None or newest[3] != CURRENT:
+        return True
+    _, slot, image, _prefix = newest
+    base = lld.layout.slot_lba(slot) + lld.config.summary_sectors
+    if tail_landed(image, lambda sector: lld.disk.read(base + sector, 1)):
+        return True
+    found[slot] = records = []
+    decode_summary_into(image, records, previous=True)
+    return False
+
+
+def _next(image, prefix: int) -> int | None:
+    """The slot a summary names; read by its previous prefix, none."""
+    return summary_next(image) if prefix == CURRENT else None
 
 
 def run_recovery(lld: "LLD") -> RecoveryReport:
@@ -158,16 +184,17 @@ def _from_checkpoint(lld: "LLD") -> RecoveryReport | None:
     )
     if not region.load(lld.state, header, body):
         return None
-    slots: list[tuple[int, list[Record]]] = []
+    found: dict[int, list[Record]] = {}
     opened: set[int] = set()  # slots opened since T: their summaries are newer
-    heads = []  # (timestamp, image) of each opened one
+    heads = []  # (timestamp, slot, image, prefix) of each opened one
     for slot, image in zip(batch, images):
         records: list[Record] = []
-        if decode_summary_into(image, records):
-            slots.append((slot, records))
+        prefix = decode_summary_into(image, records)
+        if prefix:
+            found[slot] = records
             if records and records[0].timestamp >= since:
                 opened.add(slot)
-                heads.append((records[-1].timestamp, image))
+                heads.append((records[-1].timestamp, slot, image, prefix))
     # Roll forward: each summary names the slot opened after it. The log
     # may open unlisted slots between listed ones (a listed victim opens
     # once the cleaner has emptied it), so the chain is followed from every
@@ -175,10 +202,10 @@ def _from_checkpoint(lld: "LLD") -> RecoveryReport | None:
     # log named but never wrote holds an older summary, an empty one or
     # none — the end of that run.
     heads.sort(key=lambda head: head[0])
-    newest = heads[-1] if heads else None  # (timestamp, image) of the newest read
+    newest = heads[-1] if heads else None
     followed = 0
-    for last, image in heads:
-        link = summary_next(image)
+    for last, _slot, image, prefix in heads:
+        link = _next(image, prefix)
         while (
             link is not None
             and link not in listed
@@ -188,25 +215,32 @@ def _from_checkpoint(lld: "LLD") -> RecoveryReport | None:
             image = lld.disk.read(lld.layout.slot_lba(link), config.summary_sectors)
             followed += 1
             records = []
-            if not decode_summary_into(image, records) or not records:
+            prefix = decode_summary_into(image, records)
+            if not prefix or not records:
                 break
             if records[0].timestamp <= last:
                 break  # older than the summary that named it
-            slots.append((link, records))
+            found[link] = records
             opened.add(link)
             last = records[-1].timestamp
             if last > newest[0]:
-                newest = (last, image)
-            link = summary_next(image)
-    link = None if newest is None else summary_next(newest[1])
+                newest = (last, link, image, prefix)
+            link = _next(image, prefix)
+    if not _landed(lld, newest, found):
+        records = found[newest[1]]
+        if not records or records[0].timestamp < since:
+            opened.discard(newest[1])  # nothing of it since T is left
+        newest = None  # a previous prefix names no slot
+    link = None if newest is None else _next(newest[2], newest[3])
     report = RecoveryReport(
         segments_scanned=len(listed) + followed,
         summaries_followed=followed,
+        summaries_valid=len(found),
         summary_read_requests=lld.disk.stats.reads - reads_before,
         checkpoint_sequence=header.sequence,
     )
-    report.summaries_valid = len(slots)
     state = lld.state
+    slots = list(found.items())
     for slot, records in slots:
         if not records or records[0].timestamp >= since:
             # Opened or scrubbed since T: the unit records the image places

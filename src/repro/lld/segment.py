@@ -10,8 +10,8 @@ entire slot image — summary area followed by data area — in **one**
 zero-initialized buffer laid out exactly as the slot is on disk (a window
 of the log writer's row buffer, so that a whole stripe row is one view).
 Records are packed into the summary area *once*, at append time, with a
-running CRC32; the 16 mutable header bytes (record count, body length,
-CRC, next) are patched in place when an image is needed. ``image()``,
+running CRC32; the 36 mutable header bytes (two prefixes and a tail
+check) are patched in place when an image is needed. ``image()``,
 ``summary_delta_image()``, and ``data_tail()`` therefore return
 ``memoryview`` slices of the live buffer: a partial flush reaches
 :meth:`repro.disk.SimulatedDisk.write` with **zero intermediate bytes
@@ -26,41 +26,32 @@ from __future__ import annotations
 import struct
 import zlib
 from collections import Counter
+from functools import cache
 
 from repro.disk.disk import SimulatedDisk
 from repro.ld.errors import OutOfSpaceError
 from repro.lld.config import SECTOR, LLDConfig
 from repro.lld.records import Record, decode_records, encode_records_into
 
-SUMMARY_MAGIC = b"LDS1"
-#: magic, nrecords, body_len, crc32, next. The CRC runs over the body and
-#: then the ``next`` field: the slot the log opens after this segment
-#: (:data:`NO_NEXT` while it has not chosen one), which a recovery from a
-#: checkpoint follows past the slots the checkpoint listed.
-_SUMMARY_HEADER = struct.Struct("<4sIIII")
-#: The mutable header fields (record count, body length, CRC, next) at
-#: offset 4; the magic before them is written once per template and never
-#: patched.
-_SUMMARY_MUTABLE = struct.Struct("<IIII")
+SUMMARY_MAGIC = b"LDS2"
+#: magic; the current prefix: nrecords, body_len, crc32 (of the body, then
+#: ``next``), ``next`` (the slot the log opens after this one, or NO_NEXT);
+#: the previous prefix: nrecords, body_len, crc32 of the newest shorter
+#: prefix durable on the slot (zeros: none); the tail check: data bytes the
+#: current prefix describes, crc32 of those in its last sector (DESIGN §9).
+_SUMMARY_HEADER = struct.Struct("<4sIIIIIIIII")
 _NEXT = struct.Struct("<I")
 _HEADER_SIZE = _SUMMARY_HEADER.size
 NO_NEXT = 0xFFFFFFFF
 
-#: Cached all-empty summary images per capacity (the reseal/scrub
-#: template): header with zero records, zero body, CRC32 of b"" (== 0),
-#: zero padding. Scrubs and slot invalidation reuse one immutable object
-#: instead of re-serializing an empty record list each time.
-_EMPTY_SUMMARIES: dict[int, bytes] = {}
+#: Which prefix :func:`decode_summary_into` took (0: neither).
+CURRENT, PREVIOUS = 1, 2
 
-
+@cache
 def empty_summary(capacity: int) -> bytes:
-    """The cached empty-summary image of exactly ``capacity`` bytes (no
-    records, no ``next``)."""
-    image = _EMPTY_SUMMARIES.get(capacity)
-    if image is None:
-        image = serialize_summary([], capacity)
-        _EMPTY_SUMMARIES[capacity] = image
-    return image
+    """The empty-summary image of exactly ``capacity`` bytes (no records,
+    no ``next``): one immutable object per capacity for every scrub."""
+    return serialize_summary([], capacity)
 
 
 def _summary_crc(body_crc: int, next_slot: int) -> int:
@@ -71,7 +62,7 @@ def _summary_crc(body_crc: int, next_slot: int) -> int:
 def serialize_summary(
     records: list[Record], capacity: int, next_slot: int = NO_NEXT
 ) -> bytes:
-    """Pack records into a summary image of exactly ``capacity`` bytes.
+    """Pack records into a first summary image of ``capacity`` bytes.
 
     One preallocated buffer, one combined-Struct write per record, one
     CRC pass.
@@ -83,28 +74,41 @@ def serialize_summary(
     buf = bytearray(capacity)
     end = encode_records_into(buf, _HEADER_SIZE, records)
     crc = _summary_crc(zlib.crc32(memoryview(buf)[_HEADER_SIZE:end]), next_slot)
-    _SUMMARY_HEADER.pack_into(buf, 0, SUMMARY_MAGIC, len(records), body_len, crc, next_slot)
+    _SUMMARY_HEADER.pack_into(
+        buf, 0, SUMMARY_MAGIC, len(records), body_len, crc, next_slot, 0, 0, 0, 0, 0
+    )
     return bytes(buf)
 
 
-def decode_summary_into(image, out: list[Record]) -> bool:
+def decode_summary_into(image, out: list[Record], *, previous: bool = False) -> int:
     """Batch-decode a summary image, appending its records to ``out``.
 
-    Returns False (with ``out`` untouched) for invalid/foreign bytes:
-    bad magic, truncated body, checksum mismatch, or a CRC-consistent
-    body whose records fail to parse — the cases recovery must tolerate
-    (never-written slots, torn writes). ``image`` may be any buffer
-    object; a ``memoryview`` decodes without copying a single byte.
+    Takes the current prefix when its CRC checks, else the previous one
+    (``previous`` skips the current); returns :data:`CURRENT`,
+    :data:`PREVIOUS`, or 0 (``out`` untouched) when neither is whole,
+    checksummed and parseable (never-written slots, blanked magics).
+    ``image`` may be any buffer; a ``memoryview`` decodes with no copy.
     """
     if len(image) < _HEADER_SIZE:
-        return False
-    magic, nrecords, body_len, crc, next_slot = _SUMMARY_HEADER.unpack_from(image, 0)
-    if magic != SUMMARY_MAGIC:
-        return False
+        return 0
+    header = _SUMMARY_HEADER.unpack_from(image, 0)
+    if header[0] != SUMMARY_MAGIC:
+        return 0
+    if not previous and _decode_body(image, *header[1:5], out):
+        return CURRENT
+    if _decode_body(image, *header[5:8], None, out):
+        return PREVIOUS
+    return 0
+
+
+def _decode_body(image, nrecords: int, body_len: int, crc: int, next_slot, out) -> bool:
+    """Decode one prefix into ``out``; its CRC runs over the body, then
+    ``next_slot`` unless None. False when it does not check."""
     end = _HEADER_SIZE + body_len
     if end > len(image):
         return False
-    if _summary_crc(zlib.crc32(memoryview(image)[_HEADER_SIZE:end]), next_slot) != crc:
+    body_crc = zlib.crc32(memoryview(image)[_HEADER_SIZE:end])
+    if (body_crc if next_slot is None else _summary_crc(body_crc, next_slot)) != crc:
         return False
     try:
         records, offset = decode_records(image, _HEADER_SIZE, end, nrecords)
@@ -120,10 +124,21 @@ def decode_summary_into(image, out: list[Record]) -> bool:
 
 
 def summary_next(image) -> int | None:
-    """The ``next`` field of a summary :func:`decode_summary_into` accepted:
-    the slot the log opened after it, or None (it was open, or scrubbed)."""
+    """The ``next`` field of a summary's current prefix: the slot the log
+    opened after it, or None (it was open, or scrubbed)."""
     next_slot = _SUMMARY_HEADER.unpack_from(image, 0)[4]
     return None if next_slot == NO_NEXT else next_slot
+
+
+def tail_landed(image, read) -> bool:
+    """Is the data the current prefix of ``image`` describes on the
+    medium? ``read(sector)`` returns a data-area sector. Only the described
+    bytes of the last one are checked: later flushes append to it."""
+    end, crc = _SUMMARY_HEADER.unpack_from(image, 0)[8:]
+    if not end:
+        return True
+    sector = (end - 1) // SECTOR
+    return zlib.crc32(memoryview(read(sector))[: end - sector * SECTOR]) == crc
 
 
 def parse_summary(image) -> list[Record] | None:
@@ -271,11 +286,11 @@ class OpenSegment:
     """The segment currently being filled in main memory.
 
     The in-memory representation *is* the slot image: one zero-filled
-    buffer holding the summary area (with its header template — magic
-    written once, mutable fields patched on demand) followed by the data
-    area. Appends pack record bytes and copy block data straight into
-    their final on-disk positions, so every image the flush paths need is
-    a ``memoryview`` slice of this buffer, never a rebuilt ``bytes``.
+    buffer holding the summary area (its header written on demand)
+    followed by the data area. Appends pack record bytes and copy block
+    data straight into their final on-disk positions, so every image the
+    flush paths need is a ``memoryview`` slice of this buffer, never a
+    rebuilt ``bytes``.
     """
 
     def __init__(self, index: int, config: LLDConfig, buffer: memoryview | None = None) -> None:
@@ -290,7 +305,6 @@ class OpenSegment:
         if buffer is None:
             buffer = memoryview(bytearray(config.segment_size))
         self._image_view = buffer
-        buffer[0:4] = SUMMARY_MAGIC  # header template, written once
         self._summary_capacity = summary_capacity
         #: Data area as a writable zero-copy window into the slot image.
         self.data = self._image_view[summary_capacity:]
@@ -314,8 +328,11 @@ class OpenSegment:
         # next slot's segment starts with its own.
         self.durable_data = 0
         self.durable_records = 0
-        self.durable_summary_used = _HEADER_SIZE
         self.durable_next: int | None = None
+        #: (nrecords, body_len, crc) of the newest prefix on the slot and of
+        #: the one before: the header's previous prefix is the newest shorter
+        #: than the current (NVRAM absorption leaves both).
+        self._durable = self._before = (0, 0, 0)
 
     def fits(self, data_len: int, record_bytes: int) -> bool:
         """Can ``data_len`` data bytes plus ``record_bytes`` of records fit?"""
@@ -351,12 +368,17 @@ class OpenSegment:
             self._min_ts = ts
 
     def _patch_summary_header(self) -> None:
-        """Refresh the mutable header fields over the packed record bytes."""
+        """Write the header over the packed record bytes."""
         next_slot = NO_NEXT if self.next is None else self.next
-        _SUMMARY_MUTABLE.pack_into(
-            self._image_view, 4,
-            len(self.records), self.summary_used - _HEADER_SIZE,
+        used = self.used
+        tail_crc = zlib.crc32(self.data[(used - 1) // SECTOR * SECTOR : used]) if used else 0
+        nrecords = len(self.records)
+        _SUMMARY_HEADER.pack_into(
+            self._image_view, 0, SUMMARY_MAGIC,
+            nrecords, self.summary_used - _HEADER_SIZE,
             _summary_crc(self._crc, next_slot), next_slot,
+            *(self._durable if nrecords > self._durable[0] else self._before),
+            used, tail_crc,
         )
 
     def read_data(self, offset: int, length: int) -> bytes:
@@ -398,7 +420,6 @@ class OpenSegment:
         One sector, so writing it is atomic in the crash model: the commit
         of a segment whose body went out under a blanked magic, and of a
         seal that adds only ``next`` to a summary already on its slot."""
-        self._image_view[0:4] = SUMMARY_MAGIC
         self._patch_summary_header()
         return self._image_view[:SECTOR]
 
@@ -435,27 +456,27 @@ class OpenSegment:
         """Record that everything appended so far is now on disk."""
         self.durable_data = self.used
         self.durable_records = len(self.records)
-        self.durable_summary_used = self.summary_used
         self.durable_next = self.next
+        if len(self.records) > self._durable[0]:
+            self._before = self._durable
+            self._durable = (len(self.records), self.summary_used - _HEADER_SIZE, self._crc)
 
     def reset_durable(self) -> None:
-        """Forget the watermark (slot content on disk is stale/absent)."""
+        """Forget the watermark (an NVRAM image supersedes the slot's)."""
         self.durable_data = 0
         self.durable_records = 0
-        self.durable_summary_used = _HEADER_SIZE
         self.durable_next = None
 
     def summary_delta_image(self):
         """Summary prefix covering header + all record bytes, whole sectors.
 
         Record bytes already on disk are unchanged (records are append-
-        only and immutable once logged), but the header — record count,
-        body length, CRC — changes with every append, so the delta write
-        starts at sector 0 and runs through the sector holding the last
-        record byte: one contiguous write, much shorter than the full
-        ``summary_capacity`` for lightly-filled summaries. Zero-copy: the
-        record bytes are already packed in place, only the 16 mutable
-        header bytes are patched.
+        only and immutable once logged), but the header changes with every
+        append, so the delta write starts at sector 0 and runs through the
+        sector holding the last record byte: one contiguous write, much
+        shorter than the full ``summary_capacity`` for lightly-filled
+        summaries. Zero-copy: the record bytes are already packed in place,
+        only the mutable header bytes are patched.
         """
         self._patch_summary_header()
         nsectors = (self.summary_used + SECTOR - 1) // SECTOR

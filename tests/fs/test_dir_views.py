@@ -427,10 +427,15 @@ GOLDEN = {
         # write a data tail and a summary each instead of a whole image.
         # Reads and clock are the parent's. The image was re-captured when
         # the summary header gained its ``next`` field (same requests, same
-        # times, four more header bytes per summary).
-        "disk": (353, 21, 2229, 727),
-        "clock_us": 4401296,
-        "image": "893282c9e60433aa",
+        # times, four more header bytes per summary). Reads, sectors and
+        # clock re-captured, and the image, when it grew twenty more (the
+        # previous prefix and the tail check): a summary fills twenty bytes
+        # sooner, so segments seal a few records earlier and 11 reads the
+        # open segment served from memory go to the disk. The parent with
+        # twenty pad bytes in its header gives the same figures.
+        "disk": (364, 21, 2251, 721),
+        "clock_us": 4445741,
+        "image": "9aa8b25a7d80021e",
     },
 }
 

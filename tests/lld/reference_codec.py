@@ -11,10 +11,15 @@ joined — the readable specification of the on-disk format, and the oracle
 A record is ``<BBIQ`` (type, flags, ARU, timestamp) followed by its
 class's ``_PAYLOAD`` (the dataclass fields after the three header ones,
 in order; an id field that may be None is stored as ``NONE_ID``). A
-summary is ``<4sIIII`` (``SUMMARY_MAGIC``, record count, body length,
-CRC-32 of the body followed by the ``next`` field, ``next``: the slot the
-log opened after this segment, ``NO_NEXT`` for none), the records back to
-back, zero padding to its capacity.
+summary is a ``<4sIIIIIIIII`` header — ``SUMMARY_MAGIC``; the current
+prefix: record count, body length, CRC-32 of the body followed by the
+``next`` field, ``next`` (the slot the log opened after this segment,
+``NO_NEXT`` for none); the previous prefix: record count, body length and
+CRC-32 of the body the slot's last write made durable (zeros: none); the
+data bytes the current prefix describes and the CRC-32 of those in its
+last data sector — then the records back to back, zero padding to its
+capacity. A parser takes the current prefix when its CRC checks, else the
+previous one.
 """
 
 from __future__ import annotations
@@ -37,7 +42,9 @@ from repro.lld.records import (
 from repro.lld.segment import NO_NEXT, SUMMARY_MAGIC
 
 HEADER = struct.Struct("<BBIQ")  # type, flags, aru, timestamp
-SUMMARY_HEADER = struct.Struct("<4sIIII")  # magic, nrecords, body_len, crc32, next
+#: magic; nrecords, body_len, crc32, next; previous nrecords, body_len,
+#: crc32; data bytes described, crc32 of those in the last data sector.
+SUMMARY_HEADER = struct.Struct("<4sIIIIIIIII")
 NEXT = struct.Struct("<I")
 
 TYPES = {
@@ -90,12 +97,23 @@ def summary_crc(body: bytes, next_slot: int) -> int:
 
 
 def serialize_summary_legacy(
-    records: list[Record], capacity: int, next_slot: int = NO_NEXT
+    records: list[Record],
+    capacity: int,
+    next_slot: int = NO_NEXT,
+    *,
+    landed: int = 0,
+    data: bytes = b"",
 ) -> bytes:
-    """Encode a summary: pack each record, join, pad to ``capacity``."""
+    """Encode a summary: pack each record, join, pad to ``capacity``. The
+    previous prefix is the first ``landed`` records (what the slot's last
+    write made durable); ``data`` is the data area the records describe."""
     body = b"".join(pack(record) for record in records)
+    old = b"".join(pack(record) for record in records[:landed])
+    end = len(data)
+    tail = data[(end - 1) // 512 * 512 : end] if end else b""
     header = SUMMARY_HEADER.pack(
-        SUMMARY_MAGIC, len(records), len(body), summary_crc(body, next_slot), next_slot
+        SUMMARY_MAGIC, len(records), len(body), summary_crc(body, next_slot), next_slot,
+        landed, len(old), zlib.crc32(old), end, zlib.crc32(tail),
     )
     image = header + body
     if len(image) > capacity:
@@ -104,18 +122,27 @@ def serialize_summary_legacy(
 
 
 def parse_summary_legacy(image: bytes) -> list[Record] | None:
-    """Decode a summary, one ``unpack_record`` per record; None for bytes
-    that are not a whole, checksummed summary."""
+    """Decode a summary, one ``unpack_record`` per record: by the current
+    prefix, else by the previous one; None for bytes in which neither is a
+    whole, checksummed body."""
     if len(image) < SUMMARY_HEADER.size:
         return None
-    magic, nrecords, body_len, crc, next_slot = SUMMARY_HEADER.unpack_from(image, 0)
+    (magic, nrecords, body_len, crc, next_slot,
+     old_nrecords, old_body_len, old_crc, _tail, _tail_crc) = SUMMARY_HEADER.unpack_from(image, 0)
     if magic != SUMMARY_MAGIC:
         return None
+    current = _parse_body(image, nrecords, body_len, lambda body: summary_crc(body, next_slot) == crc)
+    if current is not None:
+        return current
+    return _parse_body(image, old_nrecords, old_body_len, lambda body: zlib.crc32(body) == old_crc)
+
+
+def _parse_body(image: bytes, nrecords: int, body_len: int, checks) -> list[Record] | None:
     start = SUMMARY_HEADER.size
     if start + body_len > len(image):
         return None
     body = bytes(image[start : start + body_len])
-    if summary_crc(body, next_slot) != crc:
+    if not checks(body):
         return None
     records: list[Record] = []
     offset = 0

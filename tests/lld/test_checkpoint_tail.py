@@ -387,7 +387,7 @@ def test_checkpoint_writes_are_ordered_on_both_sides(drive):
 def test_every_crash_state_agrees_with_the_sweep():
     disk = SimulatedDisk(fast_test_disk(capacity_mb=2), VirtualClock())
     recording = RecordingDisk(disk)
-    lld = LLD(recording, small_config(checkpoint_slots=2, torn_write_protection=True))
+    lld = LLD(recording, small_config(checkpoint_slots=2))
     lld.initialize()
     driver = OracleDriver(lld, recording)
     out = run_checkpoint_matrix_workload(driver)
@@ -462,7 +462,7 @@ def test_a_recovery_that_does_not_follow_the_chain_is_caught(monkeypatch):
 
     disk = SimulatedDisk(fast_test_disk(capacity_mb=2), VirtualClock())
     recording = RecordingDisk(disk)
-    lld = LLD(recording, small_config(checkpoint_slots=2, torn_write_protection=True))
+    lld = LLD(recording, small_config(checkpoint_slots=2))
     lld.initialize()
     driver = OracleDriver(lld, recording)
     run_checkpoint_matrix_workload(driver)

@@ -2,11 +2,12 @@
 
 The end-to-end tests run the standard matrix workload on a recorded LLD,
 materialize every enumerated crash image, recover each one, and check the
-four durability invariants. The regression pair at the bottom pins the
-defect the explorer surfaced in the paper-faithful write path: an
-in-place summary rewrite that tears after the header sector loses
-*acknowledged* records, and the ``torn_write_protection`` protocol
-eliminates exactly that failure.
+four durability invariants. The regression tests at the bottom pin the
+defect the explorer surfaced in the paper-faithful write path — an
+in-place summary rewrite that tears after the header sector, or lands
+without the data written beside it, lost *acknowledged* records — as
+fixed by the summary header's two prefixes, and catch a recovery that
+drops either half of the fix.
 """
 
 import hashlib
@@ -26,7 +27,8 @@ from repro.crashsim import (
     run_multitenant_matrix_workload,
 )
 from repro.disk import SimulatedDisk, fast_test_disk
-from repro.lld import LLD, LLDConfig
+from repro.lld import LLD, LLDConfig, recovery
+from repro.lld.segment import PREVIOUS
 from repro.sched import LDServer
 from repro.sim import VirtualClock
 from repro.volume import Volume
@@ -102,10 +104,9 @@ class TestRecordingDisk:
         assert 3 in base and 7 not in base
 
     def test_lld_barriers_land_at_choke_points(self):
-        lld, recording, driver = recorded_lld(torn_write_protection=True)
+        lld, recording, driver = recorded_lld()
         small_workload(driver)
         labels = {b.label for b in recording.barriers}
-        assert "summary-guard" in labels
         assert "segment-image" in labels
         # The flush-end barrier usually closes an epoch some earlier
         # barrier (segment-image) already closed, so RecordingDisk
@@ -204,7 +205,7 @@ class TestInvariants:
         return enum.explore(checker)
 
     def test_protected_write_path_has_no_violations(self):
-        report = self.explore(torn_write_protection=True)
+        report = self.explore()
         assert report.states_total > 100
         assert report.states_by_kind.get("prefix", 0) > 0
         assert report.states_by_kind.get("torn", 0) > 0
@@ -212,14 +213,14 @@ class TestInvariants:
         assert report.violations == []
 
     def test_every_state_recovers_and_reports_cost(self):
-        report = self.explore(torn_write_protection=True)
+        report = self.explore()
         assert len(report.recovery_seconds) == report.states_total
         assert report.recovery_seconds_max > 0
         # Tolerance: mean is a float sum, max is exact.
         assert 0 < report.recovery_seconds_mean <= report.recovery_seconds_max + 1e-9
 
     def test_oracle_snapshots_cover_the_run(self):
-        lld, recording, driver = recorded_lld(torn_write_protection=True)
+        lld, recording, driver = recorded_lld()
         small_workload(driver)
         points = driver.oracle.points
         assert len(points) > 10
@@ -238,39 +239,52 @@ class TestInvariants:
 
 class TestTornSummaryRegression:
     """The explorer found that the paper-faithful in-place summary
-    rewrite loses acknowledged records under a torn write (the new
-    header lands, the new body does not, the CRC rejects the slot and
-    recovery skips everything it held). This pair of tests pins both the
-    detection and the fix."""
+    rewrite lost acknowledged records under a torn write (the new header
+    lands, the new body does not, the CRC rejects the slot and recovery
+    skips everything it held) and under a reordered one (the summary lands
+    without the data tail written beside it). The header's previous prefix
+    answers the first, the tail check of the newest summary the second;
+    a recovery without either is caught."""
 
-    def test_unprotected_write_path_loses_acked_data_under_torn_writes(self):
-        lld, recording, driver = recorded_lld(torn_write_protection=False)
-        small_workload(driver)
-        enum = CrashStateEnumerator(recording)
-        checker = LLDCrashChecker(lld.config, driver.oracle)
-        report = enum.explore(checker)
-        lost = [v for v in report.violations if v.invariant == "acked-durability"]
-        assert lost, "explorer must catch the torn-summary data loss"
-        assert all(v.kind in ("torn", "reorder") for v in report.violations)
-        # Every prefix state (no tearing, no reordering) is still sound:
-        # the defect needs a mid-write crash to manifest.
-        assert not [v for v in report.violations if v.kind == "prefix"]
+    def test_default_write_path_keeps_acked_data_under_torn_writes(self):
+        report = TestInvariants().explore()
+        assert report.states_by_kind["torn"] > 0 and report.states_by_kind["reorder"] > 0
+        assert not [v for v in report.violations if v.invariant == "acked-durability"]
 
     def test_protection_eliminates_the_defect(self):
-        report = TestInvariants().explore(torn_write_protection=True)
+        """The paper's full-image rewrite tears the same way, and reads the
+        same previous prefix."""
+        report = TestInvariants().explore(delta_partial_flush=False)
+        assert report.states_by_kind["torn"] > 0
         assert report.violations == []
 
-    def test_protection_splits_summary_updates_at_the_header(self):
-        lld, recording, driver = recorded_lld(torn_write_protection=True)
-        small_workload(driver)
-        guard_positions = [
-            b.position for b in recording.barriers if b.label == "summary-guard"
-        ]
-        assert guard_positions, "protected flushes must issue the guard barrier"
-        for position in guard_positions:
-            # The write right after the guard is the atomic header flip.
-            flip = recording.events[position]
-            assert flip.nsectors == 1
+    def test_a_recovery_without_the_tail_check_is_caught(self, monkeypatch):
+        """Trusting a summary whose CRC checks reads blocks whose data
+        never landed: a torn image, or a summary reordered ahead of its
+        data tail."""
+        monkeypatch.setattr(recovery, "_landed", lambda lld, newest, found: True)
+        report = TestInvariants().explore()
+        kinds = {(v.kind, v.invariant) for v in report.violations}
+        assert ("torn", "acked-durability") in kinds
+        assert ("reorder", "acked-durability") in kinds
+
+    def test_a_recovery_without_the_previous_prefix_is_caught(self, monkeypatch):
+        """Reading a summary whose current prefix does not check as an
+        empty slot loses what the slot's earlier flushes acknowledged."""
+        decode = recovery.decode_summary_into
+
+        def empty_instead(image, out, *, previous=False):
+            start = len(out)
+            prefix = decode(image, out, previous=previous)
+            if prefix == PREVIOUS:
+                del out[start:]
+            return prefix
+
+        monkeypatch.setattr(recovery, "decode_summary_into", empty_instead)
+        report = TestInvariants().explore()
+        kinds = {(v.kind, v.invariant) for v in report.violations}
+        assert ("torn", "acked-durability") in kinds
+        assert ("reorder", "acked-durability") in kinds
 
 
 # ----------------------------------------------------------------------
@@ -279,7 +293,7 @@ class TestTornSummaryRegression:
 
 MATRIX_CONFIG = dict(
     segment_size=64 * 1024, summary_capacity=4096, block_size=4096,
-    checkpoint_slots=1, torn_write_protection=True,
+    checkpoint_slots=1,
 )
 
 #: Digest of ``driver.oracle.points`` (seq, label, blocks, lists) for the
@@ -296,20 +310,24 @@ MATRIX_CONFIG = dict(
 #: RAID-5 rows began to wait for its row (every slot of it openable and
 #: off the chain; the digest outlived the row grants): every point up to
 #: the last fill is as before (``BEFORE_RECYCLING``), and the log reopens
-#: the cleaned slot at another journal position.
+#: the cleaned slot at another journal position. Every arm (and every
+#: ``BEFORE_RECYCLING`` digest) was re-captured when the summary update
+#: stopped writing its header apart behind a barrier (the two-prefix
+#: header): every point's label, blocks and lists are as before, the
+#: journal positions are fewer writes in.
 POINTS_GOLDEN = {
-    "single-disk": "ea040b1dfc721c13",
-    "single-mirror": "2e1f66d991d31df1",
-    "single-raid5": "55964e6b661423d4",
-    "multi-qos-2-queued": "03d2de22ce8da170",
-    "multi-qos-2-bare": "03d2de22ce8da170",
-    "multi-fifo-1-queued": "8f812ad2766833fb",
+    "single-disk": "662057fb6bbde6c3",
+    "single-mirror": "4e3ecc8fe9918d5c",
+    "single-raid5": "34e12826bdf1bfca",
+    "multi-qos-2-queued": "6579b4096ee01480",
+    "multi-qos-2-bare": "6579b4096ee01480",
+    "multi-fifo-1-queued": "7425fc7b2d8dc4ad",
 }
 
 BEFORE_RECYCLING = {
-    "single-disk": "65601408ae682e58",
-    "single-mirror": "ca9e2371311b09b1",
-    "single-raid5": "a08d2ae58af6fdad",
+    "single-disk": "cf61ab44ecca26dc",
+    "single-mirror": "122326cd10b4d9fb",
+    "single-raid5": "b4588df0f0e1b009",
 }
 
 
@@ -366,7 +384,7 @@ def test_phase_g_gives_up_when_the_log_never_reopens_the_commit_slot():
     COMMIT: the workload's last loop stops after its bound of rounds and
     names the phase, instead of taking acknowledgements (each holding a
     snapshot) without end."""
-    lld, _recording, driver = recorded_lld(torn_write_protection=True)
+    lld, _recording, driver = recorded_lld()
     log = lld.log
     banned: set[int] = set()
     choose, end_aru = log._choose, driver.end_aru

@@ -306,7 +306,7 @@ def _deletes_then_compaction(disk):
 
     from tests.lld.conftest import small_config
 
-    ld = LLD(disk, small_config(torn_write_protection=True))
+    ld = LLD(disk, small_config())
     ld.initialize()
     driver = OracleDriver(ld, disk)
     lid = driver.new_list(ld)

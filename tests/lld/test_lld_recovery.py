@@ -217,8 +217,9 @@ def test_compressed_blocks_survive_recovery():
 def test_sweep_issues_one_request_per_slot_on_wide_segments():
     """One read request per slot's summary: at the tests' 64 KB segments,
     and at 8 KB too, where streaming over the gap between neighbouring
-    summaries would cost less than a fresh request. A damaged summary is
-    skipped, and the recovered blocks read back."""
+    summaries would cost less than a fresh request, and one more for the
+    newest summary's last data sector. A damaged summary is skipped, and
+    the recovered blocks read back."""
     for segment_size, summary_capacity in ((64 * 1024, 4096), (8192, 512)):
         lld = make_lld(segment_size=segment_size, summary_capacity=summary_capacity)
         lid = lld.new_list()
@@ -233,7 +234,7 @@ def test_sweep_issues_one_request_per_slot_on_wide_segments():
         recovered = reopen(lld)
         report = recovered.recovery_report
         assert report.checkpoint_sequence == 0  # swept
-        assert report.summary_read_requests == report.segments_scanned
+        assert report.summary_read_requests == report.segments_scanned + 1
         assert report.segments_scanned == lld.layout.segment_count
         for i, bid in enumerate(bids):
             assert recovered.read(bid) == bytes([i + 1]) * 2048

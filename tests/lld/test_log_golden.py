@@ -8,8 +8,7 @@ compaction and ``scrub_slot`` (small ``max_tombstones``), ARUs
 (committed, aborted, nested ``aru()``, crashed open), ``swap_contents``,
 ``reorganize`` / ``reorganize_hot``, compression, the read cache, and
 crash → NVRAM replay → recovery in mid-script — on every combination of
-``delta_partial_flush`` × ``torn_write_protection`` × NVRAM × bare disk /
-stripe / RAID-5. A journalling wrapper between the LLD and its device
+``delta_partial_flush`` × NVRAM × bare disk / stripe / RAID-5. A journalling wrapper between the LLD and its device
 (``JournalDisk``: :class:`~repro.crashsim.RecordingDisk`'s idea extended
 to reads, every barrier label, and volumes, which have no ``snapshot()``)
 records the request sequence; at the end of a script the test hashes
@@ -128,7 +127,19 @@ top bit), ``clocks`` on the 24 RAID-5 arms of ``compaction``,
 ``deletes_clean`` and ``nvram_replay``; ``contents`` the parent's on all
 192, all four components on the 128 bare-disk and stripe arms. A checkout
 of the parent whose ``Volume.discard`` records nothing and whose log
-never sets the bit gives these digests on all 192 arms. A change that
+never sets the bit gives these digests on all 192 arms. The two-prefix
+summary header (parent 3c0b70b): ``torn_write_protection`` is gone, and
+with it the ``torn`` axis and its 96 arms (configurations are now
+``device/delta|image/nvram|disk``). Every summary header is twenty bytes
+longer (the previous prefix and the tail check) and every recovery reads
+the newest summary's last data sector, so ``layout``, ``requests`` and
+``clocks`` re-captured on all 96 surviving arms; ``contents`` equals the
+parent's ``plain`` arm on all 96. The request *shapes* (every write's LBA
+and size, every read) are the parent's on 60 arms: the 24 of ``arus``
+and ``nvram_replay`` gained the tail read of their mid-script recoveries,
+and on the 12 of ``compaction`` a summary holds twenty bytes fewer of
+records, so a segment seals a record sooner and the cleaner moves one
+more block. A change that
 keeps requests where they are re-captures nothing; one that moves them re-captures the components it names up front
 and shows the rest byte-identical to this table.
 
@@ -180,212 +191,116 @@ GONE_SINCE_CAPTURE = {"tenants": {}, "extra": {}}
 #: ``GOLDEN[script][config]`` = the ``COMPONENTS`` digests, in that order.
 GOLDEN: dict[str, dict[str, tuple[str, str, str, str]]] = {
     'arus': {
-        'bare/delta/torn/nvram': ('d1f0ca1fa0e0', '99653a6f8a36', 'f422ed3a0db7', 'f36d4d3b93d2'),
-        'bare/delta/torn/disk': ('d1f0ca1fa0e0', 'b9c0ced7dd17', 'a3b339542283', 'b931f80f06c3'),
-        'bare/delta/plain/nvram': ('d1f0ca1fa0e0', '99653a6f8a36', '319e2a0d87cd', '8f247cd8aea8'),
-        'bare/delta/plain/disk': ('d1f0ca1fa0e0', 'b9c0ced7dd17', 'f3149e427dfa', 'c1ab24d77355'),
-        'bare/image/torn/nvram': ('d1f0ca1fa0e0', '99653a6f8a36', '3e530ee22fd1', '5a8bb3ee45c3'),
-        'bare/image/torn/disk': ('d1f0ca1fa0e0', 'b9c0ced7dd17', '6e6b799d1313', 'abc77981e5d8'),
-        'bare/image/plain/nvram': ('d1f0ca1fa0e0', '99653a6f8a36', '17d6da244e15', '2458a6e847bf'),
-        'bare/image/plain/disk': ('d1f0ca1fa0e0', 'b9c0ced7dd17', 'bd4e6a2615be', '9b3b27f5db0f'),
-        'stripe/delta/torn/nvram': ('167464a16ae5', '53935bc0dcf0', '0d2f14ad99ec', 'add857892b4f'),
-        'stripe/delta/torn/disk': ('167464a16ae5', 'e6d047340c40', 'b36feb49bc3a', '9ccd7ecd681b'),
-        'stripe/delta/plain/nvram': ('167464a16ae5', '53935bc0dcf0', '060e3f7cac3b', '5c2854b83687'),
-        'stripe/delta/plain/disk': ('167464a16ae5', 'e6d047340c40', 'd0efcc717283', '8b747f4a6060'),
-        'stripe/image/torn/nvram': ('167464a16ae5', '53935bc0dcf0', '45f11742b23b', 'add857892b4f'),
-        'stripe/image/torn/disk': ('167464a16ae5', 'e6d047340c40', 'e492d42999a7', '9ccd7ecd681b'),
-        'stripe/image/plain/nvram': ('167464a16ae5', '53935bc0dcf0', '6e1d5fbfe159', '5c2854b83687'),
-        'stripe/image/plain/disk': ('167464a16ae5', 'e6d047340c40', '75cc4f2ff7f5', '11a15c55fd80'),
-        'raid5/delta/torn/nvram': ('39ec6d2c2616', '1db5e81b2725', '655288c03d52', '0dce27ebd22b'),
-        'raid5/delta/torn/disk': ('39ec6d2c2616', '477415368d0b', '67aa6a71de55', '2198248b8475'),
-        'raid5/delta/plain/nvram': ('39ec6d2c2616', '1db5e81b2725', '33861bb2a612', '5f4f733ecf91'),
-        'raid5/delta/plain/disk': ('39ec6d2c2616', '477415368d0b', '64b367f795fa', 'e5be46374b47'),
-        'raid5/image/torn/nvram': ('39ec6d2c2616', '1db5e81b2725', '79f3e525b912', '0dce27ebd22b'),
-        'raid5/image/torn/disk': ('39ec6d2c2616', '477415368d0b', '75d0a169e01a', '2198248b8475'),
-        'raid5/image/plain/nvram': ('39ec6d2c2616', '1db5e81b2725', '314c4ff4a850', '5f4f733ecf91'),
-        'raid5/image/plain/disk': ('39ec6d2c2616', '477415368d0b', 'a7d9e0124a4a', '812622043279'),
+        'bare/delta/nvram': ('d1f0ca1fa0e0', '9e922a06b647', '272c2afa350f', 'aadec8128141'),
+        'bare/delta/disk': ('d1f0ca1fa0e0', 'de6fbf0de158', 'e79230e4ef2c', '032e24f2c996'),
+        'bare/image/nvram': ('d1f0ca1fa0e0', '9e922a06b647', '66e5ca6993bb', '32478bd1320e'),
+        'bare/image/disk': ('d1f0ca1fa0e0', 'de6fbf0de158', 'f88caad18411', '36ce2b81110b'),
+        'stripe/delta/nvram': ('167464a16ae5', 'c66e5228b1dc', '6b3cb621da19', '746b65f56657'),
+        'stripe/delta/disk': ('167464a16ae5', '03c7eaf1b7fd', '93405be87764', 'bfd5c0b17178'),
+        'stripe/image/nvram': ('167464a16ae5', 'c66e5228b1dc', 'fa8fd6d128bf', '746b65f56657'),
+        'stripe/image/disk': ('167464a16ae5', '03c7eaf1b7fd', '959939d7fbcc', '69c761e56b03'),
+        'raid5/delta/nvram': ('39ec6d2c2616', '3761390a25ba', '7d068826680b', 'a8e28d44639c'),
+        'raid5/delta/disk': ('39ec6d2c2616', '43a41840c489', '2ad4c5d00eba', '3edbff048f01'),
+        'raid5/image/nvram': ('39ec6d2c2616', '3761390a25ba', 'e25686ba86f2', 'a8e28d44639c'),
+        'raid5/image/disk': ('39ec6d2c2616', '43a41840c489', '9143ff21abde', 'c51b9338ef1e'),
     },
     'compaction': {
-        'bare/delta/torn/nvram': ('f43c3e5cdaa8', '5d4c6901ffad', '175d48a52fb3', '3601fec7049f'),
-        'bare/delta/torn/disk': ('f43c3e5cdaa8', '0753b8f1cf4f', '4a12bbecf774', '439531282561'),
-        'bare/delta/plain/nvram': ('f43c3e5cdaa8', '5d4c6901ffad', '42d8451812a3', '2908d5a1ca9a'),
-        'bare/delta/plain/disk': ('f43c3e5cdaa8', '0753b8f1cf4f', '208de1a6b679', '816a5c8f124a'),
-        'bare/image/torn/nvram': ('f43c3e5cdaa8', '5d4c6901ffad', 'edbff93f9958', '3601fec7049f'),
-        'bare/image/torn/disk': ('f43c3e5cdaa8', '0753b8f1cf4f', 'b4fe3cbf860c', 'bb4e3711c8e5'),
-        'bare/image/plain/nvram': ('f43c3e5cdaa8', '5d4c6901ffad', '2bb6b5087a52', 'd8e4874bb3cd'),
-        'bare/image/plain/disk': ('f43c3e5cdaa8', '0753b8f1cf4f', '56977fec9bf6', '691ac2d2781e'),
-        'stripe/delta/torn/nvram': ('cf67d8db9144', 'cc4c341ba2e9', 'd5150004e27a', 'c6c32600ee8e'),
-        'stripe/delta/torn/disk': ('cf67d8db9144', 'a2d2d5596116', '7ea2ec3189b5', '05ce8a8d9ce2'),
-        'stripe/delta/plain/nvram': ('cf67d8db9144', 'cc4c341ba2e9', 'e52a08fc2b87', 'e2329bac6314'),
-        'stripe/delta/plain/disk': ('cf67d8db9144', 'a2d2d5596116', '362594d0cc98', '6395c3455144'),
-        'stripe/image/torn/nvram': ('cf67d8db9144', 'cc4c341ba2e9', '09834afce2fd', 'c6c32600ee8e'),
-        'stripe/image/torn/disk': ('cf67d8db9144', 'a2d2d5596116', '844155213e3a', '64d4b36d3038'),
-        'stripe/image/plain/nvram': ('cf67d8db9144', 'cc4c341ba2e9', '0f5bbb190868', 'e2329bac6314'),
-        'stripe/image/plain/disk': ('cf67d8db9144', 'a2d2d5596116', '5329d757144e', '0b3f169e8c9f'),
-        'raid5/delta/torn/nvram': ('486ae46ecdb9', '928ee2551e45', '3f60a7184f87', 'c0ef9240b952'),
-        'raid5/delta/torn/disk': ('486ae46ecdb9', 'c608b50a9de2', '45c2291b3350', 'e58fae4bf4dc'),
-        'raid5/delta/plain/nvram': ('486ae46ecdb9', '928ee2551e45', '71b6ad4643d4', 'cac10adfe903'),
-        'raid5/delta/plain/disk': ('486ae46ecdb9', 'c608b50a9de2', '844f7f641b1a', '56aead3bf453'),
-        'raid5/image/torn/nvram': ('486ae46ecdb9', '928ee2551e45', 'e362fbb40781', 'c0ef9240b952'),
-        'raid5/image/torn/disk': ('486ae46ecdb9', 'c608b50a9de2', '85644120ec08', 'c370e921dfa2'),
-        'raid5/image/plain/nvram': ('486ae46ecdb9', '928ee2551e45', '1d948f9a5b67', '24f0021052fb'),
-        'raid5/image/plain/disk': ('486ae46ecdb9', 'c608b50a9de2', '20090afb16d1', '0e7883efb90c'),
+        'bare/delta/nvram': ('f43c3e5cdaa8', '8eb614e1b5d0', '888083b1065e', '84bcf857435a'),
+        'bare/delta/disk': ('f43c3e5cdaa8', '8e8232093cab', 'fb74e18b9381', '8190b7792667'),
+        'bare/image/nvram': ('f43c3e5cdaa8', '8eb614e1b5d0', 'bf370a5b91f2', '14706a991cf7'),
+        'bare/image/disk': ('f43c3e5cdaa8', '8e8232093cab', '25ff9a7c10fe', '4af8c496e31f'),
+        'stripe/delta/nvram': ('cf67d8db9144', 'fbcb1c06840d', '69fb48bd0fb6', 'dfa542321c76'),
+        'stripe/delta/disk': ('cf67d8db9144', '0e681d38ca59', '48b0c7f80e3a', 'c7756627eb6d'),
+        'stripe/image/nvram': ('cf67d8db9144', 'fbcb1c06840d', 'fd938d39ae9b', 'dfa542321c76'),
+        'stripe/image/disk': ('cf67d8db9144', '0e681d38ca59', '5963d7ce7508', '5e9b8f2ccf09'),
+        'raid5/delta/nvram': ('486ae46ecdb9', 'dfaf040e9713', '675eaba73977', '3433ce3d59cf'),
+        'raid5/delta/disk': ('486ae46ecdb9', 'e2e826187cf2', '15442913eaf3', '1606148e5b60'),
+        'raid5/image/nvram': ('486ae46ecdb9', 'dfaf040e9713', '37dbda295b37', 'f7c575a84594'),
+        'raid5/image/disk': ('486ae46ecdb9', 'e2e826187cf2', 'adfc82e8a459', '34024fb2cf13'),
     },
     'compression': {
-        'bare/delta/torn/nvram': ('342b23cd34f7', 'b10a7af45064', 'fa447c06cdb2', 'b3e45fd434ac'),
-        'bare/delta/torn/disk': ('342b23cd34f7', 'b10a7af45064', 'aeb66c32777c', '7719587008a4'),
-        'bare/delta/plain/nvram': ('342b23cd34f7', 'b10a7af45064', '65550e0928ee', '88640783ddfb'),
-        'bare/delta/plain/disk': ('342b23cd34f7', 'b10a7af45064', '8ef60d58abfe', '161a413f68ef'),
-        'bare/image/torn/nvram': ('342b23cd34f7', 'b10a7af45064', '32910646f36e', 'b3e45fd434ac'),
-        'bare/image/torn/disk': ('342b23cd34f7', 'b10a7af45064', 'ac6b82c76910', '7719587008a4'),
-        'bare/image/plain/nvram': ('342b23cd34f7', 'b10a7af45064', '5c4c7030cbb0', '88640783ddfb'),
-        'bare/image/plain/disk': ('342b23cd34f7', 'b10a7af45064', 'dada9781afa0', '092c9882e211'),
-        'stripe/delta/torn/nvram': ('3db3061db605', 'e2856dd8bb90', '9675f0eb8761', '7fa1a771e553'),
-        'stripe/delta/torn/disk': ('3db3061db605', 'e2856dd8bb90', '6ddc443ffae5', 'c24fad42177e'),
-        'stripe/delta/plain/nvram': ('3db3061db605', 'e2856dd8bb90', '845c61625eae', '1dd3f3b7e875'),
-        'stripe/delta/plain/disk': ('3db3061db605', 'e2856dd8bb90', '60fff9ef4f30', 'ebea76a1fc09'),
-        'stripe/image/torn/nvram': ('3db3061db605', 'e2856dd8bb90', '8a319ba2f676', '7fa1a771e553'),
-        'stripe/image/torn/disk': ('3db3061db605', 'e2856dd8bb90', '36d17bcb88a8', '805db81d030c'),
-        'stripe/image/plain/nvram': ('3db3061db605', 'e2856dd8bb90', 'e8841a7e2540', '1dd3f3b7e875'),
-        'stripe/image/plain/disk': ('3db3061db605', 'e2856dd8bb90', 'd9e2a602752d', 'ebea76a1fc09'),
-        'raid5/delta/torn/nvram': ('947314dbc9bf', '14a7846affea', '11f8115b0807', '94f5e536c20e'),
-        'raid5/delta/torn/disk': ('947314dbc9bf', '14a7846affea', '103e4aa77a8e', '38c08b449d12'),
-        'raid5/delta/plain/nvram': ('947314dbc9bf', '14a7846affea', '847314392c65', '3b97e32849b2'),
-        'raid5/delta/plain/disk': ('947314dbc9bf', '14a7846affea', '13f4992a778c', 'e43f2ceb9b2d'),
-        'raid5/image/torn/nvram': ('947314dbc9bf', '14a7846affea', '2b5d82d868be', '94f5e536c20e'),
-        'raid5/image/torn/disk': ('947314dbc9bf', '14a7846affea', '125bafcabb6e', 'ce4055ce4c29'),
-        'raid5/image/plain/nvram': ('947314dbc9bf', '14a7846affea', 'f648c3a23a9f', '3b97e32849b2'),
-        'raid5/image/plain/disk': ('947314dbc9bf', '14a7846affea', 'e5372a424111', '201f7e1d7f98'),
+        'bare/delta/nvram': ('342b23cd34f7', '874fc99beca6', '0793a450d4ca', 'f0f56b9fbf1e'),
+        'bare/delta/disk': ('342b23cd34f7', '9f5986ba7503', '36f48b2316b0', '8219aeadca83'),
+        'bare/image/nvram': ('342b23cd34f7', '874fc99beca6', '18eab24ff005', 'f0f56b9fbf1e'),
+        'bare/image/disk': ('342b23cd34f7', '9f5986ba7503', 'a745e40ab814', 'c8dd550d22c5'),
+        'stripe/delta/nvram': ('3db3061db605', '817de1ef32c5', '34506aac24f5', '995500791f80'),
+        'stripe/delta/disk': ('3db3061db605', '92d59e77ccb2', 'c059528eaa4c', 'f086156040e9'),
+        'stripe/image/nvram': ('3db3061db605', '817de1ef32c5', 'a87ccfe767c7', '995500791f80'),
+        'stripe/image/disk': ('3db3061db605', '92d59e77ccb2', '8c5c18d4b1fc', 'f086156040e9'),
+        'raid5/delta/nvram': ('947314dbc9bf', '49423b2a616b', '5ab51266726d', '6dbb685ba039'),
+        'raid5/delta/disk': ('947314dbc9bf', '1f9f6fea2ce7', '08befdda6411', '3d7c55fa93df'),
+        'raid5/image/nvram': ('947314dbc9bf', '49423b2a616b', '2313249e610a', '6dbb685ba039'),
+        'raid5/image/disk': ('947314dbc9bf', '1f9f6fea2ce7', '5972bf40eacc', '0212358bd13d'),
     },
     'deletes_clean': {
-        'bare/delta/torn/nvram': ('547959dfb219', 'b3a0f7aa2db0', '76b4b90ceb1c', 'cbf8aa60ad75'),
-        'bare/delta/torn/disk': ('547959dfb219', 'b3a0f7aa2db0', '5206f0f178f3', '6a45ee72df8c'),
-        'bare/delta/plain/nvram': ('547959dfb219', 'b3a0f7aa2db0', 'be993ad6e6d2', 'f834c0d70b38'),
-        'bare/delta/plain/disk': ('547959dfb219', 'b3a0f7aa2db0', 'a334a03d8ab3', '3acb6748d2f2'),
-        'bare/image/torn/nvram': ('547959dfb219', 'b3a0f7aa2db0', '45322e2e3073', '40e022baa863'),
-        'bare/image/torn/disk': ('547959dfb219', 'b3a0f7aa2db0', '17f9d9f87502', '6a45ee72df8c'),
-        'bare/image/plain/nvram': ('547959dfb219', 'b3a0f7aa2db0', 'bd59b28fa924', 'dfac9c99f718'),
-        'bare/image/plain/disk': ('547959dfb219', 'b3a0f7aa2db0', '3d049e2d3413', '4dee12679329'),
-        'stripe/delta/torn/nvram': ('d1b32841fb42', '620233bd7a16', '2dfba3c77308', 'd823c65507d8'),
-        'stripe/delta/torn/disk': ('d1b32841fb42', '620233bd7a16', '4ba611ebd201', '93fb8a688a32'),
-        'stripe/delta/plain/nvram': ('d1b32841fb42', '620233bd7a16', 'ae1732e0785b', 'a0ffb52bde03'),
-        'stripe/delta/plain/disk': ('d1b32841fb42', '620233bd7a16', '64f1ea239ff8', 'b800ddf12092'),
-        'stripe/image/torn/nvram': ('d1b32841fb42', '620233bd7a16', 'add07f577bf0', '3237c723df28'),
-        'stripe/image/torn/disk': ('d1b32841fb42', '620233bd7a16', 'bf7b74d639f8', '12dc2ac2a960'),
-        'stripe/image/plain/nvram': ('d1b32841fb42', '620233bd7a16', '6036622811a6', 'a0ffb52bde03'),
-        'stripe/image/plain/disk': ('d1b32841fb42', '620233bd7a16', 'ec62a8b743c6', '1c3ae91fd0a6'),
-        'raid5/delta/torn/nvram': ('d354091f1d2f', '2be1ddb1f89c', '034a115ac4d2', '31041a197b1a'),
-        'raid5/delta/torn/disk': ('d354091f1d2f', '2be1ddb1f89c', '854d4e626e39', '7e3e476c564f'),
-        'raid5/delta/plain/nvram': ('d354091f1d2f', '2be1ddb1f89c', '0e373d0dad97', 'd00d26599278'),
-        'raid5/delta/plain/disk': ('d354091f1d2f', '2be1ddb1f89c', 'dfae55c39743', '7c27f269a923'),
-        'raid5/image/torn/nvram': ('d354091f1d2f', '2be1ddb1f89c', '55e1ed940874', '8298d63ee6e6'),
-        'raid5/image/torn/disk': ('d354091f1d2f', '2be1ddb1f89c', '8eb8e9d95432', 'dcdc8e8d9d4c'),
-        'raid5/image/plain/nvram': ('d354091f1d2f', '2be1ddb1f89c', 'd72bc5968cd6', 'fd29b2cfeb18'),
-        'raid5/image/plain/disk': ('d354091f1d2f', '2be1ddb1f89c', 'da71c72d9724', 'fe84405d7646'),
+        'bare/delta/nvram': ('547959dfb219', '87ee1c05d345', '354c08edca2b', 'b195e4c2178a'),
+        'bare/delta/disk': ('547959dfb219', '0616ee7df1e2', '26df6c2966af', '7984962431e3'),
+        'bare/image/nvram': ('547959dfb219', '87ee1c05d345', '5a4d05a36073', 'd3c0ea416ddd'),
+        'bare/image/disk': ('547959dfb219', '0616ee7df1e2', 'fe6f2130f1fb', 'fae722b69eee'),
+        'stripe/delta/nvram': ('d1b32841fb42', 'dfeb626f3157', '99a0acbd518f', '3b76a47c1e8b'),
+        'stripe/delta/disk': ('d1b32841fb42', '47404d2eb934', 'f647a18f47f3', 'a7cad5ed06cc'),
+        'stripe/image/nvram': ('d1b32841fb42', 'dfeb626f3157', '5fd1e2fd3496', '3b76a47c1e8b'),
+        'stripe/image/disk': ('d1b32841fb42', '47404d2eb934', 'ed02ec974e47', '55667bb97280'),
+        'raid5/delta/nvram': ('d354091f1d2f', '51dcc12f1529', '1a609ba550e1', 'e6ab1ffe5b52'),
+        'raid5/delta/disk': ('d354091f1d2f', '428ff759ac13', '1bce8e6eefa4', '26a7ed7b917f'),
+        'raid5/image/nvram': ('d354091f1d2f', '51dcc12f1529', '82cb5bbbc0de', 'ac8a6547d313'),
+        'raid5/image/disk': ('d354091f1d2f', '428ff759ac13', '7ded43d2e3be', '230de02d3cb0'),
     },
     'flushes': {
-        'bare/delta/torn/nvram': ('e385b968c8f5', '6fcfb283b249', 'a6946abcad48', '89b24fabcd4a'),
-        'bare/delta/torn/disk': ('e385b968c8f5', 'e9f69a30bd60', 'b05684912730', 'f900b862ac95'),
-        'bare/delta/plain/nvram': ('e385b968c8f5', '6fcfb283b249', 'e222cf0d948a', 'd9e86bd71a8d'),
-        'bare/delta/plain/disk': ('e385b968c8f5', 'e9f69a30bd60', '4513b62543b5', 'd4596e3b303d'),
-        'bare/image/torn/nvram': ('e385b968c8f5', '6fcfb283b249', 'eed8c967f128', 'bcb5cf5a440e'),
-        'bare/image/torn/disk': ('e385b968c8f5', 'e9f69a30bd60', 'd791fa664717', '800ab1a54130'),
-        'bare/image/plain/nvram': ('e385b968c8f5', '6fcfb283b249', '0a37c7e33dc7', '352a3f3ecd89'),
-        'bare/image/plain/disk': ('e385b968c8f5', 'e9f69a30bd60', 'c060a9941983', 'b709194d1eda'),
-        'stripe/delta/torn/nvram': ('fcebdad139c0', '352a716c68c2', 'c5c89f746f9b', '7bb130e4f1c7'),
-        'stripe/delta/torn/disk': ('fcebdad139c0', '7cbaea3b0a45', '46bbacd09fd8', 'acf44727cf08'),
-        'stripe/delta/plain/nvram': ('fcebdad139c0', '352a716c68c2', 'd3bdbf3a3c1e', 'dd3b2d4e918d'),
-        'stripe/delta/plain/disk': ('fcebdad139c0', '7cbaea3b0a45', '4d012469bc05', 'f3245ac8c54f'),
-        'stripe/image/torn/nvram': ('fcebdad139c0', '352a716c68c2', '6a26563ff50e', 'fe8b4642b5b6'),
-        'stripe/image/torn/disk': ('fcebdad139c0', '7cbaea3b0a45', '7a8d7e3da39c', '306cec28b7fb'),
-        'stripe/image/plain/nvram': ('fcebdad139c0', '352a716c68c2', '297215b6c399', 'dd3b2d4e918d'),
-        'stripe/image/plain/disk': ('fcebdad139c0', '7cbaea3b0a45', '020f207ef565', '9552dd209da7'),
-        'raid5/delta/torn/nvram': ('cd406d4a215f', '35bf061aa51d', 'fa4ee7194365', 'af40dab29bc3'),
-        'raid5/delta/torn/disk': ('cd406d4a215f', '2d80ea966b49', 'dae9ab369656', 'ef0ebd6d5356'),
-        'raid5/delta/plain/nvram': ('cd406d4a215f', '35bf061aa51d', '1fd679c20f99', 'f0a42a773bc6'),
-        'raid5/delta/plain/disk': ('cd406d4a215f', '2d80ea966b49', '1b50ea5410e5', 'ef4f5e8ea7de'),
-        'raid5/image/torn/nvram': ('cd406d4a215f', '35bf061aa51d', '7599e2c90de1', '9c1c506c6547'),
-        'raid5/image/torn/disk': ('cd406d4a215f', '2d80ea966b49', 'b49ab8dec2b1', 'f2060ead4f95'),
-        'raid5/image/plain/nvram': ('cd406d4a215f', '35bf061aa51d', '4fb7be31562c', 'f0a42a773bc6'),
-        'raid5/image/plain/disk': ('cd406d4a215f', '2d80ea966b49', '59cb2b44af77', 'ef4f5e8ea7de'),
+        'bare/delta/nvram': ('e385b968c8f5', '82f18ad24d16', '60d9ce38cc59', 'ae26645e0d59'),
+        'bare/delta/disk': ('e385b968c8f5', 'b53d08cf6856', '8cb7a63dd34a', 'c29ccadadd5b'),
+        'bare/image/nvram': ('e385b968c8f5', '82f18ad24d16', '188fbf11c138', '446db8e7595c'),
+        'bare/image/disk': ('e385b968c8f5', 'b53d08cf6856', '352fba52671e', '1f1e93142355'),
+        'stripe/delta/nvram': ('fcebdad139c0', '0aacdb900586', '05381aa6b4fa', '4a2327c04c92'),
+        'stripe/delta/disk': ('fcebdad139c0', '0deed953faaf', 'ff135249f443', '3b40b47911a8'),
+        'stripe/image/nvram': ('fcebdad139c0', '0aacdb900586', '4e3ef4ee0f88', '4a2327c04c92'),
+        'stripe/image/disk': ('fcebdad139c0', '0deed953faaf', 'dfb534893be0', '63758de18d76'),
+        'raid5/delta/nvram': ('cd406d4a215f', '6b50146c8645', '799961521878', '5ac43d2da0aa'),
+        'raid5/delta/disk': ('cd406d4a215f', '40f45263f8dd', '10a5f7c65903', '440a424ed2b6'),
+        'raid5/image/nvram': ('cd406d4a215f', '6b50146c8645', 'b7c87226e14a', '5ac43d2da0aa'),
+        'raid5/image/disk': ('cd406d4a215f', '40f45263f8dd', 'feefaa0877bc', '440a424ed2b6'),
     },
     'nvram_replay': {
-        'bare/delta/torn/nvram': ('b281e09ffae3', 'c83bbd272150', '8be30a9b4d8d', '3950a10608dd'),
-        'bare/delta/torn/disk': ('b281e09ffae3', '171625a8a62a', '317dd3e186e9', 'b28873cb7224'),
-        'bare/delta/plain/nvram': ('b281e09ffae3', 'c83bbd272150', '4f4568bf2bde', '7cb13151fa6d'),
-        'bare/delta/plain/disk': ('b281e09ffae3', '171625a8a62a', '326e2c247260', '7b1b0a1518c8'),
-        'bare/image/torn/nvram': ('b281e09ffae3', 'c83bbd272150', 'a1ae4ae4d92f', 'cf35b58cd0da'),
-        'bare/image/torn/disk': ('b281e09ffae3', '171625a8a62a', '5d55df391037', '557aa0f7ac50'),
-        'bare/image/plain/nvram': ('b281e09ffae3', 'c83bbd272150', 'c805ef1b0b15', '28e9358dcf1f'),
-        'bare/image/plain/disk': ('b281e09ffae3', '171625a8a62a', 'f5e7214b7434', '7b1b0a1518c8'),
-        'stripe/delta/torn/nvram': ('9affc57acc78', 'd807e1c9b32f', 'dd9839c0e273', '88379ee840e6'),
-        'stripe/delta/torn/disk': ('9affc57acc78', '3479d106e523', '7123d0c088b4', '6df2695bdc96'),
-        'stripe/delta/plain/nvram': ('9affc57acc78', 'd807e1c9b32f', '7dbb0ee2c68b', '140b4922641e'),
-        'stripe/delta/plain/disk': ('9affc57acc78', '3479d106e523', '1b92cd045f85', 'f334eb66c938'),
-        'stripe/image/torn/nvram': ('9affc57acc78', 'd807e1c9b32f', '4b3e7d7f6636', 'e4f89d47b0f7'),
-        'stripe/image/torn/disk': ('9affc57acc78', '3479d106e523', '18c50b9e7b99', '28a4bc17bb8c'),
-        'stripe/image/plain/nvram': ('9affc57acc78', 'd807e1c9b32f', '9db3a6b306f4', '140b4922641e'),
-        'stripe/image/plain/disk': ('9affc57acc78', '3479d106e523', '3ff691aae34c', '0eb9c4a3c2d5'),
-        'raid5/delta/torn/nvram': ('7ea7c1d33de4', '56eb5bd966c2', '6a14b844c22a', 'd4b66877aabe'),
-        'raid5/delta/torn/disk': ('7ea7c1d33de4', '70693c9fe7f0', '3f41998a4713', '02bc8d37c195'),
-        'raid5/delta/plain/nvram': ('7ea7c1d33de4', '56eb5bd966c2', '1ee33f2fdf00', '7785176fd051'),
-        'raid5/delta/plain/disk': ('7ea7c1d33de4', '70693c9fe7f0', '99310e89022a', '342b3354f727'),
-        'raid5/image/torn/nvram': ('7ea7c1d33de4', '56eb5bd966c2', 'd47f07180fb9', 'fe31cb39b66b'),
-        'raid5/image/torn/disk': ('7ea7c1d33de4', '70693c9fe7f0', '102c17395570', '66a7594d4bff'),
-        'raid5/image/plain/nvram': ('7ea7c1d33de4', '56eb5bd966c2', '5b879af2cfdc', '4b8ae364c179'),
-        'raid5/image/plain/disk': ('7ea7c1d33de4', '70693c9fe7f0', 'd3123cbd8e2d', '8de73142b6ae'),
+        'bare/delta/nvram': ('b281e09ffae3', 'd89d8a85d2d5', '02f3f11dfc84', 'c0703ecb5697'),
+        'bare/delta/disk': ('b281e09ffae3', 'b3c624512299', '7b83f1877c32', 'df2f08ce9158'),
+        'bare/image/nvram': ('b281e09ffae3', 'd89d8a85d2d5', 'f47cdc66bce9', 'abead5f0e564'),
+        'bare/image/disk': ('b281e09ffae3', 'b3c624512299', '77306fb2af6d', 'df2f08ce9158'),
+        'stripe/delta/nvram': ('9affc57acc78', '30e15fb1e0e0', '81ef09ad8642', 'a10cdf880d01'),
+        'stripe/delta/disk': ('9affc57acc78', 'a830bfc35b15', 'ec4c5797f314', 'f7cb1199da65'),
+        'stripe/image/nvram': ('9affc57acc78', '30e15fb1e0e0', 'bc272c2c8dc6', 'a10cdf880d01'),
+        'stripe/image/disk': ('9affc57acc78', 'a830bfc35b15', 'ee5f6e744482', 'c738bd464dbe'),
+        'raid5/delta/nvram': ('7ea7c1d33de4', '06e17fae3b25', '611a48bab4a2', '3797f8689105'),
+        'raid5/delta/disk': ('7ea7c1d33de4', '969ef5acd17f', '8851d6cba5c7', '1fb315c28776'),
+        'raid5/image/nvram': ('7ea7c1d33de4', '06e17fae3b25', '619f85de4068', 'd1d9c9aabc24'),
+        'raid5/image/disk': ('7ea7c1d33de4', '969ef5acd17f', 'a34c892a54c7', '3b338f9e812d'),
     },
     'read_cache': {
-        'bare/delta/torn/nvram': ('4ab15ee5ab20', '89b3846ab572', '3bf0c2b35188', '96ea6da01b3a'),
-        'bare/delta/torn/disk': ('4ab15ee5ab20', '89b3846ab572', '3bf0c2b35188', '96ea6da01b3a'),
-        'bare/delta/plain/nvram': ('4ab15ee5ab20', '89b3846ab572', '18bee992bae0', '6b718c90bbd0'),
-        'bare/delta/plain/disk': ('4ab15ee5ab20', '89b3846ab572', '18bee992bae0', '6b718c90bbd0'),
-        'bare/image/torn/nvram': ('4ab15ee5ab20', '89b3846ab572', 'bdfb15791801', '24253b2f7463'),
-        'bare/image/torn/disk': ('4ab15ee5ab20', '89b3846ab572', 'bdfb15791801', '24253b2f7463'),
-        'bare/image/plain/nvram': ('4ab15ee5ab20', '89b3846ab572', '9966acf8c212', 'eeaa188767ab'),
-        'bare/image/plain/disk': ('4ab15ee5ab20', '89b3846ab572', '9966acf8c212', 'eeaa188767ab'),
-        'stripe/delta/torn/nvram': ('54b026194e7b', '4d0cb9f73974', '6ab3e45a644c', '18ec38558eb7'),
-        'stripe/delta/torn/disk': ('54b026194e7b', '4d0cb9f73974', '6ab3e45a644c', '18ec38558eb7'),
-        'stripe/delta/plain/nvram': ('54b026194e7b', '4d0cb9f73974', 'd233181bbc8a', '577dd72ee08c'),
-        'stripe/delta/plain/disk': ('54b026194e7b', '4d0cb9f73974', 'd233181bbc8a', '577dd72ee08c'),
-        'stripe/image/torn/nvram': ('54b026194e7b', '4d0cb9f73974', 'deb9221351b0', 'b9c41d40e2fb'),
-        'stripe/image/torn/disk': ('54b026194e7b', '4d0cb9f73974', 'deb9221351b0', 'b9c41d40e2fb'),
-        'stripe/image/plain/nvram': ('54b026194e7b', '4d0cb9f73974', 'b86f5418c187', '5fce1e8ea22c'),
-        'stripe/image/plain/disk': ('54b026194e7b', '4d0cb9f73974', 'b86f5418c187', '5fce1e8ea22c'),
-        'raid5/delta/torn/nvram': ('af2589ad471e', '217de544bbf6', 'ed8571fa23f8', 'cbfc9fe2cb7d'),
-        'raid5/delta/torn/disk': ('af2589ad471e', '217de544bbf6', 'ed8571fa23f8', 'cbfc9fe2cb7d'),
-        'raid5/delta/plain/nvram': ('af2589ad471e', '217de544bbf6', '59c7ed0af322', '713876ea5bea'),
-        'raid5/delta/plain/disk': ('af2589ad471e', '217de544bbf6', '59c7ed0af322', '713876ea5bea'),
-        'raid5/image/torn/nvram': ('af2589ad471e', '217de544bbf6', '47e1605cb674', '1a50e5dbda8d'),
-        'raid5/image/torn/disk': ('af2589ad471e', '217de544bbf6', '47e1605cb674', '1a50e5dbda8d'),
-        'raid5/image/plain/nvram': ('af2589ad471e', '217de544bbf6', '3c31274f67de', 'ec4739d79f5f'),
-        'raid5/image/plain/disk': ('af2589ad471e', '217de544bbf6', '3c31274f67de', 'ec4739d79f5f'),
+        'bare/delta/nvram': ('4ab15ee5ab20', 'c76e54df85cc', 'e727eaec5512', '184c35ab5bf5'),
+        'bare/delta/disk': ('4ab15ee5ab20', 'c76e54df85cc', 'e727eaec5512', '184c35ab5bf5'),
+        'bare/image/nvram': ('4ab15ee5ab20', 'c76e54df85cc', '1f59edd36884', '25a119e22edc'),
+        'bare/image/disk': ('4ab15ee5ab20', 'c76e54df85cc', '1f59edd36884', '25a119e22edc'),
+        'stripe/delta/nvram': ('54b026194e7b', 'f11b94c70574', '7e67f1ae60a7', '25defbbb5a36'),
+        'stripe/delta/disk': ('54b026194e7b', 'f11b94c70574', '7e67f1ae60a7', '25defbbb5a36'),
+        'stripe/image/nvram': ('54b026194e7b', 'f11b94c70574', '82816fa75268', '57b3aee9429f'),
+        'stripe/image/disk': ('54b026194e7b', 'f11b94c70574', '82816fa75268', '57b3aee9429f'),
+        'raid5/delta/nvram': ('af2589ad471e', 'b80dc3e3cbd1', '72f38eddf309', 'a919882eed36'),
+        'raid5/delta/disk': ('af2589ad471e', 'b80dc3e3cbd1', '72f38eddf309', 'a919882eed36'),
+        'raid5/image/nvram': ('af2589ad471e', 'b80dc3e3cbd1', '09c304b943dc', '93bd8d1af07b'),
+        'raid5/image/disk': ('af2589ad471e', 'b80dc3e3cbd1', '09c304b943dc', '93bd8d1af07b'),
     },
     'reorganize': {
-        'bare/delta/torn/nvram': ('c5b3731b8a8e', '4c2398d24073', '75061ed007c7', '13aa23ab75e0'),
-        'bare/delta/torn/disk': ('c5b3731b8a8e', '4c2398d24073', '75061ed007c7', '13aa23ab75e0'),
-        'bare/delta/plain/nvram': ('c5b3731b8a8e', '4c2398d24073', '3bc1535efc2b', 'b4f8ea06a1e9'),
-        'bare/delta/plain/disk': ('c5b3731b8a8e', '4c2398d24073', '3bc1535efc2b', 'b4f8ea06a1e9'),
-        'bare/image/torn/nvram': ('c5b3731b8a8e', '4c2398d24073', '5433efe63597', 'e3463ea966de'),
-        'bare/image/torn/disk': ('c5b3731b8a8e', '4c2398d24073', '5433efe63597', 'e3463ea966de'),
-        'bare/image/plain/nvram': ('c5b3731b8a8e', '4c2398d24073', 'bd081a68a8d9', '0c3cce3f849d'),
-        'bare/image/plain/disk': ('c5b3731b8a8e', '4c2398d24073', 'bd081a68a8d9', '0c3cce3f849d'),
-        'stripe/delta/torn/nvram': ('a61b3a608245', '0c9aeffdd054', 'cd72c058a803', '6dce029ae019'),
-        'stripe/delta/torn/disk': ('a61b3a608245', '0c9aeffdd054', 'cd72c058a803', '6dce029ae019'),
-        'stripe/delta/plain/nvram': ('a61b3a608245', '0c9aeffdd054', '2705fe8767a8', '1a3a05da1585'),
-        'stripe/delta/plain/disk': ('a61b3a608245', '0c9aeffdd054', '2705fe8767a8', '1a3a05da1585'),
-        'stripe/image/torn/nvram': ('a61b3a608245', '0c9aeffdd054', '589a3b2e32cc', '97790f4b4458'),
-        'stripe/image/torn/disk': ('a61b3a608245', '0c9aeffdd054', '589a3b2e32cc', '97790f4b4458'),
-        'stripe/image/plain/nvram': ('a61b3a608245', '0c9aeffdd054', '57748bad8188', 'c7690610ee9a'),
-        'stripe/image/plain/disk': ('a61b3a608245', '0c9aeffdd054', '57748bad8188', 'c7690610ee9a'),
-        'raid5/delta/torn/nvram': ('5cecd90fedd9', '10dd3b9e8070', 'aebecbcf6804', '522eff51b43f'),
-        'raid5/delta/torn/disk': ('5cecd90fedd9', '10dd3b9e8070', 'aebecbcf6804', '522eff51b43f'),
-        'raid5/delta/plain/nvram': ('5cecd90fedd9', '10dd3b9e8070', 'e564ab5e413c', '079e5990ea4b'),
-        'raid5/delta/plain/disk': ('5cecd90fedd9', '10dd3b9e8070', 'e564ab5e413c', '079e5990ea4b'),
-        'raid5/image/torn/nvram': ('5cecd90fedd9', '10dd3b9e8070', '47c5d071cc69', '1bac1e5c3cca'),
-        'raid5/image/torn/disk': ('5cecd90fedd9', '10dd3b9e8070', '47c5d071cc69', '1bac1e5c3cca'),
-        'raid5/image/plain/nvram': ('5cecd90fedd9', '10dd3b9e8070', 'b252ea5e0691', '5b53111b0eb7'),
-        'raid5/image/plain/disk': ('5cecd90fedd9', '10dd3b9e8070', 'b252ea5e0691', '5b53111b0eb7'),
+        'bare/delta/nvram': ('c5b3731b8a8e', '43feeb2a020e', 'edb4b5e57b12', 'a27e02e12f0f'),
+        'bare/delta/disk': ('c5b3731b8a8e', '43feeb2a020e', 'edb4b5e57b12', 'a27e02e12f0f'),
+        'bare/image/nvram': ('c5b3731b8a8e', '43feeb2a020e', 'db6afecd5c34', 'fb48ba0903bb'),
+        'bare/image/disk': ('c5b3731b8a8e', '43feeb2a020e', 'db6afecd5c34', 'fb48ba0903bb'),
+        'stripe/delta/nvram': ('a61b3a608245', '594a0b4a0d57', '3d164334bc7e', '14876368b0f1'),
+        'stripe/delta/disk': ('a61b3a608245', '594a0b4a0d57', '3d164334bc7e', '14876368b0f1'),
+        'stripe/image/nvram': ('a61b3a608245', '594a0b4a0d57', '259968a528ca', 'c76b80279a2c'),
+        'stripe/image/disk': ('a61b3a608245', '594a0b4a0d57', '259968a528ca', 'c76b80279a2c'),
+        'raid5/delta/nvram': ('5cecd90fedd9', '28f740f7f701', '824b1b80f7de', '9991ddd71610'),
+        'raid5/delta/disk': ('5cecd90fedd9', '28f740f7f701', '824b1b80f7de', '9991ddd71610'),
+        'raid5/image/nvram': ('5cecd90fedd9', '28f740f7f701', '75111cd94d16', '591d7e2e397a'),
+        'raid5/image/disk': ('5cecd90fedd9', '28f740f7f701', '75111cd94d16', '591d7e2e397a'),
     },
 }
 
@@ -443,7 +358,7 @@ def make_device(kind: str):
 class Rig:
     """One device, one config, and the LLD incarnations a script runs on it."""
 
-    def __init__(self, script: str, device: str, delta: bool, torn: bool, nvram: bool, **config) -> None:
+    def __init__(self, script: str, device: str, delta: bool, nvram: bool, **config) -> None:
         self.device = make_device(device)
         self.disk = JournalDisk(self.device)
         self.config = LLDConfig(
@@ -452,7 +367,6 @@ class Rig:
             block_size=4096,
             checkpoint_slots=1,
             delta_partial_flush=delta,
-            torn_write_protection=torn,
             **config,
         )
         # A quarter segment: small partial images are absorbed, larger
@@ -760,16 +674,14 @@ SCRIPTS = {
 }
 
 CONFIGS = [
-    (device, delta, torn, nvram)
+    (device, delta, nvram)
     for device in DEVICES
-    for delta, torn, nvram in itertools.product((True, False), repeat=3)
+    for delta, nvram in itertools.product((True, False), repeat=2)
 ]
 
 
-def config_id(device: str, delta: bool, torn: bool, nvram: bool) -> str:
-    return "/".join(
-        (device, "delta" if delta else "image", "torn" if torn else "plain", "nvram" if nvram else "disk")
-    )
+def config_id(device: str, delta: bool, nvram: bool) -> str:
+    return "/".join((device, "delta" if delta else "image", "nvram" if nvram else "disk"))
 
 
 # ----------------------------------------------------------------------
@@ -810,10 +722,10 @@ def _recovered(rig: Rig) -> dict:
     }
 
 
-def collect(script: str, device: str, delta: bool, torn: bool, nvram: bool) -> dict:
+def collect(script: str, device: str, delta: bool, nvram: bool) -> dict:
     """Run one script; everything a change to the log writer could move."""
     body, config = SCRIPTS[script]
-    rig = Rig(script, device, delta, torn, nvram, **config)
+    rig = Rig(script, device, delta, nvram, **config)
     body(rig)
     return observe(rig)
 
@@ -910,11 +822,11 @@ def digests(state: dict, funneled_now: int = 0) -> tuple[str, str, str, str]:
 @pytest.mark.parametrize("script", sorted(SCRIPTS))
 @pytest.mark.parametrize("device", DEVICES)
 def test_request_sequence_is_pinned(script, device):
-    for dev, delta, torn, nvram in CONFIGS:
+    for dev, delta, nvram in CONFIGS:
         if dev != device:
             continue
-        cid = config_id(dev, delta, torn, nvram)
-        state = collect(script, dev, delta, torn, nvram)
+        cid = config_id(dev, delta, nvram)
+        state = collect(script, dev, delta, nvram)
         got = digests(state, bypassed(script, cid))
         moved = [
             name for name, now, pinned in zip(COMPONENTS, got, GOLDEN[script][cid])

@@ -77,8 +77,8 @@ def test_every_slot_the_log_scripts_open_is_one_no_recovery_needs(monkeypatch, d
 
     monkeypatch.setattr(LogWriter, "open_next", checked)
     for script in SCRIPTS:
-        for on in (False, True):  # delta, torn protection and NVRAM
-            collect(script, device, delta=on, torn=on, nvram=on)
+        for on in (False, True):  # delta and NVRAM
+            collect(script, device, delta=on, nvram=on)
     assert len(opened) > 100
 
 
@@ -122,14 +122,14 @@ def test_append_applies_and_flush_makes_it_durable():
 
 
 def test_every_write_and_barrier_goes_through_the_funnel():
-    writer = make_writer(torn_write_protection=True)
+    writer = make_writer()
     writer.write_block(1, b"a" * 4096, 4096)
-    writer.flush()  # full image: tail, guard, header flip
+    writer.flush()  # full image
     writer.write_block(2, b"b" * 4096, 4096)
-    writer.flush()  # delta: data tail, summary tail, guard, header flip
+    writer.flush()  # delta: data tail, then the summary
     labels = [b.label for b in writer.disk.barriers]
-    assert labels == ["summary-guard", "segment-image", "summary-guard", "segment-image"]
-    assert writer.disk.events[1].nsectors == 1 and writer.disk.events[-1].nsectors == 1
+    assert labels == ["segment-image", "segment-image"]
+    assert len(writer.disk.events) == 3
     assert writer.stats.data_bytes_physical == sum(len(e.data) for e in writer.disk.events)
 
 

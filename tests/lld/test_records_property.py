@@ -95,7 +95,8 @@ def test_truncated_summary_never_raises(records, cut):
     image = serialize_summary(records, CAPACITY)
     truncated = image[: cut % len(image)]
     result = parse_summary(truncated)
-    assert result is None or result == records
+    # Cut inside the body: the previous prefix, empty in a first image.
+    assert result is None or result in ([], records)
 
 
 @settings(derandomize=True, max_examples=150)
@@ -109,9 +110,11 @@ def test_bit_flipped_summary_never_raises(records, position, bit):
     position %= len(image)
     image[position] ^= 1 << bit
     result = parse_summary(bytes(image))
-    # A flip in the zero padding past the body is invisible; any flip in
-    # the header or body must be rejected, never propagate an exception.
-    assert result is None or result == records
+    # A flip in the zero padding past the body (or in the tail check,
+    # which a parse does not read) is invisible; any flip in the current
+    # prefix or body must reject it for the previous prefix (empty in a
+    # first image) or for nothing, never propagate an exception.
+    assert result is None or result in ([], records)
 
 
 @settings(derandomize=True, max_examples=100)
@@ -126,20 +129,23 @@ def test_garbage_summary_never_raises(garbage):
     rtype=st.integers(min_value=8, max_value=255),
 )
 def test_crc_valid_body_with_unknown_type_degrades_to_skip(records, rtype):
-    """A CRC-consistent body whose records don't parse must yield None.
+    """A CRC-consistent body whose records don't parse is skipped: the
+    parse falls back to the previous prefix (here none, so the summary
+    reads empty).
 
     This models a format-version skew (or a torn write that happened to
-    keep the checksum valid): the sweep must skip the segment, not die.
+    keep the checksum valid): the sweep must skip the body, not die.
     """
     body = b"".join(pack(r) for r in records)
     # Corrupt the first record's type byte, then re-checksum so the CRC
     # gate passes and the failure happens inside record parsing.
     body = bytes([rtype]) + body[1:]
     header = SUMMARY_HEADER.pack(
-        SUMMARY_MAGIC, len(records), len(body), summary_crc(body, NO_NEXT), NO_NEXT
+        SUMMARY_MAGIC, len(records), len(body), summary_crc(body, NO_NEXT), NO_NEXT,
+        0, 0, 0, 0, 0,
     )
     image = (header + body).ljust(CAPACITY, b"\x00")
-    assert parse_summary(image) is None
+    assert parse_summary(image) == parse_summary_legacy(image) == []
 
 
 # ----------------------------------------------------------------------
@@ -203,10 +209,9 @@ def test_parsers_agree_on_truncated_summaries(records, cut):
 def test_parsers_agree_on_torn_summaries(old, new, tear):
     """A torn write — new summary's prefix over the old one's suffix.
 
-    This is the crash shape torn_write_protection exists for; whatever
-    verdict the parser reaches (usually reject, occasionally a consistent
-    read of one generation), both generations must reach the same one and
-    neither may raise.
+    Whatever verdict the parser reaches (usually the new image's previous
+    prefix, occasionally a consistent read of one generation), both
+    generations must reach the same one and neither may raise.
     """
     old_image = serialize_summary(old, CAPACITY)
     new_image = serialize_summary(new, CAPACITY)

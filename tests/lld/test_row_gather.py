@@ -7,8 +7,8 @@ no ``Flush`` has touched wait in memory for their neighbours
 Pinned here:
 
 * the crash model of a gathered row: every cut, torn and subset state
-  inside one recovers — healthy and with a member failed, with and without
-  ``torn_write_protection`` — to a prefix of the log no shorter than the
+  inside one recovers — healthy and with a member failed — to a prefix of
+  the log no shorter than the
   last acknowledgement, and a state inside an epoch to one of the two cuts
   around it; two mutations of the protocol (summary magics left in place;
   commits in reverse order) are each caught;
@@ -211,9 +211,9 @@ class Walk:
         return lambda k: k + 1 < len(bounds) and position <= bounds[k] and bounds[k + 1] <= end
 
 
-def back_to_back(torn: bool) -> Walk:
+def back_to_back() -> Walk:
     """Six seals with no flush between them and ARUs across every one."""
-    w = Walk(torn_write_protection=torn)
+    w = Walk()
     w.grow(3, 1000)
     w.ack()  # the open segment is partially flushed: it will not be held
     for i in range(20):
@@ -227,9 +227,8 @@ def back_to_back(torn: bool) -> Walk:
     return w
 
 
-@pytest.mark.parametrize("torn", [False, True], ids=["plain", "torn"])
-def test_every_crash_state_inside_a_gathered_row_is_a_log_prefix(torn):
-    w = back_to_back(torn)
+def test_every_crash_state_inside_a_gathered_row_is_a_log_prefix():
+    w = back_to_back()
     stats = w.lld.stats
     assert [seal.held for seal in w.seals()] == [False] + [True] * 5
     assert stats.rows_written == 2 and stats.segments_gathered == stats.header_commits == 5
@@ -249,7 +248,7 @@ def test_a_row_written_with_its_magics_in_place_is_caught(monkeypatch):
     """Mutation: the body is one barrier epoch, so any subset of its member
     writes can land — the second segment's chunk without the first's."""
     monkeypatch.setattr(OpenSegment, "blank_magic", lambda self: None)
-    w = back_to_back(torn=False)
+    w = back_to_back()
     assert w.lld.stats.rows_written == 2
     _checked, violations = w.walk(w.in_rows)
     assert any(problem == "no prefix of the log" for *_state, problem in violations)
@@ -263,7 +262,7 @@ def test_commits_in_reverse_order_are_caught(monkeypatch):
     without an earlier one."""
     commit = LogWriter._commit_row
     monkeypatch.setattr(LogWriter, "_commit_row", lambda self, held: commit(self, held[::-1]))
-    w = back_to_back(torn=False)
+    w = back_to_back()
     _checked, violations = w.walk(w.in_rows)
     assert any(kind == "cut" and problem == "no prefix of the log" for kind, *_s, problem in violations)
 
@@ -301,9 +300,7 @@ def hold_regardless(monkeypatch, slots) -> None:
 
 
 def partially_flushed(forget: bool) -> tuple[Walk, int]:
-    # Protected, here and below: what is walked includes single images and
-    # delta seals, whose unprotected summary writes tear on their own.
-    w = Walk(torn_write_protection=True)
+    w = Walk()
     w.grow(4)
     w.ack()  # a partial flush: four blocks the client now relies on
     if forget:
@@ -338,7 +335,7 @@ def cleaned_behind_a_held_segment(monkeypatch, mutate: bool) -> tuple[Walk, int]
     """The cleaner empties slot 9 into the open segment on slot 8; that one
     seals and is held; the log then opens slot 9."""
     forced = scripted_placement(monkeypatch)
-    w = Walk(torn_write_protection=True)
+    w = Walk()
     forced.extend([9, 11])
     # Not in ARUs: slot 9 is about to be recycled.
     w.grow(PER_SEGMENT - 1, atomic=False)  # slot 2, nearly
@@ -389,7 +386,7 @@ def killed_by_its_predecessor(monkeypatch, mutate: bool) -> tuple[Walk, int]:
     seals and is held; the log then opens slot 6, whose summary — pure
     stale, by the tables — is still the blocks' only durable home."""
     forced = scripted_placement(monkeypatch)
-    w = Walk(torn_write_protection=True)
+    w = Walk()
     for _ in range(3 * PER_SEGMENT):
         w.step(("alloc",), atomic=False)  # every link lives in slot 2
     w.ack()
@@ -447,7 +444,7 @@ def test_a_retired_slot_is_scrubbed_only_once_what_was_relogged_is_durable(monke
     is or compaction asks for it.)"""
     monkeypatch.setattr(LogWriter, "_ripe", lambda self, due: due)
     forced = scripted_placement(monkeypatch)
-    w = Walk(torn_write_protection=True)
+    w = Walk()
     w.grow(PER_SEGMENT, atomic=False)  # slot 2: fifteen blocks and their links
     forced.append(3)
     w.ack()
@@ -475,20 +472,19 @@ def test_a_slot_whose_summary_homes_links_is_retired_before_it_is_reused():
     links of its fifteen blocks; then the oldest blocks are overwritten, so
     their slots go free still homing those links, until no other slot is
     free. Placement alone picks what comes next. Recycling such a slot as
-    it is, re-logging its links into itself, is not atomic: with
-    ``torn_write_protection`` the new summary's tail goes first, over the
-    old records, and a crash before the header flip leaves neither summary
-    (ten violations in this walk when the log did so, a plain cut among
-    them). The cleaner instead re-logs the links at the log head and
-    retires the slot: nothing goes over its summary before the segment
-    that carries them."""
-    w = Walk(make_volume(cylinders=2), torn_write_protection=True)
+    it is, re-logging its links into itself, is not atomic: the new image
+    goes over the old records, and its header has no previous prefix to
+    fall back to, so a crash that tears it leaves neither summary. The
+    cleaner instead re-logs the links at the log head and retires the
+    slot: nothing goes over its summary before the segment that carries
+    them."""
+    w = Walk(make_volume(cylinders=2))
     assert w.lld.layout.segment_count == 20
     w.grow(230, atomic=False)
     w.ack()
     start = None
     for i in range(80):
-        if i == 60:
+        if i == 55:
             start = w.recording.position
         w.step(("over", i, BLOCK))
         if i % 15 == 14:
@@ -604,11 +600,10 @@ def left_behind(rig: Rig, funnel: bool = False) -> dict:
     return {name: contents[name] for name in ("blocks", "lists", "contents")}
 
 
-@pytest.mark.parametrize("torn", [False, True], ids=["plain", "torn"])
 @given(ops=OPS)
 @settings(max_examples=40, deadline=None)
-def test_raid5_rows_and_a_bare_disk_give_the_client_the_same(torn, ops):
-    assert_same_for_the_client(torn, ops)
+def test_raid5_rows_and_a_bare_disk_give_the_client_the_same(ops):
+    assert_same_for_the_client(ops)
 
 
 #: Scripts hypothesis drew on which RAID-5 lost blocks last written inside
@@ -633,14 +628,13 @@ ARU_THEN_CLEANING = [
 ]
 
 
-@pytest.mark.parametrize("torn", [False, True], ids=["plain", "torn"])
-def test_an_aru_then_cleaning_script_gives_the_client_the_same(torn):
+def test_an_aru_then_cleaning_script_gives_the_client_the_same():
     for ops in ARU_THEN_CLEANING:
-        assert_same_for_the_client(torn, ops)
+        assert_same_for_the_client(ops)
 
 
-def assert_same_for_the_client(torn: bool, ops) -> None:
-    rigs = {device: GuardedRig("row-gather", device, True, torn, False) for device in ("raid5", "bare")}
+def assert_same_for_the_client(ops) -> None:
+    rigs = {device: GuardedRig("row-gather", device, True, False) for device in ("raid5", "bare")}
     after_crash, after_mount = {}, {}
     for device, rig in rigs.items():
         play(rig, ops)

@@ -7,8 +7,8 @@ whole image again. Three things are pinned here:
 
 * the slot, the device and everything a recovery makes of them end up
   exactly as with ``delta_partial_flush=False`` (hypothesis op scripts on
-  a bare disk and on RAID-5, with and without ``torn_write_protection``
-  and NVRAM, plus the two seal triggers spelled out);
+  a bare disk and on RAID-5, with and without NVRAM, plus the two seal
+  triggers spelled out);
 * the counters stay truthful: a seal is not a partial flush;
 * a crash anywhere inside the seal — every prefix, torn and reordered
   state of its epochs — recovers to the acknowledgement before the seal
@@ -182,8 +182,8 @@ def play(rig: Rig, ops) -> None:
     lld.flush()
 
 
-def outcome_of(device: str, delta: bool, torn: bool, nvram: bool, ops) -> tuple[dict, dict]:
-    rig = Rig("seal-delta", device, delta, torn, nvram)
+def outcome_of(device: str, delta: bool, nvram: bool, ops) -> tuple[dict, dict]:
+    rig = Rig("seal-delta", device, delta, nvram)
     play(rig, ops)
     state = observe(rig)
     assert state["physical"] == state["written"]  # the funnel invariant
@@ -192,13 +192,12 @@ def outcome_of(device: str, delta: bool, torn: bool, nvram: bool, ops) -> tuple[
 
 
 @pytest.mark.parametrize("nvram", [False, True], ids=["disk", "nvram"])
-@pytest.mark.parametrize("torn", [False, True], ids=["plain", "torn"])
 @pytest.mark.parametrize("device", ["bare", "raid5"])
 @given(ops=OPS)
 @settings(max_examples=20, deadline=None)
-def test_delta_and_image_strategies_leave_the_same_device(device, torn, nvram, ops):
-    by_delta, left_by_delta = outcome_of(device, True, torn, nvram, ops)
-    by_image, left_by_image = outcome_of(device, False, torn, nvram, ops)
+def test_delta_and_image_strategies_leave_the_same_device(device, nvram, ops):
+    by_delta, left_by_delta = outcome_of(device, True, nvram, ops)
+    by_image, left_by_image = outcome_of(device, False, nvram, ops)
     assert left_by_delta == left_by_image
     counted = by_delta["stats"][-1]
     assert counted.get("seals_by_delta", 0) <= counted["segments_sealed"]
@@ -221,7 +220,7 @@ def test_seals_that_follow_partial_flushes_both_triggers(device, trigger):
     ops += [("over", 2, 3000), ("flush",), ("del", 4)]
     left = {}
     for delta in (True, False):
-        state, left[delta] = outcome_of(device, delta, False, False, ops)
+        state, left[delta] = outcome_of(device, delta, False, ops)
         assert state["stats"][-1].get("seals_by_delta", 0) == (1 if delta else 0)
     assert left[True] == left[False]
 
@@ -231,10 +230,10 @@ def test_seals_that_follow_partial_flushes_both_triggers(device, trigger):
 # ----------------------------------------------------------------------
 
 
-def recorded_seals(torn: bool, delta: bool = True):
+def recorded_seals(delta: bool):
     """An oracle-driven run whose two seals both follow partial flushes;
     returns the journal range ``[start, end)`` of each seal's writes."""
-    config = small_config(torn_write_protection=torn, delta_partial_flush=delta)
+    config = small_config(delta_partial_flush=delta)
     recording = RecordingDisk(SimulatedDisk(fast_test_disk(capacity_mb=4), VirtualClock()))
     lld = LLD(recording, config)
     lld.initialize()
@@ -282,10 +281,10 @@ def recorded_seals(torn: bool, delta: bool = True):
     return config, recording, driver, ranges
 
 
-def explore_seals(torn: bool, delta: bool = True):
+def explore_seals(delta: bool):
     """Check every crash state that cuts, tears or reorders a seal's writes:
     everything before the seal applied, nothing after it, any of it."""
-    config, recording, driver, ranges = recorded_seals(torn, delta)
+    config, recording, driver, ranges = recorded_seals(delta)
     enum = CrashStateEnumerator(recording, max_torn_splits_per_write=12)
     checker = LLDCrashChecker(config, driver.oracle)
     full = tuple((event.seq, event.nsectors) for event in recording.events)
@@ -304,41 +303,21 @@ def explore_seals(torn: bool, delta: bool = True):
 
 
 def test_every_crash_state_inside_a_protected_seal_recovers():
-    recording, ranges, kinds, violations = explore_seals(torn=True)
-    for start, end in ranges:
-        # data tail + summary tail | header flip: two epochs, three writes.
-        labels = [b.label for b in recording.barriers if start < b.position <= end]
-        assert end - start == 3 and labels == ["summary-guard", "segment-image"]
-        assert recording.events[end - 1].nsectors == 1
-    assert kinds == {"prefix": 8, "torn": 26, "reorder": 2}
-    assert violations == []
-
-
-def test_unprotected_seal_fails_only_where_the_unprotected_image_did():
-    """Without ``torn_write_protection`` the summary is rewritten in place
-    by one multi-sector write — by a delta seal exactly as by the image it
-    replaces — so a crash that tears it, or lands it without the data tail
-    beside it in the epoch, is the defect ``TestTornSummaryRegression``
-    pins (lost acknowledged records), not a new one. Every cut *between*
-    the seal's writes is sound: tail without summary is the flush before,
-    tail and summary the sealed state."""
-    recording, ranges, kinds, violations = explore_seals(torn=False)
-    summaries = set()
+    """The summary is rewritten in place by one multi-sector write, in the
+    epoch of the data tail beside it — by a delta seal exactly as by the
+    image it replaces — protected by its header's two prefixes (DESIGN.md
+    §9). A crash that tears it reads the header's previous
+    prefix, the flush before the seal; one that lands it ahead of its data
+    tail fails the newest summary's tail check and reads the same. Every
+    other state is the flush before or the sealed state."""
+    recording, ranges, kinds, violations = explore_seals(delta=True)
     for start, end in ranges:
         assert end - start == 2  # data tail, then the summary, one epoch
         assert recording.events[end - 1].nsectors > 1
-        summaries.add(end - 1)
+        labels = [b.label for b in recording.barriers if start < b.position <= end]
+        assert labels == ["segment-image"]
     assert kinds == {"prefix": 6, "torn": 28, "reorder": 2}
-    assert violations and {v.invariant for v in violations} == {"acked-durability"}
-    # Exactly the states where a summary write landed torn, or whole but
-    # ahead of its data tail; none where it did not land at all.
-    torn_summary = {
-        f"w{seq}+{k}/{recording.events[seq].nsectors}"
-        for seq in summaries
-        for k in range(1, recording.events[seq].nsectors)
-    }
-    alone = {f"epoch@{start}:{{{end - 1}}}" for start, end in ranges}
-    assert {v.detail for v in violations} == torn_summary | alone
-    # The image the delta replaces tears the same way.
-    _, _, _, image_violations = explore_seals(torn=False, delta=False)
-    assert {(v.kind, v.invariant) for v in image_violations} == {("torn", "acked-durability")}
+    assert violations == []
+    recording, ranges, kinds, violations = explore_seals(delta=False)
+    assert [end - start for start, end in ranges] == [1, 1]  # the image
+    assert violations == []

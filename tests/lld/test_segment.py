@@ -11,10 +11,11 @@ from repro.lld.segment import (
     empty_summary,
     parse_summary,
     serialize_summary,
+    tail_landed,
 )
 from repro.sim import VirtualClock
 
-from tests.lld.reference_codec import serialize_summary_legacy
+from tests.lld.reference_codec import SUMMARY_HEADER, serialize_summary_legacy
 
 
 def config():
@@ -50,8 +51,45 @@ def test_parse_rejects_garbage():
 
 def test_parse_rejects_corrupted_body():
     image = bytearray(serialize_summary([LinkRecord(bid=7)], 4096))
-    image[20] ^= 0xFF  # flip a bit inside the body
-    assert parse_summary(bytes(image)) is None
+    image[SUMMARY_HEADER.size + 2] ^= 0xFF  # flip a bit inside the body
+    # The current prefix fails its CRC; a first image's previous one is empty.
+    assert parse_summary(bytes(image)) == []
+
+
+def test_a_rewritten_summary_reads_as_either_prefix():
+    """A summary rewritten in place, torn at any sector or landed without
+    the data tail beside it, reads as the new prefix or as the one the
+    slot's last write made durable — never as nothing."""
+    cfg = config()
+    seg = OpenSegment(0, cfg)
+    for bid in range(60):  # two summary sectors of records
+        seg.append_record(LinkRecord(bid=bid))
+    seg.append_data(b"a" * 700)
+    old = bytes(seg.image())
+    seg.mark_durable()
+    for bid in range(60, 150):
+        seg.append_record(LinkRecord(bid=bid))
+    seg.append_data(b"b" * 900)
+    new = bytes(seg.summary_delta_image())
+    assert len(new) > 2 * SECTOR
+    landed = parse_summary(old[: cfg.summary_capacity])
+    assert [r.bid for r in landed] == list(range(60))
+    for tear in range(1, len(new) // SECTOR):
+        torn = new[: tear * SECTOR] + old[tear * SECTOR : cfg.summary_capacity]
+        assert parse_summary(torn) == landed
+    assert [r.bid for r in parse_summary(new)] == list(range(150))
+    # The tail check reads the new prefix's last data sector (the fourth):
+    # the old image's does not check, the new one's does, and appending to
+    # that sector later leaves the bytes it checks alone.
+    old_data, new_data = old[cfg.summary_capacity :], bytes(seg.data[: 4 * SECTOR])
+    asked = []
+
+    def reader(data):
+        return lambda sector: asked.append(sector) or data[sector * SECTOR : (sector + 1) * SECTOR]
+
+    assert not tail_landed(new, reader(old_data.ljust(4 * SECTOR, b"\0")))
+    assert tail_landed(new, reader(new_data)) and asked == [3, 3]
+    assert tail_landed(new, reader(new_data[: 3 * SECTOR + 64] + b"c" * (SECTOR - 64)))
 
 
 def test_serialize_overflow_raises():
@@ -181,8 +219,11 @@ def _fill(seg, with_second_round: bool = True):
 
 def _reference_image(seg, cfg) -> bytes:
     """The slot image built from the per-entry reference codec."""
-    payload = serialize_summary_legacy(seg.records, cfg.summary_capacity)
-    payload += bytes(seg.data[: seg.used])
+    data = bytes(seg.data[: seg.used])
+    payload = serialize_summary_legacy(
+        seg.records, cfg.summary_capacity, landed=seg.durable_records, data=data
+    )
+    payload += data
     return payload + b"\x00" * ((-len(payload)) % SECTOR)
 
 
@@ -212,8 +253,9 @@ def test_open_segment_delta_and_tail_match_reference_codec():
 #: sha256 of the whole sector store, ``DiskStats.as_dict()``, the clock.
 #: The store hash was re-captured when the summary header gained its
 #: ``next`` field (the same requests at the same times, four more header
-#: bytes in every summary).
-_GOLDEN_DISK_SHA256 = "174052f3d4f94e6862795b68418f4496589285941f78c519841399fa79b65443"
+#: bytes in every summary), and again when it gained the previous prefix
+#: and the tail check (the same again, twenty more header bytes).
+_GOLDEN_DISK_SHA256 = "7bbb79f5b1de5875ecd90300f6c7f47166365bba05819091c090224009f04ae5"
 #: The request figures were re-based
 #: with seal-by-delta: the workload's one seal follows partial flushes, so
 #: its 104-sector image (52 KB) became a 12-sector data tail plus a

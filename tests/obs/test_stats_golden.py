@@ -133,6 +133,22 @@ write latencies and per-member busy times that follow; ``disk_member``
 ``registry_recovered`` holds both, and the later acknowledgements
 (``sched`` ``commit_inflight_s`` 0.1527 -> 0.2194, tenants ``alice`` and
 ``bob`` ack latencies).
+
+Eight digests were re-captured, with the same command in this checkout,
+by the change that gave the summary header a previous prefix and a tail
+check (twenty bytes) and dropped ``torn_write_protection``, which this
+stack never set (parent 3c0b70b). Before the crash the LLD asked for the
+same requests but one: a delta summary write of seven sectors where the
+parent wrote six (``lld``: ``data_bytes_physical`` and ``seal_delta_bytes``
++512; ``disk_volume`` the same write), and member 2 took that sector,
+which moved its busy time and the acknowledgement times after it
+(``volume``, ``disk_member``, ``sched``, ``registry``). The recovery reads
+the newest summary's last data sector: ``summary_read_requests`` 89 -> 90,
+``simulated_seconds`` 0.3109 -> 0.3302 (``recovery``,
+``registry_recovered``, one more single-sector read in ``disk_volume``
+and ``volume``). The parent with twenty pad bytes in its header gives
+every pre-crash payload of this table; ``sched_tenant``, ``store`` and
+``nvram`` are the parent's.
 """
 
 import hashlib
@@ -163,17 +179,17 @@ except ImportError:  # the parent commit, where the table was captured
 #: payload name -> digest of the live object's ``as_dict()``; the
 #: ``snapshot().as_dict()`` of each must hash to the same value.
 GOLDEN = {
-    'registry': 'afb08957a6e53285',
-    'registry_recovered': '5e94cbc310eed444',
-    'disk_member': 'e4c38ad3504c9884',
-    'disk_volume': '5535e05778aff50d',
-    'volume': '0604f43b57435357',
-    'lld': '4b7fb4ae8653612d',
-    'sched': '1ea975a1c8c4cb4c',
+    'registry': '3bde26fe7a6595a8',
+    'registry_recovered': 'f3d3e6423e357e98',
+    'disk_member': '4e5e19a39c99e584',
+    'disk_volume': '08a9086876a26306',
+    'volume': '3ed836a0bd3e763e',
+    'lld': '8e64753121b68d97',
+    'sched': '59ff3959c87e387c',
     'sched_tenant': '2e27844b0249c2b7',
     'store': '3b06141e31506476',
     'nvram': 'bb97c770510c185e',
-    'recovery': '60a5990790375196',
+    'recovery': '3dd5230c9d41863a',
 }
 
 VICTIM = 1

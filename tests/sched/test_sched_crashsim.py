@@ -36,7 +36,7 @@ from tests.lld.conftest import small_config
 
 
 def recorded_server(scheduler_name="qos", *, group_commit=1, queued=False):
-    config = small_config(torn_write_protection=True)
+    config = small_config()
     disk = SimulatedDisk(fast_test_disk(capacity_mb=4), VirtualClock())
     recording = RecordingDisk(disk)
     device = Volume([recording], VirtualClock()) if queued else recording

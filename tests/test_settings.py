@@ -51,7 +51,6 @@ SETTINGS = (
     "lld.config.LLDConfig.read_cache_enabled",
     "lld.config.LLDConfig.read_ahead_blocks",
     "lld.config.LLDConfig.delta_partial_flush",
-    "lld.config.LLDConfig.torn_write_protection",
     "lld.lld.LLD(config=)",
     "lld.lld.LLD(nvram=)",
     "lld.log.LogWriter(nvram=)",

@@ -272,31 +272,30 @@ def test_back_to_back_rows_leave_one_epoch_in_flight():
 
 
 def test_flush_and_shutdown_return_with_nothing_in_flight():
-    """Whatever ran behind ordering barriers — sealed images, guards,
-    scrubs, cleaner traffic — an acknowledgement waits for all of it."""
-    for torn in (False, True):
-        lld, volume = make_lld(torn_write_protection=torn)
-        rng = random.Random(f"acks/{torn}")
-        lid = lld.new_list()
-        live = [append_blocks(lld, lid, LIST_HEAD, 1)]
-        ran_ahead = 0
-        for _ in range(1400):
-            roll = rng.random()
-            if roll < 0.55:
-                live.append(append_blocks(lld, lid, live[-1], 1))
-            elif roll < 0.8:
-                lld.write(rng.choice(live), rng.randbytes(rng.choice([300, 4096])))
-            elif roll < 0.9 and len(live) > 4:
-                lld.delete_block(live.pop(rng.randrange(len(live))), lid)
-            else:
-                ran_ahead += volume.clock.now < horizon(volume)
-                lld.flush()
-                assert horizon(volume) <= volume.clock.now
-                lld.flush()  # nothing new: still nothing in flight
-                assert horizon(volume) <= volume.clock.now
-        assert ran_ahead > 5 and lld.stats.segments_sealed > 10 and lld.stats.cleanings > 0
-        lld.shutdown()
-        assert horizon(volume) <= volume.clock.now
+    """Whatever ran behind ordering barriers — sealed images, scrubs,
+    cleaner traffic — an acknowledgement waits for all of it."""
+    lld, volume = make_lld()
+    rng = random.Random("acks/False")
+    lid = lld.new_list()
+    live = [append_blocks(lld, lid, LIST_HEAD, 1)]
+    ran_ahead = 0
+    for _ in range(1400):
+        roll = rng.random()
+        if roll < 0.55:
+            live.append(append_blocks(lld, lid, live[-1], 1))
+        elif roll < 0.8:
+            lld.write(rng.choice(live), rng.randbytes(rng.choice([300, 4096])))
+        elif roll < 0.9 and len(live) > 4:
+            lld.delete_block(live.pop(rng.randrange(len(live))), lid)
+        else:
+            ran_ahead += volume.clock.now < horizon(volume)
+            lld.flush()
+            assert horizon(volume) <= volume.clock.now
+            lld.flush()  # nothing new: still nothing in flight
+            assert horizon(volume) <= volume.clock.now
+    assert ran_ahead > 5 and lld.stats.segments_sealed > 10 and lld.stats.cleanings > 0
+    lld.shutdown()
+    assert horizon(volume) <= volume.clock.now
     # A sealed image in flight behind its ordering barrier (stripe), a
     # sealed segment held for its row and not written at all (RAID-5):
     # shutdown waits for either.
@@ -313,13 +312,13 @@ def test_flush_and_shutdown_return_with_nothing_in_flight():
 
 
 def test_only_acknowledgements_wait():
-    lld, volume = make_lld(torn_write_protection=True)
+    lld, volume = make_lld()
     lid = lld.new_list()
     pred = append_blocks(lld, lid, LIST_HEAD, 4)
     asked = volume.disks[0].waits
     del asked[:]
-    lld.flush()  # partial: summary-guard, segment-image, then the ack
-    assert asked == [False, False, True]
+    lld.flush()  # partial: segment-image, then the ack
+    assert asked == [False, True]
     del asked[:]
     append_blocks(lld, lid, pred, 16)  # seals on the way
     assert asked and not any(asked)
