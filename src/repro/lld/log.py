@@ -21,7 +21,13 @@ from repro.ld.errors import ARUError, OutOfSpaceError
 from repro.lld.checkpoint import CheckpointRegion, CheckpointTooLargeError
 from repro.lld.config import CHECKPOINT_RESERVE, PARTIAL_THRESHOLD, LLDConfig
 from repro.lld.records import FLAG_CLEANER, FLAG_COMPRESSED, BlockRecord, CommitRecord, Record
-from repro.lld.segment import DiskLayout, OpenSegment, empty_summary, pick_slot
+from repro.lld.segment import (
+    DiskLayout,
+    OpenSegment,
+    empty_summary,
+    pick_slot,
+    serialize_summary,
+)
 from repro.lld.slots import SlotTable
 from repro.lld.state import (
     DEATH_KINDS,
@@ -882,6 +888,19 @@ class LogWriter:
                 self._disk_write(self.layout.slot_lba(slot), empty)
                 state.summary_min_ts.pop(slot, None)
                 state.forget_units(slot)
+
+    def repair_summary(self, slot: int, records: list[Record]) -> None:
+        """Rewrite ``slot``'s summary as ``records`` alone — the previous
+        prefix of a summary whose current prefix checks but whose data
+        never landed (recovery, DESIGN.md §9). Left as it was, that prefix
+        would be taken whole by the recovery after the next crash, once a
+        newer summary no longer lets the tail check reach it; the ordering
+        barrier puts the rewrite ahead of anything the log writes next.
+        No records: the slot is empty, and its summary is the empty one.
+        """
+        image = serialize_summary(records, self.config.summary_capacity)
+        self._disk_write(self.layout.slot_lba(slot), image)
+        self.barrier("summary-repair")
 
     def drop_dead_tombstones(self) -> int:
         """Forget tombstones no surviving summary could contradict."""

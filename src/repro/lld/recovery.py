@@ -110,7 +110,8 @@ def sweep_summaries(lld: "LLD") -> list[tuple[int, list[Record]]]:
 def _landed(lld: "LLD", newest, found: dict[int, list[Record]]) -> bool:
     """Did the data of ``newest`` — ``(timestamp, slot, image, prefix)``,
     or None — land? Only the newest summary can have landed without it
-    (DESIGN.md §9); if it did not, its previous prefix replaces it."""
+    (DESIGN.md §9); if it did not, its previous prefix replaces it, in
+    the recovered state and on the medium."""
     if newest is None or newest[3] != CURRENT:
         return True
     _, slot, image, _prefix = newest
@@ -119,6 +120,7 @@ def _landed(lld: "LLD", newest, found: dict[int, list[Record]]) -> bool:
         return True
     found[slot] = records = []
     decode_summary_into(image, records, previous=True)
+    lld.log.repair_summary(slot, records)
     return False
 
 

@@ -403,6 +403,57 @@ class Rig:
         return bids
 
 
+class Unplugged:
+    """A device stand-in that takes writes without applying them, so that
+    the caller decides afterwards which of them reached the medium."""
+
+    def __init__(self, device) -> None:
+        self.device = device
+        self.writes: list[tuple[int, bytes]] = []
+
+    def write(self, lba, data):
+        self.writes.append((lba, bytes(data)))
+
+    def barrier(self, label="barrier", *, wait=True):
+        pass
+
+    def read(self, lba, nsectors, *, wait=True):
+        raise AssertionError("read behind writes that have not landed")
+
+    def read_batch(self, requests, *, wait=True):
+        raise AssertionError("read behind writes that have not landed")
+
+    def __getattr__(self, name):
+        return getattr(self.device, name)
+
+
+def power_fail_in_a_flush(rig: Rig) -> tuple[int, int]:
+    """Log a new list of one block, then lose power inside the flush that
+    would acknowledge it: the flush's writes land in the order it issued
+    them, all but the last, of which only the first half of its sectors
+    does (a one-sector write not at all). Leaves ``rig.lld`` crashed;
+    returns the list and the block."""
+    lld = rig.lld
+    lid = lld.new_list()
+    bid = lld.new_block(lid, LIST_HEAD)
+    lld.write(bid, rig.data(4096))
+    unplugged = Unplugged(rig.device)
+    rig.disk.inner = unplugged  # the journal still counts what is issued
+    try:
+        lld.flush()
+    finally:
+        rig.disk.inner = rig.device
+    lld.crash()
+    if unplugged.writes:
+        *whole, (lba, data) = unplugged.writes
+        for at, payload in whole:
+            rig.device.install(at, payload)
+        landed = len(data) // SECTOR // 2 * SECTOR
+        if landed:
+            rig.device.install(lba, data[:landed])
+    return lid, bid
+
+
 # ----------------------------------------------------------------------
 # Scripts
 # ----------------------------------------------------------------------

@@ -8,7 +8,8 @@ whole image again. Three things are pinned here:
 * the slot, the device and everything a recovery makes of them end up
   exactly as with ``delta_partial_flush=False`` (hypothesis op scripts on
   a bare disk and on RAID-5, with and without NVRAM, plus the two seal
-  triggers spelled out);
+  triggers spelled out), and when the power fails inside one more flush,
+  tearing its last write, recovery makes the same of both devices;
 * the counters stay truthful: a seal is not a partial flush;
 * a crash anywhere inside the seal — every prefix, torn and reordered
   state of its epochs — recovers to the acknowledgement before the seal
@@ -37,7 +38,7 @@ from repro.obs import Tracer
 from repro.sim import VirtualClock
 
 from tests.lld.conftest import make_lld, small_config
-from tests.lld.test_log_golden import Rig, observe
+from tests.lld.test_log_golden import Rig, observe, power_fail_in_a_flush
 from tests.lld.test_write_path import fill_block as fill
 
 BLOCK = 4096
@@ -182,9 +183,13 @@ def play(rig: Rig, ops) -> None:
     lld.flush()
 
 
-def outcome_of(device: str, delta: bool, nvram: bool, ops) -> tuple[dict, dict]:
+def outcome_of(device: str, delta: bool, torn: bool, nvram: bool, ops) -> tuple[dict, dict]:
+    """What ``ops`` leave behind; ``torn``: and then the power fails inside
+    one more flush, its last write torn (``power_fail_in_a_flush``)."""
     rig = Rig("seal-delta", device, delta, nvram)
     play(rig, ops)
+    if torn:
+        power_fail_in_a_flush(rig)
     state = observe(rig)
     assert state["physical"] == state["written"]  # the funnel invariant
     state["recovered"]["report"].pop("simulated_seconds")
@@ -192,12 +197,21 @@ def outcome_of(device: str, delta: bool, nvram: bool, ops) -> tuple[dict, dict]:
 
 
 @pytest.mark.parametrize("nvram", [False, True], ids=["disk", "nvram"])
+@pytest.mark.parametrize("torn", [False, True], ids=["plain", "torn"])
 @pytest.mark.parametrize("device", ["bare", "raid5"])
 @given(ops=OPS)
 @settings(max_examples=20, deadline=None)
-def test_delta_and_image_strategies_leave_the_same_device(device, nvram, ops):
-    by_delta, left_by_delta = outcome_of(device, True, nvram, ops)
-    by_image, left_by_image = outcome_of(device, False, nvram, ops)
+def test_delta_and_image_strategies_leave_the_same_device(device, torn, nvram, ops):
+    by_delta, left_by_delta = outcome_of(device, True, torn, nvram, ops)
+    by_image, left_by_image = outcome_of(device, False, torn, nvram, ops)
+    if torn:
+        # The torn write leaves other bytes under each strategy (the image
+        # rewrites the slot, the delta its tail and summary), and a torn
+        # image can cost recovery the tail check's read: what recovery
+        # makes of the device is the same.
+        for left in (left_by_delta, left_by_image):
+            del left["image"]
+            left["recovered"]["report"].pop("summary_read_requests")
     assert left_by_delta == left_by_image
     counted = by_delta["stats"][-1]
     assert counted.get("seals_by_delta", 0) <= counted["segments_sealed"]
@@ -220,7 +234,7 @@ def test_seals_that_follow_partial_flushes_both_triggers(device, trigger):
     ops += [("over", 2, 3000), ("flush",), ("del", 4)]
     left = {}
     for delta in (True, False):
-        state, left[delta] = outcome_of(device, delta, False, ops)
+        state, left[delta] = outcome_of(device, delta, False, False, ops)
         assert state["stats"][-1].get("seals_by_delta", 0) == (1 if delta else 0)
     assert left[True] == left[False]
 
@@ -318,6 +332,22 @@ def test_every_crash_state_inside_a_protected_seal_recovers():
         assert labels == ["segment-image"]
     assert kinds == {"prefix": 6, "torn": 28, "reorder": 2}
     assert violations == []
-    recording, ranges, kinds, violations = explore_seals(delta=False)
-    assert [end - start for start, end in ranges] == [1, 1]  # the image
-    assert violations == []
+
+
+def test_unprotected_seal_fails_only_where_the_unprotected_image_did():
+    """No barrier guards the summary write of a seal, nor splits it: a
+    delta seal puts its summary over the slot as the image it replaces
+    does, in the epoch of the data beside it, and only the header's two
+    prefixes protect either. The delta tears the summary on its own, or
+    lands it without its data tail; the image tears inside one write. The
+    delta fails nowhere the image did not — and neither fails at all."""
+    _recording, _ranges, _kinds, by_delta = explore_seals(delta=True)
+    recording, ranges, kinds, by_image = explore_seals(delta=False)
+    for start, end in ranges:
+        assert end - start == 1  # the image: one write
+        assert recording.events[start].nsectors > 1
+        labels = [b.label for b in recording.barriers if start < b.position <= end]
+        assert labels == ["segment-image"]
+    assert kinds == {"prefix": 4, "torn": 24}
+    assert {(v.kind, v.invariant) for v in by_delta} <= {(v.kind, v.invariant) for v in by_image}
+    assert by_image == []
