@@ -151,6 +151,15 @@ TABLE = [
     Row("volume_scaling", "raid5.write_paths.blank.member_reads", "ceiling", 0),
     Row("volume_scaling", "raid5.degraded_read.reconstructed_reads", "floor", 1),
     Row("volume_scaling", "raid5.rebuild[*].rebuild_progress", "monotone-to", 1.0),
+    # 512 KB chunks rebuilt a 64 KB step at a time: no foreground read waits
+    # for more than one step (its reads, then its write) and its own service,
+    # where a whole row at a time makes it wait for half a megabyte twice.
+    Row(
+        "volume_scaling",
+        "raid5.rebuild_512k.worst_read_ms",
+        "ceiling",
+        "raid5.rebuild_512k.worst_read_ceiling_ms",
+    ),
     # Every leaf under these is simulated (virtual-clock seconds, request
     # and path counters), so each must reproduce the committed value bit
     # for bit — "simulated figures byte-identical", checked here instead
@@ -166,6 +175,7 @@ TABLE = [
     # The rebuild-rate sweep: foreground seconds and read latencies while
     # the scanner competes for the spindles.
     Row("volume_scaling", "raid5.rebuild", "same-as-committed"),
+    Row("volume_scaling", "raid5.rebuild_512k", "same-as-committed"),
     # Bare-disk reports (one SimulatedDisk under the LLD, no volume): the
     # same rule for the figures a change to the disk's byte store or time
     # model would move first — request counts, every DiskStats float, the

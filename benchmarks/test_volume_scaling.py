@@ -46,6 +46,7 @@ from repro.ld import LIST_HEAD
 from repro.lld import LLD, LLDConfig
 from repro.sim import VirtualClock
 from repro.volume import Volume
+from repro.volume.volume import REBUILD_STEP_SECTORS
 from benchmarks.conftest import emit
 
 REPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_volume_scaling.json"
@@ -65,14 +66,19 @@ LLD_RAID5_MB = 10  # twenty 0.5 MB segments: six stripe rows and a partial one
 #: where a full stripe pays N writes for N-1 chunks of payload.
 FULL_VS_RMW_FLOOR = 2.0
 REBUILD_RATES = (0.0, 0.5, 2.0, 8.0)
+#: The stepped rebuild arm's chunk: 512 KB, the e2e stack's, which the
+#: scanner rebuilds in eight steps of ``REBUILD_STEP_SECTORS``.
+STEPPED_CHUNK_SECTORS = 1024
+#: Its foreground: random 8 KB reads, the e2e ``degraded_rebuild`` unit.
+STEPPED_READ_SECTORS = 16
 
 
-def make_volume(n: int, layout: str = "stripe") -> Volume:
+def make_volume(n: int, layout: str = "stripe", chunk_sectors: int = CHUNK_SECTORS) -> Volume:
     members = [
         SimulatedDisk(hp_c3010(capacity_mb=MEMBER_MB), VirtualClock())
         for _ in range(n)
     ]
-    return Volume(members, VirtualClock(), layout=layout, chunk_sectors=CHUNK_SECTORS)
+    return Volume(members, VirtualClock(), layout=layout, chunk_sectors=chunk_sectors)
 
 
 def run_raw_arm(n: int) -> dict:
@@ -484,8 +490,9 @@ def run_rebuild_arm(rate: float) -> dict:
     """A fixed foreground read workload while rebuilding at ``rate``.
 
     The knob trades rebuild progress for foreground latency: every
-    foreground request first donates ``rate`` stripe-row reconstructions
-    to the scanner, which compete for the same spindles.
+    foreground request first donates ``rate`` stripe rows' worth of
+    scanner steps (a 128 KB chunk is two 64 KB steps), which compete for
+    the same spindles.
     """
     rng = random.Random(17)
     volume = make_volume(PARITY_N, "raid5")
@@ -517,15 +524,74 @@ def run_rebuild_arm(rate: float) -> dict:
     }
 
 
+def worst_access_ms(geometry, nsectors: int) -> float:
+    """An upper bound on one member request's service time: the fixed
+    overhead, a full-stroke seek, a whole revolution, the transfer, and a
+    head switch or track-to-track seek at every track it crosses."""
+    crossings = -(-nsectors // geometry.sectors_per_track)
+    return (
+        geometry.request_overhead_ms
+        + geometry.max_seek_ms
+        + geometry.revolution_time * 1000
+        + nsectors * geometry.sector_time * 1000
+        + crossings * max(geometry.head_switch_ms, geometry.min_seek_ms)
+    )
+
+
+def run_stepped_rebuild_arm() -> dict:
+    """Random 8 KB reads while the scanner rebuilds 512 KB chunks.
+
+    The rate donates one step per foreground request (an eighth of a row),
+    so every read finds at most one step's reads and write ahead of it on
+    any member: its worst latency stays under one step plus one read
+    (``worst_read_ceiling_ms``), where a scanner that rebuilds a whole row
+    at once makes the read behind it wait for half a megabyte read and
+    written first.
+    """
+    rng = random.Random(19)
+    volume = make_volume(PARITY_N, "raid5", STEPPED_CHUNK_SECTORS)
+    row_sectors = (PARITY_N - 1) * STEPPED_CHUNK_SECTORS
+    n_rows = 8
+    volume.install(0, random.Random(n_rows).randbytes(n_rows * row_sectors * 512))
+    volume.fail_member(2)
+    volume.replace_member(2)
+    steps_per_row = STEPPED_CHUNK_SECTORS // REBUILD_STEP_SECTORS
+    volume.rebuild_rate = 1 / steps_per_row
+    n_foreground = 120
+    from_zero(volume)
+    worst = 0.0
+    for _ in range(n_foreground):
+        lba = rng.randrange(n_rows * row_sectors // STEPPED_READ_SECTORS) * STEPPED_READ_SECTORS
+        start = volume.clock.now
+        volume.read(lba, STEPPED_READ_SECTORS)
+        worst = max(worst, volume.clock.now - start)
+    stats = volume.volume_stats.as_dict()
+    geometry = volume.geometry.member
+    step = worst_access_ms(geometry, REBUILD_STEP_SECTORS)
+    return {
+        "chunk_sectors": STEPPED_CHUNK_SECTORS,
+        "rebuild_rate": volume.rebuild_rate,
+        "foreground_reads": n_foreground,
+        "foreground_seconds": volume.clock.now,
+        "read_p50_ms": stats["read_latency_p50"] * 1000,
+        "read_p99_ms": stats["read_latency_p99"] * 1000,
+        "worst_read_ms": worst * 1000,
+        "worst_read_ceiling_ms": 2 * step + worst_access_ms(geometry, STEPPED_READ_SECTORS),
+        "rebuild_rows_done": stats["rebuild_rows_done"],
+        "rebuild_reads": stats["rebuild_reads"],
+        "rebuild_writes": stats["rebuild_writes"],
+    }
+
+
 def run_parity():
     write_arm = run_parity_write_arm()
     degraded = run_parity_degraded_arm()
     rebuild = [run_rebuild_arm(rate) for rate in REBUILD_RATES]
-    return write_arm, degraded, rebuild
+    return write_arm, degraded, rebuild, run_stepped_rebuild_arm()
 
 
 def test_volume_parity(benchmark):
-    write_arm, degraded, rebuild = benchmark.pedantic(run_parity, rounds=1, iterations=1)
+    write_arm, degraded, rebuild, stepped = benchmark.pedantic(run_parity, rounds=1, iterations=1)
 
     emit(
         render_table(
@@ -579,6 +645,12 @@ def test_volume_parity(benchmark):
             note="rows reconstructed per foreground request; scanner competes for spindles",
         )
     )
+    emit(
+        f"rebuild of 512 KB chunks in {REBUILD_STEP_SECTORS // 2} KB steps: 8 KB reads "
+        f"p50 {stepped['read_p50_ms']:.1f} / p99 {stepped['read_p99_ms']:.1f} / worst "
+        f"{stepped['worst_read_ms']:.1f} ms (ceiling {stepped['worst_read_ceiling_ms']:.1f}: "
+        f"one step plus one read), {stepped['rebuild_rows_done']} rows rebuilt"
+    )
 
     # Merge into the scaling report (test_volume_scaling writes first in
     # file order; stay robust if it did not run this session).
@@ -592,6 +664,7 @@ def test_volume_parity(benchmark):
         "write_paths": write_arm,
         "degraded_read": degraded,
         "rebuild": rebuild,
+        "rebuild_512k": stepped,
         "full_vs_rmw_floor": FULL_VS_RMW_FLOOR,
     }
     emit(f"wrote {write_json_report(REPORT_PATH, payload)}")
@@ -625,3 +698,5 @@ def test_volume_parity(benchmark):
     assert progresses[0] == 0.0  # rate 0: paused scanner
     assert progresses[-1] > progresses[1]
     assert rebuild[-1]["read_p99_ms"] > rebuild[0]["read_p99_ms"]
+    # A read behind the scanner waits for one step, not a whole row.
+    assert stepped["worst_read_ms"] <= stepped["worst_read_ceiling_ms"]

@@ -23,9 +23,9 @@ write stored here makes what it covers resident (a whole chunk: drops it)
 and takes it off the blank record; whatever else changes a member's
 medium — ``install``, ``corrupt``, a parity resync — drops what it
 touches, off the record too, so the record only ever loses sectors, but
-for one case: the rebuild scanner puts a chunk of a replacement that came
-blank on it (:meth:`StripeCache.blank`) where the row is blank on every
-other member, since nothing has written the chunk yet. A member that
+for one case: the rebuild scanner puts a replacement that came blank on
+it (:meth:`StripeCache.blank`) where a finished row is blank on every
+other member, a step's range at a time, since nothing has written it yet. A member that
 fails or is replaced forgets everything held for it, a power failure
 everything. Dropping is always correct, keeping never is.
 
@@ -60,9 +60,9 @@ class StripeCache:
     no bytes.
 
     A member write of a whole chunk or more (a sealed image, a full
-    stripe, the rebuild scanner's row) is not kept — it would flush
-    everything else for bytes nothing rewrites in place — and only drops
-    what it overlaps.
+    stripe) is not kept — it would flush everything else for bytes
+    nothing rewrites in place — and only drops what it overlaps; the
+    rebuild scanner's writes are dropped the same way, a step at a time.
     """
 
     def __init__(self, sector_size: int, chunk_sectors: int) -> None:

@@ -24,7 +24,8 @@ one of three layouts:
   :meth:`replace_member` installs a blank spindle and an
   online, rate-limited rebuild scanner (:attr:`rebuild_rate` rows per
   foreground request, or explicit :meth:`rebuild_step`) reconstructs it
-  stripe row by stripe row while the volume keeps serving traffic.
+  stripe row by stripe row, each row in steps of at most 64 KB per
+  member, while the volume keeps serving traffic.
 
 **The overlap model.** Each member disk keeps its *own* virtual clock — a
 per-spindle busy-until horizon — while the volume owns the shared clock
@@ -100,6 +101,11 @@ LAYOUTS = ("stripe", "mirror", "raid5")
 
 #: Default stripe chunk: 128 sectors (64 KB).
 DEFAULT_CHUNK_SECTORS = 128
+
+#: The most the rebuild scanner moves per member in one step: 64 KB, the
+#: default chunk, so a row of that chunk or less is rebuilt in one step
+#: and a 512 KB chunk in eight (EXPERIMENTS.md, "A row a step at a time").
+REBUILD_STEP_SECTORS = DEFAULT_CHUNK_SECTORS
 
 
 def _xor_buffers(buffers):
@@ -407,12 +413,19 @@ class _Dispatch:
                 out.append(b"".join(resident) if resident else None)
         return out
 
-    def write(self, member: int, plba: int, payload) -> None:
+    def write(self, member: int, plba: int, payload, keep: bool = True) -> None:
+        """One member write at ``floor``; ``keep=False`` (the rebuild
+        scanner's) drops what it covers from the stripe cache instead of
+        remembering it, as the cache does for any write of a chunk."""
         disk = self.disks[member]
         disk.clock.advance_to(self.floor)
         disk.write(plba, payload)
-        if self.cache is not None:
-            self.cache.store(member, plba, payload)
+        cache = self.cache
+        if cache is not None:
+            if keep:
+                cache.store(member, plba, payload)
+            else:
+                cache.drop(member, plba, len(payload) // cache.sector_size)
         self.writes += 1
         if disk.clock.now > self.completion:
             self.completion = disk.clock.now
@@ -520,6 +533,10 @@ class Volume:
         #: the row writes' pre-reads alone (None without parity).
         self.stripe_cache: StripeCache | None = None
         if pmap is not None:
+            #: Sectors per member the rebuild scanner moves in one step, and
+            #: the steps it takes to rebuild a row.
+            self._step_sectors = min(self.chunk_sectors, REBUILD_STEP_SECTORS)
+            self._steps_per_row = -(-self.chunk_sectors // self._step_sectors)
             self.stripe_cache = StripeCache(member_geo.sector_size, self.chunk_sectors)
             for i, disk in enumerate(disks):
                 if disk.sectors_populated == 0:
@@ -586,10 +603,12 @@ class Volume:
 
     def _scan_from_start(self, member: int | None) -> None:
         """Reset the online-rebuild state: the member being rebuilt (None =
-        no scan), the next stripe row to reconstruct, unspent rate credit
-        and the last progress decile announced."""
+        no scan), the next stripe row to reconstruct and the sectors of it
+        already rebuilt (a prefix of the chunk), unspent rate credit (in
+        steps) and the last progress decile announced."""
         self._rebuilding = member
         self._rebuild_cursor = 0
+        self._rebuilt_prefix = 0
         self._rebuild_credit = 0.0
         self._rebuild_decile = 0
 
@@ -681,18 +700,36 @@ class Volume:
     def rebuild_step(self, rows: int = 1) -> int:
         """Reconstruct up to ``rows`` stripe rows onto the replacement.
 
-        Background semantics match queued writes: the scanner's member I/O
-        goes through the write path's :class:`_Dispatch` at the current
-        shared time (competing with foreground requests for the spindles —
-        the rate/latency tradeoff) without advancing the shared clock, and
-        a row's rebuilt chunk is written once the source reads it is the
-        XOR of have completed — except, on a replacement that came blank, a
-        row blank on every other member: the replacement's chunk there is
-        zeros already and goes on its blank record, with no I/O (ZFS
-        resilvers only allocated blocks the same way). The scanner's reads
-        and writes are counted apart from the foreground's sub-requests.
-        Returns the number of rows actually rebuilt; on the last row the
-        member rejoins ``alive`` and the volume is fully redundant again.
+        Rows are counted whole: a row the rate-driven scanner left part-done
+        is finished first, and counts as one. Returns the number of rows
+        actually rebuilt; on the last row the member rejoins ``alive`` and
+        the volume is fully redundant again. The scan itself is
+        :meth:`_scan`.
+        """
+        return self._scan(rows, whole_rows=True)
+
+    def _scan(self, budget: int, whole_rows: bool) -> int:
+        """Run the scanner for ``budget`` steps, or rows when ``whole_rows``.
+
+        A step rebuilds the next at most :data:`REBUILD_STEP_SECTORS` of
+        the cursor row's chunk: it reads the other members over that range
+        and writes their XOR to the replacement once those reads are back.
+        Background semantics match queued writes: the member I/O goes
+        through the write path's :class:`_Dispatch` at the current shared
+        time (competing with foreground requests for the spindles — the
+        rate/latency tradeoff) without advancing the shared clock, and it
+        is counted apart from the foreground's sub-requests. A foreground
+        request behind the scanner waits for one step, not a whole row.
+
+        A row stays untrusted until its last step, so reads, the write
+        path and :meth:`_trusted` see whole rows; the one rule the steps
+        add is that the replacement's rebuilt prefix of the cursor row
+        equals the XOR of the other members there, kept by
+        :meth:`_unrebuild`. On a replacement that came blank, a step
+        blank on every other member is zeros on the replacement already
+        and issues nothing (ZFS resilvers only allocated blocks the same
+        way); when the row is done, its steps still blank elsewhere go on
+        the replacement's blank record. Returns the rows completed.
         """
         target = self._rebuilding
         if target is None:
@@ -701,26 +738,35 @@ class Volume:
         now = self.clock.now
         vstats = self.volume_stats
         chunk = pmap.chunk_sectors
-        cache = self.stripe_cache
+        step = self._step_sectors
         io = _Dispatch(self, now)
         done = 0
-        while done < rows and self._rebuilding is not None:
-            io.floor = now  # rows are independent of one another
+        while budget > 0 and self._rebuilding is not None:
+            io.floor = now  # steps are independent of one another
             row_lba = pmap.row_lba(self._rebuild_cursor)
-            if self._replacement_blank and all(
-                cache.all_blank(member, row_lba, chunk)
-                for member in range(len(self.disks))
-                if member != target
-            ):
-                # Zeros on every member: nothing has written the row on the
-                # replacement either (the volume writes no chunk of it
-                # before the scanner gets there).
-                cache.blank(target, row_lba, chunk)
-            else:
-                io.write(target, row_lba, self._xor_others(target, row_lba, chunk, io.read))
+            start = self._rebuilt_prefix
+            take = min(step, chunk - start)
+            if not self._blank_elsewhere(target, row_lba + start, take):
+                payload = self._xor_others(target, row_lba + start, take, io.read)
+                io.write(target, row_lba + start, payload, keep=False)
+            self._rebuilt_prefix = start + take
+            if not whole_rows:
+                budget -= 1
+            if self._rebuilt_prefix < chunk:
+                continue
+            for start in range(0, chunk, step):
+                # Nothing has written these on the replacement: the volume
+                # writes no chunk of an untrusted row, nor the scanner a
+                # step blank on every other member.
+                take = min(step, chunk - start)
+                if self._blank_elsewhere(target, row_lba + start, take):
+                    self.stripe_cache.blank(target, row_lba + start, take)
             vstats.rebuild_rows_done += 1
             self._rebuild_cursor += 1
+            self._rebuilt_prefix = 0
             done += 1
+            if whole_rows:
+                budget -= 1
             ev = self.events
             if self._rebuild_cursor >= pmap.rows:
                 self.alive[target] = True
@@ -744,20 +790,41 @@ class Volume:
         vstats.rebuild_writes += io.writes
         return done
 
+    def _blank_elsewhere(self, target: int, plba: int, nsectors: int) -> bool:
+        """On a replacement that came blank: is ``[plba, plba + nsectors)``
+        blank on every other member, so zeros on the replacement too?"""
+        cache = self.stripe_cache
+        return self._replacement_blank and all(
+            cache.all_blank(member, plba, nsectors)
+            for member in range(len(self.disks))
+            if member != target
+        )
+
+    def _unrebuild(self, row: int, within: int) -> None:
+        """The XOR of the other members of ``row`` changed from sector
+        ``within`` of its chunk on: if that is inside the prefix the scanner
+        has rebuilt of the cursor row, move the prefix back to the start of
+        the step holding ``within``, so the replacement is rebuilt there
+        again. Rows before the cursor are trusted and written like any
+        member; rows after it are not rebuilt yet."""
+        if row == self._rebuild_cursor and within < self._rebuilt_prefix:
+            self._rebuilt_prefix = within - within % self._step_sectors
+
     def rebuild_run_to_completion(self, step_rows: int = 64) -> None:
         """Drive the scanner until the replacement is fully reconstructed."""
         while self._rebuilding is not None:
             self.rebuild_step(step_rows)
 
     def _rebuild_tick(self) -> None:
-        """Advance the background scan by the configured per-request rate."""
+        """Advance the background scan by the configured per-request rate:
+        :attr:`rebuild_rate` rows' worth of steps, spent a step at a time."""
         if self._rebuilding is None or self.rebuild_rate <= 0:
             return
-        self._rebuild_credit += self.rebuild_rate
-        rows = int(self._rebuild_credit)
-        if rows:
-            self._rebuild_credit -= rows
-            self.rebuild_step(rows)
+        self._rebuild_credit += self.rebuild_rate * self._steps_per_row
+        steps = int(self._rebuild_credit)
+        if steps:
+            self._rebuild_credit -= steps
+            self._scan(steps, whole_rows=False)
 
     def _trusted(self, index: int, row: int) -> bool:
         """May ``row``'s chunk on member ``index`` be read directly?"""
@@ -1011,7 +1078,10 @@ class Volume:
         * a row with an untrusted data chunk always reconstructs and skips
           the write to that member: parity now encodes its content, for
           reads and the rebuild scanner to recover. With the parity chunk
-          untrusted there is no parity to compute: the data alone;
+          untrusted there is no parity to compute: the data alone. On the
+          row the scanner is part-way through, a change to what the
+          untrusted chunk should hold moves the scanner back over it
+          (:meth:`_unrebuild`);
         * a healthy partial row reconstructs only when every fragment
           spans ``[lo, hi)`` (a one-chunk row always does) and those
           pre-reads cost fewer member reads once the stripe cache has
@@ -1039,6 +1109,12 @@ class Volume:
             base = pmap.row_lba(row)
             parity_member = pmap.parity_disk(row)
             bad = None if down is None or self._trusted(down, row) else down
+            if bad is not None:
+                # What the untrusted chunk should hold changes under its own
+                # fragment, or under every fragment when it holds parity.
+                moved = [f.within for f in frags if bad in (f.disk, parity_member)]
+                if moved:
+                    self._unrebuild(row, min(moved))
             lo = min(f.within for f in frags)
             hi = max(f.within + f.nsectors for f in frags)
             spanned = {f.disk for f in frags if f.within == lo and f.nsectors == hi - lo}
@@ -1261,6 +1337,9 @@ class Volume:
             for member, plba, count in held:
                 self._forget(member, plba, count)
                 self.disks[member].corrupt(plba, count)
+                if self._rebuilding is not None:
+                    for row, within, _take, _offset in chunk_runs(plba, count, self.chunk_sectors):
+                        self._unrebuild(row, within)
 
     @property
     def sectors_populated(self) -> int:

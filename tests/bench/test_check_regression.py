@@ -12,6 +12,7 @@ its comparison rows and still exits 0.
 import copy
 import json
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -158,6 +159,37 @@ def test_committed_report_passes_against_itself(capsys, name):
     assert "FAIL" not in out and "SKIP" not in out
 
 
+class Off(NamedTuple):
+    """A simulated leaf broken off the committed value: ``committed *
+    factor + plus``, which no re-commit of the report can land on (an
+    absolute value can become the committed one, and the case then passes
+    for nothing). ``was`` is the absolute value the case was written with,
+    kept as its id."""
+
+    was: float
+    factor: float = 1.0
+    plus: int = 0
+
+
+def scaled(was: float) -> Off:
+    return Off(was, factor=1.01)
+
+
+def counted(was: int) -> Off:
+    return Off(was, plus=1)
+
+
+def get_path(report, dotted):
+    """The value ``set_path`` would replace."""
+    for key in dotted.split(".") if isinstance(dotted, str) else dotted:
+        report = report[int(key)] if isinstance(report, list) else report[key]
+    return report
+
+
+def case_id(value):
+    return str(value.was) if isinstance(value, Off) else None
+
+
 BROKEN = [
     ("multitenant", "single_tenant.figures_identical", False),
     ("multitenant", "single_tenant.wall_ratio", 2.5),
@@ -176,26 +208,26 @@ BROKEN = [
     ("volume_scaling", "raid5.rebuild.3.rebuild_progress", 0.9),  # never completes
     ("volume_scaling", "raid5", None),
     # Simulated leaves must equal the committed report's exactly.
-    ("volume_scaling", "identity.volume_clock_s", 4.5343518518518),
-    ("volume_scaling", "raw.4.read_seconds", 2.5444444444444),
-    ("volume_scaling", "lld.4.recovery_read_requests", 75),
-    ("volume_scaling", "raid5.write_paths.rmw.rmw_writes", 286),
-    ("volume_scaling", "raid5.degraded_read.degraded_mb_per_s", 4.26),
+    ("volume_scaling", "identity.volume_clock_s", scaled(4.5343518518518)),
+    ("volume_scaling", "raw.4.read_seconds", scaled(2.5444444444444)),
+    ("volume_scaling", "lld.4.recovery_read_requests", counted(75)),
+    ("volume_scaling", "raid5.write_paths.rmw.rmw_writes", counted(286)),
+    ("volume_scaling", "raid5.degraded_read.degraded_mb_per_s", scaled(4.26)),
     # Bare-disk reports: the disk's time model and request stream.
-    ("read_path", "baseline.sim_time", 24.9159814814814),
-    ("read_path", "baseline_disk.rotation_time", 19.2009830497293),
-    ("read_path", "baseline_disk.request_sizes.8", 1983),
-    ("write_path", "baseline.disk_writes", 103),
-    ("write_path", "delta.sim_time", 2.98629629629629),
+    ("read_path", "baseline.sim_time", scaled(24.9159814814814)),
+    ("read_path", "baseline_disk.rotation_time", scaled(19.2009830497293)),
+    ("read_path", "baseline_disk.request_sizes.8", counted(1983)),
+    ("write_path", "baseline.disk_writes", counted(103)),
+    ("write_path", "delta.sim_time", scaled(2.98629629629629)),
     ("write_path", "delta", None),
-    ("recovery_time", "ld_seconds", 0.93396296296296),
-    ("recovery_time", "fs_mount_seconds", 0.054),
-    ("recovery_time", ("metrics", "disk.seek_time"), 0.41722508433746),
-    ("recovery_time", ("metrics", "disk.request_sizes", "32"), 153),
+    ("recovery_time", "ld_seconds", scaled(0.93396296296296)),
+    ("recovery_time", "fs_mount_seconds", scaled(0.054)),
+    ("recovery_time", ("metrics", "disk.seek_time"), scaled(0.41722508433746)),
+    ("recovery_time", ("metrics", "disk.request_sizes", "32"), counted(153)),
     # MINIX on the LD store above the bare disk (appended: the tuple-path
     # rows above take their test ids from their position in this list).
-    ("read_path", "fs_demand.sequential.disk_reads", 1988),
-    ("read_path", "fs_demand.random.zones_per_ld_request", 1.0),
+    ("read_path", "fs_demand.sequential.disk_reads", counted(1988)),
+    ("read_path", "fs_demand.random.zones_per_ld_request", scaled(1.0)),
     # Commits that wait inside the server again: all their time idled away.
     ("multitenant", "overlap.idle_frac", 0.6),
     ("multitenant", "overlap", None),
@@ -206,31 +238,36 @@ BROKEN = [
     # Reads that wait inside the server again: none parked on the RAID-5 arm.
     ("multitenant", "overlap.reads_parked", 0),
     # Crash matrix: a moved state count, a violation, an uncaught mutant.
-    ("crash_matrix", "checkpoint.raid5_rows.states_explored", 2550),
-    ("crash_matrix", "degraded_parity.failed_members.2.states_explored", 773),
+    ("crash_matrix", "checkpoint.raid5_rows.states_explored", counted(2550)),
+    ("crash_matrix", "degraded_parity.failed_members.2.states_explored", counted(773)),
     ("crash_matrix", "checkpoint.bare.violation_count", 1),
     ("crash_matrix", "checkpoint.bare.mutant_no_chain.violation_count", 0),
     # Partial rows that pre-read behind a busy member again.
     ("volume_scaling", "raid5.write_paths.busy_member.reconstruct_writes", 0),
     # A rebuild scanner that writes a row before its source reads are back
-    # again: the foreground finishes sooner than the committed sweep says.
-    ("volume_scaling", "raid5.rebuild.1.foreground_seconds", 22.953351851851853),
+    # again: the foreground's seconds move off the committed sweep.
+    ("volume_scaling", "raid5.rebuild.1.foreground_seconds", scaled(22.953351851851853)),
     # A volume that reads back sectors it never wrote again.
     ("volume_scaling", "raid5.write_paths.blank.member_reads", 576),
     # The multi-tenant arms' simulated leaves: the one the committed report
     # carried before the summary header grew twenty bytes (its stale value
     # from before the row was gated is the current one again), and one of
     # each other subtree.
-    ("multitenant", "fifo_baseline.elapsed_sim_s", 3.9748518518518523),
-    ("multitenant", "sweep.0.sched.rounds", 74),
-    ("multitenant", "overlap.commit_inflight_s", 1.0064259259259258),
-    ("multitenant", "single_tenant.direct.disk_writes", 197),
+    ("multitenant", "fifo_baseline.elapsed_sim_s", scaled(3.9748518518518523)),
+    ("multitenant", "sweep.0.sched.rounds", counted(74)),
+    ("multitenant", "overlap.commit_inflight_s", scaled(1.0064259259259258)),
+    ("multitenant", "single_tenant.direct.disk_writes", counted(197)),
+    # A scanner that rebuilds a 512 KB chunk in one go again: the read
+    # behind it waits for the whole row (what such a scanner measures).
+    ("volume_scaling", "raid5.rebuild_512k.worst_read_ms", 436.7962962962966),
 ]
 
 
-@pytest.mark.parametrize("name, dotted, value", BROKEN)
+@pytest.mark.parametrize("name, dotted, value", BROKEN, ids=case_id)
 def test_hand_broken_copy_fails_readably(capsys, tmp_path, name, dotted, value):
     report = json.loads(REPORTS[name].read_text(encoding="utf-8"))
+    if isinstance(value, Off):
+        value = get_path(report, dotted) * value.factor + value.plus
     if name == "multitenant" and dotted.startswith("sweep."):
         arm = report["sweep"][3]
         assert arm["tenants"] == report["fifo_baseline"]["tenants"]

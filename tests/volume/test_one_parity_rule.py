@@ -212,9 +212,9 @@ def _rebuild_writes_at_now(monkeypatch):
     """Member writes start at ``now`` again, whatever they were read from."""
     real = _Dispatch.write
 
-    def write(self, member, plba, payload):
+    def write(self, member, plba, payload, keep=True):
         self.floor = self.now
-        real(self, member, plba, payload)
+        real(self, member, plba, payload, keep)
 
     monkeypatch.setattr(_Dispatch, "write", write)
 

@@ -143,14 +143,14 @@ class Pair:
     def _rebuild_step(self, volume: Volume, rows: int, mutant: bool) -> None:
         cache = volume.stripe_cache
         if mutant:  # the scanner's write passes the cache by
-            cache.store = lambda *write: None
+            cache.drop = lambda *write: None
         if volume is self.oracle:
             # A row blank on every other member is skipped: by the record,
             # which the oracle does not keep — it takes the shipped one's
             # (the scanner puts only the replacement's chunk on it).
             cache.all_blank = self.shipped.stripe_cache.all_blank
         volume.rebuild_step(rows)
-        cache.__dict__.pop("store", None)
+        cache.__dict__.pop("drop", None)
         cache.__dict__.pop("all_blank", None)
 
     def check(self) -> None:
