@@ -431,8 +431,10 @@ def power_fail_in_a_flush(rig: Rig) -> tuple[int, int]:
     """Log a new list of one block, then lose power inside the flush that
     would acknowledge it: the flush's writes land in the order it issued
     them, all but the last, of which only the first half of its sectors
-    does (a one-sector write not at all). Leaves ``rig.lld`` crashed;
-    returns the list and the block."""
+    does (a one-sector write not at all). The tear never reaches past the
+    last sector that changes what the medium holds: a lost half whose
+    sectors the medium already holds would land the write whole. Leaves
+    ``rig.lld`` crashed; returns the list and the block."""
     lld = rig.lld
     lid = lld.new_list()
     bid = lld.new_block(lid, LIST_HEAD)
@@ -448,7 +450,9 @@ def power_fail_in_a_flush(rig: Rig) -> tuple[int, int]:
         *whole, (lba, data) = unplugged.writes
         for at, payload in whole:
             rig.device.install(at, payload)
-        landed = len(data) // SECTOR // 2 * SECTOR
+        held = rig.device.peek(lba, len(data) // SECTOR)
+        changed = [at for at in range(0, len(data), SECTOR) if data[at : at + SECTOR] != held[at : at + SECTOR]]
+        landed = min(len(data) // SECTOR // 2 * SECTOR, changed[-1] if changed else 0)
         if landed:
             rig.device.install(lba, data[:landed])
     return lid, bid
