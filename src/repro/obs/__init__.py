@@ -1,9 +1,9 @@
-"""Observability: tracing, metrics, and the continuous-monitoring layer.
+"""Observability: tracing, metrics and the structured event log.
 
 The paper's evaluation attributes cost to *layers* — file management vs
 disk management vs raw I/O (Tables 3–6, Fig. 1). This package makes that
-attribution a first-class capability of the reproduction, and grows it
-into an always-on monitoring subsystem:
+attribution a first-class capability of the reproduction, and answers
+"what changed state, when, and why" from the layers' own events:
 
 * :mod:`repro.obs.trace` — spans with causality. A :class:`Tracer` hands
   out ``span(op, **attrs)`` context managers; each span is stamped with
@@ -21,19 +21,13 @@ into an always-on monitoring subsystem:
   constructor-time inheritance, and :func:`registry_of`.
 * :mod:`repro.obs.hist` — :class:`LatencyHistogram`, the bounded
   log-bucketed sketch every latency series in the tree records into.
-* :mod:`repro.obs.series` — :class:`SeriesRecorder`, windowed
-  time-series rings sampled on the virtual clock.
 * :mod:`repro.obs.events` — :class:`EventLog`, the structured state-
   change log (member failures, rebuilds, cleaner passes, checkpoints,
   scheduler saturation), exported as JSONL beside ``trace.json``.
-* :mod:`repro.obs.health` — declarative health rules over series +
-  events producing ok/warn/critical :class:`Finding` verdicts, bundled
-  behind :class:`Monitor`.
 * :mod:`repro.obs.export` — Chrome ``trace_event`` JSON and JSONL
   exporters plus loaders for round-tripping traces.
 * ``python -m repro.obs trace.json`` — per-layer latency/ops dashboard
-  from an exported trace; ``python -m repro.obs.top`` — the live/offline
-  ldtop monitoring dashboard.
+  from an exported trace.
 
 Tracing and event emission are **off by default** and zero-overhead when
 disabled: every instrumented choke point guards with a plain attribute
@@ -50,22 +44,8 @@ from repro.obs.export import (
     load_jsonl,
     load_trace,
 )
-from repro.obs.health import (
-    Finding,
-    HealthContext,
-    HealthMonitor,
-    HealthRule,
-    Monitor,
-    default_rules,
-)
 from repro.obs.hist import LatencyHistogram
 from repro.obs.metrics import Counters, MetricsRegistry, Snapshot, diff_payloads
-from repro.obs.series import (
-    Series,
-    SeriesRecorder,
-    export_series_jsonl,
-    load_series_jsonl,
-)
 from repro.obs import stack
 from repro.obs.stack import registry_of
 from repro.obs.trace import NULL_SPAN, Span, Tracer
@@ -75,30 +55,20 @@ __all__ = [
     "Counters",
     "Event",
     "EventLog",
-    "Finding",
-    "HealthContext",
-    "HealthMonitor",
-    "HealthRule",
     "LatencyHistogram",
     "MetricsRegistry",
-    "Monitor",
-    "Series",
-    "SeriesRecorder",
     "Snapshot",
     "Span",
     "Tracer",
     "attach_events",
     "attach_tracer",
-    "default_rules",
     "diff_payloads",
     "export_chrome_trace",
     "export_events_jsonl",
     "export_jsonl",
-    "export_series_jsonl",
     "load_chrome_trace",
     "load_events_jsonl",
     "load_jsonl",
-    "load_series_jsonl",
     "load_trace",
     "registry_of",
 ]

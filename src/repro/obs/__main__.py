@@ -13,7 +13,6 @@ import sys
 from collections import defaultdict
 
 from repro.obs.export import load_trace
-from repro.obs.top import _table
 from repro.obs.trace import Span
 
 _MS = 1000.0
@@ -21,6 +20,18 @@ _MS = 1000.0
 
 def _fmt_ms(seconds: float) -> str:
     return f"{seconds * _MS:.3f}"
+
+
+def _table(headers: list[str], rows: list[list[str]]) -> str:
+    widths = [
+        max(len(headers[i]), *(len(row[i]) for row in rows)) if rows else len(headers[i])
+        for i in range(len(headers))
+    ]
+    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers))]
+    lines.append("  ".join("-" * w for w in widths))
+    for row in rows:
+        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
+    return "\n".join(lines)
 
 
 def self_times(spans: list[Span]) -> dict[int, float]:

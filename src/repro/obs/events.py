@@ -11,7 +11,7 @@ exports them as JSONL next to ``trace.json``.
 Emission follows the tracer's zero-overhead discipline: instrumented
 objects carry an ``events`` attribute that defaults to ``None``, and
 every site is guarded ``ev = self.events`` / ``if ev:`` — one attribute
-load and a truth test when monitoring is off. Attach a shared log to a
+load and a truth test when no log is attached. Attach a shared log to a
 whole stack with :func:`repro.obs.attach_events`.
 """
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from repro.obs.export import read_jsonl
 
-#: Severity ladder; health verdicts map warn→``warn``, critical→``error``.
+#: Severity ladder, lowest first; :meth:`EventLog.select` filters on it.
 SEVERITIES = ("debug", "info", "warn", "error")
 _SEVERITY_RANK = {name: rank for rank, name in enumerate(SEVERITIES)}
 

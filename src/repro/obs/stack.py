@@ -138,10 +138,11 @@ def registry_of(top, recovery=None) -> MetricsRegistry:
     it) is adopted under its layer name; the device directly below them as
     ``disk`` (a volume's request-level counters) with its per-spindle
     rollup as ``volume``; and, of an LLD, its NVRAM, its derived ``space``
-    gauges (what the free-segment health rule watches) and its recovery
-    report. ``recovery`` overrides that report (useful when it came from a
-    *different* post-crash LLD instance). ``registry.collect()`` yields
-    the merged, layer-prefixed, deterministically-ordered dict.
+    gauges (free and total segments, the cleaner's floor, live bytes) and
+    its recovery report. ``recovery`` overrides that report (useful when
+    it came from a *different* post-crash LLD instance).
+    ``registry.collect()`` yields the merged, layer-prefixed,
+    deterministically-ordered dict.
     """
     registry = MetricsRegistry()
     ld = device = None

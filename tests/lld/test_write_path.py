@@ -325,9 +325,9 @@ def test_scrub_writes_are_counted_as_physical_bytes():
     """``data_bytes_physical`` is what reached the disk, scrubs included.
 
     Tombstone compaction and ``scrub_slot`` overwrite stale summaries; a
-    writer that bypasses the funnel makes ``write_amplification`` (and the
-    ``write_amp_spike`` health rule reading it) under-report delete-heavy
-    runs. No shutdown here, so no checkpoint bytes muddy the equality.
+    writer that bypasses the funnel makes ``write_amplification``
+    under-report delete-heavy runs. No shutdown here, so no checkpoint
+    bytes muddy the equality.
     """
     lld = make_lld(max_tombstones=32)
     compactions = []

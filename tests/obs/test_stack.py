@@ -9,7 +9,7 @@ from repro.disk import SimulatedDisk, fast_test_disk
 from repro.ld.hints import LIST_HEAD
 from repro.lld import LLD
 from repro.lld.nvram import NVRAM
-from repro.obs import EventLog, Monitor, Tracer, attach_events, attach_tracer
+from repro.obs import EventLog, Tracer, attach_events, attach_tracer
 from repro.obs.stack import HOOKS, inherit, registry_of, walk
 from repro.sim import VirtualClock
 
@@ -75,9 +75,7 @@ def test_walk_reaches_every_object_that_declares_a_hook(name):
     the top and from every component on the way down."""
     top = STACKS[name]()
     declaring = {
-        id(obj): obj
-        for obj in _reachable(top)
-        if any(hook in vars(obj) for hook in HOOKS) and not isinstance(obj, Monitor)
+        id(obj): obj for obj in _reachable(top) if any(hook in vars(obj) for hook in HOOKS)
     }
     assert declaring, "the stack declares no hook at all?"
     walked = list(walk(top))

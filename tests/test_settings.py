@@ -62,16 +62,6 @@ SETTINGS = (
     "memmodel.MemoryModelParams.compression_ratio",
     "obs.events.EventLog(clock=)",
     "obs.events.EventLog(capacity=)",
-    "obs.health.HealthContext(series=)",
-    "obs.health.HealthContext(events=)",
-    "obs.health.HealthContext(now=)",
-    "obs.health.SLOBurnRule(slo_p99=)",
-    "obs.health.SLOBurnRule(default_p99=)",
-    "obs.health.Monitor(interval=)",
-    "obs.health.Monitor(slo_p99=)",
-    "obs.health.Monitor(default_p99=)",
-    "obs.series.SeriesRecorder(interval=)",
-    "obs.series.SeriesRecorder(capacity=)",
     "obs.trace.Tracer(enabled=)",
     "sched.queues.TenantQueue(weight=)",
     "sched.queues.TenantQueue(bucket=)",
