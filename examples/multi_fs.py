@@ -116,9 +116,9 @@ def multi_tenant_server() -> None:
         fs.mkfs(ninodes=512)
         fss[name] = fs
 
-    # Tenant C: the raw-LD database again, on its own rate-capped
-    # session, each page update in its own atomic recovery unit.
-    db = server.open_session("db", rate_bytes_per_sec=256 * 1024)
+    # Tenant C: the raw-LD database again, on its own session at half the
+    # weight of "docs", each page update in its own atomic recovery unit.
+    db = server.open_session("db", weight=0.5)
     pages_list = db.new_list()
     pages, prev = [], LIST_HEAD
     for page_no in range(16):

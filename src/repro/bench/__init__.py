@@ -26,7 +26,6 @@ from repro.bench.report import (
     crash_matrix_summary,
     render_json,
     render_table,
-    stack_registry,
     write_json_report,
     write_path_summary,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "crash_matrix_summary",
     "render_json",
     "render_table",
-    "stack_registry",
     "write_json_report",
     "write_path_summary",
 ]

@@ -5,15 +5,6 @@ from __future__ import annotations
 import dataclasses
 import json
 
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.stack import registry_of
-
-
-def stack_registry(fs=None, lld=None, recovery=None, server=None) -> MetricsRegistry:
-    """:func:`repro.obs.stack.registry_of` from the topmost component given."""
-    top = next((c for c in (fs, server, lld) if c is not None), None)
-    return registry_of(top, recovery)
-
 
 def render_table(
     title: str,

@@ -38,6 +38,15 @@ if TYPE_CHECKING:  # pragma: no cover
 #: in journal order. The image it denotes is base + these writes replayed.
 Plan = tuple[tuple[int, int], ...]
 
+#: Sector counts a multi-sector write is torn at, at most: both boundary
+#: tears and the rest spread evenly between them.
+MAX_TORN_SPLITS_PER_WRITE = 8
+#: Epochs of up to this many writes have every proper subset enumerated;
+#: wider ones are sampled.
+MAX_REORDER_EPOCH_WRITES = 6
+#: The enumeration stops at this many states.
+MAX_STATES = 100_000
+
 
 @dataclass(frozen=True)
 class CrashState:
@@ -129,17 +138,11 @@ class CrashStateEnumerator:
         self,
         recording: "RecordingDisk",
         *,
-        max_torn_splits_per_write: int = 8,
-        max_reorder_epoch_writes: int = 6,
         reorder_samples_per_epoch: int = 16,
-        max_states: int = 100_000,
         seed: int = 0,
     ) -> None:
         self.recording = recording
-        self.max_torn_splits_per_write = max_torn_splits_per_write
-        self.max_reorder_epoch_writes = max_reorder_epoch_writes
         self.reorder_samples_per_epoch = reorder_samples_per_epoch
-        self.max_states = max_states
         self.seed = seed
 
     # ------------------------------------------------------------------
@@ -147,13 +150,14 @@ class CrashStateEnumerator:
     # ------------------------------------------------------------------
 
     def enumerate(self) -> list[CrashState]:
-        """All distinct crash states, prefixes first, capped at max_states."""
+        """All distinct crash states, prefixes first, capped at
+        :data:`MAX_STATES`."""
         events = self.recording.events
         seen: set[Plan] = set()
         states: list[CrashState] = []
 
         def add(kind: str, covered_seq: int, plan: Plan, detail: str = "") -> bool:
-            if len(states) >= self.max_states:
+            if len(states) >= MAX_STATES:
                 return False
             if plan in seen:
                 return True
@@ -199,7 +203,7 @@ class CrashStateEnumerator:
                 continue  # subsets of a 1-write epoch are all prefixes
             base = tuple(full[:start])
             members = list(range(start, end))
-            if width <= self.max_reorder_epoch_writes:
+            if width <= MAX_REORDER_EPOCH_WRITES:
                 subset_iter = self._all_proper_subsets(members)
             else:
                 subset_iter = self._sampled_subsets(members, rng)
@@ -214,13 +218,13 @@ class CrashStateEnumerator:
     def _torn_splits(self, nsectors: int) -> list[int]:
         """Which sector counts to tear a write of ``nsectors`` at."""
         candidates = list(range(1, nsectors))
-        if len(candidates) <= self.max_torn_splits_per_write:
+        if len(candidates) <= MAX_TORN_SPLITS_PER_WRITE:
             return candidates
         # Always keep the boundary tears (1 sector applied, one-short of
         # complete) and spread the rest evenly across the middle.
         keep = {candidates[0], candidates[-1]}
-        step = (len(candidates) - 1) / (self.max_torn_splits_per_write - 1)
-        for i in range(1, self.max_torn_splits_per_write - 1):
+        step = (len(candidates) - 1) / (MAX_TORN_SPLITS_PER_WRITE - 1)
+        for i in range(1, MAX_TORN_SPLITS_PER_WRITE - 1):
             keep.add(candidates[round(i * step)])
         return sorted(keep)
 

@@ -54,6 +54,7 @@ import random
 from dataclasses import dataclass
 
 from repro.crashsim.explorer import (
+    MAX_STATES,
     CrashStateEnumerator,
     ExplorationReport,
     Plan,
@@ -260,7 +261,6 @@ def enumerate_parity_crash_states(
     recording: ParityRecording,
     *,
     subset_samples_per_epoch: int = 10,
-    max_states: int = 100_000,
     seed: int = 0,
 ) -> list[VolumeCrashState]:
     """All sampled crash states of a recorded parity-volume run.
@@ -297,7 +297,7 @@ def enumerate_parity_crash_states(
     ]
 
     def add(kind: str, covered: int, plans: tuple[Plan, ...], detail: str) -> bool:
-        if len(states) >= max_states:
+        if len(states) >= MAX_STATES:
             return False
         if plans in seen:
             return True

@@ -21,7 +21,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from repro.ld.errors import OutOfSpaceError
-from repro.lld.config import MIN_FREE_SEGMENTS
+from repro.lld.config import MAX_TOMBSTONES, MIN_FREE_SEGMENTS
+from repro.lld.records import BlockRecord
 from repro.lld.segment import pick_slot
 from repro.obs.trace import NULL_SPAN
 
@@ -155,17 +156,16 @@ class Cleaner:
         """The space policy the log writer runs after every seal."""
         if self.cleaning:
             return
-        config = self.lld.config
         tombstones = len(self.lld.state.tombstones)
-        if tombstones > config.max_tombstones and not self.compacting:
+        if tombstones > MAX_TOMBSTONES and not self.compacting:
             self.compacting = True
             try:
                 # Shallow compaction (scrub free slots) normally; a deep
                 # pass (clean live cold segments) only if the table has
                 # grown far past its target.
                 self.compact_tombstones(
-                    config.max_tombstones // 2,
-                    deep=tombstones > 8 * config.max_tombstones,
+                    MAX_TOMBSTONES // 2,
+                    deep=tombstones > 8 * MAX_TOMBSTONES,
                 )
             finally:
                 self.compacting = False
@@ -173,24 +173,37 @@ class Cleaner:
 
     def ensure_free(self, target: int) -> None:
         """Clean until at least ``target`` segments are free, then see that
-        the log has one it may open (:meth:`keep_a_slot_to_open`)."""
+        the log has one it may open (:meth:`keep_a_slot_to_open`).
+
+        This is where a full log is found, and the one place that says so:
+        one ``lld.cleaner_starved`` event, then :class:`OutOfSpaceError`.
+        The log is full when no victim is left, when passes stop adding
+        free segments, or when a pass that starts on an empty open segment
+        leaves it no room for one more block: the policy's best victim
+        fills a segment with live blocks, so cleaning only moves them, and
+        each seal would clean another such victim, churning relocation
+        I/O with no room made for a client byte.
+        """
         lld = self.lld
+        log = lld.log
         guard = 4 * lld.layout.segment_count
         stalled = 0
         best_free = lld.free_segment_count()
         while lld.free_segment_count() < target:
             if guard <= 0 or stalled > lld.layout.segment_count:
-                self._note_starved(target)
-                raise OutOfSpaceError(
-                    "cleaner cannot produce enough free segments "
-                    f"(live bytes: {lld.state.live_bytes()})"
-                )
+                raise self._starved(target, "cleaner cannot produce enough free segments")
             guard -= 1
             victim = self.select_victim()
             if victim is None:
-                self._note_starved(target)
-                raise OutOfSpaceError("no cleanable segments available")
+                raise self._starved(target, "no cleanable segments available")
+            empty = log.open.is_empty
             self.clean_segment(victim)
+            if empty and not log.has_room(lld.config.block_size, BlockRecord.SIZE):
+                raise self._starved(
+                    target,
+                    f"cleaner cannot produce enough free segments: segment {victim}'s "
+                    "live blocks fill an empty one",
+                )
             free_now = lld.free_segment_count()
             if free_now > best_free:
                 best_free = free_now
@@ -222,9 +235,10 @@ class Cleaner:
             cleaned += 1
         return cleaned
 
-    def _note_starved(self, target: int) -> None:
-        """Log the starvation the caller is about to raise for."""
+    def _starved(self, target: int, reason: str) -> OutOfSpaceError:
+        """Log the starvation, and return the error to raise for it."""
         lld = self.lld
+        live_bytes = lld.state.live_bytes()
         ev = lld.events
         if ev:
             ev.emit(
@@ -233,8 +247,9 @@ class Cleaner:
                 t=lld.disk.clock.now,
                 target=target,
                 free_segments=lld.free_segment_count(),
-                live_bytes=lld.state.live_bytes(),
+                live_bytes=live_bytes,
             )
+        return OutOfSpaceError(f"{reason} (live bytes: {live_bytes})")
 
     def clean_segment(self, slot: int) -> None:
         """Evacuate every live block and metadata tuple from ``slot``. The

@@ -24,6 +24,20 @@ PARTIAL_THRESHOLD = 0.75
 #: Strict byte bound of the LD read cache, when ``read_cache_enabled``.
 READ_CACHE_BYTES = 1024 * 1024
 
+#: Read-ahead, while the read cache is on: a single ``read`` that misses
+#: the cache fetches up to this many *physically contiguous* successors
+#: (along the block's list chain — the structure the paper says encodes
+#: "what comes next") in the same disk request and stages them in the
+#: cache. With the cache off the prefetched blocks would have nowhere to
+#: live, and none are fetched.
+READ_AHEAD_BLOCKS = 8
+
+#: Deletion tombstones held in memory before the cleaner compacts old
+#: summaries to retire them (:meth:`repro.lld.cleaner.Cleaner.
+#: compact_tombstones`). A tombstone costs ~50 bytes, so this bounds the
+#: table at a couple hundred KB; bulk deletes run without compaction.
+MAX_TOMBSTONES = 4096
+
 
 @dataclass(frozen=True)
 class LLDConfig:
@@ -31,9 +45,10 @@ class LLDConfig:
 
     Defaults follow the paper's measured configuration: 512 KB segments,
     4 KB (maximum) blocks and a one-block segment summary. The 75%
-    partial-segment threshold (paper §3.2's example value) and the read
-    cache's 1 MiB bound are the module constants
-    :data:`PARTIAL_THRESHOLD` and :data:`READ_CACHE_BYTES`.
+    partial-segment threshold (paper §3.2's example value), the read
+    cache's 1 MiB bound, its read-ahead and the tombstone bound are the
+    module constants :data:`PARTIAL_THRESHOLD`, :data:`READ_CACHE_BYTES`,
+    :data:`READ_AHEAD_BLOCKS` and :data:`MAX_TOMBSTONES`.
 
     Attributes:
         segment_size: bytes per on-disk segment slot.
@@ -54,22 +69,10 @@ class LLDConfig:
         lists_enabled: when False, list maintenance is skipped entirely
             (blocks live on degenerate single-block chains); used by the
             paper's §4.2 list-overhead experiment.
-        max_tombstones: deletion tombstones held in memory before the
-            cleaner compacts old summaries to retire them (see
-            :meth:`repro.lld.cleaner.Cleaner.compact_tombstones`). A
-            tombstone costs ~50 bytes, so the default bounds the table at
-            a couple hundred KB; bulk deletes run without compaction.
         read_cache_enabled: keep an LD-level LRU block cache and serve
             repeat reads (and read-ahead) from it. Off by default: the
             paper's LLD had no read cache, and the paper-reproduction
             benchmarks depend on uncached read timings.
-        read_ahead_blocks: on a single ``read`` that misses the cache,
-            up to this many *physically contiguous* successors (along the
-            block's list chain — the structure the paper says encodes
-            "what comes next") are fetched in the same disk request and
-            staged in the read cache. 0 disables read-ahead; it is also
-            inert while the cache is disabled, since the prefetched
-            blocks would have nowhere to live.
         delta_partial_flush: write an open segment's slot incrementally —
             below-threshold flushes and the seal that ends them alike.
             The paper's strategy rewrites the whole open-segment image on
@@ -96,9 +99,7 @@ class LLDConfig:
     checkpoint_slots: int = 2
     clean_policy: str = "greedy"
     lists_enabled: bool = True
-    max_tombstones: int = 4096
     read_cache_enabled: bool = False
-    read_ahead_blocks: int = 8
     delta_partial_flush: bool = True
 
     def __post_init__(self) -> None:
@@ -128,10 +129,6 @@ class LLDConfig:
             raise ValueError(f"unknown clean_policy {self.clean_policy!r}")
         if self.checkpoint_slots < 1:
             raise ValueError("need at least one checkpoint slot")
-        if self.read_ahead_blocks < 0:
-            raise ValueError(
-                f"read_ahead_blocks must be non-negative: {self.read_ahead_blocks}"
-            )
 
     @property
     def data_capacity(self) -> int:

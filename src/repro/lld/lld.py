@@ -15,7 +15,12 @@ from repro.ld.interface import Arrived, ArrivedBlocks, LogicalDisk, Reservation
 from repro.ld.reservations import ReservationBook
 from repro.lld.checkpoint import CheckpointRegion
 from repro.lld.cleaner import Cleaner
-from repro.lld.config import MIN_FREE_SEGMENTS, READ_CACHE_BYTES, LLDConfig
+from repro.lld.config import (
+    MIN_FREE_SEGMENTS,
+    READ_AHEAD_BLOCKS,
+    READ_CACHE_BYTES,
+    LLDConfig,
+)
 from repro.lld.log import LogWriter
 from repro.lld.records import (
     FLAG_COMPRESSED,
@@ -135,7 +140,7 @@ class LLD(LogicalDisk):
         #: LD-level block cache (None when disabled). The cache shares the
         #: stats object so hit/miss/prefetch counters land in LLDStats.
         self.read_cache: ReadCache | None = (
-            ReadCache(READ_CACHE_BYTES, counters=self.stats)
+            ReadCache(READ_CACHE_BYTES, self.stats)
             if self.config.read_cache_enabled
             else None
         )
@@ -255,9 +260,9 @@ class LLD(LogicalDisk):
             if data is None:
                 # Miss: fetch from disk, extending the request over the
                 # block's physically contiguous successor run (the list
-                # structure encodes "what comes next") when read-ahead is on.
+                # structure encodes "what comes next") when the cache is on.
                 run = [(bid, entry)]
-                if self.read_cache is not None and self.config.read_ahead_blocks > 0:
+                if self.read_cache is not None:
                     run.extend(self._successor_run(entry))
                 blocks, at = self._fetch_runs([run], readahead=True, wait=wait)
                 data = blocks[0]
@@ -446,7 +451,7 @@ class LLD(LogicalDisk):
         blocks = self.state.blocks
         prev = entry
         bid = entry.successor
-        while bid is not None and len(run) < self.config.read_ahead_blocks:
+        while bid is not None and len(run) < READ_AHEAD_BLOCKS:
             nxt = blocks.get(bid)
             if (
                 nxt is None

@@ -435,15 +435,14 @@ class LogWriter:
         self._append(record)
 
     def _make_room(self, data_len: int, record_bytes: int) -> None:
-        """Seal until the open segment fits the pending append."""
-        guard = self.layout.segment_count
+        """Seal until the open segment fits the pending append. A seal
+        opens an empty segment, which fits any one append; the space
+        policy after it (cleaning, re-logging) may take that room, so
+        re-check. A cleaning pass that fills an empty segment is the
+        cleaner's to refuse (:meth:`Cleaner.ensure_free`): a full log ends
+        there, not in a loop here."""
         while not self.open.fits(data_len, record_bytes):
-            # Sealing may refill the fresh segment (cleaning, re-logging),
-            # so re-check until it fits.
             self.seal()
-            guard -= 1
-            if guard < 0:  # pragma: no cover - would need a pathological config
-                raise OutOfSpaceError("cannot find room in the log")
 
     def write_block(self, bid: int, stored, length: int, flags: int = 0) -> None:
         """Place a block's stored bytes at the log head; log its BLOCK record.

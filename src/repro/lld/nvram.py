@@ -20,10 +20,8 @@ from repro.obs.metrics import Counters
 class NVRAM(Counters):
     """A small battery-backed buffer holding one partial segment image.
 
-    The held image is state, not a counter: it rides along in a
-    ``snapshot()`` (bytes are immutable), so the copy is also a faithful
-    picture of what would survive a crash right now, and ``reset()``
-    leaves it alone.
+    The held image is state, not a counter: ``as_dict()`` leaves it out
+    and reports ``holds_data`` instead.
     """
 
     HIDDEN = ("slot", "image")

@@ -32,7 +32,6 @@ from repro.obs.metrics import Counters
 class ReadCacheCounters(Counters):
     """What a :class:`ReadCache` counts, declared once.
 
-    A standalone cache bumps an instance of this class;
     :class:`~repro.lld.lld.LLD` passes its ``LLDStats``, which inherits
     these fields, so the figures land beside the LD's own.
     """
@@ -59,11 +58,11 @@ class _Entry:
 class ReadCache:
     """A strictly byte-bounded LRU map of block number -> block contents."""
 
-    def __init__(self, capacity_bytes: int, counters=None) -> None:
+    def __init__(self, capacity_bytes: int, counters: ReadCacheCounters) -> None:
         if capacity_bytes < 0:
             raise ValueError(f"cache capacity must be non-negative: {capacity_bytes}")
         self.capacity_bytes = capacity_bytes
-        self.counters = counters if counters is not None else ReadCacheCounters()
+        self.counters = counters
         self._entries: OrderedDict[int, _Entry] = OrderedDict()
         self._bytes = 0
 

@@ -293,7 +293,7 @@ class OpenSegment:
     rebuilt ``bytes``.
     """
 
-    def __init__(self, index: int, config: LLDConfig, buffer: memoryview | None = None) -> None:
+    def __init__(self, index: int, config: LLDConfig, buffer: memoryview) -> None:
         self.index = index
         self.config = config
         summary_capacity = config.summary_capacity
@@ -301,9 +301,7 @@ class OpenSegment:
         # padding (summary tail, final data sector) is free. The log
         # writer passes ``buffer``, a zeroed ``segment_size`` window of its
         # row buffer, so that neighbouring segments are contiguous in
-        # memory as their slots are on disk; alone, the segment owns one.
-        if buffer is None:
-            buffer = memoryview(bytearray(config.segment_size))
+        # memory as their slots are on disk.
         self._image_view = buffer
         self._summary_capacity = summary_capacity
         #: Data area as a writable zero-copy window into the slot image.

@@ -32,7 +32,7 @@ class SlotTable:
     ``LLDState``) calls :meth:`live` as a slot's usage crosses zero;
     ``moved(slot, old, new, cause)`` hears every state change."""
 
-    def __init__(self, count: int, state, arus, moved: Callable | None = None) -> None:
+    def __init__(self, count: int, state, arus, moved: Callable) -> None:
         self.state = state
         self.arus = arus
         self.moved = moved
@@ -134,8 +134,7 @@ class SlotTable:
         self._in[old].discard(slot)
         self._in[new].add(slot)
         self.of[slot] = new
-        if self.moved is not None:
-            self.moved(slot, old, new, cause)
+        self.moved(slot, old, new, cause)
 
     def _guard(self, ok: bool, event: str, slot: int) -> None:
         if not ok:

@@ -11,11 +11,11 @@ attribution a first-class capability of the reproduction, and answers
   time) and linked to the span active when it was opened, so one MINIX
   ``fsync`` expands into its data-tail write, summary write, and barrier.
 * :mod:`repro.obs.metrics` — :class:`Counters`, the base every
-  per-layer stats class derives ``snapshot()`` / ``as_dict()`` /
-  ``reset()`` from, and a :class:`MetricsRegistry` that adopts them
-  behind one :class:`Snapshot` protocol and merges them into a single
-  layer-prefixed dict; :meth:`~MetricsRegistry.collect_delta` diffs two
-  collections.
+  per-layer stats class derives ``as_dict()`` from, and a
+  :class:`MetricsRegistry` that adopts anything with an ``as_dict()``
+  and merges them into a single layer-prefixed dict;
+  :meth:`~MetricsRegistry.collect_delta` diffs two collections, the one
+  window onto the counters.
 * :mod:`repro.obs.stack` — the one walker over a built stack, and what
   is written on it: :func:`attach_tracer` / :func:`attach_events`,
   constructor-time inheritance, and :func:`registry_of`.
@@ -23,7 +23,7 @@ attribution a first-class capability of the reproduction, and answers
   log-bucketed sketch every latency series in the tree records into.
 * :mod:`repro.obs.events` — :class:`EventLog`, the structured state-
   change log (member failures, rebuilds, cleaner passes, checkpoints,
-  scheduler saturation), exported as JSONL beside ``trace.json``.
+  scheduler queue high-water marks), exported as JSONL beside ``trace.json``.
 * :mod:`repro.obs.export` — Chrome ``trace_event`` JSON and JSONL
   exporters plus loaders for round-tripping traces.
 * ``python -m repro.obs trace.json`` — per-layer latency/ops dashboard
@@ -45,7 +45,7 @@ from repro.obs.export import (
     load_trace,
 )
 from repro.obs.hist import LatencyHistogram
-from repro.obs.metrics import Counters, MetricsRegistry, Snapshot, diff_payloads
+from repro.obs.metrics import Counters, MetricsRegistry, diff_payloads
 from repro.obs import stack
 from repro.obs.stack import registry_of
 from repro.obs.trace import NULL_SPAN, Span, Tracer
@@ -57,7 +57,6 @@ __all__ = [
     "EventLog",
     "LatencyHistogram",
     "MetricsRegistry",
-    "Snapshot",
     "Span",
     "Tracer",
     "attach_events",
@@ -88,8 +87,8 @@ def attach_events(log: EventLog | None, *components) -> EventLog | None:
     """Attach an :class:`EventLog` to ``components`` and the stack below.
 
     The event-emitting choke points (volume membership changes, cleaner
-    passes, checkpoints, scheduler saturation, ...) start recording into
-    ``log``; passing ``None`` detaches.
+    passes, checkpoints, scheduler queue high-water marks, ...) start
+    recording into ``log``; passing ``None`` detaches.
     """
     stack.attach(*components, events=log)
     return log

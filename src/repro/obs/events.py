@@ -2,8 +2,8 @@
 
 Spans answer "where did the time go"; counters answer "how much in
 total". What neither captures is *state changes* — a member disk
-failing, a rebuild starting, the cleaner running a pass, a checkpoint
-being written, a scheduler forcing a rate-capped tenant through. The
+failing, a rebuild starting, the cleaner running a pass or starving, a
+checkpoint being written, a scheduler queue reaching a new depth. The
 event log records exactly those choke points as structured
 ``(t, layer, name, severity, payload)`` tuples in a bounded ring, and
 exports them as JSONL next to ``trace.json``.
@@ -120,13 +120,6 @@ class EventLog:
             and _SEVERITY_RANK[e.severity] >= floor
             and (since is None or e.t >= since)
         ]
-
-    def counts_by_name(self) -> dict[str, int]:
-        """``{event name: occurrences}`` over the retained window."""
-        counts: dict[str, int] = {}
-        for event in self.events:
-            counts[event.name] = counts.get(event.name, 0) + 1
-        return counts
 
     def clear(self) -> None:
         self.events.clear()

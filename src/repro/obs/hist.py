@@ -1,4 +1,4 @@
-"""Bounded log-bucketed latency histograms with mergeable snapshots.
+"""Bounded log-bucketed latency histograms that merge and subtract.
 
 Benchmarks and long-running simulations used to keep raw latency lists
 (``VolumeStats.read_latencies`` and friends) and sort them at report
@@ -133,8 +133,9 @@ class LatencyHistogram:
     def subtract(self, before: "LatencyHistogram") -> "LatencyHistogram":
         """New histogram holding the samples recorded since ``before``.
 
-        ``before`` must be an earlier snapshot of this histogram (or any
-        histogram whose buckets are a subset); counts clamp at zero so a
+        ``before`` must be this histogram as it was earlier (rebuilt with
+        :meth:`from_dict` from an earlier :meth:`as_dict`), or any
+        histogram whose buckets are a subset; counts clamp at zero so a
         mismatched subtraction degrades rather than going negative. The
         exact ``min``/``max`` of just-the-window cannot be recovered from
         two cumulative sketches, so the window's extrema are bounded by
@@ -155,22 +156,6 @@ class LatencyHistogram:
         if out.zeros:
             out.min = 0.0
         return out
-
-    def copy(self) -> "LatencyHistogram":
-        """Independent copy (the mergeable snapshot)."""
-        twin = LatencyHistogram()
-        twin.count = self.count
-        twin.total = self.total
-        twin.min = self.min
-        twin.max = self.max
-        twin.zeros = self.zeros
-        twin.buckets = dict(self.buckets)
-        return twin
-
-    # Snapshot-protocol spelling, so a bare histogram can also register
-    # directly in a MetricsRegistry.
-    def snapshot(self) -> "LatencyHistogram":
-        return self.copy()
 
     def as_dict(self) -> dict:
         """JSON-serializable form; recognized by ``collect_delta``.

@@ -4,10 +4,12 @@ Counters live where they are cheap to bump — ``DiskStats`` on the disk,
 ``LLDStats`` on the LD, ``StoreStats`` on the MINIX store, ``NVRAM`` and
 ``RecoveryReport`` on their subsystems. Each is a slotted dataclass over
 :class:`Counters`: the class declares its fields, its hot-path bump
-methods and its derived properties, and the base derives ``snapshot()``,
-``as_dict()`` and ``reset()`` from the field list. The registry adopts any
-object satisfying the :class:`Snapshot` protocol under a layer name and
-merges everything into a single deterministic, layer-prefixed dict.
+methods and its derived properties, and the base derives ``as_dict()``
+from the field list. The registry adopts any object with an ``as_dict()``
+under a layer name and merges everything into a single deterministic,
+layer-prefixed dict. A window onto the counters is two collections
+subtracted (:meth:`MetricsRegistry.collect_delta`, :func:`diff_payloads`):
+a stats object is never copied or zeroed.
 """
 
 from __future__ import annotations
@@ -15,24 +17,11 @@ from __future__ import annotations
 import dataclasses
 from collections import Counter
 from functools import cache
-from typing import ClassVar, Protocol, runtime_checkable
+from typing import ClassVar
 
 from repro.obs.hist import LatencyHistogram, is_histogram_dict
 
 _SCALARS = frozenset({int, float, bool, str, type(None)})
-
-
-def _copy(value):
-    """An independent copy of one field's value."""
-    if value.__class__ in _SCALARS:
-        return value
-    if isinstance(value, Counter):
-        return value.copy()
-    if isinstance(value, dict):
-        return {key: _copy(item) for key, item in value.items()}
-    if isinstance(value, (Counters, LatencyHistogram)):
-        return value.snapshot()
-    return value  # immutable (bytes), or a reference to what is described
 
 
 def _plain(value):
@@ -48,22 +37,9 @@ def _plain(value):
 
 
 @cache
-def _layout(cls) -> tuple[tuple, tuple, tuple]:
-    """``(every field name, the reported ones, (name, zero) per counter)``."""
-    fields = dataclasses.fields(cls)
-    reported = [f for f in fields if f.name not in cls.HIDDEN]
-    missing = dataclasses.MISSING
-    zeros = [
-        (f.name, f.default if f.default_factory is missing else f.default_factory)
-        for f in reported
-        if f.default_factory is not missing
-        or (f.default is not missing and f.default == 0)
-    ]
-    return (
-        tuple(f.name for f in fields),
-        tuple(f.name for f in reported),
-        tuple(zeros),
-    )
+def _reported(cls) -> tuple[str, ...]:
+    """The fields of ``cls`` that ``as_dict()`` reports, in order."""
+    return tuple(f.name for f in dataclasses.fields(cls) if f.name not in cls.HIDDEN)
 
 
 class Counters:
@@ -76,8 +52,7 @@ class Counters:
     :class:`LatencyHistogram`. Figures computed
     from the fields are properties named in :attr:`DERIVED`; fields that
     are the layer's working state rather than something it reports are
-    named in :attr:`HIDDEN` (copied by :meth:`snapshot`, absent from
-    :meth:`as_dict`, untouched by :meth:`reset`).
+    named in :attr:`HIDDEN` (absent from :meth:`as_dict`).
     """
 
     __slots__ = ()
@@ -85,35 +60,18 @@ class Counters:
     DERIVED: ClassVar[tuple[str, ...]] = ()
     HIDDEN: ClassVar[tuple[str, ...]] = ()
 
-    def snapshot(self):
-        """An independent copy (for before/after deltas)."""
-        every, _reported, _zeros = _layout(self.__class__)
-        twin = object.__new__(self.__class__)
-        for name in every:
-            setattr(twin, name, _copy(getattr(self, name)))
-        return twin
-
     def as_dict(self) -> dict:
         """Machine-readable form for benchmark JSON reports: every
         reported field, then the derived figures, so downstream tooling
-        never re-implements the arithmetic. One shallow walk — the
-        monitoring sampler calls this on every firing tick."""
-        _every, reported, _zeros = _layout(self.__class__)
+        never re-implements the arithmetic. The payload shares nothing
+        with the object, so one taken earlier is the start of a window."""
         out = {}
-        for name in reported:
+        for name in _reported(self.__class__):
             value = getattr(self, name)
             out[name] = value if value.__class__ in _SCALARS else _plain(value)
         for name in self.DERIVED:
             out[name] = getattr(self, name)
         return out
-
-    def reset(self) -> None:
-        """Zero what counts: every reported field that starts at zero or
-        empty. A field that starts elsewhere (``sector_size``,
-        ``capacity_bytes``) describes the object and is kept."""
-        _every, _reported, zeros = _layout(self.__class__)
-        for name, zero in zeros:
-            setattr(self, name, zero() if callable(zero) else zero)
 
 
 def diff_payloads(before: dict, after: dict) -> dict:
@@ -149,27 +107,14 @@ def diff_payloads(before: dict, after: dict) -> dict:
     return out
 
 
-@runtime_checkable
-class Snapshot(Protocol):
-    """What a stats object must provide to join the registry.
-
-    ``as_dict()`` returns the machine-readable counters/gauges/histograms
-    (plain JSON-serializable values); ``snapshot()`` returns an
-    independent copy for before/after deltas. Every :class:`Counters`
-    subclass and ``LatencyHistogram`` conform.
-    """
-
-    def as_dict(self) -> dict: ...
-
-    def snapshot(self): ...
-
-
 class MetricsRegistry:
     """Layer-named metric sources behind one ``collect()``.
 
-    Sources are either :class:`Snapshot` objects or zero-argument
-    callables returning a dict (for derived gauges). Layer names must be
-    dot-free — the dot is the prefix separator in the merged view.
+    Sources are either objects with an ``as_dict()`` (every
+    :class:`Counters` subclass, a :class:`LatencyHistogram`) or
+    zero-argument callables returning a dict (for derived gauges). Layer
+    names must be dot-free — the dot is the prefix separator in the
+    merged view.
     """
 
     def __init__(self) -> None:
@@ -187,11 +132,6 @@ class MetricsRegistry:
             )
         self._sources[layer] = source
 
-    def unregister(self, layer: str) -> None:
-        if layer not in self._sources:
-            raise KeyError(layer)
-        del self._sources[layer]
-
     @property
     def layers(self) -> list[str]:
         """Registered layer names, sorted (the collection order)."""
@@ -208,14 +148,6 @@ class MetricsRegistry:
             raise TypeError(f"layer {layer!r} produced {type(payload).__name__}, not dict")
         return payload
 
-    def collect_nested(self) -> dict:
-        """``{layer: payload}`` with layers and payload keys sorted."""
-        return {
-            layer: {key: payload[key] for key in sorted(payload)}
-            for layer in self.layers
-            for payload in (self._payload(layer),)
-        }
-
     def collect(self) -> dict:
         """One merged dict: ``{"<layer>.<key>": value}``, fully sorted.
 
@@ -224,9 +156,10 @@ class MetricsRegistry:
         to identical JSON.
         """
         out: dict = {}
-        for layer, payload in self.collect_nested().items():
-            for key, value in payload.items():
-                out[f"{layer}.{key}"] = value
+        for layer in self.layers:
+            payload = self._payload(layer)
+            for key in sorted(payload):
+                out[f"{layer}.{key}"] = payload[key]
         return out
 
     def collect_delta(self, before: dict) -> dict:

@@ -16,8 +16,7 @@ scheduler dispatches them —
 * **cross-tenant group commit**: deferrable flush intents pool across
   tenants and one physical flush acknowledges the batch
   (``group_commit=N``, the one spelling of group commit);
-* **fairness/QoS**: deficit round-robin with per-tenant weights and
-  work-conserving token-bucket rate caps.
+* **fairness/QoS**: deficit round-robin with per-tenant weights.
 
 Per-tenant program order and barrier-epoch semantics are preserved by
 construction and pinned down by property tests and a crash-matrix run in
@@ -32,7 +31,7 @@ from repro.sched.ops import (
     KIND_WRITE,
     Op,
 )
-from repro.sched.queues import TenantQueue, TokenBucket
+from repro.sched.queues import TenantQueue
 from repro.sched.scheduler import FIFOScheduler, QoSElevatorScheduler, Scheduler
 from repro.sched.server import LDServer, SchedulerStalledError
 from repro.sched.session import TenantSession
@@ -54,5 +53,4 @@ __all__ = [
     "TenantQueue",
     "TenantSchedStats",
     "TenantSession",
-    "TokenBucket",
 ]

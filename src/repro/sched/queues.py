@@ -1,17 +1,10 @@
-"""Per-tenant request queues: DRR deficits and token-bucket rate caps.
+"""Per-tenant request queues and their deficit-round-robin state.
 
 Each tenant session owns one :class:`TenantQueue`. The QoS scheduler
 serves queues deficit-round-robin: every visit adds ``quantum * weight``
 bytes of deficit and the queue may dispatch head ops until the deficit
 runs out — so over time each backlogged tenant receives disk work in
 proportion to its weight, independent of op sizes.
-
-A queue may also carry a :class:`TokenBucket` rate cap (bytes per
-simulated second). Buckets are *work-conserving*: when every runnable
-queue is throttled the scheduler overrides the cap for the oldest op
-rather than stalling, because simulated time only advances when the disk
-does work — a strictly-enforced cap would deadlock the clock it is
-metered against.
 """
 
 from __future__ import annotations
@@ -21,55 +14,19 @@ from collections import deque
 from repro.sched.stats import TenantSchedStats
 
 
-class TokenBucket:
-    """Byte-metered token bucket on the virtual clock."""
-
-    __slots__ = ("rate", "burst", "tokens", "last")
-
-    def __init__(self, rate: float, burst: float) -> None:
-        if rate <= 0:
-            raise ValueError(f"rate must be positive: {rate}")
-        if burst <= 0:
-            raise ValueError(f"burst must be positive: {burst}")
-        self.rate = float(rate)
-        self.burst = float(burst)
-        self.tokens = float(burst)
-        self.last = 0.0
-
-    def refill(self, now: float) -> None:
-        if now > self.last:
-            self.tokens = min(self.burst, self.tokens + (now - self.last) * self.rate)
-            self.last = now
-
-    def allow(self, cost: int) -> bool:
-        # An op bigger than the whole bucket must still be dispatchable,
-        # so the effective charge is clamped to the burst size.
-        return self.tokens >= min(float(cost), self.burst)
-
-    def consume(self, cost: int) -> None:
-        self.tokens -= min(float(cost), self.burst)
-
-
 class TenantQueue:
     """One tenant's FIFO of pending ops plus its QoS state."""
 
-    __slots__ = ("name", "weight", "ops", "deficit", "bucket", "stats")
+    __slots__ = ("name", "weight", "ops", "deficit", "stats")
 
-    def __init__(
-        self,
-        name: str,
-        weight: float = 1.0,
-        bucket: TokenBucket | None = None,
-        stats: TenantSchedStats | None = None,
-    ) -> None:
+    def __init__(self, name: str, weight: float, stats: TenantSchedStats) -> None:
         if weight <= 0:
             raise ValueError(f"tenant weight must be positive: {weight}")
         self.name = name
         self.weight = float(weight)
         self.ops = deque()
         self.deficit = 0.0
-        self.bucket = bucket
-        self.stats = stats if stats is not None else TenantSchedStats()
+        self.stats = stats
 
     def __len__(self) -> int:
         return len(self.ops)

@@ -7,10 +7,10 @@ Two policies ship:
   This is what "many clients over one synchronous LD" degenerates to
   without a scheduler, and the bar the QoS scheduler is benchmarked
   against.
-* :class:`QoSElevatorScheduler` — deficit-round-robin fairness with
-  token-bucket rate caps, cross-tenant read merging through the LD's
-  vectored path, elevator (spindle, LBA) ordering of each read batch,
-  and participation in the server's cross-tenant group commit.
+* :class:`QoSElevatorScheduler` — weighted deficit-round-robin
+  fairness, cross-tenant read merging through the LD's vectored path,
+  elevator (spindle, LBA) ordering of each read batch, and participation
+  in the server's cross-tenant group commit.
 
 Both only ever pop queue *heads*, so per-tenant program order is
 preserved by construction no matter what a policy does.
@@ -76,7 +76,7 @@ class FIFOScheduler(Scheduler):
 
 
 class QoSElevatorScheduler(Scheduler):
-    """DRR fairness + rate caps + elevator-merged reads + group commit,
+    """DRR fairness + elevator-merged reads + group commit,
     with the round shape fixed by :data:`QUANTUM_BYTES`,
     :data:`READ_BATCH_LIMIT` and :data:`DEFICIT_CAP_ROUNDS`."""
 
@@ -86,7 +86,6 @@ class QoSElevatorScheduler(Scheduler):
 
     def step(self, server) -> int:
         tenants = server.tenants
-        now = server.now()
         reads: list[tuple[Op, int, int]] = []
         inline = 0
         for name in server.rotation():
@@ -94,38 +93,10 @@ class QoSElevatorScheduler(Scheduler):
             if not queue.ops:
                 queue.deficit = 0.0
                 continue
-            bucket = queue.bucket
-            if bucket is not None:
-                bucket.refill(now)
-                if not bucket.allow(queue.ops[0].cost(server.block_size)):
-                    queue.stats.rate_limited += 1
-                    server.stats.rate_limited += 1
-                    continue
             self._grant(queue)
             inline += self._serve(server, queue, reads)
             if not queue.ops:
                 queue.deficit = 0.0
-        if not inline and not reads and server.queued:
-            # Every backlogged tenant is rate-capped. Simulated time only
-            # advances when the disk works, so a strict cap would freeze
-            # the clock the caps are metered against: stay work-conserving
-            # and force the oldest head op through.
-            queue = min(
-                (q for q in tenants.values() if q.ops),
-                key=lambda q: q.ops[0].arrival,
-            )
-            server.stats.rate_cap_overrides += 1
-            ev = server.events
-            if ev:
-                ev.emit(
-                    "sched.rate_cap_saturated",
-                    severity="warn",
-                    t=now,
-                    tenant=queue.name,
-                    overrides=server.stats.rate_cap_overrides,
-                )
-            self._grant(queue)
-            inline += self._serve(server, queue, reads, ignore_bucket=True)
         if reads:
             self._dispatch_elevator(server, reads)
         server.advance_rotation()
@@ -140,8 +111,6 @@ class QoSElevatorScheduler(Scheduler):
         server,
         queue: TenantQueue,
         reads: list[tuple[Op, int, int]],
-        *,
-        ignore_bucket: bool = False,
     ) -> int:
         """One DRR turn; returns the number of *inline* dispatches.
 
@@ -149,7 +118,6 @@ class QoSElevatorScheduler(Scheduler):
         the round's batch goes out.
         """
         ops = queue.ops
-        bucket = None if ignore_bucket else queue.bucket
         block_size = server.block_size
         head_kind = ops[0].kind
         first = True
@@ -167,8 +135,6 @@ class QoSElevatorScheduler(Scheduler):
                     break
                 ops.popleft()
                 queue.deficit -= cost
-                if bucket is not None:
-                    bucket.consume(cost)
                 if kind == KIND_READ:
                     reads.append((op, 0, op.bid))
                 else:
@@ -180,10 +146,7 @@ class QoSElevatorScheduler(Scheduler):
                 first = False
             return 0
         if head_kind == KIND_FLUSH:
-            op = ops.popleft()
-            if bucket is not None:
-                bucket.consume(op.cost(block_size))
-            server.dispatch_op(op)
+            server.dispatch_op(ops.popleft())
             return 1
         served = 0
         while ops:
@@ -196,8 +159,6 @@ class QoSElevatorScheduler(Scheduler):
                 break
             ops.popleft()
             queue.deficit -= cost
-            if bucket is not None:
-                bucket.consume(cost)
             server.dispatch_op(op)
             served += 1
             first = False

@@ -67,7 +67,7 @@ from repro.sched.ops import (
     KIND_WRITE,
     Op,
 )
-from repro.sched.queues import TenantQueue, TokenBucket
+from repro.sched.queues import TenantQueue
 from repro.sched.stats import SchedStats
 
 
@@ -136,31 +136,14 @@ class LDServer:
     # Sessions
     # ------------------------------------------------------------------
 
-    def open_session(
-        self,
-        name: str,
-        *,
-        weight: float = 1.0,
-        rate_bytes_per_sec: float | None = None,
-        burst_bytes: float | None = None,
-    ):
+    def open_session(self, name: str, *, weight: float = 1.0):
         """Open a tenant session; returns its LD-compatible handle.
-
-        ``weight`` scales the tenant's deficit-round-robin share;
-        ``rate_bytes_per_sec`` adds a token-bucket cap (burst defaults to
-        one simulated second of rate).
-        """
+        ``weight`` scales the tenant's deficit-round-robin share."""
         from repro.sched.session import TenantSession
 
         if name in self.tenants:
             raise ValueError(f"tenant session already open: {name!r}")
-        bucket = None
-        if rate_bytes_per_sec is not None:
-            bucket = TokenBucket(
-                rate_bytes_per_sec,
-                burst_bytes if burst_bytes is not None else rate_bytes_per_sec,
-            )
-        queue = TenantQueue(name, weight, bucket, self.stats.tenant(name))
+        queue = TenantQueue(name, weight, self.stats.tenant(name))
         self.tenants[name] = queue
         self._names.append(name)
         session = TenantSession(self, queue)
@@ -251,7 +234,7 @@ class LDServer:
             # what keeps a single tenant's wall-clock cost close to
             # driving the LD directly.
             queue = self.tenants[until.tenant]
-            if queue.ops and queue.ops[0] is until and queue.bucket is None:
+            if queue.ops and queue.ops[0] is until:
                 queue.ops.popleft()
                 if until.kind == KIND_READ_BLOCKS:
                     until.pending = 0

@@ -1,9 +1,9 @@
 """Scheduler counters: the ``sched.*`` metrics namespace.
 
-:class:`SchedStats` follows the same :class:`~repro.obs.metrics.Snapshot`
-protocol as ``LLDStats``/``DiskStats``, so a server registers under the
-``"sched"`` layer of a :class:`~repro.obs.MetricsRegistry` and its
-figures land in BENCH reports beside every other layer's.
+:class:`SchedStats` is a :class:`~repro.obs.metrics.Counters` like
+``LLDStats``/``DiskStats``, so a server registers under the ``"sched"``
+layer of a :class:`~repro.obs.MetricsRegistry` and its figures land in
+BENCH reports beside every other layer's.
 
 Per-tenant figures live here only (``TenantSchedStats``: ops, reads,
 writes, bytes, flushes, acknowledgement latency); the LD below keeps no
@@ -31,7 +31,6 @@ class TenantSchedStats(Counters):
     calls: int = 0
     bytes_read: int = 0
     bytes_written: int = 0
-    rate_limited: int = 0
     #: Flush intents made durable, and their latency from submission
     #: to the acknowledgement — when the disks had the commit, not when
     #: it was dispatched (virtual seconds): the per-tenant fsync ack
@@ -55,7 +54,7 @@ class TenantSchedStats(Counters):
 
 @dataclass(slots=True)
 class SchedStats(Counters):
-    """Server-wide scheduler counters (Snapshot protocol)."""
+    """Server-wide scheduler counters."""
 
     ops_submitted: int = 0
     ops_dispatched: int = 0
@@ -92,8 +91,6 @@ class SchedStats(Counters):
 
     # Fairness / QoS machinery.
     rounds: int = 0
-    rate_limited: int = 0
-    rate_cap_overrides: int = 0
     max_queue_depth: int = 0
 
     tenants: dict = field(default_factory=dict)

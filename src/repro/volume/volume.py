@@ -76,7 +76,6 @@ recovers a failed member's extent for reads and the rebuild scanner.
 
 from __future__ import annotations
 
-from copy import deepcopy
 from dataclasses import dataclass, field
 
 from repro.disk.disk import SimulatedDisk
@@ -158,7 +157,7 @@ class VolumeGeometry:
     """
 
     def __init__(
-        self, member: DiskGeometry, total_sectors: int, full_stripe_sectors: int = 0
+        self, member: DiskGeometry, total_sectors: int, full_stripe_sectors: int
     ) -> None:
         #: Geometry every member spindle shares.
         self.member = member
@@ -187,8 +186,8 @@ class VolumeStats(Counters):
     """Volume-level rollup: request latencies, queue depth, spindle balance.
 
     On top of its own counters ``as_dict()`` folds in a live per-spindle
-    view taken from the member disks' own :class:`~repro.disk.DiskStats`;
-    a :meth:`snapshot` freezes that view. Request latencies record into
+    view taken from the member disks' own :class:`~repro.disk.DiskStats`.
+    Request latencies record into
     bounded :class:`~repro.obs.hist.LatencyHistogram` sketches.
     """
 
@@ -228,10 +227,8 @@ class VolumeStats(Counters):
     inflight_writes: int = 0
     #: The part of them dispatched since the last barrier.
     epoch_writes: int = 0
-    #: The per-spindle view as :meth:`snapshot` found it; None while live.
-    frozen: dict | None = None
 
-    HIDDEN = ("volume", "inflight_writes", "epoch_writes", "frozen")
+    HIDDEN = ("volume", "inflight_writes", "epoch_writes")
     DERIVED = (
         "read_latency_p50", "read_latency_p99",
         "write_latency_p50", "write_latency_p99",
@@ -284,10 +281,8 @@ class VolumeStats(Counters):
         return min(values) / top
 
     def rollup(self) -> dict:
-        """The volume's shape and health and its members' own counters:
-        read from them now, or as a snapshot froze them."""
-        if self.frozen is not None:
-            return deepcopy(self.frozen)
+        """The volume's shape and health and its members' own counters,
+        read from them now."""
         volume = self.volume
         per_disk = [
             {"index": i, "alive": volume.alive[i]}
@@ -311,11 +306,6 @@ class VolumeStats(Counters):
 
     def as_dict(self) -> dict:
         return Counters.as_dict(self) | self.rollup()
-
-    def snapshot(self) -> "VolumeStats":
-        twin = Counters.snapshot(self)
-        twin.frozen = self.rollup()
-        return twin
 
 
 #: A pre-read candidate: ``(member, plba, nsectors, resident)``, where

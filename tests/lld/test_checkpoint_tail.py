@@ -319,8 +319,9 @@ def test_one_slot_checkpoints_only_at_shutdown():
     assert {bid: again.read(bid) for bid in bids} == expected
 
 
-def test_the_incremental_image_loads_to_the_live_tables():
-    lld = make_lld(checkpoint_slots=2, max_tombstones=64)
+def test_the_incremental_image_loads_to_the_live_tables(monkeypatch):
+    monkeypatch.setattr("repro.lld.cleaner.MAX_TOMBSTONES", 64)
+    lld = make_lld(checkpoint_slots=2)
     lid, bids, _ = populate(lld)
     for bid in bids[::3]:
         lld.delete_block(bid, lid)

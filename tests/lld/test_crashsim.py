@@ -174,14 +174,15 @@ class TestEnumerator:
         assert image.peek(8, 2) == b"b" * 1024  # first two sectors landed
         assert image.peek(10, 2) == b"\x00" * 1024  # rest did not
 
-    def test_max_states_cap(self):
+    def test_max_states_cap(self, monkeypatch):
         _disk, recording = self.build()
-        states = CrashStateEnumerator(recording, max_states=4).enumerate()
+        monkeypatch.setattr("repro.crashsim.explorer.MAX_STATES", 4)
+        states = CrashStateEnumerator(recording).enumerate()
         assert len(states) == 4
 
-    def test_torn_split_sampling_keeps_boundaries(self):
+    def test_torn_split_sampling_keeps_boundaries(self, monkeypatch):
+        monkeypatch.setattr("repro.crashsim.explorer.MAX_TORN_SPLITS_PER_WRITE", 4)
         enum = CrashStateEnumerator.__new__(CrashStateEnumerator)
-        enum.max_torn_splits_per_write = 4
         splits = enum._torn_splits(128)
         assert len(splits) == 4
         assert splits[0] == 1 and splits[-1] == 127

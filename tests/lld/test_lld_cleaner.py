@@ -241,8 +241,9 @@ def test_space_recovered_after_out_of_space():
     assert lld.read(fresh) == data
 
 
-def test_tombstone_compaction_bounds_memory():
-    lld = make_lld(capacity_mb=2, max_tombstones=32)
+def test_tombstone_compaction_bounds_memory(monkeypatch):
+    monkeypatch.setattr("repro.lld.cleaner.MAX_TOMBSTONES", 32)
+    lld = make_lld(capacity_mb=2)
     lid = lld.new_list()
     data = b"\x31" * 4096
     bids = fill_blocks(lld, lid, 150, data)

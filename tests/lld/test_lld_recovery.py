@@ -142,9 +142,9 @@ def test_recovery_reads_only_summaries():
     from repro.lld import LLD
 
     fresh = LLD(lld.disk, lld.config)
-    before = lld.disk.stats.snapshot()
+    before = lld.disk.stats.as_dict()
     fresh.initialize()
-    sectors_read = lld.disk.stats.sectors_read - before.sectors_read
+    sectors_read = lld.disk.stats.sectors_read - before["sectors_read"]
     max_expected = (
         fresh.layout.segment_count * fresh.config.summary_sectors
         + fresh.layout.checkpoint_sectors

@@ -109,3 +109,72 @@ def test_delete_returns_space():
     lld.write(bid, b"\x03" * 4096)
     lld.delete_block(bid, lid)
     assert lld._free_bytes() == before
+
+
+# ----------------------------------------------------------------------
+# A full log: found by the cleaner, once, before it churns
+# ----------------------------------------------------------------------
+
+
+def _attach_log(lld):
+    from repro.obs import EventLog, attach_events
+
+    return attach_events(EventLog(lld.disk.clock), lld)
+
+
+def _starved_once(log, lld):
+    """One ``lld.cleaner_starved``, the last thing the log did."""
+    [event] = log.select(name="lld.cleaner_starved")
+    assert log.events[-1] is event
+    assert event.severity == "error" and event.t == lld.disk.clock.now
+
+
+def test_a_log_full_of_one_byte_blocks_fails_at_the_pass_that_gains_nothing():
+    """Admission control counts data bytes, so a 1 MB LLD takes 1-byte
+    blocks until their summary records fill every segment. The cleaner
+    then empties one slot by filling the one just opened: the pass that
+    leaves an empty segment no room for a block is where the write fails,
+    with one ``lld.cleaner_starved``. The client gets the same 860 blocks
+    in as when the log churned on until its own guard tripped, and the
+    run stops at 49 seals where it took 63: the 14 after it only moved
+    full segments around."""
+    lld = make_lld(capacity_mb=1)
+    log = _attach_log(lld)
+    lid, written = lld.new_list(), 0
+    with pytest.raises(OutOfSpaceError, match="live blocks fill an empty one"):
+        while True:
+            bid = lld.new_block(lid, LIST_HEAD)
+            lld.write(bid, b"x")
+            written += 1
+    assert written == 860
+    assert lld.stats.segments_sealed == 49
+    _starved_once(log, lld)
+
+
+def test_overwrites_inside_one_open_unit_fail_at_the_first_pass_that_gains_nothing():
+    """An open ARU pins every slot its overwrites superseded, so the
+    cleaner can take only the fully live segments the unit wrote: cleaning
+    the first one fills the segment the seal just opened. The write fails
+    there, after 6 seals and one pass since the unit began, with one
+    ``lld.cleaner_starved`` — where the log used to clean 15 full segments
+    over 20 seals before its guard tripped. The unit got the same 80
+    overwrites in."""
+    lld = make_lld(capacity_mb=1)
+    lid, pred, bids = lld.new_list(), LIST_HEAD, []
+    for i in range(100):
+        pred = lld.new_block(lid, pred)
+        lld.write(pred, bytes([i]) * 4096)
+        bids.append(pred)
+    lld.flush()
+    log = _attach_log(lld)
+    seals, cleanings = lld.stats.segments_sealed, lld.stats.cleanings
+    lld.begin_aru()
+    overwrites = 0
+    with pytest.raises(OutOfSpaceError, match="live blocks fill an empty one"):
+        while True:
+            lld.write(bids[overwrites % len(bids)], b"\x07" * 4096)
+            overwrites += 1
+    assert overwrites == 80
+    assert lld.stats.segments_sealed - seals == 6
+    assert lld.stats.cleanings - cleanings == 1
+    _starved_once(log, lld)

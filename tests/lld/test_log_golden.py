@@ -4,7 +4,7 @@ write path (the counterpart of ``tests/volume/test_request_plan_golden.py``).
 Eight scripted workloads drive an LLD through everything its log writer
 distinguishes — partial flushes (absorbed, delta, full image), seals,
 overwrites, deletes, explicit and space-driven cleaner passes, tombstone
-compaction and ``scrub_slot`` (small ``max_tombstones``), ARUs
+compaction and ``scrub_slot`` (a small ``MAX_TOMBSTONES``), ARUs
 (committed, aborted, nested ``aru()``, crashed open), ``swap_contents``,
 ``reorganize`` / ``reorganize_hot``, compression, the read cache, and
 crash → NVRAM replay → recovery in mid-script — on every combination of
@@ -163,6 +163,8 @@ import itertools
 import json
 import random
 import zlib
+from contextlib import ExitStack
+from unittest.mock import patch
 
 import pytest
 
@@ -533,7 +535,7 @@ def script_compaction(rig: Rig) -> None:
             lld.delete_block(bid, lid)
         lld.delete_list(lid)
     lld.flush()
-    # One bulk delete far past 8 x max_tombstones: the next seal cleans
+    # One bulk delete far past 8 x MAX_TOMBSTONES: the next seal cleans
     # live cold segments to retire them (deep pass).
     lid = lld.new_list()
     rig.grow(lid, 180, 64)
@@ -717,15 +719,20 @@ def script_nvram_replay(rig: Rig) -> None:
     lld.flush()
 
 
+#: script -> (body, ``LLDConfig`` overrides, module constants it runs under).
 SCRIPTS = {
-    "flushes": (script_flushes, {}),
-    "deletes_clean": (script_deletes_clean, {}),
-    "compaction": (script_compaction, {"max_tombstones": 16}),
-    "arus": (script_arus, {}),
-    "reorganize": (script_reorganize, {}),
-    "compression": (script_compression, {}),
-    "read_cache": (script_read_cache, {"read_cache_enabled": True, "read_ahead_blocks": 4}),
-    "nvram_replay": (script_nvram_replay, {}),
+    "flushes": (script_flushes, {}, {}),
+    "deletes_clean": (script_deletes_clean, {}, {}),
+    "compaction": (script_compaction, {}, {"repro.lld.cleaner.MAX_TOMBSTONES": 16}),
+    "arus": (script_arus, {}, {}),
+    "reorganize": (script_reorganize, {}, {}),
+    "compression": (script_compression, {}, {}),
+    "read_cache": (
+        script_read_cache,
+        {"read_cache_enabled": True},
+        {"repro.lld.lld.READ_AHEAD_BLOCKS": 4},
+    ),
+    "nvram_replay": (script_nvram_replay, {}, {}),
 }
 
 CONFIGS = [
@@ -779,10 +786,13 @@ def _recovered(rig: Rig) -> dict:
 
 def collect(script: str, device: str, delta: bool, nvram: bool) -> dict:
     """Run one script; everything a change to the log writer could move."""
-    body, config = SCRIPTS[script]
-    rig = Rig(script, device, delta, nvram, **config)
-    body(rig)
-    return observe(rig)
+    body, config, constants = SCRIPTS[script]
+    with ExitStack() as stack:
+        for target, value in constants.items():
+            stack.enter_context(patch(target, value))
+        rig = Rig(script, device, delta, nvram, **config)
+        body(rig)
+        return observe(rig)
 
 
 def observe(rig: Rig) -> dict:

@@ -14,6 +14,12 @@ from repro.lld.config import READ_CACHE_BYTES
 from tests.lld.conftest import make_lld, reopen
 
 
+@pytest.fixture
+def no_read_ahead(monkeypatch):
+    """Read-ahead off: a miss fetches the block asked for and no more."""
+    monkeypatch.setattr("repro.lld.lld.READ_AHEAD_BLOCKS", 0)
+
+
 def payload(i: int) -> bytes:
     """Distinct, partially-filled block contents for block #i."""
     return bytes([0x41 + (i % 26)]) * (1000 + 137 * (i % 20))
@@ -143,8 +149,8 @@ def test_cache_disabled_by_default():
     assert lld.read_cache is None
 
 
-def test_cache_serves_repeat_reads_without_disk_io():
-    lld = make_lld(read_cache_enabled=True, read_ahead_blocks=0)
+def test_cache_serves_repeat_reads_without_disk_io(no_read_ahead):
+    lld = make_lld(read_cache_enabled=True)
     _, bids = build_chain(lld, 3)
     fill_to_seal(lld)
     first = [lld.read(b) for b in bids]
@@ -185,8 +191,8 @@ def test_cache_on_and_off_agree_byte_for_byte():
 # ----------------------------------------------------------------------
 
 
-def test_overwrite_invalidates_cached_block():
-    lld = make_lld(read_cache_enabled=True, read_ahead_blocks=0)
+def test_overwrite_invalidates_cached_block(no_read_ahead):
+    lld = make_lld(read_cache_enabled=True)
     _, bids = build_chain(lld, 2)
     fill_to_seal(lld)
     bid = bids[0]
@@ -199,8 +205,8 @@ def test_overwrite_invalidates_cached_block():
     assert lld.read(bid) == b"rewritten"
 
 
-def test_delete_invalidates_cached_block():
-    lld = make_lld(read_cache_enabled=True, read_ahead_blocks=0)
+def test_delete_invalidates_cached_block(no_read_ahead):
+    lld = make_lld(read_cache_enabled=True)
     lid, bids = build_chain(lld, 2)
     fill_to_seal(lld)
     lld.read(bids[1])
@@ -209,8 +215,8 @@ def test_delete_invalidates_cached_block():
     assert bids[1] not in lld.read_cache
 
 
-def test_swap_contents_invalidates_both_blocks():
-    lld = make_lld(read_cache_enabled=True, read_ahead_blocks=0)
+def test_swap_contents_invalidates_both_blocks(no_read_ahead):
+    lld = make_lld(read_cache_enabled=True)
     _, bids = build_chain(lld, 2)
     fill_to_seal(lld)
     a, b = bids
@@ -221,8 +227,8 @@ def test_swap_contents_invalidates_both_blocks():
     assert lld.read(b) == payload(0)
 
 
-def test_cleaning_invalidates_and_rereads_from_new_location():
-    lld = make_lld(read_cache_enabled=True, read_ahead_blocks=0)
+def test_cleaning_invalidates_and_rereads_from_new_location(no_read_ahead):
+    lld = make_lld(read_cache_enabled=True)
     _, bids = build_chain(lld, 4)
     fill_to_seal(lld)
     bid = bids[0]
@@ -243,8 +249,8 @@ def test_cleaning_invalidates_and_rereads_from_new_location():
     assert lld.read(bid) == payload(0)
 
 
-def test_hot_reorganizer_invalidates_moved_blocks():
-    lld = make_lld(read_cache_enabled=True, read_ahead_blocks=0)
+def test_hot_reorganizer_invalidates_moved_blocks(no_read_ahead):
+    lld = make_lld(read_cache_enabled=True)
     _, bids = build_chain(lld, 6)
     fill_to_seal(lld)
     for _ in range(5):
@@ -276,7 +282,7 @@ def test_crash_recovery_starts_with_cold_cache():
 
 
 def test_sequential_scan_prefetches_successors():
-    lld = make_lld(read_cache_enabled=True, read_ahead_blocks=8)
+    lld = make_lld(read_cache_enabled=True)
     _, bids = build_chain(lld, 8)
     fill_to_seal(lld)
     before = lld.disk.stats.reads
@@ -292,7 +298,7 @@ def test_sequential_scan_prefetches_successors():
 
 
 def test_read_ahead_stops_at_fragmentation_boundary():
-    lld = make_lld(read_cache_enabled=True, read_ahead_blocks=8)
+    lld = make_lld(read_cache_enabled=True)
     la, lb = lld.new_list(), lld.new_list()
     a1 = lld.new_block(la, LIST_HEAD)
     lld.write(a1, payload(0))
@@ -307,20 +313,10 @@ def test_read_ahead_stops_at_fragmentation_boundary():
     assert lld.read(a2) == payload(2)
 
 
-def test_read_ahead_disabled_with_zero_blocks():
-    lld = make_lld(read_cache_enabled=True, read_ahead_blocks=0)
+def test_read_ahead_disabled_with_zero_blocks(no_read_ahead):
+    lld = make_lld(read_cache_enabled=True)
     _, bids = build_chain(lld, 4)
     fill_to_seal(lld)
     lld.read(bids[0])
     assert lld.stats.prefetch_issued == 0
     assert all(b not in lld.read_cache for b in bids[1:])
-
-
-# ----------------------------------------------------------------------
-# Config validation
-# ----------------------------------------------------------------------
-
-
-def test_config_rejects_negative_read_ahead():
-    with pytest.raises(Exception):
-        make_lld(read_ahead_blocks=-1)

@@ -6,7 +6,7 @@ from repro.lld.readcache import ReadCache, ReadCacheCounters
 
 
 def test_hit_and_miss_counters():
-    cache = ReadCache(1024)
+    cache = ReadCache(1024, ReadCacheCounters())
     assert cache.get(1) is None
     cache.put(1, b"abc")
     assert cache.get(1) == b"abc"
@@ -16,7 +16,7 @@ def test_hit_and_miss_counters():
 
 
 def test_empty_block_contents_are_cacheable():
-    cache = ReadCache(16)
+    cache = ReadCache(16, ReadCacheCounters())
     cache.put(7, b"")
     # b"" is falsy but a perfectly valid cached value.
     assert cache.get(7) == b""
@@ -24,7 +24,7 @@ def test_empty_block_contents_are_cacheable():
 
 
 def test_lru_eviction_order():
-    cache = ReadCache(3)
+    cache = ReadCache(3, ReadCacheCounters())
     cache.put(1, b"a")
     cache.put(2, b"b")
     cache.put(3, b"c")
@@ -37,7 +37,7 @@ def test_lru_eviction_order():
 
 
 def test_byte_bound_is_strict():
-    cache = ReadCache(10)
+    cache = ReadCache(10, ReadCacheCounters())
     cache.put(1, b"x" * 4)
     cache.put(2, b"y" * 4)
     cache.put(3, b"z" * 4)  # 12 bytes > 10: must evict down to the bound
@@ -47,7 +47,7 @@ def test_byte_bound_is_strict():
 
 
 def test_oversized_insert_rejected_without_thrash():
-    cache = ReadCache(8)
+    cache = ReadCache(8, ReadCacheCounters())
     cache.put(1, b"a" * 8)
     assert cache.put(2, b"b" * 9) is False
     # The resident entry survives; nothing was evicted for a lost cause.
@@ -56,7 +56,7 @@ def test_oversized_insert_rejected_without_thrash():
 
 
 def test_replacing_entry_adjusts_byte_accounting():
-    cache = ReadCache(100)
+    cache = ReadCache(100, ReadCacheCounters())
     cache.put(1, b"a" * 60)
     cache.put(1, b"b" * 10)
     assert cache.current_bytes == 10
@@ -64,7 +64,7 @@ def test_replacing_entry_adjusts_byte_accounting():
 
 
 def test_invalidate_removes_and_counts():
-    cache = ReadCache(64)
+    cache = ReadCache(64, ReadCacheCounters())
     cache.put(1, b"abc")
     assert cache.invalidate(1) is True
     assert cache.invalidate(1) is False  # already gone
@@ -75,7 +75,7 @@ def test_invalidate_removes_and_counts():
 
 
 def test_prefetch_lifecycle_used():
-    cache = ReadCache(64)
+    cache = ReadCache(64, ReadCacheCounters())
     cache.put(1, b"abc", prefetched=True)
     assert cache.counters.prefetch_issued == 1
     assert cache.get(1) == b"abc"
@@ -87,7 +87,7 @@ def test_prefetch_lifecycle_used():
 
 
 def test_prefetch_lifecycle_wasted_on_eviction_and_invalidation():
-    cache = ReadCache(4)
+    cache = ReadCache(4, ReadCacheCounters())
     cache.put(1, b"aa", prefetched=True)
     cache.put(2, b"bb", prefetched=True)
     cache.put(3, b"cc")  # evicts 1, never read -> wasted
@@ -98,7 +98,7 @@ def test_prefetch_lifecycle_wasted_on_eviction_and_invalidation():
 
 
 def test_clear_drops_everything_without_counter_churn():
-    cache = ReadCache(64)
+    cache = ReadCache(64, ReadCacheCounters())
     cache.put(1, b"a")
     cache.put(2, b"b", prefetched=True)
     before = (
@@ -118,7 +118,7 @@ def test_clear_drops_everything_without_counter_churn():
 
 
 def test_contains_has_no_side_effects():
-    cache = ReadCache(8)
+    cache = ReadCache(8, ReadCacheCounters())
     cache.put(1, b"a")
     cache.put(2, b"b")
     hits, misses = cache.counters.cache_hits, cache.counters.cache_misses
@@ -131,7 +131,7 @@ def test_contains_has_no_side_effects():
 
 
 def test_arrival_is_what_put_was_given():
-    cache = ReadCache(64)
+    cache = ReadCache(64, ReadCacheCounters())
     cache.put(1, b"a", at=2.5)
     cache.put(2, b"b")
     hits = cache.counters.cache_hits
@@ -154,7 +154,7 @@ def test_external_counter_sink():
 
 def test_negative_capacity_rejected():
     with pytest.raises(ValueError):
-        ReadCache(-1)
+        ReadCache(-1, ReadCacheCounters())
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ whole image again. Three things are pinned here:
 
 import random
 from dataclasses import replace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -67,12 +68,12 @@ def test_seal_over_a_durable_prefix_writes_only_the_tail():
     assert lld.stats.partial_full_writes == 1
     for bid in bids[:4]:
         lld.write(bid, fill(9))  # 12 of 15 blocks: past the 75% threshold
-    before = lld.disk.stats.snapshot()
-    partial = lld.stats.snapshot()
+    before = lld.disk.stats.as_dict()
+    partial = lld.stats.as_dict()
     lld.flush()
     assert lld.stats.segments_sealed == 1 and lld.stats.seals_by_delta == 1
-    written = lld.disk.stats.bytes_written - before.bytes_written
-    assert lld.disk.stats.writes - before.writes == 2  # data tail, summary
+    written = lld.disk.stats.bytes_written - before["bytes_written"]
+    assert lld.disk.stats.writes - before["writes"] == 2  # data tail, summary
     assert 4 * BLOCK < written < 5 * BLOCK
     assert lld.stats.seal_delta_bytes == written
     # A seal is not a partial flush.
@@ -80,7 +81,7 @@ def test_seal_over_a_durable_prefix_writes_only_the_tail():
         "partial_segment_writes", "partial_delta_flushes", "partial_full_writes",
         "partial_delta_noop", "partial_delta_data_bytes", "partial_delta_summary_bytes",
     ):
-        assert getattr(lld.stats, name) == getattr(partial, name), name
+        assert getattr(lld.stats, name) == partial[name], name
     assert lld.stats.data_bytes_physical == lld.disk.stats.bytes_written
 
 
@@ -100,11 +101,11 @@ def test_full_image_strategy_still_rewrites_the_whole_slot():
     lld.flush()
     for bid in bids[:4]:
         lld.write(bid, fill(9))
-    before = lld.disk.stats.snapshot()
+    before = lld.disk.stats.as_dict()
     lld.flush()
     assert lld.stats.segments_sealed == 1 and lld.stats.seals_by_delta == 0
-    assert lld.disk.stats.writes - before.writes == 1
-    assert lld.disk.stats.bytes_written - before.bytes_written > 12 * BLOCK
+    assert lld.disk.stats.writes - before["writes"] == 1
+    assert lld.disk.stats.bytes_written - before["bytes_written"] > 12 * BLOCK
 
 
 def test_seal_with_nothing_dirty_writes_only_its_header():
@@ -118,12 +119,12 @@ def test_seal_with_nothing_dirty_writes_only_its_header():
     assert lld.stats.segments_sealed == 0 and lld.stats.partial_segment_writes == 1
     lld.write(bids[0], fill(7, 3000))
     lld.flush()
-    before = lld.disk.stats.snapshot()
+    before = lld.disk.stats.as_dict()
     lld.write(bids[1], fill(8, big))  # no room: _make_room seals first
     assert lld.stats.segments_sealed == 1 and lld.stats.seals_by_delta == 1
-    assert lld.disk.stats.writes == before.writes + 1
-    assert lld.disk.stats.sectors_written == before.sectors_written + 1
-    assert lld.disk.stats.barriers == before.barriers + 1
+    assert lld.disk.stats.writes == before["writes"] + 1
+    assert lld.disk.stats.sectors_written == before["sectors_written"] + 1
+    assert lld.disk.stats.barriers == before["barriers"] + 1
     assert lld.stats.seal_delta_bytes == SECTOR
     assert lld.log.open.index != 0 and lld.read(bids[1]) == fill(8, big)
     sealed = parse_summary(lld.disk.peek(lld.layout.slot_lba(0), lld.config.summary_sectors))
@@ -299,12 +300,15 @@ def explore_seals(delta: bool):
     """Check every crash state that cuts, tears or reorders a seal's writes:
     everything before the seal applied, nothing after it, any of it."""
     config, recording, driver, ranges = recorded_seals(delta)
-    enum = CrashStateEnumerator(recording, max_torn_splits_per_write=12)
+    enum = CrashStateEnumerator(recording)
     checker = LLDCrashChecker(config, driver.oracle)
     full = tuple((event.seq, event.nsectors) for event in recording.events)
     kinds: dict[str, int] = {}
     violations = []
-    for state in enum.enumerate():
+    # Tear each write at up to 12 sector counts, not 8.
+    with patch("repro.crashsim.explorer.MAX_TORN_SPLITS_PER_WRITE", 12):
+        states = enum.enumerate()
+    for state in states:
         plan = state.plan
         if not any(
             plan[:a] == full[:a] and all(a <= seq < b for seq, _ in plan[a:])

@@ -27,6 +27,11 @@ def config():
     )
 
 
+def open_segment(index: int, cfg: LLDConfig) -> OpenSegment:
+    """An open segment over a zeroed buffer of its own."""
+    return OpenSegment(index, cfg, memoryview(bytearray(cfg.segment_size)))
+
+
 def test_serialize_parse_empty():
     image = serialize_summary([], 4096)
     assert len(image) == 4096
@@ -61,7 +66,7 @@ def test_a_rewritten_summary_reads_as_either_prefix():
     the data tail beside it, reads as the new prefix or as the one the
     slot's last write made durable — never as nothing."""
     cfg = config()
-    seg = OpenSegment(0, cfg)
+    seg = open_segment(0, cfg)
     for bid in range(60):  # two summary sectors of records
         seg.append_record(LinkRecord(bid=bid))
     seg.append_data(b"a" * 700)
@@ -139,7 +144,7 @@ def test_block_extent_misaligned_small_block():
 
 
 def test_open_segment_append_and_read():
-    seg = OpenSegment(3, config())
+    seg = open_segment(3, config())
     offset = seg.append_data(b"abc" * 100)
     assert offset == 0
     assert seg.read_data(0, 300) == b"abc" * 100
@@ -150,21 +155,21 @@ def test_open_segment_append_and_read():
 
 def test_open_segment_fill_fraction():
     cfg = config()
-    seg = OpenSegment(0, cfg)
+    seg = open_segment(0, cfg)
     seg.append_data(b"\x01" * (cfg.data_capacity // 2))
     assert seg.fill_fraction == pytest.approx(0.5)
 
 
 def test_open_segment_data_overflow():
     cfg = config()
-    seg = OpenSegment(0, cfg)
+    seg = open_segment(0, cfg)
     with pytest.raises(ValueError):
         seg.append_data(b"\x01" * (cfg.data_capacity + 1))
 
 
 def test_open_segment_summary_overflow():
     cfg = config()
-    seg = OpenSegment(0, cfg)
+    seg = open_segment(0, cfg)
     record = LinkRecord(bid=1)
     while seg.fits(0, record.packed_size):
         seg.append_record(LinkRecord(bid=1))
@@ -174,7 +179,7 @@ def test_open_segment_summary_overflow():
 
 def test_open_segment_image_roundtrips_summary():
     cfg = config()
-    seg = OpenSegment(0, cfg)
+    seg = open_segment(0, cfg)
     rec = LinkRecord(bid=5, successor=None)
     rec.timestamp = 9
     seg.append_record(rec)
@@ -186,7 +191,7 @@ def test_open_segment_image_roundtrips_summary():
 
 
 def test_min_timestamp():
-    seg = OpenSegment(0, config())
+    seg = open_segment(0, config())
     assert seg.min_timestamp() is None
     for ts in (7, 3, 9):
         rec = LinkRecord(bid=1)
@@ -229,7 +234,7 @@ def _reference_image(seg, cfg) -> bytes:
 
 def test_open_segment_matches_legacy_byte_for_byte():
     cfg = config()
-    seg = OpenSegment(3, cfg)
+    seg = open_segment(3, cfg)
     _fill(seg)
     assert bytes(seg.image()) == _reference_image(seg, cfg)
     assert seg.min_timestamp() == min(r.timestamp for r in seg.records) == 2
@@ -238,7 +243,7 @@ def test_open_segment_matches_legacy_byte_for_byte():
 def test_open_segment_delta_and_tail_match_reference_codec():
     """The delta-flush views are sector-aligned slices of the same image."""
     cfg = config()
-    seg = OpenSegment(3, cfg)
+    seg = open_segment(3, cfg)
     _fill(seg)
     reference = _reference_image(seg, cfg)
     delta_sectors = (seg.summary_used + SECTOR - 1) // SECTOR

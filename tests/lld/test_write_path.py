@@ -321,7 +321,7 @@ def test_free_slot_set_survives_clean_shutdown():
 # ----------------------------------------------------------------------
 
 
-def test_scrub_writes_are_counted_as_physical_bytes():
+def test_scrub_writes_are_counted_as_physical_bytes(monkeypatch):
     """``data_bytes_physical`` is what reached the disk, scrubs included.
 
     Tombstone compaction and ``scrub_slot`` overwrite stale summaries; a
@@ -329,7 +329,8 @@ def test_scrub_writes_are_counted_as_physical_bytes():
     under-report delete-heavy runs. No shutdown here, so no checkpoint
     bytes muddy the equality.
     """
-    lld = make_lld(max_tombstones=32)
+    monkeypatch.setattr("repro.lld.cleaner.MAX_TOMBSTONES", 32)
+    lld = make_lld()
     compactions = []
     compact = lld.cleaner.compact_tombstones
     lld.cleaner.compact_tombstones = lambda *a, **kw: compactions.append(compact(*a, **kw))

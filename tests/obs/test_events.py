@@ -75,12 +75,12 @@ def test_select_filters_compose():
     assert len(log.select(layer="volume", name="volume.rebuild_started")) == 1
 
 
-def test_counts_by_name_and_clear():
+def test_clear_keeps_the_lifetime_count():
     log = EventLog()
     log.emit("a.x")
     log.emit("a.x")
     log.emit("b.y")
-    assert log.counts_by_name() == {"a.x": 2, "b.y": 1}
+    assert [event.name for event in log] == ["a.x", "a.x", "b.y"]
     log.clear()
     assert len(log) == 0
     assert log.emitted == 3  # lifetime total survives a clear

@@ -82,7 +82,7 @@ def test_merge_is_count_exact():
     for v in (0.004, 0.008):
         b.record(v)
     b.record(0.0)
-    merged = a.copy().merge(b)
+    merged = LatencyHistogram.from_dict(a.as_dict()).merge(b)
     assert merged.count == 5
     assert merged.zeros == 1
     assert merged.min == 0.0
@@ -94,7 +94,7 @@ def test_subtract_recovers_the_window():
     hist = LatencyHistogram()
     for v in (0.001, 0.002):
         hist.record(v)
-    before = hist.snapshot()
+    before = LatencyHistogram.from_dict(hist.as_dict())
     for v in (0.100, 0.200, 0.400):
         hist.record(v)
     window = hist.subtract(before)

@@ -1,4 +1,9 @@
-"""Snapshot protocol conformance and MetricsRegistry behaviour."""
+"""The stats classes' payloads, the window onto them, and MetricsRegistry.
+
+A payload (``as_dict()``) is a snapshot: it shares nothing with the stats
+object, so one taken earlier is the start of a window, and
+:meth:`MetricsRegistry.collect_delta` is the window.
+"""
 
 import copy
 import dataclasses
@@ -14,7 +19,7 @@ from repro.lld.lld import LLDStats
 from repro.lld.nvram import NVRAM
 from repro.lld.readcache import ReadCacheCounters
 from repro.lld.recovery import RecoveryReport
-from repro.obs import Counters, LatencyHistogram, MetricsRegistry, Snapshot
+from repro.obs import Counters, LatencyHistogram, MetricsRegistry, diff_payloads
 from repro.sched.stats import SchedStats, TenantSchedStats
 from repro.sim import VirtualClock
 from repro.volume import Volume
@@ -72,28 +77,29 @@ def _disturb(container) -> None:
 
 @pytest.mark.parametrize("stats_type", STATS_TYPES)
 def test_stats_objects_satisfy_snapshot_protocol(stats_type):
+    """What the registry asks of a source: ``as_dict()``, a dict of JSON
+    values that ``collect()`` reports under the layer's prefix."""
     stats = stats_type()
-    assert isinstance(stats, Snapshot)
     assert isinstance(stats, Counters)
     _containers(stats)
     payload = stats.as_dict()
     assert isinstance(payload, dict)
     json.dumps(payload)  # every value is JSON-serializable
+    registry = MetricsRegistry()
+    registry.register("layer", stats)
+    assert registry.collect() == {f"layer.{key}": payload[key] for key in sorted(payload)}
 
 
 @pytest.mark.parametrize("stats_type", STATS_TYPES)
 def test_snapshot_is_an_independent_copy(stats_type):
+    """A payload taken earlier describes the object as it was then."""
     stats = stats_type()
     containers = _containers(stats)
-    before = stats.snapshot()
-    assert before is not stats
-    assert type(before) is type(stats)
-    captured = before.as_dict()
-    assert captured == stats.as_dict()
+    captured = stats.as_dict()
     frozen = copy.deepcopy(captured)
     # Mutating the original — a counter, and inside every nested container:
     # a tenant slice, a histogram bucket, a latency sketch, a per-disk row —
-    # must not change the snapshot.
+    # must not change the payload.
     counter = next(
         f.name
         for f in dataclasses.fields(stats)
@@ -105,42 +111,75 @@ def test_snapshot_is_an_independent_copy(stats_type):
     if hasattr(stats, "volume"):
         stats.volume.disks[0].stats.reads += 1
     assert stats.as_dict() != frozen
-    assert before.as_dict() == frozen
+    assert captured == frozen
     # Nor does a payload share anything with the object it describes.
     for value in captured.values():
         if isinstance(value, dict):
             value["intruder"] = 1
         elif isinstance(value, list):
             value[0]["reads"] = -1
-    assert before.as_dict() == frozen
-    assert before.snapshot().as_dict() == frozen
+    assert "intruder" not in json.dumps(stats.as_dict())
+
+
+def _numbers(payload):
+    """Every numeric leaf of a window, histogram sketches included. (A
+    list — the volume's ``per_disk`` rows — is state and passes through
+    a window whole.)"""
+    for value in payload.values():
+        if isinstance(value, dict):
+            yield from _numbers(value)
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield value
 
 
 @pytest.mark.parametrize("stats_type", STATS_TYPES)
 def test_reset_returns_every_counter_to_its_start(stats_type):
+    """A window opened now reads every counter at zero: the fresh start a
+    run once got by zeroing the object. Nothing is zeroed: the object
+    keeps counting."""
     stats = stats_type()
     for f in dataclasses.fields(stats):
         if f.default == 0 and f.name not in stats.HIDDEN:
             setattr(stats, f.name, f.default + 5)
     _containers(stats)
-    assert stats.as_dict() != stats_type().as_dict()
-    stats.reset()
-    fresh = stats_type()
-    if stats_type is _volume_stats:  # its factory has written to the volume
-        fresh.reset()
-    assert stats.as_dict() == fresh.as_dict()
+    registry = MetricsRegistry()
+    registry.register("layer", stats)
+    before = registry.collect()
+    window = registry.collect_delta(before)
+    assert window.keys() == before.keys()
+    numbers = list(_numbers(window))
+    assert numbers and not any(numbers)
+    assert registry.collect() == before
 
 
-def test_reset_keeps_what_an_nvram_holds_and_a_disk_is():
-    nvram = NVRAM(capacity_bytes=4096)
-    nvram.store(3, b"image")
-    nvram.reset()
-    assert (nvram.slot, nvram.image, nvram.capacity_bytes) == (3, b"image", 4096)
-    assert nvram.stores == nvram.bytes_stored == 0
-    disk = DiskStats(sector_size=1024)
-    disk.record_request(8, write=True)
-    disk.reset()
-    assert disk.as_dict() == DiskStats(sector_size=1024).as_dict()
+@pytest.mark.parametrize("stats_type", STATS_TYPES)
+def test_a_window_is_per_field_subtraction(stats_type):
+    """``collect_delta`` over a window in which every reported counter
+    moved reads, for each field, the later value minus the earlier one —
+    for every ``Counters`` subclass, its tenant slices included."""
+    stats = stats_type()
+    _containers(stats)
+    registry = MetricsRegistry()
+    registry.register("layer", stats)
+    before = registry.collect()
+    earlier = stats.as_dict()
+    counters = [
+        f.name
+        for f in dataclasses.fields(stats)
+        if type(getattr(stats, f.name)) in (int, float) and f.name not in stats.HIDDEN
+    ]
+    assert counters
+    for step, name in enumerate(counters, start=1):
+        setattr(stats, name, getattr(stats, name) + step)
+    if isinstance(stats, SchedStats):
+        stats.tenant("alice").writes += 4
+    later = stats.as_dict()
+    window = registry.collect_delta(before)
+    for step, name in enumerate(counters, start=1):
+        assert window[f"layer.{name}"] == later[name] - earlier[name] == step, name
+    if isinstance(stats, SchedStats):
+        assert window["layer.tenants"]["alice"]["writes"] == 4
+    assert window == {f"layer.{key}": value for key, value in diff_payloads(earlier, later).items()}
 
 
 def test_registry_collect_prefixes_layers():
@@ -162,9 +201,6 @@ def test_registry_collect_ordering_is_deterministic():
     registry.register("alpha", lambda: {"z": 26, "m": 13})
     keys = list(registry.collect())
     assert keys == ["alpha.m", "alpha.z", "zeta.a", "zeta.b"]
-    nested = registry.collect_nested()
-    assert list(nested) == ["alpha", "zeta"]
-    assert list(nested["zeta"]) == ["a", "b"]
 
 
 def test_registry_rejects_bad_layers_and_sources():
@@ -180,15 +216,12 @@ def test_registry_rejects_bad_layers_and_sources():
         registry.register("disk", DiskStats())  # duplicate
 
 
-def test_registry_membership_and_unregister():
+def test_registry_membership():
     registry = MetricsRegistry()
+    assert "disk" not in registry
     registry.register("disk", DiskStats())
     assert "disk" in registry
     assert registry.layers == ["disk"]
-    registry.unregister("disk")
-    assert "disk" not in registry
-    with pytest.raises(KeyError):
-        registry.unregister("disk")
 
 
 def test_registry_rejects_non_dict_payload_at_collect():
@@ -208,7 +241,6 @@ def test_disk_stats_bytes_follow_sector_size():
         payload = stats.as_dict()
         assert payload["sector_size"] == sector_size
         assert payload["bytes_written"] == 5 * sector_size
-        assert stats.snapshot().sector_size == sector_size
 
 
 def test_diff_payloads_subtracts_counters_and_recurses():

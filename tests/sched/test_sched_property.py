@@ -60,16 +60,13 @@ def scripts(draw):
     weights = [
         draw(st.sampled_from([0.5, 1.0, 2.0, 4.0])) for _ in range(n_tenants)
     ]
-    caps = [
-        draw(st.sampled_from([None, 8192.0])) for _ in range(n_tenants)
-    ]
     scheduler = draw(st.sampled_from(["fifo", "qos"]))
     group_commit = draw(st.integers(min_value=1, max_value=3))
     device = draw(st.sampled_from(["bare", "raid5"]))
-    return per_tenant, order, weights, caps, scheduler, group_commit, device
+    return per_tenant, order, weights, scheduler, group_commit, device
 
 
-def run_script(per_tenant, order, weights, caps, scheduler_name, group_commit, device="bare"):
+def run_script(per_tenant, order, weights, scheduler_name, group_commit, device="bare"):
     from repro.bench import make_scheduler
 
     server, lld = make_server(
@@ -79,10 +76,8 @@ def run_script(per_tenant, order, weights, caps, scheduler_name, group_commit, d
         device=device,
     )
     sessions = []
-    for i, (weight, cap) in enumerate(zip(weights, caps)):
-        sess = server.open_session(
-            f"t{i}", weight=weight, rate_bytes_per_sec=cap
-        )
+    for i, weight in enumerate(weights):
+        sess = server.open_session(f"t{i}", weight=weight)
         lid, bids = populate(sess, 3, size=512, tag=f"t{i}")
         sessions.append((sess, lid, bids))
     lld.log.seal()  # every tenant's blocks onto the medium
@@ -129,9 +124,9 @@ def run_script(per_tenant, order, weights, caps, scheduler_name, group_commit, d
 @given(scripts())
 @settings(max_examples=40, deadline=None)
 def test_dispatch_invariants(script):
-    per_tenant, order, weights, caps, scheduler, group_commit, device = script
+    per_tenant, order, weights, scheduler, group_commit, device = script
     server, submitted, mark, _setup = run_script(
-        per_tenant, order, weights, caps, scheduler, group_commit, device
+        per_tenant, order, weights, scheduler, group_commit, device
     )
     events = server.dispatch_log[mark:]
     submits = [(e[1], e[2]) for e in events if e[0] == "submit"]
@@ -178,11 +173,11 @@ def test_dispatch_invariants(script):
 @settings(max_examples=15, deadline=None)
 def test_results_are_independent_of_policy(script):
     """Both policies drain any script to the same per-op results."""
-    per_tenant, order, weights, caps, _scheduler, group_commit, device = script
+    per_tenant, order, weights, _scheduler, group_commit, device = script
     outcomes = []
     for name in ("fifo", "qos"):
         _server, submitted, _mark, _setup = run_script(
-            per_tenant, order, weights, caps, name, group_commit, device
+            per_tenant, order, weights, name, group_commit, device
         )
         # Not a flush's result (which commit it joined) nor an ARU's id (a
         # log timestamp): those depend on the interleaving.
@@ -202,7 +197,7 @@ def test_scripts_park_reads_on_raid5():
     order = [0, 1, 0, 1, 0, 1, 0]
     for scheduler in ("fifo", "qos"):
         server, submitted, _mark, _setup = run_script(
-            per_tenant, order, [1.0, 1.0], [None, None], scheduler, 2, "raid5"
+            per_tenant, order, [1.0, 1.0], scheduler, 2, "raid5"
         )
         assert server.stats.reads_parked >= 2
         assert all(op.done and op.error is None for op in submitted)

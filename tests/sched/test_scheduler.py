@@ -1,4 +1,4 @@
-"""Dispatch policies: FIFO ordering, DRR fairness, rate caps, elevator."""
+"""Dispatch policies: FIFO ordering, DRR fairness, elevator."""
 
 from repro.sched import FIFOScheduler, QoSElevatorScheduler
 from repro.sched.scheduler import READ_BATCH_LIMIT
@@ -78,45 +78,6 @@ class TestDRRFairness:
         a.submit_write(bids[0], b"w" * 512)
         server.drain()
         assert server.tenants["a"].deficit == 0.0
-
-
-# ----------------------------------------------------------------------
-# Token-bucket rate caps
-# ----------------------------------------------------------------------
-
-
-class TestRateCaps:
-    def test_capped_tenant_is_throttled_but_work_conserving(self):
-        server, _lld = make_server(QoSElevatorScheduler())
-        slow = server.open_session("slow", rate_bytes_per_sec=1024.0)
-        _lid, bids = populate(slow, 1, size=16)
-        ops = [slow.submit_write(bids[0], b"s" * 4096) for _ in range(40)]
-        server.drain()
-        # Writes absorb into the open segment without disk time passing,
-        # so a strict cap would freeze the clock: the override keeps the
-        # queue moving and is counted.
-        assert all(op.done and op.error is None for op in ops)
-        assert server.stats.rate_cap_overrides > 0
-        assert slow._queue.stats.rate_limited > 0
-        assert server.stats.rate_limited == slow._queue.stats.rate_limited
-
-    def test_uncapped_tenant_races_ahead_of_capped(self):
-        server, _lld = make_server(QoSElevatorScheduler())
-        slow = server.open_session("slow", rate_bytes_per_sec=1024.0)
-        fast = server.open_session("fast")
-        _lid_s, bids_s = populate(slow, 1, size=16)
-        _lid_f, bids_f = populate(fast, 1, size=16, tag="eff")
-        for _ in range(30):
-            slow.submit_write(bids_s[0], b"s" * 4096)
-            fast.submit_write(bids_f[0], b"f" * 4096)
-            fast.submit_write(bids_f[0], b"f" * 4096)
-        ws, wf = slow._queue.stats.writes, fast._queue.stats.writes
-        for _ in range(2):
-            server.step()
-        assert fast._queue.stats.writes - wf > slow._queue.stats.writes - ws
-        assert slow._queue.stats.rate_limited > 0
-        server.drain()
-        assert server.queued == 0
 
 
 # ----------------------------------------------------------------------

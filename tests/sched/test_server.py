@@ -5,6 +5,7 @@ import pytest
 from repro.disk import SimulatedDisk, fast_test_disk
 from repro.ld.errors import ARUError, LDError, NoSuchBlockError
 from repro.lld import LLD
+from repro.obs import diff_payloads
 from repro.sched import LDServer, QoSElevatorScheduler
 from repro.sim import VirtualClock
 
@@ -349,10 +350,14 @@ class TestAttribution:
         assert payload["ops_submitted"] == payload["ops_dispatched"]
 
     def test_snapshot_is_a_deep_copy(self):
+        """A payload taken earlier keeps its tenant slices as they were,
+        and is the start of a window onto the live counters."""
         server, _lld = make_server()
         a = server.open_session("a")
         populate(a, 1)
-        snap = server.stats.snapshot()
+        snap = server.stats.as_dict()
         populate(a, 1)
-        assert snap.tenants["a"].writes == 1
+        assert snap["tenants"]["a"]["writes"] == 1
         assert server.stats.tenants["a"].writes == 2
+        window = diff_payloads(snap, server.stats.as_dict())
+        assert window["tenants"]["a"]["writes"] == 1

@@ -12,9 +12,8 @@ import os
 import pytest
 
 from repro.bench.builders import BuildSpec, build_minix_lld, fresh_volume
-from repro.bench.report import stack_registry
 from repro.disk import SimulatedDisk, fast_test_disk
-from repro.obs import Tracer, attach_tracer
+from repro.obs import Tracer, attach_tracer, registry_of
 from repro.sim.clock import VirtualClock
 from repro.volume import Volume, VolumeDegradedError
 
@@ -278,16 +277,18 @@ def test_volume_stats_rollup_and_snapshot():
     assert rollup["read_latency_p99"] > 0.0
     assert rollup["max_queue_depth"] >= 4
 
-    frozen = volume.volume_stats.snapshot()
+    frozen = volume.volume_stats.as_dict()
     volume.read(0, 32)
-    assert frozen.as_dict()["reads"] == 1  # snapshot is decoupled
-    assert volume.volume_stats.as_dict()["reads"] == 2
+    assert frozen["reads"] == 1  # the payload is decoupled
+    assert frozen["per_disk"] == rollup["per_disk"]  # members' rows too
+    live = volume.volume_stats.as_dict()
+    assert live["reads"] == 2 and live["per_disk"] != frozen["per_disk"]
 
 
 def test_stack_registry_adopts_volume_layer():
     spec = BuildSpec.from_scale(0.1)
-    fs, lld = build_minix_lld(spec, n_disks=2)
-    registry = stack_registry(fs=fs, lld=lld)
+    fs, _lld = build_minix_lld(spec, n_disks=2)
+    registry = registry_of(fs)
     merged = registry.collect()
     assert any(key.startswith("volume.") for key in merged)
     assert merged["volume.n_disks"] == 2
