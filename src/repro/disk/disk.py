@@ -37,7 +37,8 @@ class SimulatedDisk:
     64 KB extent touched, not one object per sector. Two copies per byte
     remain and are the minimum for a store that owns its contents — one
     into the extent on ``write``/``install``, one into the returned
-    ``bytes`` on ``read``/``peek``.
+    ``bytes`` on ``read``/``peek`` (or into the caller's buffer, for a
+    ``read(..., into=)``).
     """
 
     def __init__(self, geometry: DiskGeometry, clock: VirtualClock) -> None:
@@ -147,20 +148,23 @@ class SimulatedDisk:
                 f"{self.geometry.total_sectors} sectors"
             )
 
-    def read(self, lba: int, nsectors: int, *, wait: bool = True):
+    def read(self, lba: int, nsectors: int, *, wait: bool = True, into=None):
         """Read ``nsectors`` contiguous sectors starting at ``lba``.
 
         ``wait=False`` returns ``(bytes, arrival)``, as a
         :class:`repro.volume.Volume` does; here the request is charged on
         the one clock before it returns, so it has already waited and
-        arrives ``now``.
+        arrives ``now``. With ``into`` (a writable buffer of exactly the
+        request's bytes) the sectors land there, as ``readinto`` would
+        have them, and ``into`` stands for the bytes: a parity volume's
+        pre-reads reuse the same buffers row after row.
         """
         self._check_range(lba, nsectors)
         tr = self.tracer
         with tr.span("disk.read", lba=lba, sectors=nsectors) if tr else NULL_SPAN:
             self._charge_access(lba, nsectors)
             self.stats.record_request(nsectors, write=False)
-        data = self._store.read(lba, nsectors)
+        data = self._store.read(lba, nsectors, into)
         return data if wait else (data, self.clock.now)
 
     def read_batch(self, requests: list[tuple[int, int]], *, wait: bool = True):

@@ -18,6 +18,7 @@ class DiskStats(Counters):
     """Counters accumulated by :class:`repro.disk.SimulatedDisk`."""
 
     DERIVED = ("requests", "bytes_read", "bytes_written", "busy_time")
+    FIXED = ("sector_size",)
 
     #: Bytes per sector of the disk these counters describe; the byte
     #: totals below are derived from it, so non-512 geometry profiles

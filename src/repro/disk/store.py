@@ -34,6 +34,16 @@ def sector_view(data, sector_size: int, what: str) -> tuple[memoryview, int]:
     return view, nsectors
 
 
+def fill(into, parts):
+    """Write the byte buffers ``parts`` end to end into ``into`` (which
+    they fill exactly) and return ``into``."""
+    at = 0
+    for part in parts:
+        into[at : at + len(part)] = part
+        at += len(part)
+    return into
+
+
 class ExtentStore:
     """Sector contents of one disk, allocated an extent at a time.
 
@@ -45,8 +55,8 @@ class ExtentStore:
       extent exists;
     * :attr:`populated` is the exact number of distinct sectors ever
       written, and :meth:`written_sectors` lists exactly those;
-    * ``read`` copies each byte once (into the returned ``bytes``) and
-      ``write`` once (into the extent).
+    * ``read`` copies each byte once (into the returned ``bytes``, or the
+      caller's buffer) and ``write`` once (into the extent).
 
     Callers validate ranges; the store trusts ``lba`` and lengths.
     """
@@ -58,8 +68,10 @@ class ExtentStore:
         #: extent index -> (sector bytes, per-sector written flags)
         self._extents: dict[int, tuple[bytearray, bytearray]] = {}
 
-    def read(self, lba: int, nsectors: int) -> bytes:
-        """Contents of ``[lba, lba + nsectors)``."""
+    def read(self, lba: int, nsectors: int, into=None):
+        """Contents of ``[lba, lba + nsectors)``: new ``bytes``, or written
+        into ``into`` (a writable buffer of exactly that many bytes), which
+        is returned."""
         size = self.sector_size
         extents = self._extents
         index, first = divmod(lba, EXTENT_SECTORS)
@@ -74,7 +86,9 @@ class ExtentStore:
             nsectors -= take
             index += 1
             first = 0
-        return b"".join(parts)
+        if into is None:
+            return b"".join(parts)
+        return fill(into, parts)
 
     def write(self, lba: int, view: memoryview) -> None:
         """Store ``view`` (a byte view of whole sectors) starting at ``lba``."""

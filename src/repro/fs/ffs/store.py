@@ -17,8 +17,10 @@ BLOCKS_PER_GROUP = 2048
 class FFSStore(ClassicStore):
     """Classic layout plus cylinder groups, sync metadata, write clustering."""
 
+    block_size = BLOCK_SIZE
+
     def __init__(self, disk: SimulatedDisk, cache_bytes: int = 6144 * 1024) -> None:
-        super().__init__(disk, block_size=BLOCK_SIZE, cache_bytes=cache_bytes)
+        super().__init__(disk, cache_bytes=cache_bytes)
         self._group_rotor = 0
 
     # ------------------------------------------------------------------

@@ -35,14 +35,15 @@ _MAGIC = b"MNX1"
 class ClassicStore(BlockStore):
     """Plain MINIX storage on a raw simulated disk."""
 
-    def __init__(self, disk: SimulatedDisk, block_size: int = 4096, cache_bytes: int = 6144 * 1024) -> None:
-        if block_size % SECTOR != 0:
-            raise ValueError(f"block size must be sector-aligned: {block_size}")
+    #: Bytes per block: MINIX's 4 KB. A store with other blocks is a
+    #: subclass (the FFS store's 8 KB).
+    block_size = 4096
+
+    def __init__(self, disk: SimulatedDisk, cache_bytes: int = 6144 * 1024) -> None:
         self.disk = disk
-        self.block_size = block_size
         self.stats = StoreStats()
         self.cache = BufferCache(cache_bytes, self._writeback)
-        self._sectors_per_block = block_size // SECTOR
+        self._sectors_per_block = self.block_size // SECTOR
         self.total_blocks = disk.geometry.total_sectors // self._sectors_per_block
         self._ninodes = 0
         self.first_data = 0

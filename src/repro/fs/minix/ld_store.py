@@ -46,7 +46,6 @@ class LDStore(BlockStore):
     def __init__(
         self,
         ld: LogicalDisk,
-        block_size: int = 4096,
         cache_bytes: int = 6144 * 1024,
         list_per_file: bool = True,
         inode_block_mode: str = MODE_PACKED,
@@ -58,7 +57,8 @@ class LDStore(BlockStore):
         # its server, whose ``group_commit=N`` decides when it goes physical.
         self._session = ld if isinstance(ld, TenantSession) else None
         self.ld = ld
-        self.block_size = block_size
+        #: The LD's own block: a zone is one logical block.
+        self.block_size = ld.block_size
         self.stats = StoreStats()
         #: ``tracer``: optional :class:`repro.obs.Tracer`, inherited from
         #: the LD so a store built over a traced stack joins the same

@@ -80,6 +80,10 @@ class LogicalDisk(abc.ABC):
     reorganization, and crash recovery.
     """
 
+    #: The largest block, in bytes, a ``write`` accepts: the block of a
+    #: file system on this LD.
+    block_size: int
+
     # ------------------------------------------------------------------
     # Blocks
     # ------------------------------------------------------------------

@@ -120,6 +120,10 @@ class LLD(LogicalDisk):
     #: The cleaner's free-slot target (reported in the ``space`` registry).
     min_free_segments = MIN_FREE_SEGMENTS
 
+    @property
+    def block_size(self) -> int:
+        return self.config.block_size
+
     def __init__(
         self,
         disk: SimulatedDisk,

@@ -33,6 +33,8 @@ RESERVE_FRACTION = 0.05
 class LogeDisk(LogicalDisk):
     """Writes each block to the free reserved slot nearest the disk head."""
 
+    block_size = BLOCK_SIZE
+
     def __init__(self, disk: SimulatedDisk) -> None:
         self.disk = disk
         # One extra sector per slot holds the out-of-band header Loge

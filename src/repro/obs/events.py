@@ -54,13 +54,14 @@ class Event:
 class EventLog:
     """Bounded ring of :class:`Event` records, shared by one stack.
 
-    ``capacity`` bounds memory on arbitrarily long runs: the ring keeps
-    the newest events and counts what it dropped (``emitted`` is the
-    lifetime total). The log is always truthy — sites guard on the
+    ``clock`` is the stack's shared clock, which stamps every event not
+    given a time. ``capacity`` bounds memory on arbitrarily long runs: the
+    ring keeps the newest events and counts what it dropped (``emitted``
+    is the lifetime total). The log is always truthy — sites guard on the
     *attribute* being set, mirroring the tracer idiom.
     """
 
-    def __init__(self, clock=None, capacity: int = 4096) -> None:
+    def __init__(self, clock, capacity: int = 4096) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1: {capacity}")
         self.clock = clock
@@ -88,15 +89,14 @@ class EventLog:
     def emit(self, name: str, severity: str = "info", t: float | None = None, **payload):
         """Record one event; returns it.
 
-        ``t`` defaults to the attached clock's current virtual time (0.0
-        with no clock — offline replay). Unknown severities raise: a
-        typo'd level would silently fall out of every filter.
+        ``t`` defaults to the clock's current virtual time. Unknown
+        severities raise: a typo'd level would silently fall out of every
+        filter.
         """
         if severity not in _SEVERITY_RANK:
             raise ValueError(f"unknown severity {severity!r} (choose from {SEVERITIES})")
         if t is None:
-            clock = self.clock
-            t = clock.now if clock is not None else 0.0
+            t = self.clock.now
         event = Event(t=t, name=name, severity=severity, payload=payload)
         self.events.append(event)
         self.emitted += 1

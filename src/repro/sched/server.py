@@ -115,7 +115,7 @@ class LDServer:
         self.tenants: dict[str, TenantQueue] = {}
         self.sessions: dict[str, object] = {}
         self.dispatch_log: list[tuple] | None = [] if record_dispatch else None
-        self.block_size = getattr(getattr(ld, "config", None), "block_size", 4096)
+        self.block_size = ld.block_size
         self._names: list[str] = []
         self._rr = 0
         self._arrival = 0

@@ -55,6 +55,7 @@ class TenantSession(LogicalDisk):
         #: The underlying LD, in the instance dict so ``attach_tracer``
         #: descends through sessions to the real stack.
         self.ld = server.ld
+        self.block_size = server.block_size
         self.tracer = server.tracer
         self._queue = queue
         self._seq = 0

@@ -19,10 +19,8 @@ class VirtualClock:
       must wait for a rotational position or a pipelined stage to finish).
     """
 
-    def __init__(self, start: float = 0.0) -> None:
-        if start < 0.0:
-            raise ValueError(f"clock cannot start at negative time: {start}")
-        self._now = float(start)
+    def __init__(self) -> None:
+        self._now = 0.0
 
     @property
     def now(self) -> float:

@@ -48,6 +48,8 @@ class ULD(LogicalDisk):
     update-in-place reading of the paper's clustering idea.
     """
 
+    block_size = BLOCK_SIZE
+
     def __init__(self, disk: SimulatedDisk) -> None:
         self.disk = disk
         meta_sectors = METADATA_CAPACITY // SECTOR

@@ -79,8 +79,9 @@ class StripeCache:
         #: sector is blank when an odd number of boundaries are <= it.
         self._blank: dict[int, list[int]] = {}
         #: What a blank run of a partly resident range is answered with (a
-        #: pre-read never spans more than one chunk).
-        self._zeros = memoryview(bytes(chunk_sectors * sector_size))
+        #: pre-read never spans more than one chunk), and what a row write
+        #: fills a buffer standing for a blank one with.
+        self.zeros = memoryview(bytes(chunk_sectors * sector_size))
 
     def record_blank(self, member: int, nsectors: int) -> None:
         """Put ``member``'s first ``nsectors`` sectors on record as never
@@ -156,7 +157,7 @@ class StripeCache:
         while at < end:
             stop = min(end, bounds[edge]) if edge < len(bounds) else end
             if edge & 1:
-                parts.append(self._zeros[: (stop - at) * self.sector_size])
+                parts.append(self.zeros[: (stop - at) * self.sector_size])
             elif self._resident(member, at, stop - at, parts) is None:
                 return None
             else:

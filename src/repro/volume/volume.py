@@ -81,7 +81,7 @@ from dataclasses import dataclass, field
 from repro.disk.disk import SimulatedDisk
 from repro.disk.geometry import DiskGeometry
 from repro.disk.stats import DiskStats
-from repro.disk.store import sector_view
+from repro.disk.store import fill, sector_view
 from repro.ld.errors import LDError
 from repro.obs.hist import LatencyHistogram
 from repro.obs.metrics import Counters
@@ -107,34 +107,124 @@ DEFAULT_CHUNK_SECTORS = 128
 REBUILD_STEP_SECTORS = DEFAULT_CHUNK_SECTORS
 
 
-def _xor_buffers(buffers):
-    """XOR equal-length byte buffers through Python ints.
+#: Bytes :func:`_xor_buffers` turns into one int at a time: a store
+#: extent's worth, the most a row write allocates at once.
+XOR_WINDOW = 64 * 1024
 
-    The cheapest XOR CPython offers without an extension, and not cheap:
-    ``int.from_bytes`` walks every byte, so parity is a large share of the
-    CPU wherever many rows are written (two fifths of ``aged_overwrite``'s
-    timed phase, as once sized). Operands are taken as they come —
-    ``bytes`` a member store's ``read`` returned (its one copy per byte),
-    ``memoryview`` slices of the request — and the result is the only
-    buffer built here; a member ``write`` then copies it once more, into
-    the store's extent. Copying a view to ``bytes`` before the conversion
-    measures no better on a 2-core Xeon under Python 3.11.7 (best of
-    nine: 351 against 365 µs for 256 KB, 775 against 758 µs for 512 KB):
-    the fresh allocation costs what the buffer protocol does.
+
+def _xor_buffers(buffers, out=None):
+    """XOR equal-length byte buffers through Python ints, a window at a time.
+
+    The cheapest XOR CPython offers without an extension: ``int.from_bytes``
+    of each operand, ``^``, ``to_bytes``. Taken over a whole 464 KB row,
+    that made three ints and a result of the row's size per partial-row
+    write — about 2 MB of fresh objects, which glibc trimmed and faulted
+    back in row after row: 194 k minor faults and a quarter second of
+    system time in ``aged_overwrite``'s timed phase. Here nothing larger
+    than :data:`XOR_WINDOW` (64 KB) is built, and the arithmetic costs no
+    more for it (three 464 KB operands into a reused buffer, median of 40
+    on a 2-core Xeon under Python 3.11.7: 1.73–1.76 ms, against 1.97–2.06
+    ms whole). Each window of every operand becomes an int, and their XOR
+    is written into ``out`` — a reused volume buffer, possibly one of the
+    operands themselves, since a window is read from every operand before
+    it is written — which is returned. Without ``out`` the windows are
+    joined into new ``bytes`` (degraded reads and the rebuild scanner,
+    whose result is handed on).
+
+    An operand is a ``bytes``-like buffer or a list of them end to end (a
+    stripe cache answer, :meth:`StripeCache.find`, XORed from its views
+    as it stands: only the parts of one window are joined).
     ``tests/volume/test_xor.py`` pins the bytes for every kind of operand.
 
     A ``None`` operand is a blank one — sectors never written, all zeros
     (:meth:`_Dispatch.prereads`) — and is left out. A single operand left
-    is returned as it is, with no round-trip through an int; none at all
-    is ``None``, itself blank.
+    needs no int: it is copied into ``out`` (which the caller may then
+    patch, so it must not share its bytes with another row buffer), or
+    without ``out`` returned as it is (a list: its parts joined). None at
+    all is ``None``, itself blank.
     """
     operands = [buf for buf in buffers if buf is not None]
-    if len(operands) < 2:
-        return operands[0] if operands else None
-    acc = 0
-    for buf in operands:
-        acc ^= int.from_bytes(buf, "little")
-    return acc.to_bytes(len(operands[-1]), "little")
+    if not operands:
+        return None
+    first = operands[0]
+    if len(operands) == 1:
+        if out is not None:
+            return fill(out, first if isinstance(first, list) else (first,))
+        if not isinstance(first, list):
+            return first
+    size = sum(map(len, first)) if isinstance(first, list) else len(first)
+    windows = []
+    at = 0
+    for chunks in zip(*map(_windows, operands)):
+        acc = 0
+        for chunk in chunks:
+            acc ^= int.from_bytes(chunk, "little")
+        step = min(XOR_WINDOW, size - at)
+        window = acc.to_bytes(step, "little")
+        if out is None:
+            windows.append(window)
+        else:
+            out[at : at + step] = window
+        at += step
+    if out is not None:
+        return out
+    return windows[0] if len(windows) == 1 else b"".join(windows)
+
+
+def _windows(operand):
+    """An operand of :func:`_xor_buffers` a :data:`XOR_WINDOW` at a time:
+    slices of a contiguous buffer, or a cache answer's parts joined."""
+    if not isinstance(operand, list):
+        view = memoryview(operand).cast("B")
+        for at in range(0, len(view), XOR_WINDOW):
+            yield view[at : at + XOR_WINDOW]
+        return
+    pending, have = [], 0
+    for part in operand:
+        part = memoryview(part).cast("B")
+        while part:
+            take = min(len(part), XOR_WINDOW - have)
+            pending.append(part[:take])
+            have += take
+            part = part[take:]
+            if have == XOR_WINDOW:
+                yield b"".join(pending)
+                pending, have = [], 0
+    if pending:
+        yield b"".join(pending)
+
+
+class _RowBuffers:
+    """The byte buffers a parity volume's row writes reuse.
+
+    A row's member pre-reads land here, and its new parity too, so a row
+    write allocates nothing of the row's size: Linux md works over a
+    stripe cache of pages it allocates once, in the same way. Buffers are
+    handed out in order within a row (:meth:`take`) and all free again at
+    the next (:meth:`reset`). Each grows, by replacement — a view of the
+    old one may still be alive — to the largest range asked of it, so a
+    volume whose rows are small never holds a chunk-sized buffer.
+    """
+
+    __slots__ = ("_pool", "_taken")
+
+    def __init__(self) -> None:
+        self._pool: list[bytearray] = []
+        self._taken = 0
+
+    def reset(self) -> None:
+        self._taken = 0
+
+    def take(self, nbytes: int) -> memoryview:
+        """The row's next buffer, ``nbytes`` long; its contents are junk."""
+        index = self._taken
+        self._taken += 1
+        pool = self._pool
+        if index == len(pool):
+            pool.append(bytearray(nbytes))
+        elif len(pool[index]) < nbytes:
+            pool[index] = bytearray(nbytes)
+        return memoryview(pool[index])[:nbytes]
 
 
 class VolumeError(LDError):
@@ -334,7 +424,9 @@ class _Dispatch:
     never written, which the cache has on record as blank.
     """
 
-    __slots__ = ("disks", "stats", "cache", "now", "floor", "completion", "reads", "writes")
+    __slots__ = (
+        "disks", "stats", "cache", "scratch", "now", "floor", "completion", "reads", "writes",
+    )
 
     #: A healthy partial row weighs delta against reconstruct by what its
     #: pre-reads cost (:meth:`Volume._reconstructs`).
@@ -344,6 +436,8 @@ class _Dispatch:
         self.disks = volume.disks
         self.stats = volume.volume_stats
         self.cache = volume.stripe_cache
+        #: The row's next reused buffer (:meth:`_RowBuffers.take`).
+        self.scratch = volume._buffers.take
         self.now = now
         #: Earliest start of the next member write.
         self.floor = now
@@ -352,10 +446,10 @@ class _Dispatch:
         self.reads = 0
         self.writes = 0
 
-    def read(self, member: int, plba: int, nsectors: int) -> bytes:
+    def read(self, member: int, plba: int, nsectors: int, into=None):
         disk = self.disks[member]
         disk.clock.advance_to(self.now)
-        data = disk.read(plba, nsectors)
+        data = disk.read(plba, nsectors, into=into)
         self.reads += 1
         done = disk.clock.now
         if done > self.floor:
@@ -385,22 +479,27 @@ class _Dispatch:
                     latest = busy
         return misses, latest
 
-    def prereads(self, prereads: list[_Preread]) -> list[bytes | None]:
+    def prereads(self, prereads: list[_Preread]) -> list:
         """The bytes a row write computes its parity from, in the order
-        probed: remembered from the write that put them there, ``None``
+        probed: the stripe cache's views of them as the write that put
+        them there left them (a list, never to be written to), ``None``
         for a buffer never written (blank: zeros, which :func:`_xor_buffers`
-        leaves out), or else read from the member. A remembered or blank
-        buffer issues nothing, so it does not raise ``floor``."""
+        leaves out), or else read from the member into the row's next
+        reused buffer (a ``memoryview``, the row's to overwrite). A
+        remembered or blank buffer issues nothing, so it does not raise
+        ``floor``."""
         stats = self.stats
+        size = self.cache.sector_size
         out = []
         for member, plba, nsectors, resident in prereads:
             if resident is None:
                 stats.preread_misses += 1
-                out.append(self.read(member, plba, nsectors))
+                into = self.scratch(nsectors * size)
+                out.append(self.read(member, plba, nsectors, into))
             else:
                 stats.preread_hits += 1
                 stats.preread_sectors_saved += nsectors
-                out.append(b"".join(resident) if resident else None)
+                out.append(resident or None)
         return out
 
     def write(self, member: int, plba: int, payload, keep: bool = True) -> None:
@@ -441,6 +540,7 @@ class _Install:
 
     def __init__(self, volume: "Volume") -> None:
         self.volume = volume
+        self.scratch = volume._buffers.take
 
     def read(self, member: int, plba: int, nsectors: int) -> bytes:
         return self.volume.disks[member].peek(plba, nsectors)
@@ -544,6 +644,8 @@ class Volume:
         #: The replacement being rebuilt came blank: no sector of it was
         #: ever written (:meth:`rebuild_step`).
         self._replacement_blank = False
+        #: Where a row write's pre-reads and parity land.
+        self._buffers = _RowBuffers()
 
     # ------------------------------------------------------------------
     # Membership / degraded modes
@@ -1096,6 +1198,7 @@ class Volume:
 
         for row, frags in pmap.split_rows(lba, nsectors):
             io.floor = io.now
+            self._buffers.reset()
             base = pmap.row_lba(row)
             parity_member = pmap.parity_disk(row)
             bad = None if down is None or self._trusted(down, row) else down
@@ -1147,41 +1250,73 @@ class Volume:
     def _reconstruct(self, io: _Io, parity_member: int, bad, frags, lo: int, reads, payload):
         """New parity over ``[lo, hi)``: the XOR of the row's data chunks
         there, each the new fragment over the old bytes ``reads`` supply
-        (``None``: blank, zeros)."""
-        old = {read[0]: buf for read, buf in zip(reads, io.prereads(reads))}
-        if parity_member in old:
-            old[bad] = _xor_buffers([old.pop(parity_member), *old.values()])
-            io.tally("reconstructed_reads")
+        (``None``: blank, zeros). It lands in place over one of the row's
+        own pre-read buffers, or in a reused one."""
         size = self.geometry.sector_size
+        # Every pre-read covers [lo, hi), and so does every fragment of a
+        # row with none.
+        nbytes = (reads[0][2] if reads else frags[0].nsectors) * size
+        old = {}
+        mine = set()  # members whose old bytes sit in a buffer the row may overwrite
+        for read, buf in zip(reads, io.prereads(reads)):
+            old[read[0]] = buf
+            if isinstance(buf, memoryview):
+                mine.add(read[0])
+        if parity_member in old:
+            mine.discard(parity_member)
+            held = old.pop(parity_member)
+            out = held if isinstance(held, memoryview) else io.scratch(nbytes)
+            old[bad] = _xor_buffers([held, *old.values()], out)
+            if old[bad] is out:
+                mine.add(bad)
+            io.tally("reconstructed_reads")
         for f in frags:
             if f.disk in old:  # overlay the fragment on the chunk's old bytes
-                under = old[f.disk]
-                chunk = old[f.disk] = bytearray(under if under is not None else reads[0][2] * size)
+                if f.disk not in mine:
+                    old[f.disk] = self._copy(io.scratch(nbytes), old[f.disk])
+                    mine.add(f.disk)
                 off = (f.within - lo) * size
-                chunk[off : off + f.nsectors * size] = payload(f)
+                old[f.disk][off : off + f.nsectors * size] = payload(f)
             else:
                 old[f.disk] = payload(f)
-        return _xor_buffers(old.values())
+        out = old[min(mine)] if mine else io.scratch(nbytes)
+        return _xor_buffers(old.values(), out)
 
     def _delta(self, io: _Dispatch, frags, lo: int, rmw: list[_Preread], payload):
         """Read-modify-write's new parity over ``[lo, hi)`` from the old data
         and old parity ``rmw`` probed. A row touched in one chunk (the
         dominant shape: a partial segment flush) has a parity range equal
-        to its fragment's, so the three buffers XOR as read, with no
-        staging copy; only a row touched in several chunks patches a
-        ``bytearray`` of the range. A blank buffer (``None``) is left out
+        to its fragment's, so the three buffers XOR as read, into the old
+        parity's buffer or the old data's when a member read put it in one
+        of the volume's; a row touched in several chunks patches the old
+        parity a fragment at a time. A blank buffer (``None``) is left out
         of the XOR, so a fragment over blank data and blank parity is its
         own parity."""
         *old, old_parity = io.prereads(rmw)
+        nbytes = rmw[-1][2] * self.geometry.sector_size
         if len(frags) == 1:
-            return _xor_buffers([old_parity, old[0], payload(frags[0])])
+            under = old[0]
+            out = next(
+                (buf for buf in (old_parity, under) if isinstance(buf, memoryview)), None
+            )
+            if out is None and (old_parity is not None or under is not None):
+                out = io.scratch(nbytes)
+            return _xor_buffers([old_parity, under, payload(frags[0])], out)
+        parity = old_parity
+        if not isinstance(parity, memoryview):
+            parity = self._copy(io.scratch(nbytes), old_parity)
         size = self.geometry.sector_size
-        parity = bytearray(old_parity if old_parity is not None else rmw[-1][2] * size)
         for f, obuf in zip(frags, old):
-            off = (f.within - lo) * size
-            end = off + f.nsectors * size
-            parity[off:end] = _xor_buffers([parity[off:end], obuf, payload(f)])
+            span = parity[(f.within - lo) * size : (f.within - lo + f.nsectors) * size]
+            _xor_buffers([span, obuf, payload(f)], span)
         return parity
+
+    def _copy(self, out: memoryview, buf) -> memoryview:
+        """``out`` holding what a pre-read buffer ``buf`` stands for: its
+        bytes, its views' bytes end to end, or zeros for a blank one."""
+        if buf is None:
+            buf = self.stripe_cache.zeros[: len(out)]
+        return fill(out, buf if isinstance(buf, list) else (buf,))
 
     def _reconstructs(self, io: _Dispatch, rcw: list[_Preread], rmw: list[_Preread]) -> bool:
         """A healthy partial row's choice: reconstruct only when its
@@ -1290,6 +1425,7 @@ class Volume:
         chunk = pmap.chunk_sectors
         changed = 0
         for row in range(pmap.rows):
+            self._buffers.reset()
             holder, base = pmap.parity_disk(row), pmap.row_lba(row)
             reads = self._reconstruct_reads(io, row, set(), 0, chunk, None)
             parity = self._reconstruct(io, holder, None, [], 0, reads, None)

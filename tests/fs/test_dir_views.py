@@ -31,14 +31,18 @@ PER_BLOCK = BLOCK // DIRENT_SIZE
 BIG = 7 * PER_BLOCK + 8
 
 
+class SmallClassic(ClassicStore):
+    block_size = BLOCK
+
+
 def build(kind: str, cache_blocks: int, capacity_mb: int = 16) -> MinixFS:
     disk = SimulatedDisk(hp_c3010(capacity_mb=capacity_mb), VirtualClock())
     if kind == "classic":
-        store = ClassicStore(disk, block_size=BLOCK, cache_bytes=cache_blocks * BLOCK)
+        store = SmallClassic(disk, cache_bytes=cache_blocks * BLOCK)
     else:
-        lld = LLD(disk, LLDConfig(segment_size=64 * 1024, checkpoint_slots=1))
+        lld = LLD(disk, LLDConfig(segment_size=64 * 1024, block_size=BLOCK, checkpoint_slots=1))
         lld.initialize()
-        store = LDStore(lld, block_size=BLOCK, cache_bytes=cache_blocks * BLOCK)
+        store = LDStore(lld, cache_bytes=cache_blocks * BLOCK)
     fs = MinixFS(store, readahead=False)
     fs.mkfs(ninodes=512)
     return fs

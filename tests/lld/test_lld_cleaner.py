@@ -137,7 +137,7 @@ def test_a_seal_reads_the_next_victims_live_span_before_it_writes(policy):
     disk = JournalDisk(make_device("raid5"))
     lld = LLD(disk, small_config(clean_policy=policy))
     lld.initialize()
-    events = attach_events(EventLog(capacity=1 << 16), lld)
+    events = attach_events(EventLog(lld.disk.clock, capacity=1 << 16), lld)
     rng = random.Random(policy)
     lid = lld.new_list()
     want = {}

@@ -32,25 +32,27 @@ def test_emit_stamps_virtual_time_and_payload():
 def test_empty_log_is_truthy():
     # The choke-point guard is `ev = self.events` / `if ev:` — an empty
     # log being falsy would silently swallow the first event of a run.
-    log = EventLog()
+    log = EventLog(VirtualClock())
     assert len(log) == 0
     assert bool(log)
 
 
 def test_unknown_severity_raises():
-    log = EventLog()
+    log = EventLog(VirtualClock())
     with pytest.raises(ValueError, match="unknown severity"):
         log.emit("x.y", severity="fatal")
 
 
-def test_explicit_timestamp_and_no_clock_default():
-    log = EventLog()  # no clock: offline replay
-    assert log.emit("a.b").t == 0.0
+def test_explicit_timestamp_and_clock_default():
+    clock = VirtualClock()
+    log = EventLog(clock)
+    clock.advance(2.0)
+    assert log.emit("a.b").t == 2.0
     assert log.emit("a.b", t=3.25).t == 3.25
 
 
 def test_ring_is_bounded_and_counts_drops():
-    log = EventLog(capacity=4)
+    log = EventLog(VirtualClock(), capacity=4)
     for i in range(10):
         log.emit("lld.cleaner_pass", slot=i)
     assert len(log) == 4
@@ -58,11 +60,11 @@ def test_ring_is_bounded_and_counts_drops():
     assert log.dropped == 6
     assert [e.payload["slot"] for e in log] == [6, 7, 8, 9]
     with pytest.raises(ValueError):
-        EventLog(capacity=0)
+        EventLog(VirtualClock(), capacity=0)
 
 
 def test_select_filters_compose():
-    log = EventLog()
+    log = EventLog(VirtualClock())
     log.emit("volume.member_failed", severity="warn", t=1.0)
     log.emit("lld.cleaner_pass", severity="debug", t=2.0)
     log.emit("volume.rebuild_started", severity="info", t=3.0)
@@ -76,7 +78,7 @@ def test_select_filters_compose():
 
 
 def test_clear_keeps_the_lifetime_count():
-    log = EventLog()
+    log = EventLog(VirtualClock())
     log.emit("a.x")
     log.emit("a.x")
     log.emit("b.y")
@@ -87,7 +89,7 @@ def test_clear_keeps_the_lifetime_count():
 
 
 def test_jsonl_round_trip(tmp_path):
-    log = EventLog()
+    log = EventLog(VirtualClock())
     log.emit("volume.member_failed", severity="error", t=1.25, member=2)
     log.emit("volume.rebuild_started", t=1.5, member=2, rows=25)
     path = tmp_path / "events.jsonl"
@@ -145,7 +147,7 @@ def _slot_script(events):
 
 
 def test_slot_events_follow_one_slot_through_a_clean():
-    log = EventLog(capacity=100_000)
+    log = EventLog(VirtualClock(), capacity=100_000)
     lld, _disk, victim = _slot_script(log)
     moves = [
         (e.payload["old"], e.payload["new"], e.payload["cause"])
@@ -166,7 +168,7 @@ def test_slot_events_follow_one_slot_through_a_clean():
 
 
 def test_slot_events_do_not_change_what_the_disk_sees():
-    with_sink, disk_a, _ = _slot_script(EventLog(capacity=100_000))
+    with_sink, disk_a, _ = _slot_script(EventLog(VirtualClock(), capacity=100_000))
     without, disk_b, _ = _slot_script(None)
     assert disk_a.events == disk_b.events and disk_a.barriers == disk_b.barriers
     assert disk_a.clock.now == disk_b.clock.now

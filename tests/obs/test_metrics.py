@@ -15,6 +15,8 @@ import pytest
 from repro.disk import SimulatedDisk, fast_test_disk
 from repro.disk.stats import DiskStats
 from repro.fs.minix.store import StoreStats
+from repro.ld.hints import LIST_HEAD
+from repro.lld import LLD, LLDConfig
 from repro.lld.lld import LLDStats
 from repro.lld.nvram import NVRAM
 from repro.lld.readcache import ReadCacheCounters
@@ -23,6 +25,7 @@ from repro.obs import Counters, LatencyHistogram, MetricsRegistry, diff_payloads
 from repro.sched.stats import SchedStats, TenantSchedStats
 from repro.sim import VirtualClock
 from repro.volume import Volume
+from repro.volume.volume import VolumeStats
 
 
 def _volume_stats():
@@ -123,8 +126,7 @@ def test_snapshot_is_an_independent_copy(stats_type):
 
 def _numbers(payload):
     """Every numeric leaf of a window, histogram sketches included. (A
-    list — the volume's ``per_disk`` rows — is state and passes through
-    a window whole.)"""
+    list — the volume's ``per_disk`` rows — has its own test below.)"""
     for value in payload.values():
         if isinstance(value, dict):
             yield from _numbers(value)
@@ -286,3 +288,52 @@ def test_registry_collect_delta_yields_the_window():
     assert window["disk.writes"] == 1
     assert window["disk.reads"] == 1
     assert window["disk.sectors_written"] == 4
+
+
+def test_a_window_computes_derived_figures_from_its_own_fields():
+    """20 rewrites of one block at 4 KB, then a window of 20 at 100 bytes,
+    each flushed: the window's write amplification is its own physical
+    bytes over its own logical ones (14.8), not the difference of two
+    cumulative ratios (0.32)."""
+    config = LLDConfig(
+        segment_size=64 * 1024, summary_capacity=4096, block_size=4096,
+        checkpoint_slots=1, delta_partial_flush=True,
+    )
+    lld = LLD(SimulatedDisk(fast_test_disk(capacity_mb=8), VirtualClock()), config)
+    lld.initialize()
+    registry = MetricsRegistry()
+    registry.register("lld", lld.stats)
+    bid = lld.new_block(lld.new_list(), LIST_HEAD)
+    for i in range(20):
+        lld.write(bid, bytes([i + 1]) * 4096)
+        lld.flush()
+    before = registry.collect()
+    for i in range(20):
+        lld.write(bid, bytes([i + 1]) * 100)
+        lld.flush()
+    window = registry.collect_delta(before)
+    physical, logical = window["lld.data_bytes_physical"], window["lld.data_bytes_logical"]
+    assert logical == 2000
+    assert window["lld.write_amplification"] == physical / logical == pytest.approx(14.848)
+    cumulative = registry.collect()["lld.write_amplification"] - before["lld.write_amplification"]
+    assert cumulative == pytest.approx(0.325, abs=1e-3)  # what subtraction read
+
+
+def test_a_window_subtracts_each_members_row_and_keeps_its_index():
+    members = [SimulatedDisk(fast_test_disk(capacity_mb=1), VirtualClock()) for _ in range(3)]
+    volume = Volume(members, VirtualClock(), layout="raid5", chunk_sectors=8)
+    registry = MetricsRegistry()
+    registry.register("volume", volume.volume_stats)
+    volume.write(0, bytes(512 * 16))
+    before = registry.collect()
+    earlier = [disk.stats.as_dict() for disk in members]
+    volume.write(0, b"\x01" * 512)
+    volume.read(8, 8)
+    window = registry.collect_delta(before)
+    rows = window["volume.per_disk"]
+    assert [row["index"] for row in rows] == [0, 1, 2]
+    for row, disk, old in zip(rows, members, earlier):
+        for name in VolumeStats.MEMBER_FIELDS:
+            assert row[name] == getattr(disk.stats, name) - old[name], name
+    assert sum(row["requests"] for row in rows) > 0
+    assert window["volume.total_bytes_written"] == sum(row["bytes_written"] for row in rows)

@@ -33,11 +33,9 @@ SETTINGS = (
     "crashsim.explorer.CrashStateEnumerator(seed=)",
     "crashsim.oracle.OracleDriver(recording=)",
     "fs.ffs.store.FFSStore(cache_bytes=)",
-    "fs.minix.classic_store.ClassicStore(block_size=)",
     "fs.minix.classic_store.ClassicStore(cache_bytes=)",
     "fs.minix.fs.MinixFS(readahead=)",
     "fs.minix.fs.MinixFS(readahead_blocks=)",
-    "fs.minix.ld_store.LDStore(block_size=)",
     "fs.minix.ld_store.LDStore(cache_bytes=)",
     "fs.minix.ld_store.LDStore(list_per_file=)",
     "fs.minix.ld_store.LDStore(inode_block_mode=)",
@@ -57,13 +55,11 @@ SETTINGS = (
     "lld.log.LogWriter(read_cache=)",
     "memmodel.MemoryModelParams.disk_bytes",
     "memmodel.MemoryModelParams.compression_ratio",
-    "obs.events.EventLog(clock=)",
     "obs.events.EventLog(capacity=)",
     "obs.trace.Tracer(enabled=)",
     "sched.server.LDServer(scheduler=)",
     "sched.server.LDServer(group_commit=)",
     "sched.server.LDServer(record_dispatch=)",
-    "sim.clock.VirtualClock(start=)",
     "volume.volume.Volume(clock=)",
     "volume.volume.Volume(layout=)",
     "volume.volume.Volume(chunk_sectors=)",
@@ -79,13 +75,6 @@ UNSET_OUTSIDE_TESTS = {
     "memmodel.MemoryModelParams.compression_ratio",
     # Bounds the event ring's memory, whatever the run.
     "obs.events.EventLog(capacity=)",
-    # Test-only, to retire (ROADMAP 11(f)): no clock means explicit times.
-    "obs.events.EventLog(clock=)",
-    # Test-only, to retire (ROADMAP 11(f)): the clock tests start mid-run.
-    "sim.clock.VirtualClock(start=)",
-    # Test-only, to retire (ROADMAP 11(f)): small blocks in the dir tests.
-    "fs.minix.classic_store.ClassicStore(block_size=)",
-    "fs.minix.ld_store.LDStore(block_size=)",
 }
 
 

@@ -43,9 +43,9 @@ class TimedMember(SimulatedDisk):
         self.log: list[tuple[str, int, float, float]] = []
         self.waits: list[bool] = []
 
-    def read(self, lba, nsectors):
+    def read(self, lba, nsectors, *, into=None):
         start = self.clock.now
-        data = super().read(lba, nsectors)
+        data = super().read(lba, nsectors, into=into)
         self.log.append(("r", lba, start, self.clock.now))
         return data
 

@@ -136,9 +136,9 @@ class LoggingMember(SimulatedDisk):
         super().__init__(fast_test_disk(capacity_mb=1), VirtualClock())
         self.log: list[tuple[str, int, int]] = []
 
-    def read(self, lba, nsectors):
+    def read(self, lba, nsectors, *, into=None):
         self.log.append(("r", lba, nsectors))
-        return super().read(lba, nsectors)
+        return super().read(lba, nsectors, into=into)
 
     def write(self, lba, data):
         self.log.append(("w", lba, len(data) // SECTOR))
